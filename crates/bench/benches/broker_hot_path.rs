@@ -5,19 +5,20 @@
 //! `Packet::decode` (owned payload), one `on_packet` call returning a
 //! fresh output `Vec` of owned packets (payload cloned per subscriber),
 //! and one `encode_into` per output datagram. `batched` replays the
-//! rearchitected loop: `on_datagram_batch_into` over 32-frame batches —
-//! borrowed decode, recycled `BrokerOutputs`, and single-encode fan-out
-//! (subscriber copies share one wire image with a 3-byte header patch).
+//! gateway's serve loop: `on_datagram_into` over 32-frame batches under
+//! one `&mut` — borrowed decode, recycled `BrokerOutputs`, and
+//! single-encode fan-out (subscriber copies share one wire image with a
+//! 3-byte header patch).
 //!
 //! Both paths are swept across 1/8/32 QoS 0 subscribers — the fan-out a
 //! gateway sees between one translator and the paper's ~50-devices-per-
 //! gateway deployments. Throughput is inbound packets/sec; outbound
 //! datagrams scale with the fan-out.
 //!
-//! The second half measures the **sharded gateway** fan-out path
-//! (PR 10): 4 publisher groups, each with 8 shard-local QoS 0
+//! The second half measures the gateway's **cross-shard** fan-out path:
+//! 4 publisher groups, each with 8 shard-local QoS 0
 //! subscribers plus one subscriber on a *different* shard, replayed
-//! through the real shard state machines — `on_datagram_routed`, the
+//! through the real shard state machines — `on_datagram_into`, the
 //! `SharedRouter` mask cache, and the lock-free `ForwardFabric` rings
 //! carrying pre-encoded wire images. Throughput for an N-shard
 //! configuration is computed over the **critical path** of the measured
@@ -127,7 +128,11 @@ fn run_batched(broker: &mut Broker<u32>, wire: &[u8], packets: usize) -> f64 {
     while done < packets {
         let n = BATCH.min(packets - done);
         out.clear();
-        broker.on_datagram_batch_into(0, (0..n).map(|_| (PUBLISHER, wire)), &mut out);
+        for _ in 0..n {
+            broker
+                .on_datagram_into(0, PUBLISHER, wire, &mut out)
+                .expect("bench wire decodes");
+        }
         out.emit(|to, bytes| {
             black_box((to, bytes.len()));
         });
@@ -281,7 +286,7 @@ fn run_group_publishes(
     let start = Instant::now();
     for _ in 0..count {
         let routed = b
-            .on_datagram_routed(0, pub_addr(g), &job.wire, out)
+            .on_datagram_into(0, pub_addr(g), &job.wire, out)
             .expect("bench wire decodes");
         if routed {
             let mask = setup.router.shard_mask(job.tid);
@@ -422,7 +427,7 @@ fn measure_sharded_wall(publishes_per_group: usize) -> f64 {
                 };
                 for _ in 0..publishes_per_group {
                     let routed = b
-                        .on_datagram_routed(0, pub_addr(idx), &job.wire, &mut out)
+                        .on_datagram_into(0, pub_addr(idx), &job.wire, &mut out)
                         .expect("bench wire decodes");
                     if routed {
                         let mask = router.shard_mask(job.tid);

@@ -236,14 +236,11 @@ fn bench_mqtt(c: &mut Criterion) {
                 (broker, wires, mqtt_sn::broker::BrokerOutputs::new())
             },
             |(mut broker, wires, mut out)| {
-                broker.on_datagram_batch_into(
-                    1,
-                    wires
-                        .iter()
-                        .enumerate()
-                        .map(|(dev, w)| (dev as u32, w.as_slice())),
-                    &mut out,
-                );
+                for (dev, wire) in wires.iter().enumerate() {
+                    broker
+                        .on_datagram_into(1, dev as u32, wire, &mut out)
+                        .expect("bench wire decodes");
+                }
                 out.emit(|to, bytes| {
                     std::hint::black_box((to, bytes.len()));
                 });

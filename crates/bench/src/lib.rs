@@ -397,6 +397,118 @@ pub mod gate {
     }
 }
 
+/// Code size per crate, for the `loc` section of `BENCH_hotpath.json`:
+/// ROADMAP item 2 wants the tracked trajectory to show code shrinking
+/// while the perf floors hold. `provlight-bench-check` owns the section
+/// the way each bench owns its own.
+pub mod loc {
+    use std::path::Path;
+
+    /// Non-test, non-blank, non-comment lines of one source file: a line
+    /// counts when text is left on it after `prov_lint`'s lexer has
+    /// blanked the comments, and that text starts outside every
+    /// `#[cfg(test)]` / `#[test]` item.
+    pub fn count(src: &str) -> usize {
+        let scan = prov_lint::lexer::scan(src);
+        let mut offset = 0;
+        let mut lines = 0;
+        for line in scan.masked.split('\n') {
+            let code = line.trim_start();
+            if !code.is_empty() && !scan.in_test_region(offset + line.len() - code.len()) {
+                lines += 1;
+            }
+            offset += line.len() + 1;
+        }
+        lines
+    }
+
+    /// [`count`] summed over every `.rs` file under `dir`, recursively.
+    /// Unreadable entries count as zero rather than failing the gate.
+    pub fn count_dir(dir: &Path) -> usize {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return 0;
+        };
+        entries
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .map(|path| {
+                if path.is_dir() {
+                    count_dir(&path)
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    std::fs::read_to_string(&path).map_or(0, |src| count(&src))
+                } else {
+                    0
+                }
+            })
+            .sum()
+    }
+
+    /// Collects `(crate path under crates/, src lines)` for every package
+    /// below `dir` (the shims sit one level deeper than the rest).
+    fn collect(crates: &Path, dir: &Path, out: &mut Vec<(String, usize)>) {
+        if dir.join("Cargo.toml").is_file() {
+            let name = dir.strip_prefix(crates).unwrap_or(dir).to_string_lossy();
+            out.push((name.replace('\\', "/"), count_dir(&dir.join("src"))));
+            return;
+        }
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for path in entries.filter_map(Result::ok).map(|e| e.path()) {
+            if path.is_dir() {
+                collect(crates, &path, out);
+            }
+        }
+    }
+
+    /// The `loc` section for the workspace rooted at `root`: one entry per
+    /// crate under `crates/` plus the facade crate's `src/`, sorted by
+    /// name, and their total.
+    pub fn section(root: &Path) -> String {
+        let crates = root.join("crates");
+        let mut rows = vec![("provlight".to_owned(), count_dir(&root.join("src")))];
+        collect(&crates, &crates, &mut rows);
+        rows.sort();
+        let total: usize = rows.iter().map(|(_, n)| n).sum();
+        let mut section = String::from(
+            "{\n    \"model\": \"non-test, non-blank, non-comment lines under each crate's src/\",\n    \"crates\": {",
+        );
+        for (i, (name, lines)) in rows.iter().enumerate() {
+            let sep = if i + 1 == rows.len() { "" } else { "," };
+            section.push_str(&format!("\n      \"{name}\": {lines}{sep}"));
+        }
+        section.push_str(&format!("\n    }},\n    \"total\": {total}\n  }}"));
+        section
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn counts_code_lines_only() {
+            let src = "//! doc\n\nuse a::b; // trailing\n/* block\n   comment */\nfn prod() {\n    x();\n}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+            // `use`, `fn prod() {`, `x();`, `}` — nothing from the doc
+            // line, the comments, the blanks or the test module.
+            assert_eq!(count(src), 4);
+        }
+
+        #[test]
+        fn section_lists_this_workspace() {
+            let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+            let section = section(&root);
+            let crates = crate::bench_json::extract_section(&section, "crates").expect("crates");
+            for name in ["provlight", "mqtt-sn", "bench", "shims/parking_lot"] {
+                let lines: usize = crate::bench_json::extract_section(&crates, name)
+                    .unwrap_or_else(|| panic!("{name} missing from {crates}"))
+                    .parse()
+                    .expect("a line count");
+                assert!(lines > 0, "{name} counted as empty");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

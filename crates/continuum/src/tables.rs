@@ -689,7 +689,7 @@ fn sharded_counters() -> ShardedCounters {
         .encode();
         out.clear();
         let forwarded = shards[0]
-            .on_datagram_routed(seq as u64, 0, &wire, &mut out)
+            .on_datagram_into(seq as u64, 0, &wire, &mut out)
             .expect("publish decodes");
         assert!(forwarded);
         let outcome = fabric.forward(

@@ -96,8 +96,8 @@ pub struct BrokerStats {
     /// High-water mark of the broker-wide backlog (buffered +
     /// unacknowledged outbound messages across all sessions).
     pub backlog_high_water: u64,
-    /// State snapshot encode/decode round-trips that failed (see
-    /// `UdpBroker::snapshot` in [`crate::net`]).
+    /// State snapshots that could not be written (see
+    /// `UdpBroker::snapshot_to_file` in [`crate::net`]).
     pub snapshot_failures: u64,
     /// Publishes this shard forwarded into a cross-shard ring (sharded
     /// gateway: the publish was accepted here, but some subscribers live
@@ -470,10 +470,11 @@ impl Session {
 
 /// The broker state machine.
 ///
-/// `Clone` snapshots the complete session/registry state — the basis of
-/// restart persistence: a crashed gateway can be respawned from a snapshot
-/// (see `UdpBroker::spawn_resuming` in [`crate::net`]) without losing
-/// durable sessions or topic registrations.
+/// `Clone` copies the complete session/registry state; the persisted
+/// form of the same state is [`Broker::encode_state`], which a gateway
+/// wraps in its snapshot file (see `UdpBroker::snapshot_to_file` in
+/// [`crate::net`]) so a restart loses neither durable sessions nor topic
+/// registrations.
 #[derive(Clone, Debug)]
 pub struct Broker<A: Clone + Eq + Hash> {
     config: BrokerConfig,
@@ -494,7 +495,7 @@ pub struct Broker<A: Clone + Eq + Hash> {
     /// retransmission copy without allocating.
     payload_pool: Vec<Vec<u8>>,
     /// Whether the most recent datagram handed to
-    /// [`Broker::on_datagram_routed`] carried a PUBLISH that was accepted
+    /// [`Broker::on_datagram_into`] carried a PUBLISH that was accepted
     /// for fan-out (first receipt, valid topic, not congestion-rejected).
     /// Transient — never persisted.
     last_publish_forwarded: bool,
@@ -543,7 +544,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
 
     /// Records a failed state snapshot (see
     /// [`BrokerStats::snapshot_failures`]); called by transport bindings
-    /// whose encode/decode round-trip did not survive.
+    /// whose snapshot write did not reach the disk.
     pub fn note_snapshot_failure(&mut self) {
         self.stats.snapshot_failures += 1;
     }
@@ -676,14 +677,23 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// payloads are never copied into an owned `Vec`), state-machine
     /// dispatch, and wire encoding into `out`. Decode failures are
     /// counted in [`BrokerStats::decode_errors`] and returned.
+    ///
+    /// The `Ok` value is the routing verdict a multi-shard gateway needs:
+    /// `true` when the datagram carried a PUBLISH that this broker
+    /// accepted for fan-out (first receipt, valid topic id, not
+    /// congestion-rejected) — exactly the cases that must also be
+    /// forwarded to the other shards' subscribers. QoS 2 duplicates and
+    /// rejected publishes give `false`, so a message can never cross the
+    /// shard boundary twice.
     pub fn on_datagram_into(
         &mut self,
         now: Nanos,
         from: A,
         datagram: &[u8],
         out: &mut BrokerOutputs<A>,
-    ) -> Result<(), Error> {
+    ) -> Result<bool, Error> {
         // lint: zero-alloc-begin
+        self.last_publish_forwarded = false;
         let mut sink = WireSink::new(out);
         match Packet::decode_borrowed(datagram) {
             Ok(PacketRef::Publish {
@@ -697,38 +707,17 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     s.last_seen = now;
                 }
                 self.handle_publish(now, from, qos, topic, msg_id, payload, &mut sink);
-                Ok(())
+                Ok(self.last_publish_forwarded)
             }
             Ok(PacketRef::Owned(p)) => {
                 self.dispatch(now, from, p, &mut sink);
-                Ok(())
+                Ok(false)
             }
             Err(e) => {
                 self.stats.decode_errors += 1;
                 Err(e)
             }
         }
-        // lint: zero-alloc-end
-    }
-
-    /// [`Broker::on_datagram_into`] plus a routing verdict for sharded
-    /// transports: `Ok(true)` when the datagram carried a PUBLISH that
-    /// this broker accepted for fan-out (first receipt, valid topic id,
-    /// not congestion-rejected) — exactly the cases a sharded front must
-    /// also forward to the other shards' subscribers. QoS 2 duplicates
-    /// and rejected publishes return `Ok(false)`, so a message can never
-    /// cross the shard boundary twice.
-    pub fn on_datagram_routed(
-        &mut self,
-        now: Nanos,
-        from: A,
-        datagram: &[u8],
-        out: &mut BrokerOutputs<A>,
-    ) -> Result<bool, Error> {
-        // lint: zero-alloc-begin
-        self.last_publish_forwarded = false;
-        self.on_datagram_into(now, from, datagram, out)?;
-        Ok(self.last_publish_forwarded)
         // lint: zero-alloc-end
     }
 
@@ -773,11 +762,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    /// Whether `id` resolves in this broker's local topic registry.
-    pub fn topic_known(&self, id: u16) -> bool {
-        self.registry.name_of(id).is_some()
-    }
-
     /// Collects the subscription filters of every fan-out-eligible
     /// session (deduplicated) into `into`, clearing it first. The sharded
     /// router uses this per-shard union to decide which shards a publish
@@ -794,26 +778,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 }
             }
         }
-    }
-
-    /// Batch variant of [`Broker::on_datagram_into`]: processes every
-    /// frame under one `&mut self` (one lock acquisition in a threaded
-    /// transport), returning the number of frames that failed to decode.
-    pub fn on_datagram_batch_into<'d>(
-        &mut self,
-        now: Nanos,
-        frames: impl IntoIterator<Item = (A, &'d [u8])>,
-        out: &mut BrokerOutputs<A>,
-    ) -> usize {
-        // lint: zero-alloc-begin
-        let mut decode_errors = 0;
-        for (from, datagram) in frames {
-            if self.on_datagram_into(now, from, datagram, out).is_err() {
-                decode_errors += 1;
-            }
-        }
-        decode_errors
-        // lint: zero-alloc-end
     }
 
     fn dispatch<S: OutputSink<A>>(&mut self, now: Nanos, from: A, packet: Packet, sink: &mut S) {
@@ -1596,13 +1560,9 @@ impl PersistAddr for u32 {
     }
 }
 
-// v2 added decode_errors / io_errors to the persisted stats block.
-// v3 added the congestion watermarks to the config block and the
-// backpressure counters (congestion_rejects / advisories_sent /
-// backlog_high_water / snapshot_failures) to the stats block; v4 added the
-// per-session recently-completed inbound QoS 2 window; v5 added the
-// sharded-gateway counters (cross_shard_forwards /
-// forward_ring_high_water) to the stats block.
+// v5 added the sharded-gateway counters (cross_shard_forwards /
+// forward_ring_high_water) to the v4 stats block. Decoding accepts the
+// current version and the one before it; anything older is refused.
 const STATE_VERSION: u8 = 5;
 
 /// How many completed inbound QoS 2 ids each session remembers to suppress
@@ -1632,9 +1592,9 @@ impl<A: PersistAddr> Broker<A> {
     /// Serializes the complete broker state — config, topic registry,
     /// sessions (QoS handshake state, subscriptions, buffered messages),
     /// fan-out order, and stats — into a version-tagged byte blob.
-    /// `UdpBroker::snapshot_to_file` wraps this in a checksummed,
-    /// atomically-written file so a gateway survives process death, the
-    /// durable analogue of the in-memory [`Broker::clone`] snapshot.
+    /// `UdpBroker::snapshot_to_file` wraps one such blob per shard in a
+    /// checksummed, atomically-written file so a gateway survives process
+    /// death.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(STATE_VERSION);
@@ -1747,11 +1707,9 @@ impl<A: PersistAddr> Broker<A> {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
-        // v4 appendix: per-session recently-completed inbound QoS 2
+        // Appendix: per-session recently-completed inbound QoS 2
         // windows, in session order, FIFO order preserved so eviction
-        // order survives a restart. An appendix (rather than a field
-        // inside each session block) keeps the v1–v3 session layout
-        // byte-stable.
+        // order survives a restart.
         out.extend_from_slice(&(ordered.len() as u32).to_le_bytes());
         for addr in &ordered {
             let s = &self.sessions[*addr];
@@ -1763,39 +1721,25 @@ impl<A: PersistAddr> Broker<A> {
         out
     }
 
-    /// Rebuilds a broker from [`Broker::encode_state`] bytes. Older
-    /// versions are migrated losslessly — v1 snapshots predate the
-    /// `decode_errors`/`io_errors` counters, v2 snapshots predate the
-    /// congestion watermarks and backpressure counters — with the missing
-    /// fields defaulting, so a gateway upgrade does not discard the
-    /// durable sessions its snapshot file exists to preserve.
+    /// Rebuilds a broker from [`Broker::encode_state`] bytes: the current
+    /// version, or the previous one (v4, which predates the
+    /// sharded-gateway counters — they start at zero), so a gateway
+    /// upgrade does not discard the durable sessions its snapshot file
+    /// exists to preserve.
     pub fn decode_state(bytes: &[u8]) -> Result<Broker<A>, &'static str> {
         let r = &mut wire::Reader::new(bytes);
         let version = r.u8()?;
-        if !(1..=STATE_VERSION).contains(&version) {
+        if !(STATE_VERSION - 1..=STATE_VERSION).contains(&version) {
             return Err("unsupported broker snapshot version");
         }
-        let defaults = BrokerConfig::default();
         let config = BrokerConfig {
             gw_id: r.u8()?,
             retry_timeout: Duration::from_nanos(r.u64()?),
             max_retries: r.u32()?,
             max_buffered: r.u64()? as usize,
-            congestion_soft: if version >= 3 {
-                r.u64()? as usize
-            } else {
-                defaults.congestion_soft
-            },
-            congestion_hard: if version >= 3 {
-                r.u64()? as usize
-            } else {
-                defaults.congestion_hard
-            },
-            signal_congestion: if version >= 3 {
-                r.u8()? != 0
-            } else {
-                defaults.signal_congestion
-            },
+            congestion_soft: r.u64()? as usize,
+            congestion_hard: r.u64()? as usize,
+            signal_congestion: r.u8()? != 0,
         };
         let stats = BrokerStats {
             publishes_in: r.u64()?,
@@ -1803,12 +1747,12 @@ impl<A: PersistAddr> Broker<A> {
             duplicates_suppressed: r.u64()?,
             retransmissions: r.u64()?,
             drops: r.u64()?,
-            decode_errors: if version >= 2 { r.u64()? } else { 0 },
-            io_errors: if version >= 2 { r.u64()? } else { 0 },
-            congestion_rejects: if version >= 3 { r.u64()? } else { 0 },
-            advisories_sent: if version >= 3 { r.u64()? } else { 0 },
-            backlog_high_water: if version >= 3 { r.u64()? } else { 0 },
-            snapshot_failures: if version >= 3 { r.u64()? } else { 0 },
+            decode_errors: r.u64()?,
+            io_errors: r.u64()?,
+            congestion_rejects: r.u64()?,
+            advisories_sent: r.u64()?,
+            backlog_high_water: r.u64()?,
+            snapshot_failures: r.u64()?,
             cross_shard_forwards: if version >= 5 { r.u64()? } else { 0 },
             forward_ring_high_water: if version >= 5 { r.u64()? } else { 0 },
         };
@@ -1904,19 +1848,17 @@ impl<A: PersistAddr> Broker<A> {
                 },
             );
         }
-        // v4 appendix: recently-completed inbound QoS 2 windows, matched
-        // to sessions by encode order.
-        if version >= 4 {
-            let n_appendix = r.u32()?;
-            if n_appendix as usize != read_order.len() {
-                return Err("completed-qos2 appendix session count mismatch");
-            }
-            for addr in &read_order {
-                let n_completed = r.u32()?;
-                let s = sessions.get_mut(addr).ok_or("appendix session missing")?;
-                for _ in 0..n_completed {
-                    s.completed_qos2.push_back(r.u16()?);
-                }
+        // Appendix: recently-completed inbound QoS 2 windows, matched to
+        // sessions by encode order.
+        let n_appendix = r.u32()?;
+        if n_appendix as usize != read_order.len() {
+            return Err("completed-qos2 appendix session count mismatch");
+        }
+        for addr in &read_order {
+            let n_completed = r.u32()?;
+            let s = sessions.get_mut(addr).ok_or("appendix session missing")?;
+            for _ in 0..n_completed {
+                s.completed_qos2.push_back(r.u16()?);
             }
         }
         Ok(Broker {
@@ -2735,12 +2677,9 @@ mod tests {
             v5[0], STATE_VERSION,
             "bumping STATE_VERSION requires extending this migration test"
         );
-        let cfg_end = 1 + 1 + 8 + 4 + 8; // version + the v1 config fields
-        let cfg_extra = 8 + 8 + 1; // v3: congestion watermarks + signal flag
-        let stats_at = cfg_end + cfg_extra;
-        // The v4 appendix for this broker: session count + one (empty)
-        // completed-QoS2 window per session, at the very end.
-        let appendix = 4 + 4 * b.session_count();
+        // version + config (gw id, retry timeout, retries, buffer cap,
+        // two congestion watermarks, signal flag)
+        let stats_at = 1 + 1 + 8 + 4 + 8 + 8 + 8 + 1;
 
         // Reconstruct the v4 wire form: version byte 4, stats block
         // without the two v5 sharded-gateway counters.
@@ -2751,40 +2690,22 @@ mod tests {
         assert_eq!(restored.stats(), b.stats());
         assert_eq!(restored.stats().cross_shard_forwards, 0);
         assert_eq!(restored.stats().forward_ring_high_water, 0);
-        assert_eq!(restored.encode_state(), v5);
-
-        // The v3 wire form additionally predates the appendix.
-        let mut v3 = v4.clone();
-        v3.truncate(v3.len() - appendix);
-        v3[0] = 3;
-        let restored = Broker::<Addr>::decode_state(&v3).expect("v3 snapshot accepted");
-        assert_eq!(restored.stats(), b.stats());
-        assert_eq!(restored.encode_state(), v5);
-
-        // The v2 wire form additionally predates the congestion config
-        // fields and the four v3 stats counters.
-        let mut v2 = v3.clone();
-        v2.drain(stats_at + 7 * 8..stats_at + 11 * 8);
-        v2.drain(cfg_end..stats_at);
-        v2[0] = 2;
-        let restored = Broker::<Addr>::decode_state(&v2).expect("v2 snapshot accepted");
-        assert_eq!(restored.stats(), b.stats());
-        assert_eq!(restored.encode_state(), v5);
-
-        // The v1 form additionally predates decode_errors / io_errors.
-        let mut v1 = v3.clone();
-        v1.drain(stats_at + 5 * 8..stats_at + 11 * 8);
-        v1.drain(cfg_end..stats_at);
-        v1[0] = 1;
-        let restored = Broker::<Addr>::decode_state(&v1).expect("v1 snapshot accepted");
-        assert_eq!(restored.stats(), b.stats());
         assert_eq!(restored.session_count(), b.session_count());
-        // Re-encoding a migrated snapshot produces the v5 form (the
-        // congestion config fields take their defaults, the completed
-        // windows start empty, the sharded counters are zero).
+        // Re-encoding a migrated snapshot produces the v5 form.
         assert_eq!(restored.encode_state(), v5);
 
-        // The v3-added counter itself: counted, persisted, and restored in
+        // Current + one previous: anything older is refused, not guessed
+        // at.
+        for old in 1..=3u8 {
+            v4[0] = old;
+            assert_eq!(
+                Broker::<Addr>::decode_state(&v4).err(),
+                Some("unsupported broker snapshot version"),
+                "v{old}"
+            );
+        }
+
+        // The snapshot-failure counter: counted, persisted, and restored in
         // the current wire form.
         b.note_snapshot_failure();
         assert_eq!(b.stats().snapshot_failures, 1);
@@ -2959,54 +2880,6 @@ mod tests {
         assert_eq!(b.stats().io_errors, 3);
     }
 
-    #[test]
-    fn datagram_batch_processes_all_frames_and_reports_errors() {
-        let mut b = broker();
-        connect(&mut b, 1, "pub");
-        connect(&mut b, 2, "sub");
-        let tid = register(&mut b, 1, "t/batch");
-        subscribe(&mut b, 2, "t/batch", QoS::AtMostOnce);
-
-        let frames: Vec<Vec<u8>> = (0..4u8)
-            .map(|i| {
-                Packet::Publish {
-                    dup: false,
-                    qos: QoS::AtMostOnce,
-                    retain: false,
-                    topic: TopicRef::Id(tid),
-                    msg_id: 0,
-                    payload: vec![i],
-                }
-                .encode()
-            })
-            .collect();
-        let mut out = BrokerOutputs::new();
-        let errors = b.on_datagram_batch_into(
-            0,
-            frames
-                .iter()
-                .map(|f| (1u32, f.as_slice()))
-                .chain(std::iter::once((1u32, &b"junk"[..]))),
-            &mut out,
-        );
-        assert_eq!(errors, 1);
-        assert_eq!(b.stats().decode_errors, 1);
-        let delivered: Vec<u8> = out
-            .packets()
-            .iter()
-            .map(|(to, p)| {
-                assert_eq!(*to, 2);
-                match p {
-                    Packet::Publish { payload, .. } => payload[0],
-                    p => panic!("unexpected {p:?}"),
-                }
-            })
-            .collect();
-        assert_eq!(delivered, vec![0, 1, 2, 3]);
-    }
-
-    /// Fan-out to many subscribers shares one wire image: QoS 0 copies are
-    /// byte-identical, QoS 1 copies differ only in the patched header.
     #[test]
     fn fanout_shares_one_wire_image_with_patched_headers() {
         let mut b = broker();

@@ -16,13 +16,13 @@
 //! * [`broker`] — a *sans-io* broker (the paper uses Eclipse RSMB):
 //!   sessions, topic registry, subscription matching, QoS 2 exactly-once
 //!   inbound handling, and outbound QoS state machines per subscriber;
-//! * [`router`] / [`shard`] — the sharded-gateway layer: client→shard
+//! * [`router`] / [`shard`] — what the gateway's shards share: client→shard
 //!   placement, the shared topic registry with an epoch-invalidated
 //!   topic→shard-mask cache, and the bounded lock-free forwarding rings
 //!   that carry pre-encoded publishes across shard boundaries;
 //! * [`net`] — bindings of the sans-io cores to real `std::net::UdpSocket`s
-//!   (threaded single-lock broker, N-shard broker with per-shard serve
-//!   loops, blocking client) so the library is usable outside the
+//!   (the N-shard gateway, one serve loop per shard and one shard by
+//!   default, and a blocking client) so the library is usable outside the
 //!   simulator.
 //!
 //! The same state machines drive both the real sockets and the
@@ -40,7 +40,7 @@ pub mod topic;
 pub use broker::{Broker, BrokerConfig};
 pub use client::{Client, ClientConfig, ClientEvent, ClientState};
 pub use net::{
-    DatagramFate, DatagramFault, FaultDir, NetError, ReconnectPolicy, ShardedUdpBroker, UdpBroker,
+    DatagramFate, DatagramFault, FaultDir, GatewayBuilder, NetError, ReconnectPolicy, UdpBroker,
     UdpClient,
 };
 pub use packet::{Packet, QoS, ReturnCode, TopicRef};

@@ -1,23 +1,27 @@
 //! Real-socket bindings of the sans-io cores.
 //!
-//! [`UdpBroker`] runs the [`broker::Broker`](crate::broker::Broker) on a background
-//! thread over a `std::net::UdpSocket`; [`UdpClient`] is a blocking client
-//! suitable for driving from an application or a transmitter thread. These
-//! make the library usable outside the simulator — the integration tests
-//! exercise full QoS 2 capture over loopback UDP.
+//! [`UdpBroker`] is the gateway: `n` [`broker::Broker`](crate::broker::Broker)
+//! shards behind one `std::net::UdpSocket`, one serve loop per shard;
+//! [`UdpClient`] is a blocking client suitable for driving from an
+//! application or a transmitter thread. These make the library usable
+//! outside the simulator — the integration tests exercise full QoS 2
+//! capture over loopback UDP.
 
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
 use crate::packet::{msg_type, Packet, PacketRef, QoS, TopicRef};
-use crate::router::{shard_for_client, shard_for_key, SharedRouter};
+use crate::router::{shard_for_client, SharedRouter};
 use crate::shard::{ForwardFabric, ForwardFrame};
 use crate::Error;
 use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, SeedableRng};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,8 +55,8 @@ pub enum DatagramFate {
 /// than in the chaos crate, for the same layering reason as
 /// [`prov_wal::IoFault`]: `mqtt_sn` stays dependency-light while
 /// `prov-chaos` implements the trait from a seeded, deterministic plan.
-/// Production paths pass no fault and pay nothing; a faulted
-/// [`UdpBroker::spawn_with_faults`] / [`UdpClient::set_fault`] transport
+/// Production paths pass no fault and pay nothing; a gateway built with
+/// [`GatewayBuilder::faults`] or a client after [`UdpClient::set_fault`]
 /// consults `fate` for every datagram in both directions.
 ///
 /// Implementations are called from transport threads and must be
@@ -67,188 +71,22 @@ pub trait DatagramFault: Send + Sync + std::fmt::Debug {
 /// deadlines.
 type HeldFrames = Vec<(Instant, SocketAddr, Vec<u8>)>;
 
-/// A broker bound to a UDP socket, served by a background thread.
-pub struct UdpBroker {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    broker: Arc<Mutex<Broker<SocketAddr>>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl UdpBroker {
-    /// Binds and starts serving. Use `"127.0.0.1:0"` to pick a free port.
-    pub fn spawn(bind: impl ToSocketAddrs, config: BrokerConfig) -> io::Result<UdpBroker> {
-        Self::spawn_inner(bind, Broker::new(config), None)
+/// Hands every held datagram whose delay has expired to `release`. The
+/// fate was decided when the datagram was held, so release is
+/// unconditional.
+fn release_due(held: &mut HeldFrames, mut release: impl FnMut(SocketAddr, &[u8])) {
+    if held.is_empty() {
+        return;
     }
-
-    /// [`UdpBroker::spawn`] with a datagram fault-injection plan: every
-    /// inbound and outbound datagram's fate (deliver / drop / duplicate /
-    /// delay) is decided by `fault`. Chaos testing only — the faulted
-    /// paths allocate where the production serve loop does not.
-    pub fn spawn_with_faults(
-        bind: impl ToSocketAddrs,
-        config: BrokerConfig,
-        fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<UdpBroker> {
-        Self::spawn_inner(bind, Broker::new(config), Some(fault))
-    }
-
-    /// Binds and starts serving from a persisted broker snapshot (see
-    /// [`UdpBroker::snapshot`]) — the restart path: durable sessions, topic
-    /// registrations, and buffered messages survive the process boundary,
-    /// the way RSMB's persistence file keeps gateway state across crashes.
-    pub fn spawn_resuming(
-        bind: impl ToSocketAddrs,
-        mut state: Broker<SocketAddr>,
-    ) -> io::Result<UdpBroker> {
-        // The serving thread's monotonic clock restarts at zero; rebase the
-        // snapshot's timers so retransmissions fire promptly.
-        state.reset_clock();
-        Self::spawn_inner(bind, state, None)
-    }
-
-    /// [`UdpBroker::spawn_resuming`] with a datagram fault-injection plan —
-    /// lets a chaos harness keep the same fault schedule running across a
-    /// kill-and-restart of the gateway.
-    pub fn spawn_resuming_with_faults(
-        bind: impl ToSocketAddrs,
-        mut state: Broker<SocketAddr>,
-        fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<UdpBroker> {
-        state.reset_clock();
-        Self::spawn_inner(bind, state, Some(fault))
-    }
-
-    /// Clones the full broker state for later resumption via
-    /// [`UdpBroker::spawn_resuming`].
-    ///
-    /// The serve-loop mutex is held only for a single linear
-    /// serialization pass ([`Broker::encode_state`]); the expensive part —
-    /// rebuilding the per-session maps and buffers — happens outside the
-    /// lock, so in-flight capture traffic is not stalled behind a deep
-    /// clone of the whole gateway state.
-    ///
-    /// A fresh encode that fails to decode means the broker's state
-    /// serialization is broken; the failure is surfaced as an error —
-    /// counted in [`BrokerStats::snapshot_failures`] — rather than a
-    /// panic inside whatever monitoring thread asked for the snapshot.
-    pub fn snapshot(&self) -> Result<Broker<SocketAddr>, Error> {
-        let bytes = self.broker.lock().encode_state();
-        match Broker::decode_state(&bytes) {
-            Ok(b) => Ok(b),
-            Err(e) => {
-                self.broker.lock().note_snapshot_failure();
-                Err(Error::Malformed(e))
-            }
+    let now = Instant::now();
+    let mut i = 0;
+    while i < held.len() {
+        if held[i].0 <= now {
+            let (_, addr, bytes) = held.swap_remove(i);
+            release(addr, &bytes);
+        } else {
+            i += 1;
         }
-    }
-
-    /// Serializes the current broker state to `path` — checksummed and
-    /// written atomically (temp file + rename), so a crash mid-snapshot
-    /// leaves the previous file intact. The durable form of
-    /// [`UdpBroker::snapshot`]: call it periodically (or before a planned
-    /// restart) and resume with [`UdpBroker::spawn_from_file`].
-    pub fn snapshot_to_file(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        let bytes = self.broker.lock().encode_state();
-        prov_wal::snapshot::write_atomic(path, &bytes)
-    }
-
-    /// Binds and starts serving from a snapshot file written by
-    /// [`UdpBroker::snapshot_to_file`] — the restart path that survives
-    /// gateway *process death*, not just an in-process handover. Corrupt
-    /// or truncated snapshot files fail with
-    /// [`io::ErrorKind::InvalidData`] rather than silently starting empty.
-    pub fn spawn_from_file(
-        bind: impl ToSocketAddrs,
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<UdpBroker> {
-        let bytes = prov_wal::snapshot::read(path)?;
-        let state = Broker::decode_state(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Self::spawn_resuming(bind, state)
-    }
-
-    fn spawn_inner(
-        bind: impl ToSocketAddrs,
-        state: Broker<SocketAddr>,
-        fault: Option<Arc<dyn DatagramFault>>,
-    ) -> io::Result<UdpBroker> {
-        let socket = UdpSocket::bind(bind)?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-        let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let broker = Arc::new(Mutex::with_rank(parking_lot::rank::BROKER, state));
-
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let broker = Arc::clone(&broker);
-            std::thread::spawn(move || serve(&socket, &broker, &shutdown, fault.as_deref()))
-        };
-
-        Ok(UdpBroker {
-            local_addr,
-            shutdown,
-            broker,
-            thread: Some(thread),
-        })
-    }
-
-    /// The bound address (to hand to clients).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Snapshot of routing statistics.
-    pub fn stats(&self) -> BrokerStats {
-        *self.broker.lock().stats()
-    }
-
-    /// Current buffered-message backlog across all sessions — the input to
-    /// the congestion watermarks. A lagging subscriber (e.g. a slow
-    /// translator) shows up here first.
-    pub fn backlog(&self) -> usize {
-        self.broker.lock().backlog()
-    }
-
-    /// Current congestion level (0 clear / 1 soft / 2 hard) derived from
-    /// the backlog watermarks.
-    pub fn congestion_level(&self) -> u8 {
-        self.broker.lock().congestion_level()
-    }
-
-    /// Stops the serving thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    /// Stops the serving thread and returns the broker's *final* state —
-    /// what a crash-consistent persistence layer would have observed at
-    /// the instant of death.
-    ///
-    /// This differs from [`UdpBroker::snapshot`]-then-[`shutdown`]
-    /// (`shutdown`: UdpBroker::shutdown) in one crucial way: a snapshot
-    /// taken while the serve loop is still running rolls back any QoS 2
-    /// handshake that completes between the snapshot and the shutdown, and
-    /// the resumed broker then re-delivers those publishes to subscribers
-    /// whose own dedup state has already been cleared — breaking
-    /// exactly-once downstream. Capturing state *after* the loop stops
-    /// closes that window, so kill/restart chaos harnesses use this.
-    pub fn shutdown_into_state(mut self) -> Result<Broker<SocketAddr>, Error> {
-        self.stop();
-        self.snapshot()
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for UdpBroker {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -256,214 +94,190 @@ impl Drop for UdpBroker {
 /// both the receive-buffer footprint and how long outbound traffic waits
 /// behind a burst.
 const SERVE_BATCH: usize = 32;
-/// Receive-slot size: the largest datagram MQTT-SN over UDP can carry.
+/// Receive-buffer size: the largest datagram MQTT-SN over UDP can carry.
 const SLOT: usize = 64 * 1024;
+/// Slots per shard ingress ring and per directed cross-shard forwarding
+/// ring. Bounded memory: a full ring is an accounted drop, never a block.
+const SHARD_RING: usize = 1024;
+/// Sender placements the routing front remembers. Past the cap a new
+/// sender is placed by address hash instead, so a spoofed-source CONNECT
+/// flood costs bounded memory.
+const PLACEMENT_CAP: usize = 1 << 16;
 
-/// The serve loop: batched datagram I/O around the zero-alloc broker core.
-///
-/// One blocking `recv_from` (bounded by the 10 ms read timeout, so
-/// shutdown and retransmission timers stay responsive) wakes the loop; the
-/// socket is then drained non-blocking into per-slot buffers up to
-/// [`SERVE_BATCH`]. The whole batch — plus any due timer tick — is
-/// processed under a **single** broker lock acquisition through the
-/// recycled [`BrokerOutputs`] buffer, and the outbound datagrams are
-/// flushed after the lock is released. Steady state performs no per-packet
-/// heap allocation and no per-subscriber re-encode.
-fn serve(
-    socket: &UdpSocket,
-    broker: &Mutex<Broker<SocketAddr>>,
-    shutdown: &AtomicBool,
-    fault: Option<&dyn DatagramFault>,
-) {
-    let start = Instant::now();
-    let mut rbuf = vec![0u8; SERVE_BATCH * SLOT];
-    // (datagram length, sender) for receive slot `i`.
-    let mut frames: Vec<(usize, SocketAddr)> = Vec::with_capacity(SERVE_BATCH);
-    let mut out = BrokerOutputs::new();
-    let mut pending_io_errors: u64 = 0;
-    let mut last_tick = Instant::now();
-    // Chaos-mode state: datagrams held back by an injected delay (both
-    // directions) and the owned inbound batch after fate application.
-    // All empty — and the fault branches never taken — in production.
-    let mut held_in: HeldFrames = Vec::new();
-    let mut held_out: HeldFrames = Vec::new();
-    let mut chaos_in: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
-    // Whether the socket is still in non-blocking mode because a restore
-    // after a batch drain failed. Left unrepaired, every "blocking" recv
-    // below would return WouldBlock instantly and the loop would spin
-    // hot; instead the restore is retried each iteration with a short
-    // sleep standing in for the blocking wait until it succeeds.
-    let mut nonblocking = false;
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
+/// Magic prefix of a gateway snapshot (all-shards-atomic layout).
+const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
+/// Version byte of the snapshot container format.
+const SNAPSHOT_VERSION: u8 = 1;
+
+/// The receive side of the gateway socket: the one place datagrams come
+/// in, read by the lone shard when `n == 1` and by the routing front
+/// otherwise.
+struct SocketReader {
+    socket: UdpSocket,
+    fault: Option<Arc<dyn DatagramFault>>,
+    rbuf: Vec<u8>,
+    /// Inbound datagrams held back by an injected delay (chaos only).
+    held_in: HeldFrames,
+    /// Whether the socket is still in non-blocking mode because a restore
+    /// after a drain failed. Left unrepaired, every "blocking" recv would
+    /// return WouldBlock instantly and the caller would spin hot; instead
+    /// the restore is retried each wakeup with a short sleep standing in
+    /// for the blocking wait until it succeeds.
+    nonblocking: bool,
+}
+
+impl SocketReader {
+    fn new(socket: UdpSocket, fault: Option<Arc<dyn DatagramFault>>) -> SocketReader {
+        SocketReader {
+            socket,
+            fault,
+            rbuf: vec![0u8; SLOT],
+            held_in: Vec::new(),
+            nonblocking: false,
         }
-        if nonblocking {
-            if socket.set_nonblocking(false).is_ok() {
-                nonblocking = false;
+    }
+
+    /// One wakeup: a blocking `recv_from` (bounded by the socket's 10 ms
+    /// read timeout, so shutdown and timers stay responsive), then a
+    /// non-blocking drain of whatever else has queued, up to
+    /// [`SERVE_BATCH`]. Every datagram the fault plan lets through goes
+    /// to `deliver`, expired injected delays first (a released frame is
+    /// older than anything just read). Returns the transient socket
+    /// errors seen.
+    fn read_batch(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> u64 {
+        let mut io_errors = 0;
+        if self.nonblocking {
+            if self.socket.set_nonblocking(false).is_ok() {
+                self.nonblocking = false;
             } else {
-                pending_io_errors += 1;
+                io_errors += 1;
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        frames.clear();
-        match socket.recv_from(&mut rbuf[..SLOT]) {
-            Ok((n, from)) => frames.push((n, from)),
+        release_due(&mut self.held_in, &mut deliver);
+        match self.socket.recv_from(&mut self.rbuf) {
+            Ok((len, from)) => {
+                self.admit(len, from, &mut deliver);
+                // A wake usually means a burst: drain it without blocking.
+                if self.socket.set_nonblocking(true).is_ok() {
+                    self.nonblocking = true;
+                    for _ in 1..SERVE_BATCH {
+                        match self.socket.recv_from(&mut self.rbuf) {
+                            Ok((len, from)) => self.admit(len, from, &mut deliver),
+                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                            Err(_) => {
+                                io_errors += 1;
+                                break;
+                            }
+                        }
+                    }
+                    if self.socket.set_nonblocking(false).is_ok() {
+                        self.nonblocking = false;
+                    }
+                }
+            }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
             Err(_) => {
                 // Transient: on Linux an ICMP port-unreachable from one
                 // departed client surfaces here as ECONNREFUSED — exiting
-                // would kill the broker for everyone. Back off briefly and
-                // keep serving; shutdown still exits via the flag.
-                pending_io_errors += 1;
+                // would kill the gateway for everyone. Back off briefly
+                // and keep serving; shutdown still exits via the flag.
+                io_errors += 1;
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
-        // A wake usually means a burst: drain whatever else has already
-        // queued without blocking, up to the batch bound.
-        if !frames.is_empty() && socket.set_nonblocking(true).is_ok() {
-            nonblocking = true;
-            while frames.len() < SERVE_BATCH {
-                let slot = frames.len();
-                match socket.recv_from(&mut rbuf[slot * SLOT..(slot + 1) * SLOT]) {
-                    Ok((n, from)) => frames.push((n, from)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        pending_io_errors += 1;
-                        break;
-                    }
-                }
-            }
-            if socket.set_nonblocking(false).is_ok() {
-                nonblocking = false;
-            }
-        }
-        let tick_due = last_tick.elapsed() >= Duration::from_millis(100);
-        let held_pending = !held_in.is_empty() || !held_out.is_empty();
-        if frames.is_empty() && !tick_due && pending_io_errors == 0 && !held_pending {
-            continue;
-        }
-        if let Some(f) = fault {
-            // Decide each arrival's fate before the broker lock, and
-            // release datagrams whose injected delay has expired ahead of
-            // this wakeup's arrivals (a released frame is older than
-            // anything just read off the socket).
-            chaos_in.clear();
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_in.len() {
-                if held_in[i].0 <= now {
-                    let (_, from, bytes) = held_in.swap_remove(i);
-                    chaos_in.push((from, bytes));
-                } else {
-                    i += 1;
-                }
-            }
-            for (slot, &(len, from)) in frames.iter().enumerate() {
-                let datagram = &rbuf[slot * SLOT..slot * SLOT + len];
-                match f.fate(FaultDir::Inbound, datagram) {
-                    DatagramFate::Deliver => chaos_in.push((from, datagram.to_vec())),
-                    DatagramFate::Drop => {}
-                    DatagramFate::Duplicate => {
-                        chaos_in.push((from, datagram.to_vec()));
-                        chaos_in.push((from, datagram.to_vec()));
-                    }
-                    DatagramFate::Delay(dur) => held_in.push((now + dur, from, datagram.to_vec())),
-                }
-            }
-        }
-        let now_ns = start.elapsed().as_nanos() as Nanos;
+        io_errors
+    }
+
+    /// Applies the inbound fault fate (chaos only) to the datagram in
+    /// `rbuf[..len]`.
+    fn admit(&mut self, len: usize, from: SocketAddr, deliver: &mut impl FnMut(SocketAddr, &[u8])) {
+        let bytes = &self.rbuf[..len];
+        match self
+            .fault
+            .as_deref()
+            .map(|f| f.fate(FaultDir::Inbound, bytes))
         {
-            // One lock acquisition covers the whole batch plus any due
-            // tick; decode errors are counted by the broker, transient
-            // socket errors are folded in here.
-            let mut b = broker.lock();
-            if pending_io_errors > 0 {
-                b.note_io_errors(pending_io_errors);
-                pending_io_errors = 0;
+            None | Some(DatagramFate::Deliver) => deliver(from, bytes),
+            Some(DatagramFate::Drop) => {}
+            Some(DatagramFate::Duplicate) => {
+                deliver(from, bytes);
+                deliver(from, bytes);
             }
-            if fault.is_some() {
-                b.on_datagram_batch_into(
-                    now_ns,
-                    chaos_in.iter().map(|(from, bytes)| (*from, &bytes[..])),
-                    &mut out,
-                );
-            } else {
-                b.on_datagram_batch_into(
-                    now_ns,
-                    frames
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &(len, from))| (from, &rbuf[slot * SLOT..slot * SLOT + len])),
-                    &mut out,
-                );
-            }
-            if tick_due {
-                last_tick = Instant::now();
-                b.on_tick_into(now_ns, &mut out);
-            }
-        }
-        out.emit(
-            |to, bytes| match fault.map(|f| f.fate(FaultDir::Outbound, bytes)) {
-                None | Some(DatagramFate::Deliver) => {
-                    if socket.send_to(bytes, *to).is_err() {
-                        pending_io_errors += 1;
-                    }
-                }
-                Some(DatagramFate::Drop) => {}
-                Some(DatagramFate::Duplicate) => {
-                    for _ in 0..2 {
-                        if socket.send_to(bytes, *to).is_err() {
-                            pending_io_errors += 1;
-                        }
-                    }
-                }
-                Some(DatagramFate::Delay(dur)) => {
-                    held_out.push((Instant::now() + dur, *to, bytes.to_vec()));
-                }
-            },
-        );
-        out.clear();
-        if !held_out.is_empty() {
-            // Flush expired outbound delays; fate was already decided
-            // when the datagram was held, so these send unconditionally.
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_out.len() {
-                if held_out[i].0 <= now {
-                    let (_, to, bytes) = held_out.swap_remove(i);
-                    if socket.send_to(&bytes, to).is_err() {
-                        pending_io_errors += 1;
-                    }
-                } else {
-                    i += 1;
-                }
+            Some(DatagramFate::Delay(dur)) => {
+                self.held_in
+                    .push((Instant::now() + dur, from, bytes.to_vec()))
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded gateway
-// ---------------------------------------------------------------------------
+/// The send side of one serve loop.
+struct Emitter {
+    socket: UdpSocket,
+    fault: Option<Arc<dyn DatagramFault>>,
+    /// Outbound datagrams held back by an injected delay (chaos only).
+    held_out: HeldFrames,
+}
 
-/// Slots per shard ingress ring and per directed cross-shard forwarding
-/// ring. Bounded memory: a full ring is an accounted drop, never a block.
-const SHARD_RING: usize = 1024;
+impl Emitter {
+    /// Sends every datagram in `out` — subject to the outbound fault fate
+    /// (chaos only) — plus any held datagram now due, and clears `out`.
+    /// Returns the sends that failed.
+    fn flush(&mut self, out: &mut BrokerOutputs<SocketAddr>) -> u64 {
+        let Emitter {
+            socket,
+            fault,
+            held_out,
+        } = self;
+        let mut io_errors = 0;
+        let mut send = |to: SocketAddr, bytes: &[u8]| {
+            if socket.send_to(bytes, to).is_err() {
+                io_errors += 1;
+            }
+        };
+        out.emit(
+            |to, bytes| match fault.as_deref().map(|f| f.fate(FaultDir::Outbound, bytes)) {
+                None | Some(DatagramFate::Deliver) => send(*to, bytes),
+                Some(DatagramFate::Drop) => {}
+                Some(DatagramFate::Duplicate) => {
+                    send(*to, bytes);
+                    send(*to, bytes);
+                }
+                Some(DatagramFate::Delay(dur)) => {
+                    held_out.push((Instant::now() + dur, *to, bytes.to_vec()))
+                }
+            },
+        );
+        out.clear();
+        release_due(held_out, &mut send);
+        io_errors
+    }
+}
 
-/// Magic prefix of a sharded snapshot file (all-shards-atomic layout).
-const SHARDED_SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
-/// Version byte of the sharded snapshot container format.
-const SHARDED_SNAPSHOT_VERSION: u8 = 1;
-
-/// One inbound datagram routed to a shard: the sender plus the bytes in
-/// a recycled buffer.
+/// One inbound datagram on its way to a shard: the sender plus the bytes
+/// in a recycled buffer.
 #[derive(Debug)]
 struct IngressFrame {
     from: SocketAddr,
     buf: Vec<u8>,
+}
+
+impl IngressFrame {
+    fn empty() -> IngressFrame {
+        IngressFrame {
+            from: SocketAddr::from(([0, 0, 0, 0], 0)),
+            buf: Vec::new(),
+        }
+    }
+
+    fn set(&mut self, from: SocketAddr, bytes: &[u8]) {
+        self.from = from;
+        self.buf.clear();
+        self.buf.extend_from_slice(bytes);
+    }
 }
 
 /// Bounded SPSC handoff from the routing front to one shard's serve
@@ -490,10 +304,7 @@ impl IngressRing {
             io_errors: AtomicU64::new(0),
         };
         for _ in 0..cap {
-            let _ = ring.free.push(IngressFrame {
-                from: SocketAddr::from(([0, 0, 0, 0], 0)),
-                buf: Vec::new(),
-            });
+            let _ = ring.free.push(IngressFrame::empty());
         }
         ring
     }
@@ -508,9 +319,7 @@ impl IngressRing {
             self.drops.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        frame.from = from;
-        frame.buf.clear();
-        frame.buf.extend_from_slice(bytes);
+        frame.set(from, bytes);
         if let Err(frame) = self.data.push(frame) {
             let _ = self.free.push(frame);
             self.drops.fetch_add(1, Ordering::Relaxed);
@@ -519,194 +328,344 @@ impl IngressRing {
     }
 }
 
-/// An N-shard gateway over one UDP socket: a routing front thread plus
-/// one serve loop per shard.
-///
-/// The front owns the socket's receive side and dispatches each datagram
-/// to the shard that owns its sender (client-id hash, sniffed from
-/// CONNECT — see [`shard_for_client`]). Each shard runs an independent
-/// [`Broker`] behind its own lock, so publishes from clients on
-/// different shards are processed genuinely in parallel; a publish whose
-/// subscribers live on other shards crosses through the lock-free
-/// [`ForwardFabric`] as a pre-encoded wire image. Topic-id assignment is
-/// serialized through the [`SharedRouter`] (control plane only); the
-/// per-publish hot path reads a cached, epoch-invalidated topic→shard
-/// bitmask and never takes a global lock.
-pub struct ShardedUdpBroker {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    brokers: Arc<Vec<Mutex<Broker<SocketAddr>>>>,
-    router: Arc<SharedRouter>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+/// Where a shard's datagrams come from — the one thing in the serve loop
+/// that depends on the shard count.
+enum Ingress<'a> {
+    /// `n == 1`: the lone shard reads the socket itself, so the whole
+    /// gateway is one thread with no ring hop and nothing to poll.
+    Socket {
+        reader: SocketReader,
+        /// Recycled frames, so the steady state allocates nothing.
+        spare: Vec<IngressFrame>,
+    },
+    /// `n > 1`: the routing front feeds this shard's ring.
+    Ring(&'a IngressRing),
 }
 
-impl ShardedUdpBroker {
-    /// Binds and starts serving with `shards` shards (clamped to 1..=64).
-    /// Use `"127.0.0.1:0"` to pick a free port.
-    pub fn spawn(
-        bind: impl ToSocketAddrs,
-        shards: usize,
-        config: BrokerConfig,
-    ) -> io::Result<ShardedUdpBroker> {
-        let shards = shards.clamp(1, 64);
-        let states = (0..shards).map(|_| Broker::new(config.clone())).collect();
-        Self::spawn_inner(bind, states, SharedRouter::new(shards), None)
+impl Ingress<'_> {
+    /// Moves up to a batch of waiting datagrams into `batch`; returns the
+    /// `(io_errors, drops)` that happened on the way in.
+    fn fill(&mut self, batch: &mut Vec<IngressFrame>) -> (u64, u64) {
+        match self {
+            Ingress::Socket { reader, spare } => {
+                let io_errors = reader.read_batch(|from, bytes| {
+                    let mut frame = spare.pop().unwrap_or_else(IngressFrame::empty);
+                    frame.set(from, bytes);
+                    batch.push(frame);
+                });
+                (io_errors, 0)
+            }
+            Ingress::Ring(ring) => {
+                while batch.len() < SERVE_BATCH {
+                    match ring.data.pop() {
+                        Some(frame) => batch.push(frame),
+                        None => break,
+                    }
+                }
+                (
+                    ring.io_errors.swap(0, Ordering::Relaxed),
+                    ring.drops.swap(0, Ordering::Relaxed),
+                )
+            }
+        }
     }
 
-    /// [`ShardedUdpBroker::spawn`] with a datagram fault-injection plan.
-    /// Inbound fates are decided once, at the routing front (before the
-    /// datagram reaches any shard); outbound fates are decided by the
-    /// sending shard's serve loop. Chaos testing only.
-    pub fn spawn_with_faults(
-        bind: impl ToSocketAddrs,
-        shards: usize,
-        config: BrokerConfig,
-        fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<ShardedUdpBroker> {
-        let shards = shards.clamp(1, 64);
-        let states = (0..shards).map(|_| Broker::new(config.clone())).collect();
-        Self::spawn_inner(bind, states, SharedRouter::new(shards), Some(fault))
-    }
-
-    /// Binds and starts serving from a sharded snapshot file written by
-    /// [`ShardedUdpBroker::snapshot_to_file`]. The shard count comes
-    /// from the file. Every per-shard section must decode before any
-    /// shard starts serving: a partial or corrupt file fails with
-    /// [`io::ErrorKind::InvalidData`] and no thread is spawned, rather
-    /// than resuming a gateway with some shards silently empty.
-    pub fn spawn_from_file(
-        bind: impl ToSocketAddrs,
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<ShardedUdpBroker> {
-        Self::spawn_from_file_inner(bind, path, None)
-    }
-
-    /// [`ShardedUdpBroker::spawn_from_file`] with a fault plan — lets a
-    /// chaos harness keep its fault schedule running across a
-    /// kill-and-restart of the sharded gateway.
-    pub fn spawn_from_file_with_faults(
-        bind: impl ToSocketAddrs,
-        path: impl AsRef<std::path::Path>,
-        fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<ShardedUdpBroker> {
-        Self::spawn_from_file_inner(bind, path, Some(fault))
-    }
-
-    fn spawn_from_file_inner(
-        bind: impl ToSocketAddrs,
-        path: impl AsRef<std::path::Path>,
-        fault: Option<Arc<dyn DatagramFault>>,
-    ) -> io::Result<ShardedUdpBroker> {
-        let invalid = |e: &'static str| io::Error::new(io::ErrorKind::InvalidData, e);
-        let bytes = prov_wal::snapshot::read(path)?;
-        let mut r = wire::Reader::new(&bytes);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8().map_err(invalid)?;
-        }
-        if &magic != SHARDED_SNAPSHOT_MAGIC {
-            return Err(invalid("not a sharded snapshot"));
-        }
-        if r.u8().map_err(invalid)? != SHARDED_SNAPSHOT_VERSION {
-            return Err(invalid("unknown sharded snapshot version"));
-        }
-        let shards = r.u8().map_err(invalid)? as usize;
-        if !(1..=64).contains(&shards) {
-            return Err(invalid("implausible shard count"));
-        }
-        let next_id = r.u16().map_err(invalid)?;
-        let entry_count = r.u32().map_err(invalid)?;
-        let mut entries = Vec::with_capacity(entry_count.min(1 << 16) as usize);
-        for _ in 0..entry_count {
-            let id = r.u16().map_err(invalid)?;
-            let name = r.str().map_err(invalid)?;
-            entries.push((id, name));
-        }
-        // Decode every shard section before any shard starts serving.
-        let mut states = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let section = r.bytes().map_err(invalid)?;
-            let mut state = Broker::decode_state(&section).map_err(invalid)?;
-            state.reset_clock();
-            states.push(state);
-        }
-        let router = SharedRouter::new(shards);
-        router.seed_registry(next_id, entries.iter().map(|(id, n)| (*id, n.as_str())));
-        Self::spawn_inner(bind, states, router, fault)
-    }
-
-    fn spawn_inner(
-        bind: impl ToSocketAddrs,
-        states: Vec<Broker<SocketAddr>>,
-        router: SharedRouter,
-        fault: Option<Arc<dyn DatagramFault>>,
-    ) -> io::Result<ShardedUdpBroker> {
-        let shards = states.len().max(1);
-        let socket = UdpSocket::bind(bind)?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-        let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // One Vec holds every shard's mutex: equal-rank broker locks are
-        // acquired in index order, which inside a single allocation is
-        // ascending address order — the pattern the debug lock-rank
-        // tracker accepts for same-rank siblings.
-        let brokers: Arc<Vec<Mutex<Broker<SocketAddr>>>> = Arc::new(
-            states
-                .into_iter()
-                .map(|s| Mutex::with_rank(parking_lot::rank::BROKER, s))
-                .collect(),
-        );
-        let router = Arc::new(router);
-        let fabric = Arc::new(ForwardFabric::new(shards, SHARD_RING));
-        let ingress: Arc<Vec<IngressRing>> =
-            Arc::new((0..shards).map(|_| IngressRing::new(SHARD_RING)).collect());
-        // Seed the router's per-shard filter unions from restored
-        // sessions, so forwarding works before any new subscription.
-        {
-            let mut filters = Vec::new();
-            for (i, b) in brokers.iter().enumerate() {
-                b.lock().collect_subscription_filters(&mut filters);
-                if !filters.is_empty() {
-                    router.set_filters(i, &filters);
+    /// Returns processed frames to where the next `fill` takes them from.
+    fn recycle(&mut self, batch: &mut Vec<IngressFrame>) {
+        match self {
+            Ingress::Socket { spare, .. } => spare.append(batch),
+            Ingress::Ring(ring) => {
+                for frame in batch.drain(..) {
+                    let _ = ring.free.push(frame);
                 }
             }
         }
-        let mut threads = Vec::with_capacity(shards + 1);
-        for idx in 0..shards {
-            let wsock = socket.try_clone()?;
-            let brokers = Arc::clone(&brokers);
-            let router = Arc::clone(&router);
-            let fabric = Arc::clone(&fabric);
-            let ingress = Arc::clone(&ingress);
-            let shutdown = Arc::clone(&shutdown);
-            let fault = fault.clone();
-            threads.push(std::thread::spawn(move || {
-                serve_shard(
-                    idx,
-                    &wsock,
-                    &brokers[idx],
-                    &router,
-                    &fabric,
-                    &ingress[idx],
-                    &shutdown,
-                    fault.as_deref(),
-                )
-            }));
+    }
+
+    /// Paces a wakeup that found nothing to do. The socket reader has
+    /// just spent its read timeout blocked in `recv_from`; a ring has
+    /// nothing to block on.
+    fn idle(&self) {
+        if let Ingress::Ring(_) = self {
+            std::thread::sleep(Duration::from_micros(200));
         }
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let ingress = Arc::clone(&ingress);
-            threads.push(std::thread::spawn(move || {
-                route_front(&socket, &ingress, &shutdown, fault.as_deref())
-            }));
+    }
+}
+
+/// State shared by every thread of one gateway.
+struct Shared {
+    /// One Vec holds every shard's mutex: equal-rank broker locks are
+    /// acquired in index order, which inside a single allocation is
+    /// ascending address order — the pattern the debug lock-rank tracker
+    /// accepts for same-rank siblings.
+    brokers: Vec<Mutex<Broker<SocketAddr>>>,
+    router: SharedRouter,
+    fabric: ForwardFabric,
+    /// One ring per shard when `n > 1`; a lone shard needs none.
+    ingress: Vec<IngressRing>,
+    shutdown: AtomicBool,
+    /// Epoch of the monotonic clock every shard's timers run on.
+    start: Instant,
+}
+
+impl Shared {
+    fn now(&self) -> Nanos {
+        self.start.elapsed().as_nanos() as Nanos
+    }
+
+    /// Delivers forwards still in flight once every serve loop has
+    /// stopped, so a publish one shard acknowledged is in its
+    /// subscribers' shards' state — QoS 1/2 deliveries as unacknowledged
+    /// outbound messages that retransmit after a resume — before that
+    /// state is snapshotted or dropped.
+    fn settle_fabric(&self) {
+        let mut out = BrokerOutputs::new();
+        for (to, broker) in self.brokers.iter().enumerate() {
+            for from in (0..self.brokers.len()).filter(|&from| from != to) {
+                let ring = self.fabric.ring(from, to);
+                while let Some(frame) = ring.recv() {
+                    let name = self.router.name_of(frame.topic_id);
+                    {
+                        let mut b = broker.lock();
+                        if let Some(name) = name {
+                            b.mirror_topic(frame.topic_id, &name);
+                        }
+                        b.deliver_forwarded(
+                            self.now(),
+                            frame.topic_id,
+                            frame.qos,
+                            frame.payload(),
+                            &mut out,
+                        );
+                    }
+                    out.clear();
+                    ring.recycle(frame);
+                }
+            }
         }
-        Ok(ShardedUdpBroker {
-            local_addr,
-            shutdown,
-            brokers,
+    }
+
+    /// Serializes all shards as one `PVSH` snapshot: every shard's broker
+    /// lock is held (in index order) across the whole encode, so the
+    /// per-shard sections are a single consistent cut — no shard's
+    /// section can contain a publish whose cross-shard forward is missing
+    /// from another's.
+    fn encode_snapshot(&self) -> Vec<u8> {
+        let (next_id, entries) = self.router.registry_snapshot();
+        let mut out = Vec::new();
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.push(SNAPSHOT_VERSION);
+        out.push(self.brokers.len() as u8);
+        out.extend_from_slice(&next_id.to_le_bytes());
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for (id, name) in &entries {
+            out.extend_from_slice(&id.to_le_bytes());
+            wire::put_str(&mut out, name);
+        }
+        let guards: Vec<_> = self.brokers.iter().map(|broker| broker.lock()).collect();
+        for guard in &guards {
+            wire::put_bytes(&mut out, &guard.encode_state());
+        }
+        out
+    }
+}
+
+/// Decodes a `PVSH` snapshot into per-shard broker states (clocks rebased
+/// for a fresh serve loop) and the shared registry. Every per-shard
+/// section must decode: a partial or corrupt snapshot is an error, never
+/// a gateway with some shards silently empty.
+fn decode_snapshot(bytes: &[u8]) -> Result<(Vec<Broker<SocketAddr>>, SharedRouter), &'static str> {
+    let mut r = wire::Reader::new(bytes);
+    if r.u32()? != u32::from_le_bytes(*SNAPSHOT_MAGIC) {
+        return Err("not a gateway snapshot");
+    }
+    if r.u8()? != SNAPSHOT_VERSION {
+        return Err("unknown gateway snapshot version");
+    }
+    let shards = r.u8()? as usize;
+    if !(1..=64).contains(&shards) {
+        return Err("implausible shard count");
+    }
+    let next_id = r.u16()?;
+    let entry_count = r.u32()?;
+    let mut entries = Vec::with_capacity(entry_count.min(1 << 16) as usize);
+    for _ in 0..entry_count {
+        let id = r.u16()?;
+        entries.push((id, r.str()?));
+    }
+    let mut states = Vec::with_capacity(shards);
+    for _ in 0..shards {
+        let mut state = Broker::decode_state(&r.bytes()?)?;
+        // The serve loops' monotonic clock restarts at zero; rebase the
+        // snapshot's timers so retransmissions fire promptly.
+        state.reset_clock();
+        states.push(state);
+    }
+    let router = SharedRouter::new(shards);
+    router.seed_registry(next_id, entries.iter().map(|(id, n)| (*id, n.as_str())));
+    Ok((states, router))
+}
+
+/// The MQTT-SN gateway: `n` broker shards over one UDP socket, each
+/// served by the same loop on its own thread.
+///
+/// Every shard runs an independent [`Broker`] behind its own lock and
+/// owns the sessions of the clients whose id hashes to it
+/// ([`shard_for_client`]). Topic-id assignment is serialized through the
+/// [`SharedRouter`] (control plane only); the per-publish hot path reads
+/// a cached, epoch-invalidated topic→shard bitmask and never takes a
+/// global lock. A publish whose subscribers live on other shards crosses
+/// through the lock-free [`ForwardFabric`] as a pre-encoded wire image.
+///
+/// The default — and what [`UdpBroker::spawn`] and every production entry
+/// point runs — is one shard: its serve loop reads the socket itself, so
+/// the gateway is exactly one thread. With more shards a routing front
+/// thread owns the socket's receive side and hands each datagram to its
+/// owner shard's ring (`n + 1` threads).
+pub struct UdpBroker {
+    local_addr: SocketAddr,
+    shared: Arc<Shared>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// Everything a gateway can be started with; see [`UdpBroker::builder`].
+pub struct GatewayBuilder<A> {
+    bind: A,
+    config: BrokerConfig,
+    shards: usize,
+    fault: Option<Arc<dyn DatagramFault>>,
+    resume: Option<PathBuf>,
+}
+
+impl<A: ToSocketAddrs> GatewayBuilder<A> {
+    /// Broker configuration of every shard (default
+    /// [`BrokerConfig::default`]). A resumed gateway takes it from the
+    /// snapshot instead.
+    pub fn config(mut self, config: BrokerConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Shard count, clamped to 1..=64 (default 1). A resumed gateway
+    /// takes it from the snapshot instead.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards.clamp(1, 64);
+        self
+    }
+
+    /// Datagram fault-injection plan: the fate of every inbound datagram
+    /// is decided once where it is read off the socket, of every outbound
+    /// one by the shard sending it. Chaos testing only — the faulted
+    /// paths allocate where production does not.
+    pub fn faults(mut self, fault: Arc<dyn DatagramFault>) -> Self {
+        self.fault = Some(fault);
+        self
+    }
+
+    /// Starts from the snapshot file at `path` (see
+    /// [`UdpBroker::snapshot_to_file`]) — the restart path: durable
+    /// sessions, topic registrations, buffered messages and QoS dedup
+    /// state survive gateway process death, the way RSMB's persistence
+    /// file keeps gateway state across crashes. A missing, corrupt or
+    /// truncated file fails [`GatewayBuilder::spawn`] (the latter two
+    /// with [`io::ErrorKind::InvalidData`]) before any thread starts.
+    pub fn resume_from(mut self, path: impl AsRef<Path>) -> Self {
+        self.resume = Some(path.as_ref().to_owned());
+        self
+    }
+
+    /// Binds and starts serving.
+    pub fn spawn(self) -> io::Result<UdpBroker> {
+        let (states, router) = match &self.resume {
+            Some(path) => decode_snapshot(&prov_wal::snapshot::read(path)?)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
+            None => (
+                (0..self.shards)
+                    .map(|_| Broker::new(self.config.clone()))
+                    .collect(),
+                SharedRouter::new(self.shards),
+            ),
+        };
+        let shards = states.len();
+        let socket = UdpSocket::bind(self.bind)?;
+        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
+        let shared = Arc::new(Shared {
+            brokers: states
+                .into_iter()
+                .map(|s| Mutex::with_rank(parking_lot::rank::BROKER, s))
+                .collect(),
             router,
-            threads,
-        })
+            fabric: ForwardFabric::new(shards, SHARD_RING),
+            ingress: (0..if shards > 1 { shards } else { 0 })
+                .map(|_| IngressRing::new(SHARD_RING))
+                .collect(),
+            shutdown: AtomicBool::new(false),
+            start: Instant::now(),
+        });
+        // Seed the router's per-shard filter unions from restored
+        // sessions, so forwarding works before any new subscription.
+        let mut filters = Vec::new();
+        for (i, broker) in shared.brokers.iter().enumerate() {
+            broker.lock().collect_subscription_filters(&mut filters);
+            if !filters.is_empty() {
+                shared.router.set_filters(i, &filters);
+            }
+        }
+        // From here on an error drops `gateway`, which stops whatever
+        // threads have already started.
+        let mut gateway = UdpBroker {
+            local_addr: socket.local_addr()?,
+            shared,
+            threads: Vec::with_capacity(shards + 1),
+        };
+        let mut reader = Some(SocketReader::new(socket.try_clone()?, self.fault.clone()));
+        for idx in 0..shards {
+            let emitter = Emitter {
+                socket: socket.try_clone()?,
+                fault: self.fault.clone(),
+                held_out: Vec::new(),
+            };
+            let reader = if shards == 1 { reader.take() } else { None };
+            let shared = Arc::clone(&gateway.shared);
+            gateway.threads.push(std::thread::spawn(move || {
+                let ingress = match reader {
+                    Some(reader) => Ingress::Socket {
+                        reader,
+                        spare: Vec::new(),
+                    },
+                    None => Ingress::Ring(&shared.ingress[idx]),
+                };
+                serve_shard(idx, ingress, emitter, &shared)
+            }));
+        }
+        if let Some(reader) = reader {
+            let shared = Arc::clone(&gateway.shared);
+            gateway
+                .threads
+                .push(std::thread::spawn(move || route_front(reader, &shared)));
+        }
+        Ok(gateway)
+    }
+}
+
+impl UdpBroker {
+    /// A gateway to be bound at `bind` (use `"127.0.0.1:0"` to pick a free
+    /// port): one shard, default configuration, no fault plan, fresh
+    /// state, until the builder says otherwise.
+    pub fn builder<A: ToSocketAddrs>(bind: A) -> GatewayBuilder<A> {
+        GatewayBuilder {
+            bind,
+            config: BrokerConfig::default(),
+            shards: 1,
+            fault: None,
+            resume: None,
+        }
+    }
+
+    /// Binds and starts serving a one-shard gateway: shorthand for
+    /// `UdpBroker::builder(bind).config(config).spawn()`.
+    pub fn spawn(bind: impl ToSocketAddrs, config: BrokerConfig) -> io::Result<UdpBroker> {
+        Self::builder(bind).config(config).spawn()
     }
 
     /// The bound address (to hand to clients).
@@ -716,27 +675,19 @@ impl ShardedUdpBroker {
 
     /// Number of shards serving.
     pub fn shards(&self) -> usize {
-        self.brokers.len()
+        self.shared.brokers.len()
     }
 
-    /// Seeds a predefined topic (fixed id, agreed out of band) into the
-    /// shared registry and every shard's local mirror. Returns false on
-    /// an id or name conflict.
-    pub fn register_predefined(&self, id: u16, name: &str) -> bool {
-        if !self.router.register_predefined(id, name) {
-            return false;
-        }
-        for broker in self.brokers.iter() {
-            broker.lock().mirror_topic(id, name);
-        }
-        true
+    /// The shard that owns `client_id` under this gateway's placement.
+    pub fn shard_of(&self, client_id: &str) -> usize {
+        shard_for_client(client_id, self.shards())
     }
 
     /// Merged routing statistics across all shards: counters sum,
     /// high-water marks take the per-shard maximum.
     pub fn stats(&self) -> BrokerStats {
         let mut merged = BrokerStats::default();
-        for broker in self.brokers.iter() {
+        for broker in &self.shared.brokers {
             merged.merge(broker.lock().stats());
         }
         merged
@@ -744,61 +695,50 @@ impl ShardedUdpBroker {
 
     /// Per-shard routing statistics, indexed by shard.
     pub fn shard_stats(&self) -> Vec<BrokerStats> {
-        self.brokers.iter().map(|b| *b.lock().stats()).collect()
+        let brokers = self.shared.brokers.iter();
+        brokers.map(|broker| *broker.lock().stats()).collect()
     }
 
-    /// Total buffered-message backlog across all shards.
+    /// Total buffered-message backlog across all shards — the input to
+    /// the congestion watermarks. A lagging subscriber (e.g. a slow
+    /// translator) shows up here first.
     pub fn backlog(&self) -> usize {
-        self.brokers.iter().map(|b| b.lock().backlog()).sum()
+        let brokers = self.shared.brokers.iter();
+        brokers.map(|broker| broker.lock().backlog()).sum()
     }
 
     /// Per-shard buffered-message backlog, indexed by shard — the
     /// observability feed for spotting one hot shard behind a merged
     /// total that still looks healthy.
     pub fn shard_backlogs(&self) -> Vec<usize> {
-        self.brokers.iter().map(|b| b.lock().backlog()).collect()
+        let brokers = self.shared.brokers.iter();
+        brokers.map(|broker| broker.lock().backlog()).collect()
     }
 
     /// Worst congestion level over all shards (0 clear / 1 soft /
     /// 2 hard): admission control must react to the hottest shard, not
     /// the average.
     pub fn congestion_level(&self) -> u8 {
-        self.brokers
-            .iter()
-            .map(|b| b.lock().congestion_level())
-            .max()
-            .unwrap_or(0)
+        let brokers = self.shared.brokers.iter();
+        let levels = brokers.map(|broker| broker.lock().congestion_level());
+        levels.max().unwrap_or(0)
     }
 
-    /// The shard that owns `client_id` under this gateway's placement.
-    pub fn shard_of(&self, client_id: &str) -> usize {
-        shard_for_client(client_id, self.brokers.len())
-    }
-
-    /// Serializes all shards to `path` as one atomic snapshot file:
-    /// every shard's broker lock is held (in index order) across the
-    /// whole encode, so the per-shard sections are a single consistent
-    /// cut — no shard's section can contain a publish whose cross-shard
-    /// forward is missing from another's.
-    pub fn snapshot_to_file(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        let (next_id, entries) = self.router.registry_snapshot();
-        let mut out = Vec::new();
-        out.extend_from_slice(SHARDED_SNAPSHOT_MAGIC);
-        out.push(SHARDED_SNAPSHOT_VERSION);
-        out.push(self.brokers.len() as u8);
-        out.extend_from_slice(&next_id.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (id, name) in &entries {
-            out.extend_from_slice(&id.to_le_bytes());
-            wire::put_str(&mut out, name);
+    /// Serializes the gateway to `path` as one consistent cut over all
+    /// shards (`PVSH`), checksummed and written atomically (temp file +
+    /// rename), so a crash mid-snapshot leaves the previous file intact.
+    /// Call it periodically, or use [`UdpBroker::shutdown_to_file`]
+    /// before a planned restart, and start again with
+    /// [`GatewayBuilder::resume_from`]. The broker locks are held for the
+    /// linear encode only, not for the disk write. A failed write is
+    /// counted in [`BrokerStats::snapshot_failures`].
+    pub fn snapshot_to_file(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        let bytes = self.shared.encode_snapshot();
+        let written = prov_wal::snapshot::write_atomic(path, &bytes);
+        if let (Err(_), Some(broker)) = (&written, self.shared.brokers.first()) {
+            broker.lock().note_snapshot_failure();
         }
-        {
-            let guards: Vec<_> = self.brokers.iter().map(|b| b.lock()).collect();
-            for guard in &guards {
-                wire::put_bytes(&mut out, &guard.encode_state());
-            }
-        }
-        prov_wal::snapshot::write_atomic(path, &out)
+        written
     }
 
     /// Stops every serve thread.
@@ -806,47 +746,37 @@ impl ShardedUdpBroker {
         self.stop();
     }
 
-    /// Stops every serve thread, then snapshots the final state to
-    /// `path` — the sharded analogue of
-    /// [`UdpBroker::shutdown_into_state`]: capturing after the loops
-    /// stop closes the window where an in-flight QoS 2 handshake
-    /// completes between snapshot and shutdown and gets re-delivered on
-    /// resume.
-    pub fn shutdown_to_file(mut self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
+    /// Stops every serve thread, then snapshots the *final* state to
+    /// `path` — what a crash-consistent persistence layer would have
+    /// observed at the instant of death. A snapshot taken while the
+    /// loops still run rolls back any QoS 2 handshake that completes
+    /// between the snapshot and the shutdown, and the resumed gateway
+    /// then re-delivers those publishes to subscribers whose own dedup
+    /// state has already been cleared — breaking exactly-once
+    /// downstream. Capturing after the loops stop closes that window, so
+    /// kill/restart harnesses use this.
+    pub fn shutdown_to_file(mut self, path: impl AsRef<Path>) -> io::Result<()> {
         self.stop();
         self.snapshot_to_file(path)
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::Relaxed);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        self.shared.settle_fabric();
     }
 }
 
-impl Drop for ShardedUdpBroker {
+impl Drop for UdpBroker {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-impl UdpBroker {
-    /// Sharded variant of [`UdpBroker::spawn`]: the same socket-facing
-    /// contract served by `shards` parallel broker shards. See
-    /// [`ShardedUdpBroker`].
-    pub fn spawn_sharded(
-        bind: impl ToSocketAddrs,
-        shards: usize,
-        config: BrokerConfig,
-    ) -> io::Result<ShardedUdpBroker> {
-        ShardedUdpBroker::spawn(bind, shards, config)
-    }
-}
-
 /// The message-type byte of an MQTT-SN datagram (handles both 1- and
-/// 3-byte length headers) — enough for the front to route on without a
-/// full decode.
+/// 3-byte length headers) — enough to route on without a full decode.
 fn peek_type(buf: &[u8]) -> Option<u8> {
     match buf.first() {
         Some(0x01) => buf.get(3).copied(),
@@ -855,30 +785,24 @@ fn peek_type(buf: &[u8]) -> Option<u8> {
     }
 }
 
-/// Fallback placement for a sender whose CONNECT the front never saw:
-/// hash the transport address.
+/// Fallback placement for a sender the front holds no placement for:
+/// hash the transport address. Stable for the life of the process, which
+/// is all a placement that is never persisted needs.
 fn addr_shard(addr: &SocketAddr, shards: usize) -> usize {
-    let mut key = [0u8; 18];
-    let len = match addr {
-        SocketAddr::V4(a) => {
-            key[..4].copy_from_slice(&a.ip().octets());
-            key[4..6].copy_from_slice(&a.port().to_le_bytes());
-            6
-        }
-        SocketAddr::V6(a) => {
-            key[..16].copy_from_slice(&a.ip().octets());
-            key[16..18].copy_from_slice(&a.port().to_le_bytes());
-            18
-        }
-    };
-    shard_for_key(&key[..len], shards)
+    let mut hasher = DefaultHasher::new();
+    addr.hash(&mut hasher);
+    (hasher.finish() % shards.max(1) as u64) as usize
 }
 
 /// Routes one deliverable datagram to its owner shard. CONNECT pins the
 /// sender's placement by client-id hash (so a durable session
 /// reconnecting from a new address lands on the shard holding its
 /// state); everything else follows the pinned placement, falling back
-/// to an address hash for senders that never connected.
+/// to an address hash for senders that never connected. A plain
+/// DISCONNECT releases the pin (a sleeping client keeps it: its PINGREQs
+/// carry no client id), and at most [`PLACEMENT_CAP`] pins are held — a
+/// CONNECT from a new sender past the cap is placed by address hash,
+/// which needs no memory to stay consistent.
 fn dispatch_frame(
     placement: &mut HashMap<SocketAddr, usize>,
     ingress: &[IngressRing],
@@ -886,132 +810,38 @@ fn dispatch_frame(
     bytes: &[u8],
 ) {
     let shards = ingress.len();
-    let shard = if peek_type(bytes) == Some(msg_type::CONNECT) {
-        let s = match Packet::decode(bytes) {
-            Ok(Packet::Connect { client_id, .. }) => shard_for_client(&client_id, shards),
-            _ => addr_shard(&from, shards),
-        };
-        placement.insert(from, s);
-        s
-    } else {
-        match placement.get(&from) {
-            Some(&s) => s,
-            None => addr_shard(&from, shards),
+    let pinned = placement.get(&from).copied();
+    let mut shard = pinned.unwrap_or_else(|| addr_shard(&from, shards));
+    match peek_type(bytes) {
+        Some(msg_type::CONNECT) if pinned.is_some() || placement.len() < PLACEMENT_CAP => {
+            if let Ok(Packet::Connect { client_id, .. }) = Packet::decode(bytes) {
+                shard = shard_for_client(&client_id, shards);
+                placement.insert(from, shard);
+            }
         }
-    };
+        Some(msg_type::DISCONNECT) => {
+            if let Ok(Packet::Disconnect { duration: None }) = Packet::decode(bytes) {
+                placement.remove(&from);
+            }
+        }
+        _ => {}
+    }
     ingress[shard].push(from, bytes);
 }
 
-/// Applies the inbound fault fate (chaos only) and dispatches.
-fn route_in(
-    placement: &mut HashMap<SocketAddr, usize>,
-    ingress: &[IngressRing],
-    from: SocketAddr,
-    bytes: &[u8],
-    fault: Option<&dyn DatagramFault>,
-    held_in: &mut HeldFrames,
-) {
-    match fault.map(|f| f.fate(FaultDir::Inbound, bytes)) {
-        None | Some(DatagramFate::Deliver) => dispatch_frame(placement, ingress, from, bytes),
-        Some(DatagramFate::Drop) => {}
-        Some(DatagramFate::Duplicate) => {
-            dispatch_frame(placement, ingress, from, bytes);
-            dispatch_frame(placement, ingress, from, bytes);
-        }
-        Some(DatagramFate::Delay(dur)) => {
-            held_in.push((Instant::now() + dur, from, bytes.to_vec()))
-        }
-    }
-}
-
-/// The routing front: owns the socket's receive side, sniffs CONNECTs
-/// for client→shard placement, applies inbound chaos fates once, and
-/// hands each datagram to its shard's ingress ring. No broker lock is
-/// ever taken here — the front stays responsive even when one shard is
-/// saturated.
-fn route_front(
-    socket: &UdpSocket,
-    ingress: &[IngressRing],
-    shutdown: &AtomicBool,
-    fault: Option<&dyn DatagramFault>,
-) {
-    let mut rbuf = vec![0u8; SLOT];
+/// The routing front of a multi-shard gateway: owns the socket's receive
+/// side and hands each datagram to its shard's ingress ring. No broker
+/// lock is ever taken here — the front stays responsive even when one
+/// shard is saturated.
+fn route_front(mut reader: SocketReader, shared: &Shared) {
     let mut placement: HashMap<SocketAddr, usize> = HashMap::new();
-    let mut held_in: HeldFrames = Vec::new();
-    let mut nonblocking = false;
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        if nonblocking {
-            if socket.set_nonblocking(false).is_ok() {
-                nonblocking = false;
-            } else {
-                ingress[0].io_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        // Release expired injected delays ahead of this wakeup's
-        // arrivals (a released frame is older than anything just read).
-        if !held_in.is_empty() {
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_in.len() {
-                if held_in[i].0 <= now {
-                    let (_, from, bytes) = held_in.swap_remove(i);
-                    dispatch_frame(&mut placement, ingress, from, &bytes);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        match socket.recv_from(&mut rbuf) {
-            Ok((len, from)) => {
-                route_in(
-                    &mut placement,
-                    ingress,
-                    from,
-                    &rbuf[..len],
-                    fault,
-                    &mut held_in,
-                );
-                // A wake usually means a burst: drain it without
-                // blocking, dispatching as we go.
-                if socket.set_nonblocking(true).is_ok() {
-                    nonblocking = true;
-                    let mut budget = SERVE_BATCH - 1;
-                    while budget > 0 {
-                        match socket.recv_from(&mut rbuf) {
-                            Ok((len, from)) => {
-                                budget -= 1;
-                                route_in(
-                                    &mut placement,
-                                    ingress,
-                                    from,
-                                    &rbuf[..len],
-                                    fault,
-                                    &mut held_in,
-                                );
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                ingress[0].io_errors.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    if socket.set_nonblocking(false).is_ok() {
-                        nonblocking = false;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                ingress[0].io_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
-            }
+    while !shared.shutdown.load(Ordering::Relaxed) {
+        let io_errors = reader
+            .read_batch(|from, bytes| dispatch_frame(&mut placement, &shared.ingress, from, bytes));
+        if io_errors > 0 {
+            shared.ingress[0]
+                .io_errors
+                .fetch_add(io_errors, Ordering::Relaxed);
         }
     }
 }
@@ -1023,20 +853,22 @@ type PubPrep = Option<(u16, QoS, usize, usize, u64)>;
 
 /// Pre-lock routing peek for one inbound datagram. Resolves topic names
 /// through the shared router (control packets only — a write lock per
-/// *new* name), prefetches the shard mask for publishes (shared read),
-/// and flags packets that can change this shard's subscription-filter
-/// union. Runs with **no** broker lock held, preserving the
-/// router-before-broker lock order.
+/// *new* name), prefetches the shard mask for publishes (shared read;
+/// skipped by a lone shard, which has nowhere to forward to), and flags
+/// packets that can change this shard's subscription-filter union. Runs
+/// with **no** broker lock held, preserving the router-before-broker
+/// lock order.
 fn route_prep(
     frame: &IngressFrame,
-    router: &SharedRouter,
+    shared: &Shared,
     mirrors: &mut Vec<(u16, String)>,
     known: &HashSet<u16>,
     filters_dirty: &mut bool,
 ) -> PubPrep {
+    let router = &shared.router;
     let bytes = &frame.buf[..];
     match peek_type(bytes) {
-        Some(msg_type::PUBLISH) => {
+        Some(msg_type::PUBLISH) if shared.brokers.len() > 1 => {
             if let Ok(PacketRef::Publish {
                 qos,
                 topic: TopicRef::Id(id) | TopicRef::Predefined(id),
@@ -1051,35 +883,23 @@ fn route_prep(
                 None
             }
         }
-        Some(msg_type::REGISTER) => {
-            if let Ok(PacketRef::Owned(Packet::Register { topic_name, .. })) =
-                Packet::decode_borrowed(bytes)
-            {
-                if let Some(id) = router.resolve(&topic_name) {
-                    if !known.contains(&id) {
-                        mirrors.push((id, topic_name));
-                    }
-                }
-            }
-            None
-        }
-        Some(msg_type::SUBSCRIBE) => {
-            *filters_dirty = true;
-            if let Ok(PacketRef::Owned(Packet::Subscribe {
-                topic: TopicRef::Name(name),
-                ..
-            })) = Packet::decode_borrowed(bytes)
-            {
-                // A concrete-name subscription assigns a topic id in the
-                // SUBACK; route the assignment through the shared
-                // registry so every shard agrees on it. Wildcard filters
-                // assign nothing.
-                if crate::topic::name_is_valid(&name) {
-                    if let Some(id) = router.resolve(&name) {
-                        if !known.contains(&id) {
-                            mirrors.push((id, name));
-                        }
-                    }
+        Some(kind @ (msg_type::REGISTER | msg_type::SUBSCRIBE)) => {
+            *filters_dirty |= kind == msg_type::SUBSCRIBE;
+            let name = match Packet::decode_borrowed(bytes) {
+                Ok(PacketRef::Owned(Packet::Register { topic_name, .. })) => Some(topic_name),
+                Ok(PacketRef::Owned(Packet::Subscribe {
+                    topic: TopicRef::Name(name),
+                    ..
+                })) => Some(name),
+                _ => None,
+            };
+            // Either packet is answered with a topic id; route the
+            // assignment through the shared registry so every shard
+            // agrees on it. A wildcard filter is not a name and resolves
+            // to nothing.
+            if let Some((id, name)) = name.and_then(|n| Some((router.resolve(&n)?, n))) {
+                if !known.contains(&id) {
+                    mirrors.push((id, name));
                 }
             }
             None
@@ -1092,23 +912,17 @@ fn route_prep(
     }
 }
 
-/// One shard's serve loop: drain the ingress ring and the incoming
-/// forwarding rings, prefetch routing decisions with no lock held,
-/// process everything under a **single** acquisition of this shard's
-/// broker lock (cross-shard ring pushes are lock-free, so they happen
-/// inside it), then flush the socket after unlock.
-#[allow(clippy::too_many_arguments)]
-fn serve_shard(
-    idx: usize,
-    socket: &UdpSocket,
-    broker: &Mutex<Broker<SocketAddr>>,
-    router: &SharedRouter,
-    fabric: &ForwardFabric,
-    ingress: &IngressRing,
-    shutdown: &AtomicBool,
-    fault: Option<&dyn DatagramFault>,
-) {
-    let start = Instant::now();
+/// The serve loop, one per shard: take a batch from the ingress and the
+/// incoming forwarding rings, prefetch routing decisions with no lock
+/// held, process everything — plus any due timer tick — under a
+/// **single** acquisition of this shard's broker lock (cross-shard ring
+/// pushes are lock-free, so they happen inside it) through the recycled
+/// [`BrokerOutputs`] buffer, then flush the socket after unlock. Steady
+/// state performs no per-packet heap allocation and no per-subscriber
+/// re-encode.
+fn serve_shard(idx: usize, mut ingress: Ingress<'_>, mut emitter: Emitter, shared: &Shared) {
+    let Shared { router, fabric, .. } = shared;
+    let broker = &shared.brokers[idx];
     let mut out = BrokerOutputs::new();
     let mut batch: Vec<IngressFrame> = Vec::with_capacity(SERVE_BATCH);
     let mut pubinfo: Vec<PubPrep> = Vec::with_capacity(SERVE_BATCH);
@@ -1121,26 +935,14 @@ fn serve_shard(
     let mut known: HashSet<u16> = HashSet::new();
     let mut pending_io_errors: u64 = 0;
     let mut last_tick = Instant::now();
-    let mut held_out: HeldFrames = Vec::new();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        batch.clear();
+    while !shared.shutdown.load(Ordering::Relaxed) {
         pubinfo.clear();
         mirrors.clear();
-        while batch.len() < SERVE_BATCH {
-            match ingress.data.pop() {
-                Some(frame) => batch.push(frame),
-                None => break,
-            }
-        }
+        let (io_errors, ring_drops) = ingress.fill(&mut batch);
+        pending_io_errors += io_errors;
         // Forwarded publishes from every other shard, producers visited
         // in ascending index order; bounded per wakeup like the batch.
-        for from in 0..fabric.shards() {
-            if from == idx {
-                continue;
-            }
+        for from in (0..fabric.shards()).filter(|&from| from != idx) {
             let ring = fabric.ring(from, idx);
             while fwd_in.len() < SERVE_BATCH {
                 match ring.recv() {
@@ -1150,18 +952,14 @@ fn serve_shard(
             }
         }
         let tick_due = last_tick.elapsed() >= Duration::from_millis(100);
-        let ring_drops = ingress.drops.swap(0, Ordering::Relaxed);
-        pending_io_errors += ingress.io_errors.swap(0, Ordering::Relaxed);
         if batch.is_empty()
             && fwd_in.is_empty()
             && !tick_due
             && ring_drops == 0
             && pending_io_errors == 0
-            && held_out.is_empty()
+            && emitter.held_out.is_empty()
         {
-            // Nothing to do: the front owns the blocking recv, so this
-            // loop paces itself.
-            std::thread::sleep(Duration::from_micros(200));
+            ingress.idle();
             continue;
         }
         // Pre-lock routing phase: router reads/writes finish (and the
@@ -1170,7 +968,7 @@ fn serve_shard(
         for frame in &batch {
             pubinfo.push(route_prep(
                 frame,
-                router,
+                shared,
                 &mut mirrors,
                 &known,
                 &mut filters_dirty,
@@ -1183,7 +981,7 @@ fn serve_shard(
                 }
             }
         }
-        let now_ns = start.elapsed().as_nanos() as Nanos;
+        let now_ns = shared.now();
         {
             let mut b = broker.lock();
             if pending_io_errors > 0 {
@@ -1198,9 +996,9 @@ fn serve_shard(
                     known.insert(id);
                 }
             }
-            for (i, frame) in batch.iter().enumerate() {
-                let routed = b.on_datagram_routed(now_ns, frame.from, &frame.buf, &mut out);
-                if let (Ok(true), Some((tid, qos, at, len, mask))) = (routed, pubinfo[i]) {
+            for (frame, prep) in batch.iter().zip(&pubinfo) {
+                let routed = b.on_datagram_into(now_ns, frame.from, &frame.buf, &mut out);
+                if let (Ok(true), Some((tid, qos, at, len, mask))) = (routed, *prep) {
                     // First receipt of a publish this shard accepted:
                     // encode once and fan the image into the rings of
                     // every shard with a matching subscription.
@@ -1231,48 +1029,12 @@ fn serve_shard(
         if filters_dirty {
             router.set_filters(idx, &filters);
         }
-        out.emit(
-            |to, bytes| match fault.map(|f| f.fate(FaultDir::Outbound, bytes)) {
-                None | Some(DatagramFate::Deliver) => {
-                    if socket.send_to(bytes, *to).is_err() {
-                        pending_io_errors += 1;
-                    }
-                }
-                Some(DatagramFate::Drop) => {}
-                Some(DatagramFate::Duplicate) => {
-                    for _ in 0..2 {
-                        if socket.send_to(bytes, *to).is_err() {
-                            pending_io_errors += 1;
-                        }
-                    }
-                }
-                Some(DatagramFate::Delay(dur)) => {
-                    held_out.push((Instant::now() + dur, *to, bytes.to_vec()));
-                }
-            },
-        );
-        out.clear();
-        if !held_out.is_empty() {
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_out.len() {
-                if held_out[i].0 <= now {
-                    let (_, to, bytes) = held_out.swap_remove(i);
-                    if socket.send_to(&bytes, to).is_err() {
-                        pending_io_errors += 1;
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        pending_io_errors += emitter.flush(&mut out);
         // Recycle every frame so the next wakeup allocates nothing.
         for (from, frame) in fwd_in.drain(..) {
             fabric.ring(from, idx).recycle(frame);
         }
-        for frame in batch.drain(..) {
-            let _ = ingress.free.push(frame);
-        }
+        ingress.recycle(&mut batch);
     }
 }
 
@@ -1888,6 +1650,18 @@ mod tests {
         Duration::from_secs(5)
     }
 
+    /// A per-process snapshot file path under the temp dir.
+    fn snap_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mqtt-sn-{tag}-{}.snap", std::process::id()))
+    }
+
+    fn sharded(shards: usize) -> UdpBroker {
+        UdpBroker::builder("127.0.0.1:0")
+            .shards(shards)
+            .spawn()
+            .unwrap()
+    }
+
     #[test]
     fn end_to_end_qos2_over_loopback() {
         let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
@@ -1991,9 +1765,9 @@ mod tests {
         sub.recv_message(timeout()).unwrap();
 
         // Kill the broker, preserving its state; rebind the same port.
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
-        let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+        let path = snap_path("resume");
+        broker.shutdown_to_file(&path).unwrap();
+        let broker = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
 
         // Both sides reconnect with backoff; sessions resume (the
         // subscriber's subscription and the publisher's registration both
@@ -2014,6 +1788,7 @@ mod tests {
         let (_, payload) = sub.recv_message(timeout()).unwrap();
         assert_eq!(payload, vec![2]);
         broker.shutdown();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2022,14 +1797,16 @@ mod tests {
         let addr = broker.local_addr();
         let mut client = UdpClient::connect(addr, ClientConfig::new("bk"), timeout()).unwrap();
         client.register("bk/t", timeout()).unwrap();
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
+        let path = snap_path("backoff");
+        broker.shutdown_to_file(&path).unwrap();
 
         // Bring the broker back only after a delay: early attempts must
         // fail transiently and the backoff loop must ride them out.
         let restarter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(300));
-            UdpBroker::spawn_resuming(addr, snapshot).unwrap()
+            let broker = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
+            std::fs::remove_file(&path).unwrap();
+            broker
         });
         let attempts = client
             .reconnect(&ReconnectPolicy {
@@ -2080,27 +1857,33 @@ mod tests {
         assert_ne!(entropy_seed(), entropy_seed());
     }
 
-    #[test]
-    fn broker_restarts_from_snapshot_file() {
-        let dir = std::env::temp_dir().join(format!("mqtt-sn-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("broker.snap");
-
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let addr = broker.local_addr();
-        let mut sub = UdpClient::connect(addr, ClientConfig::new("fsub"), timeout()).unwrap();
-        sub.subscribe("fs/#", QoS::AtLeastOnce, timeout()).unwrap();
-        let mut publisher = UdpClient::connect(addr, ClientConfig::new("fpub"), timeout()).unwrap();
-        let tid = publisher.register("fs/dev1", timeout()).unwrap();
+    /// Restart from a snapshot file, at any shard count: registration,
+    /// subscription, the shared-registry id assignment and the stats all
+    /// survive the file trip, and anything that is not an intact `PVSH`
+    /// file is refused before a single thread starts.
+    fn restarts_from_snapshot_file(shards: usize) {
+        let path = snap_path(&format!("restart-{shards}"));
+        let gw = sharded(shards);
+        let addr = gw.local_addr();
+        let mut sub = UdpClient::connect(addr, ClientConfig::new("psub"), timeout()).unwrap();
+        sub.subscribe("ps/#", QoS::AtLeastOnce, timeout()).unwrap();
+        // Across a shard boundary whenever there is one to cross.
+        let pub_id = if shards > 1 {
+            client_on_other_shard("psdev", "psub", shards)
+        } else {
+            "psdev".to_owned()
+        };
+        let mut publisher = UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
+        let tid = publisher.register("ps/dev1", timeout()).unwrap();
         publisher
             .publish(tid, vec![1], QoS::AtLeastOnce, timeout())
             .unwrap();
         sub.recv_message(timeout()).unwrap();
 
-        // Persist to disk, kill the process's broker, restart FROM THE FILE.
-        broker.snapshot_to_file(&path).unwrap();
-        broker.shutdown();
-        let broker = UdpBroker::spawn_from_file(addr, &path).unwrap();
+        // Stop all shards, persist one file, restart FROM THE FILE.
+        gw.shutdown_to_file(&path).unwrap();
+        let gw = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
+        assert_eq!(gw.shards(), shards, "shard count comes from the file");
 
         let policy = ReconnectPolicy {
             initial_backoff: Duration::from_millis(50),
@@ -2109,27 +1892,67 @@ mod tests {
         };
         sub.reconnect(&policy).unwrap();
         publisher.reconnect(&policy).unwrap();
-        // Both the registration and the subscription survived the file trip.
         let new_tid = publisher
-            .topic_id("fs/dev1")
+            .topic_id("ps/dev1")
             .expect("registration persisted");
+        assert_eq!(
+            new_tid, tid,
+            "shared registry ids are stable across restart"
+        );
         publisher
             .publish(new_tid, vec![2], QoS::AtLeastOnce, timeout())
             .unwrap();
         let (_, payload) = sub.recv_message(timeout()).unwrap();
         assert_eq!(payload, vec![2]);
-        broker.shutdown();
+        // One publish before the restart (persisted with the stats) plus
+        // one after: the counters survive the file trip.
+        assert_eq!(gw.stats().publishes_in, 2);
+        let forwards = if shards > 1 { 2 } else { 0 };
+        assert_eq!(gw.stats().cross_shard_forwards, forwards);
+        gw.shutdown();
 
-        // A corrupt snapshot is refused, not silently started empty.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = UdpBroker::spawn_from_file("127.0.0.1:0", &path)
-            .err()
-            .expect("corrupt snapshot must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).unwrap();
+        let refused = |what: &str| {
+            let err = UdpBroker::builder("127.0.0.1:0")
+                .shards(shards)
+                .resume_from(&path)
+                .spawn()
+                .err()
+                .unwrap_or_else(|| panic!("{what} snapshot must be refused"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        };
+        // A corrupt file is refused outright, not silently started empty.
+        let good = std::fs::read(&path).unwrap();
+        let mut corrupt = good.clone();
+        *corrupt.last_mut().unwrap() ^= 0xFF;
+        std::fs::write(&path, &corrupt).unwrap();
+        refused("corrupt");
+        // So is a truncated one (a partial per-shard section).
+        std::fs::write(&path, &good[..good.len() - 3]).unwrap();
+        refused("truncated");
+        // And so is an intact file holding a bare broker state rather
+        // than the `PVSH` container.
+        let bare = Broker::<SocketAddr>::new(BrokerConfig::default()).encode_state();
+        prov_wal::snapshot::write_atomic(&path, &bare).unwrap();
+        refused("bare single-broker");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn broker_restarts_from_snapshot_file() {
+        restarts_from_snapshot_file(1);
+    }
+
+    #[test]
+    fn sharded_gateway_restarts_from_one_atomic_snapshot_file() {
+        restarts_from_snapshot_file(4);
+    }
+
+    #[test]
+    fn failed_snapshot_write_is_counted() {
+        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let nowhere = std::env::temp_dir().join("mqtt-sn-no-such-dir/gateway.snap");
+        assert!(broker.snapshot_to_file(&nowhere).is_err());
+        assert_eq!(broker.stats().snapshot_failures, 1);
     }
 
     #[test]
@@ -2227,16 +2050,17 @@ mod tests {
 
         // Hammer snapshots from another thread while measuring publish
         // round-trip latency.
+        let path = snap_path("stall");
         let stop = Arc::new(AtomicBool::new(false));
         let broker = Arc::new(broker);
         let snapper = {
             let stop = Arc::clone(&stop);
             let broker = Arc::clone(&broker);
+            let path = path.clone();
             std::thread::spawn(move || {
                 let mut snapshots = 0u32;
                 while !stop.load(Ordering::Relaxed) {
-                    let snap = broker.snapshot().expect("snapshot round-trips");
-                    assert!(snap.session_count() >= 1);
+                    broker.snapshot_to_file(&path).expect("snapshot written");
                     snapshots += 1;
                 }
                 snapshots
@@ -2255,9 +2079,11 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         let snapshots = snapper.join().unwrap();
         assert!(snapshots > 0, "snapshot thread never ran");
+        std::fs::remove_file(&path).unwrap();
         // Generous CI bound: the serve loop must never sit behind a deep
-        // state clone. (The pre-fix deep-clone-under-lock implementation
-        // is what this guards against regressing to.)
+        // state clone or a disk write. (The pre-fix
+        // deep-clone-under-lock implementation is what this guards
+        // against regressing to.)
         assert!(
             worst < Duration::from_secs(1),
             "publish latency spiked to {worst:?} across concurrent snapshots"
@@ -2352,7 +2178,11 @@ mod tests {
             retry_timeout: Duration::from_millis(200), // keep the test fast
             ..BrokerConfig::default()
         };
-        let broker = UdpBroker::spawn_with_faults("127.0.0.1:0", config, fault).unwrap();
+        let broker = UdpBroker::builder("127.0.0.1:0")
+            .config(config)
+            .faults(fault)
+            .spawn()
+            .unwrap();
         let addr = broker.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("sub"), timeout()).unwrap();
         sub.subscribe("f/#", QoS::AtLeastOnce, timeout()).unwrap();
@@ -2392,7 +2222,7 @@ mod tests {
 
     #[test]
     fn sharded_gateway_forwards_across_shards() {
-        let gw = UdpBroker::spawn_sharded("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = sharded(4);
         assert_eq!(gw.shards(), 4);
         let addr = gw.local_addr();
 
@@ -2427,7 +2257,7 @@ mod tests {
 
     #[test]
     fn sharded_gateway_same_shard_skips_the_fabric() {
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = sharded(4);
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("localsub"), timeout()).unwrap();
         sub.subscribe("loc/#", QoS::AtLeastOnce, timeout()).unwrap();
@@ -2451,7 +2281,7 @@ mod tests {
 
     #[test]
     fn sharded_gateway_qos2_exactly_once_across_shards() {
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = sharded(4);
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("q2sub"), timeout()).unwrap();
         sub.subscribe("q2/#", QoS::ExactlyOnce, timeout()).unwrap();
@@ -2476,95 +2306,100 @@ mod tests {
     }
 
     #[test]
-    fn sharded_gateway_restarts_from_one_atomic_snapshot_file() {
-        let dir = std::env::temp_dir().join(format!("mqtt-sn-shsnap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gateway.snap");
-
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
-        let addr = gw.local_addr();
-        let mut sub = UdpClient::connect(addr, ClientConfig::new("psub"), timeout()).unwrap();
-        sub.subscribe("ps/#", QoS::AtLeastOnce, timeout()).unwrap();
-        let pub_id = client_on_other_shard("psdev", "psub", 4);
-        let mut publisher = UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
-        let tid = publisher.register("ps/dev1", timeout()).unwrap();
-        publisher
-            .publish(tid, vec![1], QoS::AtLeastOnce, timeout())
-            .unwrap();
-        sub.recv_message(timeout()).unwrap();
-
-        // Stop all shards, persist one file, restart from it.
-        gw.shutdown_to_file(&path).unwrap();
-        let gw = ShardedUdpBroker::spawn_from_file(addr, &path).unwrap();
-        assert_eq!(gw.shards(), 4, "shard count comes from the file");
-
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            attempt_timeout: Duration::from_secs(1),
-            ..ReconnectPolicy::default()
-        };
-        sub.reconnect(&policy).unwrap();
-        publisher.reconnect(&policy).unwrap();
-        // Registration, subscription, AND the shared-registry id
-        // assignment all survived the file trip: a cross-shard publish
-        // still routes.
-        let new_tid = publisher
-            .topic_id("ps/dev1")
-            .expect("registration persisted");
-        assert_eq!(
-            new_tid, tid,
-            "shared registry ids are stable across restart"
-        );
-        publisher
-            .publish(new_tid, vec![2], QoS::AtLeastOnce, timeout())
-            .unwrap();
-        let (_, payload) = sub.recv_message(timeout()).unwrap();
-        assert_eq!(payload, vec![2]);
-        // One forward before the restart (persisted with the stats) plus
-        // one after: the counter survives the file trip.
-        assert_eq!(gw.stats().cross_shard_forwards, 2);
-        gw.shutdown();
-
-        // A corrupt file is refused outright — no shard starts.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ShardedUdpBroker::spawn_from_file("127.0.0.1:0", &path)
-            .err()
-            .expect("corrupt sharded snapshot must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // So is a truncated one (a partial per-shard section).
-        let good = {
-            let mut b = std::fs::read(&path).unwrap();
-            let last = b.len() - 1;
-            b[last] ^= 0xFF; // undo the corruption
-            b
-        };
-        std::fs::write(&path, &good[..good.len() - 3]).unwrap();
-        let err = ShardedUdpBroker::spawn_from_file("127.0.0.1:0", &path)
-            .err()
-            .expect("truncated sharded snapshot must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // And a single-broker snapshot is not mistaken for a sharded one.
-        let single = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        single.snapshot_to_file(&path).unwrap();
-        single.shutdown();
-        let err = ShardedUdpBroker::spawn_from_file("127.0.0.1:0", &path)
-            .err()
-            .expect("wrong container format must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn sharded_gateway_merges_congestion_as_the_hottest_shard() {
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 2, BrokerConfig::default()).unwrap();
+        let gw = sharded(2);
         assert_eq!(gw.congestion_level(), 0);
         assert_eq!(gw.backlog(), 0);
         assert_eq!(gw.shard_backlogs(), vec![0, 0]);
         gw.shutdown();
+    }
+
+    /// The frame `dispatch_frame` just enqueued, as `(shard, sender)`.
+    fn routed(ingress: &[IngressRing]) -> (usize, SocketAddr) {
+        let hits: Vec<_> = ingress
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, ring)| {
+                let frame = ring.data.pop()?;
+                let from = frame.from;
+                ring.free.push(frame).unwrap();
+                Some((shard, from))
+            })
+            .collect();
+        assert_eq!(hits.len(), 1, "one datagram, one shard: {hits:?}");
+        hits[0]
+    }
+
+    #[test]
+    fn front_placement_is_released_on_disconnect_and_capped() {
+        const SHARDS: usize = 4;
+        let ingress: Vec<IngressRing> = (0..SHARDS).map(|_| IngressRing::new(2)).collect();
+        let mut placement = HashMap::new();
+        let connect = |id: &str| {
+            Packet::Connect {
+                clean_session: true,
+                duration: 60,
+                client_id: id.to_owned(),
+            }
+            .encode()
+        };
+        let ping = Packet::PingReq.encode();
+        let sleep = Packet::Disconnect { duration: Some(30) }.encode();
+        let bye = Packet::Disconnect { duration: None }.encode();
+
+        // A sender whose client-id shard differs from its address shard,
+        // so pinned and fallback placement can be told apart.
+        let addr = SocketAddr::from(([10, 0, 0, 1], 4000));
+        let fallback = addr_shard(&addr, SHARDS);
+        let id = (0..64)
+            .map(|i| format!("dev{i}"))
+            .find(|id| shard_for_client(id, SHARDS) != fallback)
+            .unwrap();
+        let home = shard_for_client(&id, SHARDS);
+
+        dispatch_frame(&mut placement, &ingress, addr, &ping);
+        assert_eq!(routed(&ingress), (fallback, addr), "never connected");
+        dispatch_frame(&mut placement, &ingress, addr, &connect(&id));
+        assert_eq!(routed(&ingress), (home, addr));
+        // Going to sleep keeps the pin: the wake-up PINGREQ names no
+        // client id and must still reach the session's shard.
+        for datagram in [&sleep, &ping, &bye] {
+            dispatch_frame(&mut placement, &ingress, addr, datagram);
+            assert_eq!(routed(&ingress).0, home);
+        }
+        assert!(placement.is_empty(), "DISCONNECT must release the pin");
+        dispatch_frame(&mut placement, &ingress, addr, &ping);
+        assert_eq!(routed(&ingress).0, fallback);
+
+        // A CONNECT flood from distinct (spoofed) sources stops growing
+        // the map at the cap; senders past it are placed by address.
+        let flood = connect(&id);
+        let source = |i: usize| {
+            SocketAddr::from(([10, 1, (i >> 8) as u8, i as u8], 1000 + (i >> 16) as u16))
+        };
+        for i in 0..PLACEMENT_CAP + 64 {
+            dispatch_frame(&mut placement, &ingress, source(i), &flood);
+            let shard = routed(&ingress).0;
+            if i >= PLACEMENT_CAP {
+                assert_eq!(shard, addr_shard(&source(i), SHARDS));
+            } else {
+                assert_eq!(shard, home);
+            }
+        }
+        assert_eq!(placement.len(), PLACEMENT_CAP);
+        // A pinned sender may still re-pin at the cap (no growth)...
+        dispatch_frame(
+            &mut placement,
+            &ingress,
+            source(0),
+            &connect("someone-else"),
+        );
+        assert_eq!(routed(&ingress).0, shard_for_client("someone-else", SHARDS));
+        // ...and a released pin makes room for a new sender.
+        dispatch_frame(&mut placement, &ingress, source(1), &bye);
+        routed(&ingress);
+        dispatch_frame(&mut placement, &ingress, addr, &flood);
+        assert_eq!(routed(&ingress), (home, addr));
+        assert_eq!(placement.len(), PLACEMENT_CAP);
     }
 }

@@ -41,12 +41,6 @@ pub fn shard_for_client(client_id: &str, shards: usize) -> usize {
     (fnv1a(client_id.as_bytes()) % shards.max(1) as u64) as usize
 }
 
-/// Fallback placement for datagrams from addresses that never sent a
-/// CONNECT the front could sniff (e.g. a bare SEARCHGW probe).
-pub fn shard_for_key(key: &[u8], shards: usize) -> usize {
-    (fnv1a(key) % shards.max(1) as u64) as usize
-}
-
 /// Everything behind the router lock.
 #[derive(Debug)]
 struct RouterTable {
@@ -98,11 +92,6 @@ impl SharedRouter {
                 },
             ),
         }
-    }
-
-    /// Shard count the table was built for.
-    pub fn shards(&self) -> usize {
-        self.router.read().filters.len()
     }
 
     /// Resolves `name` to its shared topic id, assigning one if needed

@@ -76,11 +76,6 @@ impl ForwardRing {
         ring
     }
 
-    /// In-flight frame count (snapshot).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
     /// True when no frames are in flight.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
@@ -148,8 +143,8 @@ pub struct ForwardOutcome {
 }
 
 /// The full mesh of forwarding rings for an N-shard gateway: one
-/// [`ForwardRing`] per directed pair. Ring `(i, i)` exists but is never
-/// used; indexing stays branch-free.
+/// [`ForwardRing`] per directed pair of *distinct* shards — `n·(n−1)`
+/// rings, so a one-shard gateway owns none.
 #[derive(Debug)]
 pub struct ForwardFabric {
     shards: usize,
@@ -161,10 +156,9 @@ impl ForwardFabric {
     /// pair.
     pub fn new(shards: usize, cap: usize) -> Self {
         let shards = shards.max(1);
-        let mut rings = Vec::with_capacity(shards * shards);
-        for _ in 0..shards * shards {
-            rings.push(ForwardRing::new(cap));
-        }
+        let rings = (0..shards * (shards - 1))
+            .map(|_| ForwardRing::new(cap))
+            .collect();
         ForwardFabric { shards, rings }
     }
 
@@ -173,9 +167,13 @@ impl ForwardFabric {
         self.shards
     }
 
-    /// The ring carrying frames from shard `from` to shard `to`.
+    /// The ring carrying frames from shard `from` to shard `to`. The two
+    /// must differ: a shard never forwards to itself, and no such ring
+    /// exists.
     pub fn ring(&self, from: usize, to: usize) -> &ForwardRing {
-        &self.rings[(from % self.shards) * self.shards + (to % self.shards)]
+        debug_assert!(from != to && from < self.shards && to < self.shards);
+        // Row `from` holds every destination but `from` itself.
+        &self.rings[from * (self.shards - 1) + to - usize::from(to > from)]
     }
 
     /// Encodes `payload` as a PUBLISH **once** into `scratch` and fans

@@ -22,7 +22,7 @@ use prov_chaos::{kill_points, FaultPlan, FaultPlanConfig};
 use provlight::core::client::ProvLightClient;
 use provlight::core::config::{CaptureConfig, GroupPolicy, LinkFault, SpillFault};
 use provlight::mqtt_sn::broker::BrokerConfig;
-use provlight::mqtt_sn::net::{ShardedUdpBroker, UdpBroker, UdpClient};
+use provlight::mqtt_sn::net::{UdpBroker, UdpClient};
 use provlight::mqtt_sn::router::shard_for_client;
 use provlight::mqtt_sn::{ClientConfig, ClientEvent, QoS};
 use provlight::prov_codec::frame::Envelope;
@@ -126,8 +126,9 @@ fn record_key(r: &Record) -> (u64, u8, u64) {
     }
 }
 
-/// One full soak under the fault schedule derived from `seed`.
-fn soak(seed: u64) {
+/// One full soak under the fault schedule derived from `seed`, through a
+/// gateway of `shards` shards.
+fn soak(seed: u64, shards: usize) {
     const CLIENTS: u64 = 2;
     const ROUNDS: usize = 10;
 
@@ -150,15 +151,27 @@ fn soak(seed: u64) {
         max_retries: 30,
         ..BrokerConfig::default()
     };
-    let mut broker =
-        UdpBroker::spawn_with_faults("127.0.0.1:0", broker_config, broker_plan.clone()).unwrap();
+    let mut broker = UdpBroker::builder("127.0.0.1:0")
+        .shards(shards)
+        .config(broker_config)
+        .faults(broker_plan.clone())
+        .spawn()
+        .unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "chaos-collector");
+    // With more than one shard, some capture traffic has to reach the
+    // collector through the forwarding fabric.
+    let crosses_shards = (0..CLIENTS).any(|i| {
+        shard_for_client(&format!("chaos-edge-{i}"), shards)
+            != shard_for_client("chaos-collector", shards)
+    });
+    assert_eq!(crosses_shards, shards > 1, "client ids exercise nothing");
+    let snap_path = temp_dir(&format!("soak-{seed:x}-{shards}")).with_extension("snap");
 
     let mut clients = Vec::new();
     let mut dirs = Vec::new();
     for i in 0..CLIENTS {
-        let dir = temp_dir(&format!("soak-{seed:x}-{i}"));
+        let dir = temp_dir(&format!("soak-{seed:x}-{shards}-{i}"));
         let config = CaptureConfig {
             group: GroupPolicy::Immediate,
             qos: QoS::ExactlyOnce,
@@ -211,8 +224,8 @@ fn soak(seed: u64) {
         wf.begin().unwrap();
     }
 
-    // The gateway dies and restarts (state carried via snapshot, same
-    // fault plan still running) after a seed-chosen round.
+    // The gateway dies and restarts (state carried via its snapshot
+    // file, same fault plan still running) after a seed-chosen round.
     let kills = kill_points(seed, ROUNDS, 1);
     for round in 0..ROUNDS {
         if kills.contains(&round) {
@@ -220,12 +233,16 @@ fn soak(seed: u64) {
             // snapshot would roll back handshakes completed before the
             // kill and re-deliver them after restart, breaking
             // exactly-once downstream).
-            let snap = broker
-                .shutdown_into_state()
+            broker
+                .shutdown_to_file(&snap_path)
                 .unwrap_or_else(|e| panic!("state capture failed for seed {seed:#x}: {e:?}"));
             std::thread::sleep(Duration::from_millis(300));
-            broker = UdpBroker::spawn_resuming_with_faults(addr, snap, broker_plan.clone())
+            broker = UdpBroker::builder(addr)
+                .faults(broker_plan.clone())
+                .resume_from(&snap_path)
+                .spawn()
                 .unwrap_or_else(|e| panic!("gateway restart failed for seed {seed:#x}: {e}"));
+            assert_eq!(broker.shards(), shards);
         }
         for wf in &workflows {
             let mut task = wf.task(round as u64, 0u64, &[]);
@@ -296,10 +313,18 @@ fn soak(seed: u64) {
         );
     }
 
+    assert_eq!(
+        broker.stats().cross_shard_forwards > 0,
+        shards > 1,
+        "fabric use does not match the shard count for seed {seed:#x}: {:?}",
+        broker.stats(),
+    );
+
     for client in clients {
         client.shutdown();
     }
     broker.shutdown();
+    let _ = std::fs::remove_file(snap_path);
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -324,13 +349,15 @@ fn seed_matrix() -> Vec<u64> {
 #[test]
 fn chaos_soak_seed_matrix_no_silent_loss() {
     for seed in seed_matrix() {
-        let outcome = std::panic::catch_unwind(|| soak(seed));
-        if let Err(e) = outcome {
-            eprintln!(
-                "chaos soak FAILED for seed {seed:#x} — reproduce with \
-                 PROVLIGHT_CHAOS_SEED={seed:#x} cargo test --test chaos_soak"
-            );
-            std::panic::resume_unwind(e);
+        for shards in [1, 4] {
+            let outcome = std::panic::catch_unwind(|| soak(seed, shards));
+            if let Err(e) = outcome {
+                eprintln!(
+                    "chaos soak FAILED for seed {seed:#x} at {shards} shard(s) — reproduce \
+                     with PROVLIGHT_CHAOS_SEED={seed:#x} cargo test --test chaos_soak"
+                );
+                std::panic::resume_unwind(e);
+            }
         }
     }
 }
@@ -365,17 +392,16 @@ fn cross_shard_soak(seed: u64, qos: QoS) {
             ..FaultPlanConfig::default()
         },
     ));
-    let broker = ShardedUdpBroker::spawn_with_faults(
-        "127.0.0.1:0",
-        SHARDS,
-        BrokerConfig {
+    let broker = UdpBroker::builder("127.0.0.1:0")
+        .shards(SHARDS)
+        .config(BrokerConfig {
             retry_timeout: Duration::from_millis(150),
             max_retries: 30,
             ..BrokerConfig::default()
-        },
-        plan,
-    )
-    .unwrap();
+        })
+        .faults(plan)
+        .spawn()
+        .unwrap();
     let addr = broker.local_addr();
 
     let sub_id = "xshard-sub";

@@ -3,7 +3,8 @@
 //! network is down, and everything buffered replays after reconnection.
 //!
 //! The outage is a broker kill + rebind on the same port. The restarted
-//! broker resumes from a state snapshot (`UdpBroker::spawn_resuming`, the
+//! broker resumes from the snapshot file its predecessor left
+//! (`UdpBroker::shutdown_to_file` / `GatewayBuilder::resume_from`, the
 //! RSMB-persistence analogue), so the translator's subscription survives;
 //! the capture client reconnects with `clean_session = false` and its
 //! session migrates to the rebound socket's new address with QoS 2 dedup
@@ -94,6 +95,14 @@ fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// Where a killed gateway leaves its state for its successor.
+fn snap_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "provlight-disconnection-{tag}-{}.snap",
+        std::process::id()
+    ))
+}
+
 /// Fast-detection, fast-reconnect capture configuration for the tests.
 fn resilient_config() -> CaptureConfig {
     CaptureConfig {
@@ -143,8 +152,8 @@ fn capture_survives_broker_outage_and_replays_in_order() {
     assert!(client.stats().connected);
 
     // Sever: kill the broker, preserving its state for the restart.
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snap = snap_path("outage");
+    broker.shutdown_to_file(&snap).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || !client.stats().connected),
         "transmitter never noticed the outage"
@@ -166,7 +175,7 @@ fn capture_survives_broker_outage_and_replays_in_order() {
     );
 
     // Restore: rebind the same port from the snapshot.
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = UdpBroker::builder(addr).resume_from(&snap).spawn().unwrap();
 
     // Phase 3: more capture after restore, then a full flush.
     for t in 7..9u64 {
@@ -207,6 +216,7 @@ fn capture_survives_broker_outage_and_replays_in_order() {
 
     client.shutdown();
     broker.shutdown();
+    let _ = std::fs::remove_file(&snap);
 }
 
 /// Buffer caps: when the outage outlasts the buffer, the *oldest* records
@@ -232,8 +242,8 @@ fn buffer_caps_evict_oldest_with_accurate_drop_count() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snap = snap_path("caps");
+    broker.shutdown_to_file(&snap).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || !client.stats().connected),
         "outage not detected"
@@ -255,7 +265,7 @@ fn buffer_caps_evict_oldest_with_accurate_drop_count() {
     );
     assert_eq!(client.stats().buffered_records, cap as u64);
 
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = UdpBroker::builder(addr).resume_from(&snap).spawn().unwrap();
     client.flush().unwrap();
 
     // wf-begin (pre-outage) + the newest `cap` task-begin records.
@@ -288,6 +298,7 @@ fn buffer_caps_evict_oldest_with_accurate_drop_count() {
     assert!(stats.reconnects >= 1);
     client.shutdown();
     broker.shutdown();
+    let _ = std::fs::remove_file(&snap);
 }
 
 /// Flush while the broker is still down reports the backlog instead of
@@ -315,8 +326,8 @@ fn flush_during_outage_reports_backlog_then_recovers() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snap = snap_path("flush");
+    broker.shutdown_to_file(&snap).unwrap();
     assert!(wait_until(Duration::from_secs(10), || !client
         .stats()
         .connected));
@@ -333,7 +344,7 @@ fn flush_during_outage_reports_backlog_then_recovers() {
         std::thread::spawn(move || session.flush())
     };
     std::thread::sleep(Duration::from_millis(200));
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = UdpBroker::builder(addr).resume_from(&snap).spawn().unwrap();
     flusher
         .join()
         .unwrap()
@@ -347,4 +358,5 @@ fn flush_during_outage_reports_backlog_then_recovers() {
     assert_eq!(stats.records_dropped, 0);
     client.shutdown();
     broker.shutdown();
+    let _ = std::fs::remove_file(&snap);
 }

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+const COLLECTOR_ID: &str = "durability-collector";
+
 /// A subscriber that keeps collecting decoded records across broker
 /// outages (mirrors the server-side translator loop's transient-error
 /// tolerance).
@@ -30,7 +32,7 @@ impl Collector {
     fn start(broker: std::net::SocketAddr, filter: &str) -> Collector {
         let mut sub = UdpClient::connect(
             broker,
-            ClientConfig::new("durability-collector"),
+            ClientConfig::new(COLLECTOR_ID),
             Duration::from_secs(5),
         )
         .unwrap();
@@ -98,6 +100,12 @@ fn spill_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Restarts a gateway at `addr` from the snapshot file its predecessor
+/// left at `snap` (see `UdpBroker::shutdown_to_file`).
+fn resume(addr: std::net::SocketAddr, snap: &Path) -> UdpBroker {
+    UdpBroker::builder(addr).resume_from(snap).spawn().unwrap()
+}
+
 /// Fast-detection, fast-reconnect, spill-enabled configuration: a tiny RAM
 /// buffer (4 single-record envelopes) so outages overflow to flash almost
 /// immediately.
@@ -139,6 +147,7 @@ fn task_ids(records: &[Record]) -> Vec<u64> {
 #[test]
 fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     let dir = spill_dir("overflow");
+    let snap = dir.with_extension("snap");
     let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
@@ -155,8 +164,7 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    broker.shutdown_to_file(&snap).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || !client.stats().connected),
         "outage not detected"
@@ -186,7 +194,7 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     );
 
     // Restore; everything replays disk-first in original order.
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = resume(addr, &snap);
     client.flush().unwrap();
 
     let expected = 1 + outage_records as usize; // wf-begin + task-begins
@@ -217,6 +225,7 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     client.shutdown();
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&snap);
 }
 
 /// Process death mid-outage: the dying transmitter persists its RAM buffer
@@ -225,12 +234,13 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
 #[test]
 fn client_restart_recovers_unsent_spill() {
     let dir = spill_dir("restart");
+    let snap = dir.with_extension("snap");
     let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
     let outage_records = 12u64;
-    let snapshot = {
+    {
         let client = ProvLightClient::connect(
             addr,
             "edge-restart-1",
@@ -243,8 +253,7 @@ fn client_restart_recovers_unsent_spill() {
         wf.begin().unwrap();
         client.flush().unwrap();
 
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
+        broker.shutdown_to_file(&snap).unwrap();
         assert!(wait_until(Duration::from_secs(10), || !client
             .stats()
             .connected));
@@ -255,13 +264,12 @@ fn client_restart_recovers_unsent_spill() {
         assert!(wait_until(Duration::from_secs(10), || {
             client.stats().buffered_records == outage_records
         }));
-        snapshot
         // The client process "dies" with the broker still unreachable:
         // client, session, and workflow handles all drop here (no flush) —
         // shutdown persistence must save the RAM backlog to the WAL.
-    };
+    }
     // Bring the broker back for the restarted process.
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = resume(addr, &snap);
 
     let client = ProvLightClient::connect(
         addr,
@@ -291,6 +299,7 @@ fn client_restart_recovers_unsent_spill() {
     client.shutdown();
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&snap);
 }
 
 /// Kill mid-spill: a torn final frame (the crash happened inside a WAL
@@ -299,12 +308,13 @@ fn client_restart_recovers_unsent_spill() {
 #[test]
 fn torn_wal_tail_is_truncated_and_durable_records_replay() {
     let dir = spill_dir("torn");
+    let snap = dir.with_extension("snap");
     let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
     let outage_records = 10u64;
-    let snapshot = {
+    {
         let client = ProvLightClient::connect(
             addr,
             "edge-torn-1",
@@ -317,8 +327,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
         wf.begin().unwrap();
         client.flush().unwrap();
 
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
+        broker.shutdown_to_file(&snap).unwrap();
         assert!(wait_until(Duration::from_secs(10), || !client
             .stats()
             .connected));
@@ -329,8 +338,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
         assert!(wait_until(Duration::from_secs(10), || {
             client.stats().buffered_records == outage_records
         }));
-        snapshot
-    }; // client + handles drop: the backlog persists to the WAL
+    } // client + handles drop: the backlog persists to the WAL
 
     // Simulate the kill landing mid-write: append a torn frame (header
     // promising more payload than follows) to the newest segment.
@@ -354,7 +362,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
         file.write_all(&torn).unwrap();
     }
 
-    let _broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let _broker = resume(addr, &snap);
     let client = ProvLightClient::connect(
         addr,
         "edge-torn-1",
@@ -383,6 +391,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
     client.shutdown();
     _broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&snap);
 }
 
 /// When the outage outgrows even the flash budget, oldest WAL segments are
@@ -391,6 +400,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
 #[test]
 fn spill_cap_eviction_counts_drops_exactly() {
     let dir = spill_dir("cap");
+    let snap = dir.with_extension("snap");
     let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
@@ -410,8 +420,7 @@ fn spill_cap_eviction_counts_drops_exactly() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    broker.shutdown_to_file(&snap).unwrap();
     assert!(wait_until(Duration::from_secs(10), || !client
         .stats()
         .connected));
@@ -435,7 +444,7 @@ fn spill_cap_eviction_counts_drops_exactly() {
         "all losses must be WAL evictions: {mid:?}"
     );
 
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = resume(addr, &snap);
     client.flush().unwrap();
 
     let stats = client.stats();
@@ -456,25 +465,34 @@ fn spill_cap_eviction_counts_drops_exactly() {
     client.shutdown();
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&snap);
 }
 
-/// Gateway process death: the broker snapshots to a file, the process
-/// dies, a NEW process restarts from the file, and live capture rides
-/// through — sessions, subscriptions, and QoS dedup state intact.
-#[test]
-fn broker_process_death_survived_via_disk_snapshot() {
-    let dir = spill_dir("broker-snap");
+/// Gateway process death: the gateway's state is persisted to a file, the
+/// process dies, a NEW process restarts from the file, and live capture
+/// rides through — sessions, subscriptions, and QoS dedup state intact.
+/// With more than one shard the capture client and the collector sit on
+/// different ones, so the restored state has to route across the fabric.
+fn gateway_death_survived_via_disk_snapshot(shards: usize) {
+    let dir = spill_dir(&format!("broker-snap-{shards}"));
     std::fs::create_dir_all(&dir).unwrap();
     let snap_path = dir.join("gateway.snap");
 
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::builder("127.0.0.1:0")
+        .shards(shards)
+        .spawn()
+        .unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
+    let edge_id = (0..256)
+        .map(|n| format!("edge-bsnap-{n}"))
+        .find(|id| shards == 1 || broker.shard_of(id) != broker.shard_of(COLLECTOR_ID))
+        .expect("256 probes never left the collector's shard");
 
     let client = ProvLightClient::connect(
         addr,
-        "edge-bsnap-1",
-        "provlight/wf-bsnap/edge-bsnap-1",
+        &edge_id,
+        &format!("provlight/wf-bsnap/{edge_id}"),
         spill_config(&dir.join("wal")),
     )
     .unwrap();
@@ -489,8 +507,7 @@ fn broker_process_death_survived_via_disk_snapshot() {
     client.flush().unwrap();
 
     // Persist to disk and kill the gateway process.
-    broker.snapshot_to_file(&snap_path).unwrap();
-    broker.shutdown();
+    broker.shutdown_to_file(&snap_path).unwrap();
     assert!(wait_until(Duration::from_secs(10), || !client
         .stats()
         .connected));
@@ -502,7 +519,8 @@ fn broker_process_death_survived_via_disk_snapshot() {
     }
 
     // A fresh process restarts the gateway from the snapshot file.
-    let broker = UdpBroker::spawn_from_file(addr, &snap_path).unwrap();
+    let broker = resume(addr, &snap_path);
+    assert_eq!(broker.shards(), shards, "shard count comes from the file");
     wf.end().unwrap();
     client.flush().unwrap();
 
@@ -524,4 +542,11 @@ fn broker_process_death_survived_via_disk_snapshot() {
     client.shutdown();
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn broker_process_death_survived_via_disk_snapshot() {
+    for shards in [1, 4] {
+        gateway_death_survived_via_disk_snapshot(shards);
+    }
 }

@@ -1,6 +1,8 @@
 //! Steady-state allocation accounting for the capture hot path.
 //!
-//! A counting global allocator wraps the system allocator; after warming the
+//! A counting global allocator wraps the system allocator (counting per
+//! thread, so each test measures only its own work however many run
+//! beside it); after warming the
 //! grouper buffers, codec scratch (string table, compression tables), and
 //! envelope output buffer, pushing records through
 //! grouper → encode → compress → frame must perform **zero** heap
@@ -12,16 +14,23 @@ use provlight::core::grouping::{Emit, Grouper};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down may allocate after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn record(i: u64, attrs: usize) -> Record {
@@ -333,7 +343,7 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
                  now: u64| {
         out0.clear();
         let forwarded = shard0
-            .on_datagram_routed(now, publisher, &publish_wire, out0)
+            .on_datagram_into(now, publisher, &publish_wire, out0)
             .unwrap();
         assert!(forwarded, "first receipt must be fan-out eligible");
         let mask = router.shard_mask(tid);
