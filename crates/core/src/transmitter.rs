@@ -41,7 +41,7 @@ use crate::api::CaptureError;
 use crate::config::CaptureConfig;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use mqtt_sn::net::{entropy_seed, jitter_backoff, UdpClient};
-use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, QoS, ReturnCode};
+use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, ReturnCode};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
 use prov_codec::json::{records_to_json, JsonStyle};
@@ -1295,11 +1295,6 @@ fn transmitter_loop(mut link: Link, rx: Receiver<Cmd>, pool: BatchPool) {
             }
         }
     }
-}
-
-/// Exposes QoS selection for tests.
-pub fn qos_of(config: &CaptureConfig) -> QoS {
-    config.qos
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ use crate::client::Nanos;
 use crate::packet::{
     encode_publish_into, publish_flags, Packet, PacketRef, PublishWire, QoS, ReturnCode, TopicRef,
 };
+use crate::qos::{Ack, Due, Receiver, SendWindow};
 use crate::topic::{filter_is_valid, topic_matches, TopicRegistry};
 use crate::Error;
 use std::collections::{HashMap, VecDeque};
@@ -359,24 +360,6 @@ impl<A> OutputSink<A> for WireSink<'_, A> {
     }
 }
 
-/// Which acknowledgement an in-flight outbound message is waiting for.
-#[derive(Clone, Debug)]
-enum OutPhase {
-    Puback,
-    Pubrec,
-    Pubcomp,
-}
-
-#[derive(Clone, Debug)]
-struct Outbound {
-    topic_id: u16,
-    payload: Vec<u8>,
-    qos: QoS,
-    phase: OutPhase,
-    last_sent: Nanos,
-    retries: u32,
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SessionState {
     Active,
@@ -400,18 +383,11 @@ struct Session {
     /// A deque so cap-overflow eviction of the oldest message is O(1).
     buffered: VecDeque<(u16, Vec<u8>, QoS)>,
     subscriptions: Vec<(String, QoS)>,
-    next_msg_id: u16,
-    outbound: HashMap<u16, Outbound>,
-    /// Publisher-side QoS 2 ids already forwarded, awaiting PUBREL.
-    inbound_qos2: HashMap<u16, ()>,
-    /// Recently *completed* inbound QoS 2 ids (PUBREL processed), newest
-    /// last. Clearing dedup state at PUBREL alone is not enough on a
-    /// datagram transport: a delayed copy of the PUBLISH can arrive after
-    /// the handshake completes and would be re-forwarded as a new message.
-    /// Publishers allocate ids sequentially (wrapping at 65536), so a
-    /// legitimate reuse of an id is tens of thousands of handshakes away —
-    /// far beyond this window — while late duplicates land within a few.
-    completed_qos2: VecDeque<u16>,
+    /// Unacknowledged QoS 1/2 messages toward this subscriber, keyed by
+    /// the per-session message ids the window allocates.
+    out: SendWindow<u16>,
+    /// Exactly-once dedup of this publisher's QoS 2 messages.
+    inbound: Receiver,
     last_seen: Nanos,
     /// Last congestion level advertised to this client, so advisories are
     /// only sent on level changes. Transient (not persisted in
@@ -428,42 +404,10 @@ impl Session {
             durable: false,
             buffered: VecDeque::new(),
             subscriptions: Vec::new(),
-            next_msg_id: 1,
-            outbound: HashMap::new(),
-            inbound_qos2: HashMap::new(),
-            completed_qos2: VecDeque::new(),
+            out: SendWindow::new(),
+            inbound: Receiver::default(),
             last_seen: now,
             advised_level: 0,
-        }
-    }
-
-    /// Moves a completed inbound QoS 2 id into the bounded
-    /// recently-completed window (evicting the oldest at capacity).
-    fn complete_inbound_qos2(&mut self, msg_id: u16) {
-        if self.inbound_qos2.remove(&msg_id).is_some() {
-            if self.completed_qos2.len() >= COMPLETED_QOS2_WINDOW {
-                self.completed_qos2.pop_front();
-            }
-            self.completed_qos2.push_back(msg_id);
-        }
-    }
-
-    /// A PUBLISH with this id is a duplicate: either mid-handshake
-    /// (awaiting PUBREL) or a late copy of a completed handshake.
-    fn inbound_qos2_dup(&self, msg_id: u16) -> bool {
-        self.inbound_qos2.contains_key(&msg_id) || self.completed_qos2.contains(&msg_id)
-    }
-
-    fn alloc_msg_id(&mut self) -> u16 {
-        loop {
-            let id = self.next_msg_id;
-            self.next_msg_id = self.next_msg_id.wrapping_add(1);
-            if self.next_msg_id == 0 {
-                self.next_msg_id = 1;
-            }
-            if id != 0 && !self.outbound.contains_key(&id) {
-                return id;
-            }
         }
     }
 }
@@ -575,7 +519,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         let mut total = 0;
         let mut worst = 0;
         for s in self.sessions.values() {
-            let n = s.buffered.len() + s.outbound.len();
+            let n = s.buffered.len() + s.out.len();
             total += n;
             worst = worst.max(n);
         }
@@ -838,39 +782,16 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             } => self.handle_publish(now, from, qos, topic, msg_id, &payload, sink),
             Packet::PubRel { msg_id } => {
                 if let Some(s) = self.sessions.get_mut(&from) {
-                    s.complete_inbound_qos2(msg_id);
+                    s.inbound.release(msg_id);
                 }
                 sink.push(from, Packet::PubComp { msg_id });
             }
-            Packet::PubAck { msg_id, .. } => {
-                if let Some(s) = self.sessions.get_mut(&from) {
-                    if matches!(
-                        s.outbound.get(&msg_id).map(|o| &o.phase),
-                        Some(OutPhase::Puback)
-                    ) {
-                        if let Some(o) = s.outbound.remove(&msg_id) {
-                            Self::reclaim_payload(&mut self.payload_pool, o.payload);
-                        }
-                    }
-                }
-            }
+            Packet::PubAck { msg_id, .. } => self.on_ack(now, &from, msg_id, Ack::Puback),
             Packet::PubRec { msg_id } => {
-                if let Some(s) = self.sessions.get_mut(&from) {
-                    if let Some(o) = s.outbound.get_mut(&msg_id) {
-                        o.phase = OutPhase::Pubcomp;
-                        o.last_sent = now;
-                        o.retries = 0;
-                    }
-                }
+                self.on_ack(now, &from, msg_id, Ack::Pubrec);
                 sink.push(from, Packet::PubRel { msg_id });
             }
-            Packet::PubComp { msg_id } => {
-                if let Some(s) = self.sessions.get_mut(&from) {
-                    if let Some(o) = s.outbound.remove(&msg_id) {
-                        Self::reclaim_payload(&mut self.payload_pool, o.payload);
-                    }
-                }
-            }
+            Packet::PubComp { msg_id } => self.on_ack(now, &from, msg_id, Ack::Pubcomp),
             Packet::PingReq => {
                 // A sleeping client's PINGREQ triggers delivery of
                 // everything buffered while it slept, then the PINGRESP.
@@ -894,6 +815,15 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 sink.push(from, Packet::Disconnect { duration: None });
             }
             _ => {}
+        }
+    }
+
+    /// Runs a subscriber's acknowledgement through its session's send
+    /// window; the one that completes a handshake frees the stored copy.
+    fn on_ack(&mut self, now: Nanos, from: &A, msg_id: u16, ack: Ack) {
+        let session = self.sessions.get_mut(from);
+        if let Some(payload) = session.and_then(|s| s.out.on_ack(msg_id, ack, now)) {
+            Self::reclaim_payload(&mut self.payload_pool, payload);
         }
     }
 
@@ -953,19 +883,10 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     session.state = SessionState::Active;
                     session.durable = true;
                     session.last_seen = now;
-                    // New connection epoch: the completed-QoS2 window only
-                    // guards against datagrams delayed within one epoch. A
-                    // client restarted from scratch reuses msg_ids for new
-                    // publishes, so the window must not outlive the epoch.
-                    // (`inbound_qos2` — handshakes still open — is kept so
-                    // DUP retransmissions of resumed exchanges still dedup.)
-                    session.completed_qos2.clear();
+                    session.inbound.new_epoch();
                     // Unacked outbound messages retransmit promptly — with
                     // a fresh retry budget — toward the new address.
-                    for o in session.outbound.values_mut() {
-                        o.last_sent = 0;
-                        o.retries = 0;
-                    }
+                    session.out.reset_clock(true);
                     // The migrated session keeps its fan-out position; any
                     // stale session already at the new address is dropped.
                     self.sessions.remove(&from);
@@ -990,8 +911,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     session.state = SessionState::Active;
                     session.durable = true;
                     session.last_seen = now;
-                    // Same epoch reset as the migration arm above.
-                    session.completed_qos2.clear();
+                    session.inbound.new_epoch();
                 }
             }
             None => {
@@ -1021,25 +941,11 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             let msg_id = if qos == QoS::AtMostOnce {
                 0
             } else {
-                session.alloc_msg_id()
+                session.out.alloc_msg_id(|_| false)
             };
             sink.push_publish(to.clone(), false, qos, topic_id, msg_id, &payload);
             if qos != QoS::AtMostOnce {
-                session.outbound.insert(
-                    msg_id,
-                    Outbound {
-                        topic_id,
-                        payload,
-                        qos,
-                        phase: if qos == QoS::AtLeastOnce {
-                            OutPhase::Puback
-                        } else {
-                            OutPhase::Pubrec
-                        },
-                        last_sent: now,
-                        retries: 0,
-                    },
-                );
+                session.out.start(msg_id, qos, topic_id, payload, now);
             } else {
                 Self::reclaim_payload(&mut self.payload_pool, payload);
             }
@@ -1054,9 +960,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     pub fn reset_clock(&mut self) {
         for s in self.sessions.values_mut() {
             s.last_seen = 0;
-            for o in s.outbound.values_mut() {
-                o.last_sent = 0;
-            }
+            s.out.reset_clock(false);
         }
     }
 
@@ -1185,7 +1089,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     && self
                         .sessions
                         .get(&from)
-                        .is_some_and(|s| s.inbound_qos2_dup(msg_id));
+                        .is_some_and(|s| s.inbound.seen(msg_id));
                 if !qos2_dup {
                     self.stats.congestion_rejects += 1;
                     sink.push(
@@ -1203,7 +1107,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
 
         // QoS-level acknowledgments toward the publisher, with QoS 2
         // exactly-once forwarding.
-        let mut forward = true;
         match qos {
             QoS::AtMostOnce => {}
             QoS::AtLeastOnce => {
@@ -1221,17 +1124,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     .sessions
                     .entry(from.clone())
                     .or_insert_with(|| Session::new(String::new(), now));
-                if session.inbound_qos2_dup(msg_id) {
-                    forward = false;
-                    self.stats.duplicates_suppressed += 1;
-                } else {
-                    session.inbound_qos2.insert(msg_id, ());
-                }
+                let first_receipt = session.inbound.first_receipt(msg_id);
                 sink.push(from.clone(), Packet::PubRec { msg_id });
+                if !first_receipt {
+                    self.stats.duplicates_suppressed += 1;
+                    return;
+                }
             }
-        }
-        if !forward {
-            return;
         }
 
         self.last_publish_forwarded = true;
@@ -1316,30 +1215,12 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 session.buffered.push_back((topic_id, owned, sub_qos));
                 continue;
             }
-            let fwd_msg_id = if sub_qos == QoS::AtMostOnce {
-                0
-            } else {
-                session.alloc_msg_id()
-            };
+            // An active subscriber at QoS 1/2: the copy is tracked until
+            // its handshake completes.
+            let fwd_msg_id = session.out.alloc_msg_id(|_| false);
             sink.push_publish(addr.clone(), false, sub_qos, topic_id, fwd_msg_id, payload);
-            if sub_qos != QoS::AtMostOnce {
-                let owned = Self::pooled_copy(&mut self.payload_pool, payload);
-                session.outbound.insert(
-                    fwd_msg_id,
-                    Outbound {
-                        topic_id,
-                        payload: owned,
-                        qos: sub_qos,
-                        phase: if sub_qos == QoS::AtLeastOnce {
-                            OutPhase::Puback
-                        } else {
-                            OutPhase::Pubrec
-                        },
-                        last_sent: now,
-                        retries: 0,
-                    },
-                );
-            }
+            let owned = Self::pooled_copy(&mut self.payload_pool, payload);
+            session.out.start(fwd_msg_id, sub_qos, topic_id, owned, now);
             self.stats.publishes_out += 1;
         }
     }
@@ -1383,7 +1264,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
 
         let retry_ns = self.config.retry_timeout.as_nanos() as u64;
         let max_retries = self.config.max_retries;
-        let mut ids: Vec<u16> = Vec::new();
         for idx in 0..self.order.len() {
             let addr = self.order[idx].clone();
             // Disjoint field borrows: the pool and stats stay usable
@@ -1399,36 +1279,24 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             if session.state == SessionState::Disconnected && session.durable {
                 continue;
             }
-            if session.outbound.is_empty() {
-                continue;
-            }
-            ids.clear();
-            ids.extend(session.outbound.keys().copied());
-            ids.sort_unstable();
-            for &id in &ids {
-                let Some(o) = session.outbound.get_mut(&id) else {
-                    continue;
-                };
-                if now.saturating_sub(o.last_sent) < retry_ns {
-                    continue;
-                }
-                if o.retries >= max_retries {
-                    if let Some(o) = session.outbound.remove(&id) {
-                        Self::reclaim_payload(pool, o.payload);
+            session
+                .out
+                .due(now, retry_ns, max_retries, |msg_id, due| match due {
+                    Due::Resend(slot) => {
+                        stats.retransmissions += 1;
+                        match slot.republish_qos() {
+                            Some(qos) => {
+                                let (to, topic_id) = (addr.clone(), slot.topic);
+                                sink.push_publish(to, true, qos, topic_id, msg_id, &slot.payload);
+                            }
+                            None => sink.push(addr.clone(), Packet::PubRel { msg_id }),
+                        }
                     }
-                    stats.drops += 1;
-                    continue;
-                }
-                o.retries += 1;
-                o.last_sent = now;
-                stats.retransmissions += 1;
-                match o.phase {
-                    OutPhase::Puback | OutPhase::Pubrec => {
-                        sink.push_publish(addr.clone(), true, o.qos, o.topic_id, id, &o.payload);
+                    Due::Expired(slot) => {
+                        Self::reclaim_payload(pool, slot.payload);
+                        stats.drops += 1;
                     }
-                    OutPhase::Pubcomp => sink.push(addr.clone(), Packet::PubRel { msg_id: id }),
-                }
-            }
+                });
         }
     }
 }
@@ -1565,12 +1433,6 @@ impl PersistAddr for u32 {
 // current version and the one before it; anything older is refused.
 const STATE_VERSION: u8 = 5;
 
-/// How many completed inbound QoS 2 ids each session remembers to suppress
-/// late duplicate PUBLISHes (see [`Session::completed_qos2`]). 64 ids at
-/// 2 bytes each is negligible per session, yet orders of magnitude wider
-/// than any realistic retransmission/delay window.
-const COMPLETED_QOS2_WINDOW: usize = 64;
-
 fn qos_byte(q: QoS) -> u8 {
     match q {
         QoS::AtMostOnce => 0,
@@ -1671,7 +1533,7 @@ impl<A: PersistAddr> Broker<A> {
             });
             out.push(s.durable as u8);
             out.extend_from_slice(&s.last_seen.to_le_bytes());
-            out.extend_from_slice(&s.next_msg_id.to_le_bytes());
+            out.extend_from_slice(&s.out.next_id().to_le_bytes());
             out.extend_from_slice(&(s.buffered.len() as u32).to_le_bytes());
             for (topic_id, payload, qos) in &s.buffered {
                 out.extend_from_slice(&topic_id.to_le_bytes());
@@ -1683,40 +1545,15 @@ impl<A: PersistAddr> Broker<A> {
                 wire::put_str(&mut out, filter);
                 out.push(qos_byte(*qos));
             }
-            let mut out_ids: Vec<u16> = s.outbound.keys().copied().collect();
-            out_ids.sort_unstable();
-            out.extend_from_slice(&(out_ids.len() as u32).to_le_bytes());
-            for id in out_ids {
-                let o = &s.outbound[&id];
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&o.topic_id.to_le_bytes());
-                out.push(qos_byte(o.qos));
-                out.push(match o.phase {
-                    OutPhase::Puback => 0,
-                    OutPhase::Pubrec => 1,
-                    OutPhase::Pubcomp => 2,
-                });
-                out.extend_from_slice(&o.last_sent.to_le_bytes());
-                out.extend_from_slice(&o.retries.to_le_bytes());
-                wire::put_bytes(&mut out, &o.payload);
-            }
-            let mut in_ids: Vec<u16> = s.inbound_qos2.keys().copied().collect();
-            in_ids.sort_unstable();
-            out.extend_from_slice(&(in_ids.len() as u32).to_le_bytes());
-            for id in in_ids {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
+            s.out.encode_slots(&mut out);
+            s.inbound.encode_pending(&mut out);
         }
         // Appendix: per-session recently-completed inbound QoS 2
         // windows, in session order, FIFO order preserved so eviction
         // order survives a restart.
         out.extend_from_slice(&(ordered.len() as u32).to_le_bytes());
         for addr in &ordered {
-            let s = &self.sessions[*addr];
-            out.extend_from_slice(&(s.completed_qos2.len() as u32).to_le_bytes());
-            for id in &s.completed_qos2 {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
+            self.sessions[*addr].inbound.encode_completed(&mut out);
         }
         out
     }
@@ -1798,38 +1635,8 @@ impl<A: PersistAddr> Broker<A> {
                 let filter = r.str()?;
                 subscriptions.push((filter, qos_from(r.u8()?)?));
             }
-            let n_outbound = r.u32()?;
-            let mut outbound = HashMap::with_capacity(n_outbound as usize);
-            for _ in 0..n_outbound {
-                let id = r.u16()?;
-                let topic_id = r.u16()?;
-                let qos = qos_from(r.u8()?)?;
-                let phase = match r.u8()? {
-                    0 => OutPhase::Puback,
-                    1 => OutPhase::Pubrec,
-                    2 => OutPhase::Pubcomp,
-                    _ => return Err("invalid outbound phase"),
-                };
-                let last_sent = r.u64()?;
-                let retries = r.u32()?;
-                let payload = r.bytes()?;
-                outbound.insert(
-                    id,
-                    Outbound {
-                        topic_id,
-                        payload,
-                        qos,
-                        phase,
-                        last_sent,
-                        retries,
-                    },
-                );
-            }
-            let n_inbound = r.u32()?;
-            let mut inbound_qos2 = HashMap::with_capacity(n_inbound as usize);
-            for _ in 0..n_inbound {
-                inbound_qos2.insert(r.u16()?, ());
-            }
+            let out = SendWindow::decode_slots(next_msg_id, r)?;
+            let inbound = Receiver::decode_pending(r)?;
             read_order.push(addr.clone());
             sessions.insert(
                 addr,
@@ -1839,10 +1646,8 @@ impl<A: PersistAddr> Broker<A> {
                     durable,
                     buffered,
                     subscriptions,
-                    next_msg_id,
-                    outbound,
-                    inbound_qos2,
-                    completed_qos2: VecDeque::new(),
+                    out,
+                    inbound,
                     last_seen,
                     advised_level: 0,
                 },
@@ -1855,11 +1660,8 @@ impl<A: PersistAddr> Broker<A> {
             return Err("completed-qos2 appendix session count mismatch");
         }
         for addr in &read_order {
-            let n_completed = r.u32()?;
             let s = sessions.get_mut(addr).ok_or("appendix session missing")?;
-            for _ in 0..n_completed {
-                s.completed_qos2.push_back(r.u16()?);
-            }
+            s.inbound.decode_completed(r)?;
         }
         Ok(Broker {
             config,
@@ -2041,46 +1843,38 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
-        let publish = Packet::Publish {
-            dup: false,
-            qos: QoS::ExactlyOnce,
-            retain: false,
-            topic: TopicRef::Id(tid),
-            msg_id: 10,
-            payload: vec![1],
+        let feed = |b: &mut Broker<Addr>, packet| {
+            let out = b.on_packet(0, 1, packet);
+            let forwards = out.iter().filter(|(to, _)| *to == 2).count();
+            let replies = out.into_iter().filter(|(to, _)| *to == 1);
+            (forwards, replies.map(|(_, p)| p).collect())
         };
-        b.on_packet(0, 1, publish.clone());
-        b.on_packet(1, 1, Packet::PubRel { msg_id: 10 });
+        crate::qos::tests::late_duplicate_scenario(&mut b, tid, feed, |b| {
+            assert_eq!(b.stats().publishes_out, 1);
+            assert_eq!(b.stats().duplicates_suppressed, 1);
 
-        // A delayed copy arrives AFTER the handshake completed: it must
-        // not fan out as a fresh message, but still gets its PUBREC so the
-        // publisher's retransmission state machine can finish again.
-        let out = b.on_packet(2, 1, publish);
-        assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].1, Packet::PubRec { msg_id: 10 }));
-        assert_eq!(b.stats().publishes_out, 1);
-        assert_eq!(b.stats().duplicates_suppressed, 1);
-
-        // The recently-completed window survives a snapshot round-trip, so
-        // a late duplicate straddling a gateway restart is also caught.
-        let mut restored = Broker::<Addr>::decode_state(&b.encode_state()).unwrap();
-        let out = b.on_packet(3, 1, Packet::PubRel { msg_id: 10 });
-        assert!(matches!(out[0].1, Packet::PubComp { msg_id: 10 }));
-        let out = restored.on_packet(
-            3,
-            1,
-            Packet::Publish {
-                dup: true,
-                qos: QoS::ExactlyOnce,
-                retain: false,
-                topic: TopicRef::Id(tid),
-                msg_id: 10,
-                payload: vec![1],
-            },
-        );
-        assert!(matches!(out[0].1, Packet::PubRec { msg_id: 10 }));
-        assert_eq!(restored.stats().publishes_out, 1);
-        assert_eq!(restored.stats().duplicates_suppressed, 2);
+            // The recently-completed window survives a snapshot round-trip,
+            // so a late duplicate straddling a gateway restart is also
+            // caught.
+            let mut restored = Broker::<Addr>::decode_state(&b.encode_state()).unwrap();
+            let out = b.on_packet(3, 1, Packet::PubRel { msg_id: 77 });
+            assert!(matches!(out[0].1, Packet::PubComp { msg_id: 77 }));
+            let out = restored.on_packet(
+                3,
+                1,
+                Packet::Publish {
+                    dup: true,
+                    qos: QoS::ExactlyOnce,
+                    retain: false,
+                    topic: TopicRef::Id(tid),
+                    msg_id: 77,
+                    payload: vec![5],
+                },
+            );
+            assert!(matches!(out[0].1, Packet::PubRec { msg_id: 77 }));
+            assert_eq!(restored.stats().publishes_out, 1);
+            assert_eq!(restored.stats().duplicates_suppressed, 2);
+        });
     }
 
     #[test]
@@ -2154,6 +1948,163 @@ mod tests {
         let out = b.on_tick(4 * s);
         assert!(out.is_empty());
         assert_eq!(b.stats().drops, 1);
+    }
+
+    /// A publish from address 1 (the tests' publisher).
+    fn publish(b: &mut Broker<Addr>, now: Nanos, tid: u16, qos: QoS, msg_id: u16, payload: u8) {
+        b.on_packet(
+            now,
+            1,
+            Packet::Publish {
+                dup: false,
+                qos,
+                retain: false,
+                topic: TopicRef::Id(tid),
+                msg_id,
+                payload: vec![payload],
+            },
+        );
+    }
+
+    /// What a tick re-sent, as `(destination, msg id, QoS, payload)` for a
+    /// DUP PUBLISH and `(destination, msg id, None, 0)` for a PUBREL.
+    fn resent(out: &[(Addr, Packet)]) -> Vec<(Addr, u16, Option<QoS>, u8)> {
+        out.iter()
+            .map(|(to, p)| match p {
+                Packet::Publish {
+                    dup: true,
+                    qos,
+                    msg_id,
+                    payload,
+                    ..
+                } => (*to, *msg_id, Some(*qos), payload[0]),
+                Packet::PubRel { msg_id } => (*to, *msg_id, None, 0),
+                p => panic!("unexpected {p:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn acks_out_of_phase_free_nothing() {
+        let mut b = broker();
+        connect(&mut b, 1, "pub");
+        connect(&mut b, 2, "sub-qos1");
+        connect(&mut b, 3, "sub-qos2");
+        let tid = register(&mut b, 1, "t");
+        subscribe(&mut b, 2, "t", QoS::AtLeastOnce);
+        subscribe(&mut b, 3, "t", QoS::ExactlyOnce);
+        publish(&mut b, 0, tid, QoS::ExactlyOnce, 5, 9);
+        assert_eq!(b.backlog(), 2);
+
+        // A PUBREC for the QoS 1 copy still gets its idempotent PUBREL, but
+        // neither it nor a PUBCOMP moves the copy off its PUBACK.
+        let out = b.on_packet(1, 2, Packet::PubRec { msg_id: 1 });
+        assert_eq!(out, vec![(2, Packet::PubRel { msg_id: 1 })]);
+        assert!(b.on_packet(2, 2, Packet::PubComp { msg_id: 1 }).is_empty());
+        // A PUBCOMP ahead of the PUBREC does not free the QoS 2 copy, and
+        // a PUBACK never does.
+        assert!(b.on_packet(3, 3, Packet::PubComp { msg_id: 1 }).is_empty());
+        let puback = Packet::PubAck {
+            topic_id: tid,
+            msg_id: 1,
+            code: ReturnCode::Accepted,
+        };
+        assert!(b.on_packet(4, 3, puback.clone()).is_empty());
+        assert_eq!(b.backlog(), 2);
+        // Both are still retransmitted as what they were.
+        let s = 1_000_000_000u64;
+        assert_eq!(
+            resent(&b.on_tick(11 * s)),
+            vec![
+                (2, 1, Some(QoS::AtLeastOnce), 9),
+                (3, 1, Some(QoS::ExactlyOnce), 9)
+            ]
+        );
+        // The acks each phase does accept still finish both.
+        b.on_packet(12 * s, 2, puback);
+        b.on_packet(12 * s, 3, Packet::PubRec { msg_id: 1 });
+        assert_eq!(b.backlog(), 1);
+        b.on_packet(12 * s, 3, Packet::PubComp { msg_id: 1 });
+        assert_eq!(b.backlog(), 0);
+    }
+
+    #[test]
+    fn retransmits_in_publish_order_across_msg_id_wrap() {
+        let mut b = broker();
+        connect(&mut b, 1, "pub");
+        connect(&mut b, 2, "sub");
+        let tid = register(&mut b, 1, "t");
+        subscribe(&mut b, 2, "t", QoS::AtLeastOnce);
+        b.sessions.get_mut(&2).unwrap().out.set_next_id(65534);
+        for i in 0..4u8 {
+            publish(&mut b, 0, tid, QoS::AtLeastOnce, 1 + i as u16, i);
+        }
+        // The order is a function of the persisted ids and allocator
+        // position alone, so a restored gateway replays in it too.
+        let mut restored = Broker::<Addr>::decode_state(&b.encode_state()).unwrap();
+        let s = 1_000_000_000u64;
+        for b in [&mut b, &mut restored] {
+            let order: Vec<(u16, u8)> = resent(&b.on_tick(11 * s))
+                .iter()
+                .map(|(_, msg_id, _, payload)| (*msg_id, *payload))
+                .collect();
+            assert_eq!(order, vec![(65534, 0), (65535, 1), (1, 2), (2, 3)]);
+        }
+    }
+
+    /// `encode_state()` of a scenario that populates every QoS structure a
+    /// snapshot carries, pinned to the bytes the pre-`qos`-module broker
+    /// (PR 13) produced for it: snapshots written before the refactor must
+    /// keep loading, and ones written after must load on a rollback.
+    #[test]
+    fn snapshot_bytes_match_the_pre_refactor_golden() {
+        let s = 1_000_000_000u64;
+        let mut b = broker();
+        connect(&mut b, 1, "pub");
+        connect_durable(&mut b, 2, "away");
+        connect(&mut b, 3, "sub-qos1");
+        connect(&mut b, 4, "sub-qos2");
+        let tid = register(&mut b, 1, "t/golden");
+        subscribe(&mut b, 2, "t/#", QoS::ExactlyOnce);
+        subscribe(&mut b, 3, "t/golden", QoS::AtLeastOnce);
+        subscribe(&mut b, 4, "t/golden", QoS::ExactlyOnce);
+        // The durable subscriber goes away and accumulates a backlog.
+        b.on_packet(s, 2, Packet::Disconnect { duration: None });
+        // Four QoS 2 publishes and a QoS 1 one: sessions 3 and 4 get
+        // outbound ids 1..=5 (QoS 1 at session 3; QoS 2, but for the last,
+        // at session 4).
+        for msg_id in 10..14u16 {
+            publish(&mut b, 2 * s, tid, QoS::ExactlyOnce, msg_id, msg_id as u8);
+        }
+        publish(&mut b, 3 * s, tid, QoS::AtLeastOnce, 14, 14);
+        // One retransmission each, then acks leave session 3 with ids 2..=5
+        // awaiting PUBACK and session 4 with 1 awaiting PUBCOMP (timer
+        // restarted by its PUBREC), 2 done, 3 and 4 awaiting PUBREC, 5
+        // awaiting PUBACK.
+        assert_eq!(b.on_tick(13 * s).len(), 10);
+        let puback = Packet::PubAck {
+            topic_id: tid,
+            msg_id: 1,
+            code: ReturnCode::Accepted,
+        };
+        b.on_packet(14 * s, 3, puback);
+        b.on_packet(15 * s, 4, Packet::PubRec { msg_id: 1 });
+        b.on_packet(15 * s, 4, Packet::PubRec { msg_id: 2 });
+        b.on_packet(16 * s, 4, Packet::PubComp { msg_id: 2 });
+        // The publisher released three of its four QoS 2 publishes: a
+        // part-filled completed window, one handshake still pending.
+        for msg_id in [11, 10, 13] {
+            b.on_packet(17 * s, 1, Packet::PubRel { msg_id });
+        }
+
+        let bytes = b.encode_state();
+        assert_eq!(
+            (bytes.len(), crate::router::fnv1a(&bytes)),
+            (640, 0xdd03_db5f_1169_814d),
+            "snapshot layout drifted from the pre-refactor bytes"
+        );
+        let restored = Broker::<Addr>::decode_state(&bytes).unwrap();
+        assert_eq!(restored.encode_state(), bytes);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! budget is exhausted.
 
 use crate::packet::{Packet, PacketRef, QoS, ReturnCode, TopicRef};
+use crate::qos::{Ack, Due, Receiver, SendWindow, Slot};
 use crate::Error;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Monotonic virtual or real time in nanoseconds.
@@ -139,14 +140,6 @@ pub enum Output {
     Event(ClientEvent),
 }
 
-/// Which acknowledgement an in-flight outbound message is waiting for.
-#[derive(Clone, Debug)]
-enum OutPhase {
-    Puback,
-    Pubrec,
-    Pubcomp,
-}
-
 #[derive(Clone, Debug)]
 struct PendingControl {
     packet: Packet,
@@ -154,44 +147,21 @@ struct PendingControl {
     retries: u32,
 }
 
-#[derive(Clone, Debug)]
-struct InFlight {
-    topic: TopicRef,
-    payload: Vec<u8>,
-    qos: QoS,
-    retain: bool,
-    phase: OutPhase,
-    last_sent: Nanos,
-    retries: u32,
-    /// Monotonic publish-order stamp. Retransmission and dead-lettering
-    /// iterate in this order, not msg-id order — msg ids wrap at u16 and
-    /// would scramble replay order on long-running sessions.
-    seq: u64,
-}
-
 /// The client state machine.
 #[derive(Debug)]
 pub struct Client {
     config: ClientConfig,
     state: ClientState,
-    next_msg_id: u16,
-    /// Publish-order counter backing [`InFlight::seq`].
-    next_seq: u64,
     connect_sent_at: Option<Nanos>,
     pending_register: HashMap<u16, String>,
     /// Control packets awaiting replies (CONNECT / REGISTER / SUBSCRIBE /
     /// UNSUBSCRIBE), retransmitted on `Tretry` per spec §6.13.
     pending_control: HashMap<u16, PendingControl>,
-    inflight: HashMap<u16, InFlight>,
-    /// Inbound QoS 2 message ids between PUBLISH and PUBREL (dedup set).
-    inbound_qos2: HashMap<u16, ()>,
-    /// Recently completed inbound QoS 2 ids (bounded FIFO, newest last): a
-    /// delayed duplicate PUBLISH arriving *after* its PUBREL cleared the
-    /// pending entry must still be suppressed, or a reordering link breaks
-    /// exactly-once delivery. Brokers allocate ids sequentially, so a
-    /// legitimate id reuse is ~65k handshakes away — far beyond this
-    /// window.
-    completed_qos2: VecDeque<u16>,
+    /// Unacknowledged QoS 1/2 publishes and the message-id allocator,
+    /// whose id space the control transactions above share.
+    out: SendWindow<TopicRef>,
+    /// Exactly-once dedup of QoS 2 messages from the broker.
+    inbound: Receiver,
     /// Cleared payload buffers reclaimed from completed publishes, handed
     /// back to callers via [`Client::take_spare_payload`] so the publish
     /// path can run without per-message allocation.
@@ -219,24 +189,17 @@ pub struct Client {
 /// Upper bound on buffers retained for reuse.
 const MAX_SPARE_PAYLOADS: usize = 16;
 
-/// How many completed inbound QoS 2 ids are remembered to suppress late
-/// duplicate PUBLISHes (see [`Client::completed_qos2`]).
-const COMPLETED_QOS2_WINDOW: usize = 64;
-
 impl Client {
     /// Creates a disconnected client.
     pub fn new(config: ClientConfig) -> Self {
         Client {
             config,
             state: ClientState::Disconnected,
-            next_msg_id: 1,
-            next_seq: 0,
             connect_sent_at: None,
             pending_register: HashMap::new(),
             pending_control: HashMap::new(),
-            inflight: HashMap::new(),
-            inbound_qos2: HashMap::new(),
-            completed_qos2: VecDeque::new(),
+            out: SendWindow::new(),
+            inbound: Receiver::default(),
             spare_payloads: Vec::new(),
             registered_topics: HashMap::new(),
             pending_subscribe: HashMap::new(),
@@ -260,11 +223,24 @@ impl Client {
     /// call this with the buffer out of an encoded `Publish` packet (QoS 0
     /// publishes never reach the completion path, so this is their only way
     /// back into the pool).
-    pub fn reclaim_payload(&mut self, mut payload: Vec<u8>) {
-        if self.spare_payloads.len() < MAX_SPARE_PAYLOADS {
+    pub fn reclaim_payload(&mut self, payload: Vec<u8>) {
+        Self::reclaim_into(&mut self.spare_payloads, payload);
+    }
+
+    fn reclaim_into(pool: &mut Vec<Vec<u8>>, mut payload: Vec<u8>) {
+        if pool.len() < MAX_SPARE_PAYLOADS {
             payload.clear();
-            self.spare_payloads.push(payload);
+            pool.push(payload);
         }
+    }
+
+    /// A copy of `payload` in a pooled buffer, so the steady-state publish
+    /// and retransmission paths allocate nothing.
+    fn wire_copy(pool: &mut Vec<Vec<u8>>, payload: &[u8]) -> Vec<u8> {
+        let mut copy = pool.pop().unwrap_or_default();
+        copy.clear();
+        copy.extend_from_slice(payload);
+        copy
     }
 
     /// Current connection state.
@@ -274,12 +250,12 @@ impl Client {
 
     /// Number of unacknowledged QoS 1/2 publishes.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
+        self.out.len()
     }
 
     /// Whether another QoS 1/2 publish can be started.
     pub fn can_publish(&self) -> bool {
-        self.inflight.len() < self.config.max_inflight
+        self.out.len() < self.config.max_inflight
     }
 
     /// Broker-assigned id of a topic registered in this (or, after
@@ -301,39 +277,15 @@ impl Client {
         std::mem::take(&mut self.dead_letters)
     }
 
-    /// In-flight message ids matching `filter`, in original publish order
-    /// (by [`InFlight::seq`], which unlike the u16 msg id never wraps).
-    fn inflight_in_publish_order(&self, filter: impl Fn(&InFlight) -> bool) -> Vec<u16> {
-        let mut ids: Vec<(u64, u16)> = self
-            .inflight
-            .iter()
-            .filter(|(_, f)| filter(f))
-            .map(|(id, f)| (f.seq, *id))
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|(_, id)| id).collect()
-    }
-
-    fn alloc_msg_id(&mut self) -> u16 {
-        loop {
-            let id = self.next_msg_id;
-            self.next_msg_id = self.next_msg_id.wrapping_add(1);
-            if self.next_msg_id == 0 {
-                self.next_msg_id = 1;
-            }
-            // A live id may belong to a data publish OR a control
-            // transaction (SUBSCRIBE/UNSUBSCRIBE share the message-id space
-            // with PUBLISH per spec §5.4) — handing a publish an
-            // outstanding control id would overwrite that transaction's
-            // retransmission state.
-            if id != 0
-                && !self.inflight.contains_key(&id)
-                && !self.pending_register.contains_key(&id)
-                && !self.pending_control.contains_key(&id)
-            {
-                return id;
-            }
-        }
+    /// A message id free for a new transaction. A live id may belong to a
+    /// data publish OR a control transaction (SUBSCRIBE/UNSUBSCRIBE share
+    /// the message-id space with PUBLISH per spec §5.4) — handing a
+    /// publish an outstanding control id would overwrite that
+    /// transaction's retransmission state.
+    fn fresh_msg_id(&mut self) -> u16 {
+        let (registers, controls) = (&self.pending_register, &self.pending_control);
+        self.out
+            .alloc_msg_id(|id| registers.contains_key(&id) || controls.contains_key(&id))
     }
 
     /// Initiates the connection handshake. The CONNECT is retransmitted
@@ -379,10 +331,8 @@ impl Client {
         // The completed-QoS2 window only guards against datagrams delayed
         // *within* one connection epoch; across a reconnect it must reset,
         // because a broker restarted with fresh state legitimately reuses
-        // msg_ids for new messages. `inbound_qos2` (handshakes still open)
-        // is kept: a persisted-state broker resumes those with DUP
-        // retransmissions that must still dedup.
-        self.completed_qos2.clear();
+        // msg_ids for new messages.
+        self.inbound.new_epoch();
         let packet = Packet::Connect {
             clean_session: false,
             duration: self.config.keep_alive.as_secs().min(u16::MAX as u64) as u16,
@@ -405,7 +355,7 @@ impl Client {
         if self.state != ClientState::Connected {
             return Err(Error::BadState("register before connected"));
         }
-        let msg_id = self.alloc_msg_id();
+        let msg_id = self.fresh_msg_id();
         self.pending_register.insert(msg_id, topic_name.to_owned());
         self.last_tx = now;
         let packet = Packet::Register {
@@ -442,59 +392,28 @@ impl Client {
             return Err(Error::BadState("PUBLISH requires a topic id"));
         }
         self.last_tx = now;
-        match qos {
-            QoS::AtMostOnce => Ok((
-                0,
-                vec![Output::Send(Packet::Publish {
-                    dup: false,
-                    qos,
-                    retain: false,
-                    topic,
-                    msg_id: 0,
-                    payload,
-                })],
-            )),
-            QoS::AtLeastOnce | QoS::ExactlyOnce => {
-                if !self.can_publish() {
-                    return Err(Error::InflightFull);
-                }
-                let msg_id = self.alloc_msg_id();
-                // The retransmission copy kept in `inflight` is the original
-                // `payload`; the wire packet gets a pooled copy so the
-                // steady-state publish path allocates nothing.
-                let mut wire_payload = self.spare_payloads.pop().unwrap_or_default();
-                wire_payload.clear();
-                wire_payload.extend_from_slice(&payload);
-                let packet = Packet::Publish {
-                    dup: false,
-                    qos,
-                    retain: false,
-                    topic: topic.clone(),
-                    msg_id,
-                    payload: wire_payload,
-                };
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.inflight.insert(
-                    msg_id,
-                    InFlight {
-                        topic,
-                        payload,
-                        qos,
-                        retain: false,
-                        phase: if qos == QoS::AtLeastOnce {
-                            OutPhase::Puback
-                        } else {
-                            OutPhase::Pubrec
-                        },
-                        last_sent: now,
-                        retries: 0,
-                        seq,
-                    },
-                );
-                Ok((msg_id, vec![Output::Send(packet)]))
+        // QoS 1/2: the send window keeps `payload` as the retransmission
+        // copy and the wire packet carries a pooled one.
+        let (msg_id, wire_payload) = if qos == QoS::AtMostOnce {
+            (0, payload)
+        } else {
+            if !self.can_publish() {
+                return Err(Error::InflightFull);
             }
-        }
+            let msg_id = self.fresh_msg_id();
+            let copy = Self::wire_copy(&mut self.spare_payloads, &payload);
+            self.out.start(msg_id, qos, topic.clone(), payload, now);
+            (msg_id, copy)
+        };
+        let packet = Packet::Publish {
+            dup: false,
+            qos,
+            retain: false,
+            topic,
+            msg_id,
+            payload: wire_payload,
+        };
+        Ok((msg_id, vec![Output::Send(packet)]))
     }
 
     /// Subscribes to a topic filter.
@@ -510,7 +429,7 @@ impl Client {
         if !crate::topic::filter_is_valid(filter) {
             return Err(Error::BadState("invalid topic filter"));
         }
-        let msg_id = self.alloc_msg_id();
+        let msg_id = self.fresh_msg_id();
         self.pending_subscribe
             .insert(msg_id, (filter.to_owned(), qos));
         self.last_tx = now;
@@ -608,8 +527,12 @@ impl Client {
                 if let Some(topic_name) = self.pending_register.remove(&msg_id) {
                     if code == ReturnCode::Accepted {
                         self.registered_topics.insert(topic_name.clone(), topic_id);
+                        // A topic resumed under a (possibly) new id: its
+                        // in-flight publishes move to it and go out again.
                         if let Some(old_id) = self.resume_pending.remove(&topic_name) {
-                            self.retransmit_remapped(old_id, topic_id, now, &mut out);
+                            for id in self.out.ids_in_order(|s| s.topic == TopicRef::Id(old_id)) {
+                                self.retransmit_inflight(id, Some(topic_id), now, &mut out);
+                            }
                         }
                         out.push(Output::Event(ClientEvent::Registered {
                             topic_name,
@@ -622,11 +545,9 @@ impl Client {
                         // publishes into the dead-letter queue instead of
                         // leaving them stuck un-remapped forever.
                         self.registered_topics.remove(&topic_name);
-                        let ids =
-                            self.inflight_in_publish_order(|f| f.topic == TopicRef::Id(old_id));
-                        for id in ids {
-                            if let Some(f) = self.inflight.remove(&id) {
-                                self.dead_letters.push((id, f.payload));
+                        for id in self.out.ids_in_order(|s| s.topic == TopicRef::Id(old_id)) {
+                            if let Some(payload) = self.out.abandon(id) {
+                                self.dead_letters.push((id, payload));
                             }
                             out.push(Output::Event(ClientEvent::PublishRejected {
                                 msg_id: id,
@@ -668,35 +589,21 @@ impl Client {
                     // exchange for QoS 1 *and* QoS 2 — reporting it as
                     // PublishDone would silently lose the record. Park the
                     // payload for replay after re-registration.
-                    if let Some(f) = self.inflight.remove(&msg_id) {
-                        self.dead_letters.push((msg_id, f.payload));
+                    if let Some(payload) = self.out.abandon(msg_id) {
+                        self.dead_letters.push((msg_id, payload));
                         out.push(Output::Event(ClientEvent::PublishRejected { msg_id, code }));
                     }
-                } else if let Some(f) = self.inflight.get(&msg_id) {
-                    if matches!(f.phase, OutPhase::Puback) {
-                        if let Some(f) = self.inflight.remove(&msg_id) {
-                            self.reclaim_payload(f.payload);
-                        }
-                        out.push(Output::Event(ClientEvent::PublishDone { msg_id }));
-                    }
+                } else {
+                    self.on_ack(msg_id, Ack::Puback, now, &mut out);
                 }
             }
             Packet::PubRec { msg_id } => {
-                if let Some(f) = self.inflight.get_mut(&msg_id) {
-                    f.phase = OutPhase::Pubcomp;
-                    f.last_sent = now;
-                    f.retries = 0;
-                }
+                self.on_ack(msg_id, Ack::Pubrec, now, &mut out);
                 // Always answer PUBREC (idempotent PUBREL).
                 self.last_tx = now;
                 out.push(Output::Send(Packet::PubRel { msg_id }));
             }
-            Packet::PubComp { msg_id } => {
-                if let Some(f) = self.inflight.remove(&msg_id) {
-                    self.reclaim_payload(f.payload);
-                    out.push(Output::Event(ClientEvent::PublishDone { msg_id }));
-                }
-            }
+            Packet::PubComp { msg_id } => self.on_ack(msg_id, Ack::Pubcomp, now, &mut out),
             Packet::Publish {
                 qos,
                 topic,
@@ -724,14 +631,9 @@ impl Client {
                     }));
                 }
                 QoS::ExactlyOnce => {
-                    // Deliver on first receipt; suppress DUP re-deliveries
-                    // while the handshake is pending AND for the
-                    // recently-completed window (a delayed copy can arrive
-                    // after the PUBREL).
-                    let dup = self.inbound_qos2.contains_key(&msg_id)
-                        || self.completed_qos2.contains(&msg_id);
-                    if !dup {
-                        self.inbound_qos2.insert(msg_id, ());
+                    // Deliver on first receipt; DUP re-deliveries and late
+                    // copies of a completed handshake only get the PUBREC.
+                    if self.inbound.first_receipt(msg_id) {
                         out.push(Output::Event(ClientEvent::Message { topic, payload }));
                     }
                     self.last_tx = now;
@@ -739,12 +641,7 @@ impl Client {
                 }
             },
             Packet::PubRel { msg_id } => {
-                if self.inbound_qos2.remove(&msg_id).is_some() {
-                    if self.completed_qos2.len() >= COMPLETED_QOS2_WINDOW {
-                        self.completed_qos2.pop_front();
-                    }
-                    self.completed_qos2.push_back(msg_id);
-                }
+                self.inbound.release(msg_id);
                 self.last_tx = now;
                 out.push(Output::Send(Packet::PubComp { msg_id }));
             }
@@ -779,6 +676,16 @@ impl Client {
         out
     }
 
+    /// Runs an acknowledgement through the send window; the one that
+    /// completes a handshake frees the payload buffer and surfaces
+    /// [`ClientEvent::PublishDone`].
+    fn on_ack(&mut self, msg_id: u16, ack: Ack, now: Nanos, out: &mut Vec<Output>) {
+        if let Some(payload) = self.out.on_ack(msg_id, ack, now) {
+            self.reclaim_payload(payload);
+            out.push(Output::Event(ClientEvent::PublishDone { msg_id }));
+        }
+    }
+
     /// Emits the session-resumption traffic after a reconnect CONNACK:
     /// fresh REGISTERs for every tracked topic, fresh SUBSCRIBEs for every
     /// acknowledged filter, and immediate DUP retransmission of in-flight
@@ -789,7 +696,7 @@ impl Client {
         let mut filters: Vec<(String, QoS)> = self.subscribed_filters.clone();
         filters.sort_by(|a, b| a.0.cmp(&b.0));
         for (filter, qos) in filters {
-            let msg_id = self.alloc_msg_id();
+            let msg_id = self.fresh_msg_id();
             self.pending_subscribe.insert(msg_id, (filter.clone(), qos));
             let packet = Packet::Subscribe {
                 dup: false,
@@ -815,7 +722,7 @@ impl Client {
         topics.sort();
         for (name, old_id) in topics {
             self.resume_pending.insert(name.clone(), old_id);
-            let msg_id = self.alloc_msg_id();
+            let msg_id = self.fresh_msg_id();
             self.pending_register.insert(msg_id, name.clone());
             let packet = Packet::Register {
                 topic_id: 0,
@@ -835,58 +742,50 @@ impl Client {
         // In-flight publishes whose topic reference is not subject to
         // re-registration retransmit immediately.
         let resume_pending = &self.resume_pending;
-        let ids = self.inflight_in_publish_order(|f| match f.topic {
+        let ids = self.out.ids_in_order(|s| match s.topic {
             TopicRef::Predefined(_) | TopicRef::Name(_) => true,
             TopicRef::Id(id) => !resume_pending.values().any(|old| *old == id),
         });
         for id in ids {
-            self.retransmit_inflight(id, now, out);
+            self.retransmit_inflight(id, None, now, out);
         }
         self.last_tx = now;
     }
 
-    /// Remaps in-flight publishes from a pre-reconnect topic id to the
-    /// freshly registered one and retransmits them with the DUP flag.
-    fn retransmit_remapped(&mut self, old_id: u16, new_id: u16, now: Nanos, out: &mut Vec<Output>) {
-        let ids = self.inflight_in_publish_order(|f| f.topic == TopicRef::Id(old_id));
-        for id in ids {
-            if let Some(f) = self.inflight.get_mut(&id) {
-                f.topic = TopicRef::Id(new_id);
+    /// Re-sends one in-flight message with a reset retry budget, first
+    /// moving it to topic id `remap` when the broker re-registered its
+    /// topic under a new one.
+    fn retransmit_inflight(
+        &mut self,
+        id: u16,
+        remap: Option<u16>,
+        now: Nanos,
+        out: &mut Vec<Output>,
+    ) {
+        if let Some(slot) = self.out.rearm(id, now) {
+            if let Some(new_id) = remap {
+                slot.topic = TopicRef::Id(new_id);
             }
-            self.retransmit_inflight(id, now, out);
+            let packet = Self::resend_packet(&mut self.spare_payloads, id, slot);
+            self.last_tx = now;
+            out.push(Output::Send(packet));
         }
     }
 
-    /// Re-sends one in-flight message (DUP publish or PUBREL, per phase)
-    /// with a reset retry budget.
-    fn retransmit_inflight(&mut self, id: u16, now: Nanos, out: &mut Vec<Output>) {
-        let mut wire_payload = self.spare_payloads.pop().unwrap_or_default();
-        let Some(f) = self.inflight.get_mut(&id) else {
-            self.spare_payloads.push(wire_payload);
-            return;
-        };
-        f.retries = 0;
-        f.last_sent = now;
-        let packet = match f.phase {
-            OutPhase::Puback | OutPhase::Pubrec => {
-                wire_payload.clear();
-                wire_payload.extend_from_slice(&f.payload);
-                Packet::Publish {
-                    dup: true,
-                    qos: f.qos,
-                    retain: f.retain,
-                    topic: f.topic.clone(),
-                    msg_id: id,
-                    payload: wire_payload,
-                }
-            }
-            OutPhase::Pubcomp => {
-                self.spare_payloads.push(wire_payload);
-                Packet::PubRel { msg_id: id }
-            }
-        };
-        self.last_tx = now;
-        out.push(Output::Send(packet));
+    /// The retransmission of an in-flight message: its PUBLISH with DUP
+    /// until the PUBREC is in, the PUBREL after.
+    fn resend_packet(pool: &mut Vec<Vec<u8>>, msg_id: u16, slot: &Slot<TopicRef>) -> Packet {
+        match slot.republish_qos() {
+            Some(qos) => Packet::Publish {
+                dup: true,
+                qos,
+                retain: false,
+                topic: slot.topic.clone(),
+                msg_id,
+                payload: Self::wire_copy(pool, &slot.payload),
+            },
+            None => Packet::PubRel { msg_id },
+        }
     }
 
     /// Drives timers: retransmissions and keep-alive. Call at least every
@@ -931,60 +830,37 @@ impl Client {
             return out;
         }
 
-        let mut failed = Vec::new();
-        // Deterministic retransmission in original publish order (seq, not
-        // msg id, which wraps).
-        let ids = self.inflight_in_publish_order(|_| true);
-        for id in ids {
-            let Some(f) = self.inflight.get_mut(&id) else {
-                continue;
-            };
-            if now.saturating_sub(f.last_sent) < retry_ns {
-                continue;
-            }
-            if f.retries >= self.config.max_retries {
-                failed.push(id);
-                continue;
-            }
-            f.retries += 1;
-            f.last_sent = now;
-            let packet = match f.phase {
-                OutPhase::Puback | OutPhase::Pubrec => {
-                    let mut wire_payload = self.spare_payloads.pop().unwrap_or_default();
-                    wire_payload.clear();
-                    wire_payload.extend_from_slice(&f.payload);
-                    Packet::Publish {
-                        dup: true,
-                        qos: f.qos,
-                        retain: f.retain,
-                        topic: f.topic.clone(),
-                        msg_id: id,
-                        payload: wire_payload,
-                    }
+        let (pool, dead_letters, last_tx) = (
+            &mut self.spare_payloads,
+            &mut self.dead_letters,
+            &mut self.last_tx,
+        );
+        self.out.due(
+            now,
+            retry_ns,
+            self.config.max_retries,
+            |msg_id, due| match due {
+                Due::Resend(slot) => {
+                    *last_tx = now;
+                    out.push(Output::Send(Self::resend_packet(pool, msg_id, slot)));
                 }
-                OutPhase::Pubcomp => Packet::PubRel { msg_id: id },
-            };
-            self.last_tx = now;
-            out.push(Output::Send(packet));
-        }
-        for id in failed {
-            if let Some(f) = self.inflight.remove(&id) {
-                match f.phase {
-                    // Retry exhaustion usually means the link is down, not
-                    // that the record is unwanted — park the payload for
-                    // replay after a reconnect instead of dropping it.
-                    OutPhase::Puback | OutPhase::Pubrec => {
-                        self.dead_letters.push((id, f.payload));
+                Due::Expired(slot) => {
+                    if slot.republish_qos().is_some() {
+                        // Retry exhaustion usually means the link is down,
+                        // not that the record is unwanted — park the payload
+                        // for replay after a reconnect instead of dropping it.
+                        dead_letters.push((msg_id, slot.payload));
+                    } else {
+                        // A PUBREC was received, so the broker provably
+                        // holds (and forwarded) the message — replaying it
+                        // as a fresh publish would double-deliver; only the
+                        // handshake cleanup is abandoned.
+                        Self::reclaim_into(pool, slot.payload);
                     }
-                    // A PUBREC was received, so the broker provably holds
-                    // (and forwarded) the message — replaying it as a fresh
-                    // publish would double-deliver; only the handshake
-                    // cleanup is abandoned.
-                    OutPhase::Pubcomp => self.reclaim_payload(f.payload),
+                    out.push(Output::Event(ClientEvent::PublishFailed { msg_id }));
                 }
-            }
-            out.push(Output::Event(ClientEvent::PublishFailed { msg_id: id }));
-        }
+            },
+        );
 
         // Keep-alive.
         let ka_ns = self.config.keep_alive.as_nanos() as u64;
@@ -1011,7 +887,18 @@ mod tests {
     use super::*;
 
     fn connected_client() -> Client {
-        let mut c = Client::new(ClientConfig::new("dev1"));
+        connected(ClientConfig::new("dev1"))
+    }
+
+    /// A connected client whose `Tretry` is 1 s.
+    fn connected_quick_retry() -> Client {
+        let mut cfg = ClientConfig::new("dev1");
+        cfg.retry_timeout = Duration::from_secs(1);
+        connected(cfg)
+    }
+
+    fn connected(cfg: ClientConfig) -> Client {
+        let mut c = Client::new(cfg);
         c.connect(0);
         c.on_packet(
             Packet::ConnAck {
@@ -1231,55 +1118,100 @@ mod tests {
 
     #[test]
     fn late_duplicate_after_pubrel_is_still_suppressed() {
-        let mut c = connected_client();
-        let publish = Packet::Publish {
-            dup: false,
-            qos: QoS::ExactlyOnce,
-            retain: false,
-            topic: TopicRef::Id(3),
-            msg_id: 77,
-            payload: vec![5],
-        };
-        let out = c.on_packet(publish.clone(), 1);
-        assert_eq!(events(&out).len(), 1);
-        c.on_packet(Packet::PubRel { msg_id: 77 }, 2);
-
-        // A delayed copy of the PUBLISH arrives after the handshake
-        // completed (reordering link): no second Message event, but the
-        // PUBREC still goes out so the sender's handshake can re-finish.
-        let out = c.on_packet(publish, 3);
-        assert_eq!(events(&out).len(), 0, "late duplicate delivered twice");
-        assert_eq!(sends(&out), vec![&Packet::PubRec { msg_id: 77 }]);
-
-        // The window is bounded: after enough *other* completed
-        // handshakes, the oldest id ages out and can be legitimately
-        // reused for a brand-new message.
-        for id in 100..100 + COMPLETED_QOS2_WINDOW as u16 {
-            c.on_packet(
-                Packet::Publish {
-                    dup: false,
-                    qos: QoS::ExactlyOnce,
-                    retain: false,
-                    topic: TopicRef::Id(3),
-                    msg_id: id,
-                    payload: vec![1],
-                },
-                4,
-            );
-            c.on_packet(Packet::PubRel { msg_id: id }, 5);
-        }
-        let out = c.on_packet(
-            Packet::Publish {
-                dup: false,
-                qos: QoS::ExactlyOnce,
-                retain: false,
-                topic: TopicRef::Id(3),
-                msg_id: 77,
-                payload: vec![6],
+        crate::qos::tests::late_duplicate_scenario(
+            &mut connected_client(),
+            3,
+            |c, packet| {
+                let out = c.on_packet(packet, 1);
+                let replies = sends(&out).into_iter().cloned().collect();
+                (events(&out).len(), replies)
             },
-            6,
+            |_| {},
         );
-        assert_eq!(events(&out).len(), 1, "evicted id blocked a new message");
+    }
+
+    #[test]
+    fn acks_out_of_phase_complete_nothing() {
+        let mut c = connected_quick_retry();
+        let (qos1, _) = c
+            .publish(TopicRef::Id(1), vec![1], QoS::AtLeastOnce, 0)
+            .unwrap();
+        let (qos2, _) = c
+            .publish(TopicRef::Id(1), vec![2], QoS::ExactlyOnce, 0)
+            .unwrap();
+        // A PUBREC for the QoS 1 message still gets its idempotent PUBREL,
+        // but neither it nor a PUBCOMP moves the message off its PUBACK.
+        let out = c.on_packet(Packet::PubRec { msg_id: qos1 }, 1);
+        assert_eq!(sends(&out), vec![&Packet::PubRel { msg_id: qos1 }]);
+        assert!(c.on_packet(Packet::PubComp { msg_id: qos1 }, 2).is_empty());
+        // A PUBCOMP ahead of the PUBREC does not complete the QoS 2 message,
+        // and a PUBACK never does.
+        assert!(c.on_packet(Packet::PubComp { msg_id: qos2 }, 3).is_empty());
+        let accepted = Packet::PubAck {
+            topic_id: 1,
+            msg_id: qos2,
+            code: ReturnCode::Accepted,
+        };
+        assert!(c.on_packet(accepted, 4).is_empty());
+        assert_eq!(c.inflight_len(), 2);
+        // Both are still retransmitted as what they were: DUP PUBLISHes at
+        // their own QoS, not PUBRELs.
+        let out = c.on_tick(1_000_000_000);
+        let resent: Vec<(u16, QoS)> = sends(&out)
+            .iter()
+            .map(|p| match p {
+                Packet::Publish {
+                    dup: true,
+                    qos,
+                    msg_id,
+                    ..
+                } => (*msg_id, *qos),
+                p => panic!("unexpected {p:?}"),
+            })
+            .collect();
+        assert_eq!(
+            resent,
+            vec![(qos1, QoS::AtLeastOnce), (qos2, QoS::ExactlyOnce)]
+        );
+        // The acks each phase does accept still finish both.
+        let accepted = Packet::PubAck {
+            topic_id: 1,
+            msg_id: qos1,
+            code: ReturnCode::Accepted,
+        };
+        let out = c.on_packet(accepted, 5);
+        assert_eq!(
+            events(&out),
+            vec![&ClientEvent::PublishDone { msg_id: qos1 }]
+        );
+        c.on_packet(Packet::PubRec { msg_id: qos2 }, 6);
+        let out = c.on_packet(Packet::PubComp { msg_id: qos2 }, 7);
+        assert_eq!(
+            events(&out),
+            vec![&ClientEvent::PublishDone { msg_id: qos2 }]
+        );
+        assert_eq!(c.inflight_len(), 0);
+    }
+
+    #[test]
+    fn retransmits_in_publish_order_across_msg_id_wrap() {
+        let mut c = connected_quick_retry();
+        c.out.set_next_id(65534);
+        for i in 0..4u8 {
+            c.publish(TopicRef::Id(1), vec![i], QoS::AtLeastOnce, 0)
+                .unwrap();
+        }
+        let out = c.on_tick(1_000_000_000);
+        let resent: Vec<(u16, u8)> = sends(&out)
+            .iter()
+            .map(|p| match p {
+                Packet::Publish {
+                    msg_id, payload, ..
+                } => (*msg_id, payload[0]),
+                p => panic!("unexpected {p:?}"),
+            })
+            .collect();
+        assert_eq!(resent, vec![(65534, 0), (65535, 1), (1, 2), (2, 3)]);
     }
 
     #[test]
@@ -1419,7 +1351,7 @@ mod tests {
         let (sub_id, _) = c.subscribe("t/#", QoS::AtLeastOnce, 0).unwrap();
         assert_eq!(sub_id, 1);
         // Force the allocator to wrap back onto the outstanding control id.
-        c.next_msg_id = sub_id;
+        c.out.set_next_id(sub_id);
         let (pub_id, _) = c
             .publish(TopicRef::Id(1), vec![1], QoS::AtLeastOnce, 0)
             .unwrap();

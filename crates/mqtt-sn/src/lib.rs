@@ -16,6 +16,9 @@
 //! * [`broker`] — a *sans-io* broker (the paper uses Eclipse RSMB):
 //!   sessions, topic registry, subscription matching, QoS 2 exactly-once
 //!   inbound handling, and outbound QoS state machines per subscriber;
+//! * `qos` (private) — the QoS 1/2 delivery machine both of them run: one
+//!   transition table, one retransmit-or-expire pass, one QoS 2 dedup
+//!   window, so the delivery guarantee is written down once;
 //! * [`router`] / [`shard`] — what the gateway's shards share: client→shard
 //!   placement, the shared topic registry with an epoch-invalidated
 //!   topic→shard-mask cache, and the bounded lock-free forwarding rings
@@ -33,6 +36,7 @@ pub mod broker;
 pub mod client;
 pub mod net;
 pub mod packet;
+mod qos;
 pub mod router;
 pub mod shard;
 pub mod topic;

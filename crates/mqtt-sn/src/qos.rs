@@ -1,0 +1,624 @@
+//! The QoS 1/2 delivery machine, written once and run at both ends.
+//!
+//! Whoever *sends* a QoS 1/2 PUBLISH — the client toward the broker, the
+//! broker toward a subscriber — tracks it in a [`SendWindow`] until the
+//! handshake completes; whoever *receives* QoS 2 PUBLISHes — the broker
+//! from a publisher, the client from the broker — dedups them with a
+//! [`Receiver`]. [`Client`](crate::client::Client) and a broker session
+//! each own one of both and keep only what is specific to their end
+//! (events and dead letters; sinks, pools and stats).
+//!
+//! The sender's whole policy is the table in [`step`]:
+//!
+//! ```text
+//! awaiting \ ack | PUBACK    PUBREC      PUBCOMP
+//! ---------------+--------------------------------
+//! Puback (QoS 1) | done      ignored     ignored
+//! Pubrec (QoS 2) | ignored   -> Pubcomp  ignored
+//! Pubcomp (QoS 2)| ignored   re-armed    done
+//! ```
+//!
+//! Replies are not part of it: a PUBREC is always answered with a PUBREL
+//! and a PUBREL with a PUBCOMP, slot or no slot, so a peer whose ack was
+//! lost can always finish its half of the handshake.
+
+use crate::broker::wire::{put_bytes, Reader};
+use crate::client::Nanos;
+use crate::packet::QoS;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
+
+/// How many completed inbound QoS 2 ids a [`Receiver`] remembers. 64 ids
+/// at 2 bytes each is negligible per session, yet far wider than any
+/// realistic retransmission/delay window; `prop_window_outlives_delay_not_wrap`
+/// checks it against sequential id allocation.
+pub(crate) const COMPLETED_QOS2_WINDOW: usize = 64;
+
+/// An acknowledgement: as a packet, the one that arrived for an in-flight
+/// message; as a slot's phase, the one the message is waiting for. What a
+/// slot awaits is private to this module, so only [`step`] moves it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ack {
+    Puback,
+    Pubrec,
+    Pubcomp,
+}
+
+enum Step {
+    /// Keep the slot, now awaiting this; the retry timer starts over.
+    Await(Ack),
+    /// The handshake is complete; free the slot.
+    Done,
+    /// Not what this phase accepts (stale, duplicated or hostile).
+    Ignored,
+}
+
+/// The transition table. Every pair is spelled out so that a new phase or
+/// ack cannot compile without a decision for each cell.
+const fn step(awaiting: Ack, got: Ack) -> Step {
+    use Ack::{Puback, Pubcomp, Pubrec};
+    match (awaiting, got) {
+        (Puback, Puback) => Step::Done,
+        (Puback, Pubrec) => Step::Ignored,
+        (Puback, Pubcomp) => Step::Ignored,
+        (Pubrec, Puback) => Step::Ignored,
+        (Pubrec, Pubrec) => Step::Await(Pubcomp),
+        (Pubrec, Pubcomp) => Step::Ignored,
+        (Pubcomp, Puback) => Step::Ignored,
+        // A repeated PUBREC is answered with another PUBREL by the caller,
+        // so the PUBREL timer starts over rather than firing right behind it.
+        (Pubcomp, Pubrec) => Step::Await(Pubcomp),
+        (Pubcomp, Pubcomp) => Step::Done,
+    }
+}
+
+impl Ack {
+    /// What a message just published at `qos` awaits. Callers track QoS 1
+    /// and 2 only; QoS 0 has no handshake.
+    fn first(qos: QoS) -> Ack {
+        match qos {
+            QoS::AtLeastOnce => Ack::Puback,
+            QoS::AtMostOnce | QoS::ExactlyOnce => Ack::Pubrec,
+        }
+    }
+
+    /// A slot's phase in a snapshot: the message's QoS byte, then the
+    /// byte for what it awaits.
+    const fn to_bytes(self) -> [u8; 2] {
+        match self {
+            Ack::Puback => [1, 0],
+            Ack::Pubrec => [2, 1],
+            Ack::Pubcomp => [2, 2],
+        }
+    }
+
+    fn from_bytes(bytes: [u8; 2]) -> Result<Ack, &'static str> {
+        match bytes {
+            [1, 0] => Ok(Ack::Puback),
+            [2, 1] => Ok(Ack::Pubrec),
+            [2, 2] => Ok(Ack::Pubcomp),
+            _ => Err("invalid outbound QoS/phase bytes"),
+        }
+    }
+}
+
+/// One unacknowledged outbound message; `T` is how the owning end names
+/// its topic.
+#[derive(Clone, Debug)]
+pub(crate) struct Slot<T> {
+    pub(crate) topic: T,
+    pub(crate) payload: Vec<u8>,
+    awaiting: Ack,
+    last_sent: Nanos,
+    retries: u32,
+}
+
+impl<T> Slot<T> {
+    /// How to send this message again: `Some(qos)` is the PUBLISH with DUP
+    /// at that QoS, because nothing yet proves the peer holds it; `None`
+    /// is the PUBREL, because its PUBREC arrived.
+    pub(crate) fn republish_qos(&self) -> Option<QoS> {
+        match self.awaiting {
+            Ack::Puback => Some(QoS::AtLeastOnce),
+            Ack::Pubrec => Some(QoS::ExactlyOnce),
+            Ack::Pubcomp => None,
+        }
+    }
+}
+
+/// What [`SendWindow::due`] found for one message whose `Tretry` ran out.
+pub(crate) enum Due<'a, T> {
+    /// Retry budget left: send it again (see [`Slot::republish_qos`]).
+    Resend(&'a Slot<T>),
+    /// `Nretry` exhausted: the slot is gone, this is what it held.
+    Expired(Slot<T>),
+}
+
+/// The sender half: unacknowledged QoS 1/2 publishes and the message-id
+/// allocator they share.
+#[derive(Clone, Debug)]
+pub(crate) struct SendWindow<T> {
+    next_id: u16,
+    slots: HashMap<u16, Slot<T>>,
+}
+
+impl<T> SendWindow<T> {
+    pub(crate) fn new() -> Self {
+        SendWindow {
+            next_id: 1,
+            slots: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The allocator position, for the snapshot.
+    pub(crate) fn next_id(&self) -> u16 {
+        self.next_id
+    }
+
+    // lint: zero-alloc-begin
+
+    /// Hands out the next free message id: sequential, wrapping past 65535
+    /// to 1, skipping ids still in flight and any the caller says are
+    /// `taken` by transactions of its own that share the id space.
+    pub(crate) fn alloc_msg_id(&mut self, taken: impl Fn(u16) -> bool) -> u16 {
+        loop {
+            let id = self.next_id;
+            self.next_id = match id.wrapping_add(1) {
+                0 => 1,
+                next => next,
+            };
+            if id != 0 && !self.slots.contains_key(&id) && !taken(id) {
+                return id;
+            }
+        }
+    }
+
+    /// Starts tracking a QoS 1/2 message just sent under `id`.
+    pub(crate) fn start(&mut self, id: u16, qos: QoS, topic: T, payload: Vec<u8>, now: Nanos) {
+        self.slots.insert(
+            id,
+            Slot {
+                topic,
+                payload,
+                awaiting: Ack::first(qos),
+                last_sent: now,
+                retries: 0,
+            },
+        );
+    }
+
+    /// Applies an acknowledgement through [`step`]. Returns the message's
+    /// payload buffer when this ack completed its handshake.
+    pub(crate) fn on_ack(&mut self, id: u16, ack: Ack, now: Nanos) -> Option<Vec<u8>> {
+        let Entry::Occupied(mut slot) = self.slots.entry(id) else {
+            return None;
+        };
+        match step(slot.get().awaiting, ack) {
+            Step::Await(next) => {
+                let slot = slot.get_mut();
+                slot.awaiting = next;
+                slot.last_sent = now;
+                slot.retries = 0;
+                None
+            }
+            Step::Done => Some(slot.remove().payload),
+            Step::Ignored => None,
+        }
+    }
+
+    /// Stops tracking a message the peer refused, whatever its phase.
+    pub(crate) fn abandon(&mut self, id: u16) -> Option<Vec<u8>> {
+        self.slots.remove(&id).map(|slot| slot.payload)
+    }
+
+    /// Gives one message a fresh retry budget counted from `now`, for a
+    /// caller about to send it again on a resumed session.
+    pub(crate) fn rearm(&mut self, id: u16, now: Nanos) -> Option<&mut Slot<T>> {
+        let slot = self.slots.get_mut(&id)?;
+        slot.last_sent = now;
+        slot.retries = 0;
+        Some(slot)
+    }
+
+    // lint: zero-alloc-end
+
+    /// Rebases every send time to zero: for an owner whose clock
+    /// restarted, or — with `fresh_budget`, which also forgets the retries
+    /// spent — for a peer that came back at a new address and should see
+    /// everything again on the next [`SendWindow::due`] pass.
+    pub(crate) fn reset_clock(&mut self, fresh_budget: bool) {
+        for slot in self.slots.values_mut() {
+            slot.last_sent = 0;
+            if fresh_budget {
+                slot.retries = 0;
+            }
+        }
+    }
+
+    /// Ids of the messages matching `filter`, oldest publish first. The
+    /// order is read off the ids themselves: they are allocated
+    /// sequentially, so the distance from an id forward to the allocator
+    /// shrinks with every later publish, across the `u16` wrap, and no
+    /// publish counter has to be stored or persisted. (It holds while a
+    /// message is outlived by fewer than 65535 later allocations, which
+    /// `Tretry × Nretry` bounds.)
+    pub(crate) fn ids_in_order(&self, filter: impl Fn(&Slot<T>) -> bool) -> Vec<u16> {
+        let mut ids: Vec<u16> = self
+            .slots
+            .iter()
+            .filter(|(_, slot)| filter(slot))
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort_unstable_by_key(|id| id.wrapping_sub(self.next_id));
+        ids
+    }
+
+    /// The retransmit-or-expire pass: every message unacknowledged for
+    /// `retry_ns` is either re-sent (retry counted, timer restarted) or,
+    /// after `max_retries` re-sends, removed. `each` sees them oldest
+    /// publish first.
+    pub(crate) fn due(
+        &mut self,
+        now: Nanos,
+        retry_ns: u64,
+        max_retries: u32,
+        mut each: impl FnMut(u16, Due<'_, T>),
+    ) {
+        // Every id is ordered before any timer is read, which is what both
+        // ends did before they shared this pass. Reading the timers first
+        // is cheaper with a deep window, but a transmitter that ticks
+        // faster coalesces less, which moves the end-to-end benchmark
+        // (ROADMAP item 1): a change to measure on its own.
+        for id in self.ids_in_order(|_| true) {
+            let Entry::Occupied(mut slot) = self.slots.entry(id) else {
+                continue;
+            };
+            if now.saturating_sub(slot.get().last_sent) < retry_ns {
+                continue;
+            }
+            if slot.get().retries >= max_retries {
+                each(id, Due::Expired(slot.remove()));
+            } else {
+                let slot = slot.get_mut();
+                slot.retries += 1;
+                slot.last_sent = now;
+                each(id, Due::Resend(slot));
+            }
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn set_next_id(&mut self, id: u16) {
+        self.next_id = id;
+    }
+}
+
+/// Snapshot codec for a broker session's window (topics are topic ids).
+/// The allocator position travels separately: the session layout stores
+/// it ahead of the buffered messages.
+impl SendWindow<u16> {
+    pub(crate) fn encode_slots(&self, out: &mut Vec<u8>) {
+        let mut ids: Vec<u16> = self.slots.keys().copied().collect();
+        ids.sort_unstable();
+        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            let slot = &self.slots[&id];
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&slot.topic.to_le_bytes());
+            out.extend_from_slice(&slot.awaiting.to_bytes());
+            out.extend_from_slice(&slot.last_sent.to_le_bytes());
+            out.extend_from_slice(&slot.retries.to_le_bytes());
+            put_bytes(out, &slot.payload);
+        }
+    }
+
+    pub(crate) fn decode_slots(next_id: u16, r: &mut Reader<'_>) -> Result<Self, &'static str> {
+        let mut slots = HashMap::new();
+        for _ in 0..r.u32()? {
+            let id = r.u16()?;
+            // Fields read in stream order.
+            let slot = Slot {
+                topic: r.u16()?,
+                awaiting: Ack::from_bytes([r.u8()?, r.u8()?])?,
+                last_sent: r.u64()?,
+                retries: r.u32()?,
+                payload: r.bytes()?,
+            };
+            slots.insert(id, slot);
+        }
+        Ok(SendWindow { next_id, slots })
+    }
+}
+
+/// The QoS 2 receiver half: exactly-once delivery of inbound PUBLISHes.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Receiver {
+    /// Ids delivered and PUBRECed, awaiting their PUBREL.
+    pending: HashSet<u16>,
+    /// Recently released ids, newest last, at most
+    /// [`COMPLETED_QOS2_WINDOW`]. Forgetting an id at its PUBREL is not
+    /// enough on a datagram transport: a delayed copy of the PUBLISH can
+    /// arrive after the handshake completed and would be delivered as a
+    /// new message.
+    completed: VecDeque<u16>,
+}
+
+impl Receiver {
+    // lint: zero-alloc-begin
+
+    /// Whether a PUBLISH with this id is a duplicate: mid-handshake, or a
+    /// late copy of a recently completed one.
+    pub(crate) fn seen(&self, id: u16) -> bool {
+        self.pending.contains(&id) || self.completed.contains(&id)
+    }
+
+    /// Records an inbound QoS 2 PUBLISH; `true` means deliver it, `false`
+    /// means it is a duplicate. Either way the caller answers PUBREC.
+    pub(crate) fn first_receipt(&mut self, id: u16) -> bool {
+        !self.seen(id) && self.pending.insert(id)
+    }
+
+    /// PUBREL: the sender will not repeat this PUBLISH on purpose, so the
+    /// id moves to the bounded completed window (evicting the oldest).
+    /// The caller answers PUBCOMP whether or not the id was pending.
+    pub(crate) fn release(&mut self, id: u16) {
+        if self.pending.remove(&id) {
+            if self.completed.len() >= COMPLETED_QOS2_WINDOW {
+                self.completed.pop_front();
+            }
+            self.completed.push_back(id);
+        }
+    }
+
+    // lint: zero-alloc-end
+
+    /// A new connection epoch: the completed window only guards against
+    /// datagrams delayed *within* one epoch, and a peer restarted from
+    /// scratch legitimately reuses ids for new messages. Handshakes still
+    /// pending are kept, so DUP retransmissions of resumed exchanges
+    /// still dedup.
+    pub(crate) fn new_epoch(&mut self) {
+        self.completed.clear();
+    }
+
+    pub(crate) fn encode_pending(&self, out: &mut Vec<u8>) {
+        let mut ids: Vec<u16> = self.pending.iter().copied().collect();
+        ids.sort_unstable();
+        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+
+    pub(crate) fn decode_pending(r: &mut Reader<'_>) -> Result<Self, &'static str> {
+        let mut receiver = Receiver::default();
+        for _ in 0..r.u32()? {
+            receiver.pending.insert(r.u16()?);
+        }
+        Ok(receiver)
+    }
+
+    /// The completed window in FIFO order, so eviction order survives a
+    /// restart.
+    pub(crate) fn encode_completed(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.completed.len() as u32).to_le_bytes());
+        for id in &self.completed {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+
+    pub(crate) fn decode_completed(&mut self, r: &mut Reader<'_>) -> Result<(), &'static str> {
+        for _ in 0..r.u32()? {
+            self.completed.push_back(r.u16()?);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::packet::{Packet, TopicRef};
+    use proptest::prelude::*;
+
+    const ACKS: [Ack; 3] = [Ack::Puback, Ack::Pubrec, Ack::Pubcomp];
+
+    /// A window holding message 7 in `phase`, one retry already spent at
+    /// t = 10 so a restarted timer is distinguishable from an ignored ack.
+    fn window_in(phase: Ack) -> SendWindow<()> {
+        let mut w = SendWindow::new();
+        let qos = if phase == Ack::Puback {
+            QoS::AtLeastOnce
+        } else {
+            QoS::ExactlyOnce
+        };
+        w.start(7, qos, (), vec![9], 0);
+        if phase == Ack::Pubcomp {
+            assert_eq!(w.on_ack(7, Ack::Pubrec, 0), None);
+        }
+        w.due(10, 10, 5, |_, due| assert!(matches!(due, Due::Resend(_))));
+        let slot = &w.slots[&7];
+        assert_eq!(
+            (slot.awaiting, slot.last_sent, slot.retries),
+            (phase, 10, 1)
+        );
+        w
+    }
+
+    #[test]
+    fn every_phase_ack_pair_follows_the_table() {
+        for awaiting in ACKS {
+            for ack in ACKS {
+                // The phase the slot is left in; `None` once it completed.
+                let left_in = match (awaiting, ack) {
+                    (Ack::Puback, Ack::Puback) | (Ack::Pubcomp, Ack::Pubcomp) => None,
+                    (Ack::Pubrec | Ack::Pubcomp, Ack::Pubrec) => Some(Ack::Pubcomp),
+                    _ => Some(awaiting),
+                };
+                let timer_restarts = ack == Ack::Pubrec && awaiting != Ack::Puback;
+                let mut w = window_in(awaiting);
+                let done = w.on_ack(7, ack, 20);
+                let case = format!("{ack:?} while awaiting {awaiting:?}");
+                assert_eq!(done, left_in.is_none().then(|| vec![9]), "{case}");
+                match left_in {
+                    None => assert_eq!(w.len(), 0, "{case}"),
+                    Some(phase) => {
+                        let slot = &w.slots[&7];
+                        let timer = if timer_restarts { (20, 0) } else { (10, 1) };
+                        assert_eq!(slot.awaiting, phase, "{case}");
+                        assert_eq!((slot.last_sent, slot.retries), timer, "{case}");
+                    }
+                }
+            }
+        }
+        // An ack for an id that is not in flight touches nothing.
+        let mut w = window_in(Ack::Pubrec);
+        assert_eq!(w.on_ack(8, Ack::Pubcomp, 20), None);
+        assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn phase_bytes_roundtrip_and_reject_mismatches() {
+        for phase in ACKS {
+            assert_eq!(Ack::from_bytes(phase.to_bytes()), Ok(phase));
+        }
+        // A QoS 1 message cannot await a PUBREC or PUBCOMP, nor a QoS 2
+        // message a PUBACK; QoS 0 is never tracked.
+        for bytes in [[1, 1], [1, 2], [2, 0], [0, 0], [3, 0], [2, 3]] {
+            assert!(Ack::from_bytes(bytes).is_err(), "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn due_yields_publish_order_across_the_id_wrap() {
+        let mut w = SendWindow::new();
+        w.set_next_id(65534);
+        let ids: Vec<u16> = (0..4)
+            .map(|_| {
+                let id = w.alloc_msg_id(|_| false);
+                w.start(id, QoS::AtLeastOnce, (), Vec::new(), 0);
+                id
+            })
+            .collect();
+        assert_eq!(ids, [65534, 65535, 1, 2]);
+        let mut resent = Vec::new();
+        w.due(10, 10, 1, |id, due| {
+            assert!(matches!(due, Due::Resend(_)));
+            resent.push(id);
+        });
+        assert_eq!(resent, ids);
+        // Not yet due again; then the budget of one retry is spent.
+        w.due(15, 10, 1, |id, _| panic!("{id} is not due"));
+        let mut expired = Vec::new();
+        w.due(20, 10, 1, |id, due| {
+            assert!(matches!(due, Due::Expired(_)));
+            expired.push(id);
+        });
+        assert_eq!(expired, ids);
+        assert_eq!(w.len(), 0);
+    }
+
+    #[test]
+    fn allocator_skips_live_and_taken_ids() {
+        let mut w = SendWindow::new();
+        w.start(2, QoS::AtLeastOnce, (), Vec::new(), 0);
+        assert_eq!(w.alloc_msg_id(|_| false), 1);
+        assert_eq!(w.alloc_msg_id(|id| id == 3), 4);
+        w.set_next_id(65535);
+        assert_eq!(w.alloc_msg_id(|_| false), 65535);
+        assert_eq!(w.alloc_msg_id(|_| false), 1, "0 is not a message id");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Why 64 remembered ids are enough and not too many: a sender
+        /// allocates sequentially with at most `max_inflight` messages
+        /// outstanding, so (a) a copy of a PUBLISH that arrives fewer
+        /// than a window of completions after its own is still suppressed,
+        /// and (b) by the time an id comes round again — a full wrap
+        /// later — it has long left the window, so the new message is
+        /// delivered. Runs past a full wrap, completing outstanding
+        /// messages in arbitrary order.
+        #[test]
+        fn prop_window_outlives_delay_not_wrap(
+            first_id in 1u16..=u16::MAX,
+            max_inflight in 1usize..=64,
+            delay in 0usize..COMPLETED_QOS2_WINDOW,
+            picks in proptest::collection::vec(any::<usize>(), 32),
+        ) {
+            let mut sender = SendWindow::new();
+            sender.set_next_id(first_id);
+            let mut receiver = Receiver::default();
+            let mut outstanding: Vec<u16> = Vec::new();
+            let mut completed: VecDeque<u16> = VecDeque::new();
+            for step in 0..usize::from(u16::MAX) + 2 * COMPLETED_QOS2_WINDOW {
+                let id = sender.alloc_msg_id(|_| false);
+                sender.start(id, QoS::ExactlyOnce, (), Vec::new(), 0);
+                prop_assert!(receiver.first_receipt(id), "new message {} suppressed", id);
+                outstanding.push(id);
+                if outstanding.len() < max_inflight {
+                    continue;
+                }
+                let done = outstanding.swap_remove(picks[step % picks.len()] % outstanding.len());
+                prop_assert!(sender.on_ack(done, Ack::Pubrec, 0).is_none());
+                receiver.release(done);
+                prop_assert!(sender.on_ack(done, Ack::Pubcomp, 0).is_some());
+                completed.push_back(done);
+                if completed.len() > delay {
+                    let late = completed[completed.len() - 1 - delay];
+                    prop_assert!(!receiver.first_receipt(late), "late copy of {} delivered", late);
+                    completed.pop_front();
+                }
+            }
+        }
+    }
+
+    /// The late-duplicate scenario, run against both receiving ends
+    /// (`client::tests::late_duplicate_after_pubrel_is_still_suppressed`,
+    /// `broker::tests::late_duplicate_publish_after_pubrel_is_suppressed`).
+    /// `feed` hands the end one packet from the QoS 2 sender and returns
+    /// how many messages it delivered onward plus its replies to the
+    /// sender; `after_late_duplicate` is the end's own checkpoint.
+    pub(crate) fn late_duplicate_scenario<E>(
+        end: &mut E,
+        topic_id: u16,
+        feed: impl Fn(&mut E, Packet) -> (usize, Vec<Packet>),
+        after_late_duplicate: impl FnOnce(&mut E),
+    ) {
+        let publish = |msg_id: u16, payload: u8| Packet::Publish {
+            dup: false,
+            qos: QoS::ExactlyOnce,
+            retain: false,
+            topic: TopicRef::Id(topic_id),
+            msg_id,
+            payload: vec![payload],
+        };
+        let (delivered, _) = feed(end, publish(77, 5));
+        assert_eq!(delivered, 1);
+        let (_, replies) = feed(end, Packet::PubRel { msg_id: 77 });
+        assert_eq!(replies, vec![Packet::PubComp { msg_id: 77 }]);
+
+        // A delayed copy of the PUBLISH arrives after the handshake
+        // completed (reordering link): it is not delivered again, but the
+        // PUBREC still goes out so the sender's handshake can re-finish.
+        let (delivered, replies) = feed(end, publish(77, 5));
+        assert_eq!(delivered, 0, "late duplicate delivered twice");
+        assert_eq!(replies, vec![Packet::PubRec { msg_id: 77 }]);
+        after_late_duplicate(end);
+
+        // The window is bounded: after enough *other* completed
+        // handshakes, the oldest id ages out and can be legitimately
+        // reused for a brand-new message.
+        for id in 100..100 + COMPLETED_QOS2_WINDOW as u16 {
+            feed(end, publish(id, 1));
+            feed(end, Packet::PubRel { msg_id: id });
+        }
+        let (delivered, _) = feed(end, publish(77, 6));
+        assert_eq!(delivered, 1, "evicted id blocked a new message");
+    }
+}
