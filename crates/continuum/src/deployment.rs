@@ -58,7 +58,13 @@ impl ProvenanceManager {
         self.server.broker_stats()
     }
 
-    /// Stops broker and translator.
+    /// MQTT-SN sessions on the broker: one per connected device.
+    pub fn broker_sessions(&self) -> usize {
+        self.server.broker_sessions()
+    }
+
+    /// Stops the broker, then the translator once it has ingested
+    /// everything the broker acknowledged.
     pub fn shutdown(self) {
         self.server.shutdown();
     }

@@ -2,20 +2,23 @@
 //! translator (paper Fig. 3).
 
 use crate::translator::Translator;
-use mqtt_sn::net::{NetError, UdpBroker, UdpClient};
-use mqtt_sn::{BrokerConfig, ClientConfig, ClientEvent, QoS};
+use mqtt_sn::net::{NetError, UdpBroker};
+use mqtt_sn::{BrokerConfig, LocalMessage, LocalSubscription};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
 use prov_model::Record;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A running ProvLight server (broker + translator subscriptions).
 ///
 /// A translator subscribes to a topic filter (e.g. `provlight/#`) and
-/// converts every decoded message with the provided [`Translator`]. For
+/// converts every decoded message with the provided [`Translator`]. The
+/// translators live in the gateway's process, so they are *local*
+/// subscribers ([`UdpBroker::subscribe_local`]): the gateway hands each
+/// accepted publish over through an in-memory queue, and the only MQTT-SN
+/// leg is the one from the devices. For
 /// large fleets the paper parallelizes translators — one per device topic
 /// (Fig. 5, translator-1..64); [`ProvLightServer::start_parallel`] builds
 /// that layout. With the sharded store behind
@@ -24,7 +27,6 @@ use std::time::Duration;
 /// on one store lock.
 pub struct ProvLightServer {
     broker: UdpBroker,
-    shutdown: Arc<AtomicBool>,
     decode_errors: Arc<AtomicU64>,
     translators: Vec<Arc<Mutex<dyn Translator>>>,
     translator_threads: Vec<std::thread::JoinHandle<()>>,
@@ -45,10 +47,13 @@ pub struct ServerStats {
     /// once — comparable against the broker's delivered-publish count even
     /// when topics share a translator.
     pub messages_total: u64,
-    /// Buffered-message backlog across broker sessions at snapshot time.
-    /// Translators that fall behind ingestion inflate this, which drives
-    /// `congestion_level` — so translator lag propagates to gateway
-    /// publishers as pacing instead of silent buffer growth.
+    /// Broker backlog at snapshot time: messages queued for the
+    /// translators and not yet taken, plus whatever is buffered or
+    /// unacknowledged toward remote subscribers. Translators that fall
+    /// behind ingestion inflate this, which drives `congestion_level` —
+    /// so translator lag propagates to gateway publishers as pacing, and
+    /// at the hard level as refused (never acknowledged-then-dropped)
+    /// publishes, instead of silent buffer growth.
     pub broker_backlog: u64,
     /// Broker congestion level at snapshot time (0 clear / 1 soft /
     /// 2 hard).
@@ -77,58 +82,22 @@ impl ProvLightServer {
         factory: impl Fn(usize) -> Arc<Mutex<dyn Translator>>,
     ) -> Result<ProvLightServer, NetError> {
         let broker = UdpBroker::spawn(bind, BrokerConfig::default()).map_err(NetError::Io)?;
-        let addr = broker.local_addr();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let decode_errors = Arc::new(AtomicU64::new(0));
 
         let mut translators = Vec::with_capacity(topics.len());
         let mut translator_threads = Vec::with_capacity(topics.len());
         for (i, topic) in topics.iter().enumerate() {
-            let mut sub = UdpClient::connect(
-                addr,
-                ClientConfig::new(format!("provlight-translator-{i}")),
-                Duration::from_secs(5),
-            )?;
-            sub.subscribe(topic, QoS::ExactlyOnce, Duration::from_secs(5))?;
+            let subscription = broker.subscribe_local(topic)?;
             let translator = factory(i);
             translators.push(Arc::clone(&translator));
-            let shutdown = Arc::clone(&shutdown);
             let decode_errors = Arc::clone(&decode_errors);
             translator_threads.push(std::thread::spawn(move || {
-                // One record buffer cycles between decode and translator
-                // for the lifetime of the thread: decode_into clears and
-                // refills it, on_records drains it.
-                let mut records: Vec<Record> = Vec::new();
-                while !shutdown.load(Ordering::Relaxed) {
-                    match sub.poll_event() {
-                        Ok(Some(ClientEvent::Message { payload, .. })) => {
-                            match Envelope::decode_into(&payload, &mut records) {
-                                Ok(_) => {
-                                    translator.lock().on_records(&mut records);
-                                }
-                                Err(_) => {
-                                    decode_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Ok(_) => {}
-                        Err(e) if e.is_transient() => {
-                            // A broker mid-restart bounces ICMP errors off
-                            // our socket; the subscription session survives
-                            // (broker-side persistence), so keep pumping
-                            // instead of orphaning the topic.
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let _ = sub.disconnect();
+                translate(subscription, &translator, &decode_errors)
             }));
         }
 
         Ok(ProvLightServer {
             broker,
-            shutdown,
             decode_errors,
             translators,
             translator_threads,
@@ -177,16 +146,50 @@ impl ProvLightServer {
         self.broker.stats()
     }
 
-    /// Stops translators and broker.
-    pub fn shutdown(mut self) {
-        self.stop();
-        // Broker stops on drop.
+    /// MQTT-SN sessions on the broker: the connected devices, and no one
+    /// else — the translators subscribe locally, not over the protocol.
+    pub fn broker_sessions(&self) -> usize {
+        self.broker.session_count()
     }
 
+    /// Stops the broker, then the translators once they have ingested
+    /// everything it acknowledged.
+    pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    /// Gateway first: once it has stopped nothing more is acknowledged and
+    /// the queues are closed, so each translator runs its queue empty and
+    /// ends — an acknowledged publish is in the store when this returns.
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.broker.stop();
         for t in self.translator_threads.drain(..) {
             let _ = t.join();
+        }
+    }
+}
+
+/// The translator loop: block on the gateway's queue, take everything
+/// queued per wake-up, decode each envelope and hand its records over.
+/// Ends when the gateway has stopped and the queue is drained.
+fn translate(
+    mut subscription: LocalSubscription,
+    translator: &Mutex<dyn Translator>,
+    decode_errors: &AtomicU64,
+) {
+    // One message batch and one record buffer cycle for the lifetime of
+    // the thread: `recv` refills the first, `decode_into` clears and
+    // refills the second, `on_records` drains it.
+    let mut batch: Vec<LocalMessage> = Vec::new();
+    let mut records: Vec<Record> = Vec::new();
+    while subscription.recv(&mut batch) {
+        for message in &batch {
+            match Envelope::decode_into(&message.payload, &mut records) {
+                Ok(_) => translator.lock().on_records(&mut records),
+                Err(_) => {
+                    decode_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
     }
 }
@@ -204,6 +207,7 @@ mod tests {
     use crate::config::{CaptureConfig, GroupPolicy};
     use crate::translator::DfAnalyzerTranslator;
     use prov_model::{DataRecord, Id};
+    use std::time::Duration;
 
     fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
         let deadline = std::time::Instant::now() + timeout;
@@ -353,6 +357,36 @@ mod tests {
         assert_eq!(stats.translator_messages, vec![6, 6, 6]);
         assert_eq!(stats.messages_total, 6, "shared instance counted once");
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_ingests_every_acknowledged_publish() {
+        use mqtt_sn::{ClientConfig, QoS, UdpClient};
+        const N: u64 = 200;
+        let store = prov_store::shared_sharded();
+        let translator = Arc::new(Mutex::new(DfAnalyzerTranslator::new(store.clone())));
+        let server = ProvLightServer::start("127.0.0.1:0", "provlight/#", translator).unwrap();
+
+        let timeout = Duration::from_secs(5);
+        let mut device =
+            UdpClient::connect(server.broker_addr(), ClientConfig::new("dev"), timeout).unwrap();
+        let tid = device.register("provlight/wf/dev", timeout).unwrap();
+        for i in 0..N {
+            let record = Record::WorkflowBegin {
+                workflow: Id::Num(i),
+                time_ns: i,
+            };
+            let envelope = Envelope::encode(&[record], true);
+            // Returns once the QoS 2 handshake has completed.
+            device
+                .publish(tid, envelope, QoS::ExactlyOnce, timeout)
+                .unwrap();
+        }
+        // No waiting for the store: whatever the gateway acknowledged is
+        // ingested by the time shutdown returns.
+        server.shutdown();
+        assert_eq!(store.stats().records, N);
+        assert_eq!(store.workflow_ids().len(), N as usize);
     }
 
     #[test]

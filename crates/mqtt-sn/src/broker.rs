@@ -14,6 +14,7 @@
 //!   4-way handshake for QoS 2 subscribers.
 
 use crate::client::Nanos;
+use crate::local::{LocalQueue, LocalSubscription};
 use crate::packet::{
     encode_publish_into, publish_flags, Packet, PacketRef, PublishWire, QoS, ReturnCode, TopicRef,
 };
@@ -22,6 +23,7 @@ use crate::topic::{filter_is_valid, topic_matches, TopicRegistry};
 use crate::Error;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Broker configuration.
@@ -426,6 +428,9 @@ pub struct Broker<A: Clone + Eq + Hash> {
     sessions: HashMap<A, Session>,
     /// Insertion order of sessions, for deterministic fan-out.
     order: Vec<A>,
+    /// Gateway-local subscriptions (see [`crate::local`]): attachments of
+    /// the running process, shared by every shard and never persisted.
+    locals: Vec<Arc<LocalQueue>>,
     stats: BrokerStats,
     /// Bumped whenever sessions or subscriptions mutate; validates
     /// `routes` entries.
@@ -445,9 +450,16 @@ pub struct Broker<A: Clone + Eq + Hash> {
     last_publish_forwarded: bool,
 }
 
-/// One cached fan-out route: the [`Broker::route_epoch`] it was computed
-/// at, plus the matching targets as (address, subscription QoS, away).
-type CachedRoute<A> = (u64, Vec<(A, QoS, bool)>);
+/// One cached fan-out route.
+#[derive(Clone, Debug)]
+struct CachedRoute<A> {
+    /// The [`Broker::route_epoch`] the route was computed at.
+    epoch: u64,
+    /// Matching sessions as (address, subscription QoS, away).
+    targets: Vec<(A, QoS, bool)>,
+    /// Matching local subscriptions, as indices into `Broker::locals`.
+    locals: Vec<usize>,
+}
 
 /// Upper bound on payload buffers retained for reuse.
 const MAX_POOLED_PAYLOADS: usize = 64;
@@ -460,6 +472,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             registry: TopicRegistry::new(),
             sessions: HashMap::new(),
             order: Vec::new(),
+            locals: Vec::new(),
             stats: BrokerStats::default(),
             route_epoch: 0,
             routes: HashMap::new(),
@@ -512,14 +525,18 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     }
 
     /// Broker-wide backlog and the most-backed-up single session, both as
-    /// buffered + unacknowledged outbound message counts. O(sessions) —
+    /// buffered + unacknowledged outbound message counts; a local
+    /// subscription's queue depth counts as one session's. O(sessions) —
     /// no allocation, and session counts are tiny next to per-publish
     /// encode work.
     fn backlog_scan(&self) -> (usize, usize) {
         let mut total = 0;
         let mut worst = 0;
-        for s in self.sessions.values() {
-            let n = s.buffered.len() + s.out.len();
+        let sessions = self
+            .sessions
+            .values()
+            .map(|s| s.buffered.len() + s.out.len());
+        for n in sessions.chain(self.locals.iter().map(|q| q.depth())) {
             total += n;
             worst = worst.max(n);
         }
@@ -527,10 +544,10 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     }
 
     /// Current broker-wide backlog: messages buffered for away/sleeping
-    /// sessions plus unacknowledged outbound QoS traffic. A slow
-    /// subscriber — e.g. a translator that stopped draining — shows up
-    /// here, which is how server-side lag propagates back to the gateway's
-    /// congestion signal.
+    /// sessions, unacknowledged outbound QoS traffic, and messages queued
+    /// for local subscriptions. A slow subscriber — e.g. a translator that
+    /// stopped draining its queue — shows up here, which is how
+    /// server-side lag propagates back to the gateway's congestion signal.
     pub fn backlog(&self) -> usize {
         self.backlog_scan().0
     }
@@ -564,6 +581,37 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     fn reclaim_payload(pool: &mut Vec<Vec<u8>>, payload: Vec<u8>) {
         if pool.len() < MAX_POOLED_PAYLOADS {
             pool.push(payload);
+        }
+    }
+
+    /// Subscribes a consumer living in this process: from now on every
+    /// publish this broker accepts on a topic matching `filter` (wildcards
+    /// allowed) is pushed into the returned subscription's queue — at the
+    /// publisher's QoS, with no handshake of its own — and the queue's
+    /// depth counts in the backlog as one session's, capped like one at
+    /// [`BrokerConfig::max_buffered`]. An invalid filter is refused with
+    /// the code a remote SUBSCRIBE would get.
+    pub fn subscribe_local(&mut self, filter: &str) -> Result<LocalSubscription, Error> {
+        if !filter_is_valid(filter) {
+            return Err(Error::Rejected(ReturnCode::NotSupported));
+        }
+        let queue = Arc::new(LocalQueue::new(filter, self.config.max_buffered));
+        self.attach_local(Arc::clone(&queue));
+        Ok(LocalSubscription::new(queue))
+    }
+
+    /// Attaches a subscription made on another shard of the same gateway,
+    /// so every shard pushes into the one queue directly.
+    pub(crate) fn attach_local(&mut self, queue: Arc<LocalQueue>) {
+        self.invalidate_routes();
+        self.locals.push(queue);
+    }
+
+    /// Ends every local subscription's stream (the transport has stopped
+    /// feeding this broker); what is queued stays for the consumers.
+    pub(crate) fn close_locals(&self) {
+        for queue in &self.locals {
+            queue.close();
         }
     }
 
@@ -668,9 +716,10 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// Delivers a publish owned by another shard to this shard's matching
     /// subscribers: same fan-out, buffering, and QoS machinery as a local
     /// publish, minus the publisher-side accounting and acknowledgments
-    /// (the owning shard already counted `publishes_in` and ran the
-    /// QoS 1/2 handshake). `qos` is the publish QoS; each delivery is
-    /// capped at the subscriber's granted QoS as usual.
+    /// (the owning shard already counted `publishes_in`, ran the QoS 1/2
+    /// handshake and pushed to the local subscriptions, which every shard
+    /// shares). `qos` is the publish QoS; each delivery is capped at the
+    /// subscriber's granted QoS as usual.
     pub fn deliver_forwarded(
         &mut self,
         now: Nanos,
@@ -689,7 +738,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         let (total, _) = self.backlog_scan();
         self.stats.backlog_high_water = self.stats.backlog_high_water.max(total as u64);
         let mut sink = WireSink::new(out);
-        self.fan_out(now, topic_id, qos, payload, &mut sink);
+        self.fan_out(now, topic_id, qos, payload, false, &mut sink);
         // lint: zero-alloc-end
     }
 
@@ -709,7 +758,9 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// Collects the subscription filters of every fan-out-eligible
     /// session (deduplicated) into `into`, clearing it first. The sharded
     /// router uses this per-shard union to decide which shards a publish
-    /// must be forwarded to.
+    /// must be forwarded to. Local subscriptions are not sessions and are
+    /// left out: the accepting shard pushes to them itself, so a forward
+    /// on their account would deliver twice.
     pub fn collect_subscription_filters(&self, into: &mut Vec<String>) {
         into.clear();
         for s in self.sessions.values() {
@@ -1134,11 +1185,11 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
 
         self.last_publish_forwarded = true;
-        self.fan_out(now, topic_id, qos, payload, sink);
+        self.fan_out(now, topic_id, qos, payload, true, sink);
     }
 
-    /// Fans one accepted publish out to every matching local subscriber in
-    /// deterministic session order. Sleeping subscribers and away durable
+    /// Fans one accepted publish out to every matching subscriber on this
+    /// shard, sessions in deterministic session order. Sleeping subscribers and away durable
     /// subscribers (disconnected, `clean_session = false`) get their
     /// messages buffered for delivery on the next PINGREQ / reconnect.
     ///
@@ -1148,23 +1199,38 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// vector otherwise. The topic name stays borrowed from the
     /// registry (no per-publish `String`).
     ///
-    /// Shared by [`Broker::handle_publish`] (local publisher) and
+    /// Shared by [`Broker::handle_publish`] (publish accepted here:
+    /// `accepted_here`, so local subscriptions are served too) and
     /// [`Broker::deliver_forwarded`] (publish owned by another shard).
+    ///
+    /// A local subscription takes the payload in a pooled buffer: no
+    /// PUBLISH is encoded, no message id allocated, no retransmission
+    /// copy tracked. An acknowledged publish always goes in —
+    /// `handle_publish` refused it before the ack if the queue was full —
+    /// while QoS 0 (or anything, with congestion signalling off) is
+    /// dropped and counted at the cap, as for an away session.
     fn fan_out<S: OutputSink<A>>(
         &mut self,
         now: Nanos,
         topic_id: u16,
         qos: QoS,
         payload: &[u8],
+        accepted_here: bool,
         sink: &mut S,
     ) {
         let epoch = self.route_epoch;
-        let (cached_epoch, targets) = self
-            .routes
-            .entry(topic_id)
-            .or_insert_with(|| (epoch.wrapping_sub(1), Vec::new()));
+        let CachedRoute {
+            epoch: cached_epoch,
+            targets,
+            locals,
+        } = self.routes.entry(topic_id).or_insert_with(|| CachedRoute {
+            epoch: epoch.wrapping_sub(1),
+            targets: Vec::new(),
+            locals: Vec::new(),
+        });
         if *cached_epoch != epoch {
             targets.clear();
+            locals.clear();
             let Some(topic_name) = self.registry.name_of(topic_id) else {
                 // Validated at entry; an empty rebuild delivers to no one,
                 // which is exactly what an unregistered topic gets.
@@ -1188,7 +1254,23 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 };
                 targets.push((addr.clone(), best, s.state != SessionState::Active));
             }
+            for (i, queue) in self.locals.iter().enumerate() {
+                if topic_matches(queue.filter(), topic_name) {
+                    locals.push(i);
+                }
+            }
             *cached_epoch = epoch;
+        }
+
+        if accepted_here {
+            let droppable = qos == QoS::AtMostOnce || !self.config.signal_congestion;
+            for &i in locals.iter() {
+                if self.locals[i].push(topic_id, payload, droppable) {
+                    self.stats.publishes_out += 1;
+                } else {
+                    self.stats.drops += 1;
+                }
+            }
         }
 
         for (addr, best, away) in targets.iter() {
@@ -1668,6 +1750,7 @@ impl<A: PersistAddr> Broker<A> {
             registry,
             sessions,
             order,
+            locals: Vec::new(),
             stats,
             route_epoch: 0,
             routes: HashMap::new(),
@@ -1950,8 +2033,16 @@ mod tests {
         assert_eq!(b.stats().drops, 1);
     }
 
-    /// A publish from address 1 (the tests' publisher).
-    fn publish(b: &mut Broker<Addr>, now: Nanos, tid: u16, qos: QoS, msg_id: u16, payload: u8) {
+    /// A publish from address 1 (the tests' publisher), and what it made
+    /// the broker send.
+    fn publish(
+        b: &mut Broker<Addr>,
+        now: Nanos,
+        tid: u16,
+        qos: QoS,
+        msg_id: u16,
+        payload: u8,
+    ) -> Vec<(Addr, Packet)> {
         b.on_packet(
             now,
             1,
@@ -1963,7 +2054,7 @@ mod tests {
                 msg_id,
                 payload: vec![payload],
             },
-        );
+        )
     }
 
     /// What a tick re-sent, as `(destination, msg id, QoS, payload)` for a
@@ -3067,6 +3158,149 @@ mod tests {
         // The high-water gauge still tracks, so overload is observable.
         // (Sampled on publish entry, so the 8th publish observes 7.)
         assert!(b.stats().backlog_high_water >= 7);
+    }
+
+    /// What is queued for a local subscription, as `(topic id, payload)`.
+    fn taken(sub: &mut LocalSubscription) -> Vec<(u16, u8)> {
+        let mut batch = Vec::new();
+        sub.try_recv(&mut batch);
+        batch.iter().map(|m| (m.topic_id, m.payload[0])).collect()
+    }
+
+    #[test]
+    fn duplicate_qos2_publish_reaches_a_local_subscription_once() {
+        let mut b = broker();
+        connect(&mut b, 1, "pub");
+        let tid = register(&mut b, 1, "provlight/wf/dev");
+        let mut sub = b.subscribe_local("provlight/#").unwrap();
+        for _ in 0..2 {
+            let out = publish(&mut b, 0, tid, QoS::ExactlyOnce, 10, 7);
+            assert_eq!(out, [(1, Packet::PubRec { msg_id: 10 })], "and no PUBLISH");
+        }
+        assert_eq!(taken(&mut sub), [(tid, 7)]);
+        b.on_packet(0, 1, Packet::PubRel { msg_id: 10 });
+        assert!(taken(&mut sub).is_empty());
+        let stats = b.stats();
+        assert_eq!((stats.publishes_in, stats.publishes_out), (2, 1));
+        assert_eq!(stats.duplicates_suppressed, 1);
+        assert_eq!(b.backlog(), 0, "a local delivery leaves no QoS state");
+        assert_eq!(b.session_count(), 1, "a local subscription is no session");
+    }
+
+    #[test]
+    fn local_filters_match_as_remote_ones_do() {
+        // Fig. 5 layout: one subscription per device topic, next to
+        // wildcard ones; a remote session per filter is the reference.
+        let mut b = broker();
+        connect(&mut b, 1, "pub");
+        let topics = ["provlight/wf/dev0", "provlight/wf/dev1", "other/dev0"];
+        let tids: Vec<u16> = topics.iter().map(|t| register(&mut b, 1, t)).collect();
+        let filters = [
+            "provlight/wf/dev0",
+            "provlight/wf/dev1",
+            "provlight/#",
+            "+/dev0",
+        ];
+        let mut locals = Vec::new();
+        for (i, filter) in filters.iter().enumerate() {
+            let remote = 10 + i as Addr;
+            connect(&mut b, remote, &format!("remote{i}"));
+            subscribe(&mut b, remote, filter, QoS::AtMostOnce);
+            locals.push((remote, b.subscribe_local(filter).unwrap()));
+        }
+        assert_eq!(
+            b.subscribe_local("provlight/#/dev").unwrap_err(),
+            Error::Rejected(ReturnCode::NotSupported)
+        );
+        let mut forwarded_for = Vec::new();
+        b.collect_subscription_filters(&mut forwarded_for);
+        forwarded_for.sort();
+        let mut remote_filters = filters.map(String::from);
+        remote_filters.sort();
+        assert_eq!(forwarded_for, remote_filters, "once each: the sessions'");
+
+        let mut remote_got: HashMap<Addr, Vec<(u16, u8)>> = HashMap::new();
+        for (i, &tid) in tids.iter().enumerate() {
+            for (to, p) in publish(&mut b, 0, tid, QoS::AtMostOnce, 0, i as u8) {
+                match p {
+                    Packet::Publish { payload, .. } => {
+                        remote_got.entry(to).or_default().push((tid, payload[0]))
+                    }
+                    p => panic!("unexpected {p:?}"),
+                }
+            }
+        }
+        for (filter, (remote, local)) in filters.iter().zip(&mut locals) {
+            assert_eq!(taken(local), remote_got[remote], "{filter}");
+        }
+        assert_eq!(remote_got[&12].len(), 2, "provlight/# takes both devices");
+        assert_eq!(remote_got[&13].len(), 1, "+/dev0 is two levels deep");
+    }
+
+    #[test]
+    fn full_local_queue_refuses_before_the_ack() {
+        let mut b = Broker::new(BrokerConfig {
+            max_buffered: 4,
+            ..BrokerConfig::default()
+        });
+        connect(&mut b, 1, "pub");
+        let tid = register(&mut b, 1, "t/full");
+        let mut sub = b.subscribe_local("t/full").unwrap();
+
+        let mut advised = 0;
+        for id in 1..=4u16 {
+            for (_, p) in publish(&mut b, 0, tid, QoS::ExactlyOnce, id, id as u8) {
+                match p {
+                    Packet::PubRec { msg_id } => assert_eq!(msg_id, id),
+                    Packet::CongestionAdvisory { level } => advised = level,
+                    p => panic!("unexpected {p:?}"),
+                }
+            }
+        }
+        assert_eq!(advised, 1, "three of four queued is the soft level");
+        assert_eq!((b.backlog(), b.congestion_level()), (4, 2));
+
+        // At the cap: refused with the congestion code, and nothing that
+        // would tell the publisher the message was taken.
+        let refused = |msg_id| Packet::PubAck {
+            topic_id: tid,
+            msg_id,
+            code: ReturnCode::Congestion,
+        };
+        let out = publish(&mut b, 0, tid, QoS::ExactlyOnce, 5, 5);
+        let advisory = Packet::CongestionAdvisory { level: 2 };
+        assert_eq!(out, [(1, advisory), (1, refused(5))]);
+        let out = publish(&mut b, 0, tid, QoS::AtLeastOnce, 6, 6);
+        assert_eq!(out, [(1, refused(6))]);
+        // QoS 0 has no ack to carry a refusal: dropped and counted, as
+        // for an away session at its cap.
+        assert!(publish(&mut b, 0, tid, QoS::AtMostOnce, 0, 7).is_empty());
+        // A retransmission of an accepted publish completes its handshake.
+        let out = publish(&mut b, 0, tid, QoS::ExactlyOnce, 1, 1);
+        assert_eq!(out, [(1, Packet::PubRec { msg_id: 1 })]);
+
+        let stats = *b.stats();
+        assert_eq!(stats.congestion_rejects, 2);
+        assert_eq!(stats.drops, 1);
+        assert_eq!(stats.duplicates_suppressed, 1);
+        assert_eq!(stats.publishes_out, 4);
+        assert_eq!(
+            stats.publishes_in,
+            stats.publishes_out
+                + stats.drops
+                + stats.congestion_rejects
+                + stats.duplicates_suppressed
+        );
+
+        // The consumer catches up: exactly the acknowledged publishes, in
+        // order, and the next tick tells the publisher the pressure is off.
+        let acknowledged: Vec<_> = (1..=4u8).map(|id| (tid, id)).collect();
+        assert_eq!(taken(&mut sub), acknowledged);
+        assert_eq!((b.backlog(), b.congestion_level()), (0, 0));
+        let out = b.on_tick(1);
+        assert_eq!(out, [(1, Packet::CongestionAdvisory { level: 0 })]);
+        let out = publish(&mut b, 1, tid, QoS::ExactlyOnce, 8, 8);
+        assert_eq!(out, [(1, Packet::PubRec { msg_id: 8 })]);
     }
 
     #[test]

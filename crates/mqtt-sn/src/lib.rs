@@ -16,6 +16,9 @@
 //! * [`broker`] — a *sans-io* broker (the paper uses Eclipse RSMB):
 //!   sessions, topic registry, subscription matching, QoS 2 exactly-once
 //!   inbound handling, and outbound QoS state machines per subscriber;
+//! * [`local`] — gateway-local subscriptions: a subscriber in the
+//!   gateway's own process takes accepted publishes from a bounded queue,
+//!   with no second MQTT-SN leg;
 //! * `qos` (private) — the QoS 1/2 delivery machine both of them run: one
 //!   transition table, one retransmit-or-expire pass, one QoS 2 dedup
 //!   window, so the delivery guarantee is written down once;
@@ -34,6 +37,7 @@
 
 pub mod broker;
 pub mod client;
+pub mod local;
 pub mod net;
 pub mod packet;
 mod qos;
@@ -43,6 +47,7 @@ pub mod topic;
 
 pub use broker::{Broker, BrokerConfig};
 pub use client::{Client, ClientConfig, ClientEvent, ClientState};
+pub use local::{LocalMessage, LocalSubscription};
 pub use net::{
     DatagramFate, DatagramFault, FaultDir, GatewayBuilder, NetError, ReconnectPolicy, UdpBroker,
     UdpClient,

@@ -9,6 +9,7 @@
 
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
+use crate::local::LocalSubscription;
 use crate::packet::{msg_type, Packet, PacketRef, QoS, TopicRef};
 use crate::router::{shard_for_client, SharedRouter};
 use crate::shard::{ForwardFabric, ForwardFrame};
@@ -699,6 +700,13 @@ impl UdpBroker {
         brokers.map(|broker| *broker.lock().stats()).collect()
     }
 
+    /// Active (awake) MQTT-SN sessions across all shards. A local
+    /// subscription is not one.
+    pub fn session_count(&self) -> usize {
+        let brokers = self.shared.brokers.iter();
+        brokers.map(|broker| broker.lock().session_count()).sum()
+    }
+
     /// Total buffered-message backlog across all shards — the input to
     /// the congestion watermarks. A lagging subscriber (e.g. a slow
     /// translator) shows up here first.
@@ -724,6 +732,24 @@ impl UdpBroker {
         levels.max().unwrap_or(0)
     }
 
+    /// Subscribes a consumer living in this process to `filter`: every
+    /// shard pushes the publishes it accepts on a matching topic straight
+    /// into the one queue the returned subscription reads (see
+    /// [`Broker::subscribe_local`]) — per-publisher order kept, nothing
+    /// forwarded across shards on its account, and each shard counting
+    /// the queue's depth in its own backlog. The queue is closed when the
+    /// gateway stops, and is not part of a snapshot: subscribe again
+    /// after [`GatewayBuilder::resume_from`].
+    pub fn subscribe_local(&self, filter: &str) -> Result<LocalSubscription, Error> {
+        // A gateway has at least one shard (builder and snapshot agree).
+        let brokers = &self.shared.brokers;
+        let subscription = brokers[0].lock().subscribe_local(filter)?;
+        for broker in &brokers[1..] {
+            broker.lock().attach_local(Arc::clone(subscription.queue()));
+        }
+        Ok(subscription)
+    }
+
     /// Serializes the gateway to `path` as one consistent cut over all
     /// shards (`PVSH`), checksummed and written atomically (temp file +
     /// rename), so a crash mid-snapshot leaves the previous file intact.
@@ -741,9 +767,24 @@ impl UdpBroker {
         written
     }
 
-    /// Stops every serve thread.
+    /// Stops every serve thread and drops the gateway.
     pub fn shutdown(mut self) {
         self.stop();
+    }
+
+    /// Stops every serve thread, then closes the local subscriptions: a
+    /// consumer still finds every publish the gateway acknowledged in its
+    /// queue, followed by the end of the stream. Counters stay readable;
+    /// calling it again does nothing.
+    pub fn stop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+        self.shared.settle_fabric();
+        for broker in &self.shared.brokers {
+            broker.lock().close_locals();
+        }
     }
 
     /// Stops every serve thread, then snapshots the *final* state to
@@ -758,14 +799,6 @@ impl UdpBroker {
     pub fn shutdown_to_file(mut self, path: impl AsRef<Path>) -> io::Result<()> {
         self.stop();
         self.snapshot_to_file(path)
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        self.shared.settle_fabric();
     }
 }
 
@@ -1186,6 +1219,8 @@ pub struct UdpClient {
     /// Reused for every outbound packet so the publish path does not
     /// allocate a fresh wire buffer per datagram.
     write_buf: Vec<u8>,
+    /// Receive buffer, one datagram at a time.
+    rbuf: Vec<u8>,
     /// Chaos seam (see [`UdpClient::set_fault`]); `None` in production.
     fault: Option<Arc<dyn DatagramFault>>,
     /// Datagrams held back by an injected delay, with release deadlines.
@@ -1210,6 +1245,7 @@ impl UdpClient {
             start: Instant::now(),
             events: VecDeque::new(),
             write_buf: Vec::new(),
+            rbuf: vec![0u8; SLOT],
             fault: None,
             held_in: Vec::new(),
             held_out: Vec::new(),
@@ -1312,37 +1348,27 @@ impl UdpClient {
         Ok(())
     }
 
-    /// Pumps the socket once (bounded by the socket read timeout) and runs
-    /// timers. Surfaced events accumulate in the internal queue.
+    /// One wakeup, shaped like the gateway's `SocketReader::read_batch`:
+    /// a blocking `recv` (bounded by the socket read timeout), then a
+    /// non-blocking drain of whatever else has queued, up to
+    /// [`SERVE_BATCH`], then one pass over the timers. Every QoS 2 publish
+    /// brings two replies; reading one per wakeup lets them pile up in the
+    /// socket buffer until it overflows and the lost ones cost a `Tretry`.
+    /// Surfaced events accumulate in the internal queue.
     pub fn pump(&mut self) -> Result<(), NetError> {
         if self.fault.is_some() {
             self.release_held()?;
         }
-        let mut buf = [0u8; 64 * 1024];
-        match self.socket.recv(&mut buf) {
+        match self.socket.recv(&mut self.rbuf) {
             Ok(n) => {
-                let fate = match &self.fault {
-                    Some(f) => f.fate(FaultDir::Inbound, &buf[..n]),
-                    None => DatagramFate::Deliver,
-                };
-                let deliveries = match fate {
-                    DatagramFate::Deliver => 1,
-                    DatagramFate::Drop => 0,
-                    DatagramFate::Duplicate => 2,
-                    DatagramFate::Delay(dur) => {
-                        self.held_in.push((Instant::now() + dur, buf[..n].to_vec()));
-                        0
-                    }
-                };
-                for _ in 0..deliveries {
-                    let now = self.now();
-                    // Borrowed decode: inbound PUBLISH payloads are copied
-                    // once into a pooled buffer, not a fresh Vec (malformed
-                    // datagrams are dropped, as before).
-                    if let Ok(outputs) = self.client.on_datagram(&buf[..n], now) {
-                        self.dispatch(outputs)?;
-                    }
-                }
+                self.admit(n)?;
+                self.socket.set_nonblocking(true)?;
+                let drained = self.drain();
+                // A socket left non-blocking would turn every later pump
+                // into a spin, so a failed restore surfaces like any other
+                // socket error: the caller reconnects on a fresh socket.
+                self.socket.set_nonblocking(false)?;
+                drained?;
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
@@ -1352,6 +1378,47 @@ impl UdpClient {
         let now = self.now();
         let outputs = self.client.on_tick(now);
         self.dispatch(outputs)?;
+        Ok(())
+    }
+
+    /// Reads what is already queued on the (non-blocking) socket.
+    fn drain(&mut self) -> Result<(), NetError> {
+        for _ in 1..SERVE_BATCH {
+            match self.socket.recv(&mut self.rbuf) {
+                Ok(n) => self.admit(n)?,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the datagram in `rbuf[..n]` through the inbound fault fate
+    /// (chaos only) and the state machine.
+    fn admit(&mut self, n: usize) -> Result<(), NetError> {
+        let fate = match &self.fault {
+            Some(f) => f.fate(FaultDir::Inbound, &self.rbuf[..n]),
+            None => DatagramFate::Deliver,
+        };
+        let deliveries = match fate {
+            DatagramFate::Deliver => 1,
+            DatagramFate::Drop => 0,
+            DatagramFate::Duplicate => 2,
+            DatagramFate::Delay(dur) => {
+                self.held_in
+                    .push((Instant::now() + dur, self.rbuf[..n].to_vec()));
+                0
+            }
+        };
+        for _ in 0..deliveries {
+            let now = self.now();
+            // Borrowed decode: inbound PUBLISH payloads are copied once
+            // into a pooled buffer, not a fresh Vec (malformed datagrams
+            // are dropped).
+            if let Ok(outputs) = self.client.on_datagram(&self.rbuf[..n], now) {
+                self.dispatch(outputs)?;
+            }
+        }
         Ok(())
     }
 
@@ -2303,6 +2370,56 @@ mod tests {
         assert_eq!(merged.cross_shard_forwards, 4);
         assert_eq!(merged.duplicates_suppressed, 0);
         gw.shutdown();
+    }
+
+    #[test]
+    fn every_shard_pushes_into_one_local_subscription() {
+        const SHARDS: usize = 4;
+        const EACH: u8 = 8;
+        let gw = sharded(SHARDS);
+        let mut sub = gw.subscribe_local("loc/#").unwrap();
+        // One publisher pinned to each shard, by probing client ids.
+        let ids = (0..SHARDS).map(|shard| {
+            let mut probes = (0..256).map(|i| format!("locdev{i}"));
+            probes.find(|id| gw.shard_of(id) == shard).unwrap()
+        });
+        let mut publishers: Vec<(u16, UdpClient)> = ids
+            .enumerate()
+            .map(|(shard, id)| {
+                let config = ClientConfig::new(id);
+                let mut c = UdpClient::connect(gw.local_addr(), config, timeout()).unwrap();
+                let tid = c.register(&format!("loc/dev{shard}"), timeout()).unwrap();
+                (tid, c)
+            })
+            .collect();
+        for seq in 0..EACH {
+            for (tid, publisher) in &mut publishers {
+                publisher
+                    .publish(*tid, vec![seq], QoS::ExactlyOnce, timeout())
+                    .unwrap();
+            }
+        }
+        // A publish is queued before its acknowledgement is sent, so
+        // everything acknowledged is there to take without waiting.
+        let mut batch = Vec::new();
+        sub.try_recv(&mut batch);
+        for (tid, _) in &publishers {
+            let of_publisher = batch.iter().filter(|m| m.topic_id == *tid);
+            let seqs: Vec<u8> = of_publisher.map(|m| m.payload[0]).collect();
+            assert_eq!(seqs, (0..EACH).collect::<Vec<_>>(), "once each, in order");
+        }
+        assert_eq!(batch.len(), SHARDS * EACH as usize);
+        let merged = gw.stats();
+        assert_eq!(merged.publishes_in, (SHARDS * EACH as usize) as u64);
+        assert_eq!(merged.publishes_out, merged.publishes_in);
+        assert_eq!(merged.cross_shard_forwards, 0, "no shard forwards for it");
+        assert!(gw
+            .shard_stats()
+            .iter()
+            .all(|s| s.publishes_out == EACH as u64));
+        assert_eq!(gw.session_count(), SHARDS, "the publishers' only");
+        gw.shutdown();
+        assert!(!sub.recv(&mut batch), "a stopped gateway ends the stream");
     }
 
     #[test]

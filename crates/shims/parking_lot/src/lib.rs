@@ -37,17 +37,20 @@ pub mod rank {
     /// per-shard broker lock shares this rank and siblings are swept in
     /// ascending address order.
     pub const BROKER: u32 = 1;
+    /// Queue of a gateway-local subscription (`mqtt-sn::local`): pushed
+    /// under a broker lock, popped by its consumer with no other lock held.
+    pub const INBOX: u32 = 2;
     /// Server-side translator (`core::server`, `continuum`).
-    pub const TRANSLATOR: u32 = 2;
+    pub const TRANSLATOR: u32 = 3;
     /// Legacy single-store handle (`prov-store::store`).
-    pub const STORE: u32 = 3;
+    pub const STORE: u32 = 4;
     /// One shard of a `ShardedStore`; siblings share the rank and are
     /// ordered by address.
-    pub const SHARD: u32 = 4;
+    pub const SHARD: u32 = 5;
     /// Capture-side record grouper (`core::client`).
-    pub const GROUPER: u32 = 5;
+    pub const GROUPER: u32 = 6;
     /// Transmitter batch pool (`core::transmitter`).
-    pub const POOL: u32 = 6;
+    pub const POOL: u32 = 7;
 }
 
 #[cfg(debug_assertions)]
@@ -156,7 +159,7 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard {
             #[cfg(debug_assertions)]
             _held: held,
-            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
+            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
     }
 
@@ -173,13 +176,84 @@ impl<T: ?Sized> Mutex<T> {
         Some(MutexGuard {
             #[cfg(debug_assertions)]
             _held: order::acquire(self as *const Self as *const () as usize, self.rank),
-            inner,
+            inner: Some(inner),
         })
     }
 
     /// Mutable access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Guard of a [`Mutex`], carrying the debug-build lock-order registration.
+pub struct MutexGuard<'a, T: ?Sized> {
+    #[cfg(debug_assertions)]
+    _held: order::Held,
+    /// `None` only inside [`Condvar::wait`], which hands the `std` guard to
+    /// the `std` condition variable by value and puts the one it gets back
+    /// here before returning.
+    inner: Option<sync::MutexGuard<'a, T>>,
+}
+
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.inner.as_deref().expect("guard held outside a wait")
+    }
+}
+
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.inner
+            .as_deref_mut()
+            .expect("guard held outside a wait")
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// A condition variable paired with a [`Mutex`]. The waiting thread keeps
+/// its lock-order registration while blocked: it owns the lock again by
+/// the time `wait` returns.
+#[derive(Debug, Default)]
+pub struct Condvar {
+    inner: sync::Condvar,
+}
+
+impl Condvar {
+    /// Creates a condition variable.
+    pub const fn new() -> Self {
+        Condvar {
+            inner: sync::Condvar::new(),
+        }
+    }
+
+    /// Releases the guard's lock, blocks until notified, and reacquires
+    /// it. Wake-ups can be spurious: call it in a loop on the condition.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let held = guard.inner.take().expect("guard held outside a wait");
+        guard.inner = Some(self.inner.wait(held).unwrap_or_else(|e| e.into_inner()));
+    }
+
+    /// Wakes one waiting thread, if any.
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+
+    /// Wakes every waiting thread.
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
     }
 }
 
@@ -291,7 +365,6 @@ macro_rules! guard {
     (@mut false, $name:ident) => {};
 }
 
-guard!(MutexGuard, mutable: true);
 guard!(RwLockReadGuard, mutable: false);
 guard!(RwLockWriteGuard, mutable: true);
 
@@ -306,6 +379,27 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn condvar_hands_the_lock_over_and_back() {
+        let state = std::sync::Arc::new((Mutex::with_rank(rank::INBOX, 0u32), Condvar::new()));
+        let waiter = {
+            let state = std::sync::Arc::clone(&state);
+            std::thread::spawn(move || {
+                let (lock, ready) = &*state;
+                let mut value = lock.lock();
+                while *value == 0 {
+                    ready.wait(&mut value);
+                }
+                *value += 1;
+                *value
+            })
+        };
+        *state.0.lock() = 41;
+        state.1.notify_all();
+        assert_eq!(waiter.join().unwrap(), 42);
+        assert_eq!(*state.0.lock(), 42);
     }
 
     #[test]

@@ -102,6 +102,36 @@ fn four_devices_capture_in_parallel() {
     manager.shutdown();
 }
 
+/// The structural guard that the server does not talk to itself: the
+/// translator takes publishes from the gateway in-process, so the only
+/// MQTT-SN sessions the broker ever holds are the devices'.
+#[test]
+fn only_devices_hold_broker_sessions() {
+    let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+    assert_eq!(manager.broker_sessions(), 0, "no loopback subscriber");
+    let client = ProvLightClient::connect(
+        manager.broker_addr(),
+        "device-s",
+        "provlight/test/device-s",
+        CaptureConfig::default(),
+    )
+    .expect("connect");
+    assert_eq!(manager.broker_sessions(), 1, "the device, and only it");
+    let wf = client.session().workflow(77u64);
+    wf.begin().unwrap();
+    wf.end().unwrap();
+    client.flush().unwrap();
+    client.shutdown();
+    // The flush returned once the gateway had acknowledged; shutdown lets
+    // the translator finish what was acknowledged, so nothing to wait for.
+    let store = manager.store().clone();
+    let broker = manager.broker_stats();
+    manager.shutdown();
+    assert_eq!(store.stats().records, 2);
+    assert_eq!(broker.publishes_out, broker.publishes_in);
+    assert_eq!(broker.retransmissions, 0);
+}
+
 #[test]
 fn grouping_policies_deliver_identical_content() {
     for (name, group) in [

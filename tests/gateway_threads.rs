@@ -1,13 +1,14 @@
 //! What a gateway costs in OS threads: one for the default single shard
 //! (its serve loop reads the socket itself), `n + 1` for `n > 1` shards
 //! (the routing front plus one loop each). `ProvenanceManager::start`
-//! depends on the first number — the benchmark tells its gateway thread
-//! from its translator thread by it — so it is pinned here.
+//! adds exactly two — the gateway's, then the translator's; the benchmark
+//! tells them apart by that order — so both are pinned here.
 //!
 //! This binary holds exactly one test: thread counting reads
 //! `/proc/self/task`, which any concurrently running test would disturb.
 #![cfg(target_os = "linux")]
 
+use provlight::continuum::deployment::ProvenanceManager;
 use provlight::mqtt_sn::broker::BrokerConfig;
 use provlight::mqtt_sn::net::UdpBroker;
 use std::time::{Duration, Instant};
@@ -44,4 +45,11 @@ fn gateway_spawns_one_thread_per_shard_plus_a_front_only_when_sharded() {
         gateway.shutdown();
         assert!(settles_at(idle), "shutdown joins every thread");
     }
+
+    // The whole server: the gateway's one thread and one translator
+    // blocked on its queue — no client socket, no thread of its own for it.
+    let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+    assert_eq!(os_threads() - idle, 2, "gateway + translator");
+    manager.shutdown();
+    assert!(settles_at(idle), "shutdown joins every thread");
 }

@@ -408,6 +408,107 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     assert_eq!(shard1.stats().publishes_in, 0, "delivery is not re-ingest");
 }
 
+/// Local delivery steady state: a QoS 2 publish handed to a gateway-local
+/// subscription — borrowed decode, dedup, push into the queue in a pooled
+/// buffer, PUBREC/PUBCOMP out — and the consumer's side of it — take the
+/// batch, give the buffers back — must perform **zero** heap allocations
+/// per message once the queue, the batch and the buffer pool are warm.
+#[test]
+fn steady_state_local_delivery_allocates_zero_per_message() {
+    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
+    use provlight::mqtt_sn::packet::{encode_publish_into, Packet, QoS, TopicRef};
+
+    let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
+    let publisher = 0u32;
+    broker.on_packet(
+        0,
+        publisher,
+        Packet::Connect {
+            clean_session: true,
+            duration: 60,
+            client_id: "dev".into(),
+        },
+    );
+    let out = broker.on_packet(
+        0,
+        publisher,
+        Packet::Register {
+            topic_id: 0,
+            msg_id: 1,
+            topic_name: "provlight/z/dev".into(),
+        },
+    );
+    let tid = match out[0].1 {
+        Packet::RegAck { topic_id, .. } => topic_id,
+        ref p => panic!("unexpected {p:?}"),
+    };
+    let mut sub = broker.subscribe_local("provlight/#").unwrap();
+
+    const BURST: usize = 4;
+    let payload = vec![0x5c; 100];
+    let mut out = BrokerOutputs::new();
+    let mut wire = Vec::new();
+    let mut batch = Vec::new();
+    let mut msg_id = 0u16;
+
+    // One full cycle: a burst of publishes under fresh message ids, each
+    // with its PUBREL (PUBREC and PUBCOMP out, message queued), then the
+    // consumer takes the burst — which also returns the previous burst's
+    // buffers.
+    let mut cycle = |broker: &mut Broker<u32>, now: u64| {
+        for _ in 0..BURST {
+            msg_id = msg_id.checked_add(1).unwrap_or(1);
+            wire.clear();
+            let topic = TopicRef::Id(tid);
+            encode_publish_into(
+                false,
+                QoS::ExactlyOnce,
+                false,
+                &topic,
+                msg_id,
+                &payload,
+                &mut wire,
+            );
+            out.clear();
+            let forwarded = broker.on_datagram_into(now, publisher, &wire, &mut out);
+            assert_eq!(forwarded, Ok(true), "first receipt");
+            assert_eq!(out.len(), 1, "PUBREC only: nothing is encoded for a local");
+            wire.clear();
+            Packet::PubRel { msg_id }.encode_into(&mut wire);
+            out.clear();
+            let forwarded = broker.on_datagram_into(now, publisher, &wire, &mut out);
+            assert_eq!((forwarded, out.len()), (Ok(false), 1), "PUBCOMP");
+        }
+        sub.try_recv(&mut batch);
+        assert_eq!(batch.len(), BURST);
+        assert!(batch
+            .iter()
+            .all(|m| m.topic_id == tid && m.payload == payload));
+    };
+
+    for i in 0..64u64 {
+        cycle(&mut broker, i);
+    }
+    let iterations = 1024u64;
+    let before = allocations();
+    for i in 0..iterations {
+        cycle(&mut broker, 64 + i);
+    }
+    let allocs = allocations() - before;
+    let messages = iterations * BURST as u64;
+    assert!(
+        allocs == 0,
+        "steady state performed {allocs} allocations over {messages} messages \
+         ({:.4} allocs/message); local delivery must be allocation-free",
+        allocs as f64 / messages as f64
+    );
+    let published = (64 + iterations) * BURST as u64;
+    assert_eq!(broker.stats().publishes_in, published);
+    assert_eq!(broker.stats().publishes_out, published);
+    assert_eq!(broker.stats().duplicates_suppressed, 0);
+    assert_eq!(broker.backlog(), 0);
+}
+
 /// The legacy allocating path, measured the same way, is decidedly not
 /// allocation-free — guarding against the zero assertion above passing
 /// vacuously (e.g. a broken counter).
