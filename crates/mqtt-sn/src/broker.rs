@@ -166,6 +166,19 @@ struct PublishPatch {
     msg_id: u16,
 }
 
+impl PublishPatch {
+    fn apply(&self, wire: &mut [u8]) {
+        wire[self.flags_at] = self.flags;
+        wire[self.msg_id_at..self.msg_id_at + 2].copy_from_slice(&self.msg_id.to_be_bytes());
+    }
+}
+
+/// Largest datagram [`BrokerOutputs::emit_merged`] builds out of several
+/// messages: what fits any IPv6 path unfragmented (1280-byte minimum MTU
+/// less IP and UDP headers), so merging acknowledgements never turns one
+/// lost fragment into many lost messages.
+const MERGED_DATAGRAM_MAX: usize = 1232;
+
 impl<A> BrokerOutputs<A> {
     /// Creates an empty output buffer (allocates lazily on first use).
     pub fn new() -> Self {
@@ -200,10 +213,46 @@ impl<A> BrokerOutputs<A> {
         // lint: zero-alloc-begin
         for op in &self.sends {
             if let Some(p) = &op.patch {
-                self.wire[p.flags_at] = p.flags;
-                self.wire[p.msg_id_at..p.msg_id_at + 2].copy_from_slice(&p.msg_id.to_be_bytes());
+                p.apply(&mut self.wire);
             }
             f(&op.to, &self.wire[op.range.start..op.range.end]);
+        }
+        // lint: zero-alloc-end
+    }
+
+    /// [`BrokerOutputs::emit`] for a transport whose peers split datagrams
+    /// with [`crate::packet::frames`]: consecutive unpatched messages to
+    /// one destination — the acknowledgements and control replies of one
+    /// batch, which lie back to back in the wire buffer — are yielded as
+    /// one datagram of up to 1232 bytes (`MERGED_DATAGRAM_MAX`). A fan-out
+    /// PUBLISH (always patched) is never merged, so a subscriber that is
+    /// not ours still gets one message per datagram.
+    pub fn emit_merged(&mut self, mut f: impl FnMut(&A, &[u8]))
+    where
+        A: PartialEq,
+    {
+        // lint: zero-alloc-begin
+        let mut next = 0;
+        while let Some(op) = self.sends.get(next) {
+            next += 1;
+            let mut end = op.range.end;
+            match &op.patch {
+                Some(p) => p.apply(&mut self.wire),
+                None => {
+                    while let Some(more) = self.sends.get(next) {
+                        let rides = more.patch.is_none()
+                            && more.to == op.to
+                            && more.range.start == end
+                            && more.range.end - op.range.start <= MERGED_DATAGRAM_MAX;
+                        if !rides {
+                            break;
+                        }
+                        end = more.range.end;
+                        next += 1;
+                    }
+                }
+            }
+            f(&op.to, &self.wire[op.range.start..end]);
         }
         // lint: zero-alloc-end
     }
@@ -550,6 +599,16 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// server-side lag propagates back to the gateway's congestion signal.
     pub fn backlog(&self) -> usize {
         self.backlog_scan().0
+    }
+
+    /// [`Broker::backlog`] in its two parts: what this broker's sessions
+    /// hold, and what is queued for local subscriptions. The shards of one
+    /// gateway share those queues, so a total over shards takes the second
+    /// part from one of them only.
+    pub(crate) fn backlog_parts(&self) -> (usize, usize) {
+        let sessions = self.sessions.values();
+        let held: usize = sessions.map(|s| s.buffered.len() + s.out.len()).sum();
+        (held, self.locals.iter().map(|q| q.depth()).sum())
     }
 
     fn level_from(&self, total: usize, worst_session: usize) -> u8 {
@@ -2920,6 +2979,84 @@ mod tests {
 
         b.note_io_errors(3);
         assert_eq!(b.stats().io_errors, 3);
+    }
+
+    /// What `emit_merged` yields, each datagram split back into packets.
+    fn merged_datagrams(out: &mut BrokerOutputs<Addr>) -> Vec<(Addr, Vec<Packet>)> {
+        let mut datagrams = Vec::new();
+        out.emit_merged(|to, bytes| {
+            assert!(bytes.len() <= MERGED_DATAGRAM_MAX);
+            let split = crate::packet::frames(bytes).map(|f| Packet::decode(f).unwrap());
+            datagrams.push((*to, split.collect()));
+        });
+        datagrams
+    }
+
+    #[test]
+    fn emit_merged_joins_consecutive_replies_to_one_destination() {
+        let mut b = broker();
+        connect(&mut b, 1, "pub");
+        connect(&mut b, 2, "sub");
+        connect(&mut b, 3, "other");
+        let tid = register(&mut b, 1, "t/merge");
+        let publish = |qos, msg_id| {
+            Packet::Publish {
+                dup: false,
+                qos,
+                retain: false,
+                topic: TopicRef::Id(tid),
+                msg_id,
+                payload: vec![0x42; 64],
+            }
+            .encode()
+        };
+        let pubrel = Packet::PubRel { msg_id: 5 }.encode();
+        let ping = Packet::PingReq.encode();
+
+        // The bundle a device sends, then someone else's traffic.
+        let mut out = BrokerOutputs::new();
+        b.on_datagram_into(0, 1, &pubrel, &mut out).unwrap();
+        let accepted = b.on_datagram_into(0, 1, &publish(QoS::ExactlyOnce, 6), &mut out);
+        assert_eq!(accepted, Ok(true));
+        b.on_datagram_into(0, 3, &ping, &mut out).unwrap();
+        b.on_datagram_into(0, 1, &ping, &mut out).unwrap();
+        assert_eq!(
+            merged_datagrams(&mut out),
+            [
+                (
+                    1,
+                    vec![Packet::PubComp { msg_id: 5 }, Packet::PubRec { msg_id: 6 }]
+                ),
+                (3, vec![Packet::PingResp]),
+                (1, vec![Packet::PingResp]),
+            ]
+        );
+        // The one-message surface still yields one message per datagram.
+        assert_eq!(out.packets().len(), 4);
+
+        // A fan-out PUBLISH is patched: it travels alone and ends the run.
+        subscribe(&mut b, 2, "t/merge", QoS::AtLeastOnce);
+        out.clear();
+        b.on_datagram_into(1, 1, &publish(QoS::AtLeastOnce, 7), &mut out)
+            .unwrap();
+        b.on_datagram_into(1, 1, &ping, &mut out).unwrap();
+        let datagrams = merged_datagrams(&mut out);
+        let shape: Vec<(Addr, usize)> = datagrams.iter().map(|(to, p)| (*to, p.len())).collect();
+        assert_eq!(shape, [(1, 1), (2, 1), (1, 1)]);
+        assert!(matches!(
+            datagrams[1].1[0],
+            Packet::Publish { msg_id: 1, .. }
+        ));
+
+        // A long run is cut at the size cap, never dropped or reordered.
+        out.clear();
+        for _ in 0..MERGED_DATAGRAM_MAX {
+            b.on_datagram_into(2, 1, &ping, &mut out).unwrap();
+        }
+        let datagrams = merged_datagrams(&mut out);
+        assert_eq!(datagrams.len(), 2, "2 bytes each: twice the cap in all");
+        let total: usize = datagrams.iter().map(|(_, p)| p.len()).sum();
+        assert_eq!(total, MERGED_DATAGRAM_MAX);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
 use crate::local::LocalSubscription;
-use crate::packet::{msg_type, Packet, PacketRef, QoS, TopicRef};
+use crate::packet::{frames, msg_type, Packet, PacketRef, QoS, TopicRef};
 use crate::router::{shard_for_client, SharedRouter};
 use crate::shard::{ForwardFabric, ForwardFrame};
 use crate::Error;
@@ -97,6 +97,11 @@ fn release_due(held: &mut HeldFrames, mut release: impl FnMut(SocketAddr, &[u8])
 const SERVE_BATCH: usize = 32;
 /// Receive-buffer size: the largest datagram MQTT-SN over UDP can carry.
 const SLOT: usize = 64 * 1024;
+/// Largest payload a UDP datagram carries over IPv4 (65 535 less the IP
+/// and UDP headers).
+const UDP_PAYLOAD_MAX: usize = 65_507;
+/// Encoded size of a PUBREL: length, type, message id.
+const PUBREL_LEN: usize = 4;
 /// Slots per shard ingress ring and per directed cross-shard forwarding
 /// ring. Bounded memory: a full ring is an accounted drop, never a block.
 const SHARD_RING: usize = 1024;
@@ -142,9 +147,10 @@ impl SocketReader {
     /// read timeout, so shutdown and timers stay responsive), then a
     /// non-blocking drain of whatever else has queued, up to
     /// [`SERVE_BATCH`]. Every datagram the fault plan lets through goes
-    /// to `deliver`, expired injected delays first (a released frame is
-    /// older than anything just read). Returns the transient socket
-    /// errors seen.
+    /// to `deliver` one MQTT-SN message at a time (see
+    /// [`SocketReader::split`]), expired injected delays first (a released
+    /// datagram is older than anything just read). Returns the transient
+    /// socket errors seen.
     fn read_batch(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> u64 {
         let mut io_errors = 0;
         if self.nonblocking {
@@ -155,7 +161,9 @@ impl SocketReader {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        release_due(&mut self.held_in, &mut deliver);
+        release_due(&mut self.held_in, |from, datagram| {
+            Self::split(from, datagram, &mut deliver)
+        });
         match self.socket.recv_from(&mut self.rbuf) {
             Ok((len, from)) => {
                 self.admit(len, from, &mut deliver);
@@ -193,25 +201,38 @@ impl SocketReader {
     }
 
     /// Applies the inbound fault fate (chaos only) to the datagram in
-    /// `rbuf[..len]`.
+    /// `rbuf[..len]`, then splits what is let through.
     fn admit(&mut self, len: usize, from: SocketAddr, deliver: &mut impl FnMut(SocketAddr, &[u8])) {
-        let bytes = &self.rbuf[..len];
+        let datagram = &self.rbuf[..len];
         match self
             .fault
             .as_deref()
-            .map(|f| f.fate(FaultDir::Inbound, bytes))
+            .map(|f| f.fate(FaultDir::Inbound, datagram))
         {
-            None | Some(DatagramFate::Deliver) => deliver(from, bytes),
+            None | Some(DatagramFate::Deliver) => Self::split(from, datagram, deliver),
             Some(DatagramFate::Drop) => {}
             Some(DatagramFate::Duplicate) => {
-                deliver(from, bytes);
-                deliver(from, bytes);
+                Self::split(from, datagram, deliver);
+                Self::split(from, datagram, deliver);
             }
             Some(DatagramFate::Delay(dur)) => {
                 self.held_in
-                    .push((Instant::now() + dur, from, bytes.to_vec()))
+                    .push((Instant::now() + dur, from, datagram.to_vec()))
             }
         }
+    }
+
+    /// Where datagrams stop and messages start: hands each MQTT-SN message
+    /// of an admitted datagram to `deliver` on its own, so routing, the
+    /// ingress rings and the broker see one message at a time whatever the
+    /// sender bundled. A tail that is no message goes on as it is, to be
+    /// counted as one decode error like a datagram of garbage.
+    fn split(from: SocketAddr, datagram: &[u8], deliver: &mut impl FnMut(SocketAddr, &[u8])) {
+        // lint: zero-alloc-begin
+        for frame in frames(datagram) {
+            deliver(from, frame);
+        }
+        // lint: zero-alloc-end
     }
 }
 
@@ -224,9 +245,11 @@ struct Emitter {
 }
 
 impl Emitter {
-    /// Sends every datagram in `out` — subject to the outbound fault fate
-    /// (chaos only) — plus any held datagram now due, and clears `out`.
-    /// Returns the sends that failed.
+    /// Sends everything in `out` — replies of this batch to one device
+    /// merged into one datagram (see [`BrokerOutputs::emit_merged`]), each
+    /// datagram subject to the outbound fault fate (chaos only) — plus any
+    /// held datagram now due, and clears `out`. Returns the sends that
+    /// failed.
     fn flush(&mut self, out: &mut BrokerOutputs<SocketAddr>) -> u64 {
         let Emitter {
             socket,
@@ -239,8 +262,8 @@ impl Emitter {
                 io_errors += 1;
             }
         };
-        out.emit(
-            |to, bytes| match fault.as_deref().map(|f| f.fate(FaultDir::Outbound, bytes)) {
+        out.emit_merged(|to, bytes| {
+            match fault.as_deref().map(|f| f.fate(FaultDir::Outbound, bytes)) {
                 None | Some(DatagramFate::Deliver) => send(*to, bytes),
                 Some(DatagramFate::Drop) => {}
                 Some(DatagramFate::Duplicate) => {
@@ -250,8 +273,8 @@ impl Emitter {
                 Some(DatagramFate::Delay(dur)) => {
                     held_out.push((Instant::now() + dur, *to, bytes.to_vec()))
                 }
-            },
-        );
+            }
+        });
         out.clear();
         release_due(held_out, &mut send);
         io_errors
@@ -374,7 +397,12 @@ impl Ingress<'_> {
     /// Returns processed frames to where the next `fill` takes them from.
     fn recycle(&mut self, batch: &mut Vec<IngressFrame>) {
         match self {
-            Ingress::Socket { spare, .. } => spare.append(batch),
+            Ingress::Socket { spare, .. } => {
+                spare.append(batch);
+                // A datagram may be thousands of two-byte messages: what
+                // such a batch needed is not kept pooled for ever after.
+                spare.truncate(SHARD_RING);
+            }
             Ingress::Ring(ring) => {
                 for frame in batch.drain(..) {
                     let _ = ring.free.push(frame);
@@ -709,10 +737,15 @@ impl UdpBroker {
 
     /// Total buffered-message backlog across all shards — the input to
     /// the congestion watermarks. A lagging subscriber (e.g. a slow
-    /// translator) shows up here first.
+    /// translator) shows up here first. A local subscription's queue is
+    /// one queue however many shards push into it, and is counted once.
     pub fn backlog(&self) -> usize {
-        let brokers = self.shared.brokers.iter();
-        brokers.map(|broker| broker.lock().backlog()).sum()
+        let mut total = 0;
+        for (idx, broker) in self.shared.brokers.iter().enumerate() {
+            let (sessions, local_queues) = broker.lock().backlog_parts();
+            total += sessions + if idx == 0 { local_queues } else { 0 };
+        }
+        total
     }
 
     /// Per-shard buffered-message backlog, indexed by shard — the
@@ -1216,9 +1249,18 @@ pub struct UdpClient {
     client: Client,
     start: Instant,
     events: VecDeque<ClientEvent>,
-    /// Reused for every outbound packet so the publish path does not
+    /// Reused for every outbound datagram so the publish path does not
     /// allocate a fresh wire buffer per datagram.
     write_buf: Vec<u8>,
+    /// Encoded PUBRELs waiting for the next outbound datagram to ride in
+    /// front of, or for the next [`UdpClient::pump`] to send them alone. A
+    /// PUBREL moves no data — the gateway fanned the publish out when it
+    /// first saw it — so it can wait a moment for company; nothing else is
+    /// ever held.
+    held_acks: Vec<u8>,
+    /// Bytes `held_acks` may reach: one PUBREL per slot of the in-flight
+    /// window is all that live handshakes can owe.
+    held_cap: usize,
     /// Receive buffer, one datagram at a time.
     rbuf: Vec<u8>,
     /// Chaos seam (see [`UdpClient::set_fault`]); `None` in production.
@@ -1241,10 +1283,12 @@ impl UdpClient {
         let mut c = UdpClient {
             socket,
             broker,
+            held_cap: PUBREL_LEN * config.max_inflight.max(1),
             client: Client::new(config),
             start: Instant::now(),
             events: VecDeque::new(),
             write_buf: Vec::new(),
+            held_acks: Vec::new(),
             rbuf: vec![0u8; SLOT],
             fault: None,
             held_in: Vec::new(),
@@ -1279,41 +1323,90 @@ impl UdpClient {
     fn dispatch(&mut self, outputs: Vec<Output>) -> Result<(), NetError> {
         for o in outputs {
             match o {
-                Output::Send(p) => {
-                    self.write_buf.clear();
-                    p.encode_into(&mut self.write_buf);
-                    self.send_write_buf()?;
-                    // The packet's payload buffer is done (the state machine
-                    // keeps its own copy for QoS 1/2 retransmission) — feed
-                    // it back to the pool so QoS 0 publishes recycle too.
-                    if let Packet::Publish { payload, .. } = p {
-                        self.client.reclaim_payload(payload);
-                    }
-                }
+                Output::Send(p) => self.send_packet(p)?,
                 Output::Event(e) => self.events.push_back(e),
             }
         }
         Ok(())
     }
 
-    /// Sends `write_buf`, subject to the installed fault plan (if any).
-    fn send_write_buf(&mut self) -> Result<(), NetError> {
+    /// The one way a packet reaches the wire. A PUBREL is not sent but
+    /// held; anything else leaves at once, with the held PUBRELs in front
+    /// of it in the same datagram — except session control (CONNECT,
+    /// REGISTER, SUBSCRIBE, UNSUBSCRIBE), which always travels alone,
+    /// after the held PUBRELs have left on their own.
+    fn send_packet(&mut self, p: Packet) -> Result<(), NetError> {
+        if let Packet::PubRel { .. } = p {
+            if self.held_acks.len() >= self.held_cap {
+                self.release_acks()?;
+            }
+            // lint: zero-alloc-begin
+            p.encode_into(&mut self.held_acks);
+            // lint: zero-alloc-end
+            return Ok(());
+        }
+        let alone = matches!(
+            p,
+            Packet::Connect { .. }
+                | Packet::Register { .. }
+                | Packet::Subscribe { .. }
+                | Packet::Unsubscribe { .. }
+        );
+        if alone {
+            self.release_acks()?;
+        }
+        // lint: zero-alloc-begin
+        self.write_buf.clear();
+        self.write_buf.append(&mut self.held_acks);
+        let riders = self.write_buf.len();
+        p.encode_into(&mut self.write_buf);
+        // lint: zero-alloc-end
+        if self.write_buf.len() > UDP_PAYLOAD_MAX && riders > 0 {
+            // Together they exceed what UDP carries: two sends.
+            self.send_datagram(0..riders)?;
+            self.send_datagram(riders..self.write_buf.len())?;
+        } else {
+            self.send_datagram(0..self.write_buf.len())?;
+        }
+        // The packet's payload buffer is done (the state machine keeps its
+        // own copy for QoS 1/2 retransmission) — feed it back to the pool
+        // so QoS 0 publishes recycle too.
+        if let Packet::Publish { payload, .. } = p {
+            self.client.reclaim_payload(payload);
+        }
+        Ok(())
+    }
+
+    /// Sends the held PUBRELs now, as one datagram of their own.
+    fn release_acks(&mut self) -> Result<(), NetError> {
+        if self.held_acks.is_empty() {
+            return Ok(());
+        }
+        self.write_buf.clear();
+        self.write_buf.append(&mut self.held_acks);
+        self.send_datagram(0..self.write_buf.len())
+    }
+
+    /// Sends `write_buf[span]` as one datagram, subject to the installed
+    /// fault plan (if any).
+    fn send_datagram(&mut self, span: std::ops::Range<usize>) -> Result<(), NetError> {
+        let datagram = &self.write_buf[span];
         let fate = match &self.fault {
-            Some(f) => f.fate(FaultDir::Outbound, &self.write_buf),
+            Some(f) => f.fate(FaultDir::Outbound, datagram),
             None => DatagramFate::Deliver,
         };
         match fate {
             DatagramFate::Deliver => {
-                self.socket.send(&self.write_buf)?;
+                self.socket.send(datagram)?;
             }
             DatagramFate::Drop => {}
             DatagramFate::Duplicate => {
-                self.socket.send(&self.write_buf)?;
-                self.socket.send(&self.write_buf)?;
+                self.socket.send(datagram)?;
+                self.socket.send(datagram)?;
             }
             DatagramFate::Delay(dur) => {
                 self.held_out
-                    .push((Instant::now() + dur, self.write_buf.clone()));
+                    .push((Instant::now() + dur, datagram.to_vec()));
             }
         }
         Ok(())
@@ -1337,10 +1430,7 @@ impl UdpClient {
         while i < self.held_in.len() {
             if self.held_in[i].0 <= due {
                 let (_, bytes) = self.held_in.swap_remove(i);
-                let now = self.now();
-                if let Ok(outputs) = self.client.on_datagram(&bytes, now) {
-                    self.dispatch(outputs)?;
-                }
+                self.deliver(&bytes)?;
             } else {
                 i += 1;
             }
@@ -1351,11 +1441,20 @@ impl UdpClient {
     /// One wakeup, shaped like the gateway's `SocketReader::read_batch`:
     /// a blocking `recv` (bounded by the socket read timeout), then a
     /// non-blocking drain of whatever else has queued, up to
-    /// [`SERVE_BATCH`], then one pass over the timers. Every QoS 2 publish
-    /// brings two replies; reading one per wakeup lets them pile up in the
-    /// socket buffer until it overflows and the lost ones cost a `Tretry`.
-    /// Surfaced events accumulate in the internal queue.
+    /// [`SERVE_BATCH`], then one pass over the timers. A publisher with a
+    /// full window has a reply datagram on its way per message in flight;
+    /// reading one per wakeup lets them pile up in the socket buffer until
+    /// it overflows and the lost ones cost a `Tretry`. Surfaced events
+    /// accumulate in the internal queue.
+    ///
+    /// A PUBREL this pump produces stays held for the next outbound
+    /// datagram to carry. One still held when the next pump starts found
+    /// nothing to ride on and is sent alone before anything is read, so
+    /// the hold is bounded by the caller's pump period, never by traffic
+    /// that is not coming — and whoever blocks on a handshake does so by
+    /// pumping, so nobody waits for an acknowledgement that is held.
     pub fn pump(&mut self) -> Result<(), NetError> {
+        self.release_acks()?;
         if self.fault.is_some() {
             self.release_held()?;
         }
@@ -1377,8 +1476,7 @@ impl UdpClient {
         }
         let now = self.now();
         let outputs = self.client.on_tick(now);
-        self.dispatch(outputs)?;
-        Ok(())
+        self.dispatch(outputs)
     }
 
     /// Reads what is already queued on the (non-blocking) socket.
@@ -1410,12 +1508,23 @@ impl UdpClient {
                 0
             }
         };
-        for _ in 0..deliveries {
+        // Out of `self` while `deliver` borrows all of it; a swap, no copy.
+        let rbuf = std::mem::take(&mut self.rbuf);
+        let delivered = (0..deliveries).try_for_each(|_| self.deliver(&rbuf[..n]));
+        self.rbuf = rbuf;
+        delivered
+    }
+
+    /// Feeds an admitted datagram to the state machine one MQTT-SN message
+    /// at a time — the gateway answers a `[PUBREL, PUBLISH]` datagram with
+    /// a `[PUBCOMP, PUBREC]` one.
+    fn deliver(&mut self, datagram: &[u8]) -> Result<(), NetError> {
+        for frame in frames(datagram) {
             let now = self.now();
             // Borrowed decode: inbound PUBLISH payloads are copied once
-            // into a pooled buffer, not a fresh Vec (malformed datagrams
+            // into a pooled buffer, not a fresh Vec (malformed frames
             // are dropped).
-            if let Ok(outputs) = self.client.on_datagram(&self.rbuf[..n], now) {
+            if let Ok(outputs) = self.client.on_datagram(frame, now) {
                 self.dispatch(outputs)?;
             }
         }
@@ -1640,6 +1749,9 @@ impl UdpClient {
         socket.connect(self.broker)?;
         socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         self.socket = socket;
+        // PUBRELs held for the dead connection go with it: the resumed
+        // session re-emits the PUBREL of every handshake still in that phase.
+        self.held_acks.clear();
         let now = self.now();
         let outputs = self.client.reconnect(now);
         self.dispatch(outputs)?;
@@ -2400,9 +2512,15 @@ mod tests {
             }
         }
         // A publish is queued before its acknowledgement is sent, so
-        // everything acknowledged is there to take without waiting.
+        // everything acknowledged is there to take without waiting. Each
+        // shard weighs the whole queue in its own congestion decision; the
+        // gateway's total counts the one queue once.
+        let queued = SHARDS * EACH as usize;
+        assert_eq!(gw.shard_backlogs(), vec![queued; SHARDS]);
+        assert_eq!(gw.backlog(), queued);
         let mut batch = Vec::new();
         sub.try_recv(&mut batch);
+        assert_eq!(gw.backlog(), 0);
         for (tid, _) in &publishers {
             let of_publisher = batch.iter().filter(|m| m.topic_id == *tid);
             let seqs: Vec<u8> = of_publisher.map(|m| m.payload[0]).collect();
@@ -2428,6 +2546,252 @@ mod tests {
         assert_eq!(gw.congestion_level(), 0);
         assert_eq!(gw.backlog(), 0);
         assert_eq!(gw.shard_backlogs(), vec![0, 0]);
+        gw.shutdown();
+    }
+
+    /// A peer we did not write may put two PUBLISHes in one datagram: the
+    /// gateway splits it where it comes in, so both are delivered exactly
+    /// once and cross the shard boundary as two separate datagrams would.
+    fn two_publishes_in_one_datagram(shards: usize) {
+        let gw = sharded(shards);
+        let addr = gw.local_addr();
+        let mut sub = UdpClient::connect(addr, ClientConfig::new("bsub"), timeout()).unwrap();
+        sub.subscribe("bun/#", QoS::ExactlyOnce, timeout()).unwrap();
+        let pub_id = if shards > 1 {
+            client_on_other_shard("bdev", "bsub", shards)
+        } else {
+            "bdev".to_owned()
+        };
+
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.connect(addr).unwrap();
+        raw.set_read_timeout(Some(timeout())).unwrap();
+        let mut rbuf = [0u8; 256];
+        // Sends one datagram and reads until `expect` replies are in,
+        // however the gateway spread them over datagrams.
+        let mut exchange = |datagram: &[u8], expect: usize| -> Vec<Packet> {
+            raw.send(datagram).unwrap();
+            let mut replies = Vec::new();
+            while replies.len() < expect {
+                let n = raw.recv(&mut rbuf).unwrap();
+                replies.extend(frames(&rbuf[..n]).map(|f| Packet::decode(f).unwrap()));
+            }
+            replies
+        };
+        let connect = Packet::Connect {
+            clean_session: true,
+            duration: 60,
+            client_id: pub_id,
+        };
+        assert!(matches!(
+            exchange(&connect.encode(), 1)[..],
+            [Packet::ConnAck { .. }]
+        ));
+        let register = Packet::Register {
+            topic_id: 0,
+            msg_id: 1,
+            topic_name: "bun/dev".into(),
+        };
+        let tid = match exchange(&register.encode(), 1)[..] {
+            [Packet::RegAck { topic_id, .. }] => topic_id,
+            ref other => panic!("unexpected {other:?}"),
+        };
+        let publish = |msg_id: u16| Packet::Publish {
+            dup: false,
+            qos: QoS::ExactlyOnce,
+            retain: false,
+            topic: TopicRef::Id(tid),
+            msg_id,
+            payload: vec![msg_id as u8],
+        };
+        let mut bundle = publish(2).encode();
+        publish(3).encode_into(&mut bundle);
+        assert_eq!(
+            exchange(&bundle, 2),
+            [Packet::PubRec { msg_id: 2 }, Packet::PubRec { msg_id: 3 }]
+        );
+        let mut releases = Packet::PubRel { msg_id: 2 }.encode();
+        Packet::PubRel { msg_id: 3 }.encode_into(&mut releases);
+        assert_eq!(
+            exchange(&releases, 2),
+            [Packet::PubComp { msg_id: 2 }, Packet::PubComp { msg_id: 3 }]
+        );
+
+        for msg_id in [2u8, 3] {
+            let (_, payload) = sub.recv_message(timeout()).unwrap();
+            assert_eq!(payload, vec![msg_id], "in order");
+        }
+        assert!(
+            sub.recv_message(Duration::from_millis(100)).is_err(),
+            "exactly once"
+        );
+        let merged = gw.stats();
+        assert_eq!(merged.publishes_in, 2);
+        assert_eq!(merged.publishes_out, 2);
+        assert_eq!(merged.duplicates_suppressed, 0);
+        assert_eq!(merged.decode_errors, 0);
+        let forwards = if shards > 1 { 2 } else { 0 };
+        assert_eq!(merged.cross_shard_forwards, forwards);
+        gw.shutdown();
+    }
+
+    #[test]
+    fn two_publishes_in_one_datagram_are_two_publishes() {
+        two_publishes_in_one_datagram(1);
+    }
+
+    #[test]
+    fn two_publishes_in_one_datagram_cross_shards_as_two() {
+        two_publishes_in_one_datagram(4);
+    }
+
+    #[test]
+    fn undecodable_tail_of_a_bundle_is_one_decode_error() {
+        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let addr = broker.local_addr();
+        let mut c = UdpClient::connect(addr, ClientConfig::new("tail"), timeout()).unwrap();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut datagram = Packet::PingReq.encode();
+        datagram.extend_from_slice(&[0x09, 0x0c, 0x00]); // declares 9, has 3
+        raw.send_to(&datagram, addr).unwrap();
+        // The register round trip is served after the datagram above.
+        c.register("tail/t", timeout()).unwrap();
+        assert_eq!(broker.stats().decode_errors, 1);
+        broker.shutdown();
+    }
+
+    /// Counts the datagrams crossing one client's link, both directions,
+    /// and lets all of them through.
+    #[derive(Debug, Default)]
+    struct CountDatagrams(AtomicU64);
+
+    impl DatagramFault for CountDatagrams {
+        fn fate(&self, _dir: FaultDir, _datagram: &[u8]) -> DatagramFate {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            DatagramFate::Deliver
+        }
+    }
+
+    /// A gateway with a local subscription on everything, and a connected,
+    /// registered publisher whose link counts datagrams from here on.
+    fn counted_publisher(
+        id: &str,
+    ) -> (
+        UdpBroker,
+        LocalSubscription,
+        UdpClient,
+        u16,
+        Arc<CountDatagrams>,
+    ) {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let sub = gw.subscribe_local("#").unwrap();
+        let mut c = UdpClient::connect(gw.local_addr(), ClientConfig::new(id), timeout()).unwrap();
+        let tid = c.register("cnt/dev", timeout()).unwrap();
+        let counter = Arc::new(CountDatagrams::default());
+        c.set_fault(counter.clone());
+        (gw, sub, c, tid, counter)
+    }
+
+    fn assert_delivered_once_in_order(sub: &mut LocalSubscription, gw: &UdpBroker, n: u32) {
+        let mut batch = Vec::new();
+        sub.try_recv(&mut batch);
+        let got: Vec<Vec<u8>> = batch.iter().map(|m| m.payload.clone()).collect();
+        let sent: Vec<Vec<u8>> = (0..n).map(|i| i.to_be_bytes().to_vec()).collect();
+        assert_eq!(got, sent);
+        let stats = gw.stats();
+        assert_eq!(stats.publishes_in, n as u64);
+        assert_eq!(stats.duplicates_suppressed, 0);
+        assert_eq!(stats.retransmissions, 0);
+        assert_eq!(stats.decode_errors, 0);
+    }
+
+    /// The structural guard on the saving: a publisher paced the way
+    /// `transmitter_loop` paces one (publish, pump, next) spends two
+    /// datagrams per QoS 2 message, not four — PUBREL k rides in front of
+    /// PUBLISH k + 1, and PUBCOMP k comes back with PUBREC k + 1.
+    #[test]
+    fn paced_qos2_publishes_cost_two_datagrams_each() {
+        const N: u32 = 200;
+        let (gw, mut sub, mut c, tid, counter) = counted_publisher("paced");
+        let mut done = 0;
+        let mut absorb = |c: &mut UdpClient| {
+            while let Some(e) = c.pop_event() {
+                assert!(matches!(e, ClientEvent::PublishDone { .. }), "{e:?}");
+                done += 1;
+            }
+        };
+        for i in 0..N {
+            c.publish_nowait(tid, i.to_be_bytes().to_vec(), QoS::ExactlyOnce)
+                .unwrap();
+            c.pump().unwrap();
+            absorb(&mut c);
+        }
+        let deadline = Instant::now() + timeout();
+        while c.inflight_len() > 0 {
+            assert!(Instant::now() < deadline, "handshakes never completed");
+            c.pump().unwrap();
+        }
+        absorb(&mut c);
+        assert_eq!(done, N);
+        let datagrams = counter.0.load(Ordering::Relaxed);
+        assert!(
+            datagrams <= 2 * N as u64 + 8,
+            "{datagrams} datagrams for {N} QoS 2 messages"
+        );
+        assert_delivered_once_in_order(&mut sub, &gw, N);
+        gw.shutdown();
+    }
+
+    /// The hold is bounded: a publisher that goes quiet after one message
+    /// has its PUBREL sent alone by the next pump, which also reads the
+    /// PUBCOMP, and the handshake costs the four datagrams it always did.
+    #[test]
+    fn held_pubrel_is_released_when_no_publish_follows() {
+        let (gw, mut sub, mut c, tid, counter) = counted_publisher("quiet");
+        c.publish_nowait(tid, 0u32.to_be_bytes().to_vec(), QoS::ExactlyOnce)
+            .unwrap();
+        // Pump until the PUBREC is in (PUBLISH out + PUBREC in = 2).
+        let deadline = Instant::now() + timeout();
+        while counter.0.load(Ordering::Relaxed) < 2 {
+            assert!(Instant::now() < deadline, "no PUBREC");
+            c.pump().unwrap();
+        }
+        assert_eq!(counter.0.load(Ordering::Relaxed), 2, "PUBREL is held");
+        assert_eq!(c.inflight_len(), 1);
+        // Nothing came to carry it: this pump sends it alone first, then
+        // reads (a loaded host may need a second read for the PUBCOMP).
+        c.pump().unwrap();
+        assert!(counter.0.load(Ordering::Relaxed) >= 3, "PUBREL still held");
+        if c.inflight_len() > 0 {
+            c.pump().unwrap();
+        }
+        assert!(matches!(
+            c.pop_event(),
+            Some(ClientEvent::PublishDone { .. })
+        ));
+        assert_eq!(c.inflight_len(), 0);
+        assert_eq!(counter.0.load(Ordering::Relaxed), 4);
+        assert_delivered_once_in_order(&mut sub, &gw, 1);
+        gw.shutdown();
+    }
+
+    /// Blocking `publish` waits by pumping, and a pump sends what is held
+    /// before it reads: every handshake is the four datagrams it was, and
+    /// none of them sits out a read timeout (10 ms each — 2 s over this
+    /// loop — if the PUBREL went out only after the read).
+    #[test]
+    fn blocking_publish_never_waits_on_a_held_pubrel() {
+        const N: u32 = 200;
+        let (gw, mut sub, mut c, tid, counter) = counted_publisher("blocking");
+        let started = Instant::now();
+        for i in 0..N {
+            c.publish(tid, i.to_be_bytes().to_vec(), QoS::ExactlyOnce, timeout())
+                .unwrap();
+        }
+        let elapsed = started.elapsed();
+        assert_eq!(counter.0.load(Ordering::Relaxed), 4 * N as u64);
+        assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+        assert_delivered_once_in_order(&mut sub, &gw, N);
         gw.shutdown();
     }
 

@@ -4,6 +4,10 @@
 //! larger messages) and a message-type byte. The tiny fixed header —
 //! 7 bytes for a PUBLISH against HTTP's hundreds — is a key ingredient in
 //! the paper's network-usage numbers (Fig. 6c).
+//!
+//! Because every message carries its own length, a datagram may carry
+//! several back to back; [`frames`] splits one where it enters a
+//! transport, and everything past that point sees one message at a time.
 
 use crate::Error;
 
@@ -402,6 +406,60 @@ fn push_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
+/// The length prefix of the message starting at `buf[0]`: the total length
+/// it declares (prefix included) and the size of the prefix itself.
+fn length_prefix(buf: &[u8]) -> Result<(usize, usize), Error> {
+    match buf {
+        [] => Err(Error::Malformed("empty datagram")),
+        [0x01, hi, lo, ..] => Ok((u16::from_be_bytes([*hi, *lo]) as usize, 3)),
+        [0x01, ..] => Err(Error::Malformed("truncated long length")),
+        [len, ..] => Ok((*len as usize, 1)),
+    }
+}
+
+/// Splits a datagram into the length-prefixed MQTT-SN messages it carries,
+/// without copying or allocating: the frames partition `datagram`, in
+/// order. Every frame is handed to [`Packet::decode`] /
+/// [`Packet::decode_borrowed`] on its own, which keep accepting exactly
+/// one message.
+///
+/// Only the length prefixes are read here. A prefix that cannot be
+/// followed — zero, shorter than itself plus a type byte, or longer than
+/// what is left — ends the split: the rest of the datagram (for an empty
+/// datagram, the empty slice) comes out as the last frame, which no
+/// decoder accepts, so a datagram of garbage is still one frame and one
+/// decode error.
+pub fn frames(datagram: &[u8]) -> Frames<'_> {
+    Frames {
+        rest: Some(datagram),
+    }
+}
+
+/// Iterator returned by [`frames`].
+#[derive(Clone, Debug)]
+pub struct Frames<'a> {
+    /// What is still to be split; `None` once the last frame is out.
+    rest: Option<&'a [u8]>,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.rest.take()?;
+        if let Ok((declared, prefix)) = length_prefix(rest) {
+            if declared > prefix && declared < rest.len() {
+                let (frame, tail) = rest.split_at(declared);
+                self.rest = Some(tail);
+                return Some(frame);
+            }
+        }
+        Some(rest)
+    }
+}
+
+impl std::iter::FusedIterator for Frames<'_> {}
+
 impl Packet {
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -608,17 +666,7 @@ impl Packet {
     /// small and off the hot path). Accepts and rejects exactly the same
     /// inputs as [`Packet::decode`].
     pub fn decode_borrowed(buf: &[u8]) -> Result<PacketRef<'_>, Error> {
-        if buf.is_empty() {
-            return Err(Error::Malformed("empty datagram"));
-        }
-        let (declared, header) = if buf[0] == 0x01 {
-            if buf.len() < 3 {
-                return Err(Error::Malformed("truncated long length"));
-            }
-            (u16::from_be_bytes([buf[1], buf[2]]) as usize, 3)
-        } else {
-            (buf[0] as usize, 1)
-        };
+        let (declared, header) = length_prefix(buf)?;
         if declared != buf.len() {
             return Err(Error::Malformed("length mismatch"));
         }
@@ -651,17 +699,7 @@ impl Packet {
     /// Parses one message from wire bytes. The buffer must contain exactly
     /// one datagram.
     pub fn decode(buf: &[u8]) -> Result<Packet, Error> {
-        if buf.is_empty() {
-            return Err(Error::Malformed("empty datagram"));
-        }
-        let (declared, header) = if buf[0] == 0x01 {
-            if buf.len() < 3 {
-                return Err(Error::Malformed("truncated long length"));
-            }
-            (u16::from_be_bytes([buf[1], buf[2]]) as usize, 3)
-        } else {
-            (buf[0] as usize, 1)
-        };
+        let (declared, header) = length_prefix(buf)?;
         if declared != buf.len() {
             return Err(Error::Malformed("length mismatch"));
         }
@@ -1055,8 +1093,178 @@ mod tests {
         }
     }
 
+    #[test]
+    fn frames_split_a_bundle_and_leave_a_lone_message_whole() {
+        let rel = Packet::PubRel { msg_id: 7 }.encode();
+        let publish = Packet::Publish {
+            dup: false,
+            qos: QoS::ExactlyOnce,
+            retain: false,
+            topic: TopicRef::Id(3),
+            msg_id: 8,
+            payload: vec![0xab; 300], // long-form length prefix
+        }
+        .encode();
+        let bundle = [rel.as_slice(), &publish, &rel].concat();
+        let split: Vec<&[u8]> = frames(&bundle).collect();
+        assert_eq!(split, [rel.as_slice(), &publish, &rel]);
+        assert_eq!(frames(&publish).collect::<Vec<_>>(), [publish.as_slice()]);
+    }
+
+    #[test]
+    fn frames_end_at_a_prefix_that_cannot_be_followed() {
+        let good = Packet::PubRel { msg_id: 7 }.encode();
+        let tails: [&[u8]; 6] = [
+            &[0, 1, 2, 3],          // zero length
+            &[9, 0x0c, 0],          // longer than what is left
+            &[0x01, 0x00],          // long form cut inside the prefix
+            &[0x01, 0x00, 0x02, 0], // long form shorter than its own prefix
+            &[0x01, 0x00, 0x03, 0], // long form with no room for a type
+            &[0x01, 0x40, 0x00, 0], // long form longer than what is left
+        ];
+        for tail in tails {
+            let datagram = [good.as_slice(), &good, tail].concat();
+            let split: Vec<&[u8]> = frames(&datagram).collect();
+            assert_eq!(split, [good.as_slice(), &good, tail], "{tail:02x?}");
+            assert!(Packet::decode(tail).is_err(), "{tail:02x?}");
+            // Alone in a datagram it is one frame too: garbage still counts once.
+            assert_eq!(frames(tail).collect::<Vec<_>>(), [tail]);
+        }
+        // An empty datagram is one (empty) frame for the decoder to refuse.
+        assert_eq!(frames(&[]).collect::<Vec<_>>(), [&[] as &[u8]]);
+    }
+
+    /// Checks what [`frames`] promises for any input: at least one frame,
+    /// the frames tile the input in order (so each lies inside it and no
+    /// two overlap), every frame but the last is one whole message by its
+    /// own prefix, and the last is either that or something no decoder
+    /// accepts. Returns the frames.
+    fn assert_frames_tile(input: &[u8]) -> Vec<&[u8]> {
+        let split: Vec<&[u8]> = frames(input).collect();
+        assert!(!split.is_empty());
+        let mut at = input.as_ptr();
+        for frame in &split {
+            assert_eq!(frame.as_ptr(), at, "frames must be adjacent and in order");
+            at = at.wrapping_add(frame.len());
+        }
+        assert_eq!(at, input.as_ptr().wrapping_add(input.len()));
+        let whole =
+            |f: &[u8]| matches!(length_prefix(f), Ok((n, prefix)) if n == f.len() && n > prefix);
+        let (last, init) = split.split_last().unwrap();
+        assert!(init.iter().all(|f| whole(f)), "{split:02x?}");
+        assert!(whole(last) || Packet::decode(last).is_err(), "{last:02x?}");
+        split
+    }
+
+    /// Any packet variant, with field values that survive a round trip.
+    fn arb_packet() -> impl Strategy<Value = Packet> {
+        let fields = (
+            0u8..14,
+            any::<u16>(),
+            any::<u16>(),
+            any::<bool>(),
+            "[a-z0-9/]{1,12}",
+            proptest::collection::vec(any::<u8>(), 0..400),
+        );
+        fields.prop_map(|(kind, a, b, flag, name, payload)| match kind {
+            0 => Packet::Connect {
+                clean_session: flag,
+                duration: a,
+                client_id: name,
+            },
+            1 => Packet::ConnAck {
+                code: ReturnCode::Accepted,
+            },
+            2 => Packet::Register {
+                topic_id: a,
+                msg_id: b,
+                topic_name: name,
+            },
+            3 => Packet::RegAck {
+                topic_id: a,
+                msg_id: b,
+                code: ReturnCode::InvalidTopicId,
+            },
+            4 | 5 => Packet::Publish {
+                dup: flag,
+                qos: if kind == 4 {
+                    QoS::ExactlyOnce
+                } else {
+                    QoS::AtMostOnce
+                },
+                retain: false,
+                topic: TopicRef::Id(a),
+                msg_id: b,
+                payload,
+            },
+            6 => Packet::PubAck {
+                topic_id: a,
+                msg_id: b,
+                code: ReturnCode::Congestion,
+            },
+            7 => Packet::PubRec { msg_id: a },
+            8 => Packet::PubRel { msg_id: a },
+            9 => Packet::PubComp { msg_id: a },
+            10 => Packet::Subscribe {
+                dup: flag,
+                qos: QoS::AtLeastOnce,
+                msg_id: a,
+                topic: TopicRef::Name(name),
+            },
+            11 => Packet::PingReq,
+            12 => Packet::Disconnect {
+                duration: flag.then_some(a),
+            },
+            _ => Packet::CongestionAdvisory { level: a as u8 },
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_frames_tile_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+            for frame in assert_frames_tile(&bytes) {
+                let _ = Packet::decode(frame);
+                let _ = Packet::decode_borrowed(frame);
+            }
+        }
+
+        #[test]
+        fn prop_bundle_roundtrips_every_packet(
+            packets in proptest::collection::vec(arb_packet(), 1..6),
+        ) {
+            let mut bundle = Vec::new();
+            for p in &packets {
+                p.encode_into(&mut bundle);
+            }
+            let decoded: Vec<Packet> = assert_frames_tile(&bundle)
+                .into_iter()
+                .map(|frame| Packet::decode(frame).unwrap())
+                .collect();
+            prop_assert_eq!(decoded, packets);
+        }
+
+        #[test]
+        fn prop_frames_survive_a_damaged_bundle(
+            packets in proptest::collection::vec(arb_packet(), 1..5),
+            cut in 0usize..2048,
+            flip in 0usize..2048,
+            mask in 1u8..=255,
+        ) {
+            let mut bundle = Vec::new();
+            for p in &packets {
+                p.encode_into(&mut bundle);
+            }
+            bundle.truncate(cut % (bundle.len() + 1));
+            if !bundle.is_empty() {
+                let at = flip % bundle.len();
+                bundle[at] ^= mask;
+            }
+            for frame in assert_frames_tile(&bundle) {
+                let _ = Packet::decode_borrowed(frame);
+            }
+        }
 
         #[test]
         fn prop_publish_roundtrip(

@@ -11,10 +11,11 @@
 //! state intact.
 
 use provlight::core::client::ProvLightClient;
-use provlight::core::config::{CaptureConfig, GroupPolicy};
+use provlight::core::config::{CaptureConfig, GroupPolicy, LinkFault};
 use provlight::mqtt_sn::broker::BrokerConfig;
 use provlight::mqtt_sn::net::{UdpBroker, UdpClient};
-use provlight::mqtt_sn::{ClientConfig, ClientEvent, QoS};
+use provlight::mqtt_sn::packet::{frames, Packet};
+use provlight::mqtt_sn::{ClientConfig, ClientEvent, DatagramFate, DatagramFault, FaultDir, QoS};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::Record;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -359,4 +360,100 @@ fn flush_during_outage_reports_backlog_then_recovers() {
     client.shutdown();
     broker.shutdown();
     let _ = std::fs::remove_file(&snap);
+}
+
+/// A device link that dies the instant a PUBREC has come in over it: the
+/// PUBREC is delivered, so the PUBREL answering it is being held for the
+/// next publish to carry when everything after it — in both directions —
+/// starts to vanish. `heal` brings the link back.
+#[derive(Debug, Default)]
+struct DiesOnPubrec {
+    armed: AtomicBool,
+    dead: AtomicBool,
+}
+
+impl DatagramFault for DiesOnPubrec {
+    fn fate(&self, dir: FaultDir, datagram: &[u8]) -> DatagramFate {
+        if self.dead.load(Ordering::SeqCst) {
+            return DatagramFate::Drop;
+        }
+        let pubrec = |frame| matches!(Packet::decode(frame), Ok(Packet::PubRec { .. }));
+        if dir == FaultDir::Inbound
+            && frames(datagram).any(pubrec)
+            && self.armed.swap(false, Ordering::SeqCst)
+        {
+            self.dead.store(true, Ordering::SeqCst);
+        }
+        DatagramFate::Deliver
+    }
+}
+
+/// The link goes down while a PUBREL is held (never sent, or sent into the
+/// void): the gateway has the publish and has fanned it out, the device
+/// has its PUBREC. The resumed session re-emits the PUBREL, the handshake
+/// completes, and nothing is delivered twice or dropped.
+#[test]
+fn link_killed_while_a_pubrel_is_held_resumes_without_duplicates() {
+    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let addr = broker.local_addr();
+    let collector = Collector::start(addr, "provlight/#");
+
+    let link = Arc::new(DiesOnPubrec::default());
+    let config = CaptureConfig {
+        datagram_fault: Some(LinkFault(link.clone())),
+        ..resilient_config()
+    };
+    let client =
+        ProvLightClient::connect(addr, "edge-device-4", "provlight/wf-held/dev4", config).unwrap();
+    let session = client.session();
+    let wf = session.workflow(4u64);
+    wf.begin().unwrap();
+    client.flush().unwrap();
+    assert!(wait_until(Duration::from_secs(10), || collector.count() >= 1));
+
+    // The next publish gets through and is acknowledged; its PUBREL and
+    // everything after it does not.
+    link.armed.store(true, Ordering::SeqCst);
+    let mut task = wf.task(0u64, 0u64, &[]);
+    task.begin(vec![]).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), || link.dead.load(Ordering::SeqCst)),
+        "the PUBREC never came"
+    );
+    assert!(
+        wait_until(Duration::from_secs(10), || collector.count() >= 2),
+        "the gateway delivers on first receipt, PUBREL or not"
+    );
+    task.end(vec![]).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), || !client.stats().connected),
+        "transmitter never noticed the dead link"
+    );
+
+    link.dead.store(false, Ordering::SeqCst);
+    wf.end().unwrap();
+    client.flush().unwrap();
+
+    // workflow begin + task begin + task end + workflow end.
+    let expected = 4;
+    assert!(
+        wait_until(Duration::from_secs(15), || collector.count() >= expected),
+        "records missing after the link healed: {}",
+        collector.count()
+    );
+    std::thread::sleep(Duration::from_millis(300));
+    let records = collector.stop();
+    assert_eq!(records.len(), expected, "duplicate or lost records");
+
+    let stats = client.stats();
+    assert!(stats.connected, "{stats:?}");
+    assert!(stats.reconnects >= 1, "{stats:?}");
+    assert_eq!(stats.records_dropped, 0, "{stats:?}");
+    assert_eq!(stats.buffered_records, 0, "{stats:?}");
+    // One message per record here, each fanned out once: the held
+    // handshake was finished, not replayed as a fresh publish.
+    let gateway = broker.stats();
+    assert_eq!(gateway.publishes_out, expected as u64, "{gateway:?}");
+    client.shutdown();
+    broker.shutdown();
 }

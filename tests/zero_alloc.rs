@@ -509,6 +509,126 @@ fn steady_state_local_delivery_allocates_zero_per_message() {
     assert_eq!(broker.backlog(), 0);
 }
 
+/// The bundled QoS 2 exchange at steady state, with the buffers the two
+/// transports use: the device holds PUBREL k − 1, moves it in front of
+/// PUBLISH k in its write buffer and sends one datagram; the gateway
+/// splits it, handles both messages in one batch and answers with one
+/// merged `[PUBCOMP k − 1, PUBREC k]` datagram; the device splits that and
+/// holds the next PUBREL. Splitting borrows, merging reuses the wire
+/// buffer, holding appends to a warm buffer: **zero** heap allocations per
+/// message — also when what is split is garbage.
+#[test]
+fn steady_state_bundled_handshake_allocates_zero_per_message() {
+    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
+    use provlight::mqtt_sn::packet::{
+        encode_publish_into, frames, Packet, PacketRef, QoS, TopicRef,
+    };
+
+    let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
+    let device = 0u32;
+    broker.on_packet(
+        0,
+        device,
+        Packet::Connect {
+            clean_session: true,
+            duration: 60,
+            client_id: "dev".into(),
+        },
+    );
+    let out = broker.on_packet(
+        0,
+        device,
+        Packet::Register {
+            topic_id: 0,
+            msg_id: 1,
+            topic_name: "provlight/z/dev".into(),
+        },
+    );
+    let tid = match out[0].1 {
+        Packet::RegAck { topic_id, .. } => topic_id,
+        ref p => panic!("unexpected {p:?}"),
+    };
+    let mut sub = broker.subscribe_local("provlight/#").unwrap();
+
+    let payload = vec![0x5c; 100];
+    let garbage: Vec<u8> = (0..97u8).map(|i| i.wrapping_mul(37) | 2).collect();
+    let mut out = BrokerOutputs::new();
+    let mut held = Vec::new();
+    let mut datagram = Vec::new();
+    let mut reply = Vec::new();
+    let mut batch = Vec::new();
+    let mut msg_id = 0u16;
+
+    let mut cycle = |broker: &mut Broker<u32>, now: u64| {
+        // Device: the held PUBREL rides in front of the next PUBLISH.
+        msg_id = msg_id.checked_add(1).unwrap_or(1);
+        let riding = !held.is_empty();
+        datagram.clear();
+        datagram.append(&mut held);
+        let topic = TopicRef::Id(tid);
+        encode_publish_into(
+            false,
+            QoS::ExactlyOnce,
+            false,
+            &topic,
+            msg_id,
+            &payload,
+            &mut datagram,
+        );
+        // Gateway: split where the datagram enters, merge where replies leave.
+        out.clear();
+        for frame in frames(&datagram) {
+            broker
+                .on_datagram_into(now, device, frame, &mut out)
+                .unwrap();
+        }
+        reply.clear();
+        let mut datagrams = 0;
+        out.emit_merged(|_, bytes| {
+            reply.extend_from_slice(bytes);
+            datagrams += 1;
+        });
+        assert_eq!(datagrams, 1, "one reply datagram per bundle");
+        // Device: PUBCOMP frees a slot, PUBREC leaves a PUBREL to hold.
+        let mut replies = 0;
+        for frame in frames(&reply) {
+            replies += 1;
+            match Packet::decode_borrowed(frame).unwrap() {
+                PacketRef::Owned(Packet::PubRec { msg_id }) => {
+                    Packet::PubRel { msg_id }.encode_into(&mut held);
+                }
+                PacketRef::Owned(Packet::PubComp { .. }) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(replies, 1 + riding as usize);
+        sub.try_recv(&mut batch);
+        assert_eq!(batch.len(), 1);
+        // Hostile bytes cost the splitter nothing either.
+        assert!(frames(&garbage).all(|frame| Packet::decode_borrowed(frame).is_err()));
+    };
+
+    for i in 0..64u64 {
+        cycle(&mut broker, i);
+    }
+    let iterations = 1024u64;
+    let before = allocations();
+    for i in 0..iterations {
+        cycle(&mut broker, 64 + i);
+    }
+    let allocs = allocations() - before;
+    assert!(
+        allocs == 0,
+        "steady state performed {allocs} allocations over {iterations} messages \
+         ({:.4} allocs/message); the bundled handshake must be allocation-free",
+        allocs as f64 / iterations as f64
+    );
+    assert_eq!(broker.stats().publishes_in, 64 + iterations);
+    assert_eq!(broker.stats().publishes_out, 64 + iterations);
+    assert_eq!(broker.stats().duplicates_suppressed, 0);
+    assert_eq!(broker.stats().decode_errors, 0);
+}
+
 /// The legacy allocating path, measured the same way, is decidedly not
 /// allocation-free — guarding against the zero assertion above passing
 /// vacuously (e.g. a broken counter).
