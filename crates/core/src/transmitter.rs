@@ -39,7 +39,7 @@
 
 use crate::api::CaptureError;
 use crate::config::CaptureConfig;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mqtt_sn::net::{entropy_seed, jitter_backoff, UdpClient};
 use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, ReturnCode};
 use parking_lot::Mutex;
@@ -150,6 +150,11 @@ pub struct TransmitterStats {
     /// Low-priority (begin-edge) records shed under sustained hard
     /// congestion. A subset of `records_dropped`.
     pub records_shed: u64,
+    /// Times the transmitter's loop came back from its blocking wait: the
+    /// command channel, or the socket while the gateway owed a reply. What
+    /// the device's CPU is woken for — two per message at a steady rate,
+    /// none while there is nothing to send and nothing to hear.
+    pub wakeups: u64,
 }
 
 /// Lock-free shared cell behind [`TransmitterStats`].
@@ -170,6 +175,7 @@ struct StatsCell {
     congestion_signals: AtomicU64,
     paced_sends: AtomicU64,
     records_shed: AtomicU64,
+    wakeups: AtomicU64,
 }
 
 impl StatsCell {
@@ -190,6 +196,7 @@ impl StatsCell {
             congestion_signals: self.congestion_signals.load(Ordering::Relaxed),
             paced_sends: self.paced_sends.load(Ordering::Relaxed),
             records_shed: self.records_shed.load(Ordering::Relaxed),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
         }
     }
 }
@@ -890,12 +897,30 @@ impl Link {
         }
     }
 
-    /// One maintenance pass: pump the socket and timers when connected (or
-    /// attempt a due reconnection when not), fold in events and dead
-    /// letters, handle deferred re-registration, and refresh the gauges.
+    /// One maintenance pass that waits on the socket: while connected,
+    /// [`UdpClient::pump`] sends what is held, blocks for a datagram (up to
+    /// the read time-out), reads what else is queued and runs the timers.
+    /// For whoever needs a reply — the loop while [`Link::awaits_gateway`],
+    /// a flush or the shutdown draining handshakes. The rest is
+    /// [`Link::maintain`].
     fn service(&mut self) {
+        self.maintain(UdpClient::pump);
+    }
+
+    /// The same pass without the wait ([`UdpClient::tick`]): whatever came
+    /// due since the last one — a retransmission, the keep-alive PINGREQ, a
+    /// held PUBREL's release, a reconnection attempt — and nothing read.
+    fn tick(&mut self) {
+        self.maintain(UdpClient::tick);
+    }
+
+    /// Runs `io` on the client when connected (or attempts a due
+    /// reconnection when not), folds in events and dead letters, handles
+    /// deferred re-registration, replays what the pacing window allows, and
+    /// refreshes the gauges.
+    fn maintain(&mut self, io: fn(&mut UdpClient) -> Result<(), NetError>) {
         if self.connected {
-            if self.client.pump().is_err() {
+            if io(&mut self.client).is_err() {
                 self.mark_disconnected();
             }
             self.absorb_events();
@@ -918,6 +943,31 @@ impl Link {
             self.attempt_reconnect();
         }
         self.sync_gauges();
+    }
+
+    /// Whether the next thing to happen will arrive on the socket: the
+    /// gateway owes a reply ([`UdpClient::reply_expected`]), or it has
+    /// reported congestion and will report, unasked, when that clears, or a
+    /// backlog is waiting on the pacing window or the in-flight window.
+    /// Then the loop waits there, at the read time-out's cadence.
+    fn awaits_gateway(&self) -> bool {
+        self.connected
+            && (self.client.reply_expected()
+                || self.congestion_level > 0
+                || !self.buffer.is_empty())
+    }
+
+    /// Otherwise nothing happens before this instant unless a capture call
+    /// makes it: the next reconnection attempt while disconnected, else the
+    /// client's earliest timer ([`UdpClient::next_deadline`] — keep-alive,
+    /// the release of a held PUBREL, a fault-delayed datagram). `None`:
+    /// nothing is scheduled at all.
+    fn next_deadline(&self) -> Option<Instant> {
+        if self.connected {
+            self.client.next_deadline()
+        } else {
+            Some(self.next_attempt)
+        }
     }
 
     fn attempt_reconnect(&mut self) {
@@ -1210,6 +1260,79 @@ fn pool_batch(pool: &BatchPool, batch: Vec<Record>) {
     }
 }
 
+/// Takes `first` and every command queued behind it off the channel
+/// without blocking, coalescing records and cutting envelopes at the
+/// max-payload high-water mark. A Flush or Shutdown ends the drain and is
+/// returned, to be honoured once the records queued before it are sent; a
+/// channel whose senders are all gone reads as Shutdown.
+fn absorb_commands(
+    link: &mut Link,
+    rx: &Receiver<Cmd>,
+    pool: &BatchPool,
+    pending: &mut Coalescer,
+    first: Option<Cmd>,
+) -> Option<Cmd> {
+    let mut next = first;
+    loop {
+        match next.take().map_or_else(|| rx.try_recv(), Ok) {
+            Ok(Cmd::Publish(mut batch)) => {
+                if link.shedding() {
+                    shed_low_priority(link, &mut batch);
+                }
+                let incoming: usize = batch.iter().map(Record::approx_size).sum();
+                if pending.would_overflow(incoming) {
+                    send_pending(link, pending);
+                }
+                pending.absorb(&mut batch);
+                pool_batch(pool, batch);
+            }
+            Ok(Cmd::PublishOne(record)) => {
+                if link.shedding() && is_low_priority(&record) {
+                    link.stats.records_shed.fetch_add(1, Ordering::Relaxed);
+                    link.stats.records_dropped.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    if pending.would_overflow(record.approx_size()) {
+                        send_pending(link, pending);
+                    }
+                    pending.push(record);
+                }
+            }
+            Ok(other) => return Some(other),
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => return Some(Cmd::Shutdown),
+        }
+        if pending.full() {
+            send_pending(link, pending);
+        }
+    }
+}
+
+/// The transmitter thread. It sleeps until something can happen, in one
+/// place at a time. Each turn:
+///
+/// 1. **Drain.** Every queued command comes off the channel without
+///    blocking; the records coalesce and leave (a PUBLISH is never held
+///    back). A Flush or Shutdown found there is honoured next; both block
+///    by pumping until every handshake is complete.
+/// 2. **Timers.** [`Link::tick`] does what came due, without reading.
+/// 3. **One wait.** While the gateway can have a datagram on its way
+///    ([`Link::awaits_gateway`]) the wait is on the socket
+///    ([`Link::service`]). Otherwise it is on the channel alone, until the
+///    earliest real deadline ([`Link::next_deadline`]) — so an idle device
+///    wakes for its keep-alive and for nothing else, and a record never
+///    sits out a socket time-out.
+///
+/// A held PUBREL is no reason to wake: the next PUBLISH or PINGREQ carries
+/// it, whoever blocks on a handshake releases it, and failing both it has a
+/// deadline of its own, half a `Tretry`.
+///
+/// Woken by a command, the thread yields once before draining. The capture
+/// call that woke it is on the workflow's critical path and this thread is
+/// not; on a single core the wake-up otherwise preempts the caller inside
+/// `task.begin()`, which then waits while `begin` is encoded and sent
+/// alone. After the yield the caller has finished its burst, the drain
+/// sees all of it, and how many records share a message no longer depends
+/// on how slow this thread is.
 fn transmitter_loop(mut link: Link, rx: Receiver<Cmd>, pool: BatchPool) {
     let mut pending = Coalescer::new(link.config.max_payload);
     // A previous process's unsent spill recovered from the WAL replays
@@ -1218,90 +1341,50 @@ fn transmitter_loop(mut link: Link, rx: Receiver<Cmd>, pool: BatchPool) {
         link.replay();
         link.sync_gauges();
     }
+    let mut woken_by: Option<Cmd> = None;
     loop {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(first) => {
-                // Absorb the woken command plus everything else queued,
-                // cutting envelopes at the max-payload high-water mark.
-                // Flush/Shutdown seen mid-drain are honoured after the
-                // records queued before them are sent.
-                let mut deferred: Option<Cmd> = None;
-                let mut next = Some(first);
-                loop {
-                    match next {
-                        Some(Cmd::Publish(mut batch)) => {
-                            if link.shedding() {
-                                shed_low_priority(&link, &mut batch);
-                            }
-                            let incoming: usize = batch.iter().map(Record::approx_size).sum();
-                            if pending.would_overflow(incoming) {
-                                send_pending(&mut link, &mut pending);
-                            }
-                            pending.absorb(&mut batch);
-                            pool_batch(&pool, batch);
-                        }
-                        Some(Cmd::PublishOne(record)) => {
-                            if link.shedding() && is_low_priority(&record) {
-                                link.stats.records_shed.fetch_add(1, Ordering::Relaxed);
-                                link.stats.records_dropped.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                if pending.would_overflow(record.approx_size()) {
-                                    send_pending(&mut link, &mut pending);
-                                }
-                                pending.push(record);
-                            }
-                        }
-                        Some(other) => {
-                            deferred = Some(other);
-                            break;
-                        }
-                        None => break,
-                    }
-                    if pending.full() {
-                        send_pending(&mut link, &mut pending);
-                    }
-                    next = match rx.try_recv() {
-                        Ok(cmd) => Some(cmd),
-                        Err(TryRecvError::Empty) => None,
-                        Err(TryRecvError::Disconnected) => None,
-                    };
-                }
-                send_pending(&mut link, &mut pending);
-                link.service();
-                match deferred {
-                    Some(Cmd::Flush(ack)) => {
-                        let ok = link.drain_all(FLUSH_DRAIN_BUDGET);
-                        let _ = ack.send(ok);
-                    }
-                    Some(Cmd::Shutdown) => {
-                        let _ = link.drain_all(SHUTDOWN_GRACE);
-                        link.account_shutdown_loss();
-                        let _ = link.client.disconnect();
-                        return;
-                    }
-                    _ => {}
-                }
+        let deferred = absorb_commands(&mut link, &rx, &pool, &mut pending, woken_by.take());
+        send_pending(&mut link, &mut pending);
+        match deferred {
+            Some(Cmd::Flush(ack)) => {
+                let ok = link.drain_all(FLUSH_DRAIN_BUDGET);
+                let _ = ack.send(ok);
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                // Idle: keep the connection serviced (retransmissions,
-                // keep-alive pings, reconnection attempts, replay).
-                link.service();
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+            Some(Cmd::Shutdown) => {
                 let _ = link.drain_all(SHUTDOWN_GRACE);
                 link.account_shutdown_loss();
                 let _ = link.client.disconnect();
                 return;
             }
+            _ => {}
         }
+        link.tick();
+        if link.awaits_gateway() {
+            link.service();
+        } else {
+            let woke = match link.next_deadline() {
+                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            // A time-out is a deadline falling due, for the next turn's
+            // tick; a channel without senders is the next drain's to report.
+            if let Ok(cmd) = woke {
+                std::thread::yield_now();
+                woken_by = Some(cmd);
+            }
+        }
+        link.stats.wakeups.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LinkFault;
     use mqtt_sn::broker::BrokerConfig;
     use mqtt_sn::net::UdpBroker;
+    use mqtt_sn::packet::frames;
+    use mqtt_sn::{DatagramFate, DatagramFault, FaultDir, LocalSubscription, Packet};
     use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 
     fn record(i: u64, attrs: usize) -> Record {
@@ -1538,6 +1621,289 @@ mod tests {
 
         assert_eq!(broker.stats().publishes_in, 5);
         broker.shutdown();
+    }
+
+    /// Records every datagram crossing one device's link, both directions,
+    /// split into its messages, and lets all of them through — so it must
+    /// not keep the link from going quiet either.
+    #[derive(Debug, Default)]
+    struct Wire(std::sync::Mutex<Vec<(Instant, FaultDir, Vec<Packet>)>>);
+
+    impl DatagramFault for Wire {
+        fn fate(&self, dir: FaultDir, datagram: &[u8]) -> DatagramFate {
+            let packets = frames(datagram).map(|f| Packet::decode(f).unwrap());
+            let seen = (Instant::now(), dir, packets.collect());
+            self.0.lock().unwrap().push(seen);
+            DatagramFate::Deliver
+        }
+    }
+
+    impl Wire {
+        fn datagrams(&self) -> Vec<(Instant, FaultDir, Vec<Packet>)> {
+            self.0.lock().unwrap().clone()
+        }
+
+        /// When the first message matching `f` crossed, if one has.
+        fn first(&self, f: impl Fn(&Packet) -> bool) -> Option<Instant> {
+            let seen = self.0.lock().unwrap();
+            let hit = seen.iter().find(|(_, _, packets)| packets.iter().any(&f));
+            hit.map(|(at, ..)| *at)
+        }
+
+        fn count(&self, f: impl Fn(&Packet) -> bool) -> usize {
+            let seen = self.0.lock().unwrap();
+            seen.iter()
+                .flat_map(|(.., packets)| packets)
+                .filter(|p| f(p))
+                .count()
+        }
+    }
+
+    fn is_pubrel(p: &Packet) -> bool {
+        matches!(p, Packet::PubRel { .. })
+    }
+
+    /// A gateway with a local subscription on everything and a started
+    /// transmitter whose link is recorded from the first publish on.
+    fn recorded_transmitter(
+        id: &str,
+        config: CaptureConfig,
+    ) -> (UdpBroker, LocalSubscription, Transmitter, Arc<Wire>) {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let sub = gw.subscribe_local("#").unwrap();
+        let wire = Arc::new(Wire::default());
+        let config = CaptureConfig {
+            datagram_fault: Some(LinkFault(wire.clone())),
+            ..config
+        };
+        let topic = format!("provlight/test/{id}");
+        let t = Transmitter::start(gw.local_addr(), id.into(), topic, config).unwrap();
+        (gw, sub, t, wire)
+    }
+
+    fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        while !f() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// Task ids of the `TaskEnd` records delivered so far, in order.
+    fn delivered_ids(sub: &mut LocalSubscription) -> Vec<u64> {
+        let (mut batch, mut records) = (Vec::new(), Vec::new());
+        sub.try_recv(&mut batch);
+        let mut ids = Vec::new();
+        for message in &batch {
+            Envelope::decode_into(&message.payload, &mut records).unwrap();
+            ids.extend(records.drain(..).map(|r| match r {
+                Record::TaskEnd { task, .. } => match task.id {
+                    Id::Num(n) => n,
+                    other => panic!("unexpected {other:?}"),
+                },
+                other => panic!("unexpected {other:?}"),
+            }));
+        }
+        ids
+    }
+
+    /// The structural guard on the saving where it was missing: messages
+    /// with no successor within any pump period — 40 ms apart, the
+    /// `sparse_tasks` regime — still cost two datagrams each, not four.
+    /// PUBREL k waits for PUBLISH k + 1 however long that takes, and the
+    /// flush that ends the run does not return before the last one is out
+    /// and answered.
+    #[test]
+    fn lone_messages_cost_two_datagrams() {
+        const N: u64 = 50;
+        let (gw, mut sub, t, wire) = recorded_transmitter("lone", CaptureConfig::default());
+        for i in 0..N {
+            t.publish_record(record(i, 3)).unwrap();
+            std::thread::sleep(Duration::from_millis(40));
+        }
+        assert_eq!(wire.count(is_pubrel), N as usize - 1, "the last is held");
+        t.flush().unwrap();
+        assert_eq!(wire.count(is_pubrel), N as usize);
+        assert_eq!(
+            wire.count(|p| matches!(p, Packet::PubComp { .. })),
+            N as usize
+        );
+        let datagrams = wire.datagrams().len() as u64;
+        assert!(
+            datagrams <= 2 * N + 8,
+            "{datagrams} datagrams for {N} lone QoS 2 messages"
+        );
+        assert_eq!(delivered_ids(&mut sub), (0..N).collect::<Vec<_>>());
+        let gateway = gw.stats();
+        assert_eq!(gateway.publishes_in, N);
+        assert_eq!(gateway.duplicates_suppressed, 0);
+        assert_eq!(gateway.retransmissions, 0);
+        // One wait on the channel for the record, one on the socket for the
+        // PUBREC (a loaded host may time a read out and wait again).
+        let stats = t.stats();
+        assert!((N..=3 * N).contains(&stats.wakeups), "{stats:?}");
+        assert_eq!(stats.publish_failures, 0);
+        t.shutdown();
+        gw.shutdown();
+    }
+
+    /// With no flush and nothing else to send, a held PUBREL leaves alone
+    /// at its own deadline — half a `Tretry` after its PUBREC, so before the
+    /// retransmit timer could ask for it — and exactly once.
+    #[test]
+    fn lone_pubrel_leaves_by_the_hold_deadline() {
+        let retry = Duration::from_millis(400);
+        let config = CaptureConfig {
+            retry_timeout: retry,
+            ..CaptureConfig::default()
+        };
+        let (gw, mut sub, t, wire) = recorded_transmitter("hold", config);
+        t.publish_record(record(0, 3)).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || wire.count(is_pubrel) > 0),
+            "the PUBREL never left"
+        );
+        let pubrec = wire.first(|p| matches!(p, Packet::PubRec { .. })).unwrap();
+        let held_for = wire.first(is_pubrel).unwrap() - pubrec;
+        assert!(held_for >= retry / 4, "sent alone at once: {held_for:?}");
+        assert!(held_for < retry, "left to the retry timer: {held_for:?}");
+        // Past the slot's retransmit time: the handshake is over, the
+        // timer found nothing.
+        std::thread::sleep(retry);
+        assert_eq!(wire.count(is_pubrel), 1);
+        assert_eq!(wire.datagrams().len(), 4);
+        assert_eq!(delivered_ids(&mut sub), [0]);
+        assert_eq!(gw.stats().retransmissions, 0);
+        assert_eq!(gw.stats().duplicates_suppressed, 0);
+        t.shutdown();
+        gw.shutdown();
+    }
+
+    /// The keep-alive is a carrier like any other: a device that goes
+    /// silent after one message sends `[PUBREL, PINGREQ]` when the
+    /// keep-alive falls due (here long before the hold deadline), and the
+    /// gateway answers both in one datagram.
+    #[test]
+    fn pingreq_carries_a_held_pubrel() {
+        let config = CaptureConfig {
+            keep_alive: Duration::from_secs(1),
+            ..CaptureConfig::default()
+        };
+        let (gw, _sub, t, wire) = recorded_transmitter("ping", config);
+        t.publish_record(record(0, 3)).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || wire.datagrams().len() >= 4),
+            "no keep-alive exchange: {:?}",
+            wire.datagrams()
+        );
+        let shapes: Vec<(FaultDir, Vec<Packet>)> = wire
+            .datagrams()
+            .into_iter()
+            .map(|(_, dir, packets)| (dir, packets))
+            .collect();
+        let id = match shapes[1].1[..] {
+            [Packet::PubRec { msg_id }] => msg_id,
+            ref other => panic!("unexpected {other:?}"),
+        };
+        assert!(matches!(shapes[0].1[..], [Packet::Publish { .. }]));
+        assert_eq!(
+            shapes[2..],
+            [
+                (
+                    FaultDir::Outbound,
+                    vec![Packet::PubRel { msg_id: id }, Packet::PingReq]
+                ),
+                (
+                    FaultDir::Inbound,
+                    vec![Packet::PubComp { msg_id: id }, Packet::PingResp]
+                ),
+            ]
+        );
+        t.shutdown();
+        gw.shutdown();
+    }
+
+    /// An idle device is idle: connected, everything acknowledged, default
+    /// configuration — two seconds pass without a datagram and (almost)
+    /// without the thread waking. The fixed poll woke it ≈ 120 times.
+    #[test]
+    fn idle_link_sleeps() {
+        let (gw, _sub, t, wire) = recorded_transmitter("idle", CaptureConfig::default());
+        t.publish_record(record(0, 3)).unwrap();
+        t.flush().unwrap();
+        let (before, datagrams) = (t.stats(), wire.datagrams().len());
+        std::thread::sleep(Duration::from_secs(2));
+        let after = t.stats();
+        assert_eq!(wire.datagrams().len(), datagrams, "idle datagrams");
+        assert!(
+            after.wakeups - before.wakeups <= 3,
+            "{} wake-ups in 2 s of nothing",
+            after.wakeups - before.wakeups
+        );
+        assert!(after.connected);
+        t.shutdown();
+        gw.shutdown();
+    }
+
+    /// Sleeping on the channel does not mean sleeping through a scheduled
+    /// reconnection: once the device has found the gateway dead, the next
+    /// CONNECT goes out when the backoff says, not when the workflow
+    /// happens to capture again.
+    #[test]
+    fn disconnected_link_wakes_for_its_reconnect_attempt() {
+        let config = CaptureConfig::default();
+        let backoff = config.reconnect_initial_backoff;
+        let (gw, _sub, t, wire) = recorded_transmitter("dead", config);
+        t.publish_record(record(0, 3)).unwrap();
+        t.flush().unwrap();
+        gw.shutdown();
+        // The last capture call: its PUBLISH meets a closed port.
+        t.publish_record(record(1, 3)).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || !t.stats().connected),
+            "transmitter never noticed the dead gateway"
+        );
+        let noticed = Instant::now();
+        let is_connect = |p: &Packet| matches!(p, Packet::Connect { .. });
+        assert!(
+            wait_until(Duration::from_secs(5), || wire.count(is_connect) > 0),
+            "no reconnection attempt without a capture call"
+        );
+        let waited = wire.first(is_connect).unwrap() - noticed;
+        let bound = backoff.mul_f64(1.0 + RECONNECT_JITTER) + Duration::from_millis(250);
+        assert!(waited <= bound, "reconnect attempt after {waited:?}");
+        assert_eq!(t.stats().records_dropped, 0);
+        drop(t);
+    }
+
+    /// A QoS 0 publish has no acknowledgement to wait for, but the gateway
+    /// answers a publish of any QoS with an advisory when its congestion
+    /// level has risen: the transmitter still reads after such a send, so
+    /// backpressure reaches a QoS 0 device at once and not with the next
+    /// keep-alive.
+    #[test]
+    fn qos0_publisher_still_hears_a_congestion_advisory() {
+        let soft_from_the_start = BrokerConfig {
+            congestion_soft: 0,
+            ..BrokerConfig::default()
+        };
+        let gw = UdpBroker::spawn("127.0.0.1:0", soft_from_the_start).unwrap();
+        let config = CaptureConfig {
+            qos: mqtt_sn::QoS::AtMostOnce,
+            ..CaptureConfig::default()
+        };
+        let topic = "provlight/test/qos0".to_owned();
+        let t = Transmitter::start(gw.local_addr(), "qos0".into(), topic, config).unwrap();
+        t.publish_record(record(0, 3)).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || t.stats().congestion_signals > 0),
+            "the advisory was never read"
+        );
+        t.shutdown();
+        gw.shutdown();
     }
 
     #[test]

@@ -880,6 +880,41 @@ impl Client {
         }
         out
     }
+
+    /// When [`Client::on_tick`] will next have something to do, so a
+    /// caller with nothing else to wait for can sleep until then instead
+    /// of polling: the earliest retransmission of a control packet or an
+    /// in-flight publish, and the keep-alive (the PINGREQ falling due, or
+    /// the outstanding one timing out). `None` when no timer is running.
+    pub fn next_deadline(&self) -> Option<Nanos> {
+        let retry_ns = self.config.retry_timeout.as_nanos() as u64;
+        let control = self
+            .pending_control
+            .values()
+            .map(|c| c.last_sent.saturating_add(retry_ns))
+            .min();
+        if self.state != ClientState::Connected {
+            return control;
+        }
+        let ka_ns = self.config.keep_alive.as_nanos() as u64;
+        let keep_alive = match self.ping_outstanding_since {
+            _ if ka_ns == 0 => None,
+            // `on_tick` gives up strictly after `Tretry`.
+            Some(since) => Some(since.saturating_add(retry_ns).saturating_add(1)),
+            None => Some(self.last_tx.saturating_add(ka_ns)),
+        };
+        [control, self.out.next_due(retry_ns), keep_alive]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Whether the broker owes a reply to something other than a publish:
+    /// a CONNECT, REGISTER, SUBSCRIBE or UNSUBSCRIBE transaction, or a
+    /// PINGREQ.
+    pub fn control_outstanding(&self) -> bool {
+        !self.pending_control.is_empty() || self.ping_outstanding_since.is_some()
+    }
 }
 
 #[cfg(test)]
@@ -1237,6 +1272,60 @@ mod tests {
         let out = c.on_tick(21 * s);
         assert_eq!(sends(&out), vec![&Packet::PingReq]);
         let out = c.on_tick(24 * s);
+        assert_eq!(events(&out), vec![&ClientEvent::PingTimeout]);
+    }
+
+    /// `next_deadline` is exact: a tick just before it does nothing, the
+    /// tick at it does something — through a CONNECT retransmission, an
+    /// idle keep-alive, a publish retransmitted until it expires, and a
+    /// PINGREQ nobody answers.
+    #[test]
+    fn next_deadline_is_the_first_tick_that_acts() {
+        let mut cfg = ClientConfig::new("dev1");
+        cfg.keep_alive = Duration::from_secs(7);
+        cfg.retry_timeout = Duration::from_secs(2);
+        cfg.max_retries = 1;
+        let mut c = Client::new(cfg);
+        assert_eq!(c.next_deadline(), None, "nothing started, nothing due");
+        let s = 1_000_000_000u64;
+        let acts_at = |c: &mut Client, at: Nanos| {
+            assert_eq!(c.next_deadline(), Some(at));
+            assert!(c.on_tick(at - 1).is_empty(), "acted before {at}");
+            let out = c.on_tick(at);
+            assert!(!out.is_empty(), "nothing to do at {at}");
+            out
+        };
+
+        c.connect(0);
+        assert!(c.control_outstanding());
+        let out = acts_at(&mut c, 2 * s);
+        assert!(matches!(sends(&out)[..], [Packet::Connect { .. }]));
+        c.on_packet(
+            Packet::ConnAck {
+                code: ReturnCode::Accepted,
+            },
+            3 * s,
+        );
+        assert!(!c.control_outstanding());
+
+        // The window's timer is nearer than the keep-alive's: one
+        // retransmission, then expiry, then the line is idle for 7 s.
+        c.publish(TopicRef::Id(1), vec![1], QoS::AtLeastOnce, 4 * s)
+            .unwrap();
+        let out = acts_at(&mut c, 6 * s);
+        assert!(matches!(
+            sends(&out)[..],
+            [Packet::Publish { dup: true, .. }]
+        ));
+        let out = acts_at(&mut c, 8 * s);
+        assert!(matches!(
+            events(&out)[..],
+            [ClientEvent::PublishFailed { .. }]
+        ));
+        let out = acts_at(&mut c, 13 * s);
+        assert_eq!(sends(&out), vec![&Packet::PingReq]);
+        assert!(c.control_outstanding());
+        let out = acts_at(&mut c, 15 * s + 1);
         assert_eq!(events(&out), vec![&ClientEvent::PingTimeout]);
     }
 

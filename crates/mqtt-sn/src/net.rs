@@ -446,8 +446,12 @@ impl Shared {
     /// stopped, so a publish one shard acknowledged is in its
     /// subscribers' shards' state — QoS 1/2 deliveries as unacknowledged
     /// outbound messages that retransmit after a resume — before that
-    /// state is snapshotted or dropped.
-    fn settle_fabric(&self) {
+    /// state is snapshotted or dropped, and on its way to those
+    /// subscribers before the gateway is gone: a publisher that stops the
+    /// gateway the moment its flush returned would otherwise see what it
+    /// flushed arrive a `Tretry` after the restart, behind whatever it
+    /// captured in between.
+    fn settle_fabric(&self, emitter: &mut Emitter) {
         let mut out = BrokerOutputs::new();
         for (to, broker) in self.brokers.iter().enumerate() {
             for from in (0..self.brokers.len()).filter(|&from| from != to) {
@@ -467,7 +471,10 @@ impl Shared {
                             &mut out,
                         );
                     }
-                    out.clear();
+                    let failed = emitter.flush(&mut out);
+                    if failed > 0 {
+                        broker.lock().note_io_errors(failed);
+                    }
                     ring.recycle(frame);
                 }
             }
@@ -555,6 +562,8 @@ pub struct UdpBroker {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// Sends what [`UdpBroker::stop`] finds still in the fabric.
+    emitter: Emitter,
 }
 
 /// Everything a gateway can be started with; see [`UdpBroker::builder`].
@@ -646,6 +655,11 @@ impl<A: ToSocketAddrs> GatewayBuilder<A> {
             local_addr: socket.local_addr()?,
             shared,
             threads: Vec::with_capacity(shards + 1),
+            emitter: Emitter {
+                socket: socket.try_clone()?,
+                fault: self.fault.clone(),
+                held_out: Vec::new(),
+            },
         };
         let mut reader = Some(SocketReader::new(socket.try_clone()?, self.fault.clone()));
         for idx in 0..shards {
@@ -814,7 +828,7 @@ impl UdpBroker {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.shared.settle_fabric();
+        self.shared.settle_fabric(&mut self.emitter);
         for broker in &self.shared.brokers {
             broker.lock().close_locals();
         }
@@ -1255,12 +1269,24 @@ pub struct UdpClient {
     /// Encoded PUBRELs waiting for the next outbound datagram to ride in
     /// front of, or for the next [`UdpClient::pump`] to send them alone. A
     /// PUBREL moves no data — the gateway fanned the publish out when it
-    /// first saw it — so it can wait a moment for company; nothing else is
-    /// ever held.
+    /// first saw it — so it can wait for company; nothing else is ever
+    /// held, and no message id is held twice.
     held_acks: Vec<u8>,
     /// Bytes `held_acks` may reach: one PUBREL per slot of the in-flight
     /// window is all that live handshakes can owe.
     held_cap: usize,
+    /// When the oldest held PUBREL leaves alone, company or not: half a
+    /// `Tretry` after it was held, so always before its slot's retransmit
+    /// timer (which started when the PUBREC came in) could ask for it
+    /// again. `None` while nothing is held.
+    release_by: Option<Instant>,
+    /// Half of `ClientConfig::retry_timeout`, the tick period
+    /// [`Client::on_tick`] asks for.
+    hold_for: Duration,
+    /// A QoS 0 PUBLISH has left since the socket was last read. Nothing
+    /// acknowledges it, but the gateway answers a publish of any QoS with
+    /// a congestion advisory when its level has risen, so one read is owed.
+    qos0_unheard: bool,
     /// Receive buffer, one datagram at a time.
     rbuf: Vec<u8>,
     /// Chaos seam (see [`UdpClient::set_fault`]); `None` in production.
@@ -1284,6 +1310,9 @@ impl UdpClient {
             socket,
             broker,
             held_cap: PUBREL_LEN * config.max_inflight.max(1),
+            release_by: None,
+            hold_for: config.retry_timeout / 2,
+            qos0_unheard: false,
             client: Client::new(config),
             start: Instant::now(),
             events: VecDeque::new(),
@@ -1336,13 +1365,25 @@ impl UdpClient {
     /// REGISTER, SUBSCRIBE, UNSUBSCRIBE), which always travels alone,
     /// after the held PUBRELs have left on their own.
     fn send_packet(&mut self, p: Packet) -> Result<(), NetError> {
-        if let Packet::PubRel { .. } = p {
+        if let Packet::PubRel { msg_id } = p {
+            // Length, type, then the id: see `PUBREL_LEN`.
+            let id = msg_id.to_be_bytes();
+            let mut held = self.held_acks.chunks_exact(PUBREL_LEN);
+            if held.any(|pubrel| pubrel[2..] == id) {
+                // Asked for again (the retry timer, a repeated PUBREC)
+                // while the first copy has not left: that copy goes now
+                // and is the retransmission.
+                return self.release_acks();
+            }
             if self.held_acks.len() >= self.held_cap {
                 self.release_acks()?;
             }
             // lint: zero-alloc-begin
             p.encode_into(&mut self.held_acks);
             // lint: zero-alloc-end
+            if self.release_by.is_none() {
+                self.release_by = Instant::now().checked_add(self.hold_for);
+            }
             return Ok(());
         }
         let alone = matches!(
@@ -1356,9 +1397,7 @@ impl UdpClient {
             self.release_acks()?;
         }
         // lint: zero-alloc-begin
-        self.write_buf.clear();
-        self.write_buf.append(&mut self.held_acks);
-        let riders = self.write_buf.len();
+        let riders = self.take_held();
         p.encode_into(&mut self.write_buf);
         // lint: zero-alloc-end
         if self.write_buf.len() > UDP_PAYLOAD_MAX && riders > 0 {
@@ -1371,20 +1410,28 @@ impl UdpClient {
         // The packet's payload buffer is done (the state machine keeps its
         // own copy for QoS 1/2 retransmission) — feed it back to the pool
         // so QoS 0 publishes recycle too.
-        if let Packet::Publish { payload, .. } = p {
+        if let Packet::Publish { qos, payload, .. } = p {
+            self.qos0_unheard |= qos == QoS::AtMostOnce;
             self.client.reclaim_payload(payload);
         }
         Ok(())
     }
 
-    /// Sends the held PUBRELs now, as one datagram of their own.
-    fn release_acks(&mut self) -> Result<(), NetError> {
-        if self.held_acks.is_empty() {
-            return Ok(());
-        }
+    /// Starts a datagram in `write_buf` with the held PUBRELs, which are
+    /// held no longer; returns how many bytes they are.
+    fn take_held(&mut self) -> usize {
         self.write_buf.clear();
         self.write_buf.append(&mut self.held_acks);
-        self.send_datagram(0..self.write_buf.len())
+        self.release_by = None;
+        self.write_buf.len()
+    }
+
+    /// Sends the held PUBRELs now, as one datagram of their own.
+    fn release_acks(&mut self) -> Result<(), NetError> {
+        match self.take_held() {
+            0 => Ok(()),
+            held => self.send_datagram(0..held),
+        }
     }
 
     /// Sends `write_buf[span]` as one datagram, subject to the installed
@@ -1448,12 +1495,15 @@ impl UdpClient {
     /// accumulate in the internal queue.
     ///
     /// A PUBREL this pump produces stays held for the next outbound
-    /// datagram to carry. One still held when the next pump starts found
-    /// nothing to ride on and is sent alone before anything is read, so
-    /// the hold is bounded by the caller's pump period, never by traffic
-    /// that is not coming — and whoever blocks on a handshake does so by
-    /// pumping, so nobody waits for an acknowledgement that is held.
+    /// datagram to carry. One still held when the next pump starts is sent
+    /// alone before anything is read — whoever blocks on a handshake does
+    /// so by pumping, so nobody waits for an acknowledgement that is held.
+    /// A caller with nobody waiting need not pump for a held PUBREL's
+    /// sake: [`UdpClient::reply_expected`] does not count it, and
+    /// [`UdpClient::tick`] lets it go by [`UdpClient::next_deadline`] at
+    /// the latest.
     pub fn pump(&mut self) -> Result<(), NetError> {
+        self.qos0_unheard = false;
         self.release_acks()?;
         if self.fault.is_some() {
             self.release_held()?;
@@ -1474,9 +1524,49 @@ impl UdpClient {
             }
             Err(e) => return Err(NetError::Io(e)),
         }
+        self.tick()
+    }
+
+    /// The timers alone, without the wait: what a [`UdpClient::pump`] does
+    /// after reading, for a caller that sleeps elsewhere until
+    /// [`UdpClient::next_deadline`]. Never blocks and reads nothing. A
+    /// retransmission or keep-alive PINGREQ that falls due carries the held
+    /// PUBRELs like any datagram; what is still held past its release time
+    /// then leaves alone.
+    pub fn tick(&mut self) -> Result<(), NetError> {
+        if self.fault.is_some() {
+            self.release_held()?;
+        }
         let now = self.now();
         let outputs = self.client.on_tick(now);
-        self.dispatch(outputs)
+        self.dispatch(outputs)?;
+        if self.release_by.is_some_and(|at| at <= Instant::now()) {
+            self.release_acks()?;
+        }
+        Ok(())
+    }
+
+    /// Whether a datagram from the broker can be on its way to a
+    /// publisher: a PUBLISH without its PUBREC or PUBACK, a PUBREL that has
+    /// left without its PUBCOMP, a control transaction, a PINGREQ — or the
+    /// advisory a QoS 0 PUBLISH may have drawn. A handshake whose PUBREL is
+    /// still held is owed nothing until the PUBREL leaves. While this is
+    /// `false` a [`UdpClient::pump`] can only time out.
+    pub fn reply_expected(&self) -> bool {
+        self.client.inflight_len() > self.held_acks.len() / PUBREL_LEN
+            || self.client.control_outstanding()
+            || self.qos0_unheard
+    }
+
+    /// The earliest instant at which [`UdpClient::tick`] has something to
+    /// do: a timer of the state machine ([`Client::next_deadline`]), the
+    /// release of a held PUBREL, or a datagram delayed by the fault plan
+    /// (chaos only) coming off hold. `None` when nothing is scheduled.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        let timers = self.client.next_deadline();
+        let timers = timers.and_then(|ns| self.start.checked_add(Duration::from_nanos(ns)));
+        let delayed = self.held_in.iter().chain(&self.held_out).map(|held| held.0);
+        delayed.chain(timers).chain(self.release_by).min()
     }
 
     /// Reads what is already queued on the (non-blocking) socket.
@@ -1752,6 +1842,7 @@ impl UdpClient {
         // PUBRELs held for the dead connection go with it: the resumed
         // session re-emits the PUBREL of every handshake still in that phase.
         self.held_acks.clear();
+        self.release_by = None;
         let now = self.now();
         let outputs = self.client.reconnect(now);
         self.dispatch(outputs)?;
@@ -2484,6 +2575,45 @@ mod tests {
         gw.shutdown();
     }
 
+    /// A publish acknowledged on one shard and still in the fabric when
+    /// the gateway is stopped is sent to its subscriber on the way out, not
+    /// left for a retransmission after some later resume: the subscriber
+    /// reads it with no gateway there any more. (The window is the
+    /// destination shard's ring poll, so the race is run several times.)
+    #[test]
+    fn stopping_gateway_sends_the_forwards_it_acknowledged() {
+        for round in 0..16u8 {
+            let mut gw = sharded(4);
+            let addr = gw.local_addr();
+            let mut sub =
+                UdpClient::connect(addr, ClientConfig::new("stopsub"), timeout()).unwrap();
+            sub.subscribe("stop/#", QoS::ExactlyOnce, timeout())
+                .unwrap();
+            let pub_id = client_on_other_shard("stopdev", "stopsub", 4);
+            let mut publisher =
+                UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
+            let tid = publisher.register("stop/dev", timeout()).unwrap();
+            publisher
+                .publish(tid, vec![round], QoS::ExactlyOnce, timeout())
+                .unwrap();
+            gw.stop();
+            // Pump errors are expected: the PUBREC bounces off a closed port.
+            let deadline = Instant::now() + timeout();
+            let mut got = None;
+            while got.is_none() {
+                assert!(Instant::now() < deadline, "round {round}: never sent");
+                let _ = sub.pump();
+                while let Some(event) = sub.pop_event() {
+                    if let ClientEvent::Message { payload, .. } = event {
+                        got = Some(payload);
+                    }
+                }
+            }
+            assert_eq!(got, Some(vec![round]));
+            assert_eq!(gw.stats().cross_shard_forwards, 1);
+        }
+    }
+
     #[test]
     fn every_shard_pushes_into_one_local_subscription() {
         const SHARDS: usize = 4;
@@ -2792,6 +2922,77 @@ mod tests {
         assert_eq!(counter.0.load(Ordering::Relaxed), 4 * N as u64);
         assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
         assert_delivered_once_in_order(&mut sub, &gw, N);
+        gw.shutdown();
+    }
+
+    /// Counts the PUBRELs leaving one client, however they are bundled.
+    #[derive(Debug, Default)]
+    struct CountPubrels(AtomicU64);
+
+    impl DatagramFault for CountPubrels {
+        fn fate(&self, dir: FaultDir, datagram: &[u8]) -> DatagramFate {
+            let pubrel = |frame: &&[u8]| matches!(Packet::decode(frame), Ok(Packet::PubRel { .. }));
+            if dir == FaultDir::Outbound {
+                let n = frames(datagram).filter(pubrel).count();
+                self.0.fetch_add(n as u64, Ordering::Relaxed);
+            }
+            DatagramFate::Deliver
+        }
+    }
+
+    /// A hold that outlives `Tretry` (nobody pumps, nothing is published)
+    /// meets the slot's retransmit timer. The timer's PUBREL finds the first
+    /// copy still held and sends that copy: one PUBREL on the wire, not a
+    /// second one queued behind the first, and not `Nretry` holds ending in
+    /// `PublishFailed` for a message the gateway delivered long ago.
+    #[test]
+    fn retry_timer_never_duplicates_a_held_pubrel() {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let mut sub = gw.subscribe_local("#").unwrap();
+        let retry = Duration::from_millis(60);
+        let config = ClientConfig {
+            retry_timeout: retry,
+            max_retries: 1,
+            ..ClientConfig::new("overdue")
+        };
+        let mut c = UdpClient::connect(gw.local_addr(), config, timeout()).unwrap();
+        let tid = c.register("cnt/dev", timeout()).unwrap();
+        let pubrels = Arc::new(CountPubrels::default());
+        c.set_fault(pubrels.clone());
+
+        c.publish_nowait(tid, 0u32.to_be_bytes().to_vec(), QoS::ExactlyOnce)
+            .unwrap();
+        let deadline = Instant::now() + timeout();
+        while c.reply_expected() {
+            assert!(Instant::now() < deadline, "no PUBREC");
+            c.pump().unwrap();
+        }
+        assert_eq!(
+            c.inflight_len(),
+            1,
+            "held, and owed nothing until it leaves"
+        );
+        assert_eq!(pubrels.0.load(Ordering::Relaxed), 0);
+        let release_by = c.next_deadline().expect("a held PUBREL has a deadline");
+        assert!(release_by <= Instant::now() + retry / 2, "half a Tretry");
+
+        // Nobody pumps until the retransmit timer is past due twice over:
+        // with one retry allowed, two spent holds would be a failure.
+        std::thread::sleep(retry * 3);
+        c.tick().unwrap();
+        assert_eq!(pubrels.0.load(Ordering::Relaxed), 1, "the held copy, once");
+        assert!(c.reply_expected(), "it has left: a PUBCOMP is owed");
+        while c.inflight_len() > 0 {
+            assert!(Instant::now() < deadline, "no PUBCOMP");
+            c.pump().unwrap();
+        }
+        assert_eq!(pubrels.0.load(Ordering::Relaxed), 1);
+        assert!(matches!(
+            c.pop_event(),
+            Some(ClientEvent::PublishDone { .. })
+        ));
+        assert_eq!(c.pop_event(), None, "no PublishFailed");
+        assert_delivered_once_in_order(&mut sub, &gw, 1);
         gw.shutdown();
     }
 

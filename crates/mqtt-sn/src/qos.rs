@@ -257,10 +257,18 @@ impl<T> SendWindow<T> {
         ids
     }
 
+    /// When the next [`SendWindow::due`] pass will find something: the
+    /// oldest send time plus `retry_ns`. `None` with nothing in flight.
+    pub(crate) fn next_due(&self, retry_ns: u64) -> Option<Nanos> {
+        let oldest = self.slots.values().map(|slot| slot.last_sent).min()?;
+        Some(oldest.saturating_add(retry_ns))
+    }
+
     /// The retransmit-or-expire pass: every message unacknowledged for
     /// `retry_ns` is either re-sent (retry counted, timer restarted) or,
     /// after `max_retries` re-sends, removed. `each` sees them oldest
-    /// publish first.
+    /// publish first. The timers are read before anything is ordered, so a
+    /// pass that finds nothing due — nearly every one — allocates nothing.
     pub(crate) fn due(
         &mut self,
         now: Nanos,
@@ -268,18 +276,10 @@ impl<T> SendWindow<T> {
         max_retries: u32,
         mut each: impl FnMut(u16, Due<'_, T>),
     ) {
-        // Every id is ordered before any timer is read, which is what both
-        // ends did before they shared this pass. Reading the timers first
-        // is cheaper with a deep window, but a transmitter that ticks
-        // faster coalesces less, which moves the end-to-end benchmark
-        // (ROADMAP item 1): a change to measure on its own.
-        for id in self.ids_in_order(|_| true) {
+        for id in self.ids_in_order(|slot| now.saturating_sub(slot.last_sent) >= retry_ns) {
             let Entry::Occupied(mut slot) = self.slots.entry(id) else {
                 continue;
             };
-            if now.saturating_sub(slot.get().last_sent) < retry_ns {
-                continue;
-            }
             if slot.get().retries >= max_retries {
                 each(id, Due::Expired(slot.remove()));
             } else {

@@ -18,7 +18,7 @@ use provlight::mqtt_sn::packet::{frames, Packet};
 use provlight::mqtt_sn::{ClientConfig, ClientEvent, DatagramFate, DatagramFault, FaultDir, QoS};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::Record;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -456,4 +456,93 @@ fn link_killed_while_a_pubrel_is_held_resumes_without_duplicates() {
     assert_eq!(gateway.publishes_out, expected as u64, "{gateway:?}");
     client.shutdown();
     broker.shutdown();
+}
+
+/// Counts the PUBRELs a device has put on the wire.
+#[derive(Debug, Default)]
+struct PubrelsSent(AtomicUsize);
+
+impl DatagramFault for PubrelsSent {
+    fn fate(&self, dir: FaultDir, datagram: &[u8]) -> DatagramFate {
+        let pubrel = |frame: &&[u8]| matches!(Packet::decode(frame), Ok(Packet::PubRel { .. }));
+        if dir == FaultDir::Outbound {
+            let sent = frames(datagram).filter(pubrel).count();
+            self.0.fetch_add(sent, Ordering::SeqCst);
+        }
+        DatagramFate::Deliver
+    }
+}
+
+/// The gateway dies while the device is quiet: nothing in flight but one
+/// handshake whose PUBREL is held, and a transmitter that sleeps on its
+/// channel, so nothing tells it. The next capture call finds out — its
+/// PUBLISH meets a closed port — and from there it is an outage like any
+/// other: the session resumes on the restarted gateway, the held PUBREL is
+/// re-emitted, every record arrives once.
+#[test]
+fn gateway_killed_while_the_device_is_quiet_with_a_pubrel_held() {
+    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let addr = broker.local_addr();
+    let collector = Collector::start(addr, "provlight/#");
+
+    // Timers long enough that neither the hold deadline (half a `Tretry`)
+    // nor the keep-alive ends the quiet before the gateway does.
+    let pubrels = Arc::new(PubrelsSent::default());
+    let config = CaptureConfig {
+        keep_alive: Duration::from_secs(60),
+        retry_timeout: Duration::from_secs(4),
+        datagram_fault: Some(LinkFault(pubrels.clone())),
+        ..resilient_config()
+    };
+    let client =
+        ProvLightClient::connect(addr, "edge-device-5", "provlight/wf-quiet/dev5", config).unwrap();
+    let session = client.session();
+    let wf = session.workflow(5u64);
+    wf.begin().unwrap();
+    assert!(wait_until(Duration::from_secs(10), || collector.count() >= 1));
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(pubrels.0.load(Ordering::SeqCst), 0, "the PUBREL is held");
+
+    let snap = snap_path("quiet");
+    broker.shutdown_to_file(&snap).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        client.stats().connected,
+        "a quiet device has no way to know"
+    );
+
+    let mut task = wf.task(0u64, 0u64, &[]);
+    task.begin(vec![]).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), || !client.stats().connected),
+        "the capture call never found the gateway dead"
+    );
+
+    let broker = UdpBroker::builder(addr).resume_from(&snap).spawn().unwrap();
+    task.end(vec![]).unwrap();
+    wf.end().unwrap();
+    client.flush().unwrap();
+
+    // workflow begin + task begin + task end + workflow end.
+    let expected = 4;
+    assert!(
+        wait_until(Duration::from_secs(15), || collector.count() >= expected),
+        "records missing after the restart: {}",
+        collector.count()
+    );
+    std::thread::sleep(Duration::from_millis(300));
+    let records = collector.stop();
+    assert_eq!(records.len(), expected, "duplicate or lost records");
+    let times: Vec<u64> = records.iter().map(Record::time_ns).collect();
+    assert!(times.windows(2).all(|w| w[0] <= w[1]), "order: {times:?}");
+
+    let stats = client.stats();
+    assert!(stats.connected, "{stats:?}");
+    assert!(stats.reconnects >= 1, "{stats:?}");
+    assert_eq!(stats.records_dropped, 0, "{stats:?}");
+    assert_eq!(stats.buffered_records, 0, "{stats:?}");
+    assert_eq!(broker.stats().duplicates_suppressed, 0);
+    client.shutdown();
+    broker.shutdown();
+    let _ = std::fs::remove_file(&snap);
 }

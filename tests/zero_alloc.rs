@@ -629,6 +629,88 @@ fn steady_state_bundled_handshake_allocates_zero_per_message() {
     assert_eq!(broker.stats().decode_errors, 0);
 }
 
+/// A timer pass that finds nothing due — nearly every one either end ever
+/// makes — with the in-flight window full: `SendWindow::due` reads the
+/// timers before it orders any id, so the device's and the gateway's tick
+/// both perform **zero** heap allocations.
+#[test]
+fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
+    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
+    use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
+    use provlight::mqtt_sn::{Client, ClientConfig, ReturnCode};
+
+    // Device: every slot of the window holds an unacknowledged QoS 2 publish.
+    let config = ClientConfig::new("dev");
+    let window = config.max_inflight;
+    let mut client = Client::new(config);
+    client.connect(0);
+    let accepted = Packet::ConnAck {
+        code: ReturnCode::Accepted,
+    };
+    client.on_packet(accepted, 0);
+    for _ in 0..window {
+        client
+            .publish(TopicRef::Id(1), vec![0x5c; 16], QoS::ExactlyOnce, 0)
+            .unwrap();
+    }
+    assert!(!client.can_publish());
+
+    // Gateway: a QoS 1 subscriber that acknowledges nothing, so every
+    // forward stays in its session's window.
+    let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
+    let (publisher, subscriber) = (0u32, 1u32);
+    for addr in [publisher, subscriber] {
+        let connect = Packet::Connect {
+            clean_session: true,
+            duration: 60,
+            client_id: format!("c{addr}"),
+        };
+        broker.on_packet(0, addr, connect);
+    }
+    let subscribe = Packet::Subscribe {
+        dup: false,
+        qos: QoS::AtLeastOnce,
+        msg_id: 1,
+        topic: TopicRef::Name("z/t".into()),
+    };
+    let out = broker.on_packet(0, subscriber, subscribe);
+    let tid = match out[0].1 {
+        Packet::SubAck { topic_id, .. } => topic_id,
+        ref p => panic!("unexpected {p:?}"),
+    };
+    for msg_id in 1..=window as u16 {
+        let publish = Packet::Publish {
+            dup: false,
+            qos: QoS::AtMostOnce,
+            retain: false,
+            topic: TopicRef::Id(tid),
+            msg_id,
+            payload: vec![0x5c; 16],
+        };
+        broker.on_packet(0, publisher, publish);
+    }
+    assert_eq!(broker.stats().publishes_out, window as u64);
+    let mut out = BrokerOutputs::new();
+
+    // Well inside `Tretry` (10 s at both ends): nothing is due.
+    let iterations = 1024u64;
+    let before = allocations();
+    for now in 1..=iterations {
+        assert!(client.on_tick(now).is_empty());
+        broker.on_tick_into(now, &mut out);
+        assert!(out.is_empty());
+    }
+    let allocs = allocations() - before;
+    assert!(
+        allocs == 0,
+        "{allocs} allocations over {iterations} ticks with nothing due \
+         ({:.4} allocs/tick); an idle tick must be allocation-free",
+        allocs as f64 / iterations as f64
+    );
+    assert_eq!(client.inflight_len(), window);
+    assert_eq!(broker.stats().retransmissions, 0);
+}
+
 /// The legacy allocating path, measured the same way, is decidedly not
 /// allocation-free — guarding against the zero assertion above passing
 /// vacuously (e.g. a broken counter).
