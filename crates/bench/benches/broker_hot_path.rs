@@ -1,14 +1,15 @@
-//! Gateway broker throughput: the per-packet serve path versus the
-//! batched zero-alloc path, through the sans-io core.
+//! Gateway broker throughput: a per-packet serve loop versus the batched
+//! zero-alloc one, through the sans-io core.
 //!
-//! `per_packet` replays the PR-4-era serve loop minus the socket: one
-//! `Packet::decode` (owned payload), one `on_packet` call returning a
-//! fresh output `Vec` of owned packets (payload cloned per subscriber),
-//! and one `encode_into` per output datagram. `batched` replays the
-//! gateway's serve loop: `on_datagram_into` over 32-frame batches under
-//! one `&mut` — borrowed decode, recycled `BrokerOutputs`, and
-//! single-encode fan-out (subscriber copies share one wire image with a
-//! 3-byte header patch).
+//! `per_packet` is a foil built here from public pieces — the library no
+//! longer carries a per-packet path — that pays per datagram what the
+//! PR-4-era serve loop paid: one `Packet::decode` (owned payload), a
+//! fresh `BrokerOutputs`, one owned packet per output (`packets()`,
+//! payload copied per subscriber), and one `encode_into` per output
+//! datagram. `batched` replays the gateway's serve loop:
+//! `on_datagram_into` over 32-frame batches under one `&mut` — borrowed
+//! decode, recycled `BrokerOutputs`, and single-encode fan-out
+//! (subscriber copies share one wire image with a 3-byte header patch).
 //!
 //! Both paths are swept across 1/8/32 QoS 0 subscribers — the fan-out a
 //! gateway sees between one translator and the paper's ~50-devices-per-
@@ -50,45 +51,52 @@ const GATE_FANOUT: usize = 8;
 
 const PUBLISHER: u32 = 0;
 
+/// Set-up traffic through the broker's one door: `packet` as the datagram
+/// `from` would send, and the replies decoded.
+fn send(b: &mut Broker<u32>, from: u32, packet: Packet) -> Vec<(u32, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_datagram_into(0, from, &packet.encode(), &mut out)
+        .expect("set-up packet decodes");
+    out.packets()
+}
+
+fn connect(b: &mut Broker<u32>, addr: u32) {
+    let connect = Packet::Connect {
+        clean_session: true,
+        duration: 60,
+        client_id: format!("c{addr}"),
+    };
+    send(b, addr, connect);
+}
+
+fn subscribe(b: &mut Broker<u32>, addr: u32, name: &str) {
+    let subscribe = Packet::Subscribe {
+        dup: false,
+        qos: QoS::AtMostOnce,
+        msg_id: 2,
+        topic: TopicRef::Name(name.into()),
+    };
+    send(b, addr, subscribe);
+}
+
 /// A broker with one publisher and `subs` QoS 0 subscribers on one topic;
 /// returns the registered topic id.
 fn build_broker(subs: usize) -> (Broker<u32>, u16) {
     let mut b: Broker<u32> = Broker::new(BrokerConfig::default());
     for addr in 0..=subs as u32 {
-        b.on_packet(
-            0,
-            addr,
-            Packet::Connect {
-                clean_session: true,
-                duration: 60,
-                client_id: format!("c{addr}"),
-            },
-        );
+        connect(&mut b, addr);
     }
-    let out = b.on_packet(
-        0,
-        PUBLISHER,
-        Packet::Register {
-            topic_id: 0,
-            msg_id: 1,
-            topic_name: "gw/dev".into(),
-        },
-    );
-    let tid = match out[0].1 {
+    let register = Packet::Register {
+        topic_id: 0,
+        msg_id: 1,
+        topic_name: "gw/dev".into(),
+    };
+    let tid = match send(&mut b, PUBLISHER, register)[0].1 {
         Packet::RegAck { topic_id, .. } => topic_id,
         ref p => panic!("unexpected {p:?}"),
     };
     for addr in 1..=subs as u32 {
-        b.on_packet(
-            0,
-            addr,
-            Packet::Subscribe {
-                dup: false,
-                qos: QoS::AtMostOnce,
-                msg_id: 2,
-                topic: TopicRef::Name("gw/dev".into()),
-            },
-        );
+        subscribe(&mut b, addr, "gw/dev");
     }
     (b, tid)
 }
@@ -105,13 +113,17 @@ fn publish_wire(tid: u16) -> Vec<u8> {
     .encode()
 }
 
-/// The old serve-loop body per datagram; returns elapsed seconds.
+/// The per-packet foil's loop body per datagram; returns elapsed seconds.
 fn run_per_packet(broker: &mut Broker<u32>, wire: &[u8], packets: usize) -> f64 {
     let mut wbuf = Vec::new();
     let start = Instant::now();
     for _ in 0..packets {
-        let p = Packet::decode(wire).expect("bench wire decodes");
-        for (to, p) in broker.on_packet(0, PUBLISHER, p) {
+        black_box(Packet::decode(wire).expect("bench wire decodes"));
+        let mut out = BrokerOutputs::new();
+        broker
+            .on_datagram_into(0, PUBLISHER, wire, &mut out)
+            .expect("bench wire decodes");
+        for (to, p) in out.packets() {
             wbuf.clear();
             p.encode_into(&mut wbuf);
             black_box((to, wbuf.len()));
@@ -183,31 +195,6 @@ struct ShardedSetup {
     groups: Vec<GroupJob>,
 }
 
-fn sf_connect(b: &mut Broker<u32>, addr: u32) {
-    b.on_packet(
-        0,
-        addr,
-        Packet::Connect {
-            clean_session: true,
-            duration: 60,
-            client_id: format!("sf{addr}"),
-        },
-    );
-}
-
-fn sf_subscribe(b: &mut Broker<u32>, addr: u32, name: &str) {
-    b.on_packet(
-        0,
-        addr,
-        Packet::Subscribe {
-            dup: false,
-            qos: QoS::AtMostOnce,
-            msg_id: 2,
-            topic: TopicRef::Name(name.into()),
-        },
-    );
-}
-
 /// Builds the N-shard topology: group `g` (publisher + `LOCAL_SUBS`
 /// same-shard subscribers) lives on shard `g % n`, and additionally
 /// hosts one subscriber to the *next* group's topic — which lives on a
@@ -230,17 +217,17 @@ fn build_sharded(n: usize) -> ShardedSetup {
         let b = &mut brokers[shard];
         b.mirror_topic(tids[g], &group_topic(g));
         b.mirror_topic(tids[neighbor], &group_topic(neighbor));
-        sf_connect(b, pub_addr(g));
+        connect(b, pub_addr(g));
         for k in 0..LOCAL_SUBS {
             let addr = pub_addr(g) + 1 + k as u32;
-            sf_connect(b, addr);
-            sf_subscribe(b, addr, &group_topic(g));
+            connect(b, addr);
+            subscribe(b, addr, &group_topic(g));
         }
         // The cross-shard subscriber: group g listens to group g+1's
         // topic, owned by shard (g+1) % n != g % n for n in {2, 4}.
         let cross = pub_addr(g) + 50;
-        sf_connect(b, cross);
-        sf_subscribe(b, cross, &group_topic(neighbor));
+        connect(b, cross);
+        subscribe(b, cross, &group_topic(neighbor));
         let payload = vec![0xA5u8; PAYLOAD_BYTES];
         let wire = Packet::Publish {
             dup: false,
@@ -531,7 +518,7 @@ fn main() {
     let section = format!(
         "{{\n    \"payload_bytes\": {PAYLOAD_BYTES},\n    \"batch\": {BATCH},\n    \
          \"gate_fanout\": {GATE_FANOUT},\n    \"reps\": {reps},\n    \
-         \"model\": \"sans-io core; packets/sec inbound, outbound scales with fan-out\",\n    \
+         \"model\": \"sans-io core; packets/sec inbound, outbound scales with fan-out; per_packet is a bench-local replay with deliberate per-datagram overhead, so the speedup is not comparable with entries before PR 18 and is not a gain\",\n    \
          \"paths\": {{{paths}\n    }},\n    \
          \"speedup_broker_batched_vs_per_packet\": {speedup:.2}\n  }}"
     );

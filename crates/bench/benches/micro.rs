@@ -3,7 +3,7 @@
 //! handling, broker routing, store ingestion and queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use mqtt_sn::broker::{Broker, BrokerConfig};
+use mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use mqtt_sn::packet::{Packet, QoS, TopicRef};
 use prov_codec::frame::Envelope;
 use prov_codec::json::{records_to_json, JsonStyle};
@@ -104,103 +104,33 @@ fn bench_mqtt(c: &mut Criterion) {
         b.iter(|| Packet::decode(std::hint::black_box(&wire)).unwrap())
     });
 
-    // Broker routing: 1 publisher, 64 subscribers on distinct topics.
+    // Broker routing: 64 publishers on distinct topics, one wildcard
+    // subscriber; pre-encoded wire in, recycled `BrokerOutputs` out.
     g.bench_function("broker_route_64_topics", |b| {
         b.iter_batched(
             || {
                 let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
-                let mut tids = Vec::new();
-                for dev in 0..64u32 {
-                    broker.on_packet(
-                        0,
-                        dev,
-                        Packet::Connect {
-                            clean_session: true,
-                            duration: 60,
-                            client_id: format!("dev{dev}"),
-                        },
-                    );
-                    let out = broker.on_packet(
-                        0,
-                        dev,
-                        Packet::Register {
-                            topic_id: 0,
-                            msg_id: 1,
-                            topic_name: format!("provlight/wf/dev{dev}"),
-                        },
-                    );
-                    if let Packet::RegAck { topic_id, .. } = out[0].1 {
-                        tids.push(topic_id);
-                    }
-                }
-                broker.on_packet(
-                    0,
-                    999,
-                    Packet::Connect {
-                        clean_session: true,
-                        duration: 60,
-                        client_id: "translator".into(),
-                    },
-                );
-                broker.on_packet(
-                    0,
-                    999,
-                    Packet::Subscribe {
-                        dup: false,
-                        qos: QoS::AtMostOnce,
-                        msg_id: 2,
-                        topic: TopicRef::Name("provlight/#".into()),
-                    },
-                );
-                (broker, tids)
-            },
-            |(mut broker, tids)| {
-                for (dev, tid) in tids.iter().enumerate() {
-                    broker.on_packet(
-                        1,
-                        dev as u32,
-                        Packet::Publish {
-                            dup: false,
-                            qos: QoS::AtMostOnce,
-                            retain: false,
-                            topic: TopicRef::Id(*tid),
-                            msg_id: 0,
-                            payload: vec![1; 128],
-                        },
-                    );
-                }
-                broker
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // The same 64-device routing through the zero-alloc datagram path:
-    // pre-encoded wire in, recycled BrokerOutputs out.
-    g.bench_function("broker_route_64_topics_batched", |b| {
-        b.iter_batched(
-            || {
-                let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
+                let mut send = |from: u32, packet: Packet| {
+                    let mut out = BrokerOutputs::new();
+                    broker
+                        .on_datagram_into(0, from, &packet.encode(), &mut out)
+                        .expect("set-up packet decodes");
+                    out.packets()
+                };
+                let connect = |id: String| Packet::Connect {
+                    clean_session: true,
+                    duration: 60,
+                    client_id: id,
+                };
                 let mut wires = Vec::new();
                 for dev in 0..64u32 {
-                    broker.on_packet(
-                        0,
-                        dev,
-                        Packet::Connect {
-                            clean_session: true,
-                            duration: 60,
-                            client_id: format!("dev{dev}"),
-                        },
-                    );
-                    let out = broker.on_packet(
-                        0,
-                        dev,
-                        Packet::Register {
-                            topic_id: 0,
-                            msg_id: 1,
-                            topic_name: format!("provlight/wf/dev{dev}"),
-                        },
-                    );
-                    if let Packet::RegAck { topic_id, .. } = out[0].1 {
+                    send(dev, connect(format!("dev{dev}")));
+                    let register = Packet::Register {
+                        topic_id: 0,
+                        msg_id: 1,
+                        topic_name: format!("provlight/wf/dev{dev}"),
+                    };
+                    if let Packet::RegAck { topic_id, .. } = send(dev, register)[0].1 {
                         wires.push(
                             Packet::Publish {
                                 dup: false,
@@ -214,26 +144,15 @@ fn bench_mqtt(c: &mut Criterion) {
                         );
                     }
                 }
-                broker.on_packet(
-                    0,
-                    999,
-                    Packet::Connect {
-                        clean_session: true,
-                        duration: 60,
-                        client_id: "translator".into(),
-                    },
-                );
-                broker.on_packet(
-                    0,
-                    999,
-                    Packet::Subscribe {
-                        dup: false,
-                        qos: QoS::AtMostOnce,
-                        msg_id: 2,
-                        topic: TopicRef::Name("provlight/#".into()),
-                    },
-                );
-                (broker, wires, mqtt_sn::broker::BrokerOutputs::new())
+                send(999, connect("translator".into()));
+                let subscribe = Packet::Subscribe {
+                    dup: false,
+                    qos: QoS::AtMostOnce,
+                    msg_id: 2,
+                    topic: TopicRef::Name("provlight/#".into()),
+                };
+                send(999, subscribe);
+                (broker, wires, BrokerOutputs::new())
             },
             |(mut broker, wires, mut out)| {
                 for (dev, wire) in wires.iter().enumerate() {

@@ -639,16 +639,17 @@ fn sharded_counters() -> ShardedCounters {
     let fabric = ForwardFabric::new(SHARDS, 64);
     let mut shards: Vec<Broker<u32>> = (0..SHARDS).map(|_| Broker::new(config.clone())).collect();
 
+    let send = |b: &mut Broker<u32>, addr: u32, packet: Packet| {
+        b.on_datagram_into(0, addr, &packet.encode(), &mut BrokerOutputs::new())
+            .expect("set-up packet decodes");
+    };
     let connect = |b: &mut Broker<u32>, addr: u32, id: &str| {
-        b.on_packet(
-            0,
-            addr,
-            Packet::Connect {
-                clean_session: false,
-                duration: 60,
-                client_id: id.into(),
-            },
-        );
+        let connect = Packet::Connect {
+            clean_session: false,
+            duration: 60,
+            client_id: id.into(),
+        };
+        send(b, addr, connect);
     };
     connect(&mut shards[0], 0, "sharded-pub");
     connect(&mut shards[1], 1, "sharded-live");
@@ -658,20 +659,17 @@ fn sharded_counters() -> ShardedCounters {
         shard.mirror_topic(tid, "prov/sharded");
     }
     for (shard, addr, qos) in [(1usize, 1u32, QoS::AtMostOnce), (2, 2, QoS::AtLeastOnce)] {
-        shards[shard].on_packet(
-            0,
-            addr,
-            Packet::Subscribe {
-                dup: false,
-                qos,
-                msg_id: 1,
-                topic: TopicRef::Name("prov/sharded".into()),
-            },
-        );
+        let subscribe = Packet::Subscribe {
+            dup: false,
+            qos,
+            msg_id: 1,
+            topic: TopicRef::Name("prov/sharded".into()),
+        };
+        send(&mut shards[shard], addr, subscribe);
         router.set_filters(shard, &["prov/sharded".to_string()]);
     }
     // The durable subscriber goes away; deliveries now buffer on shard 2.
-    shards[2].on_packet(0, 2, Packet::Disconnect { duration: None });
+    send(&mut shards[2], 2, Packet::Disconnect { duration: None });
 
     // Publish everything before draining so the rings show a real high
     // water, like a burst arriving faster than the peer shards serve.

@@ -73,7 +73,10 @@ pub struct CaptureConfig {
     /// Use the compact binary representation. `false` switches to JSON —
     /// the ablation for the paper's "simplified data model" claim
     /// (§VII-A: the model accounts for ≈1.7 pp capture-time and ≈1.4 pp
-    /// CPU reduction).
+    /// CPU reduction). The server decodes both forms. JSON carries every
+    /// number as an `f64`: a timestamp is exact below 2^53 ns (a logical
+    /// clock; wall-clock nanoseconds since the epoch round to 256 ns), and
+    /// a whole-valued float attribute comes back as an integer.
     pub binary: bool,
     /// Grouping policy.
     pub group: GroupPolicy,

@@ -6,6 +6,7 @@ use mqtt_sn::net::{NetError, UdpBroker};
 use mqtt_sn::{BrokerConfig, LocalMessage, LocalSubscription};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
+use prov_codec::json::records_from_json;
 use prov_model::Record;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,8 +170,24 @@ impl ProvLightServer {
     }
 }
 
+/// Decodes one published payload into `records` (cleared first), in either
+/// form the transmitter emits: an envelope, or — `CaptureConfig::binary`
+/// off — a compact JSON array, whose `[` is never the envelope's magic.
+fn decode_payload(payload: &[u8], records: &mut Vec<Record>) -> bool {
+    if payload.first() != Some(&b'[') {
+        return Envelope::decode_into(payload, records).is_ok();
+    }
+    records.clear();
+    let text = std::str::from_utf8(payload).ok();
+    let Some(parsed) = text.and_then(|text| records_from_json(text).ok()) else {
+        return false;
+    };
+    records.extend(parsed);
+    true
+}
+
 /// The translator loop: block on the gateway's queue, take everything
-/// queued per wake-up, decode each envelope and hand its records over.
+/// queued per wake-up, decode each message and hand its records over.
 /// Ends when the gateway has stopped and the queue is drained.
 fn translate(
     mut subscription: LocalSubscription,
@@ -178,17 +195,16 @@ fn translate(
     decode_errors: &AtomicU64,
 ) {
     // One message batch and one record buffer cycle for the lifetime of
-    // the thread: `recv` refills the first, `decode_into` clears and
+    // the thread: `recv` refills the first, `decode_payload` clears and
     // refills the second, `on_records` drains it.
     let mut batch: Vec<LocalMessage> = Vec::new();
     let mut records: Vec<Record> = Vec::new();
     while subscription.recv(&mut batch) {
         for message in &batch {
-            match Envelope::decode_into(&message.payload, &mut records) {
-                Ok(_) => translator.lock().on_records(&mut records),
-                Err(_) => {
-                    decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
+            if decode_payload(&message.payload, &mut records) {
+                translator.lock().on_records(&mut records);
+            } else {
+                decode_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -218,6 +234,28 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         false
+    }
+
+    #[test]
+    fn decode_payload_takes_both_forms_and_survives_hostile_nesting() {
+        let sent = vec![Record::WorkflowBegin {
+            workflow: Id::Num(1),
+            time_ns: 42,
+        }];
+        let mut records = Vec::new();
+
+        let json = prov_codec::json::records_to_json(&sent, prov_codec::json::JsonStyle::Compact);
+        assert!(decode_payload(json.as_bytes(), &mut records));
+        assert_eq!(records, sent);
+
+        // A bare object is not a form the transmitter emits; 60 000 openers
+        // (one datagram) are an error, not a stack overflow on the
+        // translator thread.
+        for hostile in [&b"{}"[..], &b"[{]"[..], &[b'['; 60_000][..]] {
+            assert!(!decode_payload(hostile, &mut records));
+        }
+        assert!(decode_payload(b"[]", &mut records));
+        assert!(records.is_empty());
     }
 
     #[test]

@@ -10,14 +10,18 @@
 //!   subscribers on *first* receipt and duplicate PUBLISHes are suppressed
 //!   until the PUBREL clears the message id — exactly-once semantics;
 //! * **outbound QoS 1/2** (broker → subscriber): per-subscriber message-id
-//!   allocation, retransmission with DUP on [`Broker::on_tick`], and the
-//!   4-way handshake for QoS 2 subscribers.
+//!   allocation, retransmission with DUP on [`Broker::on_tick_into`], and
+//!   the 4-way handshake for QoS 2 subscribers.
+//!
+//! One door in, one way out. A client's traffic enters as the bytes of its
+//! datagram ([`Broker::on_datagram_into`]); beside it there is only time
+//! ([`Broker::on_tick_into`]) and, between the shards of one gateway, a
+//! publish another shard accepted ([`Broker::deliver_forwarded`]).
+//! Everything the broker sends leaves through a [`BrokerOutputs`].
 
 use crate::client::Nanos;
 use crate::local::{LocalQueue, LocalSubscription};
-use crate::packet::{
-    encode_publish_into, publish_flags, Packet, PacketRef, PublishWire, QoS, ReturnCode, TopicRef,
-};
+use crate::packet::{Packet, PacketRef, QoS, ReturnCode, TopicRef};
 use crate::qos::{Ack, Due, Receiver, SendWindow};
 use crate::topic::{filter_is_valid, topic_matches, TopicRegistry};
 use crate::Error;
@@ -25,6 +29,13 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod outputs;
+mod state;
+
+pub use outputs::BrokerOutputs;
+use outputs::WireSink;
+pub use state::{wire, PersistAddr};
 
 /// Broker configuration.
 #[derive(Clone, Debug)]
@@ -135,282 +146,6 @@ impl BrokerStats {
     }
 }
 
-/// Caller-owned, recycled output buffer for the zero-allocation broker
-/// path: every outbound packet is encoded into one shared wire buffer and
-/// addressed by byte range, so a serve loop flushes with plain `send_to`
-/// calls and the steady state performs no per-packet heap traffic.
-///
-/// Fan-out sharing: when one PUBLISH routes to N subscribers the wire
-/// image is encoded **once**; the per-subscriber copies reference the same
-/// range with a 3-byte header patch (flags byte + message id) applied in
-/// [`BrokerOutputs::emit`] order, so QoS-downgraded or msg-id-bearing
-/// copies never re-encode the payload.
-#[derive(Debug, Default)]
-pub struct BrokerOutputs<A> {
-    wire: Vec<u8>,
-    sends: Vec<SendOp<A>>,
-}
-
-#[derive(Debug)]
-struct SendOp<A> {
-    to: A,
-    range: std::ops::Range<usize>,
-    patch: Option<PublishPatch>,
-}
-
-#[derive(Debug)]
-struct PublishPatch {
-    flags_at: usize,
-    msg_id_at: usize,
-    flags: u8,
-    msg_id: u16,
-}
-
-impl PublishPatch {
-    fn apply(&self, wire: &mut [u8]) {
-        wire[self.flags_at] = self.flags;
-        wire[self.msg_id_at..self.msg_id_at + 2].copy_from_slice(&self.msg_id.to_be_bytes());
-    }
-}
-
-/// Largest datagram [`BrokerOutputs::emit_merged`] builds out of several
-/// messages: what fits any IPv6 path unfragmented (1280-byte minimum MTU
-/// less IP and UDP headers), so merging acknowledgements never turns one
-/// lost fragment into many lost messages.
-const MERGED_DATAGRAM_MAX: usize = 1232;
-
-impl<A> BrokerOutputs<A> {
-    /// Creates an empty output buffer (allocates lazily on first use).
-    pub fn new() -> Self {
-        BrokerOutputs {
-            wire: Vec::new(),
-            sends: Vec::new(),
-        }
-    }
-
-    /// Resets for the next batch, retaining capacity.
-    pub fn clear(&mut self) {
-        self.wire.clear();
-        self.sends.clear();
-    }
-
-    /// Number of datagrams produced.
-    pub fn len(&self) -> usize {
-        self.sends.len()
-    }
-
-    /// Whether no datagrams were produced.
-    pub fn is_empty(&self) -> bool {
-        self.sends.is_empty()
-    }
-
-    /// Applies pending header patches and yields `(destination, datagram)`
-    /// in production order. Safe to call repeatedly; patches are
-    /// idempotent and applied immediately before each datagram is yielded,
-    /// which is what makes sharing one wire image across subscribers with
-    /// distinct message ids correct.
-    pub fn emit(&mut self, mut f: impl FnMut(&A, &[u8])) {
-        // lint: zero-alloc-begin
-        for op in &self.sends {
-            if let Some(p) = &op.patch {
-                p.apply(&mut self.wire);
-            }
-            f(&op.to, &self.wire[op.range.start..op.range.end]);
-        }
-        // lint: zero-alloc-end
-    }
-
-    /// [`BrokerOutputs::emit`] for a transport whose peers split datagrams
-    /// with [`crate::packet::frames`]: consecutive unpatched messages to
-    /// one destination — the acknowledgements and control replies of one
-    /// batch, which lie back to back in the wire buffer — are yielded as
-    /// one datagram of up to 1232 bytes (`MERGED_DATAGRAM_MAX`). A fan-out
-    /// PUBLISH (always patched) is never merged, so a subscriber that is
-    /// not ours still gets one message per datagram.
-    pub fn emit_merged(&mut self, mut f: impl FnMut(&A, &[u8]))
-    where
-        A: PartialEq,
-    {
-        // lint: zero-alloc-begin
-        let mut next = 0;
-        while let Some(op) = self.sends.get(next) {
-            next += 1;
-            let mut end = op.range.end;
-            match &op.patch {
-                Some(p) => p.apply(&mut self.wire),
-                None => {
-                    while let Some(more) = self.sends.get(next) {
-                        let rides = more.patch.is_none()
-                            && more.to == op.to
-                            && more.range.start == end
-                            && more.range.end - op.range.start <= MERGED_DATAGRAM_MAX;
-                        if !rides {
-                            break;
-                        }
-                        end = more.range.end;
-                        next += 1;
-                    }
-                }
-            }
-            f(&op.to, &self.wire[op.range.start..end]);
-        }
-        // lint: zero-alloc-end
-    }
-
-    /// Decodes every produced datagram back into an owned packet — a
-    /// test and simulator convenience, not a hot path.
-    pub fn packets(&mut self) -> Vec<(A, Packet)>
-    where
-        A: Clone,
-    {
-        let mut out = Vec::with_capacity(self.sends.len());
-        self.emit(|to, bytes| {
-            out.push((
-                to.clone(),
-                // lint:allow(no-panic): decoding datagrams this broker just encoded; harness-only collection path
-                Packet::decode(bytes).expect("broker-encoded datagram decodes"),
-            ));
-        });
-        out
-    }
-}
-
-/// Where packet dispatch writes its outbound traffic: an owned
-/// `Vec<(A, Packet)>` for the legacy per-packet API and the simulators, or
-/// encoded wire ranges (with single-encode fan-out) for the gateway path.
-trait OutputSink<A> {
-    fn push(&mut self, to: A, packet: Packet);
-    fn push_publish(
-        &mut self,
-        to: A,
-        dup: bool,
-        qos: QoS,
-        topic_id: u16,
-        msg_id: u16,
-        payload: &[u8],
-    );
-}
-
-struct VecSink<'o, A>(&'o mut Vec<(A, Packet)>);
-
-impl<A> OutputSink<A> for VecSink<'_, A> {
-    fn push(&mut self, to: A, packet: Packet) {
-        self.0.push((to, packet));
-    }
-
-    fn push_publish(
-        &mut self,
-        to: A,
-        dup: bool,
-        qos: QoS,
-        topic_id: u16,
-        msg_id: u16,
-        payload: &[u8],
-    ) {
-        self.0.push((
-            to,
-            Packet::Publish {
-                dup,
-                qos,
-                retain: false,
-                topic: TopicRef::Id(topic_id),
-                msg_id,
-                payload: payload.to_vec(),
-            },
-        ));
-    }
-}
-
-struct WireSink<'o, A> {
-    out: &'o mut BrokerOutputs<A>,
-    /// Identity of the last publish wire image, for fan-out reuse. The
-    /// pointer is compared, never dereferenced; it stays meaningful
-    /// because a sink lives within a single dispatch call, during which
-    /// the payload slice is pinned.
-    cached: Option<CachedPublish>,
-}
-
-struct CachedPublish {
-    payload_ptr: *const u8,
-    payload_len: usize,
-    topic_id: u16,
-    dup: bool,
-    wire: PublishWire,
-}
-
-impl<'o, A> WireSink<'o, A> {
-    fn new(out: &'o mut BrokerOutputs<A>) -> Self {
-        WireSink { out, cached: None }
-    }
-}
-
-impl<A> OutputSink<A> for WireSink<'_, A> {
-    fn push(&mut self, to: A, packet: Packet) {
-        let start = self.out.wire.len();
-        packet.encode_into(&mut self.out.wire);
-        self.out.sends.push(SendOp {
-            to,
-            range: start..self.out.wire.len(),
-            patch: None,
-        });
-    }
-
-    fn push_publish(
-        &mut self,
-        to: A,
-        dup: bool,
-        qos: QoS,
-        topic_id: u16,
-        msg_id: u16,
-        payload: &[u8],
-    ) {
-        // lint: zero-alloc-begin
-        let topic = TopicRef::Id(topic_id);
-        if let Some(c) = &self.cached {
-            if c.payload_ptr == payload.as_ptr()
-                && c.payload_len == payload.len()
-                && c.topic_id == topic_id
-                && c.dup == dup
-            {
-                self.out.sends.push(SendOp {
-                    to,
-                    range: c.wire.start..c.wire.end,
-                    patch: Some(PublishPatch {
-                        flags_at: c.wire.flags_at,
-                        msg_id_at: c.wire.msg_id_at,
-                        flags: publish_flags(dup, qos, false, &topic),
-                        msg_id,
-                    }),
-                });
-                return;
-            }
-        }
-        let wire =
-            encode_publish_into(dup, qos, false, &topic, msg_id, payload, &mut self.out.wire);
-        // The first copy also records its header values as a patch: later
-        // copies patch the shared bytes in place, so every send must
-        // restore its own header for `emit` to stay repeatable.
-        self.out.sends.push(SendOp {
-            to,
-            range: wire.start..wire.end,
-            patch: Some(PublishPatch {
-                flags_at: wire.flags_at,
-                msg_id_at: wire.msg_id_at,
-                flags: publish_flags(dup, qos, false, &topic),
-                msg_id,
-            }),
-        });
-        self.cached = Some(CachedPublish {
-            payload_ptr: payload.as_ptr(),
-            payload_len: payload.len(),
-            topic_id,
-            dup,
-            wire,
-        });
-        // lint: zero-alloc-end
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SessionState {
     Active,
@@ -492,11 +227,6 @@ pub struct Broker<A: Clone + Eq + Hash> {
     /// buffering, so steady-state QoS 1/2 forwarding stores its required
     /// retransmission copy without allocating.
     payload_pool: Vec<Vec<u8>>,
-    /// Whether the most recent datagram handed to
-    /// [`Broker::on_datagram_into`] carried a PUBLISH that was accepted
-    /// for fan-out (first receipt, valid topic, not congestion-rejected).
-    /// Transient — never persisted.
-    last_publish_forwarded: bool,
 }
 
 /// One cached fan-out route.
@@ -526,7 +256,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             route_epoch: 0,
             routes: HashMap::new(),
             payload_pool: Vec::new(),
-            last_publish_forwarded: false,
         }
     }
 
@@ -698,32 +427,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             .count()
     }
 
-    /// Handles one decoded packet from `from`, returning packets to send.
-    ///
-    /// The allocating per-packet API: a fresh output `Vec` with owned
-    /// packets (PUBLISH payloads cloned per subscriber). The simulators
-    /// and tests use it; transports on the hot path should prefer
-    /// [`Broker::on_datagram_into`] / [`Broker::on_packet_into`], which
-    /// run the same state machine through recycled buffers.
-    pub fn on_packet(&mut self, now: Nanos, from: A, packet: Packet) -> Vec<(A, Packet)> {
-        let mut out = Vec::new();
-        self.dispatch(now, from, packet, &mut VecSink(&mut out));
-        out
-    }
-
-    /// Handles one decoded packet, encoding every output datagram into the
-    /// caller-owned (and recycled) `out` buffer: no output `Vec`, no
-    /// per-subscriber payload clone, single-encode fan-out.
-    pub fn on_packet_into(
-        &mut self,
-        now: Nanos,
-        from: A,
-        packet: Packet,
-        out: &mut BrokerOutputs<A>,
-    ) {
-        self.dispatch(now, from, packet, &mut WireSink::new(out));
-    }
-
     /// Handles one raw datagram end to end: borrowed decode (PUBLISH
     /// payloads are never copied into an owned `Vec`), state-machine
     /// dispatch, and wire encoding into `out`. Decode failures are
@@ -744,7 +447,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         out: &mut BrokerOutputs<A>,
     ) -> Result<bool, Error> {
         // lint: zero-alloc-begin
-        self.last_publish_forwarded = false;
         let mut sink = WireSink::new(out);
         match Packet::decode_borrowed(datagram) {
             Ok(PacketRef::Publish {
@@ -757,8 +459,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 if let Some(s) = self.sessions.get_mut(&from) {
                     s.last_seen = now;
                 }
-                self.handle_publish(now, from, qos, topic, msg_id, payload, &mut sink);
-                Ok(self.last_publish_forwarded)
+                Ok(self.handle_publish(now, from, qos, topic, msg_id, payload, &mut sink))
             }
             Ok(PacketRef::Owned(p)) => {
                 self.dispatch(now, from, p, &mut sink);
@@ -834,7 +535,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    fn dispatch<S: OutputSink<A>>(&mut self, now: Nanos, from: A, packet: Packet, sink: &mut S) {
+    fn dispatch(&mut self, now: Nanos, from: A, packet: Packet, sink: &mut WireSink<'_, A>) {
         if let Some(s) = self.sessions.get_mut(&from) {
             s.last_seen = now;
         }
@@ -882,14 +583,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 }
                 sink.push(from, Packet::UnsubAck { msg_id });
             }
-            Packet::Publish {
-                dup: _,
-                qos,
-                topic,
-                msg_id,
-                payload,
-                ..
-            } => self.handle_publish(now, from, qos, topic, msg_id, &payload, sink),
             Packet::PubRel { msg_id } => {
                 if let Some(s) = self.sessions.get_mut(&from) {
                     s.inbound.release(msg_id);
@@ -946,13 +639,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// with subscriptions, QoS handshake state, and buffered messages
     /// intact, and everything buffered while the client was away is
     /// delivered right after the CONNACK.
-    fn handle_connect<S: OutputSink<A>>(
+    fn handle_connect(
         &mut self,
         now: Nanos,
         from: A,
         clean_session: bool,
         client_id: String,
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         self.invalidate_routes();
         let connack = Packet::ConnAck {
@@ -1039,7 +732,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
 
     /// Delivers everything buffered for `to` while it was asleep or away,
     /// arming outbound QoS 1/2 state for each message.
-    fn deliver_buffered<S: OutputSink<A>>(&mut self, now: Nanos, to: A, sink: &mut S) {
+    fn deliver_buffered(&mut self, now: Nanos, to: A, sink: &mut WireSink<'_, A>) {
         let buffered = match self.sessions.get_mut(&to) {
             Some(s) => std::mem::take(&mut s.buffered),
             None => return,
@@ -1074,13 +767,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    fn handle_subscribe<S: OutputSink<A>>(
+    fn handle_subscribe(
         &mut self,
         from: A,
         qos: QoS,
         msg_id: u16,
         topic: TopicRef,
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         self.invalidate_routes();
         let Some(session) = self.sessions.get_mut(&from) else {
@@ -1129,8 +822,11 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         );
     }
 
+    /// One PUBLISH from `from`: acknowledged or refused toward the
+    /// publisher, then fanned out. Returns whether it was accepted for
+    /// fan-out — the verdict [`Broker::on_datagram_into`] reports.
     #[allow(clippy::too_many_arguments)]
-    fn handle_publish<S: OutputSink<A>>(
+    fn handle_publish(
         &mut self,
         now: Nanos,
         from: A,
@@ -1138,24 +834,15 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         topic: TopicRef,
         msg_id: u16,
         payload: &[u8],
-        sink: &mut S,
-    ) {
+        sink: &mut WireSink<'_, A>,
+    ) -> bool {
+        // A PUBLISH carries a topic id: `decode_borrowed` refuses one by
+        // name as malformed before it gets here.
+        let (TopicRef::Id(topic_id) | TopicRef::Predefined(topic_id)) = topic else {
+            return false;
+        };
         self.stats.publishes_in += 1;
 
-        let topic_id = match topic {
-            TopicRef::Id(id) | TopicRef::Predefined(id) => id,
-            TopicRef::Name(_) => {
-                sink.push(
-                    from,
-                    Packet::PubAck {
-                        topic_id: 0,
-                        msg_id,
-                        code: ReturnCode::NotSupported,
-                    },
-                );
-                return;
-            }
-        };
         if self.registry.name_of(topic_id).is_none() {
             sink.push(
                 from,
@@ -1165,7 +852,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     code: ReturnCode::InvalidTopicId,
                 },
             );
-            return;
+            return false;
         }
 
         // End-to-end backpressure. Rising congestion is advertised to the
@@ -1210,7 +897,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                             code: ReturnCode::Congestion,
                         },
                     );
-                    return;
+                    return false;
                 }
             }
         }
@@ -1238,13 +925,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                 sink.push(from.clone(), Packet::PubRec { msg_id });
                 if !first_receipt {
                     self.stats.duplicates_suppressed += 1;
-                    return;
+                    return false;
                 }
             }
         }
 
-        self.last_publish_forwarded = true;
         self.fan_out(now, topic_id, qos, payload, true, sink);
+        true
     }
 
     /// Fans one accepted publish out to every matching subscriber on this
@@ -1268,14 +955,14 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// `handle_publish` refused it before the ack if the queue was full —
     /// while QoS 0 (or anything, with congestion signalling off) is
     /// dropped and counted at the cap, as for an away session.
-    fn fan_out<S: OutputSink<A>>(
+    fn fan_out(
         &mut self,
         now: Nanos,
         topic_id: u16,
         qos: QoS,
         payload: &[u8],
         accepted_here: bool,
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         let epoch = self.route_epoch;
         let CachedRoute {
@@ -1366,22 +1053,10 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    /// Drives outbound retransmissions. Call periodically.
-    ///
-    /// The allocating per-packet API; transports should prefer
-    /// [`Broker::on_tick_into`].
-    pub fn on_tick(&mut self, now: Nanos) -> Vec<(A, Packet)> {
-        let mut out = Vec::new();
-        self.tick(now, &mut VecSink(&mut out));
-        out
-    }
-
-    /// Drives outbound retransmissions into a recycled output buffer.
+    /// Drives outbound retransmissions into a recycled output buffer. Call
+    /// periodically.
     pub fn on_tick_into(&mut self, now: Nanos, out: &mut BrokerOutputs<A>) {
-        self.tick(now, &mut WireSink::new(out));
-    }
-
-    fn tick<S: OutputSink<A>>(&mut self, now: Nanos, sink: &mut S) {
+        let mut sink = WireSink::new(out);
         // Falling congestion is advertised on the tick: a paced publisher
         // that stopped publishing would otherwise never learn that the
         // pressure cleared. Rising congestion is advertised inline in
@@ -1442,386 +1117,12 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     }
 }
 
-/// Minimal little-endian wire helpers for snapshot persistence.
-pub mod wire {
-    use prov_wal::le_bytes;
-
-    /// Sequential reader over a persisted byte slice.
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// Wraps a byte slice.
-        pub fn new(buf: &'a [u8]) -> Reader<'a> {
-            Reader { buf, pos: 0 }
-        }
-
-        fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
-            let end = self.pos.checked_add(n).ok_or("length overflow")?;
-            if end > self.buf.len() {
-                return Err("snapshot truncated");
-            }
-            let slice = &self.buf[self.pos..end];
-            self.pos = end;
-            Ok(slice)
-        }
-
-        /// Reads one byte.
-        pub fn u8(&mut self) -> Result<u8, &'static str> {
-            Ok(self.take(1)?[0])
-        }
-
-        /// Reads a little-endian `u16`.
-        pub fn u16(&mut self) -> Result<u16, &'static str> {
-            Ok(u16::from_le_bytes(le_bytes(self.take(2)?)))
-        }
-
-        /// Reads a little-endian `u32`.
-        pub fn u32(&mut self) -> Result<u32, &'static str> {
-            Ok(u32::from_le_bytes(le_bytes(self.take(4)?)))
-        }
-
-        /// Reads a little-endian `u64`.
-        pub fn u64(&mut self) -> Result<u64, &'static str> {
-            Ok(u64::from_le_bytes(le_bytes(self.take(8)?)))
-        }
-
-        /// Reads a `u32`-length-prefixed byte string.
-        pub fn bytes(&mut self) -> Result<Vec<u8>, &'static str> {
-            let len = self.u32()? as usize;
-            Ok(self.take(len)?.to_vec())
-        }
-
-        /// Reads a `u32`-length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Result<String, &'static str> {
-            String::from_utf8(self.bytes()?).map_err(|_| "invalid UTF-8 in snapshot")
-        }
-    }
-
-    /// Appends a `u32`-length-prefixed byte string.
-    pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-
-    /// Appends a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(out: &mut Vec<u8>, s: &str) {
-        put_bytes(out, s.as_bytes());
-    }
-}
-
-/// Peer addresses that can be persisted in a broker snapshot: the real-UDP
-/// `SocketAddr` and the simulator's small integer ids.
-pub trait PersistAddr: Clone + Eq + Hash + Sized {
-    /// Appends the address to a snapshot buffer.
-    fn encode_addr(&self, out: &mut Vec<u8>);
-    /// Reads an address back.
-    fn decode_addr(r: &mut wire::Reader<'_>) -> Result<Self, &'static str>;
-}
-
-impl PersistAddr for std::net::SocketAddr {
-    fn encode_addr(&self, out: &mut Vec<u8>) {
-        match self.ip() {
-            std::net::IpAddr::V4(ip) => {
-                out.push(4);
-                out.extend_from_slice(&ip.octets());
-            }
-            std::net::IpAddr::V6(ip) => {
-                out.push(6);
-                out.extend_from_slice(&ip.octets());
-            }
-        }
-        out.extend_from_slice(&self.port().to_le_bytes());
-    }
-
-    fn decode_addr(r: &mut wire::Reader<'_>) -> Result<Self, &'static str> {
-        let ip: std::net::IpAddr = match r.u8()? {
-            4 => {
-                let mut octets = [0u8; 4];
-                for o in &mut octets {
-                    *o = r.u8()?;
-                }
-                std::net::Ipv4Addr::from(octets).into()
-            }
-            6 => {
-                let mut octets = [0u8; 16];
-                for o in &mut octets {
-                    *o = r.u8()?;
-                }
-                std::net::Ipv6Addr::from(octets).into()
-            }
-            _ => return Err("unknown address family"),
-        };
-        let port = r.u16()?;
-        Ok(std::net::SocketAddr::new(ip, port))
-    }
-}
-
-impl PersistAddr for u32 {
-    fn encode_addr(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode_addr(r: &mut wire::Reader<'_>) -> Result<Self, &'static str> {
-        r.u32()
-    }
-}
-
-// v5 added the sharded-gateway counters (cross_shard_forwards /
-// forward_ring_high_water) to the v4 stats block. Decoding accepts the
-// current version and the one before it; anything older is refused.
-const STATE_VERSION: u8 = 5;
-
-fn qos_byte(q: QoS) -> u8 {
-    match q {
-        QoS::AtMostOnce => 0,
-        QoS::AtLeastOnce => 1,
-        QoS::ExactlyOnce => 2,
-    }
-}
-
-fn qos_from(b: u8) -> Result<QoS, &'static str> {
-    match b {
-        0 => Ok(QoS::AtMostOnce),
-        1 => Ok(QoS::AtLeastOnce),
-        2 => Ok(QoS::ExactlyOnce),
-        _ => Err("invalid QoS byte"),
-    }
-}
-
-impl<A: PersistAddr> Broker<A> {
-    /// Serializes the complete broker state — config, topic registry,
-    /// sessions (QoS handshake state, subscriptions, buffered messages),
-    /// fan-out order, and stats — into a version-tagged byte blob.
-    /// `UdpBroker::snapshot_to_file` wraps one such blob per shard in a
-    /// checksummed, atomically-written file so a gateway survives process
-    /// death.
-    pub fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(STATE_VERSION);
-        // Config.
-        out.push(self.config.gw_id);
-        out.extend_from_slice(&(self.config.retry_timeout.as_nanos() as u64).to_le_bytes());
-        out.extend_from_slice(&self.config.max_retries.to_le_bytes());
-        out.extend_from_slice(&(self.config.max_buffered as u64).to_le_bytes());
-        out.extend_from_slice(&(self.config.congestion_soft as u64).to_le_bytes());
-        out.extend_from_slice(&(self.config.congestion_hard as u64).to_le_bytes());
-        out.push(self.config.signal_congestion as u8);
-        // Stats.
-        for v in [
-            self.stats.publishes_in,
-            self.stats.publishes_out,
-            self.stats.duplicates_suppressed,
-            self.stats.retransmissions,
-            self.stats.drops,
-            self.stats.decode_errors,
-            self.stats.io_errors,
-            self.stats.congestion_rejects,
-            self.stats.advisories_sent,
-            self.stats.backlog_high_water,
-            self.stats.snapshot_failures,
-            self.stats.cross_shard_forwards,
-            self.stats.forward_ring_high_water,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        // Registry.
-        out.extend_from_slice(&self.registry.next_id().to_le_bytes());
-        let entries = self.registry.entries();
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (id, name) in entries {
-            out.extend_from_slice(&id.to_le_bytes());
-            wire::put_str(&mut out, name);
-        }
-        // Fan-out order.
-        out.extend_from_slice(&(self.order.len() as u32).to_le_bytes());
-        for addr in &self.order {
-            addr.encode_addr(&mut out);
-        }
-        // Sessions: the ones in fan-out order first, then any anonymous
-        // publisher sessions the order list never tracked, sorted by their
-        // encoded address so the whole encoding is deterministic (and the
-        // membership check is O(1), not a per-session scan of `order`).
-        let in_order: std::collections::HashSet<&A> = self.order.iter().collect();
-        let mut anonymous: Vec<(Vec<u8>, &A)> = self
-            .sessions
-            .keys()
-            .filter(|a| !in_order.contains(a))
-            .map(|a| {
-                let mut key = Vec::new();
-                a.encode_addr(&mut key);
-                (key, a)
-            })
-            .collect();
-        anonymous.sort_by(|x, y| x.0.cmp(&y.0));
-        let ordered: Vec<&A> = self
-            .order
-            .iter()
-            .filter(|a| self.sessions.contains_key(*a))
-            .chain(anonymous.iter().map(|(_, a)| *a))
-            .collect();
-        out.extend_from_slice(&(ordered.len() as u32).to_le_bytes());
-        for addr in &ordered {
-            let s = &self.sessions[*addr];
-            addr.encode_addr(&mut out);
-            wire::put_str(&mut out, &s.client_id);
-            out.push(match s.state {
-                SessionState::Active => 0,
-                SessionState::Asleep => 1,
-                SessionState::Disconnected => 2,
-            });
-            out.push(s.durable as u8);
-            out.extend_from_slice(&s.last_seen.to_le_bytes());
-            out.extend_from_slice(&s.out.next_id().to_le_bytes());
-            out.extend_from_slice(&(s.buffered.len() as u32).to_le_bytes());
-            for (topic_id, payload, qos) in &s.buffered {
-                out.extend_from_slice(&topic_id.to_le_bytes());
-                out.push(qos_byte(*qos));
-                wire::put_bytes(&mut out, payload);
-            }
-            out.extend_from_slice(&(s.subscriptions.len() as u32).to_le_bytes());
-            for (filter, qos) in &s.subscriptions {
-                wire::put_str(&mut out, filter);
-                out.push(qos_byte(*qos));
-            }
-            s.out.encode_slots(&mut out);
-            s.inbound.encode_pending(&mut out);
-        }
-        // Appendix: per-session recently-completed inbound QoS 2
-        // windows, in session order, FIFO order preserved so eviction
-        // order survives a restart.
-        out.extend_from_slice(&(ordered.len() as u32).to_le_bytes());
-        for addr in &ordered {
-            self.sessions[*addr].inbound.encode_completed(&mut out);
-        }
-        out
-    }
-
-    /// Rebuilds a broker from [`Broker::encode_state`] bytes: the current
-    /// version, or the previous one (v4, which predates the
-    /// sharded-gateway counters — they start at zero), so a gateway
-    /// upgrade does not discard the durable sessions its snapshot file
-    /// exists to preserve.
-    pub fn decode_state(bytes: &[u8]) -> Result<Broker<A>, &'static str> {
-        let r = &mut wire::Reader::new(bytes);
-        let version = r.u8()?;
-        if !(STATE_VERSION - 1..=STATE_VERSION).contains(&version) {
-            return Err("unsupported broker snapshot version");
-        }
-        let config = BrokerConfig {
-            gw_id: r.u8()?,
-            retry_timeout: Duration::from_nanos(r.u64()?),
-            max_retries: r.u32()?,
-            max_buffered: r.u64()? as usize,
-            congestion_soft: r.u64()? as usize,
-            congestion_hard: r.u64()? as usize,
-            signal_congestion: r.u8()? != 0,
-        };
-        let stats = BrokerStats {
-            publishes_in: r.u64()?,
-            publishes_out: r.u64()?,
-            duplicates_suppressed: r.u64()?,
-            retransmissions: r.u64()?,
-            drops: r.u64()?,
-            decode_errors: r.u64()?,
-            io_errors: r.u64()?,
-            congestion_rejects: r.u64()?,
-            advisories_sent: r.u64()?,
-            backlog_high_water: r.u64()?,
-            snapshot_failures: r.u64()?,
-            cross_shard_forwards: if version >= 5 { r.u64()? } else { 0 },
-            forward_ring_high_water: if version >= 5 { r.u64()? } else { 0 },
-        };
-        let next_id = r.u16()?;
-        let n_topics = r.u32()?;
-        let mut topics = Vec::with_capacity(n_topics as usize);
-        for _ in 0..n_topics {
-            let id = r.u16()?;
-            topics.push((id, r.str()?));
-        }
-        let registry =
-            TopicRegistry::from_entries(next_id, topics.iter().map(|(id, n)| (*id, n.as_str())));
-        let n_order = r.u32()?;
-        let mut order = Vec::with_capacity(n_order as usize);
-        for _ in 0..n_order {
-            order.push(A::decode_addr(r)?);
-        }
-        let n_sessions = r.u32()?;
-        let mut sessions = HashMap::with_capacity(n_sessions as usize);
-        let mut read_order: Vec<A> = Vec::with_capacity(n_sessions as usize);
-        for _ in 0..n_sessions {
-            let addr = A::decode_addr(r)?;
-            let client_id = r.str()?;
-            let state = match r.u8()? {
-                0 => SessionState::Active,
-                1 => SessionState::Asleep,
-                2 => SessionState::Disconnected,
-                _ => return Err("invalid session state"),
-            };
-            let durable = r.u8()? != 0;
-            let last_seen = r.u64()?;
-            let next_msg_id = r.u16()?;
-            let n_buffered = r.u32()?;
-            let mut buffered = VecDeque::with_capacity(n_buffered as usize);
-            for _ in 0..n_buffered {
-                let topic_id = r.u16()?;
-                let qos = qos_from(r.u8()?)?;
-                buffered.push_back((topic_id, r.bytes()?, qos));
-            }
-            let n_subs = r.u32()?;
-            let mut subscriptions = Vec::with_capacity(n_subs as usize);
-            for _ in 0..n_subs {
-                let filter = r.str()?;
-                subscriptions.push((filter, qos_from(r.u8()?)?));
-            }
-            let out = SendWindow::decode_slots(next_msg_id, r)?;
-            let inbound = Receiver::decode_pending(r)?;
-            read_order.push(addr.clone());
-            sessions.insert(
-                addr,
-                Session {
-                    client_id,
-                    state,
-                    durable,
-                    buffered,
-                    subscriptions,
-                    out,
-                    inbound,
-                    last_seen,
-                    advised_level: 0,
-                },
-            );
-        }
-        // Appendix: recently-completed inbound QoS 2 windows, matched to
-        // sessions by encode order.
-        let n_appendix = r.u32()?;
-        if n_appendix as usize != read_order.len() {
-            return Err("completed-qos2 appendix session count mismatch");
-        }
-        for addr in &read_order {
-            let s = sessions.get_mut(addr).ok_or("appendix session missing")?;
-            s.inbound.decode_completed(r)?;
-        }
-        Ok(Broker {
-            config,
-            registry,
-            sessions,
-            order,
-            locals: Vec::new(),
-            stats,
-            route_epoch: 0,
-            routes: HashMap::new(),
-            payload_pool: Vec::new(),
-            last_publish_forwarded: false,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::outputs::MERGED_DATAGRAM_MAX;
+    use super::state::STATE_VERSION;
     use super::*;
+    use proptest::prelude::*;
 
     type Addr = u32;
 
@@ -1829,8 +1130,25 @@ mod tests {
         Broker::new(BrokerConfig::default())
     }
 
+    /// Hands `packet` to the broker as the datagram `from` would send and
+    /// returns what the broker sends back, decoded.
+    fn feed(b: &mut Broker<Addr>, now: Nanos, from: Addr, packet: Packet) -> Vec<(Addr, Packet)> {
+        let mut out = BrokerOutputs::new();
+        b.on_datagram_into(now, from, &packet.encode(), &mut out)
+            .expect("test packet decodes");
+        out.packets()
+    }
+
+    /// What a tick at `now` makes the broker send, decoded.
+    fn tick(b: &mut Broker<Addr>, now: Nanos) -> Vec<(Addr, Packet)> {
+        let mut out = BrokerOutputs::new();
+        b.on_tick_into(now, &mut out);
+        out.packets()
+    }
+
     fn connect(b: &mut Broker<Addr>, addr: Addr, id: &str) {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Connect {
@@ -1848,7 +1166,8 @@ mod tests {
     }
 
     fn register(b: &mut Broker<Addr>, addr: Addr, name: &str) -> u16 {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Register {
@@ -1868,7 +1187,8 @@ mod tests {
     }
 
     fn subscribe(b: &mut Broker<Addr>, addr: Addr, filter: &str, qos: QoS) {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Subscribe {
@@ -1894,7 +1214,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t/x");
         subscribe(&mut b, 2, "t/x", QoS::AtMostOnce);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -1919,7 +1240,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "provlight/wf1/dev1");
         subscribe(&mut b, 2, "provlight/#", QoS::AtMostOnce);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -1951,7 +1273,7 @@ mod tests {
             msg_id: 10,
             payload: vec![1],
         };
-        let out = b.on_packet(0, 1, publish.clone());
+        let out = feed(&mut b, 0, 1, publish.clone());
         // PUBREC to publisher + forward to subscriber (downgraded to its
         // subscription QoS 0).
         assert!(out
@@ -1967,14 +1289,14 @@ mod tests {
             )));
 
         // DUP retransmission before PUBREL: PUBREC again, no re-forward.
-        let out = b.on_packet(1, 1, publish);
+        let out = feed(&mut b, 1, 1, publish);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Packet::PubRec { msg_id: 10 }));
         assert_eq!(b.stats().duplicates_suppressed, 1);
         assert_eq!(b.stats().publishes_out, 1);
 
         // PUBREL completes the exchange.
-        let out = b.on_packet(2, 1, Packet::PubRel { msg_id: 10 });
+        let out = feed(&mut b, 2, 1, Packet::PubRel { msg_id: 10 });
         assert!(matches!(out[0].1, Packet::PubComp { msg_id: 10 }));
     }
 
@@ -1985,13 +1307,13 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
-        let feed = |b: &mut Broker<Addr>, packet| {
-            let out = b.on_packet(0, 1, packet);
+        let from_publisher = |b: &mut Broker<Addr>, packet| {
+            let out = feed(b, 0, 1, packet);
             let forwards = out.iter().filter(|(to, _)| *to == 2).count();
             let replies = out.into_iter().filter(|(to, _)| *to == 1);
             (forwards, replies.map(|(_, p)| p).collect())
         };
-        crate::qos::tests::late_duplicate_scenario(&mut b, tid, feed, |b| {
+        crate::qos::tests::late_duplicate_scenario(&mut b, tid, from_publisher, |b| {
             assert_eq!(b.stats().publishes_out, 1);
             assert_eq!(b.stats().duplicates_suppressed, 1);
 
@@ -1999,9 +1321,10 @@ mod tests {
             // so a late duplicate straddling a gateway restart is also
             // caught.
             let mut restored = Broker::<Addr>::decode_state(&b.encode_state()).unwrap();
-            let out = b.on_packet(3, 1, Packet::PubRel { msg_id: 77 });
+            let out = feed(b, 3, 1, Packet::PubRel { msg_id: 77 });
             assert!(matches!(out[0].1, Packet::PubComp { msg_id: 77 }));
-            let out = restored.on_packet(
+            let out = feed(
+                &mut restored,
                 3,
                 1,
                 Packet::Publish {
@@ -2026,7 +1349,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::ExactlyOnce);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2050,11 +1374,11 @@ mod tests {
             })
             .expect("forwarded at QoS 2");
         // Subscriber answers PUBREC -> broker sends PUBREL.
-        let out = b.on_packet(1, 2, Packet::PubRec { msg_id: fwd_id });
+        let out = feed(&mut b, 1, 2, Packet::PubRec { msg_id: fwd_id });
         assert!(matches!(out[0].1, Packet::PubRel { .. }));
         // Subscriber PUBCOMP clears broker state; tick produces nothing.
-        b.on_packet(2, 2, Packet::PubComp { msg_id: fwd_id });
-        assert!(b.on_tick(u64::MAX / 2).is_empty());
+        feed(&mut b, 2, 2, Packet::PubComp { msg_id: fwd_id });
+        assert!(tick(&mut b, u64::MAX / 2).is_empty());
     }
 
     #[test]
@@ -2069,7 +1393,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtLeastOnce);
-        b.on_packet(
+        feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2082,12 +1407,12 @@ mod tests {
             },
         );
         let s = 1_000_000_000u64;
-        let out = b.on_tick(2 * s);
+        let out = tick(&mut b, 2 * s);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Packet::Publish { dup: true, .. }));
         assert_eq!(b.stats().retransmissions, 1);
         // Exhausted on the next tick.
-        let out = b.on_tick(4 * s);
+        let out = tick(&mut b, 4 * s);
         assert!(out.is_empty());
         assert_eq!(b.stats().drops, 1);
     }
@@ -2102,7 +1427,8 @@ mod tests {
         msg_id: u16,
         payload: u8,
     ) -> Vec<(Addr, Packet)> {
-        b.on_packet(
+        feed(
+            b,
             now,
             1,
             Packet::Publish {
@@ -2148,33 +1474,33 @@ mod tests {
 
         // A PUBREC for the QoS 1 copy still gets its idempotent PUBREL, but
         // neither it nor a PUBCOMP moves the copy off its PUBACK.
-        let out = b.on_packet(1, 2, Packet::PubRec { msg_id: 1 });
+        let out = feed(&mut b, 1, 2, Packet::PubRec { msg_id: 1 });
         assert_eq!(out, vec![(2, Packet::PubRel { msg_id: 1 })]);
-        assert!(b.on_packet(2, 2, Packet::PubComp { msg_id: 1 }).is_empty());
+        assert!(feed(&mut b, 2, 2, Packet::PubComp { msg_id: 1 }).is_empty());
         // A PUBCOMP ahead of the PUBREC does not free the QoS 2 copy, and
         // a PUBACK never does.
-        assert!(b.on_packet(3, 3, Packet::PubComp { msg_id: 1 }).is_empty());
+        assert!(feed(&mut b, 3, 3, Packet::PubComp { msg_id: 1 }).is_empty());
         let puback = Packet::PubAck {
             topic_id: tid,
             msg_id: 1,
             code: ReturnCode::Accepted,
         };
-        assert!(b.on_packet(4, 3, puback.clone()).is_empty());
+        assert!(feed(&mut b, 4, 3, puback.clone()).is_empty());
         assert_eq!(b.backlog(), 2);
         // Both are still retransmitted as what they were.
         let s = 1_000_000_000u64;
         assert_eq!(
-            resent(&b.on_tick(11 * s)),
+            resent(&tick(&mut b, 11 * s)),
             vec![
                 (2, 1, Some(QoS::AtLeastOnce), 9),
                 (3, 1, Some(QoS::ExactlyOnce), 9)
             ]
         );
         // The acks each phase does accept still finish both.
-        b.on_packet(12 * s, 2, puback);
-        b.on_packet(12 * s, 3, Packet::PubRec { msg_id: 1 });
+        feed(&mut b, 12 * s, 2, puback);
+        feed(&mut b, 12 * s, 3, Packet::PubRec { msg_id: 1 });
         assert_eq!(b.backlog(), 1);
-        b.on_packet(12 * s, 3, Packet::PubComp { msg_id: 1 });
+        feed(&mut b, 12 * s, 3, Packet::PubComp { msg_id: 1 });
         assert_eq!(b.backlog(), 0);
     }
 
@@ -2194,7 +1520,7 @@ mod tests {
         let mut restored = Broker::<Addr>::decode_state(&b.encode_state()).unwrap();
         let s = 1_000_000_000u64;
         for b in [&mut b, &mut restored] {
-            let order: Vec<(u16, u8)> = resent(&b.on_tick(11 * s))
+            let order: Vec<(u16, u8)> = resent(&tick(b, 11 * s))
                 .iter()
                 .map(|(_, msg_id, _, payload)| (*msg_id, *payload))
                 .collect();
@@ -2219,7 +1545,7 @@ mod tests {
         subscribe(&mut b, 3, "t/golden", QoS::AtLeastOnce);
         subscribe(&mut b, 4, "t/golden", QoS::ExactlyOnce);
         // The durable subscriber goes away and accumulates a backlog.
-        b.on_packet(s, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, s, 2, Packet::Disconnect { duration: None });
         // Four QoS 2 publishes and a QoS 1 one: sessions 3 and 4 get
         // outbound ids 1..=5 (QoS 1 at session 3; QoS 2, but for the last,
         // at session 4).
@@ -2231,20 +1557,20 @@ mod tests {
         // awaiting PUBACK and session 4 with 1 awaiting PUBCOMP (timer
         // restarted by its PUBREC), 2 done, 3 and 4 awaiting PUBREC, 5
         // awaiting PUBACK.
-        assert_eq!(b.on_tick(13 * s).len(), 10);
+        assert_eq!(tick(&mut b, 13 * s).len(), 10);
         let puback = Packet::PubAck {
             topic_id: tid,
             msg_id: 1,
             code: ReturnCode::Accepted,
         };
-        b.on_packet(14 * s, 3, puback);
-        b.on_packet(15 * s, 4, Packet::PubRec { msg_id: 1 });
-        b.on_packet(15 * s, 4, Packet::PubRec { msg_id: 2 });
-        b.on_packet(16 * s, 4, Packet::PubComp { msg_id: 2 });
+        feed(&mut b, 14 * s, 3, puback);
+        feed(&mut b, 15 * s, 4, Packet::PubRec { msg_id: 1 });
+        feed(&mut b, 15 * s, 4, Packet::PubRec { msg_id: 2 });
+        feed(&mut b, 16 * s, 4, Packet::PubComp { msg_id: 2 });
         // The publisher released three of its four QoS 2 publishes: a
         // part-filled completed window, one handshake still pending.
         for msg_id in [11, 10, 13] {
-            b.on_packet(17 * s, 1, Packet::PubRel { msg_id });
+            feed(&mut b, 17 * s, 1, Packet::PubRel { msg_id });
         }
 
         let bytes = b.encode_state();
@@ -2261,7 +1587,8 @@ mod tests {
     fn publish_to_unknown_topic_rejected() {
         let mut b = broker();
         connect(&mut b, 1, "pub");
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2289,9 +1616,10 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         assert_eq!(b.session_count(), 1);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2330,7 +1658,8 @@ mod tests {
             );
         }
         for (dev, tid) in tids.iter().enumerate() {
-            let out = b.on_packet(
+            let out = feed(
+                &mut b,
                 0,
                 dev as u32,
                 Packet::Publish {
@@ -2351,7 +1680,7 @@ mod tests {
     #[test]
     fn searchgw_answered() {
         let mut b = broker();
-        let out = b.on_packet(0, 9, Packet::SearchGw { radius: 1 });
+        let out = feed(&mut b, 0, 9, Packet::SearchGw { radius: 1 });
         assert!(matches!(out[0].1, Packet::GwInfo { gw_id: 1 }));
     }
 
@@ -2364,7 +1693,8 @@ mod tests {
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
 
         // Client 2 goes to sleep (DISCONNECT with duration).
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             2,
             Packet::Disconnect {
@@ -2377,7 +1707,8 @@ mod tests {
 
         // Publishes while asleep are buffered, not sent.
         for i in 0..3u8 {
-            let out = b.on_packet(
+            let out = feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2393,7 +1724,7 @@ mod tests {
         }
 
         // PINGREQ flushes the buffer then answers PINGRESP, in order.
-        let out = b.on_packet(2, 2, Packet::PingReq);
+        let out = feed(&mut b, 2, 2, Packet::PingReq);
         assert_eq!(out.len(), 4);
         for (i, (to, p)) in out[..3].iter().enumerate() {
             assert_eq!(*to, 2);
@@ -2405,7 +1736,7 @@ mod tests {
         assert!(matches!(out[3].1, Packet::PingResp));
 
         // Buffer is drained: next ping is just a pong.
-        let out = b.on_packet(3, 2, Packet::PingReq);
+        let out = feed(&mut b, 3, 2, Packet::PingReq);
         assert_eq!(out.len(), 1);
     }
 
@@ -2420,8 +1751,9 @@ mod tests {
         connect(&mut b, 2, "sleeper");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtLeastOnce);
-        b.on_packet(0, 2, Packet::Disconnect { duration: Some(60) });
-        b.on_packet(
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: Some(60) });
+        feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2433,7 +1765,7 @@ mod tests {
                 payload: vec![7],
             },
         );
-        let out = b.on_packet(1, 2, Packet::PingReq);
+        let out = feed(&mut b, 1, 2, Packet::PingReq);
         let msg_id = out
             .iter()
             .find_map(|(_, p)| match p {
@@ -2443,10 +1775,11 @@ mod tests {
             .expect("buffered publish delivered");
         // Unacked buffered delivery retransmits like any outbound QoS 1.
         let s = 1_000_000_000u64;
-        let out = b.on_tick(3 * s);
+        let out = tick(&mut b, 3 * s);
         assert!(matches!(out[0].1, Packet::Publish { dup: true, .. }));
         // Ack clears it.
-        b.on_packet(
+        feed(
+            &mut b,
             4 * s,
             2,
             Packet::PubAck {
@@ -2455,11 +1788,12 @@ mod tests {
                 code: ReturnCode::Accepted,
             },
         );
-        assert!(b.on_tick(10 * s).is_empty());
+        assert!(tick(&mut b, 10 * s).is_empty());
     }
 
     fn connect_durable(b: &mut Broker<Addr>, addr: Addr, id: &str) {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Connect {
@@ -2486,10 +1820,11 @@ mod tests {
 
         // The durable subscriber's transport dies (graceful disconnect
         // stands in for the lost link).
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         // Publishes while away are buffered, not dropped.
         for i in 0..3u8 {
-            let out = b.on_packet(
+            let out = feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2507,7 +1842,8 @@ mod tests {
 
         // Reconnect from a NEW address (rebound socket): the session
         // migrates and the buffered messages follow the CONNACK in order.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             2,
             99,
             Packet::Connect {
@@ -2531,7 +1867,8 @@ mod tests {
         // The old address no longer exists as a session.
         assert_eq!(b.session_count(), 2);
         // New deliveries flow directly to the new address.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             3,
             1,
             Packet::Publish {
@@ -2565,13 +1902,14 @@ mod tests {
             msg_id: 7,
             payload: vec![1],
         };
-        b.on_packet(0, 1, publish.clone());
+        feed(&mut b, 0, 1, publish.clone());
         assert_eq!(b.stats().publishes_out, 1);
 
         // The publisher reconnects from a new address and retransmits the
         // unacked publish with DUP: the migrated session's dedup state
         // suppresses the re-forward — exactly-once survives the reconnect.
-        b.on_packet(
+        feed(
+            &mut b,
             1,
             50,
             Packet::Connect {
@@ -2584,7 +1922,7 @@ mod tests {
         if let Packet::Publish { dup: d, .. } = &mut dup {
             *d = true;
         }
-        let out = b.on_packet(2, 50, dup);
+        let out = feed(&mut b, 2, 50, dup);
         assert_eq!(out.len(), 1, "duplicate must only be PUBRECed: {out:?}");
         assert!(matches!(out[0].1, Packet::PubRec { msg_id: 7 }));
         assert_eq!(b.stats().duplicates_suppressed, 1);
@@ -2602,9 +1940,10 @@ mod tests {
         connect_durable(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         for i in 0..5u8 {
-            b.on_packet(
+            feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2619,7 +1958,8 @@ mod tests {
         }
         assert_eq!(b.stats().drops, 3);
         // Reconnect delivers only the newest two, in order.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             2,
             2,
             Packet::Connect {
@@ -2647,7 +1987,8 @@ mod tests {
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
         // Same client id reconnects cleanly from a new address.
         connect(&mut b, 3, "mover");
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2673,9 +2014,10 @@ mod tests {
         let tid = register(&mut b, 1, "t/persist");
         subscribe(&mut b, 2, "t/persist", QoS::ExactlyOnce);
         // A durable subscriber goes away and accumulates buffered messages.
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         for i in 0..3u8 {
-            b.on_packet(
+            feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2689,7 +2031,8 @@ mod tests {
             );
         }
         // An inbound QoS 2 exchange parked mid-handshake (PUBREL pending).
-        b.on_packet(
+        feed(
+            &mut b,
             2,
             1,
             Packet::Publish {
@@ -2714,7 +2057,8 @@ mod tests {
         // Behavioural check: the restored broker still dedups the QoS 2
         // retransmission and delivers the buffered backlog on reconnect.
         let mut restored = restored;
-        let out = restored.on_packet(
+        let out = feed(
+            &mut restored,
             3,
             1,
             Packet::Publish {
@@ -2727,7 +2071,8 @@ mod tests {
             },
         );
         assert_eq!(out.len(), 1, "duplicate must only be PUBRECed: {out:?}");
-        let out = restored.on_packet(
+        let out = feed(
+            &mut restored,
             4,
             7,
             Packet::Connect {
@@ -2758,7 +2103,8 @@ mod tests {
         connect_durable(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t/v1");
         subscribe(&mut b, 2, "t/v1", QoS::AtLeastOnce);
-        b.on_packet(
+        feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2844,7 +2190,7 @@ mod tests {
             payload: vec![1],
         };
         // Unknown predefined id is rejected toward the publisher.
-        let out = b.on_packet(0, 1, publish());
+        let out = feed(&mut b, 0, 1, publish());
         assert!(matches!(
             out[0].1,
             Packet::PubAck {
@@ -2856,7 +2202,7 @@ mod tests {
         // An id collision is refused, never silently remapped (remapping
         // would also require a route-cache invalidation to be correct).
         assert!(!b.registry_mut().register_predefined(500, "pre/other"));
-        let out = b.on_packet(1, 1, publish());
+        let out = feed(&mut b, 1, 1, publish());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 2, "seeded topic must route to the wildcard sub");
     }
@@ -2870,87 +2216,110 @@ mod tests {
         assert!(Broker::<Addr>::decode_state(&bytes).is_err());
     }
 
-    /// Two brokers fed the same packet sequence — one through the
-    /// allocating `on_packet` API, one through the wire-encoding
-    /// `on_packet_into` path — must produce identical outputs and state.
+    /// A QoS 2 publish fanning out at three effective QoS levels: encoded
+    /// once, and each subscriber's datagram is that image with its own
+    /// flags byte and message id patched in.
     #[test]
-    fn wire_path_matches_vec_path() {
-        let mut vec_b = broker();
-        let mut wire_b = broker();
-        let mut out = BrokerOutputs::new();
-
-        let mut feed = |vb: &mut Broker<Addr>, wb: &mut Broker<Addr>, from: Addr, p: Packet| {
-            let expect = vb.on_packet(7, from, p.clone());
-            out.clear();
-            wb.on_packet_into(7, from, p, &mut out);
-            assert_eq!(out.packets(), expect);
-        };
-
+    fn fan_out_at_three_qos_shares_one_patched_image() {
+        let mut b = broker();
+        let accepted = ReturnCode::Accepted;
         for (addr, id) in [(1, "pub"), (2, "s0"), (3, "s1"), (4, "s2")] {
-            feed(
-                &mut vec_b,
-                &mut wire_b,
-                addr,
-                Packet::Connect {
-                    clean_session: true,
-                    duration: 60,
-                    client_id: id.into(),
-                },
-            );
+            let connect = Packet::Connect {
+                clean_session: true,
+                duration: 60,
+                client_id: id.into(),
+            };
+            let connack = Packet::ConnAck { code: accepted };
+            assert_eq!(feed(&mut b, 7, addr, connect), [(addr, connack)]);
         }
-        feed(
-            &mut vec_b,
-            &mut wire_b,
-            1,
-            Packet::Register {
-                topic_id: 0,
-                msg_id: 1,
-                topic_name: "t/eq".into(),
-            },
-        );
+        let register = Packet::Register {
+            topic_id: 0,
+            msg_id: 1,
+            topic_name: "t/eq".into(),
+        };
+        let regack = Packet::RegAck {
+            topic_id: 1,
+            msg_id: 1,
+            code: accepted,
+        };
+        assert_eq!(feed(&mut b, 7, 1, register), [(1, regack)]);
         for (addr, qos) in [
             (2, QoS::AtMostOnce),
             (3, QoS::AtLeastOnce),
             (4, QoS::ExactlyOnce),
         ] {
-            feed(
-                &mut vec_b,
-                &mut wire_b,
-                addr,
-                Packet::Subscribe {
-                    dup: false,
-                    qos,
-                    msg_id: 2,
-                    topic: TopicRef::Name("t/eq".into()),
-                },
+            let subscribe = Packet::Subscribe {
+                dup: false,
+                qos,
+                msg_id: 2,
+                topic: TopicRef::Name("t/eq".into()),
+            };
+            let suback = Packet::SubAck {
+                qos,
+                topic_id: 1,
+                msg_id: 2,
+                code: accepted,
+            };
+            assert_eq!(feed(&mut b, 7, addr, subscribe), [(addr, suback)]);
+        }
+
+        let copy = |dup, qos, msg_id| Packet::Publish {
+            dup,
+            qos,
+            retain: false,
+            topic: TopicRef::Id(1),
+            msg_id,
+            payload: vec![0xAB; 100],
+        };
+        let mut out = BrokerOutputs::new();
+        for (msg_id, fwd_id) in [(10u16, 1u16), (11, 2)] {
+            out.clear();
+            let publish = copy(false, QoS::ExactlyOnce, msg_id).encode();
+            assert_eq!(b.on_datagram_into(7, 1, &publish, &mut out), Ok(true));
+            assert_eq!(
+                out.packets(),
+                [
+                    (1, Packet::PubRec { msg_id }),
+                    (2, copy(false, QoS::AtMostOnce, 0)),
+                    (3, copy(false, QoS::AtLeastOnce, fwd_id)),
+                    (4, copy(false, QoS::ExactlyOnce, fwd_id)),
+                ]
+            );
+            // On the wire the three copies are one image: they differ in
+            // the flags byte and the two message-id bytes, nowhere else.
+            let mut datagrams = Vec::new();
+            out.emit(|_, bytes| datagrams.push(bytes.to_vec()));
+            assert_eq!(datagrams[1], copy(false, QoS::AtMostOnce, 0).encode());
+            let patched = |flags: u8, msg_id: u16| {
+                let mut image = datagrams[1].clone();
+                image[2] = flags;
+                image[5..7].copy_from_slice(&msg_id.to_be_bytes());
+                image
+            };
+            assert_eq!(datagrams[2], patched(0x20, fwd_id));
+            assert_eq!(datagrams[3], patched(0x40, fwd_id));
+
+            let pubrel = Packet::PubRel { msg_id };
+            assert_eq!(
+                feed(&mut b, 7, 1, pubrel),
+                [(1, Packet::PubComp { msg_id })]
             );
         }
-        // A QoS 2 publish fanning out at three different effective QoS
-        // levels: the wire path encodes once and patches headers.
-        for msg_id in [10u16, 11] {
-            feed(
-                &mut vec_b,
-                &mut wire_b,
-                1,
-                Packet::Publish {
-                    dup: false,
-                    qos: QoS::ExactlyOnce,
-                    retain: false,
-                    topic: TopicRef::Id(1),
-                    msg_id,
-                    payload: vec![0xAB; 100],
-                },
-            );
-            feed(&mut vec_b, &mut wire_b, 1, Packet::PubRel { msg_id });
-        }
-        // Ticks retransmit the unacked QoS 1/2 forwards identically.
-        let expect = vec_b.on_tick(u64::MAX / 2);
-        out.clear();
-        wire_b.on_tick_into(u64::MAX / 2, &mut out);
-        assert_eq!(out.packets(), expect);
-        assert!(!expect.is_empty(), "expected retransmissions");
-        assert_eq!(wire_b.stats(), vec_b.stats());
-        assert_eq!(wire_b.encode_state(), vec_b.encode_state());
+
+        // A tick retransmits the unacknowledged QoS 1 and QoS 2 forwards,
+        // per subscriber in publish order.
+        assert_eq!(
+            tick(&mut b, u64::MAX / 2),
+            [
+                (3, copy(true, QoS::AtLeastOnce, 1)),
+                (3, copy(true, QoS::AtLeastOnce, 2)),
+                (4, copy(true, QoS::ExactlyOnce, 1)),
+                (4, copy(true, QoS::ExactlyOnce, 2)),
+            ]
+        );
+        let stats = b.stats();
+        assert_eq!((stats.publishes_in, stats.publishes_out), (2, 6));
+        assert_eq!(stats.retransmissions, 4);
     }
 
     #[test]
@@ -3145,14 +2514,17 @@ mod tests {
         connect(&mut b, 1, "pub");
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t/id");
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             2,
             Packet::Subscribe {
                 dup: false,
                 qos: QoS::AtMostOnce,
                 msg_id: 9,
-                topic: TopicRef::Id(tid),
+                // By id a SUBSCRIBE names a predefined topic; the two id
+                // kinds share the broker's registry.
+                topic: TopicRef::Predefined(tid),
             },
         );
         assert!(matches!(
@@ -3179,12 +2551,13 @@ mod tests {
         let tid = register(&mut b, 1, "t/cong");
         subscribe(&mut b, 2, "t/cong", QoS::AtLeastOnce);
         // The subscriber goes away; everything published now buffers.
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         (b, tid)
     }
 
     fn publish_qos1(b: &mut Broker<Addr>, tid: u16, msg_id: u16) -> Vec<(Addr, Packet)> {
-        b.on_packet(
+        feed(
+            b,
             0,
             1,
             Packet::Publish {
@@ -3241,7 +2614,8 @@ mod tests {
         assert_eq!(b.congestion_level(), 2);
         // The subscriber comes back; the durable reconnect delivers its
         // backlog, and acknowledging each message drains the broker.
-        let delivered = b.on_packet(
+        let delivered = feed(
+            &mut b,
             1,
             2,
             Packet::Connect {
@@ -3252,7 +2626,8 @@ mod tests {
         );
         for (_, p) in delivered {
             if let Packet::Publish { msg_id, .. } = p {
-                b.on_packet(
+                feed(
+                    &mut b,
                     2,
                     2,
                     Packet::PubAck {
@@ -3265,7 +2640,7 @@ mod tests {
         }
         assert_eq!(b.congestion_level(), 0);
         // The next tick tells the (still-advised) publisher it cleared.
-        let out = b.on_tick(u64::MAX / 2);
+        let out = tick(&mut b, u64::MAX / 2);
         assert!(
             out.iter()
                 .any(|(to, p)| *to == 1 && matches!(p, Packet::CongestionAdvisory { level: 0 })),
@@ -3315,7 +2690,7 @@ mod tests {
             assert_eq!(out, [(1, Packet::PubRec { msg_id: 10 })], "and no PUBLISH");
         }
         assert_eq!(taken(&mut sub), [(tid, 7)]);
-        b.on_packet(0, 1, Packet::PubRel { msg_id: 10 });
+        feed(&mut b, 0, 1, Packet::PubRel { msg_id: 10 });
         assert!(taken(&mut sub).is_empty());
         let stats = b.stats();
         assert_eq!((stats.publishes_in, stats.publishes_out), (2, 1));
@@ -3434,7 +2809,7 @@ mod tests {
         let acknowledged: Vec<_> = (1..=4u8).map(|id| (tid, id)).collect();
         assert_eq!(taken(&mut sub), acknowledged);
         assert_eq!((b.backlog(), b.congestion_level()), (0, 0));
-        let out = b.on_tick(1);
+        let out = tick(&mut b, 1);
         assert_eq!(out, [(1, Packet::CongestionAdvisory { level: 0 })]);
         let out = publish(&mut b, 1, tid, QoS::ExactlyOnce, 8, 8);
         assert_eq!(out, [(1, Packet::PubRec { msg_id: 8 })]);
@@ -3444,7 +2819,8 @@ mod tests {
     fn hard_congestion_spares_qos2_duplicates() {
         let (mut b, tid) = congested_broker(true);
         // First QoS 2 publish while clear: accepted, forwarded (buffered).
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -3467,7 +2843,8 @@ mod tests {
         // A DUP retransmission of the already-forwarded QoS 2 message
         // still completes the handshake; rejecting it would trigger a
         // duplicate replay of a delivered message.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             1,
             1,
             Packet::Publish {
@@ -3491,5 +2868,96 @@ mod tests {
                 ..
             }
         )));
+    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes at the one door, from an address with a live
+        /// session, one whose durable session is away and one the broker
+        /// has never heard of: arbitrary bytes, well-formed packets and
+        /// well-formed packets with a byte damaged. Nothing panics, every
+        /// refused datagram is counted once, everything the broker answers
+        /// decodes, and with one QoS 0 subscriber to `#` every publish
+        /// counted in is counted out, suppressed, rejected or refused.
+        #[test]
+        fn prop_arbitrary_datagrams_never_panic_and_every_reply_decodes(
+            steps in proptest::collection::vec(
+                (
+                    0usize..3,
+                    crate::packet::tests::arb_packet(),
+                    proptest::collection::vec(any::<u8>(), 0..48),
+                    0u8..4,
+                    0usize..4096,
+                    1u8..=255,
+                ),
+                1..24,
+            ),
+        ) {
+            let (publisher, away, unknown) = (1, 3, 9);
+            let mut b = broker();
+            connect(&mut b, publisher, "pub");
+            connect(&mut b, 2, "sub");
+            connect_durable(&mut b, away, "away");
+            feed(&mut b, 0, away, Packet::Disconnect { duration: None });
+            let tid = register(&mut b, publisher, "t");
+            subscribe(&mut b, 2, "#", QoS::AtMostOnce);
+
+            let mut out = BrokerOutputs::new();
+            // Refusals for an unknown topic id have no counter of their
+            // own; they are read off the replies. `reshaped`: some session
+            // other than the subscriber's now matches publishes too, or
+            // the subscriber's was taken over — one-in-one-out is off.
+            let (mut errs, mut refused, mut reshaped) = (0u64, 0u64, false);
+            for (now, (from, mut packet, noise, mode, at, mask)) in steps.into_iter().enumerate() {
+                // Half the well-formed publishes go to the live topic on a
+                // handful of message ids, so duplicates and releases meet.
+                match &mut packet {
+                    Packet::Publish { topic, msg_id, .. } if at % 2 == 0 => {
+                        *topic = TopicRef::Id(tid);
+                        *msg_id %= 4;
+                    }
+                    Packet::PubRel { msg_id } => *msg_id %= 4,
+                    _ => {}
+                }
+                let mut datagram = if mode == 0 { noise } else { packet.encode() };
+                if mode == 1 {
+                    let at = at % datagram.len();
+                    datagram[at] ^= mask;
+                }
+                reshaped |= matches!(
+                    Packet::decode(&datagram),
+                    Ok(Packet::Connect { client_id, .. }) if client_id == "sub"
+                );
+
+                out.clear();
+                let from = [publisher, away, unknown][from];
+                if b.on_datagram_into(now as Nanos, from, &datagram, &mut out).is_err() {
+                    errs += 1;
+                }
+                prop_assert_eq!(b.stats().decode_errors, errs);
+                out.emit(|_, bytes| match Packet::decode(bytes) {
+                    Ok(Packet::PubAck { code: ReturnCode::InvalidTopicId, .. }) => refused += 1,
+                    Ok(Packet::SubAck { code: ReturnCode::Accepted, .. }) => reshaped = true,
+                    Ok(_) => {}
+                    Err(e) => panic!("reply {bytes:02x?} does not decode: {e}"),
+                });
+                out.emit_merged(|_, bytes| {
+                    for frame in crate::packet::frames(bytes) {
+                        assert!(Packet::decode(frame).is_ok(), "merged {bytes:02x?}");
+                    }
+                });
+            }
+            if !reshaped {
+                let s = b.stats();
+                prop_assert_eq!(
+                    s.publishes_in,
+                    s.publishes_out
+                        + s.drops
+                        + s.congestion_rejects
+                        + s.duplicates_suppressed
+                        + refused
+                );
+            }
+        }
     }
 }

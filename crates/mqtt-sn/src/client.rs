@@ -1,7 +1,7 @@
 //! Sans-io MQTT-SN client state machine.
 //!
 //! The client never touches a socket or a clock: callers feed it inbound
-//! packets ([`Client::on_packet`]) and time ([`Client::on_tick`]), and it
+//! datagrams ([`Client::on_datagram`]) and time ([`Client::on_tick`]), and it
 //! returns packets to send plus events to surface. The same machine backs
 //! the real-UDP binding in [`crate::net`] and the discrete-event simulator
 //! used for the paper's experiments.
@@ -498,8 +498,8 @@ impl Client {
         }
     }
 
-    /// Feeds one inbound packet.
-    pub fn on_packet(&mut self, packet: Packet, now: Nanos) -> Vec<Output> {
+    /// Feeds one decoded inbound packet.
+    fn on_packet(&mut self, packet: Packet, now: Nanos) -> Vec<Output> {
         let mut out = Vec::new();
         match packet {
             Packet::ConnAck { code } => {

@@ -49,8 +49,7 @@ pub use broker::{Broker, BrokerConfig};
 pub use client::{Client, ClientConfig, ClientEvent, ClientState};
 pub use local::{LocalMessage, LocalSubscription};
 pub use net::{
-    DatagramFate, DatagramFault, FaultDir, GatewayBuilder, NetError, ReconnectPolicy, UdpBroker,
-    UdpClient,
+    DatagramFate, DatagramFault, FaultDir, GatewayBuilder, NetError, UdpBroker, UdpClient,
 };
 pub use packet::{Packet, QoS, ReturnCode, TopicRef};
 pub use router::{shard_for_client, SharedRouter};

@@ -16,7 +16,6 @@ use crate::shard::{ForwardFabric, ForwardFrame};
 use crate::Error;
 use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
-use rand::{rngs::StdRng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -1133,8 +1132,9 @@ impl NetError {
     /// Whether the failure is plausibly recoverable by retrying — the
     /// signature of a network partition or a broker mid-restart — as
     /// opposed to a fatal condition (protocol violation, permission
-    /// error) that no amount of retrying fixes. [`UdpClient::reconnect`]
-    /// keeps backing off on transient errors and aborts on fatal ones.
+    /// error) that no amount of retrying fixes. A reconnect loop over
+    /// [`UdpClient::try_reconnect`] doubles its back-off on the first kind
+    /// and goes straight to its ceiling on the second.
     pub fn is_transient(&self) -> bool {
         match self {
             // The expected response never arrived: partition or slow link.
@@ -1177,55 +1177,6 @@ impl std::fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
-
-/// Exponential-backoff schedule for [`UdpClient::reconnect`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReconnectPolicy {
-    /// Delay before the second attempt (the first fires immediately).
-    pub initial_backoff: Duration,
-    /// Ceiling the doubling backoff saturates at.
-    pub max_backoff: Duration,
-    /// Attempts before giving up with the last transient error.
-    pub max_attempts: u32,
-    /// Per-attempt budget for the CONNECT handshake + session resumption.
-    pub attempt_timeout: Duration,
-    /// Jitter fraction in `[0, 1]`: each sleep is drawn uniformly from
-    /// `[(1 − jitter)·backoff, (1 + jitter)·backoff]`. A restarted gateway
-    /// otherwise sees every disconnected edge device's retry timer fire in
-    /// lockstep — the reconnect stampede; jitter spreads the herd.
-    pub jitter: f64,
-    /// Overall wall-clock budget across all attempts, backoff sleeps
-    /// included. `max_attempts` alone bounds give-up only indirectly — the
-    /// worst case is `max_attempts × (attempt_timeout + max_backoff)`,
-    /// which balloons when either knob is raised. With a budget, each
-    /// attempt's timeout and each sleep are capped at the remaining
-    /// budget and the loop gives up once it is spent, so the caller gets
-    /// a predictable give-up window. `None` disables the budget.
-    pub max_elapsed: Option<Duration>,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            initial_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(5),
-            max_attempts: 10,
-            attempt_timeout: Duration::from_secs(2),
-            jitter: 0.25,
-            // Roomier than the default schedule's ~45 s worst case, so it
-            // only trips when something (a stuck attempt, a raised knob)
-            // would otherwise retry far past the point of usefulness.
-            max_elapsed: Some(Duration::from_secs(60)),
-        }
-    }
-}
-
-impl ReconnectPolicy {
-    /// Applies this policy's jitter to a backoff delay.
-    pub fn jittered(&self, backoff: Duration, rng: &mut impl rand::Rng) -> Duration {
-        jitter_backoff(backoff, self.jitter, rng)
-    }
-}
 
 /// Spreads `backoff` uniformly over `[(1 − frac)·b, (1 + frac)·b]`.
 /// `frac` is clamped to `[0, 1]`; `frac = 0` returns `backoff` unchanged.
@@ -1863,58 +1814,12 @@ impl UdpClient {
         }
         Ok(())
     }
-
-    /// Reconnects with exponential backoff, distinguishing transient
-    /// failures (partition, broker mid-restart — retried with a doubling
-    /// delay) from fatal ones (protocol rejection, local configuration —
-    /// surfaced immediately). Gives up when either `max_attempts` or the
-    /// overall `max_elapsed` budget is exhausted, whichever comes first.
-    /// Returns the number of attempts on success.
-    pub fn reconnect(&mut self, policy: &ReconnectPolicy) -> Result<u32, NetError> {
-        let started = Instant::now();
-        let mut backoff = policy.initial_backoff;
-        let mut rng = StdRng::seed_from_u64(entropy_seed());
-        let mut last: Option<NetError> = None;
-        for attempt in 1..=policy.max_attempts.max(1) {
-            // The first attempt always runs (possibly with a trimmed
-            // timeout); later ones only while budget remains.
-            let attempt_timeout = match policy.max_elapsed {
-                Some(budget) => {
-                    let remaining = budget.saturating_sub(started.elapsed());
-                    if attempt > 1 && remaining.is_zero() {
-                        break;
-                    }
-                    policy
-                        .attempt_timeout
-                        .min(remaining.max(Duration::from_millis(1)))
-                }
-                None => policy.attempt_timeout,
-            };
-            match self.try_reconnect(attempt_timeout) {
-                Ok(()) => return Ok(attempt),
-                Err(e) if !e.is_transient() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-            if attempt < policy.max_attempts.max(1) {
-                let mut sleep = policy.jittered(backoff, &mut rng);
-                if let Some(budget) = policy.max_elapsed {
-                    let remaining = budget.saturating_sub(started.elapsed());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    sleep = sleep.min(remaining);
-                }
-                std::thread::sleep(sleep);
-                backoff = (backoff * 2).min(policy.max_backoff);
-            }
-        }
-        Err(last.unwrap_or(NetError::Timeout("reconnect")))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn timeout() -> Duration {
         Duration::from_secs(5)
@@ -1923,6 +1828,16 @@ mod tests {
     /// A per-process snapshot file path under the temp dir.
     fn snap_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("mqtt-sn-{tag}-{}.snap", std::process::id()))
+    }
+
+    /// Retries [`UdpClient::try_reconnect`] until the restarted gateway
+    /// answers.
+    fn reconnect(client: &mut UdpClient) {
+        let deadline = Instant::now() + timeout();
+        while let Err(e) = client.try_reconnect(Duration::from_secs(1)) {
+            assert!(Instant::now() < deadline, "reconnect failed: {e}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
     }
 
     fn sharded(shards: usize) -> UdpBroker {
@@ -2039,17 +1954,11 @@ mod tests {
         broker.shutdown_to_file(&path).unwrap();
         let broker = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
 
-        // Both sides reconnect with backoff; sessions resume (the
-        // subscriber's subscription and the publisher's registration both
-        // survive without re-issuing them).
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            attempt_timeout: Duration::from_secs(1),
-            ..ReconnectPolicy::default()
-        };
-        sub.reconnect(&policy).unwrap();
-        let attempts = publisher.reconnect(&policy).unwrap();
-        assert!(attempts >= 1);
+        // Both sides reconnect; sessions resume (the subscriber's
+        // subscription and the publisher's registration both survive
+        // without re-issuing them).
+        reconnect(&mut sub);
+        reconnect(&mut publisher);
         let new_tid = publisher.topic_id("re/dev1").expect("registration resumed");
 
         publisher
@@ -2062,52 +1971,13 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_backs_off_until_broker_returns() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let addr = broker.local_addr();
-        let mut client = UdpClient::connect(addr, ClientConfig::new("bk"), timeout()).unwrap();
-        client.register("bk/t", timeout()).unwrap();
-        let path = snap_path("backoff");
-        broker.shutdown_to_file(&path).unwrap();
-
-        // Bring the broker back only after a delay: early attempts must
-        // fail transiently and the backoff loop must ride them out.
-        let restarter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(300));
-            let broker = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
-            std::fs::remove_file(&path).unwrap();
-            broker
-        });
-        let attempts = client
-            .reconnect(&ReconnectPolicy {
-                initial_backoff: Duration::from_millis(100),
-                max_backoff: Duration::from_millis(400),
-                max_attempts: 20,
-                attempt_timeout: Duration::from_millis(500),
-                ..ReconnectPolicy::default()
-            })
-            .unwrap();
-        assert!(
-            attempts >= 2,
-            "expected early attempts to fail, got {attempts}"
-        );
-        let broker = restarter.join().unwrap();
-        assert_eq!(client.state(), crate::ClientState::Connected);
-        broker.shutdown();
-    }
-
-    #[test]
     fn jittered_backoff_stays_within_the_window() {
         let mut rng = StdRng::seed_from_u64(7);
-        let policy = ReconnectPolicy {
-            jitter: 0.25,
-            ..ReconnectPolicy::default()
-        };
         let base = Duration::from_millis(1000);
         let (lo, hi) = (Duration::from_millis(750), Duration::from_millis(1250));
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..1000 {
-            let d = policy.jittered(base, &mut rng);
+            let d = jitter_backoff(base, 0.25, &mut rng);
             assert!(d >= lo && d <= hi, "jitter out of window: {d:?}");
             distinct.insert(d);
         }
@@ -2155,13 +2025,8 @@ mod tests {
         let gw = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
         assert_eq!(gw.shards(), shards, "shard count comes from the file");
 
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            attempt_timeout: Duration::from_secs(1),
-            ..ReconnectPolicy::default()
-        };
-        sub.reconnect(&policy).unwrap();
-        publisher.reconnect(&policy).unwrap();
+        reconnect(&mut sub);
+        reconnect(&mut publisher);
         let new_tid = publisher
             .topic_id("ps/dev1")
             .expect("registration persisted");
@@ -2374,43 +2239,6 @@ mod tests {
         .err()
         .expect("must fail");
         assert!(matches!(err, NetError::Timeout(_) | NetError::Io(_)));
-    }
-
-    #[test]
-    fn reconnect_gives_up_within_elapsed_budget() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let mut client =
-            UdpClient::connect(broker.local_addr(), ClientConfig::new("budget"), timeout())
-                .unwrap();
-        broker.shutdown();
-        // Effectively unbounded attempts: without the elapsed budget this
-        // policy would retry for minutes against the dead address.
-        let budget = Duration::from_millis(400);
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(100),
-            max_attempts: u32::MAX,
-            attempt_timeout: Duration::from_millis(100),
-            jitter: 0.25,
-            max_elapsed: Some(budget),
-        };
-        let started = Instant::now();
-        let err = client
-            .reconnect(&policy)
-            .expect_err("no broker: must give up");
-        let elapsed = started.elapsed();
-        assert!(err.is_transient(), "gave up on a transient error: {err}");
-        // Pin the give-up window: never before the budget is spent, and
-        // not much after it (at most one trailing attempt's timeout, plus
-        // generous CI slack).
-        assert!(
-            elapsed >= budget,
-            "gave up after {elapsed:?}, budget {budget:?}"
-        );
-        assert!(
-            elapsed < budget + Duration::from_secs(2),
-            "kept retrying long past the budget: {elapsed:?}"
-        );
     }
 
     /// Scripted deterministic fault: drops every datagram (both

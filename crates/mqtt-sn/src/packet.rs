@@ -881,7 +881,7 @@ impl Packet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1157,7 +1157,7 @@ mod tests {
     }
 
     /// Any packet variant, with field values that survive a round trip.
-    fn arb_packet() -> impl Strategy<Value = Packet> {
+    pub(crate) fn arb_packet() -> impl Strategy<Value = Packet> {
         let fields = (
             0u8..14,
             any::<u16>(),

@@ -20,7 +20,7 @@
 //! once per record.
 
 use crate::varint::{write_i64, write_u64, Reader};
-use crate::CodecError;
+use crate::{CodecError, MAX_NESTING};
 use prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -467,7 +467,7 @@ fn decode_data(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<DataRecord, C
             .get(name_ref as usize)
             .ok_or(CodecError::BadStringRef(name_ref))?
             .clone();
-        let value = decode_value(r, strings)?;
+        let value = decode_value(r, strings, 0)?;
         attributes.push((name, value));
     }
     Ok(DataRecord {
@@ -478,7 +478,11 @@ fn decode_data(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<DataRecord, C
     })
 }
 
-fn decode_value(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<AttrValue, CodecError> {
+fn decode_value(
+    r: &mut Reader<'_>,
+    strings: &[Arc<str>],
+    depth: usize,
+) -> Result<AttrValue, CodecError> {
     match r.read_u8()? {
         0 => Ok(AttrValue::Null),
         1 => Ok(AttrValue::Bool(r.read_u8()? != 0)),
@@ -492,10 +496,13 @@ fn decode_value(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<AttrValue, C
                 .ok_or(CodecError::BadStringRef(i))
         }
         5 => {
+            if depth == MAX_NESTING {
+                return Err(CodecError::TooDeep);
+            }
             let n = r.read_u64()? as usize;
             let mut items = Vec::with_capacity(n.min(r.remaining() + 1));
             for _ in 0..n {
-                items.push(decode_value(r, strings)?);
+                items.push(decode_value(r, strings, depth + 1)?);
             }
             Ok(AttrValue::List(items))
         }
@@ -593,6 +600,36 @@ mod tests {
         for cut in 0..buf.len() {
             let _ = decode_batch(&buf[..cut]); // must not panic
         }
+    }
+
+    #[test]
+    fn list_nesting_is_bounded() {
+        // The record's last bytes are its one attribute, an empty list
+        // (`05 00`): wrap it in one-element lists (`05 01`) without
+        // recursing to build them.
+        let rec = Record::TaskBegin {
+            task: task(1),
+            inputs: vec![DataRecord::new("in1", 1u64).with_attr("l", AttrValue::List(vec![]))],
+        };
+        let nested = |levels: usize| {
+            let mut buf = encode_record(&rec);
+            assert_eq!(buf.split_off(buf.len() - 2), [5, 0]);
+            buf.extend(std::iter::repeat_n([5, 1], levels - 1).flatten());
+            buf.extend([5, 0]);
+            buf
+        };
+        assert_eq!(
+            decode_batch(&nested(1)).unwrap(),
+            std::slice::from_ref(&rec)
+        );
+        assert!(decode_batch(&nested(MAX_NESTING)).is_ok());
+        assert_eq!(
+            decode_batch(&nested(MAX_NESTING + 1)),
+            Err(CodecError::TooDeep)
+        );
+        // What one small compressed envelope can carry: an error, not a
+        // stack overflow on the thread decoding it.
+        assert_eq!(decode_batch(&nested(30_000)), Err(CodecError::TooDeep));
     }
 
     #[test]

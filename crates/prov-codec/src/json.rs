@@ -8,6 +8,7 @@
 //! which is the honest source of the byte-count asymmetry in the paper's
 //! Fig. 6c.
 
+use crate::MAX_NESTING;
 use prov_model::{AttrValue, DataRecord, Record, TaskRecord, TaskStatus};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -149,7 +150,11 @@ impl std::error::Error for JsonError {}
 /// Parses a JSON document (single value with optional surrounding space).
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -162,6 +167,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,8 +199,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -202,6 +208,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &'static str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -741,6 +760,19 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"k\" 1}").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_NESTING + 1)).unwrap_err().message,
+            "nesting too deep"
+        );
+        // A datagram-sized run of openers errors instead of overflowing the stack.
+        assert!(parse(&"[".repeat(60_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(10_000)).is_err());
     }
 
     #[test]

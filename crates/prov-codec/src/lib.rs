@@ -46,7 +46,16 @@ pub enum CodecError {
     BadCompression,
     /// A declared length was implausibly large for the remaining input.
     LengthOverflow,
+    /// Lists nested deeper than any captured value does.
+    TooDeep,
 }
+
+/// Deepest container nesting either decoder accepts. Both recurse once per
+/// level and run on ingest threads fed from the network, where a few
+/// kilobytes of nested openers would otherwise overflow the stack — an
+/// abort of the process, not an error. Records nest a handful of levels
+/// plus their attribute lists.
+pub(crate) const MAX_NESTING: usize = 64;
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -58,6 +67,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadUtf8 => f.write_str("invalid UTF-8 in string"),
             CodecError::BadCompression => f.write_str("malformed compressed payload"),
             CodecError::LengthOverflow => f.write_str("declared length exceeds remaining input"),
+            CodecError::TooDeep => f.write_str("lists nested too deep"),
         }
     }
 }

@@ -37,4 +37,4 @@ pub use query::{
 pub use schema::{AttrType, AttributeDef, DataflowSpec, DatasetSpec, TransformationSpec};
 pub use sharded::{shared_sharded, ShardRouter, ShardedStore, SharedShardedStore};
 pub use smallset::SmallSet;
-pub use store::{RecordRetention, SharedStore, Store, StoreStats, TaskRow};
+pub use store::{SharedStore, Store, StoreStats, TaskRow};

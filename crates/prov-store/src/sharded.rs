@@ -24,7 +24,7 @@
 //! working on different workflows proceed fully in parallel.
 
 use crate::query::{Cursor, CursorOpts, Page, Path, QueryError};
-use crate::store::{RecordRetention, Store, StoreStats};
+use crate::store::{Store, StoreStats};
 use parking_lot::RwLock;
 use prov_model::{Id, ProvDocument, Record};
 use std::collections::hash_map::DefaultHasher;
@@ -57,21 +57,12 @@ impl Default for ShardedStore {
 }
 
 impl ShardedStore {
-    /// Creates a store with `shards` shards (rounded up to a power of two)
-    /// and no raw-record retention.
+    /// Creates a store with `shards` shards (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
-        Self::with_retention(shards, RecordRetention::None)
-    }
-
-    /// Creates a store with an explicit raw-record [`RecordRetention`]
-    /// policy applied to every shard.
-    pub fn with_retention(shards: usize, retention: RecordRetention) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedStore {
             shards: (0..n)
-                .map(|_| {
-                    RwLock::with_rank(parking_lot::rank::SHARD, Store::with_retention(retention))
-                })
+                .map(|_| RwLock::with_rank(parking_lot::rank::SHARD, Store::new()))
                 .collect(),
         }
     }

@@ -12,9 +12,9 @@
 //! The ingest path is engineered for per-record cost: index lookups use
 //! borrowed `(workflow, id)` keys ([`prov_model::key`]) so a *hit* clones
 //! zero [`Id`]s, edge dedup uses [`SmallSet`] indices instead of `O(n)`
-//! scans, and raw records are only retained when a [`RecordRetention`]
-//! policy asks for them — PROV export reconstructs the stream from the
-//! tables instead of replaying an unbounded log.
+//! scans, and no raw record is kept once it is folded into the tables —
+//! PROV export reconstructs the stream from them instead of replaying an
+//! unbounded log.
 
 use crate::schema::AttrType;
 use crate::smallset::SmallSet;
@@ -23,7 +23,7 @@ use prov_model::key::{IdAttrKey, IdPairKey, PairProbe};
 use prov_model::{
     mapping, AttrValue, DataRecord, Id, ProvDocument, Record, TaskRecord, TaskStatus,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Row index types.
@@ -121,22 +121,6 @@ impl Column {
     }
 }
 
-/// How many raw [`Record`]s a store keeps after folding them into tables.
-///
-/// The tables are the source of truth — [`Store::to_prov_document`]
-/// reconstructs an equivalent capture stream from them — so raw retention
-/// is purely a debugging/replay aid and is off by default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecordRetention {
-    /// Keep nothing (the default).
-    #[default]
-    None,
-    /// Keep the most recent `n` records in a ring buffer.
-    Last(usize),
-    /// Keep every record (unbounded; the pre-sharding behaviour).
-    All,
-}
-
 /// Ingestion statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -181,9 +165,6 @@ pub struct Store {
     /// the moment the source row appears.
     pending_derivations: HashMap<(Id, Id), Vec<DataIdx>>,
     stats: StoreStats,
-    retention: RecordRetention,
-    /// Raw records retained per `retention` (ring buffer for `Last(n)`).
-    records: VecDeque<Record>,
 }
 
 /// A thread-safe handle to a store (used by servers and translators).
@@ -195,32 +176,14 @@ pub fn shared() -> SharedStore {
 }
 
 impl Store {
-    /// Empty store (no raw-record retention).
+    /// Empty store.
     pub fn new() -> Self {
         Store::default()
-    }
-
-    /// Empty store with the given raw-record retention policy.
-    pub fn with_retention(retention: RecordRetention) -> Self {
-        Store {
-            retention,
-            ..Store::default()
-        }
     }
 
     /// Ingestion statistics.
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    /// The active raw-record retention policy.
-    pub fn retention(&self) -> RecordRetention {
-        self.retention
-    }
-
-    /// Raw records retained under the current policy, oldest first.
-    pub fn retained_records(&self) -> impl Iterator<Item = &Record> {
-        self.records.iter()
     }
 
     fn workflow_row_mut(&mut self, id: &Id) -> &mut WorkflowRow {
@@ -261,19 +224,6 @@ impl Store {
                     self.data[idx].generated_by = Some(t);
                 }
             }
-        }
-        match self.retention {
-            RecordRetention::None => {}
-            RecordRetention::Last(n) => {
-                if n == 0 {
-                    return;
-                }
-                if self.records.len() == n {
-                    self.records.pop_front();
-                }
-                self.records.push_back(record);
-            }
-            RecordRetention::All => self.records.push_back(record),
         }
     }
 
@@ -493,8 +443,8 @@ impl Store {
     /// Exports everything as a validated PROV-DM document (§IV-A
     /// interoperability path).
     ///
-    /// The document is reconstructed from the tables, so it works with any
-    /// [`RecordRetention`] policy including the default `None`.
+    /// The document is reconstructed from the tables; the store keeps no
+    /// raw-record log to replay.
     pub fn to_prov_document(&self) -> ProvDocument {
         let mut doc = ProvDocument::new();
         self.apply_to_document(&mut doc);
@@ -866,26 +816,6 @@ mod tests {
             time_ns: 10_000,
         });
         sink
-    }
-
-    #[test]
-    fn retention_policies_bound_the_raw_log() {
-        let records = sample_records();
-        let mut none = Store::new();
-        let mut last = Store::with_retention(RecordRetention::Last(3));
-        let mut all = Store::with_retention(RecordRetention::All);
-        for r in &records {
-            none.ingest(r.clone());
-            last.ingest(r.clone());
-            all.ingest(r.clone());
-        }
-        assert_eq!(none.retained_records().count(), 0);
-        assert_eq!(last.retained_records().count(), 3);
-        assert_eq!(all.retained_records().count(), records.len());
-        // The ring holds the *most recent* records.
-        assert_eq!(last.retained_records().last(), records.last());
-        // Tables are identical regardless of retention.
-        assert_eq!(none.stats(), all.stats());
     }
 
     #[test]

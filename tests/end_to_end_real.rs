@@ -171,14 +171,82 @@ fn qos_levels_all_deliver() {
 
 #[test]
 fn uncompressed_and_json_payloads_also_flow() {
-    // The translator handles whatever the envelope advertises.
+    // The translator takes every form the transmitter emits: an envelope
+    // that advertises no compression, and compact JSON text (`binary:
+    // false`) with one message per capture call or many records in one.
+    for (name, binary, group) in [
+        ("uncompressed", true, GroupPolicy::Immediate),
+        ("json immediate", false, GroupPolicy::Immediate),
+        ("json grouped", false, GroupPolicy::Grouped { size: 5 }),
+    ] {
+        let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+        let config = CaptureConfig {
+            compression: false,
+            binary,
+            group,
+            ..CaptureConfig::default()
+        };
+        run_device(2, manager.broker_addr(), config, 2);
+        wait_for_records(&manager, 6);
+        let stats = manager.store().stats();
+        assert_eq!((stats.tasks, stats.data), (2, 4), "{name}");
+        assert_eq!(stats.attr_cells, 4, "{name}");
+        assert_eq!(manager.server_stats().decode_errors, 0, "{name}");
+        {
+            let wf = Id::Num(2);
+            let store = manager.store().read(&wf);
+            let metrics = Query::new(&store).task_metrics(&wf).unwrap();
+            assert!(metrics.len() == 2 && metrics.iter().all(|m| m.finished));
+            // One attribute per data row, by name and value (JSON brings a
+            // whole-valued float back as an integer: compare as numbers).
+            let attr = |id: String| {
+                let (_, row) = store.data_by_id(&wf, &id.into()).unwrap();
+                assert_eq!(row.attributes.len(), 1, "{name}");
+                let (key, value) = &row.attributes[0];
+                (key.to_string(), value.as_float())
+            };
+            for t in 0..2u64 {
+                let param = ("param".to_owned(), Some(t as f64));
+                assert_eq!(attr(format!("in{t}")), param, "{name}");
+                let result = ("result".to_owned(), Some(t as f64 * 1.5));
+                assert_eq!(attr(format!("out{t}")), result, "{name}");
+                let (_, out) = store.data_by_id(&wf, &format!("out{t}").into()).unwrap();
+                assert_eq!(out.derivations, vec![Id::from(format!("in{t}"))]);
+            }
+        }
+        manager.shutdown();
+    }
+}
+
+/// Any peer that connects and registers a topic reaches the translator's
+/// decoder. A datagram of `[` bytes is acknowledged, counted as the one
+/// decode error it is, and the server goes on serving — it used to be a
+/// stack overflow on the translator thread, which aborts the process.
+#[test]
+fn hostile_json_nesting_costs_one_decode_error() {
+    use provlight::mqtt_sn::net::UdpClient;
+    use provlight::mqtt_sn::{ClientConfig, QoS};
+    let timeout = Duration::from_secs(10);
     let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
-    let config = CaptureConfig {
-        compression: false,
+
+    let config = ClientConfig::new("hostile");
+    let mut peer = UdpClient::connect(manager.broker_addr(), config, timeout).unwrap();
+    let topic = peer.register("provlight/test/hostile", timeout).unwrap();
+    peer.publish(topic, vec![b'['; 60_000], QoS::ExactlyOnce, timeout)
+        .unwrap();
+    let deadline = std::time::Instant::now() + timeout;
+    while manager.server_stats().decode_errors == 0 {
+        assert!(std::time::Instant::now() < deadline, "payload never seen");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let json = CaptureConfig {
+        binary: false,
         ..CaptureConfig::default()
     };
-    run_device(2, manager.broker_addr(), config, 2);
+    run_device(3, manager.broker_addr(), json, 2);
     wait_for_records(&manager, 6);
-    assert_eq!(manager.store().stats().tasks, 2);
+    assert_eq!(manager.server_stats().decode_errors, 1);
+    assert_eq!(manager.broker_stats().decode_errors, 0);
     manager.shutdown();
 }

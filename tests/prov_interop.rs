@@ -4,13 +4,23 @@
 //! all without sockets, exercising the sans-io path across every crate.
 
 use provlight::core::translator::{DfAnalyzerTranslator, ProvDocumentTranslator, Translator};
-use provlight::mqtt_sn::broker::{Broker, BrokerConfig};
+use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{Id, Record};
 use provlight::prov_store::query::Query;
 use provlight::workload::schedule::{generate, Step};
 use provlight::workload::spec::WorkloadSpec;
+
+/// Hands `packet` to the broker as the datagram `from` would send and
+/// returns what the broker sends back, decoded.
+fn feed(broker: &mut Broker<u8>, now: u64, from: u8, packet: Packet) -> Vec<(u8, Packet)> {
+    let mut out = BrokerOutputs::new();
+    broker
+        .on_datagram_into(now, from, &packet.encode(), &mut out)
+        .expect("test packet decodes");
+    out.packets()
+}
 
 /// Pushes every emitted record of a Table I workload through the broker
 /// as QoS 2 envelopes and returns what the subscriber receives.
@@ -19,7 +29,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
     let publisher = 1u8;
     let subscriber = 2u8;
 
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         publisher,
         Packet::Connect {
@@ -28,7 +39,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
             client_id: "pub".into(),
         },
     );
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         subscriber,
         Packet::Connect {
@@ -37,7 +49,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
             client_id: "sub".into(),
         },
     );
-    let out = broker.on_packet(
+    let out = feed(
+        &mut broker,
         0,
         publisher,
         Packet::Register {
@@ -50,7 +63,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
         Packet::RegAck { topic_id, .. } => topic_id,
         ref p => panic!("{p:?}"),
     };
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         subscriber,
         Packet::Subscribe {
@@ -64,7 +78,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
     let mut received = Vec::new();
     for (i, record) in records.iter().enumerate() {
         let payload = Envelope::encode(std::slice::from_ref(record), true);
-        let outs = broker.on_packet(
+        let outs = feed(
+            &mut broker,
             i as u64,
             publisher,
             Packet::Publish {
@@ -85,7 +100,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
             }
         }
         // Complete the publisher-side QoS 2 handshake.
-        broker.on_packet(
+        feed(
+            &mut broker,
             i as u64,
             publisher,
             Packet::PubRel {

@@ -6,7 +6,7 @@
 //! QoS 2 delivers **exactly once** despite drops and retransmissions;
 //! QoS 1 delivers at least once.
 
-use provlight::mqtt_sn::broker::{Broker, BrokerConfig};
+use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use provlight::mqtt_sn::client::{Client, ClientConfig, ClientEvent, Output};
 use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
 use provlight::net_sim::loss::LossModel;
@@ -30,6 +30,16 @@ struct LossyWorld {
 
 const CLIENT_ADDR: u8 = 1;
 const TICK: u64 = 50_000_000; // 50 ms virtual step
+
+/// Hands the client's `datagram` to the broker and returns what the
+/// broker sends back, decoded.
+fn feed(broker: &mut Broker<u8>, now: u64, datagram: &[u8]) -> Vec<(u8, Packet)> {
+    let mut out = BrokerOutputs::new();
+    broker
+        .on_datagram_into(now, CLIENT_ADDR, datagram, &mut out)
+        .expect("self-encoded packet");
+    out.packets()
+}
 
 impl LossyWorld {
     fn new(loss_probability: f64, seed: u64) -> Self {
@@ -77,27 +87,27 @@ impl LossyWorld {
         for _ in 0..max_steps {
             // Wire: move packets, dropping per the loss model.
             while let Some((to_broker, packet)) = self.queue.pop_front() {
-                // Encode/decode for wire fidelity.
+                // Both ends take bytes, as off a socket.
                 let wire = packet.encode();
-                let packet = Packet::decode(&wire).expect("self-encoded packet");
                 if self.loss.should_drop() {
                     continue;
                 }
                 if to_broker {
-                    let outs = self.broker.on_packet(self.now, CLIENT_ADDR, packet);
-                    for (_, p) in outs {
+                    for (_, p) in feed(&mut self.broker, self.now, &wire) {
                         self.queue.push_back((false, p));
                     }
                 } else {
-                    let outs = self.client.on_packet(packet, self.now);
-                    self.dispatch_client(outs);
+                    let outs = self.client.on_datagram(&wire, self.now);
+                    self.dispatch_client(outs.expect("self-encoded packet"));
                 }
             }
             // Time passes; retransmission timers fire.
             self.now += TICK;
             let outs = self.client.on_tick(self.now);
             self.dispatch_client(outs);
-            for (_, p) in self.broker.on_tick(self.now) {
+            let mut out = BrokerOutputs::new();
+            self.broker.on_tick_into(self.now, &mut out);
+            for (_, p) in out.packets() {
                 self.queue.push_back((false, p));
             }
             if self.queue.is_empty()
@@ -309,7 +319,7 @@ fn broker_restart_during_qos2_handshake_stays_exactly_once() {
     // its PUBREC.
     while let Some((to_broker, packet)) = world.queue.pop_front() {
         if to_broker {
-            let _lost = world.broker.on_packet(world.now, CLIENT_ADDR, packet);
+            let _lost = feed(&mut world.broker, world.now, &packet.encode());
         }
     }
     assert_eq!(world.client.inflight_len(), 1);

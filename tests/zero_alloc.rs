@@ -52,6 +52,21 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Broker set-up traffic, outside every measured region: `packet` as the
+/// datagram `from` would send, and the replies decoded.
+fn feed(
+    broker: &mut provlight::mqtt_sn::Broker<u32>,
+    now: u64,
+    from: u32,
+    packet: provlight::mqtt_sn::Packet,
+) -> Vec<(u32, provlight::mqtt_sn::Packet)> {
+    let mut out = provlight::mqtt_sn::broker::BrokerOutputs::new();
+    broker
+        .on_datagram_into(now, from, &packet.encode(), &mut out)
+        .expect("set-up packet decodes");
+    out.packets()
+}
+
 fn record(i: u64, attrs: usize) -> Record {
     let mut d = DataRecord::new(i, 1u64).with_attr("kind", "sensor-frame");
     for a in 0..attrs {
@@ -150,7 +165,7 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
     let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
     let publisher = 0u32;
     let qos1_sub = 9u32;
-    let setup = |b: &mut Broker<u32>, from: u32, p: Packet| b.on_packet(0, from, p);
+    let setup = |b: &mut Broker<u32>, from: u32, p: Packet| feed(b, 0, from, p);
     for (addr, id) in (0..10u32).map(|a| (a, format!("c{a}"))) {
         setup(
             &mut broker,
@@ -162,7 +177,8 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
             },
         );
     }
-    let out = broker.on_packet(
+    let out = feed(
+        &mut broker,
         0,
         publisher,
         Packet::Register {
@@ -283,7 +299,8 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     let mut shard1: Broker<u32> = Broker::new(BrokerConfig::default());
 
     let publisher = 0u32;
-    shard0.on_packet(
+    feed(
+        &mut shard0,
         0,
         publisher,
         Packet::Connect {
@@ -297,7 +314,8 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     assert!(shard1.mirror_topic(tid, "z/x"));
 
     let subscriber = 1u32;
-    shard1.on_packet(
+    feed(
+        &mut shard1,
         0,
         subscriber,
         Packet::Connect {
@@ -306,7 +324,8 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
             client_id: "sub".into(),
         },
     );
-    shard1.on_packet(
+    feed(
+        &mut shard1,
         0,
         subscriber,
         Packet::Subscribe {
@@ -420,7 +439,8 @@ fn steady_state_local_delivery_allocates_zero_per_message() {
 
     let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
     let publisher = 0u32;
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         publisher,
         Packet::Connect {
@@ -429,7 +449,8 @@ fn steady_state_local_delivery_allocates_zero_per_message() {
             client_id: "dev".into(),
         },
     );
-    let out = broker.on_packet(
+    let out = feed(
+        &mut broker,
         0,
         publisher,
         Packet::Register {
@@ -526,7 +547,8 @@ fn steady_state_bundled_handshake_allocates_zero_per_message() {
 
     let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
     let device = 0u32;
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         device,
         Packet::Connect {
@@ -535,7 +557,8 @@ fn steady_state_bundled_handshake_allocates_zero_per_message() {
             client_id: "dev".into(),
         },
     );
-    let out = broker.on_packet(
+    let out = feed(
+        &mut broker,
         0,
         device,
         Packet::Register {
@@ -647,7 +670,7 @@ fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
     let accepted = Packet::ConnAck {
         code: ReturnCode::Accepted,
     };
-    client.on_packet(accepted, 0);
+    client.on_datagram(&accepted.encode(), 0).unwrap();
     for _ in 0..window {
         client
             .publish(TopicRef::Id(1), vec![0x5c; 16], QoS::ExactlyOnce, 0)
@@ -665,7 +688,7 @@ fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
             duration: 60,
             client_id: format!("c{addr}"),
         };
-        broker.on_packet(0, addr, connect);
+        feed(&mut broker, 0, addr, connect);
     }
     let subscribe = Packet::Subscribe {
         dup: false,
@@ -673,7 +696,7 @@ fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
         msg_id: 1,
         topic: TopicRef::Name("z/t".into()),
     };
-    let out = broker.on_packet(0, subscriber, subscribe);
+    let out = feed(&mut broker, 0, subscriber, subscribe);
     let tid = match out[0].1 {
         Packet::SubAck { topic_id, .. } => topic_id,
         ref p => panic!("unexpected {p:?}"),
@@ -687,7 +710,7 @@ fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
             msg_id,
             payload: vec![0x5c; 16],
         };
-        broker.on_packet(0, publisher, publish);
+        feed(&mut broker, 0, publisher, publish);
     }
     assert_eq!(broker.stats().publishes_out, window as u64);
     let mut out = BrokerOutputs::new();
