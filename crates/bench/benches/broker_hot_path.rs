@@ -16,29 +16,13 @@
 //! gateway deployments. Throughput is inbound packets/sec; outbound
 //! datagrams scale with the fan-out.
 //!
-//! The second half measures the gateway's **cross-shard** fan-out path:
-//! 4 publisher groups, each with 8 shard-local QoS 0
-//! subscribers plus one subscriber on a *different* shard, replayed
-//! through the real shard state machines — `on_datagram_into`, the
-//! `SharedRouter` mask cache, and the lock-free `ForwardFabric` rings
-//! carrying pre-encoded wire images. Throughput for an N-shard
-//! configuration is computed over the **critical path** of the measured
-//! per-shard segments (publish processing + forwarded-frame delivery):
-//! one shard serializes every group (critical path = sum), while N
-//! shards own disjoint client groups and proceed independently
-//! (critical path = slowest shard). An OS-thread wall-clock run of the
-//! 4-shard configuration is reported alongside (`shards_4_wall`) with
-//! the host's `cores`, and converges to the critical-path figure as
-//! cores allow.
-//!
-//! Results extend the `broker` and `sharded_fanout` sections of
-//! `BENCH_hotpath.json` at the repo root, leaving the capture and ingest
-//! sections untouched (ROADMAP: extend, not replace). Reps come from
-//! `PROVLIGHT_REPS` (default 10); each number is the best rep.
+//! Results extend the `broker` section of `BENCH_hotpath.json` at the
+//! repo root, leaving the capture and ingest sections untouched (ROADMAP:
+//! extend, not replace). Reps come from `PROVLIGHT_REPS` (default 10);
+//! each number is the best rep.
 
 use mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use mqtt_sn::packet::{Packet, QoS, TopicRef};
-use mqtt_sn::{ForwardFabric, SharedRouter};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -153,316 +137,6 @@ fn run_batched(broker: &mut Broker<u32>, wire: &[u8], packets: usize) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-// ---------------------------------------------------------------------------
-// Sharded fan-out
-// ---------------------------------------------------------------------------
-
-/// Publisher groups (one per shard at the widest configuration).
-const GROUPS: usize = 4;
-/// Shard-local QoS 0 subscribers per group.
-const LOCAL_SUBS: usize = 8;
-/// Frames per directed forwarding ring in the bench fabric.
-const FWD_RING: usize = 2048;
-/// Publishes produced per group between ring drains (keeps every ring
-/// below capacity in the phase-interleaved critical-path measurement).
-const FWD_CHUNK: usize = 512;
-
-fn group_topic(g: usize) -> String {
-    format!("sf/g{g}")
-}
-
-fn pub_addr(g: usize) -> u32 {
-    (g * 100) as u32
-}
-
-/// One publisher group's static routing facts for a given shard count.
-struct GroupJob {
-    /// Shard owning the group's clients.
-    shard: usize,
-    /// Shared-registry topic id of the group's topic.
-    tid: u16,
-    /// Pre-encoded QoS 0 publish datagram.
-    wire: Vec<u8>,
-    /// The payload carried by `wire` (re-encoded once per cross-shard
-    /// forward by the fabric).
-    payload: Vec<u8>,
-}
-
-struct ShardedSetup {
-    brokers: Vec<Broker<u32>>,
-    router: SharedRouter,
-    fabric: ForwardFabric,
-    groups: Vec<GroupJob>,
-}
-
-/// Builds the N-shard topology: group `g` (publisher + `LOCAL_SUBS`
-/// same-shard subscribers) lives on shard `g % n`, and additionally
-/// hosts one subscriber to the *next* group's topic — which lives on a
-/// different shard whenever `n > 1`, so every publish crosses exactly
-/// one shard boundary in the sharded configurations and none in the
-/// serialized one.
-fn build_sharded(n: usize) -> ShardedSetup {
-    let router = SharedRouter::new(n);
-    let fabric = ForwardFabric::new(n, FWD_RING);
-    let mut brokers: Vec<Broker<u32>> = (0..n)
-        .map(|_| Broker::new(BrokerConfig::default()))
-        .collect();
-    let tids: Vec<u16> = (0..GROUPS)
-        .map(|g| router.resolve(&group_topic(g)).expect("valid topic name"))
-        .collect();
-    let mut groups = Vec::with_capacity(GROUPS);
-    for g in 0..GROUPS {
-        let shard = g % n;
-        let neighbor = (g + 1) % GROUPS;
-        let b = &mut brokers[shard];
-        b.mirror_topic(tids[g], &group_topic(g));
-        b.mirror_topic(tids[neighbor], &group_topic(neighbor));
-        connect(b, pub_addr(g));
-        for k in 0..LOCAL_SUBS {
-            let addr = pub_addr(g) + 1 + k as u32;
-            connect(b, addr);
-            subscribe(b, addr, &group_topic(g));
-        }
-        // The cross-shard subscriber: group g listens to group g+1's
-        // topic, owned by shard (g+1) % n != g % n for n in {2, 4}.
-        let cross = pub_addr(g) + 50;
-        connect(b, cross);
-        subscribe(b, cross, &group_topic(neighbor));
-        let payload = vec![0xA5u8; PAYLOAD_BYTES];
-        let wire = Packet::Publish {
-            dup: false,
-            qos: QoS::AtMostOnce,
-            retain: false,
-            topic: TopicRef::Id(tids[g]),
-            msg_id: 0,
-            payload: payload.clone(),
-        }
-        .encode();
-        groups.push(GroupJob {
-            shard,
-            tid: tids[g],
-            wire,
-            payload,
-        });
-    }
-    let mut filters = Vec::new();
-    for (s, b) in brokers.iter().enumerate() {
-        b.collect_subscription_filters(&mut filters);
-        router.set_filters(s, &filters);
-    }
-    ShardedSetup {
-        brokers,
-        router,
-        fabric,
-        groups,
-    }
-}
-
-/// Processes `count` publishes of one group on its owner shard — routed
-/// datagram handling, mask prefetch, cross-shard ring pushes, and the
-/// outbound flush. Returns elapsed seconds.
-fn run_group_publishes(
-    setup: &mut ShardedSetup,
-    g: usize,
-    count: usize,
-    out: &mut BrokerOutputs<u32>,
-    scratch: &mut Vec<u8>,
-) -> f64 {
-    let job = &setup.groups[g];
-    let b = &mut setup.brokers[job.shard];
-    let start = Instant::now();
-    for _ in 0..count {
-        let routed = b
-            .on_datagram_into(0, pub_addr(g), &job.wire, out)
-            .expect("bench wire decodes");
-        if routed {
-            let mask = setup.router.shard_mask(job.tid);
-            let outcome = setup.fabric.forward(
-                job.shard,
-                mask,
-                job.tid,
-                QoS::AtMostOnce,
-                &job.payload,
-                scratch,
-            );
-            for _ in 0..outcome.forwards {
-                b.note_cross_shard_forward(outcome.max_depth);
-            }
-            assert_eq!(outcome.drops, 0, "bench rings must never overflow");
-        }
-    }
-    out.emit(|to, bytes| {
-        black_box((to, bytes.len()));
-    });
-    out.clear();
-    start.elapsed().as_secs_f64()
-}
-
-/// Drains every forwarding ring into shard `s` and delivers the frames
-/// to its local subscribers. Returns (frames delivered, elapsed secs).
-fn run_shard_drain(
-    setup: &mut ShardedSetup,
-    s: usize,
-    out: &mut BrokerOutputs<u32>,
-) -> (usize, f64) {
-    let n = setup.brokers.len();
-    let b = &mut setup.brokers[s];
-    let mut delivered = 0;
-    let start = Instant::now();
-    for from in 0..n {
-        if from == s {
-            continue;
-        }
-        let ring = setup.fabric.ring(from, s);
-        while let Some(frame) = ring.recv() {
-            b.deliver_forwarded(0, frame.topic_id, frame.qos, frame.payload(), out);
-            ring.recycle(frame);
-            delivered += 1;
-        }
-    }
-    out.emit(|to, bytes| {
-        black_box((to, bytes.len()));
-    });
-    out.clear();
-    (delivered, start.elapsed().as_secs_f64())
-}
-
-/// One critical-path measurement of an N-shard configuration: publish
-/// and drain phases alternate in ring-bounded chunks, each phase's time
-/// charged to the shard that did the work; the configuration's rate is
-/// `total publishes / slowest shard's total segment` (for N = 1 the one
-/// segment is the sum, i.e. fully serialized).
-fn measure_sharded(n: usize, publishes_per_group: usize) -> f64 {
-    let mut setup = build_sharded(n);
-    let mut segments = vec![0.0f64; n];
-    let mut out = BrokerOutputs::new();
-    let mut scratch = Vec::new();
-    let mut forwarded_in = 0usize;
-    let mut done = 0;
-    while done < publishes_per_group {
-        let chunk = FWD_CHUNK.min(publishes_per_group - done);
-        for g in 0..GROUPS {
-            let shard = setup.groups[g].shard;
-            segments[shard] += run_group_publishes(&mut setup, g, chunk, &mut out, &mut scratch);
-        }
-        #[allow(clippy::needless_range_loop)] // `setup` is borrowed whole per drain
-        for s in 0..n {
-            let (delivered, secs) = run_shard_drain(&mut setup, s, &mut out);
-            forwarded_in += delivered;
-            segments[s] += secs;
-        }
-        done += chunk;
-    }
-    let total = GROUPS * publishes_per_group;
-    let expected_forwards = if n > 1 { total as u64 } else { 0 };
-    assert_eq!(forwarded_in as u64, expected_forwards);
-    let mut merged = mqtt_sn::broker::BrokerStats::default();
-    for b in &setup.brokers {
-        merged.merge(b.stats());
-    }
-    assert_eq!(merged.publishes_in, total as u64);
-    assert_eq!(merged.publishes_out, (total * (LOCAL_SUBS + 1)) as u64);
-    assert_eq!(merged.cross_shard_forwards, expected_forwards);
-    assert_eq!(merged.drops, 0);
-    let critical = segments.iter().fold(0.0f64, |a, &b| a.max(b));
-    total as f64 / critical
-}
-
-/// The 4-shard configuration on real OS threads (wall clock): each
-/// shard's thread produces its group's publishes through the same
-/// routed path and concurrently drains its incoming rings. Honesty
-/// number next to the critical-path figure; converges to it as the
-/// host's cores allow.
-fn measure_sharded_wall(publishes_per_group: usize) -> f64 {
-    let n = GROUPS;
-    let setup = build_sharded(n);
-    let ShardedSetup {
-        mut brokers,
-        router,
-        fabric,
-        groups,
-    } = setup;
-    let router = &router;
-    let fabric = &fabric;
-    let groups = &groups;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (idx, b) in brokers.iter_mut().enumerate() {
-            scope.spawn(move || {
-                let job = &groups[idx];
-                let mut out = BrokerOutputs::new();
-                let mut scratch = Vec::new();
-                let mut received = 0usize;
-                let drain = |b: &mut Broker<u32>, out: &mut BrokerOutputs<u32>| {
-                    let mut got = 0;
-                    for from in 0..n {
-                        if from == idx {
-                            continue;
-                        }
-                        let ring = fabric.ring(from, idx);
-                        while let Some(frame) = ring.recv() {
-                            b.deliver_forwarded(0, frame.topic_id, frame.qos, frame.payload(), out);
-                            ring.recycle(frame);
-                            got += 1;
-                        }
-                    }
-                    out.emit(|to, bytes| {
-                        black_box((to, bytes.len()));
-                    });
-                    out.clear();
-                    got
-                };
-                for _ in 0..publishes_per_group {
-                    let routed = b
-                        .on_datagram_into(0, pub_addr(idx), &job.wire, &mut out)
-                        .expect("bench wire decodes");
-                    if routed {
-                        let mask = router.shard_mask(job.tid);
-                        loop {
-                            let outcome = fabric.forward(
-                                idx,
-                                mask,
-                                job.tid,
-                                QoS::AtMostOnce,
-                                &job.payload,
-                                &mut scratch,
-                            );
-                            if outcome.drops == 0 {
-                                for _ in 0..outcome.forwards {
-                                    b.note_cross_shard_forward(outcome.max_depth);
-                                }
-                                break;
-                            }
-                            // This workload forwards to exactly one ring,
-                            // so a drop means nothing was enqueued: drain
-                            // our own side to unstick the mesh and retry.
-                            received += drain(b, &mut out);
-                            std::hint::spin_loop();
-                        }
-                    }
-                    out.emit(|to, bytes| {
-                        black_box((to, bytes.len()));
-                    });
-                    out.clear();
-                }
-                while received < publishes_per_group {
-                    received += drain(b, &mut out);
-                }
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let total = GROUPS * publishes_per_group;
-    let mut merged = mqtt_sn::broker::BrokerStats::default();
-    for b in &brokers {
-        merged.merge(b.stats());
-    }
-    assert_eq!(merged.publishes_in, total as u64);
-    assert_eq!(merged.publishes_out, (total * (LOCAL_SUBS + 1)) as u64);
-    assert_eq!(merged.cross_shard_forwards, total as u64);
-    total as f64 / wall
-}
-
 fn main() {
     let configured = provlight_bench::reps().max(1);
     let reps = configured.max(3);
@@ -533,65 +207,5 @@ fn main() {
         speedup >= 2.0,
         "batched broker path must be >= 2x the per-packet path at fan-out \
          {GATE_FANOUT} (reps={reps}), got {speedup:.2}x"
-    );
-
-    // --- sharded fan-out -------------------------------------------------
-    let publishes_per_group: usize = if configured <= 1 { 4_000 } else { 12_000 };
-    let total = GROUPS * publishes_per_group;
-    println!(
-        "sharded_fanout: {GROUPS} groups x {publishes_per_group} publishes, \
-         {LOCAL_SUBS} local subs + 1 cross-shard sub each, reps={reps}"
-    );
-
-    let (mut best_1, mut best_2, mut best_4, mut best_wall) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for rep in 0..reps + 1 {
-        let r1 = measure_sharded(1, publishes_per_group);
-        let r2 = measure_sharded(2, publishes_per_group);
-        let r4 = measure_sharded(4, publishes_per_group);
-        let rw = measure_sharded_wall(publishes_per_group);
-        if rep == 0 {
-            continue; // warmup
-        }
-        best_1 = best_1.max(r1);
-        best_2 = best_2.max(r2);
-        best_4 = best_4.max(r4);
-        best_wall = best_wall.max(rw);
-    }
-    let scaling = best_4 / best_1;
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    println!("  shards_1        {best_1:>12.0} pkt/s");
-    println!(
-        "  shards_2        {best_2:>12.0} pkt/s  ({:.2}x)",
-        best_2 / best_1
-    );
-    println!("  shards_4        {best_4:>12.0} pkt/s  ({scaling:.2}x scaling)");
-    println!("  shards_4_wall   {best_wall:>12.0} pkt/s  (OS threads on {cores} core(s))");
-
-    let rate = |r: f64| format!("{{ \"packets_per_sec\": {r:.0} }}");
-    let sharded_section = format!(
-        "{{\n    \"groups\": {GROUPS},\n    \"local_subs\": {LOCAL_SUBS},\n    \
-         \"payload_bytes\": {PAYLOAD_BYTES},\n    \"publishes\": {total},\n    \
-         \"reps\": {reps},\n    \"cores\": {cores},\n    \
-         \"model\": \"critical-path over measured per-shard segments; _wall = OS threads\",\n    \
-         \"paths\": {{\n      \"shards_1\": {},\n      \"shards_2\": {},\n      \
-         \"shards_4\": {},\n      \"shards_4_wall\": {}\n    }},\n    \
-         \"scaling_broker_1_to_4_shards\": {scaling:.2}\n  }}",
-        rate(best_1),
-        rate(best_2),
-        rate(best_4),
-        rate(best_wall),
-    );
-    let existing = std::fs::read_to_string(out_path).unwrap_or_default();
-    let updated =
-        provlight_bench::bench_json::upsert_section(&existing, "sharded_fanout", &sharded_section);
-    std::fs::write(out_path, updated).expect("write BENCH_hotpath.json");
-    println!("  wrote sharded_fanout section of {out_path}");
-
-    assert!(
-        scaling >= 2.0,
-        "sharded broker must scale >= 2x from 1 to 4 shards (reps={reps}), \
-         got {scaling:.2}x"
     );
 }

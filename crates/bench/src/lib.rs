@@ -249,10 +249,6 @@ pub mod gate {
         // pages would push this toward zero.
         (&["query", "qps_closure_1m"], 5.0),
         (&["query", "ratio_ingest_under_query"], 0.2),
-        // Sharded gateway (PR 10): 4 broker shards over disjoint client
-        // groups must at least halve the critical path of the serialized
-        // single-lock configuration, cross-shard forwards included.
-        (&["sharded_fanout", "scaling_broker_1_to_4_shards"], 2.0),
     ];
 
     /// Resolves a dotted metric path to a number inside the JSON text.
@@ -295,38 +291,28 @@ pub mod gate {
     mod tests {
         use super::*;
 
-        fn doc(
-            speedup: f64,
-            scaling: f64,
-            broker: f64,
-            qps: f64,
-            ratio: f64,
-            shard_scaling: f64,
-        ) -> String {
+        fn doc(speedup: f64, scaling: f64, broker: f64, qps: f64, ratio: f64) -> String {
             format!(
                 "{{\n  \"bench\": \"capture_hot_path\",\n  \
                  \"speedup_coalesced_vs_immediate\": {speedup},\n  \
                  \"ingest\": {{\n    \"scaling_sharded_1_to_4\": {scaling}\n  }},\n  \
                  \"broker\": {{\n    \"speedup_broker_batched_vs_per_packet\": {broker}\n  }},\n  \
                  \"query\": {{\n    \"qps_closure_1m\": {qps},\n    \
-                 \"ratio_ingest_under_query\": {ratio}\n  }},\n  \
-                 \"sharded_fanout\": {{\n    \
-                 \"scaling_broker_1_to_4_shards\": {shard_scaling}\n  }}\n}}\n"
+                 \"ratio_ingest_under_query\": {ratio}\n  }}\n}}\n"
             )
         }
 
         #[test]
         fn healthy_metrics_pass() {
-            let gates =
-                check(&doc(2.19, 3.82, 3.12, 14.0, 0.55, 2.66)).expect("healthy file must pass");
-            assert_eq!(gates.len(), 6);
+            let gates = check(&doc(2.19, 3.82, 3.12, 14.0, 0.55)).expect("healthy file must pass");
+            assert_eq!(gates.len(), 5);
             assert!(gates.iter().all(|g| g.value >= g.min));
         }
 
         #[test]
         fn sub_2x_capture_speedup_fails() {
             let failures =
-                check(&doc(1.4, 3.82, 3.12, 14.0, 0.55, 2.66)).expect_err("regression must fail");
+                check(&doc(1.4, 3.82, 3.12, 14.0, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("speedup_coalesced_vs_immediate"));
             assert!(failures[0].contains("1.40"));
@@ -335,7 +321,7 @@ pub mod gate {
         #[test]
         fn sub_2x_ingest_scaling_fails() {
             let failures =
-                check(&doc(2.19, 1.99, 3.12, 14.0, 0.55, 2.66)).expect_err("regression must fail");
+                check(&doc(2.19, 1.99, 3.12, 14.0, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("ingest.scaling_sharded_1_to_4"));
         }
@@ -343,7 +329,7 @@ pub mod gate {
         #[test]
         fn sub_2x_broker_speedup_fails() {
             let failures =
-                check(&doc(2.19, 3.82, 1.7, 14.0, 0.55, 2.66)).expect_err("regression must fail");
+                check(&doc(2.19, 3.82, 1.7, 14.0, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("broker.speedup_broker_batched_vs_per_packet"));
             assert!(failures[0].contains("1.70"));
@@ -352,7 +338,7 @@ pub mod gate {
         #[test]
         fn slow_query_closure_fails() {
             let failures =
-                check(&doc(2.19, 3.82, 3.12, 3.9, 0.55, 2.66)).expect_err("regression must fail");
+                check(&doc(2.19, 3.82, 3.12, 3.9, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("query.qps_closure_1m"));
             assert!(failures[0].contains("3.90"));
@@ -361,27 +347,15 @@ pub mod gate {
         #[test]
         fn query_load_stalling_ingest_fails() {
             let failures =
-                check(&doc(2.19, 3.82, 3.12, 14.0, 0.1, 2.66)).expect_err("regression must fail");
+                check(&doc(2.19, 3.82, 3.12, 14.0, 0.1)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("query.ratio_ingest_under_query"));
         }
 
         #[test]
-        fn sub_2x_shard_scaling_fails() {
-            // A fabricated JSON with every other floor healthy but the
-            // sharded gateway flat must fail on exactly that metric — the
-            // regression this gate exists to catch.
-            let failures =
-                check(&doc(2.19, 3.82, 3.12, 14.0, 0.55, 1.08)).expect_err("regression must fail");
-            assert_eq!(failures.len(), 1);
-            assert!(failures[0].contains("sharded_fanout.scaling_broker_1_to_4_shards"));
-            assert!(failures[0].contains("1.08"));
-        }
-
-        #[test]
         fn missing_metric_fails_rather_than_passes_vacuously() {
             let failures = check("{ \"bench\": \"x\" }").expect_err("missing metrics");
-            assert_eq!(failures.len(), 6);
+            assert_eq!(failures.len(), 5);
             assert!(failures.iter().all(|f| f.contains("missing")));
         }
 

@@ -610,141 +610,14 @@ fn overload_counters(signal: bool) -> OverloadCounters {
     }
 }
 
-/// Counters from the deterministic sharded-gateway experiment.
-struct ShardedCounters {
-    cross_shard_forwards: u64,
-    forward_ring_high_water: u64,
-    peak_shard_backlog: u64,
-    stalled_shard_drops: u64,
-}
-
-/// A sans-io rerun of the overload shape on a 4-shard gateway: the
-/// publisher lives on shard 0, a live QoS 0 subscriber on shard 1, and a
-/// durable QoS 1 subscriber on shard 2 that has gone away — every publish
-/// crosses the forwarding fabric to both, shard 1 drains, and shard 2
-/// buffers toward its session cap and then sheds. No sockets and a
-/// virtual clock, so the counters are exact and replay identically.
-fn sharded_counters() -> ShardedCounters {
-    use mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
-    use mqtt_sn::packet::{Packet, TopicRef};
-    use mqtt_sn::{ForwardFabric, QoS, SharedRouter};
-
-    const SHARDS: usize = 4;
-    const PUBLISHES: usize = 24;
-    let config = BrokerConfig {
-        max_buffered: 8,
-        ..BrokerConfig::default()
-    };
-    let router = SharedRouter::new(SHARDS);
-    let fabric = ForwardFabric::new(SHARDS, 64);
-    let mut shards: Vec<Broker<u32>> = (0..SHARDS).map(|_| Broker::new(config.clone())).collect();
-
-    let send = |b: &mut Broker<u32>, addr: u32, packet: Packet| {
-        b.on_datagram_into(0, addr, &packet.encode(), &mut BrokerOutputs::new())
-            .expect("set-up packet decodes");
-    };
-    let connect = |b: &mut Broker<u32>, addr: u32, id: &str| {
-        let connect = Packet::Connect {
-            clean_session: false,
-            duration: 60,
-            client_id: id.into(),
-        };
-        send(b, addr, connect);
-    };
-    connect(&mut shards[0], 0, "sharded-pub");
-    connect(&mut shards[1], 1, "sharded-live");
-    connect(&mut shards[2], 2, "sharded-away");
-    let tid = router.resolve("prov/sharded").expect("registry has room");
-    for shard in &mut shards {
-        shard.mirror_topic(tid, "prov/sharded");
-    }
-    for (shard, addr, qos) in [(1usize, 1u32, QoS::AtMostOnce), (2, 2, QoS::AtLeastOnce)] {
-        let subscribe = Packet::Subscribe {
-            dup: false,
-            qos,
-            msg_id: 1,
-            topic: TopicRef::Name("prov/sharded".into()),
-        };
-        send(&mut shards[shard], addr, subscribe);
-        router.set_filters(shard, &["prov/sharded".to_string()]);
-    }
-    // The durable subscriber goes away; deliveries now buffer on shard 2.
-    send(&mut shards[2], 2, Packet::Disconnect { duration: None });
-
-    // Publish everything before draining so the rings show a real high
-    // water, like a burst arriving faster than the peer shards serve.
-    let mut out = BrokerOutputs::new();
-    let mut scratch = Vec::new();
-    for seq in 0..PUBLISHES {
-        let wire = Packet::Publish {
-            dup: false,
-            qos: QoS::AtLeastOnce,
-            retain: false,
-            topic: TopicRef::Id(tid),
-            msg_id: seq as u16 + 1,
-            payload: vec![seq as u8],
-        }
-        .encode();
-        out.clear();
-        let forwarded = shards[0]
-            .on_datagram_into(seq as u64, 0, &wire, &mut out)
-            .expect("publish decodes");
-        assert!(forwarded);
-        let outcome = fabric.forward(
-            0,
-            router.shard_mask(tid),
-            tid,
-            QoS::AtLeastOnce,
-            &[seq as u8],
-            &mut scratch,
-        );
-        for _ in 0..outcome.forwards {
-            shards[0].note_cross_shard_forward(outcome.max_depth);
-        }
-        out.emit(|_, _| {});
-    }
-    for to in [1usize, 2] {
-        let ring = fabric.ring(0, to);
-        while let Some(frame) = ring.recv() {
-            out.clear();
-            shards[to].deliver_forwarded(
-                PUBLISHES as u64,
-                frame.topic_id,
-                frame.qos,
-                frame.payload(),
-                &mut out,
-            );
-            out.emit(|_, _| {});
-            ring.recycle(frame);
-        }
-    }
-
-    let mut merged = mqtt_sn::broker::BrokerStats::default();
-    for shard in &shards {
-        merged.merge(shard.stats());
-    }
-    ShardedCounters {
-        cross_shard_forwards: merged.cross_shard_forwards,
-        forward_ring_high_water: merged.forward_ring_high_water,
-        peak_shard_backlog: shards.iter().map(|s| s.backlog() as u64).max().unwrap_or(0),
-        stalled_shard_drops: shards[2].stats().drops,
-    }
-}
-
 /// The resilience counter table: the overload experiment with end-to-end
 /// backpressure on vs. off. With signaling on, the broker rejects past the
 /// hard watermark and the publisher paces — nothing is dropped anywhere;
 /// with signaling off, the broker quietly sheds its oldest buffered
 /// messages (exactly accounted in its drop counter).
-///
-/// The trailing rows come from the deterministic sharded-gateway
-/// experiment ([`sharded_counters`]): per-shard backlog, cross-shard
-/// forward counts, and ring occupancy. Those counters do not depend on
-/// congestion signaling, so both columns show the same run.
 pub fn resilience() -> ResilienceResult {
     let on = overload_counters(true);
     let off = overload_counters(false);
-    let sharded = sharded_counters();
     let rows = vec![
         ResilienceRow {
             label: "records published",
@@ -790,26 +663,6 @@ pub fn resilience() -> ResilienceResult {
             label: "backlog high water",
             signaling_on: on.backlog_high_water,
             signaling_off: off.backlog_high_water,
-        },
-        ResilienceRow {
-            label: "cross-shard forwards",
-            signaling_on: sharded.cross_shard_forwards,
-            signaling_off: sharded.cross_shard_forwards,
-        },
-        ResilienceRow {
-            label: "forward ring high water",
-            signaling_on: sharded.forward_ring_high_water,
-            signaling_off: sharded.forward_ring_high_water,
-        },
-        ResilienceRow {
-            label: "peak shard backlog",
-            signaling_on: sharded.peak_shard_backlog,
-            signaling_off: sharded.peak_shard_backlog,
-        },
-        ResilienceRow {
-            label: "stalled shard drops",
-            signaling_on: sharded.stalled_shard_drops,
-            signaling_off: sharded.stalled_shard_drops,
         },
     ];
     ResilienceResult { rows }
@@ -920,18 +773,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("signaling on"));
         assert!(text.contains("broker drops"));
-    }
-
-    #[test]
-    fn sharded_rows_are_exact_and_deterministic() {
-        // 24 publishes × 2 subscribing shards cross the fabric; the rings
-        // fill to the full burst before draining; the away session caps at
-        // its 8-deep buffer and sheds the 16 oldest.
-        let s = sharded_counters();
-        assert_eq!(s.cross_shard_forwards, 48);
-        assert_eq!(s.forward_ring_high_water, 24);
-        assert_eq!(s.peak_shard_backlog, 8);
-        assert_eq!(s.stalled_shard_drops, 16);
     }
 
     #[test]

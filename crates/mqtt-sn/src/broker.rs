@@ -15,9 +15,8 @@
 //!
 //! One door in, one way out. A client's traffic enters as the bytes of its
 //! datagram ([`Broker::on_datagram_into`]); beside it there is only time
-//! ([`Broker::on_tick_into`]) and, between the shards of one gateway, a
-//! publish another shard accepted ([`Broker::deliver_forwarded`]).
-//! Everything the broker sends leaves through a [`BrokerOutputs`].
+//! ([`Broker::on_tick_into`]). Everything the broker sends leaves through
+//! a [`BrokerOutputs`].
 
 use crate::client::Nanos;
 use crate::local::{LocalQueue, LocalSubscription};
@@ -35,6 +34,8 @@ mod state;
 
 pub use outputs::BrokerOutputs;
 use outputs::WireSink;
+#[cfg(test)]
+pub(crate) use state::{state_as_v5, STATS_END};
 pub use state::{wire, PersistAddr};
 
 /// Broker configuration.
@@ -113,37 +114,6 @@ pub struct BrokerStats {
     /// State snapshots that could not be written (see
     /// `UdpBroker::snapshot_to_file` in [`crate::net`]).
     pub snapshot_failures: u64,
-    /// Publishes this shard forwarded into a cross-shard ring (sharded
-    /// gateway: the publish was accepted here, but some subscribers live
-    /// on other shards). Zero on an unsharded broker.
-    pub cross_shard_forwards: u64,
-    /// High-water occupancy observed across this shard's outbound
-    /// cross-shard forwarding rings, measured after each enqueue. Zero on
-    /// an unsharded broker.
-    pub forward_ring_high_water: u64,
-}
-
-impl BrokerStats {
-    /// Field-wise merge for sharded gateways: counters add, high-water
-    /// marks take the maximum across shards (a per-shard watermark summed
-    /// over shards would report a backlog no single lock ever saw).
-    pub fn merge(&mut self, other: &BrokerStats) {
-        self.publishes_in += other.publishes_in;
-        self.publishes_out += other.publishes_out;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.retransmissions += other.retransmissions;
-        self.drops += other.drops;
-        self.decode_errors += other.decode_errors;
-        self.io_errors += other.io_errors;
-        self.congestion_rejects += other.congestion_rejects;
-        self.advisories_sent += other.advisories_sent;
-        self.backlog_high_water = self.backlog_high_water.max(other.backlog_high_water);
-        self.snapshot_failures += other.snapshot_failures;
-        self.cross_shard_forwards += other.cross_shard_forwards;
-        self.forward_ring_high_water = self
-            .forward_ring_high_water
-            .max(other.forward_ring_high_water);
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,7 +183,7 @@ pub struct Broker<A: Clone + Eq + Hash> {
     /// Insertion order of sessions, for deterministic fan-out.
     order: Vec<A>,
     /// Gateway-local subscriptions (see [`crate::local`]): attachments of
-    /// the running process, shared by every shard and never persisted.
+    /// the running process, never persisted.
     locals: Vec<Arc<LocalQueue>>,
     stats: BrokerStats,
     /// Bumped whenever sessions or subscriptions mutate; validates
@@ -284,24 +254,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         self.stats.snapshot_failures += 1;
     }
 
-    /// Records one publish forwarded into a cross-shard ring whose
-    /// post-enqueue occupancy was `ring_depth` (see
-    /// [`BrokerStats::cross_shard_forwards`] /
-    /// [`BrokerStats::forward_ring_high_water`]). Called by the sharded
-    /// transport while it still holds this shard's lock.
-    pub fn note_cross_shard_forward(&mut self, ring_depth: u64) {
-        self.stats.cross_shard_forwards += 1;
-        self.stats.forward_ring_high_water = self.stats.forward_ring_high_water.max(ring_depth);
-    }
-
-    /// Folds drops that happened outside the state machine (a full
-    /// inbound or forwarding ring in the sharded transport) into this
-    /// shard's [`BrokerStats::drops`], keeping the no-silent-loss
-    /// accounting exact.
-    pub fn note_ring_drops(&mut self, n: u64) {
-        self.stats.drops += n;
-    }
-
     /// Broker-wide backlog and the most-backed-up single session, both as
     /// buffered + unacknowledged outbound message counts; a local
     /// subscription's queue depth counts as one session's. O(sessions) —
@@ -328,16 +280,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// server-side lag propagates back to the gateway's congestion signal.
     pub fn backlog(&self) -> usize {
         self.backlog_scan().0
-    }
-
-    /// [`Broker::backlog`] in its two parts: what this broker's sessions
-    /// hold, and what is queued for local subscriptions. The shards of one
-    /// gateway share those queues, so a total over shards takes the second
-    /// part from one of them only.
-    pub(crate) fn backlog_parts(&self) -> (usize, usize) {
-        let sessions = self.sessions.values();
-        let held: usize = sessions.map(|s| s.buffered.len() + s.out.len()).sum();
-        (held, self.locals.iter().map(|q| q.depth()).sum())
     }
 
     fn level_from(&self, total: usize, worst_session: usize) -> u8 {
@@ -384,15 +326,9 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             return Err(Error::Rejected(ReturnCode::NotSupported));
         }
         let queue = Arc::new(LocalQueue::new(filter, self.config.max_buffered));
-        self.attach_local(Arc::clone(&queue));
-        Ok(LocalSubscription::new(queue))
-    }
-
-    /// Attaches a subscription made on another shard of the same gateway,
-    /// so every shard pushes into the one queue directly.
-    pub(crate) fn attach_local(&mut self, queue: Arc<LocalQueue>) {
         self.invalidate_routes();
-        self.locals.push(queue);
+        self.locals.push(Arc::clone(&queue));
+        Ok(LocalSubscription::new(queue))
     }
 
     /// Ends every local subscription's stream (the transport has stopped
@@ -432,13 +368,10 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// dispatch, and wire encoding into `out`. Decode failures are
     /// counted in [`BrokerStats::decode_errors`] and returned.
     ///
-    /// The `Ok` value is the routing verdict a multi-shard gateway needs:
-    /// `true` when the datagram carried a PUBLISH that this broker
-    /// accepted for fan-out (first receipt, valid topic id, not
-    /// congestion-rejected) — exactly the cases that must also be
-    /// forwarded to the other shards' subscribers. QoS 2 duplicates and
-    /// rejected publishes give `false`, so a message can never cross the
-    /// shard boundary twice.
+    /// The `Ok` value is the fan-out verdict: `true` when the datagram
+    /// carried a PUBLISH that this broker accepted for fan-out (first
+    /// receipt, valid topic id, not congestion-rejected). QoS 2 duplicates
+    /// and rejected publishes give `false`, like any other message.
     pub fn on_datagram_into(
         &mut self,
         now: Nanos,
@@ -471,68 +404,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             }
         }
         // lint: zero-alloc-end
-    }
-
-    /// Delivers a publish owned by another shard to this shard's matching
-    /// subscribers: same fan-out, buffering, and QoS machinery as a local
-    /// publish, minus the publisher-side accounting and acknowledgments
-    /// (the owning shard already counted `publishes_in`, ran the QoS 1/2
-    /// handshake and pushed to the local subscriptions, which every shard
-    /// shares). `qos` is the publish QoS; each delivery is capped at the
-    /// subscriber's granted QoS as usual.
-    pub fn deliver_forwarded(
-        &mut self,
-        now: Nanos,
-        topic_id: u16,
-        qos: QoS,
-        payload: &[u8],
-        out: &mut BrokerOutputs<A>,
-    ) {
-        // lint: zero-alloc-begin
-        if self.registry.name_of(topic_id).is_none() {
-            // The sending shard resolved the id against the shared
-            // registry; an unknown id here means the local mirror is
-            // behind, and delivering to no one is the only safe option.
-            return;
-        }
-        let (total, _) = self.backlog_scan();
-        self.stats.backlog_high_water = self.stats.backlog_high_water.max(total as u64);
-        let mut sink = WireSink::new(out);
-        self.fan_out(now, topic_id, qos, payload, false, &mut sink);
-        // lint: zero-alloc-end
-    }
-
-    /// Mirrors a topic assignment made by an authoritative shared
-    /// registry (sharded gateway) into this broker's local registry; see
-    /// [`TopicRegistry::mirror`]. Invalidates the route cache on success
-    /// — a new id can change which subscriptions a publish matches.
-    pub fn mirror_topic(&mut self, id: u16, name: &str) -> bool {
-        if self.registry.mirror(id, name) {
-            self.invalidate_routes();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Collects the subscription filters of every fan-out-eligible
-    /// session (deduplicated) into `into`, clearing it first. The sharded
-    /// router uses this per-shard union to decide which shards a publish
-    /// must be forwarded to. Local subscriptions are not sessions and are
-    /// left out: the accepting shard pushes to them itself, so a forward
-    /// on their account would deliver twice.
-    pub fn collect_subscription_filters(&self, into: &mut Vec<String>) {
-        into.clear();
-        for s in self.sessions.values() {
-            if s.state == SessionState::Disconnected && !s.durable {
-                continue;
-            }
-            for (filter, _) in &s.subscriptions {
-                if !into.iter().any(|f| f == filter) {
-                    into.push(filter.clone());
-                }
-            }
-        }
     }
 
     fn dispatch(&mut self, now: Nanos, from: A, packet: Packet, sink: &mut WireSink<'_, A>) {
@@ -930,24 +801,21 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             }
         }
 
-        self.fan_out(now, topic_id, qos, payload, true, sink);
+        self.fan_out(now, topic_id, qos, payload, sink);
         true
     }
 
-    /// Fans one accepted publish out to every matching subscriber on this
-    /// shard, sessions in deterministic session order. Sleeping subscribers and away durable
-    /// subscribers (disconnected, `clean_session = false`) get their
-    /// messages buffered for delivery on the next PINGREQ / reconnect.
+    /// Fans one accepted publish out to every matching subscriber, local
+    /// subscriptions first, then sessions in deterministic session order.
+    /// Sleeping subscribers and away durable subscribers (disconnected,
+    /// `clean_session = false`) get their messages buffered for delivery
+    /// on the next PINGREQ / reconnect.
     ///
     /// Targets come from the per-topic route cache when its epoch is
     /// current — one hash lookup instead of matching every session's
     /// subscription list — and are rebuilt into the entry's recycled
     /// vector otherwise. The topic name stays borrowed from the
     /// registry (no per-publish `String`).
-    ///
-    /// Shared by [`Broker::handle_publish`] (publish accepted here:
-    /// `accepted_here`, so local subscriptions are served too) and
-    /// [`Broker::deliver_forwarded`] (publish owned by another shard).
     ///
     /// A local subscription takes the payload in a pooled buffer: no
     /// PUBLISH is encoded, no message id allocated, no retransmission
@@ -961,7 +829,6 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         topic_id: u16,
         qos: QoS,
         payload: &[u8],
-        accepted_here: bool,
         sink: &mut WireSink<'_, A>,
     ) {
         let epoch = self.route_epoch;
@@ -1008,14 +875,12 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             *cached_epoch = epoch;
         }
 
-        if accepted_here {
-            let droppable = qos == QoS::AtMostOnce || !self.config.signal_congestion;
-            for &i in locals.iter() {
-                if self.locals[i].push(topic_id, payload, droppable) {
-                    self.stats.publishes_out += 1;
-                } else {
-                    self.stats.drops += 1;
-                }
+        let droppable = qos == QoS::AtMostOnce || !self.config.signal_congestion;
+        for &i in locals.iter() {
+            if self.locals[i].push(topic_id, payload, droppable) {
+                self.stats.publishes_out += 1;
+            } else {
+                self.stats.drops += 1;
             }
         }
 
@@ -1530,8 +1395,9 @@ mod tests {
 
     /// `encode_state()` of a scenario that populates every QoS structure a
     /// snapshot carries, pinned to the bytes the pre-`qos`-module broker
-    /// (PR 13) produced for it: snapshots written before the refactor must
-    /// keep loading, and ones written after must load on a rollback.
+    /// (PR 13) produced for it — in their `STATE_VERSION` 5 form, and in
+    /// today's, which is that less two counters: snapshots written before
+    /// either change must keep loading.
     #[test]
     fn snapshot_bytes_match_the_pre_refactor_golden() {
         let s = 1_000_000_000u64;
@@ -1573,11 +1439,23 @@ mod tests {
             feed(&mut b, 17 * s, 1, Packet::PubRel { msg_id });
         }
 
+        // 64-bit FNV-1a.
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+                (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
         let bytes = b.encode_state();
         assert_eq!(
-            (bytes.len(), crate::router::fnv1a(&bytes)),
+            (bytes.len(), fnv1a(&bytes)),
+            (624, 0xbe32_a80f_e464_2eaa),
+            "snapshot layout drifted from the pinned bytes"
+        );
+        let v5 = state_as_v5(&bytes);
+        assert_eq!(
+            (v5.len(), fnv1a(&v5)),
             (640, 0xdd03_db5f_1169_814d),
-            "snapshot layout drifted from the pre-refactor bytes"
+            "no longer the v5 bytes less their two closing counters"
         );
         let restored = Broker::<Addr>::decode_state(&bytes).unwrap();
         assert_eq!(restored.encode_state(), bytes);
@@ -2119,34 +1997,31 @@ mod tests {
         assert_eq!(b.stats().decode_errors, 0);
         assert_eq!(b.stats().io_errors, 0);
 
-        let v5 = b.encode_state();
+        let v6 = b.encode_state();
         assert_eq!(
-            v5[0], STATE_VERSION,
+            v6[0], STATE_VERSION,
             "bumping STATE_VERSION requires extending this migration test"
         );
-        // version + config (gw id, retry timeout, retries, buffer cap,
-        // two congestion watermarks, signal flag)
-        let stats_at = 1 + 1 + 8 + 4 + 8 + 8 + 8 + 1;
 
-        // Reconstruct the v4 wire form: version byte 4, stats block
-        // without the two v5 sharded-gateway counters.
-        let mut v4 = v5.clone();
-        v4.drain(stats_at + 11 * 8..stats_at + 13 * 8);
-        v4[0] = 4;
-        let restored = Broker::<Addr>::decode_state(&v4).expect("v4 snapshot accepted");
+        // The v5 wire form: version byte 5, and two more counters closing
+        // the stats block — what a sharded gateway counted there is read
+        // and discarded.
+        let mut v5 = state_as_v5(&v6);
+        assert_eq!(v5.len(), v6.len() + 16);
+        v5[STATS_END] = 48;
+        v5[STATS_END + 8] = 24;
+        let restored = Broker::<Addr>::decode_state(&v5).expect("v5 snapshot accepted");
         assert_eq!(restored.stats(), b.stats());
-        assert_eq!(restored.stats().cross_shard_forwards, 0);
-        assert_eq!(restored.stats().forward_ring_high_water, 0);
         assert_eq!(restored.session_count(), b.session_count());
-        // Re-encoding a migrated snapshot produces the v5 form.
-        assert_eq!(restored.encode_state(), v5);
+        // Re-encoding a migrated snapshot produces the v6 form.
+        assert_eq!(restored.encode_state(), v6);
 
         // Current + one previous: anything older is refused, not guessed
         // at.
-        for old in 1..=3u8 {
-            v4[0] = old;
+        for old in 1..=4u8 {
+            v5[0] = old;
             assert_eq!(
-                Broker::<Addr>::decode_state(&v4).err(),
+                Broker::<Addr>::decode_state(&v5).err(),
                 Some("unsupported broker snapshot version"),
                 "v{old}"
             );
@@ -2159,17 +2034,6 @@ mod tests {
         let restored =
             Broker::<Addr>::decode_state(&b.encode_state()).expect("current snapshot accepted");
         assert_eq!(restored.stats().snapshot_failures, 1);
-
-        // The v5-added counters: counted, persisted, and restored in the
-        // current wire form.
-        b.note_cross_shard_forward(3);
-        b.note_cross_shard_forward(1);
-        assert_eq!(b.stats().cross_shard_forwards, 2);
-        assert_eq!(b.stats().forward_ring_high_water, 3);
-        let restored =
-            Broker::<Addr>::decode_state(&b.encode_state()).expect("current snapshot accepted");
-        assert_eq!(restored.stats().cross_shard_forwards, 2);
-        assert_eq!(restored.stats().forward_ring_high_water, 3);
     }
 
     #[test]
@@ -2212,6 +2076,16 @@ mod tests {
         let b = broker();
         let mut bytes = b.encode_state();
         assert!(Broker::<Addr>::decode_state(&bytes[..bytes.len() - 1]).is_err());
+        // A count the input cannot back — here the registry's, after the
+        // next topic id — is a truncated snapshot, not an allocation of
+        // what it claims.
+        let n_topics_at = STATS_END + 2;
+        let mut claims = bytes.clone();
+        claims[n_topics_at..n_topics_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            Broker::<Addr>::decode_state(&claims).err(),
+            Some("snapshot truncated")
+        );
         bytes[0] = 99; // unknown version
         assert!(Broker::<Addr>::decode_state(&bytes).is_err());
     }
@@ -2724,13 +2598,6 @@ mod tests {
             b.subscribe_local("provlight/#/dev").unwrap_err(),
             Error::Rejected(ReturnCode::NotSupported)
         );
-        let mut forwarded_for = Vec::new();
-        b.collect_subscription_filters(&mut forwarded_for);
-        forwarded_for.sort();
-        let mut remote_filters = filters.map(String::from);
-        remote_filters.sort();
-        assert_eq!(forwarded_for, remote_filters, "once each: the sessions'");
-
         let mut remote_got: HashMap<Addr, Vec<(u16, u8)>> = HashMap::new();
         for (i, &tid) in tids.iter().enumerate() {
             for (to, p) in publish(&mut b, 0, tid, QoS::AtMostOnce, 0, i as u8) {

@@ -22,14 +22,9 @@
 //! * `qos` (private) — the QoS 1/2 delivery machine both of them run: one
 //!   transition table, one retransmit-or-expire pass, one QoS 2 dedup
 //!   window, so the delivery guarantee is written down once;
-//! * [`router`] / [`shard`] — what the gateway's shards share: client→shard
-//!   placement, the shared topic registry with an epoch-invalidated
-//!   topic→shard-mask cache, and the bounded lock-free forwarding rings
-//!   that carry pre-encoded publishes across shard boundaries;
 //! * [`net`] — bindings of the sans-io cores to real `std::net::UdpSocket`s
-//!   (the N-shard gateway, one serve loop per shard and one shard by
-//!   default, and a blocking client) so the library is usable outside the
-//!   simulator.
+//!   (the gateway — one broker served by one loop on one thread — and a
+//!   blocking client) so the library is usable outside the simulator.
 //!
 //! The same state machines drive both the real sockets and the
 //! discrete-event simulator used for the paper's experiments; QoS
@@ -41,8 +36,6 @@ pub mod local;
 pub mod net;
 pub mod packet;
 mod qos;
-pub mod router;
-pub mod shard;
 pub mod topic;
 
 pub use broker::{Broker, BrokerConfig};
@@ -52,8 +45,6 @@ pub use net::{
     DatagramFate, DatagramFault, FaultDir, GatewayBuilder, NetError, UdpBroker, UdpClient,
 };
 pub use packet::{Packet, QoS, ReturnCode, TopicRef};
-pub use router::{shard_for_client, SharedRouter};
-pub use shard::{ForwardFabric, ForwardFrame, ForwardRing};
 pub use topic::{topic_matches, TopicRegistry};
 
 /// Protocol errors.

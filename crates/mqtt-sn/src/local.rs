@@ -40,7 +40,7 @@ struct Inbox {
     closed: bool,
 }
 
-/// The broker's end of a local subscription, shared by every shard.
+/// The broker's end of a local subscription.
 #[derive(Debug)]
 pub(crate) struct LocalQueue {
     filter: String,
@@ -78,9 +78,8 @@ impl LocalQueue {
     /// Queues one publish. With `droppable` set (QoS 0, or a broker whose
     /// congestion signalling is off) a full queue refuses it and `false`
     /// comes back for the caller to count; an acknowledged publish always
-    /// goes in — the broker admits those only below the cap, which one
-    /// shard's lock makes exact and `n` racing shards can overshoot by at
-    /// most `n − 1`.
+    /// goes in — the broker admits those only below the cap, under its
+    /// lock.
     pub(crate) fn push(&self, topic_id: u16, payload: &[u8], droppable: bool) -> bool {
         // lint: zero-alloc-begin
         let mut inbox = self.inbox.lock();
@@ -125,10 +124,6 @@ pub struct LocalSubscription {
 impl LocalSubscription {
     pub(crate) fn new(queue: Arc<LocalQueue>) -> LocalSubscription {
         LocalSubscription { queue }
-    }
-
-    pub(crate) fn queue(&self) -> &Arc<LocalQueue> {
-        &self.queue
     }
 
     /// Gives the buffers of the previous batch back to the queue, then

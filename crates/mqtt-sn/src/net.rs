@@ -1,7 +1,7 @@
 //! Real-socket bindings of the sans-io cores.
 //!
-//! [`UdpBroker`] is the gateway: `n` [`broker::Broker`](crate::broker::Broker)
-//! shards behind one `std::net::UdpSocket`, one serve loop per shard;
+//! [`UdpBroker`] is the gateway: one [`broker::Broker`](crate::broker::Broker)
+//! behind one `std::net::UdpSocket`, served by one loop on one thread;
 //! [`UdpClient`] is a blocking client suitable for driving from an
 //! application or a transmitter thread. These make the library usable
 //! outside the simulator — the integration tests exercise full QoS 2
@@ -10,19 +10,14 @@
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
 use crate::local::LocalSubscription;
-use crate::packet::{frames, msg_type, Packet, PacketRef, QoS, TopicRef};
-use crate::router::{shard_for_client, SharedRouter};
-use crate::shard::{ForwardFabric, ForwardFrame};
+use crate::packet::{frames, Packet, QoS, TopicRef};
 use crate::Error;
-use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,22 +96,20 @@ const SLOT: usize = 64 * 1024;
 const UDP_PAYLOAD_MAX: usize = 65_507;
 /// Encoded size of a PUBREL: length, type, message id.
 const PUBREL_LEN: usize = 4;
-/// Slots per shard ingress ring and per directed cross-shard forwarding
-/// ring. Bounded memory: a full ring is an accounted drop, never a block.
-const SHARD_RING: usize = 1024;
-/// Sender placements the routing front remembers. Past the cap a new
-/// sender is placed by address hash instead, so a spoofed-source CONNECT
-/// flood costs bounded memory.
-const PLACEMENT_CAP: usize = 1 << 16;
+/// Frames the serve loop keeps pooled between wakeups. A datagram may be
+/// thousands of two-byte messages: what such a batch needed is not kept
+/// for ever after.
+const SPARE_FRAMES: usize = 1024;
 
-/// Magic prefix of a gateway snapshot (all-shards-atomic layout).
+/// Magic prefix of a gateway snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
-/// Version byte of the snapshot container format.
-const SNAPSHOT_VERSION: u8 = 1;
+/// Version byte of the snapshot container format. Version 1 was written
+/// by gateways that could run several broker shards: a shard count, a
+/// shared topic-registry block, then one broker section per shard.
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// The receive side of the gateway socket: the one place datagrams come
-/// in, read by the lone shard when `n == 1` and by the routing front
-/// otherwise.
+/// in.
 struct SocketReader {
     socket: UdpSocket,
     fault: Option<Arc<dyn DatagramFault>>,
@@ -222,10 +215,10 @@ impl SocketReader {
     }
 
     /// Where datagrams stop and messages start: hands each MQTT-SN message
-    /// of an admitted datagram to `deliver` on its own, so routing, the
-    /// ingress rings and the broker see one message at a time whatever the
-    /// sender bundled. A tail that is no message goes on as it is, to be
-    /// counted as one decode error like a datagram of garbage.
+    /// of an admitted datagram to `deliver` on its own, so the broker sees
+    /// one message at a time whatever the sender bundled. A tail that is
+    /// no message goes on as it is, to be counted as one decode error like
+    /// a datagram of garbage.
     fn split(from: SocketAddr, datagram: &[u8], deliver: &mut impl FnMut(SocketAddr, &[u8])) {
         // lint: zero-alloc-begin
         for frame in frames(datagram) {
@@ -235,7 +228,7 @@ impl SocketReader {
     }
 }
 
-/// The send side of one serve loop.
+/// The send side of the serve loop.
 struct Emitter {
     socket: UdpSocket,
     fault: Option<Arc<dyn DatagramFault>>,
@@ -280,8 +273,8 @@ impl Emitter {
     }
 }
 
-/// One inbound datagram on its way to a shard: the sender plus the bytes
-/// in a recycled buffer.
+/// One inbound message on its way to the broker: the sender plus the
+/// bytes in a recycled buffer.
 #[derive(Debug)]
 struct IngressFrame {
     from: SocketAddr,
@@ -303,136 +296,11 @@ impl IngressFrame {
     }
 }
 
-/// Bounded SPSC handoff from the routing front to one shard's serve
-/// loop. Frames recycle through the companion free ring, so the steady
-/// state moves datagrams from the socket to a shard without allocating.
-#[derive(Debug)]
-struct IngressRing {
-    data: ArrayQueue<IngressFrame>,
-    free: ArrayQueue<IngressFrame>,
-    /// Datagrams the front could not enqueue (ring or pool exhausted);
-    /// the owning shard folds these into [`BrokerStats::drops`].
-    drops: AtomicU64,
-    /// Transient socket errors observed by the front; the owning shard
-    /// folds these into [`BrokerStats::io_errors`].
-    io_errors: AtomicU64,
-}
-
-impl IngressRing {
-    fn new(cap: usize) -> IngressRing {
-        let ring = IngressRing {
-            data: ArrayQueue::new(cap),
-            free: ArrayQueue::new(cap),
-            drops: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
-        };
-        for _ in 0..cap {
-            let _ = ring.free.push(IngressFrame::empty());
-        }
-        ring
-    }
-
-    /// Front side: copies `bytes` into a recycled frame and enqueues it.
-    /// A full ring is backpressure on one overloaded shard — the
-    /// datagram is dropped and accounted, the front keeps serving the
-    /// other shards.
-    fn push(&self, from: SocketAddr, bytes: &[u8]) {
-        // lint: zero-alloc-begin
-        let Some(mut frame) = self.free.pop() else {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        frame.set(from, bytes);
-        if let Err(frame) = self.data.push(frame) {
-            let _ = self.free.push(frame);
-            self.drops.fetch_add(1, Ordering::Relaxed);
-        }
-        // lint: zero-alloc-end
-    }
-}
-
-/// Where a shard's datagrams come from — the one thing in the serve loop
-/// that depends on the shard count.
-enum Ingress<'a> {
-    /// `n == 1`: the lone shard reads the socket itself, so the whole
-    /// gateway is one thread with no ring hop and nothing to poll.
-    Socket {
-        reader: SocketReader,
-        /// Recycled frames, so the steady state allocates nothing.
-        spare: Vec<IngressFrame>,
-    },
-    /// `n > 1`: the routing front feeds this shard's ring.
-    Ring(&'a IngressRing),
-}
-
-impl Ingress<'_> {
-    /// Moves up to a batch of waiting datagrams into `batch`; returns the
-    /// `(io_errors, drops)` that happened on the way in.
-    fn fill(&mut self, batch: &mut Vec<IngressFrame>) -> (u64, u64) {
-        match self {
-            Ingress::Socket { reader, spare } => {
-                let io_errors = reader.read_batch(|from, bytes| {
-                    let mut frame = spare.pop().unwrap_or_else(IngressFrame::empty);
-                    frame.set(from, bytes);
-                    batch.push(frame);
-                });
-                (io_errors, 0)
-            }
-            Ingress::Ring(ring) => {
-                while batch.len() < SERVE_BATCH {
-                    match ring.data.pop() {
-                        Some(frame) => batch.push(frame),
-                        None => break,
-                    }
-                }
-                (
-                    ring.io_errors.swap(0, Ordering::Relaxed),
-                    ring.drops.swap(0, Ordering::Relaxed),
-                )
-            }
-        }
-    }
-
-    /// Returns processed frames to where the next `fill` takes them from.
-    fn recycle(&mut self, batch: &mut Vec<IngressFrame>) {
-        match self {
-            Ingress::Socket { spare, .. } => {
-                spare.append(batch);
-                // A datagram may be thousands of two-byte messages: what
-                // such a batch needed is not kept pooled for ever after.
-                spare.truncate(SHARD_RING);
-            }
-            Ingress::Ring(ring) => {
-                for frame in batch.drain(..) {
-                    let _ = ring.free.push(frame);
-                }
-            }
-        }
-    }
-
-    /// Paces a wakeup that found nothing to do. The socket reader has
-    /// just spent its read timeout blocked in `recv_from`; a ring has
-    /// nothing to block on.
-    fn idle(&self) {
-        if let Ingress::Ring(_) = self {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-/// State shared by every thread of one gateway.
+/// What the serve thread and the [`UdpBroker`] handle share.
 struct Shared {
-    /// One Vec holds every shard's mutex: equal-rank broker locks are
-    /// acquired in index order, which inside a single allocation is
-    /// ascending address order — the pattern the debug lock-rank tracker
-    /// accepts for same-rank siblings.
-    brokers: Vec<Mutex<Broker<SocketAddr>>>,
-    router: SharedRouter,
-    fabric: ForwardFabric,
-    /// One ring per shard when `n > 1`; a lone shard needs none.
-    ingress: Vec<IngressRing>,
+    broker: Mutex<Broker<SocketAddr>>,
     shutdown: AtomicBool,
-    /// Epoch of the monotonic clock every shard's timers run on.
+    /// Epoch of the monotonic clock the broker's timers run on.
     start: Instant,
 }
 
@@ -441,159 +309,83 @@ impl Shared {
         self.start.elapsed().as_nanos() as Nanos
     }
 
-    /// Delivers forwards still in flight once every serve loop has
-    /// stopped, so a publish one shard acknowledged is in its
-    /// subscribers' shards' state — QoS 1/2 deliveries as unacknowledged
-    /// outbound messages that retransmit after a resume — before that
-    /// state is snapshotted or dropped, and on its way to those
-    /// subscribers before the gateway is gone: a publisher that stops the
-    /// gateway the moment its flush returned would otherwise see what it
-    /// flushed arrive a `Tretry` after the restart, behind whatever it
-    /// captured in between.
-    fn settle_fabric(&self, emitter: &mut Emitter) {
-        let mut out = BrokerOutputs::new();
-        for (to, broker) in self.brokers.iter().enumerate() {
-            for from in (0..self.brokers.len()).filter(|&from| from != to) {
-                let ring = self.fabric.ring(from, to);
-                while let Some(frame) = ring.recv() {
-                    let name = self.router.name_of(frame.topic_id);
-                    {
-                        let mut b = broker.lock();
-                        if let Some(name) = name {
-                            b.mirror_topic(frame.topic_id, &name);
-                        }
-                        b.deliver_forwarded(
-                            self.now(),
-                            frame.topic_id,
-                            frame.qos,
-                            frame.payload(),
-                            &mut out,
-                        );
-                    }
-                    let failed = emitter.flush(&mut out);
-                    if failed > 0 {
-                        broker.lock().note_io_errors(failed);
-                    }
-                    ring.recycle(frame);
-                }
-            }
-        }
-    }
-
-    /// Serializes all shards as one `PVSH` snapshot: every shard's broker
-    /// lock is held (in index order) across the whole encode, so the
-    /// per-shard sections are a single consistent cut — no shard's
-    /// section can contain a publish whose cross-shard forward is missing
-    /// from another's.
+    /// Serializes the gateway as a `PVSH` snapshot: magic, version, and
+    /// the broker's state as one length-prefixed blob.
     fn encode_snapshot(&self) -> Vec<u8> {
-        let (next_id, entries) = self.router.registry_snapshot();
-        let mut out = Vec::new();
+        let state = self.broker.lock().encode_state();
+        let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 1 + 4 + state.len());
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.push(SNAPSHOT_VERSION);
-        out.push(self.brokers.len() as u8);
-        out.extend_from_slice(&next_id.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (id, name) in &entries {
-            out.extend_from_slice(&id.to_le_bytes());
-            wire::put_str(&mut out, name);
-        }
-        let guards: Vec<_> = self.brokers.iter().map(|broker| broker.lock()).collect();
-        for guard in &guards {
-            wire::put_bytes(&mut out, &guard.encode_state());
-        }
+        wire::put_bytes(&mut out, &state);
         out
     }
 }
 
-/// Decodes a `PVSH` snapshot into per-shard broker states (clocks rebased
-/// for a fresh serve loop) and the shared registry. Every per-shard
-/// section must decode: a partial or corrupt snapshot is an error, never
-/// a gateway with some shards silently empty.
-fn decode_snapshot(bytes: &[u8]) -> Result<(Vec<Broker<SocketAddr>>, SharedRouter), &'static str> {
+/// Decodes a `PVSH` snapshot into the broker state it holds, clock rebased
+/// for a fresh serve loop. A version 1 file resumes when it was written at
+/// one shard: its registry block is read past, because a lone shard's own
+/// section already holds every topic id a client was ever told. One
+/// written at more shards is refused — no entry point could start such a
+/// gateway, and its sessions cannot be merged.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Broker<SocketAddr>, &'static str> {
     let mut r = wire::Reader::new(bytes);
     if r.u32()? != u32::from_le_bytes(*SNAPSHOT_MAGIC) {
         return Err("not a gateway snapshot");
     }
-    if r.u8()? != SNAPSHOT_VERSION {
-        return Err("unknown gateway snapshot version");
+    match r.u8()? {
+        SNAPSHOT_VERSION => {}
+        1 => {
+            if r.u8()? != 1 {
+                return Err("snapshot of a sharded gateway");
+            }
+            let _next_id = r.u16()?;
+            for _ in 0..r.u32()? {
+                r.u16()?;
+                r.str()?;
+            }
+        }
+        _ => return Err("unknown gateway snapshot version"),
     }
-    let shards = r.u8()? as usize;
-    if !(1..=64).contains(&shards) {
-        return Err("implausible shard count");
-    }
-    let next_id = r.u16()?;
-    let entry_count = r.u32()?;
-    let mut entries = Vec::with_capacity(entry_count.min(1 << 16) as usize);
-    for _ in 0..entry_count {
-        let id = r.u16()?;
-        entries.push((id, r.str()?));
-    }
-    let mut states = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let mut state = Broker::decode_state(&r.bytes()?)?;
-        // The serve loops' monotonic clock restarts at zero; rebase the
-        // snapshot's timers so retransmissions fire promptly.
-        state.reset_clock();
-        states.push(state);
-    }
-    let router = SharedRouter::new(shards);
-    router.seed_registry(next_id, entries.iter().map(|(id, n)| (*id, n.as_str())));
-    Ok((states, router))
+    let mut state = Broker::decode_state(&r.bytes()?)?;
+    // The serve loop's monotonic clock restarts at zero; rebase the
+    // snapshot's timers so retransmissions fire promptly.
+    state.reset_clock();
+    Ok(state)
 }
 
-/// The MQTT-SN gateway: `n` broker shards over one UDP socket, each
-/// served by the same loop on its own thread.
+/// The MQTT-SN gateway: one [`Broker`] behind one UDP socket, served by
+/// one loop on one thread that reads the socket itself (`serve`).
 ///
-/// Every shard runs an independent [`Broker`] behind its own lock and
-/// owns the sessions of the clients whose id hashes to it
-/// ([`shard_for_client`]). Topic-id assignment is serialized through the
-/// [`SharedRouter`] (control plane only); the per-publish hot path reads
-/// a cached, epoch-invalidated topic→shard bitmask and never takes a
-/// global lock. A publish whose subscribers live on other shards crosses
-/// through the lock-free [`ForwardFabric`] as a pre-encoded wire image.
-///
-/// The default — and what [`UdpBroker::spawn`] and every production entry
-/// point runs — is one shard: its serve loop reads the socket itself, so
-/// the gateway is exactly one thread. With more shards a routing front
-/// thread owns the socket's receive side and hands each datagram to its
-/// owner shard's ring (`n + 1` threads).
+/// One thread by decision: the broker's state machine is a few percent
+/// of what that thread does per publish and the rest is the socket, which
+/// more threads would still share. A deployment scales out the way the
+/// paper's Fig. 5 does, with more gateways next to the devices.
 pub struct UdpBroker {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    /// Sends what [`UdpBroker::stop`] finds still in the fabric.
-    emitter: Emitter,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Everything a gateway can be started with; see [`UdpBroker::builder`].
 pub struct GatewayBuilder<A> {
     bind: A,
     config: BrokerConfig,
-    shards: usize,
     fault: Option<Arc<dyn DatagramFault>>,
     resume: Option<PathBuf>,
 }
 
 impl<A: ToSocketAddrs> GatewayBuilder<A> {
-    /// Broker configuration of every shard (default
-    /// [`BrokerConfig::default`]). A resumed gateway takes it from the
-    /// snapshot instead.
+    /// Broker configuration (default [`BrokerConfig::default`]). A resumed
+    /// gateway takes it from the snapshot instead.
     pub fn config(mut self, config: BrokerConfig) -> Self {
         self.config = config;
         self
     }
 
-    /// Shard count, clamped to 1..=64 (default 1). A resumed gateway
-    /// takes it from the snapshot instead.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, 64);
-        self
-    }
-
     /// Datagram fault-injection plan: the fate of every inbound datagram
     /// is decided once where it is read off the socket, of every outbound
-    /// one by the shard sending it. Chaos testing only — the faulted
-    /// paths allocate where production does not.
+    /// one where it is sent. Chaos testing only — the faulted paths
+    /// allocate where production does not.
     pub fn faults(mut self, fault: Arc<dyn DatagramFault>) -> Self {
         self.fault = Some(fault);
         self
@@ -604,8 +396,9 @@ impl<A: ToSocketAddrs> GatewayBuilder<A> {
     /// sessions, topic registrations, buffered messages and QoS dedup
     /// state survive gateway process death, the way RSMB's persistence
     /// file keeps gateway state across crashes. A missing, corrupt or
-    /// truncated file fails [`GatewayBuilder::spawn`] (the latter two
-    /// with [`io::ErrorKind::InvalidData`]) before any thread starts.
+    /// truncated file, or one written by a gateway of several shards,
+    /// fails [`GatewayBuilder::spawn`] (all but the first with
+    /// [`io::ErrorKind::InvalidData`]) before the socket is bound.
     pub fn resume_from(mut self, path: impl AsRef<Path>) -> Self {
         self.resume = Some(path.as_ref().to_owned());
         self
@@ -613,98 +406,51 @@ impl<A: ToSocketAddrs> GatewayBuilder<A> {
 
     /// Binds and starts serving.
     pub fn spawn(self) -> io::Result<UdpBroker> {
-        let (states, router) = match &self.resume {
+        let state = match &self.resume {
             Some(path) => decode_snapshot(&prov_wal::snapshot::read(path)?)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            None => (
-                (0..self.shards)
-                    .map(|_| Broker::new(self.config.clone()))
-                    .collect(),
-                SharedRouter::new(self.shards),
-            ),
+            None => Broker::new(self.config),
         };
-        let shards = states.len();
         let socket = UdpSocket::bind(self.bind)?;
         socket.set_read_timeout(Some(Duration::from_millis(10)))?;
+        let local_addr = socket.local_addr()?;
+        let emitter = Emitter {
+            socket: socket.try_clone()?,
+            fault: self.fault.clone(),
+            held_out: Vec::new(),
+        };
+        let reader = SocketReader::new(socket, self.fault);
         let shared = Arc::new(Shared {
-            brokers: states
-                .into_iter()
-                .map(|s| Mutex::with_rank(parking_lot::rank::BROKER, s))
-                .collect(),
-            router,
-            fabric: ForwardFabric::new(shards, SHARD_RING),
-            ingress: (0..if shards > 1 { shards } else { 0 })
-                .map(|_| IngressRing::new(SHARD_RING))
-                .collect(),
+            broker: Mutex::with_rank(parking_lot::rank::BROKER, state),
             shutdown: AtomicBool::new(false),
             start: Instant::now(),
         });
-        // Seed the router's per-shard filter unions from restored
-        // sessions, so forwarding works before any new subscription.
-        let mut filters = Vec::new();
-        for (i, broker) in shared.brokers.iter().enumerate() {
-            broker.lock().collect_subscription_filters(&mut filters);
-            if !filters.is_empty() {
-                shared.router.set_filters(i, &filters);
-            }
-        }
-        // From here on an error drops `gateway`, which stops whatever
-        // threads have already started.
-        let mut gateway = UdpBroker {
-            local_addr: socket.local_addr()?,
-            shared,
-            threads: Vec::with_capacity(shards + 1),
-            emitter: Emitter {
-                socket: socket.try_clone()?,
-                fault: self.fault.clone(),
-                held_out: Vec::new(),
-            },
+        let thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || serve(reader, emitter, &shared))
         };
-        let mut reader = Some(SocketReader::new(socket.try_clone()?, self.fault.clone()));
-        for idx in 0..shards {
-            let emitter = Emitter {
-                socket: socket.try_clone()?,
-                fault: self.fault.clone(),
-                held_out: Vec::new(),
-            };
-            let reader = if shards == 1 { reader.take() } else { None };
-            let shared = Arc::clone(&gateway.shared);
-            gateway.threads.push(std::thread::spawn(move || {
-                let ingress = match reader {
-                    Some(reader) => Ingress::Socket {
-                        reader,
-                        spare: Vec::new(),
-                    },
-                    None => Ingress::Ring(&shared.ingress[idx]),
-                };
-                serve_shard(idx, ingress, emitter, &shared)
-            }));
-        }
-        if let Some(reader) = reader {
-            let shared = Arc::clone(&gateway.shared);
-            gateway
-                .threads
-                .push(std::thread::spawn(move || route_front(reader, &shared)));
-        }
-        Ok(gateway)
+        Ok(UdpBroker {
+            local_addr,
+            shared,
+            thread: Some(thread),
+        })
     }
 }
 
 impl UdpBroker {
     /// A gateway to be bound at `bind` (use `"127.0.0.1:0"` to pick a free
-    /// port): one shard, default configuration, no fault plan, fresh
-    /// state, until the builder says otherwise.
+    /// port): default configuration, no fault plan, fresh state, until the
+    /// builder says otherwise.
     pub fn builder<A: ToSocketAddrs>(bind: A) -> GatewayBuilder<A> {
         GatewayBuilder {
             bind,
             config: BrokerConfig::default(),
-            shards: 1,
             fault: None,
             resume: None,
         }
     }
 
-    /// Binds and starts serving a one-shard gateway: shorthand for
+    /// Binds and starts serving: shorthand for
     /// `UdpBroker::builder(bind).config(config).spawn()`.
     pub fn spawn(bind: impl ToSocketAddrs, config: BrokerConfig) -> io::Result<UdpBroker> {
         Self::builder(bind).config(config).spawn()
@@ -715,132 +461,78 @@ impl UdpBroker {
         self.local_addr
     }
 
-    /// Number of shards serving.
-    pub fn shards(&self) -> usize {
-        self.shared.brokers.len()
-    }
-
-    /// The shard that owns `client_id` under this gateway's placement.
-    pub fn shard_of(&self, client_id: &str) -> usize {
-        shard_for_client(client_id, self.shards())
-    }
-
-    /// Merged routing statistics across all shards: counters sum,
-    /// high-water marks take the per-shard maximum.
+    /// Routing statistics.
     pub fn stats(&self) -> BrokerStats {
-        let mut merged = BrokerStats::default();
-        for broker in &self.shared.brokers {
-            merged.merge(broker.lock().stats());
-        }
-        merged
+        *self.shared.broker.lock().stats()
     }
 
-    /// Per-shard routing statistics, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<BrokerStats> {
-        let brokers = self.shared.brokers.iter();
-        brokers.map(|broker| *broker.lock().stats()).collect()
-    }
-
-    /// Active (awake) MQTT-SN sessions across all shards. A local
-    /// subscription is not one.
+    /// Active (awake) MQTT-SN sessions. A local subscription is not one.
     pub fn session_count(&self) -> usize {
-        let brokers = self.shared.brokers.iter();
-        brokers.map(|broker| broker.lock().session_count()).sum()
+        self.shared.broker.lock().session_count()
     }
 
-    /// Total buffered-message backlog across all shards — the input to
-    /// the congestion watermarks. A lagging subscriber (e.g. a slow
-    /// translator) shows up here first. A local subscription's queue is
-    /// one queue however many shards push into it, and is counted once.
+    /// Buffered-message backlog — the input to the congestion watermarks.
+    /// A lagging subscriber (e.g. a slow translator) shows up here first.
     pub fn backlog(&self) -> usize {
-        let mut total = 0;
-        for (idx, broker) in self.shared.brokers.iter().enumerate() {
-            let (sessions, local_queues) = broker.lock().backlog_parts();
-            total += sessions + if idx == 0 { local_queues } else { 0 };
-        }
-        total
+        self.shared.broker.lock().backlog()
     }
 
-    /// Per-shard buffered-message backlog, indexed by shard — the
-    /// observability feed for spotting one hot shard behind a merged
-    /// total that still looks healthy.
-    pub fn shard_backlogs(&self) -> Vec<usize> {
-        let brokers = self.shared.brokers.iter();
-        brokers.map(|broker| broker.lock().backlog()).collect()
-    }
-
-    /// Worst congestion level over all shards (0 clear / 1 soft /
-    /// 2 hard): admission control must react to the hottest shard, not
-    /// the average.
+    /// Congestion level (0 clear / 1 soft / 2 hard).
     pub fn congestion_level(&self) -> u8 {
-        let brokers = self.shared.brokers.iter();
-        let levels = brokers.map(|broker| broker.lock().congestion_level());
-        levels.max().unwrap_or(0)
+        self.shared.broker.lock().congestion_level()
     }
 
-    /// Subscribes a consumer living in this process to `filter`: every
-    /// shard pushes the publishes it accepts on a matching topic straight
-    /// into the one queue the returned subscription reads (see
-    /// [`Broker::subscribe_local`]) — per-publisher order kept, nothing
-    /// forwarded across shards on its account, and each shard counting
-    /// the queue's depth in its own backlog. The queue is closed when the
-    /// gateway stops, and is not part of a snapshot: subscribe again
-    /// after [`GatewayBuilder::resume_from`].
+    /// Subscribes a consumer living in this process to `filter`: the
+    /// gateway pushes the publishes it accepts on a matching topic
+    /// straight into the queue the returned subscription reads (see
+    /// [`Broker::subscribe_local`]), per-publisher order kept. The queue
+    /// is closed when the gateway stops, and is not part of a snapshot:
+    /// subscribe again after [`GatewayBuilder::resume_from`].
     pub fn subscribe_local(&self, filter: &str) -> Result<LocalSubscription, Error> {
-        // A gateway has at least one shard (builder and snapshot agree).
-        let brokers = &self.shared.brokers;
-        let subscription = brokers[0].lock().subscribe_local(filter)?;
-        for broker in &brokers[1..] {
-            broker.lock().attach_local(Arc::clone(subscription.queue()));
-        }
-        Ok(subscription)
+        self.shared.broker.lock().subscribe_local(filter)
     }
 
-    /// Serializes the gateway to `path` as one consistent cut over all
-    /// shards (`PVSH`), checksummed and written atomically (temp file +
-    /// rename), so a crash mid-snapshot leaves the previous file intact.
-    /// Call it periodically, or use [`UdpBroker::shutdown_to_file`]
-    /// before a planned restart, and start again with
-    /// [`GatewayBuilder::resume_from`]. The broker locks are held for the
-    /// linear encode only, not for the disk write. A failed write is
-    /// counted in [`BrokerStats::snapshot_failures`].
+    /// Serializes the gateway to `path` (`PVSH`), checksummed and written
+    /// atomically (temp file + rename), so a crash mid-snapshot leaves the
+    /// previous file intact. Call it periodically, or use
+    /// [`UdpBroker::shutdown_to_file`] before a planned restart, and start
+    /// again with [`GatewayBuilder::resume_from`]. The broker lock is held
+    /// for the linear encode only, not for the disk write. A failed write
+    /// is counted in [`BrokerStats::snapshot_failures`].
     pub fn snapshot_to_file(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let bytes = self.shared.encode_snapshot();
         let written = prov_wal::snapshot::write_atomic(path, &bytes);
-        if let (Err(_), Some(broker)) = (&written, self.shared.brokers.first()) {
-            broker.lock().note_snapshot_failure();
+        if written.is_err() {
+            self.shared.broker.lock().note_snapshot_failure();
         }
         written
     }
 
-    /// Stops every serve thread and drops the gateway.
+    /// Stops the serve thread and drops the gateway.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
-    /// Stops every serve thread, then closes the local subscriptions: a
+    /// Stops the serve thread, then closes the local subscriptions: a
     /// consumer still finds every publish the gateway acknowledged in its
     /// queue, followed by the end of the stream. Counters stay readable;
     /// calling it again does nothing.
     pub fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
-        self.shared.settle_fabric(&mut self.emitter);
-        for broker in &self.shared.brokers {
-            broker.lock().close_locals();
-        }
+        self.shared.broker.lock().close_locals();
     }
 
-    /// Stops every serve thread, then snapshots the *final* state to
+    /// Stops the serve thread, then snapshots the *final* state to
     /// `path` — what a crash-consistent persistence layer would have
     /// observed at the instant of death. A snapshot taken while the
-    /// loops still run rolls back any QoS 2 handshake that completes
+    /// loop still runs rolls back any QoS 2 handshake that completes
     /// between the snapshot and the shutdown, and the resumed gateway
     /// then re-delivers those publishes to subscribers whose own dedup
     /// state has already been cleared — breaking exactly-once
-    /// downstream. Capturing after the loops stop closes that window, so
+    /// downstream. Capturing after the loop stops closes that window, so
     /// kill/restart harnesses use this.
     pub fn shutdown_to_file(mut self, path: impl AsRef<Path>) -> io::Result<()> {
         self.stop();
@@ -854,266 +546,48 @@ impl Drop for UdpBroker {
     }
 }
 
-/// The message-type byte of an MQTT-SN datagram (handles both 1- and
-/// 3-byte length headers) — enough to route on without a full decode.
-fn peek_type(buf: &[u8]) -> Option<u8> {
-    match buf.first() {
-        Some(0x01) => buf.get(3).copied(),
-        Some(_) => buf.get(1).copied(),
-        None => None,
-    }
-}
-
-/// Fallback placement for a sender the front holds no placement for:
-/// hash the transport address. Stable for the life of the process, which
-/// is all a placement that is never persisted needs.
-fn addr_shard(addr: &SocketAddr, shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    addr.hash(&mut hasher);
-    (hasher.finish() % shards.max(1) as u64) as usize
-}
-
-/// Routes one deliverable datagram to its owner shard. CONNECT pins the
-/// sender's placement by client-id hash (so a durable session
-/// reconnecting from a new address lands on the shard holding its
-/// state); everything else follows the pinned placement, falling back
-/// to an address hash for senders that never connected. A plain
-/// DISCONNECT releases the pin (a sleeping client keeps it: its PINGREQs
-/// carry no client id), and at most [`PLACEMENT_CAP`] pins are held — a
-/// CONNECT from a new sender past the cap is placed by address hash,
-/// which needs no memory to stay consistent.
-fn dispatch_frame(
-    placement: &mut HashMap<SocketAddr, usize>,
-    ingress: &[IngressRing],
-    from: SocketAddr,
-    bytes: &[u8],
-) {
-    let shards = ingress.len();
-    let pinned = placement.get(&from).copied();
-    let mut shard = pinned.unwrap_or_else(|| addr_shard(&from, shards));
-    match peek_type(bytes) {
-        Some(msg_type::CONNECT) if pinned.is_some() || placement.len() < PLACEMENT_CAP => {
-            if let Ok(Packet::Connect { client_id, .. }) = Packet::decode(bytes) {
-                shard = shard_for_client(&client_id, shards);
-                placement.insert(from, shard);
-            }
-        }
-        Some(msg_type::DISCONNECT) => {
-            if let Ok(Packet::Disconnect { duration: None }) = Packet::decode(bytes) {
-                placement.remove(&from);
-            }
-        }
-        _ => {}
-    }
-    ingress[shard].push(from, bytes);
-}
-
-/// The routing front of a multi-shard gateway: owns the socket's receive
-/// side and hands each datagram to its shard's ingress ring. No broker
-/// lock is ever taken here — the front stays responsive even when one
-/// shard is saturated.
-fn route_front(mut reader: SocketReader, shared: &Shared) {
-    let mut placement: HashMap<SocketAddr, usize> = HashMap::new();
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        let io_errors = reader
-            .read_batch(|from, bytes| dispatch_frame(&mut placement, &shared.ingress, from, bytes));
-        if io_errors > 0 {
-            shared.ingress[0]
-                .io_errors
-                .fetch_add(io_errors, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Per-datagram routing info prefetched *before* the shard's broker lock
-/// is taken: for a PUBLISH, the topic id, QoS, payload span within the
-/// frame, and the cross-shard subscriber mask.
-type PubPrep = Option<(u16, QoS, usize, usize, u64)>;
-
-/// Pre-lock routing peek for one inbound datagram. Resolves topic names
-/// through the shared router (control packets only — a write lock per
-/// *new* name), prefetches the shard mask for publishes (shared read;
-/// skipped by a lone shard, which has nowhere to forward to), and flags
-/// packets that can change this shard's subscription-filter union. Runs
-/// with **no** broker lock held, preserving the router-before-broker
-/// lock order.
-fn route_prep(
-    frame: &IngressFrame,
-    shared: &Shared,
-    mirrors: &mut Vec<(u16, String)>,
-    known: &HashSet<u16>,
-    filters_dirty: &mut bool,
-) -> PubPrep {
-    let router = &shared.router;
-    let bytes = &frame.buf[..];
-    match peek_type(bytes) {
-        Some(msg_type::PUBLISH) if shared.brokers.len() > 1 => {
-            if let Ok(PacketRef::Publish {
-                qos,
-                topic: TopicRef::Id(id) | TopicRef::Predefined(id),
-                payload,
-                ..
-            }) = Packet::decode_borrowed(bytes)
-            {
-                let mask = router.shard_mask(id);
-                let at = payload.as_ptr() as usize - bytes.as_ptr() as usize;
-                Some((id, qos, at, payload.len(), mask))
-            } else {
-                None
-            }
-        }
-        Some(kind @ (msg_type::REGISTER | msg_type::SUBSCRIBE)) => {
-            *filters_dirty |= kind == msg_type::SUBSCRIBE;
-            let name = match Packet::decode_borrowed(bytes) {
-                Ok(PacketRef::Owned(Packet::Register { topic_name, .. })) => Some(topic_name),
-                Ok(PacketRef::Owned(Packet::Subscribe {
-                    topic: TopicRef::Name(name),
-                    ..
-                })) => Some(name),
-                _ => None,
-            };
-            // Either packet is answered with a topic id; route the
-            // assignment through the shared registry so every shard
-            // agrees on it. A wildcard filter is not a name and resolves
-            // to nothing.
-            if let Some((id, name)) = name.and_then(|n| Some((router.resolve(&n)?, n))) {
-                if !known.contains(&id) {
-                    mirrors.push((id, name));
-                }
-            }
-            None
-        }
-        Some(msg_type::UNSUBSCRIBE) | Some(msg_type::CONNECT) | Some(msg_type::DISCONNECT) => {
-            *filters_dirty = true;
-            None
-        }
-        _ => None,
-    }
-}
-
-/// The serve loop, one per shard: take a batch from the ingress and the
-/// incoming forwarding rings, prefetch routing decisions with no lock
-/// held, process everything — plus any due timer tick — under a
-/// **single** acquisition of this shard's broker lock (cross-shard ring
-/// pushes are lock-free, so they happen inside it) through the recycled
-/// [`BrokerOutputs`] buffer, then flush the socket after unlock. Steady
-/// state performs no per-packet heap allocation and no per-subscriber
-/// re-encode.
-fn serve_shard(idx: usize, mut ingress: Ingress<'_>, mut emitter: Emitter, shared: &Shared) {
-    let Shared { router, fabric, .. } = shared;
-    let broker = &shared.brokers[idx];
+/// The serve loop: read a batch off the socket with no lock held (so a
+/// [`UdpBroker::stats`] caller never waits on a `recv`), process it — plus
+/// any due timer tick — under a **single** acquisition of the broker lock
+/// through the recycled [`BrokerOutputs`] buffer, then flush the socket
+/// after unlock. The socket read is the loop's only wait. Steady state
+/// performs no per-packet heap allocation and no per-subscriber re-encode.
+fn serve(mut reader: SocketReader, mut emitter: Emitter, shared: &Shared) {
     let mut out = BrokerOutputs::new();
     let mut batch: Vec<IngressFrame> = Vec::with_capacity(SERVE_BATCH);
-    let mut pubinfo: Vec<PubPrep> = Vec::with_capacity(SERVE_BATCH);
-    let mut mirrors: Vec<(u16, String)> = Vec::new();
-    let mut fwd_in: Vec<(usize, ForwardFrame)> = Vec::new();
-    let mut filters: Vec<String> = Vec::new();
-    let mut fwd_scratch: Vec<u8> = Vec::new();
-    // Topic ids already mirrored into this shard's registry — lets the
-    // pre-lock phase skip re-mirroring without peeking broker state.
-    let mut known: HashSet<u16> = HashSet::new();
+    // Recycled frames, so the steady state allocates nothing.
+    let mut spare: Vec<IngressFrame> = Vec::new();
     let mut pending_io_errors: u64 = 0;
     let mut last_tick = Instant::now();
     while !shared.shutdown.load(Ordering::Relaxed) {
-        pubinfo.clear();
-        mirrors.clear();
-        let (io_errors, ring_drops) = ingress.fill(&mut batch);
-        pending_io_errors += io_errors;
-        // Forwarded publishes from every other shard, producers visited
-        // in ascending index order; bounded per wakeup like the batch.
-        for from in (0..fabric.shards()).filter(|&from| from != idx) {
-            let ring = fabric.ring(from, idx);
-            while fwd_in.len() < SERVE_BATCH {
-                match ring.recv() {
-                    Some(frame) => fwd_in.push((from, frame)),
-                    None => break,
-                }
-            }
-        }
+        pending_io_errors += reader.read_batch(|from, bytes| {
+            let mut frame = spare.pop().unwrap_or_else(IngressFrame::empty);
+            frame.set(from, bytes);
+            batch.push(frame);
+        });
         let tick_due = last_tick.elapsed() >= Duration::from_millis(100);
-        if batch.is_empty()
-            && fwd_in.is_empty()
-            && !tick_due
-            && ring_drops == 0
-            && pending_io_errors == 0
-            && emitter.held_out.is_empty()
-        {
-            ingress.idle();
+        if batch.is_empty() && !tick_due && pending_io_errors == 0 && emitter.held_out.is_empty() {
             continue;
-        }
-        // Pre-lock routing phase: router reads/writes finish (and the
-        // router lock is *released*) before the broker lock is taken.
-        let mut filters_dirty = false;
-        for frame in &batch {
-            pubinfo.push(route_prep(
-                frame,
-                shared,
-                &mut mirrors,
-                &known,
-                &mut filters_dirty,
-            ));
-        }
-        for (_, frame) in &fwd_in {
-            if !known.contains(&frame.topic_id) {
-                if let Some(name) = router.name_of(frame.topic_id) {
-                    mirrors.push((frame.topic_id, name));
-                }
-            }
         }
         let now_ns = shared.now();
         {
-            let mut b = broker.lock();
+            let mut b = shared.broker.lock();
             if pending_io_errors > 0 {
                 b.note_io_errors(pending_io_errors);
                 pending_io_errors = 0;
             }
-            if ring_drops > 0 {
-                b.note_ring_drops(ring_drops);
-            }
-            for (id, name) in mirrors.drain(..) {
-                if b.mirror_topic(id, &name) {
-                    known.insert(id);
-                }
-            }
-            for (frame, prep) in batch.iter().zip(&pubinfo) {
-                let routed = b.on_datagram_into(now_ns, frame.from, &frame.buf, &mut out);
-                if let (Ok(true), Some((tid, qos, at, len, mask))) = (routed, *prep) {
-                    // First receipt of a publish this shard accepted:
-                    // encode once and fan the image into the rings of
-                    // every shard with a matching subscription.
-                    let payload = &frame.buf[at..at + len];
-                    let outcome = fabric.forward(idx, mask, tid, qos, payload, &mut fwd_scratch);
-                    for _ in 0..outcome.forwards {
-                        b.note_cross_shard_forward(outcome.max_depth);
-                    }
-                    if outcome.drops > 0 {
-                        b.note_ring_drops(outcome.drops);
-                    }
-                }
-            }
-            for (_, frame) in &fwd_in {
-                b.deliver_forwarded(now_ns, frame.topic_id, frame.qos, frame.payload(), &mut out);
+            for frame in &batch {
+                // A datagram that does not decode is counted by the broker.
+                let _ = b.on_datagram_into(now_ns, frame.from, &frame.buf, &mut out);
             }
             if tick_due {
                 last_tick = Instant::now();
                 b.on_tick_into(now_ns, &mut out);
             }
-            if filters_dirty {
-                b.collect_subscription_filters(&mut filters);
-            }
-        }
-        // Publish the new filter union *before* flushing SUBACKs: a
-        // client that publishes the instant its SUBACK arrives must
-        // already be visible in every other shard's mask.
-        if filters_dirty {
-            router.set_filters(idx, &filters);
         }
         pending_io_errors += emitter.flush(&mut out);
-        // Recycle every frame so the next wakeup allocates nothing.
-        for (from, frame) in fwd_in.drain(..) {
-            fabric.ring(from, idx).recycle(frame);
-        }
-        ingress.recycle(&mut batch);
+        spare.append(&mut batch);
+        spare.truncate(SPARE_FRAMES);
     }
 }
 
@@ -1820,6 +1294,7 @@ impl UdpClient {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::atomic::AtomicU64;
 
     fn timeout() -> Duration {
         Duration::from_secs(5)
@@ -1838,13 +1313,6 @@ mod tests {
             assert!(Instant::now() < deadline, "reconnect failed: {e}");
             std::thread::sleep(Duration::from_millis(50));
         }
-    }
-
-    fn sharded(shards: usize) -> UdpBroker {
-        UdpBroker::builder("127.0.0.1:0")
-            .shards(shards)
-            .spawn()
-            .unwrap()
     }
 
     #[test]
@@ -1997,43 +1465,35 @@ mod tests {
         assert_ne!(entropy_seed(), entropy_seed());
     }
 
-    /// Restart from a snapshot file, at any shard count: registration,
-    /// subscription, the shared-registry id assignment and the stats all
-    /// survive the file trip, and anything that is not an intact `PVSH`
-    /// file is refused before a single thread starts.
-    fn restarts_from_snapshot_file(shards: usize) {
-        let path = snap_path(&format!("restart-{shards}"));
-        let gw = sharded(shards);
+    /// Restart from a snapshot file: registration, subscription, topic-id
+    /// assignment and the stats all survive the file trip, and anything
+    /// that is not an intact `PVSH` file is refused before a single thread
+    /// starts.
+    #[test]
+    fn broker_restarts_from_snapshot_file() {
+        let path = snap_path("restart");
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("psub"), timeout()).unwrap();
         sub.subscribe("ps/#", QoS::AtLeastOnce, timeout()).unwrap();
-        // Across a shard boundary whenever there is one to cross.
-        let pub_id = if shards > 1 {
-            client_on_other_shard("psdev", "psub", shards)
-        } else {
-            "psdev".to_owned()
-        };
-        let mut publisher = UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
+        let mut publisher =
+            UdpClient::connect(addr, ClientConfig::new("psdev"), timeout()).unwrap();
         let tid = publisher.register("ps/dev1", timeout()).unwrap();
         publisher
             .publish(tid, vec![1], QoS::AtLeastOnce, timeout())
             .unwrap();
         sub.recv_message(timeout()).unwrap();
 
-        // Stop all shards, persist one file, restart FROM THE FILE.
+        // Stop the gateway, persist one file, restart FROM THE FILE.
         gw.shutdown_to_file(&path).unwrap();
         let gw = UdpBroker::builder(addr).resume_from(&path).spawn().unwrap();
-        assert_eq!(gw.shards(), shards, "shard count comes from the file");
 
         reconnect(&mut sub);
         reconnect(&mut publisher);
         let new_tid = publisher
             .topic_id("ps/dev1")
             .expect("registration persisted");
-        assert_eq!(
-            new_tid, tid,
-            "shared registry ids are stable across restart"
-        );
+        assert_eq!(new_tid, tid, "topic ids are stable across restart");
         publisher
             .publish(new_tid, vec![2], QoS::AtLeastOnce, timeout())
             .unwrap();
@@ -2042,44 +1502,137 @@ mod tests {
         // One publish before the restart (persisted with the stats) plus
         // one after: the counters survive the file trip.
         assert_eq!(gw.stats().publishes_in, 2);
-        let forwards = if shards > 1 { 2 } else { 0 };
-        assert_eq!(gw.stats().cross_shard_forwards, forwards);
         gw.shutdown();
 
-        let refused = |what: &str| {
-            let err = UdpBroker::builder("127.0.0.1:0")
-                .shards(shards)
-                .resume_from(&path)
-                .spawn()
-                .err()
-                .unwrap_or_else(|| panic!("{what} snapshot must be refused"));
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
-        };
         // A corrupt file is refused outright, not silently started empty.
         let good = std::fs::read(&path).unwrap();
         let mut corrupt = good.clone();
         *corrupt.last_mut().unwrap() ^= 0xFF;
         std::fs::write(&path, &corrupt).unwrap();
-        refused("corrupt");
-        // So is a truncated one (a partial per-shard section).
+        assert_refused(&path, "127.0.0.1:0", "corrupt");
+        // So is a truncated one (a partial broker section).
         std::fs::write(&path, &good[..good.len() - 3]).unwrap();
-        refused("truncated");
+        assert_refused(&path, "127.0.0.1:0", "truncated");
         // And so is an intact file holding a bare broker state rather
         // than the `PVSH` container.
         let bare = Broker::<SocketAddr>::new(BrokerConfig::default()).encode_state();
         prov_wal::snapshot::write_atomic(&path, &bare).unwrap();
-        refused("bare single-broker");
+        assert_refused(&path, "127.0.0.1:0", "bare broker state");
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn broker_restarts_from_snapshot_file() {
-        restarts_from_snapshot_file(1);
+    /// Resuming from the file at `path` fails with `InvalidData`.
+    fn assert_refused(path: &Path, bind: impl ToSocketAddrs, what: &str) {
+        let spawned = UdpBroker::builder(bind).resume_from(path).spawn();
+        let err = spawned
+            .err()
+            .unwrap_or_else(|| panic!("{what} snapshot must be refused"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
     }
 
+    /// A `PVSH` version 1 file as a gateway of `sections.len()` shards
+    /// wrote it: header, the shared registry block, one broker section per
+    /// shard in the `STATE_VERSION` 5 layout of the time.
+    fn write_v1_file(path: &Path, registry: &[(u16, &str)], sections: &[&Broker<SocketAddr>]) {
+        let mut file = SNAPSHOT_MAGIC.to_vec();
+        file.push(1);
+        file.push(sections.len() as u8);
+        let next_id = registry.iter().map(|(id, _)| id + 1).max().unwrap_or(1);
+        file.extend_from_slice(&next_id.to_le_bytes());
+        file.extend_from_slice(&(registry.len() as u32).to_le_bytes());
+        for (id, name) in registry {
+            file.extend_from_slice(&id.to_le_bytes());
+            wire::put_str(&mut file, name);
+        }
+        for section in sections {
+            wire::put_bytes(
+                &mut file,
+                &crate::broker::state_as_v5(&section.encode_state()),
+            );
+        }
+        prov_wal::snapshot::write_atomic(path, &file).unwrap();
+    }
+
+    /// A file written before the container format changed, by the one
+    /// kind of gateway any entry point could start: it resumes with its
+    /// durable session, that session's subscription and the message
+    /// buffered for it.
     #[test]
-    fn sharded_gateway_restarts_from_one_atomic_snapshot_file() {
-        restarts_from_snapshot_file(4);
+    fn v1_one_shard_file_resumes() {
+        let feed = |b: &mut Broker<SocketAddr>, from: SocketAddr, packet: Packet| {
+            let mut out = BrokerOutputs::new();
+            b.on_datagram_into(0, from, &packet.encode(), &mut out)
+                .unwrap();
+        };
+        let away: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let publisher: SocketAddr = "127.0.0.1:10".parse().unwrap();
+        let mut b = Broker::new(BrokerConfig::default());
+        for (from, id) in [(away, "v1-away"), (publisher, "v1-pub")] {
+            let connect = Packet::Connect {
+                clean_session: false,
+                duration: 60,
+                client_id: id.into(),
+            };
+            feed(&mut b, from, connect);
+        }
+        let subscribe = Packet::Subscribe {
+            dup: false,
+            qos: QoS::AtLeastOnce,
+            msg_id: 1,
+            topic: TopicRef::Name("v1/t".into()),
+        };
+        feed(&mut b, away, subscribe);
+        feed(&mut b, away, Packet::Disconnect { duration: None });
+        let publish = Packet::Publish {
+            dup: false,
+            qos: QoS::AtLeastOnce,
+            retain: false,
+            topic: TopicRef::Id(1),
+            msg_id: 7,
+            payload: b"kept".to_vec(),
+        };
+        feed(&mut b, publisher, publish);
+        assert_eq!(b.backlog(), 1);
+
+        let path = snap_path("v1-one-shard");
+        write_v1_file(&path, &[(1, "v1/t")], &[&b]);
+        let gw = UdpBroker::builder("127.0.0.1:0")
+            .resume_from(&path)
+            .spawn()
+            .expect("a one-shard v1 file resumes");
+        assert_eq!(gw.stats().publishes_in, 1);
+        assert_eq!(gw.backlog(), 1);
+        let config = ClientConfig {
+            clean_session: false,
+            ..ClientConfig::new("v1-away")
+        };
+        let mut sub = UdpClient::connect(gw.local_addr(), config, timeout()).unwrap();
+        let (topic, payload) = sub.recv_message(timeout()).unwrap();
+        assert_eq!((topic, &payload[..]), (TopicRef::Id(1), &b"kept"[..]));
+        // The subscription came back with the session: nothing re-issued.
+        let mut publisher =
+            UdpClient::connect(gw.local_addr(), ClientConfig::new("v1-pub2"), timeout()).unwrap();
+        assert_eq!(publisher.register("v1/t", timeout()).unwrap(), 1);
+        publisher
+            .publish(1, b"live".to_vec(), QoS::AtLeastOnce, timeout())
+            .unwrap();
+        assert_eq!(sub.recv_message(timeout()).unwrap().1, b"live");
+        gw.shutdown();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A file of several shards is refused while the file is being read:
+    /// the address the builder was given is taken, and the refusal is
+    /// about the data, so the socket was never bound — and the serve
+    /// thread starts after that. (`tests/gateway_threads.rs` counts.)
+    #[test]
+    fn v1_four_shard_file_is_refused_before_the_socket_is_bound() {
+        let empty = Broker::<SocketAddr>::new(BrokerConfig::default());
+        let path = snap_path("v1-four-shards");
+        write_v1_file(&path, &[], &[&empty; 4]);
+        let taken = UdpSocket::bind("127.0.0.1:0").unwrap();
+        assert_refused(&path, taken.local_addr().unwrap(), "four-shard");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2187,33 +1740,38 @@ mod tests {
         // round-trip latency.
         let path = snap_path("stall");
         let stop = Arc::new(AtomicBool::new(false));
+        let snapshots = Arc::new(AtomicU64::new(0));
         let broker = Arc::new(broker);
         let snapper = {
-            let stop = Arc::clone(&stop);
+            let (stop, snapshots) = (Arc::clone(&stop), Arc::clone(&snapshots));
             let broker = Arc::clone(&broker);
             let path = path.clone();
             std::thread::spawn(move || {
-                let mut snapshots = 0u32;
                 while !stop.load(Ordering::Relaxed) {
                     broker.snapshot_to_file(&path).expect("snapshot written");
-                    snapshots += 1;
+                    snapshots.fetch_add(1, Ordering::Relaxed);
                 }
-                snapshots
             })
         };
 
+        // At least 50 publishes, and on until a whole snapshot has been
+        // taken beside them: when the snapshot thread gets a core is the
+        // scheduler's business.
         let mut worst = Duration::ZERO;
         let tid = feeder.register("snap/live", timeout()).unwrap();
-        for _ in 0..50 {
+        let deadline = Instant::now() + timeout();
+        let mut published = 0;
+        while published < 50 || snapshots.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "snapshot thread never ran");
             let t = Instant::now();
             feeder
                 .publish(tid, vec![1; 32], QoS::AtLeastOnce, timeout())
                 .unwrap();
             worst = worst.max(t.elapsed());
+            published += 1;
         }
         stop.store(true, Ordering::Relaxed);
-        let snapshots = snapper.join().unwrap();
-        assert!(snapshots > 0, "snapshot thread never ran");
+        snapper.join().unwrap();
         std::fs::remove_file(&path).unwrap();
         // Generous CI bound: the serve loop must never sit behind a deep
         // state clone or a disk write. (The pre-fix
@@ -2295,231 +1853,15 @@ mod tests {
         assert_eq!(payload, b"lossy");
     }
 
-    /// A client id hashing to a different shard than `other`, by probing
-    /// `base0`, `base1`, ... — placement is pure, so the probe is cheap.
-    fn client_on_other_shard(base: &str, other: &str, shards: usize) -> String {
-        for i in 0..256 {
-            let candidate = format!("{base}{i}");
-            if shard_for_client(&candidate, shards) != shard_for_client(other, shards) {
-                return candidate;
-            }
-        }
-        panic!("no client id off {other}'s shard in 256 probes");
-    }
-
-    /// Like [`client_on_other_shard`] but for co-located placement.
-    fn client_on_same_shard(base: &str, other: &str, shards: usize) -> String {
-        for i in 0..256 {
-            let candidate = format!("{base}{i}");
-            if shard_for_client(&candidate, shards) == shard_for_client(other, shards) {
-                return candidate;
-            }
-        }
-        panic!("no client id on {other}'s shard in 256 probes");
-    }
-
-    #[test]
-    fn sharded_gateway_forwards_across_shards() {
-        let gw = sharded(4);
-        assert_eq!(gw.shards(), 4);
-        let addr = gw.local_addr();
-
-        let mut sub = UdpClient::connect(addr, ClientConfig::new("collector"), timeout()).unwrap();
-        sub.subscribe("sh/#", QoS::AtLeastOnce, timeout()).unwrap();
-
-        let pub_id = client_on_other_shard("xdev", "collector", 4);
-        let mut publisher =
-            UdpClient::connect(addr, ClientConfig::new(pub_id.clone()), timeout()).unwrap();
-        let tid = publisher.register("sh/dev", timeout()).unwrap();
-        publisher
-            .publish(tid, b"edge-record".to_vec(), QoS::AtLeastOnce, timeout())
-            .unwrap();
-        let (topic, payload) = sub.recv_message(timeout()).unwrap();
-        assert_eq!(payload, b"edge-record");
-        assert_eq!(topic, TopicRef::Id(tid));
-
-        let merged = gw.stats();
-        assert_eq!(merged.publishes_in, 1);
-        assert_eq!(merged.publishes_out, 1);
-        assert_eq!(merged.cross_shard_forwards, 1);
-        assert!(merged.forward_ring_high_water >= 1);
-        assert_eq!(merged.drops, 0);
-        // The split is visible per shard: the publisher's shard took the
-        // publish in, the collector's shard fanned it out.
-        let per_shard = gw.shard_stats();
-        assert_eq!(per_shard[gw.shard_of(&pub_id)].publishes_in, 1);
-        assert_eq!(per_shard[gw.shard_of("collector")].publishes_out, 1);
-        assert_ne!(gw.shard_of(&pub_id), gw.shard_of("collector"));
-        gw.shutdown();
-    }
-
-    #[test]
-    fn sharded_gateway_same_shard_skips_the_fabric() {
-        let gw = sharded(4);
-        let addr = gw.local_addr();
-        let mut sub = UdpClient::connect(addr, ClientConfig::new("localsub"), timeout()).unwrap();
-        sub.subscribe("loc/#", QoS::AtLeastOnce, timeout()).unwrap();
-        let pub_id = client_on_same_shard("locdev", "localsub", 4);
-        let mut publisher = UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
-        let tid = publisher.register("loc/dev", timeout()).unwrap();
-        publisher
-            .publish(tid, vec![7], QoS::AtLeastOnce, timeout())
-            .unwrap();
-        let (_, payload) = sub.recv_message(timeout()).unwrap();
-        assert_eq!(payload, vec![7]);
-        let merged = gw.stats();
-        assert_eq!(merged.publishes_in, 1);
-        assert_eq!(merged.publishes_out, 1);
-        assert_eq!(
-            merged.cross_shard_forwards, 0,
-            "co-located delivery must never touch the forwarding fabric"
-        );
-        gw.shutdown();
-    }
-
-    #[test]
-    fn sharded_gateway_qos2_exactly_once_across_shards() {
-        let gw = sharded(4);
-        let addr = gw.local_addr();
-        let mut sub = UdpClient::connect(addr, ClientConfig::new("q2sub"), timeout()).unwrap();
-        sub.subscribe("q2/#", QoS::ExactlyOnce, timeout()).unwrap();
-        let pub_id = client_on_other_shard("q2dev", "q2sub", 4);
-        let mut publisher = UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
-        let tid = publisher.register("q2/dev", timeout()).unwrap();
-        for seq in 0..4u8 {
-            publisher
-                .publish(tid, vec![seq], QoS::ExactlyOnce, timeout())
-                .unwrap();
-        }
-        for seq in 0..4u8 {
-            let (_, payload) = sub.recv_message(timeout()).unwrap();
-            assert_eq!(payload, vec![seq], "cross-shard QoS 2 must stay in order");
-        }
-        let merged = gw.stats();
-        assert_eq!(merged.publishes_in, 4);
-        assert_eq!(merged.publishes_out, 4);
-        assert_eq!(merged.cross_shard_forwards, 4);
-        assert_eq!(merged.duplicates_suppressed, 0);
-        gw.shutdown();
-    }
-
-    /// A publish acknowledged on one shard and still in the fabric when
-    /// the gateway is stopped is sent to its subscriber on the way out, not
-    /// left for a retransmission after some later resume: the subscriber
-    /// reads it with no gateway there any more. (The window is the
-    /// destination shard's ring poll, so the race is run several times.)
-    #[test]
-    fn stopping_gateway_sends_the_forwards_it_acknowledged() {
-        for round in 0..16u8 {
-            let mut gw = sharded(4);
-            let addr = gw.local_addr();
-            let mut sub =
-                UdpClient::connect(addr, ClientConfig::new("stopsub"), timeout()).unwrap();
-            sub.subscribe("stop/#", QoS::ExactlyOnce, timeout())
-                .unwrap();
-            let pub_id = client_on_other_shard("stopdev", "stopsub", 4);
-            let mut publisher =
-                UdpClient::connect(addr, ClientConfig::new(pub_id), timeout()).unwrap();
-            let tid = publisher.register("stop/dev", timeout()).unwrap();
-            publisher
-                .publish(tid, vec![round], QoS::ExactlyOnce, timeout())
-                .unwrap();
-            gw.stop();
-            // Pump errors are expected: the PUBREC bounces off a closed port.
-            let deadline = Instant::now() + timeout();
-            let mut got = None;
-            while got.is_none() {
-                assert!(Instant::now() < deadline, "round {round}: never sent");
-                let _ = sub.pump();
-                while let Some(event) = sub.pop_event() {
-                    if let ClientEvent::Message { payload, .. } = event {
-                        got = Some(payload);
-                    }
-                }
-            }
-            assert_eq!(got, Some(vec![round]));
-            assert_eq!(gw.stats().cross_shard_forwards, 1);
-        }
-    }
-
-    #[test]
-    fn every_shard_pushes_into_one_local_subscription() {
-        const SHARDS: usize = 4;
-        const EACH: u8 = 8;
-        let gw = sharded(SHARDS);
-        let mut sub = gw.subscribe_local("loc/#").unwrap();
-        // One publisher pinned to each shard, by probing client ids.
-        let ids = (0..SHARDS).map(|shard| {
-            let mut probes = (0..256).map(|i| format!("locdev{i}"));
-            probes.find(|id| gw.shard_of(id) == shard).unwrap()
-        });
-        let mut publishers: Vec<(u16, UdpClient)> = ids
-            .enumerate()
-            .map(|(shard, id)| {
-                let config = ClientConfig::new(id);
-                let mut c = UdpClient::connect(gw.local_addr(), config, timeout()).unwrap();
-                let tid = c.register(&format!("loc/dev{shard}"), timeout()).unwrap();
-                (tid, c)
-            })
-            .collect();
-        for seq in 0..EACH {
-            for (tid, publisher) in &mut publishers {
-                publisher
-                    .publish(*tid, vec![seq], QoS::ExactlyOnce, timeout())
-                    .unwrap();
-            }
-        }
-        // A publish is queued before its acknowledgement is sent, so
-        // everything acknowledged is there to take without waiting. Each
-        // shard weighs the whole queue in its own congestion decision; the
-        // gateway's total counts the one queue once.
-        let queued = SHARDS * EACH as usize;
-        assert_eq!(gw.shard_backlogs(), vec![queued; SHARDS]);
-        assert_eq!(gw.backlog(), queued);
-        let mut batch = Vec::new();
-        sub.try_recv(&mut batch);
-        assert_eq!(gw.backlog(), 0);
-        for (tid, _) in &publishers {
-            let of_publisher = batch.iter().filter(|m| m.topic_id == *tid);
-            let seqs: Vec<u8> = of_publisher.map(|m| m.payload[0]).collect();
-            assert_eq!(seqs, (0..EACH).collect::<Vec<_>>(), "once each, in order");
-        }
-        assert_eq!(batch.len(), SHARDS * EACH as usize);
-        let merged = gw.stats();
-        assert_eq!(merged.publishes_in, (SHARDS * EACH as usize) as u64);
-        assert_eq!(merged.publishes_out, merged.publishes_in);
-        assert_eq!(merged.cross_shard_forwards, 0, "no shard forwards for it");
-        assert!(gw
-            .shard_stats()
-            .iter()
-            .all(|s| s.publishes_out == EACH as u64));
-        assert_eq!(gw.session_count(), SHARDS, "the publishers' only");
-        gw.shutdown();
-        assert!(!sub.recv(&mut batch), "a stopped gateway ends the stream");
-    }
-
-    #[test]
-    fn sharded_gateway_merges_congestion_as_the_hottest_shard() {
-        let gw = sharded(2);
-        assert_eq!(gw.congestion_level(), 0);
-        assert_eq!(gw.backlog(), 0);
-        assert_eq!(gw.shard_backlogs(), vec![0, 0]);
-        gw.shutdown();
-    }
-
     /// A peer we did not write may put two PUBLISHes in one datagram: the
     /// gateway splits it where it comes in, so both are delivered exactly
-    /// once and cross the shard boundary as two separate datagrams would.
-    fn two_publishes_in_one_datagram(shards: usize) {
-        let gw = sharded(shards);
+    /// once, as two separate datagrams would be.
+    #[test]
+    fn two_publishes_in_one_datagram_are_two_publishes() {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("bsub"), timeout()).unwrap();
         sub.subscribe("bun/#", QoS::ExactlyOnce, timeout()).unwrap();
-        let pub_id = if shards > 1 {
-            client_on_other_shard("bdev", "bsub", shards)
-        } else {
-            "bdev".to_owned()
-        };
 
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         raw.connect(addr).unwrap();
@@ -2539,7 +1881,7 @@ mod tests {
         let connect = Packet::Connect {
             clean_session: true,
             duration: 60,
-            client_id: pub_id,
+            client_id: "bdev".into(),
         };
         assert!(matches!(
             exchange(&connect.encode(), 1)[..],
@@ -2583,24 +1925,12 @@ mod tests {
             sub.recv_message(Duration::from_millis(100)).is_err(),
             "exactly once"
         );
-        let merged = gw.stats();
-        assert_eq!(merged.publishes_in, 2);
-        assert_eq!(merged.publishes_out, 2);
-        assert_eq!(merged.duplicates_suppressed, 0);
-        assert_eq!(merged.decode_errors, 0);
-        let forwards = if shards > 1 { 2 } else { 0 };
-        assert_eq!(merged.cross_shard_forwards, forwards);
+        let stats = gw.stats();
+        assert_eq!(stats.publishes_in, 2);
+        assert_eq!(stats.publishes_out, 2);
+        assert_eq!(stats.duplicates_suppressed, 0);
+        assert_eq!(stats.decode_errors, 0);
         gw.shutdown();
-    }
-
-    #[test]
-    fn two_publishes_in_one_datagram_are_two_publishes() {
-        two_publishes_in_one_datagram(1);
-    }
-
-    #[test]
-    fn two_publishes_in_one_datagram_cross_shards_as_two() {
-        two_publishes_in_one_datagram(4);
     }
 
     #[test]
@@ -2822,94 +2152,5 @@ mod tests {
         assert_eq!(c.pop_event(), None, "no PublishFailed");
         assert_delivered_once_in_order(&mut sub, &gw, 1);
         gw.shutdown();
-    }
-
-    /// The frame `dispatch_frame` just enqueued, as `(shard, sender)`.
-    fn routed(ingress: &[IngressRing]) -> (usize, SocketAddr) {
-        let hits: Vec<_> = ingress
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, ring)| {
-                let frame = ring.data.pop()?;
-                let from = frame.from;
-                ring.free.push(frame).unwrap();
-                Some((shard, from))
-            })
-            .collect();
-        assert_eq!(hits.len(), 1, "one datagram, one shard: {hits:?}");
-        hits[0]
-    }
-
-    #[test]
-    fn front_placement_is_released_on_disconnect_and_capped() {
-        const SHARDS: usize = 4;
-        let ingress: Vec<IngressRing> = (0..SHARDS).map(|_| IngressRing::new(2)).collect();
-        let mut placement = HashMap::new();
-        let connect = |id: &str| {
-            Packet::Connect {
-                clean_session: true,
-                duration: 60,
-                client_id: id.to_owned(),
-            }
-            .encode()
-        };
-        let ping = Packet::PingReq.encode();
-        let sleep = Packet::Disconnect { duration: Some(30) }.encode();
-        let bye = Packet::Disconnect { duration: None }.encode();
-
-        // A sender whose client-id shard differs from its address shard,
-        // so pinned and fallback placement can be told apart.
-        let addr = SocketAddr::from(([10, 0, 0, 1], 4000));
-        let fallback = addr_shard(&addr, SHARDS);
-        let id = (0..64)
-            .map(|i| format!("dev{i}"))
-            .find(|id| shard_for_client(id, SHARDS) != fallback)
-            .unwrap();
-        let home = shard_for_client(&id, SHARDS);
-
-        dispatch_frame(&mut placement, &ingress, addr, &ping);
-        assert_eq!(routed(&ingress), (fallback, addr), "never connected");
-        dispatch_frame(&mut placement, &ingress, addr, &connect(&id));
-        assert_eq!(routed(&ingress), (home, addr));
-        // Going to sleep keeps the pin: the wake-up PINGREQ names no
-        // client id and must still reach the session's shard.
-        for datagram in [&sleep, &ping, &bye] {
-            dispatch_frame(&mut placement, &ingress, addr, datagram);
-            assert_eq!(routed(&ingress).0, home);
-        }
-        assert!(placement.is_empty(), "DISCONNECT must release the pin");
-        dispatch_frame(&mut placement, &ingress, addr, &ping);
-        assert_eq!(routed(&ingress).0, fallback);
-
-        // A CONNECT flood from distinct (spoofed) sources stops growing
-        // the map at the cap; senders past it are placed by address.
-        let flood = connect(&id);
-        let source = |i: usize| {
-            SocketAddr::from(([10, 1, (i >> 8) as u8, i as u8], 1000 + (i >> 16) as u16))
-        };
-        for i in 0..PLACEMENT_CAP + 64 {
-            dispatch_frame(&mut placement, &ingress, source(i), &flood);
-            let shard = routed(&ingress).0;
-            if i >= PLACEMENT_CAP {
-                assert_eq!(shard, addr_shard(&source(i), SHARDS));
-            } else {
-                assert_eq!(shard, home);
-            }
-        }
-        assert_eq!(placement.len(), PLACEMENT_CAP);
-        // A pinned sender may still re-pin at the cap (no growth)...
-        dispatch_frame(
-            &mut placement,
-            &ingress,
-            source(0),
-            &connect("someone-else"),
-        );
-        assert_eq!(routed(&ingress).0, shard_for_client("someone-else", SHARDS));
-        // ...and a released pin makes room for a new sender.
-        dispatch_frame(&mut placement, &ingress, source(1), &bye);
-        routed(&ingress);
-        dispatch_frame(&mut placement, &ingress, addr, &flood);
-        assert_eq!(routed(&ingress), (home, addr));
-        assert_eq!(placement.len(), PLACEMENT_CAP);
     }
 }

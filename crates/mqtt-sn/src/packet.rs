@@ -80,7 +80,11 @@ impl ReturnCode {
 /// How a PUBLISH / SUBSCRIBE refers to its topic.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TopicRef {
-    /// A previously REGISTERed (or SUBACK-assigned) 16-bit id.
+    /// A previously REGISTERed (or SUBACK-assigned) 16-bit id. SUBSCRIBE
+    /// and UNSUBSCRIBE have no form of their own for one (v1.2 §5.4.15: a
+    /// name, a predefined id or a short name): there it goes on the wire
+    /// as [`TopicRef::Predefined`], which a broker resolves through the
+    /// same registry, and decodes as that.
     Id(u16),
     /// A predefined id agreed out of band.
     Predefined(u16),
@@ -96,12 +100,19 @@ impl TopicRef {
             TopicRef::Name(_) => 0b10, // "short" slot reused for names in SUBSCRIBE
         }
     }
+
+    /// The type bits in a SUBSCRIBE or UNSUBSCRIBE, where `0b00` announces
+    /// a name: every id takes the predefined form.
+    fn subscription_type_bits(&self) -> u8 {
+        match self {
+            TopicRef::Id(_) | TopicRef::Predefined(_) => 0b01,
+            TopicRef::Name(_) => 0b10,
+        }
+    }
 }
 
-/// Message-type bytes (MQTT-SN v1.2 §5.2.2). Crate-visible so the
-/// sharded gateway front can route on the type byte without a full
-/// decode.
-pub(crate) mod msg_type {
+/// Message-type bytes (MQTT-SN v1.2 §5.2.2).
+mod msg_type {
     pub const ADVERTISE: u8 = 0x00;
     pub const SEARCHGW: u8 = 0x01;
     pub const GWINFO: u8 = 0x02;
@@ -596,7 +607,7 @@ impl Packet {
                 topic,
             } => {
                 b.push(msg_type::SUBSCRIBE);
-                let mut flags = (qos.bits() << flag::QOS_SHIFT) | topic.type_bits();
+                let mut flags = (qos.bits() << flag::QOS_SHIFT) | topic.subscription_type_bits();
                 if *dup {
                     flags |= flag::DUP;
                 }
@@ -621,7 +632,7 @@ impl Packet {
             }
             Packet::Unsubscribe { msg_id, topic } => {
                 b.push(msg_type::UNSUBSCRIBE);
-                b.push(topic.type_bits());
+                b.push(topic.subscription_type_bits());
                 push_u16(b, *msg_id);
                 match topic {
                     TopicRef::Id(id) | TopicRef::Predefined(id) => push_u16(b, *id),
@@ -949,6 +960,31 @@ pub(crate) mod tests {
             topic: TopicRef::Name("provlight/#".into()),
         });
         roundtrip(Packet::UnsubAck { msg_id: 4 });
+        // By id, the two carry the one id form they have.
+        for id in [TopicRef::Id(0x6162), TopicRef::Predefined(0x6162)] {
+            let predefined = TopicRef::Predefined(0x6162);
+            let unsubscribe = Packet::Unsubscribe {
+                msg_id: 5,
+                topic: id.clone(),
+            };
+            assert_eq!(
+                Packet::decode(&unsubscribe.encode()),
+                Ok(Packet::Unsubscribe {
+                    msg_id: 5,
+                    topic: predefined.clone(),
+                })
+            );
+            let subscribe = |topic| Packet::Subscribe {
+                dup: false,
+                qos: QoS::ExactlyOnce,
+                msg_id: 6,
+                topic,
+            };
+            assert_eq!(
+                Packet::decode(&subscribe(id).encode()),
+                Ok(subscribe(predefined))
+            );
+        }
         roundtrip(Packet::PingReq);
         roundtrip(Packet::PingResp);
         roundtrip(Packet::Disconnect { duration: None });
@@ -1159,14 +1195,20 @@ pub(crate) mod tests {
     /// Any packet variant, with field values that survive a round trip.
     pub(crate) fn arb_packet() -> impl Strategy<Value = Packet> {
         let fields = (
-            0u8..14,
+            0u8..15,
             any::<u16>(),
             any::<u16>(),
             any::<bool>(),
             "[a-z0-9/]{1,12}",
             proptest::collection::vec(any::<u8>(), 0..400),
         );
-        fields.prop_map(|(kind, a, b, flag, name, payload)| match kind {
+        // SUBSCRIBE and UNSUBSCRIBE name their topic in any of three ways.
+        let topic = |b: u16, name: String| match b % 3 {
+            0 => TopicRef::Name(name),
+            1 => TopicRef::Id(b),
+            _ => TopicRef::Predefined(b),
+        };
+        fields.prop_map(move |(kind, a, b, flag, name, payload)| match kind {
             0 => Packet::Connect {
                 clean_session: flag,
                 duration: a,
@@ -1209,14 +1251,30 @@ pub(crate) mod tests {
                 dup: flag,
                 qos: QoS::AtLeastOnce,
                 msg_id: a,
-                topic: TopicRef::Name(name),
+                topic: topic(b, name),
             },
             11 => Packet::PingReq,
             12 => Packet::Disconnect {
                 duration: flag.then_some(a),
             },
+            13 => Packet::Unsubscribe {
+                msg_id: a,
+                topic: topic(b, name),
+            },
             _ => Packet::CongestionAdvisory { level: a as u8 },
         })
+    }
+
+    /// What `packet` comes back as: itself, but that a registered id in a
+    /// SUBSCRIBE or UNSUBSCRIBE travels in the predefined form (see
+    /// [`TopicRef::Id`]).
+    fn as_decoded(mut packet: Packet) -> Packet {
+        if let Packet::Subscribe { topic, .. } | Packet::Unsubscribe { topic, .. } = &mut packet {
+            if let TopicRef::Id(id) = *topic {
+                *topic = TopicRef::Predefined(id);
+            }
+        }
+        packet
     }
 
     proptest! {
@@ -1242,7 +1300,8 @@ pub(crate) mod tests {
                 .into_iter()
                 .map(|frame| Packet::decode(frame).unwrap())
                 .collect();
-            prop_assert_eq!(decoded, packets);
+            let sent: Vec<Packet> = packets.into_iter().map(as_decoded).collect();
+            prop_assert_eq!(decoded, sent);
         }
 
         #[test]

@@ -108,34 +108,6 @@ impl TopicRegistry {
         true
     }
 
-    /// Mirrors an `(id, name)` assignment made by an authoritative shared
-    /// registry into this local replica (sharded gateway: each shard keeps
-    /// a lazy mirror so its broker resolves the same ids the router
-    /// assigned). Unlike [`TopicRegistry::register_predefined`] this is
-    /// idempotent — re-mirroring an existing identical mapping succeeds —
-    /// and it advances `next_id` past the mirrored id so a local
-    /// `register` can never hand out a colliding id. Returns false when
-    /// the id is reserved, the name is invalid, or either side is already
-    /// bound to a *different* partner.
-    pub fn mirror(&mut self, id: u16, name: &str) -> bool {
-        if id == 0 || id == 0xFFFF || !name_is_valid(name) {
-            return false;
-        }
-        match (self.by_id.get(&id), self.by_name.get(name)) {
-            (Some(existing_name), Some(&existing_id)) => {
-                return existing_name == name && existing_id == id;
-            }
-            (Some(_), None) | (None, Some(_)) => return false,
-            (None, None) => {}
-        }
-        self.by_id.insert(id, name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
-        if id >= self.next_id {
-            self.next_id = if id == u16::MAX { 1 } else { id + 1 };
-        }
-        true
-    }
-
     /// Id for a name.
     pub fn id_of(&self, name: &str) -> Option<u16> {
         self.by_name.get(name).copied()
@@ -265,21 +237,5 @@ mod tests {
         assert!(reg.register_predefined(1, "pre"));
         let id = reg.register("dyn").unwrap();
         assert_ne!(id, 1);
-    }
-
-    #[test]
-    fn mirror_is_idempotent_and_advances_next_id() {
-        let mut reg = TopicRegistry::new();
-        assert!(reg.mirror(7, "t/a"));
-        assert!(reg.mirror(7, "t/a"), "identical re-mirror must succeed");
-        assert!(!reg.mirror(7, "t/b"), "id bound to another name");
-        assert!(!reg.mirror(8, "t/a"), "name bound to another id");
-        assert!(!reg.mirror(0, "t/c"));
-        assert!(!reg.mirror(0xFFFF, "t/c"));
-        assert_eq!(reg.name_of(7), Some("t/a"));
-        // A local register after mirroring must not collide with the
-        // mirrored id.
-        let local = reg.register("t/local").unwrap();
-        assert!(local > 7, "next_id must advance past mirrored ids");
     }
 }

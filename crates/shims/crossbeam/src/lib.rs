@@ -1,12 +1,9 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides the `crossbeam::channel` MPSC surface the transmitter uses,
-//! backed by `std::sync::mpsc`, and a lock-free bounded `queue::ArrayQueue`
-//! (Vyukov sequence-ring design) that backs the sharded gateway's
-//! cross-shard forwarding rings. Semantics match where it matters: `bounded`
+//! backed by `std::sync::mpsc`. Semantics match where it matters: `bounded`
 //! channels block senders when full, receivers support timeouts and
-//! non-blocking polls, and dropping all senders disconnects the receiver;
-//! `ArrayQueue` never blocks and never allocates after construction.
+//! non-blocking polls, and dropping all senders disconnects the receiver.
 
 pub mod channel {
     use std::sync::mpsc;
@@ -79,315 +76,6 @@ pub mod channel {
             );
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        }
-    }
-}
-
-pub mod queue {
-    //! Lock-free bounded queues.
-    //!
-    //! [`ArrayQueue`] is the classic Vyukov bounded queue: a fixed slot
-    //! array where each slot carries a sequence counter that encodes whose
-    //! turn it is (producer or consumer) for the current lap. Push and pop
-    //! are single-CAS operations with no locks, no spinning under
-    //! contention beyond the CAS retry, and — critically for the gateway's
-    //! zero-alloc forwarding path — no heap allocation after construction.
-    //! It is MPMC-safe, which the SPSC forwarding rings use as a strictly
-    //! stronger guarantee.
-
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    struct Slot<T> {
-        /// Lap sequencing: `seq == index` means free for the producer of
-        /// that ticket, `seq == index + 1` means filled for its consumer.
-        seq: AtomicUsize,
-        value: UnsafeCell<MaybeUninit<T>>,
-    }
-
-    /// A bounded lock-free MPMC queue over a fixed slot array.
-    pub struct ArrayQueue<T> {
-        head: AtomicUsize,
-        tail: AtomicUsize,
-        slots: Box<[Slot<T>]>,
-    }
-
-    // Safety: values move through slots guarded by the per-slot sequence
-    // protocol; a slot's value is only touched by the thread that won the
-    // head/tail CAS for that ticket.
-    unsafe impl<T: Send> Send for ArrayQueue<T> {}
-    unsafe impl<T: Send> Sync for ArrayQueue<T> {}
-
-    impl<T> std::fmt::Debug for ArrayQueue<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("ArrayQueue")
-                .field("capacity", &self.capacity())
-                .field("len", &self.len())
-                .finish()
-        }
-    }
-
-    impl<T> ArrayQueue<T> {
-        /// Creates a queue holding up to `cap` elements. A zero `cap` is
-        /// rounded up to one so `push` has a well-defined full state.
-        pub fn new(cap: usize) -> Self {
-            let cap = cap.max(1);
-            let mut slots = Vec::with_capacity(cap);
-            for i in 0..cap {
-                slots.push(Slot {
-                    seq: AtomicUsize::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                });
-            }
-            ArrayQueue {
-                head: AtomicUsize::new(0),
-                tail: AtomicUsize::new(0),
-                slots: slots.into_boxed_slice(),
-            }
-        }
-
-        /// Number of slots.
-        pub fn capacity(&self) -> usize {
-            self.slots.len()
-        }
-
-        /// Snapshot of the current occupancy. Exact only when quiescent;
-        /// racing pushes/pops can skew it by the number of in-flight
-        /// operations, which is fine for its use as a high-water gauge.
-        pub fn len(&self) -> usize {
-            let tail = self.tail.load(Ordering::Relaxed);
-            let head = self.head.load(Ordering::Relaxed);
-            tail.saturating_sub(head)
-        }
-
-        /// True when a `len()` snapshot reads zero.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// True when a `len()` snapshot reads `capacity()`.
-        pub fn is_full(&self) -> bool {
-            self.len() >= self.capacity()
-        }
-
-        /// Attempts to enqueue; returns the value back when the queue is
-        /// full. Never blocks and never allocates.
-        pub fn push(&self, value: T) -> Result<(), T> {
-            let cap = self.slots.len();
-            let mut tail = self.tail.load(Ordering::Relaxed);
-            loop {
-                let slot = &self.slots[tail % cap];
-                let seq = slot.seq.load(Ordering::Acquire);
-                if seq == tail {
-                    match self.tail.compare_exchange_weak(
-                        tail,
-                        tail.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // Safety: winning the CAS for ticket `tail`
-                            // grants exclusive write access to this slot.
-                            unsafe { (*slot.value.get()).write(value) };
-                            slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(current) => tail = current,
-                    }
-                } else if seq < tail {
-                    // One full lap behind: the slot still holds the value
-                    // from `cap` tickets ago, so the queue is full.
-                    return Err(value);
-                } else {
-                    tail = self.tail.load(Ordering::Relaxed);
-                }
-            }
-        }
-
-        /// Attempts to dequeue; `None` when empty. Never blocks and never
-        /// allocates.
-        pub fn pop(&self) -> Option<T> {
-            let cap = self.slots.len();
-            let mut head = self.head.load(Ordering::Relaxed);
-            loop {
-                let slot = &self.slots[head % cap];
-                let seq = slot.seq.load(Ordering::Acquire);
-                let expected = head.wrapping_add(1);
-                if seq == expected {
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // Safety: winning the CAS for ticket `head`
-                            // grants exclusive read access to this slot's
-                            // initialized value.
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq.store(head.wrapping_add(cap), Ordering::Release);
-                            return Some(value);
-                        }
-                        Err(current) => head = current,
-                    }
-                } else if seq < expected {
-                    // Slot not yet filled for this lap: queue is empty.
-                    return None;
-                } else {
-                    head = self.head.load(Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    impl<T> Drop for ArrayQueue<T> {
-        fn drop(&mut self) {
-            while self.pop().is_some() {}
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::Arc;
-
-        #[test]
-        fn fifo_within_capacity_and_full_empty_edges() {
-            let q = ArrayQueue::new(3);
-            assert!(q.is_empty());
-            assert_eq!(q.capacity(), 3);
-            assert_eq!(q.push(1), Ok(()));
-            assert_eq!(q.push(2), Ok(()));
-            assert_eq!(q.push(3), Ok(()));
-            assert!(q.is_full());
-            assert_eq!(q.push(4), Err(4));
-            assert_eq!(q.pop(), Some(1));
-            assert_eq!(q.push(4), Ok(()));
-            assert_eq!(q.pop(), Some(2));
-            assert_eq!(q.pop(), Some(3));
-            assert_eq!(q.pop(), Some(4));
-            assert_eq!(q.pop(), None);
-            assert!(q.is_empty());
-        }
-
-        #[test]
-        fn wraps_many_laps_without_corruption() {
-            let q = ArrayQueue::new(4);
-            for lap in 0u64..1000 {
-                for i in 0..4 {
-                    assert_eq!(q.push(lap * 4 + i), Ok(()));
-                }
-                for i in 0..4 {
-                    assert_eq!(q.pop(), Some(lap * 4 + i));
-                }
-            }
-        }
-
-        #[test]
-        fn drops_queued_values_exactly_once() {
-            let marker = Arc::new(());
-            let q = ArrayQueue::new(8);
-            for _ in 0..5 {
-                q.push(Arc::clone(&marker)).map_err(|_| ()).unwrap();
-            }
-            assert_eq!(Arc::strong_count(&marker), 6);
-            drop(q.pop());
-            assert_eq!(Arc::strong_count(&marker), 5);
-            drop(q);
-            assert_eq!(Arc::strong_count(&marker), 1);
-        }
-
-        #[test]
-        fn spsc_threads_preserve_order_under_backpressure() {
-            let q = Arc::new(ArrayQueue::new(8));
-            let total = 20_000u64;
-            let producer = {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..total {
-                        let mut v = i;
-                        loop {
-                            match q.push(v) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    v = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                })
-            };
-            let mut expected = 0u64;
-            while expected < total {
-                match q.pop() {
-                    Some(v) => {
-                        assert_eq!(v, expected);
-                        expected += 1;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-            producer.join().unwrap();
-            assert!(q.is_empty());
-        }
-
-        #[test]
-        fn mpmc_accounts_for_every_element() {
-            let q = Arc::new(ArrayQueue::new(16));
-            let per_producer = 5_000u64;
-            let producers: Vec<_> = (0..3u64)
-                .map(|p| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        for i in 0..per_producer {
-                            let mut v = p * per_producer + i;
-                            loop {
-                                match q.push(v) {
-                                    Ok(()) => break,
-                                    Err(back) => {
-                                        v = back;
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        let mut seen = Vec::new();
-                        let mut idle = 0;
-                        while idle < 10_000 {
-                            match q.pop() {
-                                Some(v) => {
-                                    seen.push(v);
-                                    idle = 0;
-                                }
-                                None => {
-                                    idle += 1;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        seen
-                    })
-                })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            let mut all: Vec<u64> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            let expected: Vec<u64> = (0..3 * per_producer).collect();
-            assert_eq!(all, expected);
         }
     }
 }

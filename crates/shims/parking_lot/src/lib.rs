@@ -29,13 +29,7 @@ const UNRANKED: u32 = u32::MAX;
 /// outermost first. Keep the two lists in sync: the static lint checks
 /// source order by receiver name, this module checks runtime order by rank.
 pub mod rank {
-    /// Sharded-gateway routing table (`mqtt-sn::router`): shared topic
-    /// registry + topic→shard-mask cache. Acquired (and released) by a
-    /// shard's serve loop *before* its broker lock, never inside it.
-    pub const ROUTER: u32 = 0;
-    /// Gateway broker state (`mqtt-sn`); in a sharded gateway every
-    /// per-shard broker lock shares this rank and siblings are swept in
-    /// ascending address order.
+    /// Gateway broker state (`mqtt-sn`).
     pub const BROKER: u32 = 1;
     /// Queue of a gateway-local subscription (`mqtt-sn::local`): pushed
     /// under a broker lock, popped by its consumer with no other lock held.

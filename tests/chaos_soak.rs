@@ -23,7 +23,6 @@ use provlight::core::client::ProvLightClient;
 use provlight::core::config::{CaptureConfig, GroupPolicy, LinkFault, SpillFault};
 use provlight::mqtt_sn::broker::BrokerConfig;
 use provlight::mqtt_sn::net::{UdpBroker, UdpClient};
-use provlight::mqtt_sn::router::shard_for_client;
 use provlight::mqtt_sn::{ClientConfig, ClientEvent, QoS};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{Id, Record};
@@ -126,9 +125,8 @@ fn record_key(r: &Record) -> (u64, u8, u64) {
     }
 }
 
-/// One full soak under the fault schedule derived from `seed`, through a
-/// gateway of `shards` shards.
-fn soak(seed: u64, shards: usize) {
+/// One full soak under the fault schedule derived from `seed`.
+fn soak(seed: u64) {
     const CLIENTS: u64 = 2;
     const ROUNDS: usize = 10;
 
@@ -152,26 +150,18 @@ fn soak(seed: u64, shards: usize) {
         ..BrokerConfig::default()
     };
     let mut broker = UdpBroker::builder("127.0.0.1:0")
-        .shards(shards)
         .config(broker_config)
         .faults(broker_plan.clone())
         .spawn()
         .unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "chaos-collector");
-    // With more than one shard, some capture traffic has to reach the
-    // collector through the forwarding fabric.
-    let crosses_shards = (0..CLIENTS).any(|i| {
-        shard_for_client(&format!("chaos-edge-{i}"), shards)
-            != shard_for_client("chaos-collector", shards)
-    });
-    assert_eq!(crosses_shards, shards > 1, "client ids exercise nothing");
-    let snap_path = temp_dir(&format!("soak-{seed:x}-{shards}")).with_extension("snap");
+    let snap_path = temp_dir(&format!("soak-{seed:x}")).with_extension("snap");
 
     let mut clients = Vec::new();
     let mut dirs = Vec::new();
     for i in 0..CLIENTS {
-        let dir = temp_dir(&format!("soak-{seed:x}-{shards}-{i}"));
+        let dir = temp_dir(&format!("soak-{seed:x}-{i}"));
         let config = CaptureConfig {
             group: GroupPolicy::Immediate,
             qos: QoS::ExactlyOnce,
@@ -242,7 +232,6 @@ fn soak(seed: u64, shards: usize) {
                 .resume_from(&snap_path)
                 .spawn()
                 .unwrap_or_else(|e| panic!("gateway restart failed for seed {seed:#x}: {e}"));
-            assert_eq!(broker.shards(), shards);
         }
         for wf in &workflows {
             let mut task = wf.task(round as u64, 0u64, &[]);
@@ -313,13 +302,6 @@ fn soak(seed: u64, shards: usize) {
         );
     }
 
-    assert_eq!(
-        broker.stats().cross_shard_forwards > 0,
-        shards > 1,
-        "fabric use does not match the shard count for seed {seed:#x}: {:?}",
-        broker.stats(),
-    );
-
     for client in clients {
         client.shutdown();
     }
@@ -349,37 +331,25 @@ fn seed_matrix() -> Vec<u64> {
 #[test]
 fn chaos_soak_seed_matrix_no_silent_loss() {
     for seed in seed_matrix() {
-        for shards in [1, 4] {
-            let outcome = std::panic::catch_unwind(|| soak(seed, shards));
-            if let Err(e) = outcome {
-                eprintln!(
-                    "chaos soak FAILED for seed {seed:#x} at {shards} shard(s) — reproduce \
-                     with PROVLIGHT_CHAOS_SEED={seed:#x} cargo test --test chaos_soak"
-                );
-                std::panic::resume_unwind(e);
-            }
+        let outcome = std::panic::catch_unwind(|| soak(seed));
+        if let Err(e) = outcome {
+            eprintln!(
+                "chaos soak FAILED for seed {seed:#x} — reproduce \
+                 with PROVLIGHT_CHAOS_SEED={seed:#x} cargo test --test chaos_soak"
+            );
+            std::panic::resume_unwind(e);
         }
     }
 }
 
-/// Picks a client id of the form `{base}{n}` that the gateway's client
-/// hash places on a shard other than `avoid`.
-fn client_off_shard(base: &str, avoid: usize, shards: usize) -> String {
-    (0..256)
-        .map(|n| format!("{base}{n}"))
-        .find(|id| shard_for_client(id, shards) != avoid)
-        .expect("256 probes never left the shard")
-}
-
-/// One cross-shard chaos run: publisher and subscriber on different
-/// shards of a 4-shard gateway, datagram drop/duplicate/delay injected
-/// at the routing front and on every shard's outbound path.
+/// One chaos run of a raw `UdpClient` publisher feeding a *remote*
+/// subscriber through the gateway, datagram drop/duplicate/delay injected
+/// where the gateway reads its socket and where it sends.
 ///
 /// QoS 2 must be exactly-once end to end — every injected duplicate and
-/// every retransmission deduplicated even though delivery crosses the
-/// forwarding fabric. QoS 1 must be at-least-once with zero silent loss.
-fn cross_shard_soak(seed: u64, qos: QoS) {
-    const SHARDS: usize = 4;
+/// every retransmission deduplicated on both of the gateway's legs. QoS 1
+/// must be at-least-once with zero silent loss.
+fn remote_subscriber_soak(seed: u64, qos: QoS) {
     const MESSAGES: usize = 32;
 
     let plan = Arc::new(FaultPlan::new(
@@ -393,7 +363,6 @@ fn cross_shard_soak(seed: u64, qos: QoS) {
         },
     ));
     let broker = UdpBroker::builder("127.0.0.1:0")
-        .shards(SHARDS)
         .config(BrokerConfig {
             retry_timeout: Duration::from_millis(150),
             max_retries: 30,
@@ -404,23 +373,19 @@ fn cross_shard_soak(seed: u64, qos: QoS) {
         .unwrap();
     let addr = broker.local_addr();
 
-    let sub_id = "xshard-sub";
-    let sub_shard = shard_for_client(sub_id, SHARDS);
-    let pub_id = client_off_shard("xshard-pub", sub_shard, SHARDS);
-
-    let mut fast = ClientConfig::new(sub_id);
+    let mut fast = ClientConfig::new("remote-sub");
     fast.retry_timeout = Duration::from_millis(200);
     fast.max_retries = 30;
     let mut sub = UdpClient::connect(addr, fast, Duration::from_secs(10)).unwrap();
-    sub.subscribe("xshard/#", qos, Duration::from_secs(10))
+    sub.subscribe("remote/#", qos, Duration::from_secs(10))
         .unwrap();
 
-    let mut fast = ClientConfig::new(pub_id);
+    let mut fast = ClientConfig::new("remote-pub");
     fast.retry_timeout = Duration::from_millis(200);
     fast.max_retries = 30;
     let mut publisher = UdpClient::connect(addr, fast, Duration::from_secs(10)).unwrap();
     let tid = publisher
-        .register("xshard/data", Duration::from_secs(10))
+        .register("remote/data", Duration::from_secs(10))
         .unwrap();
     for seq in 0..MESSAGES {
         publisher
@@ -437,7 +402,7 @@ fn cross_shard_soak(seed: u64, qos: QoS) {
         assert!(
             Instant::now() < deadline,
             "lost traffic for seed {seed:#x} ({qos:?}): {} unique of {MESSAGES} \
-             (merged stats {:?})",
+             (stats {:?})",
             arrivals.iter().collect::<HashSet<_>>().len(),
             broker.stats(),
         );
@@ -454,37 +419,29 @@ fn cross_shard_soak(seed: u64, qos: QoS) {
     }
 
     if qos == QoS::ExactlyOnce {
-        // Exactly once: dedup must hold across the fabric hop, so the
-        // duplicates the fault plan injected never reach the app.
+        // Exactly once: the duplicates the fault plan injected never
+        // reach the app.
         assert_eq!(
             arrivals.len(),
             MESSAGES,
             "duplicate delivery at QoS 2 for seed {seed:#x}: {arrivals:?} \
-             (merged stats {:?})",
+             (stats {:?})",
             broker.stats(),
         );
     }
 
-    // Every accepted publish crossed the fabric exactly once on first
-    // receipt; only injected wire duplicates can push the count higher,
-    // and at QoS 2 the publisher-shard dedup stops even those.
-    let stats = broker.stats();
-    assert!(
-        stats.cross_shard_forwards >= MESSAGES as u64,
-        "cross-shard traffic missing for seed {seed:#x}: {stats:?}"
-    );
-    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(broker.stats().decode_errors, 0);
     broker.shutdown();
 }
 
 #[test]
-fn cross_shard_chaos_seed_matrix_exactly_once() {
+fn remote_subscriber_chaos_seed_matrix_exactly_once() {
     for seed in seed_matrix() {
         for qos in [QoS::AtLeastOnce, QoS::ExactlyOnce] {
-            let outcome = std::panic::catch_unwind(|| cross_shard_soak(seed, qos));
+            let outcome = std::panic::catch_unwind(|| remote_subscriber_soak(seed, qos));
             if let Err(e) = outcome {
                 eprintln!(
-                    "cross-shard chaos FAILED for seed {seed:#x} ({qos:?}) — reproduce \
+                    "remote-subscriber chaos FAILED for seed {seed:#x} ({qos:?}) — reproduce \
                      with PROVLIGHT_CHAOS_SEED={seed:#x} cargo test --test chaos_soak"
                 );
                 std::panic::resume_unwind(e);

@@ -471,28 +471,20 @@ fn spill_cap_eviction_counts_drops_exactly() {
 /// Gateway process death: the gateway's state is persisted to a file, the
 /// process dies, a NEW process restarts from the file, and live capture
 /// rides through — sessions, subscriptions, and QoS dedup state intact.
-/// With more than one shard the capture client and the collector sit on
-/// different ones, so the restored state has to route across the fabric.
-fn gateway_death_survived_via_disk_snapshot(shards: usize) {
-    let dir = spill_dir(&format!("broker-snap-{shards}"));
+#[test]
+fn broker_process_death_survived_via_disk_snapshot() {
+    let dir = spill_dir("broker-snap");
     std::fs::create_dir_all(&dir).unwrap();
     let snap_path = dir.join("gateway.snap");
 
-    let broker = UdpBroker::builder("127.0.0.1:0")
-        .shards(shards)
-        .spawn()
-        .unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
-    let edge_id = (0..256)
-        .map(|n| format!("edge-bsnap-{n}"))
-        .find(|id| shards == 1 || broker.shard_of(id) != broker.shard_of(COLLECTOR_ID))
-        .expect("256 probes never left the collector's shard");
 
     let client = ProvLightClient::connect(
         addr,
-        &edge_id,
-        &format!("provlight/wf-bsnap/{edge_id}"),
+        "edge-bsnap",
+        "provlight/wf-bsnap/edge-bsnap",
         spill_config(&dir.join("wal")),
     )
     .unwrap();
@@ -520,7 +512,6 @@ fn gateway_death_survived_via_disk_snapshot(shards: usize) {
 
     // A fresh process restarts the gateway from the snapshot file.
     let broker = resume(addr, &snap_path);
-    assert_eq!(broker.shards(), shards, "shard count comes from the file");
     wf.end().unwrap();
     client.flush().unwrap();
 
@@ -542,11 +533,4 @@ fn gateway_death_survived_via_disk_snapshot(shards: usize) {
     client.shutdown();
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn broker_process_death_survived_via_disk_snapshot() {
-    for shards in [1, 4] {
-        gateway_death_survived_via_disk_snapshot(shards);
-    }
 }

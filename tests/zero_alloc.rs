@@ -281,152 +281,6 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
     assert_eq!(broker.stats().publishes_out, (64 + iterations) * 9);
 }
 
-/// Cross-shard steady state: a QoS 1 publish accepted on shard 0 is
-/// encoded once into the forwarding fabric, crosses the SPSC ring, and
-/// fans out to shard 1's subscriber — routed ingest, mask lookup,
-/// single-encode forward, ring transfer, and mirrored-registry delivery
-/// must all be allocation-free once the ring's frame pool and both
-/// brokers' buffers are warm.
-#[test]
-fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
-    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
-    use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
-    use provlight::mqtt_sn::{ForwardFabric, SharedRouter};
-
-    let router = SharedRouter::new(2);
-    let fabric = ForwardFabric::new(2, 64);
-    let mut shard0: Broker<u32> = Broker::new(BrokerConfig::default());
-    let mut shard1: Broker<u32> = Broker::new(BrokerConfig::default());
-
-    let publisher = 0u32;
-    feed(
-        &mut shard0,
-        0,
-        publisher,
-        Packet::Connect {
-            clean_session: true,
-            duration: 60,
-            client_id: "pub".into(),
-        },
-    );
-    let tid = router.resolve("z/x").expect("registry has room");
-    assert!(shard0.mirror_topic(tid, "z/x"));
-    assert!(shard1.mirror_topic(tid, "z/x"));
-
-    let subscriber = 1u32;
-    feed(
-        &mut shard1,
-        0,
-        subscriber,
-        Packet::Connect {
-            clean_session: true,
-            duration: 60,
-            client_id: "sub".into(),
-        },
-    );
-    feed(
-        &mut shard1,
-        0,
-        subscriber,
-        Packet::Subscribe {
-            dup: false,
-            qos: QoS::AtMostOnce,
-            msg_id: 2,
-            topic: TopicRef::Name("z/x".into()),
-        },
-    );
-    router.set_filters(1, &["z/x".to_string()]);
-
-    let payload = vec![0x5c; 100];
-    let publish_wire = Packet::Publish {
-        dup: false,
-        qos: QoS::AtLeastOnce,
-        retain: false,
-        topic: TopicRef::Id(tid),
-        msg_id: 7,
-        payload: payload.clone(),
-    }
-    .encode();
-    let mut out0 = BrokerOutputs::new();
-    let mut out1 = BrokerOutputs::new();
-    let mut scratch = Vec::new();
-
-    // One full cycle: publish into shard 0 (PUBACK back to the
-    // publisher), one encode into the fabric, ring hop, fan-out to the
-    // subscriber on shard 1, frame recycled.
-    let cycle = |shard0: &mut Broker<u32>,
-                 shard1: &mut Broker<u32>,
-                 out0: &mut BrokerOutputs<u32>,
-                 out1: &mut BrokerOutputs<u32>,
-                 scratch: &mut Vec<u8>,
-                 now: u64| {
-        out0.clear();
-        let forwarded = shard0
-            .on_datagram_into(now, publisher, &publish_wire, out0)
-            .unwrap();
-        assert!(forwarded, "first receipt must be fan-out eligible");
-        let mask = router.shard_mask(tid);
-        let outcome = fabric.forward(0, mask, tid, QoS::AtLeastOnce, &payload, scratch);
-        assert_eq!(outcome.forwards, 1);
-        assert_eq!(outcome.drops, 0);
-        shard0.note_cross_shard_forward(outcome.max_depth);
-        let mut acks = 0usize;
-        out0.emit(|to, _| {
-            assert_eq!(*to, publisher);
-            acks += 1;
-        });
-        assert_eq!(acks, 1, "publisher's PUBACK only; subscriber is remote");
-
-        let frame = fabric.ring(0, 1).recv().expect("frame in flight");
-        out1.clear();
-        shard1.deliver_forwarded(now, frame.topic_id, frame.qos, frame.payload(), out1);
-        let mut deliveries = 0usize;
-        out1.emit(|to, _| {
-            assert_eq!(*to, subscriber);
-            deliveries += 1;
-        });
-        assert_eq!(deliveries, 1);
-        fabric.ring(0, 1).recycle(frame);
-    };
-
-    // Warmup: size both brokers' buffers, the fabric's frame pool, the
-    // encode scratch, and the router's mask cache.
-    for i in 0..64u64 {
-        cycle(
-            &mut shard0,
-            &mut shard1,
-            &mut out0,
-            &mut out1,
-            &mut scratch,
-            i,
-        );
-    }
-
-    let iterations = 4096u64;
-    let before = allocations();
-    for i in 0..iterations {
-        cycle(
-            &mut shard0,
-            &mut shard1,
-            &mut out0,
-            &mut out1,
-            &mut scratch,
-            64 + i,
-        );
-    }
-    let allocs = allocations() - before;
-    assert!(
-        allocs == 0,
-        "steady state performed {allocs} allocations over {iterations} packets \
-         ({:.4} allocs/packet); cross-shard forwarding must be allocation-free",
-        allocs as f64 / iterations as f64
-    );
-    assert_eq!(shard0.stats().publishes_in, 64 + iterations);
-    assert_eq!(shard0.stats().cross_shard_forwards, 64 + iterations);
-    assert_eq!(shard1.stats().publishes_out, 64 + iterations);
-    assert_eq!(shard1.stats().publishes_in, 0, "delivery is not re-ingest");
-}
-
 /// Local delivery steady state: a QoS 2 publish handed to a gateway-local
 /// subscription — borrowed decode, dedup, push into the queue in a pooled
 /// buffer, PUBREC/PUBCOMP out — and the consumer's side of it — take the
