@@ -15,6 +15,33 @@
 //! scans, and no raw record is kept once it is folded into the tables —
 //! PROV export reconstructs the stream from them instead of replaying an
 //! unbounded log.
+//!
+//! # What a row costs
+//!
+//! The store is memory-only, so the bytes per row decide how long a server
+//! can ingest. A [`DataRow`] is 184 bytes and a [`TaskRow`] 176: their edge
+//! sets hold up to two members inline ([`SmallSet`]) and allocate nothing
+//! until a third. On the heap a row owns its attribute cells (48 bytes
+//! each, plus 16 in the typed column), the text of its own id and the copy
+//! of the workflow id it arrived with; every other string it names is an
+//! allocation the shard holds already:
+//!
+//! * the `(workflow, id)` index key is the row's `workflow` and `id`;
+//! * a derivation is the *source row's* `id`, taken from the index probe
+//!   that resolves the edge — except a forward reference, which keeps the
+//!   copy it arrived with even after the source comes;
+//! * an attribute name is the `Arc<str>` the `(workflow, name)` column is
+//!   keyed by, taken from the probe that appends the cell, so rows decoded
+//!   from different messages — each with a string table of its own — share
+//!   one allocation per name; a name whose values are neither numbers nor
+//!   text has no column and stays the record's;
+//! * a text cell in a column is the row's attribute value.
+//!
+//! [`Store::ingest`] owns its record and moves ids and the attribute `Vec`
+//! into the row; what the shard has a copy of is dropped in its favour.
+//! A lineage DAG whose rows derive from two others and carry one number
+//! retains 448 bytes of heap per row, all tables included
+//! (`tests/store_footprint.rs` holds that figure and the sharing).
 
 use crate::schema::AttrType;
 use crate::smallset::SmallSet;
@@ -71,7 +98,9 @@ pub struct DataRow {
     pub id: Id,
     /// Owning workflow.
     pub workflow: Id,
-    /// Source data ids (`wasDerivedFrom`).
+    /// Source data ids (`wasDerivedFrom`). A source that was stored when
+    /// the reference arrived is listed by the source row's own `id`
+    /// allocation, not by a copy.
     pub derivations: SmallSet<Id>,
     /// `derivations` resolved to row indices, wired at ingest. A source
     /// that has not been ingested yet is absent here (and parked in the
@@ -83,7 +112,8 @@ pub struct DataRow {
     /// graph walk, not an `O(rows)` scan per node.
     pub derived_into: SmallSet<DataIdx>,
     /// Attributes. Re-seen data ids merge new attribute names in; the first
-    /// value seen for a name wins.
+    /// value seen for a name wins. A name with a typed column is the
+    /// `Arc<str>` that column is keyed by.
     pub attributes: Vec<(Arc<str>, AttrValue)>,
     /// Task that generated this data, if known.
     pub generated_by: Option<TaskIdx>,
@@ -119,6 +149,16 @@ impl Column {
             Column::Text(v) => v.len(),
         }
     }
+}
+
+/// A column and the `Arc<str>` its map key names it by. Rows take their
+/// attribute names from here; stable `HashMap` hands out no key together
+/// with a mutable value, so the name is held a second time beside the
+/// column.
+#[derive(Debug)]
+struct NamedColumn {
+    name: Arc<str>,
+    column: Column,
 }
 
 /// Ingestion statistics.
@@ -159,7 +199,7 @@ pub struct Store {
     data: Vec<DataRow>,
     data_index: HashMap<(Id, Id), DataIdx>,
     /// (workflow, attribute name) -> typed column.
-    columns: HashMap<(Id, Arc<str>), Column>,
+    columns: HashMap<(Id, Arc<str>), NamedColumn>,
     /// Forward derivation references: rows whose `(workflow, source id)`
     /// had not been ingested when they arrived, drained into index edges
     /// the moment the source row appears.
@@ -195,19 +235,22 @@ impl Store {
         self.workflows.get_mut(id).expect("just ensured")
     }
 
-    /// Ingests one capture record.
+    /// Ingests one capture record. The store owns it: ids and attributes
+    /// move into the rows, and what the shard already holds a copy of is
+    /// dropped in favour of that copy.
     pub fn ingest(&mut self, record: Record) {
         self.stats.records += 1;
-        match &record {
+        match record {
             Record::WorkflowBegin { workflow, time_ns } => {
-                self.workflow_row_mut(workflow).begin_ns = Some(*time_ns);
+                self.workflow_row_mut(&workflow).begin_ns = Some(time_ns);
             }
             Record::WorkflowEnd { workflow, time_ns } => {
-                self.workflow_row_mut(workflow).end_ns = Some(*time_ns);
+                self.workflow_row_mut(&workflow).end_ns = Some(time_ns);
             }
             Record::TaskBegin { task, inputs } => {
+                let time_ns = task.time_ns;
                 let t = self.upsert_task(task);
-                self.tasks[t].start_ns = Some(task.time_ns);
+                self.tasks[t].start_ns = Some(time_ns);
                 for d in inputs {
                     let idx = self.upsert_data(d);
                     self.tasks[t].inputs.insert(idx);
@@ -215,8 +258,9 @@ impl Store {
                 }
             }
             Record::TaskEnd { task, outputs } => {
+                let time_ns = task.time_ns;
                 let t = self.upsert_task(task);
-                self.tasks[t].end_ns = Some(task.time_ns);
+                self.tasks[t].end_ns = Some(time_ns);
                 self.tasks[t].status = TaskStatus::Finished;
                 for d in outputs {
                     let idx = self.upsert_data(d);
@@ -234,12 +278,12 @@ impl Store {
         }
     }
 
-    fn upsert_task(&mut self, task: &TaskRecord) -> TaskIdx {
+    fn upsert_task(&mut self, task: TaskRecord) -> TaskIdx {
         let probe: &dyn IdPairKey = &(&task.workflow, &task.id);
         if let Some(&idx) = self.task_index.get(probe) {
             // Merge dependency info (begin may carry deps, end may not).
-            for d in &task.dependencies {
-                self.tasks[idx].dependencies.insert_cloned(d);
+            for d in task.dependencies {
+                self.tasks[idx].dependencies.insert(d);
             }
             if task.status == TaskStatus::Finished {
                 self.tasks[idx].status = TaskStatus::Finished;
@@ -247,33 +291,31 @@ impl Store {
             return idx;
         }
         let idx = self.tasks.len();
+        self.task_index
+            .insert((task.workflow.clone(), task.id.clone()), idx);
+        self.stats.tasks += 1;
+        self.workflow_row_mut(&task.workflow).tasks.push(idx);
         self.tasks.push(TaskRow {
-            id: task.id.clone(),
-            workflow: task.workflow.clone(),
-            transformation: task.transformation.clone(),
-            dependencies: task.dependencies.iter().cloned().collect(),
+            id: task.id,
+            workflow: task.workflow,
+            transformation: task.transformation,
+            dependencies: task.dependencies.into_iter().collect(),
             start_ns: None,
             end_ns: None,
             status: task.status,
             inputs: SmallSet::new(),
             outputs: SmallSet::new(),
         });
-        self.task_index
-            .insert((task.workflow.clone(), task.id.clone()), idx);
-        self.stats.tasks += 1;
-        self.workflow_row_mut(&task.workflow).tasks.push(idx);
         idx
     }
 
-    fn upsert_data(&mut self, data: &DataRecord) -> DataIdx {
+    fn upsert_data(&mut self, data: DataRecord) -> DataIdx {
         let probe: &dyn IdPairKey = &(&data.workflow, &data.id);
         if let Some(&idx) = self.data_index.get(probe) {
             // Re-seen data id: merge unseen derivations and attributes
             // (first value per name wins) instead of dropping them.
-            for src in &data.derivations {
-                if self.data[idx].derivations.insert_cloned(src) {
-                    self.wire_source(idx, &data.workflow, src);
-                }
+            for src in data.derivations {
+                self.add_derivation(idx, src);
             }
             // Fast path: a re-reported item almost always carries the same
             // attribute layout (often literally the same Arc'd names), so a
@@ -286,65 +328,84 @@ impl Store {
                     .zip(&self.data[idx].attributes)
                     .all(|((a, _), (b, _))| Arc::ptr_eq(a, b) || a == b);
             if !same_layout {
-                for (name, value) in &data.attributes {
-                    let known = self.data[idx].attributes.iter().any(|(n, _)| n == name);
+                for (name, value) in data.attributes {
+                    let known = self.data[idx].attributes.iter().any(|(n, _)| *n == name);
                     if !known {
-                        self.data[idx]
-                            .attributes
-                            .push((Arc::clone(name), value.clone()));
-                        self.add_column_cell(idx, name, value);
+                        let cell = self.data[idx].attributes.len();
+                        self.data[idx].attributes.push((name, value));
+                        self.add_column_cell(idx, cell);
                     }
                 }
             }
             return idx;
         }
         let idx = self.data.len();
-        self.data.push(DataRow {
-            id: data.id.clone(),
-            workflow: data.workflow.clone(),
-            derivations: data.derivations.iter().cloned().collect(),
-            derived_from_idx: SmallSet::new(),
-            derived_into: SmallSet::new(),
-            attributes: data.attributes.clone(),
-            generated_by: None,
-            used_by: SmallSet::new(),
-        });
         self.data_index
             .insert((data.workflow.clone(), data.id.clone()), idx);
         self.stats.data += 1;
+        let cells = data.attributes.len();
+        self.data.push(DataRow {
+            id: data.id,
+            workflow: data.workflow,
+            derivations: SmallSet::new(),
+            derived_from_idx: SmallSet::new(),
+            derived_into: SmallSet::new(),
+            attributes: data.attributes,
+            generated_by: None,
+            used_by: SmallSet::new(),
+        });
 
         // Resolve this row's sources (the index already contains the row
         // itself, so a self-derivation wires as a self-loop — the query
         // engine's cycle guard owns termination, not ingest).
-        for src in &data.derivations {
-            self.wire_source(idx, &data.workflow, src);
+        for src in data.derivations {
+            self.add_derivation(idx, src);
         }
         // Rows that referenced this id before it existed are waiting.
-        let waiting = self
-            .pending_derivations
-            .remove(PairProbe(&data.workflow, &data.id).key());
-        if let Some(waiting) = waiting {
-            for dst in waiting {
+        // Sources nearly always arrive before their products, the map is
+        // empty, and `remove` would hash the pair before it looked.
+        if !self.pending_derivations.is_empty() {
+            let row = &self.data[idx];
+            let waiting = self
+                .pending_derivations
+                .remove(PairProbe(&row.workflow, &row.id).key());
+            for dst in waiting.into_iter().flatten() {
                 self.wire_derivation(idx, dst);
             }
         }
 
-        for (name, value) in &data.attributes {
-            self.add_column_cell(idx, name, value);
+        for cell in 0..cells {
+            self.add_column_cell(idx, cell);
         }
         idx
     }
 
-    /// Resolves one `dst wasDerivedFrom src` reference to index edges, or
-    /// parks it until the source row is ingested.
-    fn wire_source(&mut self, dst: DataIdx, workflow: &Id, src: &Id) {
-        match self.data_index.get(PairProbe(workflow, src).key()) {
-            Some(&s) => self.wire_derivation(s, dst),
-            None => self
-                .pending_derivations
-                .entry((workflow.clone(), src.clone()))
-                .or_default()
-                .push(dst),
+    /// Adds `dst wasDerivedFrom src` unless `data[dst]` lists it already,
+    /// and resolves it to index edges or parks it until the source row is
+    /// ingested. A source the shard holds is listed under the source row's
+    /// own `Id`, found by the probe that resolves the edge; `src` itself is
+    /// kept only for a forward reference.
+    fn add_derivation(&mut self, dst: DataIdx, src: Id) {
+        let row = &self.data[dst];
+        if row.derivations.contains(&src) {
+            return;
+        }
+        match self
+            .data_index
+            .get_key_value(PairProbe(&row.workflow, &src).key())
+        {
+            Some(((_, held), &s)) => {
+                let held = held.clone();
+                self.data[dst].derivations.insert(held);
+                self.wire_derivation(s, dst);
+            }
+            None => {
+                self.pending_derivations
+                    .entry((row.workflow.clone(), src.clone()))
+                    .or_default()
+                    .push(dst);
+                self.data[dst].derivations.insert(src);
+            }
         }
     }
 
@@ -356,28 +417,37 @@ impl Store {
         }
     }
 
-    /// Appends one typed-column cell for `data[idx]`'s attribute.
-    fn add_column_cell(&mut self, idx: DataIdx, name: &Arc<str>, value: &AttrValue) {
+    /// Appends the typed-column cell of `data[idx].attributes[cell]`, and
+    /// has the row name the attribute by the column's `Arc<str>`: one
+    /// allocation per attribute name and workflow, whoever decoded the row.
+    fn add_column_cell(&mut self, idx: DataIdx, cell: usize) {
         self.stats.attr_cells += 1;
-        let workflow = &self.data[idx].workflow;
+        let row = &mut self.data[idx];
+        let (name, value) = &mut row.attributes[cell];
         let ty = AttrType::of(value);
         if ty == AttrType::Other {
             return;
         }
-        let probe: &dyn IdAttrKey = &(workflow, name.as_ref());
-        let column = match self.columns.get_mut(probe) {
+        let probe: &dyn IdAttrKey = &(&row.workflow, name.as_ref());
+        let NamedColumn { name: held, column } = match self.columns.get_mut(probe) {
             Some(c) => c,
             None => {
-                let fresh = match ty {
+                let column = match ty {
                     AttrType::Numeric => Column::Numeric(Vec::new()),
                     AttrType::Text => Column::Text(Vec::new()),
                     AttrType::Other => unreachable!("filtered above"),
                 };
                 self.columns
-                    .entry((workflow.clone(), Arc::clone(name)))
-                    .or_insert(fresh)
+                    .entry((row.workflow.clone(), Arc::clone(name)))
+                    .or_insert(NamedColumn {
+                        name: Arc::clone(name),
+                        column,
+                    })
             }
         };
+        if !Arc::ptr_eq(held, name) {
+            *name = Arc::clone(held);
+        }
         match (ty, column) {
             (AttrType::Numeric, Column::Numeric(col)) => {
                 col.push((idx, value.as_float().expect("numeric")));
@@ -432,7 +502,7 @@ impl Store {
     /// Typed column for an attribute within a workflow. Clone-free.
     pub fn column(&self, workflow: &Id, attr: &str) -> Option<&Column> {
         let probe: &dyn IdAttrKey = &(workflow, attr);
-        self.columns.get(probe)
+        self.columns.get(probe).map(|named| &named.column)
     }
 
     /// Number of values in a column.

@@ -13,11 +13,15 @@ fn arb_record() -> impl Strategy<Value = Record> {
         (0u64..50).prop_map(Id::Num),
         "[a-z]{1,6}".prop_map(Id::from)
     ];
-    let data = (id.clone(), 0u64..4).prop_map(|(id, n)| {
+    let sources = proptest::collection::vec(id.clone(), 0..3);
+    let data = (id.clone(), 0u64..4, sources).prop_map(|(id, n, sources)| {
         let mut d = DataRecord::new(id, 1u64);
         for i in 0..n {
             d = d.with_attr(format!("a{i}"), i as i64);
         }
+        // Ids collide often enough that a source may be stored already,
+        // arrive later, never arrive, or be the row itself.
+        d.derivations = sources;
         d
     });
     let task = (id.clone(), any::<u64>(), any::<bool>()).prop_map(|(id, t, fin)| TaskRecord {
@@ -133,6 +137,26 @@ proptest! {
                 prop_assert!(g < store.tasks().len());
             }
         }
+        // Derivation edges run both ways, are counted once, and connect
+        // exactly the listed sources the store holds a row for — under the
+        // source row's id, whichever copy of it the set keeps.
+        let mut edges = 0;
+        for (d, row) in store.data().iter().enumerate() {
+            for &s in row.derived_from_idx.iter() {
+                prop_assert!(store.data()[s].derived_into.contains(&d));
+                prop_assert!(row.derivations.contains(&store.data()[s].id));
+            }
+            for &into in row.derived_into.iter() {
+                prop_assert!(store.data()[into].derived_from_idx.contains(&d));
+            }
+            for source in row.derivations.iter() {
+                if let Some((s, _)) = store.data_by_id(&row.workflow, source) {
+                    prop_assert!(row.derived_from_idx.contains(&s));
+                }
+            }
+            edges += row.derived_from_idx.len() as u64;
+        }
+        prop_assert_eq!(stats.lineage_edges, edges);
         store.to_prov_document().validate().unwrap();
     }
 
