@@ -1,6 +1,8 @@
 //! Compact binary encoding of capture records.
 //!
-//! Layout (all integers LEB128 varints unless noted):
+//! A batch is what one envelope carries (see [`crate::frame`]): a count, a
+//! string table, then the records. This is the grammar of envelope version
+//! 2, the only one written (all integers LEB128 varints unless noted):
 //!
 //! ```text
 //! batch      := count, strtab, record*
@@ -9,15 +11,47 @@
 //! body(wf)   := id, time
 //! body(task) := taskrec, ndata, datarec*
 //! taskrec    := id, workflow, transformation, ndeps, id*, time, status:u8
-//! datarec    := id, workflow, nderiv, id*, nattrs, (strref, value)*
+//! datarec    := id, dataworkflow, nderiv, id*, attrs
 //! id         := 0x00, varint | 0x01, strref
-//! value      := tag:u8, payload   (ints zigzagged, floats as LE bits)
+//! dataworkflow := 0x02             (the enclosing task's workflow)
+//!             | id
+//! time       := varint             (first time of the batch: absolute)
+//!             | zigzag varint      (every later one: wrapping difference
+//!                                   from the time before it)
+//! attrs      := 2n,   (strref, value)^n    (the first of its shape: its
+//!                                          names and tags are the batch's
+//!                                          next layout)
+//!             | 2k+1, payload^len(k)       (of the shape of layout k)
+//! value      := tag:u8, payload
+//! payload    := per tag: nothing | bool:u8 | zigzag varint | f64 LE bits
+//!             | strref | n, value^n | len, bytes
 //! ```
 //!
-//! Strings are deduplicated per batch through the string table, which is why
-//! grouping several records into one batch compounds with compression — the
-//! attribute names of 100-attribute tasks appear once per batch instead of
-//! once per record.
+//! A *layout* is the shape of an attribute list — its names and value tags
+//! in order. A batch numbers its layouts from 0 in order of definition; a
+//! data record whose shape the batch has already defined names the layout
+//! and writes its payloads only, so a group of same-shaped records says
+//! its shape once. The define / reuse choice rides the varint that carries
+//! the attribute count and a definition is written as version 1 wrote
+//! every attribute list, so a lone record pays nothing for it.
+//!
+//! Strings are deduplicated per batch through the string table: attribute
+//! names appear once per batch however many layouts mention them.
+//!
+//! **Version 1** (read, never written: spilled device logs and devices not
+//! yet upgraded) differs in three productions and nowhere else —
+//! `dataworkflow := id`, `time := varint` (always absolute) and
+//! `attrs := n, (strref, value)^n` (every list written out).
+//!
+//! **What decoding may allocate.** Every count is checked against the
+//! input before anything is reserved for it: a batch of `len` bytes
+//! decodes to at most `len` attribute cells and list items (each costs the
+//! encoder at least one byte; the encoder defines a fresh layout instead
+//! of reusing one whose zero-width `Null` cells would break that, and a
+//! batch that claims more is refused with `LengthOverflow`), and every
+//! other reserve is at most what the remaining bytes could hold. Peak heap
+//! while a batch is decoded, records included, is bounded by
+//! [`decode_heap_bound`].
 
 use crate::varint::{write_i64, write_u64, Reader};
 use crate::{CodecError, MAX_NESTING};
@@ -29,6 +63,25 @@ const TAG_WF_BEGIN: u8 = 0;
 const TAG_WF_END: u8 = 1;
 const TAG_TASK_BEGIN: u8 = 2;
 const TAG_TASK_END: u8 = 3;
+
+const ID_NUM: u8 = 0;
+const ID_STR: u8 = 1;
+/// In place of a data record's workflow id: the enclosing task's.
+const ID_TASK_WORKFLOW: u8 = 2;
+
+/// How many of the batch's newest layouts a record is matched against
+/// before it defines another.
+const LAYOUT_SEARCH: usize = 8;
+
+/// Which grammar a batch is written in. A batch does not say — the
+/// envelope's version byte does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BatchVersion {
+    /// Attribute lists, times and data workflows written out per record.
+    V1,
+    /// Layouts, delta times, implied data workflows: what the encoder writes.
+    V2,
+}
 
 /// First 8 bytes of a string as a little-endian word (zero-padded).
 ///
@@ -52,14 +105,39 @@ fn slot_hash(word: u64, len: usize) -> u64 {
     h ^ (h >> 32)
 }
 
+/// One cell of a layout as the encoder remembers it.
+#[derive(Clone, Copy)]
+struct LayoutCell {
+    /// Where the name's bytes live: two names at one address are one
+    /// `Arc<str>`, so a record built from shared names matches without a
+    /// string being read. Only ever compared, and only while the batch
+    /// that holds the `Arc` is borrowed.
+    name_addr: usize,
+    /// The name's string-table entry, for names that are equal but not
+    /// shared.
+    name_ref: u32,
+    tag: u8,
+}
+
+/// One layout of the current batch: a run of `Encoder::cells`.
+#[derive(Clone, Copy)]
+struct LayoutSpan {
+    start: u32,
+    len: u32,
+    /// Cells whose payload is zero bytes wide (`Null`).
+    nulls: u32,
+}
+
 /// Reusable batch encoder with an allocation-free steady state.
 ///
 /// The string table interns *borrowed* `&str` keys: entries are spans into a
 /// byte arena looked up through an open-addressed hash index, so `intern`
 /// never copies a string that is already present and never allocates once
-/// the arena/index have grown to their working-set size. Reusing one
-/// `Encoder` across batches (the transmitter does) makes the encode hot path
-/// allocation-free per record.
+/// the arena/index have grown to their working-set size. A data record is
+/// first matched against the layouts the batch has defined — by the address
+/// of each name and the tag of each value — so a repeated shape costs no
+/// `intern` probe at all. Reusing one `Encoder` across batches (the
+/// transmitter does) makes the encode hot path allocation-free per record.
 ///
 /// The output of [`Encoder::encode_batch_into`] is byte-identical to
 /// [`encode_batch`].
@@ -76,6 +154,17 @@ pub struct Encoder {
     /// Scratch for the record bodies (the table must be emitted first but is
     /// only complete after the bodies are encoded).
     body: Vec<u8>,
+    /// Cells of every layout defined in this batch, in order of definition.
+    cells: Vec<LayoutCell>,
+    /// The batch's layouts; a layout's number is its position.
+    layouts: Vec<LayoutSpan>,
+    /// A lower bound on body bytes written minus attribute cells written.
+    /// The decoder refuses a batch with more cells than bytes, and only the
+    /// `Null` cells of a reused layout cost a cell without costing a byte:
+    /// a reuse is taken only while this covers them.
+    slack: usize,
+    /// The last time written to this batch.
+    prev_time: Option<u64>,
 }
 
 impl Default for Encoder {
@@ -92,6 +181,10 @@ impl Encoder {
             spans: Vec::new(),
             index: Vec::new(),
             body: Vec::new(),
+            cells: Vec::new(),
+            layouts: Vec::new(),
+            slack: 0,
+            prev_time: None,
         }
     }
 
@@ -100,6 +193,10 @@ impl Encoder {
         self.spans.clear();
         // Cheap memset; capacity is retained.
         self.index.iter_mut().for_each(|slot| *slot = (0, 0));
+        self.cells.clear();
+        self.layouts.clear();
+        self.slack = 0;
+        self.prev_time = None;
     }
 
     #[inline]
@@ -152,6 +249,75 @@ impl Encoder {
             }
             slot = (slot + 1) & mask;
         }
+    }
+
+    /// The number of a layout of this batch that `attrs` has the shape of,
+    /// newest first among the last [`LAYOUT_SEARCH`]; `None` defines one.
+    fn reuse_layout(&mut self, attrs: &[(Arc<str>, AttrValue)]) -> Option<u64> {
+        let newest = self.layouts.len();
+        let k = (newest.saturating_sub(LAYOUT_SEARCH)..newest)
+            .rev()
+            .find(|&k| {
+                let span = self.layouts[k];
+                let cells = &self.cells[span.start as usize..(span.start + span.len) as usize];
+                cells.len() == attrs.len()
+                    && cells.iter().zip(attrs).all(|(cell, (name, value))| {
+                        cell.tag == value.tag()
+                            && (cell.name_addr == name.as_ptr() as usize
+                                || self.span_bytes(cell.name_ref as usize) == name.as_bytes())
+                    })
+            })?;
+        let nulls = self.layouts[k].nulls as usize;
+        self.slack = self.slack.checked_sub(nulls)?;
+        Some(k as u64)
+    }
+
+    /// Writes `(strref, value)` per attribute, as version 1 wrote every
+    /// attribute list, and numbers the shape as the batch's next layout.
+    fn define_layout(&mut self, out: &mut Vec<u8>, attrs: &[(Arc<str>, AttrValue)]) {
+        let start = self.cells.len() as u32;
+        let mut nulls = 0;
+        for (name, value) in attrs {
+            let name_ref = self.intern(name);
+            let tag = value.tag();
+            self.cells.push(LayoutCell {
+                name_addr: name.as_ptr() as usize,
+                name_ref: name_ref as u32,
+                tag,
+            });
+            // Fast path for the dominant shape — small table reference with
+            // a scalar value — writing name ref + tag + payload head in one
+            // go. Bytes are identical to the generic path.
+            match value {
+                AttrValue::Int(i) if name_ref < 0x80 => {
+                    let zz = crate::varint::zigzag(*i);
+                    if zz < 0x80 {
+                        out.extend_from_slice(&[name_ref as u8, tag, zz as u8]);
+                    } else {
+                        out.extend_from_slice(&[name_ref as u8, tag]);
+                        write_u64(out, zz);
+                    }
+                }
+                AttrValue::Float(f) if name_ref < 0x80 => {
+                    let mut cell = [name_ref as u8, tag, 0, 0, 0, 0, 0, 0, 0, 0];
+                    cell[2..].copy_from_slice(&f.to_le_bytes());
+                    out.extend_from_slice(&cell);
+                }
+                _ => {
+                    nulls += u32::from(matches!(value, AttrValue::Null));
+                    write_u64(out, name_ref);
+                    out.push(tag);
+                    encode_payload(out, self, value);
+                }
+            }
+        }
+        self.layouts.push(LayoutSpan {
+            start,
+            len: attrs.len() as u32,
+            nulls,
+        });
+        // Two bytes at least per cell just written.
+        self.slack += attrs.len();
     }
 
     /// Encodes `records` as one batch, appending the bytes to `out`.
@@ -211,20 +377,61 @@ pub fn decode_batch(buf: &[u8]) -> Result<Vec<Record>, CodecError> {
     Ok(records)
 }
 
-/// Decodes a batch into a caller-owned `Vec` (cleared first), recycling the
-/// record buffer and a thread-local string-table scratch across messages —
-/// the decode-side twin of [`encode_batch_into`].
+/// Decodes a batch of the grammar [`encode_batch_into`] writes into a
+/// caller-owned `Vec` (cleared first) — its decode-side twin.
 pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), CodecError> {
+    decode_batch_as(BatchVersion::V2, buf, records)
+}
+
+/// The most heap the decoder holds at any moment while decoding a batch of
+/// `len` bytes, in either grammar, records and recycled tables included:
+/// `160 × len + 1024`, whatever the bytes claim. Per byte, the worst that
+/// can be held at once is a record slot (120 B per 4 bytes of input), a
+/// data-record slot (80 per 5) and an id slot (16 per 2) all reserved
+/// against the same remaining bytes, one attribute cell (48) out of the
+/// batch's allowance, and an empty string's `Arc` and table slot (32):
+/// 134 B, rounded up. A batch the encoder wrote holds what its records
+/// hold — about 6 B per byte for rows of `f64`.
+pub const fn decode_heap_bound(len: usize) -> usize {
+    160 * len + 1024
+}
+
+/// Fewest bytes a record, a data record and an id can be written in: what a
+/// count is divided into before anything is reserved for it.
+const MIN_RECORD_BYTES: usize = 4;
+const MIN_DATA_BYTES: usize = 5;
+const MIN_ID_BYTES: usize = 2;
+
+/// The layouts of the batch being decoded.
+#[derive(Default)]
+struct Layouts {
+    /// `(name's string-table entry, tag)` of every layout, in order of
+    /// definition. Entries are checked when a layout is defined.
+    cells: Vec<(u32, u8)>,
+    /// `(start, end)` into `cells`; a layout's number is its position.
+    spans: Vec<(u32, u32)>,
+}
+
+/// Decodes a batch written in `version`'s grammar into a caller-owned `Vec`
+/// (cleared first), recycling the record buffer and thread-local string and
+/// layout tables across messages. Bytes after the last record are an error.
+pub(crate) fn decode_batch_as(
+    version: BatchVersion,
+    buf: &[u8],
+    records: &mut Vec<Record>,
+) -> Result<(), CodecError> {
     thread_local! {
-        static STRINGS: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+        static TABLES: RefCell<(Vec<Arc<str>>, Layouts)> = RefCell::new(Default::default());
     }
     records.clear();
     let mut r = Reader::new(buf);
     let count = r.read_u64()? as usize;
     let nstrings = r.read_u64()? as usize;
-    STRINGS.with(|cell| {
-        let strings = &mut *cell.borrow_mut();
+    TABLES.with(|cell| {
+        let (strings, layouts) = &mut *cell.borrow_mut();
         strings.clear();
+        layouts.cells.clear();
+        layouts.spans.clear();
         strings.reserve(nstrings.min(r.remaining()));
         for _ in 0..nstrings {
             let len = r.read_len()?;
@@ -232,9 +439,20 @@ pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), Co
             let s = std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)?;
             strings.push(Arc::from(s));
         }
-        records.reserve(count.min(r.remaining() + 1));
+        let mut d = Decoder {
+            r,
+            strings,
+            layouts,
+            v1: version == BatchVersion::V1,
+            cells_left: buf.len(),
+            prev_time: None,
+        };
+        records.reserve(count.min(d.r.remaining() / MIN_RECORD_BYTES));
         for _ in 0..count {
-            records.push(decode_record_from(&mut r, strings)?);
+            records.push(d.record()?);
+        }
+        if d.r.remaining() != 0 {
+            return Err(CodecError::TrailingBytes);
         }
         Ok(())
     })
@@ -251,19 +469,19 @@ fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, record: &Record) {
         Record::WorkflowBegin { workflow, time_ns } => {
             out.push(TAG_WF_BEGIN);
             encode_id(out, tab, workflow);
-            write_u64(out, *time_ns);
+            encode_time(out, tab, *time_ns);
         }
         Record::WorkflowEnd { workflow, time_ns } => {
             out.push(TAG_WF_END);
             encode_id(out, tab, workflow);
-            write_u64(out, *time_ns);
+            encode_time(out, tab, *time_ns);
         }
         Record::TaskBegin { task, inputs } => {
             out.push(TAG_TASK_BEGIN);
             encode_task(out, tab, task);
             write_u64(out, inputs.len() as u64);
             for d in inputs {
-                encode_data(out, tab, d);
+                encode_data(out, tab, d, &task.workflow);
             }
         }
         Record::TaskEnd { task, outputs } => {
@@ -271,7 +489,7 @@ fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, record: &Record) {
             encode_task(out, tab, task);
             write_u64(out, outputs.len() as u64);
             for d in outputs {
-                encode_data(out, tab, d);
+                encode_data(out, tab, d, &task.workflow);
             }
         }
     }
@@ -284,21 +502,30 @@ fn encode_id(out: &mut Vec<u8>, tab: &mut Encoder, id: &Id) {
     match id {
         Id::Num(n) => {
             if *n < 0x80 {
-                out.extend_from_slice(&[0, *n as u8]);
+                out.extend_from_slice(&[ID_NUM, *n as u8]);
             } else {
-                out.push(0);
+                out.push(ID_NUM);
                 write_u64(out, *n);
             }
         }
         Id::Str(s) => {
             let r = tab.intern(s);
             if r < 0x80 {
-                out.extend_from_slice(&[1, r as u8]);
+                out.extend_from_slice(&[ID_STR, r as u8]);
             } else {
-                out.push(1);
+                out.push(ID_STR);
                 write_u64(out, r);
             }
         }
+    }
+}
+
+/// The batch's first time whole, every later one as its distance from the
+/// one before: records of a group are microseconds to milliseconds apart.
+fn encode_time(out: &mut Vec<u8>, tab: &mut Encoder, time_ns: u64) {
+    match tab.prev_time.replace(time_ns) {
+        None => write_u64(out, time_ns),
+        Some(prev) => write_i64(out, time_ns.wrapping_sub(prev) as i64),
     }
 }
 
@@ -310,61 +537,36 @@ fn encode_task(out: &mut Vec<u8>, tab: &mut Encoder, t: &TaskRecord) {
     for d in &t.dependencies {
         encode_id(out, tab, d);
     }
-    write_u64(out, t.time_ns);
+    encode_time(out, tab, t.time_ns);
     out.push(t.status.tag());
 }
 
-fn encode_data(out: &mut Vec<u8>, tab: &mut Encoder, d: &DataRecord) {
+fn encode_data(out: &mut Vec<u8>, tab: &mut Encoder, d: &DataRecord, task_workflow: &Id) {
     encode_id(out, tab, &d.id);
-    encode_id(out, tab, &d.workflow);
+    if d.workflow == *task_workflow {
+        out.push(ID_TASK_WORKFLOW);
+    } else {
+        encode_id(out, tab, &d.workflow);
+    }
     write_u64(out, d.derivations.len() as u64);
     for x in &d.derivations {
         encode_id(out, tab, x);
     }
-    write_u64(out, d.attributes.len() as u64);
-    for (name, value) in &d.attributes {
-        let name_ref = tab.intern(name);
-        // Fast path for the dominant shape — small table reference with a
-        // scalar value — writing name ref + tag + payload head in one go.
-        // Bytes are identical to the generic path.
-        if name_ref < 0x80 {
-            match value {
-                AttrValue::Int(i) => {
-                    let zz = crate::varint::zigzag(*i);
-                    if zz < 0x80 {
-                        out.extend_from_slice(&[name_ref as u8, 2, zz as u8]);
-                    } else {
-                        out.extend_from_slice(&[name_ref as u8, 2]);
-                        write_u64(out, zz);
-                    }
-                    continue;
-                }
-                AttrValue::Float(f) => {
-                    let bits = f.to_le_bytes();
-                    out.extend_from_slice(&[
-                        name_ref as u8,
-                        3,
-                        bits[0],
-                        bits[1],
-                        bits[2],
-                        bits[3],
-                        bits[4],
-                        bits[5],
-                        bits[6],
-                        bits[7],
-                    ]);
-                    continue;
-                }
-                _ => {}
+    match tab.reuse_layout(&d.attributes) {
+        Some(k) => {
+            write_u64(out, k << 1 | 1);
+            for (_, value) in &d.attributes {
+                encode_payload(out, tab, value);
             }
         }
-        write_u64(out, name_ref);
-        encode_value(out, tab, value);
+        None => {
+            write_u64(out, (d.attributes.len() as u64) << 1);
+            tab.define_layout(out, &d.attributes);
+        }
     }
 }
 
-fn encode_value(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
-    out.push(v.tag());
+fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
     match v {
         AttrValue::Null => {}
         AttrValue::Bool(b) => out.push(*b as u8),
@@ -374,7 +576,8 @@ fn encode_value(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
         AttrValue::List(l) => {
             write_u64(out, l.len() as u64);
             for x in l {
-                encode_value(out, tab, x);
+                out.push(x.tag());
+                encode_payload(out, tab, x);
             }
         }
         AttrValue::Bytes(b) => {
@@ -384,125 +587,210 @@ fn encode_value(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
     }
 }
 
-fn decode_record_from(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<Record, CodecError> {
-    let tag = r.read_u8()?;
-    match tag {
-        TAG_WF_BEGIN | TAG_WF_END => {
-            let workflow = decode_id(r, strings)?;
-            let time_ns = r.read_u64()?;
-            Ok(if tag == TAG_WF_BEGIN {
-                Record::WorkflowBegin { workflow, time_ns }
-            } else {
-                Record::WorkflowEnd { workflow, time_ns }
-            })
-        }
-        TAG_TASK_BEGIN | TAG_TASK_END => {
-            let task = decode_task(r, strings)?;
-            let n = r.read_u64()? as usize;
-            let mut data = Vec::with_capacity(n.min(r.remaining() + 1));
-            for _ in 0..n {
-                data.push(decode_data(r, strings)?);
+/// One batch being read: the cursor, the tables its references resolve in,
+/// and what the grammar carries from one record to the next.
+struct Decoder<'a, 't> {
+    r: Reader<'a>,
+    strings: &'t [Arc<str>],
+    layouts: &'t mut Layouts,
+    /// Version 1 grammar: consulted where a data record's workflow, a time
+    /// and an attribute list are read, and nowhere else.
+    v1: bool,
+    /// Attribute cells and list items the batch may still declare.
+    cells_left: usize,
+    prev_time: Option<u64>,
+}
+
+/// Takes `n` declared cells out of the batch's allowance.
+fn take_cells(cells_left: &mut usize, n: u64) -> Result<usize, CodecError> {
+    if n > *cells_left as u64 {
+        return Err(CodecError::LengthOverflow);
+    }
+    *cells_left -= n as usize;
+    Ok(n as usize)
+}
+
+fn string(strings: &[Arc<str>], i: u64) -> Result<&Arc<str>, CodecError> {
+    strings.get(i as usize).ok_or(CodecError::BadStringRef(i))
+}
+
+impl Decoder<'_, '_> {
+    fn record(&mut self) -> Result<Record, CodecError> {
+        let tag = self.r.read_u8()?;
+        match tag {
+            TAG_WF_BEGIN | TAG_WF_END => {
+                let workflow = self.id()?;
+                let time_ns = self.time()?;
+                Ok(if tag == TAG_WF_BEGIN {
+                    Record::WorkflowBegin { workflow, time_ns }
+                } else {
+                    Record::WorkflowEnd { workflow, time_ns }
+                })
             }
-            Ok(if tag == TAG_TASK_BEGIN {
-                Record::TaskBegin { task, inputs: data }
-            } else {
-                Record::TaskEnd {
-                    task,
-                    outputs: data,
+            TAG_TASK_BEGIN | TAG_TASK_END => {
+                let task = self.task()?;
+                let n = self.r.read_u64()? as usize;
+                let mut data = Vec::with_capacity(n.min(self.r.remaining() / MIN_DATA_BYTES));
+                for _ in 0..n {
+                    data.push(self.data(&task.workflow)?);
                 }
-            })
+                Ok(if tag == TAG_TASK_BEGIN {
+                    Record::TaskBegin { task, inputs: data }
+                } else {
+                    Record::TaskEnd {
+                        task,
+                        outputs: data,
+                    }
+                })
+            }
+            other => Err(CodecError::BadTag(other)),
         }
-        other => Err(CodecError::BadTag(other)),
     }
-}
 
-fn decode_id(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<Id, CodecError> {
-    match r.read_u8()? {
-        0 => Ok(Id::Num(r.read_u64()?)),
-        1 => {
-            let i = r.read_u64()?;
-            strings
-                .get(i as usize)
-                .map(|s| Id::Str(s.clone()))
-                .ok_or(CodecError::BadStringRef(i))
+    fn id(&mut self) -> Result<Id, CodecError> {
+        let tag = self.r.read_u8()?;
+        self.id_tagged(tag)
+    }
+
+    fn id_tagged(&mut self, tag: u8) -> Result<Id, CodecError> {
+        match tag {
+            ID_NUM => Ok(Id::Num(self.r.read_u64()?)),
+            ID_STR => {
+                let i = self.r.read_u64()?;
+                Ok(Id::Str(string(self.strings, i)?.clone()))
+            }
+            other => Err(CodecError::BadTag(other)),
         }
-        other => Err(CodecError::BadTag(other)),
+    }
+
+    fn ids(&mut self) -> Result<Vec<Id>, CodecError> {
+        let n = self.r.read_u64()? as usize;
+        let mut ids = Vec::with_capacity(n.min(self.r.remaining() / MIN_ID_BYTES));
+        for _ in 0..n {
+            ids.push(self.id()?);
+        }
+        Ok(ids)
+    }
+
+    fn time(&mut self) -> Result<u64, CodecError> {
+        let time_ns = match self.prev_time {
+            Some(prev) if !self.v1 => prev.wrapping_add(self.r.read_i64()? as u64),
+            _ => self.r.read_u64()?,
+        };
+        self.prev_time = Some(time_ns);
+        Ok(time_ns)
+    }
+
+    fn task(&mut self) -> Result<TaskRecord, CodecError> {
+        let id = self.id()?;
+        let workflow = self.id()?;
+        let transformation = self.id()?;
+        let dependencies = self.ids()?;
+        let time_ns = self.time()?;
+        let status = self.r.read_u8()?;
+        let status = TaskStatus::from_tag(status).ok_or(CodecError::BadTag(status))?;
+        Ok(TaskRecord {
+            id,
+            workflow,
+            transformation,
+            dependencies,
+            time_ns,
+            status,
+        })
+    }
+
+    fn data(&mut self, task_workflow: &Id) -> Result<DataRecord, CodecError> {
+        let id = self.id()?;
+        let workflow = match self.r.read_u8()? {
+            ID_TASK_WORKFLOW if !self.v1 => task_workflow.clone(),
+            tag => self.id_tagged(tag)?,
+        };
+        let derivations = self.ids()?;
+        let attributes = self.attributes()?;
+        Ok(DataRecord {
+            id,
+            workflow,
+            derivations,
+            attributes,
+        })
+    }
+
+    fn attributes(&mut self) -> Result<Vec<(Arc<str>, AttrValue)>, CodecError> {
+        let head = self.r.read_u64()?;
+        if self.v1 {
+            return self.inline_attributes(head);
+        }
+        if head & 1 == 0 {
+            return self.inline_attributes(head >> 1);
+        }
+        let k = head >> 1;
+        let cells = usize::try_from(k)
+            .ok()
+            .and_then(|k| self.layouts.spans.get(k))
+            .and_then(|&(start, end)| self.layouts.cells.get(start as usize..end as usize))
+            .ok_or(CodecError::BadLayoutRef(k))?;
+        // The layout hands out the names, by refcount: nothing but payloads
+        // is read per cell.
+        let n = take_cells(&mut self.cells_left, cells.len() as u64)?;
+        let mut attributes = Vec::with_capacity(n);
+        for &(name, tag) in cells {
+            let name = string(self.strings, u64::from(name))?.clone();
+            let value = decode_payload(&mut self.r, self.strings, &mut self.cells_left, tag, 0)?;
+            attributes.push((name, value));
+        }
+        Ok(attributes)
+    }
+
+    /// Reads `(strref, value)^n`: every attribute list of version 1, and in
+    /// version 2 the first of its shape, which becomes the batch's next
+    /// layout.
+    fn inline_attributes(&mut self, n: u64) -> Result<Vec<(Arc<str>, AttrValue)>, CodecError> {
+        let n = take_cells(&mut self.cells_left, n)?;
+        let start = self.layouts.cells.len() as u32;
+        let mut attributes = Vec::with_capacity(n.min(self.r.remaining() / 2));
+        for _ in 0..n {
+            let name_ref = self.r.read_u64()?;
+            let name = string(self.strings, name_ref)?.clone();
+            let tag = self.r.read_u8()?;
+            let value = decode_payload(&mut self.r, self.strings, &mut self.cells_left, tag, 0)?;
+            attributes.push((name, value));
+            if !self.v1 {
+                let name_ref = u32::try_from(name_ref).map_err(|_| CodecError::LengthOverflow)?;
+                self.layouts.cells.push((name_ref, tag));
+            }
+        }
+        if !self.v1 {
+            let end = self.layouts.cells.len() as u32;
+            self.layouts.spans.push((start, end));
+        }
+        Ok(attributes)
     }
 }
 
-fn decode_task(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<TaskRecord, CodecError> {
-    let id = decode_id(r, strings)?;
-    let workflow = decode_id(r, strings)?;
-    let transformation = decode_id(r, strings)?;
-    let ndeps = r.read_u64()? as usize;
-    let mut dependencies = Vec::with_capacity(ndeps.min(r.remaining() + 1));
-    for _ in 0..ndeps {
-        dependencies.push(decode_id(r, strings)?);
-    }
-    let time_ns = r.read_u64()?;
-    let status = TaskStatus::from_tag(r.read_u8()?).ok_or(CodecError::BadTag(0xff))?;
-    Ok(TaskRecord {
-        id,
-        workflow,
-        transformation,
-        dependencies,
-        time_ns,
-        status,
-    })
-}
-
-fn decode_data(r: &mut Reader<'_>, strings: &[Arc<str>]) -> Result<DataRecord, CodecError> {
-    let id = decode_id(r, strings)?;
-    let workflow = decode_id(r, strings)?;
-    let nderiv = r.read_u64()? as usize;
-    let mut derivations = Vec::with_capacity(nderiv.min(r.remaining() + 1));
-    for _ in 0..nderiv {
-        derivations.push(decode_id(r, strings)?);
-    }
-    let nattrs = r.read_u64()? as usize;
-    let mut attributes = Vec::with_capacity(nattrs.min(r.remaining() + 1));
-    for _ in 0..nattrs {
-        let name_ref = r.read_u64()?;
-        let name = strings
-            .get(name_ref as usize)
-            .ok_or(CodecError::BadStringRef(name_ref))?
-            .clone();
-        let value = decode_value(r, strings, 0)?;
-        attributes.push((name, value));
-    }
-    Ok(DataRecord {
-        id,
-        workflow,
-        derivations,
-        attributes,
-    })
-}
-
-fn decode_value(
+/// Reads the payload of a value whose tag is already known — from the byte
+/// before it or from a layout.
+fn decode_payload(
     r: &mut Reader<'_>,
     strings: &[Arc<str>],
+    cells_left: &mut usize,
+    tag: u8,
     depth: usize,
 ) -> Result<AttrValue, CodecError> {
-    match r.read_u8()? {
+    match tag {
         0 => Ok(AttrValue::Null),
         1 => Ok(AttrValue::Bool(r.read_u8()? != 0)),
         2 => Ok(AttrValue::Int(r.read_i64()?)),
         3 => Ok(AttrValue::Float(r.read_f64()?)),
-        4 => {
-            let i = r.read_u64()?;
-            strings
-                .get(i as usize)
-                .map(|s| AttrValue::Str(s.clone()))
-                .ok_or(CodecError::BadStringRef(i))
-        }
+        4 => Ok(AttrValue::Str(string(strings, r.read_u64()?)?.clone())),
         5 => {
             if depth == MAX_NESTING {
                 return Err(CodecError::TooDeep);
             }
-            let n = r.read_u64()? as usize;
-            let mut items = Vec::with_capacity(n.min(r.remaining() + 1));
+            let n = take_cells(cells_left, r.read_u64()?)?;
+            let mut items = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                items.push(decode_value(r, strings, depth + 1)?);
+                let tag = r.read_u8()?;
+                items.push(decode_payload(r, strings, cells_left, tag, depth + 1)?);
             }
             Ok(AttrValue::List(items))
         }
@@ -541,6 +829,13 @@ mod tests {
         }
     }
 
+    fn task_begin(inputs: Vec<DataRecord>) -> Record {
+        Record::TaskBegin {
+            task: task(7),
+            inputs,
+        }
+    }
+
     #[test]
     fn roundtrip_all_variants() {
         let records = vec![
@@ -574,15 +869,142 @@ mod tests {
 
     #[test]
     fn string_table_dedups_across_grouped_records() {
-        // Encoding two identical records in one batch must be much smaller
-        // than twice one record, because attribute names are shared.
-        let r = record_with_attrs(50);
-        let one = encode_batch(std::slice::from_ref(&r)).len();
-        let two = encode_batch(&[r.clone(), r]).len();
-        assert!(
-            two < one + one / 2,
-            "batch of 2 = {two}B vs single = {one}B: string table not shared"
+        // The first record of a shape pays for its names and its layout;
+        // every further one adds its payloads and a fixed head — here 100
+        // ints of at most two bytes, well under 8 B per attribute — whether
+        // it shares the first one's names or only spells them alike.
+        const ATTRS: usize = 100;
+        const HEAD: usize = 24;
+        let shared = record_with_attrs(ATTRS);
+        let respelt = record_with_attrs(ATTRS);
+        let one = encode_batch(std::slice::from_ref(&shared)).len();
+        let two = encode_batch(&[shared.clone(), shared.clone()]).len();
+        let three = encode_batch(&[shared.clone(), shared, respelt]).len();
+        assert!(one > 8 * ATTRS + HEAD, "names and layout cost {one} B");
+        for (n, added) in [(2, two - one), (3, three - two)] {
+            assert!(
+                added <= 8 * ATTRS + HEAD,
+                "record {n} of one shape added {added} B"
+            );
+            // 28 one-byte and 72 two-byte ints, and nothing per name.
+            assert!(added <= 2 * ATTRS + HEAD, "record {n} added {added} B");
+        }
+    }
+
+    #[test]
+    fn a_shape_is_defined_once_and_then_named() {
+        let shaped = |id: u64, loss: f64| {
+            DataRecord::new(id, 1u64)
+                .with_attr("loss", loss)
+                .with_attr("epoch", id as i64)
+        };
+        // Same names, one tag different; same names in another order: each
+        // is a shape of its own.
+        let near = DataRecord::new(5u64, 1u64)
+            .with_attr("loss", 1i64)
+            .with_attr("epoch", 5i64);
+        let reordered = DataRecord::new(6u64, 1u64)
+            .with_attr("epoch", 6i64)
+            .with_attr("loss", 0.5);
+        // What one more data record adds to a task that has `before`.
+        let added = |before: &[&DataRecord], d: &DataRecord| {
+            let mut inputs: Vec<DataRecord> = before.iter().copied().cloned().collect();
+            let without = encode_record(&task_begin(inputs.clone())).len();
+            inputs.push(d.clone());
+            let batch = [task_begin(inputs)];
+            let buf = encode_batch(&batch);
+            assert_eq!(decode_batch(&buf).unwrap(), batch);
+            buf.len() - without
+        };
+        // Id, workflow marker, no derivations, layout: 5 bytes of head.
+        let (first, payloads) = (shaped(1, 0.5), 8 + 1);
+        assert_eq!(added(&[&first], &shaped(2, 0.25)), 5 + payloads);
+        assert_eq!(added(&[&first], &near), 5 + 2 * 2 + 2);
+        assert_eq!(added(&[&first], &reordered), 5 + 2 * 2 + payloads);
+        // An older layout is found behind a newer one.
+        assert_eq!(added(&[&first, &near], &shaped(3, 0.125)), 5 + payloads);
+        assert_eq!(added(&[&first, &near, &reordered], &near), 5 + 2);
+    }
+
+    #[test]
+    fn later_times_are_distances_and_a_data_record_implies_its_workflow() {
+        let at = |time_ns| Record::WorkflowBegin {
+            workflow: Id::Num(1),
+            time_ns,
+        };
+        let start = 1_700_000_000_000_000_000;
+        let lone = encode_batch(&[at(start)]).len();
+        // Nine bytes for the first time, then one or two per step either
+        // way, and the whole range still wraps round.
+        for (next, bytes) in [(start + 50, 1), (start - 50, 1), (start + 5_000, 2)] {
+            let buf = encode_batch(&[at(start), at(next)]);
+            assert_eq!(buf.len(), lone + 3 + bytes, "{next}");
+            assert_eq!(decode_batch(&buf).unwrap(), [at(start), at(next)]);
+        }
+        let extremes = [at(u64::MAX), at(0), at(u64::MAX), at(1 << 63), at(0)];
+        assert_eq!(decode_batch(&encode_batch(&extremes)).unwrap(), extremes);
+
+        // A data record of its task's workflow says so in one byte; one of
+        // another workflow still names it.
+        let own = task_begin(vec![DataRecord::new(1u64, 1u64)]);
+        let foreign = task_begin(vec![DataRecord::new(1u64, 2u64)]);
+        assert_eq!(encode_record(&own).len() + 1, encode_record(&foreign).len());
+        assert_eq!(decode_record(&encode_record(&foreign)).unwrap(), foreign);
+    }
+
+    #[test]
+    fn a_layout_of_nulls_is_reused_only_while_bytes_cover_its_cells() {
+        // 100 zero-width cells: a reuse would add 100 cells for 5 bytes.
+        // The encoder spends the slack its definitions built up and then
+        // defines again, so the decoder's "no more cells than bytes" rule
+        // never refuses what the encoder wrote.
+        let mut nulls = DataRecord::new(1u64, 1u64);
+        for i in 0..100 {
+            nulls = nulls.with_attr(format!("n{i}"), AttrValue::Null);
+        }
+        let batch = vec![task_begin(vec![nulls; 40])];
+        let buf = encode_batch(&batch);
+        assert_eq!(decode_batch(&buf).unwrap(), batch);
+        let all_defined = encode_batch(&[task_begin(vec![DataRecord::new(1u64, 1u64)])]).len()
+            + 40 * 200
+            + 100 * 3;
+        assert!(buf.len() < all_defined * 3 / 4, "{} B", buf.len());
+    }
+
+    /// A batch of one task whose first data record defines a layout of
+    /// `cells` `Null`s and whose other `reuses` data records name it.
+    fn null_layout_bomb(cells: usize, reuses: usize) -> Vec<u8> {
+        let mut buf = vec![1, 1, 1, b'n', TAG_TASK_BEGIN];
+        buf.extend([0, 0, 0, 1, 0, 0, 0, 0, 0]); // task 0 of workflow 1, time 0
+        write_u64(&mut buf, reuses as u64 + 1);
+        buf.extend([0, 0, ID_TASK_WORKFLOW, 0]);
+        write_u64(&mut buf, (cells as u64) << 1);
+        buf.extend(std::iter::repeat_n([0, 0], cells).flatten());
+        buf.extend(std::iter::repeat_n([0, 0, ID_TASK_WORKFLOW, 0, 1], reuses).flatten());
+        buf
+    }
+
+    #[test]
+    fn more_cells_than_bytes_is_refused() {
+        // Within the allowance the hand-built batch is a valid one.
+        let records = decode_batch(&null_layout_bomb(10, 3)).unwrap();
+        let Record::TaskBegin { inputs, .. } = &records[0] else {
+            panic!("{records:?}")
+        };
+        assert_eq!(inputs.len(), 4);
+        assert!(inputs.iter().all(|d| d.attributes.len() == 10));
+        // 4 KB of layout reused by 5-byte records: 2 000 cells each.
+        assert_eq!(
+            decode_batch(&null_layout_bomb(2_000, 2_000)),
+            Err(CodecError::LengthOverflow)
         );
+        // Lists draw on the same allowance, level by level.
+        let mut nested = encode_record(&task_begin(vec![
+            DataRecord::new(1u64, 1u64).with_attr("l", AttrValue::List(vec![]))
+        ]));
+        assert_eq!(nested.pop(), Some(0));
+        nested.extend(std::iter::repeat_n([0x7f, 5], 40).flatten());
+        assert_eq!(decode_batch(&nested), Err(CodecError::LengthOverflow));
     }
 
     #[test]
@@ -598,14 +1020,24 @@ mod tests {
         let r = record_with_attrs(10);
         let buf = encode_record(&r);
         for cut in 0..buf.len() {
-            let _ = decode_batch(&buf[..cut]); // must not panic
+            assert!(decode_batch(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
+    fn bytes_after_the_last_record_are_an_error() {
+        let mut buf = encode_batch(&[record_with_attrs(2), record_with_attrs(2)]);
+        assert!(decode_batch(&buf).is_ok());
+        buf.push(0);
+        assert_eq!(decode_batch(&buf), Err(CodecError::TrailingBytes));
+        assert_eq!(decode_batch(&[0, 0, 0]), Err(CodecError::TrailingBytes));
+        assert_eq!(decode_batch(&[0, 0]), Ok(vec![]));
+    }
+
+    #[test]
     fn list_nesting_is_bounded() {
-        // The record's last bytes are its one attribute, an empty list
-        // (`05 00`): wrap it in one-element lists (`05 01`) without
+        // The record's last bytes are its one attribute's value, an empty
+        // list (`05 00`): wrap it in one-element lists (`05 01`) without
         // recursing to build them.
         let rec = Record::TaskBegin {
             task: task(1),
@@ -636,6 +1068,27 @@ mod tests {
     fn bad_tag_rejected() {
         let buf = vec![1, 0, 0xee];
         assert_eq!(decode_batch(&buf), Err(CodecError::BadTag(0xee)));
+        // A task's status byte is reported as the byte it was.
+        let mut buf = encode_record(&Record::TaskBegin {
+            task: task(1),
+            inputs: vec![],
+        });
+        assert_eq!(buf.pop(), Some(0), "no inputs");
+        assert_eq!(buf.pop(), Some(TaskStatus::Running.tag()));
+        buf.extend([0x5a, 0]);
+        assert_eq!(decode_batch(&buf), Err(CodecError::BadTag(0x5a)));
+        // So is the marker for "the task's workflow" where version 1 had
+        // an id, and a layout number ahead of its definition.
+        let own = encode_record(&task_begin(vec![DataRecord::new(1u64, 1u64)]));
+        let mut records = Vec::new();
+        assert_eq!(
+            decode_batch_as(BatchVersion::V1, &own, &mut records),
+            Err(CodecError::BadTag(ID_TASK_WORKFLOW))
+        );
+        let mut ahead = own.clone();
+        assert_eq!(ahead.pop(), Some(0), "no attributes");
+        ahead.push(7 << 1 | 1);
+        assert_eq!(decode_batch(&ahead), Err(CodecError::BadLayoutRef(7)));
     }
 
     #[test]
@@ -650,7 +1103,7 @@ mod tests {
             .with_attr("bytes", AttrValue::Bytes(vec![0, 1, 2, 255]));
         let rec = Record::TaskEnd {
             task: task(1),
-            outputs: vec![d],
+            outputs: vec![d.clone(), d],
         };
         assert_eq!(decode_record(&encode_record(&rec)).unwrap(), rec);
     }
@@ -678,6 +1131,17 @@ mod tests {
         ]
     }
 
+    /// Times as they come and as they should not: any order, both ends of
+    /// the range, and neighbours a few nanoseconds apart.
+    fn arb_time() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            Just(0),
+            Just(u64::MAX),
+            1_000_000u64..1_000_100
+        ]
+    }
+
     fn arb_data() -> impl Strategy<Value = DataRecord> {
         (
             arb_id(),
@@ -702,7 +1166,7 @@ mod tests {
             arb_id(),
             arb_id(),
             proptest::collection::vec(arb_id(), 0..3),
-            any::<u64>(),
+            arb_time(),
             prop_oneof![Just(TaskStatus::Running), Just(TaskStatus::Finished)],
         )
             .prop_map(
@@ -719,29 +1183,91 @@ mod tests {
 
     fn arb_record() -> impl Strategy<Value = Record> {
         prop_oneof![
-            (arb_id(), any::<u64>())
+            (arb_id(), arb_time())
                 .prop_map(|(workflow, time_ns)| Record::WorkflowBegin { workflow, time_ns }),
-            (arb_id(), any::<u64>())
+            (arb_id(), arb_time())
                 .prop_map(|(workflow, time_ns)| Record::WorkflowEnd { workflow, time_ns }),
-            (arb_task(), proptest::collection::vec(arb_data(), 0..3))
+            (arb_task(), proptest::collection::vec(arb_data(), 0..4))
                 .prop_map(|(task, inputs)| Record::TaskBegin { task, inputs }),
-            (arb_task(), proptest::collection::vec(arb_data(), 0..3))
+            (arb_task(), proptest::collection::vec(arb_data(), 0..4))
                 .prop_map(|(task, outputs)| Record::TaskEnd { task, outputs }),
         ]
+    }
+
+    /// Rewrites the data records of `records` after `how`, one byte per
+    /// data record in order: left alone (never shares a shape), given its
+    /// task's workflow, or given the attribute list of the batch's first
+    /// data record — the very same names, names spelt alike, one tag
+    /// different, or the same cells in another order.
+    fn relate_shapes(records: &mut [Record], how: &[u8]) {
+        let mut first: Option<Vec<(Arc<str>, AttrValue)>> = None;
+        let mut how = how.iter().cycle();
+        for record in records {
+            let (task, data) = match record {
+                Record::TaskBegin { task, inputs } => (task, inputs),
+                Record::TaskEnd { task, outputs } => (task, outputs),
+                _ => continue,
+            };
+            for d in data {
+                let how = *how.next().expect("cycle of a non-empty slice");
+                if how & 1 == 1 {
+                    d.workflow = task.workflow.clone();
+                }
+                let Some(shape) = &first else {
+                    first = Some(d.attributes.clone());
+                    continue;
+                };
+                match how >> 1 & 7 {
+                    0 | 1 => {}
+                    2 | 3 => d.attributes = shape.clone(),
+                    4 => {
+                        d.attributes = shape
+                            .iter()
+                            .map(|(name, value)| (Arc::from(&**name), value.clone()))
+                            .collect();
+                    }
+                    5 => {
+                        d.attributes = shape.clone();
+                        if let Some((_, value)) = d.attributes.last_mut() {
+                            *value = match value {
+                                AttrValue::Int(_) => AttrValue::Null,
+                                _ => AttrValue::Int(-1),
+                            };
+                        }
+                    }
+                    _ => d.attributes = shape.iter().rev().cloned().collect(),
+                }
+            }
+        }
+    }
+
+    fn arb_batch() -> impl Strategy<Value = Vec<Record>> {
+        (
+            proptest::collection::vec(arb_record(), 0..8),
+            proptest::collection::vec(any::<u8>(), 1..12),
+        )
+            .prop_map(|(mut records, how)| {
+                relate_shapes(&mut records, &how);
+                records
+            })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn prop_batch_roundtrip(records in proptest::collection::vec(arb_record(), 0..8)) {
-            let buf = encode_batch(&records);
+        fn prop_batch_roundtrip(records in arb_batch()) {
+            let mut buf = encode_batch(&records);
             prop_assert_eq!(decode_batch(&buf).unwrap(), records);
+            // Decoding consumes exactly what encoding wrote.
+            buf.push(0);
+            prop_assert_eq!(decode_batch(&buf), Err(CodecError::TrailingBytes));
         }
 
         #[test]
         fn prop_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_batch(&bytes);
+            let _ = decode_batch_as(BatchVersion::V1, &bytes, &mut Vec::new());
         }
     }
 }

@@ -184,9 +184,10 @@ pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError
     out.clear();
     let mut r = crate::varint::Reader::new(input);
     let expected = r.read_u64().map_err(|_| CodecError::BadCompression)? as usize;
-    // Guard absurd declared sizes (corrupt or adversarial input): the token
-    // stream can expand at most 8×16/…; use a generous linear bound.
-    if expected > input.len().saturating_mul(MAX_MATCH).saturating_mul(8) + 64 {
+    // A declared size is refused before anything is reserved for it. The
+    // densest the format gets is a control byte and eight match tokens:
+    // 17 bytes in, 8 × 18 out.
+    if expected > max_decompressed_len(input.len()) {
         return Err(CodecError::BadCompression);
     }
     out.reserve(expected);
@@ -223,7 +224,17 @@ pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError
     if out.len() != expected {
         return Err(CodecError::BadCompression);
     }
+    if pos != input.len() {
+        return Err(CodecError::TrailingBytes);
+    }
     Ok(())
+}
+
+/// The most a compressed stream of `len` bytes can decompress to: under
+/// 8 × 18 / 17 of it, rounded up to 9 with room for a short stream's
+/// header.
+pub const fn max_decompressed_len(len: usize) -> usize {
+    len.saturating_mul(9).saturating_add(64)
 }
 
 #[cfg(test)]
@@ -318,6 +329,50 @@ mod tests {
         buf.push(0x01);
         buf.push(b'x');
         assert_eq!(decompress(&buf), Err(CodecError::BadCompression));
+    }
+
+    /// The densest stream the format allows: one literal, then nothing but
+    /// 18-byte matches at distance 1, eight to a control byte. Declares
+    /// `declared` bytes whatever it holds.
+    fn densest_stream(groups: usize, declared: usize) -> Vec<u8> {
+        let longest = (1u16 << 4 | (MAX_MATCH - MIN_MATCH) as u16).to_be_bytes();
+        let mut buf = Vec::new();
+        crate::varint::write_u64(&mut buf, declared as u64);
+        buf.extend([0x01, 0xab]);
+        buf.extend(std::iter::repeat_n(longest, 7).flatten());
+        for _ in 0..groups {
+            buf.push(0x00);
+            buf.extend(std::iter::repeat_n(longest, 8).flatten());
+        }
+        buf
+    }
+
+    #[test]
+    fn declared_length_is_held_to_what_the_tokens_could_expand_to() {
+        let holds = |groups: usize| 1 + 7 * MAX_MATCH + groups * 8 * MAX_MATCH;
+        // As dense as it gets — 8.4 bytes out per byte in — still decodes.
+        let stream = densest_stream(100, holds(100));
+        assert!(holds(100) > stream.len() * 8);
+        assert!(holds(100) <= max_decompressed_len(stream.len()));
+        assert_eq!(decompress(&stream).unwrap(), vec![0xab; holds(100)]);
+        // Ten times the stream is more than any stream holds: refused, and
+        // nothing reserved on the way.
+        let lying = densest_stream(100, stream.len() * 10);
+        let mut out = Vec::new();
+        assert_eq!(
+            decompress_into(&lying, &mut out),
+            Err(CodecError::BadCompression)
+        );
+        assert_eq!(out.capacity(), 0);
+    }
+
+    #[test]
+    fn bytes_after_the_last_token_are_an_error() {
+        let mut c = compress(b"hello world hello world hello world");
+        assert!(decompress(&c).is_ok());
+        c.push(0);
+        assert_eq!(decompress(&c), Err(CodecError::TrailingBytes));
+        assert_eq!(decompress(&[0, 0]), Err(CodecError::TrailingBytes));
     }
 
     proptest! {

@@ -7,17 +7,31 @@
 //! form was used.
 //!
 //! ```text
-//! envelope := magic:u8 (0xA7), version:u8 (1), flags:u8, payload
+//! envelope := magic:u8 (0xA7), version:u8, flags:u8, payload
+//! version  := 2 (written) | 1 (still read)
 //! flags    := bit0 = payload is LZSS-compressed
-//! payload  := binary batch (see prov_codec::binary)
+//! payload  := binary batch in that version's grammar (see prov_codec::binary)
 //! ```
+//!
+//! The version byte says which batch grammar the payload is written in;
+//! header, flags and compression are the same in both. Version 2
+//! ([`ENVELOPE_VERSION`]) is the only one encoded. Version 1 — attribute
+//! names and tags repeated per record, absolute times, a workflow id on
+//! every data record — is what devices wrote before and what their spilled
+//! logs still hold, so both decode. A payload must be consumed exactly:
+//! bytes left over after the last record, raw or decompressed, are an
+//! error.
 
-use crate::{binary, compress, CodecError};
+use crate::binary::{self, BatchVersion};
+use crate::{compress, CodecError};
 use prov_model::Record;
 use std::cell::RefCell;
 
 const MAGIC: u8 = 0xA7;
-const VERSION: u8 = 1;
+/// The envelope version the encoder writes.
+pub const ENVELOPE_VERSION: u8 = 2;
+/// The version before it, accepted on decode.
+const VERSION_1: u8 = 1;
 const FLAG_COMPRESSED: u8 = 0x01;
 
 /// A decoded envelope.
@@ -67,7 +81,7 @@ impl Envelope {
             };
             out.reserve(payload.len() + 3);
             out.push(MAGIC);
-            out.push(VERSION);
+            out.push(ENVELOPE_VERSION);
             out.push(flags);
             out.extend_from_slice(payload);
         });
@@ -96,9 +110,11 @@ impl Envelope {
         if buf[0] != MAGIC {
             return Err(CodecError::BadTag(buf[0]));
         }
-        if buf[1] != VERSION {
-            return Err(CodecError::BadTag(buf[1]));
-        }
+        let version = match buf[1] {
+            ENVELOPE_VERSION => BatchVersion::V2,
+            VERSION_1 => BatchVersion::V1,
+            other => return Err(CodecError::BadTag(other)),
+        };
         let compressed = buf[2] & FLAG_COMPRESSED != 0;
         let payload = &buf[3..];
         if compressed {
@@ -108,12 +124,21 @@ impl Envelope {
             RAW.with(|cell| {
                 let raw = &mut *cell.borrow_mut();
                 compress::decompress_into(payload, raw)?;
-                binary::decode_batch_into(raw, records)
+                binary::decode_batch_as(version, raw, records)
             })?;
         } else {
-            binary::decode_batch_into(payload, records)?;
+            binary::decode_batch_as(version, payload, records)?;
         }
         Ok(compressed)
+    }
+
+    /// The most heap [`Envelope::decode_into`] holds at any moment while
+    /// decoding an envelope of `len` bytes, records and recycled scratch
+    /// included: the decompressed payload at its largest, and what a batch
+    /// of that size may decode to ([`binary::decode_heap_bound`]).
+    pub const fn decode_heap_bound(len: usize) -> usize {
+        let raw = compress::max_decompressed_len(len);
+        raw + binary::decode_heap_bound(raw)
     }
 
     /// Encoded size without actually keeping the buffer (used by cost

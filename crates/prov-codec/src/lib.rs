@@ -26,7 +26,7 @@ pub use binary::{
     decode_batch, decode_record, encode_batch, encode_batch_into, encode_record, Encoder,
 };
 pub use compress::{compress, compress_into, decompress, CompressScratch};
-pub use frame::Envelope;
+pub use frame::{Envelope, ENVELOPE_VERSION};
 pub use json::{record_to_json, records_to_json, JsonError, JsonStyle, JsonValue};
 
 /// Errors shared by the binary codec layers.
@@ -40,6 +40,8 @@ pub enum CodecError {
     VarintOverflow,
     /// A string-table reference pointed past the table.
     BadStringRef(u64),
+    /// A layout number named no layout the batch had defined yet.
+    BadLayoutRef(u64),
     /// Bytes were not valid UTF-8 where a string was expected.
     BadUtf8,
     /// The compressed payload was malformed.
@@ -48,6 +50,8 @@ pub enum CodecError {
     LengthOverflow,
     /// Lists nested deeper than any captured value does.
     TooDeep,
+    /// Input went on after the last thing the encoder would have written.
+    TrailingBytes,
 }
 
 /// Deepest container nesting either decoder accepts. Both recurse once per
@@ -64,10 +68,12 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#x}"),
             CodecError::VarintOverflow => f.write_str("varint exceeds 64 bits"),
             CodecError::BadStringRef(i) => write!(f, "string reference {i} out of range"),
+            CodecError::BadLayoutRef(k) => write!(f, "layout {k} not defined yet"),
             CodecError::BadUtf8 => f.write_str("invalid UTF-8 in string"),
             CodecError::BadCompression => f.write_str("malformed compressed payload"),
             CodecError::LengthOverflow => f.write_str("declared length exceeds remaining input"),
             CodecError::TooDeep => f.write_str("lists nested too deep"),
+            CodecError::TrailingBytes => f.write_str("input continues past the end of the message"),
         }
     }
 }

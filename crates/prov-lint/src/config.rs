@@ -73,9 +73,9 @@ pub struct Config {
     pub bench_metric_prefixes: Vec<String>,
     /// Dotted bench-metric drift waivers.
     pub waive_bench: Vec<Waiver>,
-    /// Whether `STATE_VERSION` definition sites require a migration-test
-    /// reference.
-    pub check_state_version: bool,
+    /// Format-version constants (`STATE_VERSION`, `ENVELOPE_VERSION`, …)
+    /// whose definition sites require a test that names them.
+    pub version_consts: Vec<String>,
 }
 
 /// Parses the flat `table.key` map out of TOML-subset text.
@@ -178,10 +178,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             }
         },
         waive_bench: waivers("drift.waive_bench")?,
-        check_state_version: matches!(
-            raw.get("drift.check_state_version"),
-            Some(Value::Bool(true)) | None
-        ),
+        version_consts: strings("drift.version_consts"),
     })
 }
 
@@ -302,7 +299,7 @@ modules = [
 hierarchy = ["broker", "pool"]
 
 [drift]
-check_state_version = true
+version_consts = ["STATE_VERSION", "WIRE_VERSION"]
 bench_json = "BENCH.json"
 waive_stats = ["Foo.bar: informational only"]
 "##;
@@ -317,7 +314,7 @@ waive_stats = ["Foo.bar: informational only"]
         assert_eq!(cfg.waive_stats.len(), 1);
         assert_eq!(cfg.waive_stats[0].key, "Foo.bar");
         assert_eq!(cfg.waive_stats[0].reason, "informational only");
-        assert!(cfg.check_state_version);
+        assert_eq!(cfg.version_consts, vec!["STATE_VERSION", "WIRE_VERSION"]);
     }
 
     #[test]

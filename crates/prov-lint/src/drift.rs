@@ -1,5 +1,5 @@
 //! Cross-file drift checks: stats counters vs. test assertions, bench
-//! metrics vs. gate floors, `STATE_VERSION` vs. migration tests.
+//! metrics vs. gate floors, format-version constants vs. migration tests.
 //!
 //! These rules exist because the repo's invariants live in *pairs* of
 //! places — a counter and its assertion, a metric and its floor, a version
@@ -324,39 +324,28 @@ fn floor_paths(src: &str) -> Vec<String> {
     paths
 }
 
-/// `drift-state-version`: every `const STATE_VERSION` definition site must
-/// be referenced by test code, so a version bump cannot land without a
-/// migration test noticing.
+/// `drift-state-version`: every `const` definition site of a configured
+/// format-version constant must be named by test code, so a version bump
+/// cannot land without a migration test noticing.
 pub fn state_version(cfg: &Config, files: &[FileScan], out: &mut Vec<Violation>) {
-    if !cfg.check_state_version {
-        return;
-    }
     let corpus = test_corpus(files);
-    let covered = has_token(&corpus, "STATE_VERSION");
-    for f in files {
-        if f.is_test_file() {
+    for name in &cfg.version_consts {
+        if has_token(&corpus, name) {
             continue;
         }
-        let masked = &f.scan.masked;
-        let mut search = 0;
-        while let Some(pos) = masked[search..].find("STATE_VERSION") {
-            let at = search + pos;
-            search = at + "STATE_VERSION".len();
-            if f.scan.in_test_region(at) {
-                continue;
-            }
-            // Only the definition site: `const STATE_VERSION`.
-            let line_start = masked[..at].rfind('\n').map_or(0, |p| p + 1);
-            if !masked[line_start..at].contains("const ") {
-                continue;
-            }
-            if !covered {
+        for f in files.iter().filter(|f| !f.is_test_file()) {
+            let masked = &f.scan.masked;
+            for (at, _) in masked.match_indices(name.as_str()) {
+                // Only the definition site: `const <NAME>`.
+                let line_start = masked[..at].rfind('\n').map_or(0, |p| p + 1);
+                if f.scan.in_test_region(at) || !masked[line_start..at].contains("const ") {
+                    continue;
+                }
                 out.push(Violation {
                     rule: "drift-state-version",
                     file: f.rel.clone(),
                     line: line_of(&f.src, at),
-                    message: "`STATE_VERSION` definition has no migration test referencing it"
-                        .to_owned(),
+                    message: format!("`{name}` definition has no migration test referencing it"),
                     waived: None,
                 });
             }
@@ -407,16 +396,27 @@ mod tests {
 
     #[test]
     fn state_version_needs_a_test_reference() {
-        let prod = "pub const STATE_VERSION: u8 = 4;\n";
+        let prod = "pub const STATE_VERSION: u8 = 4;\npub const ENVELOPE_VERSION: u8 = 2;\n";
         let cfg = Config {
-            check_state_version: true,
+            version_consts: vec!["STATE_VERSION".into(), "ENVELOPE_VERSION".into()],
             ..Config::default()
         };
         let mut out = Vec::new();
         state_version(&cfg, &[fs("src/a.rs", prod)], &mut out);
-        assert_eq!(out.len(), 1);
+        assert_eq!(out.len(), 2);
         assert_eq!(out[0].rule, "drift-state-version");
+        assert_eq!((out[0].line, out[1].line), (1, 2));
+        assert!(out[1].message.contains("`ENVELOPE_VERSION`"));
+        // A constant the list does not name is nobody's business.
+        let unlisted = Config {
+            version_consts: vec!["STATE_VERSION".into()],
+            ..Config::default()
+        };
+        let mut out1 = Vec::new();
+        state_version(&unlisted, &[fs("src/a.rs", prod)], &mut out1);
+        assert_eq!(out1.len(), 1);
 
+        // Each constant needs its own test: naming one covers one.
         let test = "#[test]\nfn migrates() { assert!(STATE_VERSION >= 4); }\n";
         let mut out2 = Vec::new();
         state_version(
@@ -424,6 +424,7 @@ mod tests {
             &[fs("src/a.rs", prod), fs("tests/m.rs", test)],
             &mut out2,
         );
-        assert!(out2.is_empty(), "{out2:?}");
+        assert_eq!(out2.len(), 1, "{out2:?}");
+        assert!(out2[0].message.contains("`ENVELOPE_VERSION`"));
     }
 }

@@ -6,6 +6,7 @@ pub struct CleanStats {
 }
 
 pub const STATE_VERSION: u8 = 1;
+pub const ENVELOPE_VERSION: u8 = 2;
 
 pub fn careful(x: Option<u32>) -> u32 {
     // lint:allow(no-panic): fixture: checked by the caller

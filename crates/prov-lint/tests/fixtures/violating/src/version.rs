@@ -1,3 +1,4 @@
-//! State-version fixture: a bump with no migration test anywhere.
+//! Version fixture: two format bumps with no migration test anywhere.
 
 pub const STATE_VERSION: u8 = 9;
+pub const ENVELOPE_VERSION: u8 = 3;

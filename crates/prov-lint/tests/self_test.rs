@@ -33,6 +33,7 @@ fn violating_fixture_yields_exact_findings() {
             ("lint-directive", "src/panics.rs", 13),
             ("drift-stats", "src/stats.rs", 8),
             ("drift-state-version", "src/version.rs", 3),
+            ("drift-state-version", "src/version.rs", 4),
         ],
     );
 
@@ -145,7 +146,7 @@ fn cli_fails_on_violations_and_prints_the_tally() {
         "{stdout}"
     );
     assert!(
-        stdout.contains("provlight-lint: 7 files, 8 violation(s), 2 waived"),
+        stdout.contains("provlight-lint: 7 files, 9 violation(s), 2 waived"),
         "{stdout}"
     );
     assert!(stdout.contains("  waived drift-stats: 1"), "{stdout}");

@@ -8,9 +8,13 @@
 //! edge set costs no allocation until its third member. The second half
 //! pins what makes that footprint possible and must stay invisible: a row
 //! names its sources and its attributes by allocations the shard already
-//! holds, whoever decoded the record.
+//! holds, whoever decoded the record. Last, the door the rows come through:
+//! what decoding one envelope may hold on the heap is linear in its length,
+//! whatever its bytes claim.
 
-use provlight::prov_codec::frame::Envelope;
+use provlight::prov_codec::compress::compress;
+use provlight::prov_codec::frame::{Envelope, ENVELOPE_VERSION};
+use provlight::prov_codec::CodecError;
 use provlight::prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
 use provlight::prov_store::store::{DataRow, TaskRow};
 use provlight::prov_store::{ShardRouter, ShardedStore, SmallSet};
@@ -24,12 +28,16 @@ struct CountingAlloc;
 thread_local! {
     static CALLS: Cell<usize> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count(bytes: isize, calls: usize) {
     // A thread being torn down may allocate after its locals are gone.
     let _ = CALLS.try_with(|n| n.set(n.get() + calls));
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -60,6 +68,15 @@ fn calls() -> usize {
 /// Bytes the calling thread has allocated and not freed.
 fn live_bytes() -> isize {
     LIVE_BYTES.with(Cell::get)
+}
+
+/// The most bytes the calling thread holds at any moment of `work`, over
+/// what it held going in.
+fn peak_bytes_during(work: impl FnOnce()) -> usize {
+    let before = live_bytes();
+    PEAK_BYTES.with(|peak| peak.set(before));
+    work();
+    (PEAK_BYTES.with(Cell::get) - before) as usize
 }
 
 #[test]
@@ -179,6 +196,17 @@ fn task_records(t: u64) -> Vec<Record> {
     ]
 }
 
+/// Task `t` of a `grouped_wide`-shaped device: 100 `f64` in, one out.
+fn task_records_wide(t: u64) -> Vec<Record> {
+    let mut records = task_records(t);
+    if let Record::TaskBegin { inputs, .. } = &mut records[0] {
+        inputs[0].attributes = (0..100)
+            .map(|a| (Arc::from(format!("a{a}")), AttrValue::Float(a as f64 / 7.0)))
+            .collect();
+    }
+    records
+}
+
 /// `records` as the translator receives them: through the wire format, so
 /// every string is an allocation of this message's own string table.
 fn over_the_wire(records: &[Record]) -> Vec<Record> {
@@ -200,6 +228,14 @@ fn rows_share_the_strings_the_shard_already_holds() {
         other => panic!("unexpected {other:?}"),
     };
     assert!(!Arc::ptr_eq(&name_of(&first), &name_of(&second)));
+    // Within a message the second row reused the first one's layout, which
+    // hands out the names it already holds.
+    match &first[1] {
+        Record::TaskEnd { outputs, .. } => {
+            assert!(Arc::ptr_eq(&outputs[0].attributes[0].0, &name_of(&first)));
+        }
+        other => panic!("unexpected {other:?}"),
+    }
     router.route(&store, &mut first);
     router.route(&store, &mut second);
 
@@ -242,4 +278,111 @@ fn rows_share_the_strings_the_shard_already_holds() {
         &product.attributes[0].0,
         &source.attributes[0].0
     ));
+}
+
+/// A task of workflow 1 with `data` data records written by hand: the first
+/// defines a layout of `cells` `Null`s, the others reuse it in five bytes
+/// each. A version 2 batch, as `[count, nstrings, ("n"), record]`.
+fn null_layout_bomb(cells: usize, data: usize) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut value: usize) {
+        while value >= 0x80 {
+            out.push(value as u8 | 0x80);
+            value >>= 7;
+        }
+        out.push(value as u8);
+    }
+    let mut batch = vec![1, 1, 1, b'n', 2, 0, 0, 0, 1, 0, 0, 0, 0, 0];
+    varint(&mut batch, data);
+    batch.extend([0, 0, 2, 0]);
+    varint(&mut batch, cells << 1);
+    batch.extend(std::iter::repeat_n([0, 0], cells).flatten());
+    batch.extend(std::iter::repeat_n([0, 0, 2, 0, 1], data - 1).flatten());
+    batch
+}
+
+fn enveloped(batch: &[u8], compressed: bool) -> Vec<u8> {
+    let mut envelope = vec![0xA7, ENVELOPE_VERSION, compressed as u8];
+    match compressed {
+        true => envelope.extend(compress(batch)),
+        false => envelope.extend_from_slice(batch),
+    }
+    envelope
+}
+
+#[test]
+fn decoding_an_envelope_holds_heap_linear_in_its_length() {
+    let mut records = Vec::new();
+    let peak_of = |envelope: &[u8], records: &mut Vec<Record>| {
+        let mut result = Ok(false);
+        let peak = peak_bytes_during(|| result = Envelope::decode_into(envelope, records));
+        let bound = Envelope::decode_heap_bound(envelope.len());
+        assert!(peak <= bound, "{peak} B held for {} B", envelope.len());
+        (result, peak)
+    };
+
+    // Honest envelopes are nowhere near it: a group of wide records holds
+    // what its rows hold — 48 B for a cell that took 8 on the wire — plus
+    // the decompressed batch.
+    let wide: Vec<Record> = (0..25).flat_map(task_records_wide).collect();
+    let raw_len = Envelope::encoded_len(&wide, false);
+    for compressed in [false, true] {
+        let envelope = Envelope::encode(&wide, compressed);
+        let (result, peak) = peak_of(&envelope, &mut records);
+        assert_eq!(result, Ok(compressed));
+        assert_eq!(records, wide);
+        assert!(peak <= 8 * raw_len, "{peak} B for {raw_len} B of batch");
+        records = Vec::new();
+    }
+
+    // What version 2 made possible: 4 KB of zero-width cells named by
+    // thousands of five-byte records would be millions of cells. Refused
+    // at the first reuse the bytes do not cover, raw or squeezed into a
+    // datagram by the compressor.
+    let bomb = null_layout_bomb(2_000, 10_000);
+    assert!(compress(&bomb).len() < 9_000);
+    for compressed in [false, true] {
+        let envelope = enveloped(&bomb, compressed);
+        let (result, peak) = peak_of(&envelope, &mut records);
+        assert_eq!(result, Err(CodecError::LengthOverflow));
+        // 2 000 × 10 000 cells × 48 B would be 960 MB.
+        assert!(peak < 4 << 20, "{peak} B");
+        records = Vec::new();
+    }
+    // The same shape inside its allowance is a valid batch.
+    let (result, _) = peak_of(&enveloped(&null_layout_bomb(8, 4), false), &mut records);
+    assert_eq!((result, records.len()), (Ok(false), 1));
+    records = Vec::new();
+
+    // Counts that claim the rest of the message: every reserve is held to
+    // what the remaining bytes could be, level by level — records, data
+    // records, ids, lists inside lists.
+    let varint_max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    let padding = vec![0u8; 20_000];
+    // One record, no strings: task 0 of workflow 1, up to its dependencies.
+    let task = [1, 0, 2, 0, 0, 0, 1, 0, 0];
+    let mut claims = vec![
+        // records
+        varint_max.to_vec(),
+        // dependencies of the task
+        [&task[..], &varint_max].concat(),
+        // its data records
+        [&task[..], &[0, 0, 0], &varint_max].concat(),
+        // cells in the layout of its one data record
+        [&task[..], &[0, 0, 0, 1, 0, 0, 2, 0], &varint_max].concat(),
+    ];
+    // Lists nested 64 deep that each claim 300 items: together all the
+    // cells 20 KB of batch may have.
+    let mut lists = vec![1, 1, 1, b'n'];
+    lists.extend(&task[2..]);
+    lists.extend([0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 5]);
+    lists.extend(std::iter::repeat_n([0xac, 0x02, 5], 64).flatten());
+    claims.push(lists);
+    for claim in &claims {
+        let batch = [&claim[..], &padding].concat();
+        for compressed in [false, true] {
+            let (result, _) = peak_of(&enveloped(&batch, compressed), &mut records);
+            assert!(result.is_err(), "{claim:?} decoded");
+            records = Vec::new();
+        }
+    }
 }

@@ -12,10 +12,11 @@
 use provlight::core::config::GroupPolicy;
 use provlight::core::grouping::{Emit, Grouper};
 use provlight::prov_codec::frame::Envelope;
-use provlight::prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
+use provlight::prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -67,10 +68,17 @@ fn feed(
     out.packets()
 }
 
-fn record(i: u64, attrs: usize) -> Record {
+/// Record `i` of a device: every record has the same shape. Even ones are
+/// built from `names` themselves, odd ones from names spelt the same in
+/// allocations of their own, so a group holds both ways a shape recurs.
+fn record(i: u64, names: &[Arc<str>]) -> Record {
     let mut d = DataRecord::new(i, 1u64).with_attr("kind", "sensor-frame");
-    for a in 0..attrs {
-        d = d.with_attr(format!("attr_{a}"), a as i64 * 3);
+    for (a, name) in names.iter().enumerate() {
+        let name = match i % 2 {
+            0 => Arc::clone(name),
+            _ => Arc::from(&**name),
+        };
+        d.attributes.push((name, AttrValue::Int(a as i64 * 3)));
     }
     Record::TaskEnd {
         task: TaskRecord {
@@ -83,6 +91,10 @@ fn record(i: u64, attrs: usize) -> Record {
         },
         outputs: vec![d],
     }
+}
+
+fn attr_names() -> Vec<Arc<str>> {
+    (0..ATTRS).map(|a| Arc::from(format!("attr_{a}"))).collect()
 }
 
 const GROUP: usize = 16;
@@ -121,7 +133,8 @@ fn cycle(pool: &mut VecDeque<Record>, grouper: &mut Grouper, wire: &mut Vec<u8>)
 fn steady_state_capture_path_allocates_zero_per_record() {
     // Pool holds two groups' worth so the grouper buffer and the pool never
     // need to grow mid-cycle.
-    let mut pool: VecDeque<Record> = (0..2 * GROUP as u64).map(|i| record(i, ATTRS)).collect();
+    let names = attr_names();
+    let mut pool: VecDeque<Record> = (0..2 * GROUP as u64).map(|i| record(i, &names)).collect();
     let mut grouper = Grouper::new(GroupPolicy::Grouped { size: GROUP });
     let mut wire = Vec::new();
 
@@ -150,6 +163,30 @@ fn steady_state_capture_path_allocates_zero_per_record() {
         allocs as f64 / records_processed as f64
     );
     assert!(total_bytes > 0);
+}
+
+/// Decoding a group allocates what its records hold and nothing else: one
+/// `Arc<str>` per string of the message, one `Vec` per non-empty list of a
+/// record. The string table, the layout table and the decompression buffer
+/// are recycled, and a data record that reuses a layout takes its names by
+/// refcount — the 15 records after the first cost the same three
+/// allocations each whether they have 25 attributes or none.
+#[test]
+fn steady_state_decode_allocates_only_what_the_records_hold() {
+    let names = attr_names();
+    let group: Vec<Record> = (0..GROUP as u64).map(|i| record(i, &names)).collect();
+    let wire = Envelope::encode(&group, true);
+    let mut records = Vec::new();
+    for _ in 0..8 {
+        assert_eq!(Envelope::decode_into(&wire, &mut records), Ok(true));
+    }
+    assert_eq!(records, group);
+    // "kind", "sensor-frame" and the attribute names; then per record its
+    // dependencies, its outputs and their attributes.
+    let expected = 2 + ATTRS + GROUP * 3;
+    let before = allocations();
+    assert_eq!(Envelope::decode_into(&wire, &mut records), Ok(true));
+    assert_eq!(allocations() - before, expected);
 }
 
 /// Broker steady state: one QoS 1 publish fanning out to 8 QoS 0
@@ -593,7 +630,9 @@ fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
 /// vacuously (e.g. a broken counter).
 #[test]
 fn legacy_allocating_path_is_counted() {
-    let records: Vec<Record> = (0..GROUP as u64).map(|i| record(i, ATTRS)).collect();
+    let records: Vec<Record> = (0..GROUP as u64)
+        .map(|i| record(i, &attr_names()))
+        .collect();
     // Warm the thread-local scratch used inside Envelope::encode.
     for _ in 0..4 {
         std::hint::black_box(Envelope::encode(&records, true));
