@@ -11,6 +11,8 @@
 //! * [`store`] — an in-memory columnar store ingesting capture
 //!   [`Record`](prov_model::Record)s at runtime, with task/data/lineage
 //!   tables and per-attribute typed columns (the MonetDB substitution);
+//! * [`attrs`] — how a row holds its attributes: eight bytes a cell behind
+//!   a layout the shard interns per shape;
 //! * [`sharded`] — the lock-scalable ingest front: the store split into
 //!   per-workflow shards with independent locks, plus the grouped batch
 //!   router that parallel translators feed (one lock per shard per
@@ -24,12 +26,14 @@
 //! * PROV-DM export via [`store::Store::to_prov_document`] for
 //!   interoperability (§IV-A).
 
+pub mod attrs;
 pub mod query;
 pub mod schema;
 pub mod sharded;
 pub mod smallset;
 pub mod store;
 
+pub use attrs::{Attrs, Layout};
 pub use query::{
     Cmp, Cursor, CursorOpts, Filter, Hit, LineageDirection, Page, Path, Query, QueryError,
     QueryStats, SnapshotMode, Step,

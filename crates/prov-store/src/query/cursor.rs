@@ -29,9 +29,10 @@
 //! frontier + one page), and termination on cyclic graphs.
 
 use crate::query::path::{Path, Source};
-use crate::query::traverse::{Ctx, Exec, Pulled, QueryStats};
+use crate::query::traverse::{Ctx, Exec, Pulled, QueryStats, Start};
 use crate::query::QueryError;
-use crate::store::{Column, DataIdx, Store};
+use crate::schema::AttrType;
+use crate::store::{DataIdx, Store};
 use prov_model::Id;
 
 /// What a cursor may see of ingest that happens after it was opened.
@@ -120,15 +121,13 @@ impl Cursor {
                 let (idx, _) = store
                     .data_by_id(workflow, id)
                     .ok_or_else(|| QueryError::UnknownData(id.clone()))?;
-                Some(idx)
+                Start::Row(idx)
             }
-            Source::AttrColumn(attr) => {
-                match store.column(workflow, attr) {
-                    Some(Column::Numeric(_)) => {}
-                    _ => return Err(QueryError::NotNumeric(attr.clone())),
-                }
-                None
-            }
+            Source::AttrColumn(attr) => store
+                .column_id(workflow, attr)
+                .filter(|&c| store.column_at(c).kind() == AttrType::Numeric)
+                .map(Start::Column)
+                .ok_or_else(|| QueryError::NotNumeric(attr.clone()))?,
         };
         let horizon = match opts.snapshot {
             SnapshotMode::AtOpen => Some(store.data().len()),
@@ -136,7 +135,7 @@ impl Cursor {
         };
         Ok(Cursor {
             workflow: workflow.clone(),
-            exec: Exec::new(path, start),
+            exec: Exec::new(&path.steps, start),
             horizon,
             opts,
             stats: QueryStats::default(),
@@ -177,7 +176,6 @@ impl Cursor {
         self.stats.pages += 1;
         let ctx = Ctx {
             store,
-            workflow: &self.workflow,
             horizon: self.horizon,
         };
         let mut budget = self.opts.max_work;

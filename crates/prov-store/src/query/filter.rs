@@ -7,7 +7,6 @@
 //! applies it to the engine's output pages instead.
 
 use crate::store::{DataRow, Store};
-use prov_model::AttrValue;
 use std::sync::Arc;
 
 /// Numeric comparison operator.
@@ -41,8 +40,10 @@ impl Cmp {
 #[derive(Clone, Debug)]
 pub enum Filter {
     /// The node has attribute `name` with a numeric value for which
-    /// `value(node) cmp threshold` holds. Nodes without the attribute (or
-    /// with a non-numeric value) are dropped.
+    /// `value(node) cmp threshold` holds, read as a column scan reads it: a
+    /// `Float` as it is, an `Int` converted, a `Bool` as 0 or 1. Nodes
+    /// without the attribute (or with a non-numeric first value under the
+    /// name) are dropped.
     Attr {
         /// Attribute name.
         name: Arc<str>,
@@ -73,11 +74,7 @@ impl Filter {
                 cmp,
                 threshold,
             } => {
-                let value = row
-                    .attributes
-                    .iter()
-                    .find(|(n, _)| n.as_ref() == name.as_ref())
-                    .and_then(|(_, v)| numeric(v))?;
+                let value = row.attributes.numeric(name)?;
                 cmp.eval(value, *threshold).then_some(Some(value))
             }
             Filter::EndedWithin { from_ns, to_ns } => {
@@ -86,10 +83,6 @@ impl Filter {
             }
         }
     }
-}
-
-fn numeric(v: &AttrValue) -> Option<f64> {
-    v.as_float()
 }
 
 #[cfg(test)]

@@ -289,7 +289,7 @@ impl<'a> Query<'a> {
             .into_iter()
             .map(|(i, _)| {
                 let d = &self.store.data()[i];
-                (d.id.clone(), d.attributes.clone())
+                (d.id.clone(), d.attributes.to_vec())
             })
             .collect())
     }

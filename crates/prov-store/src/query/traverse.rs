@@ -21,10 +21,9 @@
 //! self-loops, which ingest wires verbatim) terminate — the legacy
 //! recursive walk did not.
 
-use crate::query::path::{Path, Source};
+use crate::attrs::ColumnSlot;
 use crate::query::step::{Edge, Step};
 use crate::store::{DataIdx, Store};
-use prov_model::Id;
 use std::collections::VecDeque;
 
 /// Counters a cursor accumulates while executing (wired into the
@@ -87,7 +86,6 @@ pub(crate) enum Pulled {
 /// Per-execution context: the store view and the snapshot horizon.
 pub(crate) struct Ctx<'a> {
     pub(crate) store: &'a Store,
-    pub(crate) workflow: &'a Id,
     /// `Some(limit)`: rows with index `>= limit` are invisible
     /// (snapshot-at-open). `None`: live reads.
     pub(crate) horizon: Option<usize>,
@@ -102,13 +100,30 @@ impl Ctx<'_> {
     }
 }
 
+/// Where a path starts, resolved against the store by the cursor (which
+/// owns the error mapping).
+pub(crate) enum Start {
+    /// The row of a [`Source::Data`](crate::query::Source).
+    Row(DataIdx),
+    /// The numeric column of a
+    /// [`Source::AttrColumn`](crate::query::Source), by its position in the
+    /// shard's table.
+    Column(u32),
+}
+
 /// Source stage state.
 enum SourceState {
     /// A single node, emitted once.
     Single { idx: DataIdx, emitted: bool },
     /// A numeric attribute column, scanned by position (positions are
-    /// append-only, so `next` survives lock releases).
-    Column { attr: String, next: usize },
+    /// append-only, so `next` survives lock releases). The column lists
+    /// rows; each value is read out of its row, through the slot `slot`
+    /// remembers for as long as the rows share a layout.
+    Column {
+        column: u32,
+        next: usize,
+        slot: ColumnSlot,
+    },
 }
 
 /// Op stage state (one per path step).
@@ -139,21 +154,20 @@ pub(crate) struct Exec {
 }
 
 impl Exec {
-    /// Compiles a path. The start node of a [`Source::Data`] must already
-    /// be resolved to an index by the caller (which owns error mapping).
-    pub(crate) fn new(path: &Path, start: Option<DataIdx>) -> Exec {
-        let source = match &path.source {
-            Source::Data(_) => SourceState::Single {
-                idx: start.unwrap_or(usize::MAX),
-                emitted: start.is_none(),
+    /// Compiles a path: its steps, from its resolved source.
+    pub(crate) fn new(steps: &[Step], start: Start) -> Exec {
+        let source = match start {
+            Start::Row(idx) => SourceState::Single {
+                idx,
+                emitted: false,
             },
-            Source::AttrColumn(attr) => SourceState::Column {
-                attr: attr.clone(),
+            Start::Column(column) => SourceState::Column {
+                column,
                 next: 0,
+                slot: ColumnSlot::default(),
             },
         };
-        let ops = path
-            .steps
+        let ops = steps
             .iter()
             .map(|step| OpState {
                 kind: match step {
@@ -286,24 +300,22 @@ impl Exec {
                     Pulled::Done
                 }
             }
-            SourceState::Column { attr, next } => {
-                use crate::store::Column;
-                let Some(Column::Numeric(cells)) = ctx.store.column(ctx.workflow, attr) else {
-                    return Pulled::Done;
-                };
+            SourceState::Column { column, next, slot } => {
+                let rows = ctx.store.column_at(*column).rows();
                 loop {
-                    if *next >= cells.len() {
+                    let Some(&row) = rows.get(*next) else {
                         return Pulled::Done;
-                    }
+                    };
                     if *budget == 0 {
                         return Pulled::Budget;
                     }
                     *budget -= 1;
                     stats.steps_evaluated += 1;
-                    let (idx, value) = cells[*next];
                     *next += 1;
+                    let idx = row as DataIdx;
                     if ctx.visible(idx) {
-                        return Pulled::Item((idx, Some(value)));
+                        let value = ctx.store.data()[idx].attributes.column_value(*column, slot);
+                        return Pulled::Item((idx, value));
                     }
                 }
             }

@@ -19,37 +19,46 @@
 //! # What a row costs
 //!
 //! The store is memory-only, so the bytes per row decide how long a server
-//! can ingest. A [`DataRow`] is 184 bytes and a [`TaskRow`] 176: their edge
+//! can ingest. A [`DataRow`] is 192 bytes and a [`TaskRow`] 176: their edge
 //! sets hold up to two members inline ([`SmallSet`]) and allocate nothing
-//! until a third. On the heap a row owns its attribute cells (48 bytes
-//! each, plus 16 in the typed column), the text of its own id and the copy
-//! of the workflow id it arrived with; every other string it names is an
-//! allocation the shard holds already:
+//! until a third. An attribute cell costs 12 bytes — 8 in the row's one
+//! allocation of cells ([`Attrs`]), 4 for the row's number in the typed
+//! column — and nothing else per cell: names, value tags and which column
+//! a cell feeds are the row's [`Layout`](crate::attrs::Layout), one per
+//! shape and workflow, shared by every row of that shape (48 bytes in the
+//! row plus 16 in a column that copied the value, before the store learnt
+//! the shape). Beyond its cells a row owns, on the heap, the text of its
+//! own id and the copy of the workflow id it arrived with; every other
+//! string it names is an allocation the shard holds already:
 //!
 //! * the `(workflow, id)` index key is the row's `workflow` and `id`;
 //! * a derivation is the *source row's* `id`, taken from the index probe
 //!   that resolves the edge — except a forward reference, which keeps the
 //!   copy it arrived with even after the source comes;
-//! * an attribute name is the `Arc<str>` the `(workflow, name)` column is
-//!   keyed by, taken from the probe that appends the cell, so rows decoded
-//!   from different messages — each with a string table of its own — share
-//!   one allocation per name; a name whose values are neither numbers nor
-//!   text has no column and stays the record's;
-//! * a text cell in a column is the row's attribute value.
+//! * an attribute name is the layout's, and the layout's is the `Arc<str>`
+//!   the `(workflow, name)` column is keyed by, so layouts — and through
+//!   them rows decoded from different messages, each with a string table
+//!   of its own — share one allocation per name; a name whose values are
+//!   neither numbers nor text has no column and is shared by the rows of
+//!   its layout only;
+//! * a `Str`, `List` or `Bytes` value is the record's own, held once: a
+//!   column lists rows, never values.
 //!
-//! [`Store::ingest`] owns its record and moves ids and the attribute `Vec`
-//! into the row; what the shard has a copy of is dropped in its favour.
-//! A lineage DAG whose rows derive from two others and carry one number
-//! retains 448 bytes of heap per row, all tables included
-//! (`tests/store_footprint.rs` holds that figure and the sharing).
+//! [`Store::ingest`] owns its record and moves ids into the row and the
+//! attribute payloads into its cells; what the shard has a copy of is
+//! dropped in favour of that copy. A row of a known shape costs ingest one
+//! allocation for its cells and no string probe. A lineage DAG whose rows
+//! derive from two others and carry one number retains 403 bytes of heap
+//! per row, and a task with a hundred numbers in and one out 2 493, all
+//! tables included (`tests/store_footprint.rs` holds those figures and the
+//! sharing).
 
+use crate::attrs::{Attrs, Layouts};
 use crate::schema::AttrType;
 use crate::smallset::SmallSet;
 use parking_lot::RwLock;
 use prov_model::key::{IdAttrKey, IdPairKey, PairProbe};
-use prov_model::{
-    mapping, AttrValue, DataRecord, Id, ProvDocument, Record, TaskRecord, TaskStatus,
-};
+use prov_model::{mapping, DataRecord, Id, ProvDocument, Record, TaskRecord, TaskStatus};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -111,10 +120,10 @@ pub struct DataRow {
     /// Maintained alongside `derived_from_idx` so downstream closure is a
     /// graph walk, not an `O(rows)` scan per node.
     pub derived_into: SmallSet<DataIdx>,
-    /// Attributes. Re-seen data ids merge new attribute names in; the first
-    /// value seen for a name wins. A name with a typed column is the
-    /// `Arc<str>` that column is keyed by.
-    pub attributes: Vec<(Arc<str>, AttrValue)>,
+    /// Attributes, as the record listed them: a name the record repeats is
+    /// here as often. Re-seen data ids merge new attribute names in; the
+    /// first value seen for a name wins.
+    pub attributes: Attrs,
     /// Task that generated this data, if known.
     pub generated_by: Option<TaskIdx>,
     /// Tasks that used this data.
@@ -132,33 +141,83 @@ pub struct WorkflowRow {
     pub tasks: Vec<TaskIdx>,
 }
 
-/// A typed attribute column.
+/// A typed attribute column: the rows of one workflow that carry one
+/// attribute name, in the order the cells arrived. It holds no values — a
+/// reader takes the value from the row, through the slot of the row's
+/// layout that feeds this column — and lists a row once however often the
+/// record repeats the name: the first value per name is the one read, as
+/// in a re-seen row's merge.
+///
+/// Its kind is that of the first typed value seen under the name, and
+/// cells of another kind stay out of it. Two kinds exist.
+/// [`AttrType::Numeric`] (`Float`, `Int` and `Bool` cells, read as `f64`)
+/// is what [`Source::AttrColumn`](crate::query::Source) and the
+/// [`Query`](crate::query::Query) aggregates scan. [`AttrType::Text`]
+/// (`Str` cells) has no reader yet — a cursor over it answers
+/// [`NotNumeric`](crate::query::QueryError::NotNumeric) — and costs what
+/// any column costs, 4 bytes a cell.
 #[derive(Clone, Debug)]
-pub enum Column {
-    /// Numeric values as (data row, value).
-    Numeric(Vec<(DataIdx, f64)>),
-    /// Text values as (data row, value). Cells share the row's attribute
-    /// allocation (`Arc<str>`) instead of owning a copy.
-    Text(Vec<(DataIdx, Arc<str>)>),
+pub struct Column {
+    kind: AttrType,
+    rows: Vec<u32>,
 }
 
 impl Column {
-    fn len(&self) -> usize {
-        match self {
-            Column::Numeric(v) => v.len(),
-            Column::Text(v) => v.len(),
-        }
+    /// [`AttrType::Numeric`] or [`AttrType::Text`].
+    pub fn kind(&self) -> AttrType {
+        self.kind
+    }
+
+    /// The data rows listed, as indices into [`Store::data`]. Ascending,
+    /// except where a re-seen row merged the attribute in later.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
     }
 }
 
-/// A column and the `Arc<str>` its map key names it by. Rows take their
-/// attribute names from here; stable `HashMap` hands out no key together
-/// with a mutable value, so the name is held a second time beside the
-/// column.
-#[derive(Debug)]
-struct NamedColumn {
-    name: Arc<str>,
-    column: Column,
+/// The typed columns of a shard: `(workflow, attribute name)` to a position
+/// in `table`, which layouts and cursors hold on to.
+#[derive(Debug, Default)]
+struct Columns {
+    index: HashMap<(Id, Arc<str>), u32>,
+    table: Vec<Column>,
+}
+
+impl Columns {
+    /// What a layout is told about one of its slots: the shard's copy of
+    /// `name`, and the `(workflow, name)` column if a cell of `kind` feeds
+    /// it. The first typed cell under a name defines the column.
+    fn resolve(
+        &mut self,
+        workflow: &Id,
+        name: &Arc<str>,
+        kind: AttrType,
+    ) -> (Arc<str>, Option<u32>) {
+        let probe: &dyn IdAttrKey = &(workflow, name.as_ref());
+        if let Some(((_, held), &column)) = self.index.get_key_value(probe) {
+            let feeds = self.table[column as usize].kind == kind;
+            return (Arc::clone(held), feeds.then_some(column));
+        }
+        if kind == AttrType::Other {
+            return (Arc::clone(name), None);
+        }
+        let column = u32::try_from(self.table.len()).expect("fewer than 2^32 columns");
+        self.table.push(Column {
+            kind,
+            rows: Vec::new(),
+        });
+        self.index
+            .insert((workflow.clone(), Arc::clone(name)), column);
+        (Arc::clone(name), Some(column))
+    }
+
+    /// Lists `row` in the columns its cells from slot `first` on feed.
+    fn list(&mut self, row: DataIdx, attributes: &Attrs, first: usize) {
+        let row = u32::try_from(row).expect("fewer than 2^32 rows in a shard");
+        for column in attributes.columns_from(first) {
+            self.table[column as usize].rows.push(row);
+        }
+    }
 }
 
 /// Ingestion statistics.
@@ -198,8 +257,8 @@ pub struct Store {
     task_index: HashMap<(Id, Id), TaskIdx>,
     data: Vec<DataRow>,
     data_index: HashMap<(Id, Id), DataIdx>,
-    /// (workflow, attribute name) -> typed column.
-    columns: HashMap<(Id, Arc<str>), NamedColumn>,
+    columns: Columns,
+    layouts: Layouts,
     /// Forward derivation references: rows whose `(workflow, source id)`
     /// had not been ingested when they arrived, drained into index edges
     /// the moment the source row appears.
@@ -317,40 +376,36 @@ impl Store {
             for src in data.derivations {
                 self.add_derivation(idx, src);
             }
-            // Fast path: a re-reported item almost always carries the same
-            // attribute layout (often literally the same Arc'd names), so a
-            // positional prefix comparison proves every name known in O(A)
-            // instead of the O(A^2) per-name scan.
-            let same_layout = data.attributes.len() <= self.data[idx].attributes.len()
-                && data
-                    .attributes
-                    .iter()
-                    .zip(&self.data[idx].attributes)
-                    .all(|((a, _), (b, _))| Arc::ptr_eq(a, b) || a == b);
-            if !same_layout {
-                for (name, value) in data.attributes {
-                    let known = self.data[idx].attributes.iter().any(|(n, _)| *n == name);
-                    if !known {
-                        let cell = self.data[idx].attributes.len();
-                        self.data[idx].attributes.push((name, value));
-                        self.add_column_cell(idx, cell);
-                    }
-                }
-            }
+            let row = &mut self.data[idx];
+            let columns = &mut self.columns;
+            let first_new =
+                self.layouts
+                    .merge(&mut row.attributes, data.attributes, |name, kind| {
+                        columns.resolve(&row.workflow, name, kind)
+                    });
+            self.stats.attr_cells += (row.attributes.len() - first_new) as u64;
+            self.columns.list(idx, &row.attributes, first_new);
             return idx;
         }
         let idx = self.data.len();
         self.data_index
             .insert((data.workflow.clone(), data.id.clone()), idx);
         self.stats.data += 1;
-        let cells = data.attributes.len();
+        let columns = &mut self.columns;
+        let attributes = self
+            .layouts
+            .pack(&data.workflow, data.attributes, |name, kind| {
+                columns.resolve(&data.workflow, name, kind)
+            });
+        self.stats.attr_cells += attributes.len() as u64;
+        self.columns.list(idx, &attributes, 0);
         self.data.push(DataRow {
             id: data.id,
             workflow: data.workflow,
             derivations: SmallSet::new(),
             derived_from_idx: SmallSet::new(),
             derived_into: SmallSet::new(),
-            attributes: data.attributes,
+            attributes,
             generated_by: None,
             used_by: SmallSet::new(),
         });
@@ -372,10 +427,6 @@ impl Store {
             for dst in waiting.into_iter().flatten() {
                 self.wire_derivation(idx, dst);
             }
-        }
-
-        for cell in 0..cells {
-            self.add_column_cell(idx, cell);
         }
         idx
     }
@@ -417,52 +468,6 @@ impl Store {
         }
     }
 
-    /// Appends the typed-column cell of `data[idx].attributes[cell]`, and
-    /// has the row name the attribute by the column's `Arc<str>`: one
-    /// allocation per attribute name and workflow, whoever decoded the row.
-    fn add_column_cell(&mut self, idx: DataIdx, cell: usize) {
-        self.stats.attr_cells += 1;
-        let row = &mut self.data[idx];
-        let (name, value) = &mut row.attributes[cell];
-        let ty = AttrType::of(value);
-        if ty == AttrType::Other {
-            return;
-        }
-        let probe: &dyn IdAttrKey = &(&row.workflow, name.as_ref());
-        let NamedColumn { name: held, column } = match self.columns.get_mut(probe) {
-            Some(c) => c,
-            None => {
-                let column = match ty {
-                    AttrType::Numeric => Column::Numeric(Vec::new()),
-                    AttrType::Text => Column::Text(Vec::new()),
-                    AttrType::Other => unreachable!("filtered above"),
-                };
-                self.columns
-                    .entry((row.workflow.clone(), Arc::clone(name)))
-                    .or_insert(NamedColumn {
-                        name: Arc::clone(name),
-                        column,
-                    })
-            }
-        };
-        if !Arc::ptr_eq(held, name) {
-            *name = Arc::clone(held);
-        }
-        match (ty, column) {
-            (AttrType::Numeric, Column::Numeric(col)) => {
-                col.push((idx, value.as_float().expect("numeric")));
-            }
-            (AttrType::Text, Column::Text(col)) => {
-                let AttrValue::Str(s) = value else {
-                    unreachable!("text type implies Str")
-                };
-                col.push((idx, Arc::clone(s)));
-            }
-            // Mixed-type attribute: keep the first type seen.
-            _ => {}
-        }
-    }
-
     // ----- accessors used by the query layer -----
 
     /// All known workflow ids.
@@ -499,15 +504,32 @@ impl Store {
         self.data_index.get(probe).map(|&i| (i, &self.data[i]))
     }
 
-    /// Typed column for an attribute within a workflow. Clone-free.
-    pub fn column(&self, workflow: &Id, attr: &str) -> Option<&Column> {
+    /// Position of an attribute's typed column in this shard's table:
+    /// what a cursor keeps, instead of the name, between pages.
+    pub(crate) fn column_id(&self, workflow: &Id, attr: &str) -> Option<u32> {
         let probe: &dyn IdAttrKey = &(workflow, attr);
-        self.columns.get(probe).map(|named| &named.column)
+        self.columns.index.get(probe).copied()
     }
 
-    /// Number of values in a column.
+    /// The column at a position [`Store::column_id`] returned.
+    pub(crate) fn column_at(&self, column: u32) -> &Column {
+        &self.columns.table[column as usize]
+    }
+
+    /// Typed column for an attribute within a workflow. Clone-free.
+    pub fn column(&self, workflow: &Id, attr: &str) -> Option<&Column> {
+        self.column_id(workflow, attr).map(|c| self.column_at(c))
+    }
+
+    /// Number of rows in a column.
     pub fn column_len(&self, workflow: &Id, attr: &str) -> usize {
-        self.column(workflow, attr).map_or(0, Column::len)
+        self.column(workflow, attr).map_or(0, |c| c.rows.len())
+    }
+
+    /// Number of distinct attribute layouts — `(workflow, names, value
+    /// tags)` — this shard's rows have had.
+    pub fn layout_count(&self) -> usize {
+        self.layouts.len()
     }
 
     /// Exports everything as a validated PROV-DM document (§IV-A
@@ -541,7 +563,7 @@ impl Store {
                     Vec::new()
                 },
                 attributes: if first {
-                    row.attributes.clone()
+                    row.attributes.to_vec()
                 } else {
                     Vec::new()
                 },
@@ -601,7 +623,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prov_model::TaskRecord;
+    use prov_model::{AttrValue, TaskRecord};
 
     fn task(wf: u64, id: u64, transf: &str, dep: Option<u64>, status: TaskStatus) -> TaskRecord {
         TaskRecord {
@@ -735,41 +757,173 @@ mod tests {
         assert_eq!(s.stats().lineage_edges, 1);
     }
 
+    /// The numbers a column scan reads, in column order.
+    fn scan(s: &Store, attr: &str) -> Vec<f64> {
+        let path = crate::query::Path::over_attr(attr);
+        let mut cursor = crate::query::Cursor::open(s, &Id::Num(1), &path, Default::default())
+            .expect("numeric column");
+        let page = cursor.next_page(s);
+        assert!(page.done);
+        page.hits.into_iter().filter_map(|hit| hit.value).collect()
+    }
+
     #[test]
     fn numeric_columns_built() {
         let s = sample_store();
-        match s.column(&Id::Num(1), "accuracy").unwrap() {
-            Column::Numeric(col) => {
-                assert_eq!(col.len(), 3);
-                let max = col.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max);
-                assert!((max - 0.9).abs() < 1e-12);
-            }
-            _ => panic!("expected numeric column"),
-        }
+        let column = s.column(&Id::Num(1), "accuracy").unwrap();
+        assert_eq!(column.kind(), AttrType::Numeric);
+        // The column names the rows; the values are the rows' own.
+        assert_eq!(column.rows(), [1, 3, 5]);
+        let max = scan(&s, "accuracy").into_iter().fold(f64::MIN, f64::max);
+        assert!((max - 0.9).abs() < 1e-12);
         assert_eq!(s.column_len(&Id::Num(1), "learning_rate"), 3);
         assert_eq!(s.column_len(&Id::Num(1), "missing"), 0);
     }
 
     #[test]
-    fn text_columns_share_the_row_allocation() {
+    fn text_columns_name_the_row_that_owns_the_value() {
         let mut s = Store::new();
+        let kind: Arc<str> = Arc::from("sensor");
         s.ingest(Record::TaskBegin {
             task: task(1, 0, "t", None, TaskStatus::Running),
-            inputs: vec![DataRecord::new("d", 1u64).with_attr("kind", "sensor")],
+            inputs: vec![DataRecord::new("d", 1u64).with_attr("kind", AttrValue::Str(kind.clone()))],
         });
-        match s.column(&Id::Num(1), "kind").unwrap() {
-            Column::Text(col) => {
-                assert_eq!(col.len(), 1);
-                assert_eq!(col[0].1.as_ref(), "sensor");
-                // Shared with the row's attribute value, not an owned copy.
-                let (_, row) = s.data_by_id(&Id::Num(1), &Id::from("d")).unwrap();
-                let AttrValue::Str(row_value) = &row.attributes[0].1 else {
-                    panic!("expected str attribute");
-                };
-                assert!(Arc::ptr_eq(row_value, &col[0].1));
-            }
-            _ => panic!("expected text column"),
+        let column = s.column(&Id::Num(1), "kind").unwrap();
+        assert_eq!(column.kind(), AttrType::Text);
+        assert_eq!(column.rows(), [0]);
+        // The row holds the shard's only reference to the text; the column
+        // holds none, and no query source reads it yet.
+        assert_eq!(Arc::strong_count(&kind), 2);
+        let (_, row) = s.data_by_id(&Id::Num(1), &Id::from("d")).unwrap();
+        assert_eq!(row.attributes.get("kind"), Some(AttrValue::Str(kind)));
+        assert_eq!(
+            crate::query::Cursor::open(
+                &s,
+                &Id::Num(1),
+                &crate::query::Path::over_attr("kind"),
+                Default::default()
+            )
+            .err(),
+            Some(crate::query::QueryError::NotNumeric("kind".to_owned()))
+        );
+    }
+
+    #[test]
+    fn every_value_tag_is_ingested_and_numbers_read_one_way() {
+        // A `Bool` used to abort ingest: typed numeric, read as no number.
+        let mut s = Store::new();
+        let values = [
+            AttrValue::Bool(true),
+            AttrValue::Null,
+            AttrValue::List(vec![AttrValue::Int(1), AttrValue::Null]),
+            AttrValue::Bytes(vec![0xde, 0xad]),
+            AttrValue::Int(-3),
+            AttrValue::Bool(false),
+            AttrValue::Float(0.5),
+        ];
+        let inputs: Vec<DataRecord> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| DataRecord::new(i as u64, 1u64).with_attr("flag", v.clone()))
+            .collect();
+        s.ingest(Record::TaskBegin {
+            task: task(1, 0, "t", None, TaskStatus::Running),
+            inputs,
+        });
+        assert_eq!(s.stats().attr_cells, 7);
+        for (i, value) in values.iter().enumerate() {
+            let (_, row) = s.data_by_id(&Id::Num(1), &Id::Num(i as u64)).unwrap();
+            assert_eq!(row.attributes.get("flag").as_ref(), Some(value));
         }
+        // The column takes the numeric tags; a scan and a filter read them
+        // alike.
+        assert_eq!(s.column(&Id::Num(1), "flag").unwrap().rows(), [0, 4, 5, 6]);
+        assert_eq!(scan(&s, "flag"), [1.0, -3.0, 0.0, 0.5]);
+        let filter = crate::query::Filter::Attr {
+            name: "flag".into(),
+            cmp: crate::query::Cmp::Ge,
+            threshold: f64::MIN,
+        };
+        let read: Vec<f64> = s
+            .data()
+            .iter()
+            .filter_map(|row| filter.eval(&s, row).flatten())
+            .collect();
+        assert_eq!(read, scan(&s, "flag"));
+    }
+
+    #[test]
+    fn a_name_twice_in_one_record_is_kept_twice_and_read_once() {
+        let mut s = Store::new();
+        let twice = DataRecord::new("d", 1u64)
+            .with_attr("x", 1.5)
+            .with_attr("y", 7i64)
+            .with_attr("x", 2.5);
+        let sent = twice.attributes.clone();
+        s.ingest(Record::TaskBegin {
+            task: task(1, 0, "t", None, TaskStatus::Running),
+            inputs: vec![twice],
+        });
+        let (_, row) = s.data_by_id(&Id::Num(1), &Id::from("d")).unwrap();
+        // The row is what was sent, and every cell counts.
+        assert_eq!(row.attributes, sent);
+        assert_eq!(s.stats().attr_cells, 3);
+        // The column lists the row once and reads the first value, as
+        // `get` and a filter do.
+        assert_eq!(s.column(&Id::Num(1), "x").unwrap().rows(), [0]);
+        assert_eq!(scan(&s, "x"), [1.5]);
+        assert_eq!(row.attributes.get("x"), Some(AttrValue::Float(1.5)));
+        // A first value of another kind keeps the row out of the column,
+        // whatever follows it under the same name.
+        s.ingest(Record::TaskBegin {
+            task: task(1, 1, "t", None, TaskStatus::Running),
+            inputs: vec![DataRecord::new("e", 1u64)
+                .with_attr("x", "text")
+                .with_attr("x", 3.5)],
+        });
+        assert_eq!(s.stats().attr_cells, 5);
+        assert_eq!(scan(&s, "x"), [1.5]);
+    }
+
+    #[test]
+    fn layouts_are_interned_by_content_however_shapes_alternate() {
+        // Nine shapes in turn, more than the fast path remembers, from
+        // names that are allocations of each record's own.
+        let shape = |k: u64, i: u64| {
+            let mut d = DataRecord::new(i, 1u64);
+            for a in 0..=k % 3 {
+                d = match k / 3 {
+                    0 => d.with_attr(format!("a{a}"), i as f64),
+                    1 => d.with_attr(format!("a{a}"), i as i64),
+                    _ => d.with_attr(format!("b{a}"), i as f64),
+                };
+            }
+            d
+        };
+        let mut s = Store::new();
+        for i in 0..1000u64 {
+            s.ingest(Record::TaskBegin {
+                task: task(1, i, "t", None, TaskStatus::Running),
+                inputs: vec![shape(i % 9, i)],
+            });
+        }
+        assert_eq!(s.layout_count(), 9);
+        for (i, row) in s.data().iter().enumerate() {
+            let first = &s.data()[i % 9];
+            assert!(Arc::ptr_eq(
+                row.attributes.layout(),
+                first.attributes.layout()
+            ));
+            assert_eq!(row.attributes, shape(i as u64 % 9, i as u64).attributes);
+        }
+        // The same shape in another workflow is another layout: its slots
+        // feed that workflow's columns.
+        s.ingest(Record::TaskBegin {
+            task: task(2, 0, "t", None, TaskStatus::Running),
+            inputs: vec![DataRecord::new(0u64, 2u64).with_attr("a0", 0.0)],
+        });
+        assert_eq!(s.layout_count(), 10);
+        assert_eq!(s.column_len(&Id::Num(2), "a0"), 1);
     }
 
     #[test]
@@ -808,14 +962,30 @@ mod tests {
         });
         assert_eq!(s.stats().data, 1);
         let (_, row) = s.data_by_id(&Id::Num(1), &Id::from("d")).unwrap();
-        assert_eq!(row.attributes.len(), 2);
-        assert_eq!(row.attributes[0].1, AttrValue::Int(1), "first value wins");
-        assert_eq!(row.attributes[1].1, AttrValue::Float(2.5));
+        let expected = DataRecord::new("d", 1u64)
+            .with_attr("x", 1i64)
+            .with_attr("y", 2.5);
+        assert_eq!(row.attributes, expected.attributes, "first value wins");
         assert_eq!(row.derivations, vec![Id::from("src")]);
         // The merged attribute got its column cell; the known one no
         // duplicate.
         assert_eq!(s.column_len(&Id::Num(1), "x"), 1);
         assert_eq!(s.column_len(&Id::Num(1), "y"), 1);
+        assert_eq!(s.stats().attr_cells, 2);
+        // The row moved to the layout a fresh `[x, y]` row has.
+        s.ingest(Record::TaskBegin {
+            task: task(1, 2, "t", None, TaskStatus::Running),
+            inputs: vec![DataRecord::new("e", 1u64)
+                .with_attr("x", 5i64)
+                .with_attr("y", 0.5)],
+        });
+        let (_, merged) = s.data_by_id(&Id::Num(1), &Id::from("d")).unwrap();
+        let (_, fresh) = s.data_by_id(&Id::Num(1), &Id::from("e")).unwrap();
+        assert!(Arc::ptr_eq(
+            merged.attributes.layout(),
+            fresh.attributes.layout()
+        ));
+        assert_eq!(scan(&s, "y"), [2.5, 0.5]);
     }
 
     #[test]

@@ -202,7 +202,7 @@ fn uncompressed_and_json_payloads_also_flow() {
             let attr = |id: String| {
                 let (_, row) = store.data_by_id(&wf, &id.into()).unwrap();
                 assert_eq!(row.attributes.len(), 1, "{name}");
-                let (key, value) = &row.attributes[0];
+                let (key, value) = row.attributes.iter().next().unwrap();
                 (key.to_string(), value.as_float())
             };
             for t in 0..2u64 {
@@ -216,6 +216,59 @@ fn uncompressed_and_json_payloads_also_flow() {
         }
         manager.shutdown();
     }
+}
+
+/// Every kind of attribute value the capture API can express reaches the
+/// store through the real gateway. A `Bool` (wire tag 1) used to type as a
+/// number and read as none: the translator thread panicked under the
+/// shard's write lock, after the gateway had acknowledged the message.
+#[test]
+fn every_kind_of_attribute_value_is_stored_and_the_server_goes_on() {
+    use provlight::prov_model::AttrValue;
+    let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+    let values = [
+        ("flag", AttrValue::Bool(true)),
+        ("gap", AttrValue::Null),
+        (
+            "shape",
+            AttrValue::List(vec![AttrValue::Int(3), AttrValue::from("x")]),
+        ),
+        ("digest", AttrValue::Bytes(vec![0xde, 0xad, 0xbe, 0xef])),
+    ];
+    let client = ProvLightClient::connect(
+        manager.broker_addr(),
+        "device-k",
+        "provlight/test/device-k",
+        CaptureConfig::default(),
+    )
+    .expect("connect");
+    let wf = client.session().workflow(5u64);
+    let mut task = wf.task(0u64, "work", &[]);
+    let inputs = values
+        .iter()
+        .map(|(name, value)| DataRecord::new(*name, 5u64).with_attr(*name, value.clone()));
+    task.begin(inputs.collect()).unwrap();
+    task.end(Vec::new()).unwrap();
+    client.flush().unwrap();
+    client.shutdown();
+    wait_for_records(&manager, 2);
+    {
+        let wf = Id::Num(5);
+        let store = manager.store().read(&wf);
+        for (name, value) in &values {
+            let (_, row) = store.data_by_id(&wf, &Id::from(*name)).expect("row stored");
+            assert_eq!(row.attributes.get(name).as_ref(), Some(value), "{name}");
+        }
+        // The flag is a number to a scan, as it is to a filter.
+        let flags = Query::new(&store).attr_stats(&wf, "flag").unwrap();
+        assert_eq!((flags.count, flags.min, flags.max), (1, 1.0, 1.0));
+    }
+    assert_eq!(manager.store().stats().attr_cells, 4);
+    // The translator is alive: another device's records arrive.
+    run_device(6, manager.broker_addr(), CaptureConfig::default(), 2);
+    wait_for_records(&manager, 8);
+    assert_eq!(manager.server_stats().decode_errors, 0);
+    manager.shutdown();
 }
 
 /// Any peer that connects and registers a topic reaches the translator's

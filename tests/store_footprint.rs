@@ -7,8 +7,9 @@
 //! of the row types, the heap a lineage DAG retains per row, and that an
 //! edge set costs no allocation until its third member. The second half
 //! pins what makes that footprint possible and must stay invisible: a row
-//! names its sources and its attributes by allocations the shard already
-//! holds, whoever decoded the record. Last, the door the rows come through:
+//! names its sources by allocations the shard already holds and its
+//! attributes through the layout it shares with every row of its shape,
+//! whoever decoded the record. Last, the door the rows come through:
 //! what decoding one envelope may hold on the heap is linear in its length,
 //! whatever its bytes claim.
 
@@ -153,9 +154,44 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
     let stats = store.stats();
     assert_eq!(stats.data, DAG_ROWS as u64);
     assert_eq!(stats.lineage_edges, 2 * DAG_ROWS as u64 - 3);
-    // 448 B measured, plus a tenth; 877 B before edge sets moved inline and
-    // rows took the shard's own copy of every string it already held.
-    assert!(per_row <= 492, "{per_row} B of live heap per row");
+    // 403 B measured, plus a tenth; 448 B while a row held its one cell as
+    // a 48-byte pair and the column a copy of it, 877 B before edge sets
+    // moved inline and rows took the shard's own copy of every string it
+    // already held.
+    assert!(per_row <= 443, "{per_row} B of live heap per row");
+}
+
+const WIDE_TASKS: u64 = 2_875;
+const WIDE_GROUP: u64 = 25;
+
+#[test]
+fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
+    // One `grouped_wide` device: 100 `f64` in, one out, every 25 tasks an
+    // envelope with a string table of its own. All a shard keeps for it —
+    // rows, cells, columns, indices, layouts — is counted.
+    let before = live_bytes();
+    let store = ShardedStore::default();
+    let mut router = ShardRouter::new();
+    for first in (0..WIDE_TASKS).step_by(WIDE_GROUP as usize) {
+        let group: Vec<Record> = (first..first + WIDE_GROUP)
+            .flat_map(task_records_wide)
+            .collect();
+        router.route(&store, &mut over_the_wire(&group));
+    }
+    drop(router);
+    let per_task = (live_bytes() - before) as u64 / WIDE_TASKS;
+
+    let stats = store.stats();
+    assert_eq!(stats.tasks, WIDE_TASKS);
+    assert_eq!(stats.attr_cells, 101 * WIDE_TASKS);
+    let wf = Id::from("wf");
+    assert_eq!(store.read(&wf).layout_count(), 2);
+    // 2 493 B measured, plus a tenth: 808 of cells and 404 of row numbers
+    // in columns; the rest is rows, ids, indices, and the slack of tables
+    // that double (2 875 tasks fill theirs to 0.70). With 48-byte pairs in
+    // the row and 16-byte copies in the column (this test against a `git
+    // archive` of PR 21, less the layout count): 8 235 B.
+    assert!(per_task <= 2_742, "{per_task} B of live heap per task");
 }
 
 fn text(id: &Id) -> &Arc<str> {
@@ -204,6 +240,9 @@ fn task_records_wide(t: u64) -> Vec<Record> {
             .map(|a| (Arc::from(format!("a{a}")), AttrValue::Float(a as f64 / 7.0)))
             .collect();
     }
+    if let Record::TaskEnd { outputs, .. } = &mut records[1] {
+        outputs[0].attributes = vec![(Arc::from("result"), AttrValue::Float(t as f64 / 3.0))];
+    }
     records
 }
 
@@ -241,18 +280,18 @@ fn rows_share_the_strings_the_shard_already_holds() {
 
     let guard = store.read(&wf);
     let row = |id: &str| guard.data_by_id(&wf, &Id::from(id)).expect("row stored").1;
-    // One allocation per attribute name, across rows and messages.
+    // One layout, and so one allocation per attribute name, across rows
+    // and messages.
     let reference = row("in0");
     for id in ["in0", "out0", "in1", "out1"] {
         let row = row(id);
         assert_eq!(row.attributes.len(), 2);
-        for (cell, (name, _)) in row.attributes.iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(name, &reference.attributes[cell].0),
-                "{id}.{name} is a copy"
-            );
-        }
+        assert!(
+            Arc::ptr_eq(row.attributes.layout(), reference.attributes.layout()),
+            "{id} has a layout of its own"
+        );
     }
+    assert_eq!(guard.layout_count(), 1);
     // A row lists its source under the source row's own id.
     for t in 0..2 {
         let (source, product) = (row(&format!("in{t}")), row(&format!("out{t}")));
@@ -275,9 +314,10 @@ fn rows_share_the_strings_the_shard_already_holds() {
     assert_eq!(product.derivations, [Id::from("in2")]);
     assert_eq!(product.derived_from_idx, [source_idx]);
     assert!(Arc::ptr_eq(
-        &product.attributes[0].0,
-        &source.attributes[0].0
+        product.attributes.layout(),
+        source.attributes.layout()
     ));
+    assert_eq!(guard.layout_count(), 1);
 }
 
 /// A task of workflow 1 with `data` data records written by hand: the first

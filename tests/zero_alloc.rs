@@ -189,6 +189,46 @@ fn steady_state_decode_allocates_only_what_the_records_hold() {
     assert_eq!(allocations() - before, expected);
 }
 
+/// Store steady state: a row whose shape the shard knows costs one
+/// allocation, its cells — found through the layout, not through a probe
+/// per name, and packed out of the record's list, not kept in it. Names are
+/// allocations of each record's own, as from a string table per message.
+#[test]
+fn ingesting_a_row_of_a_known_layout_allocates_once_for_its_cells() {
+    use provlight::prov_store::store::Store;
+    let wide = |i: u64| {
+        let mut d = DataRecord::new(i, 1u64);
+        for a in 0..100 {
+            let value = AttrValue::Float(i as f64 + a as f64 / 7.0);
+            d.attributes.push((Arc::from(format!("a{a}")), value));
+        }
+        Record::TaskBegin {
+            task: TaskRecord {
+                id: Id::Num(i),
+                workflow: Id::Num(1),
+                transformation: Id::Num(7),
+                dependencies: Vec::new(),
+                time_ns: i,
+                status: TaskStatus::Running,
+            },
+            inputs: vec![d],
+        }
+    };
+    let mut store = Store::new();
+    // Five rows leave every table — rows, indices, the hundred columns —
+    // with room for a sixth.
+    for i in 0..5 {
+        store.ingest(wide(i));
+    }
+    let sixth = wide(5);
+    let before = allocations();
+    store.ingest(sixth);
+    assert_eq!(allocations() - before, 1);
+    assert_eq!(store.stats().attr_cells, 600);
+    assert_eq!(store.layout_count(), 1);
+    assert_eq!(store.column_len(&Id::Num(1), "a99"), 6);
+}
+
 /// Broker steady state: one QoS 1 publish fanning out to 8 QoS 0
 /// subscribers plus one QoS 1 subscriber (whose ack cycles the outbound
 /// state), end to end through the datagram path — borrowed decode, fan-out
