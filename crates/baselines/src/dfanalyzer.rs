@@ -73,8 +73,8 @@ mod tests {
         }
         assert_eq!(client.requests, 5);
         assert_eq!(client.connections_opened(), 1);
-        assert_eq!(server.store().read().stats().records, 5);
-        assert_eq!(server.store().read().stats().tasks, 5);
+        assert_eq!(server.store().stats().records, 5);
+        assert_eq!(server.store().stats().tasks, 5);
         server.shutdown();
     }
 }

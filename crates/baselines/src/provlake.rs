@@ -99,7 +99,7 @@ mod tests {
         client.flush().unwrap();
         assert_eq!(client.requests, 3);
         assert_eq!(client.connections_opened(), 3);
-        assert_eq!(server.store().read().stats().records, 3);
+        assert_eq!(server.store().stats().records, 3);
         server.shutdown();
     }
 
@@ -113,7 +113,7 @@ mod tests {
         client.flush().unwrap();
         // 10 records in groups of 4 -> 2 full + 1 partial = 3 requests.
         assert_eq!(client.requests, 3);
-        assert_eq!(server.store().read().stats().records, 10);
+        assert_eq!(server.store().stats().records, 10);
         server.shutdown();
     }
 }

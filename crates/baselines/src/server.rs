@@ -6,26 +6,26 @@
 //! * `/dfanalyzer/...` — compact JSON, one record or an array;
 //! * `/provlake/...` — the verbose envelope with a compact sidecar.
 //!
-//! Everything lands in a [`SharedStore`], so the same query layer serves
+//! Everything lands in a [`SharedShardedStore`], so the same query layer serves
 //! both baselines and ProvLight-captured provenance.
 
 use http_lite::message::{Request, Response};
 use http_lite::server::HttpServer;
 use prov_codec::json::{parse, records_from_json, JsonValue};
-use prov_store::store::{shared, SharedStore};
+use prov_store::sharded::{shared_sharded, SharedShardedStore};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// A running ingestion server.
 pub struct IngestionServer {
     http: HttpServer,
-    store: SharedStore,
+    store: SharedShardedStore,
 }
 
 impl IngestionServer {
     /// Binds and starts serving.
     pub fn start(bind: &str) -> std::io::Result<IngestionServer> {
-        let store = shared();
+        let store = shared_sharded();
         let handler_store = store.clone();
         let http = HttpServer::spawn(
             bind,
@@ -40,7 +40,7 @@ impl IngestionServer {
     }
 
     /// The backing store.
-    pub fn store(&self) -> &SharedStore {
+    pub fn store(&self) -> &SharedShardedStore {
         &self.store
     }
 
@@ -55,7 +55,7 @@ impl IngestionServer {
     }
 }
 
-fn handle(store: &SharedStore, req: Request) -> Response {
+fn handle(store: &SharedShardedStore, req: Request) -> Response {
     if req.method != "POST" {
         return Response::new(404, Vec::new());
     }
@@ -80,7 +80,7 @@ fn handle(store: &SharedStore, req: Request) -> Response {
 
     match records {
         Ok(records) => {
-            store.write().ingest_batch(records);
+            store.ingest_batch(records);
             Response::new(204, Vec::new())
         }
         Err(e) => Response::new(400, e.to_string().into_bytes()),
@@ -108,7 +108,7 @@ mod tests {
             .post("/provlake/ingest", "application/json", b"{}".to_vec())
             .unwrap();
         assert_eq!(resp.status, 400);
-        assert_eq!(server.store().read().stats().records, 0);
+        assert_eq!(server.store().stats().records, 0);
         server.shutdown();
     }
 
@@ -126,7 +126,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resp.status, 204);
-        assert_eq!(server.store().read().stats().records, 2);
+        assert_eq!(server.store().stats().records, 2);
         server.shutdown();
     }
 }

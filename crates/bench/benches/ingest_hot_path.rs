@@ -1,24 +1,22 @@
-//! Server-side ingest throughput: the global-lock store versus the sharded
-//! store, at 1 and 4 parallel translators.
+//! Server-side ingest throughput of the sharded store, at 1 and 4 parallel
+//! translators.
 //!
 //! Each translator replays a stream of envelope batches exactly like the
-//! server decode loop hands them over (`ShardRouter::route` on the sharded
-//! store, one `write().ingest_batch(..)` per envelope on the locked store).
-//! Streams are disjoint by construction: translator `i`'s workflows all
-//! hash to shards `s` with `s % TRANSLATORS == i`, so the sharded
-//! configurations are conflict-free — the deployment the paper's Fig. 5
-//! topic-per-device partitioning produces.
+//! server decode loop hands them over (`ShardRouter::route`). Streams are
+//! disjoint by construction: translator `i`'s workflows all hash to shards
+//! `s` with `s % TRANSLATORS == i`, so the configurations are conflict-free
+//! — the deployment the paper's Fig. 5 topic-per-device partitioning
+//! produces.
 //!
 //! Throughput for an N-translator configuration is computed over the
 //! **critical path** of the per-translator ingest segments, each measured
-//! on the real store: a global write lock serializes all segments
-//! (critical path = their sum, so extra translators buy nothing), while
-//! conflict-free shards let segments proceed independently (critical path
-//! = the slowest segment). This makes the scalability number a property of
-//! the lock topology rather than of the bench host's core count; an
-//! OS-thread wall-clock run of the 4-translator sharded configuration is
-//! reported alongside (`sharded_4_wall`) together with the host's
-//! `cores`, and converges to the critical-path figure as cores allow.
+//! on the real store: one translator runs them back to back (critical path
+//! = their sum), while conflict-free shards let four proceed independently
+//! (critical path = the slowest segment). This makes the scalability number
+//! a property of the lock topology rather than of the bench host's core
+//! count; an OS-thread wall-clock run of the 4-translator configuration is
+//! reported alongside (`sharded_4_wall`) together with the host's `cores`,
+//! and converges to the critical-path figure as cores allow.
 //!
 //! Results extend the `ingest` section of `BENCH_hotpath.json` at the repo
 //! root, leaving the capture-path metrics untouched (ROADMAP: extend, not
@@ -27,7 +25,6 @@
 
 use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use prov_store::sharded::{ShardRouter, ShardedStore};
-use prov_store::store::SharedStore;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,35 +110,13 @@ fn run_sharded(store: &ShardedStore, envelopes: Vec<Vec<Record>>) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Replays one translator's envelopes into the single-lock store (the
-/// pre-sharding architecture: one write lock per envelope).
-fn run_locked(store: &SharedStore, envelopes: Vec<Vec<Record>>) -> f64 {
-    let start = Instant::now();
-    for envelope in envelopes {
-        store.write().ingest_batch(envelope);
-    }
-    start.elapsed().as_secs_f64()
-}
-
 struct IngestRates {
-    global_1: f64,
-    global_4: f64,
     sharded_1: f64,
     sharded_4: f64,
     sharded_4_wall: f64,
 }
 
 fn measure(streams: &[Vec<Vec<Record>>], total_records: usize) -> IngestRates {
-    // Global lock: per-translator segments serialize, so the critical path
-    // is the sum of segment times — for 1 and 4 translators alike.
-    let locked = prov_store::store::shared();
-    let locked_segments: Vec<f64> = streams
-        .iter()
-        .map(|envelopes| run_locked(&locked, envelopes.clone()))
-        .collect();
-    assert_eq!(locked.read().stats().records as usize, total_records);
-    let locked_sum: f64 = locked_segments.iter().sum();
-
     // Sharded, one translator: everything is one serialized segment.
     let sharded = ShardedStore::new(SHARDS);
     let sharded_single: f64 = streams
@@ -177,8 +152,6 @@ fn measure(streams: &[Vec<Vec<Record>>], total_records: usize) -> IngestRates {
 
     let rate = |seconds: f64| total_records as f64 / seconds;
     IngestRates {
-        global_1: rate(locked_sum),
-        global_4: rate(locked_sum),
         sharded_1: rate(sharded_single),
         sharded_4: rate(sharded_max),
         sharded_4_wall: rate(wall),
@@ -218,8 +191,6 @@ fn main() {
         best = Some(match best {
             None => rates,
             Some(b) => IngestRates {
-                global_1: b.global_1.max(rates.global_1),
-                global_4: b.global_4.max(rates.global_4),
                 sharded_1: b.sharded_1.max(rates.sharded_1),
                 sharded_4: b.sharded_4.max(rates.sharded_4),
                 sharded_4_wall: b.sharded_4_wall.max(rates.sharded_4_wall),
@@ -236,12 +207,6 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let flatline = best.global_4 / best.global_1;
-    println!("  global_lock_1        {:>12.0} rec/s", best.global_1);
-    println!(
-        "  global_lock_4        {:>12.0} rec/s  ({flatline:.2}x: lock serializes)",
-        best.global_4
-    );
     println!("  sharded_1            {:>12.0} rec/s", best.sharded_1);
     println!(
         "  sharded_4            {:>12.0} rec/s  ({scaling:.2}x scaling)",
@@ -258,11 +223,9 @@ fn main() {
          \"envelope_records\": {ENVELOPE_RECORDS},\n    \"shards\": {SHARDS},\n    \
          \"reps\": {reps},\n    \"cores\": {cores},\n    \
          \"model\": \"critical-path over measured per-translator segments; _wall = OS threads\",\n    \
-         \"paths\": {{\n      \"global_lock_1\": {},\n      \"global_lock_4\": {},\n      \
-         \"sharded_1\": {},\n      \"sharded_4\": {},\n      \"sharded_4_wall\": {}\n    }},\n    \
+         \"paths\": {{\n      \"sharded_1\": {},\n      \"sharded_4\": {},\n      \
+         \"sharded_4_wall\": {}\n    }},\n    \
          \"scaling_sharded_1_to_4\": {scaling:.2}\n  }}",
-        path(best.global_1),
-        path(best.global_4),
         path(best.sharded_1),
         path(best.sharded_4),
         path(best.sharded_4_wall),

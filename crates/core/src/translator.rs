@@ -173,11 +173,8 @@ mod tests {
         assert!(batch.is_empty(), "translator must drain the batch");
         assert_eq!(t.messages(), 1);
         assert_eq!(store.stats().records, 2);
-        let wf = store
-            .read(&Id::Num(1))
-            .workflow(&Id::Num(1))
-            .cloned()
-            .unwrap();
+        let guard = store.read(&Id::Num(1));
+        let wf = guard.workflow(&Id::Num(1)).unwrap();
         assert_eq!(wf.begin_ns, Some(0));
         assert_eq!(wf.end_ns, Some(9));
     }

@@ -40,7 +40,7 @@ impl Clone for Id {
 ///
 /// Even for string ids a clone is just a refcount bump, which a counting
 /// allocator cannot see — so the zero-clone guarantees of the ingest index
-/// hot path (borrowed-key lookups, see [`crate::key`]) are asserted against
+/// hot path (maps keyed by one id, probed with `&Id`) are asserted against
 /// this counter instead. The counter is thread-local so concurrently
 /// running tests cannot pollute each other's measurements. Release builds
 /// pay nothing.

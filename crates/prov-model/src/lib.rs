@@ -19,14 +19,12 @@
 //! ProvLake, PROV-IO, ...).
 
 pub mod ids;
-pub mod key;
 pub mod mapping;
 pub mod provdm;
 pub mod record;
 pub mod value;
 
 pub use ids::Id;
-pub use key::{IdAttrKey, IdPairKey};
 pub use provdm::{Element, ElementKind, ProvDocument, Relation, RelationKind};
 pub use record::{DataRecord, Record, TaskRecord, TaskStatus};
 pub use value::AttrValue;

@@ -4,8 +4,8 @@
 //! is the same lever in the store. A row's attribute list is split in two:
 //!
 //! * a [`Layout`] — the names and value tags of the list, in order, plus
-//!   for each slot the typed column it feeds. It belongs to one workflow
-//!   and is shared, by `Arc`, by every row of that workflow with that
+//!   for each slot the typed column it feeds. It belongs to one workflow's
+//!   table and is shared, by `Arc`, by every row of that table with that
 //!   shape, whichever message brought the row;
 //! * the row's own cells — one `u64` per slot. `Null`, `Bool`, `Int` and
 //!   `Float` are their bits, read back under the layout's tag, so an `Int`
@@ -20,8 +20,8 @@
 //!
 //! # Interning
 //!
-//! [`Layouts`] is the shard's table of them, keyed by content: workflow,
-//! names by their bytes, tags. A lookup first tries the few layouts used
+//! [`Layouts`] is a workflow's table of them, keyed by content: names by
+//! their bytes, tags. A lookup first tries the few layouts used
 //! last — names compared by address, then by bytes — which is where the
 //! rows of a group, and the inputs and outputs of alternating task records,
 //! are found without hashing anything; a miss there hashes the shape once
@@ -30,8 +30,8 @@
 //! miss would grow with the rows whenever a few shapes alternate, and put
 //! back per row what a layout exists to say once; one that trusted the hash
 //! would sooner or later label one row's cells with another row's names.
-//! The number of layouts a shard holds is the number of distinct `(workflow,
-//! names, tags)` it has seen.
+//! The number of layouts a workflow holds is the number of distinct `(names,
+//! tags)` its rows have had.
 //!
 //! The column a slot feeds is resolved when the layout is defined and never
 //! again — a column's kind is fixed by the first typed value under its name
@@ -43,7 +43,7 @@
 //! and any repetition of names, and is under the `no_panic` lint.
 
 use crate::schema::AttrType;
-use prov_model::{AttrValue, Id};
+use prov_model::AttrValue;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -107,8 +107,8 @@ struct Slot {
     name: Arc<str>,
     tag: Tag,
     /// The typed column this slot's cells are listed in. `None` for a tag
-    /// no column takes, for a kind other than the one the `(workflow,
-    /// name)` column began with, and for a name an earlier slot of the
+    /// no column takes, for a kind other than the one the workflow's column
+    /// of that name began with, and for a name an earlier slot of the
     /// layout carries, whatever that slot's tag — the first value per name
     /// wins.
     column: Option<u32>,
@@ -127,21 +127,14 @@ impl Slot {
 /// docs](self).
 #[derive(Debug)]
 pub struct Layout {
-    workflow: Id,
     slots: Box<[Slot]>,
     /// How many slots keep their value in the side `Vec`.
     wide: usize,
 }
 
 impl Layout {
-    fn has_shape<'a>(
-        &self,
-        workflow: &Id,
-        len: usize,
-        shape: impl Iterator<Item = (&'a Arc<str>, Tag)>,
-    ) -> bool {
+    fn has_shape<'a>(&self, len: usize, shape: impl Iterator<Item = (&'a Arc<str>, Tag)>) -> bool {
         self.slots.len() == len
-            && self.workflow == *workflow
             && self
                 .slots
                 .iter()
@@ -317,13 +310,13 @@ impl PartialEq<Vec<(Arc<str>, AttrValue)>> for Attrs {
 /// of two devices whose groups alternate on one shard.
 const RECENT: usize = 4;
 
-/// The layouts of a shard, interned by content; see the [module
+/// The layouts of a workflow, interned by content; see the [module
 /// docs](self).
 #[derive(Debug, Default)]
 pub(crate) struct Layouts {
     /// The layouts used last, newest first.
     recent: Vec<Arc<Layout>>,
-    /// Every layout, under the hash of its workflow, names and tags by the
+    /// Every layout, under the hash of its names and tags by the
     /// map's own randomly keyed hasher: names come from the network.
     by_shape: HashMap<u64, Vec<Arc<Layout>>>,
 }
@@ -335,17 +328,16 @@ impl Layouts {
     }
 
     /// Packs a new row's attributes. `resolve` is asked, once per slot of
-    /// a layout seen for the first time, for the shard's copy of a name
+    /// a layout seen for the first time, for the workflow's copy of a name
     /// and the column of that name a slot of the given kind feeds.
     pub(crate) fn pack(
         &mut self,
-        workflow: &Id,
         attributes: Vec<(Arc<str>, AttrValue)>,
         resolve: impl FnMut(&Arc<str>, AttrType) -> (Arc<str>, Option<u32>),
     ) -> Attrs {
         let shape = attributes.iter().map(|(name, v)| (name, Tag::of(v)));
         let mut attrs = Attrs {
-            layout: self.intern(workflow, attributes.len(), shape, resolve),
+            layout: self.intern(attributes.len(), shape, resolve),
             cells: Box::default(),
             wide: None,
         };
@@ -389,27 +381,25 @@ impl Layouts {
             .iter()
             .map(|slot| (&slot.name, slot.tag))
             .chain(new.iter().map(|(name, v)| (name, Tag::of(v))));
-        attrs.layout = self.intern(&from.workflow, held + new.len(), shape, resolve);
+        attrs.layout = self.intern(held + new.len(), shape, resolve);
         attrs.fill(new.into_iter().map(|(_, value)| value));
         held
     }
 
-    /// The layout of `shape` (`len` cells) in `workflow`: the one the
-    /// shard holds, or a new one.
+    /// The layout of `shape` (`len` cells): the one the workflow holds, or
+    /// a new one.
     fn intern<'a>(
         &mut self,
-        workflow: &Id,
         len: usize,
         shape: impl Iterator<Item = (&'a Arc<str>, Tag)> + Clone,
         mut resolve: impl FnMut(&Arc<str>, AttrType) -> (Arc<str>, Option<u32>),
     ) -> Arc<Layout> {
-        let is_it = |layout: &Arc<Layout>| layout.has_shape(workflow, len, shape.clone());
+        let is_it = |layout: &Arc<Layout>| layout.has_shape(len, shape.clone());
         if let Some(at) = self.recent.iter().position(is_it) {
             self.recent[..=at].rotate_right(1);
             return Arc::clone(&self.recent[0]);
         }
         let mut hasher = self.by_shape.hasher().build_hasher();
-        workflow.hash(&mut hasher);
         for (name, tag) in shape.clone() {
             name.hash(&mut hasher);
             tag.hash(&mut hasher);
@@ -433,7 +423,6 @@ impl Layouts {
                     })
                     .collect();
                 let layout = Arc::new(Layout {
-                    workflow: workflow.clone(),
                     wide: slots.iter().filter(|slot| slot.tag.is_wide()).count(),
                     slots,
                 });
@@ -579,11 +568,10 @@ mod tests {
             first in arb_cells(),
             second in arb_cells(),
         ) {
-            let workflow = Id::Num(1);
             let mut layouts = Layouts::default();
             let mut columns = Resolver::default();
             let mut model = first.clone();
-            let mut attrs = layouts.pack(&workflow, first, |n, k| columns.resolve(n, k));
+            let mut attrs = layouts.pack(first, |n, k| columns.resolve(n, k));
             assert_reads_as(&attrs, &model);
 
             // A re-seen row: names it lacks are appended, first value each.
@@ -605,7 +593,7 @@ mod tests {
 
             // A fresh row of the merged shape has the merged row's layout,
             // and no column is fed twice by one row.
-            let fresh = layouts.pack(&workflow, model.clone(), |n, k| columns.resolve(n, k));
+            let fresh = layouts.pack(model.clone(), |n, k| columns.resolve(n, k));
             prop_assert!(Arc::ptr_eq(fresh.layout(), copy.layout()));
             let mut fed: Vec<u32> = fresh.columns_from(0).collect();
             fed.sort_unstable();
@@ -620,45 +608,34 @@ mod tests {
 
     #[test]
     fn a_known_shape_is_found_without_asking_for_a_name() {
-        let workflow = Id::Num(1);
         let mut layouts = Layouts::default();
         let mut columns = Resolver::default();
-        let first = layouts.pack(&workflow, numbers(&["x", "y"]), |n, k| {
-            columns.resolve(n, k)
-        });
+        let first = layouts.pack(numbers(&["x", "y"]), |n, k| columns.resolve(n, k));
         assert_eq!(columns.asked, 2);
         // More shapes than the fast path remembers, then the first again.
         for other in ["p", "q", "r", "s", "t"] {
-            layouts.pack(&workflow, numbers(&[other]), |n, k| columns.resolve(n, k));
+            layouts.pack(numbers(&[other]), |n, k| columns.resolve(n, k));
         }
         assert_eq!(columns.asked, 7);
-        let again = layouts.pack(&workflow, numbers(&["x", "y"]), |n, k| {
-            columns.resolve(n, k)
-        });
+        let again = layouts.pack(numbers(&["x", "y"]), |n, k| columns.resolve(n, k));
         assert_eq!(columns.asked, 7);
         assert!(Arc::ptr_eq(first.layout(), again.layout()));
         assert_eq!(layouts.len(), 6);
-        // Same names, another tag or another workflow: another layout.
+        // Same names, another tag: another layout.
         let ints = vec![
             (Arc::from("x"), AttrValue::Int(0)),
             (Arc::from("y"), AttrValue::Int(1)),
         ];
-        let typed = layouts.pack(&workflow, ints, |n, k| columns.resolve(n, k));
+        let typed = layouts.pack(ints, |n, k| columns.resolve(n, k));
         assert!(!Arc::ptr_eq(first.layout(), typed.layout()));
-        let other = layouts.pack(&Id::Num(2), numbers(&["x", "y"]), |n, k| {
-            columns.resolve(n, k)
-        });
-        assert!(!Arc::ptr_eq(first.layout(), other.layout()));
-        assert_eq!(layouts.len(), 8);
+        assert_eq!(layouts.len(), 7);
     }
 
     #[test]
     fn a_row_is_thirty_two_bytes_and_a_row_of_numbers_one_allocation() {
         assert_eq!(std::mem::size_of::<Attrs>(), 32);
         let mut layouts = Layouts::default();
-        let row = layouts.pack(&Id::Num(1), numbers(&["x", "y", "z"]), |n, _| {
-            (Arc::clone(n), None)
-        });
+        let row = layouts.pack(numbers(&["x", "y", "z"]), |n, _| (Arc::clone(n), None));
         assert!(row.wide.is_none());
         assert_eq!(row.cells.len(), 3);
     }

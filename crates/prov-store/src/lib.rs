@@ -9,10 +9,11 @@
 //! * [`schema`] — the dataflow model DfAnalyzer exposes: dataflows,
 //!   transformations, datasets, typed attributes;
 //! * [`store`] — an in-memory columnar store ingesting capture
-//!   [`Record`](prov_model::Record)s at runtime, with task/data/lineage
-//!   tables and per-attribute typed columns (the MonetDB substitution);
+//!   [`Record`](prov_model::Record)s at runtime: one table per workflow,
+//!   with its task/data/lineage rows and per-attribute typed columns (the
+//!   MonetDB substitution);
 //! * [`attrs`] — how a row holds its attributes: eight bytes a cell behind
-//!   a layout the shard interns per shape;
+//!   a layout the workflow's table interns per shape;
 //! * [`sharded`] — the lock-scalable ingest front: the store split into
 //!   per-workflow shards with independent locks, plus the grouped batch
 //!   router that parallel translators feed (one lock per shard per
@@ -41,4 +42,4 @@ pub use query::{
 pub use schema::{AttrType, AttributeDef, DataflowSpec, DatasetSpec, TransformationSpec};
 pub use sharded::{shared_sharded, ShardRouter, ShardedStore, SharedShardedStore};
 pub use smallset::SmallSet;
-pub use store::{SharedStore, Store, StoreStats, TaskRow};
+pub use store::{Store, StoreStats, TaskRow, WorkflowTable};

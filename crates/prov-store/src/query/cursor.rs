@@ -6,7 +6,9 @@
 //! returns. Against a [`ShardedStore`](crate::sharded::ShardedStore) the
 //! shard read lock is therefore held only *inside* one `next_page` call —
 //! writers interleave between pages, and the cursor resumes because row
-//! indices and column positions are append-only.
+//! indices and column positions are append-only. A cursor reads one
+//! workflow, so a page looks its [`WorkflowTable`] up once and every index
+//! the traversal follows stays inside it.
 //!
 //! # Read-consistency contract
 //!
@@ -29,10 +31,10 @@
 //! frontier + one page), and termination on cyclic graphs.
 
 use crate::query::path::{Path, Source};
-use crate::query::traverse::{Ctx, Exec, Pulled, QueryStats, Start};
+use crate::query::traverse::{Ctx, Exec, Item, Pulled, QueryStats, Start};
 use crate::query::QueryError;
 use crate::schema::AttrType;
-use crate::store::{DataIdx, Store};
+use crate::store::{Store, WorkflowTable};
 use prov_model::Id;
 
 /// What a cursor may see of ingest that happens after it was opened.
@@ -116,21 +118,22 @@ impl Cursor {
         path: &Path,
         opts: CursorOpts,
     ) -> Result<Cursor, QueryError> {
+        let table = store.workflow(workflow);
         let start = match &path.source {
-            Source::Data(id) => {
-                let (idx, _) = store
-                    .data_by_id(workflow, id)
-                    .ok_or_else(|| QueryError::UnknownData(id.clone()))?;
-                Start::Row(idx)
-            }
-            Source::AttrColumn(attr) => store
-                .column_id(workflow, attr)
-                .filter(|&c| store.column_at(c).kind() == AttrType::Numeric)
+            Source::Data(id) => table
+                .and_then(|t| t.data_by_id(id))
+                .map(|(idx, _)| Start::Row(idx))
+                .ok_or_else(|| QueryError::UnknownData(id.clone()))?,
+            Source::AttrColumn(attr) => table
+                .and_then(|t| {
+                    let numeric = |&c: &u32| t.column_at(c).kind() == AttrType::Numeric;
+                    t.column_id(attr).filter(numeric)
+                })
                 .map(Start::Column)
                 .ok_or_else(|| QueryError::NotNumeric(attr.clone()))?,
         };
         let horizon = match opts.snapshot {
-            SnapshotMode::AtOpen => Some(store.data().len()),
+            SnapshotMode::AtOpen => table.map(|t| t.data().len()),
             SnapshotMode::Live => None,
         };
         Ok(Cursor {
@@ -144,46 +147,46 @@ impl Cursor {
     }
 
     /// Produces the next page of materialized hits. `store` must be (a
-    /// view of) the same store the cursor was opened on.
+    /// view of) the same store the cursor was opened on: the cursor's
+    /// workflow is looked up in it, once.
     pub fn next_page(&mut self, store: &Store) -> Page {
         let mut hits = Vec::new();
-        let done = self.fill(store, self.opts.page_size, |store, (idx, value)| {
-            hits.push(Hit {
-                id: store.data()[idx].id.clone(),
-                value,
-            })
-        });
+        let done = match store.workflow(&self.workflow) {
+            Some(table) => self.fill(table, |(idx, value)| {
+                hits.push(Hit {
+                    id: table.data()[idx].id.clone(),
+                    value,
+                })
+            }),
+            None => true,
+        };
         Page { hits, done }
     }
 
-    /// Like [`Cursor::next_page`] but yields raw row indices — the facade
-    /// aggregates use this to avoid cloning an `Id` per intermediate hit.
-    pub(crate) fn next_index_page(&mut self, store: &Store) -> (Vec<(DataIdx, Option<f64>)>, bool) {
+    /// Like [`Cursor::next_page`] but yields raw row indices of `table`,
+    /// the cursor's workflow — the facade aggregates use this to avoid
+    /// cloning an `Id` per intermediate hit.
+    pub(crate) fn next_index_page(&mut self, table: &WorkflowTable) -> (Vec<Item>, bool) {
         let mut items = Vec::new();
-        let done = self.fill(store, self.opts.page_size, |_, item| items.push(item));
+        let done = self.fill(table, |item| items.push(item));
         (items, done)
     }
 
-    fn fill(
-        &mut self,
-        store: &Store,
-        page_size: usize,
-        mut sink: impl FnMut(&Store, (DataIdx, Option<f64>)),
-    ) -> bool {
+    fn fill(&mut self, table: &WorkflowTable, mut sink: impl FnMut(Item)) -> bool {
         if self.done {
             return true;
         }
         self.stats.pages += 1;
         let ctx = Ctx {
-            store,
+            table,
             horizon: self.horizon,
         };
         let mut budget = self.opts.max_work;
         let mut emitted = 0usize;
-        while emitted < page_size {
+        while emitted < self.opts.page_size {
             match self.exec.pull(&ctx, &mut budget, &mut self.stats) {
                 Pulled::Item(item) => {
-                    sink(store, item);
+                    sink(item);
                     emitted += 1;
                 }
                 Pulled::Done => {

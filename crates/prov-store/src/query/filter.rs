@@ -6,7 +6,7 @@
 //! [`Query::filter_data_by`](crate::query::Query::filter_data_by) facade)
 //! applies it to the engine's output pages instead.
 
-use crate::store::{DataRow, Store};
+use crate::store::{DataRow, WorkflowTable};
 use std::sync::Arc;
 
 /// Numeric comparison operator.
@@ -64,10 +64,10 @@ pub enum Filter {
 }
 
 impl Filter {
-    /// Evaluates the filter against a row. Returns the matched numeric
+    /// Evaluates the filter against a row of `table`. Returns the matched numeric
     /// attribute value for [`Filter::Attr`] hits so downstream consumers
     /// (cursors) can carry it without a second lookup.
-    pub(crate) fn eval(&self, store: &Store, row: &DataRow) -> Option<Option<f64>> {
+    pub(crate) fn eval(&self, table: &WorkflowTable, row: &DataRow) -> Option<Option<f64>> {
         match self {
             Filter::Attr {
                 name,
@@ -78,7 +78,7 @@ impl Filter {
                 cmp.eval(value, *threshold).then_some(Some(value))
             }
             Filter::EndedWithin { from_ns, to_ns } => {
-                let end = row.generated_by.and_then(|t| store.tasks()[t].end_ns)?;
+                let end = row.generated_by.and_then(|t| table.tasks()[t].end_ns)?;
                 (*from_ns <= end && end <= *to_ns).then_some(None)
             }
         }

@@ -34,8 +34,8 @@
 //!
 //! — each method now a thin wrapper that composes a [`Path`] and drains a
 //! [`Cursor`]. Task-table reports (`tasks`, `task_metrics`, …) remain
-//! direct per-workflow list projections: they are O(tasks-of-workflow)
-//! reads with no traversal to compose.
+//! direct projections of the workflow's task table: they are
+//! O(tasks-of-workflow) reads with no traversal to compose.
 
 pub mod cursor;
 pub mod filter;
@@ -47,9 +47,10 @@ pub use cursor::{Cursor, CursorOpts, Hit, Page, SnapshotMode};
 pub use filter::{Cmp, Filter};
 pub use path::{Path, Source};
 pub use step::{Edge, Step};
+use traverse::Item;
 pub use traverse::QueryStats;
 
-use crate::store::{DataIdx, Store, TaskRow};
+use crate::store::{DataIdx, Store, TaskRow, WorkflowTable};
 use prov_model::{AttrValue, Id};
 use std::sync::Arc;
 
@@ -146,38 +147,43 @@ impl<'a> Query<'a> {
         Cursor::open(self.store, workflow, path, opts)
     }
 
-    /// Runs a path to completion, returning raw `(row index, value)`
-    /// items in traversal order.
-    fn drain(&self, workflow: &Id, path: &Path) -> Result<Vec<(DataIdx, Option<f64>)>, QueryError> {
+    fn table(&self, workflow: &Id) -> Result<&'a WorkflowTable, QueryError> {
+        self.store
+            .workflow(workflow)
+            .ok_or_else(|| QueryError::UnknownWorkflow(workflow.clone()))
+    }
+
+    /// Runs a path to completion, returning the workflow's table and raw
+    /// `(row index in it, value)` items in traversal order.
+    fn drain(
+        &self,
+        workflow: &Id,
+        path: &Path,
+    ) -> Result<(&'a WorkflowTable, Vec<Item>), QueryError> {
+        // Opening reports a source it cannot find, in an unknown workflow
+        // as in a known one; past it the table is there.
         let mut cursor = Cursor::open(self.store, workflow, path, drain_opts())?;
+        let table = self.table(workflow)?;
         let mut items = Vec::new();
         loop {
-            let (page, done) = cursor.next_index_page(self.store);
+            let (page, done) = cursor.next_index_page(table);
             items.extend(page);
             if done {
-                return Ok(items);
+                return Ok((table, items));
             }
         }
     }
 
-    fn workflow_tasks(&self, workflow: &Id) -> Result<Vec<&'a TaskRow>, QueryError> {
-        let wf = self
-            .store
-            .workflow(workflow)
-            .ok_or_else(|| QueryError::UnknownWorkflow(workflow.clone()))?;
-        Ok(wf.tasks.iter().map(|&i| &self.store.tasks()[i]).collect())
-    }
-
     /// All tasks of a workflow, in ingestion order.
     pub fn tasks(&self, workflow: &Id) -> Result<Vec<&'a TaskRow>, QueryError> {
-        self.workflow_tasks(workflow)
+        Ok(self.table(workflow)?.tasks().iter().collect())
     }
 
     /// Tasks still running (begin captured, no end) — the paper's runtime
     /// steering use case.
     pub fn running_tasks(&self, workflow: &Id) -> Result<Vec<&'a TaskRow>, QueryError> {
         Ok(self
-            .workflow_tasks(workflow)?
+            .tasks(workflow)?
             .into_iter()
             .filter(|t| t.end_ns.is_none())
             .collect())
@@ -186,7 +192,7 @@ impl<'a> Query<'a> {
     /// Per-task timing/status report.
     pub fn task_metrics(&self, workflow: &Id) -> Result<Vec<TaskMetrics>, QueryError> {
         Ok(self
-            .workflow_tasks(workflow)?
+            .tasks(workflow)?
             .into_iter()
             .map(|t| TaskMetrics {
                 task: t.id.clone(),
@@ -207,7 +213,7 @@ impl<'a> Query<'a> {
         k: usize,
         highest: bool,
     ) -> Result<Vec<(Id, f64)>, QueryError> {
-        let items = self.drain(workflow, &Path::over_attr(attr))?;
+        let (table, items) = self.drain(workflow, &Path::over_attr(attr))?;
         // k-bounded selection instead of sorting the whole column: `best`
         // stays sorted best-first; a candidate is placed after every entry
         // at least as good, which reproduces the stable sort's tie order.
@@ -227,7 +233,7 @@ impl<'a> Query<'a> {
         }
         Ok(best
             .into_iter()
-            .map(|(i, v)| (self.store.data()[i].id.clone(), v))
+            .map(|(i, v)| (table.data()[i].id.clone(), v))
             .collect())
     }
 
@@ -238,14 +244,14 @@ impl<'a> Query<'a> {
         workflow: &Id,
         attr: &str,
     ) -> Result<Vec<(u64, f64)>, QueryError> {
-        let items = self.drain(workflow, &Path::over_attr(attr))?;
+        let (table, items) = self.drain(workflow, &Path::over_attr(attr))?;
         let mut series: Vec<(u64, f64)> = items
             .into_iter()
             .map(|(idx, v)| {
-                let row = &self.store.data()[idx];
+                let row = &table.data()[idx];
                 let t = row
                     .generated_by
-                    .and_then(|ti| self.store.tasks()[ti].end_ns)
+                    .and_then(|ti| table.tasks()[ti].end_ns)
                     .unwrap_or(0);
                 (t, v.unwrap_or(f64::NAN))
             })
@@ -268,10 +274,10 @@ impl<'a> Query<'a> {
             LineageDirection::Upstream => Path::from_data(data.clone()).upstream(max_depth),
             LineageDirection::Downstream => Path::from_data(data.clone()).downstream(max_depth),
         };
-        Ok(self
-            .drain(workflow, &path)?
+        let (table, items) = self.drain(workflow, &path)?;
+        Ok(items
             .into_iter()
-            .map(|(i, _)| self.store.data()[i].id.clone())
+            .map(|(i, _)| table.data()[i].id.clone())
             .collect())
     }
 
@@ -284,11 +290,11 @@ impl<'a> Query<'a> {
         data: &Id,
     ) -> Result<Vec<DataAttributes>, QueryError> {
         let path = Path::from_data(data.clone()).generated_from();
-        Ok(self
-            .drain(workflow, &path)?
+        let (table, items) = self.drain(workflow, &path)?;
+        Ok(items
             .into_iter()
             .map(|(i, _)| {
-                let d = &self.store.data()[i];
+                let d = &table.data()[i];
                 (d.id.clone(), d.attributes.to_vec())
             })
             .collect())
@@ -297,7 +303,7 @@ impl<'a> Query<'a> {
     /// Summary statistics over a numeric attribute (dashboard queries:
     /// "loss range across the run", "mean accuracy so far").
     pub fn attr_stats(&self, workflow: &Id, attr: &str) -> Result<AttrStats, QueryError> {
-        let items = self.drain(workflow, &Path::over_attr(attr))?;
+        let (_, items) = self.drain(workflow, &Path::over_attr(attr))?;
         if items.is_empty() {
             return Err(QueryError::NotNumeric(attr.to_owned()));
         }
@@ -332,12 +338,12 @@ impl<'a> Query<'a> {
     where
         F: Fn(f64) -> bool,
     {
-        let items = self.drain(workflow, &Path::over_attr(attr))?;
+        let (table, items) = self.drain(workflow, &Path::over_attr(attr))?;
         Ok(items
             .into_iter()
             .filter_map(|(i, v)| {
                 let v = v?;
-                predicate(v).then(|| (self.store.data()[i].id.clone(), v))
+                predicate(v).then(|| (table.data()[i].id.clone(), v))
             })
             .collect())
     }
@@ -345,17 +351,14 @@ impl<'a> Query<'a> {
     /// `(running, finished)` task counts — the runtime-steering dashboard
     /// number.
     pub fn task_status_counts(&self, workflow: &Id) -> Result<(usize, usize), QueryError> {
-        let tasks = self.workflow_tasks(workflow)?;
+        let tasks = self.tasks(workflow)?;
         let finished = tasks.iter().filter(|t| t.end_ns.is_some()).count();
         Ok((tasks.len() - finished, finished))
     }
 
     /// Workflow makespan in seconds when both ends were captured.
     pub fn workflow_makespan_s(&self, workflow: &Id) -> Result<Option<f64>, QueryError> {
-        let wf = self
-            .store
-            .workflow(workflow)
-            .ok_or_else(|| QueryError::UnknownWorkflow(workflow.clone()))?;
+        let wf = self.table(workflow)?;
         Ok(match (wf.begin_ns, wf.end_ns) {
             (Some(b), Some(e)) if e >= b => Some((e - b) as f64 / 1e9),
             _ => None,
@@ -369,7 +372,7 @@ impl<'a> Query<'a> {
         transformation: &Id,
     ) -> Result<Option<f64>, QueryError> {
         let times: Vec<f64> = self
-            .workflow_tasks(workflow)?
+            .tasks(workflow)?
             .into_iter()
             .filter(|t| &t.transformation == transformation)
             .filter_map(TaskRow::elapsed_s)

@@ -23,7 +23,7 @@
 
 use crate::attrs::ColumnSlot;
 use crate::query::step::{Edge, Step};
-use crate::store::{DataIdx, Store};
+use crate::store::{DataIdx, WorkflowTable};
 use std::collections::VecDeque;
 
 /// Counters a cursor accumulates while executing (wired into the
@@ -83,9 +83,10 @@ pub(crate) enum Pulled {
     Budget,
 }
 
-/// Per-execution context: the store view and the snapshot horizon.
+/// Per-execution context: the table of the workflow being read and the
+/// snapshot horizon.
 pub(crate) struct Ctx<'a> {
-    pub(crate) store: &'a Store,
+    pub(crate) table: &'a WorkflowTable,
     /// `Some(limit)`: rows with index `>= limit` are invisible
     /// (snapshot-at-open). `None`: live reads.
     pub(crate) horizon: Option<usize>,
@@ -107,7 +108,7 @@ pub(crate) enum Start {
     Row(DataIdx),
     /// The numeric column of a
     /// [`Source::AttrColumn`](crate::query::Source), by its position in the
-    /// shard's table.
+    /// workflow's table.
     Column(u32),
 }
 
@@ -271,8 +272,8 @@ impl Exec {
                             }
                         }
                         OpKind::Keep(filter) => {
-                            let row = &ctx.store.data()[idx];
-                            if let Some(matched) = filter.eval(ctx.store, row) {
+                            let row = &ctx.table.data()[idx];
+                            if let Some(matched) = filter.eval(ctx.table, row) {
                                 ready.push_back((idx, value.or(matched)));
                             }
                         }
@@ -301,7 +302,7 @@ impl Exec {
                 }
             }
             SourceState::Column { column, next, slot } => {
-                let rows = ctx.store.column_at(*column).rows();
+                let rows = ctx.table.column_at(*column).rows();
                 loop {
                     let Some(&row) = rows.get(*next) else {
                         return Pulled::Done;
@@ -314,7 +315,7 @@ impl Exec {
                     *next += 1;
                     let idx = row as DataIdx;
                     if ctx.visible(idx) {
-                        let value = ctx.store.data()[idx].attributes.column_value(*column, slot);
+                        let value = ctx.table.data()[idx].attributes.column_value(*column, slot);
                         return Pulled::Item((idx, value));
                     }
                 }
@@ -328,8 +329,7 @@ impl Exec {
 /// which for `DerivedInto` is ascending row order — the order the legacy
 /// downstream scan produced.
 fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) {
-    let rows = ctx.store.data();
-    let row = &rows[node];
+    let row = &ctx.table.data()[node];
     match edge {
         Edge::DerivedFrom => {
             for &src in &row.derived_from_idx {
@@ -347,7 +347,7 @@ fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) 
         }
         Edge::GeneratedFrom => {
             if let Some(t) = row.generated_by {
-                for &input in &ctx.store.tasks()[t].inputs {
+                for &input in &ctx.table.tasks()[t].inputs {
                     if ctx.visible(input) {
                         emit((input, None));
                     }
@@ -356,7 +356,7 @@ fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) 
         }
         Edge::UsedBy => {
             for &t in &row.used_by {
-                for &output in &ctx.store.tasks()[t].outputs {
+                for &output in &ctx.table.tasks()[t].outputs {
                     if ctx.visible(output) {
                         emit((output, None));
                     }

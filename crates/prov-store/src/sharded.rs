@@ -6,17 +6,20 @@
 //! [`ShardedStore`] splits the store into `N` independent shards, each its
 //! own [`Store`] behind its own `RwLock`, routed by a hash of the
 //! **record's** workflow id. All records of one workflow land in one
-//! shard, so every per-workflow invariant (task/data indices, lineage
-//! edges, columns) is shard-local and needs no cross-shard coordination.
-//! The one input class that spans shards — a data item attached to a task
-//! of a *different* workflow — is materialized in the referencing task's
-//! shard. If the owning workflow also reports the item, each shard holds
-//! its own row: the owning shard's copy is authoritative (and found first
-//! by [`ShardedStore::read_for_data`]), the referencing shard's replica
-//! carries that shard's local `used`/`generated` edges, and aggregate
-//! [`ShardedStore::stats`] counts both. This is the deliberate sharding
-//! tradeoff — global cross-workflow dedup would require cross-shard
-//! locking on the ingest hot path, which is exactly what sharding removes.
+//! shard, in that workflow's table, so every per-workflow invariant
+//! (task/data indices, lineage edges, columns) is table-local and needs no
+//! cross-shard coordination. The one input class that spans workflows — a
+//! data item attached to a task of a *different* workflow — is materialized
+//! in the table of the task that reported it: a replica per *reporting
+//! workflow*, however many shards there are and whichever of them the two
+//! workflows hash to. If the owning workflow also reports the item, its own
+//! table holds its own row: that copy is authoritative (and found first by
+//! [`ShardedStore::read_for_data`]), the reporting workflow's replica
+//! carries that workflow's local `used`/`generated` edges and feeds no
+//! column, and aggregate [`ShardedStore::stats`] counts both. Rows, edges
+//! and stats are therefore the same at every shard count. This is the
+//! deliberate tradeoff — cross-workflow dedup would require a lock across
+//! tables on the ingest hot path, which is exactly what sharding removes.
 //!
 //! Batch ingestion goes through [`ShardRouter::route`]: one grouped pass
 //! buckets an envelope's records by shard, then takes each touched shard's
@@ -97,7 +100,7 @@ impl ShardedStore {
     /// Records route by the *record's* workflow, so a `DataRecord` whose
     /// own `workflow` field differs from its task's (a cross-workflow
     /// attachment, expressible through the capture API) is stored in the
-    /// task's shard — not in `shard_of(data.workflow)`. This lookup probes
+    /// task's table — not in `shard_of(data.workflow)`. This lookup probes
     /// the home shard first and falls back to scanning the rest, so such
     /// rows stay findable; same-workflow data (the overwhelmingly common
     /// case) resolves on the first probe.
@@ -247,7 +250,9 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prov_model::{DataRecord, TaskRecord, TaskStatus};
+    use crate::query::Query;
+    use prov_model::{AttrValue, DataRecord, TaskRecord, TaskStatus};
+    use std::collections::BTreeMap;
 
     fn wf_records(wf: u64) -> Vec<Record> {
         let t = TaskRecord {
@@ -281,6 +286,27 @@ mod tests {
         ]
     }
 
+    /// Workflow 2 reports item `d`, a task of workflow 1 uses workflow 2's
+    /// `d` (reported bare), and workflow 1 has a `d` of its own.
+    fn cross_workflow_records() -> [Record; 3] {
+        let used_by = |wf: u64, task: u64, d: DataRecord| Record::TaskBegin {
+            task: TaskRecord {
+                id: Id::Num(task),
+                workflow: Id::Num(wf),
+                transformation: Id::from("t"),
+                dependencies: vec![],
+                time_ns: 0,
+                status: TaskStatus::Running,
+            },
+            inputs: vec![d],
+        };
+        [
+            used_by(2, 10, DataRecord::new("d", 2u64).with_attr("x", 1i64)),
+            used_by(1, 10, DataRecord::new("d", 2u64)),
+            used_by(1, 11, DataRecord::new("d", 1u64).with_attr("x", 2i64)),
+        ]
+    }
+
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         assert_eq!(ShardedStore::new(1).shard_count(), 1);
@@ -307,6 +333,7 @@ mod tests {
         for wf in 0..20u64 {
             batch.extend(wf_records(wf));
         }
+        batch.extend(cross_workflow_records());
         single.ingest_batch(batch.iter().cloned());
         sharded.ingest_batch(batch);
 
@@ -315,12 +342,69 @@ mod tests {
         for wf in 0..20u64 {
             let id = Id::Num(wf);
             let guard = sharded.read(&id);
-            let row = guard.workflow(&id).unwrap();
-            assert_eq!(row.begin_ns, Some(0));
-            assert_eq!(row.end_ns, Some(3));
-            assert_eq!(row.tasks.len(), 1);
+            let table = guard.workflow(&id).unwrap();
+            assert_eq!(table.begin_ns, Some(0));
+            assert_eq!(table.end_ns, Some(3));
+            let cross_tasks = match wf {
+                1 => 2,
+                2 => 1,
+                _ => 0,
+            };
+            assert_eq!(table.tasks().len(), 1 + cross_tasks);
+            assert_eq!(table.data(), single.workflow(&id).unwrap().data());
             let (_, out) = guard.data_by_id(&id, &Id::from("out")).unwrap();
             assert_eq!(out.derivations, vec![Id::from("in")]);
+        }
+    }
+
+    /// What a row reads as: attributes, derivations, how many tasks use it.
+    type RowView = (Vec<(Arc<str>, AttrValue)>, Vec<Id>, usize);
+
+    /// Every data row of `store`, by the workflow whose table holds it, the
+    /// workflow it names and its id.
+    fn rows(store: &ShardedStore) -> BTreeMap<(Id, Id, Id), RowView> {
+        let mut rows = BTreeMap::new();
+        for shard in 0..store.shard_count() {
+            let guard = store.shard(shard).read();
+            for host in guard.workflow_ids() {
+                for row in guard.workflow(host).unwrap().data() {
+                    let key = (host.clone(), row.workflow.clone(), row.id.clone());
+                    let view = (
+                        row.attributes.to_vec(),
+                        row.derivations.to_vec(),
+                        row.used_by.len(),
+                    );
+                    assert!(rows.insert(key, view).is_none(), "a row held twice");
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn what_is_stored_does_not_depend_on_the_shard_count() {
+        // Workflows 1 and 2 share a shard at one count and not at another;
+        // a shard used to merge what two shards kept apart (`data` 2 for 3).
+        let stores: Vec<ShardedStore> = [1, 2, 16]
+            .into_iter()
+            .map(|shards| {
+                let store = ShardedStore::new(shards);
+                store.ingest_batch(cross_workflow_records());
+                for wf in 0..12u64 {
+                    store.ingest_batch(wf_records(wf));
+                }
+                store
+            })
+            .collect();
+        let reference = &stores[0];
+        assert_eq!(reference.stats().data, 3 + 2 * 12);
+        let document = reference.to_prov_document();
+        for store in &stores[1..] {
+            assert_eq!(store.stats(), reference.stats());
+            assert_eq!(rows(store), rows(reference));
+            let doc = store.to_prov_document();
+            assert_eq!(doc.element_count(), document.element_count());
+            assert_eq!(doc.relations().len(), document.relations().len());
         }
     }
 
@@ -345,7 +429,7 @@ mod tests {
     #[test]
     fn cross_workflow_data_stays_findable() {
         // A data item claiming workflow 2 attached to a workflow-1 task is
-        // stored in workflow 1's shard; read_for_data still resolves it.
+        // stored in workflow 1's table; read_for_data still resolves it.
         let store = ShardedStore::new(8);
         let t = TaskRecord {
             id: Id::Num(0),
@@ -365,6 +449,12 @@ mod tests {
         let (_, row) = guard.data_by_id(&Id::Num(2), &Id::from("foreign")).unwrap();
         assert_eq!(row.workflow, Id::Num(2));
         assert_eq!(row.used_by.len(), 1, "replica carries the local edge");
+        // It is a row of workflow 1's table and of neither's columns.
+        let hosted = guard.workflow(&Id::Num(1)).unwrap().data();
+        assert_eq!(hosted, std::slice::from_ref(row));
+        assert!(guard.column(&Id::Num(1), "x").is_none());
+        assert!(guard.column(&Id::Num(2), "x").is_none());
+        assert_eq!(guard.stats().attr_cells, 1);
         drop(guard);
         // Same-workflow lookups resolve on the home shard.
         store.ingest_batch(wf_records(7));
@@ -381,39 +471,40 @@ mod tests {
 
     #[test]
     fn cross_workflow_reference_materializes_a_replica() {
-        // Documented sharding tradeoff: when the owning workflow reports
-        // the item AND a foreign task references it, each shard holds its
-        // own row — the owning shard's copy is authoritative and found
-        // first; aggregate stats count both rows.
-        let store = ShardedStore::new(8);
-        assert_ne!(
-            store.shard_of(&Id::Num(1)),
-            store.shard_of(&Id::Num(2)),
-            "test requires the two workflows on different shards"
-        );
-        let task = |wf: u64| TaskRecord {
-            id: Id::Num(0),
-            workflow: Id::Num(wf),
-            transformation: Id::from("t"),
-            dependencies: vec![],
-            time_ns: 0,
-            status: TaskStatus::Running,
-        };
-        // Workflow 2 owns "d" (with attributes)...
-        store.ingest(Record::TaskBegin {
-            task: task(2),
-            inputs: vec![DataRecord::new("d", 2u64).with_attr("x", 1i64)],
-        });
-        // ...and a workflow-1 task also uses it (reported bare).
-        store.ingest(Record::TaskBegin {
-            task: task(1),
-            inputs: vec![DataRecord::new("d", 2u64)],
-        });
-        assert_eq!(store.stats().data, 2, "one authoritative row + one replica");
-        // read_for_data prefers the owning shard's authoritative copy.
-        let guard = store.read_for_data(&Id::Num(2), &Id::from("d")).unwrap();
-        let (_, row) = guard.data_by_id(&Id::Num(2), &Id::from("d")).unwrap();
-        assert_eq!(row.attributes.len(), 1, "authoritative copy has the attrs");
+        // Documented tradeoff: when the owning workflow reports the item
+        // AND a foreign task references it, each workflow's table holds its
+        // own row — the owner's copy is authoritative and found first;
+        // aggregate stats count both rows. One shard or several.
+        for shards in [1, 8] {
+            let store = ShardedStore::new(shards);
+            let [owned, referenced, _] = cross_workflow_records();
+            let owner = Id::Num(2);
+            store.ingest(owned);
+            let answers = |store: &ShardedStore| {
+                let guard = store.read(&owner);
+                let q = Query::new(&guard);
+                (
+                    q.top_k_by_attr(&owner, "x", 5, true),
+                    q.tasks(&owner).map(|tasks| tasks.len()),
+                    guard.workflow(&owner).unwrap().data().to_vec(),
+                )
+            };
+            let before = answers(&store);
+            store.ingest(referenced);
+            assert_eq!(answers(&store), before, "the owner's view is its own");
+            assert_eq!(store.stats().data, 2, "one authoritative row + one replica");
+            // read_for_data prefers the owner's authoritative copy.
+            let guard = store.read_for_data(&owner, &Id::from("d")).unwrap();
+            let (_, row) = guard.data_by_id(&owner, &Id::from("d")).unwrap();
+            assert_eq!(row.attributes.len(), 1, "authoritative copy has the attrs");
+            drop(guard);
+            // The replica is a row of the reporting workflow's table.
+            let guard = store.read(&Id::Num(1));
+            let replica = &guard.workflow(&Id::Num(1)).unwrap().data()[0];
+            assert_eq!((&replica.workflow, &replica.id), (&owner, &Id::from("d")));
+            assert!(replica.attributes.is_empty());
+            assert_eq!(replica.used_by.len(), 1);
+        }
     }
 
     #[test]

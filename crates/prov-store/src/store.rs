@@ -1,20 +1,30 @@
 //! The in-memory columnar provenance store.
 //!
 //! Ingests capture records at workflow runtime (the paper's "data ingestion
-//! at runtime" requirement, §IV-B) and maintains:
+//! at runtime" requirement, §IV-B) and answers queries per dataflow, so a
+//! workflow is the unit it is made of: a [`Store`] is a map from workflow
+//! id to one [`WorkflowTable`], and a table is all there is of its
+//! workflow —
 //!
+//! * its begin and end times;
 //! * a task table (begin/end times, status, dependencies);
 //! * a data table (attributes, derivations) with `used` / `wasGeneratedBy`
 //!   edges to tasks;
-//! * per-(workflow, attribute) typed columns for analytical queries — the
-//!   stand-in for DfAnalyzer's MonetDB column store.
+//! * per-attribute typed columns for analytical queries — the stand-in for
+//!   DfAnalyzer's MonetDB column store;
+//! * the indexes over those, each keyed by one id or one name, and every
+//!   row index relative to the table.
 //!
-//! The ingest path is engineered for per-record cost: index lookups use
-//! borrowed `(workflow, id)` keys ([`prov_model::key`]) so a *hit* clones
-//! zero [`Id`]s, edge dedup uses [`SmallSet`] indices instead of `O(n)`
-//! scans, and no raw record is kept once it is folded into the tables —
-//! PROV export reconstructs the stream from them instead of replaying an
-//! unbounded log.
+//! Nothing in a table points outside it and nothing outside points in, so
+//! what a table holds is decided by the records that named its workflow
+//! and by nothing else — not by which workflows share its shard.
+//!
+//! The ingest path is engineered for per-record cost: one probe finds the
+//! record's table, inside it an index is a `HashMap<Id, _>` probed with the
+//! record's own `&Id`, so a *hit* clones zero [`Id`]s, edge dedup uses
+//! [`SmallSet`] indices instead of `O(n)` scans, and no raw record is kept
+//! once it is folded into the tables — PROV export reconstructs the stream
+//! from them instead of replaying an unbounded log.
 //!
 //! # What a row costs
 //!
@@ -25,46 +35,47 @@
 //! allocation of cells ([`Attrs`]), 4 for the row's number in the typed
 //! column — and nothing else per cell: names, value tags and which column
 //! a cell feeds are the row's [`Layout`](crate::attrs::Layout), one per
-//! shape and workflow, shared by every row of that shape (48 bytes in the
-//! row plus 16 in a column that copied the value, before the store learnt
-//! the shape). Beyond its cells a row owns, on the heap, the text of its
-//! own id and the copy of the workflow id it arrived with; every other
-//! string it names is an allocation the shard holds already:
+//! shape and workflow, shared by every row of that shape. Beyond its cells
+//! a row owns, on the heap, the text of its own id; every other string it
+//! names is an allocation its table holds already:
 //!
-//! * the `(workflow, id)` index key is the row's `workflow` and `id`;
+//! * the row's `workflow` is the table's key, and the index key — one id,
+//!   32 bytes a bucket with the row number — is the row's `id`;
 //! * a derivation is the *source row's* `id`, taken from the index probe
 //!   that resolves the edge — except a forward reference, which keeps the
 //!   copy it arrived with even after the source comes;
 //! * an attribute name is the layout's, and the layout's is the `Arc<str>`
-//!   the `(workflow, name)` column is keyed by, so layouts — and through
-//!   them rows decoded from different messages, each with a string table
-//!   of its own — share one allocation per name; a name whose values are
-//!   neither numbers nor text has no column and is shared by the rows of
-//!   its layout only;
+//!   the column of that name is keyed by, so layouts — and through them
+//!   rows decoded from different messages, each with a string table of its
+//!   own — share one allocation per name; a name whose values are neither
+//!   numbers nor text has no column and is shared by the rows of its
+//!   layout only;
 //! * a `Str`, `List` or `Bytes` value is the record's own, held once: a
 //!   column lists rows, never values.
 //!
 //! [`Store::ingest`] owns its record and moves ids into the row and the
-//! attribute payloads into its cells; what the shard has a copy of is
+//! attribute payloads into its cells; what the table has a copy of is
 //! dropped in favour of that copy. A row of a known shape costs ingest one
 //! allocation for its cells and no string probe. A lineage DAG whose rows
-//! derive from two others and carry one number retains 403 bytes of heap
-//! per row, and a task with a hundred numbers in and one out 2 493, all
-//! tables included (`tests/store_footprint.rs` holds those figures and the
+//! derive from two others and carry one number retains 357 bytes of heap per
+//! row, and a task with a hundred numbers in and one out 2 410, all tables
+//! included (`tests/store_footprint.rs` holds those figures and the
 //! sharing).
 
 use crate::attrs::{Attrs, Layouts};
 use crate::schema::AttrType;
 use crate::smallset::SmallSet;
-use parking_lot::RwLock;
-use prov_model::key::{IdAttrKey, IdPairKey, PairProbe};
 use prov_model::{mapping, DataRecord, Id, ProvDocument, Record, TaskRecord, TaskStatus};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Row index types.
+/// Position of a task row in its workflow's table
+/// ([`WorkflowTable::tasks`]). Relative to that table: it means nothing in
+/// another workflow's.
 pub type TaskIdx = usize;
-/// Row index into the data table.
+/// Position of a data row in its workflow's table
+/// ([`WorkflowTable::data`]). Relative to that table: it means nothing in
+/// another workflow's.
 pub type DataIdx = usize;
 
 /// A task row.
@@ -72,7 +83,7 @@ pub type DataIdx = usize;
 pub struct TaskRow {
     /// Task id.
     pub id: Id,
-    /// Owning workflow.
+    /// Owning workflow: the key of the table the row is in.
     pub workflow: Id,
     /// Transformation tag.
     pub transformation: Id,
@@ -105,7 +116,8 @@ impl TaskRow {
 pub struct DataRow {
     /// Data id.
     pub id: Id,
-    /// Owning workflow.
+    /// Owning workflow: the key of the table the row is in, except for a
+    /// row another workflow owns and a task of this one reported.
     pub workflow: Id,
     /// Source data ids (`wasDerivedFrom`). A source that was stored when
     /// the reference arrived is listed by the source row's own `id`
@@ -113,7 +125,7 @@ pub struct DataRow {
     pub derivations: SmallSet<Id>,
     /// `derivations` resolved to row indices, wired at ingest. A source
     /// that has not been ingested yet is absent here (and parked in the
-    /// store's pending set) until it arrives; the traversal engine walks
+    /// table's pending set) until it arrives; the traversal engine walks
     /// these index edges instead of re-hashing ids per hop.
     pub derived_from_idx: SmallSet<DataIdx>,
     /// Reverse derivation edges: rows that list this row as a source.
@@ -128,17 +140,6 @@ pub struct DataRow {
     pub generated_by: Option<TaskIdx>,
     /// Tasks that used this data.
     pub used_by: SmallSet<TaskIdx>,
-}
-
-/// A workflow row.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WorkflowRow {
-    /// Begin time, if captured.
-    pub begin_ns: Option<u64>,
-    /// End time, if captured.
-    pub end_ns: Option<u64>,
-    /// Tasks belonging to this workflow.
-    pub tasks: Vec<TaskIdx>,
 }
 
 /// A typed attribute column: the rows of one workflow that carry one
@@ -168,33 +169,27 @@ impl Column {
         self.kind
     }
 
-    /// The data rows listed, as indices into [`Store::data`]. Ascending,
-    /// except where a re-seen row merged the attribute in later.
+    /// The data rows listed, as indices into [`WorkflowTable::data`].
+    /// Ascending, except where a re-seen row merged the attribute in later.
     pub fn rows(&self) -> &[u32] {
         &self.rows
     }
 }
 
-/// The typed columns of a shard: `(workflow, attribute name)` to a position
-/// in `table`, which layouts and cursors hold on to.
+/// The typed columns of a workflow: attribute name to a position in
+/// `table`, which layouts and cursors hold on to.
 #[derive(Debug, Default)]
 struct Columns {
-    index: HashMap<(Id, Arc<str>), u32>,
+    index: HashMap<Arc<str>, u32>,
     table: Vec<Column>,
 }
 
 impl Columns {
-    /// What a layout is told about one of its slots: the shard's copy of
-    /// `name`, and the `(workflow, name)` column if a cell of `kind` feeds
-    /// it. The first typed cell under a name defines the column.
-    fn resolve(
-        &mut self,
-        workflow: &Id,
-        name: &Arc<str>,
-        kind: AttrType,
-    ) -> (Arc<str>, Option<u32>) {
-        let probe: &dyn IdAttrKey = &(workflow, name.as_ref());
-        if let Some(((_, held), &column)) = self.index.get_key_value(probe) {
+    /// What a layout is told about one of its slots: the workflow's copy of
+    /// `name`, and the column of that name if a cell of `kind` feeds it.
+    /// The first typed cell under a name defines the column.
+    fn resolve(&mut self, name: &Arc<str>, kind: AttrType) -> (Arc<str>, Option<u32>) {
+        if let Some((held, &column)) = self.index.get_key_value(&**name) {
             let feeds = self.table[column as usize].kind == kind;
             return (Arc::clone(held), feeds.then_some(column));
         }
@@ -206,14 +201,13 @@ impl Columns {
             kind,
             rows: Vec::new(),
         });
-        self.index
-            .insert((workflow.clone(), Arc::clone(name)), column);
+        self.index.insert(Arc::clone(name), column);
         (Arc::clone(name), Some(column))
     }
 
     /// Lists `row` in the columns its cells from slot `first` on feed.
     fn list(&mut self, row: DataIdx, attributes: &Attrs, first: usize) {
-        let row = u32::try_from(row).expect("fewer than 2^32 rows in a shard");
+        let row = u32::try_from(row).expect("fewer than 2^32 rows in a workflow");
         for column in attributes.columns_from(first) {
             self.table[column as usize].rows.push(row);
         }
@@ -249,29 +243,329 @@ impl StoreStats {
     }
 }
 
-/// The provenance store.
-#[derive(Debug, Default)]
-pub struct Store {
-    workflows: HashMap<Id, WorkflowRow>,
+/// Everything the store holds of one workflow, and the unit the store is
+/// made of: its times, its task and data rows, the indexes, typed columns
+/// and layouts over them. Every index inside is relative to this table and
+/// every key is one id; nothing outside refers into it.
+#[derive(Debug)]
+pub struct WorkflowTable {
+    /// The workflow's id: the key this table is stored under, and the
+    /// allocation its own rows' `workflow` shares.
+    id: Id,
+    /// Begin time, if captured.
+    pub begin_ns: Option<u64>,
+    /// End time, if captured.
+    pub end_ns: Option<u64>,
     tasks: Vec<TaskRow>,
-    task_index: HashMap<(Id, Id), TaskIdx>,
+    task_index: HashMap<Id, TaskIdx>,
     data: Vec<DataRow>,
-    data_index: HashMap<(Id, Id), DataIdx>,
+    data_index: HashMap<Id, DataIdx>,
     columns: Columns,
     layouts: Layouts,
-    /// Forward derivation references: rows whose `(workflow, source id)`
-    /// had not been ingested when they arrived, drained into index edges
-    /// the moment the source row appears.
-    pending_derivations: HashMap<(Id, Id), Vec<DataIdx>>,
-    stats: StoreStats,
+    /// Forward derivation references: rows whose source id had not been
+    /// ingested when they arrived, drained into index edges the moment the
+    /// source row appears.
+    pending_derivations: HashMap<Id, Vec<DataIdx>>,
+    /// The data items this workflow's tasks reported under *another*
+    /// workflow's name (a `DataRecord` whose `workflow` is not its task's),
+    /// by `(owning workflow, id)`. They are rows of this table — that is
+    /// where their `used_by`, `generated_by` and derivation edges point —
+    /// but not of its namespace: indexed apart, shaped by layouts of their
+    /// own that feed no column, and never merged with the row the owning
+    /// workflow may hold under the same id in its own table. What a table
+    /// holds therefore depends on the records that named its workflow and
+    /// on nothing else — not on which workflows share its shard.
+    foreign_index: HashMap<(Id, Id), DataIdx>,
+    foreign_layouts: Layouts,
 }
 
-/// A thread-safe handle to a store (used by servers and translators).
-pub type SharedStore = Arc<RwLock<Store>>;
+impl WorkflowTable {
+    fn new(id: Id) -> Self {
+        WorkflowTable {
+            id,
+            begin_ns: None,
+            end_ns: None,
+            tasks: Vec::new(),
+            task_index: HashMap::new(),
+            data: Vec::new(),
+            data_index: HashMap::new(),
+            columns: Columns::default(),
+            layouts: Layouts::default(),
+            pending_derivations: HashMap::new(),
+            foreign_index: HashMap::new(),
+            foreign_layouts: Layouts::default(),
+        }
+    }
 
-/// Creates a new shared store.
-pub fn shared() -> SharedStore {
-    Arc::new(RwLock::with_rank(parking_lot::rank::STORE, Store::new()))
+    fn ingest(&mut self, record: Record, stats: &mut StoreStats) {
+        match record {
+            Record::WorkflowBegin { time_ns, .. } => self.begin_ns = Some(time_ns),
+            Record::WorkflowEnd { time_ns, .. } => self.end_ns = Some(time_ns),
+            Record::TaskBegin { task, inputs } => {
+                let time_ns = task.time_ns;
+                let t = self.upsert_task(task, stats);
+                self.tasks[t].start_ns = Some(time_ns);
+                for d in inputs {
+                    let idx = self.upsert_data(d, stats);
+                    self.tasks[t].inputs.insert(idx);
+                    self.data[idx].used_by.insert(t);
+                }
+            }
+            Record::TaskEnd { task, outputs } => {
+                let time_ns = task.time_ns;
+                let t = self.upsert_task(task, stats);
+                self.tasks[t].end_ns = Some(time_ns);
+                self.tasks[t].status = TaskStatus::Finished;
+                for d in outputs {
+                    let idx = self.upsert_data(d, stats);
+                    self.tasks[t].outputs.insert(idx);
+                    self.data[idx].generated_by = Some(t);
+                }
+            }
+        }
+    }
+
+    fn upsert_task(&mut self, task: TaskRecord, stats: &mut StoreStats) -> TaskIdx {
+        if let Some(&idx) = self.task_index.get(&task.id) {
+            // Merge dependency info (begin may carry deps, end may not).
+            for d in task.dependencies {
+                self.tasks[idx].dependencies.insert(d);
+            }
+            if task.status == TaskStatus::Finished {
+                self.tasks[idx].status = TaskStatus::Finished;
+            }
+            return idx;
+        }
+        let idx = self.tasks.len();
+        self.task_index.insert(task.id.clone(), idx);
+        stats.tasks += 1;
+        self.tasks.push(TaskRow {
+            id: task.id,
+            workflow: self.id.clone(),
+            transformation: task.transformation,
+            dependencies: task.dependencies.into_iter().collect(),
+            start_ns: None,
+            end_ns: None,
+            status: task.status,
+            inputs: SmallSet::new(),
+            outputs: SmallSet::new(),
+        });
+        idx
+    }
+
+    /// The row this table holds for `(workflow, id)` — the workflow's own,
+    /// or one of another workflow that a task of this one reported — with
+    /// the index's copy of the id. Only the second kind builds a key to
+    /// probe with, and only where there is such a row to find.
+    fn find(&self, workflow: &Id, id: &Id) -> Option<(&Id, DataIdx)> {
+        if *workflow == self.id {
+            let (held, &idx) = self.data_index.get_key_value(id)?;
+            return Some((held, idx));
+        }
+        if self.foreign_index.is_empty() {
+            return None;
+        }
+        let key = (workflow.clone(), id.clone());
+        let ((_, held), &idx) = self.foreign_index.get_key_value(&key)?;
+        Some((held, idx))
+    }
+
+    fn upsert_data(&mut self, data: DataRecord, stats: &mut StoreStats) -> DataIdx {
+        let own = data.workflow == self.id;
+        let seen = self.find(&data.workflow, &data.id).map(|(_, idx)| idx);
+        let layouts = match own {
+            true => &mut self.layouts,
+            false => &mut self.foreign_layouts,
+        };
+        // A row of another workflow is shaped with this table's names and
+        // listed in none of its columns.
+        let columns = &mut self.columns;
+        let resolve = |name: &Arc<str>, kind: AttrType| {
+            columns.resolve(name, if own { kind } else { AttrType::Other })
+        };
+        if let Some(idx) = seen {
+            // Re-seen data id: merge unseen derivations and attributes
+            // (first value per name wins) instead of dropping them.
+            let row = &mut self.data[idx];
+            let first_new = layouts.merge(&mut row.attributes, data.attributes, resolve);
+            stats.attr_cells += (row.attributes.len() - first_new) as u64;
+            self.columns.list(idx, &row.attributes, first_new);
+            for src in data.derivations {
+                self.add_derivation(idx, src, stats);
+            }
+            return idx;
+        }
+        let idx = self.data.len();
+        stats.data += 1;
+        let attributes = layouts.pack(data.attributes, resolve);
+        stats.attr_cells += attributes.len() as u64;
+        self.columns.list(idx, &attributes, 0);
+        let workflow = if own {
+            self.data_index.insert(data.id.clone(), idx);
+            self.id.clone()
+        } else {
+            let key = (data.workflow.clone(), data.id.clone());
+            self.foreign_index.insert(key, idx);
+            data.workflow
+        };
+        self.data.push(DataRow {
+            id: data.id,
+            workflow,
+            derivations: SmallSet::new(),
+            derived_from_idx: SmallSet::new(),
+            derived_into: SmallSet::new(),
+            attributes,
+            generated_by: None,
+            used_by: SmallSet::new(),
+        });
+
+        // Resolve this row's sources (the index already contains the row
+        // itself, so a self-derivation wires as a self-loop — the query
+        // engine's cycle guard owns termination, not ingest).
+        for src in data.derivations {
+            self.add_derivation(idx, src, stats);
+        }
+        // Rows that referenced this id before it existed are waiting.
+        // Sources nearly always arrive before their products, the map is
+        // empty, and `remove` would hash the id before it looked.
+        if !self.pending_derivations.is_empty() {
+            let waiting = self.pending_derivations.remove(&self.data[idx].id);
+            for dst in waiting.into_iter().flatten() {
+                if self.data[dst].workflow == self.data[idx].workflow {
+                    self.wire_derivation(idx, dst, stats);
+                } else {
+                    // The id alone is the key, so a row of another
+                    // workflow's namespace waited under it too: it waits on.
+                    self.park(self.data[idx].id.clone(), dst);
+                }
+            }
+        }
+        idx
+    }
+
+    /// Adds `dst wasDerivedFrom src` unless `data[dst]` lists it already,
+    /// and resolves it to index edges or parks it until the source row is
+    /// ingested. A source is looked for under the workflow `data[dst]`
+    /// names; one the table holds is listed under the source row's own
+    /// `Id`, found by the probe that resolves the edge; `src` itself is
+    /// kept only for a forward reference.
+    fn add_derivation(&mut self, dst: DataIdx, src: Id, stats: &mut StoreStats) {
+        let row = &self.data[dst];
+        if row.derivations.contains(&src) {
+            return;
+        }
+        match self.find(&row.workflow, &src) {
+            Some((held, s)) => {
+                let held = held.clone();
+                self.data[dst].derivations.insert(held);
+                self.wire_derivation(s, dst, stats);
+            }
+            None => {
+                self.park(src.clone(), dst);
+                self.data[dst].derivations.insert(src);
+            }
+        }
+    }
+
+    /// Leaves `dst` waiting for a row of id `src`.
+    fn park(&mut self, src: Id, dst: DataIdx) {
+        self.pending_derivations.entry(src).or_default().push(dst);
+    }
+
+    /// Records the resolved edge `src -> dst` in both directions.
+    fn wire_derivation(&mut self, src: DataIdx, dst: DataIdx, stats: &mut StoreStats) {
+        if self.data[dst].derived_from_idx.insert(src) {
+            self.data[src].derived_into.insert(dst);
+            stats.lineage_edges += 1;
+        }
+    }
+
+    /// Task rows, in ingestion order.
+    pub fn tasks(&self) -> &[TaskRow] {
+        &self.tasks
+    }
+
+    /// Data rows, in ingestion order: the workflow's own, and those of
+    /// other workflows that its tasks reported.
+    pub fn data(&self) -> &[DataRow] {
+        &self.data
+    }
+
+    /// Lookup of one of the workflow's own data rows by id. Clone-free.
+    pub fn data_by_id(&self, id: &Id) -> Option<(DataIdx, &DataRow)> {
+        self.data_index.get(id).map(|&i| (i, &self.data[i]))
+    }
+
+    /// Position of an attribute's typed column in this table: what a
+    /// cursor keeps, instead of the name, between pages.
+    pub(crate) fn column_id(&self, attr: &str) -> Option<u32> {
+        self.columns.index.get(attr).copied()
+    }
+
+    /// The column at a position [`WorkflowTable::column_id`] returned.
+    pub(crate) fn column_at(&self, column: u32) -> &Column {
+        &self.columns.table[column as usize]
+    }
+
+    /// Folds this workflow into a PROV document, as the record stream that
+    /// would rebuild the table.
+    fn apply_to_document(&self, doc: &mut ProvDocument) {
+        let mut apply = |record: Record| {
+            mapping::apply_record(doc, &record).expect("store contents are consistent");
+        };
+        // Each data row carries its attributes/derivations exactly once.
+        let mut data_emitted = vec![false; self.data.len()];
+        let mut data_record = |di: DataIdx| {
+            let row = &self.data[di];
+            let mut record = DataRecord::new(row.id.clone(), row.workflow.clone());
+            if !std::mem::replace(&mut data_emitted[di], true) {
+                record.derivations = row.derivations.to_vec();
+                record.attributes = row.attributes.to_vec();
+            }
+            record
+        };
+        if let Some(time_ns) = self.begin_ns {
+            apply(Record::WorkflowBegin {
+                workflow: self.id.clone(),
+                time_ns,
+            });
+        }
+        for task in &self.tasks {
+            let task_record = |time_ns: u64, status: TaskStatus| TaskRecord {
+                id: task.id.clone(),
+                workflow: task.workflow.clone(),
+                transformation: task.transformation.clone(),
+                dependencies: task.dependencies.to_vec(),
+                time_ns,
+                status,
+            };
+            if let Some(start) = task.start_ns {
+                apply(Record::TaskBegin {
+                    task: task_record(start, TaskStatus::Running),
+                    inputs: task.inputs.iter().map(|&di| data_record(di)).collect(),
+                });
+            }
+            if let Some(end) = task.end_ns {
+                apply(Record::TaskEnd {
+                    task: task_record(end, TaskStatus::Finished),
+                    outputs: task.outputs.iter().map(|&di| data_record(di)).collect(),
+                });
+            }
+        }
+        if let Some(time_ns) = self.end_ns {
+            apply(Record::WorkflowEnd {
+                workflow: self.id.clone(),
+                time_ns,
+            });
+        }
+    }
+}
+
+/// The provenance store: one [`WorkflowTable`] per workflow.
+#[derive(Debug, Default)]
+pub struct Store {
+    workflows: HashMap<Id, WorkflowTable>,
+    stats: StoreStats,
 }
 
 impl Store {
@@ -285,186 +579,28 @@ impl Store {
         self.stats
     }
 
-    fn workflow_row_mut(&mut self, id: &Id) -> &mut WorkflowRow {
-        // Two probes instead of `entry(id.clone())`: the hit path (every
-        // record after the first per workflow) must not clone the id.
-        if !self.workflows.contains_key(id) {
-            self.workflows.insert(id.clone(), WorkflowRow::default());
-        }
-        self.workflows.get_mut(id).expect("just ensured")
-    }
-
-    /// Ingests one capture record. The store owns it: ids and attributes
-    /// move into the rows, and what the shard already holds a copy of is
-    /// dropped in favour of that copy.
+    /// Ingests one capture record into the table of the workflow it names.
+    /// The store owns it: ids and attributes move into the rows, and what
+    /// the table already holds a copy of is dropped in favour of that copy.
     pub fn ingest(&mut self, record: Record) {
         self.stats.records += 1;
-        match record {
-            Record::WorkflowBegin { workflow, time_ns } => {
-                self.workflow_row_mut(&workflow).begin_ns = Some(time_ns);
+        let workflow = record.workflow();
+        // One probe, and a hit — every record after a workflow's first —
+        // clones nothing.
+        let table = match self.workflows.get_mut(workflow) {
+            Some(table) => table,
+            None => {
+                let fresh = self.workflows.entry(workflow.clone());
+                fresh.or_insert_with_key(|id| WorkflowTable::new(id.clone()))
             }
-            Record::WorkflowEnd { workflow, time_ns } => {
-                self.workflow_row_mut(&workflow).end_ns = Some(time_ns);
-            }
-            Record::TaskBegin { task, inputs } => {
-                let time_ns = task.time_ns;
-                let t = self.upsert_task(task);
-                self.tasks[t].start_ns = Some(time_ns);
-                for d in inputs {
-                    let idx = self.upsert_data(d);
-                    self.tasks[t].inputs.insert(idx);
-                    self.data[idx].used_by.insert(t);
-                }
-            }
-            Record::TaskEnd { task, outputs } => {
-                let time_ns = task.time_ns;
-                let t = self.upsert_task(task);
-                self.tasks[t].end_ns = Some(time_ns);
-                self.tasks[t].status = TaskStatus::Finished;
-                for d in outputs {
-                    let idx = self.upsert_data(d);
-                    self.tasks[t].outputs.insert(idx);
-                    self.data[idx].generated_by = Some(t);
-                }
-            }
-        }
+        };
+        table.ingest(record, &mut self.stats);
     }
 
     /// Ingests a batch.
     pub fn ingest_batch(&mut self, records: impl IntoIterator<Item = Record>) {
         for r in records {
             self.ingest(r);
-        }
-    }
-
-    fn upsert_task(&mut self, task: TaskRecord) -> TaskIdx {
-        let probe: &dyn IdPairKey = &(&task.workflow, &task.id);
-        if let Some(&idx) = self.task_index.get(probe) {
-            // Merge dependency info (begin may carry deps, end may not).
-            for d in task.dependencies {
-                self.tasks[idx].dependencies.insert(d);
-            }
-            if task.status == TaskStatus::Finished {
-                self.tasks[idx].status = TaskStatus::Finished;
-            }
-            return idx;
-        }
-        let idx = self.tasks.len();
-        self.task_index
-            .insert((task.workflow.clone(), task.id.clone()), idx);
-        self.stats.tasks += 1;
-        self.workflow_row_mut(&task.workflow).tasks.push(idx);
-        self.tasks.push(TaskRow {
-            id: task.id,
-            workflow: task.workflow,
-            transformation: task.transformation,
-            dependencies: task.dependencies.into_iter().collect(),
-            start_ns: None,
-            end_ns: None,
-            status: task.status,
-            inputs: SmallSet::new(),
-            outputs: SmallSet::new(),
-        });
-        idx
-    }
-
-    fn upsert_data(&mut self, data: DataRecord) -> DataIdx {
-        let probe: &dyn IdPairKey = &(&data.workflow, &data.id);
-        if let Some(&idx) = self.data_index.get(probe) {
-            // Re-seen data id: merge unseen derivations and attributes
-            // (first value per name wins) instead of dropping them.
-            for src in data.derivations {
-                self.add_derivation(idx, src);
-            }
-            let row = &mut self.data[idx];
-            let columns = &mut self.columns;
-            let first_new =
-                self.layouts
-                    .merge(&mut row.attributes, data.attributes, |name, kind| {
-                        columns.resolve(&row.workflow, name, kind)
-                    });
-            self.stats.attr_cells += (row.attributes.len() - first_new) as u64;
-            self.columns.list(idx, &row.attributes, first_new);
-            return idx;
-        }
-        let idx = self.data.len();
-        self.data_index
-            .insert((data.workflow.clone(), data.id.clone()), idx);
-        self.stats.data += 1;
-        let columns = &mut self.columns;
-        let attributes = self
-            .layouts
-            .pack(&data.workflow, data.attributes, |name, kind| {
-                columns.resolve(&data.workflow, name, kind)
-            });
-        self.stats.attr_cells += attributes.len() as u64;
-        self.columns.list(idx, &attributes, 0);
-        self.data.push(DataRow {
-            id: data.id,
-            workflow: data.workflow,
-            derivations: SmallSet::new(),
-            derived_from_idx: SmallSet::new(),
-            derived_into: SmallSet::new(),
-            attributes,
-            generated_by: None,
-            used_by: SmallSet::new(),
-        });
-
-        // Resolve this row's sources (the index already contains the row
-        // itself, so a self-derivation wires as a self-loop — the query
-        // engine's cycle guard owns termination, not ingest).
-        for src in data.derivations {
-            self.add_derivation(idx, src);
-        }
-        // Rows that referenced this id before it existed are waiting.
-        // Sources nearly always arrive before their products, the map is
-        // empty, and `remove` would hash the pair before it looked.
-        if !self.pending_derivations.is_empty() {
-            let row = &self.data[idx];
-            let waiting = self
-                .pending_derivations
-                .remove(PairProbe(&row.workflow, &row.id).key());
-            for dst in waiting.into_iter().flatten() {
-                self.wire_derivation(idx, dst);
-            }
-        }
-        idx
-    }
-
-    /// Adds `dst wasDerivedFrom src` unless `data[dst]` lists it already,
-    /// and resolves it to index edges or parks it until the source row is
-    /// ingested. A source the shard holds is listed under the source row's
-    /// own `Id`, found by the probe that resolves the edge; `src` itself is
-    /// kept only for a forward reference.
-    fn add_derivation(&mut self, dst: DataIdx, src: Id) {
-        let row = &self.data[dst];
-        if row.derivations.contains(&src) {
-            return;
-        }
-        match self
-            .data_index
-            .get_key_value(PairProbe(&row.workflow, &src).key())
-        {
-            Some(((_, held), &s)) => {
-                let held = held.clone();
-                self.data[dst].derivations.insert(held);
-                self.wire_derivation(s, dst);
-            }
-            None => {
-                self.pending_derivations
-                    .entry((row.workflow.clone(), src.clone()))
-                    .or_default()
-                    .push(dst);
-                self.data[dst].derivations.insert(src);
-            }
-        }
-    }
-
-    /// Records the resolved edge `src -> dst` in both directions.
-    fn wire_derivation(&mut self, src: DataIdx, dst: DataIdx) {
-        if self.data[dst].derived_from_idx.insert(src) {
-            self.data[src].derived_into.insert(dst);
-            self.stats.lineage_edges += 1;
         }
     }
 
@@ -477,48 +613,33 @@ impl Store {
         ids
     }
 
-    /// Workflow row.
-    pub fn workflow(&self, id: &Id) -> Option<&WorkflowRow> {
+    /// A workflow's table.
+    pub fn workflow(&self, id: &Id) -> Option<&WorkflowTable> {
         self.workflows.get(id)
-    }
-
-    /// Task table.
-    pub fn tasks(&self) -> &[TaskRow] {
-        &self.tasks
-    }
-
-    /// Data table.
-    pub fn data(&self) -> &[DataRow] {
-        &self.data
     }
 
     /// Task lookup by (workflow, task id). Clone-free.
     pub fn task_by_id(&self, workflow: &Id, id: &Id) -> Option<&TaskRow> {
-        let probe: &dyn IdPairKey = &(workflow, id);
-        self.task_index.get(probe).map(|&i| &self.tasks[i])
+        let table = self.workflow(workflow)?;
+        table.task_index.get(id).map(|&i| &table.tasks[i])
     }
 
-    /// Data lookup by (workflow, data id). Clone-free.
+    /// Data lookup by (workflow, data id): the row in the workflow's own
+    /// table, clone-free, or else a row some other workflow's task reported
+    /// under that name, in whichever table of this store has one. The index
+    /// is relative to the table the row was found in.
     pub fn data_by_id(&self, workflow: &Id, id: &Id) -> Option<(DataIdx, &DataRow)> {
-        let probe: &dyn IdPairKey = &(workflow, id);
-        self.data_index.get(probe).map(|&i| (i, &self.data[i]))
-    }
-
-    /// Position of an attribute's typed column in this shard's table:
-    /// what a cursor keeps, instead of the name, between pages.
-    pub(crate) fn column_id(&self, workflow: &Id, attr: &str) -> Option<u32> {
-        let probe: &dyn IdAttrKey = &(workflow, attr);
-        self.columns.index.get(probe).copied()
-    }
-
-    /// The column at a position [`Store::column_id`] returned.
-    pub(crate) fn column_at(&self, column: u32) -> &Column {
-        &self.columns.table[column as usize]
+        let hosts = self.workflow(workflow).into_iter();
+        hosts.chain(self.workflows.values()).find_map(|host| {
+            let (_, idx) = host.find(workflow, id)?;
+            Some((idx, &host.data[idx]))
+        })
     }
 
     /// Typed column for an attribute within a workflow. Clone-free.
     pub fn column(&self, workflow: &Id, attr: &str) -> Option<&Column> {
-        self.column_id(workflow, attr).map(|c| self.column_at(c))
+        let table = self.workflow(workflow)?;
+        table.column_id(attr).map(|c| table.column_at(c))
     }
 
     /// Number of rows in a column.
@@ -526,10 +647,13 @@ impl Store {
         self.column(workflow, attr).map_or(0, |c| c.rows.len())
     }
 
-    /// Number of distinct attribute layouts — `(workflow, names, value
-    /// tags)` — this shard's rows have had.
+    /// Number of distinct attribute layouts — `(names, value tags)` within
+    /// one workflow — this store's rows have had.
     pub fn layout_count(&self) -> usize {
-        self.layouts.len()
+        let tables = self.workflows.values();
+        tables
+            .map(|t| t.layouts.len() + t.foreign_layouts.len())
+            .sum()
     }
 
     /// Exports everything as a validated PROV-DM document (§IV-A
@@ -546,76 +670,8 @@ impl Store {
     /// Folds this store's contents into an existing PROV document
     /// (sharded stores merge every shard into one document this way).
     pub fn apply_to_document(&self, doc: &mut ProvDocument) {
-        let mut apply = |record: Record| {
-            mapping::apply_record(doc, &record).expect("store contents are consistent");
-        };
-        // Each data row carries its attributes/derivations exactly once.
-        let mut data_emitted = vec![false; self.data.len()];
-        let data_record = |row: &DataRow, emitted: &mut [bool], di: DataIdx| {
-            let first = !emitted[di];
-            emitted[di] = true;
-            DataRecord {
-                id: row.id.clone(),
-                workflow: row.workflow.clone(),
-                derivations: if first {
-                    row.derivations.to_vec()
-                } else {
-                    Vec::new()
-                },
-                attributes: if first {
-                    row.attributes.to_vec()
-                } else {
-                    Vec::new()
-                },
-            }
-        };
-        for wid in self.workflow_ids() {
-            let wf = &self.workflows[wid];
-            if let Some(time_ns) = wf.begin_ns {
-                apply(Record::WorkflowBegin {
-                    workflow: wid.clone(),
-                    time_ns,
-                });
-            }
-            for &ti in &wf.tasks {
-                let task = &self.tasks[ti];
-                let task_record = |time_ns: u64, status: TaskStatus| TaskRecord {
-                    id: task.id.clone(),
-                    workflow: task.workflow.clone(),
-                    transformation: task.transformation.clone(),
-                    dependencies: task.dependencies.to_vec(),
-                    time_ns,
-                    status,
-                };
-                if let Some(start) = task.start_ns {
-                    let inputs = task
-                        .inputs
-                        .iter()
-                        .map(|&di| data_record(&self.data[di], &mut data_emitted, di))
-                        .collect();
-                    apply(Record::TaskBegin {
-                        task: task_record(start, TaskStatus::Running),
-                        inputs,
-                    });
-                }
-                if let Some(end) = task.end_ns {
-                    let outputs = task
-                        .outputs
-                        .iter()
-                        .map(|&di| data_record(&self.data[di], &mut data_emitted, di))
-                        .collect();
-                    apply(Record::TaskEnd {
-                        task: task_record(end, TaskStatus::Finished),
-                        outputs,
-                    });
-                }
-            }
-            if let Some(time_ns) = wf.end_ns {
-                apply(Record::WorkflowEnd {
-                    workflow: wid.clone(),
-                    time_ns,
-                });
-            }
+        for id in self.workflow_ids() {
+            self.workflows[id].apply_to_document(doc);
         }
     }
 }
@@ -677,7 +733,7 @@ mod tests {
         let wf = s.workflow(&Id::Num(1)).unwrap();
         assert_eq!(wf.begin_ns, Some(0));
         assert_eq!(wf.end_ns, Some(10_000));
-        assert_eq!(wf.tasks.len(), 3);
+        assert_eq!(wf.tasks().len(), 3);
     }
 
     #[test]
@@ -742,6 +798,56 @@ mod tests {
             inputs: vec![DataRecord::new("early", 1u64).derived_from("late")],
         });
         assert_eq!(s.stats().lineage_edges, 1);
+    }
+
+    #[test]
+    fn a_row_of_another_workflow_finds_its_sources_among_its_like() {
+        // Workflow 1 reports a product of its own and one of workflow 2's,
+        // each derived from an `s` that has not come.
+        let mut s = Store::new();
+        s.ingest(Record::TaskBegin {
+            task: task(1, 0, "t", None, TaskStatus::Running),
+            inputs: vec![
+                DataRecord::new("mine", 1u64).derived_from("s"),
+                DataRecord::new("theirs", 2u64).derived_from("s"),
+            ],
+        });
+        assert_eq!(s.stats().lineage_edges, 0);
+        // Workflow 2's `s`, reported by a task of workflow 1, is the source
+        // of workflow 2's product there and of nothing else.
+        s.ingest(Record::TaskBegin {
+            task: task(1, 1, "t", None, TaskStatus::Running),
+            inputs: vec![DataRecord::new("s", 2u64)],
+        });
+        assert_eq!(s.stats().lineage_edges, 1);
+        let table = s.workflow(&Id::Num(1)).unwrap();
+        let [mine, theirs, source] = table.data() else {
+            panic!("three rows, got {:?}", table.data());
+        };
+        assert_eq!(theirs.workflow, Id::Num(2));
+        assert_eq!(theirs.derived_from_idx, [2]);
+        assert_eq!(source.derived_into, [1]);
+        assert!(
+            mine.derived_from_idx.is_empty(),
+            "still waiting for its own"
+        );
+        // Workflow 1's own `s` is what `mine` waited for.
+        s.ingest(Record::TaskBegin {
+            task: task(1, 2, "t", None, TaskStatus::Running),
+            inputs: vec![DataRecord::new("s", 1u64)],
+        });
+        assert_eq!(s.stats().lineage_edges, 2);
+        let table = s.workflow(&Id::Num(1)).unwrap();
+        assert_eq!(table.data()[0].derived_from_idx, [3]);
+        assert_eq!(table.data()[2].derived_into, [1]);
+        // Workflow 2 reporting an `s` itself starts a table of its own.
+        s.ingest(Record::TaskBegin {
+            task: task(2, 0, "t", None, TaskStatus::Running),
+            inputs: vec![DataRecord::new("s", 2u64).with_attr("x", 1.0)],
+        });
+        assert_eq!(s.stats().data, 5);
+        let (at, own) = s.data_by_id(&Id::Num(2), &Id::from("s")).unwrap();
+        assert_eq!((at, own.attributes.len()), (0, 1));
     }
 
     #[test]
@@ -844,10 +950,10 @@ mod tests {
             cmp: crate::query::Cmp::Ge,
             threshold: f64::MIN,
         };
-        let read: Vec<f64> = s
-            .data()
-            .iter()
-            .filter_map(|row| filter.eval(&s, row).flatten())
+        let table = s.workflow(&Id::Num(1)).unwrap();
+        let rows = table.data().iter();
+        let read: Vec<f64> = rows
+            .filter_map(|row| filter.eval(table, row).flatten())
             .collect();
         assert_eq!(read, scan(&s, "flag"));
     }
@@ -908,16 +1014,18 @@ mod tests {
             });
         }
         assert_eq!(s.layout_count(), 9);
-        for (i, row) in s.data().iter().enumerate() {
-            let first = &s.data()[i % 9];
+        let rows = s.workflow(&Id::Num(1)).unwrap().data();
+        for (i, row) in rows.iter().enumerate() {
+            let first = &rows[i % 9];
             assert!(Arc::ptr_eq(
                 row.attributes.layout(),
                 first.attributes.layout()
             ));
             assert_eq!(row.attributes, shape(i as u64 % 9, i as u64).attributes);
         }
-        // The same shape in another workflow is another layout: its slots
-        // feed that workflow's columns.
+        // The same shape in another workflow is that table's layout: its
+        // slots feed that workflow's columns. It costs the layout and
+        // nothing per row.
         s.ingest(Record::TaskBegin {
             task: task(2, 0, "t", None, TaskStatus::Running),
             inputs: vec![DataRecord::new(0u64, 2u64).with_attr("a0", 0.0)],
@@ -1056,26 +1164,6 @@ mod tests {
             time_ns: 10_000,
         });
         sink
-    }
-
-    #[test]
-    fn shared_store_is_threadsafe() {
-        let store = shared();
-        let handles: Vec<_> = (0..4u64)
-            .map(|i| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    store.write().ingest(Record::WorkflowBegin {
-                        workflow: Id::Num(i),
-                        time_ns: 0,
-                    });
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(store.read().workflow_ids().len(), 4);
     }
 
     #[cfg(debug_assertions)]

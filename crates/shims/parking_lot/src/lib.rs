@@ -36,15 +36,13 @@ pub mod rank {
     pub const INBOX: u32 = 2;
     /// Server-side translator (`core::server`, `continuum`).
     pub const TRANSLATOR: u32 = 3;
-    /// Legacy single-store handle (`prov-store::store`).
-    pub const STORE: u32 = 4;
     /// One shard of a `ShardedStore`; siblings share the rank and are
     /// ordered by address.
-    pub const SHARD: u32 = 5;
+    pub const SHARD: u32 = 4;
     /// Capture-side record grouper (`core::client`).
-    pub const GROUPER: u32 = 6;
+    pub const GROUPER: u32 = 5;
     /// Transmitter batch pool (`core::transmitter`).
-    pub const POOL: u32 = 7;
+    pub const POOL: u32 = 6;
 }
 
 #[cfg(debug_assertions)]
@@ -407,7 +405,7 @@ mod tests {
     #[test]
     fn ascending_rank_order_is_allowed() {
         let outer = Mutex::with_rank(rank::BROKER, ());
-        let mid = RwLock::with_rank(rank::STORE, ());
+        let mid = RwLock::with_rank(rank::SHARD, ());
         let inner = Mutex::with_rank(rank::POOL, ());
         let _a = outer.lock();
         let _b = mid.read();
@@ -416,7 +414,7 @@ mod tests {
 
     #[test]
     fn descending_rank_order_panics_in_debug() {
-        let outer = Mutex::with_rank(rank::STORE, ());
+        let outer = Mutex::with_rank(rank::SHARD, ());
         let inner = Mutex::with_rank(rank::BROKER, ());
         let _g = outer.lock();
         let result = catch_unwind(AssertUnwindSafe(|| drop(inner.lock())));

@@ -103,60 +103,58 @@ fn canon_of(stores: &[&Store]) -> Canon {
     let mut data = Vec::new();
     for store in stores {
         for wf in store.workflow_ids() {
-            let row = store.workflow(wf).unwrap();
-            let mut task_ids: Vec<String> = row
-                .tasks
-                .iter()
-                .map(|&t| store.tasks()[t].id.to_string())
-                .collect();
+            let table = store.workflow(wf).unwrap();
+            let mut task_ids: Vec<String> =
+                table.tasks().iter().map(|t| t.id.to_string()).collect();
             task_ids.sort();
-            workflows.push((wf.to_string(), row.begin_ns, row.end_ns, task_ids));
-        }
-        for t in store.tasks() {
-            let data_ids = |idxs: &[usize]| {
-                let mut ids: Vec<String> = idxs
+            workflows.push((wf.to_string(), table.begin_ns, table.end_ns, task_ids));
+            for t in table.tasks() {
+                let data_ids = |idxs: &[usize]| {
+                    let mut ids: Vec<String> = idxs
+                        .iter()
+                        .map(|&d| table.data()[d].id.to_string())
+                        .collect();
+                    ids.sort();
+                    ids
+                };
+                let mut deps: Vec<String> = t.dependencies.iter().map(Id::to_string).collect();
+                deps.sort();
+                tasks.push((
+                    t.workflow.to_string(),
+                    t.id.to_string(),
+                    deps,
+                    t.start_ns,
+                    t.end_ns,
+                    t.status == TaskStatus::Finished,
+                    data_ids(&t.inputs),
+                    data_ids(&t.outputs),
+                ));
+            }
+            for d in table.data() {
+                let mut derivations: Vec<String> =
+                    d.derivations.iter().map(Id::to_string).collect();
+                derivations.sort();
+                let mut attributes: Vec<(String, String)> = d
+                    .attributes
                     .iter()
-                    .map(|&d| store.data()[d].id.to_string())
+                    .map(|(n, v)| (n.to_string(), v.to_string()))
                     .collect();
-                ids.sort();
-                ids
-            };
-            let mut deps: Vec<String> = t.dependencies.iter().map(Id::to_string).collect();
-            deps.sort();
-            tasks.push((
-                t.workflow.to_string(),
-                t.id.to_string(),
-                deps,
-                t.start_ns,
-                t.end_ns,
-                t.status == TaskStatus::Finished,
-                data_ids(&t.inputs),
-                data_ids(&t.outputs),
-            ));
-        }
-        for d in store.data() {
-            let mut derivations: Vec<String> = d.derivations.iter().map(Id::to_string).collect();
-            derivations.sort();
-            let mut attributes: Vec<(String, String)> = d
-                .attributes
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.to_string()))
-                .collect();
-            attributes.sort();
-            let mut used_by: Vec<String> = d
-                .used_by
-                .iter()
-                .map(|&t| store.tasks()[t].id.to_string())
-                .collect();
-            used_by.sort();
-            data.push((
-                d.workflow.to_string(),
-                d.id.to_string(),
-                derivations,
-                attributes,
-                d.generated_by.map(|t| store.tasks()[t].id.to_string()),
-                used_by,
-            ));
+                attributes.sort();
+                let mut used_by: Vec<String> = d
+                    .used_by
+                    .iter()
+                    .map(|&t| table.tasks()[t].id.to_string())
+                    .collect();
+                used_by.sort();
+                data.push((
+                    d.workflow.to_string(),
+                    d.id.to_string(),
+                    derivations,
+                    attributes,
+                    d.generated_by.map(|t| table.tasks()[t].id.to_string()),
+                    used_by,
+                ));
+            }
         }
     }
     workflows.sort();

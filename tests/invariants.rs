@@ -6,10 +6,24 @@ use provlight::core::grouping::{Emit, Grouper};
 use provlight::mqtt_sn::topic::{filter_is_valid, topic_matches};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
-use provlight::prov_store::store::Store;
+use provlight::prov_store::store::{DataRow, Store};
 use provlight::prov_store::AttrType;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// Whether two ids are one: equal numbers, or one allocation of text.
+fn same_allocation(a: &Id, b: &Id) -> bool {
+    match (a, b) {
+        (Id::Str(a), Id::Str(b)) => Arc::ptr_eq(a, b),
+        _ => a == b,
+    }
+}
+
+/// The workflows records name: numeric and text ids, so that tables are
+/// keyed by both.
+fn arb_workflow() -> impl Strategy<Value = Id> {
+    prop_oneof![Just(Id::Num(1)), Just(Id::Num(2)), "w".prop_map(Id::from)]
+}
 
 fn arb_record() -> impl Strategy<Value = Record> {
     let id = prop_oneof![
@@ -30,41 +44,52 @@ fn arb_record() -> impl Strategy<Value = Record> {
         Just(AttrValue::List(vec![AttrValue::Int(1)])),
     ];
     let attributes = proptest::collection::vec((0u8..4, value), 0..5);
-    let data = (id.clone(), attributes, sources).prop_map(|(id, attributes, sources)| {
-        let mut d = DataRecord::new(id, 1u64);
-        for (name, value) in attributes {
-            d = d.with_attr(format!("a{name}"), value);
-        }
-        // Ids collide often enough that a source may be stored already,
-        // arrive later, never arrive, or be the row itself.
-        d.derivations = sources;
-        d
-    });
-    let task = (id.clone(), any::<u64>(), any::<bool>()).prop_map(|(id, t, fin)| TaskRecord {
-        id,
-        workflow: Id::Num(1),
-        transformation: Id::Num(0),
-        dependencies: vec![],
-        time_ns: t,
-        status: if fin {
-            TaskStatus::Finished
-        } else {
-            TaskStatus::Running
+    // `None` for the workflow of the task that reports the item, as nearly
+    // always; now and then another workflow's name.
+    let owner = (0u8..6, arb_workflow()).prop_map(|(pick, wf)| (pick == 0).then_some(wf));
+    let data =
+        (id.clone(), attributes, sources, owner).prop_map(|(id, attributes, sources, owner)| {
+            let mut d = DataRecord::new(id, 1u64);
+            for (name, value) in attributes {
+                d = d.with_attr(format!("a{name}"), value);
+            }
+            // Ids collide often enough that a source may be stored already,
+            // arrive later, never arrive, or be the row itself.
+            d.derivations = sources;
+            (d, owner)
+        });
+    let task = (id.clone(), arb_workflow(), any::<u64>(), any::<bool>()).prop_map(
+        |(id, workflow, t, fin)| TaskRecord {
+            id,
+            workflow,
+            transformation: Id::Num(0),
+            dependencies: vec![],
+            time_ns: t,
+            status: if fin {
+                TaskStatus::Finished
+            } else {
+                TaskStatus::Running
+            },
         },
+    );
+    let reported = (task, proptest::collection::vec(data, 0..3)).prop_map(|(task, data)| {
+        let owned = |(mut d, owner): (DataRecord, Option<Id>)| {
+            d.workflow = owner.unwrap_or_else(|| task.workflow.clone());
+            d
+        };
+        let data = data.into_iter().map(owned).collect();
+        (task, data)
     });
+    let reported = reported.boxed();
     prop_oneof![
-        any::<u64>().prop_map(|t| Record::WorkflowBegin {
-            workflow: Id::Num(1),
-            time_ns: t
-        }),
-        any::<u64>().prop_map(|t| Record::WorkflowEnd {
-            workflow: Id::Num(1),
-            time_ns: t
-        }),
-        (task.clone(), proptest::collection::vec(data.clone(), 0..3))
+        (arb_workflow(), any::<u64>())
+            .prop_map(|(workflow, time_ns)| Record::WorkflowBegin { workflow, time_ns }),
+        (arb_workflow(), any::<u64>())
+            .prop_map(|(workflow, time_ns)| Record::WorkflowEnd { workflow, time_ns }),
+        reported
+            .clone()
             .prop_map(|(task, inputs)| Record::TaskBegin { task, inputs }),
-        (task, proptest::collection::vec(data, 0..3))
-            .prop_map(|(task, outputs)| Record::TaskEnd { task, outputs }),
+        reported.prop_map(|(task, outputs)| Record::TaskEnd { task, outputs }),
     ]
 }
 
@@ -127,120 +152,160 @@ proptest! {
     }
 
     /// Store ingestion invariants hold for arbitrary (even nonsensical)
-    /// record streams: row/index consistency, stats coherence, and a
-    /// valid PROV export.
+    /// record streams: a workflow's table is whole and closed — every row
+    /// where its index says, every edge inside the table — the tables sum
+    /// to the stats, and the PROV export is valid.
     #[test]
     fn store_ingestion_invariants(records in proptest::collection::vec(arb_record(), 0..60)) {
         let mut store = Store::new();
         store.ingest_batch(records.clone());
         let stats = store.stats();
         prop_assert_eq!(stats.records, records.len() as u64);
-        prop_assert_eq!(stats.tasks as usize, store.tasks().len());
-        prop_assert_eq!(stats.data as usize, store.data().len());
-        // Every task row is reachable through its (workflow, id) index.
-        for t in store.tasks() {
-            let found = store.task_by_id(&t.workflow, &t.id);
-            prop_assert!(found.is_some());
-        }
-        // Edges reference valid rows.
-        for t in store.tasks() {
-            for &d in t.inputs.iter().chain(&t.outputs) {
-                prop_assert!(d < store.data().len());
-            }
-        }
-        for d in store.data() {
-            if let Some(g) = d.generated_by {
-                prop_assert!(g < store.tasks().len());
-            }
-        }
-        // Derivation edges run both ways, are counted once, and connect
-        // exactly the listed sources the store holds a row for — under the
-        // source row's id, whichever copy of it the set keeps.
-        let mut edges = 0;
-        for (d, row) in store.data().iter().enumerate() {
-            for &s in row.derived_from_idx.iter() {
-                prop_assert!(store.data()[s].derived_into.contains(&d));
-                prop_assert!(row.derivations.contains(&store.data()[s].id));
-            }
-            for &into in row.derived_into.iter() {
-                prop_assert!(store.data()[into].derived_from_idx.contains(&d));
-            }
-            for source in row.derivations.iter() {
-                if let Some((s, _)) = store.data_by_id(&row.workflow, source) {
-                    prop_assert!(row.derived_from_idx.contains(&s));
-                }
-            }
-            edges += row.derived_from_idx.len() as u64;
-        }
-        prop_assert_eq!(stats.lineage_edges, edges);
+        let named: HashSet<&Id> = records.iter().map(Record::workflow).collect();
+        prop_assert_eq!(store.workflow_ids().len(), named.len());
 
-        // Columns list rows, and rows hold the values. A cell is typed when
-        // it is the first of its name in the row and of the kind of the
-        // `(workflow, name)` column; every typed cell is listed in that
-        // column exactly once, and nothing else is.
-        let wf = Id::Num(1);
-        let reports = |id: &Id| {
-            let data = records.iter().flat_map(|r| match r {
-                Record::TaskBegin { inputs: data, .. } | Record::TaskEnd { outputs: data, .. } => {
-                    data.as_slice()
+        let (mut tasks, mut data, mut edges, mut cells) = (0, 0, 0, 0);
+        let mut layouts = 0;
+        let mut own_rows: HashSet<(&Id, &Id)> = HashSet::new();
+        for wf in store.workflow_ids() {
+            let table = store.workflow(wf).expect("listed");
+            tasks += table.tasks().len() as u64;
+            data += table.data().len() as u64;
+            let is_own = |row: &DataRow| row.workflow == *wf;
+            // Every task row is where the index says a task of its id is,
+            // and its workflow is the table's key, not a copy of it.
+            for (t, row) in table.tasks().iter().enumerate() {
+                let found = store.task_by_id(wf, &row.id).expect("indexed");
+                prop_assert!(std::ptr::eq(found, &table.tasks()[t]));
+                prop_assert!(same_allocation(&row.workflow, wf));
+                // Edges reference rows of this table.
+                for &d in row.inputs.iter().chain(&row.outputs) {
+                    prop_assert!(d < table.data().len());
                 }
-                _ => &[],
-            });
-            data.filter(|d| d.id == *id).count()
-        };
-        let (mut cells, mut typed) = (0, 0);
-        let mut listed: HashMap<Arc<str>, Vec<u32>> = HashMap::new();
-        for (d, row) in store.data().iter().enumerate() {
-            cells += row.attributes.len() as u64;
-            let mut named: Vec<&str> = Vec::new();
-            for (name, value) in row.attributes.iter() {
-                let first = !named.contains(&&**name);
-                named.push(name);
-                let column = store.column(&wf, name);
-                if first && column.is_some_and(|c| c.kind() == AttrType::of(&value)) {
-                    typed += 1;
-                    listed.entry(Arc::clone(name)).or_default().push(d as u32);
-                }
-                // A name's first value, if typed, has a column to be in.
-                let untyped = AttrType::of(&value) == AttrType::Other;
-                prop_assert!(!first || untyped || column.is_some());
             }
+            // Every data row likewise: the workflow's own under its id, a
+            // row another workflow owns under that workflow's name and its
+            // id. No row is in two tables, or twice in one.
+            let mut foreign_rows: HashSet<(&Id, &Id)> = HashSet::new();
+            for (d, row) in table.data().iter().enumerate() {
+                if is_own(row) {
+                    prop_assert_eq!(table.data_by_id(&row.id).map(|(at, _)| at), Some(d));
+                    prop_assert!(store.data_by_id(wf, &row.id).is_some_and(|(at, _)| at == d));
+                    prop_assert!(same_allocation(&row.workflow, wf));
+                    prop_assert!(own_rows.insert((&row.workflow, &row.id)));
+                } else {
+                    // Found under its owner's name: the owner's own row if
+                    // it has one, or else a replica, this or another.
+                    let (_, found) = store.data_by_id(&row.workflow, &row.id).expect("findable");
+                    prop_assert_eq!((&found.workflow, &found.id), (&row.workflow, &row.id));
+                    prop_assert!(foreign_rows.insert((&row.workflow, &row.id)));
+                }
+                if let Some(g) = row.generated_by {
+                    prop_assert!(g < table.tasks().len());
+                }
+                for &t in row.used_by.iter() {
+                    prop_assert!(table.tasks()[t].inputs.contains(&d));
+                }
+            }
+            // Derivation edges run both ways, are counted once, and connect
+            // exactly the listed sources the table holds a row for in the
+            // row's own namespace — under the source row's id, whichever
+            // copy of it the set keeps.
+            for (d, row) in table.data().iter().enumerate() {
+                for &s in row.derived_from_idx.iter() {
+                    let source = &table.data()[s];
+                    prop_assert!(source.derived_into.contains(&d));
+                    prop_assert!(row.derivations.contains(&source.id));
+                    prop_assert_eq!(&source.workflow, &row.workflow);
+                }
+                for &into in row.derived_into.iter() {
+                    prop_assert!(table.data()[into].derived_from_idx.contains(&d));
+                }
+                for source in row.derivations.iter() {
+                    let held = |r: &DataRow| r.workflow == row.workflow && r.id == *source;
+                    if let Some(s) = table.data().iter().position(held) {
+                        prop_assert!(row.derived_from_idx.contains(&s));
+                    }
+                }
+                edges += row.derived_from_idx.len() as u64;
+            }
+
+            // Columns list rows, and rows hold the values. A cell is typed
+            // when it is the first of its name in a row of the workflow's
+            // own and of the kind of the column of that name; every typed
+            // cell is listed in that column exactly once, and nothing else
+            // is: a row of another workflow feeds no column.
+            let reports = |id: &Id| {
+                let data = records.iter().flat_map(|r| match r {
+                    Record::TaskBegin { task, inputs: data } | Record::TaskEnd { task, outputs: data }
+                        if task.workflow == *wf =>
+                    {
+                        data.as_slice()
+                    }
+                    _ => &[],
+                });
+                data.filter(|d| d.id == *id && d.workflow == *wf).count()
+            };
+            let mut typed = 0;
+            let mut listed: HashMap<Arc<str>, Vec<u32>> = HashMap::new();
+            for (d, row) in table.data().iter().enumerate() {
+                cells += row.attributes.len() as u64;
+                let mut named: Vec<&str> = Vec::new();
+                for (name, value) in row.attributes.iter() {
+                    let first = !named.contains(&&**name);
+                    named.push(name);
+                    let column = store.column(wf, name);
+                    let of_kind = column.is_some_and(|c| c.kind() == AttrType::of(&value));
+                    if first && is_own(row) && of_kind {
+                        typed += 1;
+                        listed.entry(Arc::clone(name)).or_default().push(d as u32);
+                    }
+                    // A name's first value, if typed, has a column to be in.
+                    let untyped = AttrType::of(&value) == AttrType::Other;
+                    prop_assert!(!first || !is_own(row) || untyped || column.is_some());
+                }
+            }
+            let mut in_columns = 0;
+            for (name, rows) in &listed {
+                let column = store.column(wf, name).expect("checked above");
+                prop_assert!(column.kind() != AttrType::Other);
+                in_columns += column.rows().len();
+                // Same rows; in arrival order, which is row order except
+                // where a row reported again merged the name in later.
+                let mut arrived = column.rows().to_vec();
+                arrived.sort_unstable();
+                prop_assert_eq!(&arrived, rows);
+                for pair in column.rows().windows(2) {
+                    let late = &table.data()[pair[1] as usize].id;
+                    prop_assert!(pair[0] < pair[1] || reports(late) > 1, "{name}: {pair:?}");
+                }
+                for &row in column.rows() {
+                    // What the scan reads is the row's first value of the name.
+                    let value = table.data()[row as usize].attributes.get(name);
+                    prop_assert_eq!(value.as_ref().map(AttrType::of), Some(column.kind()));
+                }
+            }
+            prop_assert_eq!(in_columns, typed);
+            // Rows of one shape and one kind — the workflow's own, or
+            // another's — share one layout, however they got it: fresh,
+            // merged, from names of any allocation.
+            type Shape = (bool, Vec<(String, u8)>);
+            let mut shapes: HashMap<Shape, usize> = HashMap::new();
+            for (d, row) in table.data().iter().enumerate() {
+                let cells = row.attributes.iter();
+                let shape = cells.map(|(n, v)| (n.to_string(), v.tag())).collect();
+                let first = *shapes.entry((is_own(row), shape)).or_insert(d);
+                let same = Arc::ptr_eq(table.data()[first].attributes.layout(), row.attributes.layout());
+                prop_assert!(same, "rows {first} and {d}");
+            }
+            layouts += shapes.len();
         }
-        // Σ typed + untyped cells: every cell of every row was counted.
+        // Σ over the tables is what the store counted.
+        prop_assert_eq!(stats.tasks, tasks);
+        prop_assert_eq!(stats.data, data);
+        prop_assert_eq!(stats.lineage_edges, edges);
         prop_assert_eq!(stats.attr_cells, cells);
-        let mut in_columns = 0;
-        for (name, rows) in &listed {
-            let column = store.column(&wf, name).expect("checked above");
-            prop_assert!(column.kind() != AttrType::Other);
-            in_columns += column.rows().len();
-            // Same rows; in arrival order, which is row order except where
-            // a row reported again merged the name in later.
-            let mut arrived = column.rows().to_vec();
-            arrived.sort_unstable();
-            prop_assert_eq!(&arrived, rows);
-            for pair in column.rows().windows(2) {
-                let late = &store.data()[pair[1] as usize].id;
-                prop_assert!(pair[0] < pair[1] || reports(late) > 1, "{name}: {pair:?}");
-            }
-            for &row in column.rows() {
-                // What the scan reads is the row's first value of the name.
-                let value = store.data()[row as usize].attributes.get(name);
-                prop_assert_eq!(value.as_ref().map(AttrType::of), Some(column.kind()));
-            }
-        }
-        prop_assert_eq!(in_columns, typed);
-        // Rows of one shape share one layout, however they got it: fresh,
-        // merged, from names of any allocation.
-        type Shape = Vec<(String, u8)>;
-        let mut layouts: HashMap<Shape, usize> = HashMap::new();
-        for (d, row) in store.data().iter().enumerate() {
-            let cells = row.attributes.iter();
-            let shape = cells.map(|(n, v)| (n.to_string(), v.tag())).collect();
-            let first = *layouts.entry(shape).or_insert(d);
-            let same = Arc::ptr_eq(store.data()[first].attributes.layout(), row.attributes.layout());
-            prop_assert!(same, "rows {first} and {d}");
-        }
-        prop_assert!(store.layout_count() >= layouts.len());
+        prop_assert!(store.layout_count() >= layouts);
         store.to_prov_document().validate().unwrap();
     }
 
@@ -262,15 +327,18 @@ proptest! {
         }
         prop_assert_eq!(decoded.stats(), built.stats());
         prop_assert_eq!(decoded.layout_count(), built.layout_count());
-        for (a, b) in decoded.data().iter().zip(built.data()) {
-            prop_assert_eq!(&a.attributes, &b.attributes);
-        }
-        // Equal layouts in one store are equal layouts in the other.
-        for (i, a) in decoded.data().iter().enumerate() {
-            for (j, b) in decoded.data().iter().enumerate().skip(i) {
-                let same = Arc::ptr_eq(a.attributes.layout(), b.attributes.layout());
-                let (a, b) = (&built.data()[i].attributes, &built.data()[j].attributes);
-                prop_assert_eq!(same, Arc::ptr_eq(a.layout(), b.layout()));
+        prop_assert_eq!(decoded.workflow_ids(), built.workflow_ids());
+        for wf in built.workflow_ids() {
+            let decoded = decoded.workflow(wf).expect("listed").data();
+            let built = built.workflow(wf).expect("listed").data();
+            prop_assert_eq!(decoded, built);
+            // Equal layouts in one table are equal layouts in the other.
+            for (i, a) in decoded.iter().enumerate() {
+                for (j, b) in decoded.iter().enumerate().skip(i) {
+                    let same = Arc::ptr_eq(a.attributes.layout(), b.attributes.layout());
+                    let (a, b) = (&built[i].attributes, &built[j].attributes);
+                    prop_assert_eq!(same, Arc::ptr_eq(a.layout(), b.layout()));
+                }
             }
         }
     }

@@ -154,11 +154,12 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
     let stats = store.stats();
     assert_eq!(stats.data, DAG_ROWS as u64);
     assert_eq!(stats.lineage_edges, 2 * DAG_ROWS as u64 - 3);
-    // 403 B measured, plus a tenth; 448 B while a row held its one cell as
-    // a 48-byte pair and the column a copy of it, 877 B before edge sets
-    // moved inline and rows took the shard's own copy of every string it
-    // already held.
-    assert!(per_row <= 443, "{per_row} B of live heap per row");
+    // 357 B measured, plus a tenth; 403 B while the index was keyed by
+    // `(workflow, id)` and every row held the copy of the workflow id it
+    // arrived with, 448 B while a row held its one cell as a 48-byte pair
+    // and the column a copy of it, 877 B before edge sets moved inline and
+    // rows took the shard's own copy of every string it already held.
+    assert!(per_row <= 392, "{per_row} B of live heap per row");
 }
 
 const WIDE_TASKS: u64 = 2_875;
@@ -186,12 +187,13 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     assert_eq!(stats.attr_cells, 101 * WIDE_TASKS);
     let wf = Id::from("wf");
     assert_eq!(store.read(&wf).layout_count(), 2);
-    // 2 493 B measured, plus a tenth: 808 of cells and 404 of row numbers
+    // 2 410 B measured, plus a tenth: 808 of cells and 404 of row numbers
     // in columns; the rest is rows, ids, indices, and the slack of tables
-    // that double (2 875 tasks fill theirs to 0.70). With 48-byte pairs in
+    // that double (2 875 tasks fill theirs to 0.70). 2 493 B while the
+    // indexes were keyed by `(workflow, id)` pairs; with 48-byte pairs in
     // the row and 16-byte copies in the column (this test against a `git
     // archive` of PR 21, less the layout count): 8 235 B.
-    assert!(per_task <= 2_742, "{per_task} B of live heap per task");
+    assert!(per_task <= 2_651, "{per_task} B of live heap per task");
 }
 
 fn text(id: &Id) -> &Arc<str> {
