@@ -16,7 +16,12 @@
 //!   allocate.
 //!
 //! So a cell costs the row 8 bytes where a `(Arc<str>, AttrValue)` pair
-//! cost 48, and [`Attrs`] is 32 bytes inline.
+//! cost 48, and [`Attrs`] is 32 bytes inline. The cells are one boxed
+//! slice, except a lone cell: it sits in the row, where the box's pointer
+//! and length would, so a row of one number — every lineage DAG row and
+//! every task output the workloads carry — allocates nothing for its cells
+//! and does not pay a 32-byte malloc chunk to hold 8 bytes. A merge that
+//! takes a row past one cell moves it to the box.
 //!
 //! # Interning
 //!
@@ -153,6 +158,40 @@ impl Layout {
     }
 }
 
+/// A row's cells: one inside the row, or any other number behind one box.
+/// The box's pointer is never null, so the lone cell costs no tag and
+/// [`Cells`] is the 16 bytes the box alone would be.
+#[derive(Clone)]
+enum Cells {
+    One(u64),
+    Boxed(Box<[u64]>),
+}
+
+impl Cells {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Cells::One(cell) => std::slice::from_ref(cell),
+            Cells::Boxed(cells) => cells,
+        }
+    }
+
+    /// `held` followed by `new`, `len` cells in all. A lone cell stays in
+    /// the row; anything else is one allocation, made here: collecting in
+    /// place would keep a sixth of the list's own buffer and leave the rest
+    /// as a hole behind every row.
+    fn extended(held: &[u64], len: usize, mut new: impl Iterator<Item = u64>) -> Cells {
+        if let ([], 1) = (held, len) {
+            if let Some(cell) = new.next() {
+                return Cells::One(cell);
+            }
+        }
+        let mut cells = Vec::with_capacity(len);
+        cells.extend_from_slice(held);
+        cells.extend(new);
+        Cells::Boxed(cells.into_boxed_slice())
+    }
+}
+
 /// The attributes of a data row. Reads as the `Vec<(Arc<str>, AttrValue)>`
 /// the record brought — same cells, same order, repeated names included —
 /// through [`Attrs::iter`], [`Attrs::get`], [`Attrs::to_vec`] and `==`.
@@ -160,7 +199,7 @@ impl Layout {
 pub struct Attrs {
     layout: Arc<Layout>,
     /// One payload per slot of `layout`.
-    cells: Box<[u64]>,
+    cells: Cells,
     /// The `Str` / `List` / `Bytes` values, in slot order. Boxed so that a
     /// row pays 8 bytes for not having any.
     #[allow(clippy::box_collection)]
@@ -169,38 +208,31 @@ pub struct Attrs {
 
 impl Attrs {
     /// Appends `values` as the cells of the slots of `self.layout` the row
-    /// has no cell for yet. One allocation, made here, for all the cells:
-    /// collecting in place would keep a sixth of the list's own buffer and
-    /// leave the rest as a hole behind every row.
+    /// has no cell for yet.
     fn fill(&mut self, values: impl Iterator<Item = AttrValue>) {
-        let mut cells = Vec::with_capacity(self.layout.slots.len());
-        cells.extend_from_slice(&self.cells);
-        for value in values {
-            cells.push(match value {
-                AttrValue::Null => 0,
-                AttrValue::Bool(b) => u64::from(b),
-                AttrValue::Int(i) => i.cast_unsigned(),
-                AttrValue::Float(f) => f.to_bits(),
-                wide @ (AttrValue::Str(_) | AttrValue::List(_) | AttrValue::Bytes(_)) => {
-                    let side = self
-                        .wide
-                        .get_or_insert_with(|| Box::new(Vec::with_capacity(self.layout.wide)));
-                    side.push(wide);
-                    side.len() as u64 - 1
-                }
-            });
-        }
-        self.cells = cells.into_boxed_slice();
+        let (layout, wide) = (&self.layout, &mut self.wide);
+        let new = values.map(|value| match value {
+            AttrValue::Null => 0,
+            AttrValue::Bool(b) => u64::from(b),
+            AttrValue::Int(i) => i.cast_unsigned(),
+            AttrValue::Float(f) => f.to_bits(),
+            value @ (AttrValue::Str(_) | AttrValue::List(_) | AttrValue::Bytes(_)) => {
+                let side = wide.get_or_insert_with(|| Box::new(Vec::with_capacity(layout.wide)));
+                side.push(value);
+                side.len() as u64 - 1
+            }
+        });
+        self.cells = Cells::extended(self.cells.as_slice(), layout.slots.len(), new);
     }
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells.as_slice().len()
     }
 
     /// Whether the row has no attributes.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cells.as_slice().is_empty()
     }
 
     /// The layout the row shares with every row of its workflow and shape.
@@ -223,12 +255,12 @@ impl Attrs {
 
     /// The cells in order, as `(name, value)`.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Arc<str>, AttrValue)> + '_ {
-        let cells = self.layout.slots.iter().zip(self.cells.iter());
+        let cells = self.layout.slots.iter().zip(self.cells.as_slice());
         cells.map(|(slot, &bits)| (&slot.name, self.value(slot.tag, bits)))
     }
 
     fn first(&self, name: &str) -> Option<(Tag, u64)> {
-        let mut cells = self.layout.slots.iter().zip(self.cells.iter());
+        let mut cells = self.layout.slots.iter().zip(self.cells.as_slice());
         let (slot, &bits) = cells.find(|(slot, _)| &*slot.name == name)?;
         Some((slot.tag, bits))
     }
@@ -259,7 +291,8 @@ impl Attrs {
                 at
             }
         };
-        self.layout.slots.get(at)?.tag.numeric(*self.cells.get(at)?)
+        let bits = *self.cells.as_slice().get(at)?;
+        self.layout.slots.get(at)?.tag.numeric(bits)
     }
 
     /// The typed columns fed by the slots from `first` on.
@@ -338,7 +371,7 @@ impl Layouts {
         let shape = attributes.iter().map(|(name, v)| (name, Tag::of(v)));
         let mut attrs = Attrs {
             layout: self.intern(attributes.len(), shape, resolve),
-            cells: Box::default(),
+            cells: Cells::Boxed(Box::default()),
             wide: None,
         };
         attrs.fill(attributes.into_iter().map(|(_, value)| value));
@@ -441,7 +474,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    type Cells = Vec<(Arc<str>, AttrValue)>;
+    type List = Vec<(Arc<str>, AttrValue)>;
 
     /// A column table as `Store` keeps one, counting how often it is asked.
     #[derive(Default)]
@@ -487,7 +520,7 @@ mod tests {
     }
 
     /// `attrs` read every way it can be, against the list it stands for.
-    fn assert_reads_as(attrs: &Attrs, model: &Cells) {
+    fn assert_reads_as(attrs: &Attrs, model: &List) {
         assert_eq!(attrs.len(), model.len());
         assert_eq!(attrs.is_empty(), model.is_empty());
         assert_eq!(attrs.iter().len(), model.len());
@@ -499,7 +532,7 @@ mod tests {
             assert_eq!(name, n);
             assert!(same(value, v), "{name}: {value:?} for {v:?}");
         }
-        for name in NAMES {
+        for name in NAMES.into_iter().chain([NEW]) {
             let first = model.iter().find(|(n, _)| &**n == name).map(|(_, v)| v);
             let got = attrs.get(name);
             assert_eq!(got.is_some(), first.is_some());
@@ -517,12 +550,17 @@ mod tests {
         if let Some((_, shorter)) = model.split_last() {
             assert!(*attrs != shorter.to_vec());
         }
-        // Numbers cost the row its cells and nothing beside them.
+        // Numbers cost the row its cells and nothing beside them, and a lone
+        // cell is inside the row.
         let wide = model.iter().filter(|(_, v)| Tag::of(v).is_wide()).count();
         assert_eq!(attrs.wide.as_ref().map_or(0, |w| w.len()), wide);
+        let inline = matches!(attrs.cells, Cells::One(_));
+        assert_eq!(inline, model.len() == 1);
     }
 
     const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+    /// A name no list of [`arb_cells`] has.
+    const NEW: &str = "f";
 
     fn arb_value() -> impl Strategy<Value = AttrValue> {
         let leaf = prop_oneof![
@@ -548,15 +586,16 @@ mod tests {
     }
 
     /// Attribute lists with names drawn from [`NAMES`] so that they repeat,
-    /// within a list and between two: empty, one cell, a few, a hundred.
-    fn arb_cells() -> impl Strategy<Value = Cells> {
+    /// within a list and between two: empty, one cell, two, a few, a
+    /// hundred.
+    fn arb_cells() -> impl Strategy<Value = List> {
         // A name is an allocation of its cell's own, as decoded records of
         // different messages bring them.
         let cell = (0..NAMES.len(), arb_value())
             .prop_map(|(n, v)| (Arc::from(NAMES[n]), v))
             .boxed();
         prop_oneof![
-            proptest::collection::vec(cell.clone(), 0..2),
+            proptest::collection::vec(cell.clone(), 0..3),
             proptest::collection::vec(cell.clone(), 0..8),
             proptest::collection::vec(cell, 100..101),
         ]
@@ -567,7 +606,16 @@ mod tests {
         fn prop_packed_rows_read_as_the_lists_they_were(
             first in arb_cells(),
             second in arb_cells(),
+            merge in 0u8..3,
         ) {
+            // What the row is reported with again: any list; its own names,
+            // backwards and with other values, which adds nothing; or a list
+            // with a name it lacks, which takes a lone cell to two or more.
+            let second = match merge {
+                0 => second,
+                1 => first.iter().rev().map(|(n, _)| (Arc::clone(n), AttrValue::Null)).collect(),
+                _ => second.into_iter().chain([(Arc::from(NEW), AttrValue::Int(7))]).collect(),
+            };
             let mut layouts = Layouts::default();
             let mut columns = Resolver::default();
             let mut model = first.clone();
@@ -601,7 +649,7 @@ mod tests {
         }
     }
 
-    fn numbers(names: &[&str]) -> Cells {
+    fn numbers(names: &[&str]) -> List {
         let cell = |(i, name): (usize, &&str)| (Arc::from(*name), AttrValue::Float(i as f64));
         names.iter().enumerate().map(cell).collect()
     }
@@ -637,7 +685,11 @@ mod tests {
         let mut layouts = Layouts::default();
         let row = layouts.pack(numbers(&["x", "y", "z"]), |n, _| (Arc::clone(n), None));
         assert!(row.wide.is_none());
-        assert_eq!(row.cells.len(), 3);
+        assert!(matches!(&row.cells, Cells::Boxed(cells) if cells.len() == 3));
+        // A lone number is no allocation at all.
+        let row = layouts.pack(numbers(&["x"]), |n, _| (Arc::clone(n), None));
+        assert!(row.wide.is_none());
+        assert!(matches!(row.cells, Cells::One(bits) if bits == 0f64.to_bits()));
     }
 
     #[test]

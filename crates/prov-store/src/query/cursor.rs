@@ -154,7 +154,7 @@ impl Cursor {
         let done = match store.workflow(&self.workflow) {
             Some(table) => self.fill(table, |(idx, value)| {
                 hits.push(Hit {
-                    id: table.data()[idx].id.clone(),
+                    id: table.data()[idx as usize].id.clone(),
                     value,
                 })
             }),
@@ -196,11 +196,6 @@ impl Cursor {
                 Pulled::Budget => break,
             }
         }
-        self.done
-    }
-
-    /// Whether the traversal is exhausted.
-    pub fn is_done(&self) -> bool {
         self.done
     }
 

@@ -78,7 +78,9 @@ impl Filter {
                 cmp.eval(value, *threshold).then_some(Some(value))
             }
             Filter::EndedWithin { from_ns, to_ns } => {
-                let end = row.generated_by.and_then(|t| table.tasks()[t].end_ns)?;
+                let end = row
+                    .generated_by
+                    .and_then(|t| table.tasks()[t as usize].end_ns)?;
                 (*from_ns <= end && end <= *to_ns).then_some(None)
             }
         }

@@ -233,7 +233,7 @@ impl<'a> Query<'a> {
         }
         Ok(best
             .into_iter()
-            .map(|(i, v)| (table.data()[i].id.clone(), v))
+            .map(|(i, v)| (table.data()[i as usize].id.clone(), v))
             .collect())
     }
 
@@ -248,10 +248,10 @@ impl<'a> Query<'a> {
         let mut series: Vec<(u64, f64)> = items
             .into_iter()
             .map(|(idx, v)| {
-                let row = &table.data()[idx];
+                let row = &table.data()[idx as usize];
                 let t = row
                     .generated_by
-                    .and_then(|ti| table.tasks()[ti].end_ns)
+                    .and_then(|ti| table.tasks()[ti as usize].end_ns)
                     .unwrap_or(0);
                 (t, v.unwrap_or(f64::NAN))
             })
@@ -277,7 +277,7 @@ impl<'a> Query<'a> {
         let (table, items) = self.drain(workflow, &path)?;
         Ok(items
             .into_iter()
-            .map(|(i, _)| table.data()[i].id.clone())
+            .map(|(i, _)| table.data()[i as usize].id.clone())
             .collect())
     }
 
@@ -294,7 +294,7 @@ impl<'a> Query<'a> {
         Ok(items
             .into_iter()
             .map(|(i, _)| {
-                let d = &table.data()[i];
+                let d = &table.data()[i as usize];
                 (d.id.clone(), d.attributes.to_vec())
             })
             .collect())
@@ -343,7 +343,7 @@ impl<'a> Query<'a> {
             .into_iter()
             .filter_map(|(i, v)| {
                 let v = v?;
-                predicate(v).then(|| (table.data()[i].id.clone(), v))
+                predicate(v).then(|| (table.data()[i as usize].id.clone(), v))
             })
             .collect())
     }
@@ -703,9 +703,10 @@ mod tests {
         }
         assert_eq!(seen.len(), 100, "every product exactly once");
         assert_eq!(cursor.stats().pages as usize, pages);
-        assert!(cursor.is_done());
         // Further pages stay empty and done.
-        assert!(cursor.next_page(&s).hits.is_empty());
+        let page = cursor.next_page(&s);
+        assert!(page.done);
+        assert!(page.hits.is_empty());
     }
 
     #[test]

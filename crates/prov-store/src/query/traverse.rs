@@ -50,7 +50,8 @@ pub(crate) struct IdxSet {
 
 impl IdxSet {
     /// Inserts `i`; returns `true` if it was new.
-    pub(crate) fn insert(&mut self, i: usize) -> bool {
+    pub(crate) fn insert(&mut self, i: DataIdx) -> bool {
+        let i = i as usize;
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if word >= self.bits.len() {
             self.bits.resize(word + 1, 0);
@@ -62,7 +63,8 @@ impl IdxSet {
 
     /// Membership test.
     #[cfg(test)]
-    pub(crate) fn contains(&self, i: usize) -> bool {
+    pub(crate) fn contains(&self, i: DataIdx) -> bool {
+        let i = i as usize;
         self.bits
             .get(i / 64)
             .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
@@ -95,7 +97,7 @@ pub(crate) struct Ctx<'a> {
 impl Ctx<'_> {
     fn visible(&self, idx: DataIdx) -> bool {
         match self.horizon {
-            Some(limit) => idx < limit,
+            Some(limit) => (idx as usize) < limit,
             None => true,
         }
     }
@@ -272,7 +274,7 @@ impl Exec {
                             }
                         }
                         OpKind::Keep(filter) => {
-                            let row = &ctx.table.data()[idx];
+                            let row = &ctx.table.data()[idx as usize];
                             if let Some(matched) = filter.eval(ctx.table, row) {
                                 ready.push_back((idx, value.or(matched)));
                             }
@@ -304,7 +306,7 @@ impl Exec {
             SourceState::Column { column, next, slot } => {
                 let rows = ctx.table.column_at(*column).rows();
                 loop {
-                    let Some(&row) = rows.get(*next) else {
+                    let Some(&idx) = rows.get(*next) else {
                         return Pulled::Done;
                     };
                     if *budget == 0 {
@@ -313,9 +315,9 @@ impl Exec {
                     *budget -= 1;
                     stats.steps_evaluated += 1;
                     *next += 1;
-                    let idx = row as DataIdx;
                     if ctx.visible(idx) {
-                        let value = ctx.table.data()[idx].attributes.column_value(*column, slot);
+                        let row = &ctx.table.data()[idx as usize];
+                        let value = row.attributes.column_value(*column, slot);
                         return Pulled::Item((idx, value));
                     }
                 }
@@ -329,7 +331,7 @@ impl Exec {
 /// which for `DerivedInto` is ascending row order — the order the legacy
 /// downstream scan produced.
 fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) {
-    let row = &ctx.table.data()[node];
+    let row = &ctx.table.data()[node as usize];
     match edge {
         Edge::DerivedFrom => {
             for &src in &row.derived_from_idx {
@@ -347,7 +349,7 @@ fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) 
         }
         Edge::GeneratedFrom => {
             if let Some(t) = row.generated_by {
-                for &input in &ctx.table.tasks()[t].inputs {
+                for &input in &ctx.table.tasks()[t as usize].inputs {
                     if ctx.visible(input) {
                         emit((input, None));
                     }
@@ -356,7 +358,7 @@ fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) 
         }
         Edge::UsedBy => {
             for &t in &row.used_by {
-                for &output in &ctx.table.tasks()[t].outputs {
+                for &output in &ctx.table.tasks()[t as usize].outputs {
                     if ctx.visible(output) {
                         emit((output, None));
                     }

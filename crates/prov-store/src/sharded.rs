@@ -121,11 +121,6 @@ impl ShardedStore {
         None
     }
 
-    /// Write access to the shard holding `workflow`.
-    pub fn write(&self, workflow: &Id) -> parking_lot::RwLockWriteGuard<'_, Store> {
-        self.shards[self.shard_of(workflow)].write()
-    }
-
     /// Ingests a single record (convenience; batch paths should use a
     /// [`ShardRouter`] to amortize lock acquisitions).
     pub fn ingest(&self, record: Record) {
@@ -361,14 +356,15 @@ mod tests {
     type RowView = (Vec<(Arc<str>, AttrValue)>, Vec<Id>, usize);
 
     /// Every data row of `store`, by the workflow whose table holds it, the
-    /// workflow it names and its id.
+    /// workflow that owns it and its id.
     fn rows(store: &ShardedStore) -> BTreeMap<(Id, Id, Id), RowView> {
         let mut rows = BTreeMap::new();
         for shard in 0..store.shard_count() {
             let guard = store.shard(shard).read();
             for host in guard.workflow_ids() {
-                for row in guard.workflow(host).unwrap().data() {
-                    let key = (host.clone(), row.workflow.clone(), row.id.clone());
+                let table = guard.workflow(host).unwrap();
+                for (d, row) in (0..).zip(table.data()) {
+                    let key = (host.clone(), table.owner(d).clone(), row.id.clone());
                     let view = (
                         row.attributes.to_vec(),
                         row.derivations.to_vec(),
@@ -446,12 +442,13 @@ mod tests {
         let guard = store
             .read_for_data(&Id::Num(2), &Id::from("foreign"))
             .expect("cross-workflow data row must be locatable");
-        let (_, row) = guard.data_by_id(&Id::Num(2), &Id::from("foreign")).unwrap();
-        assert_eq!(row.workflow, Id::Num(2));
+        let (at, row) = guard.data_by_id(&Id::Num(2), &Id::from("foreign")).unwrap();
         assert_eq!(row.used_by.len(), 1, "replica carries the local edge");
-        // It is a row of workflow 1's table and of neither's columns.
-        let hosted = guard.workflow(&Id::Num(1)).unwrap().data();
-        assert_eq!(hosted, std::slice::from_ref(row));
+        // It is a row of workflow 1's table, owned by workflow 2, and of
+        // neither's columns.
+        let host = guard.workflow(&Id::Num(1)).unwrap();
+        assert_eq!(host.data(), std::slice::from_ref(row));
+        assert_eq!(host.owner(at), &Id::Num(2));
         assert!(guard.column(&Id::Num(1), "x").is_none());
         assert!(guard.column(&Id::Num(2), "x").is_none());
         assert_eq!(guard.stats().attr_cells, 1);
@@ -500,8 +497,9 @@ mod tests {
             drop(guard);
             // The replica is a row of the reporting workflow's table.
             let guard = store.read(&Id::Num(1));
-            let replica = &guard.workflow(&Id::Num(1)).unwrap().data()[0];
-            assert_eq!((&replica.workflow, &replica.id), (&owner, &Id::from("d")));
+            let host = guard.workflow(&Id::Num(1)).unwrap();
+            let replica = &host.data()[0];
+            assert_eq!((host.owner(0), &replica.id), (&owner, &Id::from("d")));
             assert!(replica.attributes.is_empty());
             assert_eq!(replica.used_by.len(), 1);
         }

@@ -29,18 +29,22 @@
 //! # What a row costs
 //!
 //! The store is memory-only, so the bytes per row decide how long a server
-//! can ingest. A [`DataRow`] is 192 bytes and a [`TaskRow`] 176: their edge
-//! sets hold up to two members inline ([`SmallSet`]) and allocate nothing
-//! until a third. An attribute cell costs 12 bytes — 8 in the row's one
-//! allocation of cells ([`Attrs`]), 4 for the row's number in the typed
-//! column — and nothing else per cell: names, value tags and which column
-//! a cell feeds are the row's [`Layout`](crate::attrs::Layout), one per
-//! shape and workflow, shared by every row of that shape. Beyond its cells
-//! a row owns, on the heap, the text of its own id; every other string it
-//! names is an allocation its table holds already:
+//! can ingest. A [`DataRow`] and a [`TaskRow`] are 144 bytes each: a row
+//! number is 32 bits, so an edge set ([`SmallSet`]) is 16 bytes holding up
+//! to two members inline and allocating nothing until a third, and a row
+//! holds no workflow id — its workflow is its table's (see
+//! [`WorkflowTable::owner`] for the rare row that is another's). An
+//! attribute cell costs 12 bytes — 8 in the row's cells ([`Attrs`]), 4
+//! for the row's number in the typed column — and nothing else per cell:
+//! names, value tags and which column a cell feeds are the row's
+//! [`Layout`](crate::attrs::Layout), one per shape and workflow, shared by
+//! every row of that shape. A row of one cell keeps it inside the row; any
+//! other number of cells is one allocation. Beyond that a row owns, on the
+//! heap, the text of its own id; every other string it names is an
+//! allocation its table holds already:
 //!
-//! * the row's `workflow` is the table's key, and the index key — one id,
-//!   32 bytes a bucket with the row number — is the row's `id`;
+//! * the index key — one id, 24 bytes a bucket with the row number — is
+//!   the row's `id`;
 //! * a derivation is the *source row's* `id`, taken from the index probe
 //!   that resolves the edge — except a forward reference, which keeps the
 //!   copy it arrived with even after the source comes;
@@ -56,11 +60,11 @@
 //! [`Store::ingest`] owns its record and moves ids into the row and the
 //! attribute payloads into its cells; what the table has a copy of is
 //! dropped in favour of that copy. A row of a known shape costs ingest one
-//! allocation for its cells and no string probe. A lineage DAG whose rows
-//! derive from two others and carry one number retains 357 bytes of heap per
-//! row, and a task with a hundred numbers in and one out 2 410, all tables
-//! included (`tests/store_footprint.rs` holds those figures and the
-//! sharing).
+//! allocation for its cells, none if it has one, and no string probe. A
+//! lineage DAG whose rows derive from two others and carry one number
+//! retains 272 bytes of heap per row, and a task with a hundred numbers in
+//! and one out 2 220, all tables included (`tests/store_footprint.rs` holds
+//! those figures and the sharing).
 
 use crate::attrs::{Attrs, Layouts};
 use crate::schema::AttrType;
@@ -71,20 +75,18 @@ use std::sync::Arc;
 
 /// Position of a task row in its workflow's table
 /// ([`WorkflowTable::tasks`]). Relative to that table: it means nothing in
-/// another workflow's.
-pub type TaskIdx = usize;
+/// another workflow's. 32 bits: a table holds fewer than 2^32 rows.
+pub type TaskIdx = u32;
 /// Position of a data row in its workflow's table
 /// ([`WorkflowTable::data`]). Relative to that table: it means nothing in
-/// another workflow's.
-pub type DataIdx = usize;
+/// another workflow's. 32 bits: a table holds fewer than 2^32 rows.
+pub type DataIdx = u32;
 
-/// A task row.
+/// A task row. Its workflow is the table's.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskRow {
     /// Task id.
     pub id: Id,
-    /// Owning workflow: the key of the table the row is in.
-    pub workflow: Id,
     /// Transformation tag.
     pub transformation: Id,
     /// Dependency task ids (`wasInformedBy`).
@@ -111,14 +113,12 @@ impl TaskRow {
     }
 }
 
-/// A data row.
+/// A data row. Its workflow is the table's, except for a row another
+/// workflow owns and a task of this one reported: [`WorkflowTable::owner`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct DataRow {
     /// Data id.
     pub id: Id,
-    /// Owning workflow: the key of the table the row is in, except for a
-    /// row another workflow owns and a task of this one reported.
-    pub workflow: Id,
     /// Source data ids (`wasDerivedFrom`). A source that was stored when
     /// the reference arrived is listed by the source row's own `id`
     /// allocation, not by a copy.
@@ -160,7 +160,7 @@ pub struct DataRow {
 #[derive(Clone, Debug)]
 pub struct Column {
     kind: AttrType,
-    rows: Vec<u32>,
+    rows: Vec<DataIdx>,
 }
 
 impl Column {
@@ -171,7 +171,7 @@ impl Column {
 
     /// The data rows listed, as indices into [`WorkflowTable::data`].
     /// Ascending, except where a re-seen row merged the attribute in later.
-    pub fn rows(&self) -> &[u32] {
+    pub fn rows(&self) -> &[DataIdx] {
         &self.rows
     }
 }
@@ -207,7 +207,6 @@ impl Columns {
 
     /// Lists `row` in the columns its cells from slot `first` on feed.
     fn list(&mut self, row: DataIdx, attributes: &Attrs, first: usize) {
-        let row = u32::try_from(row).expect("fewer than 2^32 rows in a workflow");
         for column in attributes.columns_from(first) {
             self.table[column as usize].rows.push(row);
         }
@@ -250,7 +249,7 @@ impl StoreStats {
 #[derive(Debug)]
 pub struct WorkflowTable {
     /// The workflow's id: the key this table is stored under, and the
-    /// allocation its own rows' `workflow` shares.
+    /// workflow of every row in it but the foreign ones.
     id: Id,
     /// Begin time, if captured.
     pub begin_ns: Option<u64>,
@@ -276,6 +275,10 @@ pub struct WorkflowTable {
     /// holds therefore depends on the records that named its workflow and
     /// on nothing else — not on which workflows share its shard.
     foreign_index: HashMap<(Id, Id), DataIdx>,
+    /// The owning workflow of each of those rows, in row order: the one
+    /// place a row's workflow is written down, and only where it is not
+    /// this table's.
+    foreign_owners: Vec<(DataIdx, Id)>,
     foreign_layouts: Layouts,
 }
 
@@ -293,6 +296,7 @@ impl WorkflowTable {
             layouts: Layouts::default(),
             pending_derivations: HashMap::new(),
             foreign_index: HashMap::new(),
+            foreign_owners: Vec::new(),
             foreign_layouts: Layouts::default(),
         }
     }
@@ -304,22 +308,22 @@ impl WorkflowTable {
             Record::TaskBegin { task, inputs } => {
                 let time_ns = task.time_ns;
                 let t = self.upsert_task(task, stats);
-                self.tasks[t].start_ns = Some(time_ns);
+                self.tasks[t as usize].start_ns = Some(time_ns);
                 for d in inputs {
                     let idx = self.upsert_data(d, stats);
-                    self.tasks[t].inputs.insert(idx);
-                    self.data[idx].used_by.insert(t);
+                    self.tasks[t as usize].inputs.insert(idx);
+                    self.data[idx as usize].used_by.insert(t);
                 }
             }
             Record::TaskEnd { task, outputs } => {
                 let time_ns = task.time_ns;
                 let t = self.upsert_task(task, stats);
-                self.tasks[t].end_ns = Some(time_ns);
-                self.tasks[t].status = TaskStatus::Finished;
+                self.tasks[t as usize].end_ns = Some(time_ns);
+                self.tasks[t as usize].status = TaskStatus::Finished;
                 for d in outputs {
                     let idx = self.upsert_data(d, stats);
-                    self.tasks[t].outputs.insert(idx);
-                    self.data[idx].generated_by = Some(t);
+                    self.tasks[t as usize].outputs.insert(idx);
+                    self.data[idx as usize].generated_by = Some(t);
                 }
             }
         }
@@ -329,19 +333,18 @@ impl WorkflowTable {
         if let Some(&idx) = self.task_index.get(&task.id) {
             // Merge dependency info (begin may carry deps, end may not).
             for d in task.dependencies {
-                self.tasks[idx].dependencies.insert(d);
+                self.tasks[idx as usize].dependencies.insert(d);
             }
             if task.status == TaskStatus::Finished {
-                self.tasks[idx].status = TaskStatus::Finished;
+                self.tasks[idx as usize].status = TaskStatus::Finished;
             }
             return idx;
         }
-        let idx = self.tasks.len();
+        let idx = TaskIdx::try_from(self.tasks.len()).expect("fewer than 2^32 tasks in a workflow");
         self.task_index.insert(task.id.clone(), idx);
         stats.tasks += 1;
         self.tasks.push(TaskRow {
             id: task.id,
-            workflow: self.id.clone(),
             transformation: task.transformation,
             dependencies: task.dependencies.into_iter().collect(),
             start_ns: None,
@@ -386,7 +389,7 @@ impl WorkflowTable {
         if let Some(idx) = seen {
             // Re-seen data id: merge unseen derivations and attributes
             // (first value per name wins) instead of dropping them.
-            let row = &mut self.data[idx];
+            let row = &mut self.data[idx as usize];
             let first_new = layouts.merge(&mut row.attributes, data.attributes, resolve);
             stats.attr_cells += (row.attributes.len() - first_new) as u64;
             self.columns.list(idx, &row.attributes, first_new);
@@ -395,22 +398,20 @@ impl WorkflowTable {
             }
             return idx;
         }
-        let idx = self.data.len();
+        let idx = DataIdx::try_from(self.data.len()).expect("fewer than 2^32 rows in a workflow");
         stats.data += 1;
         let attributes = layouts.pack(data.attributes, resolve);
         stats.attr_cells += attributes.len() as u64;
         self.columns.list(idx, &attributes, 0);
-        let workflow = if own {
+        if own {
             self.data_index.insert(data.id.clone(), idx);
-            self.id.clone()
         } else {
             let key = (data.workflow.clone(), data.id.clone());
             self.foreign_index.insert(key, idx);
-            data.workflow
-        };
+            self.foreign_owners.push((idx, data.workflow));
+        }
         self.data.push(DataRow {
             id: data.id,
-            workflow,
             derivations: SmallSet::new(),
             derived_from_idx: SmallSet::new(),
             derived_into: SmallSet::new(),
@@ -429,14 +430,14 @@ impl WorkflowTable {
         // Sources nearly always arrive before their products, the map is
         // empty, and `remove` would hash the id before it looked.
         if !self.pending_derivations.is_empty() {
-            let waiting = self.pending_derivations.remove(&self.data[idx].id);
+            let waiting = self.pending_derivations.remove(&self.data[idx as usize].id);
             for dst in waiting.into_iter().flatten() {
-                if self.data[dst].workflow == self.data[idx].workflow {
+                if self.owner(dst) == self.owner(idx) {
                     self.wire_derivation(idx, dst, stats);
                 } else {
                     // The id alone is the key, so a row of another
                     // workflow's namespace waited under it too: it waits on.
-                    self.park(self.data[idx].id.clone(), dst);
+                    self.park(self.data[idx as usize].id.clone(), dst);
                 }
             }
         }
@@ -446,23 +447,22 @@ impl WorkflowTable {
     /// Adds `dst wasDerivedFrom src` unless `data[dst]` lists it already,
     /// and resolves it to index edges or parks it until the source row is
     /// ingested. A source is looked for under the workflow `data[dst]`
-    /// names; one the table holds is listed under the source row's own
+    /// belongs to; one the table holds is listed under the source row's own
     /// `Id`, found by the probe that resolves the edge; `src` itself is
     /// kept only for a forward reference.
     fn add_derivation(&mut self, dst: DataIdx, src: Id, stats: &mut StoreStats) {
-        let row = &self.data[dst];
-        if row.derivations.contains(&src) {
+        if self.data[dst as usize].derivations.contains(&src) {
             return;
         }
-        match self.find(&row.workflow, &src) {
+        match self.find(self.owner(dst), &src) {
             Some((held, s)) => {
                 let held = held.clone();
-                self.data[dst].derivations.insert(held);
+                self.data[dst as usize].derivations.insert(held);
                 self.wire_derivation(s, dst, stats);
             }
             None => {
                 self.park(src.clone(), dst);
-                self.data[dst].derivations.insert(src);
+                self.data[dst as usize].derivations.insert(src);
             }
         }
     }
@@ -474,8 +474,8 @@ impl WorkflowTable {
 
     /// Records the resolved edge `src -> dst` in both directions.
     fn wire_derivation(&mut self, src: DataIdx, dst: DataIdx, stats: &mut StoreStats) {
-        if self.data[dst].derived_from_idx.insert(src) {
-            self.data[src].derived_into.insert(dst);
+        if self.data[dst as usize].derived_from_idx.insert(src) {
+            self.data[src as usize].derived_into.insert(dst);
             stats.lineage_edges += 1;
         }
     }
@@ -491,9 +491,29 @@ impl WorkflowTable {
         &self.data
     }
 
+    /// The workflow data row `row` belongs to: this table's, or for a row
+    /// another workflow owns and a task of this one reported, that one.
+    pub fn owner(&self, row: DataIdx) -> &Id {
+        match self
+            .foreign_owners
+            .binary_search_by_key(&row, |&(at, _)| at)
+        {
+            Ok(at) => &self.foreign_owners[at].1,
+            Err(_) => &self.id,
+        }
+    }
+
+    /// The rows another workflow owns, each with that workflow, in row
+    /// order.
+    pub fn foreign_owners(&self) -> &[(DataIdx, Id)] {
+        &self.foreign_owners
+    }
+
     /// Lookup of one of the workflow's own data rows by id. Clone-free.
     pub fn data_by_id(&self, id: &Id) -> Option<(DataIdx, &DataRow)> {
-        self.data_index.get(id).map(|&i| (i, &self.data[i]))
+        self.data_index
+            .get(id)
+            .map(|&i| (i, &self.data[i as usize]))
     }
 
     /// Position of an attribute's typed column in this table: what a
@@ -516,9 +536,9 @@ impl WorkflowTable {
         // Each data row carries its attributes/derivations exactly once.
         let mut data_emitted = vec![false; self.data.len()];
         let mut data_record = |di: DataIdx| {
-            let row = &self.data[di];
-            let mut record = DataRecord::new(row.id.clone(), row.workflow.clone());
-            if !std::mem::replace(&mut data_emitted[di], true) {
+            let row = &self.data[di as usize];
+            let mut record = DataRecord::new(row.id.clone(), self.owner(di).clone());
+            if !std::mem::replace(&mut data_emitted[di as usize], true) {
                 record.derivations = row.derivations.to_vec();
                 record.attributes = row.attributes.to_vec();
             }
@@ -533,7 +553,7 @@ impl WorkflowTable {
         for task in &self.tasks {
             let task_record = |time_ns: u64, status: TaskStatus| TaskRecord {
                 id: task.id.clone(),
-                workflow: task.workflow.clone(),
+                workflow: self.id.clone(),
                 transformation: task.transformation.clone(),
                 dependencies: task.dependencies.to_vec(),
                 time_ns,
@@ -621,7 +641,7 @@ impl Store {
     /// Task lookup by (workflow, task id). Clone-free.
     pub fn task_by_id(&self, workflow: &Id, id: &Id) -> Option<&TaskRow> {
         let table = self.workflow(workflow)?;
-        table.task_index.get(id).map(|&i| &table.tasks[i])
+        table.task_index.get(id).map(|&i| &table.tasks[i as usize])
     }
 
     /// Data lookup by (workflow, data id): the row in the workflow's own
@@ -632,7 +652,7 @@ impl Store {
         let hosts = self.workflow(workflow).into_iter();
         hosts.chain(self.workflows.values()).find_map(|host| {
             let (_, idx) = host.find(workflow, id)?;
-            Some((idx, &host.data[idx]))
+            Some((idx, &host.data[idx as usize]))
         })
     }
 
@@ -824,7 +844,9 @@ mod tests {
         let [mine, theirs, source] = table.data() else {
             panic!("three rows, got {:?}", table.data());
         };
-        assert_eq!(theirs.workflow, Id::Num(2));
+        assert_eq!(table.owner(0), &Id::Num(1));
+        assert_eq!(table.owner(1), &Id::Num(2));
+        assert_eq!(table.foreign_owners(), [(1, Id::Num(2)), (2, Id::Num(2))]);
         assert_eq!(theirs.derived_from_idx, [2]);
         assert_eq!(source.derived_into, [1]);
         assert!(

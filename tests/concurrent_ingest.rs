@@ -76,8 +76,10 @@ type CanonTask = (
     Vec<String>,
     Vec<String>,
 );
-/// `(workflow, data, derivations, attributes, generated_by, used_by)`.
+/// `(host workflow, owning workflow, data, derivations, attributes,
+/// generated_by, used_by)`.
 type CanonData = (
+    String,
     String,
     String,
     Vec<String>,
@@ -109,10 +111,10 @@ fn canon_of(stores: &[&Store]) -> Canon {
             task_ids.sort();
             workflows.push((wf.to_string(), table.begin_ns, table.end_ns, task_ids));
             for t in table.tasks() {
-                let data_ids = |idxs: &[usize]| {
+                let data_ids = |idxs: &[u32]| {
                     let mut ids: Vec<String> = idxs
                         .iter()
-                        .map(|&d| table.data()[d].id.to_string())
+                        .map(|&d| table.data()[d as usize].id.to_string())
                         .collect();
                     ids.sort();
                     ids
@@ -120,7 +122,7 @@ fn canon_of(stores: &[&Store]) -> Canon {
                 let mut deps: Vec<String> = t.dependencies.iter().map(Id::to_string).collect();
                 deps.sort();
                 tasks.push((
-                    t.workflow.to_string(),
+                    wf.to_string(),
                     t.id.to_string(),
                     deps,
                     t.start_ns,
@@ -130,7 +132,7 @@ fn canon_of(stores: &[&Store]) -> Canon {
                     data_ids(&t.outputs),
                 ));
             }
-            for d in table.data() {
+            for (at, d) in (0..).zip(table.data()) {
                 let mut derivations: Vec<String> =
                     d.derivations.iter().map(Id::to_string).collect();
                 derivations.sort();
@@ -143,15 +145,17 @@ fn canon_of(stores: &[&Store]) -> Canon {
                 let mut used_by: Vec<String> = d
                     .used_by
                     .iter()
-                    .map(|&t| table.tasks()[t].id.to_string())
+                    .map(|&t| table.tasks()[t as usize].id.to_string())
                     .collect();
                 used_by.sort();
                 data.push((
-                    d.workflow.to_string(),
+                    wf.to_string(),
+                    table.owner(at).to_string(),
                     d.id.to_string(),
                     derivations,
                     attributes,
-                    d.generated_by.map(|t| table.tasks()[t].id.to_string()),
+                    d.generated_by
+                        .map(|t| table.tasks()[t as usize].id.to_string()),
                     used_by,
                 ));
             }

@@ -11,14 +11,6 @@ use provlight::prov_store::AttrType;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Whether two ids are one: equal numbers, or one allocation of text.
-fn same_allocation(a: &Id, b: &Id) -> bool {
-    match (a, b) {
-        (Id::Str(a), Id::Str(b)) => Arc::ptr_eq(a, b),
-        _ => a == b,
-    }
-}
-
 /// The workflows records name: numeric and text ids, so that tables are
 /// keyed by both.
 fn arb_workflow() -> impl Strategy<Value = Id> {
@@ -171,59 +163,70 @@ proptest! {
             let table = store.workflow(wf).expect("listed");
             tasks += table.tasks().len() as u64;
             data += table.data().len() as u64;
-            let is_own = |row: &DataRow| row.workflow == *wf;
-            // Every task row is where the index says a task of its id is,
-            // and its workflow is the table's key, not a copy of it.
-            for (t, row) in table.tasks().iter().enumerate() {
+            let task_rows = table.tasks().len() as u32;
+            let data_rows = table.data().len() as u32;
+            // A row's workflow is the table's unless an owner is recorded
+            // for it, once, in row order, and never the table's own.
+            let foreign = table.foreign_owners();
+            prop_assert!(foreign.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert!(foreign.iter().all(|(d, owner)| *d < data_rows && owner != wf));
+            let owner = |d: u32| table.owner(d);
+            let is_own = |d: u32| owner(d) == wf;
+            // Every task row is where the index says a task of its id is.
+            for row in table.tasks() {
                 let found = store.task_by_id(wf, &row.id).expect("indexed");
-                prop_assert!(std::ptr::eq(found, &table.tasks()[t]));
-                prop_assert!(same_allocation(&row.workflow, wf));
+                prop_assert!(std::ptr::eq(found, row));
                 // Edges reference rows of this table.
                 for &d in row.inputs.iter().chain(&row.outputs) {
-                    prop_assert!(d < table.data().len());
+                    prop_assert!(d < data_rows);
                 }
             }
-            // Every data row likewise: the workflow's own under its id, a
-            // row another workflow owns under that workflow's name and its
-            // id. No row is in two tables, or twice in one.
+            // Every data row likewise: the workflow's own under its id in
+            // the table, a row another workflow owns under that workflow's
+            // name and its id. No row is in two tables, or twice in one.
             let mut foreign_rows: HashSet<(&Id, &Id)> = HashSet::new();
-            for (d, row) in table.data().iter().enumerate() {
-                if is_own(row) {
-                    prop_assert_eq!(table.data_by_id(&row.id).map(|(at, _)| at), Some(d));
+            for (d, row) in (0..).zip(table.data()) {
+                let own = table.data_by_id(&row.id).is_some_and(|(at, _)| at == d);
+                let recorded = foreign.iter().filter(|(at, _)| *at == d).count();
+                prop_assert_eq!(recorded, usize::from(!own));
+                prop_assert_eq!(is_own(d), own);
+                if own {
                     prop_assert!(store.data_by_id(wf, &row.id).is_some_and(|(at, _)| at == d));
-                    prop_assert!(same_allocation(&row.workflow, wf));
-                    prop_assert!(own_rows.insert((&row.workflow, &row.id)));
+                    prop_assert!(own_rows.insert((wf, &row.id)));
                 } else {
                     // Found under its owner's name: the owner's own row if
                     // it has one, or else a replica, this or another.
-                    let (_, found) = store.data_by_id(&row.workflow, &row.id).expect("findable");
-                    prop_assert_eq!((&found.workflow, &found.id), (&row.workflow, &row.id));
-                    prop_assert!(foreign_rows.insert((&row.workflow, &row.id)));
+                    let (_, found) = store.data_by_id(owner(d), &row.id).expect("findable");
+                    prop_assert_eq!(&found.id, &row.id);
+                    prop_assert!(foreign_rows.insert((owner(d), &row.id)));
                 }
                 if let Some(g) = row.generated_by {
-                    prop_assert!(g < table.tasks().len());
+                    prop_assert!(g < task_rows);
                 }
                 for &t in row.used_by.iter() {
-                    prop_assert!(table.tasks()[t].inputs.contains(&d));
+                    prop_assert!(t < task_rows);
+                    prop_assert!(table.tasks()[t as usize].inputs.contains(&d));
                 }
             }
             // Derivation edges run both ways, are counted once, and connect
             // exactly the listed sources the table holds a row for in the
             // row's own namespace — under the source row's id, whichever
             // copy of it the set keeps.
-            for (d, row) in table.data().iter().enumerate() {
+            for (d, row) in (0..).zip(table.data()) {
                 for &s in row.derived_from_idx.iter() {
-                    let source = &table.data()[s];
+                    prop_assert!(s < data_rows);
+                    let source = &table.data()[s as usize];
                     prop_assert!(source.derived_into.contains(&d));
                     prop_assert!(row.derivations.contains(&source.id));
-                    prop_assert_eq!(&source.workflow, &row.workflow);
+                    prop_assert_eq!(owner(s), owner(d));
                 }
                 for &into in row.derived_into.iter() {
-                    prop_assert!(table.data()[into].derived_from_idx.contains(&d));
+                    prop_assert!(into < data_rows);
+                    prop_assert!(table.data()[into as usize].derived_from_idx.contains(&d));
                 }
                 for source in row.derivations.iter() {
-                    let held = |r: &DataRow| r.workflow == row.workflow && r.id == *source;
-                    if let Some(s) = table.data().iter().position(held) {
+                    let held = |(s, r): &(u32, &DataRow)| owner(*s) == owner(d) && r.id == *source;
+                    if let Some((s, _)) = (0..).zip(table.data()).find(held) {
                         prop_assert!(row.derived_from_idx.contains(&s));
                     }
                 }
@@ -248,7 +251,7 @@ proptest! {
             };
             let mut typed = 0;
             let mut listed: HashMap<Arc<str>, Vec<u32>> = HashMap::new();
-            for (d, row) in table.data().iter().enumerate() {
+            for (d, row) in (0..).zip(table.data()) {
                 cells += row.attributes.len() as u64;
                 let mut named: Vec<&str> = Vec::new();
                 for (name, value) in row.attributes.iter() {
@@ -256,13 +259,13 @@ proptest! {
                     named.push(name);
                     let column = store.column(wf, name);
                     let of_kind = column.is_some_and(|c| c.kind() == AttrType::of(&value));
-                    if first && is_own(row) && of_kind {
+                    if first && is_own(d) && of_kind {
                         typed += 1;
-                        listed.entry(Arc::clone(name)).or_default().push(d as u32);
+                        listed.entry(Arc::clone(name)).or_default().push(d);
                     }
                     // A name's first value, if typed, has a column to be in.
                     let untyped = AttrType::of(&value) == AttrType::Other;
-                    prop_assert!(!first || !is_own(row) || untyped || column.is_some());
+                    prop_assert!(!first || !is_own(d) || untyped || column.is_some());
                 }
             }
             let mut in_columns = 0;
@@ -290,12 +293,13 @@ proptest! {
             // another's — share one layout, however they got it: fresh,
             // merged, from names of any allocation.
             type Shape = (bool, Vec<(String, u8)>);
-            let mut shapes: HashMap<Shape, usize> = HashMap::new();
-            for (d, row) in table.data().iter().enumerate() {
+            let mut shapes: HashMap<Shape, u32> = HashMap::new();
+            for (d, row) in (0..).zip(table.data()) {
                 let cells = row.attributes.iter();
                 let shape = cells.map(|(n, v)| (n.to_string(), v.tag())).collect();
-                let first = *shapes.entry((is_own(row), shape)).or_insert(d);
-                let same = Arc::ptr_eq(table.data()[first].attributes.layout(), row.attributes.layout());
+                let first = *shapes.entry((is_own(d), shape)).or_insert(d);
+                let layout = table.data()[first as usize].attributes.layout();
+                let same = Arc::ptr_eq(layout, row.attributes.layout());
                 prop_assert!(same, "rows {first} and {d}");
             }
             layouts += shapes.len();

@@ -82,9 +82,9 @@ fn peak_bytes_during(work: impl FnOnce()) -> usize {
 
 #[test]
 fn row_types_keep_their_edge_sets_inline() {
-    assert!(size_of::<SmallSet<usize>>() <= 24);
-    assert!(size_of::<DataRow>() <= 192, "{}", size_of::<DataRow>());
-    assert!(size_of::<TaskRow>() <= 184, "{}", size_of::<TaskRow>());
+    assert!(size_of::<SmallSet<u32>>() <= 16);
+    assert!(size_of::<DataRow>() <= 144, "{}", size_of::<DataRow>());
+    assert!(size_of::<TaskRow>() <= 144, "{}", size_of::<TaskRow>());
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn first_two_members_of_an_edge_set_allocate_nothing() {
     let mut edges = SmallSet::new();
     let mut ids = SmallSet::new();
     let before = calls();
-    edges.insert(7usize);
+    edges.insert(7u32);
     edges.insert(8);
     ids.insert(a);
     ids.insert_cloned(&b);
@@ -154,12 +154,14 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
     let stats = store.stats();
     assert_eq!(stats.data, DAG_ROWS as u64);
     assert_eq!(stats.lineage_edges, 2 * DAG_ROWS as u64 - 3);
-    // 357 B measured, plus a tenth; 403 B while the index was keyed by
-    // `(workflow, id)` and every row held the copy of the workflow id it
-    // arrived with, 448 B while a row held its one cell as a 48-byte pair
-    // and the column a copy of it, 877 B before edge sets moved inline and
-    // rows took the shard's own copy of every string it already held.
-    assert!(per_row <= 392, "{per_row} B of live heap per row");
+    // 272 B measured, plus a tenth; 357 B while row numbers were 64 bits,
+    // every row held its workflow id and its one number in a malloc chunk
+    // of its own, 403 B while the index was keyed by `(workflow, id)` and
+    // every row held the copy of the workflow id it arrived with, 448 B
+    // while a row held its one cell as a 48-byte pair and the column a copy
+    // of it, 877 B before edge sets moved inline and rows took the shard's
+    // own copy of every string it already held.
+    assert!(per_row <= 299, "{per_row} B of live heap per row");
 }
 
 const WIDE_TASKS: u64 = 2_875;
@@ -187,13 +189,15 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     assert_eq!(stats.attr_cells, 101 * WIDE_TASKS);
     let wf = Id::from("wf");
     assert_eq!(store.read(&wf).layout_count(), 2);
-    // 2 410 B measured, plus a tenth: 808 of cells and 404 of row numbers
+    // 2 220 B measured, plus a tenth: 808 of cells and 404 of row numbers
     // in columns; the rest is rows, ids, indices, and the slack of tables
-    // that double (2 875 tasks fill theirs to 0.70). 2 493 B while the
-    // indexes were keyed by `(workflow, id)` pairs; with 48-byte pairs in
-    // the row and 16-byte copies in the column (this test against a `git
-    // archive` of PR 21, less the layout count): 8 235 B.
-    assert!(per_task <= 2_651, "{per_task} B of live heap per task");
+    // that double (2 875 tasks fill theirs to 0.70). 2 410 B with 64-bit
+    // row numbers, a workflow id in every row and the output's one number
+    // in a chunk of its own; 2 493 B while the indexes were keyed by
+    // `(workflow, id)` pairs; with 48-byte pairs in the row and 16-byte
+    // copies in the column (this test against a `git archive` of the tree
+    // before layouts, less the layout count): 8 235 B.
+    assert!(per_task <= 2_442, "{per_task} B of live heap per task");
 }
 
 fn text(id: &Id) -> &Arc<str> {

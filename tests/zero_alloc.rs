@@ -189,16 +189,15 @@ fn steady_state_decode_allocates_only_what_the_records_hold() {
     assert_eq!(allocations() - before, expected);
 }
 
-/// Store steady state: a row whose shape the shard knows costs one
-/// allocation, its cells — found through the layout, not through a probe
-/// per name, and packed out of the record's list, not kept in it. Names are
-/// allocations of each record's own, as from a string table per message.
-#[test]
-fn ingesting_a_row_of_a_known_layout_allocates_once_for_its_cells() {
-    use provlight::prov_store::store::Store;
-    let wide = |i: u64| {
+/// Ingests six tasks of workflow 1, each using one data item of `cells`
+/// numbers, and returns the store with the allocations the sixth took. Five
+/// rows leave every table — rows, indices, columns — with room for a sixth.
+/// Names are allocations of each record's own, as from a string table per
+/// message.
+fn ingest_a_sixth_row(cells: usize) -> (provlight::prov_store::store::Store, usize) {
+    let task = |i: u64| {
         let mut d = DataRecord::new(i, 1u64);
-        for a in 0..100 {
+        for a in 0..cells {
             let value = AttrValue::Float(i as f64 + a as f64 / 7.0);
             d.attributes.push((Arc::from(format!("a{a}")), value));
         }
@@ -214,19 +213,38 @@ fn ingesting_a_row_of_a_known_layout_allocates_once_for_its_cells() {
             inputs: vec![d],
         }
     };
-    let mut store = Store::new();
-    // Five rows leave every table — rows, indices, the hundred columns —
-    // with room for a sixth.
+    let mut store = provlight::prov_store::store::Store::new();
     for i in 0..5 {
-        store.ingest(wide(i));
+        store.ingest(task(i));
     }
-    let sixth = wide(5);
+    let sixth = task(5);
     let before = allocations();
     store.ingest(sixth);
-    assert_eq!(allocations() - before, 1);
+    (store, allocations() - before)
+}
+
+/// Store steady state: a row whose shape the shard knows costs one
+/// allocation, its cells — found through the layout, not through a probe
+/// per name, and packed out of the record's list, not kept in it.
+#[test]
+fn ingesting_a_row_of_a_known_layout_allocates_once_for_its_cells() {
+    let (store, allocations) = ingest_a_sixth_row(100);
+    assert_eq!(allocations, 1);
     assert_eq!(store.stats().attr_cells, 600);
     assert_eq!(store.layout_count(), 1);
     assert_eq!(store.column_len(&Id::Num(1), "a99"), 6);
+}
+
+/// A row of one number — every lineage DAG row and every task output —
+/// keeps its cell inside the row, so a row of a known shape costs ingest
+/// nothing for its cells, and with the tables warm nothing at all.
+#[test]
+fn ingesting_a_one_number_row_of_a_known_layout_allocates_nothing() {
+    let (store, allocations) = ingest_a_sixth_row(1);
+    assert_eq!(allocations, 0);
+    assert_eq!(store.stats().attr_cells, 6);
+    assert_eq!(store.layout_count(), 1);
+    assert_eq!(store.column_len(&Id::Num(1), "a0"), 6);
 }
 
 /// Broker steady state: one QoS 1 publish fanning out to 8 QoS 0
