@@ -2,11 +2,16 @@
 //!
 //! A batch is what one envelope carries (see [`crate::frame`]): a count, a
 //! string table, then the records. This is the grammar of envelope version
-//! 2, the only one written (all integers LEB128 varints unless noted):
+//! 3, the only one written (all integers LEB128 varints unless noted):
 //!
 //! ```text
 //! batch      := count, strtab, record*
-//! strtab     := nstrings, (len, utf8bytes)*
+//! strtab     := nstrings, entry*
+//! entry      := head:u8, [len − 15], byte^len
+//!                                  (head = shared << 4 | min(len, 15), the
+//!                                   varint there when the low half is 15:
+//!                                   the first `shared` bytes of the entry
+//!                                   before it, then `len` bytes of its own)
 //! record     := tag:u8, body
 //! body(wf)   := id, time
 //! body(task) := taskrec, ndata, datarec*
@@ -18,10 +23,14 @@
 //! time       := varint             (first time of the batch: absolute)
 //!             | zigzag varint      (every later one: wrapping difference
 //!                                   from the time before it)
-//! attrs      := 2n,   (strref, value)^n    (the first of its shape: its
-//!                                          names and tags are the batch's
-//!                                          next layout)
+//! attrs      := 2n,   run+, payload^n      (the first of its shape: the
+//!                                          batch's next layout, then its
+//!                                          payloads as a reuse writes them)
 //!             | 2k+1, payload^len(k)       (of the shape of layout k)
+//! run        := first:strref, packed:u8    (tag | (len − 1) << 3: the cells
+//!                                          named `first` … `first + len − 1`,
+//!                                          all of one tag; 1 ≤ len ≤ 32, and
+//!                                          the runs cover exactly n cells)
 //! value      := tag:u8, payload
 //! payload    := per tag: nothing | bool:u8 | zigzag varint | f64 LE bits
 //!             | strref | n, value^n | len, bytes
@@ -32,14 +41,27 @@
 //! data record whose shape the batch has already defined names the layout
 //! and writes its payloads only, so a group of same-shaped records says
 //! its shape once. The define / reuse choice rides the varint that carries
-//! the attribute count and a definition is written as version 1 wrote
-//! every attribute list, so a lone record pays nothing for it.
+//! the attribute count.
+//!
+//! A lone record's shape is cheap too. The encoder interns a new layout's
+//! names in order before any string value, so names the batch has not seen
+//! take consecutive table entries and a layout of them is a few runs: 100
+//! numbers named `a0` … `a99` are 4 runs, 8 bytes. A cell that breaks a run
+//! costs 2 bytes, and a `Null` cell is always a run of its own. The names
+//! themselves share their prefixes through front coding: `a11` after `a10`
+//! is 2 bytes. `shared` is capped at 15, so a batch of `len` bytes holds at
+//! most `16 × len` bytes of strings.
 //!
 //! Strings are deduplicated per batch through the string table: attribute
 //! names appear once per batch however many layouts mention them.
 //!
+//! **Version 2** (read, never written, like version 1) differs in two
+//! productions and nowhere else: `entry := len, utf8bytes` (every string
+//! written whole) and a definition is `2n, (strref, value)^n` (a name, a
+//! tag and a payload per cell).
+//!
 //! **Version 1** (read, never written: spilled device logs and devices not
-//! yet upgraded) differs in three productions and nowhere else —
+//! yet upgraded) is version 2 with three productions more —
 //! `dataworkflow := id`, `time := varint` (always absolute) and
 //! `attrs := n, (strref, value)^n` (every list written out).
 //!
@@ -48,7 +70,8 @@
 //! decodes to at most `len` attribute cells and list items (each costs the
 //! encoder at least one byte; the encoder defines a fresh layout instead
 //! of reusing one whose zero-width `Null` cells would break that, and a
-//! batch that claims more is refused with `LengthOverflow`), and every
+//! batch that claims more is refused with `LengthOverflow`), at most
+//! `16 × len` bytes of strings, and every
 //! other reserve is at most what the remaining bytes could hold. Peak heap
 //! while a batch is decoded, records included, is bounded by
 //! [`decode_heap_bound`].
@@ -69,9 +92,19 @@ const ID_STR: u8 = 1;
 /// In place of a data record's workflow id: the enclosing task's.
 const ID_TASK_WORKFLOW: u8 = 2;
 
+/// The tag of `AttrValue::Null`, whose payload is no bytes at all.
+const TAG_NULL: u8 = 0;
+
 /// How many of the batch's newest layouts a record is matched against
 /// before it defines another.
 const LAYOUT_SEARCH: usize = 8;
+
+/// Most leading bytes a string-table entry takes from the one before it.
+const MAX_SHARED: usize = 15;
+/// A suffix length of this or more is written as this plus a varint.
+const SUFFIX_ESCAPE: usize = 15;
+/// Most cells one run of a layout definition names.
+const MAX_RUN: usize = 32;
 
 /// Which grammar a batch is written in. A batch does not say — the
 /// envelope's version byte does.
@@ -79,8 +112,11 @@ const LAYOUT_SEARCH: usize = 8;
 pub(crate) enum BatchVersion {
     /// Attribute lists, times and data workflows written out per record.
     V1,
-    /// Layouts, delta times, implied data workflows: what the encoder writes.
+    /// Layouts, delta times, implied data workflows.
     V2,
+    /// Version 2 with a front-coded string table and run-coded layout
+    /// definitions: what the encoder writes.
+    V3,
 }
 
 /// First 8 bytes of a string as a little-endian word (zero-padded).
@@ -272,52 +308,45 @@ impl Encoder {
         Some(k as u64)
     }
 
-    /// Writes `(strref, value)` per attribute, as version 1 wrote every
-    /// attribute list, and numbers the shape as the batch's next layout.
+    /// Interns the names of `attrs` in order, writes the shape as runs and
+    /// numbers it as the batch's next layout. The payloads follow, written
+    /// by the caller as for a reuse.
     fn define_layout(&mut self, out: &mut Vec<u8>, attrs: &[(Arc<str>, AttrValue)]) {
-        let start = self.cells.len() as u32;
-        let mut nulls = 0;
+        let start = self.cells.len();
         for (name, value) in attrs {
-            let name_ref = self.intern(name);
-            let tag = value.tag();
+            let name_ref = self.intern(name) as u32;
             self.cells.push(LayoutCell {
                 name_addr: name.as_ptr() as usize,
-                name_ref: name_ref as u32,
-                tag,
+                name_ref,
+                tag: value.tag(),
             });
-            // Fast path for the dominant shape — small table reference with
-            // a scalar value — writing name ref + tag + payload head in one
-            // go. Bytes are identical to the generic path.
-            match value {
-                AttrValue::Int(i) if name_ref < 0x80 => {
-                    let zz = crate::varint::zigzag(*i);
-                    if zz < 0x80 {
-                        out.extend_from_slice(&[name_ref as u8, tag, zz as u8]);
-                    } else {
-                        out.extend_from_slice(&[name_ref as u8, tag]);
-                        write_u64(out, zz);
-                    }
-                }
-                AttrValue::Float(f) if name_ref < 0x80 => {
-                    let mut cell = [name_ref as u8, tag, 0, 0, 0, 0, 0, 0, 0, 0];
-                    cell[2..].copy_from_slice(&f.to_le_bytes());
-                    out.extend_from_slice(&cell);
-                }
-                _ => {
-                    nulls += u32::from(matches!(value, AttrValue::Null));
-                    write_u64(out, name_ref);
-                    out.push(tag);
-                    encode_payload(out, self, value);
-                }
-            }
+        }
+        let (mut runs, mut nulls) = (0, 0);
+        let mut rest = &self.cells[start..];
+        while let Some(first) = rest.first() {
+            let len = match first.tag {
+                TAG_NULL => 1,
+                tag => rest
+                    .iter()
+                    .take(MAX_RUN)
+                    .zip(first.name_ref..)
+                    .take_while(|(cell, name_ref)| cell.tag == tag && cell.name_ref == *name_ref)
+                    .count(),
+            };
+            write_u64(out, u64::from(first.name_ref));
+            out.push(first.tag | ((len - 1) as u8) << 3);
+            runs += 1;
+            nulls += u32::from(first.tag == TAG_NULL);
+            rest = &rest[len..];
         }
         self.layouts.push(LayoutSpan {
-            start,
+            start: start as u32,
             len: attrs.len() as u32,
             nulls,
         });
-        // Two bytes at least per cell just written.
-        self.slack += attrs.len();
+        // A run is two bytes at least and each of its cells one byte more,
+        // but for `Null`, which is a run of its own.
+        self.slack += 2 * runs - nulls as usize;
     }
 
     /// Encodes `records` as one batch, appending the bytes to `out`.
@@ -333,10 +362,23 @@ impl Encoder {
         write_u64(out, records.len() as u64);
         write_u64(out, self.spans.len() as u64);
         out.reserve(self.arena.len() + self.spans.len() * 2 + body.len());
-        for i in 0..self.spans.len() {
-            let (off, len) = self.spans[i];
-            write_u64(out, len as u64);
-            out.extend_from_slice(&self.arena[off as usize..(off + len) as usize]);
+        let mut prev: &[u8] = &[];
+        for &(off, len) in &self.spans {
+            let entry = &self.arena[off as usize..(off + len) as usize];
+            let shared = entry
+                .iter()
+                .zip(prev)
+                .take(MAX_SHARED)
+                .take_while(|(a, b)| a == b)
+                .count();
+            let suffix = &entry[shared..];
+            let short = suffix.len().min(SUFFIX_ESCAPE);
+            out.push((shared << 4 | short) as u8);
+            if short == SUFFIX_ESCAPE {
+                write_u64(out, (suffix.len() - SUFFIX_ESCAPE) as u64);
+            }
+            out.extend_from_slice(suffix);
+            prev = entry;
         }
         out.extend_from_slice(&body);
         self.body = body;
@@ -380,18 +422,20 @@ pub fn decode_batch(buf: &[u8]) -> Result<Vec<Record>, CodecError> {
 /// Decodes a batch of the grammar [`encode_batch_into`] writes into a
 /// caller-owned `Vec` (cleared first) — its decode-side twin.
 pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), CodecError> {
-    decode_batch_as(BatchVersion::V2, buf, records)
+    decode_batch_as(BatchVersion::V3, buf, records)
 }
 
 /// The most heap the decoder holds at any moment while decoding a batch of
-/// `len` bytes, in either grammar, records and recycled tables included:
+/// `len` bytes, in any grammar, records and recycled tables included:
 /// `160 × len + 1024`, whatever the bytes claim. Per byte, the worst that
 /// can be held at once is a record slot (120 B per 4 bytes of input), a
 /// data-record slot (80 per 5) and an id slot (16 per 2) all reserved
-/// against the same remaining bytes, one attribute cell (48) out of the
-/// batch's allowance, and an empty string's `Arc` and table slot (32):
-/// 134 B, rounded up. A batch the encoder wrote holds what its records
-/// hold — about 6 B per byte for rows of `f64`.
+/// against the same remaining bytes, one attribute cell (48) and its
+/// layout entry (8) out of the batch's allowance, and a one-byte string
+/// table entry that repeats 15 bytes of the one before it: its `Arc`, its
+/// table slot and the buffer it is rebuilt in (48). 158 B, rounded up. A batch the
+/// encoder wrote holds what its records hold — about 6 B per byte for rows
+/// of `f64`.
 pub const fn decode_heap_bound(len: usize) -> usize {
     160 * len + 1024
 }
@@ -421,29 +465,24 @@ pub(crate) fn decode_batch_as(
     records: &mut Vec<Record>,
 ) -> Result<(), CodecError> {
     thread_local! {
-        static TABLES: RefCell<(Vec<Arc<str>>, Layouts)> = RefCell::new(Default::default());
+        static TABLES: RefCell<(Vec<Arc<str>>, Layouts, Vec<u8>)> =
+            RefCell::new(Default::default());
     }
     records.clear();
     let mut r = Reader::new(buf);
     let count = r.read_u64()? as usize;
     let nstrings = r.read_u64()? as usize;
     TABLES.with(|cell| {
-        let (strings, layouts) = &mut *cell.borrow_mut();
+        let (strings, layouts, scratch) = &mut *cell.borrow_mut();
         strings.clear();
         layouts.cells.clear();
         layouts.spans.clear();
-        strings.reserve(nstrings.min(r.remaining()));
-        for _ in 0..nstrings {
-            let len = r.read_len()?;
-            let bytes = r.read_bytes(len)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)?;
-            strings.push(Arc::from(s));
-        }
+        read_strings(version, &mut r, nstrings, strings, scratch)?;
         let mut d = Decoder {
             r,
             strings,
             layouts,
-            v1: version == BatchVersion::V1,
+            version,
             cells_left: buf.len(),
             prev_time: None,
         };
@@ -456,6 +495,42 @@ pub(crate) fn decode_batch_as(
         }
         Ok(())
     })
+}
+
+/// Reads `n` string-table entries into `strings`: each written whole
+/// before version 3, and from version 3 on front-coded against the entry
+/// before it, which is rebuilt in `scratch`.
+fn read_strings(
+    version: BatchVersion,
+    r: &mut Reader<'_>,
+    n: usize,
+    strings: &mut Vec<Arc<str>>,
+    scratch: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    strings.reserve(n.min(r.remaining()));
+    for _ in 0..n {
+        let bytes = if version == BatchVersion::V3 {
+            let head = r.read_u8()?;
+            let len = match usize::from(head & 0x0f) {
+                SUFFIX_ESCAPE => SUFFIX_ESCAPE + r.read_len()?,
+                short => short,
+            };
+            let prev = strings.last().map_or(&b""[..], |s| s.as_bytes());
+            let shared = prev
+                .get(..usize::from(head >> 4))
+                .ok_or(CodecError::LengthOverflow)?;
+            scratch.clear();
+            scratch.extend_from_slice(shared);
+            scratch.extend_from_slice(r.read_bytes(len)?);
+            &scratch[..]
+        } else {
+            let len = r.read_len()?;
+            r.read_bytes(len)?
+        };
+        let s = std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)?;
+        strings.push(Arc::from(s));
+    }
+    Ok(())
 }
 
 /// Decodes a single record (one-element batch).
@@ -553,16 +628,14 @@ fn encode_data(out: &mut Vec<u8>, tab: &mut Encoder, d: &DataRecord, task_workfl
         encode_id(out, tab, x);
     }
     match tab.reuse_layout(&d.attributes) {
-        Some(k) => {
-            write_u64(out, k << 1 | 1);
-            for (_, value) in &d.attributes {
-                encode_payload(out, tab, value);
-            }
-        }
+        Some(k) => write_u64(out, k << 1 | 1),
         None => {
             write_u64(out, (d.attributes.len() as u64) << 1);
             tab.define_layout(out, &d.attributes);
         }
+    }
+    for (_, value) in &d.attributes {
+        encode_payload(out, tab, value);
     }
 }
 
@@ -593,9 +666,11 @@ struct Decoder<'a, 't> {
     r: Reader<'a>,
     strings: &'t [Arc<str>],
     layouts: &'t mut Layouts,
-    /// Version 1 grammar: consulted where a data record's workflow, a time
-    /// and an attribute list are read, and nowhere else.
-    v1: bool,
+    /// Consulted where a data record's workflow, a time and an attribute
+    /// list are read (version 1 against the rest), where a layout is
+    /// defined and where the string table is read (version 3 against the
+    /// rest), and nowhere else.
+    version: BatchVersion,
     /// Attribute cells and list items the batch may still declare.
     cells_left: usize,
     prev_time: Option<u64>,
@@ -674,7 +749,9 @@ impl Decoder<'_, '_> {
 
     fn time(&mut self) -> Result<u64, CodecError> {
         let time_ns = match self.prev_time {
-            Some(prev) if !self.v1 => prev.wrapping_add(self.r.read_i64()? as u64),
+            Some(prev) if self.version != BatchVersion::V1 => {
+                prev.wrapping_add(self.r.read_i64()? as u64)
+            }
             _ => self.r.read_u64()?,
         };
         self.prev_time = Some(time_ns);
@@ -702,7 +779,7 @@ impl Decoder<'_, '_> {
     fn data(&mut self, task_workflow: &Id) -> Result<DataRecord, CodecError> {
         let id = self.id()?;
         let workflow = match self.r.read_u8()? {
-            ID_TASK_WORKFLOW if !self.v1 => task_workflow.clone(),
+            ID_TASK_WORKFLOW if self.version != BatchVersion::V1 => task_workflow.clone(),
             tag => self.id_tagged(tag)?,
         };
         let derivations = self.ids()?;
@@ -717,13 +794,49 @@ impl Decoder<'_, '_> {
 
     fn attributes(&mut self) -> Result<Vec<(Arc<str>, AttrValue)>, CodecError> {
         let head = self.r.read_u64()?;
-        if self.v1 {
-            return self.inline_attributes(head);
+        let k = match self.version {
+            BatchVersion::V1 => return self.inline_attributes(head),
+            _ if head & 1 == 1 => head >> 1,
+            BatchVersion::V2 => return self.inline_attributes(head >> 1),
+            BatchVersion::V3 => self.define_layout(head >> 1)?,
+        };
+        self.laid_out(k)
+    }
+
+    /// Reads the runs of a version 3 layout definition of `n` cells and
+    /// numbers the shape as the batch's next layout.
+    fn define_layout(&mut self, n: u64) -> Result<u64, CodecError> {
+        // Checked, not taken: the payloads that follow take the cells.
+        if n > self.cells_left as u64 {
+            return Err(CodecError::LengthOverflow);
         }
-        if head & 1 == 0 {
-            return self.inline_attributes(head >> 1);
+        let start = self.layouts.cells.len() as u32;
+        let mut left = n as usize;
+        while left > 0 {
+            let first = self.r.read_u64()?;
+            let packed = self.r.read_u8()?;
+            let len = usize::from(packed >> 3) + 1;
+            if len > left {
+                return Err(CodecError::LengthOverflow);
+            }
+            let last = first.saturating_add(len as u64 - 1);
+            string(self.strings, last)?;
+            let (Ok(first), Ok(last)) = (u32::try_from(first), u32::try_from(last)) else {
+                return Err(CodecError::BadStringRef(last));
+            };
+            let tag = packed & 7;
+            self.layouts
+                .cells
+                .extend((first..=last).map(|name| (name, tag)));
+            left -= len;
         }
-        let k = head >> 1;
+        let end = self.layouts.cells.len() as u32;
+        self.layouts.spans.push((start, end));
+        Ok(self.layouts.spans.len() as u64 - 1)
+    }
+
+    /// Reads the payloads of a record of the shape of layout `k`.
+    fn laid_out(&mut self, k: u64) -> Result<Vec<(Arc<str>, AttrValue)>, CodecError> {
         let cells = usize::try_from(k)
             .ok()
             .and_then(|k| self.layouts.spans.get(k))
@@ -746,6 +859,7 @@ impl Decoder<'_, '_> {
     /// layout.
     fn inline_attributes(&mut self, n: u64) -> Result<Vec<(Arc<str>, AttrValue)>, CodecError> {
         let n = take_cells(&mut self.cells_left, n)?;
+        let v2 = self.version == BatchVersion::V2;
         let start = self.layouts.cells.len() as u32;
         let mut attributes = Vec::with_capacity(n.min(self.r.remaining() / 2));
         for _ in 0..n {
@@ -754,12 +868,12 @@ impl Decoder<'_, '_> {
             let tag = self.r.read_u8()?;
             let value = decode_payload(&mut self.r, self.strings, &mut self.cells_left, tag, 0)?;
             attributes.push((name, value));
-            if !self.v1 {
+            if v2 {
                 let name_ref = u32::try_from(name_ref).map_err(|_| CodecError::LengthOverflow)?;
                 self.layouts.cells.push((name_ref, tag));
             }
         }
-        if !self.v1 {
+        if v2 {
             let end = self.layouts.cells.len() as u32;
             self.layouts.spans.push((start, end));
         }
@@ -880,7 +994,14 @@ mod tests {
         let one = encode_batch(std::slice::from_ref(&shared)).len();
         let two = encode_batch(&[shared.clone(), shared.clone()]).len();
         let three = encode_batch(&[shared.clone(), shared, respelt]).len();
-        assert!(one > 8 * ATTRS + HEAD, "names and layout cost {one} B");
+        // Names and layout: a byte at least per name, and at most three
+        // here — `attr_7` after `attr_6` is two, and 100 cells are four
+        // runs — where version 2 spent nine.
+        let shape = one - (two - one);
+        assert!(
+            (ATTRS..=3 * ATTRS).contains(&shape),
+            "names and layout cost {shape} B"
+        );
         for (n, added) in [(2, two - one), (3, three - two)] {
             assert!(
                 added <= 8 * ATTRS + HEAD,
@@ -916,14 +1037,148 @@ mod tests {
             assert_eq!(decode_batch(&buf).unwrap(), batch);
             buf.len() - without
         };
-        // Id, workflow marker, no derivations, layout: 5 bytes of head.
+        // Id, workflow marker, no derivations, layout: 5 bytes of head. A
+        // definition adds a run per cell that does not continue the one
+        // before it: `loss` and `epoch` are consecutive table entries, so
+        // two cells of one tag are one run and two of different tags, or
+        // in the other order, are two.
         let (first, payloads) = (shaped(1, 0.5), 8 + 1);
         assert_eq!(added(&[&first], &shaped(2, 0.25)), 5 + payloads);
-        assert_eq!(added(&[&first], &near), 5 + 2 * 2 + 2);
+        assert_eq!(added(&[&first], &near), 5 + 2 + 2);
         assert_eq!(added(&[&first], &reordered), 5 + 2 * 2 + payloads);
         // An older layout is found behind a newer one.
         assert_eq!(added(&[&first, &near], &shaped(3, 0.125)), 5 + payloads);
         assert_eq!(added(&[&first, &near, &reordered], &near), 5 + 2);
+    }
+
+    #[test]
+    fn a_layout_is_defined_in_runs_of_consecutive_names() {
+        // A first record interns the names `c0` … in order; a second of the
+        // same names and other tags defines a layout of its own over them.
+        // What that adds past its 5 bytes of head and its payloads is runs.
+        let run_bytes = |cells: Vec<AttrValue>| {
+            let names: Vec<Arc<str>> = (0..cells.len())
+                .map(|i| Arc::from(format!("c{i}")))
+                .collect();
+            let payloads: usize = cells
+                .iter()
+                .map(|value| match value {
+                    AttrValue::Float(_) => 8,
+                    AttrValue::Bool(_) => 1,
+                    _ => 0,
+                })
+                .sum();
+            let mut ints = DataRecord::new(1u64, 1u64);
+            ints.attributes = names.iter().map(|n| (n.clone(), 0i64.into())).collect();
+            let mut other = DataRecord::new(2u64, 1u64);
+            other.attributes = names.into_iter().zip(cells).collect();
+            let one = encode_record(&task_begin(vec![ints.clone()])).len();
+            let batch = [task_begin(vec![ints, other])];
+            let buf = encode_batch(&batch);
+            assert_eq!(decode_batch(&buf).unwrap(), batch);
+            buf.len() - one - 5 - payloads
+        };
+        let floats = |n| vec![AttrValue::Float(0.5); n];
+        assert_eq!(run_bytes(floats(1)), 2);
+        assert_eq!(run_bytes(floats(32)), 2);
+        assert_eq!(run_bytes(floats(33)), 4);
+        assert_eq!(run_bytes(floats(63)), 4);
+        // A cell of another tag breaks a run; a `Null` is a run of its own.
+        let mut broken = floats(10);
+        broken[4] = AttrValue::Bool(true);
+        assert_eq!(run_bytes(broken), 3 * 2);
+        let mut nulls = floats(10);
+        nulls[4] = AttrValue::Null;
+        nulls[5] = AttrValue::Null;
+        assert_eq!(run_bytes(nulls), 4 * 2);
+    }
+
+    /// A batch of one task of workflow 1 whose one data record defines a
+    /// layout of `n` cells over the names `a`, `b`, `c` as `runs`, followed
+    /// by `payloads`.
+    fn defining(n: u8, runs: &[u8], payloads: &[u8]) -> Vec<u8> {
+        let mut buf = vec![1, 3, 1, b'a', 1, b'b', 1, b'c', TAG_TASK_BEGIN];
+        buf.extend([0, 0, 0, 1, 0, 0, 0, 0, 0, 1]); // task 0, time 0, one data record
+        buf.extend([0, 0, ID_TASK_WORKFLOW, 0, n << 1]);
+        buf.extend(runs);
+        buf.extend(payloads);
+        buf
+    }
+
+    #[test]
+    fn runs_cover_exactly_the_cells_of_their_layout() {
+        const INT: u8 = 2;
+        let records = decode_batch(&defining(3, &[0, INT | 2 << 3], &[2, 4, 6])).unwrap();
+        let Record::TaskBegin { inputs, .. } = &records[0] else {
+            panic!("{records:?}")
+        };
+        let cells: Vec<(&str, &AttrValue)> = inputs[0]
+            .attributes
+            .iter()
+            .map(|(name, value)| (&**name, value))
+            .collect();
+        let int = AttrValue::Int;
+        assert_eq!(cells, [("a", &int(1)), ("b", &int(2)), ("c", &int(3))]);
+        // Two runs of one cell each and one of two make the same shape.
+        let split = defining(3, &[0, INT, 1, INT | 1 << 3], &[2, 4, 6]);
+        assert_eq!(decode_batch(&split).unwrap(), records);
+        // A run past the cells the definition declared; a run past the
+        // string table.
+        assert_eq!(
+            decode_batch(&defining(2, &[0, INT | 2 << 3], &[2, 4])),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(
+            decode_batch(&defining(3, &[1, INT | 2 << 3], &[2, 4, 6])),
+            Err(CodecError::BadStringRef(3))
+        );
+        assert_eq!(
+            decode_batch(&defining(1, &[0xff, 0x0f, INT], &[2])),
+            Err(CodecError::BadStringRef(0x7ff))
+        );
+    }
+
+    #[test]
+    fn a_string_table_entry_says_what_it_shares_with_the_one_before() {
+        // Workflow ids are interned in the order of their records; the
+        // table sits between the two counts and the records, 4 bytes each.
+        let table = |names: &[&str]| {
+            let records: Vec<Record> = names
+                .iter()
+                .map(|name| Record::WorkflowBegin {
+                    workflow: Id::from(*name),
+                    time_ns: 0,
+                })
+                .collect();
+            let buf = encode_batch(&records);
+            assert_eq!(decode_batch(&buf).unwrap(), records);
+            buf[2..buf.len() - 4 * names.len()].to_vec()
+        };
+        assert_eq!(table(&["a10", "a11"]), b"\x03a10\x211");
+        assert_eq!(table(&["out1234", "out1233"]), b"\x07out1234\x613");
+        assert_eq!(table(&["dup", "dup-x", "d"]), b"\x03dup\x32-x\x10");
+        // 15 bytes shared at most, and a suffix of 15 or more escapes to a
+        // varint of what exceeds 14.
+        let long = "abcdefghijklmnopqrstuvwxyz";
+        assert_eq!(
+            table(&[long, "abcdefghijklmnopXYZ"]),
+            [b"\x0f\x0b", long.as_bytes(), b"\xf4pXYZ"].concat()
+        );
+        assert_eq!(table(&[&long[..14]])[0], 14);
+        assert_eq!(table(&[&long[..15]])[..2], [15, 0]);
+
+        // Hand-built tables of no records: an entry may share all of the
+        // one before it, not more, and is UTF-8 as a whole.
+        assert_eq!(decode_batch(&[0, 2, 2, 0xc3, 0xa9, 0x20]), Ok(vec![]));
+        assert_eq!(
+            decode_batch(&[0, 2, 2, 0xc3, 0xa9, 0x30]),
+            Err(CodecError::LengthOverflow)
+        );
+        assert_eq!(decode_batch(&[0, 1, 0x10]), Err(CodecError::LengthOverflow));
+        assert_eq!(
+            decode_batch(&[0, 2, 2, 0xc3, 0xa9, 0x11, b'A']),
+            Err(CodecError::BadUtf8)
+        );
     }
 
     #[test]
@@ -969,6 +1224,31 @@ mod tests {
             + 40 * 200
             + 100 * 3;
         assert!(buf.len() < all_defined * 3 / 4, "{} B", buf.len());
+    }
+
+    #[test]
+    fn a_run_earns_the_slack_of_its_bytes_not_of_its_cells() {
+        // Twenty shapes of 100 one-byte cells, four to six runs each, then
+        // 100 `Null`s over the same names reused as often as the encoder
+        // dares. Counting a run's cells as bytes would let it dare too
+        // often: thousands of cells more than the batch has bytes.
+        let names: Vec<Arc<str>> = (0..100).map(|i| Arc::from(format!("n{i}"))).collect();
+        let shaped = |id: u64, value: &dyn Fn(usize) -> AttrValue| {
+            let mut d = DataRecord::new(id, 1u64);
+            d.attributes = names.iter().cloned().zip((0..).map(value)).collect();
+            d
+        };
+        let mut inputs: Vec<DataRecord> = (0..20)
+            .map(|j| {
+                shaped(j as u64, &|i| match i == j {
+                    true => AttrValue::Bool(true),
+                    false => AttrValue::Int(1),
+                })
+            })
+            .collect();
+        inputs.extend((0..40).map(|j| shaped(100 + j, &|_| AttrValue::Null)));
+        let batch = [task_begin(inputs)];
+        assert_eq!(decode_batch(&encode_batch(&batch)).unwrap(), batch);
     }
 
     /// A batch of one task whose first data record defines a layout of
@@ -1266,8 +1546,9 @@ mod tests {
 
         #[test]
         fn prop_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode_batch(&bytes);
-            let _ = decode_batch_as(BatchVersion::V1, &bytes, &mut Vec::new());
+            for version in [BatchVersion::V1, BatchVersion::V2, BatchVersion::V3] {
+                let _ = decode_batch_as(version, &bytes, &mut Vec::new());
+            }
         }
     }
 }

@@ -12,8 +12,14 @@
 //!   `0` = match encoded as `offset:12 | (len-3):4` big-endian.
 //!
 //! JSON-ish provenance payloads (repeated attribute names, monotone ids)
-//! compress ≈2–3×, binary batches ≈1.5–2× — matching the paper's "2× less
-//! data transmitted" once protocol overheads are included.
+//! compress ≈2–3×. Binary batches mostly do not: their names are
+//! front-coded and their shapes said once, and random `f64` payloads leave
+//! nothing to match, so the envelope sends the raw form whenever the
+//! tokens are not smaller. Of the benchmark's four workloads only
+//! `query_mix`, whose groups carry small ints, compresses well (raw over
+//! compressed ×1.74); `sparse_tasks` breaks even (×1.01), and
+//! `immediate_small` (×0.91) and `grouped_wide` (×0.94) send the raw
+//! batch.
 
 use crate::CodecError;
 use std::cell::RefCell;

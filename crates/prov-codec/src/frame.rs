@@ -8,17 +8,23 @@
 //!
 //! ```text
 //! envelope := magic:u8 (0xA7), version:u8, flags:u8, payload
-//! version  := 2 (written) | 1 (still read)
+//! version  := 3 (written) | 2 | 1 (still read)
 //! flags    := bit0 = payload is LZSS-compressed
 //! payload  := binary batch in that version's grammar (see prov_codec::binary)
 //! ```
 //!
 //! The version byte says which batch grammar the payload is written in;
-//! header, flags and compression are the same in both. Version 2
-//! ([`ENVELOPE_VERSION`]) is the only one encoded. Version 1 — attribute
-//! names and tags repeated per record, absolute times, a workflow id on
-//! every data record — is what devices wrote before and what their spilled
-//! logs still hold, so both decode. A payload must be consumed exactly:
+//! header, flags and compression are the same in all three. Version 3
+//! ([`ENVELOPE_VERSION`]) is the only one encoded: its string table is
+//! front-coded and a layout says its shape in runs of consecutive names, so
+//! a lone message pays a few bytes for a shape the batch defines once.
+//! Version 2 — every string written whole, a name and a tag per cell of a
+//! layout — and version 1 — attribute names and tags repeated per record,
+//! absolute times, a workflow id on every data record — are what devices
+//! wrote before and what their spilled logs still hold, so all three
+//! decode. Every envelope is whole in itself: nothing it needs was sent in
+//! an earlier one, so one acknowledged and then replayed from a spill
+//! decodes as well as the first time. A payload must be consumed exactly:
 //! bytes left over after the last record, raw or decompressed, are an
 //! error.
 
@@ -29,8 +35,9 @@ use std::cell::RefCell;
 
 const MAGIC: u8 = 0xA7;
 /// The envelope version the encoder writes.
-pub const ENVELOPE_VERSION: u8 = 2;
-/// The version before it, accepted on decode.
+pub const ENVELOPE_VERSION: u8 = 3;
+/// The versions before it, accepted on decode.
+const VERSION_2: u8 = 2;
 const VERSION_1: u8 = 1;
 const FLAG_COMPRESSED: u8 = 0x01;
 
@@ -111,7 +118,8 @@ impl Envelope {
             return Err(CodecError::BadTag(buf[0]));
         }
         let version = match buf[1] {
-            ENVELOPE_VERSION => BatchVersion::V2,
+            ENVELOPE_VERSION => BatchVersion::V3,
+            VERSION_2 => BatchVersion::V2,
             VERSION_1 => BatchVersion::V1,
             other => return Err(CodecError::BadTag(other)),
         };

@@ -1,11 +1,11 @@
 //! The envelope's door: what comes through it from outside the program.
 //!
-//! Version 1 envelopes are input from devices not yet upgraded and from
-//! spilled device logs; nothing in the tree can write one any more, so the
-//! ones here were encoded from `fixtures` at the last commit that could and
-//! are pinned as bytes. Both versions are then cut, damaged and over-declared
-//! every way a byte allows: the decoder answers with an error or with
-//! records, never with a panic.
+//! Version 1 and version 2 envelopes are input from devices not yet
+//! upgraded and from spilled device logs; nothing in the tree can write one
+//! any more, so the ones here were encoded from `fixtures` at the last
+//! commit that could and are pinned as bytes. All three versions are then
+//! cut, damaged and over-declared every way a byte allows: the decoder
+//! answers with an error or with records, never with a panic.
 
 mod fixtures;
 
@@ -13,7 +13,8 @@ use fixtures::{group, mixed_batch, names, task_message, Kind};
 use prov_codec::compress::{compress, decompress};
 use prov_codec::frame::{Envelope, ENVELOPE_VERSION};
 use prov_codec::CodecError;
-use prov_model::{AttrValue, DataRecord, Record};
+use prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
+use std::sync::Arc;
 
 /// `mixed_batch()` as version 1 wrote it, uncompressed. 276 bytes.
 const V1_MIXED_RAW: &str = "\
@@ -42,13 +43,45 @@ const V1_GROUP_PACKED: &str = "\
     011005a603f03f\
 ";
 
-/// Envelope lengths version 1 gave the two-record message of task `t`:
-/// `(t, immediate_small-shaped, sparse_tasks-shaped)`.
+/// `mixed_batch()` as version 2 wrote it, uncompressed. 251 bytes.
+const V2_MIXED_RAW: &str = "\
+    a7020004110777662d6564676505747261696e067761726d757004696e2d6104\
+    6c6f73730565706f63680473697465046564676504696e2d62046e6f6e650466\
+    6c616703626967046c6973740664696765737403742d38056f75742d61046261\
+    72650001008094ebdc03020007010001010200ac02010280ea30000301030200\
+    060403000000000000e03f05020606040701080201010301000000000000d03f\
+    060700090002000a09000a01010b02ffffffffffffffffff010c050302020203\
+    02060d06040001feff03010e010001010200ac020102cff9300102010f020201\
+    03010801000000000000c03f06070110020000010100b198d6b907\
+";
+
+/// `group(&names(10), Kind::SmallInt, 3)` as version 2 wrote it,
+/// compressed. 225 bytes.
+const V2_GROUP_PACKED: &str = "\
+    a702019202ff0612047374657003df696e30026100303102ff61320261330261\
+    34ff0261350261360261ff3702613802613904ff6f7574300672657357756c74\
+    02e0310101310090fd320091320200000001ff01000080f188811bfe00a00102\
+    0014020200ff0302060402040502ff0206020007020608ff02040902020a0200\
+    6f0b0206030324fc2a02e0cb0c0203310d014100120200790101d101f084f9e7\
+    0300b01d0e012004020004e000410120fc01f403e20f0202010c019d0e03e4e0\
+    3f02040101f1011203e410050103c40007a001f503e2dd1103e00f011003e4f0\
+    3f\
+";
+
+/// Envelope lengths the two-record message of task `t` had:
+/// `(t, immediate_small-shaped, sparse_tasks-shaped)`, in version 1 and as
+/// version 3 measured them.
 const V1_TASK_MESSAGE_LEN: [(u64, usize, usize); 4] = [
     (0, 140, 1410),
     (1, 147, 1481),
     (37, 152, 1484),
     (5000, 161, 1494),
+];
+const V3_TASK_MESSAGE_LEN: [(u64, usize, usize); 4] = [
+    (0, 101, 955),
+    (1, 110, 1079),
+    (37, 115, 1085),
+    (5000, 123, 1090),
 ];
 
 fn hex(text: &str) -> Vec<u8> {
@@ -62,71 +95,154 @@ fn hex(text: &str) -> Vec<u8> {
         .collect()
 }
 
-#[test]
-fn version_1_envelopes_decode_to_the_records_they_were_made_from() {
-    let raw = hex(V1_MIXED_RAW);
-    assert_eq!((raw.len(), raw[1], raw[2]), (276, 1, 0));
-    let decoded = Envelope::decode(&raw).expect("version 1, raw");
-    assert_eq!(decoded.records, mixed_batch());
-    assert!(!decoded.was_compressed);
-
-    let packed = hex(V1_GROUP_PACKED);
-    assert_eq!((packed.len(), packed[1], packed[2]), (263, 1, 1));
-    let decoded = Envelope::decode(&packed).expect("version 1, compressed");
-    assert_eq!(decoded.records, group(&names(10), Kind::SmallInt, 3));
-    assert!(decoded.was_compressed);
-
-    // The same records leave as version 2, smaller, and come back the same.
-    assert_eq!(ENVELOPE_VERSION, 2);
-    for (records, v1_len) in [
-        (mixed_batch(), raw.len()),
-        (group(&names(10), Kind::SmallInt, 3), packed.len()),
-    ] {
-        for compression in [false, true] {
-            let wire = Envelope::encode(&records, compression);
-            assert_eq!(wire[1], ENVELOPE_VERSION);
-            assert_eq!(Envelope::decode(&wire).expect("version 2").records, records);
-            assert!(wire.len() < v1_len || !compression, "{} B", wire.len());
+/// Pinned envelope bytes: `len` bytes of `version`, raw or compressed as
+/// `compressed` says, that decode to `records`. The same records leave as
+/// the version written now, in the same form and no longer, and come back
+/// the same either way. Returns the pinned bytes.
+fn pinned(text: &str, version: u8, compressed: bool, len: usize, records: &[Record]) -> Vec<u8> {
+    let old = hex(text);
+    assert_eq!(
+        (old.len(), old[1], old[2]),
+        (len, version, compressed as u8)
+    );
+    let decoded = Envelope::decode(&old).expect("pinned envelope");
+    assert_eq!(decoded.records, records);
+    assert_eq!(decoded.was_compressed, compressed);
+    for compression in [false, true] {
+        let wire = Envelope::encode(records, compression);
+        assert_eq!(wire[1], ENVELOPE_VERSION);
+        assert_eq!(Envelope::decode(&wire).expect("current").records, records);
+        if compression == compressed {
+            assert!(
+                wire.len() <= old.len(),
+                "{} B > {} B",
+                wire.len(),
+                old.len()
+            );
         }
     }
-    // A version byte of the future is refused, not guessed at.
-    let mut next = raw.clone();
-    next[1] = ENVELOPE_VERSION + 1;
-    assert_eq!(Envelope::decode(&next), Err(CodecError::BadTag(3)));
-    // And the versions are not each other: version 1 bytes under a version
-    // 2 header do not decode to the same records.
-    let mut relabelled = raw;
-    relabelled[1] = ENVELOPE_VERSION;
-    assert_ne!(
-        Envelope::decode(&relabelled).map(|e| e.records),
-        Ok(mixed_batch())
-    );
+    old
+}
+
+/// `envelope` under another version byte.
+fn relabelled(envelope: &[u8], version: u8) -> Result<Vec<Record>, CodecError> {
+    let mut wire = envelope.to_vec();
+    wire[1] = version;
+    Envelope::decode(&wire).map(|e| e.records)
+}
+
+#[test]
+fn version_1_envelopes_decode_to_the_records_they_were_made_from() {
+    let raw = pinned(V1_MIXED_RAW, 1, false, 276, &mixed_batch());
+    let group_of_3 = group(&names(10), Kind::SmallInt, 3);
+    pinned(V1_GROUP_PACKED, 1, true, 263, &group_of_3);
+    // The versions are not each other: version 1 bytes under a later
+    // header do not decode to the same records.
+    for version in [2, ENVELOPE_VERSION] {
+        assert_ne!(relabelled(&raw, version), Ok(mixed_batch()));
+    }
+}
+
+#[test]
+fn version_2_envelopes_decode_to_the_records_they_were_made_from() {
+    let raw = pinned(V2_MIXED_RAW, 2, false, 251, &mixed_batch());
+    let group_of_3 = group(&names(10), Kind::SmallInt, 3);
+    let packed = pinned(V2_GROUP_PACKED, 2, true, 225, &group_of_3);
+    // Version 3 is written; a version byte of the future is refused, not
+    // guessed at.
+    assert_eq!(ENVELOPE_VERSION, 3);
+    assert_eq!(relabelled(&raw, 4), Err(CodecError::BadTag(4)));
+    // Version 2 bytes under a version 3 header are not the same records:
+    // the two grammars differ in the string table and the layouts.
+    assert_ne!(relabelled(&raw, ENVELOPE_VERSION), Ok(mixed_batch()));
+    assert_ne!(relabelled(&packed, ENVELOPE_VERSION), Ok(group_of_3));
 }
 
 #[test]
 fn a_lone_task_message_is_no_longer_than_version_1_made_it() {
-    // One task per message bypasses the mechanism: nothing to share a
-    // layout with. The message still must not pay for the machinery.
+    // One task per message bypasses the layouts: nothing to share one
+    // with. What it saves is its shape: 100 names front-coded, 100 cells
+    // in four runs (at t = 1, 1 481 B in version 1, 1 477 in version 2 and
+    // 1 079 in version 3).
     let (small, wide) = (names(10), names(100));
-    for (t, v1_small, v1_wide) in V1_TASK_MESSAGE_LEN {
+    let lens = V1_TASK_MESSAGE_LEN.iter().zip(V3_TASK_MESSAGE_LEN);
+    for (&(t, v1_small, v1_wide), (_, v3_small, v3_wide)) in lens {
         let small_len = Envelope::encoded_len(&task_message(&small, Kind::SmallInt, t), true);
         let wide_len = Envelope::encoded_len(&task_message(&wide, Kind::RandomF64, t), true);
-        assert!(small_len <= v1_small, "t={t}: {small_len} > {v1_small}");
-        assert!(wide_len <= v1_wide, "t={t}: {wide_len} > {v1_wide}");
-        // What it does save is small change: a time as a distance, two
-        // workflow ids implied (147 -> 145 and 1481 -> 1477 B at t = 1).
-        assert!(small_len + 8 >= v1_small && wide_len + 8 >= v1_wide);
+        assert!(v3_small < v1_small && v3_wide < v1_wide);
+        assert!(small_len <= v3_small, "t={t}: {small_len} > {v3_small}");
+        assert!(wide_len <= v3_wide, "t={t}: {wide_len} > {v3_wide}");
     }
 }
 
 #[test]
 fn a_group_says_its_shape_once() {
-    // 25 tasks of 100 random f64: version 1 made this 25 658 bytes.
+    // 25 tasks of 100 random f64: version 1 made this 25 658 bytes,
+    // version 2 22 208.
     let wide = Envelope::encoded_len(&group(&names(100), Kind::RandomF64, 25), true);
-    assert!(wide <= 22_500, "{wide} B");
-    // 25 tasks of 25 small ints: 1 660 bytes in version 1.
+    assert!(wide <= 21_900, "{wide} B");
+    // 25 tasks of 25 small ints: 1 660 bytes in version 1, 1 100 in
+    // version 2.
     let small = Envelope::encoded_len(&group(&names(25), Kind::SmallInt, 25), true);
-    assert!(small <= 1_350, "{small} B");
+    assert!(small <= 1_000, "{small} B");
+}
+
+/// One task whose data records take the version 3 productions to their
+/// edges: ids of 15 bytes and more that share 15 with the one before, a
+/// run of 32 cells and one of 33, a run broken mid-layout and `Null`s.
+fn front_coded_and_run_coded() -> Vec<Record> {
+    let named = |prefix: &str, values: Vec<AttrValue>| -> Vec<(Arc<str>, AttrValue)> {
+        let names = (0..).map(|i| Arc::from(format!("{prefix}{i:02}")));
+        names.zip(values).collect()
+    };
+    let data = |id: &str, attributes| DataRecord {
+        id: Id::from(id),
+        workflow: Id::Num(1),
+        derivations: Vec::new(),
+        attributes,
+    };
+    let broken = vec![
+        AttrValue::Int(1),
+        AttrValue::Int(2),
+        AttrValue::from("two"),
+        AttrValue::Int(3),
+        AttrValue::Null,
+        AttrValue::Null,
+        AttrValue::Int(4),
+    ];
+    vec![Record::TaskEnd {
+        task: TaskRecord {
+            id: Id::from("a-task-with-a-long-name"),
+            workflow: Id::Num(1),
+            transformation: Id::from("a-task-with-a-long-transformation"),
+            dependencies: Vec::new(),
+            time_ns: 1_700_000_000_000_000_000,
+            status: TaskStatus::Finished,
+        },
+        outputs: vec![
+            data("a-task-with-a-l", named("r", vec![true.into(); 32])),
+            data("a-task-with-a-lo", named("s", vec![false.into(); 33])),
+            data("a-task-with-a-long-name/2", named("t", broken)),
+        ],
+    }]
+}
+
+#[test]
+fn front_and_run_coding_reach_their_edges() {
+    let records = front_coded_and_run_coded();
+    let wire = Envelope::encode(&records, false);
+    assert_eq!(Envelope::decode(&wire).expect("version 3").records, records);
+    // The task's id escapes its suffix length; its transformation shares
+    // the 15 bytes the cap allows and escapes too; the first output's id is
+    // those 15 bytes and nothing of its own; the first name shares nothing.
+    let table = [
+        &b"\x0f\x08a-task-with-a-long-name"[..],
+        b"\xff\x03ong-transformation",
+        b"\xf0",
+        b"\x03r00\x211",
+    ]
+    .concat();
+    assert_eq!(wire[5..5 + table.len()], table, "{wire:02x?}");
 }
 
 /// The batch inside an envelope, decompressed if need be.
@@ -169,8 +285,9 @@ fn cells(records: &[Record]) -> usize {
         .sum()
 }
 
-/// Valid envelopes of both versions, raw and compressed, with shapes that
-/// are shared, nearly shared and not shared at all.
+/// Valid envelopes of all three versions, raw and compressed, with shapes
+/// that are shared, nearly shared and not shared at all, and strings and
+/// runs at the edges of what version 3 writes.
 fn valid_envelopes() -> Vec<Vec<u8>> {
     let shapes: Vec<Record> = mixed_batch()
         .into_iter()
@@ -180,11 +297,15 @@ fn valid_envelopes() -> Vec<Vec<u8>> {
     vec![
         hex(V1_MIXED_RAW),
         hex(V1_GROUP_PACKED),
+        hex(V2_MIXED_RAW),
+        hex(V2_GROUP_PACKED),
         Envelope::encode(&mixed_batch(), false),
         Envelope::encode(&mixed_batch(), true),
         Envelope::encode(&group(&names(10), Kind::SmallInt, 3), true),
         Envelope::encode(&shapes, false),
         Envelope::encode(&shapes, true),
+        Envelope::encode(&front_coded_and_run_coded(), false),
+        Envelope::encode(&front_coded_and_run_coded(), true),
     ]
 }
 

@@ -163,16 +163,11 @@ impl Cursor {
         Page { hits, done }
     }
 
-    /// Like [`Cursor::next_page`] but yields raw row indices of `table`,
-    /// the cursor's workflow — the facade aggregates use this to avoid
-    /// cloning an `Id` per intermediate hit.
-    pub(crate) fn next_index_page(&mut self, table: &WorkflowTable) -> (Vec<Item>, bool) {
-        let mut items = Vec::new();
-        let done = self.fill(table, |item| items.push(item));
-        (items, done)
-    }
-
-    fn fill(&mut self, table: &WorkflowTable, mut sink: impl FnMut(Item)) -> bool {
+    /// Produces the next page as raw `(row index of table, value)` items
+    /// handed to `sink` — `table` being the cursor's workflow's — and
+    /// returns whether the traversal is exhausted. The facade folds its
+    /// aggregates here, with no `Id` cloned and no item kept per hit.
+    pub(crate) fn fill(&mut self, table: &WorkflowTable, mut sink: impl FnMut(Item)) -> bool {
         if self.done {
             return true;
         }

@@ -32,10 +32,10 @@
 //! * *"Retrieve the hyperparameters which obtained the 3 best accuracy
 //!   values"* → [`Query::top_k_by_attr`] + [`Query::upstream_inputs`];
 //!
-//! — each method now a thin wrapper that composes a [`Path`] and drains a
-//! [`Cursor`]. Task-table reports (`tasks`, `task_metrics`, …) remain
-//! direct projections of the workflow's task table: they are
-//! O(tasks-of-workflow) reads with no traversal to compose.
+//! — each method now a thin wrapper that composes a [`Path`] and folds what
+//! a [`Cursor`] produces, item by item. Task-table reports (`tasks`,
+//! `task_metrics`, …) remain direct projections of the workflow's task
+//! table: they are O(tasks-of-workflow) reads with no traversal to compose.
 
 pub mod cursor;
 pub mod filter;
@@ -50,7 +50,7 @@ pub use step::{Edge, Step};
 use traverse::Item;
 pub use traverse::QueryStats;
 
-use crate::store::{DataIdx, Store, TaskRow, WorkflowTable};
+use crate::store::{Store, TaskRow, WorkflowTable};
 use prov_model::{AttrValue, Id};
 use std::sync::Arc;
 
@@ -153,25 +153,21 @@ impl<'a> Query<'a> {
             .ok_or_else(|| QueryError::UnknownWorkflow(workflow.clone()))
     }
 
-    /// Runs a path to completion, returning the workflow's table and raw
-    /// `(row index in it, value)` items in traversal order.
-    fn drain(
+    /// Runs a path to completion, handing `visit` the workflow's table and
+    /// each raw `(row index in it, value)` item, in traversal order, as the
+    /// cursor's pages produce them.
+    fn for_each(
         &self,
         workflow: &Id,
         path: &Path,
-    ) -> Result<(&'a WorkflowTable, Vec<Item>), QueryError> {
+        mut visit: impl FnMut(&'a WorkflowTable, Item),
+    ) -> Result<(), QueryError> {
         // Opening reports a source it cannot find, in an unknown workflow
         // as in a known one; past it the table is there.
         let mut cursor = Cursor::open(self.store, workflow, path, drain_opts())?;
         let table = self.table(workflow)?;
-        let mut items = Vec::new();
-        loop {
-            let (page, done) = cursor.next_index_page(table);
-            items.extend(page);
-            if done {
-                return Ok((table, items));
-            }
-        }
+        while !cursor.fill(table, |item| visit(table, item)) {}
+        Ok(())
     }
 
     /// All tasks of a workflow, in ingestion order.
@@ -213,12 +209,11 @@ impl<'a> Query<'a> {
         k: usize,
         highest: bool,
     ) -> Result<Vec<(Id, f64)>, QueryError> {
-        let (table, items) = self.drain(workflow, &Path::over_attr(attr))?;
         // k-bounded selection instead of sorting the whole column: `best`
         // stays sorted best-first; a candidate is placed after every entry
         // at least as good, which reproduces the stable sort's tie order.
-        let mut best: Vec<(DataIdx, f64)> = Vec::with_capacity(k.min(items.len()));
-        for (idx, value) in items {
+        let mut best: Vec<(&'a Id, f64)> = Vec::new();
+        self.for_each(workflow, &Path::over_attr(attr), |table, (idx, value)| {
             let v = value.unwrap_or(f64::NAN);
             let pos = best
                 .iter()
@@ -228,13 +223,10 @@ impl<'a> Query<'a> {
                 if best.len() == k {
                     best.pop();
                 }
-                best.insert(pos, (idx, v));
+                best.insert(pos, (&table.data()[idx as usize].id, v));
             }
-        }
-        Ok(best
-            .into_iter()
-            .map(|(i, v)| (table.data()[i as usize].id.clone(), v))
-            .collect())
+        })?;
+        Ok(best.into_iter().map(|(id, v)| (id.clone(), v)).collect())
     }
 
     /// Time-ordered `(task end time ns, value)` series of a numeric
@@ -244,18 +236,15 @@ impl<'a> Query<'a> {
         workflow: &Id,
         attr: &str,
     ) -> Result<Vec<(u64, f64)>, QueryError> {
-        let (table, items) = self.drain(workflow, &Path::over_attr(attr))?;
-        let mut series: Vec<(u64, f64)> = items
-            .into_iter()
-            .map(|(idx, v)| {
-                let row = &table.data()[idx as usize];
-                let t = row
-                    .generated_by
-                    .and_then(|ti| table.tasks()[ti as usize].end_ns)
-                    .unwrap_or(0);
-                (t, v.unwrap_or(f64::NAN))
-            })
-            .collect();
+        let mut series = Vec::new();
+        self.for_each(workflow, &Path::over_attr(attr), |table, (idx, v)| {
+            let row = &table.data()[idx as usize];
+            let t = row
+                .generated_by
+                .and_then(|ti| table.tasks()[ti as usize].end_ns)
+                .unwrap_or(0);
+            series.push((t, v.unwrap_or(f64::NAN)));
+        })?;
         series.sort_by_key(|&(t, _)| t);
         Ok(series)
     }
@@ -274,11 +263,11 @@ impl<'a> Query<'a> {
             LineageDirection::Upstream => Path::from_data(data.clone()).upstream(max_depth),
             LineageDirection::Downstream => Path::from_data(data.clone()).downstream(max_depth),
         };
-        let (table, items) = self.drain(workflow, &path)?;
-        Ok(items
-            .into_iter()
-            .map(|(i, _)| table.data()[i as usize].id.clone())
-            .collect())
+        let mut ids = Vec::new();
+        self.for_each(workflow, &path, |table, (i, _)| {
+            ids.push(table.data()[i as usize].id.clone());
+        })?;
+        Ok(ids)
     }
 
     /// For a data item (e.g. the epoch metrics with best accuracy),
@@ -290,37 +279,37 @@ impl<'a> Query<'a> {
         data: &Id,
     ) -> Result<Vec<DataAttributes>, QueryError> {
         let path = Path::from_data(data.clone()).generated_from();
-        let (table, items) = self.drain(workflow, &path)?;
-        Ok(items
-            .into_iter()
-            .map(|(i, _)| {
-                let d = &table.data()[i as usize];
-                (d.id.clone(), d.attributes.to_vec())
-            })
-            .collect())
+        let mut inputs = Vec::new();
+        self.for_each(workflow, &path, |table, (i, _)| {
+            let d = &table.data()[i as usize];
+            inputs.push((d.id.clone(), d.attributes.to_vec()));
+        })?;
+        Ok(inputs)
     }
 
     /// Summary statistics over a numeric attribute (dashboard queries:
-    /// "loss range across the run", "mean accuracy so far").
+    /// "loss range across the run", "mean accuracy so far"), folded as the
+    /// column is scanned: no allocation grows with the column.
     pub fn attr_stats(&self, workflow: &Id, attr: &str) -> Result<AttrStats, QueryError> {
-        let (_, items) = self.drain(workflow, &Path::over_attr(attr))?;
-        if items.is_empty() {
-            return Err(QueryError::NotNumeric(attr.to_owned()));
-        }
+        let mut count = 0;
         let mut min = f64::MAX;
         let mut max = f64::MIN;
         let mut sum = 0.0;
-        for &(_, v) in &items {
+        self.for_each(workflow, &Path::over_attr(attr), |_, (_, v)| {
             let v = v.unwrap_or(f64::NAN);
+            count += 1;
             min = min.min(v);
             max = max.max(v);
             sum += v;
+        })?;
+        if count == 0 {
+            return Err(QueryError::NotNumeric(attr.to_owned()));
         }
         Ok(AttrStats {
-            count: items.len(),
+            count,
             min,
             max,
-            mean: sum / items.len() as f64,
+            mean: sum / count as f64,
         })
     }
 
@@ -338,14 +327,13 @@ impl<'a> Query<'a> {
     where
         F: Fn(f64) -> bool,
     {
-        let (table, items) = self.drain(workflow, &Path::over_attr(attr))?;
-        Ok(items
-            .into_iter()
-            .filter_map(|(i, v)| {
-                let v = v?;
-                predicate(v).then(|| (table.data()[i as usize].id.clone(), v))
-            })
-            .collect())
+        let mut hits = Vec::new();
+        self.for_each(workflow, &Path::over_attr(attr), |table, (i, v)| {
+            if let Some(v) = v.filter(|&v| predicate(v)) {
+                hits.push((table.data()[i as usize].id.clone(), v));
+            }
+        })?;
+        Ok(hits)
     }
 
     /// `(running, finished)` task counts — the runtime-steering dashboard

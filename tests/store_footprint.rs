@@ -326,17 +326,19 @@ fn rows_share_the_strings_the_shard_already_holds() {
     assert_eq!(guard.layout_count(), 1);
 }
 
-/// A task of workflow 1 with `data` data records written by hand: the first
-/// defines a layout of `cells` `Null`s, the others reuse it in five bytes
-/// each. A version 2 batch, as `[count, nstrings, ("n"), record]`.
-fn null_layout_bomb(cells: usize, data: usize) -> Vec<u8> {
-    fn varint(out: &mut Vec<u8>, mut value: usize) {
-        while value >= 0x80 {
-            out.push(value as u8 | 0x80);
-            value >>= 7;
-        }
-        out.push(value as u8);
+fn varint(out: &mut Vec<u8>, mut value: usize) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
     }
+    out.push(value as u8);
+}
+
+/// A task of workflow 1 with `data` data records written by hand: the first
+/// defines a layout of `cells` `Null`s, each a run of its own, and the
+/// others reuse it in five bytes each. A batch as `[count, nstrings, ("n"),
+/// record]`, the same bytes in versions 2 and 3.
+fn null_layout_bomb(cells: usize, data: usize) -> Vec<u8> {
     let mut batch = vec![1, 1, 1, b'n', 2, 0, 0, 0, 1, 0, 0, 0, 0, 0];
     varint(&mut batch, data);
     batch.extend([0, 0, 2, 0]);
@@ -398,6 +400,22 @@ fn decoding_an_envelope_holds_heap_linear_in_its_length() {
     let (result, _) = peak_of(&enveloped(&null_layout_bomb(8, 4), false), &mut records);
     assert_eq!((result, records.len()), (Ok(false), 1));
     records = Vec::new();
+
+    // What front coding made possible: a string-table entry of two bytes
+    // that repeats 15 of the one before it is a 16-byte string. Thousands
+    // of them after one long string still hold heap linear in the bytes.
+    let entries = 5_000;
+    let mut strings = vec![0];
+    varint(&mut strings, entries + 1);
+    strings.extend(b"\x0f\x0ethe first string of the table");
+    strings.extend((0..entries).flat_map(|i| [0xf1, b'a' + (i % 26) as u8]));
+    for compressed in [false, true] {
+        let (result, peak) = peak_of(&enveloped(&strings, compressed), &mut records);
+        assert_eq!((result, records.len()), (Ok(compressed), 0));
+        // The `Arc` of a 16-byte string (32 B) and its table slot (16).
+        assert!(peak < 60 * entries, "{peak} B");
+        records = Vec::new();
+    }
 
     // Counts that claim the rest of the message: every reserve is held to
     // what the remaining bytes could be, level by level — records, data

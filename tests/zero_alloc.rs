@@ -247,6 +247,39 @@ fn ingesting_a_one_number_row_of_a_known_layout_allocates_nothing() {
     assert_eq!(store.column_len(&Id::Num(1), "a0"), 6);
 }
 
+/// Column statistics fold the cursor's items as they are scanned: what
+/// `attr_stats` allocates does not grow with the column.
+#[test]
+fn column_statistics_allocate_the_same_however_long_the_column() {
+    let allocations_of = |cells: u64| {
+        let mut store = provlight::prov_store::store::Store::new();
+        for t in 0..cells / 100 {
+            let outputs = (0..100)
+                .map(|d| DataRecord::new(t * 100 + d, 1u64).with_attr("loss", d as f64 / 8.0))
+                .collect();
+            store.ingest(Record::TaskEnd {
+                task: TaskRecord {
+                    id: Id::Num(t),
+                    workflow: Id::Num(1),
+                    transformation: Id::Num(7),
+                    dependencies: Vec::new(),
+                    time_ns: t,
+                    status: TaskStatus::Finished,
+                },
+                outputs,
+            });
+        }
+        let query = provlight::prov_store::query::Query::new(&store);
+        let before = allocations();
+        let stats = query.attr_stats(&Id::Num(1), "loss").expect("numeric");
+        let allocations = allocations() - before;
+        assert_eq!(stats.count as u64, cells);
+        assert_eq!((stats.min, stats.max), (0.0, 99.0 / 8.0));
+        allocations
+    };
+    assert_eq!(allocations_of(10_000), allocations_of(100_000));
+}
+
 /// Broker steady state: one QoS 1 publish fanning out to 8 QoS 0
 /// subscribers plus one QoS 1 subscriber (whose ack cycles the outbound
 /// state), end to end through the datagram path — borrowed decode, fan-out
