@@ -6,8 +6,9 @@
 //! * `/dfanalyzer/...` — compact JSON, one record or an array;
 //! * `/provlake/...` — the verbose envelope with a compact sidecar.
 //!
-//! Everything lands in a [`SharedShardedStore`], so the same query layer serves
-//! both baselines and ProvLight-captured provenance.
+//! Everything lands in the same store type ProvLight's translator feeds
+//! ([`SharedShardedStore`]), so one query layer serves both baselines and
+//! ProvLight-captured provenance.
 
 use http_lite::message::{Request, Response};
 use http_lite::server::HttpServer;

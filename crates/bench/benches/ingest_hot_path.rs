@@ -1,37 +1,21 @@
-//! Server-side ingest throughput of the sharded store, at 1 and 4 parallel
-//! translators.
+//! Server-side ingest throughput of the store, at one translator.
 //!
-//! Each translator replays a stream of envelope batches exactly like the
-//! server decode loop hands them over (`ShardRouter::route`). Streams are
-//! disjoint by construction: translator `i`'s workflows all hash to shards
-//! `s` with `s % TRANSLATORS == i`, so the configurations are conflict-free
-//! — the deployment the paper's Fig. 5 topic-per-device partitioning
-//! produces.
+//! The translator replays a stream of envelope batches exactly like the
+//! server decode loop hands them over: one `ingest_batch` — one write-lock
+//! acquisition — per envelope, the call `DfAnalyzerTranslator` makes.
+//! Every entry point runs one translator thread, so this is the rate the
+//! server ingests at once decoding is done.
 //!
-//! Throughput for an N-translator configuration is computed over the
-//! **critical path** of the per-translator ingest segments, each measured
-//! on the real store: one translator runs them back to back (critical path
-//! = their sum), while conflict-free shards let four proceed independently
-//! (critical path = the slowest segment). This makes the scalability number
-//! a property of the lock topology rather than of the bench host's core
-//! count; an OS-thread wall-clock run of the 4-translator configuration is
-//! reported alongside (`sharded_4_wall`) together with the host's `cores`,
-//! and converges to the critical-path figure as cores allow.
-//!
-//! Results extend the `ingest` section of `BENCH_hotpath.json` at the repo
-//! root, leaving the capture-path metrics untouched (ROADMAP: extend, not
-//! replace). Reps come from `PROVLIGHT_REPS` (default 10); each number is
-//! the best rep.
+//! Results replace the `ingest` section of `BENCH_hotpath.json` at the repo
+//! root, leaving the other sections untouched. Reps come from
+//! `PROVLIGHT_REPS` (default 10); the number is the best rep.
 
 use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
-use prov_store::sharded::{ShardRouter, ShardedStore};
+use prov_store::sharded::ShardedStore;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
-const TRANSLATORS: usize = 4;
-const SHARDS: usize = 32;
-const WORKFLOWS_PER_TRANSLATOR: usize = 8;
+const WORKFLOWS: u64 = 32;
 const ATTRS: usize = 10;
 const ENVELOPE_RECORDS: usize = 64;
 
@@ -80,155 +64,53 @@ fn workflow_stream(wf: u64, tasks: u64) -> Vec<Record> {
     records
 }
 
-/// Envelope batches for one translator, with its workflows chosen so they
-/// all route to shards owned by `translator` (disjoint across translators).
-fn translator_envelopes(store: &ShardedStore, translator: usize, tasks: u64) -> Vec<Vec<Record>> {
-    let mut records = Vec::new();
-    let mut found = 0;
-    let mut candidate = 0u64;
-    while found < WORKFLOWS_PER_TRANSLATOR {
-        if store.shard_of(&Id::Num(candidate)) % TRANSLATORS == translator {
-            records.extend(workflow_stream(candidate, tasks));
-            found += 1;
-        }
-        candidate += 1;
-    }
-    records
-        .chunks(ENVELOPE_RECORDS)
-        .map(<[Record]>::to_vec)
-        .collect()
-}
-
-/// Replays one translator's envelopes into the sharded store through the
-/// real router; returns elapsed seconds.
-fn run_sharded(store: &ShardedStore, envelopes: Vec<Vec<Record>>) -> f64 {
-    let mut router = ShardRouter::new();
+/// Replays the envelopes into a fresh store; returns records per second.
+fn measure(envelopes: &[Vec<Record>], total_records: usize) -> f64 {
+    let store = ShardedStore::new();
+    let mut envelopes = envelopes.to_vec();
     let start = Instant::now();
-    for mut envelope in envelopes {
-        router.route(store, &mut envelope);
+    for envelope in &mut envelopes {
+        store.ingest_batch(envelope.drain(..));
     }
-    start.elapsed().as_secs_f64()
-}
-
-struct IngestRates {
-    sharded_1: f64,
-    sharded_4: f64,
-    sharded_4_wall: f64,
-}
-
-fn measure(streams: &[Vec<Vec<Record>>], total_records: usize) -> IngestRates {
-    // Sharded, one translator: everything is one serialized segment.
-    let sharded = ShardedStore::new(SHARDS);
-    let sharded_single: f64 = streams
-        .iter()
-        .map(|envelopes| run_sharded(&sharded, envelopes.clone()))
-        .sum();
-    assert_eq!(sharded.stats().records as usize, total_records);
-
-    // Sharded, four translators: segments are conflict-free (disjoint
-    // shards), so the critical path is the slowest segment.
-    let sharded4 = ShardedStore::new(SHARDS);
-    let sharded_max = streams
-        .iter()
-        .map(|envelopes| run_sharded(&sharded4, envelopes.clone()))
-        .fold(0.0f64, f64::max);
-
-    // And the same configuration on real OS threads, wall clock.
-    let sharded_wall = Arc::new(ShardedStore::new(SHARDS));
-    let cloned: Vec<Vec<Vec<Record>>> = streams.to_vec();
-    let wall_start = Instant::now();
-    let handles: Vec<_> = cloned
-        .into_iter()
-        .map(|envelopes| {
-            let store = Arc::clone(&sharded_wall);
-            std::thread::spawn(move || run_sharded(&store, envelopes))
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("translator thread");
-    }
-    let wall = wall_start.elapsed().as_secs_f64();
-    assert_eq!(sharded_wall.stats().records as usize, total_records);
-
-    let rate = |seconds: f64| total_records as f64 / seconds;
-    IngestRates {
-        sharded_1: rate(sharded_single),
-        sharded_4: rate(sharded_max),
-        sharded_4_wall: rate(wall),
-    }
+    let seconds = start.elapsed().as_secs_f64();
+    assert_eq!(store.stats().records as usize, total_records);
+    total_records as f64 / seconds
 }
 
 fn main() {
-    // Smoke runs (PROVLIGHT_REPS=1) shrink the workload but still measure
-    // at least 3 reps: per-translator segments are milliseconds long, and
-    // a single scheduler preemption in a one-shot measurement could fail
-    // the scaling gate with no code defect. Best-of-reps rejects that.
     let configured = provlight_bench::reps().max(1);
     let reps = configured.max(3);
     let tasks_per_workflow: u64 = if configured <= 1 { 300 } else { 750 };
 
-    let total_records =
-        TRANSLATORS * WORKFLOWS_PER_TRANSLATOR * (2 + 2 * tasks_per_workflow as usize);
+    let records: Vec<Record> = (0..WORKFLOWS)
+        .flat_map(|wf| workflow_stream(wf, tasks_per_workflow))
+        .collect();
+    let total_records = records.len();
+    let envelopes: Vec<Vec<Record>> = records
+        .chunks(ENVELOPE_RECORDS)
+        .map(<[Record]>::to_vec)
+        .collect();
+    let _ = black_box(&envelopes);
     println!(
-        "ingest_hot_path: {total_records} records, {TRANSLATORS} translators x \
-         {WORKFLOWS_PER_TRANSLATOR} workflows, {SHARDS} shards, reps={reps}"
+        "ingest_hot_path: {total_records} records, {WORKFLOWS} workflows, one translator, \
+         reps={reps}"
     );
 
-    // Shard routing is deterministic across instances, so one stream set
-    // serves every store built in the measurement loop.
-    let reference = ShardedStore::new(SHARDS);
-    let streams: Vec<Vec<Vec<Record>>> = (0..TRANSLATORS)
-        .map(|i| translator_envelopes(&reference, i, tasks_per_workflow))
-        .collect();
-    let _ = black_box(&streams);
-
-    let mut best: Option<IngestRates> = None;
-    for rep in 0..reps + 1 {
-        let rates = measure(&streams, total_records);
-        if rep == 0 {
-            continue; // warmup
-        }
-        best = Some(match best {
-            None => rates,
-            Some(b) => IngestRates {
-                sharded_1: b.sharded_1.max(rates.sharded_1),
-                sharded_4: b.sharded_4.max(rates.sharded_4),
-                sharded_4_wall: b.sharded_4_wall.max(rates.sharded_4_wall),
-            },
-        });
-    }
-    let best = best.expect("at least one measured rep");
-
-    // Scaling is the ratio of the published best-of-reps rates, so the
-    // tracked JSON stays self-consistent (and both sides get best-of-reps
-    // noise rejection).
-    let scaling = best.sharded_4 / best.sharded_1;
-
+    // The first run warms up and is not counted.
+    let best = (0..reps + 1)
+        .map(|_| measure(&envelopes, total_records))
+        .skip(1)
+        .fold(0.0f64, f64::max);
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    println!("  sharded_1            {:>12.0} rec/s", best.sharded_1);
-    println!(
-        "  sharded_4            {:>12.0} rec/s  ({scaling:.2}x scaling)",
-        best.sharded_4
-    );
-    println!(
-        "  sharded_4_wall       {:>12.0} rec/s  (OS threads on {cores} core(s))",
-        best.sharded_4_wall
-    );
+    println!("  one_translator       {best:>12.0} rec/s");
 
-    let path = |rate: f64| format!("{{ \"records_per_sec\": {rate:.0} }}");
     let section = format!(
         "{{\n    \"records\": {total_records},\n    \"attrs_per_record\": {ATTRS},\n    \
-         \"envelope_records\": {ENVELOPE_RECORDS},\n    \"shards\": {SHARDS},\n    \
+         \"envelope_records\": {ENVELOPE_RECORDS},\n    \
          \"reps\": {reps},\n    \"cores\": {cores},\n    \
-         \"model\": \"critical-path over measured per-translator segments; _wall = OS threads\",\n    \
-         \"paths\": {{\n      \"sharded_1\": {},\n      \"sharded_4\": {},\n      \
-         \"sharded_4_wall\": {}\n    }},\n    \
-         \"scaling_sharded_1_to_4\": {scaling:.2}\n  }}",
-        path(best.sharded_1),
-        path(best.sharded_4),
-        path(best.sharded_4_wall),
+         \"paths\": {{\n      \"one_translator\": {{ \"records_per_sec\": {best:.0} }}\n    }}\n  }}",
     );
 
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
@@ -236,10 +118,4 @@ fn main() {
     let updated = provlight_bench::bench_json::upsert_section(&existing, "ingest", &section);
     std::fs::write(out_path, updated).expect("write BENCH_hotpath.json");
     println!("  wrote ingest section of {out_path}");
-
-    assert!(
-        scaling >= 2.0,
-        "sharded store must scale >= 2x from 1 to 4 translators (reps={reps}), \
-         got {scaling:.2}x"
-    );
 }

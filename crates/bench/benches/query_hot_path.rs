@@ -1,14 +1,14 @@
-//! Query-engine throughput over a live sharded store.
+//! Query-engine throughput over a live store.
 //!
 //! Two numbers the ISSUE's query tentpole stands on:
 //!
 //! * `qps_closure_1m` — full downstream-closure queries per second over a
 //!   synthetic million-row lineage (a binary-fanout derivation DAG, so the
 //!   closure from the root touches every row), executed through the
-//!   paginated cursor exactly as a client would: open on the sharded
-//!   store, page until done, shard read lock re-acquired per page.
-//! * `ratio_ingest_under_query` — sharded ingest throughput into the same
-//!   shard while two query threads page closures in a loop, divided by
+//!   paginated cursor exactly as a client would: open on the store, page
+//!   until done, read lock re-acquired per page.
+//! * `ratio_ingest_under_query` — ingest throughput into the same workflow
+//!   while two query threads page closures in a loop, divided by
 //!   ingest throughput alone. The cursor contract says readers must never
 //!   stall writers beyond brief per-page read locks; this ratio is that
 //!   promise, measured.
@@ -26,7 +26,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-const SHARDS: usize = 32;
 const WF: u64 = 1;
 const ENVELOPE_RECORDS: usize = 512;
 const QUERY_THREADS: usize = 2;
@@ -59,7 +58,7 @@ fn link(t: u64) -> Record {
 }
 
 fn build_store(rows: u64) -> ShardedStore {
-    let store = ShardedStore::new(SHARDS);
+    let store = ShardedStore::new();
     let mut router = ShardRouter::new();
     let mut batch = Vec::with_capacity(ENVELOPE_RECORDS);
     for t in 0..rows {
@@ -98,7 +97,7 @@ fn query_opts() -> CursorOpts {
 }
 
 /// Times ingesting `extra` chain links through the router, optionally
-/// with query threads hammering closures on the same shard. Returns
+/// with query threads hammering closures on the same workflow. Returns
 /// records per second.
 fn ingest_rate(rows: u64, extra: u64, with_queries: bool) -> f64 {
     let store = Arc::new(build_store(rows));
@@ -176,7 +175,7 @@ fn main() {
 
     println!(
         "query_hot_path: {rows} lineage rows, {extra} ingest-under-query rows, \
-         {SHARDS} shards, {QUERY_THREADS} query threads, reps={reps}"
+         {QUERY_THREADS} query threads, reps={reps}"
     );
 
     let mut best: Option<QueryRates> = None;
@@ -209,7 +208,7 @@ fn main() {
 
     let section = format!(
         "{{\n    \"rows\": {rows},\n    \"extra_records\": {extra},\n    \
-         \"page_size\": 4096,\n    \"max_work\": 65536,\n    \"shards\": {SHARDS},\n    \
+         \"page_size\": 4096,\n    \"max_work\": 65536,\n    \
          \"query_threads\": {QUERY_THREADS},\n    \"reps\": {reps},\n    \"cores\": {cores},\n    \
          \"ingest_alone_records_per_sec\": {:.0},\n    \
          \"ingest_under_query_records_per_sec\": {:.0},\n    \

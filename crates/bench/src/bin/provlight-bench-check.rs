@@ -1,7 +1,7 @@
 //! CI bench-regression gate: parses `BENCH_hotpath.json` (path as the
 //! first argument, defaulting to the tracked file at the repo root) and
-//! exits non-zero when any ROADMAP perf floor is violated — sub-2×
-//! coalesced-capture speedup or sub-2× sharded-ingest scaling. Before
+//! exits non-zero when any ROADMAP perf floor is violated — a sub-2×
+//! coalesced-capture speedup, for one. Before
 //! gating it refreshes the file's `loc` section (code lines per crate of
 //! the workspace this binary was built from), so the tracked trajectory
 //! shows code size next to the floors it has to hold.
@@ -31,7 +31,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("bench-check: cannot read {path}: {e}");
-            eprintln!("bench-check: run the hot-path benches first (cargo bench --bench capture_hot_path / ingest_hot_path)");
+            eprintln!("bench-check: run the hot-path benches first (cargo bench --bench capture_hot_path / broker_hot_path / query_hot_path)");
             return ExitCode::FAILURE;
         }
     };

@@ -216,12 +216,12 @@ pub mod bench_json {
 
 /// The CI bench-regression gate over `BENCH_hotpath.json`.
 ///
-/// The ROADMAP mandates two standing perf floors — coalesced/per-record
-/// capture speedup ≥ 2× and sharded 1→4 ingest scaling ≥ 2× — but until
-/// this module CI only `cat`ed the file, so a regression would merge
-/// silently. [`gate::check`] parses the tracked JSON and reports every
-/// violated (or missing) metric; the `provlight-bench-check` binary wraps
-/// it with a non-zero exit for CI.
+/// The ROADMAP mandates standing perf floors — coalesced/per-record
+/// capture speedup ≥ 2× among them — but until this module CI only
+/// `cat`ed the file, so a regression would merge silently.
+/// [`gate::check`] parses the tracked JSON and reports every violated (or
+/// missing) metric; the `provlight-bench-check` binary wraps it with a
+/// non-zero exit for CI.
 pub mod gate {
     use super::bench_json::extract_section;
 
@@ -241,11 +241,10 @@ pub mod gate {
     /// cross-checks it against the tracked bench sections.
     pub const FLOORS: &[(&[&str], f64)] = &[
         (&["speedup_coalesced_vs_immediate"], 2.0),
-        (&["ingest", "scaling_sharded_1_to_4"], 2.0),
         (&["broker", "speedup_broker_batched_vs_per_packet"], 2.0),
         // Ratio floor: with 2 query threads + 1 writer timesharing a
         // single core, fair scheduling alone caps the writer near 1/3 of
-        // its solo rate; a cursor that actually held shard locks across
+        // its solo rate; a cursor that actually held the store lock across
         // pages would push this toward zero.
         (&["query", "qps_closure_1m"], 5.0),
         (&["query", "ratio_ingest_under_query"], 0.2),
@@ -291,11 +290,10 @@ pub mod gate {
     mod tests {
         use super::*;
 
-        fn doc(speedup: f64, scaling: f64, broker: f64, qps: f64, ratio: f64) -> String {
+        fn doc(speedup: f64, broker: f64, qps: f64, ratio: f64) -> String {
             format!(
                 "{{\n  \"bench\": \"capture_hot_path\",\n  \
                  \"speedup_coalesced_vs_immediate\": {speedup},\n  \
-                 \"ingest\": {{\n    \"scaling_sharded_1_to_4\": {scaling}\n  }},\n  \
                  \"broker\": {{\n    \"speedup_broker_batched_vs_per_packet\": {broker}\n  }},\n  \
                  \"query\": {{\n    \"qps_closure_1m\": {qps},\n    \
                  \"ratio_ingest_under_query\": {ratio}\n  }}\n}}\n"
@@ -304,32 +302,22 @@ pub mod gate {
 
         #[test]
         fn healthy_metrics_pass() {
-            let gates = check(&doc(2.19, 3.82, 3.12, 14.0, 0.55)).expect("healthy file must pass");
-            assert_eq!(gates.len(), 5);
+            let gates = check(&doc(2.19, 3.12, 14.0, 0.55)).expect("healthy file must pass");
+            assert_eq!(gates.len(), 4);
             assert!(gates.iter().all(|g| g.value >= g.min));
         }
 
         #[test]
         fn sub_2x_capture_speedup_fails() {
-            let failures =
-                check(&doc(1.4, 3.82, 3.12, 14.0, 0.55)).expect_err("regression must fail");
+            let failures = check(&doc(1.4, 3.12, 14.0, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("speedup_coalesced_vs_immediate"));
             assert!(failures[0].contains("1.40"));
         }
 
         #[test]
-        fn sub_2x_ingest_scaling_fails() {
-            let failures =
-                check(&doc(2.19, 1.99, 3.12, 14.0, 0.55)).expect_err("regression must fail");
-            assert_eq!(failures.len(), 1);
-            assert!(failures[0].contains("ingest.scaling_sharded_1_to_4"));
-        }
-
-        #[test]
         fn sub_2x_broker_speedup_fails() {
-            let failures =
-                check(&doc(2.19, 3.82, 1.7, 14.0, 0.55)).expect_err("regression must fail");
+            let failures = check(&doc(2.19, 1.7, 14.0, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("broker.speedup_broker_batched_vs_per_packet"));
             assert!(failures[0].contains("1.70"));
@@ -337,8 +325,7 @@ pub mod gate {
 
         #[test]
         fn slow_query_closure_fails() {
-            let failures =
-                check(&doc(2.19, 3.82, 3.12, 3.9, 0.55)).expect_err("regression must fail");
+            let failures = check(&doc(2.19, 3.12, 3.9, 0.55)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("query.qps_closure_1m"));
             assert!(failures[0].contains("3.90"));
@@ -346,8 +333,7 @@ pub mod gate {
 
         #[test]
         fn query_load_stalling_ingest_fails() {
-            let failures =
-                check(&doc(2.19, 3.82, 3.12, 14.0, 0.1)).expect_err("regression must fail");
+            let failures = check(&doc(2.19, 3.12, 14.0, 0.1)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("query.ratio_ingest_under_query"));
         }
@@ -355,7 +341,7 @@ pub mod gate {
         #[test]
         fn missing_metric_fails_rather_than_passes_vacuously() {
             let failures = check("{ \"bench\": \"x\" }").expect_err("missing metrics");
-            assert_eq!(failures.len(), 5);
+            assert_eq!(failures.len(), 4);
             assert!(failures.iter().all(|f| f.contains("missing")));
         }
 

@@ -15,7 +15,7 @@ use provlight_core::translator::DfAnalyzerTranslator;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// A running provenance stack (broker + translator + sharded store).
+/// A running provenance stack (broker + translator + store).
 pub struct ProvenanceManager {
     server: ProvLightServer,
     store: SharedShardedStore,
@@ -40,9 +40,9 @@ impl ProvenanceManager {
         self.server.broker_addr()
     }
 
-    /// The queryable provenance store (DfAnalyzer role), sharded by
-    /// workflow: aggregate counters via `store().stats()`, per-workflow
-    /// queries via `store().read(&workflow_id)`.
+    /// The queryable provenance store (DfAnalyzer role), behind one lock:
+    /// aggregate counters via `store().stats()`, per-workflow queries via
+    /// `store().read(&workflow_id)`.
     pub fn store(&self) -> &SharedShardedStore {
         &self.store
     }

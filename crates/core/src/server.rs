@@ -22,10 +22,10 @@ use std::sync::Arc;
 /// leg is the one from the devices. For
 /// large fleets the paper parallelizes translators — one per device topic
 /// (Fig. 5, translator-1..64); [`ProvLightServer::start_parallel`] builds
-/// that layout. With the sharded store behind
-/// [`DfAnalyzerTranslator`](crate::translator::DfAnalyzerTranslator),
-/// those translators ingest genuinely in parallel instead of serializing
-/// on one store lock.
+/// that layout. Behind
+/// [`DfAnalyzerTranslator`](crate::translator::DfAnalyzerTranslator), those
+/// translators decode in parallel and take the store's one write lock per
+/// envelope.
 pub struct ProvLightServer {
     broker: UdpBroker,
     decode_errors: Arc<AtomicU64>,
@@ -308,8 +308,7 @@ mod tests {
     #[test]
     fn parallel_translators_partition_by_topic() {
         // Fig. 5: one translator per device topic, all feeding the same
-        // sharded store; per-translator message counts prove the
-        // partitioning.
+        // store; per-translator message counts prove the partitioning.
         let store = prov_store::shared_sharded();
         let topics: Vec<String> = (0..3).map(|i| format!("provlight/wfp/dev{i}")).collect();
         let s = store.clone();

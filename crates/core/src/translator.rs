@@ -6,18 +6,17 @@
 //! particular data model" — that extension point is the [`Translator`]
 //! trait; this module ships the translators the paper discusses:
 //!
-//! * [`DfAnalyzerTranslator`] — feeds the sharded DfAnalyzer-style store
-//!   (`prov-store`), as in the paper's E2Clab integration (§V). Each
-//!   translator owns a [`ShardRouter`], so an envelope's records are
-//!   grouped by shard and ingested under one lock acquisition per touched
-//!   shard — parallel translators on different workflows never contend;
+//! * [`DfAnalyzerTranslator`] — feeds the DfAnalyzer-style store
+//!   (`prov-store`), as in the paper's E2Clab integration (§V). An
+//!   envelope's records are ingested under one write-lock acquisition, so
+//!   a reader sees the envelope whole or not at all;
 //! * [`ProvDocumentTranslator`] — accumulates a W3C PROV document;
 //! * [`JsonForwardTranslator`] — renders records as JSON lines for
 //!   forwarding to any HTTP-ingesting system (the ProvLake-style path).
 
 use prov_codec::json::{record_to_json, JsonStyle};
 use prov_model::{mapping, ProvDocument, Record};
-use prov_store::sharded::{ShardRouter, SharedShardedStore};
+use prov_store::sharded::SharedShardedStore;
 
 /// Converts decoded records into a downstream representation.
 pub trait Translator: Send {
@@ -34,21 +33,16 @@ pub trait Translator: Send {
     fn messages(&self) -> u64;
 }
 
-/// Translates into the sharded DfAnalyzer-style provenance store.
+/// Translates into the DfAnalyzer-style provenance store.
 pub struct DfAnalyzerTranslator {
     store: SharedShardedStore,
-    router: ShardRouter,
     messages: u64,
 }
 
 impl DfAnalyzerTranslator {
     /// Creates a translator feeding `store`.
     pub fn new(store: SharedShardedStore) -> Self {
-        DfAnalyzerTranslator {
-            store,
-            router: ShardRouter::new(),
-            messages: 0,
-        }
+        DfAnalyzerTranslator { store, messages: 0 }
     }
 }
 
@@ -59,7 +53,7 @@ impl Translator for DfAnalyzerTranslator {
 
     fn on_records(&mut self, records: &mut Vec<Record>) {
         self.messages += 1;
-        self.router.route(&self.store, records);
+        self.store.ingest_batch(records.drain(..));
     }
 
     fn messages(&self) -> u64 {

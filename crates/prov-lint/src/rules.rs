@@ -442,8 +442,8 @@ pub fn lock_order(scan: &Scan, src: &str, file: &str, cfg: &Config, out: &mut Ve
 }
 
 /// The receiver identifier of a method call whose `.` sits at `dot`:
-/// `self.broker.lock()` → `broker`; `shards[i].read()` → `shards`;
-/// `store.shard(s).write()` → `shard`.
+/// `self.broker.lock()` → `broker`; `locks[i].read()` → `locks`;
+/// `sessions.get(s).write()` → `get`.
 fn receiver_name(bytes: &[u8], dot: usize) -> Option<String> {
     let mut i = dot; // index one past the component we are examining
     loop {
@@ -537,7 +537,7 @@ mod tests {
 
     fn cfg() -> Config {
         Config {
-            lock_hierarchy: vec!["broker".into(), "shards".into(), "pool".into()],
+            lock_hierarchy: vec!["broker".into(), "store".into(), "pool".into()],
             no_send_while_holding: vec!["broker".into()],
             send_tokens: vec!["socket.send_to(".into(), "socket.send(".into()],
             ..Config::default()
@@ -612,11 +612,11 @@ mod tests {
 
     #[test]
     fn receiver_names_resolve_through_chains() {
-        let b = b"self.shards[self.shard_of(w)].read()";
+        let b = b"self.locks[self.index_of(w)].read()";
         let dot = b.len() - ".read()".len();
-        assert_eq!(receiver_name(b, dot).as_deref(), Some("shards"));
-        let b2 = b"store.shard(s).write()";
+        assert_eq!(receiver_name(b, dot).as_deref(), Some("locks"));
+        let b2 = b"sessions.get(s).write()";
         let dot2 = b2.len() - ".write()".len();
-        assert_eq!(receiver_name(b2, dot2).as_deref(), Some("shard"));
+        assert_eq!(receiver_name(b2, dot2).as_deref(), Some("get"));
     }
 }

@@ -340,7 +340,7 @@ impl PartialEq<Vec<(Arc<str>, AttrValue)>> for Attrs {
 }
 
 /// How many layouts the fast path remembers: the input and output shapes
-/// of two devices whose groups alternate on one shard.
+/// of two devices whose groups alternate in one table.
 const RECENT: usize = 4;
 
 /// The layouts of a workflow, interned by content; see the [module

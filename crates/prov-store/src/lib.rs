@@ -14,14 +14,13 @@
 //!   MonetDB substitution);
 //! * [`attrs`] — how a row holds its attributes: eight bytes a cell behind
 //!   a layout the workflow's table interns per shape;
-//! * [`sharded`] — the lock-scalable ingest front: the store split into
-//!   per-workflow shards with independent locks, plus the grouped batch
-//!   router that parallel translators feed (one lock per shard per
-//!   envelope);
+//! * [`sharded`] — the store behind one lock, as translators and readers
+//!   share it: an envelope is ingested under one write lock, a cursor
+//!   page is built under one read lock;
 //! * [`query`] — the composable traversal engine: queries built from
 //!   path steps, filters, and cycle-guarded closure operators, executed
 //!   through paginated [`Cursor`]s that run concurrently with live
-//!   sharded ingest, plus the [`query::Query`] facade answering the
+//!   ingest, plus the [`query::Query`] facade answering the
 //!   paper's §I motivating questions (e.g. *"retrieve the hyperparameters
 //!   with the 3 best accuracy values"*);
 //! * PROV-DM export via [`store::Store::to_prov_document`] for

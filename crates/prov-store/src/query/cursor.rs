@@ -4,7 +4,7 @@
 //! no store references: every [`Cursor::next_page`] call is handed the
 //! store, does at most [`CursorOpts::max_work`] units of work, and
 //! returns. Against a [`ShardedStore`](crate::sharded::ShardedStore) the
-//! shard read lock is therefore held only *inside* one `next_page` call —
+//! read lock is therefore held only *inside* one `next_page` call —
 //! writers interleave between pages, and the cursor resumes because row
 //! indices and column positions are append-only. A cursor reads one
 //! workflow, so a page looks its [`WorkflowTable`] up once and every index
@@ -19,7 +19,7 @@
 //!   **in place** onto pre-horizon rows by later ingest are visible,
 //!   because rows are not versioned. Result sets are repeatable modulo
 //!   that caveat.
-//! * [`SnapshotMode::Live`] — each page reflects the shard state at the
+//! * [`SnapshotMode::Live`] — each page reflects the store's state at the
 //!   moment the page is produced. A node is emitted at most once
 //!   (closures keep their visited guard across pages), and every node
 //!   that existed at open and is reachable will be emitted; rows ingested
@@ -53,7 +53,7 @@ pub struct CursorOpts {
     /// Maximum hits per page.
     pub page_size: usize,
     /// Maximum work units (node expansions, scans, filter evaluations)
-    /// per [`Cursor::next_page`] call — the bound on how long a shard
+    /// per [`Cursor::next_page`] call — the bound on how long the store's
     /// read lock is held. A page may come back short (or empty) with
     /// `done == false` when the budget runs out first; call again.
     pub max_work: usize,
@@ -202,11 +202,5 @@ impl Cursor {
     /// Execution counters accumulated so far.
     pub fn stats(&self) -> QueryStats {
         self.stats
-    }
-
-    /// Counts one shard lock acquisition done on this cursor's behalf
-    /// (called by the sharded read path).
-    pub(crate) fn note_shard_visit(&mut self) {
-        self.stats.shards_visited += 1;
     }
 }

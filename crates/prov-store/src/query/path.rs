@@ -2,7 +2,7 @@
 //!
 //! A [`Path`] is a source plus a sequence of [`Step`]s. It owns no store
 //! references and captures no closures, so one path can be executed
-//! against any workflow, store, or shard, repeatedly — the cursor carries
+//! against any workflow or store, repeatedly — the cursor carries
 //! the per-execution state.
 //!
 //! ```

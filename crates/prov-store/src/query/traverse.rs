@@ -11,7 +11,7 @@
 //! budget is checked **before** stage-local work happens, so when it runs
 //! out the machine returns [`Pulled::Budget`] with all state intact — the
 //! next call resumes exactly where this one stopped. That is what lets a
-//! cursor release its shard lock between pages without losing its place.
+//! cursor release the store lock between pages without losing its place.
 //! (Charging an item pulled from upstream may overshoot the budget by at
 //! most the pipeline depth — a pulled item is always processed rather
 //! than dropped.)
@@ -33,8 +33,6 @@ pub struct QueryStats {
     /// Work units evaluated: source entries scanned, nodes expanded,
     /// filters applied.
     pub steps_evaluated: u64,
-    /// Shard lock acquisitions performed on behalf of this cursor.
-    pub shards_visited: u64,
     /// Pages produced (including the final, possibly empty, one).
     pub pages: u64,
 }

@@ -17,7 +17,7 @@
 //!
 //! Nothing in a table points outside it and nothing outside points in, so
 //! what a table holds is decided by the records that named its workflow
-//! and by nothing else — not by which workflows share its shard.
+//! and by nothing else — not by which other workflows the store holds.
 //!
 //! The ingest path is engineered for per-record cost: one probe finds the
 //! record's table, inside it an index is a `HashMap<Id, _>` probed with the
@@ -229,19 +229,6 @@ pub struct StoreStats {
     pub lineage_edges: u64,
 }
 
-impl StoreStats {
-    /// Component-wise sum (used to aggregate shard stats).
-    pub fn merge(&self, other: &StoreStats) -> StoreStats {
-        StoreStats {
-            records: self.records + other.records,
-            tasks: self.tasks + other.tasks,
-            data: self.data + other.data,
-            attr_cells: self.attr_cells + other.attr_cells,
-            lineage_edges: self.lineage_edges + other.lineage_edges,
-        }
-    }
-}
-
 /// Everything the store holds of one workflow, and the unit the store is
 /// made of: its times, its task and data rows, the indexes, typed columns
 /// and layouts over them. Every index inside is relative to this table and
@@ -273,7 +260,7 @@ pub struct WorkflowTable {
     /// own that feed no column, and never merged with the row the owning
     /// workflow may hold under the same id in its own table. What a table
     /// holds therefore depends on the records that named its workflow and
-    /// on nothing else — not on which workflows share its shard.
+    /// on nothing else — not on which other workflows the store holds.
     foreign_index: HashMap<(Id, Id), DataIdx>,
     /// The owning workflow of each of those rows, in row order: the one
     /// place a row's workflow is written down, and only where it is not
@@ -683,16 +670,10 @@ impl Store {
     /// raw-record log to replay.
     pub fn to_prov_document(&self) -> ProvDocument {
         let mut doc = ProvDocument::new();
-        self.apply_to_document(&mut doc);
-        doc
-    }
-
-    /// Folds this store's contents into an existing PROV document
-    /// (sharded stores merge every shard into one document this way).
-    pub fn apply_to_document(&self, doc: &mut ProvDocument) {
         for id in self.workflow_ids() {
-            self.workflows[id].apply_to_document(doc);
+            self.workflows[id].apply_to_document(&mut doc);
         }
+        doc
     }
 }
 
@@ -919,7 +900,7 @@ mod tests {
         let column = s.column(&Id::Num(1), "kind").unwrap();
         assert_eq!(column.kind(), AttrType::Text);
         assert_eq!(column.rows(), [0]);
-        // The row holds the shard's only reference to the text; the column
+        // The row holds the store's only reference to the text; the column
         // holds none, and no query source reads it yet.
         assert_eq!(Arc::strong_count(&kind), 2);
         let (_, row) = s.data_by_id(&Id::Num(1), &Id::from("d")).unwrap();

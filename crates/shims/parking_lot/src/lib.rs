@@ -11,7 +11,7 @@
 //! [`Mutex::with_rank`] / [`RwLock::with_rank`] participate in a per-thread
 //! acquisition-order check mirroring the static hierarchy `provlight-lint`
 //! enforces from `lints.toml`. A thread must acquire ranked locks in
-//! strictly ascending rank order; equal ranks (sibling shards) are allowed
+//! strictly ascending rank order; equal ranks (sibling locks) are allowed
 //! in ascending address order only, which permits ordered sweeps while
 //! still catching ABBA inversions between siblings. Violations panic at the
 //! acquisition site — before the lock is taken, so the would-be deadlock is
@@ -36,9 +36,8 @@ pub mod rank {
     pub const INBOX: u32 = 2;
     /// Server-side translator (`core::server`, `continuum`).
     pub const TRANSLATOR: u32 = 3;
-    /// One shard of a `ShardedStore`; siblings share the rank and are
-    /// ordered by address.
-    pub const SHARD: u32 = 4;
+    /// The provenance store's one lock (`prov_store::ShardedStore`).
+    pub const STORE: u32 = 4;
     /// Capture-side record grouper (`core::client`).
     pub const GROUPER: u32 = 5;
     /// Transmitter batch pool (`core::transmitter`).
@@ -405,7 +404,7 @@ mod tests {
     #[test]
     fn ascending_rank_order_is_allowed() {
         let outer = Mutex::with_rank(rank::BROKER, ());
-        let mid = RwLock::with_rank(rank::SHARD, ());
+        let mid = RwLock::with_rank(rank::STORE, ());
         let inner = Mutex::with_rank(rank::POOL, ());
         let _a = outer.lock();
         let _b = mid.read();
@@ -414,7 +413,7 @@ mod tests {
 
     #[test]
     fn descending_rank_order_panics_in_debug() {
-        let outer = Mutex::with_rank(rank::SHARD, ());
+        let outer = Mutex::with_rank(rank::STORE, ());
         let inner = Mutex::with_rank(rank::BROKER, ());
         let _g = outer.lock();
         let result = catch_unwind(AssertUnwindSafe(|| drop(inner.lock())));
@@ -428,8 +427,8 @@ mod tests {
     #[test]
     fn equal_rank_follows_address_order() {
         let locks = [
-            RwLock::with_rank(rank::SHARD, ()),
-            RwLock::with_rank(rank::SHARD, ()),
+            RwLock::with_rank(rank::STORE, ()),
+            RwLock::with_rank(rank::STORE, ()),
         ];
         // Arrays are address-ordered, so an index sweep is the legal order.
         let lo = locks[0].read();

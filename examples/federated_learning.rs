@@ -99,7 +99,6 @@ fn main() {
     }
 
     for device in 0..DEVICES {
-        // Each device's workflow lives in one shard; read that shard.
         let wf = Id::Num(device as u64 + 1);
         let store = manager.store().read(&wf);
         let query = Query::new(&store);

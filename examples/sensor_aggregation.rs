@@ -97,7 +97,6 @@ fn main() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // Per-workflow queries read the shard holding that workflow.
     let wf = Id::from("sensor0");
     let store = manager.store().read(&wf);
     let query = Query::new(&store);
@@ -115,7 +114,7 @@ fn main() {
     assert!(upstream.len() >= WINDOWS, "rolling chain must be complete");
     drop(store);
 
-    // Export everything (all shards) as W3C PROV-N for downstream
+    // Export everything as W3C PROV-N for downstream
     // interoperability.
     let doc = manager.store().to_prov_document();
     doc.validate().expect("valid PROV document");

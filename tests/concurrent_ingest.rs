@@ -1,12 +1,12 @@
-//! Concurrent / out-of-order ingestion invariants for the sharded store.
+//! Concurrent / out-of-order ingestion invariants for the shared store.
 //!
-//! The sharded ingest path gives no ordering guarantee beyond "every record
+//! The shared ingest path gives no ordering guarantee beyond "every record
 //! is applied exactly once": parallel translators interleave envelopes
 //! arbitrarily, and a workflow's begin/end records may arrive around its
 //! task records in any order. These tests pin down the property that makes
 //! that safe — the final store state is a function of the record *set*,
 //! not the record *order* or the thread interleaving — via a property test
-//! over stream permutations and a multi-threaded shard-routing test.
+//! over stream permutations and a multi-threaded routing test.
 
 use proptest::prelude::*;
 use provlight::prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
@@ -99,66 +99,62 @@ struct Canon {
     data: Vec<CanonData>,
 }
 
-fn canon_of(stores: &[&Store]) -> Canon {
+fn canon_of(store: &Store) -> Canon {
     let mut workflows = Vec::new();
     let mut tasks = Vec::new();
     let mut data = Vec::new();
-    for store in stores {
-        for wf in store.workflow_ids() {
-            let table = store.workflow(wf).unwrap();
-            let mut task_ids: Vec<String> =
-                table.tasks().iter().map(|t| t.id.to_string()).collect();
-            task_ids.sort();
-            workflows.push((wf.to_string(), table.begin_ns, table.end_ns, task_ids));
-            for t in table.tasks() {
-                let data_ids = |idxs: &[u32]| {
-                    let mut ids: Vec<String> = idxs
-                        .iter()
-                        .map(|&d| table.data()[d as usize].id.to_string())
-                        .collect();
-                    ids.sort();
-                    ids
-                };
-                let mut deps: Vec<String> = t.dependencies.iter().map(Id::to_string).collect();
-                deps.sort();
-                tasks.push((
-                    wf.to_string(),
-                    t.id.to_string(),
-                    deps,
-                    t.start_ns,
-                    t.end_ns,
-                    t.status == TaskStatus::Finished,
-                    data_ids(&t.inputs),
-                    data_ids(&t.outputs),
-                ));
-            }
-            for (at, d) in (0..).zip(table.data()) {
-                let mut derivations: Vec<String> =
-                    d.derivations.iter().map(Id::to_string).collect();
-                derivations.sort();
-                let mut attributes: Vec<(String, String)> = d
-                    .attributes
+    for wf in store.workflow_ids() {
+        let table = store.workflow(wf).unwrap();
+        let mut task_ids: Vec<String> = table.tasks().iter().map(|t| t.id.to_string()).collect();
+        task_ids.sort();
+        workflows.push((wf.to_string(), table.begin_ns, table.end_ns, task_ids));
+        for t in table.tasks() {
+            let data_ids = |idxs: &[u32]| {
+                let mut ids: Vec<String> = idxs
                     .iter()
-                    .map(|(n, v)| (n.to_string(), v.to_string()))
+                    .map(|&d| table.data()[d as usize].id.to_string())
                     .collect();
-                attributes.sort();
-                let mut used_by: Vec<String> = d
-                    .used_by
-                    .iter()
-                    .map(|&t| table.tasks()[t as usize].id.to_string())
-                    .collect();
-                used_by.sort();
-                data.push((
-                    wf.to_string(),
-                    table.owner(at).to_string(),
-                    d.id.to_string(),
-                    derivations,
-                    attributes,
-                    d.generated_by
-                        .map(|t| table.tasks()[t as usize].id.to_string()),
-                    used_by,
-                ));
-            }
+                ids.sort();
+                ids
+            };
+            let mut deps: Vec<String> = t.dependencies.iter().map(Id::to_string).collect();
+            deps.sort();
+            tasks.push((
+                wf.to_string(),
+                t.id.to_string(),
+                deps,
+                t.start_ns,
+                t.end_ns,
+                t.status == TaskStatus::Finished,
+                data_ids(&t.inputs),
+                data_ids(&t.outputs),
+            ));
+        }
+        for (at, d) in (0..).zip(table.data()) {
+            let mut derivations: Vec<String> = d.derivations.iter().map(Id::to_string).collect();
+            derivations.sort();
+            let mut attributes: Vec<(String, String)> = d
+                .attributes
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect();
+            attributes.sort();
+            let mut used_by: Vec<String> = d
+                .used_by
+                .iter()
+                .map(|&t| table.tasks()[t as usize].id.to_string())
+                .collect();
+            used_by.sort();
+            data.push((
+                wf.to_string(),
+                table.owner(at).to_string(),
+                d.id.to_string(),
+                derivations,
+                attributes,
+                d.generated_by
+                    .map(|t| table.tasks()[t as usize].id.to_string()),
+                used_by,
+            ));
         }
     }
     workflows.sort();
@@ -172,17 +168,13 @@ fn canon_of(stores: &[&Store]) -> Canon {
 }
 
 fn canon_of_sharded(store: &ShardedStore) -> Canon {
-    let guards: Vec<_> = (0..store.shard_count())
-        .map(|i| store.shard(i).read())
-        .collect();
-    let refs: Vec<&Store> = guards.iter().map(|g| &**g).collect();
-    canon_of(&refs)
+    canon_of(&store.read(&Id::Num(0)))
 }
 
 fn reference_canon() -> Canon {
     let mut store = Store::new();
     store.ingest_batch(stream());
-    canon_of(&[&store])
+    canon_of(&store)
 }
 
 fn permute(records: &mut [Record], seed: u64) {
@@ -202,7 +194,7 @@ fn permute(records: &mut [Record], seed: u64) {
 
 proptest! {
     /// Any permutation of the capture stream folds to the same tables —
-    /// on a single store and on the sharded store.
+    /// on a single store and on the shared one.
     #[test]
     fn ingest_is_order_independent(seed in any::<u64>()) {
         let reference = reference_canon();
@@ -211,16 +203,16 @@ proptest! {
 
         let mut single = Store::new();
         single.ingest_batch(records.clone());
-        prop_assert_eq!(&canon_of(&[&single]), &reference);
+        prop_assert_eq!(&canon_of(&single), &reference);
 
-        let sharded = ShardedStore::new(4);
+        let sharded = ShardedStore::new();
         sharded.ingest_batch(records);
         prop_assert_eq!(&canon_of_sharded(&sharded), &reference);
     }
 }
 
 /// Four translator threads racing interleaved envelopes (each containing a
-/// mix of workflows, so threads genuinely contend on shards) must converge
+/// mix of workflows, so threads genuinely contend on the store) must converge
 /// to the reference state regardless of scheduling.
 #[test]
 fn parallel_shard_ingest_is_interleaving_independent() {
@@ -228,7 +220,7 @@ fn parallel_shard_ingest_is_interleaving_independent() {
     for round in 0..8u64 {
         let mut records = stream();
         permute(&mut records, round * 7919 + 1);
-        let store = Arc::new(ShardedStore::new(8));
+        let store = Arc::new(ShardedStore::new());
 
         // Round-robin the stream into per-thread envelope queues: records
         // of one workflow deliberately land on different threads.

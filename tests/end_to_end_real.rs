@@ -69,7 +69,6 @@ fn four_devices_capture_in_parallel() {
 
     assert_eq!(manager.store().workflow_ids().len(), devices as usize);
     for d in 1..=devices {
-        // Each device's workflow lives in exactly one shard.
         let store = manager.store().read(&Id::Num(d));
         let q = Query::new(&store);
         let metrics = q.task_metrics(&Id::Num(d)).unwrap();
@@ -221,7 +220,7 @@ fn uncompressed_and_json_payloads_also_flow() {
 /// Every kind of attribute value the capture API can express reaches the
 /// store through the real gateway. A `Bool` (wire tag 1) used to type as a
 /// number and read as none: the translator thread panicked under the
-/// shard's write lock, after the gateway had acknowledged the message.
+/// store's write lock, after the gateway had acknowledged the message.
 #[test]
 fn every_kind_of_attribute_value_is_stored_and_the_server_goes_on() {
     use provlight::prov_model::AttrValue;

@@ -129,7 +129,7 @@ fn full_pipeline_preserves_every_record() {
     let received = roundtrip_through_broker(records.clone());
     assert_eq!(received, records, "wire roundtrip must be lossless");
 
-    // Translate into the sharded store and verify analytics over the
+    // Translate into the store and verify analytics over the
     // result.
     let store = provlight::prov_store::shared_sharded();
     let mut translator = DfAnalyzerTranslator::new(store.clone());

@@ -1,9 +1,9 @@
-//! Queries racing live sharded ingest.
+//! Queries racing live ingest.
 //!
 //! The query engine's contract (see `prov_store::query::cursor`) is that a
-//! cursor never holds a shard lock between pages and never stalls
+//! cursor never holds the store lock between pages and never stalls
 //! writers: ingest threads drive `ShardRouter::route` at full speed while
-//! query threads page through lineage closures on the same shards. These
+//! query threads page through lineage closures on the same store. These
 //! tests pin the two snapshot modes' guarantees under that race:
 //!
 //! * `AtOpen` — a cursor opened before the race and resumed mid-ingest
@@ -51,7 +51,7 @@ fn id_set(range: std::ops::Range<u64>) -> BTreeSet<String> {
     range.map(|t| format!("out{t}")).collect()
 }
 
-/// Drains a cursor against the sharded store with small pages, asserting
+/// Drains a cursor against the shared store with small pages, asserting
 /// no id is ever emitted twice. Returns the emitted id set.
 fn drain(
     store: &ShardedStore,
@@ -79,7 +79,7 @@ fn drain(
 
 #[test]
 fn cursors_race_sharded_ingest() {
-    let store = Arc::new(ShardedStore::new(4));
+    let store = Arc::new(ShardedStore::new());
     store.ingest_batch((0..SEED).map(|t| link(PROBED_WF, t)));
     let pre_open = id_set(1..SEED);
 
@@ -101,7 +101,7 @@ fn cursors_race_sharded_ingest() {
         // Four writers race `ShardRouter::route`: each appends a slice of
         // the probed workflow's chain (interleaved mod 4, so most links
         // arrive before their predecessor and park as forward references)
-        // plus traffic for a workflow on another shard.
+        // plus traffic for a workflow of its own.
         for w in 0..4u64 {
             let store = Arc::clone(&store);
             s.spawn(move || {
@@ -131,7 +131,7 @@ fn cursors_race_sharded_ingest() {
                     // Everything reachable at open stays reachable: the
                     // seed chain is always a subset.
                     assert!(seen.is_superset(&id_set(1..SEED)), "cursor lost seed rows");
-                    assert!(cursor.stats().shards_visited > 0);
+                    assert!(cursor.stats().pages > 0);
                 }
             });
         }

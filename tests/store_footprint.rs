@@ -3,11 +3,11 @@
 //! A counting global allocator wraps the system allocator and keeps, per
 //! thread, the calls made and the bytes currently live (`zero_alloc.rs`
 //! counts calls only), so each test measures its own work however many run
-//! beside it. The first half pins the footprint of a shard: the inline size
+//! beside it. The first half pins the footprint of the store: the inline size
 //! of the row types, the heap a lineage DAG retains per row, and that an
 //! edge set costs no allocation until its third member. The second half
 //! pins what makes that footprint possible and must stay invisible: a row
-//! names its sources by allocations the shard already holds and its
+//! names its sources by allocations the store already holds and its
 //! attributes through the layout it shares with every row of its shape,
 //! whoever decoded the record. Last, the door the rows come through:
 //! what decoding one envelope may hold on the heap is linear in its length,
@@ -148,7 +148,6 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
             .collect();
         router.route(&store, &mut batch);
     }
-    drop(router);
     let per_row = (live_bytes() - before) as usize / DAG_ROWS;
 
     let stats = store.stats();
@@ -159,7 +158,7 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
     // of its own, 403 B while the index was keyed by `(workflow, id)` and
     // every row held the copy of the workflow id it arrived with, 448 B
     // while a row held its one cell as a 48-byte pair and the column a copy
-    // of it, 877 B before edge sets moved inline and rows took the shard's
+    // of it, 877 B before edge sets moved inline and rows took the store's
     // own copy of every string it already held.
     assert!(per_row <= 299, "{per_row} B of live heap per row");
 }
@@ -170,7 +169,7 @@ const WIDE_GROUP: u64 = 25;
 #[test]
 fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     // One `grouped_wide` device: 100 `f64` in, one out, every 25 tasks an
-    // envelope with a string table of its own. All a shard keeps for it —
+    // envelope with a string table of its own. All the store keeps for it —
     // rows, cells, columns, indices, layouts — is counted.
     let before = live_bytes();
     let store = ShardedStore::default();
@@ -181,7 +180,6 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
             .collect();
         router.route(&store, &mut over_the_wire(&group));
     }
-    drop(router);
     let per_task = (live_bytes() - before) as u64 / WIDE_TASKS;
 
     let stats = store.stats();

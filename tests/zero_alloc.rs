@@ -223,7 +223,7 @@ fn ingest_a_sixth_row(cells: usize) -> (provlight::prov_store::store::Store, usi
     (store, allocations() - before)
 }
 
-/// Store steady state: a row whose shape the shard knows costs one
+/// Store steady state: a row whose shape the table knows costs one
 /// allocation, its cells — found through the layout, not through a probe
 /// per name, and packed out of the record's list, not kept in it.
 #[test]
