@@ -6,6 +6,14 @@
 //! application or a transmitter thread. These make the library usable
 //! outside the simulator — the integration tests exercise full QoS 2
 //! capture over loopback UDP.
+//!
+//! Both ends talk to their socket through one private `Endpoint`: the
+//! 10 ms read timeout, the wait-then-drain read, the fault plan's fate for
+//! every datagram each way (with the datagrams it delays), and the split
+//! of a datagram into MQTT-SN messages. What is each end's own sits above
+//! it: the broker lock and the merged flush for the gateway; the sans-io
+//! [`Client`], the held-PUBREL bundling and the blocking API for the
+//! device.
 
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
@@ -63,28 +71,12 @@ pub trait DatagramFault: Send + Sync + std::fmt::Debug {
 }
 
 /// Datagrams held back by a [`DatagramFate::Delay`], with their release
-/// deadlines.
+/// deadlines and the peer each came from or goes to.
 type HeldFrames = Vec<(Instant, SocketAddr, Vec<u8>)>;
 
-/// Hands every held datagram whose delay has expired to `release`. The
-/// fate was decided when the datagram was held, so release is
-/// unconditional.
-fn release_due(held: &mut HeldFrames, mut release: impl FnMut(SocketAddr, &[u8])) {
-    if held.is_empty() {
-        return;
-    }
-    let now = Instant::now();
-    let mut i = 0;
-    while i < held.len() {
-        if held[i].0 <= now {
-            let (_, addr, bytes) = held.swap_remove(i);
-            release(addr, &bytes);
-        } else {
-            i += 1;
-        }
-    }
-}
-
+/// How long a read waits for a datagram before handing control back, so
+/// shutdown, timers and delayed datagrams stay responsive.
+const READ_TIMEOUT: Duration = Duration::from_millis(10);
 /// Datagrams drained per wakeup before the broker lock is taken. Bounds
 /// both the receive-buffer footprint and how long outbound traffic waits
 /// behind a burst.
@@ -108,169 +100,222 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
 /// shared topic-registry block, then one broker section per shard.
 const SNAPSHOT_VERSION: u8 = 2;
 
-/// The receive side of the gateway socket: the one place datagrams come
-/// in.
-struct SocketReader {
+/// One end of the device–gateway link, and the only code that touches its
+/// socket: the gateway's serve loop and [`UdpClient`] both read, drain,
+/// split and send through one of these. It reports what goes wrong; the
+/// caller decides what that means — the gateway counts a socket error
+/// and keeps serving, a device reconnects.
+struct Endpoint {
     socket: UdpSocket,
+    /// Whether the socket is connected (a device's, to its gateway): a
+    /// connected socket sends with `send`, which is all some systems
+    /// accept on one.
+    connected: bool,
+    /// Chaos seam (see [`DatagramFault`]); `None` in production.
     fault: Option<Arc<dyn DatagramFault>>,
+    /// Receive buffer, one datagram at a time.
     rbuf: Vec<u8>,
-    /// Inbound datagrams held back by an injected delay (chaos only).
+    /// Datagrams held back by an injected delay (chaos only), each way.
     held_in: HeldFrames,
+    held_out: HeldFrames,
     /// Whether the socket is still in non-blocking mode because a restore
-    /// after a drain failed. Left unrepaired, every "blocking" recv would
-    /// return WouldBlock instantly and the caller would spin hot; instead
-    /// the restore is retried each wakeup with a short sleep standing in
-    /// for the blocking wait until it succeeds.
+    /// after a drain failed. Left unrepaired, every wait would return
+    /// WouldBlock at once and the caller would spin hot; instead the
+    /// restore is retried each read with a short sleep standing in for
+    /// the wait until it succeeds.
     nonblocking: bool,
 }
 
-impl SocketReader {
-    fn new(socket: UdpSocket, fault: Option<Arc<dyn DatagramFault>>) -> SocketReader {
-        SocketReader {
+impl Endpoint {
+    fn new(socket: UdpSocket, fault: Option<Arc<dyn DatagramFault>>) -> io::Result<Endpoint> {
+        Ok(Endpoint {
+            connected: prepare(&socket)?,
             socket,
             fault,
             rbuf: vec![0u8; SLOT],
             held_in: Vec::new(),
+            held_out: Vec::new(),
             nonblocking: false,
-        }
+        })
     }
 
-    /// One wakeup: a blocking `recv_from` (bounded by the socket's 10 ms
-    /// read timeout, so shutdown and timers stay responsive), then a
-    /// non-blocking drain of whatever else has queued, up to
-    /// [`SERVE_BATCH`]. Every datagram the fault plan lets through goes
-    /// to `deliver` one MQTT-SN message at a time (see
-    /// [`SocketReader::split`]), expired injected delays first (a released
-    /// datagram is older than anything just read). Returns the transient
-    /// socket errors seen.
-    fn read_batch(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> u64 {
-        let mut io_errors = 0;
+    /// Puts `socket` in place of the one this endpoint had. The fault plan
+    /// and the datagrams it holds stay.
+    fn replace_socket(&mut self, socket: UdpSocket) -> io::Result<()> {
+        self.connected = prepare(&socket)?;
+        self.socket = socket;
+        self.nonblocking = false;
+        Ok(())
+    }
+
+    /// One wakeup: held datagrams now due first (one released inbound is
+    /// older than anything about to be read), then a blocking `recv_from`
+    /// bounded by [`READ_TIMEOUT`], then a non-blocking drain of whatever
+    /// else has queued, up to [`SERVE_BATCH`]. Every datagram the fault
+    /// plan lets through goes to `deliver` one MQTT-SN message at a time
+    /// (see [`split`]) before the next is read. A timeout is no error; any
+    /// other socket error ends the read and is returned.
+    fn read(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
         if self.nonblocking {
             if self.socket.set_nonblocking(false).is_ok() {
                 self.nonblocking = false;
             } else {
-                io_errors += 1;
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        release_due(&mut self.held_in, |from, datagram| {
-            Self::split(from, datagram, &mut deliver)
-        });
+        self.release_due(&mut deliver)?;
         match self.socket.recv_from(&mut self.rbuf) {
-            Ok((len, from)) => {
-                self.admit(len, from, &mut deliver);
-                // A wake usually means a burst: drain it without blocking.
-                if self.socket.set_nonblocking(true).is_ok() {
-                    self.nonblocking = true;
-                    for _ in 1..SERVE_BATCH {
-                        match self.socket.recv_from(&mut self.rbuf) {
-                            Ok((len, from)) => self.admit(len, from, &mut deliver),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                io_errors += 1;
-                                break;
-                            }
-                        }
+            Ok((len, from)) => self.admit(len, from, &mut deliver),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(())
+            }
+            Err(e) => return Err(e),
+        }
+        // A wake usually means a burst: drain it without blocking.
+        if self.socket.set_nonblocking(true).is_err() {
+            return Ok(());
+        }
+        self.nonblocking = true;
+        let mut drained = Ok(());
+        for _ in 1..SERVE_BATCH {
+            match self.socket.recv_from(&mut self.rbuf) {
+                Ok((len, from)) => self.admit(len, from, &mut deliver),
+                Err(e) => {
+                    if e.kind() != io::ErrorKind::WouldBlock {
+                        drained = Err(e);
                     }
-                    if self.socket.set_nonblocking(false).is_ok() {
-                        self.nonblocking = false;
-                    }
+                    break;
                 }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                // Transient: on Linux an ICMP port-unreachable from one
-                // departed client surfaces here as ECONNREFUSED — exiting
-                // would kill the gateway for everyone. Back off briefly
-                // and keep serving; shutdown still exits via the flag.
-                io_errors += 1;
-                std::thread::sleep(Duration::from_millis(5));
-            }
         }
-        io_errors
+        if self.socket.set_nonblocking(false).is_ok() {
+            self.nonblocking = false;
+        }
+        drained
     }
 
     /// Applies the inbound fault fate (chaos only) to the datagram in
     /// `rbuf[..len]`, then splits what is let through.
     fn admit(&mut self, len: usize, from: SocketAddr, deliver: &mut impl FnMut(SocketAddr, &[u8])) {
         let datagram = &self.rbuf[..len];
-        match self
-            .fault
-            .as_deref()
-            .map(|f| f.fate(FaultDir::Inbound, datagram))
-        {
-            None | Some(DatagramFate::Deliver) => Self::split(from, datagram, deliver),
-            Some(DatagramFate::Drop) => {}
-            Some(DatagramFate::Duplicate) => {
-                Self::split(from, datagram, deliver);
-                Self::split(from, datagram, deliver);
-            }
-            Some(DatagramFate::Delay(dur)) => {
-                self.held_in
-                    .push((Instant::now() + dur, from, datagram.to_vec()))
-            }
+        let fault = self.fault.as_deref();
+        for _ in 0..crossings(fault, FaultDir::Inbound, &mut self.held_in, from, datagram) {
+            split(from, datagram, deliver);
         }
     }
 
-    /// Where datagrams stop and messages start: hands each MQTT-SN message
-    /// of an admitted datagram to `deliver` on its own, so the broker sees
-    /// one message at a time whatever the sender bundled. A tail that is
-    /// no message goes on as it is, to be counted as one decode error like
-    /// a datagram of garbage.
-    fn split(from: SocketAddr, datagram: &[u8], deliver: &mut impl FnMut(SocketAddr, &[u8])) {
-        // lint: zero-alloc-begin
-        for frame in frames(datagram) {
-            deliver(from, frame);
+    /// Sends one datagram to `to` (a connected socket: to its peer),
+    /// subject to the outbound fault fate (chaos only).
+    fn send(&mut self, to: SocketAddr, datagram: &[u8]) -> io::Result<()> {
+        let fault = self.fault.as_deref();
+        for _ in 0..crossings(fault, FaultDir::Outbound, &mut self.held_out, to, datagram) {
+            self.transmit(to, datagram)?;
         }
-        // lint: zero-alloc-end
+        Ok(())
     }
-}
 
-/// The send side of the serve loop.
-struct Emitter {
-    socket: UdpSocket,
-    fault: Option<Arc<dyn DatagramFault>>,
-    /// Outbound datagrams held back by an injected delay (chaos only).
-    held_out: HeldFrames,
-}
-
-impl Emitter {
-    /// Sends everything in `out` — replies of this batch to one device
-    /// merged into one datagram (see [`BrokerOutputs::emit_merged`]), each
-    /// datagram subject to the outbound fault fate (chaos only) — plus any
-    /// held datagram now due, and clears `out`. Returns the sends that
-    /// failed.
+    /// Sends everything in `out` — replies of one serve batch to one
+    /// device merged into one datagram (see
+    /// [`BrokerOutputs::emit_merged`]) — and clears it. Returns the sends
+    /// that failed.
     fn flush(&mut self, out: &mut BrokerOutputs<SocketAddr>) -> u64 {
-        let Emitter {
-            socket,
-            fault,
-            held_out,
-        } = self;
-        let mut io_errors = 0;
-        let mut send = |to: SocketAddr, bytes: &[u8]| {
-            if socket.send_to(bytes, to).is_err() {
-                io_errors += 1;
-            }
-        };
-        out.emit_merged(|to, bytes| {
-            match fault.as_deref().map(|f| f.fate(FaultDir::Outbound, bytes)) {
-                None | Some(DatagramFate::Deliver) => send(*to, bytes),
-                Some(DatagramFate::Drop) => {}
-                Some(DatagramFate::Duplicate) => {
-                    send(*to, bytes);
-                    send(*to, bytes);
-                }
-                Some(DatagramFate::Delay(dur)) => {
-                    held_out.push((Instant::now() + dur, *to, bytes.to_vec()))
-                }
-            }
-        });
+        let mut failed = 0;
+        out.emit_merged(|to, bytes| failed += u64::from(self.send(*to, bytes).is_err()));
         out.clear();
-        release_due(held_out, &mut send);
-        io_errors
+        failed
     }
+
+    fn transmit(&self, to: SocketAddr, datagram: &[u8]) -> io::Result<()> {
+        if self.connected {
+            self.socket.send(datagram)?;
+        } else {
+            self.socket.send_to(datagram, to)?;
+        }
+        Ok(())
+    }
+
+    /// Lets every held datagram whose delay has expired go on: an inbound
+    /// one to `deliver`, an outbound one to the socket. Its fate was
+    /// decided when it was held, so release is unconditional.
+    fn release_due(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
+        while let Some((from, datagram)) = take_due(&mut self.held_in) {
+            split(from, &datagram, &mut deliver);
+        }
+        while let Some((to, datagram)) = take_due(&mut self.held_out) {
+            self.transmit(to, &datagram)?;
+        }
+        Ok(())
+    }
+
+    /// When the first held datagram comes off hold; `None` while nothing
+    /// is held.
+    fn next_release(&self) -> Option<Instant> {
+        self.held_in
+            .iter()
+            .chain(&self.held_out)
+            .map(|held| held.0)
+            .min()
+    }
+}
+
+/// Gives a socket the endpoint's read timeout; says whether it is
+/// connected.
+fn prepare(socket: &UdpSocket) -> io::Result<bool> {
+    socket.set_read_timeout(Some(READ_TIMEOUT))?;
+    Ok(socket.peer_addr().is_ok())
+}
+
+/// How many copies of a datagram to or from `peer` cross now, by the fate
+/// `fault` decides for it — one without a plan. A delayed datagram goes
+/// on `held` with its release time and crosses when
+/// [`Endpoint::release_due`] finds it due.
+fn crossings(
+    fault: Option<&dyn DatagramFault>,
+    dir: FaultDir,
+    held: &mut HeldFrames,
+    peer: SocketAddr,
+    datagram: &[u8],
+) -> usize {
+    match fault.map(|f| f.fate(dir, datagram)) {
+        None | Some(DatagramFate::Deliver) => 1,
+        Some(DatagramFate::Drop) => 0,
+        Some(DatagramFate::Duplicate) => 2,
+        Some(DatagramFate::Delay(dur)) => {
+            held.push((Instant::now() + dur, peer, datagram.to_vec()));
+            0
+        }
+    }
+}
+
+/// Takes one held datagram whose delay has expired, if there is one.
+fn take_due(held: &mut HeldFrames) -> Option<(SocketAddr, Vec<u8>)> {
+    // Every read asks: without a fault plan nothing is ever held, and the
+    // answer costs no clock read.
+    if held.is_empty() {
+        return None;
+    }
+    let now = Instant::now();
+    let due = held.iter().position(|(at, _, _)| *at <= now)?;
+    let (_, peer, datagram) = held.swap_remove(due);
+    Some((peer, datagram))
+}
+
+/// Where datagrams stop and messages start: hands each MQTT-SN message of
+/// an admitted datagram to `deliver` on its own, so the broker and the
+/// client see one message at a time whatever the sender bundled. A tail
+/// that is no message goes on as it is, to be counted as one decode error
+/// like a datagram of garbage.
+fn split(from: SocketAddr, datagram: &[u8], deliver: &mut impl FnMut(SocketAddr, &[u8])) {
+    // lint: zero-alloc-begin
+    for frame in frames(datagram) {
+        deliver(from, frame);
+    }
+    // lint: zero-alloc-end
 }
 
 /// One inbound message on its way to the broker: the sender plus the
@@ -412,14 +457,8 @@ impl<A: ToSocketAddrs> GatewayBuilder<A> {
             None => Broker::new(self.config),
         };
         let socket = UdpSocket::bind(self.bind)?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         let local_addr = socket.local_addr()?;
-        let emitter = Emitter {
-            socket: socket.try_clone()?,
-            fault: self.fault.clone(),
-            held_out: Vec::new(),
-        };
-        let reader = SocketReader::new(socket, self.fault);
+        let endpoint = Endpoint::new(socket, self.fault)?;
         let shared = Arc::new(Shared {
             broker: Mutex::with_rank(parking_lot::rank::BROKER, state),
             shutdown: AtomicBool::new(false),
@@ -427,7 +466,7 @@ impl<A: ToSocketAddrs> GatewayBuilder<A> {
         });
         let thread = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || serve(reader, emitter, &shared))
+            std::thread::spawn(move || serve(endpoint, &shared))
         };
         Ok(UdpBroker {
             local_addr,
@@ -552,7 +591,7 @@ impl Drop for UdpBroker {
 /// through the recycled [`BrokerOutputs`] buffer, then flush the socket
 /// after unlock. The socket read is the loop's only wait. Steady state
 /// performs no per-packet heap allocation and no per-subscriber re-encode.
-fn serve(mut reader: SocketReader, mut emitter: Emitter, shared: &Shared) {
+fn serve(mut endpoint: Endpoint, shared: &Shared) {
     let mut out = BrokerOutputs::new();
     let mut batch: Vec<IngressFrame> = Vec::with_capacity(SERVE_BATCH);
     // Recycled frames, so the steady state allocates nothing.
@@ -560,13 +599,23 @@ fn serve(mut reader: SocketReader, mut emitter: Emitter, shared: &Shared) {
     let mut pending_io_errors: u64 = 0;
     let mut last_tick = Instant::now();
     while !shared.shutdown.load(Ordering::Relaxed) {
-        pending_io_errors += reader.read_batch(|from, bytes| {
+        let read = endpoint.read(|from, bytes| {
             let mut frame = spare.pop().unwrap_or_else(IngressFrame::empty);
             frame.set(from, bytes);
             batch.push(frame);
         });
+        if read.is_err() {
+            pending_io_errors += 1;
+            if batch.is_empty() {
+                // Transient: on Linux an ICMP port-unreachable from one
+                // departed client surfaces here as ECONNREFUSED — exiting
+                // would kill the gateway for everyone. Back off briefly
+                // and keep serving; shutdown still exits via the flag.
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
         let tick_due = last_tick.elapsed() >= Duration::from_millis(100);
-        if batch.is_empty() && !tick_due && pending_io_errors == 0 && emitter.held_out.is_empty() {
+        if batch.is_empty() && !tick_due && pending_io_errors == 0 {
             continue;
         }
         let now_ns = shared.now();
@@ -585,7 +634,7 @@ fn serve(mut reader: SocketReader, mut emitter: Emitter, shared: &Shared) {
                 b.on_tick_into(now_ns, &mut out);
             }
         }
-        pending_io_errors += emitter.flush(&mut out);
+        pending_io_errors += endpoint.flush(&mut out);
         spare.append(&mut batch);
         spare.truncate(SPARE_FRAMES);
     }
@@ -681,9 +730,31 @@ pub fn entropy_seed() -> u64 {
     z ^ (z >> 31)
 }
 
+/// A fresh socket on an ephemeral port, connected to `broker` so an ICMP
+/// port-unreachable from a dead gateway comes back as `ECONNREFUSED`.
+fn dial(broker: SocketAddr) -> io::Result<UdpSocket> {
+    let socket = UdpSocket::bind("0.0.0.0:0")?;
+    socket.connect(broker)?;
+    Ok(socket)
+}
+
+/// Feeds one message a device's endpoint read to the state machine — the
+/// gateway answers a `[PUBREL, PUBLISH]` datagram with a `[PUBCOMP,
+/// PUBREC]` one, which arrives here as two messages — and keeps what it
+/// answers in `replies` until the read is over. Malformed messages are
+/// dropped.
+fn hear(client: &mut Client, start: Instant, replies: &mut Vec<Output>, message: &[u8]) {
+    let now = start.elapsed().as_nanos() as Nanos;
+    // Borrowed decode: inbound PUBLISH payloads are copied once into a
+    // pooled buffer, not a fresh Vec.
+    if let Ok(mut outputs) = client.on_datagram(message, now) {
+        replies.append(&mut outputs);
+    }
+}
+
 /// A blocking MQTT-SN client over UDP.
 pub struct UdpClient {
-    socket: UdpSocket,
+    endpoint: Endpoint,
     broker: SocketAddr,
     client: Client,
     start: Instant,
@@ -712,13 +783,9 @@ pub struct UdpClient {
     /// acknowledges it, but the gateway answers a publish of any QoS with
     /// a congestion advisory when its level has risen, so one read is owed.
     qos0_unheard: bool,
-    /// Receive buffer, one datagram at a time.
-    rbuf: Vec<u8>,
-    /// Chaos seam (see [`UdpClient::set_fault`]); `None` in production.
-    fault: Option<Arc<dyn DatagramFault>>,
-    /// Datagrams held back by an injected delay, with release deadlines.
-    held_in: Vec<(Instant, Vec<u8>)>,
-    held_out: Vec<(Instant, Vec<u8>)>,
+    /// What the state machine answered to the messages of a read, sent
+    /// once the read is over (see [`UdpClient::answer`]).
+    replies: Vec<Output>,
 }
 
 impl UdpClient {
@@ -728,11 +795,8 @@ impl UdpClient {
         config: ClientConfig,
         timeout: Duration,
     ) -> Result<UdpClient, NetError> {
-        let socket = UdpSocket::bind("0.0.0.0:0")?;
-        socket.connect(broker)?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         let mut c = UdpClient {
-            socket,
+            endpoint: Endpoint::new(dial(broker)?, None)?,
             broker,
             held_cap: PUBREL_LEN * config.max_inflight.max(1),
             release_by: None,
@@ -743,10 +807,7 @@ impl UdpClient {
             events: VecDeque::new(),
             write_buf: Vec::new(),
             held_acks: Vec::new(),
-            rbuf: vec![0u8; SLOT],
-            fault: None,
-            held_in: Vec::new(),
-            held_out: Vec::new(),
+            replies: Vec::new(),
         };
         let outputs = c.client.connect(c.now());
         c.dispatch(outputs)?;
@@ -771,10 +832,10 @@ impl UdpClient {
     /// keeps applying across the very link flaps it induces. Chaos testing
     /// only; the faulted paths allocate where production does not.
     pub fn set_fault(&mut self, fault: Arc<dyn DatagramFault>) {
-        self.fault = Some(fault);
+        self.endpoint.fault = Some(fault);
     }
 
-    fn dispatch(&mut self, outputs: Vec<Output>) -> Result<(), NetError> {
+    fn dispatch(&mut self, outputs: impl IntoIterator<Item = Output>) -> Result<(), NetError> {
         for o in outputs {
             match o {
                 Output::Send(p) => self.send_packet(p)?,
@@ -827,10 +888,11 @@ impl UdpClient {
         // lint: zero-alloc-end
         if self.write_buf.len() > UDP_PAYLOAD_MAX && riders > 0 {
             // Together they exceed what UDP carries: two sends.
-            self.send_datagram(0..riders)?;
-            self.send_datagram(riders..self.write_buf.len())?;
+            let (acks, packet) = self.write_buf.split_at(riders);
+            self.endpoint.send(self.broker, acks)?;
+            self.endpoint.send(self.broker, packet)?;
         } else {
-            self.send_datagram(0..self.write_buf.len())?;
+            self.endpoint.send(self.broker, &self.write_buf)?;
         }
         // The packet's payload buffer is done (the state machine keeps its
         // own copy for QoS 1/2 retransmission) — feed it back to the pool
@@ -853,71 +915,22 @@ impl UdpClient {
 
     /// Sends the held PUBRELs now, as one datagram of their own.
     fn release_acks(&mut self) -> Result<(), NetError> {
-        match self.take_held() {
-            0 => Ok(()),
-            held => self.send_datagram(0..held),
-        }
-    }
-
-    /// Sends `write_buf[span]` as one datagram, subject to the installed
-    /// fault plan (if any).
-    fn send_datagram(&mut self, span: std::ops::Range<usize>) -> Result<(), NetError> {
-        let datagram = &self.write_buf[span];
-        let fate = match &self.fault {
-            Some(f) => f.fate(FaultDir::Outbound, datagram),
-            None => DatagramFate::Deliver,
-        };
-        match fate {
-            DatagramFate::Deliver => {
-                self.socket.send(datagram)?;
-            }
-            DatagramFate::Drop => {}
-            DatagramFate::Duplicate => {
-                self.socket.send(datagram)?;
-                self.socket.send(datagram)?;
-            }
-            DatagramFate::Delay(dur) => {
-                self.held_out
-                    .push((Instant::now() + dur, datagram.to_vec()));
-            }
+        if self.take_held() > 0 {
+            self.endpoint.send(self.broker, &self.write_buf)?;
         }
         Ok(())
     }
 
-    /// Releases datagrams whose injected delay has expired: held outbound
-    /// frames are sent (their fate was decided when held), held inbound
-    /// frames are fed to the state machine.
-    fn release_held(&mut self) -> Result<(), NetError> {
-        let due = Instant::now();
-        let mut i = 0;
-        while i < self.held_out.len() {
-            if self.held_out[i].0 <= due {
-                let (_, bytes) = self.held_out.swap_remove(i);
-                self.socket.send(&bytes)?;
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < self.held_in.len() {
-            if self.held_in[i].0 <= due {
-                let (_, bytes) = self.held_in.swap_remove(i);
-                self.deliver(&bytes)?;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// One wakeup, shaped like the gateway's `SocketReader::read_batch`:
-    /// a blocking `recv` (bounded by the socket read timeout), then a
-    /// non-blocking drain of whatever else has queued, up to
-    /// [`SERVE_BATCH`], then one pass over the timers. A publisher with a
-    /// full window has a reply datagram on its way per message in flight;
-    /// reading one per wakeup lets them pile up in the socket buffer until
-    /// it overflows and the lost ones cost a `Tretry`. Surfaced events
-    /// accumulate in the internal queue.
+    /// One wakeup, through the read the gateway serves with: a blocking
+    /// wait for a datagram, bounded by the 10 ms read timeout, then a
+    /// non-blocking drain of whatever else has queued, up to 32 datagrams,
+    /// each message going to the state machine as it is read — then what
+    /// the state machine answered is sent and the timers get one pass. A
+    /// publisher with a full window has a reply datagram on its way per
+    /// message in flight; reading one per wakeup lets them pile up in the
+    /// socket buffer until it overflows and the lost ones cost a `Tretry`.
+    /// Surfaced events accumulate in the internal queue. A socket error is
+    /// returned after what was read before it has been answered.
     ///
     /// A PUBREL this pump produces stays held for the next outbound
     /// datagram to carry. One still held when the next pump starts is sent
@@ -930,25 +943,12 @@ impl UdpClient {
     pub fn pump(&mut self) -> Result<(), NetError> {
         self.qos0_unheard = false;
         self.release_acks()?;
-        if self.fault.is_some() {
-            self.release_held()?;
-        }
-        match self.socket.recv(&mut self.rbuf) {
-            Ok(n) => {
-                self.admit(n)?;
-                self.socket.set_nonblocking(true)?;
-                let drained = self.drain();
-                // A socket left non-blocking would turn every later pump
-                // into a spin, so a failed restore surfaces like any other
-                // socket error: the caller reconnects on a fresh socket.
-                self.socket.set_nonblocking(false)?;
-                drained?;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
+        let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
+        let read = self
+            .endpoint
+            .read(|_, message| hear(client, start, replies, message));
+        self.answer()?;
+        read?;
         self.tick()
     }
 
@@ -959,9 +959,12 @@ impl UdpClient {
     /// PUBRELs like any datagram; what is still held past its release time
     /// then leaves alone.
     pub fn tick(&mut self) -> Result<(), NetError> {
-        if self.fault.is_some() {
-            self.release_held()?;
-        }
+        let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
+        let released = self
+            .endpoint
+            .release_due(|_, message| hear(client, start, replies, message));
+        self.answer()?;
+        released?;
         let now = self.now();
         let outputs = self.client.on_tick(now);
         self.dispatch(outputs)?;
@@ -990,60 +993,19 @@ impl UdpClient {
     pub fn next_deadline(&self) -> Option<Instant> {
         let timers = self.client.next_deadline();
         let timers = timers.and_then(|ns| self.start.checked_add(Duration::from_nanos(ns)));
-        let delayed = self.held_in.iter().chain(&self.held_out).map(|held| held.0);
-        delayed.chain(timers).chain(self.release_by).min()
+        [timers, self.release_by, self.endpoint.next_release()]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
-    /// Reads what is already queued on the (non-blocking) socket.
-    fn drain(&mut self) -> Result<(), NetError> {
-        for _ in 1..SERVE_BATCH {
-            match self.socket.recv(&mut self.rbuf) {
-                Ok(n) => self.admit(n)?,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the datagram in `rbuf[..n]` through the inbound fault fate
-    /// (chaos only) and the state machine.
-    fn admit(&mut self, n: usize) -> Result<(), NetError> {
-        let fate = match &self.fault {
-            Some(f) => f.fate(FaultDir::Inbound, &self.rbuf[..n]),
-            None => DatagramFate::Deliver,
-        };
-        let deliveries = match fate {
-            DatagramFate::Deliver => 1,
-            DatagramFate::Drop => 0,
-            DatagramFate::Duplicate => 2,
-            DatagramFate::Delay(dur) => {
-                self.held_in
-                    .push((Instant::now() + dur, self.rbuf[..n].to_vec()));
-                0
-            }
-        };
-        // Out of `self` while `deliver` borrows all of it; a swap, no copy.
-        let rbuf = std::mem::take(&mut self.rbuf);
-        let delivered = (0..deliveries).try_for_each(|_| self.deliver(&rbuf[..n]));
-        self.rbuf = rbuf;
-        delivered
-    }
-
-    /// Feeds an admitted datagram to the state machine one MQTT-SN message
-    /// at a time — the gateway answers a `[PUBREL, PUBLISH]` datagram with
-    /// a `[PUBCOMP, PUBREC]` one.
-    fn deliver(&mut self, datagram: &[u8]) -> Result<(), NetError> {
-        for frame in frames(datagram) {
-            let now = self.now();
-            // Borrowed decode: inbound PUBLISH payloads are copied once
-            // into a pooled buffer, not a fresh Vec (malformed frames
-            // are dropped).
-            if let Ok(outputs) = self.client.on_datagram(frame, now) {
-                self.dispatch(outputs)?;
-            }
-        }
-        Ok(())
+    /// Sends what the state machine answered to the messages of the last
+    /// read, and queues its events.
+    fn answer(&mut self) -> Result<(), NetError> {
+        let mut replies = std::mem::take(&mut self.replies);
+        let sent = self.dispatch(replies.drain(..));
+        self.replies = replies;
+        sent
     }
 
     /// Pops a queued event, pumping once if none is queued.
@@ -1260,10 +1222,7 @@ impl UdpClient {
     /// re-registration, in-flight retransmission) completes. Queued
     /// application events are preserved across the attempt.
     pub fn try_reconnect(&mut self, timeout: Duration) -> Result<(), NetError> {
-        let socket = UdpSocket::bind("0.0.0.0:0")?;
-        socket.connect(self.broker)?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-        self.socket = socket;
+        self.endpoint.replace_socket(dial(self.broker)?)?;
         // PUBRELs held for the dead connection go with it: the resumed
         // session re-emits the PUBREL of every handshake still in that phase.
         self.held_acks.clear();
@@ -2152,5 +2111,181 @@ mod tests {
         assert_eq!(c.pop_event(), None, "no PublishFailed");
         assert_delivered_once_in_order(&mut sub, &gw, 1);
         gw.shutdown();
+    }
+
+    /// How long [`DelayFirst`] holds its datagram.
+    const DELAY: Duration = Duration::from_millis(150);
+
+    /// Delays, by [`DELAY`], the first datagram crossing in `dir` that
+    /// carries a message `carries` picks; lets every other datagram through
+    /// and counts those crossing in `dir`.
+    #[derive(Debug)]
+    struct DelayFirst {
+        dir: FaultDir,
+        carries: fn(&Packet) -> bool,
+        delayed: AtomicBool,
+        seen: AtomicU64,
+    }
+
+    impl DelayFirst {
+        fn new(dir: FaultDir, carries: fn(&Packet) -> bool) -> Arc<DelayFirst> {
+            Arc::new(DelayFirst {
+                dir,
+                carries,
+                delayed: AtomicBool::new(false),
+                seen: AtomicU64::new(0),
+            })
+        }
+
+        fn delayed(&self) -> bool {
+            self.delayed.load(Ordering::Relaxed)
+        }
+    }
+
+    impl DatagramFault for DelayFirst {
+        fn fate(&self, dir: FaultDir, datagram: &[u8]) -> DatagramFate {
+            if dir != self.dir {
+                return DatagramFate::Deliver;
+            }
+            self.seen.fetch_add(1, Ordering::Relaxed);
+            let carries =
+                frames(datagram).any(|f| Packet::decode(f).is_ok_and(|p| (self.carries)(&p)));
+            if carries && !self.delayed.swap(true, Ordering::Relaxed) {
+                DatagramFate::Delay(DELAY)
+            } else {
+                DatagramFate::Deliver
+            }
+        }
+    }
+
+    fn is_publish(p: &Packet) -> bool {
+        matches!(p, Packet::Publish { .. })
+    }
+
+    fn is_puback(p: &Packet) -> bool {
+        matches!(p, Packet::PubAck { .. })
+    }
+
+    /// A device whose plan delays one datagram of a QoS 1 exchange — the
+    /// PUBLISH on its way out, or the PUBACK on its way in — after a
+    /// reconnect, so the plan installed on the old socket decides it. The
+    /// held datagram sets [`UdpClient::next_deadline`], and
+    /// [`UdpClient::tick`] alone lets it go once its delay is over, once.
+    fn delayed_at_the_device(dir: FaultDir, carries: fn(&Packet) -> bool) {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let mut sub = gw.subscribe_local("#").unwrap();
+        let mut c =
+            UdpClient::connect(gw.local_addr(), ClientConfig::new("dly"), timeout()).unwrap();
+        let tid = c.register("dly/dev", timeout()).unwrap();
+        let plan = DelayFirst::new(dir, carries);
+        c.set_fault(plan.clone());
+        reconnect(&mut c);
+        // Resumption re-registers the topic.
+        while c.pop_event().is_some() {}
+        assert!(
+            plan.seen.load(Ordering::Relaxed) > 0,
+            "the reconnect crossed the plan"
+        );
+        assert!(!plan.delayed());
+
+        c.publish_nowait(tid, b"late".to_vec(), QoS::AtLeastOnce)
+            .unwrap();
+        let deadline = Instant::now() + timeout();
+        while !plan.delayed() {
+            assert!(Instant::now() < deadline, "nothing to delay");
+            c.pump().unwrap();
+        }
+        let held_by = Instant::now();
+        let release = c.next_deadline().expect("a held datagram has a deadline");
+        assert!(release <= held_by + DELAY, "{:?} late", release - held_by);
+        // Only the PUBACK is owed the device, and only the PUBLISH the
+        // gateway.
+        let counted_early = u64::from(dir == FaultDir::Inbound);
+        c.tick().unwrap();
+        if Instant::now() < release {
+            assert_eq!(c.inflight_len(), 1, "released early");
+            assert_eq!(gw.stats().publishes_in, counted_early, "released early");
+        }
+
+        std::thread::sleep(release.saturating_duration_since(Instant::now()));
+        c.tick().unwrap();
+        // Released by the tick: the gateway has the PUBLISH, or the client
+        // the PUBACK, without another read of the socket.
+        while gw.stats().publishes_in == 0 {
+            assert!(Instant::now() < deadline, "the PUBLISH was never released");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if dir == FaultDir::Inbound {
+            assert_eq!(c.inflight_len(), 0, "the PUBACK was released");
+        }
+        while c.inflight_len() > 0 {
+            assert!(Instant::now() < deadline, "no PUBACK");
+            c.pump().unwrap();
+        }
+        c.tick().unwrap();
+        assert!(matches!(
+            c.pop_event(),
+            Some(ClientEvent::PublishDone { .. })
+        ));
+        assert_eq!(c.pop_event(), None, "released once");
+        // Nothing is held any more: what is next is the keep-alive.
+        assert!(c.next_deadline().unwrap() > Instant::now() + DELAY);
+        let mut got = Vec::new();
+        sub.try_recv(&mut got);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload, b"late");
+        let stats = gw.stats();
+        assert_eq!((stats.publishes_in, stats.retransmissions), (1, 0));
+        gw.shutdown();
+    }
+
+    #[test]
+    fn device_releases_a_delayed_outbound_datagram_on_tick() {
+        delayed_at_the_device(FaultDir::Outbound, is_publish);
+    }
+
+    #[test]
+    fn device_releases_a_delayed_inbound_datagram_on_tick() {
+        delayed_at_the_device(FaultDir::Inbound, is_puback);
+    }
+
+    /// A gateway whose plan delays one datagram of a QoS 1 exchange — the
+    /// PUBLISH coming in, or the PUBACK going out: the publisher's reply
+    /// comes after the delay, and the publish is counted and delivered
+    /// once.
+    fn delayed_at_the_gateway(dir: FaultDir, carries: fn(&Packet) -> bool) {
+        let plan = DelayFirst::new(dir, carries);
+        let gw = UdpBroker::builder("127.0.0.1:0")
+            .faults(plan.clone())
+            .spawn()
+            .unwrap();
+        let mut sub = gw.subscribe_local("#").unwrap();
+        let mut c =
+            UdpClient::connect(gw.local_addr(), ClientConfig::new("gdly"), timeout()).unwrap();
+        let tid = c.register("gdly/dev", timeout()).unwrap();
+        let sent = Instant::now();
+        c.publish(tid, b"late".to_vec(), QoS::AtLeastOnce, timeout())
+            .unwrap();
+        assert!(plan.delayed());
+        assert!(sent.elapsed() >= DELAY, "reply after {:?}", sent.elapsed());
+        let mut got = Vec::new();
+        sub.try_recv(&mut got);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload, b"late");
+        let stats = gw.stats();
+        assert_eq!(stats.publishes_in, 1);
+        assert_eq!(stats.duplicates_suppressed, 0);
+        assert_eq!(stats.retransmissions, 0);
+        gw.shutdown();
+    }
+
+    #[test]
+    fn gateway_delays_an_inbound_publish() {
+        delayed_at_the_gateway(FaultDir::Inbound, is_publish);
+    }
+
+    #[test]
+    fn gateway_delays_an_outbound_reply() {
+        delayed_at_the_gateway(FaultDir::Outbound, is_puback);
     }
 }
