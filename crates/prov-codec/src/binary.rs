@@ -2,7 +2,7 @@
 //!
 //! A batch is what one envelope carries (see [`crate::frame`]): a count, a
 //! string table, then the records. This is the grammar of envelope version
-//! 3, the only one written (all integers LEB128 varints unless noted):
+//! 4, the only one written (all integers LEB128 varints unless noted):
 //!
 //! ```text
 //! batch      := count, strtab, record*
@@ -32,9 +32,30 @@
 //!                                          all of one tag; 1 ≤ len ≤ 32, and
 //!                                          the runs cover exactly n cells)
 //! value      := tag:u8, payload
-//! payload    := per tag: nothing | bool:u8 | zigzag varint | f64 LE bits
+//! payload    := per tag: nothing | bool:u8 | zigzag varint | float
 //!             | strref | n, value^n | len, bytes
+//! float      := head:u8, low:u8^6   (head = step << 4 | bits 48–51 of the
+//!                                    float, step < 15: its sign and
+//!                                    exponent are the predictor's moved by
+//!                                    the zigzag `step`, modulo 2^12; `low`
+//!                                    its bits 0–47, LE)
+//!             | whole:u8, byte^kept
+//!                                   (whole = 0xf0 + kept, kept ≤ 8: the
+//!                                    top `kept` bytes of the float's bits,
+//!                                    LE; the 8 − kept below them are zero)
 //! ```
+//!
+//! The *predictor* of a float is the sign and exponent — the top 12 bits —
+//! of the last float of the batch that took 7 bytes or more: of the first
+//! form, or whole with `kept` ≥ 6. It is 1.0's, `0x3ff`, before the first,
+//! so every batch is whole in itself. Values of one size share their top
+//! bits, whatever their mantissas: a random value in [0, 1) is 7 bytes
+//! unless its exponent lies more than 7 from the one before. A float whose
+//! bits end in three zero bytes or more is written whole and shorter —
+//! `0.0` in 1 byte, `0.25` in 3, `500.5` in 4, any float of at most 16
+//! significant mantissa bits in 5 — and leaves the predictor where it was,
+//! so a `500.5` among values in [0, 1) costs the next value nothing. No
+//! float takes more than 9 bytes.
 //!
 //! A *layout* is the shape of an attribute list — its names and value tags
 //! in order. A batch numbers its layouts from 0 in order of definition; a
@@ -55,28 +76,31 @@
 //! Strings are deduplicated per batch through the string table: attribute
 //! names appear once per batch however many layouts mention them.
 //!
-//! **Version 2** (read, never written, like version 1) differs in two
-//! productions and nowhere else: `entry := len, utf8bytes` (every string
-//! written whole) and a definition is `2n, (strref, value)^n` (a name, a
-//! tag and a payload per cell).
+//! **Version 3** (read, never written: spilled device logs and devices not
+//! yet upgraded) is version 4 with `float := f64 LE bits`, 8 bytes each and
+//! no predictor.
 //!
-//! **Version 1** (read, never written: spilled device logs and devices not
-//! yet upgraded) is version 2 with three productions more —
+//! **Version 2** (read, never written, like version 1) differs from
+//! version 3 in two productions and nowhere else: `entry := len,
+//! utf8bytes` (every string written whole) and a definition is `2n,
+//! (strref, value)^n` (a name, a tag and a payload per cell).
+//!
+//! **Version 1** is version 2 with three productions more —
 //! `dataworkflow := id`, `time := varint` (always absolute) and
 //! `attrs := n, (strref, value)^n` (every list written out).
 //!
 //! **What decoding may allocate.** Every count is checked against the
 //! input before anything is reserved for it: a batch of `len` bytes
 //! decodes to at most `len` attribute cells and list items (each costs the
-//! encoder at least one byte; the encoder defines a fresh layout instead
-//! of reusing one whose zero-width `Null` cells would break that, and a
-//! batch that claims more is refused with `LengthOverflow`), at most
-//! `16 × len` bytes of strings, and every
+//! encoder at least one byte, a float included; the encoder defines a
+//! fresh layout instead of reusing one whose zero-width `Null` cells would
+//! break that, and a batch that claims more is refused with
+//! `LengthOverflow`), at most `16 × len` bytes of strings, and every
 //! other reserve is at most what the remaining bytes could hold. Peak heap
 //! while a batch is decoded, records included, is bounded by
 //! [`decode_heap_bound`].
 
-use crate::varint::{write_i64, write_u64, Reader};
+use crate::varint::{unzigzag, write_i64, write_u64, zigzag, Reader};
 use crate::{CodecError, MAX_NESTING};
 use prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
 use std::cell::RefCell;
@@ -94,6 +118,8 @@ const ID_TASK_WORKFLOW: u8 = 2;
 
 /// The tag of `AttrValue::Null`, whose payload is no bytes at all.
 const TAG_NULL: u8 = 0;
+/// The tag of `AttrValue::Float`.
+const TAG_FLOAT: u8 = 3;
 
 /// How many of the batch's newest layouts a record is matched against
 /// before it defines another.
@@ -106,17 +132,29 @@ const SUFFIX_ESCAPE: usize = 15;
 /// Most cells one run of a layout definition names.
 const MAX_RUN: usize = 32;
 
+/// The sign and exponent of 1.0: what a batch's first float is coded
+/// against.
+const FLOAT_PREDICTOR: u16 = 0x3ff;
+/// The step of a float head that says the float is written whole.
+const FLOAT_WHOLE: u8 = 15;
+/// The low bytes of a float of the first form; a float written whole in as
+/// many or more moves the predictor as one of the first form does.
+const FLOAT_LOW: usize = 6;
+
 /// Which grammar a batch is written in. A batch does not say — the
 /// envelope's version byte does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum BatchVersion {
     /// Attribute lists, times and data workflows written out per record.
     V1,
     /// Layouts, delta times, implied data workflows.
     V2,
     /// Version 2 with a front-coded string table and run-coded layout
-    /// definitions: what the encoder writes.
+    /// definitions.
     V3,
+    /// Version 3 with floats coded against the one before: what the
+    /// encoder writes.
+    V4,
 }
 
 /// First 8 bytes of a string as a little-endian word (zero-padded).
@@ -201,6 +239,8 @@ pub struct Encoder {
     slack: usize,
     /// The last time written to this batch.
     prev_time: Option<u64>,
+    /// The sign and exponent the next float is coded against.
+    float_predictor: u16,
 }
 
 impl Default for Encoder {
@@ -221,6 +261,7 @@ impl Encoder {
             layouts: Vec::new(),
             slack: 0,
             prev_time: None,
+            float_predictor: FLOAT_PREDICTOR,
         }
     }
 
@@ -233,6 +274,7 @@ impl Encoder {
         self.layouts.clear();
         self.slack = 0;
         self.prev_time = None;
+        self.float_predictor = FLOAT_PREDICTOR;
     }
 
     #[inline]
@@ -422,7 +464,7 @@ pub fn decode_batch(buf: &[u8]) -> Result<Vec<Record>, CodecError> {
 /// Decodes a batch of the grammar [`encode_batch_into`] writes into a
 /// caller-owned `Vec` (cleared first) — its decode-side twin.
 pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), CodecError> {
-    decode_batch_as(BatchVersion::V3, buf, records)
+    decode_batch_as(BatchVersion::V4, buf, records)
 }
 
 /// The most heap the decoder holds at any moment while decoding a batch of
@@ -434,8 +476,8 @@ pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), Co
 /// layout entry (8) out of the batch's allowance, and a one-byte string
 /// table entry that repeats 15 bytes of the one before it: its `Arc`, its
 /// table slot and the buffer it is rebuilt in (48). 158 B, rounded up. A batch the
-/// encoder wrote holds what its records hold — about 6 B per byte for rows
-/// of `f64`.
+/// encoder wrote holds what its records hold — about 7 B per byte for rows
+/// of `f64`, a 48-byte cell for each 7-byte float.
 pub const fn decode_heap_bound(len: usize) -> usize {
     160 * len + 1024
 }
@@ -485,6 +527,7 @@ pub(crate) fn decode_batch_as(
             version,
             cells_left: buf.len(),
             prev_time: None,
+            float_predictor: (version == BatchVersion::V4).then_some(FLOAT_PREDICTOR),
         };
         records.reserve(count.min(d.r.remaining() / MIN_RECORD_BYTES));
         for _ in 0..count {
@@ -509,7 +552,7 @@ fn read_strings(
 ) -> Result<(), CodecError> {
     strings.reserve(n.min(r.remaining()));
     for _ in 0..n {
-        let bytes = if version == BatchVersion::V3 {
+        let bytes = if version >= BatchVersion::V3 {
             let head = r.read_u8()?;
             let len = match usize::from(head & 0x0f) {
                 SUFFIX_ESCAPE => SUFFIX_ESCAPE + r.read_len()?,
@@ -634,9 +677,20 @@ fn encode_data(out: &mut Vec<u8>, tab: &mut Encoder, d: &DataRecord, task_workfl
             tab.define_layout(out, &d.attributes);
         }
     }
+    // Floats, the payload of a wide record, are written here against a
+    // predictor held in a local: no call and no store to the encoder each.
+    let mut predictor = tab.float_predictor;
     for (_, value) in &d.attributes {
-        encode_payload(out, tab, value);
+        match value {
+            AttrValue::Float(f) => encode_float(out, &mut predictor, *f),
+            value => {
+                tab.float_predictor = predictor;
+                encode_payload(out, tab, value);
+                predictor = tab.float_predictor;
+            }
+        }
     }
+    tab.float_predictor = predictor;
 }
 
 fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
@@ -644,7 +698,7 @@ fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
         AttrValue::Null => {}
         AttrValue::Bool(b) => out.push(*b as u8),
         AttrValue::Int(i) => write_i64(out, *i),
-        AttrValue::Float(f) => out.extend_from_slice(&f.to_le_bytes()),
+        AttrValue::Float(f) => encode_float(out, &mut tab.float_predictor, *f),
         AttrValue::Str(s) => write_u64(out, tab.intern(s)),
         AttrValue::List(l) => {
             write_u64(out, l.len() as u64);
@@ -660,6 +714,84 @@ fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
     }
 }
 
+/// Writes `f` against `predictor`, the sign and exponent of the last float
+/// that moved it: in the first form, 7 bytes, when its sign and exponent
+/// lie within 7 steps of the predictor's and its bits do not end in three
+/// zero bytes, and whole otherwise. A float of 7 bytes or more moves the
+/// predictor to its own sign and exponent.
+#[inline]
+fn encode_float(out: &mut Vec<u8>, predictor: &mut u16, f: f64) {
+    let bits = f.to_bits();
+    let sign_exp = (bits >> 52) as u16;
+    // The 12-bit difference, sign-extended: steps wrap round the 12 bits.
+    let step = zigzag(i64::from(
+        (sign_exp.wrapping_sub(*predictor) << 4) as i16 >> 4,
+    ));
+    if step >= u64::from(FLOAT_WHOLE) || kept_bytes(bits) < FLOAT_LOW {
+        return encode_whole_float(out, predictor, bits);
+    }
+    *predictor = sign_exp;
+    // The head, then bits 0–47: one 7-byte write.
+    let head = step << 4 | bits >> 48 & 0x0f;
+    out.extend_from_slice(&(head | bits << 16 >> 8).to_le_bytes()[..1 + FLOAT_LOW]);
+}
+
+/// Writes the float of `bits` whole: its head, then its top bytes, LE,
+/// without the zero bytes below them.
+#[cold]
+fn encode_whole_float(out: &mut Vec<u8>, predictor: &mut u16, bits: u64) {
+    let kept = kept_bytes(bits);
+    out.push(FLOAT_WHOLE << 4 | kept as u8);
+    out.extend_from_slice(&bits.to_le_bytes()[8 - kept..]);
+    if kept >= FLOAT_LOW {
+        *predictor = (bits >> 52) as u16;
+    }
+}
+
+/// The bytes of `bits` from the top down to its last non-zero one.
+#[inline]
+fn kept_bytes(bits: u64) -> usize {
+    8 - bits.trailing_zeros() as usize / 8
+}
+
+/// Reads a float written by [`encode_float`] against `predictor`, and moves
+/// the predictor as the encoder did.
+#[inline]
+fn decode_float(r: &mut Reader<'_>, predictor: &mut u16) -> Result<f64, CodecError> {
+    let head = r.read_u8()?;
+    let step = head >> 4;
+    if step == FLOAT_WHOLE {
+        return decode_whole_float(r, predictor, head);
+    }
+    let mut word = [0u8; 8];
+    word[..FLOAT_LOW].copy_from_slice(r.read_bytes(FLOAT_LOW)?);
+    let sign_exp = predictor.wrapping_add(unzigzag(u64::from(step)) as u16) & 0xfff;
+    *predictor = sign_exp;
+    let bits = u64::from(sign_exp) << 52 | u64::from(head & 0x0f) << 48 | u64::from_le_bytes(word);
+    Ok(f64::from_bits(bits))
+}
+
+/// Reads the rest of a float written whole, whose head was `head`.
+#[cold]
+fn decode_whole_float(
+    r: &mut Reader<'_>,
+    predictor: &mut u16,
+    head: u8,
+) -> Result<f64, CodecError> {
+    let kept = usize::from(head & 0x0f);
+    let mut word = [0u8; 8];
+    let top = 8usize
+        .checked_sub(kept)
+        .and_then(|below| word.get_mut(below..))
+        .ok_or(CodecError::BadTag(head))?;
+    top.copy_from_slice(r.read_bytes(kept)?);
+    let bits = u64::from_le_bytes(word);
+    if kept >= FLOAT_LOW {
+        *predictor = (bits >> 52) as u16;
+    }
+    Ok(f64::from_bits(bits))
+}
+
 /// One batch being read: the cursor, the tables its references resolve in,
 /// and what the grammar carries from one record to the next.
 struct Decoder<'a, 't> {
@@ -668,12 +800,15 @@ struct Decoder<'a, 't> {
     layouts: &'t mut Layouts,
     /// Consulted where a data record's workflow, a time and an attribute
     /// list are read (version 1 against the rest), where a layout is
-    /// defined and where the string table is read (version 3 against the
-    /// rest), and nowhere else.
+    /// defined and where the string table is read (versions 3 and 4
+    /// against the rest), and nowhere else.
     version: BatchVersion,
     /// Attribute cells and list items the batch may still declare.
     cells_left: usize,
     prev_time: Option<u64>,
+    /// The sign and exponent the next float is coded against; `None`
+    /// before version 4, whose floats are 8 bytes as they are.
+    float_predictor: Option<u16>,
 }
 
 /// Takes `n` declared cells out of the batch's allowance.
@@ -798,12 +933,12 @@ impl Decoder<'_, '_> {
             BatchVersion::V1 => return self.inline_attributes(head),
             _ if head & 1 == 1 => head >> 1,
             BatchVersion::V2 => return self.inline_attributes(head >> 1),
-            BatchVersion::V3 => self.define_layout(head >> 1)?,
+            BatchVersion::V3 | BatchVersion::V4 => self.define_layout(head >> 1)?,
         };
         self.laid_out(k)
     }
 
-    /// Reads the runs of a version 3 layout definition of `n` cells and
+    /// Reads the runs of a run-coded layout definition of `n` cells and
     /// numbers the shape as the batch's next layout.
     fn define_layout(&mut self, n: u64) -> Result<u64, CodecError> {
         // Checked, not taken: the payloads that follow take the cells.
@@ -848,7 +983,20 @@ impl Decoder<'_, '_> {
         let mut attributes = Vec::with_capacity(n);
         for &(name, tag) in cells {
             let name = string(self.strings, u64::from(name))?.clone();
-            let value = decode_payload(&mut self.r, self.strings, &mut self.cells_left, tag, 0)?;
+            // A version 4 float is read here, not through `decode_payload`.
+            let value = match (tag, &mut self.float_predictor) {
+                (TAG_FLOAT, Some(predictor)) => {
+                    AttrValue::Float(decode_float(&mut self.r, predictor)?)
+                }
+                _ => decode_payload(
+                    &mut self.r,
+                    self.strings,
+                    &mut self.cells_left,
+                    &mut self.float_predictor,
+                    tag,
+                    0,
+                )?,
+            };
             attributes.push((name, value));
         }
         Ok(attributes)
@@ -866,7 +1014,14 @@ impl Decoder<'_, '_> {
             let name_ref = self.r.read_u64()?;
             let name = string(self.strings, name_ref)?.clone();
             let tag = self.r.read_u8()?;
-            let value = decode_payload(&mut self.r, self.strings, &mut self.cells_left, tag, 0)?;
+            let value = decode_payload(
+                &mut self.r,
+                self.strings,
+                &mut self.cells_left,
+                &mut self.float_predictor,
+                tag,
+                0,
+            )?;
             attributes.push((name, value));
             if v2 {
                 let name_ref = u32::try_from(name_ref).map_err(|_| CodecError::LengthOverflow)?;
@@ -887,6 +1042,7 @@ fn decode_payload(
     r: &mut Reader<'_>,
     strings: &[Arc<str>],
     cells_left: &mut usize,
+    float_predictor: &mut Option<u16>,
     tag: u8,
     depth: usize,
 ) -> Result<AttrValue, CodecError> {
@@ -894,7 +1050,10 @@ fn decode_payload(
         0 => Ok(AttrValue::Null),
         1 => Ok(AttrValue::Bool(r.read_u8()? != 0)),
         2 => Ok(AttrValue::Int(r.read_i64()?)),
-        3 => Ok(AttrValue::Float(r.read_f64()?)),
+        TAG_FLOAT => Ok(AttrValue::Float(match float_predictor {
+            Some(predictor) => decode_float(r, predictor)?,
+            None => r.read_f64()?,
+        })),
         4 => Ok(AttrValue::Str(string(strings, r.read_u64()?)?.clone())),
         5 => {
             if depth == MAX_NESTING {
@@ -904,7 +1063,14 @@ fn decode_payload(
             let mut items = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 let tag = r.read_u8()?;
-                items.push(decode_payload(r, strings, cells_left, tag, depth + 1)?);
+                items.push(decode_payload(
+                    r,
+                    strings,
+                    cells_left,
+                    float_predictor,
+                    tag,
+                    depth + 1,
+                )?);
             }
             Ok(AttrValue::List(items))
         }
@@ -1041,8 +1207,9 @@ mod tests {
         // definition adds a run per cell that does not continue the one
         // before it: `loss` and `epoch` are consecutive table entries, so
         // two cells of one tag are one run and two of different tags, or
-        // in the other order, are two.
-        let (first, payloads) = (shaped(1, 0.5), 8 + 1);
+        // in the other order, are two. A loss of one significant bit is a
+        // float of 3 bytes, an epoch an int of 1.
+        let (first, payloads) = (shaped(1, 0.5), 3 + 1);
         assert_eq!(added(&[&first], &shaped(2, 0.25)), 5 + payloads);
         assert_eq!(added(&[&first], &near), 5 + 2 + 2);
         assert_eq!(added(&[&first], &reordered), 5 + 2 * 2 + payloads);
@@ -1063,7 +1230,8 @@ mod tests {
             let payloads: usize = cells
                 .iter()
                 .map(|value| match value {
-                    AttrValue::Float(_) => 8,
+                    // 0.5: a head and its top two bytes.
+                    AttrValue::Float(_) => 3,
                     AttrValue::Bool(_) => 1,
                     _ => 0,
                 })
@@ -1388,6 +1556,146 @@ mod tests {
         assert_eq!(decode_record(&encode_record(&rec)).unwrap(), rec);
     }
 
+    /// `f` written against `predictor`: its bytes, and the predictor after.
+    /// Read back, it is the same bits and moves the predictor alike.
+    fn float_coded(predictor: u16, f: f64) -> (Vec<u8>, u16) {
+        let (mut out, mut moved) = (Vec::new(), predictor);
+        encode_float(&mut out, &mut moved, f);
+        let (mut r, mut read) = (Reader::new(&out), predictor);
+        let back = decode_float(&mut r, &mut read).map(f64::to_bits);
+        assert_eq!(back, Ok(f.to_bits()), "{f:e} against {predictor:#x}");
+        assert_eq!((r.remaining(), read), (0, moved));
+        (out, moved)
+    }
+
+    #[test]
+    fn a_float_costs_what_its_head_says() {
+        let one = FLOAT_PREDICTOR;
+        let bits = f64::from_bits;
+        let mantissa = 0x000f_edcb_a987_6543;
+        // (predictor, float, bytes, predictor after)
+        let table = [
+            // The first float of a batch, and its neighbours in [0, 1).
+            (one, bits(0x3fe << 52 | mantissa), 7, 0x3fe),
+            (0x3fe, bits(0x3fd << 52 | mantissa), 7, 0x3fd),
+            // The window's edges: 7 steps either way, and the escape at 8.
+            (one, bits(0x406 << 52 | mantissa), 7, 0x406),
+            (one, bits(0x3f8 << 52 | mantissa), 7, 0x3f8),
+            (one, bits(0x407 << 52 | mantissa), 9, 0x407),
+            (one, bits(0x3f7 << 52 | mantissa), 9, 0x3f7),
+            // The sign is part of the exponent's distance.
+            (one, bits(0xbff << 52 | mantissa), 9, 0xbff),
+            (0xbff, bits(0xbfe << 52 | mantissa), 7, 0xbfe),
+            // Steps wrap round the 12 bits: a negative NaN one step below
+            // the smallest exponent.
+            (0, bits(0xfff << 52 | mantissa), 7, 0xfff),
+            // Short: whole, and the predictor stays.
+            (one, 0.0, 1, one),
+            (one, -0.0, 2, one),
+            (one, 0.25, 3, one),
+            (one, 500.5, 4, one),
+            (one, 65_535.0, 5, one),
+            (one, f64::INFINITY, 3, one),
+            (one, f64::NEG_INFINITY, 3, one),
+            (one, f64::NAN, 3, one),
+            // A float whose bits end in two zero bytes is 7 either way,
+            // and moves the predictor.
+            (0x3fe, bits(0x3fe1_2345_6789_0000), 7, 0x3fe),
+            (one, bits(0x7001_2345_6789_0000), 7, 0x700),
+            // NaN payloads, subnormals and the extremes: 9 bytes from 1.0,
+            // and 7 after their like.
+            (one, bits(0x7ff0_0000_0000_0001), 9, 0x7ff),
+            (one, bits(0xfff8_dead_beef_0001), 9, 0xfff),
+            (one, bits(1), 9, 0),
+            (0, bits(0x000f_ffff_ffff_ffff), 7, 0),
+            (one, bits(0x8000_0000_0000_0001), 9, 0x800),
+            (one, f64::MAX, 9, 0x7fe),
+            (0x7fe, f64::MIN_POSITIVE * (1.0 + f64::EPSILON), 9, 0x001),
+            (0x7fe, f64::MAX * 0.75, 7, 0x7fe),
+        ];
+        for (predictor, f, len, after) in table {
+            let (out, moved) = float_coded(predictor, f);
+            assert_eq!((out.len(), moved), (len, after), "{f:e}: {out:02x?}");
+        }
+        // The first form's head is the step, then the mantissa's top four
+        // bits; a whole float's is 0xf0 and the bytes it keeps.
+        assert_eq!(float_coded(one, bits(0x3fe << 52 | mantissa)).0[0], 0x1f);
+        assert_eq!(float_coded(one, bits(0x406 << 52 | mantissa)).0[0], 0xef);
+        assert_eq!(float_coded(one, 500.5).0, [0xf3, 0x48, 0x7f, 0x40]);
+        assert_eq!(float_coded(one, 0.0).0, [0xf0]);
+    }
+
+    #[test]
+    fn a_random_value_costs_7_bytes_and_a_round_one_at_most_5() {
+        // Every mantissa bit in play, as the benchmark's attributes.
+        let mut state = 7u64;
+        let mut uniform = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            f64::from_bits(u64::from(FLOAT_PREDICTOR) << 52 | state >> 12) - 1.0
+        };
+        let (mut out, mut predictor) = (Vec::new(), FLOAT_PREDICTOR);
+        let n = 100_000;
+        for _ in 0..n {
+            encode_float(&mut out, &mut predictor, uniform());
+        }
+        let mean = out.len() as f64 / n as f64;
+        assert!((7.0..=7.1).contains(&mean), "{mean} B");
+        // At most 16 significant mantissa bits: 5 bytes at most, wherever
+        // the predictor stands, and it stands where it stood.
+        let round = (0..1u64 << 16).map(|i| i as f64).chain([
+            0.25,
+            500.5,
+            -1.5 * 2f64.powi(-990),
+            3.0 * 2f64.powi(1000),
+        ]);
+        for (i, f) in round.enumerate() {
+            for predictor in [FLOAT_PREDICTOR, 0, 0x7ff, 0xfff, (i as u16) & 0xfff] {
+                let (out, moved) = float_coded(predictor, f);
+                assert!(out.len() <= 5 && moved == predictor, "{f:e}");
+            }
+        }
+        // A round value among random ones costs the next one nothing.
+        let (mut out, mut predictor) = (Vec::new(), FLOAT_PREDICTOR);
+        for f in [0.75 + f64::EPSILON, 500.5, 0.625 + f64::EPSILON] {
+            encode_float(&mut out, &mut predictor, f);
+        }
+        assert_eq!(out.len(), 7 + 4 + 7);
+    }
+
+    /// Calls `f` on every attribute value of `records`, list items after
+    /// the list that holds them.
+    fn each_value(records: &mut [Record], f: &mut dyn FnMut(&mut AttrValue)) {
+        fn walk(value: &mut AttrValue, f: &mut dyn FnMut(&mut AttrValue)) {
+            f(value);
+            if let AttrValue::List(items) = value {
+                items.iter_mut().for_each(|item| walk(item, f));
+            }
+        }
+        for record in records {
+            let data = match record {
+                Record::TaskBegin { inputs, .. } => inputs,
+                Record::TaskEnd { outputs, .. } => outputs,
+                _ => continue,
+            };
+            for (_, value) in data.iter_mut().flat_map(|d| &mut d.attributes) {
+                walk(value, f);
+            }
+        }
+    }
+
+    /// `records` with every float an int of its bits: equal when every bit
+    /// is, NaN payloads included, and -0.0 unequal to 0.0.
+    fn by_bits(mut records: Vec<Record>) -> Vec<Record> {
+        each_value(&mut records, &mut |value| {
+            if let AttrValue::Float(f) = value {
+                *value = AttrValue::Int(f.to_bits() as i64);
+            }
+        });
+        records
+    }
+
     fn arb_value() -> impl Strategy<Value = AttrValue> {
         let leaf = prop_oneof![
             Just(AttrValue::Null),
@@ -1545,8 +1853,39 @@ mod tests {
         }
 
         #[test]
+        fn prop_every_float_survives_bit_exactly(
+            mut records in arb_batch(),
+            bits in proptest::collection::vec(any::<u64>(), 1..32),
+        ) {
+            // Any bit pattern, where a float is: in a layout defined or
+            // reused, in a list, between cells of other tags.
+            let mut bits = bits.into_iter().cycle();
+            each_value(&mut records, &mut |value| {
+                if let AttrValue::Float(f) = value {
+                    *f = f64::from_bits(bits.next().expect("cycle of a non-empty vec"));
+                }
+            });
+            let back = decode_batch(&encode_batch(&records)).unwrap();
+            prop_assert_eq!(by_bits(back), by_bits(records));
+        }
+
+        #[test]
+        fn prop_a_float_is_one_to_nine_bytes(
+            floats in proptest::collection::vec(any::<u64>(), 1..32),
+            start in 0u16..0x1000,
+        ) {
+            // One after the other, as a batch writes them.
+            let mut predictor = start;
+            for bits in floats {
+                let (out, moved) = float_coded(predictor, f64::from_bits(bits));
+                prop_assert!((1..=9).contains(&out.len()));
+                predictor = moved;
+            }
+        }
+
+        #[test]
         fn prop_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            for version in [BatchVersion::V1, BatchVersion::V2, BatchVersion::V3] {
+            for version in [BatchVersion::V1, BatchVersion::V2, BatchVersion::V3, BatchVersion::V4] {
                 let _ = decode_batch_as(version, &bytes, &mut Vec::new());
             }
         }

@@ -17,8 +17,8 @@
 //! nothing to match, so the envelope sends the raw form whenever the
 //! tokens are not smaller. Of the benchmark's four workloads only
 //! `query_mix`, whose groups carry small ints, compresses well (raw over
-//! compressed ×1.74); `sparse_tasks` breaks even (×1.01), and
-//! `immediate_small` (×0.91) and `grouped_wide` (×0.94) send the raw
+//! compressed ×1.66); `sparse_tasks` breaks even (×1.02), and
+//! `immediate_small` (×0.90) and `grouped_wide` (×0.93) send the raw
 //! batch.
 
 use crate::CodecError;

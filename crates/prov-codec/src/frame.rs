@@ -8,25 +8,26 @@
 //!
 //! ```text
 //! envelope := magic:u8 (0xA7), version:u8, flags:u8, payload
-//! version  := 3 (written) | 2 | 1 (still read)
+//! version  := 4 (written) | 3 | 2 | 1 (still read)
 //! flags    := bit0 = payload is LZSS-compressed
 //! payload  := binary batch in that version's grammar (see prov_codec::binary)
 //! ```
 //!
 //! The version byte says which batch grammar the payload is written in;
-//! header, flags and compression are the same in all three. Version 3
+//! header, flags and compression are the same in all four. Version 4
 //! ([`ENVELOPE_VERSION`]) is the only one encoded: its string table is
-//! front-coded and a layout says its shape in runs of consecutive names, so
-//! a lone message pays a few bytes for a shape the batch defines once.
-//! Version 2 — every string written whole, a name and a tag per cell of a
-//! layout — and version 1 — attribute names and tags repeated per record,
-//! absolute times, a workflow id on every data record — are what devices
-//! wrote before and what their spilled logs still hold, so all three
-//! decode. Every envelope is whole in itself: nothing it needs was sent in
-//! an earlier one, so one acknowledged and then replayed from a spill
-//! decodes as well as the first time. A payload must be consumed exactly:
-//! bytes left over after the last record, raw or decompressed, are an
-//! error.
+//! front-coded, a layout says its shape in runs of consecutive names, and a
+//! float's sign and exponent are coded against the float's before it, so a
+//! random value in [0, 1) takes 7 bytes and a round one like `500.5` 4.
+//! Version 3 — every float 8 bytes as it is — version 2 — every string
+//! written whole, a name and a tag per cell of a layout — and version 1 —
+//! attribute names and tags repeated per record, absolute times, a
+//! workflow id on every data record — are what devices wrote before and
+//! what their spilled logs still hold, so all four decode. Every envelope
+//! is whole in itself: nothing it needs was sent in an earlier one, so one
+//! acknowledged and then replayed from a spill decodes as well as the
+//! first time. A payload must be consumed exactly: bytes left over after
+//! the last record, raw or decompressed, are an error.
 
 use crate::binary::{self, BatchVersion};
 use crate::{compress, CodecError};
@@ -35,8 +36,9 @@ use std::cell::RefCell;
 
 const MAGIC: u8 = 0xA7;
 /// The envelope version the encoder writes.
-pub const ENVELOPE_VERSION: u8 = 3;
+pub const ENVELOPE_VERSION: u8 = 4;
 /// The versions before it, accepted on decode.
+const VERSION_3: u8 = 3;
 const VERSION_2: u8 = 2;
 const VERSION_1: u8 = 1;
 const FLAG_COMPRESSED: u8 = 0x01;
@@ -118,7 +120,8 @@ impl Envelope {
             return Err(CodecError::BadTag(buf[0]));
         }
         let version = match buf[1] {
-            ENVELOPE_VERSION => BatchVersion::V3,
+            ENVELOPE_VERSION => BatchVersion::V4,
+            VERSION_3 => BatchVersion::V3,
             VERSION_2 => BatchVersion::V2,
             VERSION_1 => BatchVersion::V1,
             other => return Err(CodecError::BadTag(other)),

@@ -1,11 +1,11 @@
 //! The envelope's door: what comes through it from outside the program.
 //!
-//! Version 1 and version 2 envelopes are input from devices not yet
-//! upgraded and from spilled device logs; nothing in the tree can write one
-//! any more, so the ones here were encoded from `fixtures` at the last
-//! commit that could and are pinned as bytes. All three versions are then
-//! cut, damaged and over-declared every way a byte allows: the decoder
-//! answers with an error or with records, never with a panic.
+//! Version 1, 2 and 3 envelopes are input from devices not yet upgraded
+//! and from spilled device logs; nothing in the tree can write one any
+//! more, so the ones here were encoded from `fixtures` at the last commit
+//! that could and are pinned as bytes. All four versions are then cut,
+//! damaged and over-declared every way a byte allows: the decoder answers
+//! with an error or with records, never with a panic.
 
 mod fixtures;
 
@@ -68,9 +68,44 @@ const V2_GROUP_PACKED: &str = "\
     3f\
 ";
 
+/// `mixed_batch()` as version 3 wrote it, uncompressed. 251 bytes: the
+/// string table and layouts of version 2, and three floats of 8 bytes.
+const V3_MIXED_RAW: &str = "\
+    a7030004110777662d6564676505747261696e067761726d757004696e2d6104\
+    6c6f73730565706f63680473697465046564676504696e2d62046e6f6e650466\
+    6c616703626967046c6973740664696765737403742d38056f75742d61046261\
+    72650001008094ebdc03020007010001010200ac02010280ea30000301030200\
+    06040305020604000000000000e03f060701080201010301000000000000d03f\
+    060700090002000a09000a010b020c050d0601ffffffffffffffffff01030202\
+    02030206040001feff03010e010001010200ac020102cff9300102010f020201\
+    03010801000000000000c03f06070110020000010100b198d6b907\
+";
+
+/// `group(&names(10), Kind::SmallInt, 3)` as version 3 wrote it,
+/// compressed. 185 bytes.
+const V3_GROUP_PACKED: &str = "\
+    a70301f701ff0612047374657003ff696e300261301131ff1132113311341135\
+    ff1136113711381139ff046f757430067265af73756c74025031010131fa0090\
+    3200913202000000ff0101000080f18881fd1b00a001020014024aaf00060402\
+    0043030204fc2d2a01c00c0202110d01410012e702000101d101f084f9e76503\
+    00b00e012003a504020120fc01f403e20f0202010c019d0e03e4e03f02040101\
+    f1014203e410050107a801f503e21103e0370f011003e4f03f\
+";
+
+/// `task_message(&names(10), Kind::RandomF64, 1)` as version 3 wrote it,
+/// uncompressed. 186 bytes, 88 of them the eleven floats.
+const V3_F64_TASK_RAW: &str = "\
+    a70300020f047374657003696e31026130113111321133113411351136113711\
+    381139046f757431313006726573756c74020001000101000100008083fd821b\
+    00010101020014024b6a060f5f478ce93f74df7d2c6da6da3f8090edd65ca2a1\
+    3f58c29e0415e1e43f50579d770850d13ff894fe72f36eec3f467e2eaae235e0\
+    3fb03cf30a8fe6bf3fe6508e18c1c3e73f6c747c9f6015d73f03000100010100\
+    010000fc2a0101010c0202010d0101020e03000000000000e03f\
+";
+
 /// Envelope lengths the two-record message of task `t` had:
 /// `(t, immediate_small-shaped, sparse_tasks-shaped)`, in version 1 and as
-/// version 3 measured them.
+/// versions 3 and 4 measured them.
 const V1_TASK_MESSAGE_LEN: [(u64, usize, usize); 4] = [
     (0, 140, 1410),
     (1, 147, 1481),
@@ -82,6 +117,12 @@ const V3_TASK_MESSAGE_LEN: [(u64, usize, usize); 4] = [
     (1, 110, 1079),
     (37, 115, 1085),
     (5000, 123, 1090),
+];
+const V4_TASK_MESSAGE_LEN: [(u64, usize, usize); 4] = [
+    (0, 99, 854),
+    (1, 108, 966),
+    (37, 113, 970),
+    (5000, 121, 978),
 ];
 
 fn hex(text: &str) -> Vec<u8> {
@@ -138,7 +179,7 @@ fn version_1_envelopes_decode_to_the_records_they_were_made_from() {
     pinned(V1_GROUP_PACKED, 1, true, 263, &group_of_3);
     // The versions are not each other: version 1 bytes under a later
     // header do not decode to the same records.
-    for version in [2, ENVELOPE_VERSION] {
+    for version in [2, 3, ENVELOPE_VERSION] {
         assert_ne!(relabelled(&raw, version), Ok(mixed_batch()));
     }
 }
@@ -148,14 +189,30 @@ fn version_2_envelopes_decode_to_the_records_they_were_made_from() {
     let raw = pinned(V2_MIXED_RAW, 2, false, 251, &mixed_batch());
     let group_of_3 = group(&names(10), Kind::SmallInt, 3);
     let packed = pinned(V2_GROUP_PACKED, 2, true, 225, &group_of_3);
-    // Version 3 is written; a version byte of the future is refused, not
+    // Version 2 bytes under a later header are not the same records: the
+    // grammars differ in the string table and the layouts.
+    for version in [3, ENVELOPE_VERSION] {
+        assert_ne!(relabelled(&raw, version), Ok(mixed_batch()));
+        assert_ne!(relabelled(&packed, version), Ok(group_of_3.clone()));
+    }
+}
+
+#[test]
+fn version_3_envelopes_decode_to_the_records_they_were_made_from() {
+    let raw = pinned(V3_MIXED_RAW, 3, false, 251, &mixed_batch());
+    let group_of_3 = group(&names(10), Kind::SmallInt, 3);
+    let packed = pinned(V3_GROUP_PACKED, 3, true, 185, &group_of_3);
+    let floats = task_message(&names(10), Kind::RandomF64, 1);
+    let f64_raw = pinned(V3_F64_TASK_RAW, 3, false, 186, &floats);
+    // Version 4 is written; a version byte of the future is refused, not
     // guessed at.
-    assert_eq!(ENVELOPE_VERSION, 3);
-    assert_eq!(relabelled(&raw, 4), Err(CodecError::BadTag(4)));
-    // Version 2 bytes under a version 3 header are not the same records:
-    // the two grammars differ in the string table and the layouts.
+    assert_eq!(ENVELOPE_VERSION, 4);
+    assert_eq!(relabelled(&raw, 5), Err(CodecError::BadTag(5)));
+    // Version 3 bytes under a version 4 header are not the same records:
+    // the two grammars differ in every float.
     assert_ne!(relabelled(&raw, ENVELOPE_VERSION), Ok(mixed_batch()));
     assert_ne!(relabelled(&packed, ENVELOPE_VERSION), Ok(group_of_3));
+    assert_ne!(relabelled(&f64_raw, ENVELOPE_VERSION), Ok(floats));
 }
 
 #[test]
@@ -163,24 +220,30 @@ fn a_lone_task_message_is_no_longer_than_version_1_made_it() {
     // One task per message bypasses the layouts: nothing to share one
     // with. What it saves is its shape: 100 names front-coded, 100 cells
     // in four runs (at t = 1, 1 481 B in version 1, 1 477 in version 2 and
-    // 1 079 in version 3).
+    // 1 079 in version 3), and a byte per random float (966 in version 4).
+    // The `result` of the small shape, `t / 2`, is 1 to 4 bytes, not 8.
     let (small, wide) = (names(10), names(100));
-    let lens = V1_TASK_MESSAGE_LEN.iter().zip(V3_TASK_MESSAGE_LEN);
-    for (&(t, v1_small, v1_wide), (_, v3_small, v3_wide)) in lens {
+    let lens = V1_TASK_MESSAGE_LEN
+        .iter()
+        .zip(V3_TASK_MESSAGE_LEN)
+        .zip(V4_TASK_MESSAGE_LEN);
+    for ((&(t, v1_small, v1_wide), (_, v3_small, v3_wide)), (_, v4_small, v4_wide)) in lens {
         let small_len = Envelope::encoded_len(&task_message(&small, Kind::SmallInt, t), true);
         let wide_len = Envelope::encoded_len(&task_message(&wide, Kind::RandomF64, t), true);
         assert!(v3_small < v1_small && v3_wide < v1_wide);
-        assert!(small_len <= v3_small, "t={t}: {small_len} > {v3_small}");
-        assert!(wide_len <= v3_wide, "t={t}: {wide_len} > {v3_wide}");
+        assert!(v4_small <= v3_small && v4_wide <= v3_wide);
+        assert!(small_len <= v4_small, "t={t}: {small_len} > {v4_small}");
+        assert!(wide_len <= v4_wide, "t={t}: {wide_len} > {v4_wide}");
     }
 }
 
 #[test]
 fn a_group_says_its_shape_once() {
     // 25 tasks of 100 random f64: version 1 made this 25 658 bytes,
-    // version 2 22 208.
+    // version 2 22 208, version 3 21 836; version 4 writes each of the
+    // 2 500 random floats in 7 bytes.
     let wide = Envelope::encoded_len(&group(&names(100), Kind::RandomF64, 25), true);
-    assert!(wide <= 21_900, "{wide} B");
+    assert!(wide <= 19_232, "{wide} B");
     // 25 tasks of 25 small ints: 1 660 bytes in version 1, 1 100 in
     // version 2.
     let small = Envelope::encoded_len(&group(&names(25), Kind::SmallInt, 25), true);
@@ -245,6 +308,107 @@ fn front_and_run_coding_reach_their_edges() {
     assert_eq!(wire[5..5 + table.len()], table, "{wire:02x?}");
 }
 
+/// The floats at the edges of what version 4 writes, in the order a batch
+/// meets them: the first of a batch, 7 steps of sign and exponent either
+/// way and the escape at 8, a sign flip, the whole form from 1 byte to 9,
+/// NaN payloads, infinities, subnormals and the extremes.
+fn float_edges() -> Vec<f64> {
+    let bits = f64::from_bits;
+    let mantissa = 0x000f_edcb_a987_6543;
+    vec![
+        bits(0x3fe << 52 | mantissa),
+        bits(0x405 << 52 | mantissa),
+        bits(0x3fe << 52 | mantissa),
+        bits(0x406 << 52 | mantissa),
+        bits(0x3fe << 52 | mantissa),
+        bits(0xbfe << 52 | mantissa),
+        0.0,
+        -0.0,
+        0.25,
+        500.5,
+        65_535.0,
+        bits(0xbfe << 52 | mantissa),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        bits(0x7ff0_0000_0000_0001),
+        bits(0xfff8_dead_beef_0001),
+        bits(1),
+        bits(0x000f_ffff_ffff_ffff),
+        bits(0x8000_0000_0000_0001),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        bits(0x3fe1_2345_6789_0000),
+    ]
+}
+
+/// [`float_edges`] as the cells of a data record, as a list, and once
+/// more in a record of the same shape.
+fn float_edge_records() -> Vec<Record> {
+    let edges = float_edges();
+    let cells = |values: &[f64]| -> Vec<(Arc<str>, AttrValue)> {
+        let names = (0..).map(|i| Arc::from(format!("f{i:02}")));
+        let mut cells: Vec<_> = names.zip(values.iter().map(|&f| f.into())).collect();
+        let list = values.iter().rev().map(|&f| AttrValue::Float(f)).collect();
+        cells.push((Arc::from("list"), AttrValue::List(list)));
+        cells
+    };
+    let data = |id: u64, values: &[f64]| DataRecord {
+        id: Id::Num(id),
+        workflow: Id::Num(1),
+        derivations: Vec::new(),
+        attributes: cells(values),
+    };
+    let mut reversed = edges.clone();
+    reversed.reverse();
+    vec![Record::TaskEnd {
+        task: TaskRecord {
+            id: Id::Num(1),
+            workflow: Id::Num(1),
+            transformation: Id::Num(2),
+            dependencies: Vec::new(),
+            time_ns: 1,
+            status: TaskStatus::Finished,
+        },
+        outputs: vec![data(1, &edges), data(2, &reversed)],
+    }]
+}
+
+/// Every float of `records`, list items included, as its bits.
+fn float_bits(records: &[Record]) -> Vec<u64> {
+    fn of(value: &AttrValue, out: &mut Vec<u64>) {
+        match value {
+            AttrValue::Float(f) => out.push(f.to_bits()),
+            AttrValue::List(items) => items.iter().for_each(|item| of(item, out)),
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    for record in records {
+        if let Record::TaskBegin { inputs: data, .. } | Record::TaskEnd { outputs: data, .. } =
+            record
+        {
+            for (_, value) in data.iter().flat_map(|d| &d.attributes) {
+                of(value, &mut out);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_float_at_an_edge_comes_back_bit_for_bit() {
+    let records = float_edge_records();
+    let sent = float_bits(&records);
+    assert_eq!(sent.len(), 4 * float_edges().len());
+    for compression in [false, true] {
+        let wire = Envelope::encode(&records, compression);
+        let back = Envelope::decode(&wire).expect("version 4").records;
+        assert_eq!(float_bits(&back), sent);
+    }
+}
+
 /// The batch inside an envelope, decompressed if need be.
 fn batch_of(envelope: &[u8]) -> Vec<u8> {
     match envelope[2] & 1 {
@@ -285,9 +449,9 @@ fn cells(records: &[Record]) -> usize {
         .sum()
 }
 
-/// Valid envelopes of all three versions, raw and compressed, with shapes
-/// that are shared, nearly shared and not shared at all, and strings and
-/// runs at the edges of what version 3 writes.
+/// Valid envelopes of all four versions, raw and compressed, with shapes
+/// that are shared, nearly shared and not shared at all, and strings, runs
+/// and floats at the edges of what version 4 writes.
 fn valid_envelopes() -> Vec<Vec<u8>> {
     let shapes: Vec<Record> = mixed_batch()
         .into_iter()
@@ -299,6 +463,9 @@ fn valid_envelopes() -> Vec<Vec<u8>> {
         hex(V1_GROUP_PACKED),
         hex(V2_MIXED_RAW),
         hex(V2_GROUP_PACKED),
+        hex(V3_MIXED_RAW),
+        hex(V3_GROUP_PACKED),
+        hex(V3_F64_TASK_RAW),
         Envelope::encode(&mixed_batch(), false),
         Envelope::encode(&mixed_batch(), true),
         Envelope::encode(&group(&names(10), Kind::SmallInt, 3), true),
@@ -306,6 +473,8 @@ fn valid_envelopes() -> Vec<Vec<u8>> {
         Envelope::encode(&shapes, true),
         Envelope::encode(&front_coded_and_run_coded(), false),
         Envelope::encode(&front_coded_and_run_coded(), true),
+        Envelope::encode(&float_edge_records(), false),
+        Envelope::encode(&float_edge_records(), true),
     ]
 }
 
