@@ -49,13 +49,15 @@
 //! of the last float of the batch that took 7 bytes or more: of the first
 //! form, or whole with `kept` ≥ 6. It is 1.0's, `0x3ff`, before the first,
 //! so every batch is whole in itself. Values of one size share their top
-//! bits, whatever their mantissas: a random value in [0, 1) is 7 bytes
-//! unless its exponent lies more than 7 from the one before. A float whose
-//! bits end in three zero bytes or more is written whole and shorter —
-//! `0.0` in 1 byte, `0.25` in 3, `500.5` in 4, any float of at most 16
-//! significant mantissa bits in 5 — and leaves the predictor where it was,
-//! so a `500.5` among values in [0, 1) costs the next value nothing. No
-//! float takes more than 9 bytes.
+//! bits, whatever their mantissas: the encoder writes a float whose sign
+//! and exponent lie within 7 steps of the predictor's in the first form, so
+//! a random value in [0, 1) is 7 bytes unless its exponent lies more than 7
+//! from the one before. A float outside that window is written whole,
+//! without the zero bytes its bits end in: `0.0` in 1 byte, `500.5` after
+//! values in [0, 1) in 4, any float of at most 16 significant mantissa bits
+//! in 5. One of fewer than 7 bytes leaves the predictor where it was, so a
+//! `500.5` among values in [0, 1) costs the next value nothing. No float
+//! takes more than 9 bytes.
 //!
 //! A *layout* is the shape of an attribute list — its names and value tags
 //! in order. A batch numbers its layouts from 0 in order of definition; a
@@ -239,8 +241,6 @@ pub struct Encoder {
     slack: usize,
     /// The last time written to this batch.
     prev_time: Option<u64>,
-    /// The sign and exponent the next float is coded against.
-    float_predictor: u16,
 }
 
 impl Default for Encoder {
@@ -261,7 +261,6 @@ impl Encoder {
             layouts: Vec::new(),
             slack: 0,
             prev_time: None,
-            float_predictor: FLOAT_PREDICTOR,
         }
     }
 
@@ -274,7 +273,6 @@ impl Encoder {
         self.layouts.clear();
         self.slack = 0;
         self.prev_time = None;
-        self.float_predictor = FLOAT_PREDICTOR;
     }
 
     #[inline]
@@ -398,8 +396,9 @@ impl Encoder {
         self.reset();
         let mut body = std::mem::take(&mut self.body);
         body.clear();
+        let mut predictor = FLOAT_PREDICTOR;
         for r in records {
-            encode_record_into(&mut body, self, r);
+            encode_record_into(&mut body, self, &mut predictor, r);
         }
         write_u64(out, records.len() as u64);
         write_u64(out, self.spans.len() as u64);
@@ -582,7 +581,7 @@ pub fn decode_record(buf: &[u8]) -> Result<Record, CodecError> {
     records.pop().ok_or(CodecError::UnexpectedEof)
 }
 
-fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, record: &Record) {
+fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, predictor: &mut u16, record: &Record) {
     match record {
         Record::WorkflowBegin { workflow, time_ns } => {
             out.push(TAG_WF_BEGIN);
@@ -599,7 +598,7 @@ fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, record: &Record) {
             encode_task(out, tab, task);
             write_u64(out, inputs.len() as u64);
             for d in inputs {
-                encode_data(out, tab, d, &task.workflow);
+                encode_data(out, tab, predictor, d, &task.workflow);
             }
         }
         Record::TaskEnd { task, outputs } => {
@@ -607,7 +606,7 @@ fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, record: &Record) {
             encode_task(out, tab, task);
             write_u64(out, outputs.len() as u64);
             for d in outputs {
-                encode_data(out, tab, d, &task.workflow);
+                encode_data(out, tab, predictor, d, &task.workflow);
             }
         }
     }
@@ -659,7 +658,13 @@ fn encode_task(out: &mut Vec<u8>, tab: &mut Encoder, t: &TaskRecord) {
     out.push(t.status.tag());
 }
 
-fn encode_data(out: &mut Vec<u8>, tab: &mut Encoder, d: &DataRecord, task_workflow: &Id) {
+fn encode_data(
+    out: &mut Vec<u8>,
+    tab: &mut Encoder,
+    predictor: &mut u16,
+    d: &DataRecord,
+    task_workflow: &Id,
+) {
     encode_id(out, tab, &d.id);
     if d.workflow == *task_workflow {
         out.push(ID_TASK_WORKFLOW);
@@ -677,34 +682,28 @@ fn encode_data(out: &mut Vec<u8>, tab: &mut Encoder, d: &DataRecord, task_workfl
             tab.define_layout(out, &d.attributes);
         }
     }
-    // Floats, the payload of a wide record, are written here against a
-    // predictor held in a local: no call and no store to the encoder each.
-    let mut predictor = tab.float_predictor;
+    // Floats, the payload of a wide record, are written here, not through
+    // `encode_payload`.
     for (_, value) in &d.attributes {
         match value {
-            AttrValue::Float(f) => encode_float(out, &mut predictor, *f),
-            value => {
-                tab.float_predictor = predictor;
-                encode_payload(out, tab, value);
-                predictor = tab.float_predictor;
-            }
+            AttrValue::Float(f) => encode_float(out, predictor, *f),
+            value => encode_payload(out, tab, predictor, value),
         }
     }
-    tab.float_predictor = predictor;
 }
 
-fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
+fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, predictor: &mut u16, v: &AttrValue) {
     match v {
         AttrValue::Null => {}
         AttrValue::Bool(b) => out.push(*b as u8),
         AttrValue::Int(i) => write_i64(out, *i),
-        AttrValue::Float(f) => encode_float(out, &mut tab.float_predictor, *f),
+        AttrValue::Float(f) => encode_float(out, predictor, *f),
         AttrValue::Str(s) => write_u64(out, tab.intern(s)),
         AttrValue::List(l) => {
             write_u64(out, l.len() as u64);
             for x in l {
                 out.push(x.tag());
-                encode_payload(out, tab, x);
+                encode_payload(out, tab, predictor, x);
             }
         }
         AttrValue::Bytes(b) => {
@@ -716,9 +715,8 @@ fn encode_payload(out: &mut Vec<u8>, tab: &mut Encoder, v: &AttrValue) {
 
 /// Writes `f` against `predictor`, the sign and exponent of the last float
 /// that moved it: in the first form, 7 bytes, when its sign and exponent
-/// lie within 7 steps of the predictor's and its bits do not end in three
-/// zero bytes, and whole otherwise. A float of 7 bytes or more moves the
-/// predictor to its own sign and exponent.
+/// lie within 7 steps of the predictor's, and whole otherwise. A float of 7
+/// bytes or more moves the predictor to its own sign and exponent.
 #[inline]
 fn encode_float(out: &mut Vec<u8>, predictor: &mut u16, f: f64) {
     let bits = f.to_bits();
@@ -727,7 +725,7 @@ fn encode_float(out: &mut Vec<u8>, predictor: &mut u16, f: f64) {
     let step = zigzag(i64::from(
         (sign_exp.wrapping_sub(*predictor) << 4) as i16 >> 4,
     ));
-    if step >= u64::from(FLOAT_WHOLE) || kept_bytes(bits) < FLOAT_LOW {
+    if step >= u64::from(FLOAT_WHOLE) {
         return encode_whole_float(out, predictor, bits);
     }
     *predictor = sign_exp;
@@ -1207,9 +1205,9 @@ mod tests {
         // definition adds a run per cell that does not continue the one
         // before it: `loss` and `epoch` are consecutive table entries, so
         // two cells of one tag are one run and two of different tags, or
-        // in the other order, are two. A loss of one significant bit is a
-        // float of 3 bytes, an epoch an int of 1.
-        let (first, payloads) = (shaped(1, 0.5), 3 + 1);
+        // in the other order, are two. A loss near 1.0 is a float of 7
+        // bytes, an epoch an int of 1.
+        let (first, payloads) = (shaped(1, 0.5), 7 + 1);
         assert_eq!(added(&[&first], &shaped(2, 0.25)), 5 + payloads);
         assert_eq!(added(&[&first], &near), 5 + 2 + 2);
         assert_eq!(added(&[&first], &reordered), 5 + 2 * 2 + payloads);
@@ -1230,8 +1228,8 @@ mod tests {
             let payloads: usize = cells
                 .iter()
                 .map(|value| match value {
-                    // 0.5: a head and its top two bytes.
-                    AttrValue::Float(_) => 3,
+                    // 0.5: one step from 1.0, the first form.
+                    AttrValue::Float(_) => 7,
                     AttrValue::Bool(_) => 1,
                     _ => 0,
                 })
@@ -1589,10 +1587,13 @@ mod tests {
             // Steps wrap round the 12 bits: a negative NaN one step below
             // the smallest exponent.
             (0, bits(0xfff << 52 | mantissa), 7, 0xfff),
-            // Short: whole, and the predictor stays.
+            // Inside the window a round float is 7 bytes too.
+            (one, 0.25, 7, 0x3fd),
+            (0x3fe, 2.0, 7, 0x400),
+            // Outside it, short: whole, and the predictor stays.
             (one, 0.0, 1, one),
             (one, -0.0, 2, one),
-            (one, 0.25, 3, one),
+            (0x3f0, 0.25, 3, 0x3f0),
             (one, 500.5, 4, one),
             (one, 65_535.0, 5, one),
             (one, f64::INFINITY, 3, one),
@@ -1626,7 +1627,7 @@ mod tests {
     }
 
     #[test]
-    fn a_random_value_costs_7_bytes_and_a_round_one_at_most_5() {
+    fn a_random_value_costs_7_bytes_and_a_round_one_outside_the_window_at_most_5() {
         // Every mantissa bit in play, as the benchmark's attributes.
         let mut state = 7u64;
         let mut uniform = || {
@@ -1642,8 +1643,13 @@ mod tests {
         }
         let mean = out.len() as f64 / n as f64;
         assert!((7.0..=7.1).contains(&mean), "{mean} B");
-        // At most 16 significant mantissa bits: 5 bytes at most, wherever
-        // the predictor stands, and it stands where it stood.
+        // At most 16 significant mantissa bits: 7 bytes within 7 steps of
+        // the predictor, like any float there, and 5 at most outside them,
+        // where the predictor stands where it stood.
+        let in_window = |predictor: u16, f: f64| {
+            let step = ((f.to_bits() >> 52) as u16).wrapping_sub(predictor) & 0xfff;
+            step <= 7 || step >= 0x1000 - 7
+        };
         let round = (0..1u64 << 16).map(|i| i as f64).chain([
             0.25,
             500.5,
@@ -1653,7 +1659,11 @@ mod tests {
         for (i, f) in round.enumerate() {
             for predictor in [FLOAT_PREDICTOR, 0, 0x7ff, 0xfff, (i as u16) & 0xfff] {
                 let (out, moved) = float_coded(predictor, f);
-                assert!(out.len() <= 5 && moved == predictor, "{f:e}");
+                let (fits, after) = match in_window(predictor, f) {
+                    true => (out.len() == 7, (f.to_bits() >> 52) as u16),
+                    false => (out.len() <= 5, predictor),
+                };
+                assert!(fits && moved == after, "{f:e} against {predictor:#x}");
             }
         }
         // A round value among random ones costs the next one nothing.

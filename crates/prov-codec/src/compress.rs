@@ -17,7 +17,7 @@
 //! nothing to match, so the envelope sends the raw form whenever the
 //! tokens are not smaller. Of the benchmark's four workloads only
 //! `query_mix`, whose groups carry small ints, compresses well (raw over
-//! compressed ×1.66); `sparse_tasks` breaks even (×1.02), and
+//! compressed ×1.68); `sparse_tasks` breaks even (×1.02), and
 //! `immediate_small` (×0.90) and `grouped_wide` (×0.93) send the raw
 //! batch.
 

@@ -18,7 +18,8 @@
 //! ([`ENVELOPE_VERSION`]) is the only one encoded: its string table is
 //! front-coded, a layout says its shape in runs of consecutive names, and a
 //! float's sign and exponent are coded against the float's before it, so a
-//! random value in [0, 1) takes 7 bytes and a round one like `500.5` 4.
+//! random value in [0, 1) takes 7 bytes and a round one far from it, like
+//! `500.5` after such values, 4.
 //! Version 3 — every float 8 bytes as it is — version 2 — every string
 //! written whole, a name and a tag per cell of a layout — and version 1 —
 //! attribute names and tags repeated per record, absolute times, a

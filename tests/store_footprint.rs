@@ -367,8 +367,8 @@ fn decoding_an_envelope_holds_heap_linear_in_its_length() {
     };
 
     // Honest envelopes are nowhere near it: a group of wide records holds
-    // what its rows hold — 48 B for a cell that took 7 on the wire, or 1 to
-    // 3 where the value is round — plus the decompressed batch.
+    // what its rows hold — 48 B for a cell that took 8 on the wire — plus
+    // the decompressed batch.
     let wide: Vec<Record> = (0..25).flat_map(task_records_wide).collect();
     let raw_len = Envelope::encoded_len(&wide, false);
     for compressed in [false, true] {
@@ -376,7 +376,7 @@ fn decoding_an_envelope_holds_heap_linear_in_its_length() {
         let (result, peak) = peak_of(&envelope, &mut records);
         assert_eq!(result, Ok(compressed));
         assert_eq!(records, wide);
-        assert!(peak <= 9 * raw_len, "{peak} B for {raw_len} B of batch");
+        assert!(peak <= 8 * raw_len, "{peak} B for {raw_len} B of batch");
         records = Vec::new();
     }
 
