@@ -1,74 +1,12 @@
 //! The Provenance Manager (paper §V-A) and config-driven deployments.
 //!
-//! In the paper, enabling `provenance: ProvenanceManager` in the E2Clab
-//! configuration starts a DfAnalyzer container plus a ProvLight container
-//! on the cloud layer. Here, [`ProvenanceManager::start`] launches the
-//! real-mode equivalents in-process: the MQTT-SN broker, the provenance
-//! data translator, and the DfAnalyzer-style store — everything a fleet of
-//! [`ProvLightClient`](provlight_core::client::ProvLightClient)s needs.
+//! [`ProvenanceManager`] is the real-mode server stack — broker,
+//! translator and store — defined in `provlight_core::server`; this module
+//! re-exports it beside the plan that maps a parsed Listing 2
+//! configuration onto a deployment.
 
 use crate::config::ExperimentConfig;
-use parking_lot::Mutex;
-use prov_store::sharded::{shared_sharded, SharedShardedStore};
-use provlight_core::server::{ProvLightServer, ServerStats};
-use provlight_core::translator::DfAnalyzerTranslator;
-use std::net::SocketAddr;
-use std::sync::Arc;
-
-/// A running provenance stack (broker + translator + store).
-pub struct ProvenanceManager {
-    server: ProvLightServer,
-    store: SharedShardedStore,
-}
-
-impl ProvenanceManager {
-    /// Starts the stack on the given bind address (port 0 picks a free
-    /// port). The translator subscribes to `provlight/#`, covering every
-    /// device topic.
-    pub fn start(bind: &str) -> Result<ProvenanceManager, mqtt_sn::net::NetError> {
-        let store = shared_sharded();
-        let translator = Arc::new(Mutex::with_rank(
-            parking_lot::rank::TRANSLATOR,
-            DfAnalyzerTranslator::new(store.clone()),
-        ));
-        let server = ProvLightServer::start(bind, "provlight/#", translator)?;
-        Ok(ProvenanceManager { server, store })
-    }
-
-    /// Broker address for device clients.
-    pub fn broker_addr(&self) -> SocketAddr {
-        self.server.broker_addr()
-    }
-
-    /// The queryable provenance store (DfAnalyzer role), behind one lock:
-    /// aggregate counters via `store().stats()`, per-workflow queries via
-    /// `store().read(&workflow_id)`.
-    pub fn store(&self) -> &SharedShardedStore {
-        &self.store
-    }
-
-    /// Ingestion-side observability: decode errors and per-translator
-    /// message counts.
-    pub fn server_stats(&self) -> ServerStats {
-        self.server.stats()
-    }
-
-    /// Broker routing statistics.
-    pub fn broker_stats(&self) -> mqtt_sn::broker::BrokerStats {
-        self.server.broker_stats()
-    }
-
-    /// MQTT-SN sessions on the broker: one per connected device.
-    pub fn broker_sessions(&self) -> usize {
-        self.server.broker_sessions()
-    }
-
-    /// Stops the broker, then the translator once it has ingested
-    /// everything the broker acknowledged.
-    pub fn shutdown(self) {
-        self.server.shutdown();
-    }
-}
+pub use provlight_core::server::ProvenanceManager;
 
 /// Summary of a deployment derived from an experiment configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -13,9 +13,9 @@
 //! * [`tables`] — one generator per paper table/figure, each returning
 //!   paper-reference vs. measured rows (printed by the bench harness,
 //!   asserted by tests);
-//! * [`deployment`] — the Provenance Manager (§V-A): wires the ProvLight
-//!   server, the DfAnalyzer-style store, and translators for real-mode
-//!   deployments, and maps parsed configs onto simulated topologies.
+//! * [`deployment`] — the Provenance Manager (§V-A): the ProvLight
+//!   broker, its translator and the DfAnalyzer-style store for real-mode
+//!   deployments, and the plan a parsed config maps onto.
 
 pub mod config;
 pub mod deployment;

@@ -105,7 +105,7 @@ impl ProvLightClient {
     }
 
     /// Capture-side transport statistics — the mirror of
-    /// [`ProvLightServer::stats`](crate::server::ProvLightServer::stats):
+    /// [`ProvenanceManager::server_stats`](crate::server::ProvenanceManager::server_stats):
     /// reconnections, disconnection-buffer occupancy and high-water mark,
     /// records dropped, publish failures.
     pub fn stats(&self) -> TransmitterStats {

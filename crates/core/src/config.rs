@@ -82,8 +82,6 @@ pub struct CaptureConfig {
     pub group: GroupPolicy,
     /// Publish QoS. The paper uses QoS 2 (exactly once).
     pub qos: QoS,
-    /// Client send-buffer capacity in bytes; publishing blocks when full.
-    pub send_buffer: usize,
     /// Maximum QoS 1/2 publishes awaiting completion.
     pub max_inflight: usize,
     /// Coalescing high-water mark: the transmitter drains every queued batch
@@ -171,7 +169,6 @@ impl Default for CaptureConfig {
             binary: true,
             group: GroupPolicy::Immediate,
             qos: QoS::ExactlyOnce,
-            send_buffer: edge_sim::calib::PROVLIGHT_SEND_BUFFER,
             max_inflight: 256,
             max_payload: DEFAULT_MAX_PAYLOAD,
             buffer_max_records: DEFAULT_BUFFER_MAX_RECORDS,

@@ -11,10 +11,10 @@
 //!   started tasks remain trackable at runtime), compression + binary
 //!   framing (via `prov-codec`), and an asynchronous [`transmitter`] that
 //!   publishes over MQTT-SN with QoS 2 on a reused connection;
-//! * **Server** — an MQTT-SN broker plus the *provenance data translator*
-//!   ([`server`], [`translator`]) that converts the ProvLight wire format
-//!   into downstream systems' models (DfAnalyzer-style store ingestion,
-//!   PROV documents, JSON forwarding).
+//! * **Server** — the Provenance Manager ([`server`]): an MQTT-SN broker
+//!   plus the *provenance data translator* ([`translator`]) that converts
+//!   the ProvLight wire format into downstream systems' models
+//!   (DfAnalyzer-style store ingestion, PROV documents).
 //!
 //! Two execution modes share all protocol logic:
 //!
@@ -35,7 +35,7 @@ pub mod transmitter;
 pub use api::{CaptureError, CaptureSession, RecordSink, Task, VecSink, Workflow};
 pub use client::ProvLightClient;
 pub use config::{CaptureConfig, GroupPolicy};
-pub use server::ProvLightServer;
+pub use server::ProvenanceManager;
 pub use sim::{ProvLightSimConfig, SimProvLight};
 pub use translator::{DfAnalyzerTranslator, ProvDocumentTranslator, Translator};
 pub use transmitter::{DisconnectionBuffer, Transmitter, TransmitterStats};

@@ -1,57 +1,61 @@
-//! The real-mode ProvLight server: MQTT-SN broker + provenance data
-//! translator (paper Fig. 3).
+//! The Provenance Manager (paper §V-A): the real-mode ProvLight server —
+//! MQTT-SN broker, provenance data translator and DfAnalyzer-style store
+//! (paper Fig. 3).
+//!
+//! In the paper, enabling `provenance: ProvenanceManager` in the E2Clab
+//! configuration starts a DfAnalyzer container plus a ProvLight container
+//! on the cloud layer. Here, [`ProvenanceManager::start`] launches the
+//! same three in-process — everything a fleet of
+//! [`ProvLightClient`](crate::client::ProvLightClient)s needs.
 
-use crate::translator::Translator;
+use crate::translator::{DfAnalyzerTranslator, Translator};
 use mqtt_sn::net::{NetError, UdpBroker};
 use mqtt_sn::{BrokerConfig, LocalMessage, LocalSubscription};
-use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
 use prov_codec::json::records_from_json;
 use prov_model::Record;
+use prov_store::sharded::{shared_sharded, SharedShardedStore};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-/// A running ProvLight server (broker + translator subscriptions).
+/// A running provenance stack: the gateway, one translator thread and the
+/// store it feeds.
 ///
-/// A translator subscribes to a topic filter (e.g. `provlight/#`) and
-/// converts every decoded message with the provided [`Translator`]. The
-/// translators live in the gateway's process, so they are *local*
-/// subscribers ([`UdpBroker::subscribe_local`]): the gateway hands each
+/// The translator lives in the gateway's process, so it is a *local*
+/// subscriber ([`UdpBroker::subscribe_local`]): the gateway hands each
 /// accepted publish over through an in-memory queue, and the only MQTT-SN
-/// leg is the one from the devices. For
-/// large fleets the paper parallelizes translators — one per device topic
-/// (Fig. 5, translator-1..64); [`ProvLightServer::start_parallel`] builds
-/// that layout. Behind
-/// [`DfAnalyzerTranslator`](crate::translator::DfAnalyzerTranslator), those
-/// translators decode in parallel and take the store's one write lock per
-/// envelope.
-pub struct ProvLightServer {
+/// leg is the one from the devices. The translator thread owns its
+/// [`DfAnalyzerTranslator`] outright and takes the store's one write lock
+/// per envelope.
+pub struct ProvenanceManager {
     broker: UdpBroker,
-    decode_errors: Arc<AtomicU64>,
-    translators: Vec<Arc<Mutex<dyn Translator>>>,
-    translator_threads: Vec<std::thread::JoinHandle<()>>,
+    store: SharedShardedStore,
+    counters: Arc<Counters>,
+    translator: Option<JoinHandle<()>>,
 }
 
-/// Ingestion-side observability counters (decode failures plus how many
-/// messages each translator handled).
+/// What the translator thread counts, read without stopping it.
+#[derive(Default)]
+struct Counters {
+    messages: AtomicU64,
+    decode_errors: AtomicU64,
+}
+
+/// Ingestion-side observability counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Messages that failed to decode.
+    /// Messages that failed to decode (wire corruption or foreign
+    /// publishers on the topic).
     pub decode_errors: u64,
-    /// Messages handled by the translator serving each topic, indexed like
-    /// the `topics` passed to [`ProvLightServer::start_parallel`]. Topics
-    /// sharing one translator instance report that instance's (shared)
-    /// counter.
-    pub translator_messages: Vec<u64>,
-    /// Total messages handled, counting each distinct translator instance
-    /// once — comparable against the broker's delivered-publish count even
-    /// when topics share a translator.
+    /// Messages decoded and handed to the store — comparable against the
+    /// broker's delivered-publish count.
     pub messages_total: u64,
     /// Broker backlog at snapshot time: messages queued for the
-    /// translators and not yet taken, plus whatever is buffered or
-    /// unacknowledged toward remote subscribers. Translators that fall
-    /// behind ingestion inflate this, which drives `congestion_level` —
+    /// translator and not yet taken, plus whatever is buffered or
+    /// unacknowledged toward remote subscribers. A translator that falls
+    /// behind ingestion inflates this, which drives `congestion_level` —
     /// so translator lag propagates to gateway publishers as pacing, and
     /// at the hard level as refused (never acknowledged-then-dropped)
     /// publishes, instead of silent buffer growth.
@@ -61,82 +65,45 @@ pub struct ServerStats {
     pub congestion_level: u8,
 }
 
-impl ProvLightServer {
-    /// Binds the broker and starts one translator loop.
-    pub fn start(
-        bind: &str,
-        topic_filter: &str,
-        translator: Arc<Mutex<dyn Translator>>,
-    ) -> Result<ProvLightServer, NetError> {
-        Self::start_parallel(bind, &[topic_filter.to_owned()], move |_| {
-            translator.clone()
-        })
-    }
-
-    /// Binds the broker and starts one translator per topic filter (the
-    /// Fig. 5 parallel-translator deployment). `factory(i)` supplies the
-    /// translator for `topics[i]`; factories may share a store-backed
-    /// translator or build independent ones.
-    pub fn start_parallel(
-        bind: &str,
-        topics: &[String],
-        factory: impl Fn(usize) -> Arc<Mutex<dyn Translator>>,
-    ) -> Result<ProvLightServer, NetError> {
+impl ProvenanceManager {
+    /// Starts the stack on the given bind address (port 0 picks a free
+    /// port): the gateway's thread and one translator thread, subscribed
+    /// to `provlight/#` so it covers every device topic.
+    pub fn start(bind: &str) -> Result<ProvenanceManager, NetError> {
         let broker = UdpBroker::spawn(bind, BrokerConfig::default()).map_err(NetError::Io)?;
-        let decode_errors = Arc::new(AtomicU64::new(0));
-
-        let mut translators = Vec::with_capacity(topics.len());
-        let mut translator_threads = Vec::with_capacity(topics.len());
-        for (i, topic) in topics.iter().enumerate() {
-            let subscription = broker.subscribe_local(topic)?;
-            let translator = factory(i);
-            translators.push(Arc::clone(&translator));
-            let decode_errors = Arc::clone(&decode_errors);
-            translator_threads.push(std::thread::spawn(move || {
-                translate(subscription, &translator, &decode_errors)
-            }));
-        }
-
-        Ok(ProvLightServer {
+        let store = shared_sharded();
+        let subscription = broker.subscribe_local("provlight/#")?;
+        let counters = Arc::new(Counters::default());
+        let translator = DfAnalyzerTranslator::new(store.clone());
+        let thread_counters = Arc::clone(&counters);
+        let thread =
+            std::thread::spawn(move || translate(subscription, translator, &thread_counters));
+        Ok(ProvenanceManager {
             broker,
-            decode_errors,
-            translators,
-            translator_threads,
+            store,
+            counters,
+            translator: Some(thread),
         })
     }
 
-    /// Broker address for clients.
+    /// Broker address for device clients.
     pub fn broker_addr(&self) -> SocketAddr {
         self.broker.local_addr()
     }
 
-    /// Messages that failed to decode (wire corruption or foreign
-    /// publishers on the topic).
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+    /// The queryable provenance store (DfAnalyzer role), behind one lock:
+    /// aggregate counters via `store().stats()`, per-workflow queries via
+    /// `store().read(&workflow_id)`.
+    pub fn store(&self) -> &SharedShardedStore {
+        &self.store
     }
 
-    /// Ingestion statistics: decode failures and per-translator message
-    /// counts (briefly locks each translator). Factories may hand the same
-    /// translator instance to several topics; the total deduplicates by
-    /// instance so shared counters are not summed once per topic.
-    pub fn stats(&self) -> ServerStats {
-        let mut seen: Vec<usize> = Vec::with_capacity(self.translators.len());
-        let mut translator_messages = Vec::with_capacity(self.translators.len());
-        let mut messages_total = 0;
-        for translator in &self.translators {
-            let messages = translator.lock().messages();
-            translator_messages.push(messages);
-            let instance = Arc::as_ptr(translator).cast::<()>() as usize;
-            if !seen.contains(&instance) {
-                seen.push(instance);
-                messages_total += messages;
-            }
-        }
+    /// Ingestion-side observability: decode errors, messages translated,
+    /// and the broker's backlog and congestion level.
+    pub fn server_stats(&self) -> ServerStats {
         ServerStats {
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            translator_messages,
-            messages_total,
+            decode_errors: self.counters.decode_errors.load(Ordering::Relaxed),
+            messages_total: self.counters.messages.load(Ordering::Relaxed),
             broker_backlog: self.broker.backlog() as u64,
             congestion_level: self.broker.congestion_level(),
         }
@@ -148,25 +115,31 @@ impl ProvLightServer {
     }
 
     /// MQTT-SN sessions on the broker: the connected devices, and no one
-    /// else — the translators subscribe locally, not over the protocol.
+    /// else — the translator subscribes locally, not over the protocol.
     pub fn broker_sessions(&self) -> usize {
         self.broker.session_count()
     }
 
-    /// Stops the broker, then the translators once they have ingested
-    /// everything it acknowledged.
+    /// Stops the broker, then the translator once it has ingested
+    /// everything the broker acknowledged.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     /// Gateway first: once it has stopped nothing more is acknowledged and
-    /// the queues are closed, so each translator runs its queue empty and
-    /// ends — an acknowledged publish is in the store when this returns.
+    /// the queue is closed, so the translator runs it empty and ends — an
+    /// acknowledged publish is in the store when this returns.
     fn stop(&mut self) {
         self.broker.stop();
-        for t in self.translator_threads.drain(..) {
-            let _ = t.join();
+        if let Some(translator) = self.translator.take() {
+            let _ = translator.join();
         }
+    }
+}
+
+impl Drop for ProvenanceManager {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -191,8 +164,8 @@ fn decode_payload(payload: &[u8], records: &mut Vec<Record>) -> bool {
 /// Ends when the gateway has stopped and the queue is drained.
 fn translate(
     mut subscription: LocalSubscription,
-    translator: &Mutex<dyn Translator>,
-    decode_errors: &AtomicU64,
+    mut translator: DfAnalyzerTranslator,
+    counters: &Counters,
 ) {
     // One message batch and one record buffer cycle for the lifetime of
     // the thread: `recv` refills the first, `decode_payload` clears and
@@ -202,17 +175,14 @@ fn translate(
     while subscription.recv(&mut batch) {
         for message in &batch {
             if decode_payload(&message.payload, &mut records) {
-                translator.lock().on_records(&mut records);
+                // Counted before the store takes the records, so a reader
+                // who sees them in the store sees the message counted.
+                counters.messages.fetch_add(1, Ordering::Relaxed);
+                translator.on_records(&mut records);
             } else {
-                decode_errors.fetch_add(1, Ordering::Relaxed);
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-}
-
-impl Drop for ProvLightServer {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -221,7 +191,6 @@ mod tests {
     use super::*;
     use crate::client::ProvLightClient;
     use crate::config::{CaptureConfig, GroupPolicy};
-    use crate::translator::DfAnalyzerTranslator;
     use prov_model::{DataRecord, Id};
     use std::time::Duration;
 
@@ -260,12 +229,11 @@ mod tests {
 
     #[test]
     fn end_to_end_capture_over_real_udp() {
-        let store = prov_store::shared_sharded();
-        let translator = Arc::new(Mutex::new(DfAnalyzerTranslator::new(store.clone())));
-        let server = ProvLightServer::start("127.0.0.1:0", "provlight/#", translator).unwrap();
+        let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+        let store = manager.store().clone();
 
         let client = ProvLightClient::connect(
-            server.broker_addr(),
+            manager.broker_addr(),
             "device-1",
             "provlight/wf1/device-1",
             CaptureConfig::default(),
@@ -296,117 +264,24 @@ mod tests {
         assert!(task_row.elapsed_s().is_some());
         drop(guard);
 
-        let stats = server.stats();
+        let stats = manager.server_stats();
         assert_eq!(stats.decode_errors, 0);
-        assert_eq!(stats.translator_messages.len(), 1);
         assert!(stats.messages_total >= 1);
 
         client.shutdown();
-        server.shutdown();
-    }
-
-    #[test]
-    fn parallel_translators_partition_by_topic() {
-        // Fig. 5: one translator per device topic, all feeding the same
-        // store; per-translator message counts prove the partitioning.
-        let store = prov_store::shared_sharded();
-        let topics: Vec<String> = (0..3).map(|i| format!("provlight/wfp/dev{i}")).collect();
-        let s = store.clone();
-        let server = ProvLightServer::start_parallel("127.0.0.1:0", &topics, move |_| {
-            Arc::new(Mutex::new(DfAnalyzerTranslator::new(s.clone())))
-                as Arc<Mutex<dyn crate::translator::Translator>>
-        })
-        .unwrap();
-
-        for dev in 0..3u64 {
-            // max_payload: 1 forces one envelope per record so the
-            // per-translator message counts below stay deterministic.
-            let client = ProvLightClient::connect(
-                server.broker_addr(),
-                &format!("pdev{dev}"),
-                &format!("provlight/wfp/dev{dev}"),
-                CaptureConfig {
-                    max_payload: 1,
-                    ..CaptureConfig::default()
-                },
-            )
-            .unwrap();
-            let session = client.session();
-            let wf = session.workflow(dev + 100);
-            wf.begin().unwrap();
-            wf.end().unwrap();
-            client.flush().unwrap();
-            client.shutdown();
-        }
-
-        assert!(
-            wait_until(Duration::from_secs(10), || store.stats().records >= 6),
-            "records: {}",
-            store.stats().records
-        );
-        // Each translator saw exactly its own device's two messages.
-        let stats = server.stats();
-        assert_eq!(stats.translator_messages, vec![2, 2, 2]);
-        assert_eq!(stats.messages_total, 6);
-        assert_eq!(stats.decode_errors, 0);
-        assert_eq!(store.workflow_ids().len(), 3);
-        server.shutdown();
-    }
-
-    #[test]
-    fn shared_translator_not_double_counted_in_stats() {
-        // One translator instance serving all three topics: the per-topic
-        // list repeats the shared counter, but the total counts the
-        // instance once.
-        let store = prov_store::shared_sharded();
-        let shared = Arc::new(Mutex::new(DfAnalyzerTranslator::new(store.clone())))
-            as Arc<Mutex<dyn crate::translator::Translator>>;
-        let topics: Vec<String> = (0..3).map(|i| format!("provlight/wfs/dev{i}")).collect();
-        let server =
-            ProvLightServer::start_parallel("127.0.0.1:0", &topics, move |_| shared.clone())
-                .unwrap();
-
-        for dev in 0..3u64 {
-            let client = ProvLightClient::connect(
-                server.broker_addr(),
-                &format!("sdev{dev}"),
-                &format!("provlight/wfs/dev{dev}"),
-                CaptureConfig {
-                    max_payload: 1,
-                    ..CaptureConfig::default()
-                },
-            )
-            .unwrap();
-            let session = client.session();
-            let wf = session.workflow(dev + 200);
-            wf.begin().unwrap();
-            wf.end().unwrap();
-            client.flush().unwrap();
-            client.shutdown();
-        }
-
-        assert!(
-            wait_until(Duration::from_secs(10), || store.stats().records >= 6),
-            "records: {}",
-            store.stats().records
-        );
-        let stats = server.stats();
-        assert_eq!(stats.translator_messages, vec![6, 6, 6]);
-        assert_eq!(stats.messages_total, 6, "shared instance counted once");
-        server.shutdown();
+        manager.shutdown();
     }
 
     #[test]
     fn shutdown_ingests_every_acknowledged_publish() {
         use mqtt_sn::{ClientConfig, QoS, UdpClient};
         const N: u64 = 200;
-        let store = prov_store::shared_sharded();
-        let translator = Arc::new(Mutex::new(DfAnalyzerTranslator::new(store.clone())));
-        let server = ProvLightServer::start("127.0.0.1:0", "provlight/#", translator).unwrap();
+        let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+        let store = manager.store().clone();
 
         let timeout = Duration::from_secs(5);
         let mut device =
-            UdpClient::connect(server.broker_addr(), ClientConfig::new("dev"), timeout).unwrap();
+            UdpClient::connect(manager.broker_addr(), ClientConfig::new("dev"), timeout).unwrap();
         let tid = device.register("provlight/wf/dev", timeout).unwrap();
         for i in 0..N {
             let record = Record::WorkflowBegin {
@@ -421,16 +296,15 @@ mod tests {
         }
         // No waiting for the store: whatever the gateway acknowledged is
         // ingested by the time shutdown returns.
-        server.shutdown();
+        manager.shutdown();
         assert_eq!(store.stats().records, N);
         assert_eq!(store.workflow_ids().len(), N as usize);
     }
 
     #[test]
     fn grouped_capture_arrives_in_batches() {
-        let store = prov_store::shared_sharded();
-        let translator = Arc::new(Mutex::new(DfAnalyzerTranslator::new(store.clone())));
-        let server = ProvLightServer::start("127.0.0.1:0", "provlight/#", translator).unwrap();
+        let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+        let store = manager.store().clone();
 
         // max_payload: 1 disables cross-group coalescing so each emitted
         // group maps to exactly one wire message.
@@ -440,7 +314,7 @@ mod tests {
             ..CaptureConfig::default()
         };
         let client = ProvLightClient::connect(
-            server.broker_addr(),
+            manager.broker_addr(),
             "device-2",
             "provlight/wf2/device-2",
             config,
@@ -464,9 +338,9 @@ mod tests {
             store.stats().records
         );
         // 8 records in groups of 4 → exactly 2 messages through the broker.
-        assert_eq!(server.broker_stats().publishes_in, 2);
-        assert_eq!(server.stats().messages_total, 2);
+        assert_eq!(manager.broker_stats().publishes_in, 2);
+        assert_eq!(manager.server_stats().messages_total, 2);
         client.shutdown();
-        server.shutdown();
+        manager.shutdown();
     }
 }

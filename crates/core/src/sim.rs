@@ -35,6 +35,8 @@ pub struct ProvLightSimConfig {
     /// Broker-side per-packet service time (reference scale; scaled by the
     /// cloud profile).
     pub broker_service: Duration,
+    /// Client send-buffer capacity in bytes; publishing blocks when full.
+    pub send_buffer: usize,
 }
 
 impl Default for ProvLightSimConfig {
@@ -42,6 +44,7 @@ impl Default for ProvLightSimConfig {
         ProvLightSimConfig {
             capture: CaptureConfig::default(),
             broker_service: calib::BROKER_PACKET_CPU,
+            send_buffer: calib::PROVLIGHT_SEND_BUFFER,
         }
     }
 }
@@ -141,19 +144,13 @@ impl SimProvLight {
         batch: &[Record],
         ctx: &mut SimCtx<'_>,
     ) -> SimTime {
-        // All the capture knobs this path reads are scalar; copy them out
-        // so the borrow does not pin `self` (CaptureConfig itself is no
-        // longer `Copy`).
-        let (binary, compression, send_buffer, max_inflight, qos) = {
-            let c = &self.cfg.capture;
-            (
-                c.binary,
-                c.compression,
-                c.send_buffer,
-                c.max_inflight,
-                c.qos,
-            )
-        };
+        // All the knobs this path reads are scalar; copy them out so the
+        // borrow does not pin `self` (CaptureConfig itself is no longer
+        // `Copy`).
+        let send_buffer = self.cfg.send_buffer;
+        let c = &self.cfg.capture;
+        let (binary, compression, max_inflight, qos) =
+            (c.binary, c.compression, c.max_inflight, c.qos);
 
         // Per-message publish CPU on the workflow thread.
         let publish_cpu = ctx
@@ -362,8 +359,10 @@ mod tests {
 
     #[test]
     fn tiny_send_buffer_causes_blocking_on_slow_links() {
-        let mut cfg = ProvLightSimConfig::default();
-        cfg.capture.send_buffer = 2048;
+        let cfg = ProvLightSimConfig {
+            send_buffer: 2048,
+            ..ProvLightSimConfig::default()
+        };
         let mut d = SimProvLight::new(cfg);
         let (o_small, base) = run(&mut d, 100, 0.5, LinkSpec::kbit25_23ms());
         let mut big = SimProvLight::paper_default();

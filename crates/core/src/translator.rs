@@ -10,18 +10,14 @@
 //!   (`prov-store`), as in the paper's E2Clab integration (§V). An
 //!   envelope's records are ingested under one write-lock acquisition, so
 //!   a reader sees the envelope whole or not at all;
-//! * [`ProvDocumentTranslator`] — accumulates a W3C PROV document;
-//! * [`JsonForwardTranslator`] — renders records as JSON lines for
-//!   forwarding to any HTTP-ingesting system (the ProvLake-style path).
+//! * [`ProvDocumentTranslator`] — accumulates a W3C PROV document (the
+//!   PROV-DM interop path).
 
-use prov_codec::json::{record_to_json, JsonStyle};
 use prov_model::{mapping, ProvDocument, Record};
 use prov_store::sharded::SharedShardedStore;
 
 /// Converts decoded records into a downstream representation.
-pub trait Translator: Send {
-    /// Translator name for logs/reports.
-    fn name(&self) -> &'static str;
+pub trait Translator {
     /// Handles one decoded message batch.
     ///
     /// The batch is passed by mutable reference and **must be left empty**
@@ -29,35 +25,23 @@ pub trait Translator: Send {
     /// one record buffer across every message — the decode-side mirror of
     /// the capture path's encode-into discipline.
     fn on_records(&mut self, records: &mut Vec<Record>);
-    /// Messages handled so far.
-    fn messages(&self) -> u64;
 }
 
 /// Translates into the DfAnalyzer-style provenance store.
 pub struct DfAnalyzerTranslator {
     store: SharedShardedStore,
-    messages: u64,
 }
 
 impl DfAnalyzerTranslator {
     /// Creates a translator feeding `store`.
     pub fn new(store: SharedShardedStore) -> Self {
-        DfAnalyzerTranslator { store, messages: 0 }
+        DfAnalyzerTranslator { store }
     }
 }
 
 impl Translator for DfAnalyzerTranslator {
-    fn name(&self) -> &'static str {
-        "dfanalyzer"
-    }
-
     fn on_records(&mut self, records: &mut Vec<Record>) {
-        self.messages += 1;
         self.store.ingest_batch(records.drain(..));
-    }
-
-    fn messages(&self) -> u64 {
-        self.messages
     }
 }
 
@@ -65,7 +49,6 @@ impl Translator for DfAnalyzerTranslator {
 #[derive(Default)]
 pub struct ProvDocumentTranslator {
     doc: ProvDocument,
-    messages: u64,
 }
 
 impl ProvDocumentTranslator {
@@ -81,62 +64,12 @@ impl ProvDocumentTranslator {
 }
 
 impl Translator for ProvDocumentTranslator {
-    fn name(&self) -> &'static str {
-        "prov-dm"
-    }
-
     fn on_records(&mut self, records: &mut Vec<Record>) {
-        self.messages += 1;
         for r in records.drain(..) {
             // Records from a well-formed client always map; ignore
             // inconsistent ones rather than poisoning the stream.
             let _ = mapping::apply_record(&mut self.doc, &r);
         }
-    }
-
-    fn messages(&self) -> u64 {
-        self.messages
-    }
-}
-
-/// Renders records as JSON lines (one per record) for forwarding.
-pub struct JsonForwardTranslator {
-    style: JsonStyle,
-    lines: Vec<String>,
-    messages: u64,
-}
-
-impl JsonForwardTranslator {
-    /// Creates a JSON translator with the given style.
-    pub fn new(style: JsonStyle) -> Self {
-        JsonForwardTranslator {
-            style,
-            lines: Vec::new(),
-            messages: 0,
-        }
-    }
-
-    /// The rendered lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-}
-
-impl Translator for JsonForwardTranslator {
-    fn name(&self) -> &'static str {
-        "json-forward"
-    }
-
-    fn on_records(&mut self, records: &mut Vec<Record>) {
-        self.messages += 1;
-        for r in records.drain(..) {
-            self.lines
-                .push(record_to_json(&r, self.style).to_string_compact());
-        }
-    }
-
-    fn messages(&self) -> u64 {
-        self.messages
     }
 }
 
@@ -165,7 +98,6 @@ mod tests {
         let mut batch = records();
         t.on_records(&mut batch);
         assert!(batch.is_empty(), "translator must drain the batch");
-        assert_eq!(t.messages(), 1);
         assert_eq!(store.stats().records, 2);
         let guard = store.read(&Id::Num(1));
         let wf = guard.workflow(&Id::Num(1)).unwrap();
@@ -179,13 +111,5 @@ mod tests {
         t.on_records(&mut records());
         assert_eq!(t.document().element_count(), 1);
         t.document().validate().unwrap();
-    }
-
-    #[test]
-    fn json_translator_renders_lines() {
-        let mut t = JsonForwardTranslator::new(JsonStyle::Compact);
-        t.on_records(&mut records());
-        assert_eq!(t.lines().len(), 2);
-        assert!(t.lines()[0].contains("workflow_begin"));
     }
 }

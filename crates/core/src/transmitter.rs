@@ -34,8 +34,8 @@
 //! resumes — topic re-registration, DUP retransmission of in-flight
 //! publishes — and the buffer replays in original order. [`TransmitterStats`]
 //! surfaces the whole story (reconnects, buffered high-water mark, drops,
-//! publish failures), mirroring `ProvLightServer::stats()` on the capture
-//! side.
+//! publish failures), mirroring `ProvenanceManager::server_stats()` on the
+//! capture side.
 
 use crate::api::CaptureError;
 use crate::config::CaptureConfig;
@@ -107,7 +107,7 @@ const SOFT_PACE: Duration = Duration::from_millis(5);
 const HARD_PACE: Duration = Duration::from_millis(50);
 
 /// Capture-side transport statistics — the client mirror of
-/// `ProvLightServer::stats()`.
+/// `ProvenanceManager::server_stats()`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransmitterStats {
     /// Whether the transmitter currently believes the broker is reachable.

@@ -34,14 +34,12 @@ pub mod rank {
     /// Queue of a gateway-local subscription (`mqtt-sn::local`): pushed
     /// under a broker lock, popped by its consumer with no other lock held.
     pub const INBOX: u32 = 2;
-    /// Server-side translator (`core::server`, `continuum`).
-    pub const TRANSLATOR: u32 = 3;
     /// The provenance store's one lock (`prov_store::ShardedStore`).
-    pub const STORE: u32 = 4;
+    pub const STORE: u32 = 3;
     /// Capture-side record grouper (`core::client`).
-    pub const GROUPER: u32 = 5;
+    pub const GROUPER: u32 = 4;
     /// Transmitter batch pool (`core::transmitter`).
-    pub const POOL: u32 = 6;
+    pub const POOL: u32 = 5;
 }
 
 #[cfg(debug_assertions)]

@@ -94,7 +94,6 @@ fn four_devices_capture_in_parallel() {
     // translator handled exactly the broker's delivered publishes.
     let server = manager.server_stats();
     assert_eq!(server.decode_errors, 0);
-    assert_eq!(server.translator_messages.len(), 1);
     assert_eq!(server.messages_total, stats.publishes_in);
     // Publishers never subscribe, so nothing can be parked for delivery.
     assert_eq!(server.broker_backlog, 0);

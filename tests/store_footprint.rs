@@ -367,7 +367,7 @@ fn decoding_an_envelope_holds_heap_linear_in_its_length() {
     };
 
     // Honest envelopes are nowhere near it: a group of wide records holds
-    // what its rows hold — 48 B for a cell that took 8 on the wire — plus
+    // what its rows hold — 48 B for a cell that took 7 on the wire — plus
     // the decompressed batch.
     let wide: Vec<Record> = (0..25).flat_map(task_records_wide).collect();
     let raw_len = Envelope::encoded_len(&wide, false);
