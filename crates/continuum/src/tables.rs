@@ -344,10 +344,10 @@ pub fn ablation(reps: usize) -> Vec<(String, crate::experiment::ScenarioResult)>
     let base = ProvLightSimConfig::default();
 
     let mut no_compression = base.clone();
-    no_compression.capture.compression = false;
+    no_compression.compression = false;
 
     let mut json_model = base.clone();
-    json_model.capture.binary = false;
+    json_model.binary = false;
 
     let mut qos0 = base.clone();
     qos0.capture.qos = QoS::AtMostOnce;
@@ -410,19 +410,17 @@ pub fn ablation(reps: usize) -> Vec<(String, crate::experiment::ScenarioResult)>
     rows
 }
 
-/// One backpressure counter under both overload arms.
+/// One backpressure counter of the overload run.
 #[derive(Clone, Debug)]
 pub struct ResilienceRow {
     /// Counter name.
     pub label: &'static str,
-    /// Value with congestion signaling + client backpressure enabled.
-    pub signaling_on: u64,
-    /// Value with signaling disabled (buffer-then-drop ablation).
-    pub signaling_off: u64,
+    /// Counter value.
+    pub value: u64,
 }
 
-/// The resilience extension's counter table (no paper analogue): the same
-/// overload run twice, with end-to-end backpressure on and off.
+/// The resilience extension's counter table (no paper analogue): one
+/// overload run with end-to-end backpressure.
 #[derive(Clone, Debug)]
 pub struct ResilienceResult {
     /// Rows in presentation order.
@@ -433,7 +431,7 @@ impl ResilienceResult {
     /// Renders the table as aligned text (the bench harness output).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("== Resilience — overload counters, signaling on vs off\n");
+        out.push_str("== Resilience — overload counters\n");
         let w = self
             .rows
             .iter()
@@ -441,21 +439,9 @@ impl ResilienceResult {
             .max()
             .unwrap_or(10)
             .max(10);
-        out.push_str(&format!(
-            "{:w$}  {:>12}  {:>12}\n",
-            "counter",
-            "signaling on",
-            "signaling off",
-            w = w
-        ));
+        out.push_str(&format!("{:w$}  {:>12}\n", "counter", "value", w = w));
         for r in &self.rows {
-            out.push_str(&format!(
-                "{:w$}  {:>12}  {:>12}\n",
-                r.label,
-                r.signaling_on,
-                r.signaling_off,
-                w = w
-            ));
+            out.push_str(&format!("{:w$}  {:>12}\n", r.label, r.value, w = w));
         }
         out
     }
@@ -466,23 +452,13 @@ impl ResilienceResult {
     }
 }
 
-/// Counters from one overload arm.
-struct OverloadCounters {
-    published: u64,
-    broker_drops: u64,
-    client_drops: u64,
-    records_shed: u64,
-    congestion_rejects: u64,
-    advisories_sent: u64,
-    congestion_signals: u64,
-    paced_sends: u64,
-    backlog_high_water: u64,
-}
-
-/// One overload arm over real UDP: a durable QoS 2 subscriber goes away,
-/// a publisher keeps capturing past the broker's congestion watermarks,
-/// then the subscriber returns and everything drains.
-fn overload_counters(signal: bool) -> OverloadCounters {
+/// The resilience counter table: the overload experiment over real UDP
+/// with end-to-end backpressure. A durable QoS 2 subscriber goes away, a
+/// publisher keeps capturing past the broker's congestion watermarks, then
+/// the subscriber returns and everything drains. The broker rejects past
+/// the hard watermark and the publisher paces — nothing is dropped
+/// anywhere.
+pub fn resilience() -> ResilienceResult {
     use mqtt_sn::broker::BrokerConfig;
     use mqtt_sn::net::{UdpBroker, UdpClient};
     use mqtt_sn::{ClientConfig, QoS};
@@ -510,17 +486,14 @@ fn overload_counters(signal: bool) -> OverloadCounters {
             max_buffered: 8,
             congestion_soft: 3,
             congestion_hard: 6,
-            signal_congestion: signal,
             ..BrokerConfig::default()
         },
     )
     .expect("broker");
     let addr = broker.local_addr();
 
-    let tag = if signal { "on" } else { "off" };
-    let sub_id = format!("resilience-sub-{tag}");
     {
-        let mut config = ClientConfig::new(sub_id.clone());
+        let mut config = ClientConfig::new("resilience-sub");
         config.clean_session = false;
         let mut sub = UdpClient::connect(addr, config, Duration::from_secs(5)).expect("sub");
         sub.subscribe("provlight/#", QoS::ExactlyOnce, Duration::from_secs(5))
@@ -530,8 +503,8 @@ fn overload_counters(signal: bool) -> OverloadCounters {
 
     let client = ProvLightClient::connect(
         addr,
-        &format!("resilience-pub-{tag}"),
-        &format!("provlight/resilience-{tag}/pub"),
+        "resilience-pub",
+        "provlight/resilience/pub",
         CaptureConfig {
             group: GroupPolicy::Immediate,
             qos: QoS::ExactlyOnce,
@@ -540,7 +513,6 @@ fn overload_counters(signal: bool) -> OverloadCounters {
             keep_alive: Duration::from_millis(200),
             retry_timeout: Duration::from_millis(300),
             max_retries: 20,
-            backpressure: signal,
             ..CaptureConfig::default()
         },
     )
@@ -555,25 +527,20 @@ fn overload_counters(signal: bool) -> OverloadCounters {
     }
     let published = 1 + tasks;
 
-    if signal {
-        // Soft-advisory pacing alone slows the publisher below the
-        // backlog's growth into the hard watermark, so explicitly wait for
-        // the first hard reject (and the parked overflow) before letting
-        // the subscriber return.
-        wait_until(Duration::from_secs(15), &mut || {
-            broker.stats().congestion_rejects > 0
-                && client.stats().buffered_records >= published / 2
-        });
-    } else {
-        client.flush().expect("ablation flush");
-    }
+    // Soft-advisory pacing alone slows the publisher below the backlog's
+    // growth into the hard watermark, so explicitly wait for the first
+    // hard reject (and the parked overflow) before letting the subscriber
+    // return.
+    wait_until(Duration::from_secs(15), &mut || {
+        broker.stats().congestion_rejects > 0 && client.stats().buffered_records >= published / 2
+    });
 
     // The subscriber returns (same durable session) and drains the
-    // backlog so the flush below can complete in both arms.
+    // backlog so the flush below can complete.
     let stop = Arc::new(AtomicBool::new(false));
     let pump = {
         let stop = Arc::clone(&stop);
-        let mut config = ClientConfig::new(sub_id);
+        let mut config = ClientConfig::new("resilience-sub");
         config.clean_session = false;
         let mut sub = UdpClient::connect(addr, config, Duration::from_secs(5)).expect("resume");
         std::thread::spawn(move || {
@@ -597,74 +564,20 @@ fn overload_counters(signal: bool) -> OverloadCounters {
     pump.join().expect("pump thread");
     client.shutdown();
     broker.shutdown();
-    OverloadCounters {
-        published,
-        broker_drops: b.drops,
-        client_drops: c.records_dropped,
-        records_shed: c.records_shed,
-        congestion_rejects: b.congestion_rejects,
-        advisories_sent: b.advisories_sent,
-        congestion_signals: c.congestion_signals,
-        paced_sends: c.paced_sends,
-        backlog_high_water: b.backlog_high_water,
-    }
-}
-
-/// The resilience counter table: the overload experiment with end-to-end
-/// backpressure on vs. off. With signaling on, the broker rejects past the
-/// hard watermark and the publisher paces — nothing is dropped anywhere;
-/// with signaling off, the broker quietly sheds its oldest buffered
-/// messages (exactly accounted in its drop counter).
-pub fn resilience() -> ResilienceResult {
-    let on = overload_counters(true);
-    let off = overload_counters(false);
-    let rows = vec![
-        ResilienceRow {
-            label: "records published",
-            signaling_on: on.published,
-            signaling_off: off.published,
-        },
-        ResilienceRow {
-            label: "broker drops",
-            signaling_on: on.broker_drops,
-            signaling_off: off.broker_drops,
-        },
-        ResilienceRow {
-            label: "client drops",
-            signaling_on: on.client_drops,
-            signaling_off: off.client_drops,
-        },
-        ResilienceRow {
-            label: "records shed",
-            signaling_on: on.records_shed,
-            signaling_off: off.records_shed,
-        },
-        ResilienceRow {
-            label: "congestion rejects",
-            signaling_on: on.congestion_rejects,
-            signaling_off: off.congestion_rejects,
-        },
-        ResilienceRow {
-            label: "advisories sent",
-            signaling_on: on.advisories_sent,
-            signaling_off: off.advisories_sent,
-        },
-        ResilienceRow {
-            label: "congestion signals",
-            signaling_on: on.congestion_signals,
-            signaling_off: off.congestion_signals,
-        },
-        ResilienceRow {
-            label: "paced sends",
-            signaling_on: on.paced_sends,
-            signaling_off: off.paced_sends,
-        },
-        ResilienceRow {
-            label: "backlog high water",
-            signaling_on: on.backlog_high_water,
-            signaling_off: off.backlog_high_water,
-        },
-    ];
+    let rows = [
+        ("records published", published),
+        ("broker drops", b.drops),
+        ("client drops", c.records_dropped),
+        ("records shed", c.records_shed),
+        ("congestion rejects", b.congestion_rejects),
+        ("advisories sent", b.advisories_sent),
+        ("congestion signals", c.congestion_signals),
+        ("paced sends", c.paced_sends),
+        ("backlog high water", b.backlog_high_water),
+    ]
+    .into_iter()
+    .map(|(label, value)| ResilienceRow { label, value })
+    .collect();
     ResilienceResult { rows }
 }
 
@@ -750,28 +663,15 @@ mod tests {
     #[test]
     fn resilience_counters_show_backpressure_win() {
         let r = resilience();
-        let row = |label: &str| r.row(label).unwrap();
-        // With signaling on: no loss anywhere, and the control loop
-        // visibly engaged (rejects at the broker, signals at the client).
-        assert_eq!(row("broker drops").signaling_on, 0, "{r:?}");
-        assert_eq!(row("client drops").signaling_on, 0, "{r:?}");
-        assert!(row("congestion rejects").signaling_on > 0, "{r:?}");
-        assert!(row("congestion signals").signaling_on > 0, "{r:?}");
-        // With signaling off: the broker quietly drops past the cap and
-        // never rejects or advises.
-        assert!(row("broker drops").signaling_off > 0, "{r:?}");
-        assert_eq!(row("congestion rejects").signaling_off, 0, "{r:?}");
-        assert_eq!(row("advisories sent").signaling_off, 0, "{r:?}");
-        // Exact accounting in the ablation arm: the away session's cap is
-        // 8, so exactly published − 8 oldest messages are dropped.
-        assert_eq!(row("client drops").signaling_off, 0, "{r:?}");
-        assert_eq!(
-            row("broker drops").signaling_off,
-            row("records published").signaling_off - 8,
-            "buffer-then-drop must shed exactly past the session cap: {r:?}"
-        );
+        let value = |label: &str| r.row(label).unwrap().value;
+        // No loss anywhere, and the control loop visibly engaged (rejects
+        // at the broker, signals at the client).
+        assert_eq!(value("broker drops"), 0, "{r:?}");
+        assert_eq!(value("client drops"), 0, "{r:?}");
+        assert!(value("congestion rejects") > 0, "{r:?}");
+        assert!(value("congestion signals") > 0, "{r:?}");
         let text = r.render();
-        assert!(text.contains("signaling on"));
+        assert!(text.contains("overload counters"));
         assert!(text.contains("broker drops"));
     }
 

@@ -67,17 +67,6 @@ impl Eq for LinkFault {}
 /// owns a path. Clone it where the old code copied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaptureConfig {
-    /// Compress payloads before transmission (paper Table VI client-side
-    /// feature; §VII-A measures the cost at ≈1 ms / 100 attributes).
-    pub compression: bool,
-    /// Use the compact binary representation. `false` switches to JSON —
-    /// the ablation for the paper's "simplified data model" claim
-    /// (§VII-A: the model accounts for ≈1.7 pp capture-time and ≈1.4 pp
-    /// CPU reduction). The server decodes both forms. JSON carries every
-    /// number as an `f64`: a timestamp is exact below 2^53 ns (a logical
-    /// clock; wall-clock nanoseconds since the epoch round to 256 ns), and
-    /// a whole-valued float attribute comes back as an integer.
-    pub binary: bool,
     /// Grouping policy.
     pub group: GroupPolicy,
     /// Publish QoS. The paper uses QoS 2 (exactly once).
@@ -130,12 +119,6 @@ pub struct CaptureConfig {
     /// WAL segment rotation size (smaller segments ⇒ finer-grained
     /// eviction and reclamation, more files).
     pub spill_segment_bytes: usize,
-    /// Respond to broker congestion signals (the advisory packet and
-    /// `Congestion` PUBACK codes) with adaptive pacing, deeper coalescing,
-    /// and low-priority shedding. `false` ignores the signals and restores
-    /// the pre-backpressure buffer-then-drop behaviour — the ablation arm
-    /// of the overload experiment.
-    pub backpressure: bool,
     /// Disk fault-injection hook for the spill WAL (chaos testing only);
     /// `None` in production.
     pub spill_fault: Option<SpillFault>,
@@ -165,8 +148,6 @@ pub const DEFAULT_SPILL_SEGMENT_BYTES: usize = 1024 * 1024;
 impl Default for CaptureConfig {
     fn default() -> Self {
         CaptureConfig {
-            compression: true,
-            binary: true,
             group: GroupPolicy::Immediate,
             qos: QoS::ExactlyOnce,
             max_inflight: 256,
@@ -181,7 +162,6 @@ impl Default for CaptureConfig {
             spill_dir: None,
             spill_max_bytes: DEFAULT_SPILL_MAX_BYTES,
             spill_segment_bytes: DEFAULT_SPILL_SEGMENT_BYTES,
-            backpressure: true,
             spill_fault: None,
             datagram_fault: None,
         }
@@ -195,8 +175,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_configuration() {
         let c = CaptureConfig::default();
-        assert!(c.compression);
-        assert!(c.binary);
         assert_eq!(c.qos, QoS::ExactlyOnce);
         assert_eq!(c.group, GroupPolicy::Immediate);
     }

@@ -12,7 +12,6 @@ use crate::translator::{DfAnalyzerTranslator, Translator};
 use mqtt_sn::net::{NetError, UdpBroker};
 use mqtt_sn::{BrokerConfig, LocalMessage, LocalSubscription};
 use prov_codec::frame::Envelope;
-use prov_codec::json::records_from_json;
 use prov_model::Record;
 use prov_store::sharded::{shared_sharded, SharedShardedStore};
 use std::net::SocketAddr;
@@ -143,20 +142,10 @@ impl Drop for ProvenanceManager {
     }
 }
 
-/// Decodes one published payload into `records` (cleared first), in either
-/// form the transmitter emits: an envelope, or — `CaptureConfig::binary`
-/// off — a compact JSON array, whose `[` is never the envelope's magic.
+/// Decodes one published payload, the envelope the transmitter emits, into
+/// `records`. Anything else is refused.
 fn decode_payload(payload: &[u8], records: &mut Vec<Record>) -> bool {
-    if payload.first() != Some(&b'[') {
-        return Envelope::decode_into(payload, records).is_ok();
-    }
-    records.clear();
-    let text = std::str::from_utf8(payload).ok();
-    let Some(parsed) = text.and_then(|text| records_from_json(text).ok()) else {
-        return false;
-    };
-    records.extend(parsed);
-    true
+    Envelope::decode_into(payload, records).is_ok()
 }
 
 /// The translator loop: block on the gateway's queue, take everything
@@ -206,25 +195,27 @@ mod tests {
     }
 
     #[test]
-    fn decode_payload_takes_both_forms_and_survives_hostile_nesting() {
+    fn decode_payload_takes_envelopes_and_refuses_the_rest() {
         let sent = vec![Record::WorkflowBegin {
             workflow: Id::Num(1),
             time_ns: 42,
         }];
         let mut records = Vec::new();
-
-        let json = prov_codec::json::records_to_json(&sent, prov_codec::json::JsonStyle::Compact);
-        assert!(decode_payload(json.as_bytes(), &mut records));
+        assert!(decode_payload(&Envelope::encode(&sent, true), &mut records));
         assert_eq!(records, sent);
 
-        // A bare object is not a form the transmitter emits; 60 000 openers
-        // (one datagram) are an error, not a stack overflow on the
-        // translator thread.
-        for hostile in [&b"{}"[..], &b"[{]"[..], &[b'['; 60_000][..]] {
-            assert!(!decode_payload(hostile, &mut records));
+        // JSON is no form the transmitter emits, well formed or not; 60 000
+        // openers (one datagram) are an error like any other.
+        let json = prov_codec::json::records_to_json(&sent, prov_codec::json::JsonStyle::Compact);
+        for refused in [
+            json.as_bytes(),
+            &b"[]"[..],
+            &b"{}"[..],
+            &b"[{]"[..],
+            &[b'['; 60_000][..],
+        ] {
+            assert!(!decode_payload(refused, &mut records));
         }
-        assert!(decode_payload(b"[]", &mut records));
-        assert!(records.is_empty());
     }
 
     #[test]

@@ -30,8 +30,17 @@ use std::time::Duration;
 /// (`Clone`-only since [`CaptureConfig`] grew an owned spill path.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProvLightSimConfig {
-    /// Capture pipeline options (grouping, compression, binary, QoS).
+    /// Capture pipeline options (grouping, QoS, in-flight window).
     pub capture: CaptureConfig,
+    /// Model the compact binary representation. `false` models JSON
+    /// instead — the ablation for the paper's "simplified data model"
+    /// claim (§VII-A: the model accounts for ≈1.7 pp capture-time and
+    /// ≈1.4 pp CPU reduction). A real device always sends binary.
+    pub binary: bool,
+    /// Model payload compression (paper Table VI client-side feature;
+    /// §VII-A measures the cost at ≈1 ms / 100 attributes). A real device
+    /// always compresses when that shrinks the payload.
+    pub compression: bool,
     /// Broker-side per-packet service time (reference scale; scaled by the
     /// cloud profile).
     pub broker_service: Duration,
@@ -43,6 +52,8 @@ impl Default for ProvLightSimConfig {
     fn default() -> Self {
         ProvLightSimConfig {
             capture: CaptureConfig::default(),
+            binary: true,
+            compression: true,
             broker_service: calib::BROKER_PACKET_CPU,
             send_buffer: calib::PROVLIGHT_SEND_BUFFER,
         }
@@ -147,10 +158,9 @@ impl SimProvLight {
         // All the knobs this path reads are scalar; copy them out so the
         // borrow does not pin `self` (CaptureConfig itself is no longer
         // `Copy`).
-        let send_buffer = self.cfg.send_buffer;
-        let c = &self.cfg.capture;
-        let (binary, compression, max_inflight, qos) =
-            (c.binary, c.compression, c.max_inflight, c.qos);
+        let (send_buffer, binary, compression) =
+            (self.cfg.send_buffer, self.cfg.binary, self.cfg.compression);
+        let (max_inflight, qos) = (self.cfg.capture.max_inflight, self.cfg.capture.qos);
 
         // Per-message publish CPU on the workflow thread.
         let publish_cpu = ctx
@@ -240,8 +250,8 @@ impl CaptureDriver for SimProvLight {
 
         // Per-record serialization (+ compression) CPU; JSON ablation uses
         // the heavier baseline serializer cost.
-        let ref_cost = if self.cfg.capture.binary {
-            calib::provlight_record_cpu(attrs, self.cfg.capture.compression)
+        let ref_cost = if self.cfg.binary {
+            calib::provlight_record_cpu(attrs, self.cfg.compression)
         } else {
             calib::provlake_record_cpu(attrs) + calib::PROVLIGHT_SERIALIZE_BASE
         };
@@ -377,9 +387,10 @@ mod tests {
 
     #[test]
     fn json_ablation_costs_more_cpu_and_bytes() {
-        let mut cfg = ProvLightSimConfig::default();
-        cfg.capture.binary = false;
-        let mut json = SimProvLight::new(cfg);
+        let mut json = SimProvLight::new(ProvLightSimConfig {
+            binary: false,
+            ..ProvLightSimConfig::default()
+        });
         let (oj, base) = run(&mut json, 100, 0.5, LinkSpec::gigabit_23ms());
         let mut bin = SimProvLight::paper_default();
         let (ob, _) = run(&mut bin, 100, 0.5, LinkSpec::gigabit_23ms());

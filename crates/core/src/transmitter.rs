@@ -44,7 +44,6 @@ use mqtt_sn::net::{entropy_seed, jitter_backoff, UdpClient};
 use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, ReturnCode};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
-use prov_codec::json::{records_to_json, JsonStyle};
 use prov_model::Record;
 use prov_wal::{Wal, WalConfig};
 use rand::{rngs::StdRng, SeedableRng};
@@ -71,8 +70,8 @@ type BatchPool = Arc<Mutex<Vec<Vec<Record>>>>;
 /// Hard ceiling (in `Record::approx_size` bytes) on one coalesced envelope,
 /// regardless of `max_payload`: approx bytes comfortably over-estimate wire
 /// bytes, so staying under this keeps the datagram below the 65507-byte UDP
-/// limit even before compression. A single batch larger than this is never
-/// split — that case existed before coalescing and fails the same way.
+/// limit even before compression. A single batch larger than this is not
+/// split here; [`send_records`] splits it if its envelope is too large.
 const MAX_COALESCE_BYTES: usize = 60_000;
 
 /// Upper bound on pooled batch buffers.
@@ -140,9 +139,7 @@ pub struct TransmitterStats {
     /// unrecoverable corruption). A subset of `records_dropped`.
     pub wal_drops: u64,
     /// Congestion signals received from the broker: CONGESTION advisories
-    /// plus PUBACK `Congestion` rejections. Counted even with
-    /// [`CaptureConfig::backpressure`] off (the ablation arm observes
-    /// without reacting).
+    /// plus PUBACK `Congestion` rejections.
     pub congestion_signals: u64,
     /// Envelopes the adaptive pacing window deferred to the buffer instead
     /// of putting on the wire while the broker reported congestion.
@@ -713,7 +710,7 @@ struct Link {
     rng: StdRng,
     stats: Arc<StatsCell>,
     /// Latest broker-advertised congestion level (0 clear / 1 soft /
-    /// 2 hard). Stays 0 when [`CaptureConfig::backpressure`] is off.
+    /// 2 hard).
     congestion_level: u8,
     /// No envelope leaves before this instant while congested — the
     /// adaptive pacing window. New sends queue behind the buffer instead,
@@ -750,16 +747,12 @@ impl Link {
         }
     }
 
-    /// Folds a broker congestion signal into the pacing state. Signals are
-    /// always *counted*; they only change behaviour when
-    /// [`CaptureConfig::backpressure`] is on.
+    /// Counts a broker congestion signal and folds it into the pacing
+    /// state.
     fn note_congestion(&mut self, level: u8) {
         self.stats
             .congestion_signals
             .fetch_add(1, Ordering::Relaxed);
-        if !self.config.backpressure {
-            return;
-        }
         self.congestion_level = level;
         if level == 0 {
             self.pace_until = Instant::now();
@@ -791,9 +784,7 @@ impl Link {
     /// cap is hit. End-edge records — task completion and outputs, the part
     /// an operator cannot re-derive — always keep their place in the queue.
     fn shedding(&self) -> bool {
-        self.config.backpressure
-            && self.congestion_level >= 2
-            && self.buffer.records() >= self.config.buffer_max_records / 2
+        self.congestion_level >= 2 && self.buffer.records() >= self.config.buffer_max_records / 2
     }
 
     fn mark_disconnected(&mut self) {
@@ -861,12 +852,6 @@ impl Link {
                         // re-register for it.
                         self.note_congestion(2);
                         self.arm_pace();
-                        if !self.config.backpressure {
-                            // Ablation arm: keep the legacy accounting
-                            // (every rejection is a publish failure) while
-                            // the signal itself is ignored.
-                            self.stats.publish_failures.fetch_add(1, Ordering::Relaxed);
-                        }
                     } else {
                         // Broker lost our registration (e.g. restarted
                         // without persistence): recover via
@@ -1177,9 +1162,10 @@ impl Link {
 
 /// Encodes `records` into one envelope (payload buffer recycled from the
 /// client when possible) and hands it to the link. If the encoded form
-/// exceeds the datagram limit — possible on the JSON path, whose output is
-/// not bounded by the approx-size estimate the coalescer uses — the records
-/// are split in half and sent as separate envelopes.
+/// exceeds the datagram limit, the records are split in half and sent as
+/// separate envelopes: the coalescer bounds only what it merges and never
+/// splits one queued batch, so a large group of incompressible values can
+/// still arrive here whole.
 fn send_records(link: &mut Link, records: &[Record]) {
     // lint: zero-alloc-begin
     if records.is_empty() {
@@ -1187,11 +1173,7 @@ fn send_records(link: &mut Link, records: &[Record]) {
     }
     let mut payload = link.client.take_spare_payload().unwrap_or_default();
     payload.clear();
-    if link.config.binary {
-        Envelope::encode_into(records, link.config.compression, &mut payload);
-    } else {
-        payload.extend_from_slice(records_to_json(records, JsonStyle::Compact).as_bytes());
-    }
+    Envelope::encode_into(records, true, &mut payload);
     if payload.len() > MAX_DATAGRAM_PAYLOAD {
         link.client.reclaim_payload(payload);
         if records.len() > 1 {
@@ -1386,6 +1368,7 @@ mod tests {
     use mqtt_sn::packet::frames;
     use mqtt_sn::{DatagramFate, DatagramFault, FaultDir, LocalSubscription, Packet};
     use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
+    use rand::Rng;
 
     fn record(i: u64, attrs: usize) -> Record {
         let mut d = DataRecord::new(i, 1u64);
@@ -1486,37 +1469,36 @@ mod tests {
         broker.shutdown();
     }
 
-    /// JSON encoding is not bounded by the coalescer's approx-size estimate;
-    /// an envelope whose JSON form exceeds the UDP datagram limit must be
-    /// split rather than killing the transmitter with a failed send.
+    /// The coalescer never splits one queued batch, so a batch of values
+    /// LZSS cannot shrink can encode past the UDP datagram limit. It must
+    /// be split rather than killing the transmitter with a failed send.
     #[test]
     fn oversized_json_envelope_is_split_not_dropped() {
         let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let config = CaptureConfig {
-            binary: false,
-            ..CaptureConfig::default()
-        };
-        // One un-splittable batch whose compact JSON is far over 65 KB
-        // (large ints are 8 approx bytes but ~20 JSON chars each).
+        let config = CaptureConfig::default();
+        // One un-splittable batch of pseudo-random floats (7 B each on the
+        // wire, incompressible) whose envelope is over 65 KB.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
         let batch: Vec<Record> = (0..250)
             .map(|i| {
-                let mut d = DataRecord::new(u64::MAX - i, 1u64);
-                for a in 0..20 {
-                    d = d.with_attr(format!("attribute_{a}"), i64::MAX - a as i64);
+                let mut d = DataRecord::new(i, 1u64);
+                for a in 0..40 {
+                    d = d.with_attr(format!("attribute_{a}"), rng.gen::<f64>());
                 }
                 Record::TaskEnd {
                     task: TaskRecord {
-                        id: Id::Num(u64::MAX - i),
+                        id: Id::Num(i),
                         workflow: Id::Num(1),
                         transformation: Id::Num(0),
                         dependencies: vec![],
-                        time_ns: u64::MAX,
+                        time_ns: i,
                         status: TaskStatus::Finished,
                     },
                     outputs: vec![d],
                 }
             })
             .collect();
+        assert!(Envelope::encoded_len(&batch, true) > 65_000);
 
         let (tx, rx) = bounded::<Cmd>(16);
         tx.send(Cmd::Publish(batch)).unwrap();
@@ -1525,8 +1507,8 @@ mod tests {
 
         let (handle, _) = spawn_loop(
             broker.local_addr(),
-            "jsonbig",
-            "provlight/test/jsonbig",
+            "bigbatch",
+            "provlight/test/bigbatch",
             config,
             rx,
             Arc::new(Mutex::new(Vec::new())),
@@ -1549,10 +1531,10 @@ mod tests {
     #[test]
     fn unsendable_single_record_is_dropped_not_fatal() {
         let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let config = CaptureConfig {
-            compression: false,
-            ..CaptureConfig::default()
-        };
+        let config = CaptureConfig::default();
+        // Pseudo-random bytes: LZSS cannot bring them under the limit.
+        let mut rng = StdRng::seed_from_u64(0xab);
+        let digest: Vec<u8> = (0..80_000).map(|_| rng.gen::<u8>()).collect();
         let monster = Record::TaskEnd {
             task: TaskRecord {
                 id: Id::Num(1),
@@ -1563,8 +1545,9 @@ mod tests {
                 status: TaskStatus::Finished,
             },
             outputs: vec![DataRecord::new(1u64, 1u64)
-                .with_attr("digest", prov_model::AttrValue::Bytes(vec![0xAB; 80_000]))],
+                .with_attr("digest", prov_model::AttrValue::Bytes(digest))],
         };
+        assert!(Envelope::encoded_len(std::slice::from_ref(&monster), true) > 65_000);
 
         let (tx, rx) = bounded::<Cmd>(16);
         tx.send(Cmd::PublishOne(monster)).unwrap();
@@ -1999,79 +1982,6 @@ mod tests {
         assert!(!link.paced());
         assert!(!link.shedding());
         assert_eq!(link.stats.congestion_signals.load(Ordering::Relaxed), 3);
-        broker.shutdown();
-    }
-
-    #[test]
-    fn backpressure_off_counts_signals_without_reacting() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let config = CaptureConfig {
-            backpressure: false,
-            ..CaptureConfig::default()
-        };
-        let mut link = test_link(&broker, "ablation", config);
-        link.note_congestion(2);
-        link.arm_pace();
-        link.buffer.push_back(vec![0u8; 4], 1);
-        assert_eq!(link.congestion_level, 0, "the ablation arm never reacts");
-        assert!(!link.paced());
-        assert!(!link.shedding());
-        assert_eq!(
-            link.stats.congestion_signals.load(Ordering::Relaxed),
-            1,
-            "but the signal is still observable"
-        );
-        broker.shutdown();
-    }
-
-    #[test]
-    fn ablation_counts_congestion_rejection_as_publish_failure() {
-        // A zero hard-congestion threshold makes the broker reject every
-        // QoS >= 1 publish with `ReturnCode::Congestion`.
-        let broker = UdpBroker::spawn(
-            "127.0.0.1:0",
-            BrokerConfig {
-                congestion_soft: 0,
-                congestion_hard: 0,
-                ..BrokerConfig::default()
-            },
-        )
-        .unwrap();
-        let config = CaptureConfig {
-            backpressure: false,
-            ..CaptureConfig::default()
-        };
-        let mut client = UdpClient::connect(
-            broker.local_addr(),
-            ClientConfig::new("ablation-reject"),
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        let topic = "provlight/test/reject";
-        let topic_id = client.register(topic, Duration::from_secs(5)).unwrap();
-        let buffer = SpillBuffer::new(&config).unwrap();
-        let mut link = Link::new(
-            client,
-            topic.into(),
-            topic_id,
-            config,
-            buffer,
-            Arc::new(StatsCell::default()),
-        );
-
-        assert!(link.send_payload(vec![0u8; 4], 1, false));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while link.stats.publish_failures.load(Ordering::Relaxed) == 0 && Instant::now() < deadline
-        {
-            let _ = link.client.pump();
-            link.absorb_events();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(
-            link.stats.publish_failures.load(Ordering::Relaxed),
-            1,
-            "ablation arm counts the congestion rejection as a publish failure"
-        );
         broker.shutdown();
     }
 

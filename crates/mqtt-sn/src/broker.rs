@@ -48,8 +48,13 @@ pub struct BrokerConfig {
     /// Maximum retransmissions before dropping an outbound message.
     pub max_retries: u32,
     /// Per-session cap on messages buffered while the subscriber is asleep
-    /// or away (durable session); the oldest message is dropped — and
-    /// counted in [`BrokerStats::drops`] — when the cap is exceeded.
+    /// or away (durable session). At the cap a new message evicts the
+    /// oldest one buffered for delivery at QoS 0, or is itself dropped
+    /// when there is none; either way one drop is counted in
+    /// [`BrokerStats::drops`]. A session at the cap trips the hard
+    /// congestion level, which refuses QoS ≥ 1 publishes before their ack,
+    /// so what arrives there is QoS 0 and a message owed at QoS 1/2 is
+    /// never evicted.
     pub max_buffered: usize,
     /// Broker-wide backlog (buffered + unacknowledged outbound messages,
     /// summed over every session) at which the broker advertises *soft*
@@ -58,15 +63,11 @@ pub struct BrokerConfig {
     pub congestion_soft: usize,
     /// Broker-wide backlog at which congestion turns *hard*: QoS ≥ 1
     /// publishes are rejected with [`ReturnCode::Congestion`] (counted in
-    /// [`BrokerStats::congestion_rejects`]) instead of buffered toward the
-    /// per-session drop cap. A single session reaching
-    /// [`BrokerConfig::max_buffered`] also trips this level.
+    /// [`BrokerStats::congestion_rejects`]) before they are acknowledged,
+    /// so no acknowledged message meets a full buffer or queue. A single
+    /// session or local queue reaching [`BrokerConfig::max_buffered`]
+    /// also trips this level.
     pub congestion_hard: usize,
-    /// Master switch for backpressure signaling (advisories and
-    /// congestion rejects). `false` restores the pre-backpressure
-    /// buffer-then-drop behaviour — the ablation arm of the overload
-    /// experiment.
-    pub signal_congestion: bool,
 }
 
 impl Default for BrokerConfig {
@@ -81,7 +82,6 @@ impl Default for BrokerConfig {
             // per-session cap means multiple subscribers are backed up.
             congestion_soft: 2048,
             congestion_hard: 8192,
-            signal_congestion: true,
         }
     }
 }
@@ -294,8 +294,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     }
 
     /// Current congestion level: 0 = clear, 1 = soft (publishers are
-    /// advised to pace), 2 = hard (QoS ≥ 1 publishes are rejected when
-    /// [`BrokerConfig::signal_congestion`] is on).
+    /// advised to pace), 2 = hard (QoS ≥ 1 publishes are rejected).
     pub fn congestion_level(&self) -> u8 {
         let (total, worst) = self.backlog_scan();
         self.level_from(total, worst)
@@ -735,41 +734,39 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         // drop cap.
         let (total, worst) = self.backlog_scan();
         self.stats.backlog_high_water = self.stats.backlog_high_water.max(total as u64);
-        if self.config.signal_congestion {
-            let level = self.level_from(total, worst);
-            let advised = self
-                .sessions
-                .get(&from)
-                .map(|s| s.advised_level)
-                .unwrap_or(0);
-            if advised != level {
-                if let Some(s) = self.sessions.get_mut(&from) {
-                    s.advised_level = level;
-                    self.stats.advisories_sent += 1;
-                    sink.push(from.clone(), Packet::CongestionAdvisory { level });
-                }
+        let level = self.level_from(total, worst);
+        let advised = self
+            .sessions
+            .get(&from)
+            .map(|s| s.advised_level)
+            .unwrap_or(0);
+        if advised != level {
+            if let Some(s) = self.sessions.get_mut(&from) {
+                s.advised_level = level;
+                self.stats.advisories_sent += 1;
+                sink.push(from.clone(), Packet::CongestionAdvisory { level });
             }
-            if level >= 2 && qos != QoS::AtMostOnce {
-                // A QoS 2 retransmission of a message already forwarded
-                // must complete its handshake normally — rejecting it
-                // would make the publisher replay a delivered message.
-                let qos2_dup = qos == QoS::ExactlyOnce
-                    && self
-                        .sessions
-                        .get(&from)
-                        .is_some_and(|s| s.inbound.seen(msg_id));
-                if !qos2_dup {
-                    self.stats.congestion_rejects += 1;
-                    sink.push(
-                        from,
-                        Packet::PubAck {
-                            topic_id,
-                            msg_id,
-                            code: ReturnCode::Congestion,
-                        },
-                    );
-                    return false;
-                }
+        }
+        if level >= 2 && qos != QoS::AtMostOnce {
+            // A QoS 2 retransmission of a message already forwarded must
+            // complete its handshake normally — rejecting it would make the
+            // publisher replay a delivered message.
+            let qos2_dup = qos == QoS::ExactlyOnce
+                && self
+                    .sessions
+                    .get(&from)
+                    .is_some_and(|s| s.inbound.seen(msg_id));
+            if !qos2_dup {
+                self.stats.congestion_rejects += 1;
+                sink.push(
+                    from,
+                    Packet::PubAck {
+                        topic_id,
+                        msg_id,
+                        code: ReturnCode::Congestion,
+                    },
+                );
+                return false;
             }
         }
 
@@ -821,8 +818,10 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// PUBLISH is encoded, no message id allocated, no retransmission
     /// copy tracked. An acknowledged publish always goes in —
     /// `handle_publish` refused it before the ack if the queue was full —
-    /// while QoS 0 (or anything, with congestion signalling off) is
-    /// dropped and counted at the cap, as for an away session.
+    /// while a QoS 0 one is dropped and counted at the cap. An away
+    /// session at its cap makes room by evicting the oldest message it
+    /// holds for QoS 0 delivery; holding none, it drops the incoming
+    /// message, which is QoS 0 for the same reason.
     fn fan_out(
         &mut self,
         now: Nanos,
@@ -875,7 +874,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             *cached_epoch = epoch;
         }
 
-        let droppable = qos == QoS::AtMostOnce || !self.config.signal_congestion;
+        let droppable = qos == QoS::AtMostOnce;
         for &i in locals.iter() {
             if self.locals[i].push(topic_id, payload, droppable) {
                 self.stats.publishes_out += 1;
@@ -899,10 +898,16 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             };
             if away {
                 if session.buffered.len() >= self.config.max_buffered {
-                    if let Some((_, old, _)) = session.buffered.pop_front() {
-                        Self::reclaim_payload(&mut self.payload_pool, old);
-                    }
                     self.stats.drops += 1;
+                    let oldest_qos0 = session
+                        .buffered
+                        .iter()
+                        .position(|&(_, _, q)| q == QoS::AtMostOnce);
+                    let Some((_, old, _)) = oldest_qos0.and_then(|i| session.buffered.remove(i))
+                    else {
+                        continue;
+                    };
+                    Self::reclaim_payload(&mut self.payload_pool, old);
                 }
                 let owned = Self::pooled_copy(&mut self.payload_pool, payload);
                 session.buffered.push_back((topic_id, owned, sub_qos));
@@ -927,19 +932,17 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         // pressure cleared. Rising congestion is advertised inline in
         // `handle_publish`, so idle clients are never woken for bad news
         // they can't act on.
-        if self.config.signal_congestion {
-            let (total, worst) = self.backlog_scan();
-            let level = self.level_from(total, worst);
-            for idx in 0..self.order.len() {
-                let addr = self.order[idx].clone();
-                let Some(session) = self.sessions.get_mut(&addr) else {
-                    continue;
-                };
-                if session.state == SessionState::Active && session.advised_level > level {
-                    session.advised_level = level;
-                    self.stats.advisories_sent += 1;
-                    sink.push(addr, Packet::CongestionAdvisory { level });
-                }
+        let (total, worst) = self.backlog_scan();
+        let level = self.level_from(total, worst);
+        for idx in 0..self.order.len() {
+            let addr = self.order[idx].clone();
+            let Some(session) = self.sessions.get_mut(&addr) else {
+                continue;
+            };
+            if session.state == SessionState::Active && session.advised_level > level {
+                session.advised_level = level;
+                self.stats.advisories_sent += 1;
+                sink.push(addr, Packet::CongestionAdvisory { level });
             }
         }
 
@@ -2413,11 +2416,10 @@ mod tests {
 
     /// A broker with tiny watermarks, a durable subscriber that went away,
     /// and a publisher flooding it.
-    fn congested_broker(signal: bool) -> (Broker<Addr>, u16) {
+    fn congested_broker() -> (Broker<Addr>, u16) {
         let mut b = Broker::new(BrokerConfig {
             congestion_soft: 2,
             congestion_hard: 4,
-            signal_congestion: signal,
             ..BrokerConfig::default()
         });
         connect(&mut b, 1, "pub");
@@ -2447,7 +2449,7 @@ mod tests {
 
     #[test]
     fn congestion_advises_then_rejects_qos1() {
-        let (mut b, tid) = congested_broker(true);
+        let (mut b, tid) = congested_broker();
         let mut saw_advisory = false;
         let mut accepted = 0u32;
         let mut rejected = 0u32;
@@ -2481,7 +2483,7 @@ mod tests {
 
     #[test]
     fn congestion_clears_via_tick_advisory() {
-        let (mut b, tid) = congested_broker(true);
+        let (mut b, tid) = congested_broker();
         for i in 1..=8u16 {
             publish_qos1(&mut b, tid, i);
         }
@@ -2522,28 +2524,87 @@ mod tests {
         );
     }
 
+    /// A broker whose one durable QoS 2 subscriber went away with room for
+    /// four buffered messages.
+    fn away_subscriber_with_room_for_four() -> (Broker<Addr>, u16) {
+        let mut b = Broker::new(BrokerConfig {
+            max_buffered: 4,
+            ..BrokerConfig::default()
+        });
+        connect(&mut b, 1, "pub");
+        connect_durable(&mut b, 2, "sub");
+        let tid = register(&mut b, 1, "t/away");
+        subscribe(&mut b, 2, "t/away", QoS::ExactlyOnce);
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
+        (b, tid)
+    }
+
+    /// The payloads the away subscriber gets when it comes back.
+    fn buffered_on_return(b: &mut Broker<Addr>) -> Vec<u8> {
+        let out = feed(
+            b,
+            1,
+            2,
+            Packet::Connect {
+                clean_session: false,
+                duration: 60,
+                client_id: "sub".into(),
+            },
+        );
+        out.iter()
+            .filter_map(|(_, p)| match p {
+                Packet::Publish { payload, .. } => Some(payload[0]),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The PUBACK code a publish got, if it got one.
+    fn puback_code(out: &[(Addr, Packet)]) -> Option<ReturnCode> {
+        out.iter().find_map(|(_, p)| match p {
+            Packet::PubAck { code, .. } => Some(*code),
+            _ => None,
+        })
+    }
+
     #[test]
-    fn signaling_disabled_restores_buffer_then_drop() {
-        let (mut b, tid) = congested_broker(false);
-        for i in 1..=8u16 {
-            for (_, p) in publish_qos1(&mut b, tid, i) {
-                assert!(
-                    matches!(
-                        p,
-                        Packet::PubAck {
-                            code: ReturnCode::Accepted,
-                            ..
-                        }
-                    ),
-                    "no advisories, no rejects with signaling off: {p:?}"
-                );
-            }
+    fn a_qos0_publish_never_evicts_an_acknowledged_message() {
+        let (mut b, tid) = away_subscriber_with_room_for_four();
+        for i in 1..=6u8 {
+            let out = publish(&mut b, 0, tid, QoS::AtLeastOnce, u16::from(i), i);
+            let expected = if i <= 4 {
+                ReturnCode::Accepted
+            } else {
+                ReturnCode::Congestion
+            };
+            assert_eq!(puback_code(&out), Some(expected), "publish {i}: {out:?}");
         }
-        assert_eq!(b.stats().congestion_rejects, 0);
-        assert_eq!(b.stats().advisories_sent, 0);
-        // The high-water gauge still tracks, so overload is observable.
-        // (Sampled on publish entry, so the 8th publish observes 7.)
-        assert!(b.stats().backlog_high_water >= 7);
+        assert_eq!(b.stats().drops, 0);
+        // The session is full of acknowledged messages: the QoS 0 publish
+        // is the one that goes.
+        publish(&mut b, 0, tid, QoS::AtMostOnce, 0, 99);
+        assert_eq!(b.stats().drops, 1);
+        assert_eq!(buffered_on_return(&mut b), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_full_away_session_evicts_its_oldest_qos0_message() {
+        let (mut b, tid) = away_subscriber_with_room_for_four();
+        let first = [
+            QoS::AtLeastOnce,
+            QoS::AtMostOnce,
+            QoS::AtLeastOnce,
+            QoS::AtMostOnce,
+        ];
+        for (payload, qos) in (1..).zip(first) {
+            publish(&mut b, 0, tid, qos, u16::from(payload), payload);
+        }
+        // Each QoS 0 publish past the cap makes room by evicting the
+        // oldest buffered QoS 0 message: 2, then 4.
+        publish(&mut b, 0, tid, QoS::AtMostOnce, 0, 5);
+        publish(&mut b, 0, tid, QoS::AtMostOnce, 0, 6);
+        assert_eq!(b.stats().drops, 2);
+        assert_eq!(buffered_on_return(&mut b), [1, 3, 5, 6]);
     }
 
     /// What is queued for a local subscription, as `(topic id, payload)`.
@@ -2684,7 +2745,7 @@ mod tests {
 
     #[test]
     fn hard_congestion_spares_qos2_duplicates() {
-        let (mut b, tid) = congested_broker(true);
+        let (mut b, tid) = congested_broker();
         // First QoS 2 publish while clear: accepted, forwarded (buffered).
         let out = feed(
             &mut b,

@@ -197,7 +197,9 @@ impl<A: PersistAddr> Broker<A> {
         out.extend_from_slice(&(self.config.max_buffered as u64).to_le_bytes());
         out.extend_from_slice(&(self.config.congestion_soft as u64).to_le_bytes());
         out.extend_from_slice(&(self.config.congestion_hard as u64).to_le_bytes());
-        out.push(self.config.signal_congestion as u8);
+        // A retired congestion-signalling switch, written as `1` so the
+        // layout stays `STATE_VERSION` 6.
+        out.push(1);
         // Stats.
         for v in [
             self.stats.publishes_in,
@@ -303,8 +305,9 @@ impl<A: PersistAddr> Broker<A> {
             max_buffered: r.u64()? as usize,
             congestion_soft: r.u64()? as usize,
             congestion_hard: r.u64()? as usize,
-            signal_congestion: r.u8()? != 0,
         };
+        // The retired congestion-signalling switch (see `encode_state`).
+        r.u8()?;
         let stats = BrokerStats {
             publishes_in: r.u64()?,
             publishes_out: r.u64()?,
@@ -414,7 +417,7 @@ impl<A: PersistAddr> Broker<A> {
 /// Where the stats block of a current blob ends, and the registry (next
 /// topic id, entry count, entries) starts: after the version, the config
 /// (gw id, retry timeout, retries, buffer cap, two congestion watermarks,
-/// signal flag) and eleven counters.
+/// the retired signal flag) and eleven counters.
 #[cfg(test)]
 pub(crate) const STATS_END: usize = 1 + (1 + 8 + 4 + 8 + 8 + 8 + 1) + 11 * 8;
 

@@ -75,11 +75,10 @@ impl LocalQueue {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Queues one publish. With `droppable` set (QoS 0, or a broker whose
-    /// congestion signalling is off) a full queue refuses it and `false`
-    /// comes back for the caller to count; an acknowledged publish always
-    /// goes in — the broker admits those only below the cap, under its
-    /// lock.
+    /// Queues one publish. With `droppable` set (QoS 0) a full queue
+    /// refuses it and `false` comes back for the caller to count; an
+    /// acknowledged publish always goes in — the broker admits those only
+    /// below the cap, under its lock.
     pub(crate) fn push(&self, topic_id: u16, payload: &[u8], droppable: bool) -> bool {
         // lint: zero-alloc-begin
         let mut inbox = self.inbox.lock();

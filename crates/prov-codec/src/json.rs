@@ -1,5 +1,5 @@
 //! Minimal JSON support: a value model, serializer, parser, and the record
-//! encodings used by the HTTP baselines and the server-side translator.
+//! encodings used by the HTTP baselines and the model's JSON ablation.
 //!
 //! [`JsonStyle::Compact`] emits lean JSON (DfAnalyzer-style rows);
 //! [`JsonStyle::Verbose`] emits a PROV-JSON-flavoured envelope with explicit

@@ -13,8 +13,9 @@
 //!   message ([`frame`]).
 //!
 //! The [`json`] module provides the verbose JSON representation used by the
-//! HTTP baselines (ProvLake / DfAnalyzer style payloads) and by the
-//! server-side translator, plus a full (small) JSON parser for ingestion.
+//! HTTP baselines (ProvLake / DfAnalyzer style payloads) and by the model's
+//! JSON ablation, plus a full (small) JSON parser for the baselines'
+//! ingestion server.
 
 pub mod binary;
 pub mod compress;
@@ -55,10 +56,11 @@ pub enum CodecError {
 }
 
 /// Deepest container nesting either decoder accepts. Both recurse once per
-/// level and run on ingest threads fed from the network, where a few
-/// kilobytes of nested openers would otherwise overflow the stack — an
-/// abort of the process, not an error. Records nest a handful of levels
-/// plus their attribute lists.
+/// level and run on ingest threads fed from the network (the translator's
+/// envelopes, the baselines' HTTP bodies), where a few kilobytes of nested
+/// openers would otherwise overflow the stack — an abort of the process,
+/// not an error. Records nest a handful of levels plus their attribute
+/// lists.
 pub(crate) const MAX_NESTING: usize = 64;
 
 impl std::fmt::Display for CodecError {

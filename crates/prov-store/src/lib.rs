@@ -38,7 +38,7 @@ pub use query::{
     Cmp, Cursor, CursorOpts, Filter, Hit, LineageDirection, Page, Path, Query, QueryError,
     QueryStats, SnapshotMode, Step,
 };
-pub use schema::{AttrType, AttributeDef, DataflowSpec, DatasetSpec, TransformationSpec};
+pub use schema::AttrType;
 pub use sharded::{shared_sharded, ShardRouter, ShardedStore, SharedShardedStore};
 pub use smallset::SmallSet;
 pub use store::{Store, StoreStats, TaskRow, WorkflowTable};

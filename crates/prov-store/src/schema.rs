@@ -1,9 +1,8 @@
-//! Dataflow schema (DfAnalyzer's data model).
+//! Attribute types (DfAnalyzer's data model).
 //!
 //! DfAnalyzer organizes provenance around *dataflows* composed of
 //! *transformations*, each consuming and producing *datasets* with typed
-//! attributes. The paper's synthetic workloads instantiate one dataflow
-//! with 5 chained transformations (Table I).
+//! attributes. The store needs only the types, inferred per value.
 
 use prov_model::AttrValue;
 use serde::{Deserialize, Serialize};
@@ -30,130 +29,6 @@ impl AttrType {
     }
 }
 
-/// A typed attribute declaration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct AttributeDef {
-    /// Attribute name.
-    pub name: String,
-    /// Declared type.
-    pub ty: AttrType,
-}
-
-/// A dataset (collection of attributes) consumed or produced by a
-/// transformation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DatasetSpec {
-    /// Dataset tag.
-    pub tag: String,
-    /// Attribute declarations.
-    pub attributes: Vec<AttributeDef>,
-}
-
-/// A processing step kind within a dataflow.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TransformationSpec {
-    /// Transformation tag (e.g. `training`).
-    pub tag: String,
-    /// Input dataset tags.
-    pub inputs: Vec<String>,
-    /// Output dataset tags.
-    pub outputs: Vec<String>,
-}
-
-/// A dataflow specification.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
-pub struct DataflowSpec {
-    /// Dataflow tag (e.g. `federated_learning`).
-    pub tag: String,
-    /// Datasets.
-    pub datasets: Vec<DatasetSpec>,
-    /// Transformations in execution order.
-    pub transformations: Vec<TransformationSpec>,
-}
-
-impl DataflowSpec {
-    /// Creates an empty spec.
-    pub fn new(tag: impl Into<String>) -> Self {
-        DataflowSpec {
-            tag: tag.into(),
-            ..Default::default()
-        }
-    }
-
-    /// Adds a dataset (builder style).
-    pub fn with_dataset(mut self, tag: impl Into<String>, attrs: Vec<AttributeDef>) -> Self {
-        self.datasets.push(DatasetSpec {
-            tag: tag.into(),
-            attributes: attrs,
-        });
-        self
-    }
-
-    /// Adds a transformation (builder style).
-    pub fn with_transformation(
-        mut self,
-        tag: impl Into<String>,
-        inputs: Vec<&str>,
-        outputs: Vec<&str>,
-    ) -> Self {
-        self.transformations.push(TransformationSpec {
-            tag: tag.into(),
-            inputs: inputs.into_iter().map(str::to_owned).collect(),
-            outputs: outputs.into_iter().map(str::to_owned).collect(),
-        });
-        self
-    }
-
-    /// Validates referential integrity: every transformation references
-    /// declared datasets and tags are unique.
-    pub fn validate(&self) -> Result<(), String> {
-        let mut seen = std::collections::HashSet::new();
-        for d in &self.datasets {
-            if !seen.insert(&d.tag) {
-                return Err(format!("duplicate dataset tag {}", d.tag));
-            }
-        }
-        let mut ttags = std::collections::HashSet::new();
-        for t in &self.transformations {
-            if !ttags.insert(&t.tag) {
-                return Err(format!("duplicate transformation tag {}", t.tag));
-            }
-            for ds in t.inputs.iter().chain(&t.outputs) {
-                if !self.datasets.iter().any(|d| &d.tag == ds) {
-                    return Err(format!(
-                        "transformation {} references unknown dataset {ds}",
-                        t.tag
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The federated-learning dataflow used throughout the paper's
-    /// examples: prepare → train (per-epoch tasks) → evaluate.
-    pub fn federated_learning() -> Self {
-        let num = |n: &str| AttributeDef {
-            name: n.into(),
-            ty: AttrType::Numeric,
-        };
-        DataflowSpec::new("federated_learning")
-            .with_dataset("raw_data", vec![num("samples")])
-            .with_dataset(
-                "hyperparameters",
-                vec![num("learning_rate"), num("batch_size"), num("epochs")],
-            )
-            .with_dataset(
-                "epoch_metrics",
-                vec![num("epoch"), num("loss"), num("accuracy"), num("elapsed_s")],
-            )
-            .with_dataset("model", vec![num("size_bytes")])
-            .with_transformation("prepare", vec!["raw_data"], vec!["hyperparameters"])
-            .with_transformation("train", vec!["hyperparameters"], vec!["epoch_metrics"])
-            .with_transformation("evaluate", vec!["epoch_metrics"], vec!["model"])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,32 +40,5 @@ mod tests {
         assert_eq!(AttrType::of(&AttrValue::Bool(true)), AttrType::Numeric);
         assert_eq!(AttrType::of(&AttrValue::Str("x".into())), AttrType::Text);
         assert_eq!(AttrType::of(&AttrValue::List(vec![])), AttrType::Other);
-    }
-
-    #[test]
-    fn fl_spec_validates() {
-        let spec = DataflowSpec::federated_learning();
-        spec.validate().unwrap();
-        assert_eq!(spec.transformations.len(), 3);
-        assert_eq!(spec.datasets.len(), 4);
-    }
-
-    #[test]
-    fn validation_catches_unknown_dataset() {
-        let spec = DataflowSpec::new("bad").with_transformation("t", vec!["nope"], vec![]);
-        assert!(spec.validate().unwrap_err().contains("unknown dataset"));
-    }
-
-    #[test]
-    fn validation_catches_duplicates() {
-        let spec = DataflowSpec::new("bad")
-            .with_dataset("d", vec![])
-            .with_dataset("d", vec![]);
-        assert!(spec.validate().is_err());
-        let spec = DataflowSpec::new("bad")
-            .with_dataset("d", vec![])
-            .with_transformation("t", vec!["d"], vec![])
-            .with_transformation("t", vec!["d"], vec![]);
-        assert!(spec.validate().is_err());
     }
 }

@@ -3,9 +3,8 @@
 //! Generates a realistic capture stream for one FL client device: a
 //! `prepare` task, `epochs` training tasks (each consuming hyperparameters
 //! and producing per-epoch metrics with improving accuracy / decaying
-//! loss), and an `evaluate` task — matching the
-//! `DataflowSpec::federated_learning` (in the prov-store crate) shape used by the
-//! store examples.
+//! loss), and an `evaluate` task — the prepare → train → evaluate dataflow
+//! of the paper's FL example.
 
 use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use rand::rngs::StdRng;

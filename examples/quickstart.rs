@@ -21,8 +21,8 @@ fn main() {
     let manager = ProvenanceManager::start("127.0.0.1:0").expect("start provenance manager");
     println!("provenance manager listening on {}", manager.broker_addr());
 
-    // 2. Client side: connect the capture library (QoS 2, compression and
-    //    binary model on by default).
+    // 2. Client side: connect the capture library (QoS 2 by default; every
+    //    message is a binary envelope, compressed when that shrinks it).
     let client = ProvLightClient::connect(
         manager.broker_addr(),
         "quickstart-device",

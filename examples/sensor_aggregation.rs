@@ -21,11 +21,10 @@ const SENSORS: usize = 4;
 const WINDOWS: usize = 6;
 
 fn sensor_node(sensor: usize, broker: std::net::SocketAddr) {
-    // Constrained node: group aggressively and compress — every byte on
-    // the radio costs energy.
+    // Constrained node: group aggressively — every byte on the radio costs
+    // energy, and a larger envelope compresses better.
     let config = CaptureConfig {
         group: GroupPolicy::Grouped { size: 6 },
-        compression: true,
         ..CaptureConfig::default()
     };
 

@@ -13,10 +13,9 @@
 //! Every assertion names the failing seed; rerun a single schedule with
 //! `PROVLIGHT_CHAOS_SEED=<seed> cargo test --test chaos_soak`.
 //!
-//! The overload test is the backpressure A/B experiment: the same
-//! stalled-subscriber overload with congestion signaling on vs. off,
-//! showing signaling turns broker-side drops into client-side pacing —
-//! with exact drop accounting in both modes.
+//! The overload test drives a stalled-subscriber overload and shows that
+//! congestion signalling turns what would be broker-side drops into
+//! client-side pacing: nothing is lost.
 
 use prov_chaos::{kill_points, FaultPlan, FaultPlanConfig};
 use provlight::core::client::ProvLightClient;
@@ -450,15 +449,12 @@ fn remote_subscriber_chaos_seed_matrix_exactly_once() {
     }
 }
 
-/// The overload A/B experiment: a durable subscriber goes away, a publisher
+/// The overload experiment: a durable subscriber goes away, a publisher
 /// keeps capturing, and the broker's buffer fills.
 ///
-/// With congestion signaling on, the broker rejects past the hard
-/// watermark and the publisher re-buffers and paces: ZERO records are lost
-/// anywhere. With signaling off (the pre-backpressure buffer-then-drop
-/// behaviour) the broker's per-session cap drops the oldest messages — the
-/// loss is exact and accounted, but real.
-fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
+/// The broker rejects past the hard watermark and the publisher re-buffers
+/// and paces: ZERO records are lost anywhere.
+fn overload_run() -> (u64, usize, u64, u64) {
     let broker = UdpBroker::spawn(
         "127.0.0.1:0",
         BrokerConfig {
@@ -467,19 +463,16 @@ fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
             max_buffered: 16,
             congestion_soft: 6,
             congestion_hard: 12,
-            signal_congestion: signal,
             ..BrokerConfig::default()
         },
     )
     .unwrap();
     let addr = broker.local_addr();
 
-    // Durable subscriber: subscribe, then go away. Publishes now buffer
-    // toward the per-session cap (signaling off) or push the backlog past
-    // the congestion watermarks (signaling on).
-    let sub_id = format!("ov-sub-{tag}");
+    // Durable subscriber: subscribe, then go away. Publishes now push the
+    // backlog past the congestion watermarks.
     {
-        let mut config = ClientConfig::new(sub_id.clone());
+        let mut config = ClientConfig::new("ov-sub");
         config.clean_session = false;
         let mut sub = UdpClient::connect(addr, config, Duration::from_secs(5)).unwrap();
         sub.subscribe("provlight/#", QoS::ExactlyOnce, Duration::from_secs(5))
@@ -489,22 +482,21 @@ fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
 
     let client = ProvLightClient::connect(
         addr,
-        &format!("ov-pub-{tag}"),
-        &format!("provlight/ov-{tag}/pub"),
+        "ov-pub",
+        "provlight/ov/pub",
         CaptureConfig {
             group: GroupPolicy::Immediate,
             qos: QoS::ExactlyOnce,
             max_payload: 1,
             // One publish at a time: the broker's watermark check sees an
-            // exact backlog, making the accepted/rejected split and the
-            // ablation arm's drop count deterministic.
+            // exact backlog, making the accepted/rejected split
+            // deterministic.
             max_inflight: 1,
             keep_alive: Duration::from_millis(200),
             retry_timeout: Duration::from_millis(300),
             max_retries: 20,
             reconnect_initial_backoff: Duration::from_millis(50),
             reconnect_max_backoff: Duration::from_millis(250),
-            backpressure: signal,
             ..CaptureConfig::default()
         },
     )
@@ -519,32 +511,27 @@ fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
     }
     let published = 1 + tasks;
 
-    if signal {
-        // The broker starts rejecting at the hard watermark; the publisher
-        // must be pacing with the overflow parked in its buffer.
-        assert!(
-            wait_until(Duration::from_secs(15), || {
-                let s = client.stats();
-                s.congestion_signals > 0 && s.buffered_records >= published - 16
-            }),
-            "backpressure never engaged: {:?} / broker {:?}",
-            client.stats(),
-            broker.stats()
-        );
-    } else {
-        // Everything is accepted; the broker quietly sheds its oldest.
-        client.flush().unwrap();
-    }
+    // The broker starts rejecting at the hard watermark; the publisher must
+    // be pacing with the overflow parked in its buffer.
+    assert!(
+        wait_until(Duration::from_secs(15), || {
+            let s = client.stats();
+            s.congestion_signals > 0 && s.buffered_records >= published - 16
+        }),
+        "backpressure never engaged: {:?} / broker {:?}",
+        client.stats(),
+        broker.stats()
+    );
 
     // The subscriber returns (same durable session): buffered messages
-    // deliver, the backlog drains, and — signaling on — the falling
-    // advisory releases the publisher's paced backlog.
+    // deliver, the backlog drains, and the falling advisory releases the
+    // publisher's paced backlog.
     let records: Arc<Mutex<Vec<Record>>> = Arc::default();
     let stop = Arc::new(AtomicBool::new(false));
     let sub_thread = {
         let records = Arc::clone(&records);
         let stop = Arc::clone(&stop);
-        let mut config = ClientConfig::new(sub_id);
+        let mut config = ClientConfig::new("ov-sub");
         config.clean_session = false;
         let mut sub = UdpClient::connect(addr, config, Duration::from_secs(5)).unwrap();
         std::thread::spawn(move || {
@@ -564,14 +551,14 @@ fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
         })
     };
 
-    // Now a flush can complete in both arms.
+    // Now a flush can complete.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         match client.flush() {
             Ok(()) => break,
             Err(e) => assert!(
                 Instant::now() < deadline,
-                "flush never completed ({tag}): {e:?} / {:?}",
+                "flush never completed: {e:?} / {:?}",
                 client.stats()
             ),
         }
@@ -583,7 +570,7 @@ fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
         wait_until(Duration::from_secs(20), || {
             records.lock().unwrap().len() as u64 >= expected
         }),
-        "unaccounted loss ({tag}): {} < {expected} (client {:?}, broker {:?})",
+        "unaccounted loss: {} < {expected} (client {:?}, broker {:?})",
         records.lock().unwrap().len(),
         client_stats,
         broker.stats()
@@ -604,40 +591,22 @@ fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
 }
 
 #[test]
-fn overload_backpressure_reduces_drops_vs_disabled() {
-    let (published_on, delivered_on, broker_drops_on, client_drops_on) = overload_arm(true, "on");
-    let (published_off, delivered_off, broker_drops_off, client_drops_off) =
-        overload_arm(false, "off");
+fn overload_backpressure_loses_nothing() {
+    let (published, delivered, broker_drops, client_drops) = overload_run();
 
-    // Exact accounting holds in BOTH modes: every missing record is in a
-    // drop counter somewhere.
+    // Exact accounting: every missing record is in a drop counter
+    // somewhere.
     assert_eq!(
-        delivered_on as u64 + broker_drops_on + client_drops_on,
-        published_on,
-        "backpressure arm lost records silently"
-    );
-    assert_eq!(
-        delivered_off as u64 + broker_drops_off + client_drops_off,
-        published_off,
-        "ablation arm lost records silently"
+        delivered as u64 + broker_drops + client_drops,
+        published,
+        "overload lost records silently"
     );
 
-    // Backpressure converts loss into pacing: nothing dropped with
-    // signaling on, while buffer-then-drop sheds past the per-session cap.
+    // Backpressure converts loss into pacing: nothing dropped.
     assert_eq!(
-        broker_drops_on + client_drops_on,
+        broker_drops + client_drops,
         0,
-        "backpressure arm should deliver everything"
+        "backpressure should deliver everything"
     );
-    assert_eq!(delivered_on as u64, published_on);
-    assert!(
-        broker_drops_off > 0,
-        "overload never tripped the ablation arm's drop cap"
-    );
-    assert!(
-        broker_drops_on + client_drops_on < broker_drops_off + client_drops_off,
-        "backpressure did not reduce drops: on={} off={}",
-        broker_drops_on + client_drops_on,
-        broker_drops_off + client_drops_off
-    );
+    assert_eq!(delivered as u64, published);
 }

@@ -5,7 +5,7 @@
 use provlight::continuum::deployment::ProvenanceManager;
 use provlight::core::client::ProvLightClient;
 use provlight::core::config::{CaptureConfig, GroupPolicy};
-use provlight::prov_model::{DataRecord, Id};
+use provlight::prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use provlight::prov_store::query::Query;
 use std::time::Duration;
 
@@ -167,53 +167,84 @@ fn qos_levels_all_deliver() {
     }
 }
 
+/// Records shaped as `run_device(device, _, _, tasks)` captures them.
+fn device_records(device: u64, tasks: u64) -> Vec<Record> {
+    let wf = Id::Num(device);
+    let task = |t: u64, time_ns: u64, status: TaskStatus| TaskRecord {
+        id: Id::Num(t),
+        workflow: wf.clone(),
+        transformation: Id::from("work"),
+        dependencies: t.checked_sub(1).map(Id::Num).into_iter().collect(),
+        time_ns,
+        status,
+    };
+    let mut records = vec![Record::WorkflowBegin {
+        workflow: wf.clone(),
+        time_ns: 0,
+    }];
+    for t in 0..tasks {
+        records.push(Record::TaskBegin {
+            task: task(t, 2 * t + 1, TaskStatus::Running),
+            inputs: vec![DataRecord::new(format!("in{t}"), device).with_attr("param", t as i64)],
+        });
+        records.push(Record::TaskEnd {
+            task: task(t, 2 * t + 2, TaskStatus::Finished),
+            outputs: vec![DataRecord::new(format!("out{t}"), device)
+                .with_attr("result", t as f64 * 1.5)
+                .derived_from(format!("in{t}"))],
+        });
+    }
+    records.push(Record::WorkflowEnd {
+        workflow: wf.clone(),
+        time_ns: 2 * tasks + 1,
+    });
+    records
+}
+
 #[test]
 fn uncompressed_and_json_payloads_also_flow() {
-    // The translator takes every form the transmitter emits: an envelope
-    // that advertises no compression, and compact JSON text (`binary:
-    // false`) with one message per capture call or many records in one.
-    for (name, binary, group) in [
-        ("uncompressed", true, GroupPolicy::Immediate),
-        ("json immediate", false, GroupPolicy::Immediate),
-        ("json grouped", false, GroupPolicy::Grouped { size: 5 }),
-    ] {
-        let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
-        let config = CaptureConfig {
-            compression: false,
-            binary,
-            group,
-            ..CaptureConfig::default()
+    // The translator takes an envelope that advertises no compression: the
+    // codec writes one whenever LZSS would not shrink the records.
+    use provlight::mqtt_sn::net::UdpClient;
+    use provlight::mqtt_sn::{ClientConfig, QoS};
+    use provlight::prov_codec::frame::Envelope;
+    let timeout = Duration::from_secs(10);
+    let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+    let config = ClientConfig::new("uncompressed");
+    let mut peer = UdpClient::connect(manager.broker_addr(), config, timeout).unwrap();
+    let topic = peer
+        .register("provlight/test/uncompressed", timeout)
+        .unwrap();
+    let payload = Envelope::encode(&device_records(2, 2), false);
+    peer.publish(topic, payload, QoS::ExactlyOnce, timeout)
+        .unwrap();
+    wait_for_records(&manager, 6);
+    let stats = manager.store().stats();
+    assert_eq!((stats.tasks, stats.data), (2, 4));
+    assert_eq!(stats.attr_cells, 4);
+    assert_eq!(manager.server_stats().decode_errors, 0);
+    {
+        let wf = Id::Num(2);
+        let store = manager.store().read(&wf);
+        let metrics = Query::new(&store).task_metrics(&wf).unwrap();
+        assert!(metrics.len() == 2 && metrics.iter().all(|m| m.finished));
+        // One attribute per data row, by name and value.
+        let attr = |id: String| {
+            let (_, row) = store.data_by_id(&wf, &id.into()).unwrap();
+            assert_eq!(row.attributes.len(), 1);
+            let (key, value) = row.attributes.iter().next().unwrap();
+            (key.to_string(), value.as_float())
         };
-        run_device(2, manager.broker_addr(), config, 2);
-        wait_for_records(&manager, 6);
-        let stats = manager.store().stats();
-        assert_eq!((stats.tasks, stats.data), (2, 4), "{name}");
-        assert_eq!(stats.attr_cells, 4, "{name}");
-        assert_eq!(manager.server_stats().decode_errors, 0, "{name}");
-        {
-            let wf = Id::Num(2);
-            let store = manager.store().read(&wf);
-            let metrics = Query::new(&store).task_metrics(&wf).unwrap();
-            assert!(metrics.len() == 2 && metrics.iter().all(|m| m.finished));
-            // One attribute per data row, by name and value (JSON brings a
-            // whole-valued float back as an integer: compare as numbers).
-            let attr = |id: String| {
-                let (_, row) = store.data_by_id(&wf, &id.into()).unwrap();
-                assert_eq!(row.attributes.len(), 1, "{name}");
-                let (key, value) = row.attributes.iter().next().unwrap();
-                (key.to_string(), value.as_float())
-            };
-            for t in 0..2u64 {
-                let param = ("param".to_owned(), Some(t as f64));
-                assert_eq!(attr(format!("in{t}")), param, "{name}");
-                let result = ("result".to_owned(), Some(t as f64 * 1.5));
-                assert_eq!(attr(format!("out{t}")), result, "{name}");
-                let (_, out) = store.data_by_id(&wf, &format!("out{t}").into()).unwrap();
-                assert_eq!(out.derivations, vec![Id::from(format!("in{t}"))]);
-            }
+        for t in 0..2u64 {
+            let param = ("param".to_owned(), Some(t as f64));
+            assert_eq!(attr(format!("in{t}")), param);
+            let result = ("result".to_owned(), Some(t as f64 * 1.5));
+            assert_eq!(attr(format!("out{t}")), result);
+            let (_, out) = store.data_by_id(&wf, &format!("out{t}").into()).unwrap();
+            assert_eq!(out.derivations, vec![Id::from(format!("in{t}"))]);
         }
-        manager.shutdown();
     }
+    manager.shutdown();
 }
 
 /// Every kind of attribute value the capture API can express reaches the
@@ -291,11 +322,7 @@ fn hostile_json_nesting_costs_one_decode_error() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let json = CaptureConfig {
-        binary: false,
-        ..CaptureConfig::default()
-    };
-    run_device(3, manager.broker_addr(), json, 2);
+    run_device(3, manager.broker_addr(), CaptureConfig::default(), 2);
     wait_for_records(&manager, 6);
     assert_eq!(manager.server_stats().decode_errors, 1);
     assert_eq!(manager.broker_stats().decode_errors, 0);
