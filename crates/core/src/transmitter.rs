@@ -883,18 +883,17 @@ impl Link {
     }
 
     /// One maintenance pass that waits on the socket: while connected,
-    /// [`UdpClient::pump`] sends what is held, blocks for a datagram (up to
-    /// the read time-out), reads what else is queued and runs the timers.
-    /// For whoever needs a reply — the loop while [`Link::awaits_gateway`],
-    /// a flush or the shutdown draining handshakes. The rest is
-    /// [`Link::maintain`].
+    /// [`await_gateway`]. For whoever needs a reply — the loop while
+    /// [`Link::awaits_gateway`], a flush or the shutdown draining
+    /// handshakes. The rest is [`Link::maintain`].
     fn service(&mut self) {
-        self.maintain(UdpClient::pump);
+        self.maintain(await_gateway);
     }
 
     /// The same pass without the wait ([`UdpClient::tick`]): whatever came
     /// due since the last one — a retransmission, the keep-alive PINGREQ, a
-    /// held PUBREL's release, a reconnection attempt — and nothing read.
+    /// held PUBREL's release, a reconnection attempt — and nothing read but
+    /// what has queued of a stream's held acknowledgements.
     fn tick(&mut self) {
         self.maintain(UdpClient::tick);
     }
@@ -934,7 +933,10 @@ impl Link {
     /// gateway owes a reply ([`UdpClient::reply_expected`]), or it has
     /// reported congestion and will report, unasked, when that clears, or a
     /// backlog is waiting on the pacing window or the in-flight window.
-    /// Then the loop waits there, at the read time-out's cadence.
+    /// Then the loop waits there, at the read time-out's cadence. The
+    /// acknowledgement of a PUBLISH that continued a stream is no reason:
+    /// the gateway holds it, and the tick after a later send, or the one at
+    /// [`Link::next_deadline`], reads it.
     fn awaits_gateway(&self) -> bool {
         self.connected
             && (self.client.reply_expected()
@@ -1041,7 +1043,7 @@ impl Link {
         }
         // Respect the in-flight window before adding more.
         while !self.client.can_publish() {
-            if self.client.pump().is_err() {
+            if await_gateway(&mut self.client).is_err() {
                 self.mark_disconnected();
             }
             self.absorb_events();
@@ -1158,6 +1160,16 @@ impl Link {
         }
         self.sync_gauges();
     }
+}
+
+/// Blocks on the gateway's answer: asks for what it may be holding for
+/// this device's stream ([`UdpClient::ask`]), then [`UdpClient::pump`]
+/// sends what is held, blocks for a datagram (up to the read time-out),
+/// reads what else is queued and runs the timers. Whoever blocks asks, so
+/// no flush waits out the gateway's hold.
+fn await_gateway(client: &mut UdpClient) -> Result<(), NetError> {
+    client.ask()?;
+    client.pump()
 }
 
 /// Encodes `records` into one envelope (payload buffer recycled from the
@@ -1296,7 +1308,8 @@ fn absorb_commands(
 ///    blocking; the records coalesce and leave (a PUBLISH is never held
 ///    back). A Flush or Shutdown found there is honoured next; both block
 ///    by pumping until every handshake is complete.
-/// 2. **Timers.** [`Link::tick`] does what came due, without reading.
+/// 2. **Timers.** [`Link::tick`] does what came due, reading only what
+///    the gateway may have sent of a stream's held acknowledgements.
 /// 3. **One wait.** While the gateway can have a datagram on its way
 ///    ([`Link::awaits_gateway`]) the wait is on the socket
 ///    ([`Link::service`]). Otherwise it is on the channel alone, until the
@@ -1306,7 +1319,10 @@ fn absorb_commands(
 ///
 /// A held PUBREL is no reason to wake: the next PUBLISH or PINGREQ carries
 /// it, whoever blocks on a handshake releases it, and failing both it has a
-/// deadline of its own, half a `Tretry`.
+/// deadline of its own, half a `Tretry`. Nor is an acknowledgement the
+/// gateway holds for a stream: the ticks after later sends read it, a
+/// flush asks for it ([`await_gateway`]), and failing both it is read when
+/// the hold must have ended.
 ///
 /// Woken by a command, the thread yields once before draining. The capture
 /// call that woke it is on the workflow's critical path and this thread is
@@ -1728,6 +1744,43 @@ mod tests {
         // PUBREC (a loaded host may time a read out and wait again).
         let stats = t.stats();
         assert!((N..=3 * N).contains(&stats.wakeups), "{stats:?}");
+        assert_eq!(stats.publish_failures, 0);
+        t.shutdown();
+        gw.shutdown();
+    }
+
+    /// The `immediate_small` pace — a task's two records in one message
+    /// every 8 ms — streams. The gateway answers fewer than half the
+    /// messages with a datagram, the transmitter never waits on its socket
+    /// for an acknowledgement the gateway holds (one wake-up per message,
+    /// not two), and the flush that ends the run asks for what is held
+    /// instead of waiting the hold out.
+    #[test]
+    fn a_streaming_transmitter_never_waits_on_a_held_ack() {
+        const N: u64 = 100;
+        let (gw, mut sub, t, wire) = recorded_transmitter("stream", CaptureConfig::default());
+        for i in 0..N {
+            t.publish(vec![record(2 * i, 3), record(2 * i + 1, 3)])
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(8));
+        }
+        let flushing = Instant::now();
+        t.flush().unwrap();
+        let flushed = flushing.elapsed();
+        assert!(flushed < Duration::from_millis(5), "flush took {flushed:?}");
+        let answers = wire
+            .datagrams()
+            .iter()
+            .filter(|(_, dir, _)| *dir == FaultDir::Inbound)
+            .count() as u64;
+        assert!(answers <= N / 2, "{answers} answers to {N} messages");
+        assert_eq!(delivered_ids(&mut sub), (0..2 * N).collect::<Vec<_>>());
+        let gateway = gw.stats();
+        assert_eq!(gateway.publishes_in, N);
+        assert_eq!(gateway.duplicates_suppressed, 0);
+        assert_eq!(gateway.retransmissions, 0);
+        let stats = t.stats();
+        assert!(stats.wakeups <= N + N / 2, "{stats:?}");
         assert_eq!(stats.publish_failures, 0);
         t.shutdown();
         gw.shutdown();

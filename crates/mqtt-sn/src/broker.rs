@@ -34,6 +34,7 @@ mod state;
 
 pub use outputs::BrokerOutputs;
 use outputs::WireSink;
+pub(crate) use outputs::MERGED_DATAGRAM_MAX;
 #[cfg(test)]
 pub(crate) use state::{state_as_v5, STATS_END};
 pub use state::{wire, PersistAddr};

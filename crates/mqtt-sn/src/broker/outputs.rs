@@ -47,7 +47,7 @@ impl PublishPatch {
 /// messages: what fits any IPv6 path unfragmented (1280-byte minimum MTU
 /// less IP and UDP headers), so merging acknowledgements never turns one
 /// lost fragment into many lost messages.
-pub(super) const MERGED_DATAGRAM_MAX: usize = 1232;
+pub(crate) const MERGED_DATAGRAM_MAX: usize = 1232;
 
 impl<A> BrokerOutputs<A> {
     /// Creates an empty output buffer (allocates lazily on first use).

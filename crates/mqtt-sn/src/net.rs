@@ -15,13 +15,13 @@
 //! [`Client`], the held-PUBREL bundling and the blocking API for the
 //! device.
 
-use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
+use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats, MERGED_DATAGRAM_MAX};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
 use crate::local::LocalSubscription;
-use crate::packet::{frames, Packet, QoS, TopicRef};
+use crate::packet::{frames, glance, Glance, Packet, QoS, TopicRef};
 use crate::Error;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::path::{Path, PathBuf};
@@ -88,10 +88,24 @@ const SLOT: usize = 64 * 1024;
 const UDP_PAYLOAD_MAX: usize = 65_507;
 /// Encoded size of a PUBREL: length, type, message id.
 const PUBREL_LEN: usize = 4;
-/// Frames the serve loop keeps pooled between wakeups. A datagram may be
-/// thousands of two-byte messages: what such a batch needed is not kept
-/// for ever after.
-const SPARE_FRAMES: usize = 1024;
+/// Encoded size of a PINGREQ without a client id: length, type.
+const PINGREQ_LEN: usize = 2;
+/// A PUBLISH that arrives within this of its device's previous one
+/// continues a stream, and the gateway may hold its acknowledgement (see
+/// `Holds`).
+const STREAM_GAP: Duration = READ_TIMEOUT;
+/// Hold buffers the gateway keeps for reuse once their streams have ended.
+const SPARE_HOLDS: usize = 64;
+/// The device's side of [`STREAM_GAP`]: a PUBLISH that leaves within this
+/// of the device's previous one continues its stream, and what the gateway
+/// holds for a stream has left by this long after its last PUBLISH. Twice
+/// the gateway's figure, because the two ends may disagree one way only: a
+/// device that counts a publish as streaming when its gateway does not
+/// reads the answer a little later, but one that waited on its socket for
+/// an answer the gateway held would block for the length of the hold — and
+/// a datagram that waited in a socket buffer makes the gap the gateway
+/// measures shorter than the one its device did.
+const DEVICE_STREAM_GAP: Duration = READ_TIMEOUT.saturating_mul(2);
 
 /// Magic prefix of a gateway snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
@@ -150,11 +164,11 @@ impl Endpoint {
 
     /// One wakeup: held datagrams now due first (one released inbound is
     /// older than anything about to be read), then a blocking `recv_from`
-    /// bounded by [`READ_TIMEOUT`], then a non-blocking drain of whatever
-    /// else has queued, up to [`SERVE_BATCH`]. Every datagram the fault
-    /// plan lets through goes to `deliver` one MQTT-SN message at a time
-    /// (see [`split`]) before the next is read. A timeout is no error; any
-    /// other socket error ends the read and is returned.
+    /// bounded by [`READ_TIMEOUT`], then [`Endpoint::drain`] of whatever
+    /// else has queued. Every datagram the fault plan lets through goes to
+    /// `deliver` whole, before the next is read; [`frames`] splits it. A
+    /// timeout is no error; any other socket error ends the read and is
+    /// returned.
     fn read(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
         if self.nonblocking {
             if self.socket.set_nonblocking(false).is_ok() {
@@ -177,12 +191,22 @@ impl Endpoint {
             Err(e) => return Err(e),
         }
         // A wake usually means a burst: drain it without blocking.
+        self.drain(1, deliver)
+    }
+
+    /// Reads, without waiting, what has queued on the socket, until
+    /// `SERVE_BATCH` datagrams have been read counting the `taken` ones.
+    fn drain(
+        &mut self,
+        taken: usize,
+        mut deliver: impl FnMut(SocketAddr, &[u8]),
+    ) -> io::Result<()> {
         if self.socket.set_nonblocking(true).is_err() {
             return Ok(());
         }
         self.nonblocking = true;
         let mut drained = Ok(());
-        for _ in 1..SERVE_BATCH {
+        for _ in taken..SERVE_BATCH {
             match self.socket.recv_from(&mut self.rbuf) {
                 Ok((len, from)) => self.admit(len, from, &mut deliver),
                 Err(e) => {
@@ -200,12 +224,12 @@ impl Endpoint {
     }
 
     /// Applies the inbound fault fate (chaos only) to the datagram in
-    /// `rbuf[..len]`, then splits what is let through.
+    /// `rbuf[..len]`, and delivers what is let through.
     fn admit(&mut self, len: usize, from: SocketAddr, deliver: &mut impl FnMut(SocketAddr, &[u8])) {
         let datagram = &self.rbuf[..len];
         let fault = self.fault.as_deref();
         for _ in 0..crossings(fault, FaultDir::Inbound, &mut self.held_in, from, datagram) {
-            split(from, datagram, deliver);
+            deliver(from, datagram);
         }
     }
 
@@ -221,13 +245,24 @@ impl Endpoint {
 
     /// Sends everything in `out` — replies of one serve batch to one
     /// device merged into one datagram (see
-    /// [`BrokerOutputs::emit_merged`]) — and clears it. Returns the sends
-    /// that failed.
-    fn flush(&mut self, out: &mut BrokerOutputs<SocketAddr>) -> u64 {
+    /// [`BrokerOutputs::emit_merged`]) — except the acknowledgements
+    /// `holds` keeps back, and clears it; then what has been held long
+    /// enough. Returns the sends that failed.
+    fn flush(
+        &mut self,
+        out: &mut BrokerOutputs<SocketAddr>,
+        holds: &mut Holds,
+        now: Instant,
+    ) -> u64 {
         let mut failed = 0;
-        out.emit_merged(|to, bytes| failed += u64::from(self.send(*to, bytes).is_err()));
+        out.emit_merged(|to, bytes| failed += holds.answer(self, *to, bytes, now));
         out.clear();
-        failed
+        failed + holds.release_asked(self) + holds.release(self, now)
+    }
+
+    /// [`Endpoint::send`], counting a failure as 1.
+    fn post(&mut self, to: SocketAddr, datagram: &[u8]) -> u64 {
+        u64::from(self.send(to, datagram).is_err())
     }
 
     fn transmit(&self, to: SocketAddr, datagram: &[u8]) -> io::Result<()> {
@@ -244,7 +279,7 @@ impl Endpoint {
     /// decided when it was held, so release is unconditional.
     fn release_due(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
         while let Some((from, datagram)) = take_due(&mut self.held_in) {
-            split(from, &datagram, &mut deliver);
+            deliver(from, &datagram);
         }
         while let Some((to, datagram)) = take_due(&mut self.held_out) {
             self.transmit(to, &datagram)?;
@@ -305,30 +340,17 @@ fn take_due(held: &mut HeldFrames) -> Option<(SocketAddr, Vec<u8>)> {
     Some((peer, datagram))
 }
 
-/// Where datagrams stop and messages start: hands each MQTT-SN message of
-/// an admitted datagram to `deliver` on its own, so the broker and the
-/// client see one message at a time whatever the sender bundled. A tail
-/// that is no message goes on as it is, to be counted as one decode error
-/// like a datagram of garbage.
-fn split(from: SocketAddr, datagram: &[u8], deliver: &mut impl FnMut(SocketAddr, &[u8])) {
-    // lint: zero-alloc-begin
-    for frame in frames(datagram) {
-        deliver(from, frame);
-    }
-    // lint: zero-alloc-end
-}
-
-/// One inbound message on its way to the broker: the sender plus the
+/// One inbound datagram on its way to the broker: the sender plus the
 /// bytes in a recycled buffer.
 #[derive(Debug)]
-struct IngressFrame {
+struct Ingress {
     from: SocketAddr,
     buf: Vec<u8>,
 }
 
-impl IngressFrame {
-    fn empty() -> IngressFrame {
-        IngressFrame {
+impl Ingress {
+    fn empty() -> Ingress {
+        Ingress {
             from: SocketAddr::from(([0, 0, 0, 0], 0)),
             buf: Vec::new(),
         }
@@ -341,6 +363,219 @@ impl IngressFrame {
     }
 }
 
+/// The success acknowledgements the gateway owes its *streaming* devices
+/// and has not sent yet — TCP's delayed ACK (RFC 1122 §4.2.3.2) for
+/// MQTT-SN. A device whose PUBLISH arrives within [`STREAM_GAP`] of its
+/// previous one publishes faster than it needs each answer, so the
+/// PUBREC, PUBCOMP or accepted PUBACK that answers such a datagram waits.
+/// What is held for one device leaves as one datagram of at most 1232
+/// bytes, at the serve loop's first wake [`READ_TIMEOUT`] or more after
+/// the first of it was held — a read waits no longer than that, so nothing
+/// waits much past twice as long — or earlier, in front of anything else
+/// going to that device. The rest is answered at once, with what is held
+/// in front:
+///
+/// - a datagram that carries no PUBLISH: a device that sends PUBRELs or a
+///   PINGREQ on their own is waiting for its answers;
+/// - a PUBLISH that starts a stream, a DUP PUBLISH, and a PUBLISH with
+///   anything but PUBRELs beside it in its datagram;
+/// - a reply that is no success acknowledgement: a refusal, a congestion
+///   advisory, CONNACK, REGACK, SUBACK, PINGRESP;
+/// - a fan-out PUBLISH, which still travels alone.
+///
+/// To its device a held acknowledgement is a late one, and nothing is
+/// retransmitted before `Tretry`.
+struct Holds {
+    streams: HashMap<SocketAddr, Stream>,
+    /// Serve batches answered so far: the one being answered.
+    batch: u64,
+    /// When the oldest held acknowledgement is due; `None` while nothing is
+    /// held.
+    due: Option<Instant>,
+    /// Devices that sent a datagram to be answered at once while something
+    /// was held for them: what is held leaves at this flush even if the
+    /// datagram draws no reply (a PUBACK a subscribing device sends).
+    asked: Vec<SocketAddr>,
+    /// Buffers of streams that ended, for the next ones.
+    spare: Vec<Vec<u8>>,
+}
+
+/// A device that has published lately, as its gateway sees it.
+struct Stream {
+    /// When its last PUBLISH came in.
+    last_publish: Instant,
+    /// The last batch in which it sent a datagram that continued its
+    /// stream, and the last in which it sent one to be answered at once.
+    /// Its replies in a batch may wait only when the first is that batch
+    /// and the second is not.
+    continued: u64,
+    prompted: u64,
+    /// Its held acknowledgements, back to back, and when the first of them
+    /// was held.
+    acks: Vec<u8>,
+    since: Option<Instant>,
+}
+
+impl Stream {
+    /// Sends what is held as one datagram; returns 1 if that failed.
+    fn send(&mut self, endpoint: &mut Endpoint, to: SocketAddr) -> u64 {
+        if self.acks.is_empty() {
+            return 0;
+        }
+        let failed = endpoint.post(to, &self.acks);
+        self.acks.clear();
+        self.since = None;
+        failed
+    }
+}
+
+impl Holds {
+    fn new() -> Holds {
+        Holds {
+            streams: HashMap::new(),
+            batch: 0,
+            due: None,
+            asked: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Starts answering a serve batch read at `now`: notes, datagram by
+    /// datagram, which devices are still streaming.
+    fn begin(&mut self, batch: &[Ingress], now: Instant) {
+        self.batch += 1;
+        for datagram in batch {
+            self.note(datagram.from, &datagram.buf, now);
+        }
+    }
+
+    fn note(&mut self, from: SocketAddr, datagram: &[u8], now: Instant) {
+        // lint: zero-alloc-begin
+        let (mut publish, mut prompt) = (false, false);
+        for message in frames(datagram) {
+            match glance(message) {
+                Glance::Publish { dup } => {
+                    publish = true;
+                    prompt |= dup;
+                }
+                Glance::PubRel => {}
+                Glance::Success | Glance::Other => prompt = true,
+            }
+        }
+        let batch = self.batch;
+        match self.streams.get_mut(&from) {
+            Some(stream) => {
+                let streaming =
+                    publish && now.duration_since(stream.last_publish) < STREAM_GAP && !prompt;
+                if publish {
+                    stream.last_publish = now;
+                }
+                if streaming {
+                    stream.continued = batch;
+                } else {
+                    stream.prompted = batch;
+                    if stream.since.is_some() {
+                        self.asked.push(from);
+                    }
+                }
+            }
+            None if publish => {
+                let stream = Stream {
+                    last_publish: now,
+                    continued: 0,
+                    prompted: batch,
+                    acks: self.spare.pop().unwrap_or_default(),
+                    since: None,
+                };
+                self.streams.insert(from, stream);
+            }
+            None => {}
+        }
+        // lint: zero-alloc-end
+    }
+
+    /// Sends one datagram's worth of this batch's replies to `to` (see
+    /// [`BrokerOutputs::emit_merged`]), or holds it; returns the sends that
+    /// failed.
+    fn answer(
+        &mut self,
+        endpoint: &mut Endpoint,
+        to: SocketAddr,
+        bytes: &[u8],
+        now: Instant,
+    ) -> u64 {
+        // lint: zero-alloc-begin
+        let batch = self.batch;
+        let Some(stream) = self.streams.get_mut(&to) else {
+            return endpoint.post(to, bytes);
+        };
+        let fits = stream.acks.len() + bytes.len() <= MERGED_DATAGRAM_MAX;
+        let waits = stream.continued == batch
+            && stream.prompted != batch
+            && frames(bytes).all(|message| glance(message) == Glance::Success);
+        if waits {
+            let failed = if fits { 0 } else { stream.send(endpoint, to) };
+            stream.acks.extend_from_slice(bytes);
+            let due = *stream.since.get_or_insert(now) + READ_TIMEOUT;
+            self.due = Some(self.due.map_or(due, |at| at.min(due)));
+            return failed;
+        }
+        let fan_out = matches!(glance(bytes), Glance::Publish { .. });
+        if fits && !fan_out && !stream.acks.is_empty() {
+            stream.acks.extend_from_slice(bytes);
+            return stream.send(endpoint, to);
+        }
+        stream.send(endpoint, to) + endpoint.post(to, bytes)
+        // lint: zero-alloc-end
+    }
+
+    /// Sends what has been held for [`READ_TIMEOUT`] by `now`; returns the
+    /// sends that failed.
+    fn release(&mut self, endpoint: &mut Endpoint, now: Instant) -> u64 {
+        if self.due.is_none_or(|at| at > now) {
+            return 0;
+        }
+        let (mut failed, mut next) = (0, None::<Instant>);
+        for (to, stream) in &mut self.streams {
+            let Some(since) = stream.since else { continue };
+            let due = since + READ_TIMEOUT;
+            if due <= now {
+                failed += stream.send(endpoint, *to);
+            } else {
+                next = Some(next.map_or(due, |at| at.min(due)));
+            }
+        }
+        self.due = next;
+        failed
+    }
+
+    /// Sends what is still held for the devices that asked in this batch;
+    /// returns the sends that failed.
+    fn release_asked(&mut self, endpoint: &mut Endpoint) -> u64 {
+        let mut failed = 0;
+        for to in self.asked.drain(..) {
+            if let Some(stream) = self.streams.get_mut(&to) {
+                failed += stream.send(endpoint, to);
+            }
+        }
+        failed
+    }
+
+    /// Forgets the devices that stopped streaming — nothing held, no
+    /// PUBLISH for [`STREAM_GAP`] — keeping some of their buffers.
+    fn prune(&mut self, now: Instant) {
+        let spare = &mut self.spare;
+        self.streams.retain(|_, stream| {
+            let streaming =
+                stream.since.is_some() || now.duration_since(stream.last_publish) < STREAM_GAP;
+            if !streaming && spare.len() < SPARE_HOLDS {
+                spare.push(std::mem::take(&mut stream.acks));
+            }
+            streaming
+        });
+    }
+}
+
 /// What the serve thread and the [`UdpBroker`] handle share.
 struct Shared {
     broker: Mutex<Broker<SocketAddr>>,
@@ -350,10 +585,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn now(&self) -> Nanos {
-        self.start.elapsed().as_nanos() as Nanos
-    }
-
     /// Serializes the gateway as a `PVSH` snapshot: magic, version, and
     /// the broker's state as one length-prefixed blob.
     fn encode_snapshot(&self) -> Vec<u8> {
@@ -554,11 +785,14 @@ impl UdpBroker {
 
     /// Stops the serve thread, then closes the local subscriptions: a
     /// consumer still finds every publish the gateway acknowledged in its
-    /// queue, followed by the end of the stream. Counters stay readable;
-    /// calling it again does nothing.
+    /// queue, followed by the end of the stream. The thread is woken at
+    /// once, not at its next read time-out, and sends every acknowledgement
+    /// it holds before it ends. Counters stay readable; calling it again
+    /// does nothing.
     pub fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
+            wake(self.local_addr);
             let _ = thread.join();
         }
         self.shared.broker.lock().close_locals();
@@ -585,25 +819,49 @@ impl Drop for UdpBroker {
     }
 }
 
+/// Ends the serve loop's wait on the socket bound at `gateway`: an empty
+/// datagram from a throwaway socket. Best effort — a loop the datagram
+/// does not reach sees the stop at its next read time-out.
+fn wake(gateway: SocketAddr) {
+    let mut to = gateway;
+    let here: SocketAddr = match to {
+        SocketAddr::V4(_) => (std::net::Ipv4Addr::LOCALHOST, 0).into(),
+        SocketAddr::V6(_) => (std::net::Ipv6Addr::LOCALHOST, 0).into(),
+    };
+    if to.ip().is_unspecified() {
+        to.set_ip(here.ip());
+    }
+    if let Ok(socket) = UdpSocket::bind(here) {
+        let _ = socket.send_to(&[], to);
+    }
+}
+
 /// The serve loop: read a batch off the socket with no lock held (so a
 /// [`UdpBroker::stats`] caller never waits on a `recv`), process it — plus
 /// any due timer tick — under a **single** acquisition of the broker lock
 /// through the recycled [`BrokerOutputs`] buffer, then flush the socket
-/// after unlock. The socket read is the loop's only wait. Steady state
+/// after unlock, holding back what a streaming device can wait for (see
+/// [`Holds`]). The socket read is the loop's only wait; a stop ends it with
+/// a datagram of its own (see [`UdpBroker::stop`]), which the broker never
+/// sees, and what is held leaves before the loop does. Steady state
 /// performs no per-packet heap allocation and no per-subscriber re-encode.
 fn serve(mut endpoint: Endpoint, shared: &Shared) {
     let mut out = BrokerOutputs::new();
-    let mut batch: Vec<IngressFrame> = Vec::with_capacity(SERVE_BATCH);
-    // Recycled frames, so the steady state allocates nothing.
-    let mut spare: Vec<IngressFrame> = Vec::new();
+    let mut holds = Holds::new();
+    let mut batch: Vec<Ingress> = Vec::with_capacity(SERVE_BATCH);
+    // Recycled datagrams, so the steady state allocates nothing.
+    let mut spare: Vec<Ingress> = Vec::new();
     let mut pending_io_errors: u64 = 0;
     let mut last_tick = Instant::now();
-    while !shared.shutdown.load(Ordering::Relaxed) {
+    loop {
         let read = endpoint.read(|from, bytes| {
-            let mut frame = spare.pop().unwrap_or_else(IngressFrame::empty);
-            frame.set(from, bytes);
-            batch.push(frame);
+            let mut datagram = spare.pop().unwrap_or_else(Ingress::empty);
+            datagram.set(from, bytes);
+            batch.push(datagram);
         });
+        if shared.shutdown.load(Ordering::Relaxed) {
+            break;
+        }
         if read.is_err() {
             pending_io_errors += 1;
             if batch.is_empty() {
@@ -614,30 +872,43 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
-        let tick_due = last_tick.elapsed() >= Duration::from_millis(100);
+        let now = Instant::now();
+        let tick_due = now.duration_since(last_tick) >= Duration::from_millis(100);
         if batch.is_empty() && !tick_due && pending_io_errors == 0 {
+            pending_io_errors += holds.release(&mut endpoint, now);
             continue;
         }
-        let now_ns = shared.now();
+        holds.begin(&batch, now);
+        let now_ns = now.duration_since(shared.start).as_nanos() as Nanos;
         {
             let mut b = shared.broker.lock();
             if pending_io_errors > 0 {
                 b.note_io_errors(pending_io_errors);
                 pending_io_errors = 0;
             }
-            for frame in &batch {
-                // A datagram that does not decode is counted by the broker.
-                let _ = b.on_datagram_into(now_ns, frame.from, &frame.buf, &mut out);
+            for datagram in &batch {
+                // lint: zero-alloc-begin
+                for message in frames(&datagram.buf) {
+                    // A message that does not decode is counted by the
+                    // broker.
+                    let _ = b.on_datagram_into(now_ns, datagram.from, message, &mut out);
+                }
+                // lint: zero-alloc-end
             }
             if tick_due {
-                last_tick = Instant::now();
+                last_tick = now;
                 b.on_tick_into(now_ns, &mut out);
             }
         }
-        pending_io_errors += endpoint.flush(&mut out);
+        if tick_due {
+            holds.prune(now);
+        }
+        pending_io_errors += endpoint.flush(&mut out, &mut holds, now);
         spare.append(&mut batch);
-        spare.truncate(SPARE_FRAMES);
+        spare.truncate(SERVE_BATCH);
     }
+    // Everything held leaves: what was held by now is due a time-out on.
+    holds.release(&mut endpoint, Instant::now() + READ_TIMEOUT);
 }
 
 /// Errors from the blocking client.
@@ -738,17 +1009,19 @@ fn dial(broker: SocketAddr) -> io::Result<UdpSocket> {
     Ok(socket)
 }
 
-/// Feeds one message a device's endpoint read to the state machine — the
-/// gateway answers a `[PUBREL, PUBLISH]` datagram with a `[PUBCOMP,
-/// PUBREC]` one, which arrives here as two messages — and keeps what it
-/// answers in `replies` until the read is over. Malformed messages are
-/// dropped.
-fn hear(client: &mut Client, start: Instant, replies: &mut Vec<Output>, message: &[u8]) {
+/// Feeds the messages of one datagram a device's endpoint read to the
+/// state machine, one at a time — the gateway answers a `[PUBREL,
+/// PUBLISH]` datagram with a `[PUBCOMP, PUBREC]` one, and a stream with
+/// the acknowledgements of several — and keeps what it answers in
+/// `replies` until the read is over. Malformed messages are dropped.
+fn hear(client: &mut Client, start: Instant, replies: &mut Vec<Output>, datagram: &[u8]) {
     let now = start.elapsed().as_nanos() as Nanos;
-    // Borrowed decode: inbound PUBLISH payloads are copied once into a
-    // pooled buffer, not a fresh Vec.
-    if let Ok(mut outputs) = client.on_datagram(message, now) {
-        replies.append(&mut outputs);
+    for message in frames(datagram) {
+        // Borrowed decode: inbound PUBLISH payloads are copied once into a
+        // pooled buffer, not a fresh Vec.
+        if let Ok(mut outputs) = client.on_datagram(message, now) {
+            replies.append(&mut outputs);
+        }
     }
 }
 
@@ -783,6 +1056,17 @@ pub struct UdpClient {
     /// acknowledges it, but the gateway answers a publish of any QoS with
     /// a congestion advisory when its level has risen, so one read is owed.
     qos0_unheard: bool,
+    /// When the last PUBLISH left.
+    last_publish: Option<Instant>,
+    /// When the last QoS 1/2 PUBLISH that continued a stream (see
+    /// [`DEVICE_STREAM_GAP`]) left, while the gateway may be holding
+    /// acknowledgements for it: until a datagram the gateway answers at
+    /// once leaves, or nothing is owed.
+    stream: Option<Instant>,
+    /// The next PUBLISH carries a PINGREQ behind it, should it continue a
+    /// stream, so the gateway answers it at once: set by the blocking
+    /// [`UdpClient::publish`].
+    asking: bool,
     /// What the state machine answered to the messages of a read, sent
     /// once the read is over (see [`UdpClient::answer`]).
     replies: Vec<Output>,
@@ -802,6 +1086,9 @@ impl UdpClient {
             release_by: None,
             hold_for: config.retry_timeout / 2,
             qos0_unheard: false,
+            last_publish: None,
+            stream: None,
+            asking: false,
             client: Client::new(config),
             start: Instant::now(),
             events: VecDeque::new(),
@@ -849,7 +1136,9 @@ impl UdpClient {
     /// held; anything else leaves at once, with the held PUBRELs in front
     /// of it in the same datagram — except session control (CONNECT,
     /// REGISTER, SUBSCRIBE, UNSUBSCRIBE), which always travels alone,
-    /// after the held PUBRELs have left on their own.
+    /// after the held PUBRELs have left on their own. A PUBLISH that
+    /// continues a stream may have the PINGREQ [`UdpClient::publish`] asks
+    /// for behind it.
     fn send_packet(&mut self, p: Packet) -> Result<(), NetError> {
         if let Packet::PubRel { msg_id } = p {
             // Length, type, then the id: see `PUBREL_LEN`.
@@ -886,6 +1175,34 @@ impl UdpClient {
         let riders = self.take_held();
         p.encode_into(&mut self.write_buf);
         // lint: zero-alloc-end
+        let asking = std::mem::take(&mut self.asking);
+        self.stream = match &p {
+            Packet::Publish { dup, qos, .. } => {
+                let now = Instant::now();
+                let streams = !dup
+                    && self
+                        .last_publish
+                        .is_some_and(|at| now.duration_since(at) < DEVICE_STREAM_GAP);
+                self.last_publish = Some(now);
+                let asks = streams
+                    && asking
+                    && *qos != QoS::AtMostOnce
+                    && self.write_buf.len() + PINGREQ_LEN <= UDP_PAYLOAD_MAX;
+                if asks {
+                    // lint: zero-alloc-begin
+                    Packet::PingReq.encode_into(&mut self.write_buf);
+                    // lint: zero-alloc-end
+                }
+                match (streams && !asks, qos) {
+                    (false, _) => None,
+                    // Owed nothing: what may be held stays as it was.
+                    (true, QoS::AtMostOnce) => self.stream,
+                    (true, _) => Some(now),
+                }
+            }
+            // Answered at once, with whatever is held in front.
+            _ => None,
+        };
         if self.write_buf.len() > UDP_PAYLOAD_MAX && riders > 0 {
             // Together they exceed what UDP carries: two sends.
             let (acks, packet) = self.write_buf.split_at(riders);
@@ -913,11 +1230,42 @@ impl UdpClient {
         self.write_buf.len()
     }
 
-    /// Sends the held PUBRELs now, as one datagram of their own.
+    /// Sends the held PUBRELs now, as one datagram of their own, which
+    /// the gateway answers at once.
     fn release_acks(&mut self) -> Result<(), NetError> {
         if self.take_held() > 0 {
+            self.stream = None;
             self.endpoint.send(self.broker, &self.write_buf)?;
         }
+        Ok(())
+    }
+
+    /// Whether a handshake waits on the gateway: a PUBLISH without its
+    /// PUBREC or PUBACK, or a PUBREL that has left without its PUBCOMP. A
+    /// handshake whose PUBREL is still held waits on the device.
+    fn owed(&self) -> bool {
+        self.client.inflight_len() > self.held_acks.len() / PUBREL_LEN
+    }
+
+    /// Asks the gateway for what it may be holding for this device's
+    /// stream: the held PUBRELs leave on their own or, none being held, a
+    /// PINGREQ does, and the gateway answers either at once with
+    /// everything it holds in front. Sends nothing while nothing can be
+    /// held. For a caller about to block in [`UdpClient::pump`] until a
+    /// handshake completes, who would otherwise wait out the hold.
+    pub fn ask(&mut self) -> Result<(), NetError> {
+        if self.stream.is_none() || !self.owed() {
+            return Ok(());
+        }
+        if !self.held_acks.is_empty() {
+            return self.release_acks();
+        }
+        self.stream = None;
+        self.write_buf.clear();
+        // lint: zero-alloc-begin
+        Packet::PingReq.encode_into(&mut self.write_buf);
+        // lint: zero-alloc-end
+        self.endpoint.send(self.broker, &self.write_buf)?;
         Ok(())
     }
 
@@ -939,32 +1287,44 @@ impl UdpClient {
     /// A caller with nobody waiting need not pump for a held PUBREL's
     /// sake: [`UdpClient::reply_expected`] does not count it, and
     /// [`UdpClient::tick`] lets it go by [`UdpClient::next_deadline`] at
-    /// the latest.
+    /// the latest. The gateway may hold acknowledgements too, for a device
+    /// that streams: a caller that blocks until a handshake completes
+    /// calls [`UdpClient::ask`] first.
     pub fn pump(&mut self) -> Result<(), NetError> {
         self.qos0_unheard = false;
         self.release_acks()?;
         let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
         let read = self
             .endpoint
-            .read(|_, message| hear(client, start, replies, message));
+            .read(|_, datagram| hear(client, start, replies, datagram));
         self.answer()?;
         read?;
-        self.tick()
+        self.pass(false)
     }
 
     /// The timers alone, without the wait: what a [`UdpClient::pump`] does
     /// after reading, for a caller that sleeps elsewhere until
-    /// [`UdpClient::next_deadline`]. Never blocks and reads nothing. A
-    /// retransmission or keep-alive PINGREQ that falls due carries the held
-    /// PUBRELs like any datagram; what is still held past its release time
-    /// then leaves alone.
+    /// [`UdpClient::next_deadline`]. Never blocks. While the gateway may
+    /// hold acknowledgements for this device's stream it first reads what
+    /// has queued on the socket, so no timer asks again for what has come;
+    /// otherwise it reads nothing. A retransmission or keep-alive PINGREQ
+    /// that falls due carries the held PUBRELs like any datagram; what is
+    /// still held past its release time then leaves alone.
     pub fn tick(&mut self) -> Result<(), NetError> {
+        self.pass(self.stream.is_some())
+    }
+
+    /// [`UdpClient::tick`], reading what has queued on the socket if
+    /// `drain`.
+    fn pass(&mut self, drain: bool) -> Result<(), NetError> {
         let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
-        let released = self
-            .endpoint
-            .release_due(|_, message| hear(client, start, replies, message));
+        let mut heard = |_, datagram: &[u8]| hear(client, start, replies, datagram);
+        let mut read = self.endpoint.release_due(&mut heard);
+        if drain && read.is_ok() {
+            read = self.endpoint.drain(0, &mut heard);
+        }
         self.answer()?;
-        released?;
+        read?;
         let now = self.now();
         let outputs = self.client.on_tick(now);
         self.dispatch(outputs)?;
@@ -978,25 +1338,38 @@ impl UdpClient {
     /// publisher: a PUBLISH without its PUBREC or PUBACK, a PUBREL that has
     /// left without its PUBCOMP, a control transaction, a PINGREQ — or the
     /// advisory a QoS 0 PUBLISH may have drawn. A handshake whose PUBREL is
-    /// still held is owed nothing until the PUBREL leaves. While this is
-    /// `false` a [`UdpClient::pump`] can only time out.
+    /// still held is owed nothing until the PUBREL leaves, and the
+    /// acknowledgements of a stream are not on their way until the gateway
+    /// lets its hold go, by [`DEVICE_STREAM_GAP`] after the stream's last
+    /// PUBLISH. While this is `false` a [`UdpClient::pump`] can only time
+    /// out, or read early what is read later anyway.
     pub fn reply_expected(&self) -> bool {
-        self.client.inflight_len() > self.held_acks.len() / PUBREL_LEN
-            || self.client.control_outstanding()
-            || self.qos0_unheard
+        let held = self
+            .stream
+            .is_some_and(|last| last.elapsed() < DEVICE_STREAM_GAP);
+        (self.owed() && !held) || self.client.control_outstanding() || self.qos0_unheard
     }
 
     /// The earliest instant at which [`UdpClient::tick`] has something to
     /// do: a timer of the state machine ([`Client::next_deadline`]), the
-    /// release of a held PUBREL, or a datagram delayed by the fault plan
-    /// (chaos only) coming off hold. `None` when nothing is scheduled.
+    /// release of a held PUBREL, the end of what the gateway may hold for
+    /// this device's stream, or a datagram delayed by the fault plan (chaos
+    /// only) coming off hold. `None` when nothing is scheduled.
     pub fn next_deadline(&self) -> Option<Instant> {
         let timers = self.client.next_deadline();
         let timers = timers.and_then(|ns| self.start.checked_add(Duration::from_nanos(ns)));
-        [timers, self.release_by, self.endpoint.next_release()]
-            .into_iter()
-            .flatten()
-            .min()
+        let stream = self
+            .stream
+            .and_then(|last| last.checked_add(DEVICE_STREAM_GAP));
+        [
+            timers,
+            self.release_by,
+            stream,
+            self.endpoint.next_release(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Sends what the state machine answered to the messages of the last
@@ -1005,6 +1378,9 @@ impl UdpClient {
         let mut replies = std::mem::take(&mut self.replies);
         let sent = self.dispatch(replies.drain(..));
         self.replies = replies;
+        if !self.owed() {
+            self.stream = None;
+        }
         sent
     }
 
@@ -1136,7 +1512,12 @@ impl UdpClient {
         qos: QoS,
         timeout: Duration,
     ) -> Result<(), NetError> {
-        let msg_id = self.publish_nowait(topic_id, payload, qos)?;
+        // Whoever blocks asks: a PINGREQ behind a PUBLISH that continues a
+        // stream has the gateway answer it at once.
+        self.asking = qos != QoS::AtMostOnce;
+        let published = self.publish_nowait(topic_id, payload, qos);
+        self.asking = false;
+        let msg_id = published?;
         if qos == QoS::AtMostOnce {
             return Ok(());
         }
@@ -1227,6 +1608,9 @@ impl UdpClient {
         // session re-emits the PUBREL of every handshake still in that phase.
         self.held_acks.clear();
         self.release_by = None;
+        // So is what the old gateway held: the new one answers at once.
+        self.stream = None;
+        self.last_publish = None;
         let now = self.now();
         let outputs = self.client.reconnect(now);
         self.dispatch(outputs)?;
@@ -2287,5 +2671,250 @@ mod tests {
     #[test]
     fn gateway_delays_an_outbound_reply() {
         delayed_at_the_gateway(FaultDir::Outbound, is_puback);
+    }
+
+    /// Records every datagram crossing one client's link, both directions,
+    /// split into its messages, and lets all of them through.
+    #[derive(Debug, Default)]
+    struct Wire(std::sync::Mutex<Vec<(Instant, FaultDir, Vec<Packet>)>>);
+
+    impl DatagramFault for Wire {
+        fn fate(&self, dir: FaultDir, datagram: &[u8]) -> DatagramFate {
+            let packets = frames(datagram).map(|f| Packet::decode(f).unwrap());
+            let seen = (Instant::now(), dir, packets.collect());
+            self.0.lock().unwrap().push(seen);
+            DatagramFate::Deliver
+        }
+    }
+
+    impl Wire {
+        /// The datagrams that crossed in `dir` so far, with when they did.
+        fn crossed(&self, dir: FaultDir) -> Vec<(Instant, Vec<Packet>)> {
+            let seen = self.0.lock().unwrap();
+            let crossed = seen.iter().filter(|(_, d, _)| *d == dir);
+            crossed
+                .map(|(at, _, packets)| (*at, packets.clone()))
+                .collect()
+        }
+    }
+
+    /// [`counted_publisher`] with the link recorded instead of counted.
+    fn recorded_publisher(id: &str) -> (UdpBroker, LocalSubscription, UdpClient, u16, Arc<Wire>) {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let sub = gw.subscribe_local("#").unwrap();
+        let mut c = UdpClient::connect(gw.local_addr(), ClientConfig::new(id), timeout()).unwrap();
+        let tid = c.register("rec/dev", timeout()).unwrap();
+        let wire = Arc::new(Wire::default());
+        c.set_fault(wire.clone());
+        (gw, sub, c, tid, wire)
+    }
+
+    /// A device that publishes every 2 ms streams: the gateway holds the
+    /// acknowledgements of a stream and answers it once per read time-out,
+    /// not once per message, and the device reads them on the ticks after
+    /// later sends. Every handshake still completes, every message is
+    /// delivered once and in order, and nothing is retransmitted.
+    #[test]
+    fn a_stream_is_answered_once_per_hold() {
+        const N: u32 = 200;
+        let (gw, mut sub, mut c, tid, wire) = recorded_publisher("stream");
+        let mut done = 0;
+        let mut absorb = |c: &mut UdpClient| {
+            while let Some(e) = c.pop_event() {
+                assert!(matches!(e, ClientEvent::PublishDone { .. }), "{e:?}");
+                done += 1;
+            }
+        };
+        for i in 0..N {
+            c.publish_nowait(tid, i.to_be_bytes().to_vec(), QoS::ExactlyOnce)
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            c.tick().unwrap();
+            absorb(&mut c);
+        }
+        let deadline = Instant::now() + timeout();
+        while c.inflight_len() > 0 {
+            assert!(Instant::now() < deadline, "handshakes never completed");
+            c.ask().unwrap();
+            c.pump().unwrap();
+        }
+        absorb(&mut c);
+        assert_eq!(done, N);
+        let answers = wire.crossed(FaultDir::Inbound).len();
+        assert!(
+            answers <= N as usize / 3,
+            "{answers} datagrams answered {N} streamed QoS 2 messages"
+        );
+        assert_delivered_once_in_order(&mut sub, &gw, N);
+        gw.shutdown();
+    }
+
+    /// Publishes 50 ms apart are no stream: the gateway answers each at
+    /// once with one datagram, as it did before it held anything, and the
+    /// device expects that answer on its socket.
+    #[test]
+    fn a_publish_after_a_pause_is_answered_at_once() {
+        let (gw, mut sub, mut c, tid, wire) = recorded_publisher("pause");
+        let mut sent = Vec::new();
+        for i in 0..2u32 {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            sent.push(Instant::now());
+            c.publish_nowait(tid, i.to_be_bytes().to_vec(), QoS::ExactlyOnce)
+                .unwrap();
+            assert!(c.reply_expected(), "a lone publish waits on its answer");
+            let deadline = Instant::now() + timeout();
+            while c.reply_expected() {
+                assert!(Instant::now() < deadline, "no answer");
+                c.pump().unwrap();
+            }
+        }
+        let answers = wire.crossed(FaultDir::Inbound);
+        let ids: Vec<u16> = match wire.crossed(FaultDir::Outbound)[..] {
+            [(_, ref first), (_, ref second)] => [first, second]
+                .iter()
+                .map(|packets| match packets.last() {
+                    Some(Packet::Publish { msg_id, .. }) => *msg_id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect(),
+            ref other => panic!("unexpected {other:?}"),
+        };
+        let shapes: Vec<&[Packet]> = answers.iter().map(|(_, p)| &p[..]).collect();
+        assert_eq!(
+            shapes,
+            [
+                &[Packet::PubRec { msg_id: ids[0] }][..],
+                &[
+                    Packet::PubComp { msg_id: ids[0] },
+                    Packet::PubRec { msg_id: ids[1] }
+                ][..],
+            ]
+        );
+        for ((answered, _), sent) in answers.iter().zip(&sent) {
+            let after = answered.duration_since(*sent);
+            assert!(after < READ_TIMEOUT, "answered after {after:?}");
+        }
+        c.pump().unwrap();
+        assert_delivered_once_in_order(&mut sub, &gw, 2);
+        gw.shutdown();
+    }
+
+    /// What the gateway holds for a stream leaves at once, in front of the
+    /// answer, when the device sends a datagram without a PUBLISH: a
+    /// PINGREQ, or PUBRELs on their own. Either means it is waiting.
+    #[test]
+    fn a_datagram_without_a_publish_releases_what_is_held() {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let addr = gw.local_addr();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.connect(addr).unwrap();
+        raw.set_read_timeout(Some(timeout())).unwrap();
+        let mut rbuf = [0u8; 256];
+        let mut answer = |datagram: &[u8]| -> Vec<Packet> {
+            raw.send(datagram).unwrap();
+            let n = raw.recv(&mut rbuf).unwrap();
+            frames(&rbuf[..n])
+                .map(|f| Packet::decode(f).unwrap())
+                .collect()
+        };
+        let connect = Packet::Connect {
+            clean_session: true,
+            duration: 60,
+            client_id: "held".into(),
+        };
+        assert!(matches!(
+            answer(&connect.encode())[..],
+            [Packet::ConnAck { .. }]
+        ));
+        let register = Packet::Register {
+            topic_id: 0,
+            msg_id: 1,
+            topic_name: "held/dev".into(),
+        };
+        let tid = match answer(&register.encode())[..] {
+            [Packet::RegAck { topic_id, .. }] => topic_id,
+            ref other => panic!("unexpected {other:?}"),
+        };
+        let publish = |msg_id: u16| {
+            let publish = Packet::Publish {
+                dup: false,
+                qos: QoS::ExactlyOnce,
+                retain: false,
+                topic: TopicRef::Id(tid),
+                msg_id,
+                payload: vec![msg_id as u8],
+            };
+            publish.encode()
+        };
+        let pubrels = |ids: &[u16]| {
+            let mut datagram = Vec::new();
+            for &msg_id in ids {
+                Packet::PubRel { msg_id }.encode_into(&mut datagram);
+            }
+            datagram
+        };
+        let pause = || std::thread::sleep(Duration::from_millis(1));
+
+        // A stream starts: its first PUBLISH is answered at once.
+        assert_eq!(answer(&publish(2)), [Packet::PubRec { msg_id: 2 }]);
+        // The next is held until a PINGREQ asks.
+        raw.send(&publish(3)).unwrap();
+        pause();
+        assert_eq!(
+            answer(&Packet::PingReq.encode()),
+            [Packet::PubRec { msg_id: 3 }, Packet::PingResp]
+        );
+        // And the next until PUBRELs on their own do.
+        raw.send(&publish(4)).unwrap();
+        pause();
+        assert_eq!(
+            answer(&pubrels(&[2, 3])),
+            [
+                Packet::PubRec { msg_id: 4 },
+                Packet::PubComp { msg_id: 2 },
+                Packet::PubComp { msg_id: 3 }
+            ]
+        );
+        assert_eq!(answer(&pubrels(&[4])), [Packet::PubComp { msg_id: 4 }]);
+        let stats = gw.stats();
+        assert_eq!(stats.publishes_in, 3);
+        assert_eq!(stats.duplicates_suppressed, 0);
+        assert_eq!(stats.decode_errors, 0);
+        gw.shutdown();
+    }
+
+    /// A gateway stopped while it holds a stream's acknowledgements sends
+    /// them before its serve loop ends — and ends it at once, not at its
+    /// next read time-out: every publish it accepted ends in `PublishDone`,
+    /// and the device retransmits none.
+    #[test]
+    fn stop_sends_held_acks() {
+        const N: u32 = 5;
+        let (mut gw, mut sub, mut c, tid, wire) = recorded_publisher("stop");
+        for i in 0..N {
+            c.publish_nowait(tid, i.to_be_bytes().to_vec(), QoS::AtLeastOnce)
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let stopping = Instant::now();
+        gw.stop();
+        let stopped = stopping.elapsed();
+        assert_eq!(gw.stats().publishes_in, N as u64);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let mut done = 0;
+        while done < N {
+            assert!(Instant::now() < deadline, "{done} of {N} acknowledged");
+            c.pump().unwrap();
+            while let Some(e) = c.pop_event() {
+                assert!(matches!(e, ClientEvent::PublishDone { .. }), "{e:?}");
+                done += 1;
+            }
+        }
+        let sent = wire.crossed(FaultDir::Outbound);
+        assert_eq!(sent.len(), N as usize, "retransmitted: {sent:?}");
+        assert!(stopped < READ_TIMEOUT / 2, "stop took {stopped:?}");
+        assert_delivered_once_in_order(&mut sub, &gw, N);
     }
 }

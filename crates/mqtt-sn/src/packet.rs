@@ -471,6 +471,41 @@ impl<'a> Iterator for Frames<'a> {
 
 impl std::iter::FusedIterator for Frames<'_> {}
 
+/// What the gateway's acknowledgement hold needs to know of one message,
+/// read off its header without decoding it. A message that would not decode
+/// may be misread; the hold only decides when replies leave, not what they
+/// say.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Glance {
+    /// A PUBLISH, and whether its DUP flag is set.
+    Publish { dup: bool },
+    /// A PUBREL.
+    PubRel,
+    /// A PUBREC, a PUBCOMP or an accepted PUBACK: an acknowledgement that
+    /// reports success and asks nothing of its reader at once.
+    Success,
+    /// Anything else.
+    Other,
+}
+
+/// Reads a [`Glance`] of the message `frame` starts with.
+pub(crate) fn glance(frame: &[u8]) -> Glance {
+    let Ok((_, prefix)) = length_prefix(frame) else {
+        return Glance::Other;
+    };
+    let byte = |at: usize| frame.get(prefix + at).copied();
+    match byte(0) {
+        Some(msg_type::PUBLISH) => Glance::Publish {
+            dup: byte(1).is_some_and(|flags| flags & flag::DUP != 0),
+        },
+        Some(msg_type::PUBREL) => Glance::PubRel,
+        Some(msg_type::PUBREC | msg_type::PUBCOMP) => Glance::Success,
+        // Type, topic id, message id, then the return code.
+        Some(msg_type::PUBACK) if byte(5) == Some(ReturnCode::Accepted.byte()) => Glance::Success,
+        _ => Glance::Other,
+    }
+}
+
 impl Packet {
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -1145,6 +1180,42 @@ pub(crate) mod tests {
         let split: Vec<&[u8]> = frames(&bundle).collect();
         assert_eq!(split, [rel.as_slice(), &publish, &rel]);
         assert_eq!(frames(&publish).collect::<Vec<_>>(), [publish.as_slice()]);
+    }
+
+    #[test]
+    fn a_glance_reads_the_kinds_the_hold_tells_apart() {
+        let publish = |dup, payload: usize| Packet::Publish {
+            dup,
+            qos: QoS::ExactlyOnce,
+            retain: false,
+            topic: TopicRef::Id(3),
+            msg_id: 8,
+            payload: vec![0xab; payload],
+        };
+        let puback = |code| Packet::PubAck {
+            topic_id: 3,
+            msg_id: 8,
+            code,
+        };
+        let cases = [
+            (publish(false, 3), Glance::Publish { dup: false }),
+            // Long-form length prefix.
+            (publish(true, 300), Glance::Publish { dup: true }),
+            (Packet::PubRel { msg_id: 8 }, Glance::PubRel),
+            (Packet::PubRec { msg_id: 8 }, Glance::Success),
+            (Packet::PubComp { msg_id: 8 }, Glance::Success),
+            (puback(ReturnCode::Accepted), Glance::Success),
+            (puback(ReturnCode::Congestion), Glance::Other),
+            (puback(ReturnCode::InvalidTopicId), Glance::Other),
+            (Packet::PingReq, Glance::Other),
+            (Packet::PingResp, Glance::Other),
+            (Packet::CongestionAdvisory { level: 1 }, Glance::Other),
+        ];
+        for (packet, kind) in cases {
+            assert_eq!(glance(&packet.encode()), kind, "{packet:?}");
+        }
+        assert_eq!(glance(&[]), Glance::Other);
+        assert_eq!(glance(&[0x01, 0x00]), Glance::Other);
     }
 
     #[test]
