@@ -1489,7 +1489,7 @@ mod tests {
     /// LZSS cannot shrink can encode past the UDP datagram limit. It must
     /// be split rather than killing the transmitter with a failed send.
     #[test]
-    fn oversized_json_envelope_is_split_not_dropped() {
+    fn oversized_envelope_is_split_not_dropped() {
         let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
         let config = CaptureConfig::default();
         // One un-splittable batch of pseudo-random floats (7 B each on the

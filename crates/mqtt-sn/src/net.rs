@@ -9,19 +9,21 @@
 //!
 //! Both ends talk to their socket through one private `Endpoint`: the
 //! 10 ms read timeout, the wait-then-drain read, the fault plan's fate for
-//! every datagram each way (with the datagrams it delays), and the split
-//! of a datagram into MQTT-SN messages. What is each end's own sits above
-//! it: the broker lock and the merged flush for the gateway; the sans-io
-//! [`Client`], the held-PUBREL bundling and the blocking API for the
-//! device.
+//! every datagram each way (with the datagrams it delays), and the sends
+//! it is told to make. What is each end's own sits above it: the broker
+//! lock for the gateway; the sans-io [`Client`], the event queue and the
+//! blocking API for the device. What either end holds back, and when it
+//! leaves, is decided in [`crate::hold`], which hands the datagrams to
+//! send to the endpoint.
 
-use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats, MERGED_DATAGRAM_MAX};
+use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
 use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
+use crate::hold::{DeviceHold, GatewayHold};
 use crate::local::LocalSubscription;
-use crate::packet::{frames, glance, Glance, Packet, QoS, TopicRef};
+use crate::packet::{frames, Packet, QoS, TopicRef};
 use crate::Error;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::path::{Path, PathBuf};
@@ -75,7 +77,9 @@ pub trait DatagramFault: Send + Sync + std::fmt::Debug {
 type HeldFrames = Vec<(Instant, SocketAddr, Vec<u8>)>;
 
 /// How long a read waits for a datagram before handing control back, so
-/// shutdown, timers and delayed datagrams stay responsive.
+/// shutdown, timers and delayed datagrams stay responsive. No longer than
+/// the stream gap of [`crate::hold`], so what a stream's hold makes due
+/// leaves at most this long late.
 const READ_TIMEOUT: Duration = Duration::from_millis(10);
 /// Datagrams drained per wakeup before the broker lock is taken. Bounds
 /// both the receive-buffer footprint and how long outbound traffic waits
@@ -83,29 +87,6 @@ const READ_TIMEOUT: Duration = Duration::from_millis(10);
 const SERVE_BATCH: usize = 32;
 /// Receive-buffer size: the largest datagram MQTT-SN over UDP can carry.
 const SLOT: usize = 64 * 1024;
-/// Largest payload a UDP datagram carries over IPv4 (65 535 less the IP
-/// and UDP headers).
-const UDP_PAYLOAD_MAX: usize = 65_507;
-/// Encoded size of a PUBREL: length, type, message id.
-const PUBREL_LEN: usize = 4;
-/// Encoded size of a PINGREQ without a client id: length, type.
-const PINGREQ_LEN: usize = 2;
-/// A PUBLISH that arrives within this of its device's previous one
-/// continues a stream, and the gateway may hold its acknowledgement (see
-/// `Holds`).
-const STREAM_GAP: Duration = READ_TIMEOUT;
-/// Hold buffers the gateway keeps for reuse once their streams have ended.
-const SPARE_HOLDS: usize = 64;
-/// The device's side of [`STREAM_GAP`]: a PUBLISH that leaves within this
-/// of the device's previous one continues its stream, and what the gateway
-/// holds for a stream has left by this long after its last PUBLISH. Twice
-/// the gateway's figure, because the two ends may disagree one way only: a
-/// device that counts a publish as streaming when its gateway does not
-/// reads the answer a little later, but one that waited on its socket for
-/// an answer the gateway held would block for the length of the hold — and
-/// a datagram that waited in a socket buffer makes the gap the gateway
-/// measures shorter than the one its device did.
-const DEVICE_STREAM_GAP: Duration = READ_TIMEOUT.saturating_mul(2);
 
 /// Magic prefix of a gateway snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
@@ -243,26 +224,12 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Sends everything in `out` — replies of one serve batch to one
-    /// device merged into one datagram (see
-    /// [`BrokerOutputs::emit_merged`]) — except the acknowledgements
-    /// `holds` keeps back, and clears it; then what has been held long
-    /// enough. Returns the sends that failed.
-    fn flush(
-        &mut self,
-        out: &mut BrokerOutputs<SocketAddr>,
-        holds: &mut Holds,
-        now: Instant,
-    ) -> u64 {
+    /// Sends every datagram `emit` hands over (see [`Endpoint::send`]);
+    /// returns the sends that failed.
+    fn flush(&mut self, emit: impl FnOnce(&mut dyn FnMut(&SocketAddr, &[u8]))) -> u64 {
         let mut failed = 0;
-        out.emit_merged(|to, bytes| failed += holds.answer(self, *to, bytes, now));
-        out.clear();
-        failed + holds.release_asked(self) + holds.release(self, now)
-    }
-
-    /// [`Endpoint::send`], counting a failure as 1.
-    fn post(&mut self, to: SocketAddr, datagram: &[u8]) -> u64 {
-        u64::from(self.send(to, datagram).is_err())
+        emit(&mut |to, datagram| failed += u64::from(self.send(*to, datagram).is_err()));
+        failed
     }
 
     fn transmit(&self, to: SocketAddr, datagram: &[u8]) -> io::Result<()> {
@@ -338,242 +305,6 @@ fn take_due(held: &mut HeldFrames) -> Option<(SocketAddr, Vec<u8>)> {
     let due = held.iter().position(|(at, _, _)| *at <= now)?;
     let (_, peer, datagram) = held.swap_remove(due);
     Some((peer, datagram))
-}
-
-/// One inbound datagram on its way to the broker: the sender plus the
-/// bytes in a recycled buffer.
-#[derive(Debug)]
-struct Ingress {
-    from: SocketAddr,
-    buf: Vec<u8>,
-}
-
-impl Ingress {
-    fn empty() -> Ingress {
-        Ingress {
-            from: SocketAddr::from(([0, 0, 0, 0], 0)),
-            buf: Vec::new(),
-        }
-    }
-
-    fn set(&mut self, from: SocketAddr, bytes: &[u8]) {
-        self.from = from;
-        self.buf.clear();
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
-/// The success acknowledgements the gateway owes its *streaming* devices
-/// and has not sent yet — TCP's delayed ACK (RFC 1122 §4.2.3.2) for
-/// MQTT-SN. A device whose PUBLISH arrives within [`STREAM_GAP`] of its
-/// previous one publishes faster than it needs each answer, so the
-/// PUBREC, PUBCOMP or accepted PUBACK that answers such a datagram waits.
-/// What is held for one device leaves as one datagram of at most 1232
-/// bytes, at the serve loop's first wake [`READ_TIMEOUT`] or more after
-/// the first of it was held — a read waits no longer than that, so nothing
-/// waits much past twice as long — or earlier, in front of anything else
-/// going to that device. The rest is answered at once, with what is held
-/// in front:
-///
-/// - a datagram that carries no PUBLISH: a device that sends PUBRELs or a
-///   PINGREQ on their own is waiting for its answers;
-/// - a PUBLISH that starts a stream, a DUP PUBLISH, and a PUBLISH with
-///   anything but PUBRELs beside it in its datagram;
-/// - a reply that is no success acknowledgement: a refusal, a congestion
-///   advisory, CONNACK, REGACK, SUBACK, PINGRESP;
-/// - a fan-out PUBLISH, which still travels alone.
-///
-/// To its device a held acknowledgement is a late one, and nothing is
-/// retransmitted before `Tretry`.
-struct Holds {
-    streams: HashMap<SocketAddr, Stream>,
-    /// Serve batches answered so far: the one being answered.
-    batch: u64,
-    /// When the oldest held acknowledgement is due; `None` while nothing is
-    /// held.
-    due: Option<Instant>,
-    /// Devices that sent a datagram to be answered at once while something
-    /// was held for them: what is held leaves at this flush even if the
-    /// datagram draws no reply (a PUBACK a subscribing device sends).
-    asked: Vec<SocketAddr>,
-    /// Buffers of streams that ended, for the next ones.
-    spare: Vec<Vec<u8>>,
-}
-
-/// A device that has published lately, as its gateway sees it.
-struct Stream {
-    /// When its last PUBLISH came in.
-    last_publish: Instant,
-    /// The last batch in which it sent a datagram that continued its
-    /// stream, and the last in which it sent one to be answered at once.
-    /// Its replies in a batch may wait only when the first is that batch
-    /// and the second is not.
-    continued: u64,
-    prompted: u64,
-    /// Its held acknowledgements, back to back, and when the first of them
-    /// was held.
-    acks: Vec<u8>,
-    since: Option<Instant>,
-}
-
-impl Stream {
-    /// Sends what is held as one datagram; returns 1 if that failed.
-    fn send(&mut self, endpoint: &mut Endpoint, to: SocketAddr) -> u64 {
-        if self.acks.is_empty() {
-            return 0;
-        }
-        let failed = endpoint.post(to, &self.acks);
-        self.acks.clear();
-        self.since = None;
-        failed
-    }
-}
-
-impl Holds {
-    fn new() -> Holds {
-        Holds {
-            streams: HashMap::new(),
-            batch: 0,
-            due: None,
-            asked: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// Starts answering a serve batch read at `now`: notes, datagram by
-    /// datagram, which devices are still streaming.
-    fn begin(&mut self, batch: &[Ingress], now: Instant) {
-        self.batch += 1;
-        for datagram in batch {
-            self.note(datagram.from, &datagram.buf, now);
-        }
-    }
-
-    fn note(&mut self, from: SocketAddr, datagram: &[u8], now: Instant) {
-        // lint: zero-alloc-begin
-        let (mut publish, mut prompt) = (false, false);
-        for message in frames(datagram) {
-            match glance(message) {
-                Glance::Publish { dup } => {
-                    publish = true;
-                    prompt |= dup;
-                }
-                Glance::PubRel => {}
-                Glance::Success | Glance::Other => prompt = true,
-            }
-        }
-        let batch = self.batch;
-        match self.streams.get_mut(&from) {
-            Some(stream) => {
-                let streaming =
-                    publish && now.duration_since(stream.last_publish) < STREAM_GAP && !prompt;
-                if publish {
-                    stream.last_publish = now;
-                }
-                if streaming {
-                    stream.continued = batch;
-                } else {
-                    stream.prompted = batch;
-                    if stream.since.is_some() {
-                        self.asked.push(from);
-                    }
-                }
-            }
-            None if publish => {
-                let stream = Stream {
-                    last_publish: now,
-                    continued: 0,
-                    prompted: batch,
-                    acks: self.spare.pop().unwrap_or_default(),
-                    since: None,
-                };
-                self.streams.insert(from, stream);
-            }
-            None => {}
-        }
-        // lint: zero-alloc-end
-    }
-
-    /// Sends one datagram's worth of this batch's replies to `to` (see
-    /// [`BrokerOutputs::emit_merged`]), or holds it; returns the sends that
-    /// failed.
-    fn answer(
-        &mut self,
-        endpoint: &mut Endpoint,
-        to: SocketAddr,
-        bytes: &[u8],
-        now: Instant,
-    ) -> u64 {
-        // lint: zero-alloc-begin
-        let batch = self.batch;
-        let Some(stream) = self.streams.get_mut(&to) else {
-            return endpoint.post(to, bytes);
-        };
-        let fits = stream.acks.len() + bytes.len() <= MERGED_DATAGRAM_MAX;
-        let waits = stream.continued == batch
-            && stream.prompted != batch
-            && frames(bytes).all(|message| glance(message) == Glance::Success);
-        if waits {
-            let failed = if fits { 0 } else { stream.send(endpoint, to) };
-            stream.acks.extend_from_slice(bytes);
-            let due = *stream.since.get_or_insert(now) + READ_TIMEOUT;
-            self.due = Some(self.due.map_or(due, |at| at.min(due)));
-            return failed;
-        }
-        let fan_out = matches!(glance(bytes), Glance::Publish { .. });
-        if fits && !fan_out && !stream.acks.is_empty() {
-            stream.acks.extend_from_slice(bytes);
-            return stream.send(endpoint, to);
-        }
-        stream.send(endpoint, to) + endpoint.post(to, bytes)
-        // lint: zero-alloc-end
-    }
-
-    /// Sends what has been held for [`READ_TIMEOUT`] by `now`; returns the
-    /// sends that failed.
-    fn release(&mut self, endpoint: &mut Endpoint, now: Instant) -> u64 {
-        if self.due.is_none_or(|at| at > now) {
-            return 0;
-        }
-        let (mut failed, mut next) = (0, None::<Instant>);
-        for (to, stream) in &mut self.streams {
-            let Some(since) = stream.since else { continue };
-            let due = since + READ_TIMEOUT;
-            if due <= now {
-                failed += stream.send(endpoint, *to);
-            } else {
-                next = Some(next.map_or(due, |at| at.min(due)));
-            }
-        }
-        self.due = next;
-        failed
-    }
-
-    /// Sends what is still held for the devices that asked in this batch;
-    /// returns the sends that failed.
-    fn release_asked(&mut self, endpoint: &mut Endpoint) -> u64 {
-        let mut failed = 0;
-        for to in self.asked.drain(..) {
-            if let Some(stream) = self.streams.get_mut(&to) {
-                failed += stream.send(endpoint, to);
-            }
-        }
-        failed
-    }
-
-    /// Forgets the devices that stopped streaming — nothing held, no
-    /// PUBLISH for [`STREAM_GAP`] — keeping some of their buffers.
-    fn prune(&mut self, now: Instant) {
-        let spare = &mut self.spare;
-        self.streams.retain(|_, stream| {
-            let streaming =
-                stream.since.is_some() || now.duration_since(stream.last_publish) < STREAM_GAP;
-            if !streaming && spare.len() < SPARE_HOLDS {
-                spare.push(std::mem::take(&mut stream.acks));
-            }
-            streaming
-        });
-    }
 }
 
 /// What the serve thread and the [`UdpBroker`] handle share.
@@ -841,23 +572,25 @@ fn wake(gateway: SocketAddr) {
 /// any due timer tick — under a **single** acquisition of the broker lock
 /// through the recycled [`BrokerOutputs`] buffer, then flush the socket
 /// after unlock, holding back what a streaming device can wait for (see
-/// [`Holds`]). The socket read is the loop's only wait; a stop ends it with
+/// [`GatewayHold`]). The socket read is the loop's only wait; a stop ends it with
 /// a datagram of its own (see [`UdpBroker::stop`]), which the broker never
 /// sees, and what is held leaves before the loop does. Steady state
 /// performs no per-packet heap allocation and no per-subscriber re-encode.
 fn serve(mut endpoint: Endpoint, shared: &Shared) {
     let mut out = BrokerOutputs::new();
-    let mut holds = Holds::new();
-    let mut batch: Vec<Ingress> = Vec::with_capacity(SERVE_BATCH);
-    // Recycled datagrams, so the steady state allocates nothing.
-    let mut spare: Vec<Ingress> = Vec::new();
+    let mut hold = GatewayHold::default();
+    // Each datagram read, with its sender, in a recycled buffer, so the
+    // steady state allocates nothing.
+    let mut batch: Vec<(SocketAddr, Vec<u8>)> = Vec::with_capacity(SERVE_BATCH);
+    let mut spare: Vec<Vec<u8>> = Vec::new();
     let mut pending_io_errors: u64 = 0;
     let mut last_tick = Instant::now();
     loop {
         let read = endpoint.read(|from, bytes| {
-            let mut datagram = spare.pop().unwrap_or_else(Ingress::empty);
-            datagram.set(from, bytes);
-            batch.push(datagram);
+            let mut buf = spare.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(bytes);
+            batch.push((from, buf));
         });
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
@@ -873,25 +606,27 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
             }
         }
         let now = Instant::now();
+        let now_ns = now.duration_since(shared.start).as_nanos() as Nanos;
         let tick_due = now.duration_since(last_tick) >= Duration::from_millis(100);
         if batch.is_empty() && !tick_due && pending_io_errors == 0 {
-            pending_io_errors += holds.release(&mut endpoint, now);
+            pending_io_errors += endpoint.flush(|send| hold.release(now_ns, send));
             continue;
         }
-        holds.begin(&batch, now);
-        let now_ns = now.duration_since(shared.start).as_nanos() as Nanos;
+        for (from, datagram) in &batch {
+            hold.note(from, datagram, now_ns);
+        }
         {
             let mut b = shared.broker.lock();
             if pending_io_errors > 0 {
                 b.note_io_errors(pending_io_errors);
                 pending_io_errors = 0;
             }
-            for datagram in &batch {
+            for (from, datagram) in &batch {
                 // lint: zero-alloc-begin
-                for message in frames(&datagram.buf) {
+                for message in frames(datagram) {
                     // A message that does not decode is counted by the
                     // broker.
-                    let _ = b.on_datagram_into(now_ns, datagram.from, message, &mut out);
+                    let _ = b.on_datagram_into(now_ns, *from, message, &mut out);
                 }
                 // lint: zero-alloc-end
             }
@@ -901,14 +636,14 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
             }
         }
         if tick_due {
-            holds.prune(now);
+            hold.prune(now_ns);
         }
-        pending_io_errors += endpoint.flush(&mut out, &mut holds, now);
-        spare.append(&mut batch);
+        pending_io_errors += endpoint.flush(|send| hold.flush(&mut out, now_ns, send));
+        spare.extend(batch.drain(..).map(|(_, buf)| buf));
         spare.truncate(SERVE_BATCH);
     }
-    // Everything held leaves: what was held by now is due a time-out on.
-    holds.release(&mut endpoint, Instant::now() + READ_TIMEOUT);
+    // Everything held leaves.
+    endpoint.flush(|send| hold.release(Nanos::MAX, send));
 }
 
 /// Errors from the blocking client.
@@ -1025,48 +760,15 @@ fn hear(client: &mut Client, start: Instant, replies: &mut Vec<Output>, datagram
     }
 }
 
-/// A blocking MQTT-SN client over UDP.
+/// A blocking MQTT-SN client over UDP: the sans-io [`Client`], its
+/// [`DeviceHold`] on the way to the socket, and the events they surfaced.
 pub struct UdpClient {
     endpoint: Endpoint,
     broker: SocketAddr,
     client: Client,
+    hold: DeviceHold,
     start: Instant,
     events: VecDeque<ClientEvent>,
-    /// Reused for every outbound datagram so the publish path does not
-    /// allocate a fresh wire buffer per datagram.
-    write_buf: Vec<u8>,
-    /// Encoded PUBRELs waiting for the next outbound datagram to ride in
-    /// front of, or for the next [`UdpClient::pump`] to send them alone. A
-    /// PUBREL moves no data — the gateway fanned the publish out when it
-    /// first saw it — so it can wait for company; nothing else is ever
-    /// held, and no message id is held twice.
-    held_acks: Vec<u8>,
-    /// Bytes `held_acks` may reach: one PUBREL per slot of the in-flight
-    /// window is all that live handshakes can owe.
-    held_cap: usize,
-    /// When the oldest held PUBREL leaves alone, company or not: half a
-    /// `Tretry` after it was held, so always before its slot's retransmit
-    /// timer (which started when the PUBREC came in) could ask for it
-    /// again. `None` while nothing is held.
-    release_by: Option<Instant>,
-    /// Half of `ClientConfig::retry_timeout`, the tick period
-    /// [`Client::on_tick`] asks for.
-    hold_for: Duration,
-    /// A QoS 0 PUBLISH has left since the socket was last read. Nothing
-    /// acknowledges it, but the gateway answers a publish of any QoS with
-    /// a congestion advisory when its level has risen, so one read is owed.
-    qos0_unheard: bool,
-    /// When the last PUBLISH left.
-    last_publish: Option<Instant>,
-    /// When the last QoS 1/2 PUBLISH that continued a stream (see
-    /// [`DEVICE_STREAM_GAP`]) left, while the gateway may be holding
-    /// acknowledgements for it: until a datagram the gateway answers at
-    /// once leaves, or nothing is owed.
-    stream: Option<Instant>,
-    /// The next PUBLISH carries a PINGREQ behind it, should it continue a
-    /// stream, so the gateway answers it at once: set by the blocking
-    /// [`UdpClient::publish`].
-    asking: bool,
     /// What the state machine answered to the messages of a read, sent
     /// once the read is over (see [`UdpClient::answer`]).
     replies: Vec<Output>,
@@ -1082,18 +784,10 @@ impl UdpClient {
         let mut c = UdpClient {
             endpoint: Endpoint::new(dial(broker)?, None)?,
             broker,
-            held_cap: PUBREL_LEN * config.max_inflight.max(1),
-            release_by: None,
-            hold_for: config.retry_timeout / 2,
-            qos0_unheard: false,
-            last_publish: None,
-            stream: None,
-            asking: false,
+            hold: DeviceHold::new(&config),
             client: Client::new(config),
             start: Instant::now(),
             events: VecDeque::new(),
-            write_buf: Vec::new(),
-            held_acks: Vec::new(),
             replies: Vec::new(),
         };
         let outputs = c.client.connect(c.now());
@@ -1122,129 +816,26 @@ impl UdpClient {
         self.endpoint.fault = Some(fault);
     }
 
+    /// Sends each packet through the hold (see [`DeviceHold::send`]) and
+    /// queues each event.
     fn dispatch(&mut self, outputs: impl IntoIterator<Item = Output>) -> Result<(), NetError> {
         for o in outputs {
             match o {
-                Output::Send(p) => self.send_packet(p)?,
+                Output::Send(p) => {
+                    let now = self.now();
+                    self.hold
+                        .send(&p, now, &mut |d| self.endpoint.send(self.broker, d))?;
+                    // The packet's payload buffer is done (the state machine
+                    // keeps its own copy for QoS 1/2 retransmission) — feed
+                    // it back to the pool so QoS 0 publishes recycle too.
+                    if let Packet::Publish { payload, .. } = p {
+                        self.client.reclaim_payload(payload);
+                    }
+                }
                 Output::Event(e) => self.events.push_back(e),
             }
         }
         Ok(())
-    }
-
-    /// The one way a packet reaches the wire. A PUBREL is not sent but
-    /// held; anything else leaves at once, with the held PUBRELs in front
-    /// of it in the same datagram — except session control (CONNECT,
-    /// REGISTER, SUBSCRIBE, UNSUBSCRIBE), which always travels alone,
-    /// after the held PUBRELs have left on their own. A PUBLISH that
-    /// continues a stream may have the PINGREQ [`UdpClient::publish`] asks
-    /// for behind it.
-    fn send_packet(&mut self, p: Packet) -> Result<(), NetError> {
-        if let Packet::PubRel { msg_id } = p {
-            // Length, type, then the id: see `PUBREL_LEN`.
-            let id = msg_id.to_be_bytes();
-            let mut held = self.held_acks.chunks_exact(PUBREL_LEN);
-            if held.any(|pubrel| pubrel[2..] == id) {
-                // Asked for again (the retry timer, a repeated PUBREC)
-                // while the first copy has not left: that copy goes now
-                // and is the retransmission.
-                return self.release_acks();
-            }
-            if self.held_acks.len() >= self.held_cap {
-                self.release_acks()?;
-            }
-            // lint: zero-alloc-begin
-            p.encode_into(&mut self.held_acks);
-            // lint: zero-alloc-end
-            if self.release_by.is_none() {
-                self.release_by = Instant::now().checked_add(self.hold_for);
-            }
-            return Ok(());
-        }
-        let alone = matches!(
-            p,
-            Packet::Connect { .. }
-                | Packet::Register { .. }
-                | Packet::Subscribe { .. }
-                | Packet::Unsubscribe { .. }
-        );
-        if alone {
-            self.release_acks()?;
-        }
-        // lint: zero-alloc-begin
-        let riders = self.take_held();
-        p.encode_into(&mut self.write_buf);
-        // lint: zero-alloc-end
-        let asking = std::mem::take(&mut self.asking);
-        self.stream = match &p {
-            Packet::Publish { dup, qos, .. } => {
-                let now = Instant::now();
-                let streams = !dup
-                    && self
-                        .last_publish
-                        .is_some_and(|at| now.duration_since(at) < DEVICE_STREAM_GAP);
-                self.last_publish = Some(now);
-                let asks = streams
-                    && asking
-                    && *qos != QoS::AtMostOnce
-                    && self.write_buf.len() + PINGREQ_LEN <= UDP_PAYLOAD_MAX;
-                if asks {
-                    // lint: zero-alloc-begin
-                    Packet::PingReq.encode_into(&mut self.write_buf);
-                    // lint: zero-alloc-end
-                }
-                match (streams && !asks, qos) {
-                    (false, _) => None,
-                    // Owed nothing: what may be held stays as it was.
-                    (true, QoS::AtMostOnce) => self.stream,
-                    (true, _) => Some(now),
-                }
-            }
-            // Answered at once, with whatever is held in front.
-            _ => None,
-        };
-        if self.write_buf.len() > UDP_PAYLOAD_MAX && riders > 0 {
-            // Together they exceed what UDP carries: two sends.
-            let (acks, packet) = self.write_buf.split_at(riders);
-            self.endpoint.send(self.broker, acks)?;
-            self.endpoint.send(self.broker, packet)?;
-        } else {
-            self.endpoint.send(self.broker, &self.write_buf)?;
-        }
-        // The packet's payload buffer is done (the state machine keeps its
-        // own copy for QoS 1/2 retransmission) — feed it back to the pool
-        // so QoS 0 publishes recycle too.
-        if let Packet::Publish { qos, payload, .. } = p {
-            self.qos0_unheard |= qos == QoS::AtMostOnce;
-            self.client.reclaim_payload(payload);
-        }
-        Ok(())
-    }
-
-    /// Starts a datagram in `write_buf` with the held PUBRELs, which are
-    /// held no longer; returns how many bytes they are.
-    fn take_held(&mut self) -> usize {
-        self.write_buf.clear();
-        self.write_buf.append(&mut self.held_acks);
-        self.release_by = None;
-        self.write_buf.len()
-    }
-
-    /// Sends the held PUBRELs now, as one datagram of their own, which
-    /// the gateway answers at once.
-    fn release_acks(&mut self) -> Result<(), NetError> {
-        if self.take_held() > 0 {
-            self.stream = None;
-            self.endpoint.send(self.broker, &self.write_buf)?;
-        }
-        Ok(())
-    }
-
-    /// Whether a handshake waits on the gateway: a PUBLISH without its
-    /// PUBREC or PUBACK, or a PUBREL that has left without its PUBCOMP. A
-    /// handshake whose PUBREL is still held waits on the device.
-    fn owed(&self) -> bool {
-        self.client.inflight_len() > self.held_acks.len() / PUBREL_LEN
     }
 
     /// Asks the gateway for what it may be holding for this device's
@@ -1254,19 +845,8 @@ impl UdpClient {
     /// held. For a caller about to block in [`UdpClient::pump`] until a
     /// handshake completes, who would otherwise wait out the hold.
     pub fn ask(&mut self) -> Result<(), NetError> {
-        if self.stream.is_none() || !self.owed() {
-            return Ok(());
-        }
-        if !self.held_acks.is_empty() {
-            return self.release_acks();
-        }
-        self.stream = None;
-        self.write_buf.clear();
-        // lint: zero-alloc-begin
-        Packet::PingReq.encode_into(&mut self.write_buf);
-        // lint: zero-alloc-end
-        self.endpoint.send(self.broker, &self.write_buf)?;
-        Ok(())
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        Ok(self.hold.ask(&self.client, send)?)
     }
 
     /// One wakeup, through the read the gateway serves with: a blocking
@@ -1291,8 +871,8 @@ impl UdpClient {
     /// that streams: a caller that blocks until a handshake completes
     /// calls [`UdpClient::ask`] first.
     pub fn pump(&mut self) -> Result<(), NetError> {
-        self.qos0_unheard = false;
-        self.release_acks()?;
+        self.hold
+            .read_starts(&mut |d| self.endpoint.send(self.broker, d))?;
         let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
         let read = self
             .endpoint
@@ -1311,7 +891,7 @@ impl UdpClient {
     /// that falls due carries the held PUBRELs like any datagram; what is
     /// still held past its release time then leaves alone.
     pub fn tick(&mut self) -> Result<(), NetError> {
-        self.pass(self.stream.is_some())
+        self.pass(self.hold.streaming())
     }
 
     /// [`UdpClient::tick`], reading what has queued on the socket if
@@ -1328,10 +908,9 @@ impl UdpClient {
         let now = self.now();
         let outputs = self.client.on_tick(now);
         self.dispatch(outputs)?;
-        if self.release_by.is_some_and(|at| at <= Instant::now()) {
-            self.release_acks()?;
-        }
-        Ok(())
+        let now = self.now();
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        Ok(self.hold.tick(now, send)?)
     }
 
     /// Whether a datagram from the broker can be on its way to a
@@ -1340,36 +919,24 @@ impl UdpClient {
     /// advisory a QoS 0 PUBLISH may have drawn. A handshake whose PUBREL is
     /// still held is owed nothing until the PUBREL leaves, and the
     /// acknowledgements of a stream are not on their way until the gateway
-    /// lets its hold go, by [`DEVICE_STREAM_GAP`] after the stream's last
-    /// PUBLISH. While this is `false` a [`UdpClient::pump`] can only time
-    /// out, or read early what is read later anyway.
+    /// lets its hold go, by 20 ms after the stream's last PUBLISH. While
+    /// this is `false` a [`UdpClient::pump`] can only time out, or read
+    /// early what is read later anyway.
     pub fn reply_expected(&self) -> bool {
-        let held = self
-            .stream
-            .is_some_and(|last| last.elapsed() < DEVICE_STREAM_GAP);
-        (self.owed() && !held) || self.client.control_outstanding() || self.qos0_unheard
+        self.hold.reply_expected(&self.client, self.now())
     }
 
     /// The earliest instant at which [`UdpClient::tick`] has something to
     /// do: a timer of the state machine ([`Client::next_deadline`]), the
     /// release of a held PUBREL, the end of what the gateway may hold for
-    /// this device's stream, or a datagram delayed by the fault plan (chaos
-    /// only) coming off hold. `None` when nothing is scheduled.
+    /// this device's stream, or a datagram
+    /// delayed by the fault plan (chaos only) coming off hold. `None` when
+    /// nothing is scheduled.
     pub fn next_deadline(&self) -> Option<Instant> {
-        let timers = self.client.next_deadline();
+        let timers = self.client.next_deadline().into_iter();
+        let timers = timers.chain(self.hold.next_deadline()).min();
         let timers = timers.and_then(|ns| self.start.checked_add(Duration::from_nanos(ns)));
-        let stream = self
-            .stream
-            .and_then(|last| last.checked_add(DEVICE_STREAM_GAP));
-        [
-            timers,
-            self.release_by,
-            stream,
-            self.endpoint.next_release(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        timers.into_iter().chain(self.endpoint.next_release()).min()
     }
 
     /// Sends what the state machine answered to the messages of the last
@@ -1378,9 +945,7 @@ impl UdpClient {
         let mut replies = std::mem::take(&mut self.replies);
         let sent = self.dispatch(replies.drain(..));
         self.replies = replies;
-        if !self.owed() {
-            self.stream = None;
-        }
+        self.hold.answered(&self.client);
         sent
     }
 
@@ -1514,9 +1079,9 @@ impl UdpClient {
     ) -> Result<(), NetError> {
         // Whoever blocks asks: a PINGREQ behind a PUBLISH that continues a
         // stream has the gateway answer it at once.
-        self.asking = qos != QoS::AtMostOnce;
+        self.hold.ask_next(qos != QoS::AtMostOnce);
         let published = self.publish_nowait(topic_id, payload, qos);
-        self.asking = false;
+        self.hold.ask_next(false);
         let msg_id = published?;
         if qos == QoS::AtMostOnce {
             return Ok(());
@@ -1604,13 +1169,7 @@ impl UdpClient {
     /// application events are preserved across the attempt.
     pub fn try_reconnect(&mut self, timeout: Duration) -> Result<(), NetError> {
         self.endpoint.replace_socket(dial(self.broker)?)?;
-        // PUBRELs held for the dead connection go with it: the resumed
-        // session re-emits the PUBREL of every handshake still in that phase.
-        self.held_acks.clear();
-        self.release_by = None;
-        // So is what the old gateway held: the new one answers at once.
-        self.stream = None;
-        self.last_publish = None;
+        self.hold.reset();
         let now = self.now();
         let outputs = self.client.reconnect(now);
         self.dispatch(outputs)?;
@@ -1727,6 +1286,11 @@ mod tests {
             .expect("QoS 0 payload buffer returns to the pool");
         assert!(spare.is_empty() && spare.capacity() >= 3);
         broker.shutdown();
+    }
+
+    #[test]
+    fn a_read_waits_no_longer_than_a_stream_gap() {
+        assert!(READ_TIMEOUT <= Duration::from_nanos(crate::hold::STREAM_GAP));
     }
 
     #[test]

@@ -610,6 +610,30 @@ mod tests {
         assert_eq!(out[0].rule, "lock-send");
     }
 
+    /// The workspace's own `send_tokens` name every way `mqtt-sn::net`
+    /// sends — straight on a socket, or through its endpoint — and a send
+    /// spelt any way they list, under a `broker` guard, is a finding.
+    #[test]
+    fn every_configured_send_spelling_under_a_broker_guard_is_a_finding() {
+        let cfg = crate::config::parse(include_str!("../../../lints.toml")).expect("lints.toml");
+        for spelling in [
+            "socket.send_to(",
+            "socket.send(",
+            "endpoint.send(",
+            "endpoint.flush(",
+        ] {
+            assert!(cfg.send_tokens.iter().any(|t| t == spelling), "{spelling}");
+        }
+        for token in &cfg.send_tokens {
+            let src = format!("fn f() {{\n    let b = broker.lock();\n    {token}x);\n}}\n");
+            let s = scan(&src);
+            let mut out = Vec::new();
+            lock_order(&s, &src, "f.rs", &cfg, &mut out);
+            assert_eq!(out.len(), 1, "{token}: {out:?}");
+            assert_eq!((out[0].rule, out[0].line), ("lock-send", 3), "{token}");
+        }
+    }
+
     #[test]
     fn receiver_names_resolve_through_chains() {
         let b = b"self.locks[self.index_of(w)].read()";

@@ -25,11 +25,6 @@ pub mod channel {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             self.0.send(value)
         }
-
-        /// Non-blocking send; fails when the channel is full or closed.
-        pub fn try_send(&self, value: T) -> Result<(), mpsc::TrySendError<T>> {
-            self.0.try_send(value)
-        }
     }
 
     /// Receiving half of a bounded channel.
@@ -67,7 +62,6 @@ pub mod channel {
             let (tx, rx) = bounded::<u32>(2);
             tx.send(1).unwrap();
             tx.send(2).unwrap();
-            assert!(tx.try_send(3).is_err());
             assert_eq!(rx.recv().unwrap(), 1);
             assert_eq!(rx.try_recv().unwrap(), 2);
             assert_eq!(

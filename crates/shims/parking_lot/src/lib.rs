@@ -133,11 +133,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -150,23 +145,6 @@ impl<T: ?Sized> Mutex<T> {
             _held: held,
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
-    }
-
-    /// Tries to acquire the lock without blocking. A successful `try_lock`
-    /// registers (and order-checks) like a blocking acquisition: it cannot
-    /// itself deadlock, but a misordered one is still a hierarchy bug, and
-    /// later blocking acquisitions must be validated against it.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        Some(MutexGuard {
-            #[cfg(debug_assertions)]
-            _held: order::acquire(self as *const Self as *const () as usize, self.rank),
-            inner: Some(inner),
-        })
     }
 
     /// Mutable access without locking.
@@ -277,11 +255,6 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -367,7 +340,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

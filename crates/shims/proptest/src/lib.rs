@@ -550,9 +550,7 @@ pub mod prelude {
     pub use crate::collection;
     pub use crate::strategy::{any, BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// Uniform choice among strategy arms (all arms must yield the same type).
@@ -575,22 +573,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($args:tt)*) => { assert_eq!($($args)*) };
-}
-
-/// See [`prop_assert!`].
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($args:tt)*) => { assert_ne!($($args)*) };
-}
-
-/// Skips the rest of the current case when the assumption fails.
-#[macro_export]
-macro_rules! prop_assume {
-    ($cond:expr) => {
-        if !$cond {
-            continue;
-        }
-    };
 }
 
 /// The property-test harness macro.

@@ -202,7 +202,7 @@ fn device_records(device: u64, tasks: u64) -> Vec<Record> {
 }
 
 #[test]
-fn uncompressed_and_json_payloads_also_flow() {
+fn uncompressed_envelopes_also_flow() {
     // The translator takes an envelope that advertises no compression: the
     // codec writes one whenever LZSS would not shrink the records.
     use provlight::mqtt_sn::net::UdpClient;

@@ -634,6 +634,132 @@ fn steady_state_bundled_handshake_allocates_zero_per_message() {
     assert_eq!(broker.stats().decode_errors, 0);
 }
 
+/// A stream through the real holds at both ends, on virtual time: the
+/// device's `DeviceHold` carries its held PUBRELs in front of each PUBLISH,
+/// 1 ms apart, so every datagram continues the stream and the gateway's
+/// `GatewayHold` keeps the `[PUBCOMP…, PUBREC]` answers back; the first
+/// flush a stream gap after the first was held sends them as one datagram,
+/// and the device holds the PUBRELs that answer them. Holding, merging
+/// and releasing append to warm buffers: **zero** heap allocations per
+/// message.
+#[test]
+fn steady_state_streaming_holds_allocate_zero_per_message() {
+    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
+    use provlight::mqtt_sn::hold::{DeviceHold, GatewayHold, STREAM_GAP};
+    use provlight::mqtt_sn::packet::{frames, Packet, PacketRef, QoS, TopicRef};
+    use provlight::mqtt_sn::ClientConfig;
+
+    let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
+    let device = 0u32;
+    let connect = Packet::Connect {
+        clean_session: true,
+        duration: 60,
+        client_id: "dev".into(),
+    };
+    feed(&mut broker, 0, device, connect);
+    let register = Packet::Register {
+        topic_id: 0,
+        msg_id: 1,
+        topic_name: "provlight/z/dev".into(),
+    };
+    let tid = match feed(&mut broker, 0, device, register)[0].1 {
+        Packet::RegAck { topic_id, .. } => topic_id,
+        ref p => panic!("unexpected {p:?}"),
+    };
+    let mut sub = broker.subscribe_local("provlight/#").unwrap();
+
+    let mut hold = DeviceHold::new(&ClientConfig::new("dev"));
+    let mut gateway: GatewayHold<u32> = GatewayHold::default();
+    let mut publish = Packet::Publish {
+        dup: false,
+        qos: QoS::ExactlyOnce,
+        retain: false,
+        topic: TopicRef::Id(tid),
+        msg_id: 0,
+        payload: vec![0x5c; 100],
+    };
+    let mut out = BrokerOutputs::new();
+    let (mut up, mut down) = (Vec::new(), Vec::new());
+    let mut batch = Vec::new();
+
+    // Returns the datagrams the gateway sent and the handshakes completed.
+    let mut cycle = |broker: &mut Broker<u32>, now: u64| {
+        // Device: the next PUBLISH, with the held PUBRELs in front.
+        if let Packet::Publish { msg_id, .. } = &mut publish {
+            *msg_id = msg_id.checked_add(1).unwrap_or(1);
+        }
+        up.clear();
+        let mut datagrams = 0;
+        let to_gateway = &mut |datagram: &[u8]| {
+            up.extend_from_slice(datagram);
+            datagrams += 1;
+            Ok::<(), ()>(())
+        };
+        hold.send(&publish, now, to_gateway).unwrap();
+        assert_eq!(datagrams, 1, "one datagram per PUBLISH");
+        // Gateway: note, handle, and answer or hold.
+        gateway.note(&device, &up, now);
+        for frame in frames(&up) {
+            broker
+                .on_datagram_into(now, device, frame, &mut out)
+                .unwrap();
+        }
+        down.clear();
+        let (mut answers, mut completed) = (0, 0);
+        gateway.flush(&mut out, now, &mut |_, bytes| {
+            down.extend_from_slice(bytes);
+            answers += 1;
+        });
+        // Device: PUBCOMPs end handshakes, PUBRECs leave PUBRELs to hold.
+        // (The split of an empty buffer is one empty frame.)
+        for frame in frames(&down).filter(|_| answers > 0) {
+            match Packet::decode_borrowed(frame).unwrap() {
+                PacketRef::Owned(Packet::PubRec { msg_id }) => {
+                    let pubrel = Packet::PubRel { msg_id };
+                    hold.send(&pubrel, now, &mut |_| Err(())).unwrap();
+                }
+                PacketRef::Owned(Packet::PubComp { .. }) => completed += 1,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        sub.try_recv(&mut batch);
+        assert_eq!(batch.len(), 1);
+        (answers, completed)
+    };
+
+    let ms = 1_000_000u64;
+    for i in 0..64u64 {
+        cycle(&mut broker, i * ms);
+    }
+    let iterations = 1024u64;
+    let (mut answered, mut completed) = (0u64, 0u64);
+    let before = allocations();
+    for i in 0..iterations {
+        let (answers, completions) = cycle(&mut broker, (64 + i) * ms);
+        answered += answers;
+        completed += completions;
+    }
+    let allocs = allocations() - before;
+    assert!(
+        allocs == 0,
+        "steady state performed {allocs} allocations over {iterations} messages \
+         ({:.4} allocs/message); the streaming holds must be allocation-free",
+        allocs as f64 / iterations as f64
+    );
+    // One answer per stream gap, not one per message, and every handshake
+    // but the held ones completed.
+    let per_gap = iterations * ms / (STREAM_GAP + ms);
+    assert!(answered.abs_diff(per_gap) <= 1, "{answered} answers");
+    assert!(
+        completed >= iterations - 2 * STREAM_GAP / ms,
+        "{completed} completed"
+    );
+    assert_eq!(broker.stats().publishes_in, 64 + iterations);
+    assert_eq!(broker.stats().publishes_out, 64 + iterations);
+    assert_eq!(broker.stats().duplicates_suppressed, 0);
+    assert_eq!(broker.stats().decode_errors, 0);
+}
+
 /// A timer pass that finds nothing due — nearly every one either end ever
 /// makes — with the in-flight window full: `SendWindow::due` reads the
 /// timers before it orders any id, so the device's and the gateway's tick
