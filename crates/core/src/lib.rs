@@ -38,4 +38,4 @@ pub use config::{CaptureConfig, GroupPolicy};
 pub use server::ProvenanceManager;
 pub use sim::{ProvLightSimConfig, SimProvLight};
 pub use translator::{DfAnalyzerTranslator, ProvDocumentTranslator, Translator};
-pub use transmitter::{DisconnectionBuffer, Transmitter, TransmitterStats};
+pub use transmitter::{Transmitter, TransmitterStats};

@@ -27,12 +27,14 @@
 //!
 //! Capture continues while the broker is unreachable (paper §IV — the
 //! third headline design point). Instead of dying on the first transport
-//! error, the thread moves encoded envelopes into a bounded
-//! [`DisconnectionBuffer`] (oldest-first eviction with drop accounting),
-//! keeps draining the capture channel so instrumentation never stalls, and
-//! reconnects with exponential backoff. On reconnect the MQTT-SN session
+//! error, the thread moves encoded envelopes into its backlog, keeps
+//! draining the capture channel so instrumentation never stalls, and
+//! reconnects with jittered exponential backoff. The backlog holds RAM
+//! under two caps; what overflows them moves oldest first to the flash
+//! spill log when [`CaptureConfig::spill_dir`] is set, and is dropped with
+//! exact accounting when it is not. On reconnect the MQTT-SN session
 //! resumes — topic re-registration, DUP retransmission of in-flight
-//! publishes — and the buffer replays in original order. [`TransmitterStats`]
+//! publishes — and the backlog replays in original order. [`TransmitterStats`]
 //! surfaces the whole story (reconnects, buffered high-water mark, drops,
 //! publish failures), mirroring `ProvenanceManager::server_stats()` on the
 //! capture side.
@@ -40,13 +42,13 @@
 use crate::api::CaptureError;
 use crate::config::CaptureConfig;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mqtt_sn::net::{entropy_seed, jitter_backoff, UdpClient};
+use mqtt_sn::net::UdpClient;
 use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, ReturnCode};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
 use prov_model::Record;
 use prov_wal::{Wal, WalConfig};
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,6 +95,30 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 /// restart every disconnected device's timer would otherwise fire in
 /// lockstep (the reconnect stampede).
 const RECONNECT_JITTER: f64 = 0.25;
+
+/// Spreads `backoff` uniformly over `[(1 − j)·b, (1 + j)·b]`, `j` being
+/// [`RECONNECT_JITTER`].
+fn jitter_backoff(backoff: Duration, rng: &mut impl Rng) -> Duration {
+    let unit: f64 = rng.gen(); // [0, 1)
+    let factor = 1.0 - RECONNECT_JITTER + 2.0 * RECONNECT_JITTER * unit;
+    Duration::from_nanos((backoff.as_nanos() as f64 * factor) as u64)
+}
+
+/// A cheap per-call entropy seed for backoff jitter: wall clock nanos mixed
+/// with a process-wide counter, so simultaneous callers (the stampede case)
+/// still draw distinct jitter streams. Not cryptographic.
+fn entropy_seed() -> u64 {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0);
+    // splitmix-style avalanche so close timestamps diverge.
+    let mut z = nanos ^ COUNTER.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// Envelope spacing under *soft* congestion (broker advisory level 1): the
 /// broker asked for headroom, so sends trickle out instead of bursting and
@@ -198,152 +224,69 @@ impl StatsCell {
     }
 }
 
-/// Bounded FIFO of encoded envelopes absorbed while the broker is
-/// unreachable, replayed in order after reconnection.
-///
-/// Both caps are enforced on push: when either would be exceeded the
-/// *oldest* envelope is evicted (edge provenance favours recent records —
-/// the tail of a workflow run — over the head that an operator can often
-/// re-derive), and every evicted record is counted so the capture side can
-/// report exact loss instead of silently pretending completeness.
-#[derive(Debug)]
-pub struct DisconnectionBuffer {
-    /// (encoded envelope payload, records inside it), oldest first.
+/// A counted FIFO of encoded envelopes, `(payload, records)`. It holds no
+/// policy: [`Backlog`] decides what enters, where, and what leaves.
+#[derive(Debug, Default)]
+struct Fifo {
     queue: VecDeque<(Vec<u8>, usize)>,
     records: usize,
     bytes: usize,
-    max_records: usize,
-    max_bytes: usize,
 }
 
-impl DisconnectionBuffer {
-    /// Creates a buffer bounded by `max_records` records and `max_bytes`
-    /// payload bytes (each at least 1).
-    pub fn new(max_records: usize, max_bytes: usize) -> Self {
-        DisconnectionBuffer {
-            queue: VecDeque::new(),
-            records: 0,
-            bytes: 0,
-            max_records: max_records.max(1),
-            max_bytes: max_bytes.max(1),
-        }
-    }
-
-    /// Whether an envelope of this shape could ever be held — i.e. it does
-    /// not exceed a cap all by itself.
-    pub fn fits(&self, bytes: usize, records: usize) -> bool {
-        records <= self.max_records && bytes <= self.max_bytes
-    }
-
-    /// Appends an envelope, evicting oldest-first to stay under both caps.
-    /// Returns the number of records dropped (evicted envelopes, or the
-    /// incoming one if it alone exceeds a cap).
-    pub fn push_back(&mut self, payload: Vec<u8>, records: usize) -> usize {
-        if !self.fits(payload.len(), records) {
-            // A single envelope larger than a cap can never be held —
-            // reject it up front rather than evicting residents it could
-            // never make room for.
-            return records;
-        }
-        self.push_back_evicting(payload, records)
-            .iter()
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Appends an envelope (which must [`DisconnectionBuffer::fits`]),
-    /// returning the envelopes evicted oldest-first to make room — the
-    /// spill path hands them to the WAL instead of dropping them.
-    pub fn push_back_evicting(
-        &mut self,
-        payload: Vec<u8>,
-        records: usize,
-    ) -> Vec<(Vec<u8>, usize)> {
-        debug_assert!(self.fits(payload.len(), records));
-        let mut evicted = Vec::new();
-        while !self.queue.is_empty()
-            && (self.records + records > self.max_records
-                || self.bytes + payload.len() > self.max_bytes)
-        {
-            if let Some((p, n)) = self.queue.pop_front() {
-                self.records -= n;
-                self.bytes -= p.len();
-                evicted.push((p, n));
-            }
-        }
+impl Fifo {
+    fn push_back(&mut self, payload: Vec<u8>, records: usize) {
         self.records += records;
         self.bytes += payload.len();
         self.queue.push_back((payload, records));
-        evicted
     }
 
-    /// Re-queues an envelope at the *front* (a replay that failed mid-way,
-    /// or recovered in-flight payloads older than everything buffered).
-    /// Never evicts on behalf of the newcomer — order-restoring pushes may
-    /// transiently overshoot the caps by one envelope; the next
-    /// [`DisconnectionBuffer::push_back`] restores the invariant.
-    pub fn push_front(&mut self, payload: Vec<u8>, records: usize) {
+    fn push_front(&mut self, payload: Vec<u8>, records: usize) {
         self.records += records;
         self.bytes += payload.len();
         self.queue.push_front((payload, records));
     }
 
-    /// Takes the oldest envelope for replay.
-    pub fn pop_front(&mut self) -> Option<(Vec<u8>, usize)> {
+    fn pop_front(&mut self) -> Option<(Vec<u8>, usize)> {
         let (payload, records) = self.queue.pop_front()?;
         self.records -= records;
         self.bytes -= payload.len();
         Some((payload, records))
     }
 
-    /// Buffered envelope count.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Buffered record count.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
-    /// Buffered payload bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
     }
 }
 
-/// The transmitter's resilience store: the in-RAM [`DisconnectionBuffer`]
-/// backed (when [`CaptureConfig::spill_dir`] is set) by a flash WAL, plus a
-/// small head queue for order-restoring re-pushes.
+/// The envelopes the device holds back while the broker is unreachable or
+/// the pacing window is shut, replayed in capture order.
 ///
-/// Age invariant, oldest → newest: `head` ≤ `wal` ≤ `ram`. New envelopes
-/// enter the RAM tail; when RAM overflows, its *oldest* envelopes move to
-/// the WAL tail (everything already in the WAL is older still, so global
-/// FIFO order holds); replay pops head-first, then disk, then RAM. Without
-/// a WAL this degrades to exactly the PR 3 RAM-only behaviour.
-struct SpillBuffer {
-    /// Envelopes pushed back to the very front (failed replay head,
-    /// recovered dead letters) — older than everything else.
-    head: VecDeque<(Vec<u8>, usize)>,
-    head_records: usize,
-    head_bytes: usize,
+/// Oldest first: envelopes put back at the front (a replay that failed
+/// mid-way, dead-lettered in-flight publishes), then the spill log when
+/// [`CaptureConfig::spill_dir`] is set, then RAM. New envelopes enter
+/// RAM's tail under two caps, `buffer_max_records` and `buffer_max_bytes`.
+/// Overflow leaves RAM oldest first (edge provenance favours the recent
+/// tail of a run over the head an operator can often re-derive) for the
+/// log's tail, which keeps the order since everything in the log is older,
+/// or, without a log, for a counted drop. An envelope over a cap by itself
+/// never enters RAM. Every record lost on the way is counted once, and
+/// [`Backlog::drain_drops`] hands the count to the link.
+struct Backlog {
+    front: Fifo,
     wal: Option<Wal>,
-    ram: DisconnectionBuffer,
-    /// Drops not tracked by the WAL's own counter (RAM-cap rejections
-    /// without a WAL, WAL append I/O failures).
-    local_drops: u64,
-    /// Portion of `wal.dropped_records()` already handed to the caller.
+    ram: Fifo,
+    max_records: usize,
+    max_bytes: usize,
+    /// Drops the WAL's own counter does not see: RAM overflow without a
+    /// log, and appends the disk refused.
+    drops: u64,
+    /// Portion of `wal.dropped_records()` already handed to the link.
     wal_drops_accounted: u64,
 }
 
-impl SpillBuffer {
-    /// Builds the store, opening (and recovering) the WAL when configured.
-    fn new(config: &CaptureConfig) -> std::io::Result<SpillBuffer> {
+impl Backlog {
+    /// Builds the backlog, opening (and recovering) the WAL when configured.
+    fn new(config: &CaptureConfig) -> std::io::Result<Backlog> {
         let wal = match &config.spill_dir {
             Some(dir) => Some(Wal::open(WalConfig {
                 dir: dir.clone(),
@@ -354,60 +297,53 @@ impl SpillBuffer {
             })?),
             None => None,
         };
-        Ok(SpillBuffer {
-            head: VecDeque::new(),
-            head_records: 0,
-            head_bytes: 0,
+        Ok(Backlog {
+            front: Fifo::default(),
             wal,
-            ram: DisconnectionBuffer::new(config.buffer_max_records, config.buffer_max_bytes),
-            local_drops: 0,
+            ram: Fifo::default(),
+            max_records: config.buffer_max_records.max(1),
+            max_bytes: config.buffer_max_bytes.max(1),
+            drops: 0,
             wal_drops_accounted: 0,
         })
     }
 
-    fn wal_append(wal: &mut Wal, local_drops: &mut u64, payload: &[u8], records: usize) {
-        // An I/O failure loses this envelope; the WAL's own counter covers
-        // cap evictions, `local_drops` covers the disk giving out.
-        if wal.append(payload, records).is_err() {
-            *local_drops += records as u64;
-        }
-    }
-
-    /// Appends a new (newest) envelope. Overflow spills to the WAL when
-    /// one is configured; drops surface via [`SpillBuffer::drain_drops`].
+    /// Appends a new (newest) envelope to RAM, moving RAM's oldest
+    /// envelopes out until both caps hold.
     fn push_back(&mut self, payload: Vec<u8>, records: usize) {
-        let Some(wal) = self.wal.as_mut() else {
-            self.local_drops += self.ram.push_back(payload, records) as u64;
-            return;
-        };
-        if !self.ram.fits(payload.len(), records) {
-            // The envelope can never live in RAM. Everything currently in
-            // RAM is older, so it must reach the WAL first to keep order.
-            while let Some((p, n)) = self.ram.pop_front() {
-                Self::wal_append(wal, &mut self.local_drops, &p, n);
+        if records > self.max_records || payload.len() > self.max_bytes {
+            // It can never live in RAM. With a log, everything in RAM is
+            // older and must reach it first; without one, the residents
+            // stay, since no eviction could make room.
+            if self.wal.is_some() {
+                while let Some((p, n)) = self.ram.pop_front() {
+                    self.spill(&p, n);
+                }
             }
-            Self::wal_append(wal, &mut self.local_drops, &payload, records);
+            self.spill(&payload, records);
             return;
         }
-        for (p, n) in self.ram.push_back_evicting(payload, records) {
-            Self::wal_append(wal, &mut self.local_drops, &p, n);
+        while self.ram.records + records > self.max_records
+            || self.ram.bytes + payload.len() > self.max_bytes
+        {
+            let Some((p, n)) = self.ram.pop_front() else {
+                break;
+            };
+            self.spill(&p, n);
         }
+        self.ram.push_back(payload, records);
     }
 
-    /// Re-queues an envelope at the very front (see
-    /// [`DisconnectionBuffer::push_front`] for why this never evicts).
+    /// Puts an envelope back at the very front. Never evicts: the front
+    /// may overshoot RAM's caps by what is in flight.
     fn push_front(&mut self, payload: Vec<u8>, records: usize) {
-        self.head_records += records;
-        self.head_bytes += payload.len();
-        self.head.push_front((payload, records));
+        self.front.push_front(payload, records);
     }
 
-    /// Takes the oldest envelope: head queue, then disk, then RAM.
+    /// Takes the oldest envelope: the front, then the log, then RAM.
     fn pop_front(&mut self) -> Option<(Vec<u8>, usize)> {
-        if let Some((p, n)) = self.head.pop_front() {
-            self.head_records -= n;
-            self.head_bytes -= p.len();
-            return Some((p, n));
+        if let Some(envelope) = self.front.pop_front() {
+            return Some(envelope);
         }
         if let Some(wal) = self.wal.as_mut() {
             match wal.pop_front() {
@@ -427,56 +363,59 @@ impl SpillBuffer {
         self.ram.pop_front()
     }
 
-    /// Drops discovered since the last call (RAM rejections, WAL cap
-    /// evictions, I/O losses) — the caller folds these into
+    /// The log's tail, or a counted drop when there is no log or the disk
+    /// refuses the append.
+    fn spill(&mut self, payload: &[u8], records: usize) {
+        let logged = self
+            .wal
+            .as_mut()
+            .is_some_and(|w| w.append(payload, records).is_ok());
+        if !logged {
+            self.drops += records as u64;
+        }
+    }
+
+    /// Drops found since the last call (RAM overflow without a log, the
+    /// log's cap evictions and I/O losses), for the link to fold into
     /// `records_dropped` exactly once.
     fn drain_drops(&mut self) -> u64 {
-        let wal_total = self.wal.as_ref().map_or(0, |w| w.dropped_records());
+        let wal_total = self.wal_drops();
         let delta = wal_total - self.wal_drops_accounted;
         self.wal_drops_accounted = wal_total;
-        delta + std::mem::take(&mut self.local_drops)
+        delta + std::mem::take(&mut self.drops)
     }
 
-    /// Moves everything still in RAM onto the WAL so a future process can
-    /// recover it (no-op without a WAL). Head-queue envelopes are appended
-    /// first: they are the oldest, but an append-only log can only take
-    /// them at its tail — so when the shutdown finds *both* durable frames
-    /// and a non-empty head (in-flight publishes dead-lettered while newer
-    /// capture was spilling, or a replay interrupted mid-drain), the next
-    /// process replays those head envelopes after the older frames. The
-    /// reordering is bounded by the in-flight window; delivery still
-    /// happens exactly once.
-    fn persist_for_shutdown(&mut self) {
-        let Some(wal) = self.wal.as_mut() else {
-            return;
-        };
-        while let Some((p, n)) = self.head.pop_front() {
-            self.head_records -= n;
-            self.head_bytes -= p.len();
-            Self::wal_append(wal, &mut self.local_drops, &p, n);
+    /// At shutdown, spills the front and RAM: with a log they persist for
+    /// the next process to recover, without one they are counted dropped.
+    /// The front reaches the log's tail although it is the oldest, so when
+    /// the log already holds frames (in-flight publishes dead-lettered
+    /// while newer capture was spilling, or a replay interrupted mid-way)
+    /// the next process replays the front after them. The reordering is
+    /// bounded by the in-flight window; delivery still happens once.
+    fn close(&mut self) {
+        while let Some((p, n)) = self.front.pop_front() {
+            self.spill(&p, n);
         }
         while let Some((p, n)) = self.ram.pop_front() {
-            Self::wal_append(wal, &mut self.local_drops, &p, n);
+            self.spill(&p, n);
         }
-        let _ = wal.sync();
-    }
-
-    fn has_wal(&self) -> bool {
-        self.wal.is_some()
+        if let Some(wal) = self.wal.as_mut() {
+            let _ = wal.sync();
+        }
     }
 
     fn records(&self) -> usize {
-        self.head_records
+        self.front.records
             + self.wal.as_ref().map_or(0, |w| w.records() as usize)
-            + self.ram.records()
+            + self.ram.records
     }
 
     fn bytes(&self) -> usize {
-        self.head_bytes + self.wal.as_ref().map_or(0, |w| w.bytes() as usize) + self.ram.bytes()
+        self.front.bytes + self.wal.as_ref().map_or(0, |w| w.bytes() as usize) + self.ram.bytes
     }
 
     fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.wal.as_ref().is_none_or(Wal::is_empty) && self.ram.is_empty()
+        self.front.is_empty() && self.wal.as_ref().is_none_or(Wal::is_empty) && self.ram.is_empty()
     }
 
     /// Records found durable on disk at startup.
@@ -496,7 +435,7 @@ impl SpillBuffer {
 
     /// Cumulative records the WAL dropped (cap eviction, corruption).
     fn wal_drops(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.dropped_records())
+        self.wal.as_ref().map_or(0, Wal::dropped_records)
     }
 }
 
@@ -506,8 +445,6 @@ pub struct Transmitter {
     thread: Option<std::thread::JoinHandle<()>>,
     pool: BatchPool,
     stats: Arc<StatsCell>,
-    /// Messages handed to the thread.
-    pub queue_capacity: usize,
 }
 
 impl Transmitter {
@@ -536,13 +473,12 @@ impl Transmitter {
         // Open (and recover) the spill WAL before the thread exists so a
         // misconfigured spill directory fails the connect loudly instead
         // of silently degrading to RAM-only buffering.
-        let buffer = SpillBuffer::new(&config).map_err(NetError::Io)?;
+        let buffer = Backlog::new(&config).map_err(NetError::Io)?;
 
         // Bound the channel so a dead network eventually applies
         // backpressure instead of exhausting memory (the send-buffer role
         // of the simulation model).
-        let capacity = 1024;
-        let (tx, rx) = bounded::<Cmd>(capacity);
+        let (tx, rx) = bounded::<Cmd>(1024);
         let pool: BatchPool = Arc::new(Mutex::with_rank(parking_lot::rank::POOL, Vec::new()));
         let stats = Arc::new(StatsCell::default());
         stats.connected.store(true, Ordering::Relaxed);
@@ -562,7 +498,6 @@ impl Transmitter {
             thread: Some(thread),
             pool,
             stats,
-            queue_capacity: capacity,
         })
     }
 
@@ -688,7 +623,7 @@ impl Coalescer {
 const MAX_DATAGRAM_PAYLOAD: usize = 65_000;
 
 /// The transmitter thread's connection manager: an MQTT-SN client plus the
-/// disconnection buffer and the reconnect/backoff state machine. No method
+/// [`Backlog`] and the reconnect/backoff state machine. No method
 /// on `Link` ever kills the thread — every transport failure degrades to
 /// buffering and a scheduled reconnection attempt.
 struct Link {
@@ -702,7 +637,7 @@ struct Link {
     /// Broker forgot our registration (PUBACK `InvalidTopicId`): re-register
     /// on the next service pass instead of full reconnection.
     reregister: bool,
-    buffer: SpillBuffer,
+    buffer: Backlog,
     /// Record count per in-flight message id, so payloads recovered from
     /// the dead-letter queue keep accurate drop/replay accounting.
     inflight_records: HashMap<u16, usize>,
@@ -724,7 +659,7 @@ impl Link {
         topic: String,
         topic_id: u16,
         config: CaptureConfig,
-        buffer: SpillBuffer,
+        buffer: Backlog,
         stats: Arc<StatsCell>,
     ) -> Link {
         Link {
@@ -781,10 +716,13 @@ impl Link {
     /// True when begin-edge records should be shed instead of queued: hard
     /// congestion has persisted long enough to fill half the RAM buffer, so
     /// the alternative to shedding is evicting arbitrary envelopes once the
-    /// cap is hit. End-edge records — task completion and outputs, the part
-    /// an operator cannot re-derive — always keep their place in the queue.
+    /// cap is hit. Only RAM counts: records in the spill log (recovered
+    /// from a previous process, say) or put back at the front are no
+    /// pressure on it. End-edge records — task completion and outputs, the
+    /// part an operator cannot re-derive — always keep their place in the
+    /// queue.
     fn shedding(&self) -> bool {
-        self.congestion_level >= 2 && self.buffer.records() >= self.config.buffer_max_records / 2
+        self.congestion_level >= 2 && self.buffer.ram.records >= self.config.buffer_max_records / 2
     }
 
     fn mark_disconnected(&mut self) {
@@ -794,8 +732,7 @@ impl Link {
                 .config
                 .reconnect_initial_backoff
                 .max(Duration::from_millis(1));
-            self.next_attempt =
-                Instant::now() + jitter_backoff(self.backoff, RECONNECT_JITTER, &mut self.rng);
+            self.next_attempt = Instant::now() + jitter_backoff(self.backoff, &mut self.rng);
         }
     }
 
@@ -985,8 +922,7 @@ impl Link {
                     .config
                     .reconnect_max_backoff
                     .max(Duration::from_millis(1));
-                self.next_attempt =
-                    Instant::now() + jitter_backoff(self.backoff, RECONNECT_JITTER, &mut self.rng);
+                self.next_attempt = Instant::now() + jitter_backoff(self.backoff, &mut self.rng);
                 self.backoff = if e.is_transient() {
                     (self.backoff * 2).min(cap)
                 } else {
@@ -1139,25 +1075,20 @@ impl Link {
     }
 
     /// Final accounting when the thread exits with data still unsent.
-    /// With a spill WAL, buffered records are *persisted* for the next
-    /// process instead of dropped — only unacknowledged in-flight
-    /// envelopes (already popped from the log) count as lost. Without one,
-    /// the PR 3 contract holds: unconfirmed delivery is reported as loss
-    /// rather than silently presumed successful.
+    /// Unacknowledged in-flight envelopes count as lost: unconfirmed
+    /// delivery is reported as loss rather than silently presumed
+    /// successful. The backlog closes ([`Backlog::close`]): with a spill
+    /// WAL its records persist for the next process, without one they
+    /// reach the drop count through the gauge sync.
     fn account_shutdown_loss(&mut self) {
         self.absorb_events();
         let unconfirmed: usize = self.inflight_records.values().sum();
-        let mut lost = unconfirmed as u64;
-        if self.buffer.has_wal() {
-            self.buffer.persist_for_shutdown();
-        } else {
-            lost += self.buffer.records() as u64;
-        }
-        if lost > 0 {
+        if unconfirmed > 0 {
             self.stats
                 .records_dropped
-                .fetch_add(lost, Ordering::Relaxed);
+                .fetch_add(unconfirmed as u64, Ordering::Relaxed);
         }
+        self.buffer.close();
         self.sync_gauges();
     }
 }
@@ -1384,7 +1315,6 @@ mod tests {
     use mqtt_sn::packet::frames;
     use mqtt_sn::{DatagramFate, DatagramFault, FaultDir, LocalSubscription, Packet};
     use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
-    use rand::Rng;
 
     fn record(i: u64, attrs: usize) -> Record {
         let mut d = DataRecord::new(i, 1u64);
@@ -1418,7 +1348,7 @@ mod tests {
         let topic_id = client.register(topic, timeout).unwrap();
         let stats = Arc::new(StatsCell::default());
         stats.connected.store(true, Ordering::Relaxed);
-        let buffer = SpillBuffer::new(&config).unwrap();
+        let buffer = Backlog::new(&config).unwrap();
         let thread = {
             let stats = Arc::clone(&stats);
             let topic = topic.to_owned();
@@ -1942,17 +1872,37 @@ mod tests {
         gw.shutdown();
     }
 
+    /// A backlog with RAM caps of `max_records` and `max_bytes` and no
+    /// spill log.
+    fn ram_backlog(max_records: usize, max_bytes: usize) -> Backlog {
+        Backlog::new(&CaptureConfig {
+            buffer_max_records: max_records,
+            buffer_max_bytes: max_bytes,
+            ..CaptureConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// A fresh directory for a spill log, unique to this process and `tag`.
+    fn spill_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("provlight-backlog-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn disconnection_buffer_evicts_oldest_first_with_accounting() {
-        let mut b = DisconnectionBuffer::new(10, 1 << 20);
+        let mut b = ram_backlog(10, 1 << 20);
         for i in 0..5u8 {
-            assert_eq!(b.push_back(vec![i; 8], 2), 0);
+            b.push_back(vec![i; 8], 2);
+            assert_eq!(b.drain_drops(), 0);
         }
         assert_eq!(b.records(), 10);
         // Over the record cap: the two oldest envelopes (4 records) must
         // go to make room for a 3-record newcomer.
-        let dropped = b.push_back(vec![9; 8], 3);
-        assert_eq!(dropped, 4);
+        b.push_back(vec![9; 8], 3);
+        assert_eq!(b.drain_drops(), 4);
         assert_eq!(b.records(), 9);
         // Order preserved: the survivor head is envelope #2.
         assert_eq!(b.pop_front().unwrap().0, vec![2; 8]);
@@ -1960,22 +1910,25 @@ mod tests {
 
     #[test]
     fn disconnection_buffer_byte_cap_and_oversized_rejection() {
-        let mut b = DisconnectionBuffer::new(1000, 64);
-        assert_eq!(b.push_back(vec![1; 40], 1), 0);
+        let mut b = ram_backlog(1000, 64);
+        b.push_back(vec![1; 40], 1);
+        assert_eq!(b.drain_drops(), 0);
         // 40 + 40 > 64: the first envelope is evicted.
-        assert_eq!(b.push_back(vec![2; 40], 1), 1);
+        b.push_back(vec![2; 40], 1);
+        assert_eq!(b.drain_drops(), 1);
         assert_eq!(b.bytes(), 40);
         // A single envelope over the byte cap is rejected outright (its own
         // records counted dropped) WITHOUT evicting the resident envelope —
         // no amount of eviction could ever make it fit.
-        assert_eq!(b.push_back(vec![3; 100], 7), 7);
+        b.push_back(vec![3; 100], 7);
+        assert_eq!(b.drain_drops(), 7);
         assert_eq!(b.records(), 1);
         assert_eq!(b.pop_front().unwrap().0, vec![2; 40]);
     }
 
     #[test]
     fn disconnection_buffer_push_front_restores_order() {
-        let mut b = DisconnectionBuffer::new(10, 1 << 20);
+        let mut b = ram_backlog(10, 1 << 20);
         b.push_back(vec![2], 1);
         b.push_back(vec![3], 1);
         b.push_front(vec![1], 1);
@@ -1985,6 +1938,138 @@ mod tests {
         assert!(b.pop_front().is_none());
     }
 
+    /// The backlog against a model, on seeded random schedules: each step
+    /// pushes an envelope of random size and record count (some over a RAM
+    /// cap by themselves), puts the last one popped back at the front, or
+    /// pops. Every odd seed has a spill log with room to spare. After every
+    /// step, every record pushed has been popped, dropped or is held;
+    /// envelopes pop whole and in push order; RAM keeps both caps; and with
+    /// the log nothing is dropped. Closing then drops what is held, or
+    /// leaves it in the log for the next process.
+    #[test]
+    fn prop_backlog_keeps_order_caps_and_every_record() {
+        const MAX_RECORDS: usize = 8;
+        const MAX_BYTES: usize = 256;
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dir = (seed % 2 == 1).then(|| spill_dir(&format!("model-{seed}")));
+            let config = CaptureConfig {
+                buffer_max_records: MAX_RECORDS,
+                buffer_max_bytes: MAX_BYTES,
+                spill_dir: dir.clone(),
+                spill_segment_bytes: 1024,
+                ..CaptureConfig::default()
+            };
+            let mut b = Backlog::new(&config).unwrap();
+            // Each envelope leads with its sequence number.
+            let mut shapes: HashMap<u64, (usize, usize)> = HashMap::new();
+            let (mut pushed, mut popped, mut dropped) = (0u64, 0u64, 0u64);
+            let mut last_out: Option<u64> = None;
+            let mut out: Option<(Vec<u8>, usize)> = None;
+            let mut put_back: Option<u64> = None;
+            for step in 0..300 {
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let seq = shapes.len() as u64;
+                        let len = rng.gen_range(8..301) as usize;
+                        let records = rng.gen_range(1..11) as usize;
+                        let mut payload = seq.to_le_bytes().to_vec();
+                        payload.resize(len, seq as u8);
+                        shapes.insert(seq, (len, records));
+                        b.push_back(payload, records);
+                        pushed += records as u64;
+                    }
+                    5 if out.is_some() => {
+                        let (payload, records) = out.take().unwrap();
+                        put_back = Some(u64::from_le_bytes(payload[..8].try_into().unwrap()));
+                        popped -= records as u64;
+                        b.push_front(payload, records);
+                    }
+                    _ => match b.pop_front() {
+                        Some((payload, records)) => {
+                            let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                            assert_eq!(shapes[&seq], (payload.len(), records), "seed {seed}");
+                            let expected = put_back.take();
+                            assert!(
+                                expected.map_or(last_out < Some(seq), |e| e == seq),
+                                "seed {seed} step {step}: {seq} after {last_out:?}"
+                            );
+                            last_out = last_out.max(Some(seq));
+                            popped += records as u64;
+                            out = Some((payload, records));
+                        }
+                        None => assert!(b.is_empty(), "seed {seed} step {step}"),
+                    },
+                }
+                dropped += b.drain_drops();
+                let held = b.records() as u64;
+                assert_eq!(pushed, popped + dropped + held, "seed {seed} step {step}");
+                assert!(b.ram.records <= MAX_RECORDS && b.ram.bytes <= MAX_BYTES);
+                if dir.is_some() {
+                    assert_eq!(dropped, 0, "seed {seed} step {step}");
+                }
+            }
+            let held = b.records() as u64;
+            b.close();
+            dropped += b.drain_drops();
+            drop(b);
+            match &dir {
+                Some(dir) => {
+                    assert_eq!(Backlog::new(&config).unwrap().records() as u64, held);
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+                None => assert_eq!(pushed, popped + dropped, "seed {seed}"),
+            }
+        }
+    }
+
+    /// Shedding answers RAM pressure alone: records in the spill log, here
+    /// two a previous process left there, are no reason to shed.
+    #[test]
+    fn a_spilled_backlog_with_empty_ram_does_not_shed() {
+        let dir = spill_dir("shed");
+        let mut wal = Wal::open(WalConfig::new(&dir)).unwrap();
+        wal.append(&[1], 1).unwrap();
+        wal.append(&[2], 1).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let config = CaptureConfig {
+            buffer_max_records: 4,
+            spill_dir: Some(dir.clone()),
+            ..CaptureConfig::default()
+        };
+        let mut link = test_link(&broker, "spilled", config);
+        assert_eq!(link.buffer.records(), 2);
+        assert_eq!(link.buffer.ram.records, 0);
+        link.note_congestion(2);
+        assert!(!link.shedding(), "RAM is empty, yet begin edges are shed");
+        broker.shutdown();
+        drop(link);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn jittered_backoff_stays_within_the_window() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let base = Duration::from_millis(1000);
+        let (lo, hi) = (Duration::from_millis(750), Duration::from_millis(1250));
+        let mut distinct = std::collections::HashSet::new();
+        for _ in 0..1000 {
+            let d = jitter_backoff(base, &mut rng);
+            assert!(d >= lo && d <= hi, "jitter out of window: {d:?}");
+            distinct.insert(d);
+        }
+        assert!(
+            distinct.len() > 100,
+            "jitter not spreading: {}",
+            distinct.len()
+        );
+        // Two devices that disconnect at the same instant draw different
+        // jitter streams (the stampede case entropy_seed exists for).
+        assert_ne!(entropy_seed(), entropy_seed());
+    }
+
     fn test_link(broker: &UdpBroker, id: &str, config: CaptureConfig) -> Link {
         let client = UdpClient::connect(
             broker.local_addr(),
@@ -1992,7 +2077,7 @@ mod tests {
             Duration::from_secs(5),
         )
         .unwrap();
-        let buffer = SpillBuffer::new(&config).unwrap();
+        let buffer = Backlog::new(&config).unwrap();
         Link::new(
             client,
             "provlight/test/pace".into(),

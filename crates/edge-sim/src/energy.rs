@@ -61,15 +61,6 @@ impl PowerModel {
     pub fn energy_j(&self, wall: Duration, cpu_busy: Duration, wire_bytes: u64) -> f64 {
         self.average_power_w(wall, cpu_busy, wire_bytes) * wall.as_secs_f64()
     }
-
-    /// Battery life estimate in hours for a LiPo pack, at a given constant
-    /// average power. A8-M3: 3.7 V × 650 mAh = 2.405 Wh.
-    pub fn battery_life_hours(&self, avg_power_w: f64, pack_wh: f64) -> f64 {
-        if avg_power_w <= 0.0 {
-            return f64::INFINITY;
-        }
-        pack_wh / avg_power_w
-    }
 }
 
 #[cfg(test)]
@@ -118,14 +109,6 @@ mod tests {
             model().average_power_w(Duration::ZERO, Duration::ZERO, 99),
             1.0
         );
-    }
-
-    #[test]
-    fn battery_life() {
-        let m = model();
-        let hours = m.battery_life_hours(1.2025, 2.405);
-        assert!((hours - 2.0).abs() < 1e-9);
-        assert!(m.battery_life_hours(0.0, 2.405).is_infinite());
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl HttpClient {
         }
     }
 
-    /// Overrides the socket timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     fn stream(&mut self) -> Result<&mut TcpStream, HttpError> {
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;

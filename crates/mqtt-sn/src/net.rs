@@ -707,35 +707,6 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Spreads `backoff` uniformly over `[(1 − frac)·b, (1 + frac)·b]`.
-/// `frac` is clamped to `[0, 1]`; `frac = 0` returns `backoff` unchanged.
-pub fn jitter_backoff(backoff: Duration, frac: f64, rng: &mut impl rand::Rng) -> Duration {
-    let frac = frac.clamp(0.0, 1.0);
-    if frac == 0.0 {
-        return backoff;
-    }
-    let unit: f64 = rng.gen(); // [0, 1)
-    let factor = 1.0 - frac + 2.0 * frac * unit;
-    Duration::from_nanos((backoff.as_nanos() as f64 * factor) as u64)
-}
-
-/// A cheap per-call entropy seed for backoff jitter: wall clock nanos mixed
-/// with a process-wide counter, so simultaneous callers (the stampede case)
-/// still draw distinct jitter streams. Not cryptographic.
-pub fn entropy_seed() -> u64 {
-    use std::sync::atomic::AtomicU64;
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    // splitmix-style avalanche so close timestamps diverge.
-    let mut z = nanos ^ COUNTER.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A fresh socket on an ephemeral port, connected to `broker` so an ICMP
 /// port-unreachable from a dead gateway comes back as `ECONNREFUSED`.
 fn dial(broker: SocketAddr) -> io::Result<UdpSocket> {
@@ -1195,7 +1166,6 @@ impl UdpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
     use std::sync::atomic::AtomicU64;
 
     fn timeout() -> Duration {
@@ -1343,33 +1313,6 @@ mod tests {
         assert_eq!(payload, vec![2]);
         broker.shutdown();
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn jittered_backoff_stays_within_the_window() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let base = Duration::from_millis(1000);
-        let (lo, hi) = (Duration::from_millis(750), Duration::from_millis(1250));
-        let mut distinct = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            let d = jitter_backoff(base, 0.25, &mut rng);
-            assert!(d >= lo && d <= hi, "jitter out of window: {d:?}");
-            distinct.insert(d);
-        }
-        assert!(
-            distinct.len() > 100,
-            "jitter not spreading: {}",
-            distinct.len()
-        );
-        // frac = 0 disables jitter; out-of-range fractions are clamped.
-        assert_eq!(jitter_backoff(base, 0.0, &mut rng), base);
-        for _ in 0..100 {
-            let d = jitter_backoff(base, 7.5, &mut rng);
-            assert!(d <= Duration::from_millis(2000), "clamp failed: {d:?}");
-        }
-        // Two devices that disconnect at the same instant draw different
-        // jitter streams (the stampede case entropy_seed exists for).
-        assert_ne!(entropy_seed(), entropy_seed());
     }
 
     /// Restart from a snapshot file: registration, subscription, topic-id

@@ -709,8 +709,9 @@ impl Packet {
 
     /// Parses one message, borrowing the PUBLISH payload from `buf`
     /// instead of copying it. Control messages decode owned (they are
-    /// small and off the hot path). Accepts and rejects exactly the same
-    /// inputs as [`Packet::decode`].
+    /// small and off the hot path). This is the one PUBLISH parser:
+    /// [`Packet::decode`] copies what it borrows, so both accept and reject
+    /// exactly the same inputs.
     pub fn decode_borrowed(buf: &[u8]) -> Result<PacketRef<'_>, Error> {
         let (declared, header) = length_prefix(buf)?;
         if declared != buf.len() {
@@ -819,25 +820,7 @@ impl Packet {
                     code: ReturnCode::from_byte(rest[4])?,
                 })
             }
-            msg_type::PUBLISH => {
-                need(5)?;
-                let flags = rest[0];
-                let qos = QoS::from_bits((flags & flag::QOS_MASK) >> flag::QOS_SHIFT)?;
-                let topic_id = u16_at(1);
-                let topic = match flags & flag::TOPIC_TYPE_MASK {
-                    0b00 => TopicRef::Id(topic_id),
-                    0b01 => TopicRef::Predefined(topic_id),
-                    _ => return Err(Error::Malformed("short topics not supported in PUBLISH")),
-                };
-                Ok(Packet::Publish {
-                    dup: flags & flag::DUP != 0,
-                    qos,
-                    retain: flags & flag::RETAIN != 0,
-                    topic,
-                    msg_id: u16_at(3),
-                    payload: rest[5..].to_vec(),
-                })
-            }
+            msg_type::PUBLISH => Packet::decode_borrowed(buf).map(PacketRef::into_owned),
             msg_type::PUBACK => {
                 need(5)?;
                 Ok(Packet::PubAck {

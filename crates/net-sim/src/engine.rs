@@ -8,7 +8,6 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Duration;
 
 struct Scheduled<E> {
     at: SimTime,
@@ -96,11 +95,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
@@ -113,29 +107,11 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
     }
-
-    /// Runs until the queue drains or `limit` events have been processed,
-    /// dispatching through `f`. Returns the number of events processed.
-    ///
-    /// `f` receives the queue itself so handlers can schedule follow-ups.
-    pub fn run_with_limit<F>(&mut self, limit: u64, mut f: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        let mut n = 0;
-        while n < limit {
-            let Some((t, e)) = self.pop() else { break };
-            f(self, t, e);
-            n += 1;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::secs;
 
     #[test]
     fn pops_in_time_order() {
@@ -156,30 +132,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), "first");
-        q.pop();
-        q.schedule_after(secs(0.5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs_f64(1.5));
-    }
-
-    #[test]
-    fn run_with_limit_dispatches_and_allows_rescheduling() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), 0u32);
-        // Each event schedules the next one: a self-sustaining chain capped
-        // by the limit.
-        let n = q.run_with_limit(10, |q, _t, e| {
-            q.schedule_after(secs(1.0), e + 1);
-        });
-        assert_eq!(n, 10);
-        assert_eq!(q.now(), SimTime::from_secs(10));
-        assert_eq!(q.processed(), 10);
     }
 
     #[test]

@@ -243,16 +243,6 @@ impl ProvDocument {
         self.elements.len()
     }
 
-    /// Relations with the given subject.
-    pub fn relations_from<'a>(&'a self, subject: &'a Id) -> impl Iterator<Item = &'a Relation> {
-        self.relations.iter().filter(move |r| &r.subject == subject)
-    }
-
-    /// Relations with the given object.
-    pub fn relations_to<'a>(&'a self, object: &'a Id) -> impl Iterator<Item = &'a Relation> {
-        self.relations.iter().filter(move |r| &r.object == object)
-    }
-
     /// Full validation pass (useful after deserializing).
     pub fn validate(&self) -> Result<(), ProvError> {
         for r in &self.relations {
@@ -421,15 +411,5 @@ mod tests {
         assert!(text.contains("entity(ex:d1)"));
         assert!(text.contains("used(ex:t1, ex:d1)"));
         assert_eq!(text, d.to_prov_n());
-    }
-
-    #[test]
-    fn relations_from_to() {
-        let mut d = doc();
-        d.relate(RelationKind::Used, "t1", "d1").unwrap();
-        d.relate(RelationKind::WasAssociatedWith, "t1", "wf")
-            .unwrap();
-        assert_eq!(d.relations_from(&Id::from("t1")).count(), 2);
-        assert_eq!(d.relations_to(&Id::from("d1")).count(), 1);
     }
 }

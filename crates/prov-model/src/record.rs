@@ -201,25 +201,6 @@ impl Record {
         matches!(self, Record::TaskEnd { .. } | Record::WorkflowEnd { .. })
     }
 
-    /// Number of data items carried.
-    pub fn data_count(&self) -> usize {
-        match self {
-            Record::TaskBegin { inputs, .. } => inputs.len(),
-            Record::TaskEnd { outputs, .. } => outputs.len(),
-            _ => 0,
-        }
-    }
-
-    /// Total number of attributes carried across all data items.
-    pub fn attr_count(&self) -> usize {
-        match self {
-            Record::TaskBegin { inputs: d, .. } | Record::TaskEnd { outputs: d, .. } => {
-                d.iter().map(|x| x.attributes.len()).sum()
-            }
-            _ => 0,
-        }
-    }
-
     /// Approximate heap footprint, for the device memory accountant.
     pub fn approx_size(&self) -> usize {
         match self {
@@ -283,20 +264,6 @@ mod tests {
         assert_eq!(d.attr("epochs"), Some(&AttrValue::Int(10)));
         assert_eq!(d.attr("missing"), None);
         assert_eq!(d.derivations, vec![Id::from("out0")]);
-    }
-
-    #[test]
-    fn counts() {
-        let d1 = DataRecord::new(1u64, 9u64)
-            .with_attr("a", 1i64)
-            .with_attr("b", 2i64);
-        let d2 = DataRecord::new(2u64, 9u64).with_attr("c", 3i64);
-        let r = Record::TaskEnd {
-            task: sample_task(),
-            outputs: vec![d1, d2],
-        };
-        assert_eq!(r.data_count(), 2);
-        assert_eq!(r.attr_count(), 3);
     }
 
     #[test]

@@ -175,16 +175,6 @@ impl<'a> Query<'a> {
         Ok(self.table(workflow)?.tasks().iter().collect())
     }
 
-    /// Tasks still running (begin captured, no end) — the paper's runtime
-    /// steering use case.
-    pub fn running_tasks(&self, workflow: &Id) -> Result<Vec<&'a TaskRow>, QueryError> {
-        Ok(self
-            .tasks(workflow)?
-            .into_iter()
-            .filter(|t| t.end_ns.is_none())
-            .collect())
-    }
-
     /// Per-task timing/status report.
     pub fn task_metrics(&self, workflow: &Id) -> Result<Vec<TaskMetrics>, QueryError> {
         Ok(self
@@ -334,23 +324,6 @@ impl<'a> Query<'a> {
             }
         })?;
         Ok(hits)
-    }
-
-    /// `(running, finished)` task counts — the runtime-steering dashboard
-    /// number.
-    pub fn task_status_counts(&self, workflow: &Id) -> Result<(usize, usize), QueryError> {
-        let tasks = self.tasks(workflow)?;
-        let finished = tasks.iter().filter(|t| t.end_ns.is_some()).count();
-        Ok((tasks.len() - finished, finished))
-    }
-
-    /// Workflow makespan in seconds when both ends were captured.
-    pub fn workflow_makespan_s(&self, workflow: &Id) -> Result<Option<f64>, QueryError> {
-        let wf = self.table(workflow)?;
-        Ok(match (wf.begin_ns, wf.end_ns) {
-            (Some(b), Some(e)) if e >= b => Some((e - b) as f64 / 1e9),
-            _ => None,
-        })
     }
 
     /// Mean elapsed seconds across finished tasks of a transformation.
@@ -508,9 +481,10 @@ mod tests {
             inputs: vec![],
         });
         let q = Query::new(&s);
-        let running = q.running_tasks(&Id::Num(1)).unwrap();
+        let m = q.task_metrics(&Id::Num(1)).unwrap();
+        let running: Vec<&TaskMetrics> = m.iter().filter(|t| !t.finished).collect();
         assert_eq!(running.len(), 1);
-        assert_eq!(running[0].id, Id::Num(99));
+        assert_eq!(running[0].task, Id::Num(99));
     }
 
     #[test]
@@ -810,24 +784,6 @@ mod tests {
             .unwrap();
         assert_eq!(good.len(), 2);
         assert!(good.iter().all(|(_, v)| *v > 0.8));
-    }
-
-    #[test]
-    fn status_counts_and_makespan() {
-        let mut s = fl_store();
-        s.ingest(Record::WorkflowBegin {
-            workflow: Id::Num(1),
-            time_ns: 0,
-        });
-        s.ingest(Record::WorkflowEnd {
-            workflow: Id::Num(1),
-            time_ns: 4_000_000_000,
-        });
-        let q = Query::new(&s);
-        let (running, finished) = q.task_status_counts(&Id::Num(1)).unwrap();
-        assert_eq!((running, finished), (0, 4));
-        assert_eq!(q.workflow_makespan_s(&Id::Num(1)).unwrap(), Some(4.0));
-        assert!(q.workflow_makespan_s(&Id::Num(99)).is_err());
     }
 
     #[test]

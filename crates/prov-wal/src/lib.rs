@@ -3,7 +3,7 @@
 //! Durable spill-to-flash storage for the capture pipeline: a segmented,
 //! CRC32-framed append-only log plus a checksummed atomic snapshot file.
 //!
-//! ProvLight's in-RAM `DisconnectionBuffer` absorbs records while the
+//! The ProvLight transmitter's backlog holds envelopes in RAM while the
 //! broker is unreachable, but an outage that outlasts the RAM caps used to
 //! mean silent (if counted) loss. This crate gives the transmitter — and
 //! the broker's restart persistence — a flash-backed tier:

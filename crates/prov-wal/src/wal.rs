@@ -38,8 +38,8 @@
 //! Total on-disk bytes are capped by [`WalConfig::max_total_bytes`]: when
 //! an append pushes past it, whole *oldest* segments are evicted (deleted)
 //! and every evicted record is counted in [`Wal::dropped_records`] — the
-//! same oldest-first/exact-accounting contract as the in-RAM
-//! `DisconnectionBuffer` this log backstops.
+//! same oldest-first/exact-accounting contract as the RAM part of the
+//! transmitter's backlog, which this log backstops.
 
 use crate::fault::{faulted_write, IoFault, IoOp};
 use crate::{crc32_update, le_bytes};
@@ -344,8 +344,8 @@ impl Wal {
     pub fn append(&mut self, payload: &[u8], records: usize) -> io::Result<u64> {
         let frame_bytes = FRAME_HEADER + payload.len() as u64;
         if SEG_HEADER + frame_bytes > self.cfg.max_total_bytes {
-            // Mirrors DisconnectionBuffer: an entry larger than the cap is
-            // rejected up front instead of evicting residents in vain.
+            // Mirrors the transmitter's RAM caps: an entry larger than the
+            // cap is rejected up front instead of evicting residents in vain.
             self.dropped_records += records as u64;
             return Ok(records as u64);
         }

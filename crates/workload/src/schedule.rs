@@ -48,14 +48,6 @@ impl Schedule {
             })
             .sum()
     }
-
-    /// Number of capture records emitted.
-    pub fn emit_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, Step::Emit(_)))
-            .count()
-    }
 }
 
 /// Counts the scalar values a record carries (list attributes count their
@@ -179,7 +171,8 @@ mod tests {
         let spec = WorkloadSpec::table1(10, 0.5);
         let s = generate(&spec, 1, 42);
         // wf begin + wf end + per task (begin + end) = 202 emits.
-        assert_eq!(s.emit_count(), 202);
+        let emits = s.steps.iter().filter(|s| matches!(s, Step::Emit(_)));
+        assert_eq!(emits.count(), 202);
         assert_eq!(s.compute_total(), Duration::from_secs(50));
         assert!(matches!(
             s.steps.first(),

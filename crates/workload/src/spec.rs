@@ -44,25 +44,9 @@ impl WorkloadSpec {
         }
     }
 
-    /// All 8 Table I configurations ({10,100} attrs × {0.5,1,3.5,5} s).
-    pub fn table1_all() -> Vec<WorkloadSpec> {
-        let mut out = Vec::with_capacity(8);
-        for attrs in [10, 100] {
-            for dur in [0.5, 1.0, 3.5, 5.0] {
-                out.push(Self::table1(attrs, dur));
-            }
-        }
-        out
-    }
-
     /// Tasks per transformation (the paper divides evenly).
     pub fn tasks_per_transformation(&self) -> usize {
         self.tasks / self.chained_transformations.max(1)
-    }
-
-    /// Ideal no-capture makespan: tasks × duration.
-    pub fn baseline_elapsed(&self) -> Duration {
-        self.task_duration * self.tasks as u32
     }
 }
 
@@ -71,19 +55,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table1_space_has_eight_configs() {
-        let all = WorkloadSpec::table1_all();
-        assert_eq!(all.len(), 8);
-        assert!(all.iter().all(|s| s.tasks == 100));
-        assert!(all.iter().all(|s| s.chained_transformations == 5));
-        let durations: Vec<f64> = all.iter().map(|s| s.task_duration.as_secs_f64()).collect();
-        assert!(durations.contains(&0.5) && durations.contains(&5.0));
-    }
-
-    #[test]
     fn derived_quantities() {
         let s = WorkloadSpec::table1(100, 0.5);
         assert_eq!(s.tasks_per_transformation(), 20);
-        assert_eq!(s.baseline_elapsed(), Duration::from_secs(50));
     }
 }
