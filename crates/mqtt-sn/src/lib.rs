@@ -19,9 +19,10 @@
 //! * [`local`] — gateway-local subscriptions: a subscriber in the
 //!   gateway's own process takes accepted publishes from a bounded queue,
 //!   with no second MQTT-SN leg;
-//! * [`hold`] — what each end of the device leg holds back for a device
-//!   that streams, and when it leaves: the gateway's acknowledgements and
-//!   the device's PUBRELs, decided on virtual time, without a socket;
+//! * [`hold`] — what each end of the device leg holds back, and when it
+//!   leaves: the gateway's acknowledgements until the device asks or a
+//!   hold passes, and the device's PUBRELs, decided on virtual time,
+//!   without a socket;
 //! * `qos` (private) — the QoS 1/2 delivery machine both of them run: one
 //!   transition table, one retransmit-or-expire pass, one QoS 2 dedup
 //!   window, so the delivery guarantee is written down once;

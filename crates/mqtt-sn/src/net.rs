@@ -78,8 +78,8 @@ type HeldFrames = Vec<(Instant, SocketAddr, Vec<u8>)>;
 
 /// How long a read waits for a datagram before handing control back, so
 /// shutdown, timers and delayed datagrams stay responsive. No longer than
-/// the stream gap of [`crate::hold`], so what a stream's hold makes due
-/// leaves at most this long late.
+/// [`ACK_HOLD`](crate::hold::ACK_HOLD), so what the gateway's hold makes
+/// due leaves at most this long late.
 const READ_TIMEOUT: Duration = Duration::from_millis(10);
 /// Datagrams drained per wakeup before the broker lock is taken. Bounds
 /// both the receive-buffer footprint and how long outbound traffic waits
@@ -571,7 +571,7 @@ fn wake(gateway: SocketAddr) {
 /// [`UdpBroker::stats`] caller never waits on a `recv`), process it — plus
 /// any due timer tick — under a **single** acquisition of the broker lock
 /// through the recycled [`BrokerOutputs`] buffer, then flush the socket
-/// after unlock, holding back what a streaming device can wait for (see
+/// after unlock, holding back what a device did not ask for (see
 /// [`GatewayHold`]). The socket read is the loop's only wait; a stop ends it with
 /// a datagram of its own (see [`UdpBroker::stop`]), which the broker never
 /// sees, and what is held leaves before the loop does. Steady state
@@ -613,7 +613,7 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
             continue;
         }
         for (from, datagram) in &batch {
-            hold.note(from, datagram, now_ns);
+            hold.note(from, datagram);
         }
         {
             let mut b = shared.broker.lock();
@@ -634,9 +634,6 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
                 last_tick = now;
                 b.on_tick_into(now_ns, &mut out);
             }
-        }
-        if tick_due {
-            hold.prune(now_ns);
         }
         pending_io_errors += endpoint.flush(|send| hold.flush(&mut out, now_ns, send));
         spare.extend(batch.drain(..).map(|(_, buf)| buf));
@@ -717,8 +714,8 @@ fn dial(broker: SocketAddr) -> io::Result<UdpSocket> {
 
 /// Feeds the messages of one datagram a device's endpoint read to the
 /// state machine, one at a time — the gateway answers a `[PUBREL,
-/// PUBLISH]` datagram with a `[PUBCOMP, PUBREC]` one, and a stream with
-/// the acknowledgements of several — and keeps what it answers in
+/// PUBLISH]` datagram with a `[PUBCOMP, PUBREC]` one, and a hold it lets
+/// go with the acknowledgements of several — and keeps what it answers in
 /// `replies` until the read is over. Malformed messages are dropped.
 fn hear(client: &mut Client, start: Instant, replies: &mut Vec<Output>, datagram: &[u8]) {
     let now = start.elapsed().as_nanos() as Nanos;
@@ -809,12 +806,12 @@ impl UdpClient {
         Ok(())
     }
 
-    /// Asks the gateway for what it may be holding for this device's
-    /// stream: the held PUBRELs leave on their own or, none being held, a
-    /// PINGREQ does, and the gateway answers either at once with
-    /// everything it holds in front. Sends nothing while nothing can be
-    /// held. For a caller about to block in [`UdpClient::pump`] until a
-    /// handshake completes, who would otherwise wait out the hold.
+    /// Asks the gateway for what it may be holding for this device: the
+    /// held PUBRELs leave on their own or, none being held, a PINGREQ
+    /// does, and the gateway answers either at once with everything it
+    /// holds in front. Sends nothing while nothing can be held. For a
+    /// caller about to block in [`UdpClient::pump`] until a handshake
+    /// completes, who would otherwise wait out the hold.
     pub fn ask(&mut self) -> Result<(), NetError> {
         let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
         Ok(self.hold.ask(&self.client, send)?)
@@ -838,9 +835,9 @@ impl UdpClient {
     /// A caller with nobody waiting need not pump for a held PUBREL's
     /// sake: [`UdpClient::reply_expected`] does not count it, and
     /// [`UdpClient::tick`] lets it go by [`UdpClient::next_deadline`] at
-    /// the latest. The gateway may hold acknowledgements too, for a device
-    /// that streams: a caller that blocks until a handshake completes
-    /// calls [`UdpClient::ask`] first.
+    /// the latest. The gateway holds acknowledgements too, for any PUBLISH
+    /// that did not ask for its answer: a caller that blocks until a
+    /// handshake completes calls [`UdpClient::ask`] first.
     pub fn pump(&mut self) -> Result<(), NetError> {
         self.hold
             .read_starts(&mut |d| self.endpoint.send(self.broker, d))?;
@@ -855,14 +852,18 @@ impl UdpClient {
 
     /// The timers alone, without the wait: what a [`UdpClient::pump`] does
     /// after reading, for a caller that sleeps elsewhere until
-    /// [`UdpClient::next_deadline`]. Never blocks. While the gateway may
-    /// hold acknowledgements for this device's stream it first reads what
-    /// has queued on the socket, so no timer asks again for what has come;
-    /// otherwise it reads nothing. A retransmission or keep-alive PINGREQ
-    /// that falls due carries the held PUBRELs like any datagram; what is
-    /// still held past its release time then leaves alone.
+    /// [`UdpClient::next_deadline`]. Never blocks. Once per hold — 2 ×
+    /// [`ACK_HOLD`](crate::hold::ACK_HOLD) after the oldest PUBLISH whose
+    /// answer the gateway may hold, then a hold after each drain — it
+    /// first reads what has queued on the socket; otherwise it reads
+    /// nothing. A retransmission or keep-alive PINGREQ that falls due
+    /// carries the held PUBRELs like any datagram; what is still held past
+    /// its release time then leaves alone, and half a `Tretry` after the
+    /// oldest PUBLISH the gateway may still hold an answer to, the device
+    /// asks for it.
     pub fn tick(&mut self) -> Result<(), NetError> {
-        self.pass(self.hold.streaming())
+        let drain = self.hold.drain_due(self.now());
+        self.pass(drain)
     }
 
     /// [`UdpClient::tick`], reading what has queued on the socket if
@@ -888,21 +889,23 @@ impl UdpClient {
     /// publisher: a PUBLISH without its PUBREC or PUBACK, a PUBREL that has
     /// left without its PUBCOMP, a control transaction, a PINGREQ — or the
     /// advisory a QoS 0 PUBLISH may have drawn. A handshake whose PUBREL is
-    /// still held is owed nothing until the PUBREL leaves, and the
-    /// acknowledgements of a stream are not on their way until the gateway
-    /// lets its hold go, by 20 ms after the stream's last PUBLISH. While
-    /// this is `false` a [`UdpClient::pump`] can only time out, or read
-    /// early what is read later anyway.
+    /// still held is owed nothing until the PUBREL leaves, and an
+    /// acknowledgement the gateway may hold is not on its way until the
+    /// device asks for it, or the gateway lets its hold go by
+    /// [`ACK_HOLD`](crate::hold::ACK_HOLD) after it (read by
+    /// [`UdpClient::tick`] at the read deadline). While this is `false` a
+    /// [`UdpClient::pump`] can only time out, or read early what is read
+    /// later anyway.
     pub fn reply_expected(&self) -> bool {
-        self.hold.reply_expected(&self.client, self.now())
+        self.hold.reply_expected(&self.client)
     }
 
     /// The earliest instant at which [`UdpClient::tick`] has something to
     /// do: a timer of the state machine ([`Client::next_deadline`]), the
-    /// release of a held PUBREL, the end of what the gateway may hold for
-    /// this device's stream, or a datagram
-    /// delayed by the fault plan (chaos only) coming off hold. `None` when
-    /// nothing is scheduled.
+    /// release of a held PUBREL, the read deadline or the ask for what the
+    /// gateway may hold for this device, or a datagram delayed by the
+    /// fault plan (chaos only) coming off hold. `None` when nothing is
+    /// scheduled.
     pub fn next_deadline(&self) -> Option<Instant> {
         let timers = self.client.next_deadline().into_iter();
         let timers = timers.chain(self.hold.next_deadline()).min();
@@ -1012,12 +1015,26 @@ impl UdpClient {
         payload: Vec<u8>,
         qos: QoS,
     ) -> Result<u16, NetError> {
+        let (msg_id, sent) = self.send_publish(topic_id, payload, qos, false)?;
+        sent.map(|()| msg_id)
+    }
+
+    /// Publishes, asking for the answer at once if the caller `blocks` on
+    /// it or the window is half full (see [`DeviceHold::ask_next`]):
+    /// the message id, and whether the send went through.
+    fn send_publish(
+        &mut self,
+        topic_id: u16,
+        payload: Vec<u8>,
+        qos: QoS,
+        blocks: bool,
+    ) -> Result<(u16, Result<(), NetError>), Error> {
         let now = self.now();
         let (msg_id, outputs) = self
             .client
             .publish(TopicRef::Id(topic_id), payload, qos, now)?;
-        self.dispatch(outputs)?;
-        Ok(msg_id)
+        self.hold.ask_next(&self.client, blocks);
+        Ok((msg_id, self.dispatch(outputs)))
     }
 
     /// Publishes without waiting, reporting transport trouble without
@@ -1032,12 +1049,8 @@ impl UdpClient {
         payload: Vec<u8>,
         qos: QoS,
     ) -> Result<(u16, bool), Error> {
-        let now = self.now();
-        let (msg_id, outputs) = self
-            .client
-            .publish(TopicRef::Id(topic_id), payload, qos, now)?;
-        let sent = self.dispatch(outputs).is_ok();
-        Ok((msg_id, sent))
+        let (msg_id, sent) = self.send_publish(topic_id, payload, qos, false)?;
+        Ok((msg_id, sent.is_ok()))
     }
 
     /// Publishes and, for QoS 1/2, blocks until the handshake completes.
@@ -1048,12 +1061,10 @@ impl UdpClient {
         qos: QoS,
         timeout: Duration,
     ) -> Result<(), NetError> {
-        // Whoever blocks asks: a PINGREQ behind a PUBLISH that continues a
-        // stream has the gateway answer it at once.
-        self.hold.ask_next(qos != QoS::AtMostOnce);
-        let published = self.publish_nowait(topic_id, payload, qos);
-        self.hold.ask_next(false);
-        let msg_id = published?;
+        // Whoever blocks asks: a PINGREQ behind the PUBLISH has the gateway
+        // answer it at once.
+        let (msg_id, sent) = self.send_publish(topic_id, payload, qos, true)?;
+        sent?;
         if qos == QoS::AtMostOnce {
             return Ok(());
         }
@@ -1259,8 +1270,8 @@ mod tests {
     }
 
     #[test]
-    fn a_read_waits_no_longer_than_a_stream_gap() {
-        assert!(READ_TIMEOUT <= Duration::from_nanos(crate::hold::STREAM_GAP));
+    fn a_read_waits_no_longer_than_an_ack_hold() {
+        assert!(READ_TIMEOUT <= Duration::from_nanos(crate::hold::ACK_HOLD));
     }
 
     #[test]
@@ -1970,6 +1981,8 @@ mod tests {
 
         c.publish_nowait(tid, 0u32.to_be_bytes().to_vec(), QoS::ExactlyOnce)
             .unwrap();
+        // The gateway holds the PUBREC: ask for it.
+        c.ask().unwrap();
         let deadline = Instant::now() + timeout();
         while c.reply_expected() {
             assert!(Instant::now() < deadline, "no PUBREC");
@@ -2081,6 +2094,9 @@ mod tests {
 
         c.publish_nowait(tid, b"late".to_vec(), QoS::AtLeastOnce)
             .unwrap();
+        // The gateway holds the PUBACK: ask for it, so the fault plan's
+        // delay is the only one.
+        c.ask().unwrap();
         let deadline = Instant::now() + timeout();
         while !plan.delayed() {
             assert!(Instant::now() < deadline, "nothing to delay");
@@ -2216,10 +2232,11 @@ mod tests {
         (gw, sub, c, tid, wire)
     }
 
-    /// A device that publishes every 2 ms streams: the gateway holds the
-    /// acknowledgements of a stream and answers it once per read time-out,
-    /// not once per message, and the device reads them on the ticks after
-    /// later sends. Every handshake still completes, every message is
+    /// A device that publishes every 2 ms, driven the way the transmitter
+    /// drives one — a read when a reply is expected, the timers otherwise:
+    /// the gateway holds the acknowledgements and answers once per hold or
+    /// ask, not once per message, and the device asks when half its window
+    /// is in flight. Every handshake still completes, every message is
     /// delivered once and in order, and nothing is retransmitted.
     #[test]
     fn a_stream_is_answered_once_per_hold() {
@@ -2236,7 +2253,11 @@ mod tests {
             c.publish_nowait(tid, i.to_be_bytes().to_vec(), QoS::ExactlyOnce)
                 .unwrap();
             std::thread::sleep(Duration::from_millis(2));
-            c.tick().unwrap();
+            if c.reply_expected() {
+                c.pump().unwrap();
+            } else {
+                c.tick().unwrap();
+            }
             absorb(&mut c);
         }
         let deadline = Instant::now() + timeout();
@@ -2249,19 +2270,21 @@ mod tests {
         assert_eq!(done, N);
         let answers = wire.crossed(FaultDir::Inbound).len();
         assert!(
-            answers <= N as usize / 3,
+            answers <= N as usize / 10,
             "{answers} datagrams answered {N} streamed QoS 2 messages"
         );
         assert_delivered_once_in_order(&mut sub, &gw, N);
         gw.shutdown();
     }
 
-    /// Publishes 50 ms apart are no stream: the gateway answers each at
-    /// once with one datagram, as it did before it held anything, and the
-    /// device expects that answer on its socket.
+    /// A publish after a pause asks for nothing either: the gateway holds
+    /// its answer like any other and sends it at its first serve wake a
+    /// hold later, and the device, which never waits on its socket for it,
+    /// reads it at its read deadline, 2 × `ACK_HOLD` after the PUBLISH.
     #[test]
-    fn a_publish_after_a_pause_is_answered_at_once() {
+    fn a_publish_after_a_pause_is_answered_a_hold_later() {
         let (gw, mut sub, mut c, tid, wire) = recorded_publisher("pause");
+        let hold = Duration::from_nanos(crate::hold::ACK_HOLD);
         let mut sent = Vec::new();
         for i in 0..2u32 {
             if i > 0 {
@@ -2270,11 +2293,14 @@ mod tests {
             sent.push(Instant::now());
             c.publish_nowait(tid, i.to_be_bytes().to_vec(), QoS::ExactlyOnce)
                 .unwrap();
-            assert!(c.reply_expected(), "a lone publish waits on its answer");
+            let answered = wire.crossed(FaultDir::Inbound).len();
             let deadline = Instant::now() + timeout();
-            while c.reply_expected() {
+            while wire.crossed(FaultDir::Inbound).len() == answered {
                 assert!(Instant::now() < deadline, "no answer");
-                c.pump().unwrap();
+                assert!(!c.reply_expected(), "it waits on its socket unasked");
+                let read_at = c.next_deadline().expect("a read deadline");
+                std::thread::sleep(read_at.saturating_duration_since(Instant::now()));
+                c.tick().unwrap();
             }
         }
         let answers = wire.crossed(FaultDir::Inbound);
@@ -2301,7 +2327,9 @@ mod tests {
         );
         for ((answered, _), sent) in answers.iter().zip(&sent) {
             let after = answered.duration_since(*sent);
-            assert!(after < READ_TIMEOUT, "answered after {after:?}");
+            let read_at = 2 * hold;
+            assert!(after >= read_at, "read after {after:?}");
+            assert!(after < read_at + 5 * READ_TIMEOUT, "read after {after:?}");
         }
         c.pump().unwrap();
         assert_delivered_once_in_order(&mut sub, &gw, 2);

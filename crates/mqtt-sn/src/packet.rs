@@ -1331,6 +1331,131 @@ pub(crate) mod tests {
         packet
     }
 
+    /// One valid message of every type, and of every kind the hold tells
+    /// apart (a PUBACK that accepts and one that refuses, a DUP PUBLISH,
+    /// a long-form length prefix).
+    fn every_type() -> Vec<Packet> {
+        let publish = |dup, qos, payload: usize| Packet::Publish {
+            dup,
+            qos,
+            retain: !dup,
+            topic: TopicRef::Predefined(5),
+            msg_id: 0x0102,
+            payload: vec![0x60; payload],
+        };
+        let puback = |code| Packet::PubAck {
+            topic_id: 3,
+            msg_id: 9,
+            code,
+        };
+        vec![
+            Packet::Advertise {
+                gw_id: 1,
+                duration: 900,
+            },
+            Packet::SearchGw { radius: 2 },
+            Packet::GwInfo { gw_id: 1 },
+            Packet::Connect {
+                clean_session: true,
+                duration: 60,
+                client_id: "dev".into(),
+            },
+            Packet::ConnAck {
+                code: ReturnCode::NotSupported,
+            },
+            Packet::Register {
+                topic_id: 0,
+                msg_id: 7,
+                topic_name: "w/d".into(),
+            },
+            Packet::RegAck {
+                topic_id: 12,
+                msg_id: 7,
+                code: ReturnCode::Accepted,
+            },
+            publish(false, QoS::ExactlyOnce, 4),
+            publish(true, QoS::AtLeastOnce, 300),
+            publish(false, QoS::AtMostOnce, 0),
+            puback(ReturnCode::Accepted),
+            puback(ReturnCode::Congestion),
+            Packet::PubRec { msg_id: 9 },
+            Packet::PubRel { msg_id: 9 },
+            Packet::PubComp { msg_id: 9 },
+            Packet::Subscribe {
+                dup: false,
+                qos: QoS::ExactlyOnce,
+                msg_id: 4,
+                topic: TopicRef::Name("w/#".into()),
+            },
+            Packet::SubAck {
+                qos: QoS::AtLeastOnce,
+                topic_id: 0,
+                msg_id: 4,
+                code: ReturnCode::Accepted,
+            },
+            Packet::Unsubscribe {
+                msg_id: 5,
+                topic: TopicRef::Predefined(8),
+            },
+            Packet::UnsubAck { msg_id: 5 },
+            Packet::PingReq,
+            Packet::PingResp,
+            Packet::Disconnect { duration: Some(30) },
+            Packet::Disconnect { duration: None },
+            Packet::CongestionAdvisory { level: 2 },
+        ]
+    }
+
+    /// The kind [`glance`] must read a message as that decodes to `packet`.
+    fn kind_of(packet: &Packet) -> Glance {
+        match packet {
+            Packet::Publish { dup, .. } => Glance::Publish { dup: *dup },
+            Packet::PubRel { .. } => Glance::PubRel,
+            Packet::PubRec { .. } | Packet::PubComp { .. } => Glance::Success,
+            Packet::PubAck { code, .. } if *code == ReturnCode::Accepted => Glance::Success,
+            _ => Glance::Other,
+        }
+    }
+
+    /// Every frame of `bytes` that [`Packet::decode`] accepts glances as
+    /// the kind it decoded to, and re-encodes to bytes that decode to the
+    /// same packet.
+    fn assert_glance_agrees_with_decode(bytes: &[u8]) {
+        for frame in frames(bytes) {
+            let Ok(packet) = Packet::decode(frame) else {
+                continue;
+            };
+            assert_eq!(glance(frame), kind_of(&packet), "{frame:02x?}");
+            let again = Packet::decode(&packet.encode());
+            assert_eq!(again.as_ref(), Ok(&packet), "{frame:02x?}");
+        }
+    }
+
+    /// `bytes`, cut at every length, and with every byte in turn set to
+    /// 0x00, to 0xFF and flipped in one bit.
+    fn hostile(bytes: &[u8], flip: u8) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..=bytes.len()).map(|len| bytes[..len].to_vec());
+        let damaged = (0..bytes.len()).flat_map(move |at| {
+            [0x00, 0xFF, bytes[at] ^ (1 << (flip % 8))].map(|byte| {
+                let mut damaged = bytes.to_vec();
+                damaged[at] = byte;
+                damaged
+            })
+        });
+        cuts.chain(damaged)
+    }
+
+    #[test]
+    fn a_glance_agrees_with_decode_on_every_type_under_hostile_bytes() {
+        for packet in every_type() {
+            let wire = packet.encode();
+            assert_eq!(glance(&wire), kind_of(&packet), "{packet:?}");
+            for flip in 0..8 {
+                hostile(&wire, flip).for_each(|bytes| assert_glance_agrees_with_decode(&bytes));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1401,6 +1526,21 @@ pub(crate) mod tests {
             };
             let wire = p.encode();
             prop_assert_eq!(Packet::decode(&wire).unwrap(), p);
+        }
+
+        #[test]
+        fn prop_a_glance_agrees_with_decode_in_a_damaged_bundle(
+            packets in proptest::collection::vec(arb_packet(), 1..5),
+            flip: u8,
+        ) {
+            let mut bundle = Vec::new();
+            for p in &packets {
+                p.encode_into(&mut bundle);
+            }
+            assert_glance_agrees_with_decode(&bundle);
+            for damaged in hostile(&bundle, flip) {
+                assert_glance_agrees_with_decode(&damaged);
+            }
         }
 
         #[test]

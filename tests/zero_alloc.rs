@@ -636,16 +636,17 @@ fn steady_state_bundled_handshake_allocates_zero_per_message() {
 
 /// A stream through the real holds at both ends, on virtual time: the
 /// device's `DeviceHold` carries its held PUBRELs in front of each PUBLISH,
-/// 1 ms apart, so every datagram continues the stream and the gateway's
+/// 1 ms apart, none of which asks to be answered at once, so the gateway's
 /// `GatewayHold` keeps the `[PUBCOMP…, PUBREC]` answers back; the first
-/// flush a stream gap after the first was held sends them as one datagram,
-/// and the device holds the PUBRELs that answer them. Holding, merging
+/// flush `ACK_HOLD` after the first was held sends them as one datagram,
+/// and the device holds the PUBRELs that answer them (the capture
+/// default's window of 256 has room for a hold's worth). Holding, merging
 /// and releasing append to warm buffers: **zero** heap allocations per
 /// message.
 #[test]
 fn steady_state_streaming_holds_allocate_zero_per_message() {
     use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
-    use provlight::mqtt_sn::hold::{DeviceHold, GatewayHold, STREAM_GAP};
+    use provlight::mqtt_sn::hold::{DeviceHold, GatewayHold, ACK_HOLD};
     use provlight::mqtt_sn::packet::{frames, Packet, PacketRef, QoS, TopicRef};
     use provlight::mqtt_sn::ClientConfig;
 
@@ -668,7 +669,10 @@ fn steady_state_streaming_holds_allocate_zero_per_message() {
     };
     let mut sub = broker.subscribe_local("provlight/#").unwrap();
 
-    let mut hold = DeviceHold::new(&ClientConfig::new("dev"));
+    let mut hold = DeviceHold::new(&ClientConfig {
+        max_inflight: 256,
+        ..ClientConfig::new("dev")
+    });
     let mut gateway: GatewayHold<u32> = GatewayHold::default();
     let mut publish = Packet::Publish {
         dup: false,
@@ -698,7 +702,7 @@ fn steady_state_streaming_holds_allocate_zero_per_message() {
         hold.send(&publish, now, to_gateway).unwrap();
         assert_eq!(datagrams, 1, "one datagram per PUBLISH");
         // Gateway: note, handle, and answer or hold.
-        gateway.note(&device, &up, now);
+        gateway.note(&device, &up);
         for frame in frames(&up) {
             broker
                 .on_datagram_into(now, device, frame, &mut out)
@@ -728,14 +732,16 @@ fn steady_state_streaming_holds_allocate_zero_per_message() {
     };
 
     let ms = 1_000_000u64;
-    for i in 0..64u64 {
+    // A few holds, so every buffer has held a hold's worth.
+    let warm = 4 * ACK_HOLD / ms;
+    for i in 0..warm {
         cycle(&mut broker, i * ms);
     }
     let iterations = 1024u64;
     let (mut answered, mut completed) = (0u64, 0u64);
     let before = allocations();
     for i in 0..iterations {
-        let (answers, completions) = cycle(&mut broker, (64 + i) * ms);
+        let (answers, completions) = cycle(&mut broker, (warm + i) * ms);
         answered += answers;
         completed += completions;
     }
@@ -746,16 +752,16 @@ fn steady_state_streaming_holds_allocate_zero_per_message() {
          ({:.4} allocs/message); the streaming holds must be allocation-free",
         allocs as f64 / iterations as f64
     );
-    // One answer per stream gap, not one per message, and every handshake
-    // but the held ones completed.
-    let per_gap = iterations * ms / (STREAM_GAP + ms);
-    assert!(answered.abs_diff(per_gap) <= 1, "{answered} answers");
+    // One answer per hold, not one per message, and every handshake but
+    // the held ones completed.
+    let per_hold = iterations * ms / (ACK_HOLD + ms);
+    assert!(answered.abs_diff(per_hold) <= 1, "{answered} answers");
     assert!(
-        completed >= iterations - 2 * STREAM_GAP / ms,
+        completed >= iterations - 2 * ACK_HOLD / ms,
         "{completed} completed"
     );
-    assert_eq!(broker.stats().publishes_in, 64 + iterations);
-    assert_eq!(broker.stats().publishes_out, 64 + iterations);
+    assert_eq!(broker.stats().publishes_in, warm + iterations);
+    assert_eq!(broker.stats().publishes_out, warm + iterations);
     assert_eq!(broker.stats().duplicates_suppressed, 0);
     assert_eq!(broker.stats().decode_errors, 0);
 }
