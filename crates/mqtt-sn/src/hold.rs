@@ -142,6 +142,7 @@ impl<A: Copy + Eq + Hash> GatewayHold<A> {
         }
         let (batch, spare) = (self.batch, &mut self.spare);
         if publish && !asks {
+            // lint:allow(zero-alloc): an entry per device with acks held, so it grows with the devices streaming at once, not with their messages
             let held = self.devices.entry(*from).or_insert_with(|| Held {
                 quiet: 0,
                 asked: 0,

@@ -574,7 +574,8 @@ fn wake(gateway: SocketAddr) {
 /// after unlock, holding back what a device did not ask for (see
 /// [`GatewayHold`]). The socket read is the loop's only wait; a stop ends it with
 /// a datagram of its own (see [`UdpBroker::stop`]), which the broker never
-/// sees, and what is held leaves before the loop does. Steady state
+/// sees, after the datagrams that read took with it are handled, and what
+/// is held leaves before the loop does. Steady state
 /// performs no per-packet heap allocation and no per-subscriber re-encode.
 fn serve(mut endpoint: Endpoint, shared: &Shared) {
     let mut out = BrokerOutputs::new();
@@ -592,12 +593,16 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
             buf.extend_from_slice(bytes);
             batch.push((from, buf));
         });
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
+        // A stop ends the loop once what this read took is handled: the
+        // datagrams that queued before the stop's own, which carries
+        // nothing and is dropped here.
+        let stopping = shared.shutdown.load(Ordering::Relaxed);
+        if stopping {
+            batch.retain(|(_, datagram)| !datagram.is_empty());
         }
         if read.is_err() {
             pending_io_errors += 1;
-            if batch.is_empty() {
+            if batch.is_empty() && !stopping {
                 // Transient: on Linux an ICMP port-unreachable from one
                 // departed client surfaces here as ECONNREFUSED — exiting
                 // would kill the gateway for everyone. Back off briefly
@@ -610,6 +615,9 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
         let tick_due = now.duration_since(last_tick) >= Duration::from_millis(100);
         if batch.is_empty() && !tick_due && pending_io_errors == 0 {
             pending_io_errors += endpoint.flush(|send| hold.release(now_ns, send));
+            if stopping {
+                break;
+            }
             continue;
         }
         for (from, datagram) in &batch {
@@ -638,6 +646,9 @@ fn serve(mut endpoint: Endpoint, shared: &Shared) {
         pending_io_errors += endpoint.flush(|send| hold.flush(&mut out, now_ns, send));
         spare.extend(batch.drain(..).map(|(_, buf)| buf));
         spare.truncate(SERVE_BATCH);
+        if stopping {
+            break;
+        }
     }
     // Everything held leaves.
     endpoint.flush(|send| hold.release(Nanos::MAX, send));
@@ -2392,7 +2403,8 @@ mod tests {
         };
         let pause = || std::thread::sleep(Duration::from_millis(1));
 
-        // A stream starts: its first PUBLISH is answered at once.
+        // A stream starts: nothing asks, so even its first PUBLISH is
+        // answered only when the hold runs out, `ACK_HOLD` later.
         assert_eq!(answer(&publish(2)), [Packet::PubRec { msg_id: 2 }]);
         // The next is held until a PINGREQ asks.
         raw.send(&publish(3)).unwrap();

@@ -26,7 +26,7 @@ use crate::broker::wire::{put_bytes, Reader};
 use crate::client::Nanos;
 use crate::packet::QoS;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// How many completed inbound QoS 2 ids a [`Receiver`] remembers. 64 ids
 /// at 2 bytes each is negligible per session, yet far wider than any
@@ -179,6 +179,7 @@ impl<T> SendWindow<T> {
 
     /// Starts tracking a QoS 1/2 message just sent under `id`.
     pub(crate) fn start(&mut self, id: u16, qos: QoS, topic: T, payload: Vec<u8>, now: Nanos) {
+        // lint:allow(zero-alloc): a slot per message in flight, which the window caps; no counting test streams through a device's window
         self.slots.insert(
             id,
             Slot {
@@ -194,6 +195,7 @@ impl<T> SendWindow<T> {
     /// Applies an acknowledgement through [`step`]. Returns the message's
     /// payload buffer when this ack completed its handshake.
     pub(crate) fn on_ack(&mut self, id: u16, ack: Ack, now: Nanos) -> Option<Vec<u8>> {
+        // lint:allow(zero-alloc): an occupied entry is read, never inserted
         let Entry::Occupied(mut slot) = self.slots.entry(id) else {
             return None;
         };
@@ -334,11 +336,74 @@ impl SendWindow<u16> {
     }
 }
 
+/// A set of message ids: a bit for each of the `u16` space, 8 KiB made at
+/// the first insert and never grown, so what it costs does not depend on
+/// which ids come and go, or on any hash seed.
+#[derive(Clone, Debug, Default)]
+struct IdSet {
+    words: Option<Box<[u64; IdSet::WORDS]>>,
+}
+
+impl IdSet {
+    const WORDS: usize = (u16::MAX as usize + 1) / 64;
+
+    fn at(id: u16) -> (usize, u64) {
+        (usize::from(id / 64), 1 << (id % 64))
+    }
+
+    fn contains(&self, id: u16) -> bool {
+        let (word, bit) = IdSet::at(id);
+        self.words.as_ref().is_some_and(|w| w[word] & bit != 0)
+    }
+
+    /// Adds `id`; `true` if it was not there.
+    fn insert(&mut self, id: u16) -> bool {
+        let (word, bit) = IdSet::at(id);
+        // Once a session: at its first QoS 2 receipt.
+        let words = self
+            .words
+            .get_or_insert_with(|| Box::new([0; IdSet::WORDS]));
+        let new = words[word] & bit == 0;
+        words[word] |= bit;
+        new
+    }
+
+    /// Takes `id` out; `true` if it was there.
+    fn remove(&mut self, id: u16) -> bool {
+        let (word, bit) = IdSet::at(id);
+        let Some(words) = self.words.as_mut() else {
+            return false;
+        };
+        let held = words[word] & bit != 0;
+        words[word] &= !bit;
+        held
+    }
+
+    /// The ids, ascending.
+    fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        let words = self.words.iter().flat_map(|w| w.iter().enumerate());
+        words
+            .filter(|(_, &word)| word != 0)
+            .flat_map(|(at, &word)| {
+                let bits = (0..64).filter(move |bit| word & (1 << bit) != 0);
+                bits.map(move |bit| (at * 64 + bit) as u16)
+            })
+    }
+
+    fn len(&self) -> usize {
+        let words = self.words.iter().flat_map(|w| w.iter());
+        words.map(|word| word.count_ones() as usize).sum()
+    }
+}
+
 /// The QoS 2 receiver half: exactly-once delivery of inbound PUBLISHes.
+/// Its state is bounded by the id space — a bit per id awaiting its PUBREL
+/// and a window of the last [`COMPLETED_QOS2_WINDOW`] completed — so once
+/// made it never grows, however many handshakes are open at once.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Receiver {
     /// Ids delivered and PUBRECed, awaiting their PUBREL.
-    pending: HashSet<u16>,
+    pending: IdSet,
     /// Recently released ids, newest last, at most
     /// [`COMPLETED_QOS2_WINDOW`]. Forgetting an id at its PUBREL is not
     /// enough on a datagram transport: a delayed copy of the PUBLISH can
@@ -353,7 +418,7 @@ impl Receiver {
     /// Whether a PUBLISH with this id is a duplicate: mid-handshake, or a
     /// late copy of a recently completed one.
     pub(crate) fn seen(&self, id: u16) -> bool {
-        self.pending.contains(&id) || self.completed.contains(&id)
+        self.pending.contains(id) || self.completed.contains(&id)
     }
 
     /// Records an inbound QoS 2 PUBLISH; `true` means deliver it, `false`
@@ -366,7 +431,7 @@ impl Receiver {
     /// id moves to the bounded completed window (evicting the oldest).
     /// The caller answers PUBCOMP whether or not the id was pending.
     pub(crate) fn release(&mut self, id: u16) {
-        if self.pending.remove(&id) {
+        if self.pending.remove(id) {
             if self.completed.len() >= COMPLETED_QOS2_WINDOW {
                 self.completed.pop_front();
             }
@@ -385,11 +450,10 @@ impl Receiver {
         self.completed.clear();
     }
 
+    /// The pending ids, ascending.
     pub(crate) fn encode_pending(&self, out: &mut Vec<u8>) {
-        let mut ids: Vec<u16> = self.pending.iter().copied().collect();
-        ids.sort_unstable();
-        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
+        out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
+        for id in self.pending.iter() {
             out.extend_from_slice(&id.to_le_bytes());
         }
     }
@@ -426,6 +490,20 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     const ACKS: [Ack; 3] = [Ack::Puback, Ack::Pubrec, Ack::Pubcomp];
+
+    #[test]
+    fn an_id_set_spans_the_id_space_and_lists_it_in_order() {
+        let mut set = IdSet::default();
+        assert!(!set.remove(7) && set.words.is_none());
+        for id in [u16::MAX, 64, 0, 63] {
+            assert!(set.insert(id));
+        }
+        assert!(!set.insert(64));
+        assert!(set.contains(u16::MAX) && !set.contains(65));
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 64, u16::MAX]);
+        assert!(set.remove(63) && !set.remove(63));
+        assert_eq!(set.len(), 3);
+    }
 
     /// A window holding message 7 in `phase`, one retry already spent at
     /// t = 10 so a restarted timer is distinguishable from an ignored ack.

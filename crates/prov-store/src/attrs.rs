@@ -41,8 +41,12 @@
 //! The column a slot feeds is resolved when the layout is defined and never
 //! again — a column's kind is fixed by the first typed value under its name
 //! — so ingesting a row of a known shape probes no string: it finds the
-//! layout, copies the payloads, and appends its row number to the columns
-//! the layout lists.
+//! layout, copies the payloads, and appends its row number to the layout's
+//! rows. That list is how a column reaches its rows: a column names the
+//! layouts that feed it, each with its slot, and a layout lists its rows
+//! once, not once per cell. A row that a merge moves to a bigger layout is
+//! listed there too, in row order, and stays in the list it left, where a
+//! scan passes it over.
 //!
 //! Everything here handles whatever a decoded datagram held, any tag mix
 //! and any repetition of names, and is under the `no_panic` lint.
@@ -135,9 +139,25 @@ pub struct Layout {
     slots: Box<[Slot]>,
     /// How many slots keep their value in the side `Vec`.
     wide: usize,
+    /// Its position among the layouts of its table: where [`Layouts`]
+    /// lists its rows, and what a column names it by.
+    number: u32,
+    /// Whether a slot feeds a column. Only then are its rows listed.
+    feeds: bool,
 }
 
 impl Layout {
+    /// Its position among the layouts of its workflow's table.
+    pub(crate) fn number(&self) -> u32 {
+        self.number
+    }
+
+    /// The columns its slots feed, each as `(slot, column)`.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let slots = (0u32..).zip(self.slots.iter());
+        slots.filter_map(|(at, slot)| Some((at, slot.column?)))
+    }
+
     fn has_shape<'a>(&self, len: usize, shape: impl Iterator<Item = (&'a Arc<str>, Tag)>) -> bool {
         self.slots.len() == len
             && self
@@ -278,27 +298,12 @@ impl Attrs {
         tag.numeric(bits)
     }
 
-    /// The number this row lists in numeric column `column`. `memo` keeps
-    /// the slot between calls, so a run of rows of one layout searches it
-    /// once.
-    pub(crate) fn column_value(&self, column: u32, memo: &mut ColumnSlot) -> Option<f64> {
-        let at = match &memo.0 {
-            Some((layout, at)) if Arc::ptr_eq(layout, &self.layout) => *at,
-            _ => {
-                let mut slots = self.layout.slots.iter();
-                let at = slots.position(|s| s.column == Some(column))?;
-                memo.0 = Some((Arc::clone(&self.layout), at));
-                at
-            }
-        };
-        let bits = *self.cells.as_slice().get(at)?;
-        self.layout.slots.get(at)?.tag.numeric(bits)
-    }
-
-    /// The typed columns fed by the slots from `first` on.
-    pub(crate) fn columns_from(&self, first: usize) -> impl Iterator<Item = u32> + '_ {
-        let slots = self.layout.slots.iter().skip(first);
-        slots.filter_map(|slot| slot.column)
+    /// The cell in slot `slot` read as a number, as [`Attrs::numeric`]
+    /// reads it: what a column scan reads through the slot the column names.
+    pub(crate) fn numeric_at(&self, slot: u32) -> Option<f64> {
+        let slot = slot as usize;
+        let bits = *self.cells.as_slice().get(slot)?;
+        self.layout.slots.get(slot)?.tag.numeric(bits)
     }
 
     /// The cells as the owned list a [`DataRecord`](prov_model::DataRecord)
@@ -309,11 +314,6 @@ impl Attrs {
             .collect()
     }
 }
-
-/// Where a layout keeps the slot of one column; see
-/// [`Attrs::column_value`].
-#[derive(Debug, Default)]
-pub(crate) struct ColumnSlot(Option<(Arc<Layout>, usize)>);
 
 impl fmt::Debug for Attrs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -352,12 +352,42 @@ pub(crate) struct Layouts {
     /// Every layout, under the hash of its names and tags by the
     /// map's own randomly keyed hasher: names come from the network.
     by_shape: HashMap<u64, Vec<Arc<Layout>>>,
+    /// The rows of each layout, by its number, ascending: 4 bytes a row of
+    /// a layout that feeds a column, none for one that does not.
+    rows: Vec<Vec<u32>>,
 }
 
 impl Layouts {
     /// Number of layouts held.
     pub(crate) fn len(&self) -> usize {
-        self.by_shape.values().map(Vec::len).sum()
+        self.rows.len()
+    }
+
+    /// The rows listed for layout `number`, ascending. A row a merge moved
+    /// on is still among them.
+    pub(crate) fn rows(&self, number: u32) -> &[u32] {
+        self.rows.get(number as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Lists `row` with the layout `attrs` has, if that layout feeds a
+    /// column: at the end for a new row, in its place for one a merge
+    /// moved there.
+    pub(crate) fn list(&mut self, row: u32, attrs: &Attrs) {
+        let layout = &attrs.layout;
+        if !layout.feeds {
+            return;
+        }
+        let Some(rows) = self.rows.get_mut(layout.number as usize) else {
+            return;
+        };
+        match rows.last() {
+            Some(&last) if last >= row => {
+                if let Err(at) = rows.binary_search(&row) {
+                    rows.insert(at, row);
+                }
+            }
+            _ => rows.push(row),
+        }
     }
 
     /// Packs a new row's attributes. `resolve` is asked, once per slot of
@@ -457,8 +487,11 @@ impl Layouts {
                     .collect();
                 let layout = Arc::new(Layout {
                     wide: slots.iter().filter(|slot| slot.tag.is_wide()).count(),
+                    number: self.rows.len() as u32,
+                    feeds: slots.iter().any(|slot| slot.column.is_some()),
                     slots,
                 });
+                self.rows.push(Vec::new());
                 same_hash.push(Arc::clone(&layout));
                 layout
             }
@@ -643,7 +676,7 @@ mod tests {
             // and no column is fed twice by one row.
             let fresh = layouts.pack(model.clone(), |n, k| columns.resolve(n, k));
             prop_assert!(Arc::ptr_eq(fresh.layout(), copy.layout()));
-            let mut fed: Vec<u32> = fresh.columns_from(0).collect();
+            let mut fed: Vec<u32> = fresh.layout().columns().map(|(_, column)| column).collect();
             fed.sort_unstable();
             prop_assert!(fed.windows(2).all(|w| w[0] != w[1]));
         }

@@ -27,6 +27,7 @@
 //!   interoperability (§IV-A).
 
 pub mod attrs;
+mod index;
 pub mod query;
 pub mod schema;
 pub mod sharded;

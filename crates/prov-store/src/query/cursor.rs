@@ -6,7 +6,8 @@
 //! returns. Against a [`ShardedStore`](crate::sharded::ShardedStore) the
 //! read lock is therefore held only *inside* one `next_page` call —
 //! writers interleave between pages, and the cursor resumes because row
-//! indices and column positions are append-only. A cursor reads one
+//! numbers are for good: a column scan keeps the next row number it has
+//! not passed and finds its place from it on every page. A cursor reads one
 //! workflow, so a page looks its [`WorkflowTable`] up once and every index
 //! the traversal follows stays inside it.
 //!
@@ -176,6 +177,7 @@ impl Cursor {
             table,
             horizon: self.horizon,
         };
+        self.exec.resume();
         let mut budget = self.opts.max_work;
         let mut emitted = 0usize;
         while emitted < self.opts.page_size {

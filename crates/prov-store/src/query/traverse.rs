@@ -21,9 +21,8 @@
 //! self-loops, which ingest wires verbatim) terminate — the legacy
 //! recursive walk did not.
 
-use crate::attrs::ColumnSlot;
 use crate::query::step::{Edge, Step};
-use crate::store::{DataIdx, WorkflowTable};
+use crate::store::{ColumnScan, DataIdx, WorkflowTable};
 use std::collections::VecDeque;
 
 /// Counters a cursor accumulates while executing (wired into the
@@ -116,15 +115,11 @@ pub(crate) enum Start {
 enum SourceState {
     /// A single node, emitted once.
     Single { idx: DataIdx, emitted: bool },
-    /// A numeric attribute column, scanned by position (positions are
-    /// append-only, so `next` survives lock releases). The column lists
-    /// rows; each value is read out of its row, through the slot `slot`
-    /// remembers for as long as the rows share a layout.
-    Column {
-        column: u32,
-        next: usize,
-        slot: ColumnSlot,
-    },
+    /// A numeric attribute column, scanned in row order (row numbers are
+    /// for good, so the scan's place survives lock releases). The column
+    /// names its layouts and their slots; each value is read out of its
+    /// row, through the slot of the layout the row has.
+    Column { column: u32, scan: ColumnScan },
 }
 
 /// Op stage state (one per path step).
@@ -164,8 +159,7 @@ impl Exec {
             },
             Start::Column(column) => SourceState::Column {
                 column,
-                next: 0,
-                slot: ColumnSlot::default(),
+                scan: ColumnScan::default(),
             },
         };
         let ops = steps
@@ -186,6 +180,14 @@ impl Exec {
             })
             .collect();
         Exec { source, ops }
+    }
+
+    /// Readies the machine for a page: what it knows of the table's lists
+    /// dates from the last lock hold.
+    pub(crate) fn resume(&mut self) {
+        if let SourceState::Column { scan, .. } = &mut self.source {
+            scan.resume();
+        }
     }
 
     /// Pulls the next item out of the full pipeline.
@@ -301,23 +303,17 @@ impl Exec {
                     Pulled::Done
                 }
             }
-            SourceState::Column { column, next, slot } => {
-                let rows = ctx.table.column_at(*column).rows();
-                loop {
-                    let Some(&idx) = rows.get(*next) else {
-                        return Pulled::Done;
-                    };
-                    if *budget == 0 {
-                        return Pulled::Budget;
-                    }
-                    *budget -= 1;
-                    stats.steps_evaluated += 1;
-                    *next += 1;
-                    if ctx.visible(idx) {
-                        let row = &ctx.table.data()[idx as usize];
-                        let value = row.attributes.column_value(*column, slot);
-                        return Pulled::Item((idx, value));
-                    }
+            SourceState::Column { column, scan } => {
+                if *budget == 0 {
+                    return Pulled::Budget;
+                }
+                *budget -= 1;
+                stats.steps_evaluated += 1;
+                // Rows come in row order: the first past the horizon ends
+                // the scan.
+                match ctx.table.scan_column(*column, scan) {
+                    Some((idx, value)) if ctx.visible(idx) => Pulled::Item((idx, value)),
+                    _ => Pulled::Done,
                 }
             }
         }

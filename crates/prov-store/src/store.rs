@@ -12,19 +12,20 @@
 //!   edges to tasks;
 //! * per-attribute typed columns for analytical queries — the stand-in for
 //!   DfAnalyzer's MonetDB column store;
-//! * the indexes over those, each keyed by one id or one name, and every
-//!   row index relative to the table.
+//! * the indexes over those, each from one id or one name to row numbers
+//!   relative to the table.
 //!
 //! Nothing in a table points outside it and nothing outside points in, so
 //! what a table holds is decided by the records that named its workflow
 //! and by nothing else — not by which other workflows the store holds.
 //!
 //! The ingest path is engineered for per-record cost: one probe finds the
-//! record's table, inside it an index is a `HashMap<Id, _>` probed with the
-//! record's own `&Id`, so a *hit* clones zero [`Id`]s, edge dedup uses
-//! [`SmallSet`] indices instead of `O(n)` scans, and no raw record is kept
-//! once it is folded into the tables — PROV export reconstructs the stream
-//! from them instead of replaying an unbounded log.
+//! record's table, inside it an id index is probed with the record's own
+//! `&Id` and compares a hit with the row's own id, so a *hit* clones zero
+//! [`Id`]s, edge dedup uses [`SmallSet`] indices instead of `O(n)` scans,
+//! and no raw record is kept once it is folded into the tables — PROV
+//! export reconstructs the stream from them instead of replaying an
+//! unbounded log.
 //!
 //! # What a row costs
 //!
@@ -34,18 +35,20 @@
 //! to two members inline and allocating nothing until a third, and a row
 //! holds no workflow id — its workflow is its table's (see
 //! [`WorkflowTable::owner`] for the rare row that is another's). An
-//! attribute cell costs 12 bytes — 8 in the row's cells ([`Attrs`]), 4
-//! for the row's number in the typed column — and nothing else per cell:
-//! names, value tags and which column a cell feeds are the row's
-//! [`Layout`](crate::attrs::Layout), one per shape and workflow, shared by
-//! every row of that shape. A row of one cell keeps it inside the row; any
-//! other number of cells is one allocation. Beyond that a row owns, on the
-//! heap, the text of its own id; every other string it names is an
-//! allocation its table holds already:
+//! attribute cell costs 8 bytes, in the row's cells ([`Attrs`]), and
+//! nothing else: names, value tags and which column a cell feeds are the
+//! row's [`Layout`](crate::attrs::Layout), one per shape and workflow,
+//! shared by every row of that shape, and the layout lists the row once —
+//! 4 bytes a row, whatever its number of cells — for the columns its slots
+//! feed to find it. A row of one cell keeps it inside the row; any other
+//! number of cells is one allocation. Beyond that a row owns, on the heap,
+//! the text of its own id; every other string it names is an allocation
+//! its table holds already:
 //!
-//! * the index key — one id, 24 bytes a bucket with the row number — is
-//!   the row's `id`;
-//! * a derivation is the *source row's* `id`, taken from the index probe
+//! * the id indexes hold no id: a bucket is 8 bytes, the row number and 32
+//!   bits of the id's hash, and a probe compares a hit with the row's
+//!   `id`;
+//! * a derivation is the *source row's* `id`, found by the index probe
 //!   that resolves the edge — except a forward reference, which keeps the
 //!   copy it arrived with even after the source comes;
 //! * an attribute name is the layout's, and the layout's is the `Arc<str>`
@@ -55,22 +58,25 @@
 //!   numbers nor text has no column and is shared by the rows of its
 //!   layout only;
 //! * a `Str`, `List` or `Bytes` value is the record's own, held once: a
-//!   column lists rows, never values.
+//!   column lists layouts, never values.
 //!
 //! [`Store::ingest`] owns its record and moves ids into the row and the
 //! attribute payloads into its cells; what the table has a copy of is
 //! dropped in favour of that copy. A row of a known shape costs ingest one
 //! allocation for its cells, none if it has one, and no string probe. A
 //! lineage DAG whose rows derive from two others and carry one number
-//! retains 272 bytes of heap per row, and a task with a hundred numbers in
-//! and one out 2 220, all tables included (`tests/store_footprint.rs` holds
+//! retains 249 bytes of heap per row, and a task with a hundred numbers in
+//! and one out 1 578, all tables included (`tests/store_footprint.rs` holds
 //! those figures and the sharing).
 
-use crate::attrs::{Attrs, Layouts};
+use crate::attrs::{Attrs, Layout, Layouts};
+use crate::index::RowIndex;
 use crate::schema::AttrType;
 use crate::smallset::SmallSet;
 use prov_model::{mapping, DataRecord, Id, ProvDocument, Record, TaskRecord, TaskStatus};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Position of a task row in its workflow's table
@@ -143,11 +149,14 @@ pub struct DataRow {
 }
 
 /// A typed attribute column: the rows of one workflow that carry one
-/// attribute name, in the order the cells arrived. It holds no values — a
-/// reader takes the value from the row, through the slot of the row's
-/// layout that feeds this column — and lists a row once however often the
-/// record repeats the name: the first value per name is the one read, as
-/// in a re-seen row's merge.
+/// attribute name. It holds no values and no row numbers: it names the
+/// layouts whose slots feed it, each with that slot, and each of those
+/// layouts lists its rows. A reader takes the value from the row, through
+/// the slot. A scan ([`WorkflowTable::column_rows`], the cursors) merges
+/// the layouts' lists on row number and reads a row under the layout it has
+/// now, so it meets each row once, in row order, however often the record
+/// repeated the name: the first value per name is the one read, as in a
+/// re-seen row's merge.
 ///
 /// Its kind is that of the first typed value seen under the name, and
 /// cells of another kind stay out of it. Two kinds exist.
@@ -156,11 +165,13 @@ pub struct DataRow {
 /// [`Query`](crate::query::Query) aggregates scan. [`AttrType::Text`]
 /// (`Str` cells) has no reader yet — a cursor over it answers
 /// [`NotNumeric`](crate::query::QueryError::NotNumeric) — and costs what
-/// any column costs, 4 bytes a cell.
+/// any column costs: 8 bytes a layout that feeds it.
 #[derive(Clone, Debug)]
 pub struct Column {
     kind: AttrType,
-    rows: Vec<DataIdx>,
+    /// `(layout number, slot)` for each layout that feeds the column, in
+    /// the order the layouts were defined.
+    feeds: Vec<(u32, u32)>,
 }
 
 impl Column {
@@ -168,16 +179,10 @@ impl Column {
     pub fn kind(&self) -> AttrType {
         self.kind
     }
-
-    /// The data rows listed, as indices into [`WorkflowTable::data`].
-    /// Ascending, except where a re-seen row merged the attribute in later.
-    pub fn rows(&self) -> &[DataIdx] {
-        &self.rows
-    }
 }
 
 /// The typed columns of a workflow: attribute name to a position in
-/// `table`, which layouts and cursors hold on to.
+/// `table`, which cursors hold on to.
 #[derive(Debug, Default)]
 struct Columns {
     index: HashMap<Arc<str>, u32>,
@@ -199,17 +204,41 @@ impl Columns {
         let column = u32::try_from(self.table.len()).expect("fewer than 2^32 columns");
         self.table.push(Column {
             kind,
-            rows: Vec::new(),
+            feeds: Vec::new(),
         });
         self.index.insert(Arc::clone(name), column);
         (Arc::clone(name), Some(column))
     }
 
-    /// Lists `row` in the columns its cells from slot `first` on feed.
-    fn list(&mut self, row: DataIdx, attributes: &Attrs, first: usize) {
-        for column in attributes.columns_from(first) {
-            self.table[column as usize].rows.push(row);
+    /// Tells the columns a new layout's slots feed about it.
+    fn feed(&mut self, layout: &Layout) {
+        for (slot, column) in layout.columns() {
+            self.table[column as usize]
+                .feeds
+                .push((layout.number(), slot));
         }
+    }
+}
+
+/// Where a scan of one column stands: the next row number it has not
+/// passed. That is all it keeps between lock holds — rows are numbered
+/// for good, and a merge may list an old row in a layout after the scan
+/// began — so each hold finds its place in every feeding layout's list
+/// again ([`ColumnScan::resume`]), and within a hold steps through them.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnScan {
+    next: DataIdx,
+    /// Per feed of the column, the position in its layout's list of the
+    /// first row from `next` on; valid while `placed`.
+    heads: Vec<usize>,
+    placed: bool,
+}
+
+impl ColumnScan {
+    /// Forgets the positions: the table may have changed since the last
+    /// step.
+    pub(crate) fn resume(&mut self) {
+        self.placed = false;
     }
 }
 
@@ -231,8 +260,9 @@ pub struct StoreStats {
 
 /// Everything the store holds of one workflow, and the unit the store is
 /// made of: its times, its task and data rows, the indexes, typed columns
-/// and layouts over them. Every index inside is relative to this table and
-/// every key is one id; nothing outside refers into it.
+/// and layouts over them. Every index inside holds row numbers relative to
+/// this table, and nothing a row already holds; nothing outside refers into
+/// it.
 #[derive(Debug)]
 pub struct WorkflowTable {
     /// The workflow's id: the key this table is stored under, and the
@@ -243,9 +273,12 @@ pub struct WorkflowTable {
     /// End time, if captured.
     pub end_ns: Option<u64>,
     tasks: Vec<TaskRow>,
-    task_index: HashMap<Id, TaskIdx>,
+    /// The task rows by id, and the workflow's own data rows: row numbers
+    /// under the hash of their id by `hasher`. The ids are the rows'.
+    task_index: RowIndex,
     data: Vec<DataRow>,
-    data_index: HashMap<Id, DataIdx>,
+    data_index: RowIndex,
+    hasher: RandomState,
     columns: Columns,
     layouts: Layouts,
     /// Forward derivation references: rows whose source id had not been
@@ -276,9 +309,10 @@ impl WorkflowTable {
             begin_ns: None,
             end_ns: None,
             tasks: Vec::new(),
-            task_index: HashMap::new(),
+            task_index: RowIndex::default(),
             data: Vec::new(),
-            data_index: HashMap::new(),
+            data_index: RowIndex::default(),
+            hasher: RandomState::new(),
             columns: Columns::default(),
             layouts: Layouts::default(),
             pending_derivations: HashMap::new(),
@@ -316,8 +350,36 @@ impl WorkflowTable {
         }
     }
 
+    /// The 32 bits of `id`'s hash the id indexes keep.
+    fn hash(&self, id: &Id) -> u32 {
+        self.hasher.hash_one(id) as u32
+    }
+
+    fn task_row(&self, hash: u32, id: &Id) -> Option<TaskIdx> {
+        let tasks = &self.tasks;
+        self.task_index
+            .find(hash, |row| tasks[row as usize].id == *id)
+    }
+
+    /// The workflow's own data row of id `id`, found under `hash`.
+    fn own_row(&self, hash: u32, id: &Id) -> Option<DataIdx> {
+        let data = &self.data;
+        self.data_index
+            .find(hash, |row| data[row as usize].id == *id)
+    }
+
+    /// The next row number of a table of `len` rows: fewer than 2^32 - 1,
+    /// for the id indexes mark an empty bucket with the last.
+    fn next_row(len: usize) -> u32 {
+        u32::try_from(len)
+            .ok()
+            .filter(|&row| row != crate::index::EMPTY)
+            .expect("fewer than 2^32 - 1 rows of a kind in a workflow")
+    }
+
     fn upsert_task(&mut self, task: TaskRecord, stats: &mut StoreStats) -> TaskIdx {
-        if let Some(&idx) = self.task_index.get(&task.id) {
+        let hash = self.hash(&task.id);
+        if let Some(idx) = self.task_row(hash, &task.id) {
             // Merge dependency info (begin may carry deps, end may not).
             for d in task.dependencies {
                 self.tasks[idx as usize].dependencies.insert(d);
@@ -327,8 +389,8 @@ impl WorkflowTable {
             }
             return idx;
         }
-        let idx = TaskIdx::try_from(self.tasks.len()).expect("fewer than 2^32 tasks in a workflow");
-        self.task_index.insert(task.id.clone(), idx);
+        let idx = Self::next_row(self.tasks.len());
+        self.task_index.insert(hash, idx);
         stats.tasks += 1;
         self.tasks.push(TaskRow {
             id: task.id,
@@ -345,12 +407,12 @@ impl WorkflowTable {
 
     /// The row this table holds for `(workflow, id)` — the workflow's own,
     /// or one of another workflow that a task of this one reported — with
-    /// the index's copy of the id. Only the second kind builds a key to
-    /// probe with, and only where there is such a row to find.
+    /// the row's own id. Only the second kind builds a key to probe with,
+    /// and only where there is such a row to find.
     fn find(&self, workflow: &Id, id: &Id) -> Option<(&Id, DataIdx)> {
         if *workflow == self.id {
-            let (held, &idx) = self.data_index.get_key_value(id)?;
-            return Some((held, idx));
+            let idx = self.own_row(self.hash(id), id)?;
+            return Some((&self.data[idx as usize].id, idx));
         }
         if self.foreign_index.is_empty() {
             return None;
@@ -362,11 +424,16 @@ impl WorkflowTable {
 
     fn upsert_data(&mut self, data: DataRecord, stats: &mut StoreStats) -> DataIdx {
         let own = data.workflow == self.id;
-        let seen = self.find(&data.workflow, &data.id).map(|(_, idx)| idx);
+        let hash = self.hash(&data.id);
+        let seen = match own {
+            true => self.own_row(hash, &data.id),
+            false => self.find(&data.workflow, &data.id).map(|(_, idx)| idx),
+        };
         let layouts = match own {
             true => &mut self.layouts,
             false => &mut self.foreign_layouts,
         };
+        let known = layouts.len();
         // A row of another workflow is shaped with this table's names and
         // listed in none of its columns.
         let columns = &mut self.columns;
@@ -378,20 +445,28 @@ impl WorkflowTable {
             // (first value per name wins) instead of dropping them.
             let row = &mut self.data[idx as usize];
             let first_new = layouts.merge(&mut row.attributes, data.attributes, resolve);
-            stats.attr_cells += (row.attributes.len() - first_new) as u64;
-            self.columns.list(idx, &row.attributes, first_new);
+            if first_new < row.attributes.len() {
+                stats.attr_cells += (row.attributes.len() - first_new) as u64;
+                if layouts.len() > known {
+                    self.columns.feed(row.attributes.layout());
+                }
+                layouts.list(idx, &row.attributes);
+            }
             for src in data.derivations {
                 self.add_derivation(idx, src, stats);
             }
             return idx;
         }
-        let idx = DataIdx::try_from(self.data.len()).expect("fewer than 2^32 rows in a workflow");
+        let idx = Self::next_row(self.data.len());
         stats.data += 1;
         let attributes = layouts.pack(data.attributes, resolve);
         stats.attr_cells += attributes.len() as u64;
-        self.columns.list(idx, &attributes, 0);
+        if layouts.len() > known {
+            self.columns.feed(attributes.layout());
+        }
+        layouts.list(idx, &attributes);
         if own {
-            self.data_index.insert(data.id.clone(), idx);
+            self.data_index.insert(hash, idx);
         } else {
             let key = (data.workflow.clone(), data.id.clone());
             self.foreign_index.insert(key, idx);
@@ -498,9 +573,65 @@ impl WorkflowTable {
 
     /// Lookup of one of the workflow's own data rows by id. Clone-free.
     pub fn data_by_id(&self, id: &Id) -> Option<(DataIdx, &DataRow)> {
-        self.data_index
-            .get(id)
-            .map(|&i| (i, &self.data[i as usize]))
+        let idx = self.own_row(self.hash(id), id)?;
+        Some((idx, &self.data[idx as usize]))
+    }
+
+    /// The rows of the typed column of attribute `attr`, in row order, each
+    /// once: what a scan of the column meets. None for a name with no
+    /// column.
+    pub fn column_rows(&self, attr: &str) -> impl Iterator<Item = DataIdx> + '_ {
+        let column = self.column_id(attr);
+        let mut scan = ColumnScan::default();
+        std::iter::from_fn(move || Some(self.scan_column(column?, &mut scan)?.0))
+    }
+
+    /// The next row of column `column` that `scan` has not passed, with
+    /// the row's value in it read as a number. A row is listed by every
+    /// layout it has had that feeds the column; it is met under the one
+    /// it has now.
+    pub(crate) fn scan_column(
+        &self,
+        column: u32,
+        scan: &mut ColumnScan,
+    ) -> Option<(DataIdx, Option<f64>)> {
+        let feeds = &self.column_at(column).feeds;
+        let ColumnScan {
+            next,
+            heads,
+            placed,
+        } = scan;
+        if !*placed {
+            heads.resize(feeds.len(), 0);
+            for (head, &(layout, _)) in heads.iter_mut().zip(feeds) {
+                *head = self
+                    .layouts
+                    .rows(layout)
+                    .partition_point(|&row| row < *next);
+            }
+            *placed = true;
+        }
+        loop {
+            let listed = heads.iter().zip(feeds);
+            let row = listed
+                .filter_map(|(&head, &(layout, _))| self.layouts.rows(layout).get(head).copied())
+                .min()?;
+            let attributes = &self.data[row as usize].attributes;
+            let now = attributes.layout().number();
+            let mut found = None;
+            for (head, &(layout, slot)) in heads.iter_mut().zip(feeds) {
+                if self.layouts.rows(layout).get(*head) == Some(&row) {
+                    *head += 1;
+                    if layout == now {
+                        found = Some(attributes.numeric_at(slot));
+                    }
+                }
+            }
+            *next = row + 1;
+            if let Some(value) = found {
+                return Some((row, value));
+            }
+        }
     }
 
     /// Position of an attribute's typed column in this table: what a
@@ -628,7 +759,8 @@ impl Store {
     /// Task lookup by (workflow, task id). Clone-free.
     pub fn task_by_id(&self, workflow: &Id, id: &Id) -> Option<&TaskRow> {
         let table = self.workflow(workflow)?;
-        table.task_index.get(id).map(|&i| &table.tasks[i as usize])
+        let idx = table.task_row(table.hash(id), id)?;
+        Some(&table.tasks[idx as usize])
     }
 
     /// Data lookup by (workflow, data id): the row in the workflow's own
@@ -651,7 +783,8 @@ impl Store {
 
     /// Number of rows in a column.
     pub fn column_len(&self, workflow: &Id, attr: &str) -> usize {
-        self.column(workflow, attr).map_or(0, |c| c.rows.len())
+        let table = self.workflow(workflow);
+        table.map_or(0, |table| table.column_rows(attr).count())
     }
 
     /// Number of distinct attribute layouts — `(names, value tags)` within
@@ -866,6 +999,11 @@ mod tests {
         assert_eq!(s.stats().lineage_edges, 1);
     }
 
+    /// The rows a column scan meets, in order.
+    fn rows(s: &Store, attr: &str) -> Vec<DataIdx> {
+        s.workflow(&Id::Num(1)).unwrap().column_rows(attr).collect()
+    }
+
     /// The numbers a column scan reads, in column order.
     fn scan(s: &Store, attr: &str) -> Vec<f64> {
         let path = crate::query::Path::over_attr(attr);
@@ -882,7 +1020,7 @@ mod tests {
         let column = s.column(&Id::Num(1), "accuracy").unwrap();
         assert_eq!(column.kind(), AttrType::Numeric);
         // The column names the rows; the values are the rows' own.
-        assert_eq!(column.rows(), [1, 3, 5]);
+        assert_eq!(rows(&s, "accuracy"), [1, 3, 5]);
         let max = scan(&s, "accuracy").into_iter().fold(f64::MIN, f64::max);
         assert!((max - 0.9).abs() < 1e-12);
         assert_eq!(s.column_len(&Id::Num(1), "learning_rate"), 3);
@@ -899,7 +1037,7 @@ mod tests {
         });
         let column = s.column(&Id::Num(1), "kind").unwrap();
         assert_eq!(column.kind(), AttrType::Text);
-        assert_eq!(column.rows(), [0]);
+        assert_eq!(rows(&s, "kind"), [0]);
         // The row holds the store's only reference to the text; the column
         // holds none, and no query source reads it yet.
         assert_eq!(Arc::strong_count(&kind), 2);
@@ -946,7 +1084,7 @@ mod tests {
         }
         // The column takes the numeric tags; a scan and a filter read them
         // alike.
-        assert_eq!(s.column(&Id::Num(1), "flag").unwrap().rows(), [0, 4, 5, 6]);
+        assert_eq!(rows(&s, "flag"), [0, 4, 5, 6]);
         assert_eq!(scan(&s, "flag"), [1.0, -3.0, 0.0, 0.5]);
         let filter = crate::query::Filter::Attr {
             name: "flag".into(),
@@ -979,7 +1117,7 @@ mod tests {
         assert_eq!(s.stats().attr_cells, 3);
         // The column lists the row once and reads the first value, as
         // `get` and a filter do.
-        assert_eq!(s.column(&Id::Num(1), "x").unwrap().rows(), [0]);
+        assert_eq!(rows(&s, "x"), [0]);
         assert_eq!(scan(&s, "x"), [1.5]);
         assert_eq!(row.attributes.get("x"), Some(AttrValue::Float(1.5)));
         // A first value of another kind keeps the row out of the column,
@@ -1097,6 +1235,47 @@ mod tests {
             fresh.attributes.layout()
         ));
         assert_eq!(scan(&s, "y"), [2.5, 0.5]);
+    }
+
+    #[test]
+    fn a_row_merged_between_pages_is_met_once_in_row_order() {
+        use crate::query::{Cursor, CursorOpts, Path, SnapshotMode};
+        let mut s = Store::new();
+        let report = |s: &mut Store, t: u64, data: DataRecord| {
+            s.ingest(Record::TaskBegin {
+                task: task(1, t, "t", None, TaskStatus::Running),
+                inputs: vec![data],
+            })
+        };
+        for i in 0..4u64 {
+            report(&mut s, i, DataRecord::new(i, 1u64).with_attr("x", i as f64));
+        }
+        let opts = CursorOpts {
+            page_size: 2,
+            max_work: 100,
+            snapshot: SnapshotMode::AtOpen,
+        };
+        let mut cursor = Cursor::open(&s, &Id::Num(1), &Path::over_attr("x"), opts).unwrap();
+        let values = |page: crate::query::Page| -> Vec<f64> {
+            page.hits.into_iter().filter_map(|hit| hit.value).collect()
+        };
+        assert_eq!(values(cursor.next_page(&s)), [0.0, 1.0]);
+        // Rows 0 and 3 are reported again with a name they lack: both move
+        // to the `[x, y]` layout, which lists them again, and a fifth row
+        // comes past the horizon.
+        for i in [3, 0] {
+            let data = DataRecord::new(i, 1u64)
+                .with_attr("x", 9.0)
+                .with_attr("y", 1.0);
+            report(&mut s, 10 + i, data);
+        }
+        report(&mut s, 20, DataRecord::new(4u64, 1u64).with_attr("x", 4.0));
+        assert_eq!(values(cursor.next_page(&s)), [2.0, 3.0]);
+        let last = cursor.next_page(&s);
+        assert!(last.done && last.hits.is_empty(), "{last:?}");
+        assert_eq!(rows(&s, "x"), [0, 1, 2, 3, 4]);
+        assert_eq!(rows(&s, "y"), [0, 3]);
+        assert_eq!(scan(&s, "x"), [0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

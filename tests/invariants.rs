@@ -272,17 +272,19 @@ proptest! {
             for (name, rows) in &listed {
                 let column = store.column(wf, name).expect("checked above");
                 prop_assert!(column.kind() != AttrType::Other);
-                in_columns += column.rows().len();
-                // Same rows; in arrival order, which is row order except
-                // where a row reported again merged the name in later.
-                let mut arrived = column.rows().to_vec();
+                let scanned: Vec<u32> = table.column_rows(name).collect();
+                in_columns += scanned.len();
+                // Same rows, as a scan meets them: in row order, which
+                // may differ from arrival order only for a row reported
+                // again that merged the name in later.
+                let mut arrived = scanned.clone();
                 arrived.sort_unstable();
                 prop_assert_eq!(&arrived, rows);
-                for pair in column.rows().windows(2) {
+                for pair in scanned.windows(2) {
                     let late = &table.data()[pair[1] as usize].id;
                     prop_assert!(pair[0] < pair[1] || reports(late) > 1, "{name}: {pair:?}");
                 }
-                for &row in column.rows() {
+                for &row in &scanned {
                     // What the scan reads is the row's first value of the name.
                     let value = table.data()[row as usize].attributes.get(name);
                     prop_assert_eq!(value.as_ref().map(AttrType::of), Some(column.kind()));

@@ -17,7 +17,7 @@ use provlight::prov_codec::compress::compress;
 use provlight::prov_codec::frame::{Envelope, ENVELOPE_VERSION};
 use provlight::prov_codec::CodecError;
 use provlight::prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
-use provlight::prov_store::store::{DataRow, TaskRow};
+use provlight::prov_store::store::{DataRow, Store, TaskRow};
 use provlight::prov_store::{ShardRouter, ShardedStore, SmallSet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -153,14 +153,15 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
     let stats = store.stats();
     assert_eq!(stats.data, DAG_ROWS as u64);
     assert_eq!(stats.lineage_edges, 2 * DAG_ROWS as u64 - 3);
-    // 272 B measured, plus a tenth; 357 B while row numbers were 64 bits,
+    // 249 B measured, plus a tenth; 272 B while the id index held a copy
+    // of every id, 25 B a bucket; 357 B while row numbers were 64 bits,
     // every row held its workflow id and its one number in a malloc chunk
     // of its own, 403 B while the index was keyed by `(workflow, id)` and
     // every row held the copy of the workflow id it arrived with, 448 B
     // while a row held its one cell as a 48-byte pair and the column a copy
     // of it, 877 B before edge sets moved inline and rows took the store's
     // own copy of every string it already held.
-    assert!(per_row <= 299, "{per_row} B of live heap per row");
+    assert!(per_row <= 273, "{per_row} B of live heap per row");
 }
 
 const WIDE_TASKS: u64 = 2_875;
@@ -187,15 +188,65 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     assert_eq!(stats.attr_cells, 101 * WIDE_TASKS);
     let wf = Id::from("wf");
     assert_eq!(store.read(&wf).layout_count(), 2);
-    // 2 220 B measured, plus a tenth: 808 of cells and 404 of row numbers
-    // in columns; the rest is rows, ids, indices, and the slack of tables
-    // that double (2 875 tasks fill theirs to 0.70). 2 410 B with 64-bit
-    // row numbers, a workflow id in every row and the output's one number
-    // in a chunk of its own; 2 493 B while the indexes were keyed by
-    // `(workflow, id)` pairs; with 48-byte pairs in the row and 16-byte
-    // copies in the column (this test against a `git archive` of the tree
-    // before layouts, less the layout count): 8 235 B.
-    assert!(per_task <= 2_442, "{per_task} B of live heap per task");
+    // 1 578 B measured, plus a tenth: 808 of cells and 8 of row numbers in
+    // the two layouts' lists; the rest is rows, ids, indices, and the slack
+    // of tables that double (2 875 tasks fill theirs to 0.70). 2 220 B
+    // while a column listed its rows, 4 B a cell, and the id indexes held a
+    // copy of every id; 2 410 B with 64-bit row numbers, a workflow id in
+    // every row and the output's one number in a chunk of its own; 2 493 B
+    // while the indexes were keyed by `(workflow, id)` pairs; with 48-byte
+    // pairs in the row and 16-byte copies in the column (this test against
+    // a `git archive` of the tree before layouts, less the layout count):
+    // 8 235 B.
+    assert!(per_task <= 1_735, "{per_task} B of live heap per task");
+}
+
+/// Tasks of workflow 1, each using one data item of `cells` numbers under
+/// names that are allocations of the record's own.
+fn tasks_of_numbers(tasks: std::ops::Range<u64>, cells: usize) -> impl Iterator<Item = Record> {
+    tasks.map(move |t| {
+        let mut data = DataRecord::new(t, 1u64);
+        data.attributes = (0..cells)
+            .map(|a| {
+                (
+                    Arc::from(format!("a{a}")),
+                    AttrValue::Float(t as f64 + a as f64),
+                )
+            })
+            .collect();
+        Record::TaskBegin {
+            task: TaskRecord {
+                id: Id::Num(t),
+                workflow: Id::Num(1),
+                transformation: Id::Num(7),
+                dependencies: Vec::new(),
+                time_ns: t,
+                status: TaskStatus::Running,
+            },
+            inputs: vec![data],
+        }
+    })
+}
+
+#[test]
+fn a_row_of_a_known_layout_costs_the_same_whatever_its_typed_cells() {
+    // What a thousand rows add to a table that has a thousand of their
+    // shape, less their cells: a column names the layout once, and the
+    // layout lists each row once, however many columns the row feeds.
+    const ROWS: u64 = 1_000;
+    let beyond_cells = |cells: usize| {
+        let mut store = Store::new();
+        store.ingest_batch(tasks_of_numbers(0..ROWS, cells));
+        let before = live_bytes();
+        store.ingest_batch(tasks_of_numbers(ROWS..2 * ROWS, cells));
+        let added = live_bytes() - before;
+        assert_eq!(store.column_len(&Id::Num(1), "a1"), 2 * ROWS as usize);
+        added - (ROWS as usize * cells * size_of::<u64>()) as isize
+    };
+    let two = beyond_cells(2);
+    for cells in [10, 100] {
+        assert_eq!(beyond_cells(cells), two, "{cells} cells");
+    }
 }
 
 fn text(id: &Id) -> &Arc<str> {
