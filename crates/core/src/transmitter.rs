@@ -49,7 +49,7 @@ use prov_codec::frame::Envelope;
 use prov_model::Record;
 use prov_wal::{Wal, WalConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -638,9 +638,10 @@ struct Link {
     /// on the next service pass instead of full reconnection.
     reregister: bool,
     buffer: Backlog,
-    /// Record count per in-flight message id, so payloads recovered from
-    /// the dead-letter queue keep accurate drop/replay accounting.
-    inflight_records: HashMap<u16, usize>,
+    /// Record count per in-flight message id, in publish order as the
+    /// client's send window holds them, so payloads recovered from the
+    /// dead-letter queue keep accurate drop/replay accounting.
+    inflight_records: VecDeque<(u16, usize)>,
     /// Backoff jitter source (see [`RECONNECT_JITTER`]).
     rng: StdRng,
     stats: Arc<StatsCell>,
@@ -673,7 +674,7 @@ impl Link {
             next_attempt: Instant::now(),
             reregister: false,
             buffer,
-            inflight_records: HashMap::new(),
+            inflight_records: VecDeque::new(),
             rng: StdRng::seed_from_u64(entropy_seed()),
             stats,
             congestion_level: 0,
@@ -769,7 +770,7 @@ impl Link {
         while let Some(event) = self.client.pop_event() {
             match event {
                 ClientEvent::PublishDone { msg_id } => {
-                    self.inflight_records.remove(&msg_id);
+                    self.settle(msg_id);
                 }
                 ClientEvent::PublishFailed { msg_id } => {
                     // Retry exhaustion: the link is gone; recoverable
@@ -809,14 +810,25 @@ impl Link {
         }
         let dead = self.client.take_dead_letters();
         for (msg_id, payload) in dead.into_iter().rev() {
-            let records = self.inflight_records.remove(&msg_id).unwrap_or(1);
+            let records = self.settle(msg_id).unwrap_or(1);
             self.buffer.push_front(payload, records);
         }
         // Failed ids without a dead letter (delivered-but-unacknowledged
         // QoS 2) are settled; drop their accounting entries.
         for msg_id in failed {
-            self.inflight_records.remove(&msg_id);
+            self.settle(msg_id);
         }
+    }
+
+    /// Drops the accounting entry of a message that left the client's
+    /// window, returning its record count. Messages mostly settle in
+    /// publish order, so the search ends at the front.
+    fn settle(&mut self, msg_id: u16) -> Option<usize> {
+        let at = self
+            .inflight_records
+            .iter()
+            .position(|&(id, _)| id == msg_id)?;
+        self.inflight_records.remove(at).map(|(_, records)| records)
     }
 
     /// One maintenance pass that waits on the socket: while connected,
@@ -997,7 +1009,7 @@ impl Link {
         {
             Ok((msg_id, sent)) => {
                 if msg_id != 0 {
-                    self.inflight_records.insert(msg_id, records);
+                    self.inflight_records.push_back((msg_id, records));
                 }
                 if sent || msg_id != 0 {
                     // On the wire, or safe in the in-flight window (which
@@ -1084,7 +1096,7 @@ impl Link {
     /// reach the drop count through the gauge sync.
     fn account_shutdown_loss(&mut self) {
         self.absorb_events();
-        let unconfirmed: usize = self.inflight_records.values().sum();
+        let unconfirmed: usize = self.inflight_records.iter().map(|&(_, n)| n).sum();
         if unconfirmed > 0 {
             self.stats
                 .records_dropped
@@ -1318,6 +1330,7 @@ mod tests {
     use mqtt_sn::packet::frames;
     use mqtt_sn::{DatagramFate, DatagramFault, FaultDir, LocalSubscription, Packet};
     use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
+    use std::collections::HashMap;
 
     fn record(i: u64, attrs: usize) -> Record {
         let mut d = DataRecord::new(i, 1u64);

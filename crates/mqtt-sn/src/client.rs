@@ -85,11 +85,6 @@ pub enum ClientEvent {
         /// Granted QoS.
         qos: QoS,
     },
-    /// UNSUBACK received.
-    Unsubscribed {
-        /// Transaction id.
-        msg_id: u16,
-    },
     /// A QoS 1 publish was acknowledged or a QoS 2 publish completed its
     /// 4-way handshake.
     PublishDone {
@@ -140,11 +135,25 @@ pub enum Output {
     Event(ClientEvent),
 }
 
+/// A CONNECT, REGISTER or SUBSCRIBE awaiting its reply, retransmitted on
+/// `Tretry` per spec §6.13. The packet is what was asked: the reply that
+/// completes it is of its own kind and, but for the CONNACK, carries its
+/// message id.
 #[derive(Clone, Debug)]
-struct PendingControl {
+struct Control {
     packet: Packet,
     last_sent: Nanos,
     retries: u32,
+}
+
+impl Control {
+    /// The message id its reply carries; a CONNECT's carries none.
+    fn msg_id(&self) -> Option<u16> {
+        match self.packet {
+            Packet::Register { msg_id, .. } | Packet::Subscribe { msg_id, .. } => Some(msg_id),
+            _ => None,
+        }
+    }
 }
 
 /// The client state machine.
@@ -152,13 +161,12 @@ struct PendingControl {
 pub struct Client {
     config: ClientConfig,
     state: ClientState,
-    connect_sent_at: Option<Nanos>,
-    pending_register: HashMap<u16, String>,
-    /// Control packets awaiting replies (CONNECT / REGISTER / SUBSCRIBE /
-    /// UNSUBSCRIBE), retransmitted on `Tretry` per spec §6.13.
-    pending_control: HashMap<u16, PendingControl>,
-    /// Unacknowledged QoS 1/2 publishes and the message-id allocator,
-    /// whose id space the control transactions above share.
+    /// The control transactions awaiting their replies, in send order:
+    /// each one once, with what it asked.
+    controls: Vec<Control>,
+    /// Unacknowledged QoS 1/2 publishes in publish order, and the
+    /// message-id allocator, whose id space the REGISTERs and SUBSCRIBEs
+    /// above share.
     out: SendWindow<TopicRef>,
     /// Exactly-once dedup of QoS 2 messages from the broker.
     inbound: Receiver,
@@ -169,8 +177,6 @@ pub struct Client {
     /// Topic name → broker-assigned id learned from REGACKs; re-registered
     /// on session resumption.
     registered_topics: HashMap<String, u16>,
-    /// SUBSCRIBE transactions awaiting a SUBACK: msg id → (filter, qos).
-    pending_subscribe: HashMap<u16, (String, QoS)>,
     /// Acknowledged subscriptions, re-subscribed on session resumption.
     subscribed_filters: Vec<(String, QoS)>,
     /// True between [`Client::reconnect`] and the accepted CONNACK.
@@ -195,14 +201,11 @@ impl Client {
         Client {
             config,
             state: ClientState::Disconnected,
-            connect_sent_at: None,
-            pending_register: HashMap::new(),
-            pending_control: HashMap::new(),
+            controls: Vec::new(),
             out: SendWindow::new(),
             inbound: Receiver::default(),
             spare_payloads: Vec::new(),
             registered_topics: HashMap::new(),
-            pending_subscribe: HashMap::new(),
             subscribed_filters: Vec::new(),
             resuming: false,
             resume_pending: HashMap::new(),
@@ -278,36 +281,52 @@ impl Client {
     }
 
     /// A message id free for a new transaction. A live id may belong to a
-    /// data publish OR a control transaction (SUBSCRIBE/UNSUBSCRIBE share
+    /// data publish OR a control transaction (REGISTER and SUBSCRIBE share
     /// the message-id space with PUBLISH per spec §5.4) — handing a
     /// publish an outstanding control id would overwrite that
     /// transaction's retransmission state.
     fn fresh_msg_id(&mut self) -> u16 {
-        let (registers, controls) = (&self.pending_register, &self.pending_control);
+        let controls = &self.controls;
         self.out
-            .alloc_msg_id(|id| registers.contains_key(&id) || controls.contains_key(&id))
+            .alloc_msg_id(|id| controls.iter().any(|c| c.msg_id() == Some(id)))
+    }
+
+    /// Sends a control packet and keeps it, for retransmission until the
+    /// reply of its own kind arrives.
+    fn ask(&mut self, packet: Packet, now: Nanos) -> Output {
+        self.last_tx = now;
+        self.controls.push(Control {
+            packet: packet.clone(),
+            last_sent: now,
+            retries: 0,
+        });
+        Output::Send(packet)
+    }
+
+    /// Takes the pending transaction whose packet `answers` says the reply
+    /// is for; `None` leaves every transaction as it was.
+    fn complete(&mut self, answers: impl Fn(&Packet) -> bool) -> Option<Packet> {
+        let at = self.controls.iter().position(|c| answers(&c.packet))?;
+        Some(self.controls.remove(at).packet)
     }
 
     /// Initiates the connection handshake. The CONNECT is retransmitted
     /// on `Tretry` until the CONNACK arrives or retries are exhausted.
     pub fn connect(&mut self, now: Nanos) -> Vec<Output> {
+        self.start_connect(self.config.clean_session, now)
+    }
+
+    /// Sends a CONNECT in place of any still pending.
+    fn start_connect(&mut self, clean_session: bool, now: Nanos) -> Vec<Output> {
         self.state = ClientState::Connecting;
-        self.connect_sent_at = Some(now);
-        self.last_tx = now;
+        self.controls
+            .retain(|c| !matches!(c.packet, Packet::Connect { .. }));
         let packet = Packet::Connect {
-            clean_session: self.config.clean_session,
+            clean_session,
             duration: self.config.keep_alive.as_secs().min(u16::MAX as u64) as u16,
             client_id: self.config.client_id.clone(),
         };
-        self.pending_control.insert(
-            0,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        vec![Output::Send(packet)]
+        vec![self.ask(packet, now)]
     }
 
     /// Re-initiates the connection handshake after a lost connection,
@@ -317,36 +336,19 @@ impl Client {
     /// QoS 1/2 publishes with the DUP flag — remapping their topic ids if
     /// the broker (e.g. after a restart) assigns different ones.
     pub fn reconnect(&mut self, now: Nanos) -> Vec<Output> {
-        self.state = ClientState::Connecting;
-        self.connect_sent_at = Some(now);
-        self.last_tx = now;
         self.ping_outstanding_since = None;
         self.resuming = true;
         // Stale control transactions from the dead connection are dropped;
         // resumed state is rebuilt from the tracked registrations and
         // subscriptions once the CONNACK arrives.
-        self.pending_control.clear();
-        self.pending_register.clear();
+        self.controls.clear();
         self.resume_pending.clear();
         // The completed-QoS2 window only guards against datagrams delayed
         // *within* one connection epoch; across a reconnect it must reset,
         // because a broker restarted with fresh state legitimately reuses
         // msg_ids for new messages.
         self.inbound.new_epoch();
-        let packet = Packet::Connect {
-            clean_session: false,
-            duration: self.config.keep_alive.as_secs().min(u16::MAX as u64) as u16,
-            client_id: self.config.client_id.clone(),
-        };
-        self.pending_control.insert(
-            0,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        vec![Output::Send(packet)]
+        self.start_connect(false, now)
     }
 
     /// Requests a topic-id for `topic_name`. The id arrives via
@@ -356,22 +358,12 @@ impl Client {
             return Err(Error::BadState("register before connected"));
         }
         let msg_id = self.fresh_msg_id();
-        self.pending_register.insert(msg_id, topic_name.to_owned());
-        self.last_tx = now;
         let packet = Packet::Register {
             topic_id: 0,
             msg_id,
             topic_name: topic_name.to_owned(),
         };
-        self.pending_control.insert(
-            msg_id,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        Ok((msg_id, vec![Output::Send(packet)]))
+        Ok((msg_id, vec![self.ask(packet, now)]))
     }
 
     /// Publishes a payload to a registered topic id.
@@ -430,24 +422,13 @@ impl Client {
             return Err(Error::BadState("invalid topic filter"));
         }
         let msg_id = self.fresh_msg_id();
-        self.pending_subscribe
-            .insert(msg_id, (filter.to_owned(), qos));
-        self.last_tx = now;
         let packet = Packet::Subscribe {
             dup: false,
             qos,
             msg_id,
             topic: TopicRef::Name(filter.to_owned()),
         };
-        self.pending_control.insert(
-            msg_id,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        Ok((msg_id, vec![Output::Send(packet)]))
+        Ok((msg_id, vec![self.ask(packet, now)]))
     }
 
     /// Starts a graceful disconnect: the session transitions to
@@ -461,8 +442,7 @@ impl Client {
         self.last_tx = now;
         self.state = ClientState::Disconnected;
         self.ping_outstanding_since = None;
-        self.connect_sent_at = None;
-        self.pending_control.clear();
+        self.controls.clear();
         vec![Output::Send(Packet::Disconnect { duration: None })]
     }
 
@@ -503,7 +483,7 @@ impl Client {
         let mut out = Vec::new();
         match packet {
             Packet::ConnAck { code } => {
-                self.pending_control.remove(&0);
+                self.complete(|asked| matches!(asked, Packet::Connect { .. }));
                 if code == ReturnCode::Accepted {
                     self.state = ClientState::Connected;
                     self.ping_outstanding_since = None;
@@ -523,8 +503,10 @@ impl Client {
                 msg_id,
                 code,
             } => {
-                self.pending_control.remove(&msg_id);
-                if let Some(topic_name) = self.pending_register.remove(&msg_id) {
+                let asked = self.complete(
+                    |asked| matches!(asked, Packet::Register { msg_id: m, .. } if *m == msg_id),
+                );
+                if let Some(Packet::Register { topic_name, .. }) = asked {
                     if code == ReturnCode::Accepted {
                         self.registered_topics.insert(topic_name.clone(), topic_id);
                         // A topic resumed under a (possibly) new id: its
@@ -563,24 +545,23 @@ impl Client {
                 msg_id,
                 code,
             } => {
-                self.pending_control.remove(&msg_id);
-                if code == ReturnCode::Accepted {
-                    if let Some((filter, granted)) = self.pending_subscribe.remove(&msg_id) {
-                        self.subscribed_filters.retain(|(f, _)| f != &filter);
-                        self.subscribed_filters.push((filter, granted));
-                    }
+                let asked = self.complete(
+                    |asked| matches!(asked, Packet::Subscribe { msg_id: m, .. } if *m == msg_id),
+                );
+                if let Some(Packet::Subscribe {
+                    qos: asked_qos,
+                    topic: TopicRef::Name(filter),
+                    ..
+                }) = asked.filter(|_| code == ReturnCode::Accepted)
+                {
+                    self.subscribed_filters.retain(|(f, _)| f != &filter);
+                    self.subscribed_filters.push((filter, asked_qos));
                     out.push(Output::Event(ClientEvent::Subscribed {
                         msg_id,
                         topic_id,
                         qos,
                     }));
-                } else {
-                    self.pending_subscribe.remove(&msg_id);
                 }
-            }
-            Packet::UnsubAck { msg_id } => {
-                self.pending_control.remove(&msg_id);
-                out.push(Output::Event(ClientEvent::Unsubscribed { msg_id }));
             }
             Packet::PubAck { msg_id, code, .. } => {
                 if code != ReturnCode::Accepted {
@@ -697,22 +678,13 @@ impl Client {
         filters.sort_by(|a, b| a.0.cmp(&b.0));
         for (filter, qos) in filters {
             let msg_id = self.fresh_msg_id();
-            self.pending_subscribe.insert(msg_id, (filter.clone(), qos));
             let packet = Packet::Subscribe {
                 dup: false,
                 qos,
                 msg_id,
                 topic: TopicRef::Name(filter),
             };
-            self.pending_control.insert(
-                msg_id,
-                PendingControl {
-                    packet: packet.clone(),
-                    last_sent: now,
-                    retries: 0,
-                },
-            );
-            out.push(Output::Send(packet));
+            out.push(self.ask(packet, now));
         }
         let mut topics: Vec<(String, u16)> = self
             .registered_topics
@@ -723,21 +695,12 @@ impl Client {
         for (name, old_id) in topics {
             self.resume_pending.insert(name.clone(), old_id);
             let msg_id = self.fresh_msg_id();
-            self.pending_register.insert(msg_id, name.clone());
             let packet = Packet::Register {
                 topic_id: 0,
                 msg_id,
                 topic_name: name,
             };
-            self.pending_control.insert(
-                msg_id,
-                PendingControl {
-                    packet: packet.clone(),
-                    last_sent: now,
-                    retries: 0,
-                },
-            );
-            out.push(Output::Send(packet));
+            out.push(self.ask(packet, now));
         }
         // In-flight publishes whose topic reference is not subject to
         // re-registration retransmit immediately.
@@ -795,26 +758,18 @@ impl Client {
         let retry_ns = self.config.retry_timeout.as_nanos() as u64;
 
         // Control-packet retransmission (spec: retransmit any message
-        // awaiting a reply on Tretry, up to Nretry times). Runs in the
-        // Connecting state too, so lost CONNECTs self-heal.
-        let mut control_ids: Vec<u16> = self.pending_control.keys().copied().collect();
-        control_ids.sort_unstable();
-        for id in control_ids {
-            let Some(c) = self.pending_control.get_mut(&id) else {
-                continue;
-            };
+        // awaiting a reply on Tretry, up to Nretry times), in send order.
+        // Runs in the Connecting state too, so lost CONNECTs self-heal; a
+        // transaction out of retries is dropped whole.
+        let (max_retries, last_tx) = (self.config.max_retries, &mut self.last_tx);
+        let mut connect_failed = false;
+        self.controls.retain_mut(|c| {
             if now.saturating_sub(c.last_sent) < retry_ns {
-                continue;
+                return true;
             }
-            if c.retries >= self.config.max_retries {
-                self.pending_control.remove(&id);
-                if id == 0 {
-                    self.state = ClientState::Disconnected;
-                    out.push(Output::Event(ClientEvent::ConnectFailed(
-                        ReturnCode::Congestion,
-                    )));
-                }
-                continue;
+            if c.retries >= max_retries {
+                connect_failed |= matches!(c.packet, Packet::Connect { .. });
+                return false;
             }
             c.retries += 1;
             c.last_sent = now;
@@ -822,8 +777,15 @@ impl Client {
             if let Packet::Subscribe { dup, .. } = &mut packet {
                 *dup = true;
             }
-            self.last_tx = now;
+            *last_tx = now;
             out.push(Output::Send(packet));
+            true
+        });
+        if connect_failed {
+            self.state = ClientState::Disconnected;
+            out.push(Output::Event(ClientEvent::ConnectFailed(
+                ReturnCode::Congestion,
+            )));
         }
 
         if self.state != ClientState::Connected {
@@ -889,8 +851,8 @@ impl Client {
     pub fn next_deadline(&self) -> Option<Nanos> {
         let retry_ns = self.config.retry_timeout.as_nanos() as u64;
         let control = self
-            .pending_control
-            .values()
+            .controls
+            .iter()
             .map(|c| c.last_sent.saturating_add(retry_ns))
             .min();
         if self.state != ClientState::Connected {
@@ -910,10 +872,9 @@ impl Client {
     }
 
     /// Whether the broker owes a reply to something other than a publish:
-    /// a CONNECT, REGISTER, SUBSCRIBE or UNSUBSCRIBE transaction, or a
-    /// PINGREQ.
+    /// a CONNECT, REGISTER or SUBSCRIBE transaction, or a PINGREQ.
     pub fn control_outstanding(&self) -> bool {
-        !self.pending_control.is_empty() || self.ping_outstanding_since.is_some()
+        !self.controls.is_empty() || self.ping_outstanding_since.is_some()
     }
 }
 
@@ -1433,10 +1394,118 @@ mod tests {
             .all(|p| !matches!(p, Packet::Register { .. } | Packet::Subscribe { .. })));
     }
 
+    /// A connected client (`Tretry` 1 s, `Nretry` 1) with a REGISTER and
+    /// a SUBSCRIBE pending, and their message ids.
+    fn register_and_subscribe_pending() -> (Client, u16, u16) {
+        let mut cfg = ClientConfig::new("dev1");
+        cfg.retry_timeout = Duration::from_secs(1);
+        cfg.max_retries = 1;
+        let mut c = connected(cfg);
+        let (reg_id, _) = c.register("topic/a", 0).unwrap();
+        let (sub_id, _) = c.subscribe("topic/#", QoS::AtLeastOnce, 0).unwrap();
+        (c, reg_id, sub_id)
+    }
+
+    /// The message ids of the REGISTERs and SUBSCRIBEs among `outputs`.
+    fn control_ids(outputs: &[Output]) -> Vec<u16> {
+        let ids = sends(outputs).into_iter().filter_map(|p| match p {
+            Packet::Register { msg_id, .. } | Packet::Subscribe { msg_id, .. } => Some(*msg_id),
+            _ => None,
+        });
+        ids.collect()
+    }
+
+    /// Feeds the ack `ack(reg_id, sub_id)` makes to a client with a
+    /// REGISTER and a SUBSCRIBE pending: it surfaces nothing, sends
+    /// nothing and completes neither, so both go out again at `Tretry`.
+    fn completes_nothing(ack: impl Fn(u16, u16) -> Packet) {
+        let (mut c, reg_id, sub_id) = register_and_subscribe_pending();
+        let out = c.on_packet(ack(reg_id, sub_id), 1);
+        assert!(out.is_empty(), "{out:?}");
+        let out = c.on_tick(1_000_000_000);
+        assert_eq!(control_ids(&out), vec![reg_id, sub_id]);
+        assert_eq!(c.topic_id("topic/a"), None);
+        assert!(c.subscribed_filters.is_empty());
+    }
+
+    #[test]
+    fn a_regack_carrying_a_subscribe_id_completes_nothing() {
+        completes_nothing(|_, sub_id| Packet::RegAck {
+            topic_id: 5,
+            msg_id: sub_id,
+            code: ReturnCode::Accepted,
+        });
+    }
+
+    #[test]
+    fn a_suback_carrying_a_register_id_completes_nothing() {
+        completes_nothing(|reg_id, _| Packet::SubAck {
+            qos: QoS::AtLeastOnce,
+            topic_id: 0,
+            msg_id: reg_id,
+            code: ReturnCode::Accepted,
+        });
+    }
+
+    #[test]
+    fn an_unprompted_unsuback_completes_nothing() {
+        completes_nothing(|reg_id, _| Packet::UnsubAck { msg_id: reg_id });
+        completes_nothing(|_, sub_id| Packet::UnsubAck { msg_id: sub_id });
+    }
+
+    /// Replies to transactions that are gone — out of retries, or dropped
+    /// at a reconnect — find nothing to complete: no event, no topic id, no
+    /// filter to re-subscribe.
+    fn late_acks_complete_nothing(mut c: Client, reg_id: u16, sub_id: u16, now: Nanos) {
+        assert!(c.controls.is_empty());
+        let regack = Packet::RegAck {
+            topic_id: 5,
+            msg_id: reg_id,
+            code: ReturnCode::Accepted,
+        };
+        let suback = Packet::SubAck {
+            qos: QoS::AtLeastOnce,
+            topic_id: 0,
+            msg_id: sub_id,
+            code: ReturnCode::Accepted,
+        };
+        for ack in [regack, suback] {
+            let out = c.on_packet(ack, now);
+            assert!(out.is_empty(), "{out:?}");
+        }
+        assert_eq!(c.topic_id("topic/a"), None);
+        assert!(c.subscribed_filters.is_empty());
+        assert!(c.on_tick(now + 10_000_000_000).is_empty());
+    }
+
+    #[test]
+    fn an_exhausted_register_or_subscribe_leaves_nothing_behind() {
+        let (mut c, reg_id, sub_id) = register_and_subscribe_pending();
+        let s = 1_000_000_000u64;
+        assert_eq!(control_ids(&c.on_tick(s)), vec![reg_id, sub_id]);
+        assert!(c.on_tick(2 * s).is_empty(), "Nretry spent: nothing resent");
+        assert!(!c.control_outstanding());
+        late_acks_complete_nothing(c, reg_id, sub_id, 3 * s);
+    }
+
+    #[test]
+    fn a_register_or_subscribe_outstanding_at_reconnect_leaves_nothing_behind() {
+        let (mut c, reg_id, sub_id) = register_and_subscribe_pending();
+        c.reconnect(10);
+        let accepted = Packet::ConnAck {
+            code: ReturnCode::Accepted,
+        };
+        let out = c.on_packet(accepted, 11);
+        assert_eq!(events(&out), vec![&ClientEvent::Connected]);
+        assert!(control_ids(&out).is_empty(), "nothing was acknowledged");
+        assert!(c.resume_complete());
+        late_acks_complete_nothing(c, reg_id, sub_id, 12);
+    }
+
     #[test]
     fn alloc_msg_id_skips_outstanding_control_ids() {
         let mut c = connected_client();
-        // SUBSCRIBE takes msg id 1 and parks it in pending_control.
+        // SUBSCRIBE takes msg id 1 and parks it in the control table.
         let (sub_id, _) = c.subscribe("t/#", QoS::AtLeastOnce, 0).unwrap();
         assert_eq!(sub_id, 1);
         // Force the allocator to wrap back onto the outstanding control id.
@@ -1449,7 +1518,10 @@ mod tests {
             "publish must not reuse an outstanding SUBSCRIBE id"
         );
         // The SUBSCRIBE's retransmission state survived the allocation.
-        assert!(c.pending_control.contains_key(&sub_id));
+        assert!(c
+            .controls
+            .iter()
+            .any(|control| control.msg_id() == Some(sub_id)));
     }
 
     #[test]

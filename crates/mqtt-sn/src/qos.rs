@@ -6,7 +6,10 @@
 //! from a publisher, the client from the broker — dedups them with a
 //! [`Receiver`]. [`Client`](crate::client::Client) and a broker session
 //! each own one of both and keep only what is specific to their end
-//! (events and dead letters; sinks, pools and stats).
+//! (events and dead letters; sinks, pools and stats). Neither half hashes
+//! anything — a window keeps its slots in a deque in allocation order, a
+//! receiver a bitmap of the id space — so once warm, what they hold grows
+//! with nothing a hash seed picks.
 //!
 //! The sender's whole policy is the table in [`step`]:
 //!
@@ -25,8 +28,7 @@
 use crate::broker::wire::{put_bytes, Reader};
 use crate::client::Nanos;
 use crate::packet::QoS;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How many completed inbound QoS 2 ids a [`Receiver`] remembers. 64 ids
 /// at 2 bytes each is negligible per session, yet far wider than any
@@ -106,6 +108,7 @@ impl Ack {
 /// its topic.
 #[derive(Clone, Debug)]
 pub(crate) struct Slot<T> {
+    id: u16,
     pub(crate) topic: T,
     pub(crate) payload: Vec<u8>,
     awaiting: Ack,
@@ -136,17 +139,28 @@ pub(crate) enum Due<'a, T> {
 
 /// The sender half: unacknowledged QoS 1/2 publishes and the message-id
 /// allocator they share.
+///
+/// The slots sit in a deque in the order their ids were allocated. Ids are
+/// handed out sequentially, so that is also the order of each id's
+/// distance from the allocator, across the `u16` wrap: a lookup is a
+/// binary search on that distance, a publish goes on the back, and acks,
+/// which mostly come in publish order, take from the front. Nothing is
+/// hashed and no publish counter is stored or persisted; once the deque
+/// has held a full window it never grows again. A message the allocator
+/// laps — one outlived by 65535 later allocations, which `Tretry ×
+/// Nretry` bounds in practice — moves to the back as it is passed, as if
+/// published again, so the order of distances always holds.
 #[derive(Clone, Debug)]
 pub(crate) struct SendWindow<T> {
     next_id: u16,
-    slots: HashMap<u16, Slot<T>>,
+    slots: VecDeque<Slot<T>>,
 }
 
 impl<T> SendWindow<T> {
     pub(crate) fn new() -> Self {
         SendWindow {
             next_id: 1,
-            slots: HashMap::new(),
+            slots: VecDeque::new(),
         }
     }
 
@@ -161,6 +175,16 @@ impl<T> SendWindow<T> {
 
     // lint: zero-alloc-begin
 
+    /// Where the slot of `id` is, or where it would go: the deque is
+    /// ordered by how far forward of the allocator an id lies, `id -
+    /// next_id` wrapping, which is least for the oldest.
+    fn search(&self, id: u16) -> Result<usize, usize> {
+        let next_id = self.next_id;
+        let distance = |id: u16| id.wrapping_sub(next_id);
+        self.slots
+            .binary_search_by_key(&distance(id), |slot| distance(slot.id))
+    }
+
     /// Hands out the next free message id: sequential, wrapping past 65535
     /// to 1, skipping ids still in flight and any the caller says are
     /// `taken` by transactions of its own that share the id space.
@@ -171,69 +195,73 @@ impl<T> SendWindow<T> {
                 0 => 1,
                 next => next,
             };
-            if id != 0 && !self.slots.contains_key(&id) && !taken(id) {
+            // A live id at the allocator is the oldest, at the front;
+            // passing it makes it the farthest behind, so it goes last.
+            if self.slots.front().is_some_and(|slot| slot.id == id) {
+                self.slots.rotate_left(1);
+            } else if id != 0 && !taken(id) {
                 return id;
             }
         }
     }
 
-    /// Starts tracking a QoS 1/2 message just sent under `id`.
+    /// Starts tracking a QoS 1/2 message just sent under `id`; one already
+    /// tracked under it is replaced.
     pub(crate) fn start(&mut self, id: u16, qos: QoS, topic: T, payload: Vec<u8>, now: Nanos) {
-        // lint:allow(zero-alloc): a slot per message in flight, which the window caps; no counting test streams through a device's window
-        self.slots.insert(
+        let slot = Slot {
             id,
-            Slot {
-                topic,
-                payload,
-                awaiting: Ack::first(qos),
-                last_sent: now,
-                retries: 0,
-            },
-        );
+            topic,
+            payload,
+            awaiting: Ack::first(qos),
+            last_sent: now,
+            retries: 0,
+        };
+        // Just allocated, `id` is the newest: the back.
+        match self.search(id) {
+            Ok(at) => self.slots[at] = slot,
+            Err(at) => self.slots.insert(at, slot),
+        }
     }
 
     /// Applies an acknowledgement through [`step`]. Returns the message's
     /// payload buffer when this ack completed its handshake.
     pub(crate) fn on_ack(&mut self, id: u16, ack: Ack, now: Nanos) -> Option<Vec<u8>> {
-        // lint:allow(zero-alloc): an occupied entry is read, never inserted
-        let Entry::Occupied(mut slot) = self.slots.entry(id) else {
-            return None;
-        };
-        match step(slot.get().awaiting, ack) {
+        let at = self.search(id).ok()?;
+        let slot = self.slots.get_mut(at)?;
+        match step(slot.awaiting, ack) {
             Step::Await(next) => {
-                let slot = slot.get_mut();
                 slot.awaiting = next;
                 slot.last_sent = now;
                 slot.retries = 0;
                 None
             }
-            Step::Done => Some(slot.remove().payload),
+            Step::Done => self.slots.remove(at).map(|slot| slot.payload),
             Step::Ignored => None,
         }
     }
 
     /// Stops tracking a message the peer refused, whatever its phase.
     pub(crate) fn abandon(&mut self, id: u16) -> Option<Vec<u8>> {
-        self.slots.remove(&id).map(|slot| slot.payload)
+        let at = self.search(id).ok()?;
+        self.slots.remove(at).map(|slot| slot.payload)
     }
 
     /// Gives one message a fresh retry budget counted from `now`, for a
     /// caller about to send it again on a resumed session.
     pub(crate) fn rearm(&mut self, id: u16, now: Nanos) -> Option<&mut Slot<T>> {
-        let slot = self.slots.get_mut(&id)?;
+        let at = self.search(id).ok()?;
+        let slot = self.slots.get_mut(at)?;
         slot.last_sent = now;
         slot.retries = 0;
         Some(slot)
     }
-
-    // lint: zero-alloc-end
 
     /// Rebases every send time to zero: for an owner whose clock
     /// restarted, or — with `fresh_budget`, which also forgets the retries
     /// spent — for a peer that came back at a new address and should see
     /// everything again on the next [`SendWindow::due`] pass.
     pub(crate) fn reset_clock(&mut self, fresh_budget: bool) {
-        for slot in self.slots.values_mut() {
+        for slot in self.slots.iter_mut() {
             slot.last_sent = 0;
             if fresh_budget {
                 slot.retries = 0;
@@ -241,36 +269,17 @@ impl<T> SendWindow<T> {
         }
     }
 
-    /// Ids of the messages matching `filter`, oldest publish first. The
-    /// order is read off the ids themselves: they are allocated
-    /// sequentially, so the distance from an id forward to the allocator
-    /// shrinks with every later publish, across the `u16` wrap, and no
-    /// publish counter has to be stored or persisted. (It holds while a
-    /// message is outlived by fewer than 65535 later allocations, which
-    /// `Tretry × Nretry` bounds.)
-    pub(crate) fn ids_in_order(&self, filter: impl Fn(&Slot<T>) -> bool) -> Vec<u16> {
-        let mut ids: Vec<u16> = self
-            .slots
-            .iter()
-            .filter(|(_, slot)| filter(slot))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable_by_key(|id| id.wrapping_sub(self.next_id));
-        ids
-    }
-
     /// When the next [`SendWindow::due`] pass will find something: the
     /// oldest send time plus `retry_ns`. `None` with nothing in flight.
     pub(crate) fn next_due(&self, retry_ns: u64) -> Option<Nanos> {
-        let oldest = self.slots.values().map(|slot| slot.last_sent).min()?;
+        let oldest = self.slots.iter().map(|slot| slot.last_sent).min()?;
         Some(oldest.saturating_add(retry_ns))
     }
 
     /// The retransmit-or-expire pass: every message unacknowledged for
     /// `retry_ns` is either re-sent (retry counted, timer restarted) or,
     /// after `max_retries` re-sends, removed. `each` sees them oldest
-    /// publish first. The timers are read before anything is ordered, so a
-    /// pass that finds nothing due — nearly every one — allocates nothing.
+    /// publish first, as the deque holds them.
     pub(crate) fn due(
         &mut self,
         now: Nanos,
@@ -278,24 +287,39 @@ impl<T> SendWindow<T> {
         max_retries: u32,
         mut each: impl FnMut(u16, Due<'_, T>),
     ) {
-        for id in self.ids_in_order(|slot| now.saturating_sub(slot.last_sent) >= retry_ns) {
-            let Entry::Occupied(mut slot) = self.slots.entry(id) else {
-                continue;
-            };
-            if slot.get().retries >= max_retries {
-                each(id, Due::Expired(slot.remove()));
+        let mut at = 0;
+        while let Some(slot) = self.slots.get_mut(at) {
+            let id = slot.id;
+            if now.saturating_sub(slot.last_sent) < retry_ns {
+                at += 1;
+            } else if slot.retries >= max_retries {
+                if let Some(slot) = self.slots.remove(at) {
+                    each(id, Due::Expired(slot));
+                }
             } else {
-                let slot = slot.get_mut();
                 slot.retries += 1;
                 slot.last_sent = now;
                 each(id, Due::Resend(slot));
+                at += 1;
             }
         }
+    }
+
+    // lint: zero-alloc-end
+
+    /// Ids of the messages matching `filter`, oldest publish first, for an
+    /// owner that goes on to change the window (a resumed session's
+    /// remaps and refusals).
+    pub(crate) fn ids_in_order(&self, filter: impl Fn(&Slot<T>) -> bool) -> Vec<u16> {
+        let slots = self.slots.iter().filter(|slot| filter(slot));
+        slots.map(|slot| slot.id).collect()
     }
 
     #[cfg(test)]
     pub(crate) fn set_next_id(&mut self, id: u16) {
         self.next_id = id;
+        let slots = self.slots.make_contiguous();
+        slots.sort_unstable_by_key(|slot| slot.id.wrapping_sub(id));
     }
 }
 
@@ -303,13 +327,13 @@ impl<T> SendWindow<T> {
 /// The allocator position travels separately: the session layout stores
 /// it ahead of the buffered messages.
 impl SendWindow<u16> {
+    /// The slots by ascending id: the ids at or past the allocator are the
+    /// front of the deque, the ones before it the back.
     pub(crate) fn encode_slots(&self, out: &mut Vec<u8>) {
-        let mut ids: Vec<u16> = self.slots.keys().copied().collect();
-        ids.sort_unstable();
-        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
-            let slot = &self.slots[&id];
-            out.extend_from_slice(&id.to_le_bytes());
+        let wrap = self.slots.partition_point(|slot| slot.id >= self.next_id);
+        out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
+        for slot in self.slots.range(wrap..).chain(self.slots.range(..wrap)) {
+            out.extend_from_slice(&slot.id.to_le_bytes());
             out.extend_from_slice(&slot.topic.to_le_bytes());
             out.extend_from_slice(&slot.awaiting.to_bytes());
             out.extend_from_slice(&slot.last_sent.to_le_bytes());
@@ -319,20 +343,29 @@ impl SendWindow<u16> {
     }
 
     pub(crate) fn decode_slots(next_id: u16, r: &mut Reader<'_>) -> Result<Self, &'static str> {
-        let mut slots = HashMap::new();
+        let mut slots = Vec::new();
         for _ in 0..r.u32()? {
-            let id = r.u16()?;
             // Fields read in stream order.
-            let slot = Slot {
+            slots.push(Slot {
+                id: r.u16()?,
                 topic: r.u16()?,
                 awaiting: Ack::from_bytes([r.u8()?, r.u8()?])?,
                 last_sent: r.u64()?,
                 retries: r.u32()?,
                 payload: r.bytes()?,
-            };
-            slots.insert(id, slot);
+            });
         }
-        Ok(SendWindow { next_id, slots })
+        slots.sort_unstable_by_key(|slot| slot.id.wrapping_sub(next_id));
+        if slots.iter().any(|slot| slot.id == 0) {
+            return Err("message id 0 in flight");
+        }
+        if slots.windows(2).any(|pair| pair[0].id == pair[1].id) {
+            return Err("message id in flight twice");
+        }
+        Ok(SendWindow {
+            next_id,
+            slots: slots.into(),
+        })
     }
 }
 
@@ -488,6 +521,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::packet::{Packet, TopicRef};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     const ACKS: [Ack; 3] = [Ack::Puback, Ack::Pubrec, Ack::Pubcomp];
 
@@ -505,6 +539,75 @@ pub(crate) mod tests {
         assert_eq!(set.len(), 3);
     }
 
+    /// The slot tracked under `id`.
+    fn slot<T>(w: &SendWindow<T>, id: u16) -> &Slot<T> {
+        let at = w.search(id).expect("id in flight");
+        &w.slots[at]
+    }
+
+    /// What the window should hold for one id, in the model of
+    /// `prop_window_answers_as_a_map`: the order is a publish counter.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Modelled {
+        seq: u64,
+        awaiting: Ack,
+        last_sent: Nanos,
+        retries: u32,
+        payload: Vec<u8>,
+    }
+
+    /// A map of ids plus a publish counter: the send window as it is
+    /// specified, with nothing ordered by id. `movable` lists the live ids
+    /// a schedule may ack or refuse, in no particular order.
+    #[derive(Default)]
+    struct Model {
+        map: HashMap<u16, Modelled>,
+        movable: Vec<u16>,
+        next_id: u16,
+        published: u64,
+    }
+
+    impl Model {
+        /// The allocator as specified: sequential, 0 skipped, live and
+        /// taken ids skipped; a live id passed over counts as published
+        /// again.
+        fn alloc(&mut self, taken: &[u16]) -> u16 {
+            loop {
+                let id = self.next_id;
+                self.next_id = id.wrapping_add(1).max(1);
+                if let Some(lapped) = self.map.get_mut(&id) {
+                    lapped.seq = self.published;
+                    self.published += 1;
+                } else if id != 0 && !taken.contains(&id) {
+                    return id;
+                }
+            }
+        }
+
+        fn remove(&mut self, id: u16) -> Option<Modelled> {
+            if let Some(at) = self.movable.iter().position(|&m| m == id) {
+                self.movable.swap_remove(at);
+            }
+            self.map.remove(&id)
+        }
+
+        /// The live ids, oldest publish first.
+        fn in_order(&self) -> Vec<u16> {
+            let mut ids: Vec<(u64, u16)> = self.map.iter().map(|(&id, m)| (m.seq, id)).collect();
+            ids.sort_unstable();
+            ids.into_iter().map(|(_, id)| id).collect()
+        }
+    }
+
+    /// splitmix64: the schedule's own generator, so one seed replays it.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     /// A window holding message 7 in `phase`, one retry already spent at
     /// t = 10 so a restarted timer is distinguishable from an ignored ack.
     fn window_in(phase: Ack) -> SendWindow<()> {
@@ -519,7 +622,7 @@ pub(crate) mod tests {
             assert_eq!(w.on_ack(7, Ack::Pubrec, 0), None);
         }
         w.due(10, 10, 5, |_, due| assert!(matches!(due, Due::Resend(_))));
-        let slot = &w.slots[&7];
+        let slot = slot(&w, 7);
         assert_eq!(
             (slot.awaiting, slot.last_sent, slot.retries),
             (phase, 10, 1)
@@ -545,7 +648,7 @@ pub(crate) mod tests {
                 match left_in {
                     None => assert_eq!(w.len(), 0, "{case}"),
                     Some(phase) => {
-                        let slot = &w.slots[&7];
+                        let slot = slot(&w, 7);
                         let timer = if timer_restarts { (20, 0) } else { (10, 1) };
                         assert_eq!(slot.awaiting, phase, "{case}");
                         assert_eq!((slot.last_sent, slot.retries), timer, "{case}");
@@ -652,6 +755,164 @@ pub(crate) mod tests {
                     prop_assert!(!receiver.first_receipt(late), "late copy of {} delivered", late);
                     completed.pop_front();
                 }
+            }
+        }
+
+        /// The window against a `HashMap<u16, _>` and a publish counter,
+        /// from empty through a full lap of the `u16` ids: random
+        /// schedules of allocation (for publishes and for control
+        /// transactions that hold ids of their own), acks in every phase,
+        /// stale and hostile acks, refusals, re-arms, timer passes and
+        /// clock resets. The first `sticky` publishes are only ever
+        /// re-armed, so the allocator laps them. Every slot matches the
+        /// model; `due` and `ids_in_order` go oldest publish first; no id
+        /// is handed out while it is live or taken.
+        #[test]
+        fn prop_window_answers_as_a_map(
+            seed in any::<u64>(),
+            cap in 1usize..=64,
+            sticky in 0usize..=3,
+            retry_ns in 16u64..=256,
+            max_retries in 0u32..=4,
+        ) {
+            let mut rng = seed;
+            let mut w: SendWindow<u16> = SendWindow::new();
+            let mut model = Model { next_id: 1, ..Model::default() };
+            let mut taken: Vec<u16> = Vec::new();
+            let mut sticky_ids: Vec<u16> = Vec::new();
+            let mut allocated = 0usize;
+            let mut now: Nanos = 0;
+            while allocated < usize::from(u16::MAX) + 2 * cap {
+                now += 1;
+                let r = next(&mut rng);
+                // A live id other than a sticky one, or a stale or hostile id.
+                let target = match model.movable.len() {
+                    n if n > 0 && r >> 60 != 0 => model.movable[(r >> 8) as usize % n],
+                    _ => Some((r >> 8) as u16)
+                        .filter(|id| !sticky_ids.contains(id))
+                        .unwrap_or(0),
+                };
+                match r % 8 {
+                    0..=3 if model.map.len() < cap + sticky => {
+                        let id = w.alloc_msg_id(|id| taken.contains(&id));
+                        prop_assert_eq!(id, model.alloc(&taken));
+                        prop_assert!(id != 0 && !taken.contains(&id) && !model.map.contains_key(&id));
+                        let qos = if r & 16 == 0 { QoS::AtLeastOnce } else { QoS::ExactlyOnce };
+                        let payload = model.published.to_le_bytes().to_vec();
+                        w.start(id, qos, id ^ 0x5555, payload.clone(), now);
+                        model.map.insert(id, Modelled {
+                            seq: model.published,
+                            awaiting: Ack::first(qos),
+                            last_sent: now,
+                            retries: 0,
+                            payload,
+                        });
+                        model.published += 1;
+                        allocated += 1;
+                        if sticky_ids.len() < sticky {
+                            sticky_ids.push(id);
+                        } else {
+                            model.movable.push(id);
+                        }
+                    }
+                    0..=4 => {
+                        let ack = ACKS[(r >> 32) as usize % 3];
+                        let done = match model.map.get_mut(&target).map(|m| step(m.awaiting, ack)) {
+                            Some(Step::Await(phase)) => {
+                                let m = model.map.get_mut(&target).unwrap();
+                                (m.awaiting, m.last_sent, m.retries) = (phase, now, 0);
+                                None
+                            }
+                            Some(Step::Done) => model.remove(target).map(|m| m.payload),
+                            Some(Step::Ignored) | None => None,
+                        };
+                        prop_assert_eq!(w.on_ack(target, ack, now), done);
+                    }
+                    5 if r & 32 == 0 => {
+                        let refused = model.remove(target).map(|m| m.payload);
+                        prop_assert_eq!(w.abandon(target), refused);
+                    }
+                    5 => {
+                        let rearmed = w.rearm(target, now).map(|slot| slot.id);
+                        let modelled = model.map.get_mut(&target).map(|m| {
+                            (m.last_sent, m.retries) = (now, 0);
+                            target
+                        });
+                        prop_assert_eq!(rearmed, modelled);
+                    }
+                    6 => {
+                        for &id in &sticky_ids {
+                            w.rearm(id, now);
+                            if let Some(m) = model.map.get_mut(&id) {
+                                (m.last_sent, m.retries) = (now, 0);
+                            }
+                        }
+                        let mut seen = Vec::new();
+                        w.due(now, retry_ns, max_retries, |id, due| seen.push(match due {
+                            Due::Resend(slot) => (id, slot.republish_qos(), true),
+                            Due::Expired(slot) => (id, slot.republish_qos(), false),
+                        }));
+                        let mut expected = Vec::new();
+                        for id in model.in_order() {
+                            let m = model.map.get_mut(&id).unwrap();
+                            if now - m.last_sent < retry_ns {
+                                continue;
+                            }
+                            let qos = match m.awaiting {
+                                Ack::Puback => Some(QoS::AtLeastOnce),
+                                Ack::Pubrec => Some(QoS::ExactlyOnce),
+                                Ack::Pubcomp => None,
+                            };
+                            let resent = m.retries < max_retries;
+                            if resent {
+                                (m.last_sent, m.retries) = (now, m.retries + 1);
+                            } else {
+                                model.remove(id);
+                            }
+                            expected.push((id, qos, resent));
+                        }
+                        prop_assert_eq!(seen, expected);
+                    }
+                    7 if r & 32 == 0 && taken.len() < 4 => {
+                        let id = w.alloc_msg_id(|id| taken.contains(&id));
+                        prop_assert_eq!(id, model.alloc(&taken));
+                        prop_assert!(id != 0 && !taken.contains(&id) && !model.map.contains_key(&id));
+                        taken.push(id);
+                        allocated += 1;
+                    }
+                    7 if r & 32 == 0 => {
+                        taken.swap_remove((r >> 8) as usize % taken.len());
+                    }
+                    _ if r & 0x3f00 == 0 => {
+                        // The owner's clock restarted.
+                        let fresh_budget = r & 64 == 0;
+                        w.reset_clock(fresh_budget);
+                        for m in model.map.values_mut() {
+                            m.last_sent = 0;
+                            if fresh_budget {
+                                m.retries = 0;
+                            }
+                        }
+                        now = 1;
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(w.len(), model.map.len());
+                if r.is_multiple_of(64) {
+                    let ids = model.in_order();
+                    prop_assert_eq!(w.ids_in_order(|_| true), ids.clone());
+                    for (slot, id) in w.slots.iter().zip(&ids) {
+                        let m = &model.map[id];
+                        prop_assert_eq!(
+                            (slot.id, slot.topic, slot.awaiting, slot.last_sent, slot.retries, &slot.payload),
+                            (*id, id ^ 0x5555, m.awaiting, m.last_sent, m.retries, &m.payload)
+                        );
+                    }
+                }
+            }
+            // Every sticky slot was outlived by a full lap and is still found.
+            for id in sticky_ids {
+                prop_assert_eq!(slot(&w, id).id, id);
             }
         }
     }

@@ -793,10 +793,108 @@ fn streaming_holds_allocations(iterations: u64) -> usize {
     allocs
 }
 
+/// A device `Client` streaming QoS 2 on virtual time, one publish a
+/// millisecond with the capture default window of 256, its gateway's
+/// answers coming back in batches one `ACK_HOLD` late: at each batch the
+/// PUBCOMPs of the PUBRELs the batch before sent, then the PUBRECs of the
+/// publishes since. Fresh clients, so that a growth depending on a hash
+/// seed shows in nearly every run: each must spend exactly three
+/// allocations a message, the `Vec<Output>`s its publish, its PUBREL and
+/// its `PublishDone` come back in, and nothing in the send window.
+#[test]
+fn a_streaming_device_client_allocates_only_its_outputs() {
+    const CLIENTS: usize = 64;
+    let messages = 10 * ACK_HOLD_MS;
+    let missing: Vec<usize> = (0..CLIENTS)
+        .map(|_| device_client_allocations(messages))
+        .filter(|&allocs| allocs != 3 * messages as usize)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{} of {CLIENTS} clients spent other than {} allocations on {messages} messages: \
+         {missing:?}",
+        missing.len(),
+        3 * messages
+    );
+}
+
+/// `ACK_HOLD` in publishes of [`device_client_allocations`]' stream.
+const ACK_HOLD_MS: u64 = provlight::mqtt_sn::hold::ACK_HOLD / 1_000_000;
+
+/// Streams `messages` QoS 2 publishes, a whole number of holds, through a
+/// fresh device client warmed by four holds of the same stream, and
+/// returns the allocations the stream made. Payloads come from a stock
+/// built beforehand, as a caller's encoder would hand them over.
+fn device_client_allocations(messages: u64) -> usize {
+    use provlight::mqtt_sn::client::Output;
+    use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
+    use provlight::mqtt_sn::{Client, ClientConfig, ClientEvent, ReturnCode};
+
+    let mut client = Client::new(ClientConfig {
+        max_inflight: 256,
+        ..ClientConfig::new("dev")
+    });
+    client.connect(0);
+    let accepted = Packet::ConnAck {
+        code: ReturnCode::Accepted,
+    };
+    client.on_datagram(&accepted.encode(), 0).unwrap();
+    let warm = 4 * ACK_HOLD_MS;
+    let mut stock: Vec<Vec<u8>> = (0..warm + messages).map(|_| vec![0x5c; 100]).collect();
+    let hold = ACK_HOLD_MS as usize;
+    let (mut published, mut released) = (Vec::with_capacity(hold), Vec::with_capacity(hold));
+    let mut wire = Vec::with_capacity(16);
+    let ms = 1_000_000u64;
+
+    let mut before = 0;
+    for i in 0..warm + messages {
+        if i == warm {
+            before = allocations();
+        }
+        let now = i * ms;
+        let payload = stock.pop().unwrap();
+        let (id, outputs) = client
+            .publish(TopicRef::Id(1), payload, QoS::ExactlyOnce, now)
+            .unwrap();
+        for output in outputs {
+            if let Output::Send(Packet::Publish { payload, .. }) = output {
+                client.reclaim_payload(payload);
+            }
+        }
+        published.push(id);
+        assert!(client.on_tick(now).is_empty());
+        if !(i + 1).is_multiple_of(ACK_HOLD_MS) {
+            continue;
+        }
+        for id in released.drain(..) {
+            wire.clear();
+            Packet::PubComp { msg_id: id }.encode_into(&mut wire);
+            let outputs = client.on_datagram(&wire, now).unwrap();
+            assert!(matches!(
+                &outputs[..],
+                [Output::Event(ClientEvent::PublishDone { msg_id })] if *msg_id == id
+            ));
+        }
+        for id in published.drain(..) {
+            wire.clear();
+            Packet::PubRec { msg_id: id }.encode_into(&mut wire);
+            let outputs = client.on_datagram(&wire, now).unwrap();
+            assert!(matches!(
+                &outputs[..],
+                [Output::Send(Packet::PubRel { msg_id })] if *msg_id == id
+            ));
+            released.push(id);
+        }
+    }
+    let allocs = allocations() - before;
+    assert_eq!(client.inflight_len(), hold);
+    allocs
+}
+
 /// A timer pass that finds nothing due — nearly every one either end ever
-/// makes — with the in-flight window full: `SendWindow::due` reads the
-/// timers before it orders any id, so the device's and the gateway's tick
-/// both perform **zero** heap allocations.
+/// makes — with the in-flight window full: `SendWindow::due` walks the
+/// slots in place, in the order they are kept, so the device's and the
+/// gateway's tick both perform **zero** heap allocations.
 #[test]
 fn tick_with_a_full_window_and_nothing_due_allocates_zero() {
     use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
