@@ -131,6 +131,14 @@ pub mod bench_json {
         }
     }
 
+    /// `(key, raw value text)` of every top-level entry, in file order;
+    /// empty when `content` is not a JSON object.
+    pub fn sections(content: &str) -> Vec<(String, &str)> {
+        let entries = top_level_entries(content).unwrap_or_default();
+        let text = |(key, range): (String, Range<usize>)| (key, &content[range]);
+        entries.into_iter().map(text).collect()
+    }
+
     /// The raw value text of a top-level key, if present.
     pub fn extract_section(content: &str, key: &str) -> Option<String> {
         top_level_entries(content)?
@@ -220,10 +228,10 @@ pub mod bench_json {
 /// capture speedup ≥ 2× among them — but until this module CI only
 /// `cat`ed the file, so a regression would merge silently.
 /// [`gate::check`] parses the tracked JSON and reports every violated (or
-/// missing) metric; the `provlight-bench-check` binary wraps it with a
-/// non-zero exit for CI.
+/// missing) metric, and every gate-worthy metric with no floor; the
+/// `provlight-bench-check` binary wraps it with a non-zero exit for CI.
 pub mod gate {
-    use super::bench_json::extract_section;
+    use super::bench_json::{extract_section, sections};
 
     /// One enforced perf floor.
     #[derive(Clone, Debug, PartialEq)]
@@ -237,8 +245,8 @@ pub mod gate {
     }
 
     /// The standing floors. Future perf PRs extend this list alongside the
-    /// metrics they add to the tracked file; `provlight-lint`'s drift rule
-    /// cross-checks it against the tracked bench sections.
+    /// metrics they add to the tracked file: [`check`] fails on a
+    /// gate-worthy metric ([`GATED_PREFIXES`]) that has no entry here.
     pub const FLOORS: &[(&[&str], f64)] = &[
         (&["speedup_coalesced_vs_immediate"], 2.0),
         (&["broker", "speedup_broker_batched_vs_per_packet"], 2.0),
@@ -250,6 +258,29 @@ pub mod gate {
         (&["query", "ratio_ingest_under_query"], 0.2),
     ];
 
+    /// Key prefixes that make a numeric bench metric gate-worthy, at any
+    /// depth of the file: a regression in one must not go ungated.
+    pub const GATED_PREFIXES: &[&str] = &["speedup_", "scaling_", "qps_", "ratio_"];
+
+    /// Appends the dotted path of every gate-worthy numeric metric in the
+    /// JSON object `content`, whose own path is `parents`, walking its
+    /// nested sections.
+    fn gated_metrics(content: &str, parents: &mut Vec<String>, out: &mut Vec<String>) {
+        for (key, value) in sections(content) {
+            if value.starts_with('{') {
+                parents.push(key);
+                gated_metrics(value, parents, out);
+                parents.pop();
+            } else if GATED_PREFIXES.iter().any(|p| key.starts_with(p))
+                && value.parse::<f64>().is_ok()
+            {
+                let mut path = parents.clone();
+                path.push(key);
+                out.push(path.join("."));
+            }
+        }
+    }
+
     /// Resolves a dotted metric path to a number inside the JSON text.
     fn number(content: &str, path: &[&str]) -> Option<f64> {
         let mut section = content.to_owned();
@@ -260,11 +291,21 @@ pub mod gate {
         extract_section(&section, last)?.trim().parse().ok()
     }
 
-    /// Checks every floor. `Ok` carries the passing gates for reporting;
-    /// `Err` carries one message per violated or missing metric.
+    /// Checks every floor, and that every gate-worthy metric has one.
+    /// `Ok` carries the passing gates for reporting; `Err` carries one
+    /// message per violated, missing or unfloored metric.
     pub fn check(content: &str) -> Result<Vec<Gate>, Vec<String>> {
         let mut gates = Vec::new();
         let mut failures = Vec::new();
+        let mut gated = Vec::new();
+        gated_metrics(content, &mut Vec::new(), &mut gated);
+        for metric in gated {
+            if !FLOORS.iter().any(|(path, _)| path.join(".") == metric) {
+                failures.push(format!(
+                    "{metric} has no floor in FLOORS: a regression would go ungated"
+                ));
+            }
+        }
         for (path, min) in FLOORS {
             let metric = path.join(".");
             match number(content, path) {
@@ -336,6 +377,30 @@ pub mod gate {
             let failures = check(&doc(2.19, 3.12, 14.0, 0.1)).expect_err("regression must fail");
             assert_eq!(failures.len(), 1);
             assert!(failures[0].contains("query.ratio_ingest_under_query"));
+        }
+
+        /// A gate-worthy metric the floors do not name fails the gate, at
+        /// the top level and in a nested section alike; a numeric key
+        /// under another name, or a gate-worthy name holding text, does
+        /// not.
+        #[test]
+        fn a_metric_without_a_floor_fails() {
+            let healthy = doc(2.19, 3.12, 14.0, 0.55);
+            let body = healthy.trim_end().trim_end_matches('}');
+            let extra = format!(
+                "{body},\n  \"speedup_orphaned\": 1.5,\n  \"ingest\": {{\n    \
+                 \"scaling_threads\": 3.0,\n    \"deep\": {{ \"ratio_x\": 0.5 }},\n    \
+                 \"rows_per_s\": 9.0,\n    \"qps_note\": \"text\"\n  }}\n}}\n"
+            );
+            let failures = check(&extra).expect_err("unfloored metrics must fail");
+            assert_eq!(
+                failures,
+                vec![
+                    "speedup_orphaned has no floor in FLOORS: a regression would go ungated",
+                    "ingest.scaling_threads has no floor in FLOORS: a regression would go ungated",
+                    "ingest.deep.ratio_x has no floor in FLOORS: a regression would go ungated",
+                ]
+            );
         }
 
         #[test]

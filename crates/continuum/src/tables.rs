@@ -350,10 +350,10 @@ pub fn ablation(reps: usize) -> Vec<(String, crate::experiment::ScenarioResult)>
     json_model.binary = false;
 
     let mut qos0 = base.clone();
-    qos0.capture.qos = QoS::AtMostOnce;
+    qos0.qos = QoS::AtMostOnce;
 
     let mut qos1 = base.clone();
-    qos1.capture.qos = QoS::AtLeastOnce;
+    qos1.qos = QoS::AtLeastOnce;
 
     let mut grouped = base.clone();
     grouped.capture.group = GroupPolicy::Grouped { size: 50 };
@@ -507,7 +507,6 @@ pub fn resilience() -> ResilienceResult {
         "provlight/resilience/pub",
         CaptureConfig {
             group: GroupPolicy::Immediate,
-            qos: QoS::ExactlyOnce,
             max_payload: 1,
             max_inflight: 1,
             keep_alive: Duration::from_millis(200),

@@ -1,6 +1,5 @@
 //! Client-side capture configuration.
 
-use mqtt_sn::QoS;
 use std::time::Duration;
 
 /// When the client transmits buffered records (paper §IV-C "data capture
@@ -63,15 +62,17 @@ impl Eq for LinkFault {}
 
 /// Capture pipeline configuration.
 ///
+/// A device publishes at QoS 2, exactly once, as in the paper; there is no
+/// QoS option. The model's QoS 0 and QoS 1 ablation rows are set in
+/// [`ProvLightSimConfig::qos`](crate::sim::ProvLightSimConfig::qos).
+///
 /// Not `Copy` since the durability extension: [`CaptureConfig::spill_dir`]
 /// owns a path. Clone it where the old code copied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaptureConfig {
     /// Grouping policy.
     pub group: GroupPolicy,
-    /// Publish QoS. The paper uses QoS 2 (exactly once).
-    pub qos: QoS,
-    /// Maximum QoS 1/2 publishes awaiting completion.
+    /// Maximum publishes awaiting completion of their QoS 2 handshake.
     pub max_inflight: usize,
     /// Coalescing high-water mark: the transmitter drains every queued batch
     /// per wakeup and packs them into one envelope, cutting a new message
@@ -149,7 +150,6 @@ impl Default for CaptureConfig {
     fn default() -> Self {
         CaptureConfig {
             group: GroupPolicy::Immediate,
-            qos: QoS::ExactlyOnce,
             max_inflight: 256,
             max_payload: DEFAULT_MAX_PAYLOAD,
             buffer_max_records: DEFAULT_BUFFER_MAX_RECORDS,
@@ -175,8 +175,9 @@ mod tests {
     #[test]
     fn defaults_match_paper_configuration() {
         let c = CaptureConfig::default();
-        assert_eq!(c.qos, QoS::ExactlyOnce);
         assert_eq!(c.group, GroupPolicy::Immediate);
+        let model = crate::sim::ProvLightSimConfig::default();
+        assert_eq!(model.qos, mqtt_sn::QoS::ExactlyOnce);
     }
 
     #[test]

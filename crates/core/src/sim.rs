@@ -30,8 +30,11 @@ use std::time::Duration;
 /// (`Clone`-only since [`CaptureConfig`] grew an owned spill path.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProvLightSimConfig {
-    /// Capture pipeline options (grouping, QoS, in-flight window).
+    /// Capture pipeline options (grouping, in-flight window).
     pub capture: CaptureConfig,
+    /// Publish QoS. The paper's, and a real device's only one, is QoS 2
+    /// (exactly once); QoS 0 and QoS 1 are the ablation's rows.
+    pub qos: QoS,
     /// Model the compact binary representation. `false` models JSON
     /// instead — the ablation for the paper's "simplified data model"
     /// claim (§VII-A: the model accounts for ≈1.7 pp capture-time and
@@ -52,6 +55,7 @@ impl Default for ProvLightSimConfig {
     fn default() -> Self {
         ProvLightSimConfig {
             capture: CaptureConfig::default(),
+            qos: QoS::ExactlyOnce,
             binary: true,
             compression: true,
             broker_service: calib::BROKER_PACKET_CPU,
@@ -160,7 +164,7 @@ impl SimProvLight {
         // `Copy`).
         let (send_buffer, binary, compression) =
             (self.cfg.send_buffer, self.cfg.binary, self.cfg.compression);
-        let (max_inflight, qos) = (self.cfg.capture.max_inflight, self.cfg.capture.qos);
+        let (max_inflight, qos) = (self.cfg.capture.max_inflight, self.cfg.qos);
 
         // Per-message publish CPU on the workflow thread.
         let publish_cpu = ctx
@@ -359,9 +363,10 @@ mod tests {
 
     #[test]
     fn qos0_skips_handshake_traffic() {
-        let mut cfg = ProvLightSimConfig::default();
-        cfg.capture.qos = QoS::AtMostOnce;
-        let mut d = SimProvLight::new(cfg);
+        let mut d = SimProvLight::new(ProvLightSimConfig {
+            qos: QoS::AtMostOnce,
+            ..ProvLightSimConfig::default()
+        });
         let (o, _) = run(&mut d, 10, 0.5, LinkSpec::gigabit_23ms());
         assert_eq!(o.downlink.packets, 0);
         assert_eq!(o.uplink.packets, d.messages_sent);

@@ -4,8 +4,9 @@
 //! key design choice. The transmitter owns a background thread with an
 //! MQTT-SN client over UDP; the instrumentation thread only moves records
 //! into a channel. The thread keeps the connection open across messages
-//! (connection reuse, §VII-A), publishes with the configured QoS, and
-//! drives retransmissions.
+//! (connection reuse, §VII-A), publishes at QoS 2 (exactly once, the
+//! paper's QoS and the only one a device uses), and drives
+//! retransmissions.
 //!
 //! ## Coalescing and buffer reuse
 //!
@@ -34,7 +35,17 @@
 //! spill log when [`CaptureConfig::spill_dir`] is set, and is dropped with
 //! exact accounting when it is not. On reconnect the MQTT-SN session
 //! resumes — topic re-registration, DUP retransmission of in-flight
-//! publishes — and the backlog replays in original order. [`TransmitterStats`]
+//! publishes — and the backlog replays in original order.
+//!
+//! Each outcome of a publish travels one way. A completed handshake
+//! settles it. A publish that fails (retries exhausted) or is rejected
+//! leaves the client's window with its payload in the event, unless its
+//! PUBREC proved the gateway holds it, and the payload goes back to the
+//! backlog's front in publish order. A congestion rejection then paces the
+//! link; a retry exhaustion, or a rejection from a gateway that no longer
+//! knows the device (`InvalidTopicId`: it restarted without its state),
+//! marks the link down, and the one way back is the reconnect above, whose
+//! CONNECT opens the session the gateway forgot. [`TransmitterStats`]
 //! surfaces the whole story (reconnects, buffered high-water mark, drops,
 //! publish failures), mirroring `ProvenanceManager::server_stats()` on the
 //! capture side.
@@ -43,7 +54,7 @@ use crate::api::CaptureError;
 use crate::config::CaptureConfig;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mqtt_sn::net::UdpClient;
-use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, ReturnCode};
+use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, QoS, ReturnCode};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
 use prov_model::Record;
@@ -262,8 +273,8 @@ impl Fifo {
 /// the pacing window is shut, replayed in capture order.
 ///
 /// Oldest first: envelopes put back at the front (a replay that failed
-/// mid-way, dead-lettered in-flight publishes), then the spill log when
-/// [`CaptureConfig::spill_dir`] is set, then RAM. New envelopes enter
+/// mid-way, in-flight publishes the client handed back), then the spill
+/// log when [`CaptureConfig::spill_dir`] is set, then RAM. New envelopes enter
 /// RAM's tail under two caps, `buffer_max_records` and `buffer_max_bytes`.
 /// Overflow leaves RAM oldest first (edge provenance favours the recent
 /// tail of a run over the head an operator can often re-derive) for the
@@ -388,9 +399,9 @@ impl Backlog {
     /// At shutdown, spills the front and RAM: with a log they persist for
     /// the next process to recover, without one they are counted dropped.
     /// The front reaches the log's tail although it is the oldest, so when
-    /// the log already holds frames (in-flight publishes dead-lettered
-    /// while newer capture was spilling, or a replay interrupted mid-way)
-    /// the next process replays the front after them. The reordering is
+    /// the log already holds frames (in-flight publishes handed back while
+    /// newer capture was spilling, or a replay interrupted mid-way) the
+    /// next process replays the front after them. The reordering is
     /// bounded by the in-flight window; delivery still happens once.
     fn close(&mut self) {
         while let Some((p, n)) = self.front.pop_front() {
@@ -634,13 +645,10 @@ struct Link {
     connected: bool,
     backoff: Duration,
     next_attempt: Instant,
-    /// Broker forgot our registration (PUBACK `InvalidTopicId`): re-register
-    /// on the next service pass instead of full reconnection.
-    reregister: bool,
     buffer: Backlog,
     /// Record count per in-flight message id, in publish order as the
-    /// client's send window holds them, so payloads recovered from the
-    /// dead-letter queue keep accurate drop/replay accounting.
+    /// client's send window holds them, so payloads the client hands back
+    /// keep accurate drop/replay accounting and return in publish order.
     inflight_records: VecDeque<(u16, usize)>,
     /// Backoff jitter source (see [`RECONNECT_JITTER`]).
     rng: StdRng,
@@ -672,7 +680,6 @@ impl Link {
                 .reconnect_initial_backoff
                 .max(Duration::from_millis(1)),
             next_attempt: Instant::now(),
-            reregister: false,
             buffer,
             inflight_records: VecDeque::new(),
             rng: StdRng::seed_from_u64(entropy_seed()),
@@ -762,73 +769,82 @@ impl Link {
             .store(self.buffer.wal_drops(), Ordering::Relaxed);
     }
 
-    /// Consumes queued client events and recovers dead-lettered payloads
-    /// into the buffer (at the *front*: they are older than anything
-    /// buffered since).
+    /// Consumes queued client events in one pass. Each message that left
+    /// the client's window settles once: at once, or, when its event hands
+    /// its payload back, as that payload returns to the backlog's front
+    /// ([`Link::put_back`]): it is older than anything buffered since.
     fn absorb_events(&mut self) {
-        let mut failed: Vec<u16> = Vec::new();
+        let mut back: Vec<(u16, Vec<u8>)> = Vec::new();
         while let Some(event) = self.client.pop_event() {
-            match event {
-                ClientEvent::PublishDone { msg_id } => {
-                    self.settle(msg_id);
+            let (msg_id, payload) = match event {
+                ClientEvent::PublishDone { msg_id } => (msg_id, None),
+                ClientEvent::PublishRejected {
+                    msg_id,
+                    code: ReturnCode::Congestion,
+                    payload,
+                } => {
+                    // Hard backpressure: the broker refused the publish to
+                    // shed load; it goes back for paced replay.
+                    self.note_congestion(2);
+                    self.arm_pace();
+                    (msg_id, payload)
                 }
-                ClientEvent::PublishFailed { msg_id } => {
-                    // Retry exhaustion: the link is gone; recoverable
-                    // payloads come back through the dead-letter queue
-                    // below (QoS 2 exchanges past their PUBREC do not —
-                    // the broker already owns those messages).
+                ClientEvent::PublishFailed { msg_id, payload }
+                | ClientEvent::PublishRejected {
+                    msg_id, payload, ..
+                } => {
+                    // Retries exhausted, or a gateway that no longer knows
+                    // our session (it restarted without its state): the way
+                    // back is a reconnect, whose CONNECT opens a session.
                     self.stats.publish_failures.fetch_add(1, Ordering::Relaxed);
                     self.mark_disconnected();
-                    failed.push(msg_id);
-                }
-                ClientEvent::PublishRejected { msg_id, code } => {
-                    if code == ReturnCode::Congestion {
-                        // Hard backpressure: the broker refused the publish
-                        // to shed load, and the payload comes back through
-                        // the dead-letter queue below for paced replay.
-                        // Flow control, not a lost registration — never
-                        // re-register for it.
-                        self.note_congestion(2);
-                        self.arm_pace();
-                    } else {
-                        // Broker lost our registration (e.g. restarted
-                        // without persistence): recover via
-                        // re-registration, no need for a full reconnect.
-                        self.stats.publish_failures.fetch_add(1, Ordering::Relaxed);
-                        self.reregister = true;
-                    }
-                    failed.push(msg_id);
+                    (msg_id, payload)
                 }
                 ClientEvent::Congestion { level } => {
                     self.note_congestion(level);
+                    continue;
                 }
                 ClientEvent::PingTimeout | ClientEvent::Disconnected => {
                     self.mark_disconnected();
+                    continue;
                 }
-                _ => {}
+                _ => continue,
+            };
+            match payload {
+                Some(payload) => back.push((msg_id, payload)),
+                None => self.settle(msg_id),
             }
         }
-        let dead = self.client.take_dead_letters();
-        for (msg_id, payload) in dead.into_iter().rev() {
-            let records = self.settle(msg_id).unwrap_or(1);
-            self.buffer.push_front(payload, records);
-        }
-        // Failed ids without a dead letter (delivered-but-unacknowledged
-        // QoS 2) are settled; drop their accounting entries.
-        for msg_id in failed {
-            self.settle(msg_id);
+        if !back.is_empty() {
+            self.put_back(back);
         }
     }
 
     /// Drops the accounting entry of a message that left the client's
-    /// window, returning its record count. Messages mostly settle in
-    /// publish order, so the search ends at the front.
-    fn settle(&mut self, msg_id: u16) -> Option<usize> {
-        let at = self
+    /// window. Messages mostly settle in publish order, so the search ends
+    /// at the front.
+    fn settle(&mut self, msg_id: u16) {
+        if let Some(at) = self
             .inflight_records
             .iter()
-            .position(|&(id, _)| id == msg_id)?;
-        self.inflight_records.remove(at).map(|(_, records)| records)
+            .position(|&(id, _)| id == msg_id)
+        {
+            self.inflight_records.remove(at);
+        }
+    }
+
+    /// Settles the messages whose payloads the client handed back and puts
+    /// each payload at the backlog's front with its record count, newest
+    /// first, so the front ends in publish order.
+    fn put_back(&mut self, mut back: Vec<(u16, Vec<u8>)>) {
+        for at in (0..self.inflight_records.len()).rev() {
+            let (id, records) = self.inflight_records[at];
+            if let Some(i) = back.iter().position(|&(msg_id, _)| msg_id == id) {
+                let (_, payload) = back.swap_remove(i);
+                self.inflight_records.remove(at);
+                self.buffer.push_front(payload, records);
+            }
+        }
     }
 
     /// One maintenance pass that waits on the socket: while connected,
@@ -849,25 +865,14 @@ impl Link {
     }
 
     /// Runs `io` on the client when connected (or attempts a due
-    /// reconnection when not), folds in events and dead letters, handles
-    /// deferred re-registration, replays what the pacing window allows, and
-    /// refreshes the gauges.
+    /// reconnection when not), folds in events, replays what the pacing
+    /// window allows, and refreshes the gauges.
     fn maintain(&mut self, io: fn(&mut UdpClient) -> Result<(), NetError>) {
         if self.connected {
             if io(&mut self.client).is_err() {
                 self.mark_disconnected();
             }
             self.absorb_events();
-            if self.connected && self.reregister {
-                self.reregister = false;
-                match self.client.register(&self.topic, RECONNECT_ATTEMPT_TIMEOUT) {
-                    Ok(id) => {
-                        self.topic_id = id;
-                        self.replay();
-                    }
-                    Err(_) => self.mark_disconnected(),
-                }
-            }
             // A backlog can exist while connected (congestion pacing, a
             // recovered rejection): drain it as the pacing window allows.
             if self.connected && !self.buffer.is_empty() {
@@ -912,7 +917,6 @@ impl Link {
         match self.client.try_reconnect(RECONNECT_ATTEMPT_TIMEOUT) {
             Ok(()) => {
                 self.connected = true;
-                self.reregister = false;
                 // A fresh session starts from a clean congestion slate —
                 // the broker (possibly a different incarnation) will signal
                 // again if it is still overloaded.
@@ -1005,27 +1009,16 @@ impl Link {
         }
         match self
             .client
-            .publish_resilient(self.topic_id, payload, self.config.qos)
+            .publish_resilient(self.topic_id, payload, QoS::ExactlyOnce)
         {
             Ok((msg_id, sent)) => {
-                if msg_id != 0 {
-                    self.inflight_records.push_back((msg_id, records));
-                }
-                if sent || msg_id != 0 {
-                    // On the wire, or safe in the in-flight window (which
-                    // retransmits on resume) — either way the envelope
-                    // left the buffer's responsibility.
-                    if replaying {
-                        self.stats
-                            .records_replayed
-                            .fetch_add(records as u64, Ordering::Relaxed);
-                    }
-                } else {
-                    // QoS 0 whose send failed: no retransmission exists;
-                    // the records are gone (and only gone — never also
-                    // counted as replayed).
+                // On the wire, or safe in the in-flight window (which
+                // retransmits on resume) — either way the envelope left
+                // the buffer's responsibility.
+                self.inflight_records.push_back((msg_id, records));
+                if replaying {
                     self.stats
-                        .records_dropped
+                        .records_replayed
                         .fetch_add(records as u64, Ordering::Relaxed);
                 }
                 if !sent {
@@ -1063,7 +1056,7 @@ impl Link {
     }
 
     /// True once nothing is outstanding: connected, empty buffer, no
-    /// in-flight QoS handshakes.
+    /// in-flight QoS 2 handshakes.
     fn drained(&self) -> bool {
         self.connected && self.buffer.is_empty() && self.client.inflight_len() == 0
     }
@@ -1880,31 +1873,44 @@ mod tests {
         drop(t);
     }
 
-    /// A QoS 0 publish has no acknowledgement to wait for, but the gateway
-    /// answers a publish of any QoS with an advisory when its congestion
-    /// level has risen: the transmitter still reads after such a send, so
-    /// backpressure reaches a QoS 0 device at once and not with the next
-    /// keep-alive.
+    /// A gateway that restarts without its state no longer knows the
+    /// device: its topic id is unknown there, so the first publishes after
+    /// the restart come back rejected (`InvalidTopicId`) with their
+    /// payloads. The link goes down and comes back through a reconnect,
+    /// whose CONNECT opens the session the gateway forgot and whose
+    /// resumption registers the topic again; then the payloads replay.
+    /// Every record captured after the restart reaches the new gateway
+    /// once and in order, none dropped.
     #[test]
-    fn qos0_publisher_still_hears_a_congestion_advisory() {
-        let soft_from_the_start = BrokerConfig {
-            congestion_soft: 0,
-            ..BrokerConfig::default()
-        };
-        let gw = UdpBroker::spawn("127.0.0.1:0", soft_from_the_start).unwrap();
-        let config = CaptureConfig {
-            qos: mqtt_sn::QoS::AtMostOnce,
-            ..CaptureConfig::default()
-        };
-        let topic = "provlight/test/qos0".to_owned();
-        let t = Transmitter::start(gw.local_addr(), "qos0".into(), topic, config).unwrap();
-        t.publish_record(record(0, 3)).unwrap();
-        assert!(
-            wait_until(Duration::from_secs(5), || t.stats().congestion_signals > 0),
-            "the advisory was never read"
-        );
-        t.shutdown();
+    fn a_gateway_restarted_without_its_state_gets_a_reconnect() {
+        let gw = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let addr = gw.local_addr();
+        let mut sub = gw.subscribe_local("#").unwrap();
+        let topic = "provlight/test/restart".to_owned();
+        let config = CaptureConfig::default();
+        let t = Transmitter::start(addr, "restart".into(), topic, config).unwrap();
+        for i in 0..10 {
+            t.publish_record(record(i, 3)).unwrap();
+        }
+        t.flush().unwrap();
+        assert_eq!(delivered_ids(&mut sub), (0..10).collect::<Vec<_>>());
         gw.shutdown();
+
+        let fresh = UdpBroker::spawn(addr, BrokerConfig::default()).unwrap();
+        let mut sub = fresh.subscribe_local("#").unwrap();
+        for i in 10..40 {
+            t.publish_record(record(i, 3)).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        t.flush().unwrap();
+        assert_eq!(delivered_ids(&mut sub), (10..40).collect::<Vec<_>>());
+        let stats = t.stats();
+        assert_eq!(stats.reconnects, 1, "{stats:?}");
+        assert_eq!(stats.records_dropped, 0, "{stats:?}");
+        assert!(stats.publish_failures > 0, "{stats:?}");
+        assert!(stats.connected);
+        t.shutdown();
+        fresh.shutdown();
     }
 
     /// A backlog with RAM caps of `max_records` and `max_bytes` and no

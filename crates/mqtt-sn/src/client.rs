@@ -91,20 +91,27 @@ pub enum ClientEvent {
         /// The publish's message id.
         msg_id: u16,
     },
-    /// Retries exhausted for an in-flight message. The payload is parked in
-    /// the dead-letter queue ([`Client::take_dead_letters`]) for replay.
+    /// Retries exhausted for an in-flight message, which leaves the window.
     PublishFailed {
         /// The publish's message id.
         msg_id: u16,
+        /// The message, for the caller to publish again once the link is
+        /// back, while nothing proves the broker holds it; `None` past its
+        /// PUBREC, when sending it again would deliver it twice.
+        payload: Option<Vec<u8>>,
     },
-    /// The broker rejected a publish (e.g. `InvalidTopicId` after losing
-    /// the registration across a restart). The payload is parked in the
-    /// dead-letter queue so the caller can re-register and retry.
+    /// The broker rejected a publish, which leaves the window:
+    /// `Congestion` under hard backpressure, `InvalidTopicId` from a broker
+    /// that no longer knows the session (restarted without its state), for
+    /// which the way back is [`Client::reconnect`].
     PublishRejected {
         /// The publish's message id.
         msg_id: u16,
         /// The broker's rejection code.
         code: ReturnCode,
+        /// The message to publish again, as in
+        /// [`ClientEvent::PublishFailed`].
+        payload: Option<Vec<u8>>,
     },
     /// An application message arrived (QoS 2 duplicates already filtered).
     Message {
@@ -185,15 +192,9 @@ pub struct Client {
     /// had in the previous session, so in-flight publishes can be remapped
     /// if the broker (e.g. after a restart) assigns a different id.
     resume_pending: HashMap<String, u16>,
-    /// Payloads of publishes that exhausted retries or were rejected by the
-    /// broker, recoverable via [`Client::take_dead_letters`] for replay.
-    dead_letters: Vec<(u16, Vec<u8>)>,
     last_tx: Nanos,
     ping_outstanding_since: Option<Nanos>,
 }
-
-/// Upper bound on buffers retained for reuse.
-const MAX_SPARE_PAYLOADS: usize = 16;
 
 impl Client {
     /// Creates a disconnected client.
@@ -209,7 +210,6 @@ impl Client {
             subscribed_filters: Vec::new(),
             resuming: false,
             resume_pending: HashMap::new(),
-            dead_letters: Vec::new(),
             last_tx: 0,
             ping_outstanding_since: None,
         }
@@ -227,14 +227,29 @@ impl Client {
     /// publishes never reach the completion path, so this is their only way
     /// back into the pool).
     pub fn reclaim_payload(&mut self, payload: Vec<u8>) {
-        Self::reclaim_into(&mut self.spare_payloads, payload);
+        Self::reclaim_into(&mut self.spare_payloads, self.config.max_inflight, payload);
     }
 
-    fn reclaim_into(pool: &mut Vec<Vec<u8>>, mut payload: Vec<u8>) {
-        if pool.len() < MAX_SPARE_PAYLOADS {
+    /// Keeps `payload` for reuse while the pool holds fewer than `cap`:
+    /// the in-flight window, since one held acknowledgement can complete
+    /// a window's worth of publishes at once.
+    fn reclaim_into(pool: &mut Vec<Vec<u8>>, cap: usize, mut payload: Vec<u8>) {
+        if pool.len() < cap {
             payload.clear();
             pool.push(payload);
         }
+    }
+
+    /// What a message that leaves the window unfinished hands back: its
+    /// payload while nothing proves the peer holds it, for the caller to
+    /// publish again; past its PUBREC sending it again would deliver it
+    /// twice, so the buffer goes back to the pool.
+    fn give_back(pool: &mut Vec<Vec<u8>>, cap: usize, slot: Slot<TopicRef>) -> Option<Vec<u8>> {
+        if slot.republish_qos().is_some() {
+            return Some(slot.payload);
+        }
+        Self::reclaim_into(pool, cap, slot.payload);
+        None
     }
 
     /// A copy of `payload` in a pooled buffer, so the steady-state publish
@@ -271,13 +286,6 @@ impl Client {
     /// has not arrived or tracked topics still await their fresh REGACK.
     pub fn resume_complete(&self) -> bool {
         !self.resuming && self.resume_pending.is_empty()
-    }
-
-    /// Drains payloads of publishes that exhausted retries or were rejected
-    /// by the broker, so transports can buffer and replay them instead of
-    /// losing the records.
-    pub fn take_dead_letters(&mut self) -> Vec<(u16, Vec<u8>)> {
-        std::mem::take(&mut self.dead_letters)
     }
 
     /// A message id free for a new transaction. A live id may belong to a
@@ -523,18 +531,12 @@ impl Client {
                     } else if let Some(old_id) = self.resume_pending.remove(&topic_name) {
                         // The broker refused to resume this registration:
                         // stop tracking the topic (so resume_complete()
-                        // can report success) and fail its in-flight
-                        // publishes into the dead-letter queue instead of
-                        // leaving them stuck un-remapped forever.
+                        // can report success) and hand its in-flight
+                        // publishes back instead of leaving them stuck
+                        // un-remapped forever.
                         self.registered_topics.remove(&topic_name);
                         for id in self.out.ids_in_order(|s| s.topic == TopicRef::Id(old_id)) {
-                            if let Some(payload) = self.out.abandon(id) {
-                                self.dead_letters.push((id, payload));
-                            }
-                            out.push(Output::Event(ClientEvent::PublishRejected {
-                                msg_id: id,
-                                code,
-                            }));
+                            self.reject(id, code, &mut out);
                         }
                     }
                 }
@@ -566,14 +568,11 @@ impl Client {
             Packet::PubAck { msg_id, code, .. } => {
                 if code != ReturnCode::Accepted {
                     // A rejection (e.g. InvalidTopicId from a broker that
-                    // lost the registration across a restart) terminates the
+                    // lost the session across a restart) terminates the
                     // exchange for QoS 1 *and* QoS 2 — reporting it as
-                    // PublishDone would silently lose the record. Park the
-                    // payload for replay after re-registration.
-                    if let Some(payload) = self.out.abandon(msg_id) {
-                        self.dead_letters.push((msg_id, payload));
-                        out.push(Output::Event(ClientEvent::PublishRejected { msg_id, code }));
-                    }
+                    // PublishDone would silently lose the record. The
+                    // payload goes back with the event.
+                    self.reject(msg_id, code, &mut out);
                 } else {
                     self.on_ack(msg_id, Ack::Puback, now, &mut out);
                 }
@@ -655,6 +654,22 @@ impl Client {
             _ => {}
         }
         out
+    }
+
+    /// Takes a message the broker refused with `code` out of the window,
+    /// if it is there, and surfaces [`ClientEvent::PublishRejected`] with
+    /// what it hands back ([`Client::give_back`]).
+    fn reject(&mut self, msg_id: u16, code: ReturnCode, out: &mut Vec<Output>) {
+        if let Some(slot) = self.out.abandon(msg_id) {
+            let cap = self.config.max_inflight;
+            let payload = Self::give_back(&mut self.spare_payloads, cap, slot);
+            let rejected = ClientEvent::PublishRejected {
+                msg_id,
+                code,
+                payload,
+            };
+            out.push(Output::Event(rejected));
+        }
     }
 
     /// Runs an acknowledgement through the send window; the one that
@@ -792,9 +807,9 @@ impl Client {
             return out;
         }
 
-        let (pool, dead_letters, last_tx) = (
+        let (pool, cap, last_tx) = (
             &mut self.spare_payloads,
-            &mut self.dead_letters,
+            self.config.max_inflight,
             &mut self.last_tx,
         );
         self.out.due(
@@ -807,19 +822,15 @@ impl Client {
                     out.push(Output::Send(Self::resend_packet(pool, msg_id, slot)));
                 }
                 Due::Expired(slot) => {
-                    if slot.republish_qos().is_some() {
-                        // Retry exhaustion usually means the link is down,
-                        // not that the record is unwanted — park the payload
-                        // for replay after a reconnect instead of dropping it.
-                        dead_letters.push((msg_id, slot.payload));
-                    } else {
-                        // A PUBREC was received, so the broker provably
-                        // holds (and forwarded) the message — replaying it
-                        // as a fresh publish would double-deliver; only the
-                        // handshake cleanup is abandoned.
-                        Self::reclaim_into(pool, slot.payload);
-                    }
-                    out.push(Output::Event(ClientEvent::PublishFailed { msg_id }));
+                    // Retry exhaustion usually means the link is down, not
+                    // that the record is unwanted: the payload goes back
+                    // for replay after a reconnect, unless a PUBREC proved
+                    // the broker holds (and forwarded) the message.
+                    let payload = Self::give_back(pool, cap, slot);
+                    out.push(Output::Event(ClientEvent::PublishFailed {
+                        msg_id,
+                        payload,
+                    }));
                 }
             },
         );
@@ -1057,11 +1068,14 @@ mod tests {
         }
         // Second retry.
         assert_eq!(sends(&c.on_tick(2 * s + 2)).len(), 1);
-        // Exhausted.
+        // Exhausted: the payload goes back with the event.
         let out = c.on_tick(3 * s + 3);
         assert_eq!(
             events(&out),
-            vec![&ClientEvent::PublishFailed { msg_id: id }]
+            vec![&ClientEvent::PublishFailed {
+                msg_id: id,
+                payload: Some(vec![1])
+            }]
         );
         assert_eq!(c.inflight_len(), 0);
     }
@@ -1562,17 +1576,43 @@ mod tests {
             },
             1,
         );
+        // The payload goes back with the event, for replay on a fresh
+        // session.
         assert_eq!(
             events(&out),
             vec![&ClientEvent::PublishRejected {
                 msg_id: id,
-                code: ReturnCode::InvalidTopicId
+                code: ReturnCode::InvalidTopicId,
+                payload: Some(vec![42])
             }]
         );
         assert_eq!(c.inflight_len(), 0);
-        // The payload is recoverable for replay after re-registration.
-        let dead = c.take_dead_letters();
-        assert_eq!(dead, vec![(id, vec![42])]);
+    }
+
+    /// A rejection that comes after the PUBREC ends the handshake too, but
+    /// the broker holds the message: nothing goes back to publish again.
+    #[test]
+    fn a_rejection_past_the_pubrec_hands_back_no_payload() {
+        let mut c = connected_client();
+        let (id, _) = c
+            .publish(TopicRef::Id(9), vec![42], QoS::ExactlyOnce, 0)
+            .unwrap();
+        c.on_packet(Packet::PubRec { msg_id: id }, 1);
+        let rejection = Packet::PubAck {
+            topic_id: 9,
+            msg_id: id,
+            code: ReturnCode::InvalidTopicId,
+        };
+        let out = c.on_packet(rejection, 2);
+        assert_eq!(
+            events(&out),
+            vec![&ClientEvent::PublishRejected {
+                msg_id: id,
+                code: ReturnCode::InvalidTopicId,
+                payload: None
+            }]
+        );
+        assert_eq!(c.inflight_len(), 0);
     }
 
     #[test]
@@ -1709,11 +1749,15 @@ mod tests {
             12,
         );
         assert!(c.resume_complete(), "rejection must not wedge resumption");
-        assert!(events(&out).iter().any(
-            |e| matches!(e, ClientEvent::PublishRejected { msg_id, .. } if *msg_id == pub_id)
-        ));
+        assert_eq!(
+            events(&out),
+            vec![&ClientEvent::PublishRejected {
+                msg_id: pub_id,
+                code: ReturnCode::NotSupported,
+                payload: Some(vec![5])
+            }]
+        );
         assert_eq!(c.inflight_len(), 0);
-        assert_eq!(c.take_dead_letters(), vec![(pub_id, vec![5])]);
         assert_eq!(c.topic_id("gone/topic"), None);
     }
 
@@ -1817,9 +1861,11 @@ mod tests {
         let out = c.on_tick(3 * s); // exhausted
         assert_eq!(
             events(&out),
-            vec![&ClientEvent::PublishFailed { msg_id: id }]
+            vec![&ClientEvent::PublishFailed {
+                msg_id: id,
+                payload: Some(vec![9, 9])
+            }]
         );
-        assert_eq!(c.take_dead_letters(), vec![(id, vec![9, 9])]);
     }
 
     #[test]
@@ -1844,12 +1890,14 @@ mod tests {
         let s = 1_000_000_000u64;
         c.on_tick(2 * s); // PUBREL retry
         let out = c.on_tick(4 * s); // exhausted
+                                    // Replaying this payload as a fresh publish would double-deliver.
         assert_eq!(
             events(&out),
-            vec![&ClientEvent::PublishFailed { msg_id: id }]
+            vec![&ClientEvent::PublishFailed {
+                msg_id: id,
+                payload: None
+            }]
         );
-        // Replaying this payload as a fresh publish would double-deliver.
-        assert!(c.take_dead_letters().is_empty());
     }
 
     #[test]

@@ -266,10 +266,6 @@ pub struct DeviceHold {
     hold_for: Nanos,
     /// Reused for every outbound datagram.
     wbuf: Vec<u8>,
-    /// A QoS 0 PUBLISH has left since the socket was last read. Nothing
-    /// acknowledges it, but the gateway answers a publish of any QoS with
-    /// a congestion advisory when its level has risen, so one read is owed.
-    qos0_unheard: bool,
     /// When the oldest message left that the gateway may still hold an
     /// answer to, while it may hold one: from the first datagram it may
     /// answer late until an ask leaves or nothing is owed, moved on by each
@@ -355,7 +351,6 @@ impl DeviceHold {
                         self.later.get_or_insert(now);
                     }
                 }
-                self.qos0_unheard |= *qos == QoS::AtMostOnce;
             }
             // Answered at once, with whatever is held in front.
             _ => (self.unanswered, self.later) = (None, None),
@@ -389,21 +384,14 @@ impl DeviceHold {
     }
 
     /// Hands `send` the held PUBRELs as one datagram of their own, which
-    /// the gateway answers at once.
+    /// the gateway answers at once. A blocking read starts with it, so
+    /// nobody waits on an acknowledgement that is held.
     pub(crate) fn release<E>(&mut self, send: ToGateway<E>) -> Result<(), E> {
         if self.take_held() > 0 {
             (self.unanswered, self.later) = (None, None);
             send(&self.wbuf)?;
         }
         Ok(())
-    }
-
-    /// A blocking read is about to start: what is held leaves first, so
-    /// nobody waits on an acknowledgement that is held, and the read hears
-    /// whatever a QoS 0 PUBLISH drew.
-    pub(crate) fn read_starts<E>(&mut self, send: ToGateway<E>) -> Result<(), E> {
-        self.qos0_unheard = false;
-        self.release(send)
     }
 
     /// The timers at `now`: what is held past its release time leaves
@@ -498,14 +486,12 @@ impl DeviceHold {
 
     /// Whether a datagram from the gateway can be on its way to `client`:
     /// a PUBLISH without its PUBREC or PUBACK, a PUBREL that has left
-    /// without its PUBCOMP, a control transaction, a PINGREQ — or the
-    /// advisory a QoS 0 PUBLISH may have drawn. A handshake whose PUBREL is
-    /// still held is owed nothing until the PUBREL leaves, and an answer the
-    /// gateway may hold is not on its way until the device asks for it.
+    /// without its PUBCOMP, a control transaction, a PINGREQ. A handshake
+    /// whose PUBREL is still held is owed nothing until the PUBREL leaves,
+    /// and an answer the gateway may hold is not on its way until the
+    /// device asks for it.
     pub(crate) fn reply_expected(&self, client: &Client) -> bool {
-        (self.owed(client) && self.unanswered.is_none())
-            || client.control_outstanding()
-            || self.qos0_unheard
+        (self.owed(client) && self.unanswered.is_none()) || client.control_outstanding()
     }
 
     /// The earliest time at which [`DeviceHold::tick`] or

@@ -851,7 +851,7 @@ impl UdpClient {
     /// handshake completes calls [`UdpClient::ask`] first.
     pub fn pump(&mut self) -> Result<(), NetError> {
         self.hold
-            .read_starts(&mut |d| self.endpoint.send(self.broker, d))?;
+            .release(&mut |d| self.endpoint.send(self.broker, d))?;
         let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
         let read = self
             .endpoint
@@ -898,12 +898,11 @@ impl UdpClient {
 
     /// Whether a datagram from the broker can be on its way to a
     /// publisher: a PUBLISH without its PUBREC or PUBACK, a PUBREL that has
-    /// left without its PUBCOMP, a control transaction, a PINGREQ — or the
-    /// advisory a QoS 0 PUBLISH may have drawn. A handshake whose PUBREL is
-    /// still held is owed nothing until the PUBREL leaves, and an
-    /// acknowledgement the gateway may hold is not on its way until the
-    /// device asks for it, or the gateway lets its hold go by
-    /// [`ACK_HOLD`](crate::hold::ACK_HOLD) after it (read by
+    /// left without its PUBCOMP, a control transaction, a PINGREQ. A
+    /// handshake whose PUBREL is still held is owed nothing until the
+    /// PUBREL leaves, and an acknowledgement the gateway may hold is not on
+    /// its way until the device asks for it, or the gateway lets its hold
+    /// go by [`ACK_HOLD`](crate::hold::ACK_HOLD) after it (read by
     /// [`UdpClient::tick`] at the read deadline). While this is `false` a
     /// [`UdpClient::pump`] can only time out, or read early what is read
     /// later anyway.
@@ -1083,7 +1082,7 @@ impl UdpClient {
             matches!(
                 e,
                 ClientEvent::PublishDone { msg_id: m }
-                | ClientEvent::PublishFailed { msg_id: m }
+                | ClientEvent::PublishFailed { msg_id: m, .. }
                 | ClientEvent::PublishRejected { msg_id: m, .. } if *m == msg_id
             )
         })
@@ -1147,12 +1146,6 @@ impl UdpClient {
     /// differ from the one the original [`UdpClient::register`] returned.
     pub fn topic_id(&self, topic_name: &str) -> Option<u16> {
         self.client.topic_id(topic_name)
-    }
-
-    /// Drains payloads of publishes that exhausted retries or were
-    /// rejected by the broker (see [`Client::take_dead_letters`]).
-    pub fn take_dead_letters(&mut self) -> Vec<(u16, Vec<u8>)> {
-        self.client.take_dead_letters()
     }
 
     /// One reconnection attempt: rebinds a fresh socket to the original

@@ -240,10 +240,11 @@ impl<T> SendWindow<T> {
         }
     }
 
-    /// Stops tracking a message the peer refused, whatever its phase.
-    pub(crate) fn abandon(&mut self, id: u16) -> Option<Vec<u8>> {
+    /// Stops tracking a message the peer refused, whatever its phase, and
+    /// returns what it held.
+    pub(crate) fn abandon(&mut self, id: u16) -> Option<Slot<T>> {
         let at = self.search(id).ok()?;
-        self.slots.remove(at).map(|slot| slot.payload)
+        self.slots.remove(at)
     }
 
     /// Gives one message a fresh retry budget counted from `now`, for a
@@ -830,7 +831,7 @@ pub(crate) mod tests {
                     }
                     5 if r & 32 == 0 => {
                         let refused = model.remove(target).map(|m| m.payload);
-                        prop_assert_eq!(w.abandon(target), refused);
+                        prop_assert_eq!(w.abandon(target).map(|slot| slot.payload), refused);
                     }
                     5 => {
                         let rearmed = w.rearm(target, now).map(|slot| slot.id);

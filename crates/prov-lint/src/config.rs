@@ -3,9 +3,9 @@
 //! The build environment is offline and the linter is dependency-free, so
 //! this module implements the small TOML subset the config actually uses:
 //! `#` comments, `[table]` / `[table.sub]` headers, and `key = value` where
-//! a value is a string, integer, boolean, or a (possibly multi-line) array
-//! of strings. Anything beyond that subset is a hard error — a config the
-//! gate cannot fully understand must not silently weaken the gate.
+//! a value is a string or a (possibly multi-line) array of strings.
+//! Anything beyond that subset is a hard error — a config the gate cannot
+//! fully understand must not silently weaken the gate.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,8 +29,6 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Str(String),
-    Int(i64),
-    Bool(bool),
     StrArray(Vec<String>),
 }
 
@@ -49,10 +47,6 @@ pub struct Waiver {
 pub struct Config {
     /// Path prefixes (relative to the root) under the no-panic discipline.
     pub no_panic_modules: Vec<String>,
-    /// Extra forbidden tokens for `no-panic` beyond the built-ins.
-    pub no_panic_extra_tokens: Vec<String>,
-    /// Extra forbidden tokens for `zero-alloc` beyond the built-ins.
-    pub zero_alloc_extra_tokens: Vec<String>,
     /// Outer-to-inner lock acquisition order, by receiver identifier.
     pub lock_hierarchy: Vec<String>,
     /// Locks that forbid blocking sends while held.
@@ -65,14 +59,6 @@ pub struct Config {
     pub stats_structs: Vec<String>,
     /// `Struct.field` drift waivers, each with a reason.
     pub waive_stats: Vec<Waiver>,
-    /// Tracked bench JSON path, relative to the root.
-    pub bench_json: Option<String>,
-    /// File holding the `FLOORS` table, relative to the root.
-    pub bench_floors: Option<String>,
-    /// Key prefixes that make a bench metric gate-worthy.
-    pub bench_metric_prefixes: Vec<String>,
-    /// Dotted bench-metric drift waivers.
-    pub waive_bench: Vec<Waiver>,
     /// Format-version constants (`STATE_VERSION`, `ENVELOPE_VERSION`, …)
     /// whose definition sites require a test that names them.
     pub version_consts: Vec<String>,
@@ -129,12 +115,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             _ => Vec::new(),
         }
     };
-    let string = |key: &str| -> Option<String> {
-        match raw.get(key) {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        }
-    };
     let waivers = |key: &str| -> Result<Vec<Waiver>, ConfigError> {
         strings(key)
             .into_iter()
@@ -152,8 +132,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
     };
     Ok(Config {
         no_panic_modules: strings("no_panic.modules"),
-        no_panic_extra_tokens: strings("no_panic.extra_tokens"),
-        zero_alloc_extra_tokens: strings("zero_alloc.extra_tokens"),
         lock_hierarchy: strings("lock_order.hierarchy"),
         no_send_while_holding: strings("lock_order.no_send_while_holding"),
         send_tokens: {
@@ -167,17 +145,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         exclude: strings("exclude"),
         stats_structs: strings("drift.stats_structs"),
         waive_stats: waivers("drift.waive_stats")?,
-        bench_json: string("drift.bench_json"),
-        bench_floors: string("drift.bench_floors"),
-        bench_metric_prefixes: {
-            let p = strings("drift.bench_metric_prefixes");
-            if p.is_empty() {
-                vec!["speedup_".into(), "scaling_".into()]
-            } else {
-                p
-            }
-        },
-        waive_bench: waivers("drift.waive_bench")?,
         version_consts: strings("drift.version_consts"),
     })
 }
@@ -245,15 +212,7 @@ fn parse_value(value: &str, lineno: usize) -> Result<Value, ConfigError> {
         };
         return Ok(Value::Str(body.replace("\\\"", "\"").replace("\\\\", "\\")));
     }
-    match value {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    value
-        .parse::<i64>()
-        .map(Value::Int)
-        .map_err(|_| err(lineno, format!("unsupported value `{value}`")))
+    Err(err(lineno, format!("unsupported value `{value}`")))
 }
 
 /// Splits array items on commas outside strings.
@@ -300,7 +259,6 @@ hierarchy = ["broker", "pool"]
 
 [drift]
 version_consts = ["STATE_VERSION", "WIRE_VERSION"]
-bench_json = "BENCH.json"
 waive_stats = ["Foo.bar: informational only"]
 "##;
         let cfg = parse(text).expect("parses");
@@ -310,7 +268,6 @@ waive_stats = ["Foo.bar: informational only"]
             vec!["crates/a/src", "crates/b/src/x.rs"]
         );
         assert_eq!(cfg.lock_hierarchy, vec!["broker", "pool"]);
-        assert_eq!(cfg.bench_json.as_deref(), Some("BENCH.json"));
         assert_eq!(cfg.waive_stats.len(), 1);
         assert_eq!(cfg.waive_stats[0].key, "Foo.bar");
         assert_eq!(cfg.waive_stats[0].reason, "informational only");
@@ -327,5 +284,10 @@ waive_stats = ["Foo.bar: informational only"]
     fn garbage_is_a_hard_error() {
         assert!(parse("key value\n").is_err());
         assert!(parse("[unclosed\n").is_err());
+        // Numbers and booleans are outside the subset: no key takes one.
+        for value in ["3", "true"] {
+            let e = parse(&format!("[drift]\nkey = {value}\n")).unwrap_err();
+            assert_eq!(e.message, format!("unsupported value `{value}`"));
+        }
     }
 }

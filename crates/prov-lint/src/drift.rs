@@ -1,10 +1,12 @@
-//! Cross-file drift checks: stats counters vs. test assertions, bench
-//! metrics vs. gate floors, format-version constants vs. migration tests.
+//! Cross-file drift checks: stats counters vs. test assertions and
+//! format-version constants vs. migration tests. (That every gate-worthy
+//! bench metric has a floor is checked where the floors live,
+//! `provlight_bench::gate::check`.)
 //!
 //! These rules exist because the repo's invariants live in *pairs* of
-//! places — a counter and its assertion, a metric and its floor, a version
-//! constant and its migration test — and runtime testing cannot notice when
-//! one half of a pair is added without the other.
+//! places — a counter and its assertion, a version constant and its
+//! migration test — and runtime testing cannot notice when one half of a
+//! pair is added without the other.
 
 use crate::config::{Config, Waiver};
 use crate::lexer::{line_of, Scan};
@@ -165,165 +167,6 @@ fn pub_fields(body: &str) -> Vec<(String, usize)> {
     out
 }
 
-/// `drift-bench`: every gate-worthy metric key in the tracked bench JSON
-/// must have a floor in the `FLOORS` table or a dotted-path waiver.
-pub fn bench(cfg: &Config, root: &std::path::Path, files: &[FileScan], out: &mut Vec<Violation>) {
-    let (Some(json_rel), Some(floors_rel)) = (&cfg.bench_json, &cfg.bench_floors) else {
-        return;
-    };
-    let Ok(json) = std::fs::read_to_string(root.join(json_rel)) else {
-        // A missing bench file is not drift — fresh checkouts have none.
-        return;
-    };
-    let floors_src = files
-        .iter()
-        .find(|f| &f.rel == floors_rel)
-        .map(|f| f.src.clone())
-        .or_else(|| std::fs::read_to_string(root.join(floors_rel)).ok());
-    let Some(floors_src) = floors_src else {
-        out.push(Violation {
-            rule: "drift-bench",
-            file: "lints.toml".to_owned(),
-            line: 0,
-            message: format!("bench_floors file `{floors_rel}` not found"),
-            waived: None,
-        });
-        return;
-    };
-    let floors = floor_paths(&floors_src);
-    for (path, line) in metric_paths(&json, &cfg.bench_metric_prefixes) {
-        if floors.contains(&path) {
-            continue;
-        }
-        out.push(Violation {
-            rule: "drift-bench",
-            file: json_rel.clone(),
-            line,
-            message: format!(
-                "bench metric `{path}` has no floor in `{floors_rel}` FLOORS — a regression \
-                 would go ungated"
-            ),
-            waived: waived(&cfg.waive_bench, &path),
-        });
-    }
-}
-
-/// Dotted paths (with 1-indexed lines) of numeric JSON keys whose leaf name
-/// starts with one of `prefixes`. A tiny structural scan — enough for the
-/// tracked bench file's flat object-of-objects shape.
-fn metric_paths(json: &str, prefixes: &[String]) -> Vec<(String, usize)> {
-    let bytes = json.as_bytes();
-    let mut stack: Vec<String> = Vec::new();
-    let mut pending: Option<String> = None;
-    let mut paths = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let s = &json[start..j.min(json.len())];
-                i = (j + 1).min(bytes.len());
-                let mut k = i;
-                while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                if bytes.get(k) != Some(&b':') {
-                    continue;
-                }
-                i = k + 1;
-                let mut v = i;
-                while v < bytes.len() && bytes[v].is_ascii_whitespace() {
-                    v += 1;
-                }
-                if bytes.get(v) == Some(&b'{') {
-                    pending = Some(s.to_owned());
-                } else if prefixes.iter().any(|p| s.starts_with(p.as_str())) {
-                    let mut segs: Vec<&str> = stack
-                        .iter()
-                        .filter(|s| !s.is_empty())
-                        .map(|s| s.as_str())
-                        .collect();
-                    segs.push(s);
-                    paths.push((segs.join("."), line_of(json, start)));
-                }
-            }
-            b'{' => {
-                stack.push(pending.take().unwrap_or_default());
-                i += 1;
-            }
-            b'}' => {
-                stack.pop();
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    paths
-}
-
-/// Dotted paths declared in a `FLOORS` table of the shape
-/// `(&["section", "metric"], 2.0)`, parsed textually from the raw source.
-fn floor_paths(src: &str) -> Vec<String> {
-    let Some(at) = src.find("FLOORS") else {
-        return Vec::new();
-    };
-    let bytes = src.as_bytes();
-    // Anchor on the initializer's `=` — the first `[` after FLOORS is in
-    // the type annotation (`&[(&[&str], f64)]`), not the table.
-    let Some(eq) = src[at..].find('=').map(|p| at + p) else {
-        return Vec::new();
-    };
-    let Some(open) = src[eq..].find('[').map(|p| eq + p) else {
-        return Vec::new();
-    };
-    let end = crate::lexer::matching(bytes, open, b'[', b']').unwrap_or(src.len());
-    let body = &src[open + 1..end.saturating_sub(1)];
-    // Every inner `[...]` group's string literals form one dotted path.
-    let mut paths = Vec::new();
-    let mut groups: Vec<Vec<String>> = Vec::new();
-    let b = body.as_bytes();
-    let mut i = 0usize;
-    while i < b.len() {
-        match b[i] {
-            b'[' => {
-                groups.push(Vec::new());
-                i += 1;
-            }
-            b']' => {
-                if let Some(g) = groups.pop() {
-                    if !g.is_empty() {
-                        paths.push(g.join("."));
-                    }
-                }
-                i += 1;
-            }
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len() && b[j] != b'"' {
-                    if b[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                if let Some(g) = groups.last_mut() {
-                    g.push(body[start..j.min(body.len())].to_owned());
-                }
-                i = (j + 1).min(b.len());
-            }
-            _ => i += 1,
-        }
-    }
-    paths
-}
-
 /// `drift-state-version`: every `const` definition site of a configured
 /// format-version constant must be named by test code, so a version bump
 /// cannot land without a migration test noticing.
@@ -380,18 +223,6 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("FooStats.misses"));
         assert_eq!(out[0].line, 3);
-    }
-
-    #[test]
-    fn metric_and_floor_paths_line_up() {
-        let json = "{\n  \"speedup_a\": 2.5,\n  \"ingest\": {\n    \"scaling_b\": 3.0,\n    \"note\": \"x\"\n  }\n}\n";
-        let prefixes = vec!["speedup_".to_owned(), "scaling_".to_owned()];
-        let got = metric_paths(json, &prefixes);
-        let paths: Vec<&str> = got.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(paths, vec!["speedup_a", "ingest.scaling_b"]);
-
-        let floors = "pub const FLOORS: &[(&[&str], f64)] = &[\n    (&[\"speedup_a\"], 2.0),\n    (&[\"ingest\", \"scaling_b\"], 2.0),\n];\n";
-        assert_eq!(floor_paths(floors), vec!["speedup_a", "ingest.scaling_b"]);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! - **lock-order** / **lock-send** — nested lock acquisitions must follow
 //!   the declared hierarchy, and blocking socket sends are forbidden while
 //!   a broker lock is held (PR 5's drain-then-flush discipline).
-//! - **drift-stats** / **drift-bench** / **drift-state-version** — paired
-//!   artifacts (counter/assertion, metric/floor, version/migration-test)
-//!   must not drift apart.
+//! - **drift-stats** / **drift-state-version** — paired artifacts
+//!   (counter/assertion, version/migration-test) must not drift apart.
 //!
 //! The crate is dependency-free on purpose: the gate must build offline,
 //! before — and independently of — everything it checks.
@@ -96,14 +95,13 @@ pub fn lint_with_config(root: &Path, cfg: &Config) -> io::Result<Report> {
             .iter()
             .any(|m| f.rel.starts_with(m.as_str()))
         {
-            rules::no_panic(&f.scan, &f.src, &f.rel, cfg, &mut violations);
+            rules::no_panic(&f.scan, &f.src, &f.rel, &mut violations);
         }
-        rules::zero_alloc(&f.scan, &f.src, &f.rel, cfg, &mut violations);
+        rules::zero_alloc(&f.scan, &f.src, &f.rel, &mut violations);
         rules::lock_order(&f.scan, &f.src, &f.rel, cfg, &mut violations);
         rules::directive_lint(&f.scan, &f.rel, &mut violations);
     }
     drift::stats(cfg, &files, &mut violations);
-    drift::bench(cfg, root, &files, &mut violations);
     drift::state_version(cfg, &files, &mut violations);
 
     violations

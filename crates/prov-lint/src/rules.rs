@@ -8,7 +8,7 @@ use crate::lexer::{line_of, Scan};
 #[derive(Clone, Debug, PartialEq)]
 pub struct Violation {
     /// Rule id (`no-panic`, `zero-alloc`, `lock-order`, `lock-send`,
-    /// `drift-stats`, `drift-bench`, `drift-state-version`,
+    /// `drift-stats`, `drift-state-version`,
     /// `lint-directive`).
     pub rule: &'static str,
     /// Root-relative path.
@@ -154,13 +154,9 @@ fn token_hits(masked: &str, token: &str) -> Vec<usize> {
 }
 
 /// Runs `no-panic` over one production-module file.
-pub fn no_panic(scan: &Scan, src: &str, file: &str, cfg: &Config, out: &mut Vec<Violation>) {
+pub fn no_panic(scan: &Scan, src: &str, file: &str, out: &mut Vec<Violation>) {
     let ws = waivers(scan);
-    let mut tokens: Vec<&str> = PANIC_TOKENS.to_vec();
-    for t in &cfg.no_panic_extra_tokens {
-        tokens.push(t);
-    }
-    for token in tokens {
+    for &token in PANIC_TOKENS {
         for at in token_hits(&scan.masked, token) {
             if scan.in_test_region(at) {
                 continue;
@@ -178,7 +174,7 @@ pub fn no_panic(scan: &Scan, src: &str, file: &str, cfg: &Config, out: &mut Vec<
 }
 
 /// Runs `zero-alloc` over one file's annotated regions.
-pub fn zero_alloc(scan: &Scan, src: &str, file: &str, cfg: &Config, out: &mut Vec<Violation>) {
+pub fn zero_alloc(scan: &Scan, src: &str, file: &str, out: &mut Vec<Violation>) {
     let ws = waivers(scan);
     // Pair up begin/end directives into regions.
     let mut regions: Vec<(usize, usize)> = Vec::new();
@@ -224,10 +220,6 @@ pub fn zero_alloc(scan: &Scan, src: &str, file: &str, cfg: &Config, out: &mut Ve
     if regions.is_empty() {
         return;
     }
-    let mut tokens: Vec<&str> = ALLOC_TOKENS.to_vec();
-    for t in &cfg.zero_alloc_extra_tokens {
-        tokens.push(t);
-    }
     let mut finding = |at: usize, message: String| {
         if regions.iter().any(|&(s, e)| at > s && at < e) {
             let line = line_of(src, at);
@@ -240,7 +232,7 @@ pub fn zero_alloc(scan: &Scan, src: &str, file: &str, cfg: &Config, out: &mut Ve
             });
         }
     };
-    for token in tokens {
+    for &token in ALLOC_TOKENS {
         for at in token_hits(&scan.masked, token) {
             let idiom = token.trim_end_matches('(');
             finding(
@@ -600,7 +592,7 @@ mod tests {
         let src = "fn f() {\n    x.unwrap();\n    // lint:allow(no-panic): length checked above\n    y.unwrap();\n}\n";
         let s = scan(src);
         let mut out = Vec::new();
-        no_panic(&s, src, "f.rs", &Config::default(), &mut out);
+        no_panic(&s, src, "f.rs", &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!((out[0].line, out[0].waived.is_none()), (2, true));
         assert_eq!(out[1].line, 4);
@@ -612,7 +604,7 @@ mod tests {
         let src = "fn a() { let v = Vec::new(); }\n// lint: zero-alloc-begin\nfn hot() { let v = vec![1]; }\n// lint: zero-alloc-end\nfn b() { format!(\"x\"); }\n";
         let s = scan(src);
         let mut out = Vec::new();
-        zero_alloc(&s, src, "f.rs", &Config::default(), &mut out);
+        zero_alloc(&s, src, "f.rs", &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].rule, "zero-alloc");
         assert_eq!(out[0].line, 3);
@@ -624,7 +616,7 @@ mod tests {
         let s = scan(src);
         assert_eq!(hashed_names(&s.masked), ["by", "m", "seen"]);
         let mut out = Vec::new();
-        zero_alloc(&s, src, "f.rs", &Config::default(), &mut out);
+        zero_alloc(&s, src, "f.rs", &mut out);
         let lines: Vec<(usize, bool)> = out.iter().map(|v| (v.line, v.waived.is_some())).collect();
         assert_eq!(lines.len(), 4, "{out:?}");
         for line in [(8, false), (9, false), (10, false), (13, true)] {

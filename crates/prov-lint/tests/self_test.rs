@@ -16,7 +16,7 @@ fn fixture(name: &str) -> PathBuf {
 #[test]
 fn violating_fixture_yields_exact_findings() {
     let report = prov_lint::lint_root(&fixture("violating")).expect("lint runs");
-    assert_eq!(report.files, 7, "six src files plus tests/asserts.rs");
+    assert_eq!(report.files, 6, "five src files plus tests/asserts.rs");
 
     let unwaived: Vec<(&str, &str, usize)> = report
         .unwaived()
@@ -25,7 +25,6 @@ fn violating_fixture_yields_exact_findings() {
     assert_eq!(
         unwaived,
         vec![
-            ("drift-bench", "BENCH.json", 3),
             ("zero-alloc", "src/hot.rs", 10),
             ("lock-order", "src/locks.rs", 6),
             ("lock-send", "src/locks.rs", 13),
@@ -109,11 +108,6 @@ fn violating_fixture_messages_are_actionable() {
         "counter `GadgetStats.orphaned` is never asserted in any test"
     );
     assert_eq!(
-        msg("drift-bench"),
-        "bench metric `speedup_orphaned` has no floor in `src/floors.rs` \
-         FLOORS — a regression would go ungated"
-    );
-    assert_eq!(
         msg("drift-state-version"),
         "`STATE_VERSION` definition has no migration test referencing it"
     );
@@ -146,7 +140,7 @@ fn cli_fails_on_violations_and_prints_the_tally() {
         "{stdout}"
     );
     assert!(
-        stdout.contains("provlight-lint: 7 files, 9 violation(s), 2 waived"),
+        stdout.contains("provlight-lint: 6 files, 8 violation(s), 2 waived"),
         "{stdout}"
     );
     assert!(stdout.contains("  waived drift-stats: 1"), "{stdout}");

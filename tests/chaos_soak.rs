@@ -163,7 +163,6 @@ fn soak(seed: u64) {
         let dir = temp_dir(&format!("soak-{seed:x}-{i}"));
         let config = CaptureConfig {
             group: GroupPolicy::Immediate,
-            qos: QoS::ExactlyOnce,
             max_payload: 1, // one record per envelope: maximum chaos exposure
             buffer_max_records: 8,
             keep_alive: Duration::from_millis(300),
@@ -486,7 +485,6 @@ fn overload_run() -> (u64, usize, u64, u64) {
         "provlight/ov/pub",
         CaptureConfig {
             group: GroupPolicy::Immediate,
-            qos: QoS::ExactlyOnce,
             max_payload: 1,
             // One publish at a time: the broker's watermark check sees an
             // exact backlog, making the accepted/rejected split

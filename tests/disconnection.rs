@@ -108,7 +108,6 @@ fn snap_path(tag: &str) -> std::path::PathBuf {
 fn resilient_config() -> CaptureConfig {
     CaptureConfig {
         group: GroupPolicy::Immediate,
-        qos: QoS::ExactlyOnce,
         keep_alive: Duration::from_millis(200),
         retry_timeout: Duration::from_millis(300),
         max_retries: 50,

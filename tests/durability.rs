@@ -112,7 +112,6 @@ fn resume(addr: std::net::SocketAddr, snap: &Path) -> UdpBroker {
 fn spill_config(dir: &Path) -> CaptureConfig {
     CaptureConfig {
         group: GroupPolicy::Immediate,
-        qos: QoS::ExactlyOnce,
         // One envelope per record: deterministic spill/evict granularity.
         max_payload: 1,
         buffer_max_records: 4,

@@ -151,20 +151,41 @@ fn grouping_policies_deliver_identical_content() {
     }
 }
 
+/// A device publishes at QoS 2 only, but the gateway takes an envelope
+/// from any MQTT-SN publisher at every QoS level, and each is stored.
 #[test]
 fn qos_levels_all_deliver() {
-    use provlight::mqtt_sn::QoS;
-    for qos in [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce] {
-        let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
-        let config = CaptureConfig {
-            qos,
-            ..CaptureConfig::default()
+    use provlight::mqtt_sn::net::UdpClient;
+    use provlight::mqtt_sn::{ClientConfig, QoS};
+    use provlight::prov_codec::frame::Envelope;
+    let manager = ProvenanceManager::start("127.0.0.1:0").unwrap();
+    let timeout = Duration::from_secs(5);
+    let config = ClientConfig::new("any-qos");
+    let mut publisher = UdpClient::connect(manager.broker_addr(), config, timeout).unwrap();
+    let topic_id = publisher
+        .register("provlight/test/any-qos", timeout)
+        .unwrap();
+    let levels = [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce];
+    for (t, qos) in (0u64..).zip(levels) {
+        let task = TaskRecord {
+            id: Id::Num(t),
+            workflow: Id::Num(9),
+            transformation: Id::from("work"),
+            dependencies: vec![],
+            time_ns: t,
+            status: TaskStatus::Finished,
         };
-        run_device(9, manager.broker_addr(), config, 3);
-        wait_for_records(&manager, 8);
-        assert_eq!(manager.store().stats().tasks, 3, "qos {qos:?}");
-        manager.shutdown();
+        let outputs = vec![DataRecord::new(format!("out{t}"), 9u64)];
+        let payload = Envelope::encode(&[Record::TaskEnd { task, outputs }], true);
+        publisher.publish(topic_id, payload, qos, timeout).unwrap();
     }
+    let deadline = std::time::Instant::now() + Duration::from_secs(15);
+    while manager.store().stats().tasks < 3 {
+        assert!(std::time::Instant::now() < deadline, "a level was lost");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(manager.store().stats().tasks, 3);
+    manager.shutdown();
 }
 
 /// Records shaped as `run_device(device, _, _, tasks)` captures them.

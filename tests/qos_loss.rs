@@ -71,7 +71,9 @@ impl LossyWorld {
                 Output::Send(p) => self.queue.push_back((true, p)),
                 Output::Event(ClientEvent::Message { payload, .. }) => self.delivered.push(payload),
                 Output::Event(ClientEvent::PublishDone { msg_id }) => self.done.push(msg_id),
-                Output::Event(ClientEvent::PublishFailed { msg_id }) => self.failed.push(msg_id),
+                Output::Event(ClientEvent::PublishFailed { msg_id, .. }) => {
+                    self.failed.push(msg_id)
+                }
                 Output::Event(ClientEvent::Registered { topic_id, .. }) => {
                     self.registered = Some(topic_id)
                 }

@@ -803,10 +803,29 @@ fn streaming_holds_allocations(iterations: u64) -> usize {
 /// its `PublishDone` come back in, and nothing in the send window.
 #[test]
 fn a_streaming_device_client_allocates_only_its_outputs() {
+    assert_each_device_client_allocates_only_its_outputs(false);
+}
+
+/// The same stream with each payload encoded into a buffer the client
+/// hands back, as the transmitter does (`take_spare_payload`, or a fresh
+/// one when none is spare): the pool keeps a window's worth of buffers,
+/// so after warm-up every publish finds one and the count is the same
+/// three a message. A pool of 16 dropped most of each batch of
+/// completions, and the stream allocated a fresh payload for most
+/// messages.
+#[test]
+fn a_device_client_encoding_into_spare_payloads_allocates_only_its_outputs() {
+    assert_each_device_client_allocates_only_its_outputs(true);
+}
+
+/// Each of 64 fresh clients streaming ten holds' worth of publishes through
+/// [`device_client_allocations`] spends exactly three allocations a
+/// message.
+fn assert_each_device_client_allocates_only_its_outputs(spare_payloads: bool) {
     const CLIENTS: usize = 64;
     let messages = 10 * ACK_HOLD_MS;
     let missing: Vec<usize> = (0..CLIENTS)
-        .map(|_| device_client_allocations(messages))
+        .map(|_| device_client_allocations(messages, spare_payloads))
         .filter(|&allocs| allocs != 3 * messages as usize)
         .collect();
     assert!(
@@ -824,8 +843,11 @@ const ACK_HOLD_MS: u64 = provlight::mqtt_sn::hold::ACK_HOLD / 1_000_000;
 /// Streams `messages` QoS 2 publishes, a whole number of holds, through a
 /// fresh device client warmed by four holds of the same stream, and
 /// returns the allocations the stream made. Payloads come from a stock
-/// built beforehand, as a caller's encoder would hand them over.
-fn device_client_allocations(messages: u64) -> usize {
+/// built beforehand, as a caller's encoder would hand them over, or, with
+/// `spare_payloads`, are encoded into what
+/// [`Client::take_spare_payload`](provlight::mqtt_sn::Client::take_spare_payload)
+/// hands back, a fresh buffer when it has none.
+fn device_client_allocations(messages: u64, spare_payloads: bool) -> usize {
     use provlight::mqtt_sn::client::Output;
     use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
     use provlight::mqtt_sn::{Client, ClientConfig, ClientEvent, ReturnCode};
@@ -840,7 +862,8 @@ fn device_client_allocations(messages: u64) -> usize {
     };
     client.on_datagram(&accepted.encode(), 0).unwrap();
     let warm = 4 * ACK_HOLD_MS;
-    let mut stock: Vec<Vec<u8>> = (0..warm + messages).map(|_| vec![0x5c; 100]).collect();
+    let stocked = if spare_payloads { 0 } else { warm + messages };
+    let mut stock: Vec<Vec<u8>> = (0..stocked).map(|_| vec![0x5c; 100]).collect();
     let hold = ACK_HOLD_MS as usize;
     let (mut published, mut released) = (Vec::with_capacity(hold), Vec::with_capacity(hold));
     let mut wire = Vec::with_capacity(16);
@@ -852,7 +875,14 @@ fn device_client_allocations(messages: u64) -> usize {
             before = allocations();
         }
         let now = i * ms;
-        let payload = stock.pop().unwrap();
+        let payload = if spare_payloads {
+            let mut payload = client.take_spare_payload().unwrap_or_default();
+            payload.clear();
+            payload.extend_from_slice(&[0x5c; 100]);
+            payload
+        } else {
+            stock.pop().unwrap()
+        };
         let (id, outputs) = client
             .publish(TopicRef::Id(1), payload, QoS::ExactlyOnce, now)
             .unwrap();
