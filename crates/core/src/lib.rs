@@ -9,8 +9,10 @@
 //!   workflows with ([`api`], mirroring the paper's Listing 1), a
 //!   [`grouping`] stage (optionally deferring only *ended* tasks so
 //!   started tasks remain trackable at runtime), compression + binary
-//!   framing (via `prov-codec`), and an asynchronous [`transmitter`] that
-//!   publishes over MQTT-SN with QoS 2 on a reused connection;
+//!   framing (via `prov-codec`), the sans-io [`device`] end that coalesces,
+//!   buffers, paces, reconnects and replays, and an asynchronous
+//!   [`transmitter`] thread that drives it over MQTT-SN with QoS 2 on a
+//!   reused connection;
 //! * **Server** — the Provenance Manager ([`server`]): an MQTT-SN broker
 //!   plus the *provenance data translator* ([`translator`]) that converts
 //!   the ProvLight wire format into downstream systems' models
@@ -26,6 +28,7 @@
 pub mod api;
 pub mod client;
 pub mod config;
+pub mod device;
 pub mod grouping;
 pub mod server;
 pub mod sim;

@@ -1,70 +1,38 @@
-//! The asynchronous transmitter (real mode).
+//! The asynchronous transmitter (real mode): a thread that drives the
+//! device end.
 //!
 //! Capture calls must not block the workflow on network I/O — the paper's
-//! key design choice. The transmitter owns a background thread with an
-//! MQTT-SN client over UDP; the instrumentation thread only moves records
-//! into a channel. The thread keeps the connection open across messages
-//! (connection reuse, §VII-A), publishes at QoS 2 (exactly once, the
-//! paper's QoS and the only one a device uses), and drives
-//! retransmissions.
+//! key design choice. The instrumentation thread only moves records into a
+//! channel. The transmitter thread owns what a [`Device`] does not: the
+//! socket (one [`Endpoint`], the datagram seam the gateway uses too), the
+//! channel and the clock. Everything it decides — coalescing, the backlog,
+//! congestion pacing, reconnection with back-off, replay, when to wait on
+//! the socket and for how long — the device decides, on `now`, with no
+//! socket of its own (see [`crate::device`]). The thread keeps the
+//! connection open across messages (connection reuse, §VII-A) and
+//! publishes at QoS 2 (exactly once, the paper's QoS and the only one a
+//! device uses).
 //!
-//! ## Coalescing and buffer reuse
-//!
-//! Each wakeup drains *every* queued publish command and packs the records
-//! into as few envelopes as possible, cutting a new message once the pending
-//! records reach [`CaptureConfig::max_payload`] approximate bytes (a batch
-//! is never split across envelopes). Under bursty capture this collapses
-//! hundreds of queued single-record messages into a handful of
-//! string-table-deduplicated, compressed envelopes.
-//!
-//! The hot path recycles every buffer it touches: drained record `Vec`s
-//! return to a pool shared with the capture side (the grouper refills from
-//! it), payload buffers come back from the MQTT-SN client once a publish
-//! completes, and the codec scratch (string table, compression tables) lives
-//! in thread-locals on the transmitter thread — so the steady state
-//! allocates nothing per record.
-//!
-//! ## Disconnection resilience
-//!
-//! Capture continues while the broker is unreachable (paper §IV — the
-//! third headline design point). Instead of dying on the first transport
-//! error, the thread moves encoded envelopes into its backlog, keeps
-//! draining the capture channel so instrumentation never stalls, and
-//! reconnects with jittered exponential backoff. The backlog holds RAM
-//! under two caps; what overflows them moves oldest first to the flash
-//! spill log when [`CaptureConfig::spill_dir`] is set, and is dropped with
-//! exact accounting when it is not. On reconnect the MQTT-SN session
-//! resumes — topic re-registration, DUP retransmission of in-flight
-//! publishes — and the backlog replays in original order.
-//!
-//! Each outcome of a publish travels one way. A completed handshake
-//! settles it. A publish that fails (retries exhausted) or is rejected
-//! leaves the client's window with its payload in the event, unless its
-//! PUBREC proved the gateway holds it, and the payload goes back to the
-//! backlog's front in publish order. A congestion rejection then paces the
-//! link; a retry exhaustion, or a rejection from a gateway that no longer
-//! knows the device (`InvalidTopicId`: it restarted without its state),
-//! marks the link down, and the one way back is the reconnect above, whose
-//! CONNECT opens the session the gateway forgot. [`TransmitterStats`]
-//! surfaces the whole story (reconnects, buffered high-water mark, drops,
-//! publish failures), mirroring `ProvenanceManager::server_stats()` on the
-//! capture side.
+//! Drained record `Vec`s return to a pool shared with the capture side
+//! (the grouper refills from it), and the codec scratch (string table,
+//! compression tables) lives in thread-locals on the transmitter thread,
+//! so the steady state allocates nothing per record beyond what the
+//! MQTT-SN client spends.
 
 use crate::api::CaptureError;
 use crate::config::CaptureConfig;
+use crate::device::{client_config, Device, Nanos};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mqtt_sn::net::UdpClient;
-use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, QoS, ReturnCode};
+use mqtt_sn::net::{dial, Endpoint, UdpClient};
+use mqtt_sn::NetError;
 use parking_lot::Mutex;
-use prov_codec::frame::Envelope;
 use prov_model::Record;
-use prov_wal::{Wal, WalConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub use crate::device::TransmitterStats;
 
 enum Cmd {
     /// A ready batch from the grouper.
@@ -80,18 +48,8 @@ enum Cmd {
 /// capture side's grouper.
 type BatchPool = Arc<Mutex<Vec<Vec<Record>>>>;
 
-/// Hard ceiling (in `Record::approx_size` bytes) on one coalesced envelope,
-/// regardless of `max_payload`: approx bytes comfortably over-estimate wire
-/// bytes, so staying under this keeps the datagram below the 65507-byte UDP
-/// limit even before compression. A single batch larger than this is not
-/// split here; [`send_records`] splits it if its envelope is too large.
-const MAX_COALESCE_BYTES: usize = 60_000;
-
 /// Upper bound on pooled batch buffers.
 const MAX_POOLED_BATCHES: usize = 8;
-
-/// Per-attempt budget for a reconnection handshake.
-const RECONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long a flush waits (inside the thread) for reconnect + replay +
 /// acknowledgement before reporting failure. `Transmitter::flush` itself
@@ -102,22 +60,9 @@ const FLUSH_DRAIN_BUDGET: Duration = Duration::from_secs(25);
 /// (or, with a spill WAL configured, persisting it for the next process).
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
-/// Jitter fraction on the transmitter's reconnect backoff: after a gateway
-/// restart every disconnected device's timer would otherwise fire in
-/// lockstep (the reconnect stampede).
-const RECONNECT_JITTER: f64 = 0.25;
-
-/// Spreads `backoff` uniformly over `[(1 − j)·b, (1 + j)·b]`, `j` being
-/// [`RECONNECT_JITTER`].
-fn jitter_backoff(backoff: Duration, rng: &mut impl Rng) -> Duration {
-    let unit: f64 = rng.gen(); // [0, 1)
-    let factor = 1.0 - RECONNECT_JITTER + 2.0 * RECONNECT_JITTER * unit;
-    Duration::from_nanos((backoff.as_nanos() as f64 * factor) as u64)
-}
-
-/// A cheap per-call entropy seed for backoff jitter: wall clock nanos mixed
-/// with a process-wide counter, so simultaneous callers (the stampede case)
-/// still draw distinct jitter streams. Not cryptographic.
+/// A cheap per-call entropy seed for back-off jitter: wall clock nanos
+/// mixed with a process-wide counter, so simultaneous callers (the stampede
+/// case) still draw distinct jitter streams. Not cryptographic.
 fn entropy_seed() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nanos = std::time::SystemTime::now()
@@ -131,335 +76,18 @@ fn entropy_seed() -> u64 {
     z ^ (z >> 31)
 }
 
-/// Envelope spacing under *soft* congestion (broker advisory level 1): the
-/// broker asked for headroom, so sends trickle out instead of bursting and
-/// new records coalesce more deeply behind the queue.
-const SOFT_PACE: Duration = Duration::from_millis(5);
-
-/// Hold-off under *hard* congestion (level 2, or a PUBACK `Congestion`
-/// rejection): everything queues, with one probe envelope per interval so
-/// the transmitter notices drain even if the broker's falling advisory is
-/// lost.
-const HARD_PACE: Duration = Duration::from_millis(50);
-
-/// Capture-side transport statistics — the client mirror of
-/// `ProvenanceManager::server_stats()`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransmitterStats {
-    /// Whether the transmitter currently believes the broker is reachable.
-    pub connected: bool,
-    /// Successful reconnections after a detected disconnection.
-    pub reconnects: u64,
-    /// Publishes that failed (socket-level send failures, retry
-    /// exhaustion, broker rejections).
-    pub publish_failures: u64,
-    /// Records currently parked in the disconnection buffer.
-    pub buffered_records: u64,
-    /// Payload bytes currently parked in the disconnection buffer.
-    pub buffered_bytes: u64,
-    /// Most records the disconnection buffer ever held at once.
-    pub buffered_high_water: u64,
-    /// Records lost to buffer eviction, unsendable envelopes, or shutdown
-    /// with the broker still unreachable.
-    pub records_dropped: u64,
-    /// Records replayed out of the buffer after a reconnection.
-    pub records_replayed: u64,
-    /// Records spilled from the full RAM buffer to the flash WAL
-    /// (cumulative, this process).
-    pub spilled_records: u64,
-    /// Payload bytes spilled to the flash WAL (cumulative, this process).
-    pub spill_bytes: u64,
-    /// Records recovered from the WAL at startup — a previous process's
-    /// unsent spill, replayed once connected.
-    pub recovered_records: u64,
-    /// Records the WAL itself dropped (disk-cap oldest-segment eviction,
-    /// unrecoverable corruption). A subset of `records_dropped`.
-    pub wal_drops: u64,
-    /// Congestion signals received from the broker: CONGESTION advisories
-    /// plus PUBACK `Congestion` rejections.
-    pub congestion_signals: u64,
-    /// Envelopes the adaptive pacing window deferred to the buffer instead
-    /// of putting on the wire while the broker reported congestion.
-    pub paced_sends: u64,
-    /// Low-priority (begin-edge) records shed under sustained hard
-    /// congestion. A subset of `records_dropped`.
-    pub records_shed: u64,
-    /// Times the transmitter's loop came back from its blocking wait: the
-    /// command channel, or the socket while the gateway owed a reply. What
-    /// the device's CPU is woken for — two per message at a steady rate,
-    /// none while there is nothing to send and nothing to hear.
-    pub wakeups: u64,
-}
-
-/// Lock-free shared cell behind [`TransmitterStats`].
-#[derive(Debug, Default)]
-struct StatsCell {
-    connected: AtomicBool,
-    reconnects: AtomicU64,
-    publish_failures: AtomicU64,
-    buffered_records: AtomicU64,
-    buffered_bytes: AtomicU64,
-    buffered_high_water: AtomicU64,
-    records_dropped: AtomicU64,
-    records_replayed: AtomicU64,
-    spilled_records: AtomicU64,
-    spill_bytes: AtomicU64,
-    recovered_records: AtomicU64,
-    wal_drops: AtomicU64,
-    congestion_signals: AtomicU64,
-    paced_sends: AtomicU64,
-    records_shed: AtomicU64,
-    wakeups: AtomicU64,
-}
-
-impl StatsCell {
-    fn snapshot(&self) -> TransmitterStats {
-        TransmitterStats {
-            connected: self.connected.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            publish_failures: self.publish_failures.load(Ordering::Relaxed),
-            buffered_records: self.buffered_records.load(Ordering::Relaxed),
-            buffered_bytes: self.buffered_bytes.load(Ordering::Relaxed),
-            buffered_high_water: self.buffered_high_water.load(Ordering::Relaxed),
-            records_dropped: self.records_dropped.load(Ordering::Relaxed),
-            records_replayed: self.records_replayed.load(Ordering::Relaxed),
-            spilled_records: self.spilled_records.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            recovered_records: self.recovered_records.load(Ordering::Relaxed),
-            wal_drops: self.wal_drops.load(Ordering::Relaxed),
-            congestion_signals: self.congestion_signals.load(Ordering::Relaxed),
-            paced_sends: self.paced_sends.load(Ordering::Relaxed),
-            records_shed: self.records_shed.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A counted FIFO of encoded envelopes, `(payload, records)`. It holds no
-/// policy: [`Backlog`] decides what enters, where, and what leaves.
-#[derive(Debug, Default)]
-struct Fifo {
-    queue: VecDeque<(Vec<u8>, usize)>,
-    records: usize,
-    bytes: usize,
-}
-
-impl Fifo {
-    fn push_back(&mut self, payload: Vec<u8>, records: usize) {
-        self.records += records;
-        self.bytes += payload.len();
-        self.queue.push_back((payload, records));
-    }
-
-    fn push_front(&mut self, payload: Vec<u8>, records: usize) {
-        self.records += records;
-        self.bytes += payload.len();
-        self.queue.push_front((payload, records));
-    }
-
-    fn pop_front(&mut self) -> Option<(Vec<u8>, usize)> {
-        let (payload, records) = self.queue.pop_front()?;
-        self.records -= records;
-        self.bytes -= payload.len();
-        Some((payload, records))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-/// The envelopes the device holds back while the broker is unreachable or
-/// the pacing window is shut, replayed in capture order.
-///
-/// Oldest first: envelopes put back at the front (a replay that failed
-/// mid-way, in-flight publishes the client handed back), then the spill
-/// log when [`CaptureConfig::spill_dir`] is set, then RAM. New envelopes enter
-/// RAM's tail under two caps, `buffer_max_records` and `buffer_max_bytes`.
-/// Overflow leaves RAM oldest first (edge provenance favours the recent
-/// tail of a run over the head an operator can often re-derive) for the
-/// log's tail, which keeps the order since everything in the log is older,
-/// or, without a log, for a counted drop. An envelope over a cap by itself
-/// never enters RAM. Every record lost on the way is counted once, and
-/// [`Backlog::drain_drops`] hands the count to the link.
-struct Backlog {
-    front: Fifo,
-    wal: Option<Wal>,
-    ram: Fifo,
-    max_records: usize,
-    max_bytes: usize,
-    /// Drops the WAL's own counter does not see: RAM overflow without a
-    /// log, and appends the disk refused.
-    drops: u64,
-    /// Portion of `wal.dropped_records()` already handed to the link.
-    wal_drops_accounted: u64,
-}
-
-impl Backlog {
-    /// Builds the backlog, opening (and recovering) the WAL when configured.
-    fn new(config: &CaptureConfig) -> std::io::Result<Backlog> {
-        let wal = match &config.spill_dir {
-            Some(dir) => Some(Wal::open(WalConfig {
-                dir: dir.clone(),
-                segment_max_bytes: config.spill_segment_bytes.max(1) as u64,
-                max_total_bytes: config.spill_max_bytes.max(1) as u64,
-                sync_on_append: false,
-                fault: config.spill_fault.as_ref().map(|f| f.0.clone()),
-            })?),
-            None => None,
-        };
-        Ok(Backlog {
-            front: Fifo::default(),
-            wal,
-            ram: Fifo::default(),
-            max_records: config.buffer_max_records.max(1),
-            max_bytes: config.buffer_max_bytes.max(1),
-            drops: 0,
-            wal_drops_accounted: 0,
-        })
-    }
-
-    /// Appends a new (newest) envelope to RAM, moving RAM's oldest
-    /// envelopes out until both caps hold.
-    fn push_back(&mut self, payload: Vec<u8>, records: usize) {
-        if records > self.max_records || payload.len() > self.max_bytes {
-            // It can never live in RAM. With a log, everything in RAM is
-            // older and must reach it first; without one, the residents
-            // stay, since no eviction could make room.
-            if self.wal.is_some() {
-                while let Some((p, n)) = self.ram.pop_front() {
-                    self.spill(&p, n);
-                }
-            }
-            self.spill(&payload, records);
-            return;
-        }
-        while self.ram.records + records > self.max_records
-            || self.ram.bytes + payload.len() > self.max_bytes
-        {
-            let Some((p, n)) = self.ram.pop_front() else {
-                break;
-            };
-            self.spill(&p, n);
-        }
-        self.ram.push_back(payload, records);
-    }
-
-    /// Puts an envelope back at the very front. Never evicts: the front
-    /// may overshoot RAM's caps by what is in flight.
-    fn push_front(&mut self, payload: Vec<u8>, records: usize) {
-        self.front.push_front(payload, records);
-    }
-
-    /// Takes the oldest envelope: the front, then the log, then RAM.
-    fn pop_front(&mut self) -> Option<(Vec<u8>, usize)> {
-        if let Some(envelope) = self.front.pop_front() {
-            return Some(envelope);
-        }
-        if let Some(wal) = self.wal.as_mut() {
-            match wal.pop_front() {
-                Ok(Some(frame)) => return Some(frame),
-                Ok(None) => {}
-                // Transient I/O trouble establishing the reader (fd
-                // pressure, a momentary filesystem hiccup): the frames are
-                // still durable on disk, so end this replay round and let
-                // the next service pass retry. Never fall through to RAM —
-                // that would reorder newer envelopes ahead of the log.
-                // (Corruption inside a segment is handled by the WAL
-                // itself: the segment is skipped with its records counted
-                // in `dropped_records`.)
-                Err(_) => return None,
-            }
-        }
-        self.ram.pop_front()
-    }
-
-    /// The log's tail, or a counted drop when there is no log or the disk
-    /// refuses the append.
-    fn spill(&mut self, payload: &[u8], records: usize) {
-        let logged = self
-            .wal
-            .as_mut()
-            .is_some_and(|w| w.append(payload, records).is_ok());
-        if !logged {
-            self.drops += records as u64;
-        }
-    }
-
-    /// Drops found since the last call (RAM overflow without a log, the
-    /// log's cap evictions and I/O losses), for the link to fold into
-    /// `records_dropped` exactly once.
-    fn drain_drops(&mut self) -> u64 {
-        let wal_total = self.wal_drops();
-        let delta = wal_total - self.wal_drops_accounted;
-        self.wal_drops_accounted = wal_total;
-        delta + std::mem::take(&mut self.drops)
-    }
-
-    /// At shutdown, spills the front and RAM: with a log they persist for
-    /// the next process to recover, without one they are counted dropped.
-    /// The front reaches the log's tail although it is the oldest, so when
-    /// the log already holds frames (in-flight publishes handed back while
-    /// newer capture was spilling, or a replay interrupted mid-way) the
-    /// next process replays the front after them. The reordering is
-    /// bounded by the in-flight window; delivery still happens once.
-    fn close(&mut self) {
-        while let Some((p, n)) = self.front.pop_front() {
-            self.spill(&p, n);
-        }
-        while let Some((p, n)) = self.ram.pop_front() {
-            self.spill(&p, n);
-        }
-        if let Some(wal) = self.wal.as_mut() {
-            let _ = wal.sync();
-        }
-    }
-
-    fn records(&self) -> usize {
-        self.front.records
-            + self.wal.as_ref().map_or(0, |w| w.records() as usize)
-            + self.ram.records
-    }
-
-    fn bytes(&self) -> usize {
-        self.front.bytes + self.wal.as_ref().map_or(0, |w| w.bytes() as usize) + self.ram.bytes
-    }
-
-    fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.wal.as_ref().is_none_or(Wal::is_empty) && self.ram.is_empty()
-    }
-
-    /// Records found durable on disk at startup.
-    fn recovered_records(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::recovered_records)
-    }
-
-    /// Cumulative records spilled to flash this process.
-    fn spilled_records(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::appended_records)
-    }
-
-    /// Cumulative payload bytes spilled to flash this process.
-    fn spilled_bytes(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::appended_bytes)
-    }
-
-    /// Cumulative records the WAL dropped (cap eviction, corruption).
-    fn wal_drops(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::dropped_records)
-    }
-}
-
 /// Handle to the background transmitter thread.
 pub struct Transmitter {
     tx: Sender<Cmd>,
     thread: Option<std::thread::JoinHandle<()>>,
     pool: BatchPool,
-    stats: Arc<StatsCell>,
+    stats: Arc<Mutex<TransmitterStats>>,
 }
 
 impl Transmitter {
     /// Connects to the broker, registers `topic`, and starts the thread.
+    /// Both round trips run here, on the caller's thread, and the client
+    /// then splits into the endpoint and the session the thread drives.
     pub fn start(
         broker: SocketAddr,
         client_id: String,
@@ -467,12 +95,7 @@ impl Transmitter {
         config: CaptureConfig,
     ) -> Result<Transmitter, NetError> {
         let timeout = Duration::from_secs(10);
-        let mut client_config = ClientConfig::new(client_id);
-        client_config.keep_alive = config.keep_alive;
-        client_config.retry_timeout = config.retry_timeout;
-        client_config.max_retries = config.max_retries;
-        client_config.max_inflight = config.max_inflight.max(1);
-        let mut client = UdpClient::connect(broker, client_config, timeout)?;
+        let mut client = UdpClient::connect(broker, client_config(client_id, &config), timeout)?;
         let topic_id = client.register(&topic, timeout)?;
         // Chaos hook goes in only after the handshake: the fault plan
         // shapes steady-state traffic, not whether the transmitter can
@@ -480,29 +103,27 @@ impl Transmitter {
         if let Some(fault) = &config.datagram_fault {
             client.set_fault(fault.0.clone());
         }
-
-        // Open (and recover) the spill WAL before the thread exists so a
-        // misconfigured spill directory fails the connect loudly instead
-        // of silently degrading to RAM-only buffering.
-        let buffer = Backlog::new(&config).map_err(NetError::Io)?;
+        let (endpoint, session, start) = client.into_parts();
+        // The device opens (and recovers) the spill WAL before the thread
+        // exists, so a misconfigured spill directory fails the connect
+        // loudly instead of silently degrading to RAM-only buffering.
+        let device = Device::new(session, topic, topic_id, config, entropy_seed())?;
+        let stats = device.published_stats();
 
         // Bound the channel so a dead network eventually applies
         // backpressure instead of exhausting memory (the send-buffer role
         // of the simulation model).
         let (tx, rx) = bounded::<Cmd>(1024);
         let pool: BatchPool = Arc::new(Mutex::with_rank(parking_lot::rank::POOL, Vec::new()));
-        let stats = Arc::new(StatsCell::default());
-        stats.connected.store(true, Ordering::Relaxed);
-        stats
-            .recovered_records
-            .store(buffer.recovered_records(), Ordering::Relaxed);
+        let driver = Driver {
+            endpoint,
+            broker,
+            start,
+            device,
+        };
         let thread = {
             let pool = Arc::clone(&pool);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                let link = Link::new(client, topic, topic_id, config, buffer, stats);
-                transmitter_loop(link, rx, pool);
-            })
+            std::thread::spawn(move || driver.run(rx, pool))
         };
         Ok(Transmitter {
             tx,
@@ -535,7 +156,7 @@ impl Transmitter {
 
     /// Snapshot of the transport statistics.
     pub fn stats(&self) -> TransmitterStats {
-        self.stats.snapshot()
+        *self.stats.lock()
     }
 
     /// Blocks until everything enqueued so far is published and (for QoS
@@ -552,7 +173,7 @@ impl Transmitter {
             Ok(true) => Ok(()),
             Ok(false) => Err(CaptureError::Transport(format!(
                 "flush incomplete: broker unreachable, {} records buffered for replay",
-                self.stats.buffered_records.load(Ordering::Relaxed)
+                self.stats.lock().buffered_records
             ))),
             Err(_) => Err(CaptureError::Transport("flush timed out".into())),
         }
@@ -577,612 +198,6 @@ impl Drop for Transmitter {
     }
 }
 
-/// Pending coalesced records plus their approximate encoded size.
-struct Coalescer {
-    records: Vec<Record>,
-    approx_bytes: usize,
-    max_payload: usize,
-}
-
-impl Coalescer {
-    fn new(max_payload: usize) -> Self {
-        Coalescer {
-            records: Vec::new(),
-            approx_bytes: 0,
-            max_payload: max_payload.max(1),
-        }
-    }
-
-    // lint: zero-alloc-begin
-    fn push(&mut self, record: Record) {
-        self.approx_bytes += record.approx_size();
-        self.records.push(record);
-    }
-
-    fn absorb(&mut self, batch: &mut Vec<Record>) {
-        for r in batch.drain(..) {
-            self.push(r);
-        }
-    }
-    // lint: zero-alloc-end
-
-    /// True when absorbing `incoming` more approx bytes would push the
-    /// envelope past the hard wire-size ceiling; the pending records must be
-    /// cut into an envelope first.
-    fn would_overflow(&self, incoming: usize) -> bool {
-        !self.is_empty() && self.approx_bytes + incoming > MAX_COALESCE_BYTES
-    }
-
-    /// True once the pending records reached the high-water mark and should
-    /// be cut into an envelope before absorbing more.
-    fn full(&self) -> bool {
-        self.approx_bytes >= self.max_payload
-    }
-
-    fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.records.clear();
-        self.approx_bytes = 0;
-    }
-}
-
-/// Largest payload handed to one MQTT-SN publish. Leaves room for the
-/// packet header under the 65507-byte UDP datagram limit.
-const MAX_DATAGRAM_PAYLOAD: usize = 65_000;
-
-/// The transmitter thread's connection manager: an MQTT-SN client plus the
-/// [`Backlog`] and the reconnect/backoff state machine. No method
-/// on `Link` ever kills the thread — every transport failure degrades to
-/// buffering and a scheduled reconnection attempt.
-struct Link {
-    client: UdpClient,
-    topic: String,
-    topic_id: u16,
-    config: CaptureConfig,
-    connected: bool,
-    backoff: Duration,
-    next_attempt: Instant,
-    buffer: Backlog,
-    /// Record count per in-flight message id, in publish order as the
-    /// client's send window holds them, so payloads the client hands back
-    /// keep accurate drop/replay accounting and return in publish order.
-    inflight_records: VecDeque<(u16, usize)>,
-    /// Backoff jitter source (see [`RECONNECT_JITTER`]).
-    rng: StdRng,
-    stats: Arc<StatsCell>,
-    /// Latest broker-advertised congestion level (0 clear / 1 soft /
-    /// 2 hard).
-    congestion_level: u8,
-    /// No envelope leaves before this instant while congested — the
-    /// adaptive pacing window. New sends queue behind the buffer instead,
-    /// which deepens coalescing and lets replay meter the drain.
-    pace_until: Instant,
-}
-
-impl Link {
-    fn new(
-        client: UdpClient,
-        topic: String,
-        topic_id: u16,
-        config: CaptureConfig,
-        buffer: Backlog,
-        stats: Arc<StatsCell>,
-    ) -> Link {
-        Link {
-            client,
-            topic,
-            topic_id,
-            connected: true,
-            backoff: config
-                .reconnect_initial_backoff
-                .max(Duration::from_millis(1)),
-            next_attempt: Instant::now(),
-            buffer,
-            inflight_records: VecDeque::new(),
-            rng: StdRng::seed_from_u64(entropy_seed()),
-            stats,
-            congestion_level: 0,
-            pace_until: Instant::now(),
-            config,
-        }
-    }
-
-    /// Counts a broker congestion signal and folds it into the pacing
-    /// state.
-    fn note_congestion(&mut self, level: u8) {
-        self.stats
-            .congestion_signals
-            .fetch_add(1, Ordering::Relaxed);
-        self.congestion_level = level;
-        if level == 0 {
-            self.pace_until = Instant::now();
-        }
-    }
-
-    /// True while the pacing window forbids putting an envelope on the
-    /// wire.
-    fn paced(&self) -> bool {
-        self.congestion_level > 0 && Instant::now() < self.pace_until
-    }
-
-    /// Re-arms the pacing window after a send (or a rejection) under
-    /// congestion; a no-op at level 0.
-    fn arm_pace(&mut self) {
-        if self.congestion_level > 0 {
-            let spacing = if self.congestion_level >= 2 {
-                HARD_PACE
-            } else {
-                SOFT_PACE
-            };
-            self.pace_until = Instant::now() + spacing;
-        }
-    }
-
-    /// True when begin-edge records should be shed instead of queued: hard
-    /// congestion has persisted long enough to fill half the RAM buffer, so
-    /// the alternative to shedding is evicting arbitrary envelopes once the
-    /// cap is hit. Only RAM counts: records in the spill log (recovered
-    /// from a previous process, say) or put back at the front are no
-    /// pressure on it. End-edge records — task completion and outputs, the
-    /// part an operator cannot re-derive — always keep their place in the
-    /// queue.
-    fn shedding(&self) -> bool {
-        self.congestion_level >= 2 && self.buffer.ram.records >= self.config.buffer_max_records / 2
-    }
-
-    fn mark_disconnected(&mut self) {
-        if self.connected {
-            self.connected = false;
-            self.backoff = self
-                .config
-                .reconnect_initial_backoff
-                .max(Duration::from_millis(1));
-            self.next_attempt = Instant::now() + jitter_backoff(self.backoff, &mut self.rng);
-        }
-    }
-
-    /// Mirrors buffer gauges and connection state into the shared stats,
-    /// folding in any drops the buffer discovered since the last sync.
-    fn sync_gauges(&mut self) {
-        let dropped = self.buffer.drain_drops();
-        if dropped > 0 {
-            self.stats
-                .records_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
-        let s = &self.stats;
-        s.connected.store(self.connected, Ordering::Relaxed);
-        s.buffered_records
-            .store(self.buffer.records() as u64, Ordering::Relaxed);
-        s.buffered_bytes
-            .store(self.buffer.bytes() as u64, Ordering::Relaxed);
-        s.buffered_high_water
-            .fetch_max(self.buffer.records() as u64, Ordering::Relaxed);
-        s.spilled_records
-            .store(self.buffer.spilled_records(), Ordering::Relaxed);
-        s.spill_bytes
-            .store(self.buffer.spilled_bytes(), Ordering::Relaxed);
-        s.wal_drops
-            .store(self.buffer.wal_drops(), Ordering::Relaxed);
-    }
-
-    /// Consumes queued client events in one pass. Each message that left
-    /// the client's window settles once: at once, or, when its event hands
-    /// its payload back, as that payload returns to the backlog's front
-    /// ([`Link::put_back`]): it is older than anything buffered since.
-    fn absorb_events(&mut self) {
-        let mut back: Vec<(u16, Vec<u8>)> = Vec::new();
-        while let Some(event) = self.client.pop_event() {
-            let (msg_id, payload) = match event {
-                ClientEvent::PublishDone { msg_id } => (msg_id, None),
-                ClientEvent::PublishRejected {
-                    msg_id,
-                    code: ReturnCode::Congestion,
-                    payload,
-                } => {
-                    // Hard backpressure: the broker refused the publish to
-                    // shed load; it goes back for paced replay.
-                    self.note_congestion(2);
-                    self.arm_pace();
-                    (msg_id, payload)
-                }
-                ClientEvent::PublishFailed { msg_id, payload }
-                | ClientEvent::PublishRejected {
-                    msg_id, payload, ..
-                } => {
-                    // Retries exhausted, or a gateway that no longer knows
-                    // our session (it restarted without its state): the way
-                    // back is a reconnect, whose CONNECT opens a session.
-                    self.stats.publish_failures.fetch_add(1, Ordering::Relaxed);
-                    self.mark_disconnected();
-                    (msg_id, payload)
-                }
-                ClientEvent::Congestion { level } => {
-                    self.note_congestion(level);
-                    continue;
-                }
-                ClientEvent::PingTimeout | ClientEvent::Disconnected => {
-                    self.mark_disconnected();
-                    continue;
-                }
-                _ => continue,
-            };
-            match payload {
-                Some(payload) => back.push((msg_id, payload)),
-                None => self.settle(msg_id),
-            }
-        }
-        if !back.is_empty() {
-            self.put_back(back);
-        }
-    }
-
-    /// Drops the accounting entry of a message that left the client's
-    /// window. Messages mostly settle in publish order, so the search ends
-    /// at the front.
-    fn settle(&mut self, msg_id: u16) {
-        if let Some(at) = self
-            .inflight_records
-            .iter()
-            .position(|&(id, _)| id == msg_id)
-        {
-            self.inflight_records.remove(at);
-        }
-    }
-
-    /// Settles the messages whose payloads the client handed back and puts
-    /// each payload at the backlog's front with its record count, newest
-    /// first, so the front ends in publish order.
-    fn put_back(&mut self, mut back: Vec<(u16, Vec<u8>)>) {
-        for at in (0..self.inflight_records.len()).rev() {
-            let (id, records) = self.inflight_records[at];
-            if let Some(i) = back.iter().position(|&(msg_id, _)| msg_id == id) {
-                let (_, payload) = back.swap_remove(i);
-                self.inflight_records.remove(at);
-                self.buffer.push_front(payload, records);
-            }
-        }
-    }
-
-    /// One maintenance pass that waits on the socket: while connected,
-    /// [`await_gateway`]. For whoever needs a reply — the loop while
-    /// [`Link::awaits_gateway`], a flush or the shutdown draining
-    /// handshakes. The rest is [`Link::maintain`].
-    fn service(&mut self) {
-        self.maintain(await_gateway);
-    }
-
-    /// The same pass without the wait ([`UdpClient::tick`]): whatever came
-    /// due since the last one — a retransmission, the keep-alive PINGREQ, a
-    /// held PUBREL's release, the ask for what the gateway holds, a
-    /// reconnection attempt — and nothing read but, once per hold, what the
-    /// gateway's held acknowledgements left queued on the socket.
-    fn tick(&mut self) {
-        self.maintain(UdpClient::tick);
-    }
-
-    /// Runs `io` on the client when connected (or attempts a due
-    /// reconnection when not), folds in events, replays what the pacing
-    /// window allows, and refreshes the gauges.
-    fn maintain(&mut self, io: fn(&mut UdpClient) -> Result<(), NetError>) {
-        if self.connected {
-            if io(&mut self.client).is_err() {
-                self.mark_disconnected();
-            }
-            self.absorb_events();
-            // A backlog can exist while connected (congestion pacing, a
-            // recovered rejection): drain it as the pacing window allows.
-            if self.connected && !self.buffer.is_empty() {
-                self.replay();
-            }
-        } else if Instant::now() >= self.next_attempt {
-            self.attempt_reconnect();
-        }
-        self.sync_gauges();
-    }
-
-    /// Whether the next thing to happen will arrive on the socket: the
-    /// gateway owes a reply ([`UdpClient::reply_expected`]), or it has
-    /// reported congestion and will report, unasked, when that clears, or a
-    /// backlog is waiting on the pacing window or the in-flight window.
-    /// Then the loop waits there, at the read time-out's cadence. The
-    /// acknowledgement of a PUBLISH that did not ask for it is no reason:
-    /// the gateway holds it, and the tick at the read deadline
-    /// ([`Link::next_deadline`]) reads it, once per hold.
-    fn awaits_gateway(&self) -> bool {
-        self.connected
-            && (self.client.reply_expected()
-                || self.congestion_level > 0
-                || !self.buffer.is_empty())
-    }
-
-    /// Otherwise nothing happens before this instant unless a capture call
-    /// makes it: the next reconnection attempt while disconnected, else the
-    /// client's earliest timer ([`UdpClient::next_deadline`] — keep-alive,
-    /// the release of a held PUBREL, the read deadline or the ask for what
-    /// the gateway holds, a fault-delayed datagram). `None`: nothing is
-    /// scheduled at all.
-    fn next_deadline(&self) -> Option<Instant> {
-        if self.connected {
-            self.client.next_deadline()
-        } else {
-            Some(self.next_attempt)
-        }
-    }
-
-    fn attempt_reconnect(&mut self) {
-        match self.client.try_reconnect(RECONNECT_ATTEMPT_TIMEOUT) {
-            Ok(()) => {
-                self.connected = true;
-                // A fresh session starts from a clean congestion slate —
-                // the broker (possibly a different incarnation) will signal
-                // again if it is still overloaded.
-                self.congestion_level = 0;
-                self.pace_until = Instant::now();
-                self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                self.backoff = self
-                    .config
-                    .reconnect_initial_backoff
-                    .max(Duration::from_millis(1));
-                // Session resumption may have remapped the topic id (the
-                // broker can hand out a different one after a restart).
-                if let Some(id) = self.client.topic_id(&self.topic) {
-                    self.topic_id = id;
-                }
-                self.absorb_events();
-                self.replay();
-            }
-            Err(e) => {
-                let cap = self
-                    .config
-                    .reconnect_max_backoff
-                    .max(Duration::from_millis(1));
-                self.next_attempt = Instant::now() + jitter_backoff(self.backoff, &mut self.rng);
-                self.backoff = if e.is_transient() {
-                    (self.backoff * 2).min(cap)
-                } else {
-                    // Fatal errors (protocol rejection) are not going away
-                    // soon; jump straight to the ceiling but keep trying —
-                    // an operator fixing the broker should not require
-                    // restarting every edge device.
-                    cap
-                };
-            }
-        }
-    }
-
-    /// Replays buffered envelopes in original order until the buffer
-    /// drains, the pacing window closes, or the link fails again (the
-    /// failed head returns to the front).
-    fn replay(&mut self) {
-        while self.connected {
-            if self.paced() {
-                // Congestion metering: resume on a later service pass.
-                return;
-            }
-            let Some((payload, records)) = self.buffer.pop_front() else {
-                return;
-            };
-            if !self.send_payload(payload, records, true) {
-                return;
-            }
-        }
-    }
-
-    /// Hands one encoded envelope to the MQTT-SN client, buffering it
-    /// instead when the link is down (or goes down mid-send). Returns
-    /// `true` when the envelope was accepted by the state machine (on the
-    /// wire or in-flight), `false` when it went to the buffer.
-    fn send_payload(&mut self, payload: Vec<u8>, records: usize, replaying: bool) -> bool {
-        // The state machine can learn of a teardown (broker DISCONNECT)
-        // before our own `connected` flag does; publishing then would
-        // consume the payload in the error path, losing the records the
-        // buffer exists to save.
-        if self.client.state() != ClientState::Connected {
-            self.mark_disconnected();
-        }
-        // While a backlog exists, new envelopes must queue behind it —
-        // publishing them directly would reorder the stream. The pacing
-        // window routes new envelopes the same way, so congestion turns
-        // into deeper coalescing instead of wire pressure.
-        if !self.connected || (!replaying && (!self.buffer.is_empty() || self.paced())) {
-            if self.connected && !replaying && self.paced() {
-                self.stats.paced_sends.fetch_add(1, Ordering::Relaxed);
-            }
-            self.buffer_payload(payload, records, replaying);
-            return false;
-        }
-        // Respect the in-flight window before adding more.
-        while !self.client.can_publish() {
-            if await_gateway(&mut self.client).is_err() {
-                self.mark_disconnected();
-            }
-            self.absorb_events();
-            if !self.connected || self.client.state() != ClientState::Connected {
-                self.mark_disconnected();
-                self.buffer_payload(payload, records, replaying);
-                return false;
-            }
-        }
-        match self
-            .client
-            .publish_resilient(self.topic_id, payload, QoS::ExactlyOnce)
-        {
-            Ok((msg_id, sent)) => {
-                // On the wire, or safe in the in-flight window (which
-                // retransmits on resume) — either way the envelope left
-                // the buffer's responsibility.
-                self.inflight_records.push_back((msg_id, records));
-                if replaying {
-                    self.stats
-                        .records_replayed
-                        .fetch_add(records as u64, Ordering::Relaxed);
-                }
-                if !sent {
-                    self.stats.publish_failures.fetch_add(1, Ordering::Relaxed);
-                    self.mark_disconnected();
-                }
-                // Meter the next envelope while the broker reports
-                // congestion (no-op at level 0).
-                self.arm_pace();
-                true
-            }
-            Err(_) => {
-                // Protocol refusal despite the guards above (in-flight
-                // window and connection state both re-checked): the state
-                // machine consumed the payload, so all we can do is
-                // account the loss honestly.
-                self.stats.publish_failures.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .records_dropped
-                    .fetch_add(records as u64, Ordering::Relaxed);
-                self.mark_disconnected();
-                false
-            }
-        }
-    }
-
-    fn buffer_payload(&mut self, payload: Vec<u8>, records: usize, front: bool) {
-        if front {
-            self.buffer.push_front(payload, records);
-        } else {
-            self.buffer.push_back(payload, records);
-        }
-        // Any drops (RAM or WAL eviction) surface through the gauge sync.
-        self.sync_gauges();
-    }
-
-    /// True once nothing is outstanding: connected, empty buffer, no
-    /// in-flight QoS 2 handshakes.
-    fn drained(&self) -> bool {
-        self.connected && self.buffer.is_empty() && self.client.inflight_len() == 0
-    }
-
-    /// Works toward a full drain until `budget` expires: services the
-    /// link (reconnecting as needed) and lets replay/retransmission run.
-    fn drain_all(&mut self, budget: Duration) -> bool {
-        let deadline = Instant::now() + budget;
-        loop {
-            if self.drained() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            self.service();
-            if !self.connected {
-                // service() returns immediately while waiting out the
-                // backoff; don't busy-spin.
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-
-    /// Final accounting when the thread exits with data still unsent.
-    /// Unacknowledged in-flight envelopes count as lost: unconfirmed
-    /// delivery is reported as loss rather than silently presumed
-    /// successful. The backlog closes ([`Backlog::close`]): with a spill
-    /// WAL its records persist for the next process, without one they
-    /// reach the drop count through the gauge sync.
-    fn account_shutdown_loss(&mut self) {
-        self.absorb_events();
-        let unconfirmed: usize = self.inflight_records.iter().map(|&(_, n)| n).sum();
-        if unconfirmed > 0 {
-            self.stats
-                .records_dropped
-                .fetch_add(unconfirmed as u64, Ordering::Relaxed);
-        }
-        self.buffer.close();
-        self.sync_gauges();
-    }
-}
-
-/// Blocks on the gateway's answer: asks for what it may be holding for
-/// this device ([`UdpClient::ask`]), then [`UdpClient::pump`]
-/// sends what is held, blocks for a datagram (up to the read time-out),
-/// reads what else is queued and runs the timers. Whoever blocks asks, so
-/// no flush waits out the gateway's hold.
-fn await_gateway(client: &mut UdpClient) -> Result<(), NetError> {
-    client.ask()?;
-    client.pump()
-}
-
-/// Encodes `records` into one envelope (payload buffer recycled from the
-/// client when possible) and hands it to the link. If the encoded form
-/// exceeds the datagram limit, the records are split in half and sent as
-/// separate envelopes: the coalescer bounds only what it merges and never
-/// splits one queued batch, so a large group of incompressible values can
-/// still arrive here whole.
-fn send_records(link: &mut Link, records: &[Record]) {
-    // lint: zero-alloc-begin
-    if records.is_empty() {
-        return;
-    }
-    let mut payload = link.client.take_spare_payload().unwrap_or_default();
-    payload.clear();
-    Envelope::encode_into(records, true, &mut payload);
-    if payload.len() > MAX_DATAGRAM_PAYLOAD {
-        link.client.reclaim_payload(payload);
-        if records.len() > 1 {
-            let mid = records.len() / 2;
-            send_records(link, &records[..mid]);
-            send_records(link, &records[mid..]);
-            return;
-        }
-        // A single record whose encoding exceeds the datagram limit can
-        // never be sent; drop it (with accounting) rather than letting the
-        // doomed publish kill the transmitter.
-        link.stats.records_dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    link.send_payload(payload, records.len(), false);
-    // lint: zero-alloc-end
-}
-
-/// Sends the coalesced pending records (see [`send_records`]) and resets the
-/// coalescer.
-fn send_pending(link: &mut Link, pending: &mut Coalescer) {
-    // lint: zero-alloc-begin
-    if pending.is_empty() {
-        return;
-    }
-    // Split borrows: `send_records` needs the link mutably and the records
-    // immutably, so move the records out for the call.
-    let records = std::mem::take(&mut pending.records);
-    send_records(link, &records);
-    pending.records = records;
-    pending.clear();
-    // lint: zero-alloc-end
-}
-
-/// Low-priority records under graceful degradation: begin edges announce
-/// work an operator can usually re-derive, while end edges carry completion
-/// status and outputs — the provenance that cannot be reconstructed.
-fn is_low_priority(record: &Record) -> bool {
-    matches!(
-        record,
-        Record::WorkflowBegin { .. } | Record::TaskBegin { .. }
-    )
-}
-
-/// Sheds begin-edge records from `batch` with exact accounting (counted in
-/// both `records_shed` and `records_dropped`). Called only while
-/// [`Link::shedding`] holds.
-fn shed_low_priority(link: &Link, batch: &mut Vec<Record>) {
-    let before = batch.len();
-    batch.retain(|r| !is_low_priority(r));
-    let shed = (before - batch.len()) as u64;
-    if shed > 0 {
-        link.stats.records_shed.fetch_add(shed, Ordering::Relaxed);
-        link.stats
-            .records_dropped
-            .fetch_add(shed, Ordering::Relaxed);
-    }
-}
-
 /// Returns a drained batch buffer to the shared pool.
 fn pool_batch(pool: &BatchPool, batch: Vec<Record>) {
     debug_assert!(batch.is_empty());
@@ -1192,137 +207,219 @@ fn pool_batch(pool: &BatchPool, batch: Vec<Record>) {
     }
 }
 
-/// Takes `first` and every command queued behind it off the channel
-/// without blocking, coalescing records and cutting envelopes at the
-/// max-payload high-water mark. A Flush or Shutdown ends the drain and is
-/// returned, to be honoured once the records queued before it are sent; a
-/// channel whose senders are all gone reads as Shutdown.
-fn absorb_commands(
-    link: &mut Link,
-    rx: &Receiver<Cmd>,
-    pool: &BatchPool,
-    pending: &mut Coalescer,
-    first: Option<Cmd>,
-) -> Option<Cmd> {
-    let mut next = first;
-    loop {
-        match next.take().map_or_else(|| rx.try_recv(), Ok) {
-            Ok(Cmd::Publish(mut batch)) => {
-                if link.shedding() {
-                    shed_low_priority(link, &mut batch);
-                }
-                let incoming: usize = batch.iter().map(Record::approx_size).sum();
-                if pending.would_overflow(incoming) {
-                    send_pending(link, pending);
-                }
-                pending.absorb(&mut batch);
-                pool_batch(pool, batch);
-            }
-            Ok(Cmd::PublishOne(record)) => {
-                if link.shedding() && is_low_priority(&record) {
-                    link.stats.records_shed.fetch_add(1, Ordering::Relaxed);
-                    link.stats.records_dropped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    if pending.would_overflow(record.approx_size()) {
-                        send_pending(link, pending);
-                    }
-                    pending.push(record);
-                }
-            }
-            Ok(other) => return Some(other),
-            Err(TryRecvError::Empty) => return None,
-            Err(TryRecvError::Disconnected) => return Some(Cmd::Shutdown),
-        }
-        if pending.full() {
-            send_pending(link, pending);
-        }
-    }
+/// What the transmitter thread owns around its [`Device`]: the socket, the
+/// gateway's address, and the clock the device's session runs on.
+struct Driver {
+    endpoint: Endpoint,
+    broker: SocketAddr,
+    start: Instant,
+    device: Device,
 }
 
-/// The transmitter thread. It sleeps until something can happen, in one
-/// place at a time. Each turn:
-///
-/// 1. **Drain.** Every queued command comes off the channel without
-///    blocking; the records coalesce and leave (a PUBLISH is never held
-///    back). A Flush or Shutdown found there is honoured next; both block
-///    by pumping until every handshake is complete.
-/// 2. **Timers.** [`Link::tick`] does what came due, reading the socket
-///    only at the read deadline, once per hold of the gateway's.
-/// 3. **One wait.** While the gateway can have a datagram on its way
-///    ([`Link::awaits_gateway`]) the wait is on the socket
-///    ([`Link::service`]). Otherwise it is on the channel alone, until the
-///    earliest real deadline ([`Link::next_deadline`]) — so an idle device
-///    wakes for its keep-alive and for nothing else, and a record never
-///    sits out a socket time-out.
-///
-/// A held PUBREL is no reason to wake: the next PUBLISH or PINGREQ carries
-/// it, whoever blocks on a handshake releases it, and failing both it has a
-/// deadline of its own, half a `Tretry`. Nor is an acknowledgement the
-/// gateway holds: the device asks for it when a flush blocks
-/// ([`await_gateway`]) or a PUBLISH fills half the in-flight window, and
-/// otherwise the tick at the read deadline reads it, after the hold must
-/// have ended.
-///
-/// Woken by a command, the thread yields once before draining. The capture
-/// call that woke it is on the workflow's critical path and this thread is
-/// not; on a single core the wake-up otherwise preempts the caller inside
-/// `task.begin()`, which then waits while `begin` is encoded and sent
-/// alone. After the yield the caller has finished its burst, the drain
-/// sees all of it, and how many records share a message no longer depends
-/// on how slow this thread is.
-fn transmitter_loop(mut link: Link, rx: Receiver<Cmd>, pool: BatchPool) {
-    let mut pending = Coalescer::new(link.config.max_payload);
-    // A previous process's unsent spill recovered from the WAL replays
-    // ahead of any new capture — disk-first, original order.
-    if !link.buffer.is_empty() {
-        link.replay();
-        link.sync_gauges();
+/// Nanoseconds since `start`: `now` for the device.
+fn since(start: Instant) -> Nanos {
+    start.elapsed().as_nanos() as Nanos
+}
+
+impl Driver {
+    /// When the device, or a datagram the fault plan delays (chaos only),
+    /// next has something to do; `None`: nothing is scheduled.
+    fn next_deadline(&self) -> Option<Instant> {
+        let device = self.device.next_deadline();
+        let device = device.and_then(|ns| self.start.checked_add(Duration::from_nanos(ns)));
+        device.into_iter().chain(self.endpoint.next_release()).min()
     }
-    let mut woken_by: Option<Cmd> = None;
-    loop {
-        let deferred = absorb_commands(&mut link, &rx, &pool, &mut pending, woken_by.take());
-        send_pending(&mut link, &mut pending);
-        match deferred {
-            Some(Cmd::Flush(ack)) => {
-                let ok = link.drain_all(FLUSH_DRAIN_BUDGET);
-                let _ = ack.send(ok);
-            }
-            Some(Cmd::Shutdown) => {
-                let _ = link.drain_all(SHUTDOWN_GRACE);
-                link.account_shutdown_loss();
-                let _ = link.client.disconnect();
-                return;
-            }
-            _ => {}
-        }
-        link.tick();
-        if link.awaits_gateway() {
-            link.service();
-        } else {
-            let woke = match link.next_deadline() {
-                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+
+    /// Takes `first` and every command queued behind it off the channel
+    /// without blocking, while the device takes capture: the records
+    /// coalesce, cutting envelopes at the max-payload high-water mark. A
+    /// Flush or Shutdown ends the drain and is returned, to be honoured
+    /// once the records queued before it are sent; a channel whose senders
+    /// are all gone reads as Shutdown.
+    fn absorb_commands(
+        &mut self,
+        rx: &Receiver<Cmd>,
+        pool: &BatchPool,
+        first: Option<Cmd>,
+    ) -> Option<Cmd> {
+        let mut next = first;
+        loop {
+            let cmd = match next.take() {
+                Some(cmd) => cmd,
+                None if !self.device.takes_capture() => return None,
+                None => match rx.try_recv() {
+                    Ok(cmd) => cmd,
+                    Err(TryRecvError::Empty) => return None,
+                    Err(TryRecvError::Disconnected) => return Some(Cmd::Shutdown),
+                },
             };
-            // A time-out is a deadline falling due, for the next turn's
-            // tick; a channel without senders is the next drain's to report.
-            if let Ok(cmd) = woke {
-                std::thread::yield_now();
-                woken_by = Some(cmd);
+            let now = since(self.start);
+            let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+            match cmd {
+                Cmd::Publish(mut batch) => {
+                    self.device.capture(&mut batch, now, send);
+                    pool_batch(pool, batch);
+                }
+                Cmd::PublishOne(record) => self.device.capture_one(record, now, send),
+                other => return Some(other),
             }
         }
-        link.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One read of the socket, then [`Device::poll`]. With `wait`, the
+    /// device first asks for what the gateway may hold ([`Device::ask`]),
+    /// and the read blocks for a datagram, up to the endpoint's read
+    /// time-out, then takes what else has queued. Without, it takes only
+    /// the datagrams the fault plan delayed that came off hold and — once
+    /// per hold of the gateway's, at the device's read deadline — what the
+    /// gateway's held acknowledgements left queued; a reconnect attempt
+    /// that fell due first gets a new socket under the link.
+    fn read(&mut self, wait: bool) {
+        let now = since(self.start);
+        if self.device.redial_due(now) {
+            let dialed = dial(self.broker).and_then(|socket| self.endpoint.replace_socket(socket));
+            let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+            self.device.dialed(dialed, now, send);
+        }
+        let drain = !wait && self.device.drain_due(now);
+        if wait {
+            let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+            self.device.ask(now, send);
+        }
+        let (device, start) = (&mut self.device, self.start);
+        let mut heard = |_, datagram: &[u8]| device.hear(datagram, since(start));
+        let mut read = match wait {
+            true => self.endpoint.read(&mut heard),
+            false => self.endpoint.release_due(&mut heard),
+        };
+        if drain && read.is_ok() {
+            read = self.endpoint.drain(0, &mut heard);
+        }
+        let now = since(self.start);
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        self.device.poll(read, now, send);
+    }
+
+    /// Works toward a full drain until `budget` expires: waits on the
+    /// socket while the link is up or a reconnect attempt is under way,
+    /// and until the next attempt falls due while it is down.
+    fn drain(&mut self, budget: Duration) -> bool {
+        let deadline = Instant::now() + budget;
+        loop {
+            self.read(false);
+            if self.device.drained() {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            if self.device.is_down() {
+                let until = self.next_deadline().map_or(deadline, |at| at.min(deadline));
+                std::thread::sleep(until.saturating_duration_since(now));
+            } else {
+                self.read(true);
+            }
+        }
+    }
+
+    /// The transmitter thread. It sleeps until something can happen, in one
+    /// place at a time. Each turn:
+    ///
+    /// 1. **Drain.** Every queued command comes off the channel without
+    ///    blocking, while the device takes capture; the records coalesce
+    ///    and leave (a PUBLISH is never held back). A Flush or Shutdown
+    ///    found there is honoured next; both block in [`Driver::drain`]
+    ///    until every handshake is complete.
+    /// 2. **Timers.** [`Driver::read`] without a wait does what came due,
+    ///    reading the socket only at the read deadline, once per hold of
+    ///    the gateway's.
+    /// 3. **One wait.** While the gateway can have a datagram on its way
+    ///    ([`Device::awaits_gateway`]) the wait is on the socket
+    ///    ([`Driver::read`] with one). Otherwise it is on the channel alone,
+    ///    until the earliest real deadline ([`Device::next_deadline`]) —
+    ///    so an idle device wakes for its keep-alive and for nothing else,
+    ///    and a record never sits out a socket time-out.
+    ///
+    /// A held PUBREL is no reason to wake: the next PUBLISH or PINGREQ
+    /// carries it, whoever blocks on a handshake releases it, and failing
+    /// both it has a deadline of its own, half a `Tretry`. Nor is an
+    /// acknowledgement the gateway holds: the device asks for it when a
+    /// flush blocks or a PUBLISH fills half the in-flight window, and
+    /// otherwise the drain at the read deadline reads it, after the hold
+    /// must have ended.
+    ///
+    /// Woken by a command, the thread yields once before draining. The
+    /// capture call that woke it is on the workflow's critical path and
+    /// this thread is not; on a single core the wake-up otherwise preempts
+    /// the caller inside `task.begin()`, which then waits while `begin` is
+    /// encoded and sent alone. After the yield the caller has finished its
+    /// burst, the drain sees all of it, and how many records share a
+    /// message no longer depends on how slow this thread is.
+    fn run(mut self, rx: Receiver<Cmd>, pool: BatchPool) {
+        // A previous process's unsent spill recovered from the WAL replays
+        // ahead of any new capture — disk-first, original order.
+        self.read(false);
+        let mut woken_by: Option<Cmd> = None;
+        loop {
+            let deferred = self.absorb_commands(&rx, &pool, woken_by.take());
+            let now = since(self.start);
+            let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+            self.device.cut(now, send);
+            match deferred {
+                Some(Cmd::Flush(ack)) => {
+                    let ok = self.drain(FLUSH_DRAIN_BUDGET);
+                    let _ = ack.send(ok);
+                }
+                Some(Cmd::Shutdown) => {
+                    let _ = self.drain(SHUTDOWN_GRACE);
+                    let now = since(self.start);
+                    let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+                    self.device.close(now, send);
+                    return;
+                }
+                _ => {}
+            }
+            self.read(false);
+            if self.device.awaits_gateway() {
+                self.read(true);
+            } else {
+                let woke = match self.next_deadline() {
+                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                };
+                // A time-out is a deadline falling due, for the next turn;
+                // a channel without senders is the next drain's to report.
+                if let Ok(cmd) = woke {
+                    std::thread::yield_now();
+                    woken_by = Some(cmd);
+                }
+            }
+            self.device.count_wakeup();
+        }
     }
 }
 
+/// The transmitter over real sockets and real time. The device's logic is
+/// tested on virtual time in `device::tests`, several cases under the same
+/// names as here; the backlog's, the pacing's and the back-off's own cases
+/// stay here.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::LinkFault;
+    use crate::device::{
+        is_low_priority, jitter_backoff, shed_low_priority, Backlog, RECONNECT_JITTER,
+    };
     use mqtt_sn::broker::BrokerConfig;
     use mqtt_sn::net::UdpBroker;
     use mqtt_sn::packet::frames;
-    use mqtt_sn::{DatagramFate, DatagramFault, FaultDir, LocalSubscription, Packet};
+    use mqtt_sn::session::Session;
+    use mqtt_sn::{ClientConfig, DatagramFate, DatagramFault, FaultDir, LocalSubscription, Packet};
+    use prov_codec::frame::Envelope;
     use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
+    use prov_wal::{Wal, WalConfig};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::HashMap;
 
     fn record(i: u64, attrs: usize) -> Record {
@@ -1350,23 +447,21 @@ mod tests {
         config: CaptureConfig,
         rx: Receiver<Cmd>,
         pool: BatchPool,
-    ) -> (std::thread::JoinHandle<()>, Arc<StatsCell>) {
+    ) -> (std::thread::JoinHandle<()>, Arc<Mutex<TransmitterStats>>) {
         let timeout = Duration::from_secs(5);
         let mut client =
             UdpClient::connect(broker_addr, ClientConfig::new(client_id), timeout).unwrap();
         let topic_id = client.register(topic, timeout).unwrap();
-        let stats = Arc::new(StatsCell::default());
-        stats.connected.store(true, Ordering::Relaxed);
-        let buffer = Backlog::new(&config).unwrap();
-        let thread = {
-            let stats = Arc::clone(&stats);
-            let topic = topic.to_owned();
-            std::thread::spawn(move || {
-                let link = Link::new(client, topic, topic_id, config, buffer, stats);
-                transmitter_loop(link, rx, pool)
-            })
+        let (endpoint, session, start) = client.into_parts();
+        let device = Device::new(session, topic.to_owned(), topic_id, config, 1).unwrap();
+        let stats = device.published_stats();
+        let driver = Driver {
+            endpoint,
+            broker: broker_addr,
+            start,
+            device,
         };
-        (thread, stats)
+        (std::thread::spawn(move || driver.run(rx, pool)), stats)
     }
 
     /// N batches queued ahead of the transmitter wakeup coalesce into at
@@ -1526,7 +621,7 @@ mod tests {
 
         // The normal record made it; the monster was dropped and counted.
         assert_eq!(broker.stats().publishes_in, 1);
-        assert_eq!(stats.records_dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.lock().records_dropped, 1);
         broker.shutdown();
     }
 
@@ -2074,19 +1169,17 @@ mod tests {
         wal.append(&[2], 1).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
         let config = CaptureConfig {
             buffer_max_records: 4,
             spill_dir: Some(dir.clone()),
             ..CaptureConfig::default()
         };
-        let mut link = test_link(&broker, "spilled", config);
-        assert_eq!(link.buffer.records(), 2);
-        assert_eq!(link.buffer.ram.records, 0);
-        link.note_congestion(2);
-        assert!(!link.shedding(), "RAM is empty, yet begin edges are shed");
-        broker.shutdown();
-        drop(link);
+        let mut device = test_device("spilled", config);
+        assert_eq!(device.buffer.records(), 2);
+        assert_eq!(device.buffer.ram.records, 0);
+        device.note_congestion(2, 0);
+        assert!(!device.shedding(), "RAM is empty, yet begin edges are shed");
+        drop(device);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2111,57 +1204,54 @@ mod tests {
         assert_ne!(entropy_seed(), entropy_seed());
     }
 
-    fn test_link(broker: &UdpBroker, id: &str, config: CaptureConfig) -> Link {
-        let client = UdpClient::connect(
-            broker.local_addr(),
-            ClientConfig::new(id),
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        let buffer = Backlog::new(&config).unwrap();
-        Link::new(
-            client,
-            "provlight/test/pace".into(),
-            1,
-            config,
-            buffer,
-            Arc::new(StatsCell::default()),
-        )
+    /// A device whose session is connected, with no gateway and no
+    /// socket: what it sends goes nowhere.
+    fn test_device(id: &str, config: CaptureConfig) -> Device {
+        let mut session = Session::new(ClientConfig::new(id));
+        let nowhere = &mut |_: &[u8]| Ok::<(), std::io::Error>(());
+        let connect = session.client.connect(0);
+        session.dispatch(connect, 0, nowhere).unwrap();
+        let accepted = Packet::ConnAck {
+            code: mqtt_sn::ReturnCode::Accepted,
+        };
+        session.hear(&accepted.encode(), 0);
+        session.poll(0, nowhere).unwrap();
+        Device::new(session, "provlight/test/pace".into(), 1, config, 1).unwrap()
     }
 
     #[test]
     fn congestion_pacing_state_machine() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
         // Tiny RAM cap so a single buffered record counts as pressure.
         let config = CaptureConfig {
             buffer_max_records: 2,
             ..CaptureConfig::default()
         };
-        let mut link = test_link(&broker, "pace", config);
-        assert!(!link.paced());
+        let mut device = test_device("pace", config);
+        let now = 0;
+        assert!(!device.paced(now));
 
         // A soft advisory alone does not block — the window arms on the
         // next send, metering from that point on.
-        link.note_congestion(1);
-        assert!(!link.paced());
-        link.arm_pace();
-        assert!(link.paced());
+        device.note_congestion(1, now);
+        assert!(!device.paced(now));
+        device.arm_pace(now);
+        assert!(device.paced(now));
         // A send inside the window routes to the buffer and is metered.
-        assert!(!link.send_payload(vec![0u8; 4], 1, false));
-        assert_eq!(link.stats.paced_sends.load(Ordering::Relaxed), 1);
-        assert!(!link.shedding(), "soft congestion never sheds");
+        let nowhere = &mut |_: &[u8]| Ok(());
+        assert!(!device.send_payload(vec![0u8; 4], 1, false, now, nowhere));
+        assert_eq!(device.stats().paced_sends, 1);
+        assert!(!device.shedding(), "soft congestion never sheds");
 
         // Hard congestion with a formed backlog sheds begin edges.
-        link.note_congestion(2);
-        link.buffer.push_back(vec![0u8; 4], 1);
-        assert!(link.shedding());
+        device.note_congestion(2, now);
+        device.buffer.push_back(vec![0u8; 4], 1);
+        assert!(device.shedding());
 
         // The clear advisory reopens the window immediately.
-        link.note_congestion(0);
-        assert!(!link.paced());
-        assert!(!link.shedding());
-        assert_eq!(link.stats.congestion_signals.load(Ordering::Relaxed), 3);
-        broker.shutdown();
+        device.note_congestion(0, now);
+        assert!(!device.paced(now));
+        assert!(!device.shedding());
+        assert_eq!(device.stats().congestion_signals, 3);
     }
 
     #[test]
@@ -2190,13 +1280,11 @@ mod tests {
         assert!(!is_low_priority(&wf_end));
         assert!(!is_low_priority(&record(1, 0)));
 
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        let link = test_link(&broker, "shed", CaptureConfig::default());
+        let mut stats = TransmitterStats::default();
         let mut batch = vec![begin, record(1, 0), wf_begin, wf_end];
-        shed_low_priority(&link, &mut batch);
+        shed_low_priority(&mut stats, &mut batch);
         assert_eq!(batch.len(), 2, "both end edges survive");
-        assert_eq!(link.stats.records_shed.load(Ordering::Relaxed), 2);
-        assert_eq!(link.stats.records_dropped.load(Ordering::Relaxed), 2);
-        broker.shutdown();
+        assert_eq!(stats.records_shed, 2);
+        assert_eq!(stats.records_dropped, 2);
     }
 }

@@ -386,7 +386,7 @@ impl DeviceHold {
     /// Hands `send` the held PUBRELs as one datagram of their own, which
     /// the gateway answers at once. A blocking read starts with it, so
     /// nobody waits on an acknowledgement that is held.
-    pub(crate) fn release<E>(&mut self, send: ToGateway<E>) -> Result<(), E> {
+    pub fn release<E>(&mut self, send: ToGateway<E>) -> Result<(), E> {
         if self.take_held() > 0 {
             (self.unanswered, self.later) = (None, None);
             send(&self.wbuf)?;
@@ -412,7 +412,7 @@ impl DeviceHold {
     /// If so, the oldest one still unanswered after the drain is the first
     /// that left a hold or more after it; failing one, what is late is
     /// read again a hold later.
-    pub(crate) fn drain_due(&mut self, now: Nanos) -> bool {
+    pub fn drain_due(&mut self, now: Nanos) -> bool {
         let due = self.read_by().is_some_and(|at| at <= now);
         if due {
             self.unanswered = Some(self.later.take().unwrap_or(now.saturating_sub(ACK_HOLD)));
@@ -421,8 +421,8 @@ impl DeviceHold {
     }
 
     /// Asks the gateway for what it may be holding for this device (see
-    /// [`DeviceHold::asks`]). Sends nothing while nothing can be held.
-    pub(crate) fn ask<E>(&mut self, client: &Client, send: ToGateway<E>) -> Result<(), E> {
+    /// `DeviceHold::asks`). Sends nothing while nothing can be held.
+    pub fn ask<E>(&mut self, client: &Client, send: ToGateway<E>) -> Result<(), E> {
         if self.unanswered.is_none() || !self.owed(client) {
             return Ok(());
         }
@@ -490,14 +490,14 @@ impl DeviceHold {
     /// whose PUBREL is still held is owed nothing until the PUBREL leaves,
     /// and an answer the gateway may hold is not on its way until the
     /// device asks for it.
-    pub(crate) fn reply_expected(&self, client: &Client) -> bool {
+    pub fn reply_expected(&self, client: &Client) -> bool {
         (self.owed(client) && self.unanswered.is_none()) || client.control_outstanding()
     }
 
-    /// The earliest time at which [`DeviceHold::tick`] or
+    /// The earliest time at which `DeviceHold::tick` or
     /// [`DeviceHold::drain_due`] has something to do: a held PUBREL's
     /// release, the read deadline, or the ask half a `Tretry` on.
-    pub(crate) fn next_deadline(&self) -> Option<Nanos> {
+    pub fn next_deadline(&self) -> Option<Nanos> {
         [self.release_by, self.read_by(), self.ask_by()]
             .into_iter()
             .flatten()

@@ -26,9 +26,12 @@
 //! * `qos` (private) — the QoS 1/2 delivery machine both of them run: one
 //!   transition table, one retransmit-or-expire pass, one QoS 2 dedup
 //!   window, so the delivery guarantee is written down once;
+//! * [`session`] — a device's end of the link without a socket or a clock:
+//!   the client, its hold, and the events and replies a read leaves;
 //! * [`net`] — bindings of the sans-io cores to real `std::net::UdpSocket`s
-//!   (the gateway — one broker served by one loop on one thread — and a
-//!   blocking client) so the library is usable outside the simulator.
+//!   (the gateway — one broker served by one loop on one thread — the one
+//!   datagram `Endpoint` both ends use, and a blocking client) so the
+//!   library is usable outside the simulator.
 //!
 //! The same state machines drive both the real sockets and the
 //! discrete-event simulator used for the paper's experiments; QoS
@@ -41,6 +44,7 @@ pub mod local;
 pub mod net;
 pub mod packet;
 mod qos;
+pub mod session;
 pub mod topic;
 
 pub use broker::{Broker, BrokerConfig};

@@ -2,28 +2,27 @@
 //!
 //! [`UdpBroker`] is the gateway: one [`broker::Broker`](crate::broker::Broker)
 //! behind one `std::net::UdpSocket`, served by one loop on one thread;
-//! [`UdpClient`] is a blocking client suitable for driving from an
-//! application or a transmitter thread. These make the library usable
-//! outside the simulator — the integration tests exercise full QoS 2
-//! capture over loopback UDP.
+//! [`UdpClient`] is a blocking client for an application to drive. These
+//! make the library usable outside the simulator — the integration tests
+//! exercise full QoS 2 capture over loopback UDP.
 //!
-//! Both ends talk to their socket through one private `Endpoint`: the
-//! 10 ms read timeout, the wait-then-drain read, the fault plan's fate for
-//! every datagram each way (with the datagrams it delays), and the sends
-//! it is told to make. What is each end's own sits above it: the broker
-//! lock for the gateway; the sans-io [`Client`], the event queue and the
-//! blocking API for the device. What either end holds back, and when it
-//! leaves, is decided in [`crate::hold`], which hands the datagrams to
-//! send to the endpoint.
+//! Both ends talk to their socket through one [`Endpoint`]: the 10 ms read
+//! timeout, the wait-then-drain read, the fault plan's fate for every
+//! datagram each way (with the datagrams it delays), and the sends it is
+//! told to make. What is each end's own sits above it: the broker lock for
+//! the gateway; the sans-io [`Session`] and the blocking API for the
+//! device, which [`UdpClient::into_parts`] hands to a driver of its own.
+//! What either end holds back, and when it leaves, is decided in
+//! [`crate::hold`], which hands the datagrams to send to the endpoint.
 
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
-use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
-use crate::hold::{DeviceHold, GatewayHold};
+use crate::client::{ClientConfig, ClientEvent, Nanos, Output};
+use crate::hold::GatewayHold;
 use crate::local::LocalSubscription;
-use crate::packet::{frames, Packet, QoS, TopicRef};
+use crate::packet::{frames, QoS, TopicRef};
+use crate::session::Session;
 use crate::Error;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::path::{Path, PathBuf};
@@ -96,11 +95,11 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
 const SNAPSHOT_VERSION: u8 = 2;
 
 /// One end of the device–gateway link, and the only code that touches its
-/// socket: the gateway's serve loop and [`UdpClient`] both read, drain,
-/// split and send through one of these. It reports what goes wrong; the
-/// caller decides what that means — the gateway counts a socket error
-/// and keeps serving, a device reconnects.
-struct Endpoint {
+/// socket: the gateway's serve loop, [`UdpClient`] and any other driver of a
+/// device's [`Session`] read, drain, split and send through one of these.
+/// It reports what goes wrong; the caller decides what that means — the
+/// gateway counts a socket error and keeps serving, a device reconnects.
+pub struct Endpoint {
     socket: UdpSocket,
     /// Whether the socket is connected (a device's, to its gateway): a
     /// connected socket sends with `send`, which is all some systems
@@ -122,7 +121,8 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    fn new(socket: UdpSocket, fault: Option<Arc<dyn DatagramFault>>) -> io::Result<Endpoint> {
+    /// An endpoint on `socket`, with the fault plan `fault` (chaos only).
+    pub fn new(socket: UdpSocket, fault: Option<Arc<dyn DatagramFault>>) -> io::Result<Endpoint> {
         Ok(Endpoint {
             connected: prepare(&socket)?,
             socket,
@@ -136,7 +136,7 @@ impl Endpoint {
 
     /// Puts `socket` in place of the one this endpoint had. The fault plan
     /// and the datagrams it holds stay.
-    fn replace_socket(&mut self, socket: UdpSocket) -> io::Result<()> {
+    pub fn replace_socket(&mut self, socket: UdpSocket) -> io::Result<()> {
         self.connected = prepare(&socket)?;
         self.socket = socket;
         self.nonblocking = false;
@@ -145,12 +145,12 @@ impl Endpoint {
 
     /// One wakeup: held datagrams now due first (one released inbound is
     /// older than anything about to be read), then a blocking `recv_from`
-    /// bounded by [`READ_TIMEOUT`], then [`Endpoint::drain`] of whatever
+    /// bounded by the 10 ms read time-out, then [`Endpoint::drain`] of whatever
     /// else has queued. Every datagram the fault plan lets through goes to
     /// `deliver` whole, before the next is read; [`frames`] splits it. A
     /// timeout is no error; any other socket error ends the read and is
     /// returned.
-    fn read(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
+    pub fn read(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
         if self.nonblocking {
             if self.socket.set_nonblocking(false).is_ok() {
                 self.nonblocking = false;
@@ -177,7 +177,7 @@ impl Endpoint {
 
     /// Reads, without waiting, what has queued on the socket, until
     /// `SERVE_BATCH` datagrams have been read counting the `taken` ones.
-    fn drain(
+    pub fn drain(
         &mut self,
         taken: usize,
         mut deliver: impl FnMut(SocketAddr, &[u8]),
@@ -216,7 +216,7 @@ impl Endpoint {
 
     /// Sends one datagram to `to` (a connected socket: to its peer),
     /// subject to the outbound fault fate (chaos only).
-    fn send(&mut self, to: SocketAddr, datagram: &[u8]) -> io::Result<()> {
+    pub fn send(&mut self, to: SocketAddr, datagram: &[u8]) -> io::Result<()> {
         let fault = self.fault.as_deref();
         for _ in 0..crossings(fault, FaultDir::Outbound, &mut self.held_out, to, datagram) {
             self.transmit(to, datagram)?;
@@ -244,7 +244,7 @@ impl Endpoint {
     /// Lets every held datagram whose delay has expired go on: an inbound
     /// one to `deliver`, an outbound one to the socket. Its fate was
     /// decided when it was held, so release is unconditional.
-    fn release_due(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
+    pub fn release_due(&mut self, mut deliver: impl FnMut(SocketAddr, &[u8])) -> io::Result<()> {
         while let Some((from, datagram)) = take_due(&mut self.held_in) {
             deliver(from, &datagram);
         }
@@ -256,7 +256,7 @@ impl Endpoint {
 
     /// When the first held datagram comes off hold; `None` while nothing
     /// is held.
-    fn next_release(&self) -> Option<Instant> {
+    pub fn next_release(&self) -> Option<Instant> {
         self.held_in
             .iter()
             .chain(&self.held_out)
@@ -716,41 +716,27 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// A fresh socket on an ephemeral port, connected to `broker` so an ICMP
-/// port-unreachable from a dead gateway comes back as `ECONNREFUSED`.
-fn dial(broker: SocketAddr) -> io::Result<UdpSocket> {
+/// port-unreachable from a dead gateway comes back as `ECONNREFUSED`: what a
+/// device's [`Endpoint`] starts on, and takes in place of its old socket to
+/// reconnect ([`Endpoint::replace_socket`]).
+pub fn dial(broker: SocketAddr) -> io::Result<UdpSocket> {
     let socket = UdpSocket::bind("0.0.0.0:0")?;
     socket.connect(broker)?;
     Ok(socket)
 }
 
-/// Feeds the messages of one datagram a device's endpoint read to the
-/// state machine, one at a time — the gateway answers a `[PUBREL,
-/// PUBLISH]` datagram with a `[PUBCOMP, PUBREC]` one, and a hold it lets
-/// go with the acknowledgements of several — and keeps what it answers in
-/// `replies` until the read is over. Malformed messages are dropped.
-fn hear(client: &mut Client, start: Instant, replies: &mut Vec<Output>, datagram: &[u8]) {
-    let now = start.elapsed().as_nanos() as Nanos;
-    for message in frames(datagram) {
-        // Borrowed decode: inbound PUBLISH payloads are copied once into a
-        // pooled buffer, not a fresh Vec.
-        if let Ok(mut outputs) = client.on_datagram(message, now) {
-            replies.append(&mut outputs);
-        }
-    }
+/// Nanoseconds since `start`, the clock a device's [`Session`] runs on.
+fn since(start: Instant) -> Nanos {
+    start.elapsed().as_nanos() as Nanos
 }
 
-/// A blocking MQTT-SN client over UDP: the sans-io [`Client`], its
-/// [`DeviceHold`] on the way to the socket, and the events they surfaced.
+/// A blocking MQTT-SN client over UDP: a [`Session`] on an [`Endpoint`],
+/// and the clock the session runs on.
 pub struct UdpClient {
     endpoint: Endpoint,
     broker: SocketAddr,
-    client: Client,
-    hold: DeviceHold,
+    session: Session,
     start: Instant,
-    events: VecDeque<ClientEvent>,
-    /// What the state machine answered to the messages of a read, sent
-    /// once the read is over (see [`UdpClient::answer`]).
-    replies: Vec<Output>,
 }
 
 impl UdpClient {
@@ -763,27 +749,13 @@ impl UdpClient {
         let mut c = UdpClient {
             endpoint: Endpoint::new(dial(broker)?, None)?,
             broker,
-            hold: DeviceHold::new(&config),
-            client: Client::new(config),
+            session: Session::new(config),
             start: Instant::now(),
-            events: VecDeque::new(),
-            replies: Vec::new(),
         };
-        let outputs = c.client.connect(c.now());
+        let outputs = c.session.client.connect(since(c.start));
         c.dispatch(outputs)?;
-        c.wait_for(timeout, "CONNACK", |e| {
-            matches!(e, ClientEvent::Connected | ClientEvent::ConnectFailed(_))
-        })
-        .and_then(|e| match e {
-            ClientEvent::Connected => Ok(()),
-            ClientEvent::ConnectFailed(code) => Err(NetError::Protocol(Error::Rejected(code))),
-            _ => Err(NetError::Timeout("CONNACK")),
-        })?;
+        c.wait_connected(timeout, "CONNACK")?;
         Ok(c)
-    }
-
-    fn now(&self) -> Nanos {
-        self.start.elapsed().as_nanos() as Nanos
     }
 
     /// Installs a datagram fault-injection plan: every subsequent inbound
@@ -795,37 +767,19 @@ impl UdpClient {
         self.endpoint.fault = Some(fault);
     }
 
-    /// Sends each packet through the hold (see [`DeviceHold::send`]) and
-    /// queues each event.
-    fn dispatch(&mut self, outputs: impl IntoIterator<Item = Output>) -> Result<(), NetError> {
-        for o in outputs {
-            match o {
-                Output::Send(p) => {
-                    let now = self.now();
-                    self.hold
-                        .send(&p, now, &mut |d| self.endpoint.send(self.broker, d))?;
-                    // The packet's payload buffer is done (the state machine
-                    // keeps its own copy for QoS 1/2 retransmission) — feed
-                    // it back to the pool so QoS 0 publishes recycle too.
-                    if let Packet::Publish { payload, .. } = p {
-                        self.client.reclaim_payload(payload);
-                    }
-                }
-                Output::Event(e) => self.events.push_back(e),
-            }
-        }
-        Ok(())
+    /// The endpoint, the session and the clock the session runs on, for a
+    /// caller that drives the session itself from here on.
+    pub fn into_parts(self) -> (Endpoint, Session, Instant) {
+        (self.endpoint, self.session, self.start)
     }
 
-    /// Asks the gateway for what it may be holding for this device: the
-    /// held PUBRELs leave on their own or, none being held, a PINGREQ
-    /// does, and the gateway answers either at once with everything it
-    /// holds in front. Sends nothing while nothing can be held. For a
-    /// caller about to block in [`UdpClient::pump`] until a handshake
-    /// completes, who would otherwise wait out the hold.
+    /// Asks the gateway for what it may be holding for this device (see
+    /// [`DeviceHold::ask`](crate::hold::DeviceHold::ask)), for a caller
+    /// about to block in
+    /// [`UdpClient::pump`] until a handshake completes.
     pub fn ask(&mut self) -> Result<(), NetError> {
         let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
-        Ok(self.hold.ask(&self.client, send)?)
+        Ok(self.session.hold.ask(&self.session.client, send)?)
     }
 
     /// One wakeup, through the read the gateway serves with: a blocking
@@ -850,15 +804,12 @@ impl UdpClient {
     /// that did not ask for its answer: a caller that blocks until a
     /// handshake completes calls [`UdpClient::ask`] first.
     pub fn pump(&mut self) -> Result<(), NetError> {
-        self.hold
-            .release(&mut |d| self.endpoint.send(self.broker, d))?;
-        let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
-        let read = self
-            .endpoint
-            .read(|_, datagram| hear(client, start, replies, datagram));
-        self.answer()?;
-        read?;
-        self.pass(false)
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        self.session.hold.release(send)?;
+        let (session, start) = (&mut self.session, self.start);
+        let heard = |_, datagram: &[u8]| session.hear(datagram, since(start));
+        let read = self.endpoint.read(heard);
+        self.pass(read, false)
     }
 
     /// The timers alone, without the wait: what a [`UdpClient::pump`] does
@@ -867,33 +818,32 @@ impl UdpClient {
     /// [`ACK_HOLD`](crate::hold::ACK_HOLD) after the oldest PUBLISH whose
     /// answer the gateway may hold, then a hold after each drain — it
     /// first reads what has queued on the socket; otherwise it reads
-    /// nothing. A retransmission or keep-alive PINGREQ that falls due
-    /// carries the held PUBRELs like any datagram; what is still held past
-    /// its release time then leaves alone, and half a `Tretry` after the
-    /// oldest PUBLISH the gateway may still hold an answer to, the device
-    /// asks for it.
+    /// nothing (see [`Session::poll`]).
     pub fn tick(&mut self) -> Result<(), NetError> {
-        let drain = self.hold.drain_due(self.now());
-        self.pass(drain)
+        let drain = self.session.hold.drain_due(since(self.start));
+        self.pass(Ok(()), drain)
     }
 
-    /// [`UdpClient::tick`], reading what has queued on the socket if
-    /// `drain`.
-    fn pass(&mut self, drain: bool) -> Result<(), NetError> {
-        let (client, start, replies) = (&mut self.client, self.start, &mut self.replies);
-        let mut heard = |_, datagram: &[u8]| hear(client, start, replies, datagram);
-        let mut read = self.endpoint.release_due(&mut heard);
+    /// After a read that ended in `read`: the datagrams the fault plan
+    /// delayed that came off hold and, if `drain`, what has queued on the
+    /// socket are read; what the session answered leaves and its timers
+    /// run ([`Session::poll`]). A socket error is returned after that.
+    fn pass(&mut self, read: io::Result<()>, drain: bool) -> Result<(), NetError> {
+        let (session, start) = (&mut self.session, self.start);
+        let mut heard = |_, datagram: &[u8]| session.hear(datagram, since(start));
+        let mut read = read.and_then(|()| self.endpoint.release_due(&mut heard));
         if drain && read.is_ok() {
             read = self.endpoint.drain(0, &mut heard);
         }
-        self.answer()?;
-        read?;
-        let now = self.now();
-        let outputs = self.client.on_tick(now);
-        self.dispatch(outputs)?;
-        let now = self.now();
         let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
-        Ok(self.hold.tick(now, send)?)
+        self.session.poll(since(self.start), send)?;
+        Ok(read?)
+    }
+
+    /// Sends `outputs` of the session's client (see [`Session::dispatch`]).
+    fn dispatch(&mut self, outputs: Vec<Output>) -> Result<(), NetError> {
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        Ok(self.session.dispatch(outputs, since(self.start), send)?)
     }
 
     /// Whether a datagram from the broker can be on its way to a
@@ -907,87 +857,75 @@ impl UdpClient {
     /// [`UdpClient::pump`] can only time out, or read early what is read
     /// later anyway.
     pub fn reply_expected(&self) -> bool {
-        self.hold.reply_expected(&self.client)
+        self.session.hold.reply_expected(&self.session.client)
     }
 
     /// The earliest instant at which [`UdpClient::tick`] has something to
-    /// do: a timer of the state machine ([`Client::next_deadline`]), the
-    /// release of a held PUBREL, the read deadline or the ask for what the
-    /// gateway may hold for this device, or a datagram delayed by the
-    /// fault plan (chaos only) coming off hold. `None` when nothing is
-    /// scheduled.
+    /// do: a timer of the session ([`Session::next_deadline`]), or a
+    /// datagram delayed by the fault plan (chaos only) coming off hold.
+    /// `None` when nothing is scheduled.
     pub fn next_deadline(&self) -> Option<Instant> {
-        let timers = self.client.next_deadline().into_iter();
-        let timers = timers.chain(self.hold.next_deadline()).min();
+        let timers = self.session.next_deadline();
         let timers = timers.and_then(|ns| self.start.checked_add(Duration::from_nanos(ns)));
         timers.into_iter().chain(self.endpoint.next_release()).min()
     }
 
-    /// Sends what the state machine answered to the messages of the last
-    /// read, and queues its events.
-    fn answer(&mut self) -> Result<(), NetError> {
-        let mut replies = std::mem::take(&mut self.replies);
-        let sent = self.dispatch(replies.drain(..));
-        self.replies = replies;
-        self.hold.answered(&self.client);
-        sent
-    }
-
     /// Pops a queued event, pumping once if none is queued.
     pub fn poll_event(&mut self) -> Result<Option<ClientEvent>, NetError> {
-        if let Some(e) = self.events.pop_front() {
-            return Ok(Some(e));
+        if self.session.events.is_empty() {
+            self.pump()?;
         }
-        self.pump()?;
-        Ok(self.events.pop_front())
+        Ok(self.session.events.pop_front())
     }
 
     /// Pops a queued event without touching the socket (never blocks).
     pub fn pop_event(&mut self) -> Option<ClientEvent> {
-        self.events.pop_front()
+        self.session.events.pop_front()
     }
 
-    fn wait_for<F>(
+    /// Pumps until an event `wanted` picks is queued, and takes it; the
+    /// others stay queued, in order, for later polls.
+    fn wait_for(
         &mut self,
         timeout: Duration,
         what: &'static str,
-        predicate: F,
-    ) -> Result<ClientEvent, NetError>
-    where
-        F: Fn(&ClientEvent) -> bool,
-    {
+        wanted: impl Fn(&ClientEvent) -> bool,
+    ) -> Result<ClientEvent, NetError> {
         let deadline = Instant::now() + timeout;
-        let mut stash = VecDeque::new();
         loop {
-            while let Some(e) = self.events.pop_front() {
-                if predicate(&e) {
-                    // Preserve unrelated events for later polls.
-                    while let Some(s) = stash.pop_front() {
-                        self.events.push_back(s);
-                    }
-                    return Ok(e);
-                }
-                stash.push_back(e);
+            if let Some(at) = self.session.events.iter().position(&wanted) {
+                return self
+                    .session
+                    .events
+                    .remove(at)
+                    .ok_or(NetError::Timeout(what));
             }
             if Instant::now() >= deadline {
-                while let Some(s) = stash.pop_front() {
-                    self.events.push_back(s);
-                }
                 return Err(NetError::Timeout(what));
             }
             self.pump()?;
         }
     }
 
+    /// Waits for the CONNACK: `Ok` once the session is connected.
+    fn wait_connected(&mut self, timeout: Duration, what: &'static str) -> Result<(), NetError> {
+        let answer =
+            |e: &ClientEvent| matches!(e, ClientEvent::Connected | ClientEvent::ConnectFailed(_));
+        match self.wait_for(timeout, what, answer)? {
+            ClientEvent::ConnectFailed(code) => Err(NetError::Protocol(Error::Rejected(code))),
+            _ => Ok(()),
+        }
+    }
+
     /// Registers a topic name, returning its broker-assigned id.
     pub fn register(&mut self, topic: &str, timeout: Duration) -> Result<u16, NetError> {
-        let now = self.now();
-        let (_, outputs) = self.client.register(topic, now)?;
+        let (_, outputs) = self.session.client.register(topic, since(self.start))?;
         self.dispatch(outputs)?;
-        let topic_owned = topic.to_owned();
-        let e = self.wait_for(timeout, "REGACK", |e| {
-            matches!(e, ClientEvent::Registered { topic_name, .. } if *topic_name == topic_owned)
-        })?;
+        let e = self.wait_for(
+            timeout,
+            "REGACK",
+            |e| matches!(e, ClientEvent::Registered { topic_name, .. } if topic_name == topic),
+        )?;
         match e {
             ClientEvent::Registered { topic_id, .. } => Ok(topic_id),
             _ => Err(NetError::Timeout("REGACK")),
@@ -1002,8 +940,8 @@ impl UdpClient {
         qos: QoS,
         timeout: Duration,
     ) -> Result<u16, NetError> {
-        let now = self.now();
-        let (msg_id, outputs) = self.client.subscribe(filter, qos, now)?;
+        let now = since(self.start);
+        let (msg_id, outputs) = self.session.client.subscribe(filter, qos, now)?;
         self.dispatch(outputs)?;
         let e = self.wait_for(
             timeout,
@@ -1025,42 +963,12 @@ impl UdpClient {
         payload: Vec<u8>,
         qos: QoS,
     ) -> Result<u16, NetError> {
-        let (msg_id, sent) = self.send_publish(topic_id, payload, qos, false)?;
-        sent.map(|()| msg_id)
-    }
-
-    /// Publishes, asking for the answer at once if the caller `blocks` on
-    /// it or the window is half full (see [`DeviceHold::ask_next`]):
-    /// the message id, and whether the send went through.
-    fn send_publish(
-        &mut self,
-        topic_id: u16,
-        payload: Vec<u8>,
-        qos: QoS,
-        blocks: bool,
-    ) -> Result<(u16, Result<(), NetError>), Error> {
-        let now = self.now();
-        let (msg_id, outputs) = self
-            .client
-            .publish(TopicRef::Id(topic_id), payload, qos, now)?;
-        self.hold.ask_next(&self.client, blocks);
-        Ok((msg_id, self.dispatch(outputs)))
-    }
-
-    /// Publishes without waiting, reporting transport trouble without
-    /// losing the record: the returned flag is `false` when the initial
-    /// transmission failed at the socket level — for QoS 1/2 the message
-    /// is then still in-flight inside the state machine and retransmits
-    /// once the link recovers. Only protocol-level refusal (bad state,
-    /// full in-flight window) is an `Err`.
-    pub fn publish_resilient(
-        &mut self,
-        topic_id: u16,
-        payload: Vec<u8>,
-        qos: QoS,
-    ) -> Result<(u16, bool), Error> {
-        let (msg_id, sent) = self.send_publish(topic_id, payload, qos, false)?;
-        Ok((msg_id, sent.is_ok()))
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        let now = since(self.start);
+        let (msg_id, sent) = self
+            .session
+            .publish(topic_id, payload, qos, false, now, send)?;
+        Ok(sent.map(|()| msg_id)?)
     }
 
     /// Publishes and, for QoS 1/2, blocks until the handshake completes.
@@ -1073,7 +981,11 @@ impl UdpClient {
     ) -> Result<(), NetError> {
         // Whoever blocks asks: a PINGREQ behind the PUBLISH has the gateway
         // answer it at once.
-        let (msg_id, sent) = self.send_publish(topic_id, payload, qos, true)?;
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        let now = since(self.start);
+        let (msg_id, sent) = self
+            .session
+            .publish(topic_id, payload, qos, true, now, send)?;
         sent?;
         if qos == QoS::AtMostOnce {
             return Ok(());
@@ -1108,44 +1020,26 @@ impl UdpClient {
 
     /// Number of QoS 1/2 publishes still in flight.
     pub fn inflight_len(&self) -> usize {
-        self.client.inflight_len()
-    }
-
-    /// Whether another QoS 1/2 publish fits the in-flight window.
-    pub fn can_publish(&self) -> bool {
-        self.client.can_publish()
+        self.session.client.inflight_len()
     }
 
     /// Takes a reclaimed payload buffer from a completed publish (see
-    /// [`Client::take_spare_payload`]).
+    /// [`Client::take_spare_payload`](crate::Client::take_spare_payload)).
     pub fn take_spare_payload(&mut self) -> Option<Vec<u8>> {
-        self.client.take_spare_payload()
-    }
-
-    /// Returns an unused payload buffer to the reuse pool (see
-    /// [`Client::reclaim_payload`]).
-    pub fn reclaim_payload(&mut self, payload: Vec<u8>) {
-        self.client.reclaim_payload(payload);
+        self.session.client.take_spare_payload()
     }
 
     /// Graceful disconnect (best effort).
     pub fn disconnect(&mut self) -> Result<(), NetError> {
-        let now = self.now();
-        let outputs = self.client.disconnect(now);
-        self.dispatch(outputs)?;
-        Ok(())
-    }
-
-    /// Current connection state of the underlying state machine.
-    pub fn state(&self) -> crate::ClientState {
-        self.client.state()
+        let outputs = self.session.client.disconnect(since(self.start));
+        self.dispatch(outputs)
     }
 
     /// Broker-assigned id of a topic registered in this (or a resumed)
     /// session. After a reconnect across a broker restart the id may
     /// differ from the one the original [`UdpClient::register`] returned.
     pub fn topic_id(&self, topic_name: &str) -> Option<u16> {
-        self.client.topic_id(topic_name)
+        self.session.client.topic_id(topic_name)
     }
 
     /// One reconnection attempt: rebinds a fresh socket to the original
@@ -1155,20 +1049,11 @@ impl UdpClient {
     /// application events are preserved across the attempt.
     pub fn try_reconnect(&mut self, timeout: Duration) -> Result<(), NetError> {
         self.endpoint.replace_socket(dial(self.broker)?)?;
-        self.hold.reset();
-        let now = self.now();
-        let outputs = self.client.reconnect(now);
-        self.dispatch(outputs)?;
+        let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
+        self.session.reconnect(since(self.start), send)?;
         let deadline = Instant::now() + timeout;
-        self.wait_for(timeout, "reconnect CONNACK", |e| {
-            matches!(e, ClientEvent::Connected | ClientEvent::ConnectFailed(_))
-        })
-        .and_then(|e| match e {
-            ClientEvent::Connected => Ok(()),
-            ClientEvent::ConnectFailed(code) => Err(NetError::Protocol(Error::Rejected(code))),
-            _ => Err(NetError::Timeout("reconnect CONNACK")),
-        })?;
-        while !self.client.resume_complete() {
+        self.wait_connected(timeout, "reconnect CONNACK")?;
+        while !self.session.client.resume_complete() {
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout("session resumption"));
             }
@@ -1181,6 +1066,7 @@ impl UdpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Packet;
     use std::sync::atomic::AtomicU64;
 
     fn timeout() -> Duration {

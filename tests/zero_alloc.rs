@@ -921,6 +921,139 @@ fn device_client_allocations(messages: u64, spare_payloads: bool) -> usize {
     allocs
 }
 
+/// The device end above the client: each of 64 fresh
+/// [`Device`](provlight::core::device::Device)s streams single-record
+/// captures, one a millisecond, through a sans-io gateway on virtual time —
+/// the gateway holding its acknowledgements, the device draining them at
+/// its read deadline — and spends exactly its client's three allocations
+/// a message. Coalescing, encoding into a spare payload, the hold, the
+/// in-flight accounting and the backlog's checks add none, and every
+/// datagram leaves through the sink.
+#[test]
+fn a_streaming_device_allocates_only_its_clients_outputs() {
+    const DEVICES: usize = 64;
+    let messages = 10 * ACK_HOLD_MS;
+    let missing: Vec<usize> = (0..DEVICES)
+        .map(|_| device_allocations(messages))
+        .filter(|&allocs| allocs != 3 * messages as usize)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{} of {DEVICES} devices spent other than {} allocations on {messages} messages: \
+         {missing:?}",
+        missing.len(),
+        3 * messages
+    );
+}
+
+/// Streams `messages` single-record captures through a fresh device and
+/// gateway warmed by four holds of the same stream, from one flush to the
+/// next, and returns the allocations the stream and its flush made.
+fn device_allocations(messages: u64) -> usize {
+    use provlight::core::device::{client_config, Device};
+    use provlight::core::CaptureConfig;
+    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
+    use provlight::mqtt_sn::hold::GatewayHold;
+    use provlight::mqtt_sn::packet::frames;
+    use provlight::mqtt_sn::session::Session;
+    use provlight::mqtt_sn::{ClientEvent, NetError};
+    use std::cell::RefCell;
+
+    let config = CaptureConfig::default();
+    let broker = RefCell::new(Broker::<u32>::new(BrokerConfig::default()));
+    let (mut hold, mut out) = (GatewayHold::<u32>::default(), BrokerOutputs::new());
+    // What the gateway sent the device since its last read, back to back.
+    let down = RefCell::new(Vec::<u8>::with_capacity(4096));
+    let now = Cell::new(0u64);
+    // The gateway serves each datagram as it arrives.
+    let mut serve = |datagram: &[u8]| {
+        hold.note(&0, datagram);
+        let mut broker = broker.borrow_mut();
+        for message in frames(datagram) {
+            let _ = broker.on_datagram_into(now.get(), 0, message, &mut out);
+        }
+        let send = &mut |_: &u32, bytes: &[u8]| down.borrow_mut().extend_from_slice(bytes);
+        hold.flush(&mut out, now.get(), send);
+    };
+
+    let mut session = Session::new(client_config("dev".into(), &config));
+    let to_gateway = &mut |d: &[u8]| {
+        serve(d);
+        Ok::<(), NetError>(())
+    };
+    for step in 0..2 {
+        let outputs = match step {
+            0 => session.client.connect(0),
+            _ => session.client.register("provlight/z/dev", 0).unwrap().1,
+        };
+        session.dispatch(outputs, 0, to_gateway).unwrap();
+        session.hear(&down.borrow(), 0);
+        down.borrow_mut().clear();
+        session.poll(0, to_gateway).unwrap();
+    }
+    let topic_id = match session.events.pop_back() {
+        Some(ClientEvent::Registered { topic_id, .. }) => topic_id,
+        other => panic!("unexpected {other:?}"),
+    };
+    let topic = "provlight/z/dev".to_owned();
+    let mut device = Device::new(session, topic, topic_id, config, 1).unwrap();
+
+    let names = attr_names();
+    let template = record(7, &names[..3]);
+    let warm = 4 * ACK_HOLD_MS;
+    let mut stock: Vec<Record> = (0..warm + messages).map(|_| template.clone()).collect();
+    let sink = &mut |d: &[u8]| {
+        serve(d);
+        Ok(())
+    };
+    let ms = 1_000_000u64;
+    let read = |device: &mut Device| {
+        device.hear(&down.borrow(), now.get());
+        down.borrow_mut().clear();
+    };
+    // A flush: the device asks and reads until every handshake is over.
+    let flush = |device: &mut Device, sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>| {
+        for _ in 0..8 {
+            if device.drained() {
+                return;
+            }
+            device.ask(now.get(), sink);
+            read(device);
+            device.poll(Ok(()), now.get(), sink);
+        }
+        panic!("the flush never ended");
+    };
+    let mut before = 0;
+    for i in 0..warm + messages {
+        if i == warm {
+            flush(&mut device, sink);
+            before = allocations();
+        }
+        // A turn of the transmitter's loop: the capture call, the timers
+        // with a read at the read deadline, and a read when the gateway
+        // owes one.
+        now.set(i * ms);
+        device.capture_one(stock.pop().unwrap(), now.get(), sink);
+        device.cut(now.get(), sink);
+        if device.drain_due(now.get()) {
+            read(&mut device);
+        }
+        device.poll(Ok(()), now.get(), sink);
+        if device.awaits_gateway() {
+            device.ask(now.get(), sink);
+            read(&mut device);
+            device.poll(Ok(()), now.get(), sink);
+        }
+    }
+    flush(&mut device, sink);
+    let allocs = allocations() - before;
+    let stats = device.stats();
+    assert_eq!(broker.borrow().stats().publishes_in, warm + messages);
+    assert_eq!((stats.publish_failures, stats.records_dropped), (0, 0));
+    assert_eq!(stats.buffered_high_water, 0);
+    allocs
+}
+
 /// A timer pass that finds nothing due — nearly every one either end ever
 /// makes — with the in-flight window full: `SendWindow::due` walks the
 /// slots in place, in the order they are kept, so the device's and the
