@@ -11,7 +11,7 @@ use prov_model::Record;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// A connected ProvLight capture client.
+/// A ProvLight capture client, connected or connecting.
 ///
 /// ```no_run
 /// use provlight_core::{CaptureConfig, ProvLightClient};
@@ -73,7 +73,21 @@ impl RecordSink for TransmitterSink {
 }
 
 impl ProvLightClient {
-    /// Connects to an MQTT-SN broker and prepares the capture pipeline.
+    /// Prepares the capture pipeline and starts connecting to the MQTT-SN
+    /// broker at `broker`, returning once the device can capture: it sends
+    /// the CONNECT and spawns the one transmitter thread, which finishes
+    /// the handshake, but waits on no answer (see [`Transmitter::start`]).
+    /// Records captured before the link is up wait in the disconnection
+    /// backlog and replay in capture order.
+    ///
+    /// Fails only on a local error: a socket that cannot be bound, a spill
+    /// directory that cannot be opened, a thread that cannot be spawned. A
+    /// gateway that is absent or
+    /// refuses the device is a link that is down, exactly as after an
+    /// outage: records buffer and replay, the device keeps dialing with
+    /// its back-off, and [`ProvLightClient::flush`] reports what stays
+    /// buffered. The first connection is not counted in
+    /// [`TransmitterStats::reconnects`].
     ///
     /// `topic` is this device's publish topic (the Fig. 5 deployment uses
     /// one topic per device: `provlight/<workflow>/<device>`).

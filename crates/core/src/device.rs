@@ -37,6 +37,13 @@
 //! original order. An attempt that gets no CONNACK and no resumption in
 //! [`RECONNECT_ATTEMPT_TIMEOUT`] fails, and the back-off doubles.
 //!
+//! The first connection is the first attempt: a new device is down with
+//! its first attempt due at once, and its first CONNECT registers its
+//! topic at the CONNACK as every later one re-registers it. A device that
+//! boots before its gateway, or whose gateway refuses it, captures all the
+//! same, into the backlog, and keeps trying; the first link-up is not
+//! counted as a reconnect.
+//!
 //! Each outcome of a publish travels one way. A completed handshake
 //! settles it. A publish that fails (retries exhausted) or is rejected
 //! leaves the client's window with its payload in the event, unless its
@@ -459,12 +466,14 @@ pub(crate) fn shed_low_priority(stats: &mut TransmitterStats, batch: &mut Vec<Re
     stats.records_dropped += shed;
 }
 
-/// Where the link to the gateway stands.
+/// Where the link to the gateway stands. A device starts `Down`, its first
+/// attempt due at once: the first connection is the first reconnect
+/// attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Link {
     /// Connected: envelopes go out as the windows allow.
     Up,
-    /// Lost; the next reconnect attempt falls due at `retry_at`.
+    /// Not connected; the next attempt falls due at `retry_at`.
     Down { retry_at: Nanos },
     /// A CONNECT is out on a new socket; the attempt fails at
     /// `gives_up_at` unless the session has resumed by then.
@@ -477,9 +486,14 @@ enum Link {
 pub struct Device {
     session: Session,
     topic: String,
+    /// The id the gateway gave `topic`, read from the client each time the
+    /// link comes up.
     topic_id: u16,
     config: CaptureConfig,
     link: Link,
+    /// Whether the link has been up: a link that comes up again is a
+    /// reconnect, the first one is not.
+    was_up: bool,
     /// The back-off after the attempt under way, or the next one, fails.
     backoff: Duration,
     pub(crate) buffer: Backlog,
@@ -504,14 +518,14 @@ pub struct Device {
 }
 
 impl Device {
-    /// The device of a `session` configured with [`client_config`] that is
-    /// connected and has registered `topic` as `topic_id`, opening (and
-    /// recovering) the spill log when `config` names one. Back-off jitter
-    /// is drawn from an RNG seeded with `seed`.
+    /// The device of a fresh `session` configured with [`client_config`],
+    /// publishing to `topic`, opening (and recovering) the spill log when
+    /// `config` names one — the one step that can fail. The link is down,
+    /// its first attempt due at once ([`Device::redial_due`]). Back-off
+    /// jitter is drawn from an RNG seeded with `seed`.
     pub fn new(
         session: Session,
         topic: String,
-        topic_id: u16,
         mut config: CaptureConfig,
         seed: u64,
     ) -> io::Result<Device> {
@@ -524,8 +538,9 @@ impl Device {
         let mut device = Device {
             session,
             topic,
-            topic_id,
-            link: Link::Up,
+            topic_id: 0,
+            link: Link::Down { retry_at: 0 },
+            was_up: false,
             backoff: config.reconnect_initial_backoff,
             buffer,
             pending: Coalescer::new(config.max_payload),
@@ -614,9 +629,11 @@ impl Device {
     /// Advances the device to `now` after a read of its socket that ended
     /// in `read` — `Ok(())` when no read was made: what the datagrams
     /// handed to [`Device::hear`] made the session answer leaves, the
-    /// timers run, events fold in, a reconnect attempt succeeds or runs
-    /// out of time, and the backlog replays as far as the link and the
-    /// windows allow.
+    /// timers run, events fold in, a reconnect attempt succeeds, is
+    /// refused or runs out of time, and the backlog replays as far as the
+    /// link and the windows allow. A link comes up at the end of a poll
+    /// and replays from the next, so its driver sees it up
+    /// ([`Device::is_up`]) before anything is sent on it.
     pub fn poll(&mut self, read: io::Result<()>, now: Nanos, send: Sink) {
         // Nothing is read while the link is down, and its timers wait for
         // the next link.
@@ -631,26 +648,20 @@ impl Device {
         if let Link::Dialing { gives_up_at } = self.link {
             let client = &self.session.client;
             if client.state() == ClientState::Connected && client.resume_complete() {
-                // The session has resumed: the link is up on a clean
-                // congestion slate — the broker (possibly a different
-                // incarnation) will signal again if it is still overloaded.
-                self.link = Link::Up;
-                self.congestion_level = 0;
-                self.pace_until = now;
-                self.stats.reconnects += 1;
-                self.backoff = self.config.reconnect_initial_backoff;
-                // Session resumption may have remapped the topic id (the
-                // broker can hand out a different one after a restart).
-                if let Some(id) = self.session.client.topic_id(&self.topic) {
-                    self.topic_id = id;
+                // The session has resumed; the topic's id is read afresh,
+                // for the broker can hand out a different one after a
+                // restart. A gateway that refused the topic refuses the
+                // device, for good as a refused CONNECT does.
+                match client.topic_id(&self.topic) {
+                    Some(id) => self.came_up(id, now),
+                    None => self.attempt_failed(false, now),
                 }
             } else if now >= gives_up_at {
                 // No CONNACK or no resumption in time: a partition or a
                 // slow link, worth the usual doubling.
                 self.attempt_failed(true, now);
             }
-        }
-        if self.link == Link::Up && !self.buffer.is_empty() {
+        } else if self.link == Link::Up && !self.buffer.is_empty() {
             self.replay(now, send);
         }
         self.sync_gauges();
@@ -669,26 +680,41 @@ impl Device {
         }
     }
 
+    /// Whether [`Device::ask`] would ask the gateway for what it may hold.
+    /// The driver then first takes what already sits in its socket: the
+    /// PUBRELs that answer it then make the ask, and save a datagram.
+    pub fn would_ask(&self) -> bool {
+        self.session.hold.would_ask(&self.session.client)
+    }
+
     /// Whether the socket is to be drained at `now`, once per hold of the
     /// gateway's, before [`Device::poll`].
     pub fn drain_due(&mut self, now: Nanos) -> bool {
         !matches!(self.link, Link::Down { .. }) && self.session.hold.drain_due(now)
     }
 
-    /// Whether a reconnect attempt falls due at `now`: the driver then puts
-    /// a new socket under the link and reports it with [`Device::dialed`].
+    /// Whether an attempt to connect falls due at `now` — the first at
+    /// once: the driver then puts a new socket under the link and reports
+    /// it with [`Device::dialed`].
     pub fn redial_due(&self, now: Nanos) -> bool {
         matches!(self.link, Link::Down { retry_at } if now >= retry_at)
     }
 
-    /// A reconnect attempt starts on the new socket `dialed` — an error
-    /// when none could be had: the CONNECT leaves, and the link is up once
-    /// the session has resumed, or the attempt fails
-    /// [`RECONNECT_ATTEMPT_TIMEOUT`] from now.
+    /// An attempt starts on the new socket `dialed` — an error when none
+    /// could be had: the CONNECT leaves, and the link is up once the
+    /// session has resumed with the device's topic registered, or the
+    /// attempt fails [`RECONNECT_ATTEMPT_TIMEOUT`] from now. The first
+    /// attempt is the first connection: until a CONNACK has accepted the
+    /// device, its CONNECT asks for a clean session as [`client_config`]
+    /// says, and every later one to continue the session
+    /// ([`mqtt_sn::Client::reconnect`]).
     pub fn dialed(&mut self, dialed: io::Result<()>, now: Nanos, send: Sink) {
         self.link = Link::Dialing {
             gives_up_at: now.saturating_add(nanos(RECONNECT_ATTEMPT_TIMEOUT)),
         };
+        // Tracked again in case a gateway refused it: its registration
+        // goes with each CONNECT's resumption.
+        self.session.client.track(&self.topic);
         let started = dialed.and_then(|()| self.session.reconnect(now, send));
         if let Err(e) = started {
             self.trouble(e, now);
@@ -738,6 +764,11 @@ impl Device {
     /// Whether the link is down and waits for its next attempt.
     pub fn is_down(&self) -> bool {
         matches!(self.link, Link::Down { .. })
+    }
+
+    /// Whether the link is up.
+    pub fn is_up(&self) -> bool {
+        self.link == Link::Up
     }
 
     /// True once nothing is outstanding: connected, nothing pending or
@@ -814,6 +845,20 @@ impl Device {
             Link::Dialing { .. } => self.attempt_failed(NetError::Io(error).is_transient(), now),
             Link::Down { .. } => {}
         }
+    }
+
+    /// The session has resumed with the device's topic registered as
+    /// `topic_id`: the link is up on a clean congestion slate — the broker
+    /// (possibly a different incarnation) will signal again if it is still
+    /// overloaded. Only a link that was up before counts as a reconnect.
+    fn came_up(&mut self, topic_id: u16, now: Nanos) {
+        self.link = Link::Up;
+        self.topic_id = topic_id;
+        self.congestion_level = 0;
+        self.pace_until = now;
+        self.stats.reconnects += u64::from(self.was_up);
+        self.was_up = true;
+        self.backoff = self.config.reconnect_initial_backoff;
     }
 
     /// The link is lost: the first attempt falls due an initial back-off
@@ -1263,35 +1308,12 @@ mod tests {
     }
 
     impl Rig {
-        fn new(config: CaptureConfig, seed: u64) -> Rig {
-            let mut gw = Gateway::new();
-            let mut session = Session::new(client_config("dev".into(), &config));
-            // The CONNECT, then the REGISTER, each answered before the next.
-            for step in 0..2 {
-                let mut up = Vec::new();
-                let to_gateway = &mut |d: &[u8]| {
-                    up.push(d.to_vec());
-                    Ok::<(), NetError>(())
-                };
-                let outputs = match step {
-                    0 => session.client.connect(0),
-                    _ => session.client.register(TOPIC, 0).unwrap().1,
-                };
-                session.dispatch(outputs, 0, to_gateway).unwrap();
-                let mut answers = Vec::new();
-                gw.serve(0, &up, &mut answers);
-                for answer in &answers {
-                    session.hear(answer, 0);
-                }
-                session.poll(0, &mut |_| Ok::<(), NetError>(())).unwrap();
-            }
-            let topic_id = match session.events.pop_back() {
-                Some(ClientEvent::Registered { topic_id, .. }) => topic_id,
-                other => panic!("unexpected {other:?}"),
-            };
+        /// A device whose first attempt to connect is due, and its gateway.
+        fn dialing(config: CaptureConfig, seed: u64) -> Rig {
+            let session = Session::new(client_config("dev".into(), &config));
             Rig {
-                device: Device::new(session, TOPIC.into(), topic_id, config, seed).unwrap(),
-                gw,
+                device: Device::new(session, TOPIC.into(), config, seed).unwrap(),
+                gw: Gateway::new(),
                 wire: Wire::default(),
                 channel: VecDeque::new(),
                 now: 0,
@@ -1300,6 +1322,19 @@ mod tests {
                 refused: false,
                 drained_batches: 0,
             }
+        }
+
+        /// A device whose link is up, and its gateway; the handshake that
+        /// brought the link up is off the record.
+        fn new(config: CaptureConfig, seed: u64) -> Rig {
+            let mut rig = Rig::dialing(config, seed);
+            while !rig.device.is_up() {
+                assert!(rig.now < RECONNECT_ATTEMPT_TIMEOUT.as_nanos() as Nanos);
+                rig.turn();
+                rig.service();
+            }
+            rig.wire.sent.clear();
+            rig
         }
 
         /// Time moves on to `to`: the gateway serves each datagram as it
@@ -1382,11 +1417,20 @@ mod tests {
             self.poll(read);
         }
 
-        /// `Driver::read` with a wait: an ask, then a read that waits for a datagram
-        /// up to the read time-out.
+        /// `Driver::read` with a wait: what has arrived is read first when
+        /// the device would ask, then the ask, then, while a reply is still
+        /// expected, a read that waits for a datagram up to the read
+        /// time-out.
         fn service(&mut self) {
+            if self.device.would_ask() {
+                let read = self.read();
+                self.poll(read);
+            }
             let now = self.now;
             self.device.ask(now, &mut self.wire.sink(now));
+            if !self.device.awaits_gateway() {
+                return;
+            }
             let until = now + WAKE;
             let arrived = |wire: &Wire, now| wire.down.front().is_some_and(|(at, _)| *at <= now);
             while self.now < until && !self.refused && !arrived(&self.wire, self.now) {
@@ -1617,10 +1661,11 @@ mod tests {
         let took = rig.flush();
         assert!(took <= 4 * LATENCY, "flush took {took} ns");
         assert!(took < ACK_HOLD);
-        // The ask, the PUBRELs answering what was queued on the socket,
-        // and those answering what the ask drew.
+        // What was queued on the socket is read before the device asks:
+        // the PUBRELs answering it are the ask, and those answering what
+        // the ask drew end the flush.
         let flushed = &rig.wire.sent[streamed..];
-        assert!(flushed.len() <= 3, "{flushed:?}");
+        assert!(flushed.len() <= 2, "{flushed:?}");
         assert_eq!(rig.gw.delivered(), (0..2 * N).collect::<Vec<_>>());
         let publishes = rig.wire.count(|p| matches!(p, Packet::Publish { .. })) as u64;
         assert_eq!(publishes, N);
@@ -1669,6 +1714,39 @@ mod tests {
         assert_eq!(rig.device.stats().records_dropped, 0);
     }
 
+    /// When the device sent each CONNECT.
+    fn connects(rig: &Rig) -> Vec<Nanos> {
+        let connects = rig
+            .wire
+            .sent
+            .iter()
+            .filter(|(_, p)| p.iter().any(is_connect));
+        connects.map(|(at, _)| *at).collect()
+    }
+
+    /// Asserts that the CONNECTs sent at `times`, each refused one crossing
+    /// of the link after it left, are as far apart as the back-off says:
+    /// the next leaves the initial back-off after the first is refused,
+    /// and the back-off doubles to its ceiling, each spread by its jitter.
+    fn assert_backs_off(times: &[Nanos], config: &CaptureConfig) {
+        assert!(times.len() > 10, "{} attempts", times.len());
+        let mut expected = nanos(config.reconnect_initial_backoff);
+        let mut distinct = std::collections::HashSet::new();
+        for (i, pair) in times.windows(2).enumerate() {
+            if i > 0 {
+                expected = (2 * expected).min(nanos(config.reconnect_max_backoff));
+            }
+            let gap = pair[1] - pair[0] - LATENCY;
+            let (lo, hi) = (expected * 3 / 4, expected * 5 / 4);
+            assert!(
+                (lo..=hi).contains(&gap),
+                "attempt {i}: {gap} ns, not in {lo}..={hi}"
+            );
+            distinct.insert(gap);
+        }
+        assert!(distinct.len() > times.len() / 2, "jitter not spreading");
+    }
+
     /// The CONNECTs of a device whose gateway stays gone, as far apart as
     /// the back-off says — the initial one twice, then doubling to the
     /// ceiling — each spread by its jitter, drawn from the seed: the same
@@ -1686,34 +1764,72 @@ mod tests {
             rig.dead = true;
             rig.capture(record(1, 3));
             rig.run_until(20_000 * MS);
-            let connects = rig
-                .wire
-                .sent
-                .iter()
-                .filter(|(_, p)| p.iter().any(is_connect));
-            connects.map(|(at, _)| *at).collect()
+            connects(&rig)
         };
         let times = attempts(7);
-        assert!(times.len() > 10, "{} attempts", times.len());
-        let mut expected = nanos(config.reconnect_initial_backoff);
-        let mut distinct = std::collections::HashSet::new();
-        for (i, pair) in times.windows(2).enumerate() {
-            // Each attempt is refused one crossing of the link after it
-            // left, and the next leaves a back-off later.
-            if i > 0 {
-                expected = (2 * expected).min(nanos(config.reconnect_max_backoff));
-            }
-            let gap = pair[1] - pair[0] - LATENCY;
-            let (lo, hi) = (expected * 3 / 4, expected * 5 / 4);
-            assert!(
-                (lo..=hi).contains(&gap),
-                "attempt {i}: {gap} ns, not in {lo}..={hi}"
-            );
-            distinct.insert(gap);
-        }
-        assert!(distinct.len() > times.len() / 2, "jitter not spreading");
+        assert_backs_off(&times, &config);
         assert_eq!(attempts(7), times, "the seed decides");
         assert_ne!(attempts(8), times, "another seed draws other times");
+    }
+
+    /// The first connection is the first attempt to connect, made as any
+    /// later one is: the records captured before the device's first
+    /// CONNECT and while it is out wait in the backlog and replay in
+    /// capture order once the link is up, none dropped, and the first
+    /// link-up is no reconnect — a later one is.
+    #[test]
+    fn captures_made_while_the_first_dial_is_out_replay_in_order() {
+        let mut rig = Rig::dialing(CaptureConfig::default(), 1);
+        rig.capture(record(0, 3));
+        rig.absorb();
+        assert_eq!(rig.device.stats().buffered_records, 1);
+        rig.turn();
+        assert_eq!(connects(&rig), [0], "the CONNECT leaves at once");
+        for i in 1..10 {
+            rig.capture(record(i, 3));
+            rig.absorb();
+            rig.turn();
+        }
+        assert!(!rig.device.stats().connected, "up before any answer");
+        rig.flush();
+        assert_eq!(rig.gw.delivered(), (0..10).collect::<Vec<_>>());
+        let stats = rig.device.stats();
+        assert_eq!(stats.reconnects, 0, "{stats:?}");
+        assert_eq!(stats.records_replayed, 10, "{stats:?}");
+        assert_eq!(stats.records_dropped, 0, "{stats:?}");
+        assert!(stats.connected);
+
+        rig.restart_gateway();
+        for i in 10..20 {
+            rig.capture(record(i, 3));
+            let next = rig.now + MS;
+            rig.run_until(next);
+        }
+        rig.flush();
+        assert_eq!(rig.gw.delivered(), (10..20).collect::<Vec<_>>());
+        assert_eq!(rig.device.stats().reconnects, 1);
+    }
+
+    /// A device that boots while its gateway is gone is a link that is
+    /// down: its first CONNECT is refused, and it backs off exactly as it
+    /// does after the link to a gateway that then went away — capturing
+    /// all the while.
+    #[test]
+    fn a_refused_first_connect_backs_off_as_a_refused_reconnect_does() {
+        let config = CaptureConfig {
+            reconnect_max_backoff: Duration::from_millis(800),
+            ..CaptureConfig::default()
+        };
+        let mut rig = Rig::dialing(config.clone(), 7);
+        rig.dead = true;
+        rig.capture(record(0, 3));
+        rig.run_until(20_000 * MS);
+        let times = connects(&rig);
+        assert_eq!(times[0], 0, "the first attempt is due at once");
+        assert_backs_off(&times, &config);
+        let stats = rig.device.stats();
+        assert_eq!((stats.buffered_records, stats.records_dropped), (1, 0));
+        assert!(!stats.connected);
     }
 
     /// A gateway that restarts without its state no longer knows the

@@ -13,6 +13,12 @@
 //! publishes at QoS 2 (exactly once, the paper's QoS and the only one a
 //! device uses).
 //!
+//! Starting waits on no round trip: the first connection is the device's
+//! first reconnect attempt. [`Transmitter::start`] dials, sends the
+//! CONNECT from the caller's thread and spawns the thread, which finishes
+//! the handshake as it would after an outage; what is captured meanwhile
+//! waits in the backlog and replays in capture order.
+//!
 //! Drained record `Vec`s return to a pool shared with the capture side
 //! (the grouper refills from it), and the codec scratch (string table,
 //! compression tables) lives in thread-locals on the transmitter thread,
@@ -23,8 +29,9 @@ use crate::api::CaptureError;
 use crate::config::CaptureConfig;
 use crate::device::{client_config, Device, Nanos};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mqtt_sn::net::{dial, Endpoint, UdpClient};
-use mqtt_sn::NetError;
+use mqtt_sn::net::{dial, Endpoint};
+use mqtt_sn::session::Session;
+use mqtt_sn::{DatagramFault, NetError};
 use parking_lot::Mutex;
 use prov_model::Record;
 use std::net::SocketAddr;
@@ -85,45 +92,35 @@ pub struct Transmitter {
 }
 
 impl Transmitter {
-    /// Connects to the broker, registers `topic`, and starts the thread.
-    /// Both round trips run here, on the caller's thread, and the client
-    /// then splits into the endpoint and the session the thread drives.
+    /// Starts the device end of `topic` without waiting on the gateway:
+    /// dials it, builds the [`Device`], sends its CONNECT from here, so the
+    /// gateway answers while the one transmitter thread spawns, and returns
+    /// with the device able to capture. The thread finishes the handshake
+    /// (the CONNACK, then the REGISTER it draws); records captured before
+    /// the link is up wait in the backlog and replay in capture order.
+    ///
+    /// Fails only on a local error: no socket could be had, the spill
+    /// directory cannot be opened, the thread cannot be spawned. A gateway
+    /// that is absent or refuses the device is a link that is down, as
+    /// after an outage: records buffer, the device keeps dialing with its
+    /// back-off, and [`Transmitter::flush`] reports what stays buffered.
     pub fn start(
         broker: SocketAddr,
         client_id: String,
         topic: String,
         config: CaptureConfig,
     ) -> Result<Transmitter, NetError> {
-        let timeout = Duration::from_secs(10);
-        let mut client = UdpClient::connect(broker, client_config(client_id, &config), timeout)?;
-        let topic_id = client.register(&topic, timeout)?;
-        // Chaos hook goes in only after the handshake: the fault plan
-        // shapes steady-state traffic, not whether the transmitter can
-        // start at all.
-        if let Some(fault) = &config.datagram_fault {
-            client.set_fault(fault.0.clone());
-        }
-        let (endpoint, session, start) = client.into_parts();
-        // The device opens (and recovers) the spill WAL before the thread
-        // exists, so a misconfigured spill directory fails the connect
-        // loudly instead of silently degrading to RAM-only buffering.
-        let device = Device::new(session, topic, topic_id, config, entropy_seed())?;
-        let stats = device.published_stats();
+        let driver = Driver::dial(broker, client_id, topic, config, entropy_seed())?;
+        let stats = driver.device.published_stats();
 
         // Bound the channel so a dead network eventually applies
         // backpressure instead of exhausting memory (the send-buffer role
         // of the simulation model).
         let (tx, rx) = bounded::<Cmd>(1024);
         let pool: BatchPool = Arc::new(Mutex::with_rank(parking_lot::rank::POOL, Vec::new()));
-        let driver = Driver {
-            endpoint,
-            broker,
-            start,
-            device,
-        };
         let thread = {
             let pool = Arc::clone(&pool);
-            std::thread::spawn(move || driver.run(rx, pool))
+            std::thread::Builder::new().spawn(move || driver.run(rx, pool))?
         };
         Ok(Transmitter {
             tx,
@@ -208,12 +205,14 @@ fn pool_batch(pool: &BatchPool, batch: Vec<Record>) {
 }
 
 /// What the transmitter thread owns around its [`Device`]: the socket, the
-/// gateway's address, and the clock the device's session runs on.
+/// gateway's address, the clock the device's session runs on, and the
+/// fault plan (chaos only) until the link first comes up.
 struct Driver {
     endpoint: Endpoint,
     broker: SocketAddr,
     start: Instant,
     device: Device,
+    fault: Option<Arc<dyn DatagramFault>>,
 }
 
 /// Nanoseconds since `start`: `now` for the device.
@@ -222,6 +221,36 @@ fn since(start: Instant) -> Nanos {
 }
 
 impl Driver {
+    /// Dials `broker`, builds the device and sends its CONNECT: the first
+    /// connection is the device's first attempt, and the driver finishes
+    /// it as it would a reconnect. Errs only when no socket can be had or
+    /// the spill log cannot be opened; the device is built before any
+    /// thread exists, so neither fails silently into RAM-only buffering.
+    fn dial(
+        broker: SocketAddr,
+        client_id: String,
+        topic: String,
+        mut config: CaptureConfig,
+        seed: u64,
+    ) -> Result<Driver, NetError> {
+        let mut endpoint = Endpoint::new(dial(broker)?, None)?;
+        // The fault plan shapes steady-state traffic, not whether the
+        // device can connect: it goes in at the first link-up.
+        let fault = config.datagram_fault.take().map(|f| f.0);
+        let session = Session::new(client_config(client_id, &config));
+        let mut device = Device::new(session, topic, config, seed)?;
+        let start = Instant::now();
+        let send = &mut |d: &[u8]| endpoint.send(broker, d);
+        device.dialed(Ok(()), since(start), send);
+        Ok(Driver {
+            endpoint,
+            broker,
+            start,
+            device,
+            fault,
+        })
+    }
+
     /// When the device, or a datagram the fault plan delays (chaos only),
     /// next has something to do; `None`: nothing is scheduled.
     fn next_deadline(&self) -> Option<Instant> {
@@ -267,13 +296,16 @@ impl Driver {
     }
 
     /// One read of the socket, then [`Device::poll`]. With `wait`, the
-    /// device first asks for what the gateway may hold ([`Device::ask`]),
-    /// and the read blocks for a datagram, up to the endpoint's read
-    /// time-out, then takes what else has queued. Without, it takes only
-    /// the datagrams the fault plan delayed that came off hold and — once
-    /// per hold of the gateway's, at the device's read deadline — what the
-    /// gateway's held acknowledgements left queued; a reconnect attempt
-    /// that fell due first gets a new socket under the link.
+    /// device asks for what the gateway may hold ([`Device::ask`]) — after
+    /// taking what already sits in the socket, when it would ask: the
+    /// PUBRELs that answer that may be the ask — and while a reply is
+    /// still expected the read blocks for a datagram, up to the
+    /// endpoint's read time-out, then takes what else has queued. Without,
+    /// it takes only the datagrams the fault plan delayed that came off
+    /// hold and — once per hold of the gateway's, at the device's read
+    /// deadline — what the gateway's held acknowledgements left queued; an
+    /// attempt to connect that fell due first gets a new socket under the
+    /// link.
     fn read(&mut self, wait: bool) {
         let now = since(self.start);
         if self.device.redial_due(now) {
@@ -283,8 +315,19 @@ impl Driver {
         }
         let drain = !wait && self.device.drain_due(now);
         if wait {
+            if self.device.would_ask() {
+                let (device, start) = (&mut self.device, self.start);
+                let queued = self
+                    .endpoint
+                    .drain(0, |_, datagram| device.hear(datagram, since(start)));
+                self.poll(queued);
+            }
+            let now = since(self.start);
             let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
             self.device.ask(now, send);
+            if !self.device.awaits_gateway() {
+                return;
+            }
         }
         let (device, start) = (&mut self.device, self.start);
         let mut heard = |_, datagram: &[u8]| device.hear(datagram, since(start));
@@ -295,9 +338,21 @@ impl Driver {
         if drain && read.is_ok() {
             read = self.endpoint.drain(0, &mut heard);
         }
+        self.poll(read);
+    }
+
+    /// [`Device::poll`] after a read that ended in `read`. The fault plan
+    /// goes in once the link first comes up, before anything is sent on
+    /// it.
+    fn poll(&mut self, read: std::io::Result<()>) {
         let now = since(self.start);
         let send = &mut |d: &[u8]| self.endpoint.send(self.broker, d);
         self.device.poll(read, now, send);
+        if self.device.is_up() {
+            if let Some(fault) = self.fault.take() {
+                self.endpoint.set_fault(fault);
+            }
+        }
     }
 
     /// Works toward a full drain until `budget` expires: waits on the
@@ -357,8 +412,9 @@ impl Driver {
     /// burst, the drain sees all of it, and how many records share a
     /// message no longer depends on how slow this thread is.
     fn run(mut self, rx: Receiver<Cmd>, pool: BatchPool) {
-        // A previous process's unsent spill recovered from the WAL replays
-        // ahead of any new capture — disk-first, original order.
+        // The CONNECT is out; a previous process's unsent spill recovered
+        // from the WAL replays once the link is up, ahead of any new
+        // capture — disk-first, original order.
         self.read(false);
         let mut woken_by: Option<Cmd> = None;
         loop {
@@ -448,19 +504,9 @@ mod tests {
         rx: Receiver<Cmd>,
         pool: BatchPool,
     ) -> (std::thread::JoinHandle<()>, Arc<Mutex<TransmitterStats>>) {
-        let timeout = Duration::from_secs(5);
-        let mut client =
-            UdpClient::connect(broker_addr, ClientConfig::new(client_id), timeout).unwrap();
-        let topic_id = client.register(topic, timeout).unwrap();
-        let (endpoint, session, start) = client.into_parts();
-        let device = Device::new(session, topic.to_owned(), topic_id, config, 1).unwrap();
-        let stats = device.published_stats();
-        let driver = Driver {
-            endpoint,
-            broker: broker_addr,
-            start,
-            device,
-        };
+        let (id, topic) = (client_id.to_owned(), topic.to_owned());
+        let driver = Driver::dial(broker_addr, id, topic, config, 1).unwrap();
+        let stats = driver.device.published_stats();
         (std::thread::spawn(move || driver.run(rx, pool)), stats)
     }
 
@@ -1008,6 +1054,38 @@ mod tests {
         fresh.shutdown();
     }
 
+    /// A device that boots before its gateway captures from its first
+    /// call: `start` waits on no round trip, so while the device dials a
+    /// port where nothing listens yet, its records wait in the backlog.
+    /// Once a gateway starts there, every record reaches it once and in
+    /// capture order, none dropped, and the first connection is no
+    /// reconnect.
+    #[test]
+    fn a_device_that_boots_before_its_gateway_captures_from_the_start() {
+        let free = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = free.local_addr().unwrap();
+        drop(free);
+        let topic = "provlight/test/early".to_owned();
+        let config = CaptureConfig::default();
+        let t = Transmitter::start(addr, "early".into(), topic, config).unwrap();
+        for i in 0..20 {
+            t.publish_record(record(i, 3)).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!t.stats().connected);
+        let gw = UdpBroker::spawn(addr, BrokerConfig::default()).unwrap();
+        let mut sub = gw.subscribe_local("#").unwrap();
+        t.flush().unwrap();
+        assert_eq!(delivered_ids(&mut sub), (0..20).collect::<Vec<_>>());
+        let stats = t.stats();
+        assert_eq!(stats.records_dropped, 0, "{stats:?}");
+        assert_eq!(stats.reconnects, 0, "{stats:?}");
+        assert!(stats.connected);
+        assert_eq!(gw.stats().duplicates_suppressed, 0);
+        t.shutdown();
+        gw.shutdown();
+    }
+
     /// A backlog with RAM caps of `max_records` and `max_bytes` and no
     /// spill log.
     fn ram_backlog(max_records: usize, max_bytes: usize) -> Backlog {
@@ -1204,19 +1282,34 @@ mod tests {
         assert_ne!(entropy_seed(), entropy_seed());
     }
 
-    /// A device whose session is connected, with no gateway and no
-    /// socket: what it sends goes nowhere.
+    /// A device whose link is up, with no gateway and no socket: what it
+    /// sends goes nowhere, and the CONNACK and REGACK it is told of come
+    /// from no one.
     fn test_device(id: &str, config: CaptureConfig) -> Device {
-        let mut session = Session::new(ClientConfig::new(id));
-        let nowhere = &mut |_: &[u8]| Ok::<(), std::io::Error>(());
-        let connect = session.client.connect(0);
-        session.dispatch(connect, 0, nowhere).unwrap();
-        let accepted = Packet::ConnAck {
-            code: mqtt_sn::ReturnCode::Accepted,
+        let session = Session::new(ClientConfig::new(id));
+        let mut device = Device::new(session, "provlight/test/pace".into(), config, 1).unwrap();
+        let mut sent = Vec::new();
+        let mut sink = |d: &[u8]| {
+            sent.push(Packet::decode(d).unwrap());
+            Ok(())
         };
-        session.hear(&accepted.encode(), 0);
-        session.poll(0, nowhere).unwrap();
-        Device::new(session, "provlight/test/pace".into(), 1, config, 1).unwrap()
+        let accepted = mqtt_sn::ReturnCode::Accepted;
+        device.dialed(Ok(()), 0, &mut sink);
+        device.hear(&Packet::ConnAck { code: accepted }.encode(), 0);
+        device.poll(Ok(()), 0, &mut sink);
+        let msg_id = match sent.last() {
+            Some(Packet::Register { msg_id, .. }) => *msg_id,
+            other => panic!("no REGISTER at the CONNACK: {other:?}"),
+        };
+        let regack = Packet::RegAck {
+            topic_id: 1,
+            msg_id,
+            code: accepted,
+        };
+        device.hear(&regack.encode(), 0);
+        device.poll(Ok(()), 0, &mut |_: &[u8]| Ok(()));
+        assert!(device.is_up());
+        device
     }
 
     #[test]

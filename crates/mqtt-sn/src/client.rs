@@ -181,17 +181,21 @@ pub struct Client {
     /// back to callers via [`Client::take_spare_payload`] so the publish
     /// path can run without per-message allocation.
     spare_payloads: Vec<Vec<u8>>,
-    /// Topic name → broker-assigned id learned from REGACKs; re-registered
-    /// on session resumption.
-    registered_topics: HashMap<String, u16>,
+    /// Topic name → broker-assigned id learned from REGACKs, `None` for a
+    /// topic tracked before its first ([`Client::track`]); registered
+    /// again on session resumption.
+    registered_topics: HashMap<String, Option<u16>>,
     /// Acknowledged subscriptions, re-subscribed on session resumption.
     subscribed_filters: Vec<(String, QoS)>,
     /// True between [`Client::reconnect`] and the accepted CONNACK.
     resuming: bool,
+    /// Whether a CONNACK has ever accepted this client: a reconnect then
+    /// asks to continue that session.
+    had_session: bool,
     /// During resumption: topic names awaiting a fresh REGACK → the id they
-    /// had in the previous session, so in-flight publishes can be remapped
-    /// if the broker (e.g. after a restart) assigns a different id.
-    resume_pending: HashMap<String, u16>,
+    /// had in the previous session, if any, so in-flight publishes can be
+    /// remapped if the broker (e.g. after a restart) assigns a different id.
+    resume_pending: HashMap<String, Option<u16>>,
     last_tx: Nanos,
     ping_outstanding_since: Option<Nanos>,
 }
@@ -209,6 +213,7 @@ impl Client {
             registered_topics: HashMap::new(),
             subscribed_filters: Vec::new(),
             resuming: false,
+            had_session: false,
             resume_pending: HashMap::new(),
             last_tx: 0,
             ping_outstanding_since: None,
@@ -279,7 +284,18 @@ impl Client {
     /// Broker-assigned id of a topic registered in this (or, after
     /// resumption, the previous) session.
     pub fn topic_id(&self, topic_name: &str) -> Option<u16> {
-        self.registered_topics.get(topic_name).copied()
+        self.registered_topics.get(topic_name).copied().flatten()
+    }
+
+    /// Tracks `topic_name` before the client has an id for it: the
+    /// resumption at the accepted CONNACK of the next
+    /// [`Client::reconnect`] registers it with every other tracked topic,
+    /// and [`Client::topic_id`] reads its id once the REGACK is in. A
+    /// topic tracked already keeps its id.
+    pub fn track(&mut self, topic_name: &str) {
+        if !self.registered_topics.contains_key(topic_name) {
+            self.registered_topics.insert(topic_name.to_owned(), None);
+        }
     }
 
     /// False while session resumption is still in progress: the CONNACK
@@ -338,11 +354,14 @@ impl Client {
     }
 
     /// Re-initiates the connection handshake after a lost connection,
-    /// requesting session continuation (`clean_session = false`). On the
-    /// accepted CONNACK the client re-registers every tracked topic,
-    /// re-subscribes every acknowledged filter, and retransmits in-flight
-    /// QoS 1/2 publishes with the DUP flag — remapping their topic ids if
-    /// the broker (e.g. after a restart) assigns different ones.
+    /// requesting session continuation (`clean_session = false`) once a
+    /// CONNACK has accepted the client; before, there is no session to
+    /// continue, and the CONNECT asks as [`ClientConfig::clean_session`]
+    /// says. On the accepted CONNACK the client registers every tracked
+    /// topic, re-subscribes every acknowledged filter, and retransmits
+    /// in-flight QoS 1/2 publishes with the DUP flag — remapping their
+    /// topic ids if the broker (e.g. after a restart) assigns different
+    /// ones.
     pub fn reconnect(&mut self, now: Nanos) -> Vec<Output> {
         self.ping_outstanding_since = None;
         self.resuming = true;
@@ -356,7 +375,8 @@ impl Client {
         // because a broker restarted with fresh state legitimately reuses
         // msg_ids for new messages.
         self.inbound.new_epoch();
-        self.start_connect(false, now)
+        let clean_session = !self.had_session && self.config.clean_session;
+        self.start_connect(clean_session, now)
     }
 
     /// Requests a topic-id for `topic_name`. The id arrives via
@@ -494,6 +514,7 @@ impl Client {
                 self.complete(|asked| matches!(asked, Packet::Connect { .. }));
                 if code == ReturnCode::Accepted {
                     self.state = ClientState::Connected;
+                    self.had_session = true;
                     self.ping_outstanding_since = None;
                     out.push(Output::Event(ClientEvent::Connected));
                     if self.resuming {
@@ -516,10 +537,11 @@ impl Client {
                 );
                 if let Some(Packet::Register { topic_name, .. }) = asked {
                     if code == ReturnCode::Accepted {
-                        self.registered_topics.insert(topic_name.clone(), topic_id);
+                        self.registered_topics
+                            .insert(topic_name.clone(), Some(topic_id));
                         // A topic resumed under a (possibly) new id: its
                         // in-flight publishes move to it and go out again.
-                        if let Some(old_id) = self.resume_pending.remove(&topic_name) {
+                        if let Some(Some(old_id)) = self.resume_pending.remove(&topic_name) {
                             for id in self.out.ids_in_order(|s| s.topic == TopicRef::Id(old_id)) {
                                 self.retransmit_inflight(id, Some(topic_id), now, &mut out);
                             }
@@ -535,7 +557,8 @@ impl Client {
                         // publishes back instead of leaving them stuck
                         // un-remapped forever.
                         self.registered_topics.remove(&topic_name);
-                        for id in self.out.ids_in_order(|s| s.topic == TopicRef::Id(old_id)) {
+                        let old = old_id.map(TopicRef::Id);
+                        for id in self.out.ids_in_order(|s| Some(&s.topic) == old.as_ref()) {
                             self.reject(id, code, &mut out);
                         }
                     }
@@ -701,7 +724,7 @@ impl Client {
             };
             out.push(self.ask(packet, now));
         }
-        let mut topics: Vec<(String, u16)> = self
+        let mut topics: Vec<(String, Option<u16>)> = self
             .registered_topics
             .iter()
             .map(|(n, id)| (n.clone(), *id))
@@ -722,7 +745,7 @@ impl Client {
         let resume_pending = &self.resume_pending;
         let ids = self.out.ids_in_order(|s| match s.topic {
             TopicRef::Predefined(_) | TopicRef::Name(_) => true,
-            TopicRef::Id(id) => !resume_pending.values().any(|old| *old == id),
+            TopicRef::Id(id) => !resume_pending.values().any(|old| *old == Some(id)),
         });
         for id in ids {
             self.retransmit_inflight(id, None, now, out);
@@ -992,6 +1015,43 @@ mod tests {
                 topic_id: 42
             }]
         );
+    }
+
+    /// A first connection made as a reconnect: a client no CONNACK has
+    /// accepted asks for a clean session as configured, and the topic it
+    /// tracked is registered at the CONNACK; once it has had a session, a
+    /// reconnect asks to continue it, and registers the topic again.
+    #[test]
+    fn a_tracked_topic_is_registered_at_a_first_reconnect() {
+        let mut c = Client::new(ClientConfig::new("dev1"));
+        c.track("provlight/wf1/dev1");
+        assert_eq!(c.topic_id("provlight/wf1/dev1"), None);
+        let accepted = Packet::ConnAck {
+            code: ReturnCode::Accepted,
+        };
+        for (at, clean) in [(0, true), (100, false)] {
+            let out = c.reconnect(at);
+            assert!(matches!(
+                sends(&out)[..],
+                [Packet::Connect { clean_session, .. }] if *clean_session == clean
+            ));
+            let out = c.on_packet(accepted.clone(), at + 1);
+            let msg_id = match sends(&out)[..] {
+                [Packet::Register {
+                    msg_id, topic_name, ..
+                }] if topic_name == "provlight/wf1/dev1" => *msg_id,
+                ref other => panic!("no REGISTER at the CONNACK: {other:?}"),
+            };
+            assert!(!c.resume_complete());
+            let regack = Packet::RegAck {
+                topic_id: 42,
+                msg_id,
+                code: ReturnCode::Accepted,
+            };
+            c.on_packet(regack, at + 2);
+            assert!(c.resume_complete());
+            assert_eq!(c.topic_id("provlight/wf1/dev1"), Some(42));
+        }
     }
 
     #[test]

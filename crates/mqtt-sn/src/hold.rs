@@ -423,10 +423,16 @@ impl DeviceHold {
     /// Asks the gateway for what it may be holding for this device (see
     /// `DeviceHold::asks`). Sends nothing while nothing can be held.
     pub fn ask<E>(&mut self, client: &Client, send: ToGateway<E>) -> Result<(), E> {
-        if self.unanswered.is_none() || !self.owed(client) {
+        if !self.would_ask(client) {
             return Ok(());
         }
         self.asks(send)
+    }
+
+    /// Whether [`DeviceHold::ask`] would send: a handshake of `client`
+    /// waits on the gateway, which may hold its answer.
+    pub fn would_ask(&self, client: &Client) -> bool {
+        self.unanswered.is_some() && self.owed(client)
     }
 
     /// The held PUBRELs leave on their own or, none being held, a PINGREQ

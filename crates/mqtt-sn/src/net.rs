@@ -11,7 +11,7 @@
 //! datagram each way (with the datagrams it delays), and the sends it is
 //! told to make. What is each end's own sits above it: the broker lock for
 //! the gateway; the sans-io [`Session`] and the blocking API for the
-//! device, which [`UdpClient::into_parts`] hands to a driver of its own.
+//! device, or a driver of its own around an endpoint and a session.
 //! What either end holds back, and when it leaves, is decided in
 //! [`crate::hold`], which hands the datagrams to send to the endpoint.
 
@@ -132,6 +132,13 @@ impl Endpoint {
             held_out: Vec::new(),
             nonblocking: false,
         })
+    }
+
+    /// Installs a datagram fault-injection plan (chaos only): every later
+    /// datagram's fate each way is decided by `fault` (see
+    /// [`DatagramFault`]). The plan survives [`Endpoint::replace_socket`].
+    pub fn set_fault(&mut self, fault: Arc<dyn DatagramFault>) {
+        self.fault = Some(fault);
     }
 
     /// Puts `socket` in place of the one this endpoint had. The fault plan
@@ -764,13 +771,7 @@ impl UdpClient {
     /// keeps applying across the very link flaps it induces. Chaos testing
     /// only; the faulted paths allocate where production does not.
     pub fn set_fault(&mut self, fault: Arc<dyn DatagramFault>) {
-        self.endpoint.fault = Some(fault);
-    }
-
-    /// The endpoint, the session and the clock the session runs on, for a
-    /// caller that drives the session itself from here on.
-    pub fn into_parts(self) -> (Endpoint, Session, Instant) {
-        (self.endpoint, self.session, self.start)
+        self.endpoint.set_fault(fault);
     }
 
     /// Asks the gateway for what it may be holding for this device (see

@@ -85,7 +85,9 @@ fn main() {
     ) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("cannot reach broker at {}: {e}", args.broker);
+            // Only a local error ends up here; an absent broker is
+            // reported when the workflow ends.
+            eprintln!("cannot start capture to broker at {}: {e}", args.broker);
             std::process::exit(1);
         }
     };
@@ -115,8 +117,11 @@ fn main() {
             .expect("task.end");
         prev = vec![Id::Num(t)];
     }
-    workflow.end().expect("workflow.end");
-    client.flush().expect("flush");
+    // The workflow's end flushes: an absent broker is reported here.
+    if let Err(e) = workflow.end().and_then(|()| client.flush()) {
+        eprintln!("broker at {} unreachable: {e}", args.broker);
+        std::process::exit(1);
+    }
     let elapsed = started.elapsed();
 
     let baseline = Duration::from_millis(args.task_ms) * args.tasks as u32;

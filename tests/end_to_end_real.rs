@@ -114,11 +114,13 @@ fn only_devices_hold_broker_sessions() {
         CaptureConfig::default(),
     )
     .expect("connect");
-    assert_eq!(manager.broker_sessions(), 1, "the device, and only it");
     let wf = client.session().workflow(77u64);
     wf.begin().unwrap();
     wf.end().unwrap();
+    // `connect` waits on no round trip; a flush that returned was
+    // acknowledged, so the gateway holds the device's session by now.
     client.flush().unwrap();
+    assert_eq!(manager.broker_sessions(), 1, "the device, and only it");
     client.shutdown();
     // The flush returned once the gateway had acknowledged; shutdown lets
     // the translator finish what was acknowledged, so nothing to wait for.

@@ -956,7 +956,6 @@ fn device_allocations(messages: u64) -> usize {
     use provlight::mqtt_sn::hold::GatewayHold;
     use provlight::mqtt_sn::packet::frames;
     use provlight::mqtt_sn::session::Session;
-    use provlight::mqtt_sn::{ClientEvent, NetError};
     use std::cell::RefCell;
 
     let config = CaptureConfig::default();
@@ -976,41 +975,32 @@ fn device_allocations(messages: u64) -> usize {
         hold.flush(&mut out, now.get(), send);
     };
 
-    let mut session = Session::new(client_config("dev".into(), &config));
-    let to_gateway = &mut |d: &[u8]| {
-        serve(d);
-        Ok::<(), NetError>(())
-    };
-    for step in 0..2 {
-        let outputs = match step {
-            0 => session.client.connect(0),
-            _ => session.client.register("provlight/z/dev", 0).unwrap().1,
-        };
-        session.dispatch(outputs, 0, to_gateway).unwrap();
-        session.hear(&down.borrow(), 0);
-        down.borrow_mut().clear();
-        session.poll(0, to_gateway).unwrap();
-    }
-    let topic_id = match session.events.pop_back() {
-        Some(ClientEvent::Registered { topic_id, .. }) => topic_id,
-        other => panic!("unexpected {other:?}"),
-    };
+    let session = Session::new(client_config("dev".into(), &config));
     let topic = "provlight/z/dev".to_owned();
-    let mut device = Device::new(session, topic, topic_id, config, 1).unwrap();
+    let mut device = Device::new(session, topic, config, 1).unwrap();
+    let sink = &mut |d: &[u8]| {
+        serve(d);
+        Ok(())
+    };
+    let read = |device: &mut Device| {
+        device.hear(&down.borrow(), now.get());
+        down.borrow_mut().clear();
+    };
+    // The first attempt to connect: the CONNECT, then the REGISTER its
+    // CONNACK draws, each answered before the next.
+    assert!(device.redial_due(0));
+    device.dialed(Ok(()), 0, sink);
+    for _ in 0..2 {
+        read(&mut device);
+        device.poll(Ok(()), 0, sink);
+    }
+    assert!(device.is_up());
 
     let names = attr_names();
     let template = record(7, &names[..3]);
     let warm = 4 * ACK_HOLD_MS;
     let mut stock: Vec<Record> = (0..warm + messages).map(|_| template.clone()).collect();
-    let sink = &mut |d: &[u8]| {
-        serve(d);
-        Ok(())
-    };
     let ms = 1_000_000u64;
-    let read = |device: &mut Device| {
-        device.hear(&down.borrow(), now.get());
-        down.borrow_mut().clear();
-    };
     // A flush: the device asks and reads until every handshake is over.
     let flush = |device: &mut Device, sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>| {
         for _ in 0..8 {
