@@ -251,7 +251,8 @@ mod tests {
         );
         let guard = store.read(&Id::Num(1));
         let task_row = guard.task_by_id(&Id::Num(1), &Id::Num(0)).unwrap();
-        assert_eq!(task_row.transformation, Id::from("train"));
+        let table = guard.workflow(&Id::Num(1)).unwrap();
+        assert_eq!(table.transformation(task_row), &Id::from("train"));
         assert!(task_row.elapsed_s().is_some());
         drop(guard);
 

@@ -177,14 +177,15 @@ impl<'a> Query<'a> {
 
     /// Per-task timing/status report.
     pub fn task_metrics(&self, workflow: &Id) -> Result<Vec<TaskMetrics>, QueryError> {
-        Ok(self
-            .tasks(workflow)?
-            .into_iter()
+        let table = self.table(workflow)?;
+        Ok(table
+            .tasks()
+            .iter()
             .map(|t| TaskMetrics {
                 task: t.id.clone(),
-                transformation: t.transformation.clone(),
+                transformation: table.transformation(t).clone(),
                 elapsed_s: t.elapsed_s(),
-                finished: t.end_ns.is_some(),
+                finished: t.end_ns().is_some(),
             })
             .collect())
     }
@@ -231,7 +232,7 @@ impl<'a> Query<'a> {
             let row = &table.data()[idx as usize];
             let t = row
                 .generated_by
-                .and_then(|ti| table.tasks()[ti as usize].end_ns)
+                .and_then(|ti| table.tasks()[ti as usize].end_ns())
                 .unwrap_or(0);
             series.push((t, v.unwrap_or(f64::NAN)));
         })?;
@@ -333,9 +334,8 @@ impl<'a> Query<'a> {
         transformation: &Id,
     ) -> Result<Option<f64>, QueryError> {
         let times: Vec<f64> = self
-            .tasks(workflow)?
-            .into_iter()
-            .filter(|t| &t.transformation == transformation)
+            .table(workflow)?
+            .tasks_of(transformation)
             .filter_map(TaskRow::elapsed_s)
             .collect();
         if times.is_empty() {

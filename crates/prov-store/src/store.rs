@@ -30,11 +30,14 @@
 //! # What a row costs
 //!
 //! The store is memory-only, so the bytes per row decide how long a server
-//! can ingest. A [`DataRow`] and a [`TaskRow`] are 144 bytes each: a row
+//! can ingest. A [`DataRow`] is 144 bytes and a [`TaskRow`] 112: a row
 //! number is 32 bits, so an edge set ([`SmallSet`]) is 16 bytes holding up
 //! to two members inline and allocating nothing until a third, and a row
 //! holds no workflow id — its workflow is its table's (see
-//! [`WorkflowTable::owner`] for the rare row that is another's). An
+//! [`WorkflowTable::owner`] for the rare row that is another's). A task
+//! row's two times are 8 bytes each and one byte says which were seen, and
+//! its transformation is a 32-bit number into the table's list, which holds
+//! each transformation once ([`WorkflowTable::transformation`]). An
 //! attribute cell costs 8 bytes, in the row's cells ([`Attrs`]), and
 //! nothing else: names, value tags and which column a cell feeds are the
 //! row's [`Layout`](crate::attrs::Layout), one per shape and workflow,
@@ -49,8 +52,14 @@
 //!   bits of the id's hash, and a probe compares a hit with the row's
 //!   `id`;
 //! * a derivation is the *source row's* `id`, found by the index probe
-//!   that resolves the edge — except a forward reference, which keeps the
-//!   copy it arrived with even after the source comes;
+//!   that resolves the edge, and a task's dependency the `id` of the task
+//!   row it names — except a forward reference, which keeps the copy it
+//!   arrived with even after the row it names comes;
+//! * a transformation is the one the table listed when a task first named
+//!   it: a task of the transformation of the task row before it finds it
+//!   without a hash, any other by a probe of an index like the id
+//!   indexes, so a task of a known transformation allocates nothing for
+//!   it;
 //! * an attribute name is the layout's, and the layout's is the `Arc<str>`
 //!   the column of that name is keyed by, so layouts — and through them
 //!   rows decoded from different messages, each with a string table of its
@@ -65,9 +74,10 @@
 //! dropped in favour of that copy. A row of a known shape costs ingest one
 //! allocation for its cells, none if it has one, and no string probe. A
 //! lineage DAG whose rows derive from two others and carry one number
-//! retains 249 bytes of heap per row, and a task with a hundred numbers in
-//! and one out 1 578, all tables included (`tests/store_footprint.rs` holds
-//! those figures and the sharing).
+//! retains 249 bytes of heap per row, a task with a hundred numbers in and
+//! one out 1 531, and a task with ten small integers in and one number out,
+//! each record in a message of its own, 753, all tables included
+//! (`tests/store_footprint.rs` holds those figures and the sharing).
 
 use crate::attrs::{Attrs, Layout, Layouts};
 use crate::index::RowIndex;
@@ -88,34 +98,67 @@ pub type TaskIdx = u32;
 /// another workflow's. 32 bits: a table holds fewer than 2^32 rows.
 pub type DataIdx = u32;
 
-/// A task row. Its workflow is the table's.
+/// A task row. Its workflow is the table's, and so is its transformation:
+/// the row holds a number that [`WorkflowTable::transformation`] names,
+/// which like a [`TaskIdx`] means nothing in another workflow's table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskRow {
     /// Task id.
     pub id: Id,
-    /// Transformation tag.
-    pub transformation: Id,
-    /// Dependency task ids (`wasInformedBy`).
+    /// Dependency task ids (`wasInformedBy`). A task that was stored when
+    /// the reference arrived is listed by that row's own `id` allocation,
+    /// not by a copy.
     pub dependencies: SmallSet<Id>,
-    /// Begin time (ns), if seen.
-    pub start_ns: Option<u64>,
-    /// End time (ns), if seen.
-    pub end_ns: Option<u64>,
-    /// Latest status.
-    pub status: TaskStatus,
     /// Data rows used by this task.
     pub inputs: SmallSet<DataIdx>,
     /// Data rows generated by this task.
     pub outputs: SmallSet<DataIdx>,
+    /// Begin time (ns), read while `seen` has [`BEGUN`].
+    start: u64,
+    /// End time (ns), read while `seen` has [`ENDED`].
+    end: u64,
+    /// Position of the task's transformation in its table's list.
+    transformation: u32,
+    /// Latest status.
+    pub status: TaskStatus,
+    /// Which of the times were captured. Any `u64` is a time a device may
+    /// send, so none can stand for "not seen".
+    seen: u8,
 }
 
+/// `TaskRow::seen` once a begin was captured.
+const BEGUN: u8 = 1;
+/// `TaskRow::seen` once an end was captured.
+const ENDED: u8 = 2;
+
 impl TaskRow {
+    /// Begin time (ns), if seen.
+    pub fn start_ns(&self) -> Option<u64> {
+        (self.seen & BEGUN != 0).then_some(self.start)
+    }
+
+    /// End time (ns), if seen.
+    pub fn end_ns(&self) -> Option<u64> {
+        (self.seen & ENDED != 0).then_some(self.end)
+    }
+
     /// Elapsed time in seconds, when both ends were captured.
     pub fn elapsed_s(&self) -> Option<f64> {
-        match (self.start_ns, self.end_ns) {
+        match (self.start_ns(), self.end_ns()) {
             (Some(s), Some(e)) if e >= s => Some((e - s) as f64 / 1e9),
             _ => None,
         }
+    }
+
+    fn began(&mut self, time_ns: u64) {
+        self.start = time_ns;
+        self.seen |= BEGUN;
+    }
+
+    fn ended(&mut self, time_ns: u64) {
+        self.end = time_ns;
+        self.seen |= ENDED;
+        self.status = TaskStatus::Finished;
     }
 }
 
@@ -276,6 +319,11 @@ pub struct WorkflowTable {
     /// The task rows by id, and the workflow's own data rows: row numbers
     /// under the hash of their id by `hasher`. The ids are the rows'.
     task_index: RowIndex,
+    /// The transformations of the task rows, each once, in the order first
+    /// seen: what a row's number names.
+    transformations: Vec<Id>,
+    /// Positions in `transformations` under the hash of their id.
+    transformation_index: RowIndex,
     data: Vec<DataRow>,
     data_index: RowIndex,
     hasher: RandomState,
@@ -310,6 +358,8 @@ impl WorkflowTable {
             end_ns: None,
             tasks: Vec::new(),
             task_index: RowIndex::default(),
+            transformations: Vec::new(),
+            transformation_index: RowIndex::default(),
             data: Vec::new(),
             data_index: RowIndex::default(),
             hasher: RandomState::new(),
@@ -329,7 +379,7 @@ impl WorkflowTable {
             Record::TaskBegin { task, inputs } => {
                 let time_ns = task.time_ns;
                 let t = self.upsert_task(task, stats);
-                self.tasks[t as usize].start_ns = Some(time_ns);
+                self.tasks[t as usize].began(time_ns);
                 for d in inputs {
                     let idx = self.upsert_data(d, stats);
                     self.tasks[t as usize].inputs.insert(idx);
@@ -339,8 +389,7 @@ impl WorkflowTable {
             Record::TaskEnd { task, outputs } => {
                 let time_ns = task.time_ns;
                 let t = self.upsert_task(task, stats);
-                self.tasks[t as usize].end_ns = Some(time_ns);
-                self.tasks[t as usize].status = TaskStatus::Finished;
+                self.tasks[t as usize].ended(time_ns);
                 for d in outputs {
                     let idx = self.upsert_data(d, stats);
                     self.tasks[t as usize].outputs.insert(idx);
@@ -379,30 +428,79 @@ impl WorkflowTable {
 
     fn upsert_task(&mut self, task: TaskRecord, stats: &mut StoreStats) -> TaskIdx {
         let hash = self.hash(&task.id);
-        if let Some(idx) = self.task_row(hash, &task.id) {
-            // Merge dependency info (begin may carry deps, end may not).
-            for d in task.dependencies {
-                self.tasks[idx as usize].dependencies.insert(d);
+        let idx = match self.task_row(hash, &task.id) {
+            Some(idx) => {
+                if task.status == TaskStatus::Finished {
+                    self.tasks[idx as usize].status = TaskStatus::Finished;
+                }
+                idx
             }
-            if task.status == TaskStatus::Finished {
-                self.tasks[idx as usize].status = TaskStatus::Finished;
+            None => {
+                let idx = Self::next_row(self.tasks.len());
+                let transformation = self.intern_transformation(task.transformation);
+                self.task_index.insert(hash, idx);
+                stats.tasks += 1;
+                self.tasks.push(TaskRow {
+                    id: task.id,
+                    dependencies: SmallSet::new(),
+                    inputs: SmallSet::new(),
+                    outputs: SmallSet::new(),
+                    start: 0,
+                    end: 0,
+                    transformation,
+                    status: task.status,
+                    seen: 0,
+                });
+                idx
             }
-            return idx;
+        };
+        // Merge dependency info (begin may carry deps, end may not).
+        for d in task.dependencies {
+            if !self.tasks[idx as usize].dependencies.contains(&d) {
+                let held = self.held_task_id(d);
+                self.tasks[idx as usize].dependencies.insert(held);
+            }
         }
-        let idx = Self::next_row(self.tasks.len());
-        self.task_index.insert(hash, idx);
-        stats.tasks += 1;
-        self.tasks.push(TaskRow {
-            id: task.id,
-            transformation: task.transformation,
-            dependencies: task.dependencies.into_iter().collect(),
-            start_ns: None,
-            end_ns: None,
-            status: task.status,
-            inputs: SmallSet::new(),
-            outputs: SmallSet::new(),
-        });
         idx
+    }
+
+    /// The number of transformation `id` in this table, listed if new. A
+    /// task nearly always has the transformation of the task row before
+    /// it, and that costs no hash.
+    fn intern_transformation(&mut self, id: Id) -> u32 {
+        if let Some(last) = self.tasks.last() {
+            if self.transformations[last.transformation as usize] == id {
+                return last.transformation;
+            }
+        }
+        let hash = self.hash(&id);
+        if let Some(at) = self.transformation_number(hash, &id) {
+            return at;
+        }
+        let at = Self::next_row(self.transformations.len());
+        self.transformation_index.insert(hash, at);
+        self.transformations.push(id);
+        at
+    }
+
+    /// The number of transformation `id`, found under `hash`.
+    fn transformation_number(&self, hash: u32, id: &Id) -> Option<u32> {
+        let held = &self.transformations;
+        self.transformation_index
+            .find(hash, |at| held[at as usize] == *id)
+    }
+
+    /// `id` as this table holds it: the `id` of its task row, or `id`
+    /// itself for a task the table does not hold yet. A number is no
+    /// allocation to share.
+    fn held_task_id(&self, id: Id) -> Id {
+        if let Id::Num(_) = id {
+            return id;
+        }
+        match self.task_row(self.hash(&id), &id) {
+            Some(row) => self.tasks[row as usize].id.clone(),
+            None => id,
+        }
     }
 
     /// The row this table holds for `(workflow, id)` — the workflow's own,
@@ -547,6 +645,19 @@ impl WorkflowTable {
         &self.tasks
     }
 
+    /// The transformation of `task`, a row of this table.
+    pub fn transformation(&self, task: &TaskRow) -> &Id {
+        &self.transformations[task.transformation as usize]
+    }
+
+    /// The task rows of transformation `transformation`, in ingestion
+    /// order. The id is resolved once; the rows are matched by number.
+    pub(crate) fn tasks_of(&self, transformation: &Id) -> impl Iterator<Item = &TaskRow> {
+        let number = self.transformation_number(self.hash(transformation), transformation);
+        let tasks = self.tasks.iter();
+        tasks.filter(move |t| Some(t.transformation) == number)
+    }
+
     /// Data rows, in ingestion order: the workflow's own, and those of
     /// other workflows that its tasks reported.
     pub fn data(&self) -> &[DataRow] {
@@ -672,18 +783,18 @@ impl WorkflowTable {
             let task_record = |time_ns: u64, status: TaskStatus| TaskRecord {
                 id: task.id.clone(),
                 workflow: self.id.clone(),
-                transformation: task.transformation.clone(),
+                transformation: self.transformation(task).clone(),
                 dependencies: task.dependencies.to_vec(),
                 time_ns,
                 status,
             };
-            if let Some(start) = task.start_ns {
+            if let Some(start) = task.start_ns() {
                 apply(Record::TaskBegin {
                     task: task_record(start, TaskStatus::Running),
                     inputs: task.inputs.iter().map(|&di| data_record(di)).collect(),
                 });
             }
-            if let Some(end) = task.end_ns {
+            if let Some(end) = task.end_ns() {
                 apply(Record::TaskEnd {
                     task: task_record(end, TaskStatus::Finished),
                     outputs: task.outputs.iter().map(|&di| data_record(di)).collect(),
@@ -813,6 +924,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use prov_model::{AttrValue, TaskRecord};
 
     fn task(wf: u64, id: u64, transf: &str, dep: Option<u64>, status: TaskStatus) -> TaskRecord {
@@ -875,8 +987,8 @@ mod tests {
         let s = sample_store();
         let t = s.task_by_id(&Id::Num(1), &Id::Num(0)).unwrap();
         assert_eq!(t.status, TaskStatus::Finished);
-        assert_eq!(t.start_ns, Some(0));
-        assert_eq!(t.end_ns, Some(500));
+        assert_eq!(t.start_ns(), Some(0));
+        assert_eq!(t.end_ns(), Some(500));
         assert!((t.elapsed_s().unwrap() - 5e-7).abs() < 1e-12);
         assert_eq!(t.inputs.len(), 1);
         assert_eq!(t.outputs.len(), 1);
@@ -1295,8 +1407,31 @@ mod tests {
         let t = s.task_by_id(&Id::Num(1), &Id::Num(5)).unwrap();
         // End status must survive the late begin.
         assert_eq!(t.status, TaskStatus::Finished);
-        assert_eq!(t.start_ns, Some(5000));
-        assert_eq!(t.end_ns, Some(900));
+        assert_eq!(t.start_ns(), Some(5000));
+        assert_eq!(t.end_ns(), Some(900));
+    }
+
+    #[test]
+    fn every_u64_is_a_time_and_an_unseen_end_is_none() {
+        let mut s = Store::new();
+        let mut begin = task(1, 0, "t", None, TaskStatus::Running);
+        begin.time_ns = 0;
+        s.ingest(Record::TaskBegin {
+            task: begin,
+            inputs: vec![],
+        });
+        let t = s.task_by_id(&Id::Num(1), &Id::Num(0)).unwrap();
+        assert_eq!((t.start_ns(), t.end_ns()), (Some(0), None));
+        assert_eq!(t.elapsed_s(), None);
+        let mut end = task(1, 0, "t", None, TaskStatus::Finished);
+        end.time_ns = u64::MAX;
+        s.ingest(Record::TaskEnd {
+            task: end,
+            outputs: vec![],
+        });
+        let t = s.task_by_id(&Id::Num(1), &Id::Num(0)).unwrap();
+        assert_eq!((t.start_ns(), t.end_ns()), (Some(0), Some(u64::MAX)));
+        assert_eq!(t.status, TaskStatus::Finished);
     }
 
     #[test]
@@ -1346,6 +1481,129 @@ mod tests {
             time_ns: 10_000,
         });
         sink
+    }
+
+    /// A task id of a stream: every other one a string, so a dependency
+    /// that names it has an allocation to share.
+    fn stream_id(n: u64) -> Id {
+        match n % 2 {
+            0 => Id::Num(n),
+            _ => Id::from(format!("t{n}")),
+        }
+    }
+
+    /// A data item a task of a stream reports: one of five ids, of workflow
+    /// 1 or, now and then, of workflow 2, with some of two names and
+    /// sources among its like.
+    fn arb_stream_data() -> impl Strategy<Value = DataRecord> {
+        let attrs = proptest::collection::vec((0u8..2, 0i64..4), 0..3);
+        let sources = proptest::collection::vec(0u64..5, 0..3);
+        (0u64..5, 0u8..6, attrs, sources).prop_map(|(id, owner, attrs, sources)| {
+            let mut data = DataRecord::new(id, if owner == 0 { 2u64 } else { 1 });
+            for (name, value) in attrs {
+                data = data.with_attr(["x", "y"][name as usize], value);
+            }
+            sources.into_iter().fold(data, DataRecord::derived_from)
+        })
+    }
+
+    /// The records of one task: a begin, an end or both, with dependencies
+    /// on tasks that may never come and times that may be any `u64`.
+    fn arb_stream_task(t: u64) -> impl Strategy<Value = Vec<Record>> {
+        let deps = || proptest::collection::vec(0u64..6, 0..3);
+        let data = || proptest::collection::vec(arb_stream_data(), 0..3);
+        let times = (any::<u64>(), any::<u64>());
+        let parts = (0u8..3, 1u8..4, times, deps(), deps(), data(), data());
+        parts.prop_map(
+            move |(transformation, ends, times, deps_at_begin, deps_at_end, inputs, outputs)| {
+                let task = |time_ns, deps: Vec<u64>, status| TaskRecord {
+                    id: stream_id(t),
+                    workflow: Id::Num(1),
+                    transformation: Id::from(["a", "b", "c"][transformation as usize]),
+                    dependencies: deps.into_iter().map(stream_id).collect(),
+                    time_ns,
+                    status,
+                };
+                let mut records = Vec::new();
+                if ends & 1 != 0 {
+                    records.push(Record::TaskBegin {
+                        task: task(times.0, deps_at_begin, TaskStatus::Running),
+                        inputs,
+                    });
+                }
+                if ends & 2 != 0 {
+                    records.push(Record::TaskEnd {
+                        task: task(times.1, deps_at_end, TaskStatus::Finished),
+                        outputs,
+                    });
+                }
+                records
+            },
+        )
+    }
+
+    /// Tasks 0 to 3, where 0 and 2 may be absent.
+    fn arb_stream() -> impl Strategy<Value = Vec<Vec<Record>>> {
+        let maybe = |t| proptest::collection::vec(arb_stream_task(t), 0..2);
+        let tasks = (maybe(0), arb_stream_task(1), maybe(2), arb_stream_task(3));
+        tasks.prop_map(|(t0, t1, t2, t3)| vec![t0.concat(), t1, t2.concat(), t3])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A stream whose envelopes come again, whole, at later positions
+        /// ingests to the task rows and counts of the stream delivered once:
+        /// only `records` sees the copies.
+        #[test]
+        fn prop_a_redelivered_envelope_leaves_task_rows_as_they_were(
+            tasks in arb_stream(),
+            keys in proptest::collection::vec(any::<u64>(), 8),
+            sizes in proptest::collection::vec(1usize..4, 8),
+            again in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        ) {
+            // The tasks' records in an order the keys pick, so an end may
+            // come before its begin, cut into envelopes.
+            let mut records: Vec<(u64, Record)> = keys.into_iter().zip(tasks.concat()).collect();
+            records.sort_by_key(|&(key, _)| key);
+            let mut records = records.into_iter().map(|(_, record)| record);
+            let envelopes: Vec<Vec<Record>> = sizes
+                .into_iter()
+                .map(|n| records.by_ref().take(n).collect())
+                .filter(|envelope: &Vec<Record>| !envelope.is_empty())
+                .collect();
+            prop_assert!(records.next().is_none());
+            // Each copy goes anywhere after its envelope's first delivery.
+            let mut order: Vec<usize> = (0..envelopes.len()).collect();
+            for (pick, at) in again {
+                let Some(envelope) = pick.checked_rem(envelopes.len()) else { break };
+                let first = order.iter().position(|&e| e == envelope).unwrap();
+                let later = first + 1 + at % (order.len() - first);
+                order.insert(later, envelope);
+            }
+            let (mut once, mut twice) = (Store::new(), Store::new());
+            for envelope in &envelopes {
+                once.ingest_batch(envelope.iter().cloned());
+            }
+            for &envelope in &order {
+                twice.ingest_batch(envelopes[envelope].iter().cloned());
+            }
+
+            let count = |s: &Store| StoreStats { records: 0, ..s.stats() };
+            prop_assert_eq!(count(&twice), count(&once));
+            prop_assert_eq!(twice.workflow_ids(), once.workflow_ids());
+            for wf in once.workflow_ids() {
+                let (expected, got) = (once.workflow(wf).unwrap(), twice.workflow(wf).unwrap());
+                prop_assert_eq!(got.tasks().len(), expected.tasks().len());
+                for (row, like) in got.tasks().iter().zip(expected.tasks()) {
+                    // The whole row, times and seen-byte included; its
+                    // transformation number names an id only in its own
+                    // table, so the ids are compared as well.
+                    prop_assert_eq!(row, like);
+                    prop_assert_eq!(got.transformation(row), expected.transformation(like));
+                }
+            }
+        }
     }
 
     #[cfg(debug_assertions)]

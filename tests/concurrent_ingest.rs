@@ -123,8 +123,8 @@ fn canon_of(store: &Store) -> Canon {
                 wf.to_string(),
                 t.id.to_string(),
                 deps,
-                t.start_ns,
-                t.end_ns,
+                t.start_ns(),
+                t.end_ns(),
                 t.status == TaskStatus::Finished,
                 data_ids(&t.inputs),
                 data_ids(&t.outputs),

@@ -84,7 +84,7 @@ fn peak_bytes_during(work: impl FnOnce()) -> usize {
 fn row_types_keep_their_edge_sets_inline() {
     assert!(size_of::<SmallSet<u32>>() <= 16);
     assert!(size_of::<DataRow>() <= 144, "{}", size_of::<DataRow>());
-    assert!(size_of::<TaskRow>() <= 144, "{}", size_of::<TaskRow>());
+    assert!(size_of::<TaskRow>() <= 112, "{}", size_of::<TaskRow>());
 }
 
 #[test]
@@ -188,9 +188,11 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     assert_eq!(stats.attr_cells, 101 * WIDE_TASKS);
     let wf = Id::from("wf");
     assert_eq!(store.read(&wf).layout_count(), 2);
-    // 1 578 B measured, plus a tenth: 808 of cells and 8 of row numbers in
+    // 1 531 B measured, plus a tenth: 808 of cells and 8 of row numbers in
     // the two layouts' lists; the rest is rows, ids, indices, and the slack
-    // of tables that double (2 875 tasks fill theirs to 0.70). 2 220 B
+    // of tables that double (2 875 tasks fill theirs to 0.70). 1 578 B
+    // while a task row was 144 B and held its message's copy of its
+    // transformation; 2 220 B
     // while a column listed its rows, 4 B a cell, and the id indexes held a
     // copy of every id; 2 410 B with 64-bit row numbers, a workflow id in
     // every row and the output's one number in a chunk of its own; 2 493 B
@@ -198,7 +200,82 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     // pairs in the row and 16-byte copies in the column (this test against
     // a `git archive` of the tree before layouts, less the layout count):
     // 8 235 B.
-    assert!(per_task <= 1_735, "{per_task} B of live heap per task");
+    assert!(per_task <= 1_684, "{per_task} B of live heap per task");
+}
+
+const IMMEDIATE_TASKS: u64 = 2_875;
+
+/// Task `t` of an `immediate_small` device of workflow `wf`: ten `Int` in
+/// `0..4` in, one `Float` out derived from the input and from the output
+/// before it, a dependency on the task before it.
+fn task_records_immediate(wf: u64, t: u64) -> [Record; 2] {
+    let task = TaskRecord {
+        id: Id::Num(t),
+        workflow: Id::Num(wf),
+        transformation: Id::from("step"),
+        dependencies: t.checked_sub(1).map(Id::Num).into_iter().collect(),
+        time_ns: t,
+        status: TaskStatus::Running,
+    };
+    let mut input = DataRecord::new(format!("in{t}"), wf);
+    input.attributes = (0..10)
+        .map(|a| {
+            (
+                Arc::from(format!("a{a}")),
+                AttrValue::Int(((t + a) * 7 % 4) as i64),
+            )
+        })
+        .collect();
+    let mut output =
+        DataRecord::new(format!("out{t}"), wf).with_attr("result", t as f64 * 0.5 + wf as f64);
+    output.derivations = t
+        .checked_sub(1)
+        .map(|p| Id::from(format!("out{p}")))
+        .into_iter()
+        .collect();
+    output.derivations.push(Id::from(format!("in{t}")));
+    [
+        Record::TaskBegin {
+            task: task.clone(),
+            inputs: vec![input],
+        },
+        Record::TaskEnd {
+            task: TaskRecord {
+                status: TaskStatus::Finished,
+                ..task
+            },
+            outputs: vec![output],
+        },
+    ]
+}
+
+#[test]
+fn an_immediate_task_of_ten_small_numbers_retains_under_a_kilobyte() {
+    // Two `immediate_small` devices, each record in an envelope of its own,
+    // so every string the store keeps a reference to was decoded from the
+    // message it came in. All the store keeps is counted.
+    let before = live_bytes();
+    let store = ShardedStore::default();
+    let mut router = ShardRouter::new();
+    for t in 0..IMMEDIATE_TASKS {
+        for wf in [1, 2] {
+            for record in task_records_immediate(wf, t) {
+                router.route(&store, &mut over_the_wire(&[record]));
+            }
+        }
+    }
+    let per_task = (live_bytes() - before) as u64 / (2 * IMMEDIATE_TASKS);
+
+    let stats = store.stats();
+    assert_eq!(stats.tasks, 2 * IMMEDIATE_TASKS);
+    assert_eq!(stats.attr_cells, 11 * 2 * IMMEDIATE_TASKS);
+    assert_eq!(stats.lineage_edges, 2 * (2 * IMMEDIATE_TASKS - 1));
+    // 753 B measured, plus a tenth: 80 of cells and 8 of row numbers in the
+    // layouts' lists; the rest is a task row, two data rows, the text of
+    // their ids, indices, and the slack of tables that double (each fills
+    // its own to 0.70). 823 B while a task row was 144 B
+    // and held its message's copy of its transformation.
+    assert!(per_task <= 828, "{per_task} B of live heap per task");
 }
 
 /// Tasks of workflow 1, each using one data item of `cells` numbers under
@@ -353,6 +430,43 @@ fn rows_share_the_strings_the_shard_already_holds() {
         assert_eq!(*product.derivations, *std::slice::from_ref(&source.id));
         assert!(Arc::ptr_eq(text(&product.derivations[0]), text(&source.id)));
     }
+    // The task rows, from two messages, share one transformation: the
+    // table's, which nothing else holds once the records are gone.
+    let table = guard.workflow(&wf).expect("workflow stored");
+    let held = text(table.transformation(&table.tasks()[0]));
+    assert_eq!(**held, *"train");
+    for task in table.tasks() {
+        assert!(Arc::ptr_eq(text(table.transformation(task)), held));
+    }
+    assert_eq!(Arc::strong_count(held), 1);
+    drop(guard);
+
+    // A task lists a task it depends on under that row's own id, and keeps
+    // the copy of one that has not come.
+    let named = |id: &str, dependencies: &[&str]| Record::TaskBegin {
+        task: TaskRecord {
+            id: Id::from(id),
+            workflow: wf.clone(),
+            transformation: Id::from("train"),
+            dependencies: dependencies.iter().map(|&d| Id::from(d)).collect(),
+            time_ns: 0,
+            status: TaskStatus::Running,
+        },
+        inputs: Vec::new(),
+    };
+    for record in [named("fit", &[]), named("score", &["fit", "report"])] {
+        router.route(&store, &mut over_the_wire(&[record]));
+    }
+    let guard = store.read(&wf);
+    let (fit, score) = (
+        guard.task_by_id(&wf, &Id::from("fit")).expect("fit"),
+        guard.task_by_id(&wf, &Id::from("score")).expect("score"),
+    );
+    assert_eq!(score.dependencies, [Id::from("fit"), Id::from("report")]);
+    assert!(Arc::ptr_eq(text(&score.dependencies[0]), text(&fit.id)));
+    let table = guard.workflow(&wf).expect("workflow stored");
+    let shared = text(table.transformation(&table.tasks()[0]));
+    assert!(Arc::ptr_eq(text(table.transformation(score)), shared));
     drop(guard);
 
     // Invisible: a product that arrives before its source keeps the copy
