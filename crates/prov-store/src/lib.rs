@@ -27,6 +27,7 @@
 //!   interoperability (§IV-A).
 
 pub mod attrs;
+mod edges;
 mod index;
 pub mod query;
 pub mod schema;

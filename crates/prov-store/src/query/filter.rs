@@ -79,7 +79,7 @@ impl Filter {
             }
             Filter::EndedWithin { from_ns, to_ns } => {
                 let end = row
-                    .generated_by
+                    .generated_by()
                     .and_then(|t| table.tasks()[t as usize].end_ns())?;
                 (*from_ns <= end && end <= *to_ns).then_some(None)
             }

@@ -231,7 +231,7 @@ impl<'a> Query<'a> {
         self.for_each(workflow, &Path::over_attr(attr), |table, (idx, v)| {
             let row = &table.data()[idx as usize];
             let t = row
-                .generated_by
+                .generated_by()
                 .and_then(|ti| table.tasks()[ti as usize].end_ns())
                 .unwrap_or(0);
             series.push((t, v.unwrap_or(f64::NAN)));

@@ -13,11 +13,12 @@ use crate::query::filter::Filter;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Edge {
     /// Toward sources: the rows this row `wasDerivedFrom`. Resolved index
-    /// edges ([`DataRow::derived_from_idx`](crate::store::DataRow)), so a
-    /// hop is pointer-chasing, not id hashing.
+    /// edges ([`DataRow::derived_from`](crate::store::DataRow::derived_from)),
+    /// so a hop is pointer-chasing, not id hashing.
     DerivedFrom,
     /// Toward products: rows that derive from this row (the maintained
-    /// reverse index, [`DataRow::derived_into`](crate::store::DataRow)).
+    /// reverse index,
+    /// [`DataRow::derived_into`](crate::store::DataRow::derived_into)).
     DerivedInto,
     /// Task-mediated upstream: the inputs of the task that generated this
     /// row (`generated_by` ∘ `inputs`).

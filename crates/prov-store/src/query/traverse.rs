@@ -328,21 +328,21 @@ fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) 
     let row = &ctx.table.data()[node as usize];
     match edge {
         Edge::DerivedFrom => {
-            for &src in &row.derived_from_idx {
+            for &src in row.derived_from() {
                 if ctx.visible(src) {
                     emit((src, None));
                 }
             }
         }
         Edge::DerivedInto => {
-            for &dst in &row.derived_into {
+            for &dst in row.derived_into() {
                 if ctx.visible(dst) {
                     emit((dst, None));
                 }
             }
         }
         Edge::GeneratedFrom => {
-            if let Some(t) = row.generated_by {
+            if let Some(t) = row.generated_by() {
                 for &input in &ctx.table.tasks()[t as usize].inputs {
                     if ctx.visible(input) {
                         emit((input, None));
@@ -351,7 +351,7 @@ fn expand(ctx: &Ctx<'_>, edge: Edge, node: DataIdx, mut emit: impl FnMut(Item)) 
             }
         }
         Edge::UsedBy => {
-            for &t in &row.used_by {
+            for &t in row.used_by() {
                 for &output in &ctx.table.tasks()[t as usize].outputs {
                     if ctx.visible(output) {
                         emit((output, None));

@@ -286,7 +286,7 @@ mod tests {
         let (at, row) = guard
             .data_by_id(&Id::Num(2), &Id::from("foreign"))
             .expect("cross-workflow data row must be locatable");
-        assert_eq!(row.used_by.len(), 1, "replica carries the local edge");
+        assert_eq!(row.used_by().len(), 1, "replica carries the local edge");
         // It is a row of workflow 1's table, owned by workflow 2, and of
         // neither's columns.
         let host = guard.workflow(&Id::Num(1)).unwrap();
@@ -333,7 +333,7 @@ mod tests {
         let replica = &host.data()[0];
         assert_eq!((host.owner(0), &replica.id), (&owner, &Id::from("d")));
         assert!(replica.attributes.is_empty());
-        assert_eq!(replica.used_by.len(), 1);
+        assert_eq!(replica.used_by().len(), 1);
     }
 
     #[test]

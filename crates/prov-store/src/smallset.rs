@@ -1,23 +1,32 @@
 //! Insertion-ordered sets that live inside the row while they are small.
 //!
 //! Task rows dedup their `dependencies`/`inputs`/`outputs` and data rows
-//! their derivation and `used_by` edges on every ingest. Nearly every such
-//! set holds at most two members (a row derives from one or two others, a
-//! task uses one input), and a few hold thousands (a dataset used by every
-//! task). [`SmallSet`] is laid out for both: up to two members sit inline
-//! in the set itself — 24 bytes for an index set, no allocation, and a
+//! their derivations on every ingest, and a data row's graph edges sit in
+//! sets of these once one outgrows the row
+//! ([`DataRow`](crate::store::DataRow)). Nearly every such set holds at
+//! most two members (a row derives from one or two others, a task uses one
+//! input), and a few hold thousands (a dataset used by every task).
+//! [`SmallSet`] is laid out for both: up to two members sit inline in the
+//! set itself — 16 bytes for a set of row numbers, no allocation, and a
 //! traversal reads the edges out of the row it already has — while a third
-//! member moves everything behind one `Box` holding a `Vec`, and past
-//! eight members a `HashSet` beside it, so a plain `Vec::contains` never
-//! makes ingest quadratic for hub nodes. A spilled set holds each member
-//! twice; for [`Id`](prov_model::Id)s that is two references to one
-//! allocation, not two copies.
+//! member moves everything behind one `Box` holding a `Vec`, so a plain
+//! `Vec::contains` never makes ingest quadratic for hub nodes past eight
+//! members:
+//!
+//! * while the members ascend — row numbers arrive in ascending order, so
+//!   a task's outputs nearly always do — a binary search of the `Vec`
+//!   answers membership, and the set holds each member once;
+//! * the first insert that breaks the order builds a `HashSet` beside the
+//!   `Vec`, which holds each member a second time; for
+//!   [`Id`](prov_model::Id)s that is two references to one allocation, not
+//!   two copies.
 
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::ops::Deref;
 
-/// Linear-scan length above which a hash index is built.
+/// Linear-scan length above which membership is a binary search of
+/// ascending members, or a hash probe of an index once they do not ascend.
 const SPILL: usize = 8;
 
 /// An insertion-ordered set over `T`.
@@ -37,7 +46,8 @@ enum Repr<T> {
 #[derive(Clone, Debug)]
 struct Many<T> {
     items: Vec<T>,
-    /// Membership index, built once `items` outgrows [`SPILL`].
+    /// Membership index, built once `items` outgrows [`SPILL`] out of
+    /// ascending order. Past [`SPILL`] with none, `items` ascend.
     index: Option<HashSet<T>>,
 }
 
@@ -47,20 +57,23 @@ impl<T> Default for SmallSet<T> {
     }
 }
 
-impl<T: Eq + Hash + Clone> SmallSet<T> {
+impl<T: Ord + Hash + Clone> SmallSet<T> {
     /// Empty set.
     pub fn new() -> Self {
         SmallSet::default()
     }
 
-    /// Membership test: hash probe once spilled, linear scan while small.
+    /// Membership test: a linear scan while small, then a binary search
+    /// while the members ascend and a hash probe once they do not.
     pub fn contains(&self, value: &T) -> bool {
-        if let Repr::Many(many) = &self.0 {
-            if let Some(index) = &many.index {
-                return index.contains(value);
-            }
+        match &self.0 {
+            Repr::Many(many) => match &many.index {
+                Some(index) => index.contains(value),
+                None if many.items.len() > SPILL => many.items.binary_search(value).is_ok(),
+                None => many.items.contains(value),
+            },
+            _ => self.deref().contains(value),
         }
-        self.deref().contains(value)
     }
 
     /// Inserts an owned value; returns `true` if it was new.
@@ -76,13 +89,24 @@ impl<T: Eq + Hash + Clone> SmallSet<T> {
                 index: None,
             })),
             Repr::Many(mut many) => {
-                if let Some(index) = &mut many.index {
-                    index.insert(value.clone());
+                let items = &many.items;
+                match &mut many.index {
+                    Some(index) => {
+                        index.insert(value.clone());
+                    }
+                    // Past `SPILL` the members ascend or are indexed: a
+                    // value that breaks the order builds the index.
+                    None if items.len() >= SPILL => {
+                        let ascends = |items: &[T]| items.windows(2).all(|w| w[0] < w[1]);
+                        let follows = items.last().is_some_and(|last| *last < value);
+                        if !(follows && (items.len() > SPILL || ascends(items))) {
+                            let members = items.iter().cloned().chain([value.clone()]);
+                            many.index = Some(members.collect());
+                        }
+                    }
+                    None => {}
                 }
                 many.items.push(value);
-                if many.index.is_none() && many.items.len() > SPILL {
-                    many.index = Some(many.items.iter().cloned().collect());
-                }
                 Repr::Many(many)
             }
         };
@@ -139,7 +163,7 @@ impl<'a, T> IntoIterator for &'a SmallSet<T> {
     }
 }
 
-impl<T: Eq + Hash + Clone> FromIterator<T> for SmallSet<T> {
+impl<T: Ord + Hash + Clone> FromIterator<T> for SmallSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut set = SmallSet::new();
         for v in iter {
@@ -157,8 +181,12 @@ mod tests {
     use std::fmt::Debug;
     use std::sync::Arc;
 
-    fn spilled<T>(set: &SmallSet<T>) -> bool {
+    fn indexed<T>(set: &SmallSet<T>) -> bool {
         matches!(&set.0, Repr::Many(many) if many.index.is_some())
+    }
+
+    fn ascending<T: Ord>(items: &[T]) -> bool {
+        items.windows(2).all(|w| w[0] < w[1])
     }
 
     #[test]
@@ -173,19 +201,33 @@ mod tests {
 
     #[test]
     fn spills_to_hash_index_and_stays_correct() {
+        // Descending: no binary search can answer for these.
         let mut s = SmallSet::new();
-        for i in 0..100usize {
+        for i in (0..100usize).rev() {
             assert!(s.insert(i));
             assert!(!s.insert(i));
         }
-        assert!(spilled(&s), "large set must spill");
+        assert!(indexed(&s), "large set must spill");
         assert_eq!(s.len(), 100);
         for i in 0..100usize {
             assert!(s.contains(&i));
         }
         assert!(!s.contains(&100));
         // Order survived the spill.
-        assert!(s.iter().copied().eq(0..100));
+        assert!(s.iter().copied().eq((0..100).rev()));
+    }
+
+    #[test]
+    fn an_ascending_set_keeps_no_index_until_an_insert_breaks_the_order() {
+        let mut s: SmallSet<u32> = (0..64).map(|i| 2 * i).collect();
+        assert!(!indexed(&s), "ascending members need no index");
+        assert!(s.contains(&126) && !s.contains(&63) && !s.contains(&128));
+        assert!(!s.insert(40));
+        assert!(s.insert(200));
+        assert!(!indexed(&s));
+        assert!(s.insert(3));
+        assert!(indexed(&s), "an insert out of order builds the index");
+        assert!(s.contains(&3) && s.contains(&200) && !s.contains(&5));
     }
 
     #[test]
@@ -219,7 +261,7 @@ mod tests {
     /// Drives `ops` over a set and over a `Vec` + `HashSet` reference,
     /// comparing after every step, so every length from empty to past the
     /// spill is compared on the way up.
-    fn run_against_model<T: Eq + Hash + Clone + Debug>(
+    fn run_against_model<T: Ord + Hash + Clone + Debug>(
         domain: &[T],
         ops: &[(u8, usize)],
     ) -> SmallSet<T> {
@@ -242,19 +284,26 @@ mod tests {
                 _ => {
                     let copy = set.clone();
                     assert_eq!(copy, set);
-                    assert_eq!(spilled(&copy), spilled(&set));
+                    assert_eq!(indexed(&copy), indexed(&set));
                     // A clone is a set of its own.
                     set = copy;
                 }
             }
             assert_eq!(&*set, order.as_slice());
             assert_eq!(set, order);
-            assert_eq!(spilled(&set), order.len() > SPILL);
+            assert_eq!(indexed(&set), order.len() > SPILL && !ascending(&order));
             for value in domain {
                 assert_eq!(set.contains(value), members.contains(value));
             }
         }
         set
+    }
+
+    /// Runs of ascending inserts two apart, each followed by one value from
+    /// `0..64` — a duplicate, a value out of order or one that keeps the
+    /// order — so the order breaks before, at and after [`SPILL`].
+    fn arb_runs() -> impl Strategy<Value = Vec<(usize, u32)>> {
+        proptest::collection::vec((0..2 * SPILL + 2, 0u32..64), 1..5)
     }
 
     proptest! {
@@ -277,12 +326,38 @@ mod tests {
             let set = run_against_model(&domain, &ops);
             // One more reference per place the set holds the member,
             // never a copy of the text.
-            let held = if spilled(&set) { 2 } else { 1 };
+            let held = if indexed(&set) { 2 } else { 1 };
             for id in &domain {
                 if let Id::Str(text) = id {
                     let expected = 1 + if set.contains(id) { held } else { 0 };
                     prop_assert_eq!(Arc::strong_count(text), expected);
                 }
+            }
+        }
+
+        /// An ascending set past [`SPILL`] holds no index, and order, dedup
+        /// and membership match a `Vec` whichever side of [`SPILL`] an
+        /// insert breaks the order on.
+        #[test]
+        fn prop_ascending_runs_keep_no_index_until_an_insert_breaks_them(runs in arb_runs()) {
+            let mut set = SmallSet::new();
+            let mut order: Vec<u32> = Vec::new();
+            let mut next = 0u32;
+            for (run, odd) in runs {
+                let values = (next..).step_by(2).take(run).chain([odd]);
+                for value in values {
+                    let inserted = set.insert(value);
+                    prop_assert_eq!(inserted, !order.contains(&value));
+                    if inserted {
+                        order.push(value);
+                    }
+                    prop_assert_eq!(&*set, order.as_slice());
+                    prop_assert_eq!(indexed(&set), order.len() > SPILL && !ascending(&order));
+                    for probe in 0..order.iter().max().map_or(0, |m| m + 2) {
+                        prop_assert_eq!(set.contains(&probe), order.contains(&probe));
+                    }
+                }
+                next = order.iter().max().map_or(0, |m| m + 1);
             }
         }
     }

@@ -30,17 +30,22 @@
 //! # What a row costs
 //!
 //! The store is memory-only, so the bytes per row decide how long a server
-//! can ingest. A [`DataRow`] is 144 bytes and a [`TaskRow`] 112: a row
-//! number is 32 bits, so an edge set ([`SmallSet`]) is 16 bytes holding up
-//! to two members inline and allocating nothing until a third, and a row
-//! holds no workflow id — its workflow is its table's (see
-//! [`WorkflowTable::owner`] for the rare row that is another's). A task
-//! row's two times are 8 bytes each and one byte says which were seen, and
-//! its transformation is a 32-bit number into the table's list, which holds
-//! each transformation once ([`WorkflowTable::transformation`]). An
-//! attribute cell costs 8 bytes, in the row's cells ([`Attrs`]), and
-//! nothing else: names, value tags and which column a cell feeds are the
-//! row's [`Layout`](crate::attrs::Layout), one per shape and workflow,
+//! can ingest. A [`DataRow`] is 128 bytes and a [`TaskRow`] 112: a row
+//! number is 32 bits, so a task's edge set ([`SmallSet`]) is 16 bytes
+//! holding up to two members inline and allocating nothing until a third,
+//! and a data row keeps its three edge sets and its generator in one block
+//! of 40 bytes, two members a set inline, that allocates one box for all
+//! three once a set has a third. A set past eight members whose row
+//! numbers ascend — a task's outputs, as rows arrive — is searched in
+//! order and keeps no hash index beside it. A row holds no workflow id —
+//! its workflow is its table's (see [`WorkflowTable::owner`] for the rare
+//! row that is another's). A task row's two times are 8 bytes each and one
+//! byte says which were seen, and its transformation is a 32-bit number
+//! into the table's list, which holds each transformation once
+//! ([`WorkflowTable::transformation`]). An attribute cell costs 8 bytes,
+//! in the row's cells ([`Attrs`]), and nothing else: names, value tags and
+//! which column a cell feeds are the row's
+//! [`Layout`], one per shape and workflow,
 //! shared by every row of that shape, and the layout lists the row once —
 //! 4 bytes a row, whatever its number of cells — for the columns its slots
 //! feed to find it. A row of one cell keeps it inside the row; any other
@@ -74,12 +79,13 @@
 //! dropped in favour of that copy. A row of a known shape costs ingest one
 //! allocation for its cells, none if it has one, and no string probe. A
 //! lineage DAG whose rows derive from two others and carry one number
-//! retains 249 bytes of heap per row, a task with a hundred numbers in and
-//! one out 1 531, and a task with ten small integers in and one number out,
-//! each record in a message of its own, 753, all tables included
+//! retains 217 bytes of heap per row, a task with a hundred numbers in and
+//! one out 1 486, and a task with ten small integers in and one number out,
+//! each record in a message of its own, 708, all tables included
 //! (`tests/store_footprint.rs` holds those figures and the sharing).
 
 use crate::attrs::{Attrs, Layout, Layouts};
+use crate::edges::{Edges, Relation};
 use crate::index::RowIndex;
 use crate::schema::AttrType;
 use crate::smallset::SmallSet;
@@ -172,23 +178,41 @@ pub struct DataRow {
     /// the reference arrived is listed by the source row's own `id`
     /// allocation, not by a copy.
     pub derivations: SmallSet<Id>,
-    /// `derivations` resolved to row indices, wired at ingest. A source
-    /// that has not been ingested yet is absent here (and parked in the
-    /// table's pending set) until it arrives; the traversal engine walks
-    /// these index edges instead of re-hashing ids per hop.
-    pub derived_from_idx: SmallSet<DataIdx>,
-    /// Reverse derivation edges: rows that list this row as a source.
-    /// Maintained alongside `derived_from_idx` so downstream closure is a
-    /// graph walk, not an `O(rows)` scan per node.
-    pub derived_into: SmallSet<DataIdx>,
     /// Attributes, as the record listed them: a name the record repeats is
     /// here as often. Re-seen data ids merge new attribute names in; the
     /// first value seen for a name wins.
     pub attributes: Attrs,
-    /// Task that generated this data, if known.
-    pub generated_by: Option<TaskIdx>,
+    /// The row's graph edges and its generator, in one block.
+    edges: Edges,
+}
+
+impl DataRow {
+    /// `derivations` resolved to row numbers, wired at ingest. A source
+    /// that has not been ingested yet is absent here (and parked in the
+    /// table's pending set) until it arrives; the traversal engine walks
+    /// these edges instead of re-hashing ids per hop.
+    pub fn derived_from(&self) -> &[DataIdx] {
+        self.edges.get(Relation::DerivedFrom)
+    }
+
+    /// Reverse derivation edges: rows that list this row as a source, in
+    /// the order they were wired. Maintained alongside
+    /// [`derived_from`](Self::derived_from) so downstream closure is a
+    /// graph walk, not an `O(rows)` scan per node.
+    pub fn derived_into(&self) -> &[DataIdx] {
+        self.edges.get(Relation::DerivedInto)
+    }
+
     /// Tasks that used this data.
-    pub used_by: SmallSet<TaskIdx>,
+    pub fn used_by(&self) -> &[TaskIdx] {
+        self.edges.get(Relation::UsedBy)
+    }
+
+    /// Task that generated this data, if known: the first whose end was
+    /// delivered naming it as an output.
+    pub fn generated_by(&self) -> Option<TaskIdx> {
+        self.edges.generated_by()
+    }
 }
 
 /// A typed attribute column: the rows of one workflow that carry one
@@ -296,7 +320,7 @@ pub struct StoreStats {
     pub data: u64,
     /// Attribute cells stored.
     pub attr_cells: u64,
-    /// Resolved derivation edges (`derived_from_idx` entries wired so far;
+    /// Resolved derivation edges ([`DataRow::derived_from`] entries wired so far;
     /// forward references count once their source row arrives).
     pub lineage_edges: u64,
 }
@@ -383,7 +407,7 @@ impl WorkflowTable {
                 for d in inputs {
                     let idx = self.upsert_data(d, stats);
                     self.tasks[t as usize].inputs.insert(idx);
-                    self.data[idx as usize].used_by.insert(t);
+                    self.data[idx as usize].edges.insert(Relation::UsedBy, t);
                 }
             }
             Record::TaskEnd { task, outputs } => {
@@ -393,7 +417,7 @@ impl WorkflowTable {
                 for d in outputs {
                     let idx = self.upsert_data(d, stats);
                     self.tasks[t as usize].outputs.insert(idx);
-                    self.data[idx as usize].generated_by = Some(t);
+                    self.data[idx as usize].edges.generated(t);
                 }
             }
         }
@@ -573,11 +597,8 @@ impl WorkflowTable {
         self.data.push(DataRow {
             id: data.id,
             derivations: SmallSet::new(),
-            derived_from_idx: SmallSet::new(),
-            derived_into: SmallSet::new(),
             attributes,
-            generated_by: None,
-            used_by: SmallSet::new(),
+            edges: Edges::default(),
         });
 
         // Resolve this row's sources (the index already contains the row
@@ -634,8 +655,9 @@ impl WorkflowTable {
 
     /// Records the resolved edge `src -> dst` in both directions.
     fn wire_derivation(&mut self, src: DataIdx, dst: DataIdx, stats: &mut StoreStats) {
-        if self.data[dst as usize].derived_from_idx.insert(src) {
-            self.data[src as usize].derived_into.insert(dst);
+        let (from, into) = (Relation::DerivedFrom, Relation::DerivedInto);
+        if self.data[dst as usize].edges.insert(from, src) {
+            self.data[src as usize].edges.insert(into, dst);
             stats.lineage_edges += 1;
         }
     }
@@ -999,9 +1021,9 @@ mod tests {
         let s = sample_store();
         let (_, d) = s.data_by_id(&Id::Num(1), &Id::from("out1")).unwrap();
         assert_eq!(d.derivations, vec![Id::from("in1")]);
-        assert!(d.generated_by.is_some());
+        assert!(d.generated_by().is_some());
         let (_, din) = s.data_by_id(&Id::Num(1), &Id::from("in1")).unwrap();
-        assert_eq!(din.used_by.len(), 1);
+        assert_eq!(din.used_by().len(), 1);
     }
 
     #[test]
@@ -1011,10 +1033,10 @@ mod tests {
         assert_eq!(s.stats().lineage_edges, 3);
         let (oi, out1) = s.data_by_id(&Id::Num(1), &Id::from("out1")).unwrap();
         let (ii, in1) = s.data_by_id(&Id::Num(1), &Id::from("in1")).unwrap();
-        assert_eq!(out1.derived_from_idx, [ii]);
-        assert_eq!(in1.derived_into, [oi]);
-        assert!(in1.derived_from_idx.is_empty());
-        assert!(out1.derived_into.is_empty());
+        assert_eq!(out1.derived_from(), [ii]);
+        assert_eq!(in1.derived_into(), [oi]);
+        assert!(in1.derived_from().is_empty());
+        assert!(out1.derived_into().is_empty());
     }
 
     #[test]
@@ -1026,7 +1048,7 @@ mod tests {
             inputs: vec![DataRecord::new("early", 1u64).derived_from("late")],
         });
         let (ei, early) = s.data_by_id(&Id::Num(1), &Id::from("early")).unwrap();
-        assert!(early.derived_from_idx.is_empty(), "source not present yet");
+        assert!(early.derived_from().is_empty(), "source not present yet");
         assert_eq!(s.stats().lineage_edges, 0);
         // The source arrives; the parked reference becomes an edge.
         s.ingest(Record::TaskBegin {
@@ -1035,8 +1057,8 @@ mod tests {
         });
         let (li, late) = s.data_by_id(&Id::Num(1), &Id::from("late")).unwrap();
         let (_, early) = s.data_by_id(&Id::Num(1), &Id::from("early")).unwrap();
-        assert_eq!(early.derived_from_idx, [li]);
-        assert_eq!(late.derived_into, [ei]);
+        assert_eq!(early.derived_from(), [li]);
+        assert_eq!(late.derived_into(), [ei]);
         assert_eq!(s.stats().lineage_edges, 1);
         // Re-reporting the same derivation does not double-count.
         s.ingest(Record::TaskBegin {
@@ -1073,12 +1095,9 @@ mod tests {
         assert_eq!(table.owner(0), &Id::Num(1));
         assert_eq!(table.owner(1), &Id::Num(2));
         assert_eq!(table.foreign_owners(), [(1, Id::Num(2)), (2, Id::Num(2))]);
-        assert_eq!(theirs.derived_from_idx, [2]);
-        assert_eq!(source.derived_into, [1]);
-        assert!(
-            mine.derived_from_idx.is_empty(),
-            "still waiting for its own"
-        );
+        assert_eq!(theirs.derived_from(), [2]);
+        assert_eq!(source.derived_into(), [1]);
+        assert!(mine.derived_from().is_empty(), "still waiting for its own");
         // Workflow 1's own `s` is what `mine` waited for.
         s.ingest(Record::TaskBegin {
             task: task(1, 2, "t", None, TaskStatus::Running),
@@ -1086,8 +1105,8 @@ mod tests {
         });
         assert_eq!(s.stats().lineage_edges, 2);
         let table = s.workflow(&Id::Num(1)).unwrap();
-        assert_eq!(table.data()[0].derived_from_idx, [3]);
-        assert_eq!(table.data()[2].derived_into, [1]);
+        assert_eq!(table.data()[0].derived_from(), [3]);
+        assert_eq!(table.data()[2].derived_into(), [1]);
         // Workflow 2 reporting an `s` itself starts a table of its own.
         s.ingest(Record::TaskBegin {
             task: task(2, 0, "t", None, TaskStatus::Running),
@@ -1106,8 +1125,8 @@ mod tests {
             inputs: vec![DataRecord::new("ouro", 1u64).derived_from("ouro")],
         });
         let (i, row) = s.data_by_id(&Id::Num(1), &Id::from("ouro")).unwrap();
-        assert_eq!(row.derived_from_idx, [i]);
-        assert_eq!(row.derived_into, [i]);
+        assert_eq!(row.derived_from(), [i]);
+        assert_eq!(row.derived_into(), [i]);
         assert_eq!(s.stats().lineage_edges, 1);
     }
 
@@ -1303,7 +1322,7 @@ mod tests {
         });
         assert_eq!(s.stats().data, 1);
         let (_, row) = s.data_by_id(&Id::Num(1), &Id::from("shared")).unwrap();
-        assert_eq!(row.used_by.len(), 2);
+        assert_eq!(row.used_by().len(), 2);
     }
 
     #[test]
@@ -1549,6 +1568,44 @@ mod tests {
         tasks.prop_map(|(t0, t1, t2, t3)| vec![t0.concat(), t1, t2.concat(), t3])
     }
 
+    /// The stream `tasks`, its records in an order `keys` picks — so an end
+    /// may come before its begin — and cut into envelopes of `sizes`,
+    /// ingested once and with whole envelopes delivered `again`, each copy
+    /// anywhere after its envelope's first delivery.
+    fn once_and_redelivered(
+        tasks: Vec<Vec<Record>>,
+        keys: Vec<u64>,
+        sizes: Vec<usize>,
+        again: Vec<(usize, usize)>,
+    ) -> (Store, Store) {
+        let mut records: Vec<(u64, Record)> = keys.into_iter().zip(tasks.concat()).collect();
+        records.sort_by_key(|&(key, _)| key);
+        let mut records = records.into_iter().map(|(_, record)| record);
+        let envelopes: Vec<Vec<Record>> = sizes
+            .into_iter()
+            .map(|n| records.by_ref().take(n).collect())
+            .filter(|envelope: &Vec<Record>| !envelope.is_empty())
+            .collect();
+        assert!(records.next().is_none());
+        let mut order: Vec<usize> = (0..envelopes.len()).collect();
+        for (pick, at) in again {
+            let Some(envelope) = pick.checked_rem(envelopes.len()) else {
+                break;
+            };
+            let first = order.iter().position(|&e| e == envelope).unwrap();
+            let later = first + 1 + at % (order.len() - first);
+            order.insert(later, envelope);
+        }
+        let (mut once, mut twice) = (Store::new(), Store::new());
+        for envelope in &envelopes {
+            once.ingest_batch(envelope.iter().cloned());
+        }
+        for &envelope in &order {
+            twice.ingest_batch(envelopes[envelope].iter().cloned());
+        }
+        (once, twice)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1562,33 +1619,7 @@ mod tests {
             sizes in proptest::collection::vec(1usize..4, 8),
             again in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..6),
         ) {
-            // The tasks' records in an order the keys pick, so an end may
-            // come before its begin, cut into envelopes.
-            let mut records: Vec<(u64, Record)> = keys.into_iter().zip(tasks.concat()).collect();
-            records.sort_by_key(|&(key, _)| key);
-            let mut records = records.into_iter().map(|(_, record)| record);
-            let envelopes: Vec<Vec<Record>> = sizes
-                .into_iter()
-                .map(|n| records.by_ref().take(n).collect())
-                .filter(|envelope: &Vec<Record>| !envelope.is_empty())
-                .collect();
-            prop_assert!(records.next().is_none());
-            // Each copy goes anywhere after its envelope's first delivery.
-            let mut order: Vec<usize> = (0..envelopes.len()).collect();
-            for (pick, at) in again {
-                let Some(envelope) = pick.checked_rem(envelopes.len()) else { break };
-                let first = order.iter().position(|&e| e == envelope).unwrap();
-                let later = first + 1 + at % (order.len() - first);
-                order.insert(later, envelope);
-            }
-            let (mut once, mut twice) = (Store::new(), Store::new());
-            for envelope in &envelopes {
-                once.ingest_batch(envelope.iter().cloned());
-            }
-            for &envelope in &order {
-                twice.ingest_batch(envelopes[envelope].iter().cloned());
-            }
-
+            let (once, twice) = once_and_redelivered(tasks, keys, sizes, again);
             let count = |s: &Store| StoreStats { records: 0, ..s.stats() };
             prop_assert_eq!(count(&twice), count(&once));
             prop_assert_eq!(twice.workflow_ids(), once.workflow_ids());
@@ -1601,6 +1632,35 @@ mod tests {
                     // table, so the ids are compared as well.
                     prop_assert_eq!(row, like);
                     prop_assert_eq!(got.transformation(row), expected.transformation(like));
+                }
+            }
+        }
+
+        /// The same for data rows: every row, of its own workflow or
+        /// another's, holds the derivations, attributes, edges and
+        /// generator of the stream delivered once, in the same order — an
+        /// end delivered again leaves the first generator in place.
+        #[test]
+        fn prop_a_redelivered_envelope_leaves_data_rows_as_they_were(
+            tasks in arb_stream(),
+            keys in proptest::collection::vec(any::<u64>(), 8),
+            sizes in proptest::collection::vec(1usize..4, 8),
+            again in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        ) {
+            let (once, twice) = once_and_redelivered(tasks, keys, sizes, again);
+            prop_assert_eq!(twice.workflow_ids(), once.workflow_ids());
+            for wf in once.workflow_ids() {
+                let (expected, got) = (once.workflow(wf).unwrap(), twice.workflow(wf).unwrap());
+                prop_assert_eq!(got.data().len(), expected.data().len());
+                prop_assert_eq!(got.foreign_owners(), expected.foreign_owners());
+                for (row, like) in got.data().iter().zip(expected.data()) {
+                    prop_assert_eq!(&row.id, &like.id);
+                    prop_assert_eq!(&row.derivations, &like.derivations);
+                    prop_assert_eq!(&row.attributes, &like.attributes);
+                    prop_assert_eq!(row.derived_from(), like.derived_from());
+                    prop_assert_eq!(row.derived_into(), like.derived_into());
+                    prop_assert_eq!(row.used_by(), like.used_by());
+                    prop_assert_eq!(row.generated_by(), like.generated_by());
                 }
             }
         }

@@ -140,7 +140,7 @@ fn canon_of(store: &Store) -> Canon {
                 .collect();
             attributes.sort();
             let mut used_by: Vec<String> = d
-                .used_by
+                .used_by()
                 .iter()
                 .map(|&t| table.tasks()[t as usize].id.to_string())
                 .collect();
@@ -151,7 +151,7 @@ fn canon_of(store: &Store) -> Canon {
                 d.id.to_string(),
                 derivations,
                 attributes,
-                d.generated_by
+                d.generated_by()
                     .map(|t| table.tasks()[t as usize].id.to_string()),
                 used_by,
             ));

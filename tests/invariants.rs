@@ -200,10 +200,10 @@ proptest! {
                     prop_assert_eq!(&found.id, &row.id);
                     prop_assert!(foreign_rows.insert((owner(d), &row.id)));
                 }
-                if let Some(g) = row.generated_by {
+                if let Some(g) = row.generated_by() {
                     prop_assert!(g < task_rows);
                 }
-                for &t in row.used_by.iter() {
+                for &t in row.used_by().iter() {
                     prop_assert!(t < task_rows);
                     prop_assert!(table.tasks()[t as usize].inputs.contains(&d));
                 }
@@ -213,24 +213,24 @@ proptest! {
             // row's own namespace — under the source row's id, whichever
             // copy of it the set keeps.
             for (d, row) in (0..).zip(table.data()) {
-                for &s in row.derived_from_idx.iter() {
+                for &s in row.derived_from().iter() {
                     prop_assert!(s < data_rows);
                     let source = &table.data()[s as usize];
-                    prop_assert!(source.derived_into.contains(&d));
+                    prop_assert!(source.derived_into().contains(&d));
                     prop_assert!(row.derivations.contains(&source.id));
                     prop_assert_eq!(owner(s), owner(d));
                 }
-                for &into in row.derived_into.iter() {
+                for &into in row.derived_into().iter() {
                     prop_assert!(into < data_rows);
-                    prop_assert!(table.data()[into as usize].derived_from_idx.contains(&d));
+                    prop_assert!(table.data()[into as usize].derived_from().contains(&d));
                 }
                 for source in row.derivations.iter() {
                     let held = |(s, r): &(u32, &DataRow)| owner(*s) == owner(d) && r.id == *source;
                     if let Some((s, _)) = (0..).zip(table.data()).find(held) {
-                        prop_assert!(row.derived_from_idx.contains(&s));
+                        prop_assert!(row.derived_from().contains(&s));
                     }
                 }
-                edges += row.derived_from_idx.len() as u64;
+                edges += row.derived_from().len() as u64;
             }
 
             // Columns list rows, and rows hold the values. A cell is typed

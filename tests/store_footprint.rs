@@ -83,7 +83,9 @@ fn peak_bytes_during(work: impl FnOnce()) -> usize {
 #[test]
 fn row_types_keep_their_edge_sets_inline() {
     assert!(size_of::<SmallSet<u32>>() <= 16);
-    assert!(size_of::<DataRow>() <= 144, "{}", size_of::<DataRow>());
+    // 144 B while its three edge sets were `SmallSet`s of their own and
+    // its generator an `Option`.
+    assert!(size_of::<DataRow>() <= 128, "{}", size_of::<DataRow>());
     assert!(size_of::<TaskRow>() <= 112, "{}", size_of::<TaskRow>());
 }
 
@@ -153,15 +155,16 @@ fn lineage_dag_retains_under_half_a_kilobyte_per_row() {
     let stats = store.stats();
     assert_eq!(stats.data, DAG_ROWS as u64);
     assert_eq!(stats.lineage_edges, 2 * DAG_ROWS as u64 - 3);
-    // 249 B measured, plus a tenth; 272 B while the id index held a copy
-    // of every id, 25 B a bucket; 357 B while row numbers were 64 bits,
+    // 217 B measured, plus a tenth; 249 B while a data row was 144 B and
+    // every task's 64 outputs held a hash index beside them; 272 B while
+    // the id index held a copy of every id, 25 B a bucket; 357 B while row numbers were 64 bits,
     // every row held its workflow id and its one number in a malloc chunk
     // of its own, 403 B while the index was keyed by `(workflow, id)` and
     // every row held the copy of the workflow id it arrived with, 448 B
     // while a row held its one cell as a 48-byte pair and the column a copy
     // of it, 877 B before edge sets moved inline and rows took the store's
     // own copy of every string it already held.
-    assert!(per_row <= 273, "{per_row} B of live heap per row");
+    assert!(per_row <= 238, "{per_row} B of live heap per row");
 }
 
 const WIDE_TASKS: u64 = 2_875;
@@ -188,11 +191,11 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     assert_eq!(stats.attr_cells, 101 * WIDE_TASKS);
     let wf = Id::from("wf");
     assert_eq!(store.read(&wf).layout_count(), 2);
-    // 1 531 B measured, plus a tenth: 808 of cells and 8 of row numbers in
+    // 1 486 B measured, plus a tenth: 808 of cells and 8 of row numbers in
     // the two layouts' lists; the rest is rows, ids, indices, and the slack
-    // of tables that double (2 875 tasks fill theirs to 0.70). 1 578 B
-    // while a task row was 144 B and held its message's copy of its
-    // transformation; 2 220 B
+    // of tables that double (2 875 tasks fill theirs to 0.70). 1 531 B
+    // while a data row was 144 B; 1 578 B while a task row was 144 B and
+    // held its message's copy of its transformation; 2 220 B
     // while a column listed its rows, 4 B a cell, and the id indexes held a
     // copy of every id; 2 410 B with 64-bit row numbers, a workflow id in
     // every row and the output's one number in a chunk of its own; 2 493 B
@@ -200,7 +203,7 @@ fn a_task_of_a_hundred_numbers_retains_under_three_kilobytes() {
     // pairs in the row and 16-byte copies in the column (this test against
     // a `git archive` of the tree before layouts, less the layout count):
     // 8 235 B.
-    assert!(per_task <= 1_684, "{per_task} B of live heap per task");
+    assert!(per_task <= 1_634, "{per_task} B of live heap per task");
 }
 
 const IMMEDIATE_TASKS: u64 = 2_875;
@@ -270,12 +273,52 @@ fn an_immediate_task_of_ten_small_numbers_retains_under_a_kilobyte() {
     assert_eq!(stats.tasks, 2 * IMMEDIATE_TASKS);
     assert_eq!(stats.attr_cells, 11 * 2 * IMMEDIATE_TASKS);
     assert_eq!(stats.lineage_edges, 2 * (2 * IMMEDIATE_TASKS - 1));
-    // 753 B measured, plus a tenth: 80 of cells and 8 of row numbers in the
+    // 708 B measured, plus a tenth: 80 of cells and 8 of row numbers in the
     // layouts' lists; the rest is a task row, two data rows, the text of
     // their ids, indices, and the slack of tables that double (each fills
-    // its own to 0.70). 823 B while a task row was 144 B
-    // and held its message's copy of its transformation.
-    assert!(per_task <= 828, "{per_task} B of live heap per task");
+    // its own to 0.70). 753 B while a data row was 144 B; 823 B while a
+    // task row was 144 B and held its message's copy of its
+    // transformation.
+    assert!(per_task <= 778, "{per_task} B of live heap per task");
+}
+
+#[test]
+fn a_task_of_sixty_four_ascending_outputs_keeps_no_hash_index() {
+    // A task of the DAG above: its outputs are new rows, so their numbers
+    // ascend, and a binary search answers for them. A second task naming
+    // the same rows in descending order needs a hash index.
+    let mut store = Store::new();
+    store.ingest(dag_task(0));
+    let Record::TaskEnd { task, mut outputs } = dag_task(0) else {
+        unreachable!("a DAG task is an end")
+    };
+    outputs.reverse();
+    let task = TaskRecord {
+        id: Id::Num(1),
+        ..task
+    };
+    store.ingest(Record::TaskEnd { task, outputs });
+    let table = store.workflow(&Id::from("Q")).expect("workflow stored");
+    let [ascending, descending] = table.tasks() else {
+        panic!("two task rows")
+    };
+    assert!(ascending.outputs.iter().copied().eq(0..64));
+    assert!(descending.outputs.iter().copied().eq((0..64).rev()));
+    // A copy allocates what the set holds: the box and 256 B of members,
+    // and the index a set holds — 656 B for 64 row numbers.
+    let held = |set: &SmallSet<u32>| {
+        let before = live_bytes();
+        let copy = set.clone();
+        let held = live_bytes() - before;
+        drop(copy);
+        held
+    };
+    assert!(
+        held(&ascending.outputs) <= 384,
+        "{} B",
+        held(&ascending.outputs)
+    );
+    assert!(held(&descending.outputs) > 384 + 512);
 }
 
 /// Tasks of workflow 1, each using one data item of `cells` numbers under
@@ -481,7 +524,7 @@ fn rows_share_the_strings_the_shard_already_holds() {
     let (source_idx, source) = guard.data_by_id(&wf, &Id::from("in2")).expect("in2");
     let (_, product) = guard.data_by_id(&wf, &Id::from("out2")).expect("out2");
     assert_eq!(product.derivations, [Id::from("in2")]);
-    assert_eq!(product.derived_from_idx, [source_idx]);
+    assert_eq!(product.derived_from(), [source_idx]);
     assert!(Arc::ptr_eq(
         product.attributes.layout(),
         source.attributes.layout()
